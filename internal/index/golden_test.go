@@ -38,10 +38,11 @@ func goldenQueries(entries []*Entry) [][]float64 {
 	return out
 }
 
-// TestSearchGolden pins Search results against a recording of the
-// pre-flat-storage implementation: the refactored hot path must return the
-// same entries at the same distances, with reordering permitted only within
-// groups of tied distances. Regenerate with GOLDEN_UPDATE=1 go test.
+// TestSearchGolden pins Search results against a recording: the hot path
+// must return the same entries at the same (exact, full-space) distances,
+// with reordering permitted only within groups of tied distances. A change
+// that means to move results regenerates it with GOLDEN_UPDATE=1 go test and
+// answers to TestRecallFloor for what it did to quality.
 func TestSearchGolden(t *testing.T) {
 	entries := corpus(300, 2)
 	ix, err := Build(entries, Options{Seed: 2})
@@ -128,5 +129,43 @@ func compareUpToTies(t *testing.T, ci int, got, want []goldenHit) {
 			}
 		}
 		i = j
+	}
+}
+
+// oldRankRecallAt10 is what the previous leaf stage — every candidate
+// ranked in the primary leaf's reduced space, sibling-leaf candidates
+// projected into it on demand — found of the exact top ten on
+// multiLeafCorpus(12, 800) over the 500 queries below: 3610 of 5000.
+const oldRankRecallAt10 = 0.7220
+
+// TestRecallFloor is the quality half of the golden file: on a corpus shaped
+// like the HTTP benchmark's, the share of FlatSearch's exact top ten that
+// the index returns must not fall below what the old rank achieved.
+func TestRecallFloor(t *testing.T) {
+	entries := multiLeafCorpus(12, 800)
+	ix, err := Build(entries, Options{Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, exact := 0, 0
+	var hier []Result
+	for i := 0; i < 500; i++ {
+		q := entries[(i*7919)%len(entries)].Shot.Feature()
+		flat, _ := FlatSearch(entries, q, 10)
+		hier, _ = ix.SearchInto(hier, q, 10)
+		for _, f := range flat {
+			exact++
+			for _, h := range hier {
+				if h.Entry == f.Entry {
+					found++
+					break
+				}
+			}
+		}
+	}
+	recall := float64(found) / float64(exact)
+	t.Logf("recall@10 = %d/%d = %.4f (old rank: %.4f)", found, exact, recall, oldRankRecallAt10)
+	if recall < oldRankRecallAt10 {
+		t.Fatalf("recall@10 %.4f fell below the old rank's %.4f", recall, oldRankRecallAt10)
 	}
 }

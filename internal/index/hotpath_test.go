@@ -75,9 +75,9 @@ func TestHashExhaustedFallback(t *testing.T) {
 	}
 }
 
-// TestBeamCrossLeafRanking exercises beam > 1: candidates routed in from a
-// sibling leaf have no precomputed projection in the primary leaf's space
-// and must be projected on demand, then ranked in one ordered list.
+// TestBeamCrossLeafRanking exercises beam > 1: every visited leaf ranks its
+// own candidates in its own reduced space, and the leaves' shortlists merge
+// into one list ordered by exact distance.
 func TestBeamCrossLeafRanking(t *testing.T) {
 	entries := corpus(120, 22) // 6 leaves, 20 entries each
 	ix, err := Build(entries, Options{Seed: 22, Beam: 3})
@@ -100,16 +100,50 @@ func TestBeamCrossLeafRanking(t *testing.T) {
 	if len(leaves) < 2 {
 		t.Fatalf("beam=3 search stayed inside one leaf: %v", leaves)
 	}
-	// On-demand projection must agree with the precomputed rows: the same
-	// query re-ranked with beam 1 must give the same leading distances for
-	// primary-leaf entries.
+	// Widening the beam must not change what the primary leaf contributes:
+	// the same query with beam 1 finds the same nearest entry.
 	ix1, err := Build(entries, Options{Seed: 22, Beam: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res1, _ := ix1.Search(q, 5)
-	if math.Abs(res[0].Dist-res1[0].Dist) > 1e-9 {
-		t.Fatalf("beam-3 top dist %v != beam-1 top dist %v", res[0].Dist, res1[0].Dist)
+	if res[0].Entry != res1[0].Entry || res[0].Dist != res1[0].Dist {
+		t.Fatalf("beam-3 top hit %v != beam-1 top hit %v", res[0], res1[0])
+	}
+}
+
+// TestSearchReportsExactDistance pins what Dist means: the full-space
+// Euclidean distance ShotSqDist computes, bit for bit — the router's
+// MergeHits and FlatSearch report the same number for the same shot — so a
+// query-by-example that finds its example ranks it first at distance 0.
+func TestSearchReportsExactDistance(t *testing.T) {
+	entries := multiLeafCorpus(28, 90)
+	ix, err := Build(entries, Options{Seed: 28})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix = mustInsert(t, ix, corpusEntry(0, "late", 0, rand.New(rand.NewSource(28))))
+	self := 0
+	for i, e := range ix.all {
+		q := e.Shot.Feature()
+		if i%2 == 1 {
+			q[i%len(q)] += 0.01 // a near-duplicate, not an example
+		}
+		res, _ := ix.Search(q, 10)
+		for j, r := range res {
+			if want := math.Sqrt(ShotSqDist(r.Entry.Shot, q)); r.Dist != want {
+				t.Fatalf("query %d hit %d: Dist %v, exact distance %v", i, j, r.Dist, want)
+			}
+			if r.Entry == e && i%2 == 0 {
+				self++
+				if j != 0 || r.Dist != 0 {
+					t.Fatalf("query %d: its example ranks %d at distance %v", i, j, r.Dist)
+				}
+			}
+		}
+	}
+	if self < len(ix.all)/2*9/10 {
+		t.Fatalf("only %d of %d examples found themselves", self, len(ix.all)/2)
 	}
 }
 

@@ -72,9 +72,8 @@ func (ix *Index) Insert(e *Entry) (*Index, error) {
 	nix.extraFeats = append(ix.extraFeats, e.Shot.Color...)
 	nix.extraFeats = append(nix.extraFeats, e.Shot.Texture...)
 	nix.inserted = ix.inserted + 1
-	nix.seenWords = (len(nix.all) + 63) / 64
 	nix.root = cloneSpine(ix.root, e.Path, func(leaf *node) *node {
-		nl := *leaf // shares ids, proj, hash, cell, reducer with the old leaf
+		nl := *leaf // shares ids, proj, cell table, reducer with the old leaf
 		dim := leaf.reducer.Dim()
 		full := ix.featRowOf(&nix, id)
 		row := make([]float64, dim)

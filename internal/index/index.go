@@ -3,22 +3,26 @@
 // nodes summarise their content with multiple centers (because high-level
 // concepts mix several visual components, a single Gaussian cannot model
 // them) and whose leaf nodes index shots with a hash table. Search descends
-// only into relevant units and computes distances in reduced feature
-// subspaces, reproducing the Tc ≪ Te total-cost comparison of Eqs. (24)–(25).
+// only into relevant units, computes distances in reduced feature subspaces
+// — every leaf ranks its own candidates in its own — and spends full-space
+// distances only on the short list the leaves hand up, reproducing the
+// Tc ≪ Te total-cost comparison of Eqs. (24)–(25).
 //
 // Storage is flat and contiguous: entries are numbered at Build, all full
 // features live in one row-major matrix, and every leaf precomputes one
-// projection matrix over its rows. The search hot path runs on pooled
-// per-call scratch (query projections, candidate lists, a seen-bitset keyed
-// by entry ID, a bounded top-k max-heap), so steady-state SearchInto
-// performs zero heap allocations.
+// projection matrix over its rows and one sorted table of its occupied hash
+// cells. The search hot path runs on pooled per-call scratch (query
+// projections, candidate lists, bounded top-k max-heaps), so steady-state
+// SearchInto performs zero heap allocations.
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -92,6 +96,9 @@ type Index struct {
 	root  *node
 	all   []*Entry
 	feats *mat.Dense // row i = full feature vector of entry i (build-time rows)
+	// colorDims is where a feature row splits into colour and texture; the
+	// exact re-rank sums the two halves as ShotSqDist does.
+	colorDims int
 
 	// Incremental overlay state. baseRows is feats.R at the last full fit;
 	// entries inserted since then keep their full features in extraFeats
@@ -106,12 +113,10 @@ type Index struct {
 	removed      []uint64
 	removedCount int
 
-	maxDim    int // widest reducer output across nodes (scratch sizing)
-	seenWords int // words in the per-search seen-bitset
+	maxDim int // widest reducer output across nodes (scratch sizing)
 	// scratch is shared by every index in a copy-on-write chain (clones
 	// copy the pointer), so pooled buffers survive Insert/Remove and
-	// steady-state searches stay allocation-free; SearchInto grows a pooled
-	// bitset when inserts have outgrown it.
+	// steady-state searches stay allocation-free.
 	scratch *sync.Pool
 }
 
@@ -124,11 +129,16 @@ type node struct {
 	centers map[string][][]float64 // child name -> centers in this node's space
 	// Leaf state, flat storage: ids are global entry IDs in insertion
 	// order, proj row r is the reduced feature of entry ids[r], and the
-	// hash maps quantised cells to leaf-local rows.
-	ids  []int32
-	proj *mat.Dense
-	hash map[cellKey][]int32
-	cell []float64 // per-dim hash cell width
+	// cell table maps quantised cells to leaf-local rows. The table is in
+	// CSR form: cellKeys holds the occupied cells in ascending keyCmp
+	// order, and cell i owns cellRows[cellStart[i]:cellStart[i+1]]
+	// (ascending rows).
+	ids       []int32
+	proj      *mat.Dense
+	cell      []float64 // per-dim hash cell width
+	cellKeys  []cellKey
+	cellStart []int32
+	cellRows  []int32
 	// Incremental overlay: entries inserted after the fit. extraIDs extends
 	// ids (leaf row len(ids)+i refers to extraIDs[i]) and extraProj holds
 	// their reduced features (reducer.Dim() wide rows). Extras are not
@@ -205,8 +215,13 @@ func BuildMatrix(entries []*Entry, feats *mat.Dense, opts Options) (*Index, erro
 	if feats == nil || feats.R != len(entries) {
 		return nil, fmt.Errorf("index: feature matrix must have one row per entry")
 	}
+	first := entries[0].Shot
+	if len(first.Color)+len(first.Texture) != feats.C {
+		return nil, fmt.Errorf("index: feature matrix has %d columns, entry 0 has %d feature dims",
+			feats.C, len(first.Color)+len(first.Texture))
+	}
 	opts = opts.withDefaults()
-	ix := &Index{opts: opts, root: newNode("database"), all: entries, feats: feats}
+	ix := &Index{opts: opts, root: newNode("database"), all: entries, feats: feats, colorDims: len(first.Color)}
 	for i, e := range entries {
 		if len(e.Path) == 0 {
 			return nil, fmt.Errorf("index: entry %d has empty path", i)
@@ -233,11 +248,10 @@ func BuildMatrix(entries []*Entry, feats *mat.Dense, opts Options) (*Index, erro
 	}
 	ix.baseRows = feats.R
 	ix.maxDim = maxReducerDim(ix.root)
-	ix.seenWords = (len(entries) + 63) / 64
-	pool := &sync.Pool{}
-	seenWords, maxDim := ix.seenWords, ix.maxDim
-	pool.New = func() any { return newScratch(maxDim, seenWords) }
-	ix.scratch = pool
+	maxDim := ix.maxDim
+	ix.scratch = &sync.Pool{New: func() any {
+		return &searchScratch{qproj: make([]float64, maxDim)}
+	}}
 	return ix, nil
 }
 
@@ -275,7 +289,7 @@ func maxReducerDim(n *node) int {
 }
 
 // fit trains each node: reducers and per-child centers at non-leaf nodes,
-// the hash table at leaves. The node's entry list arrives precomputed.
+// the cell table at leaves. The node's entry list arrives precomputed.
 func (ix *Index) fit(n *node, idsOf map[*node][]int32, rng *rand.Rand) error {
 	ids := idsOf[n]
 	if len(ids) == 0 {
@@ -315,7 +329,7 @@ func (ix *Index) fit(n *node, idsOf map[*node][]int32, rng *rand.Rand) error {
 }
 
 // fitLeaf projects the leaf's entries into one contiguous matrix and builds
-// the hash table over quantised reduced signatures.
+// the cell table over quantised reduced signatures.
 func (ix *Index) fitLeaf(n *node) error {
 	dims := n.reducer.Dim()
 	h := ix.opts.HashDims
@@ -345,12 +359,42 @@ func (ix *Index) fitLeaf(n *node) error {
 		}
 		n.cell[d] = sd / 2
 	}
-	n.hash = map[cellKey][]int32{}
-	for r := 0; r < n.proj.R; r++ {
-		key := n.hashKey(n.proj.Row(r))
-		n.hash[key] = append(n.hash[key], int32(r))
-	}
+	n.buildCells()
 	return nil
+}
+
+// buildCells builds the leaf's cell table from proj and cell: the rows are
+// sorted once by (cell key, row) and the runs of equal keys become the
+// cells, so the table costs one sort and three exactly-sized slices however
+// many cells the leaf occupies.
+func (n *node) buildCells() {
+	keys := make([]cellKey, n.proj.R)
+	n.cellRows = make([]int32, n.proj.R)
+	for r := range keys {
+		keys[r] = n.hashKey(n.proj.Row(r))
+		n.cellRows[r] = int32(r)
+	}
+	slices.SortFunc(n.cellRows, func(a, b int32) int {
+		if c := keyCmp(keys[a], keys[b]); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
+	cells := 0
+	for i, r := range n.cellRows {
+		if i == 0 || keys[r] != keys[n.cellRows[i-1]] {
+			cells++
+		}
+	}
+	n.cellKeys = make([]cellKey, 0, cells)
+	n.cellStart = make([]int32, 0, cells+1)
+	for i, r := range n.cellRows {
+		if i == 0 || keys[r] != keys[n.cellRows[i-1]] {
+			n.cellKeys = append(n.cellKeys, keys[r])
+			n.cellStart = append(n.cellStart, int32(i))
+		}
+	}
+	n.cellStart = append(n.cellStart, int32(len(n.cellRows)))
 }
 
 func (n *node) hashKey(p []float64) cellKey {
@@ -361,12 +405,33 @@ func (n *node) hashKey(p []float64) cellKey {
 	return k
 }
 
-// candRef locates one candidate: its leaf, its leaf-local projection row,
-// and its global entry ID.
+// keyCmp is the lexicographic order the cell table is sorted by.
+func keyCmp(a, b cellKey) int {
+	for d := range a {
+		if a[d] != b[d] {
+			if a[d] < b[d] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// findCell returns the table index of an occupied cell, or -1.
+func (n *node) findCell(key cellKey) int {
+	if ci, ok := slices.BinarySearchFunc(n.cellKeys, key, keyCmp); ok {
+		return ci
+	}
+	return -1
+}
+
+// candRef locates one candidate: its leaf-local projection row and its
+// global entry ID. Candidates sit in searchScratch.cands grouped by leaf in
+// visit order; ends[i] closes the group of leaves[i].
 type candRef struct {
-	leaf *node
-	row  int32
-	id   int32
+	row int32
+	id  int32
 }
 
 // heapItem is one bounded top-k entry ordered by (sq, id); id breaks ties
@@ -379,14 +444,15 @@ type heapItem struct {
 // searchScratch is the per-call mutable state of one search, recycled
 // through Index.scratch so steady-state searches allocate nothing.
 type searchScratch struct {
-	qproj  []float64 // query projection (maxDim)
-	eproj  []float64 // on-demand sibling-entry projection (maxDim)
+	qproj  []float64 // query projection at the node being routed (maxDim)
 	leaves []*node
+	lproj  []float64 // query projection into leaves[i]'s space at i*maxDim
+	ends   []int
 	scored []scoredChild
 	cands  []candRef
-	heap   []heapItem
-	seen   []uint64   // bitset over global entry IDs
-	ring   [3][]int32 // leaf rows grouped by Chebyshev radius 0..2
+	heap   []heapItem // one leaf's k best in its own reduced space
+	short  []heapItem // every visited leaf's k best, re-ranked exactly
+	ring   [3][]int32 // cell-table indexes grouped by Chebyshev radius 0..2
 }
 
 type scoredChild struct {
@@ -394,17 +460,14 @@ type scoredChild struct {
 	dist  float64
 }
 
-func newScratch(maxDim, seenWords int) *searchScratch {
-	return &searchScratch{
-		qproj: make([]float64, maxDim),
-		eproj: make([]float64, maxDim),
-		seen:  make([]uint64, seenWords),
-	}
+// leafQuery is the slot holding the query's projection into the space of
+// leaves[i]: scan fills it, rank reads it back.
+func (sc *searchScratch) leafQuery(i int, leaf *node, maxDim int) []float64 {
+	return sc.lproj[i*maxDim : i*maxDim+leaf.reducer.Dim()]
 }
 
-// addCand records a candidate once; the seen-bitset dedupes across leaves
-// and hash cells. removed, when non-nil, is the index's deletion mask —
-// masked entries never become candidates.
+// addCand records a candidate. removed, when non-nil, is the index's
+// deletion mask — masked entries never become candidates.
 func (sc *searchScratch) addCand(leaf *node, row int32, removed []uint64) {
 	id := leaf.idAt(row)
 	w, b := id>>6, uint(id&63)
@@ -413,16 +476,13 @@ func (sc *searchScratch) addCand(leaf *node, row int32, removed []uint64) {
 	if int(w) < len(removed) && removed[w]&(1<<b) != 0 {
 		return
 	}
-	if sc.seen[w]&(1<<b) != 0 {
-		return
-	}
-	sc.seen[w] |= 1 << b
-	sc.cands = append(sc.cands, candRef{leaf: leaf, row: row, id: id})
+	sc.cands = append(sc.cands, candRef{row: row, id: id})
 }
 
 // Search finds the k nearest indexed shots to the query feature (a 266-dim
 // Shot.Feature vector), descending only through the most relevant database
-// units. It returns the ranked results and the §6.2 cost statistics.
+// units. It returns the ranked results, each with its exact full-space
+// Euclidean distance to the query, and the §6.2 cost statistics.
 //
 // Search is safe for concurrent use by any number of goroutines: a built
 // Index is immutable, and all mutable search state — the Stats accumulator
@@ -443,43 +503,42 @@ func (ix *Index) SearchInto(dst []Result, query []float64, k int) ([]Result, Sta
 
 // SearchIntoSpans is SearchInto with per-stage tracing: when sp is a live
 // span, the hierarchical descent ("project" — the per-level subspace
-// projections), candidate gathering ("scan") and ranking ("rank") each
-// record a child span. A nil sp (the untraced and unsampled paths) costs
-// nothing — spans come from the trace's pooled arena, so the zero-alloc
-// search contract holds either way.
+// projections), candidate gathering ("scan") and ranking ("rank" — the
+// per-leaf shortlists and their exact re-rank) each record a child span. A
+// nil sp (the untraced and unsampled paths) costs nothing — spans come from
+// the trace's pooled arena, so the zero-alloc search contract holds either
+// way.
 func (ix *Index) SearchIntoSpans(dst []Result, query []float64, k int, sp *trace.Span) ([]Result, Stats) {
 	var stats Stats
 	if k <= 0 {
 		k = 1
 	}
 	sc := ix.scratch.Get().(*searchScratch)
-	if len(sc.seen) < ix.seenWords {
-		// The pool is shared along the copy-on-write chain; inserts since
-		// this scratch was created may have outgrown its bitset.
-		sc.seen = make([]uint64, ix.seenWords)
-	}
 	stage := sp.Start("project")
 	ix.descend(ix.root, query, sc, &stats)
 	stage.End()
-	// leafCandidates falls back to the whole leaf when the hash is
+	// leafCandidates falls back to the whole leaf when the cell table is
 	// exhausted, so sc.cands misses a live entry of a visited leaf only
 	// when k is already satisfied nearer. It can be empty outright when
 	// removals masked every entry of every visited leaf — rank then
 	// returns no hits.
 	stage = sp.Start("scan")
-	for _, leaf := range sc.leaves {
-		ix.leafCandidates(leaf, query, k, sc)
+	if need := len(sc.leaves) * ix.maxDim; len(sc.lproj) < need {
+		sc.lproj = make([]float64, need)
+	}
+	for i, leaf := range sc.leaves {
+		p := leaf.reducer.ProjectInto(sc.leafQuery(i, leaf, ix.maxDim), query)
+		ix.leafCandidates(leaf, p, k, sc)
+		sc.ends = append(sc.ends, len(sc.cands))
 	}
 	stage.SetInt("leaves", int64(len(sc.leaves)))
 	stage.SetInt("candidates", int64(len(sc.cands)))
 	stage.End()
 	stage = sp.Start("rank")
-	dst = ix.rank(dst, sc.leaves[0], query, k, sc, &stats)
+	dst = ix.rank(dst, query, k, sc, &stats)
 	stage.End()
-	for _, c := range sc.cands {
-		sc.seen[c.id>>6] = 0
-	}
 	sc.leaves = sc.leaves[:0]
+	sc.ends = sc.ends[:0]
 	sc.cands = sc.cands[:0]
 	ix.scratch.Put(sc)
 	return dst, stats
@@ -560,107 +619,120 @@ func (ix *Index) descend(n *node, query []float64, sc *searchScratch, stats *Sta
 	sc.scored = sc.scored[:start]
 }
 
-// leafCandidates looks up the query's hash cell and expands outward shell
-// by shell until at least k candidates are found (or the ring is
-// exhausted, in which case the whole leaf is the candidate set). Entries
-// inserted after the fit are not hashed, so they join the candidate set
-// unconditionally first — an inserted entry must be findable immediately,
-// and the shell early-exits below must not preempt it.
-func (ix *Index) leafCandidates(leaf *node, query []float64, k int, sc *searchScratch) {
+// scanCellsPerProbe decides how a leaf gathers its radius-0..2 cells. The
+// three shells partition the radius-2 ball, so enumerating them issues at
+// most 5^h binary-search probes of the cell table (625 at h = 4) and stops
+// early in a dense leaf; one pass over the table costs a radius test per
+// occupied cell whatever the density. The pass wins while the leaf has
+// fewer than scanCellsPerProbe occupied cells per probe: BenchmarkLeafGather
+// (h = 4, k = 10, queries drawn from the leaf's own rows) measured pass
+// against probes at 3.0 against 21 µs on 630 cells, 11.4 against 11.5 µs on
+// 3 900 — the crossover, 6.2 cells per probe — and 27 against 1.7 µs on
+// 13 600.
+const scanCellsPerProbe = 6
+
+// leafCandidates looks up the hash cell of p, the query in the leaf's
+// reduced space, and expands outward shell by shell until at least k
+// candidates are found (or the ring is exhausted, in which case the whole
+// leaf is the candidate set). Entries inserted after the fit are not
+// hashed, so they join the candidate set unconditionally first — an
+// inserted entry must be findable immediately, and the shell early-exits
+// below must not preempt it.
+func (ix *Index) leafCandidates(leaf *node, p []float64, k int, sc *searchScratch) {
 	for r := len(leaf.ids); r < leaf.rows(); r++ {
 		sc.addCand(leaf, int32(r), ix.removed)
 	}
-	p := leaf.reducer.ProjectInto(sc.qproj[:leaf.reducer.Dim()], query)
 	h := len(leaf.cell)
 	var base [maxHashDims]int
 	for d := 0; d < h; d++ {
 		base[d] = int(math.Floor(p[d] / leaf.cell[d]))
 	}
 	start := len(sc.cands)
-	// Two equivalent ways to gather the radius-0..2 cells: probe every
-	// shell cell in the hash, or scan the occupied cells once and bucket
-	// them by radius. Scanning wins whenever the leaf has fewer occupied
-	// cells than the ~1+3^h+5^h probes enumeration would issue.
-	probes := 1 + pow3[h] + pow5[h]
-	if len(leaf.hash) < probes {
-		for key, rows := range leaf.hash {
-			r := chebyshev(key, base[:h])
-			if r <= 2 {
-				sc.ring[r] = append(sc.ring[r], rows...)
+	scan := len(leaf.cellKeys) < scanCellsPerProbe*pow5[h]
+	if scan {
+		leaf.scanCells(base[:h], &sc.ring)
+	}
+	enough := false
+	for radius := range sc.ring {
+		if !enough {
+			if !scan {
+				sc.ring[radius] = leaf.probeShell(sc.ring[radius], base[:h], radius)
 			}
-		}
-		done := false
-		for radius := 0; radius <= 2; radius++ {
-			if !done {
-				for _, row := range sc.ring[radius] {
+			for _, ci := range sc.ring[radius] {
+				for _, row := range leaf.cellRows[leaf.cellStart[ci]:leaf.cellStart[ci+1]] {
 					sc.addCand(leaf, row, ix.removed)
 				}
-				if len(sc.cands)-start >= k {
-					done = true
-				}
 			}
-			sc.ring[radius] = sc.ring[radius][:0]
+			enough = len(sc.cands)-start >= k
 		}
-		if done {
-			return
-		}
-	} else {
-		for radius := 0; radius <= 2; radius++ {
-			ix.collectShell(leaf, base[:h], radius, sc)
-			if len(sc.cands)-start >= k {
-				return
-			}
-		}
+		sc.ring[radius] = sc.ring[radius][:0]
 	}
-	// Hash exhausted: fall back to the whole leaf (still only the relevant
-	// scene node, never the full database). Rows already collected above
-	// are deduped by the seen-bitset.
+	if enough {
+		return
+	}
+	// Cells exhausted: fall back to the whole leaf (still only the relevant
+	// scene node, never the full database), replacing what the cells gave.
+	sc.cands = sc.cands[:start]
 	for r := 0; r < len(leaf.ids); r++ {
 		sc.addCand(leaf, int32(r), ix.removed)
 	}
 }
 
-// pow3 and pow5 tabulate 3^h and 5^h for the supported hash widths.
-var (
-	pow3 = [maxHashDims + 1]int{1, 3, 9, 27, 81}
-	pow5 = [maxHashDims + 1]int{1, 5, 25, 125, 625}
-)
+// pow5 tabulates 5^h, the number of cells in the radius-2 ball that the
+// three shells partition, for the supported hash widths.
+var pow5 = [maxHashDims + 1]int{1, 5, 25, 125, 625}
 
-// chebyshev returns the L∞ distance between a cell key and the query's base
-// cell over the first len(base) dimensions.
-func chebyshev(key cellKey, base []int) int {
-	r := 0
-	for d, b := range base {
-		dv := int(key[d]) - b
-		if dv < 0 {
-			dv = -dv
-		}
-		if dv > r {
-			r = dv
+// scanCells appends to ring[r] the table index of every occupied cell at
+// Chebyshev (L∞) radius r <= 2 of base, in one pass over the sorted keys.
+// Whether a cell is near is a coin toss per dimension, so the radius is
+// computed without data-dependent branches; dimensions past len(base) are
+// zero on both sides and drop out.
+func (n *node) scanCells(base []int, ring *[3][]int32) {
+	var b [maxHashDims]int
+	copy(b[:], base)
+	// The keys are sorted by their first dimension before any other: only
+	// the run within 2 of base there can hold a near cell.
+	lo, _ := slices.BinarySearchFunc(n.cellKeys, b[0]-2, func(key cellKey, first int) int {
+		return cmp.Compare(int(key[0]), first)
+	})
+	for ci := lo; ci < len(n.cellKeys) && int(n.cellKeys[ci][0]) <= b[0]+2; ci++ {
+		key := &n.cellKeys[ci]
+		r := max(absDiff(key[0], b[0]), absDiff(key[1], b[1]), absDiff(key[2], b[2]), absDiff(key[3], b[3]))
+		if r <= 2 {
+			ring[r] = append(ring[r], int32(ci))
 		}
 	}
-	return r
 }
 
-// collectShell gathers entries from exactly the cells at Chebyshev radius r
-// around base (the shell max|offset| == r, not the whole ball): an odometer
-// enumerates the first h-1 offsets, and the last dimension ranges fully
-// only when an earlier dimension already sits at ±r — otherwise it is
-// pinned to ±r.
-func (ix *Index) collectShell(leaf *node, base []int, r int, sc *searchScratch) {
+// absDiff is |k - b|, branch-free.
+func absDiff(k int32, b int) int {
+	d := int(k) - b
+	sign := d >> 63
+	return (d ^ sign) - sign
+}
+
+// probeShell appends to dst the table indexes of the occupied cells at
+// exactly Chebyshev radius r around base (the shell max|offset| == r, not
+// the whole ball), in table order: an odometer enumerates the first h-1
+// offsets, and the last dimension ranges fully only when an earlier
+// dimension already sits at ±r — otherwise it is pinned to ±r.
+func (n *node) probeShell(dst []int32, base []int, r int) []int32 {
 	h := len(base)
 	if h == 0 {
-		return
+		return dst
+	}
+	probe := func(key cellKey) {
+		if ci := n.findCell(key); ci >= 0 {
+			dst = append(dst, int32(ci))
+		}
 	}
 	var key cellKey
 	if r == 0 {
 		for d, b := range base {
 			key[d] = int32(b)
 		}
-		for _, row := range leaf.hash[key] {
-			sc.addCand(leaf, row, ix.removed)
-		}
-		return
+		probe(key)
+		return dst
 	}
 	var offs [maxHashDims]int
 	for d := 0; d < h-1; d++ {
@@ -678,19 +750,13 @@ func (ix *Index) collectShell(leaf *node, base []int, r int, sc *searchScratch) 
 		if onShell {
 			for o := -r; o <= r; o++ {
 				key[last] = int32(base[last] + o)
-				for _, row := range leaf.hash[key] {
-					sc.addCand(leaf, row, ix.removed)
-				}
+				probe(key)
 			}
 		} else {
 			key[last] = int32(base[last] - r)
-			for _, row := range leaf.hash[key] {
-				sc.addCand(leaf, row, ix.removed)
-			}
+			probe(key)
 			key[last] = int32(base[last] + r)
-			for _, row := range leaf.hash[key] {
-				sc.addCand(leaf, row, ix.removed)
-			}
+			probe(key)
 		}
 		d := last - 1
 		for ; d >= 0; d-- {
@@ -701,44 +767,44 @@ func (ix *Index) collectShell(leaf *node, base []int, r int, sc *searchScratch) 
 			offs[d] = -r
 		}
 		if d < 0 {
-			return
+			return dst
 		}
 	}
 }
 
-// rank scores every candidate in the primary leaf's reduced space (the To
-// term: even ranking uses discriminating features only) through a bounded
-// top-k max-heap with early-abandoning distances. Candidates from the
-// primary leaf use its precomputed projection rows; candidates routed in
-// from a sibling leaf (beam > 1) are projected on demand into scratch.
-func (ix *Index) rank(dst []Result, primary *node, query []float64, k int, sc *searchScratch, stats *Stats) []Result {
-	dim := primary.reducer.Dim()
-	p := primary.reducer.ProjectInto(sc.qproj[:dim], query)
-	heap := sc.heap[:0]
-	for _, c := range sc.cands {
-		stats.DistanceOps++
-		stats.FloatOps += dim
-		var ep []float64
-		if c.leaf == primary {
-			ep = primary.projRow(c.row, dim)
-		} else {
-			ep = primary.reducer.ProjectInto(sc.eproj[:dim], ix.featRow(c.id))
+// rank is the To term in two steps. Each visited leaf keeps its k best
+// candidates by distance in its own reduced space, read off its precomputed
+// projection rows through a bounded max-heap with early-abandoning
+// distances (even ranking uses discriminating features only). The leaves'
+// spaces are not comparable with one another, so the shortlist — at most k
+// per leaf — is then re-ranked the same way by the exact full-space
+// distance, which is also the Dist every result reports.
+func (ix *Index) rank(dst []Result, query []float64, k int, sc *searchScratch, stats *Stats) []Result {
+	short, heap := sc.short[:0], sc.heap[:0]
+	lo := 0
+	for i, leaf := range sc.leaves {
+		p := sc.leafQuery(i, leaf, ix.maxDim)
+		dim := len(p)
+		cands := sc.cands[lo:sc.ends[i]]
+		lo = sc.ends[i]
+		stats.DistanceOps += len(cands)
+		stats.FloatOps += len(cands) * dim
+		heap = heap[:0]
+		for _, c := range cands {
+			sq := mat.SqDistBounded(p, leaf.projRow(c.row, dim), heapBound(heap, k))
+			heap = heapOffer(heap, k, heapItem{sq: sq, id: c.id})
 		}
-		if len(heap) < k {
-			heap = append(heap, heapItem{sq: mat.SqDistBounded(p, ep, math.Inf(1)), id: c.id})
-			if len(heap) == k {
-				heapifyItems(heap)
-			}
-		} else {
-			bound := heap[0].sq
-			sq := mat.SqDistBounded(p, ep, bound)
-			if sq < bound || (sq == bound && c.id < heap[0].id) {
-				heap[0] = heapItem{sq: sq, id: c.id}
-				siftDown(heap, 0)
-			}
-		}
+		short = append(short, heap...)
 	}
 	stats.Candidates = len(sc.cands)
+	stats.DistanceOps += len(short)
+	stats.FloatOps += len(short) * len(query)
+	heap = heap[:0]
+	for _, it := range short {
+		row := ix.featRow(it.id)
+		sq := splitSqDistBounded(row[:ix.colorDims], row[ix.colorDims:], query, heapBound(heap, k))
+		heap = heapOffer(heap, k, heapItem{sq: sq, id: it.id})
+	}
 	sortItems(heap)
 	if cap(dst) < len(heap) {
 		dst = make([]Result, len(heap))
@@ -748,8 +814,33 @@ func (ix *Index) rank(dst []Result, primary *node, query []float64, k int, sc *s
 	for i, it := range heap {
 		dst[i] = Result{Entry: ix.all[it.id], Dist: math.Sqrt(it.sq)}
 	}
-	sc.heap = heap[:0]
+	sc.short, sc.heap = short[:0], heap[:0]
 	return dst
+}
+
+// heapBound is the distance a candidate must not exceed to enter a top-k
+// heap: that of the worst kept item once k are kept, no bound before.
+func heapBound(h []heapItem, k int) float64 {
+	if len(h) < k {
+		return math.Inf(1)
+	}
+	return h[0].sq
+}
+
+// heapOffer keeps it in the top-k heap h when it ranks among the k best
+// offered so far. h becomes a max-heap the moment it holds k items; an
+// early-abandoned distance exceeds heapBound and is dropped here.
+func heapOffer(h []heapItem, k int, it heapItem) []heapItem {
+	if len(h) < k {
+		h = append(h, it)
+		if len(h) == k {
+			heapifyItems(h)
+		}
+	} else if itemGreater(h[0], it) {
+		h[0] = it
+		siftDown(h, 0)
+	}
+	return h
 }
 
 // itemGreater orders heap items by (sq, id) so the max-heap root is the
@@ -796,15 +887,22 @@ func sortItems(h []heapItem) {
 // and a shot's (colour ++ texture) feature, computed without materialising
 // the concatenated vector and abandoning once the sum exceeds bound.
 func shotSqDistBounded(s *vidmodel.Shot, query []float64, bound float64) float64 {
-	nc := len(s.Color)
-	if len(query) != nc+len(s.Texture) {
+	return splitSqDistBounded(s.Color, s.Texture, query, bound)
+}
+
+// splitSqDistBounded is shotSqDistBounded on the two halves of a feature,
+// wherever they are stored: rank feeds it contiguous matrix rows, and gets
+// bit for bit the distance FlatSearch and MergeHits get from the shot.
+func splitSqDistBounded(color, texture, query []float64, bound float64) float64 {
+	nc := len(color)
+	if len(query) != nc+len(texture) {
 		panic(mat.ErrDimension)
 	}
-	sum := mat.SqDistBounded(query[:nc], s.Color, bound)
+	sum := mat.SqDistBounded(query[:nc], color, bound)
 	if sum > bound {
 		return sum
 	}
-	for i, v := range s.Texture {
+	for i, v := range texture {
 		d := query[nc+i] - v
 		sum += d * d
 	}
@@ -880,20 +978,8 @@ func FlatSearch(entries []*Entry, query []float64, k int) ([]Result, Stats) {
 func flatScanTopK(entries []*Entry, off int, query []float64, k int) []heapItem {
 	heap := make([]heapItem, 0, k)
 	for i, e := range entries {
-		id := int32(off + i)
-		if len(heap) < k {
-			heap = append(heap, heapItem{sq: shotSqDistBounded(e.Shot, query, math.Inf(1)), id: id})
-			if len(heap) == k {
-				heapifyItems(heap)
-			}
-			continue
-		}
-		bound := heap[0].sq
-		sq := shotSqDistBounded(e.Shot, query, bound)
-		if sq < bound || (sq == bound && id < heap[0].id) {
-			heap[0] = heapItem{sq: sq, id: id}
-			siftDown(heap, 0)
-		}
+		sq := shotSqDistBounded(e.Shot, query, heapBound(heap, k))
+		heap = heapOffer(heap, k, heapItem{sq: sq, id: int32(off + i)})
 	}
 	return heap
 }

@@ -2,11 +2,11 @@ package index
 
 // Shard-merge helpers. A sharded library fans a search across independent
 // per-shard indexes and merges the per-shard hit lists into one global
-// ranking. The merge re-ranks every candidate with the exact full-space
-// distance (per-shard Dist values live in each shard's own reduced space
-// and are not comparable across shards) and orders by the total order
-// (distance, video name, shot index), so the merged ranking is
-// deterministic and independent of how entries were partitioned.
+// ranking. The merge recomputes every candidate's exact full-space distance
+// — the same number each shard's index already reports as Dist — and orders
+// by the total order (distance, video name, shot index): entry IDs, which
+// break ties inside one index, mean nothing across shards, so the merged
+// ranking is deterministic and independent of how entries were partitioned.
 
 import (
 	"math"
@@ -17,7 +17,8 @@ import (
 
 // ShotSqDist is the exact full-dimension squared distance between a query
 // and a shot's (colour ++ texture) feature, computed without materialising
-// the concatenated vector. It is the re-ranking metric behind MergeHits.
+// the concatenated vector. It is the distance every search result reports:
+// Index.SearchInto, FlatSearch and MergeHits all rank by it.
 func ShotSqDist(s *vidmodel.Shot, query []float64) float64 {
 	return shotSqDistBounded(s, query, math.Inf(1))
 }

@@ -18,8 +18,9 @@ type Reducer struct {
 	// compsT holds the PCA components transposed and contiguous —
 	// compsT[j*Dim+c] = Components[c][j] — so ProjectInto's inner loop is a
 	// dense Dim-wide accumulate per selected coordinate instead of a
-	// strided gather. The hot ranking path projects sibling-leaf entries
-	// through it on demand.
+	// strided gather. A search projects its query through it once per node
+	// it routes at and once per leaf it visits; entries are projected only
+	// at fit and insert time.
 	compsT []float64
 }
 

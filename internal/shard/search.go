@@ -1,11 +1,11 @@
 package shard
 
 // Scatter-gather search. Each non-empty shard ranks its own top-k on a
-// goroutine (per-shard hit buffers are pooled), then the router merges with
-// an exact full-space re-rank: per-shard Dist values live in each shard's
-// own reduced space and cannot be compared across shards, so MergeHits
-// recomputes the true distance per candidate and orders by the
-// (distance, video name, shot index) total order. The merged ranking — and
+// goroutine (per-shard hit buffers are pooled), then the router merges by
+// exact full-space distance — what every shard's index reports as Dist, and
+// what MergeHits recomputes per candidate — under the
+// (distance, video name, shot index) total order, which unlike a shard's
+// entry IDs means the same thing on every shard. The merged ranking — and
 // therefore the bytes /v1/search returns — is deterministic and identical
 // for every shard count whenever per-shard candidate coverage is complete
 // (k at least the largest shard's size forces the index's whole-leaf

@@ -231,6 +231,42 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 }
 
+// TestOneShardMatchesPlainLibrary pins that dist means one thing: a plain
+// *classminer.Library and a router over a single shard return the same
+// hits with the same Dist, bit for bit, whether k cuts the ranking short or
+// exceeds the corpus — the index already reports the exact full-space
+// distance the router's merge recomputes.
+func TestOneShardMatchesPlainLibrary(t *testing.T) {
+	for _, seed := range []int64{3, 19} {
+		corpus := testCorpus(seed, 30)
+		plain := classminer.NewLibrary(testAnalyzer(t))
+		for _, v := range corpus {
+			if err := plain.AddResult(tinyResult(t, v.name, v.seed, v.shots), "medicine"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := plain.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
+		router := buildRouter(t, 1, corpus, nil)
+		queries := fixedQueries(8, 12, seed)
+		for _, k := range []int{1, 5, totalShots(corpus) + 3} {
+			want := make([][]classminer.SearchHit, len(queries))
+			for i, q := range queries {
+				hits, _, err := plain.Search(admin, q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(hits) == 0 {
+					t.Fatalf("seed %d k=%d query %d: plain library found nothing", seed, k, i)
+				}
+				want[i] = hits
+			}
+			mustSameHits(t, fmt.Sprintf("seed %d k=%d one shard vs plain", seed, k), searchAll(t, router, admin, queries, k), want)
+		}
+	}
+}
+
 // TestGoldenEquivalenceFiltered repeats the golden check under an access
 // policy: Protect fans out to every shard, so shard-local ACL filtering
 // must leave the merged ranking identical across shard counts.
