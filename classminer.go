@@ -108,7 +108,7 @@ var ErrDuplicateVideo = errors.New("classminer: video already registered")
 var ErrUnknownVideo = errors.New("classminer: video not registered")
 
 // ErrForbidden reports a policy-gated mutation the user may not perform
-// (DeleteVideoAs on a video whose subcluster the policy hides from them).
+// (DeleteVideoAsCtx on a video whose subcluster the policy hides from them).
 var ErrForbidden = errors.New("classminer: access denied")
 
 // The four skimming layers (granularity increases from 4 down to 1).
@@ -169,7 +169,7 @@ type VideoEntry struct {
 // finished index is swapped in atomically, so concurrent searches keep
 // answering from the previous index (at worst slightly stale) instead of
 // blocking or erroring while a rebuild is in flight. Deletion and
-// replacement (DeleteVideo, ReplaceVideo/ReplaceResult) follow the same
+// replacement (DeleteVideo, ReplaceResult/ReplaceVideoAsCtx) follow the same
 // discipline: the entry set and flat feature matrix are rebuilt into fresh
 // arrays and the old index serves until the next BuildIndex.
 type Library struct {
@@ -478,7 +478,7 @@ func (l *Library) undoUnacked(name string, ve *VideoEntry) {
 // this method (the journal is not attached yet, so nothing is re-logged).
 // check, when non-nil, runs on the existing entry under the write lock and
 // can veto the replacement before anything is logged (the policy gate of
-// ReplaceResultAs/ReplaceVideoAs).
+// ReplaceResultAsCtx/ReplaceVideoAsCtx).
 func (l *Library) replace(ctx context.Context, name string, res *Result, subcluster string, check func(*VideoEntry) error) error {
 	sp := trace.StartSpan(ctx, "replace")
 	defer sp.End()
@@ -540,7 +540,7 @@ func (l *Library) replace(ctx context.Context, name string, res *Result, subclus
 	return nil
 }
 
-// visibleTo returns the lifecycle guard DeleteVideoAs and the *As replace
+// visibleTo returns the lifecycle guard DeleteVideoAsCtx and the *As replace
 // variants share: it vetoes mutating a video whose subcluster the policy
 // hides from u. It runs under l.mu, so the verdict and the mutation are
 // one atomic step.
@@ -754,18 +754,13 @@ func (l *Library) DeleteVideo(name string) error {
 	return l.deleteVideo(context.Background(), name, nil)
 }
 
-// DeleteVideoAs is DeleteVideo gated by the library's access policy: the
+// DeleteVideoAsCtx is DeleteVideo gated by the library's access policy: the
 // user must be allowed to see the video's subcluster, and the check runs
 // under the same critical section as the removal — a concurrent
 // replacement can never move the video behind a policy wall between the
 // check and the delete. It returns an error wrapping ErrForbidden when
-// policy denies the user.
-func (l *Library) DeleteVideoAs(u User, name string) error {
-	return l.deleteVideo(context.Background(), name, l.visibleTo(u))
-}
-
-// DeleteVideoAsCtx is DeleteVideoAs with tracing: a traced request records
-// the delete and its WAL tombstone append as child spans.
+// policy denies the user. A traced request records the delete and its WAL
+// tombstone append as child spans.
 func (l *Library) DeleteVideoAsCtx(ctx context.Context, u User, name string) error {
 	return l.deleteVideo(ctx, name, l.visibleTo(u))
 }
@@ -820,16 +815,12 @@ func (l *Library) ReplaceResult(res *Result, subcluster string) error {
 	return l.replace(context.Background(), res.Video.Name, res, subcluster, nil)
 }
 
-// ReplaceResultAs is ReplaceResult gated by the library's access policy:
+// ReplaceResultAsCtx is ReplaceResult gated by the library's access policy:
 // superseding a registration destroys it just as surely as DeleteVideo
 // does, so the user must be allowed to see the *existing* video's
 // subcluster, checked atomically with the swap (ErrForbidden otherwise).
 // Absent names register fresh with no gate — there is nothing to destroy.
-func (l *Library) ReplaceResultAs(u User, res *Result, subcluster string) error {
-	return l.ReplaceResultAsCtx(context.Background(), u, res, subcluster)
-}
-
-// ReplaceResultAsCtx is ReplaceResultAs with tracing (see AddVideoCtx).
+// Traced like AddVideoCtx.
 func (l *Library) ReplaceResultAsCtx(ctx context.Context, u User, res *Result, subcluster string) error {
 	if res == nil || res.Video == nil {
 		return fmt.Errorf("classminer: nil result")
@@ -840,26 +831,10 @@ func (l *Library) ReplaceResultAsCtx(ctx context.Context, u User, res *Result, s
 	return l.replace(ctx, res.Video.Name, res, subcluster, l.visibleTo(u))
 }
 
-// ReplaceVideo mines a video and installs it under its name, superseding
-// any existing registration. Mining runs outside the lock, like AddVideo.
-func (l *Library) ReplaceVideo(v *Video, subcluster string) (*Result, error) {
-	if err := l.checkSubcluster(subcluster); err != nil {
-		return nil, err
-	}
-	res, err := l.analyzer.Analyze(v)
-	if err != nil {
-		return nil, err
-	}
-	return res, l.replace(context.Background(), v.Name, res, subcluster, nil)
-}
-
-// ReplaceVideoAs is ReplaceVideo with ReplaceResultAs's atomic policy gate
-// on the existing registration.
-func (l *Library) ReplaceVideoAs(u User, v *Video, subcluster string) (*Result, error) {
-	return l.ReplaceVideoAsCtx(context.Background(), u, v, subcluster)
-}
-
-// ReplaceVideoAsCtx is ReplaceVideoAs with tracing (see AddVideoCtx).
+// ReplaceVideoAsCtx mines a video and installs it under its name,
+// superseding any existing registration behind ReplaceResultAsCtx's atomic
+// policy gate. Mining runs outside the lock, like AddVideo; traced like
+// AddVideoCtx.
 func (l *Library) ReplaceVideoAsCtx(ctx context.Context, u User, v *Video, subcluster string) (*Result, error) {
 	if err := l.checkSubcluster(subcluster); err != nil {
 		return nil, err
@@ -1399,8 +1374,7 @@ func (l *Library) Engine() *wal.Engine {
 // what makes re-apply after a crash mid-batch safe: a register whose name
 // already exists is a no-op (the first apply won and replay-skip semantics
 // say the incumbent stays), a tombstone for an unknown name is a no-op, and
-// a replace is an upsert either way. Legacy bare frames arrive as version-0
-// registrations, exactly as replay treats them.
+// a replace is an upsert either way.
 func (l *Library) ApplyRecord(ctx context.Context, rec *wal.Record) error {
 	switch rec.Type {
 	case wal.RecordTombstone:

@@ -1,12 +1,13 @@
 package classminer
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"classminer/internal/store"
@@ -112,7 +113,7 @@ func TestDeleteVideo(t *testing.T) {
 	}
 }
 
-// TestDeleteVideoAsPolicyGate: DeleteVideoAs refuses users the policy
+// TestDeleteVideoAsPolicyGate: DeleteVideoAsCtx refuses users the policy
 // hides the video's subcluster from, atomically with the removal.
 func TestDeleteVideoAsPolicyGate(t *testing.T) {
 	a, err := NewAnalyzer(Options{SkipEvents: true})
@@ -125,23 +126,23 @@ func TestDeleteVideoAsPolicyGate(t *testing.T) {
 	}
 	lib.Protect(Rule{Concept: "medicine", MinClearance: Clinician})
 	nurse := User{Name: "n", Clearance: Nurse}
-	if err := lib.DeleteVideoAs(nurse, "guarded"); !errors.Is(err, ErrForbidden) {
+	if err := lib.DeleteVideoAsCtx(context.Background(), nurse, "guarded"); !errors.Is(err, ErrForbidden) {
 		t.Fatalf("nurse delete = %v, want ErrForbidden", err)
 	}
 	if lib.Video("guarded") == nil {
 		t.Fatal("refused delete still removed the video")
 	}
 	doc := User{Name: "d", Clearance: Clinician}
-	if err := lib.DeleteVideoAs(doc, "guarded"); err != nil {
+	if err := lib.DeleteVideoAsCtx(context.Background(), doc, "guarded"); err != nil {
 		t.Fatalf("clinician delete = %v", err)
 	}
-	if err := lib.DeleteVideoAs(doc, "guarded"); !errors.Is(err, ErrUnknownVideo) {
+	if err := lib.DeleteVideoAsCtx(context.Background(), doc, "guarded"); !errors.Is(err, ErrUnknownVideo) {
 		t.Fatalf("second delete = %v, want ErrUnknownVideo", err)
 	}
 }
 
 // TestReplaceResultAsPolicyGate: superseding destroys the old registration,
-// so ReplaceResultAs is gated exactly like DeleteVideoAs — on the existing
+// so ReplaceResultAsCtx is gated exactly like DeleteVideoAsCtx — on the existing
 // video's subcluster, atomically with the swap. Absent names are ungated
 // (nothing is destroyed).
 func TestReplaceResultAsPolicyGate(t *testing.T) {
@@ -155,17 +156,17 @@ func TestReplaceResultAsPolicyGate(t *testing.T) {
 	}
 	lib.Protect(Rule{Concept: "medicine", MinClearance: Clinician})
 	nurse := User{Name: "n", Clearance: Nurse}
-	if err := lib.ReplaceResultAs(nurse, tinyResult(t, "guarded", 2, 2), "medicine"); !errors.Is(err, ErrForbidden) {
+	if err := lib.ReplaceResultAsCtx(context.Background(), nurse, tinyResult(t, "guarded", 2, 2), "medicine"); !errors.Is(err, ErrForbidden) {
 		t.Fatalf("nurse replace = %v, want ErrForbidden", err)
 	}
 	if got := len(lib.Video("guarded").Result.Shots); got != 4 {
 		t.Fatalf("refused replace still swapped the video (%d shots)", got)
 	}
-	if err := lib.ReplaceResultAs(nurse, tinyResult(t, "fresh", 3, 2), "nursing"); err != nil {
+	if err := lib.ReplaceResultAsCtx(context.Background(), nurse, tinyResult(t, "fresh", 3, 2), "nursing"); err != nil {
 		t.Fatalf("gated replace of an absent name = %v, want fresh registration", err)
 	}
 	doc := User{Name: "d", Clearance: Clinician}
-	if err := lib.ReplaceResultAs(doc, tinyResult(t, "guarded", 4, 2), "medicine"); err != nil {
+	if err := lib.ReplaceResultAsCtx(context.Background(), doc, tinyResult(t, "guarded", 4, 2), "medicine"); err != nil {
 		t.Fatalf("clinician replace = %v", err)
 	}
 	if got := len(lib.Video("guarded").Result.Shots); got != 2 {
@@ -439,88 +440,35 @@ func TestCompactionShrinksLog(t *testing.T) {
 	mustSameHits(t, searchAll(t, recovered, queries, 10), searchAll(t, reference, queries, 10))
 }
 
-// TestRecoverLegacyDataDir proves the compatibility promise: a data
-// directory written before typed record envelopes existed — bare
-// store.SavedLibraryEntry frames on the log — recovers byte-identically to
-// a library that registered the same results directly (same snapshot
-// bytes, same search answers).
-func TestRecoverLegacyDataDir(t *testing.T) {
+// TestRecoverRefusesUntypedFrame: the log has one record shape. A frame with
+// no envelope — what logs held before typed records — fails recovery loudly;
+// it is never skipped and never guessed to be a registration.
+func TestRecoverRefusesUntypedFrame(t *testing.T) {
 	a, err := NewAnalyzer(Options{SkipEvents: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	// Fabricate a pre-envelope data dir: raw legacy frames straight into
-	// the engine, exactly as the previous release's register wrote them.
 	eng, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever, CheckpointBytes: -1, CheckpointRecords: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reference := NewLibrary(a)
-	const videos = 6
-	for i := 0; i < videos; i++ {
-		name := fmt.Sprintf("legacy-%02d", i)
-		saved := tinySaved(name, int64(i), 3+i%3)
-		frame, err := json.Marshal(store.SavedLibraryEntry{Subcluster: "medicine", Result: saved})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Append(frame); err != nil {
-			t.Fatal(err)
-		}
-		if err := reference.AddResult(tinyResult(t, name, int64(i), 3+i%3), "medicine"); err != nil {
-			t.Fatal(err)
-		}
+	frame, err := json.Marshal(store.SavedLibraryEntry{Subcluster: "medicine", Result: tinySaved("bare", 1, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Append(frame); err != nil {
+		t.Fatal(err)
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	recovered, err := Recover(dir, a, quietWAL())
-	if err != nil {
-		t.Fatal(err)
+	lib, err := Recover(dir, a, quietWAL())
+	if err == nil {
+		lib.Close()
+		t.Fatal("recovered a log holding an untyped frame; want an error")
 	}
-	defer recovered.Close()
-	if got := recovered.Stats().Videos; got != videos {
-		t.Fatalf("recovered %d videos from legacy frames, want %d", got, videos)
-	}
-	var gotSave, wantSave bytes.Buffer
-	if err := recovered.Save(&gotSave); err != nil {
-		t.Fatal(err)
-	}
-	if err := reference.Save(&wantSave); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotSave.Bytes(), wantSave.Bytes()) {
-		t.Fatal("legacy recovery is not byte-identical to direct registration")
-	}
-	if err := recovered.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	if err := reference.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	queries := fixedQueries(8, 12, 3)
-	mustSameHits(t, searchAll(t, recovered, queries, 5), searchAll(t, reference, queries, 5))
-
-	// The recovered library journals typed records from here on; deleting
-	// a legacy-registered video must survive the next crash (the probe
-	// keyed its frame, so compaction could drop it too).
-	if err := recovered.DeleteVideo("legacy-00"); err != nil {
-		t.Fatal(err)
-	}
-	if err := recovered.Close(); err != nil {
-		t.Fatal(err)
-	}
-	again, err := Recover(dir, a, quietWAL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer again.Close()
-	if again.Video("legacy-00") != nil {
-		t.Fatal("tombstone over a legacy registration lost across recovery")
-	}
-	if got := again.Stats().Videos; got != videos-1 {
-		t.Fatalf("recovered %d videos after legacy delete, want %d", got, videos-1)
+	if !strings.Contains(err.Error(), "wal: record has no type") {
+		t.Fatalf("recovery error = %v, want it to name the untyped record", err)
 	}
 }

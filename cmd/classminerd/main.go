@@ -3,17 +3,19 @@
 // event scene queries, content-structure browsing and scalable-skimming
 // metadata, all behind multilevel access control.
 //
-// The library is populated from a durable data directory (-data-dir, with
-// write-ahead logging and crash recovery), from a snapshot (-load), by
-// mining synthetic corpus videos at startup (-bootstrap), or later through
-// POST /v1/videos. With -data-dir every registration is journaled before
-// it becomes visible, so a crash — OOM kill, power loss — loses no
-// completed registration (an ingest job is durable once it reports done;
-// a 202-accepted job that never ran can simply be resubmitted): the next
-// boot replays the newest checkpoint snapshot plus the log tail. Without
-// it, the daemon falls back to the legacy single-snapshot mode: on
-// SIGINT/SIGTERM it shuts down gracefully and, when -save is set,
-// checkpoints the library atomically.
+// The daemon always serves through the shard router (internal/shard) over
+// -shards N >= 1 libraries; one shard, the default, is a single library
+// behind a router that costs nothing. The library is populated from a
+// durable data directory (-data-dir, with write-ahead logging and crash
+// recovery), by a one-shot import of a snapshot file (-load), by mining
+// synthetic corpus videos at startup (-bootstrap), or later through
+// POST /v1/videos. With -data-dir every registration — imported,
+// bootstrapped or ingested — is journaled before it becomes visible, so a
+// crash — OOM kill, power loss — loses no completed registration (an ingest
+// job is durable once it reports done; a 202-accepted job that never ran
+// can simply be resubmitted): the next boot replays the newest checkpoint
+// snapshot plus the log tail, and a clean SIGINT/SIGTERM shutdown takes a
+// final checkpoint. Without it the library lives in memory only.
 //
 // Usage:
 //
@@ -42,7 +44,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
@@ -57,22 +58,8 @@ import (
 	"classminer/internal/repl"
 	"classminer/internal/server"
 	"classminer/internal/shard"
-	"classminer/internal/store"
 	"classminer/internal/synth"
-	"classminer/internal/wal"
 )
-
-// library is everything the daemon needs from its storage backend: the
-// serving contract plus boot-time population and shutdown. Both a plain
-// *classminer.Library (-shards 1, the default — including every legacy
-// data dir) and the sharded router (*shard.Library, -shards N) satisfy it.
-type library interface {
-	server.Library
-	AddVideo(v *classminer.Video, subcluster string) (*classminer.Result, error)
-	ImportSnapshot(r io.Reader, skipExisting bool) (int, error)
-	BuildIndex() error
-	Close() error
-}
 
 // tokenFlags accumulates repeated -token values of the form
 // token=name:clearance[:role1|role2...].
@@ -111,7 +98,6 @@ type config struct {
 	addr       string
 	dataDir    string
 	load       string
-	save       string
 	bootstrap  string
 	scale      float64
 	seed       int64
@@ -125,9 +111,9 @@ type config struct {
 	pprof      bool
 	tokens     map[string]access.User
 
-	// sharding (only meaningful with -data-dir or for in-memory scale-out)
-	shards    int
-	shardsSet bool // -shards given explicitly (mismatch checks need to know)
+	// shards is the router's shard count; 0 means what the data dir
+	// records, else 1.
+	shards int
 
 	// replication
 	role          string
@@ -169,8 +155,7 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", ":8471", "listen address")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "durable data directory (write-ahead log + checkpoints; crash recovery on boot)")
-	flag.StringVar(&cfg.load, "load", "", "import a library snapshot (JSON written by -save or classminer -save)")
-	flag.StringVar(&cfg.save, "save", "", "snapshot path written on shutdown and by POST /v1/admin/save")
+	flag.StringVar(&cfg.load, "load", "", "import the videos of a library snapshot (JSON written by classminer -save) that are not already registered")
 	flag.StringVar(&cfg.bootstrap, "bootstrap", "", "comma-separated corpus videos to mine at startup, or \"all\"")
 	flag.Float64Var(&cfg.scale, "scale", 0.4, "bootstrap corpus scale")
 	flag.Int64Var(&cfg.seed, "seed", 2003, "bootstrap corpus seed")
@@ -198,7 +183,7 @@ func main() {
 	flag.Int64Var(&cfg.ckptBytes, "checkpoint-bytes", 64<<20, "auto-checkpoint once this much WAL accumulates (negative disables)")
 	flag.Int64Var(&cfg.ckptRecords, "checkpoint-records", 10000, "auto-checkpoint once this many WAL records accumulate (negative disables)")
 	flag.Int64Var(&cfg.compactBytes, "compact-bytes", 8<<20, "auto-compact sealed WAL segments once this many dead bytes accumulate (negative disables)")
-	flag.IntVar(&cfg.shards, "shards", 1, "library shards, each with its own WAL/index/rebuild state (fixed at data-dir creation; 1 = classic single library)")
+	flag.IntVar(&cfg.shards, "shards", 0, "library shards, each with its own WAL/index/rebuild state (fixed at data-dir creation; 0 = what the data dir records, else 1)")
 	flag.StringVar(&cfg.role, "role", "leader", "replication role: leader (serves /v1/repl/* when durable) or follower (replicates from -leader-url, read-only until promoted)")
 	flag.StringVar(&cfg.leaderURL, "leader-url", "", "leader base URL a follower replicates from (required with -role follower)")
 	flag.StringVar(&cfg.replToken, "repl-token", "", "bearer token the follower presents to the leader (needs administrator clearance there)")
@@ -210,11 +195,6 @@ func main() {
 	flag.Var(&tokens, "token", "token=name:clearance[:role1|role2] (repeatable)")
 	flag.Parse()
 	cfg.tokens = tokens.users
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			cfg.shardsSet = true
-		}
-	})
 
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "classminerd:", err)
@@ -237,7 +217,32 @@ func syncPolicy(name string) (s classminer.DurableOptions, err error) {
 	return s, err
 }
 
+// validate is every check that needs only the flags. run makes it before its
+// first side effect, so a mistyped command line fails without taking the
+// data-dir lock, replaying the log or mining the bootstrap corpus.
+func validate(cfg config) error {
+	if cfg.role != "leader" && cfg.role != "follower" {
+		return fmt.Errorf("unknown -role %q (want leader or follower)", cfg.role)
+	}
+	if cfg.role == "follower" {
+		if cfg.dataDir == "" {
+			return fmt.Errorf("-role follower requires -data-dir: a follower journals every replicated record so it can be promoted")
+		}
+		if cfg.leaderURL == "" {
+			return fmt.Errorf("-role follower requires -leader-url")
+		}
+	}
+	if cfg.shards < 0 || cfg.shards > shard.MaxShards {
+		return fmt.Errorf("-shards must be in [0,%d], got %d", shard.MaxShards, cfg.shards)
+	}
+	_, err := syncPolicy(cfg.fsync)
+	return err
+}
+
 func run(cfg config) error {
+	if err := validate(cfg); err != nil {
+		return err
+	}
 	logger := log.New(os.Stderr, "classminerd: ", log.LstdFlags)
 
 	logger.Printf("training analyzer (skipEvents=%v)...", cfg.skipEvents)
@@ -254,10 +259,6 @@ func run(cfg config) error {
 		reg = metrics.NewRegistry()
 	}
 
-	if cfg.role != "leader" && cfg.role != "follower" {
-		return fmt.Errorf("unknown -role %q (want leader or follower)", cfg.role)
-	}
-
 	lib, err := buildLibrary(logger, analyzer, cfg, reg)
 	if err != nil {
 		return err
@@ -268,26 +269,26 @@ func run(cfg config) error {
 	// directly, and a follower that gets promoted starts serving its own
 	// downstream replicas without a restart.
 	var hub *repl.Hub
-	if engines := libEngines(lib); engines != nil {
-		hub, err = repl.NewHub(engines, reg, logger.Printf)
+	if lib.Durable() {
+		hub, err = repl.NewHub(lib.Engines(), reg, logger.Printf)
 		if err != nil {
 			return err
 		}
 	}
 	var follower *repl.Follower
 	if cfg.role == "follower" {
-		if cfg.dataDir == "" {
-			return fmt.Errorf("-role follower requires -data-dir: a follower journals every replicated record so it can be promoted")
-		}
-		if cfg.leaderURL == "" {
-			return fmt.Errorf("-role follower requires -leader-url")
+		// One replication target per shard: the shard layout must match the
+		// leader's, which the pull protocol cross-checks via X-Repl-Shards.
+		appliers := make([]repl.Applier, lib.ShardCount())
+		for i := range appliers {
+			appliers[i] = lib.ShardAt(i)
 		}
 		follower, err = repl.Start(repl.Options{
 			LeaderURL:       strings.TrimSuffix(cfg.leaderURL, "/"),
 			Token:           cfg.replToken,
 			ID:              cfg.followerID,
 			Dir:             cfg.dataDir,
-			Appliers:        libAppliers(lib),
+			Appliers:        appliers,
 			ReadyLagRecords: cfg.replLagReady,
 			Metrics:         reg,
 			Logf:            logger.Printf,
@@ -296,7 +297,7 @@ func run(cfg config) error {
 			return err
 		}
 		defer follower.Close()
-		logger.Printf("replicating from %s as %q (%d shards)", cfg.leaderURL, cfg.followerID, len(libAppliers(lib)))
+		logger.Printf("replicating from %s as %q (%d shards)", cfg.leaderURL, cfg.followerID, len(appliers))
 	}
 
 	opts := server.Options{
@@ -304,7 +305,6 @@ func run(cfg config) error {
 		CacheSize:        cfg.cacheSize,
 		Workers:          cfg.workers,
 		QueueDepth:       cfg.queue,
-		SnapshotPath:     cfg.save,
 		RebuildBudget:    cfg.rebuildAfter,
 		RebuildDebounce:  cfg.rebuildDebounce,
 		Metrics:          reg,
@@ -373,7 +373,7 @@ func run(cfg config) error {
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Printf("shutdown: %v", err)
 	}
-	srv.Close() // drain in-flight ingest jobs before snapshotting
+	srv.Close() // drain in-flight ingest jobs before checkpointing
 	if lib.Durable() {
 		// A clean shutdown is a free checkpoint: the next boot loads one
 		// snapshot and replays an empty tail.
@@ -381,24 +381,15 @@ func run(cfg config) error {
 			logger.Printf("shutdown checkpoint: %v", err)
 		}
 	}
-	if cfg.save != "" {
-		if err := store.WriteFileAtomic(cfg.save, lib.Save); err != nil {
-			return fmt.Errorf("saving snapshot: %w", err)
-		}
-		logger.Printf("library snapshot saved to %s", cfg.save)
-	}
 	return nil
 }
 
 // buildLibrary assembles the serving library: recover the durable data
-// directory (or start empty), import a legacy snapshot, mine bootstrap
-// corpus videos, and build the index. Every registration into a durable
-// library — imported, bootstrapped or later ingested — is journaled.
-func buildLibrary(logger *log.Logger, analyzer *classminer.Analyzer, cfg config, reg *metrics.Registry) (library, error) {
-	if cfg.shards < 1 {
-		return nil, fmt.Errorf("-shards must be at least 1, got %d", cfg.shards)
-	}
-	var lib library
+// directory (or start empty in memory), import a snapshot file, mine
+// bootstrap corpus videos, and build the index. Every registration into a
+// durable library — imported, bootstrapped or later ingested — is journaled.
+func buildLibrary(logger *log.Logger, analyzer *classminer.Analyzer, cfg config, reg *metrics.Registry) (*shard.Library, error) {
+	var lib *shard.Library
 	if cfg.dataDir != "" {
 		wopts, err := syncPolicy(cfg.fsync)
 		if err != nil {
@@ -412,47 +403,18 @@ func buildLibrary(logger *log.Logger, analyzer *classminer.Analyzer, cfg config,
 		wopts.ReplPinBudgetBytes = cfg.replPinBudget
 		wopts.Metrics = reg
 		wopts.Logf = logger.Printf
-		// A SHARDS manifest marks a sharded layout and pins its count; it
-		// wins over the flag default so reopening a sharded dir needs no
-		// flags, but an explicit conflicting -shards is an error. Plain
-		// dirs (including every pre-sharding data dir) stay on the classic
-		// single-library path byte-for-byte.
-		persisted, err := shard.Count(cfg.dataDir)
+		start := time.Now()
+		lib, err = shard.Recover(cfg.dataDir, cfg.shards, analyzer, wopts)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("recovering %s: %w", cfg.dataDir, err)
 		}
-		if persisted > 0 && cfg.shardsSet && cfg.shards != persisted {
-			return nil, fmt.Errorf("data dir %s holds %d shards but -shards %d was given (the count is fixed at creation)", cfg.dataDir, persisted, cfg.shards)
-		}
-		if persisted > 0 || cfg.shards > 1 {
-			n := cfg.shards
-			if persisted > 0 {
-				n = persisted
-			}
-			start := time.Now()
-			slib, err := shard.Recover(cfg.dataDir, n, analyzer, wopts)
-			if err != nil {
-				return nil, fmt.Errorf("recovering %s: %w", cfg.dataDir, err)
-			}
-			logger.Printf("recovered %d videos from %s (%d shards, parallel boot %v)",
-				slib.Stats().Videos, cfg.dataDir, slib.ShardCount(), time.Since(start).Round(time.Millisecond))
-			lib = slib
-		} else {
-			plib, err := classminer.Recover(cfg.dataDir, analyzer, wopts)
-			if err != nil {
-				return nil, fmt.Errorf("recovering %s: %w", cfg.dataDir, err)
-			}
-			logger.Printf("recovered %d videos from %s", plib.Stats().Videos, cfg.dataDir)
-			lib = plib
-		}
-	} else if cfg.shards > 1 {
-		slib, err := shard.New(analyzer, cfg.shards)
-		if err != nil {
-			return nil, err
-		}
-		lib = slib
+		logger.Printf("recovered %d videos from %s (%d shards, %v)",
+			lib.Stats().Videos, cfg.dataDir, lib.ShardCount(), time.Since(start).Round(time.Millisecond))
 	} else {
-		lib = classminer.NewLibrary(analyzer)
+		var err error
+		if lib, err = shard.New(analyzer, max(cfg.shards, 1)); err != nil {
+			return nil, err
+		}
 	}
 
 	if cfg.load != "" {
@@ -502,48 +464,11 @@ func buildLibrary(logger *log.Logger, analyzer *classminer.Analyzer, cfg config,
 	return lib, nil
 }
 
-// libEngines exposes the per-shard WAL engines behind the library for the
-// replication hub, or nil when the library (or any shard) is not durable.
-func libEngines(lib library) []*wal.Engine {
-	switch l := lib.(type) {
-	case *classminer.Library:
-		if e := l.Engine(); e != nil {
-			return []*wal.Engine{e}
-		}
-	case *shard.Library:
-		engines := l.Engines()
-		for _, e := range engines {
-			if e == nil {
-				return nil
-			}
-		}
-		return engines
-	}
-	return nil
-}
-
-// libAppliers exposes the per-shard replication targets behind the library
-// (the shard layout must match the leader's, which the pull protocol
-// cross-checks via X-Repl-Shards).
-func libAppliers(lib library) []repl.Applier {
-	switch l := lib.(type) {
-	case *classminer.Library:
-		return []repl.Applier{l}
-	case *shard.Library:
-		out := make([]repl.Applier, l.ShardCount())
-		for i := range out {
-			out[i] = l.ShardAt(i)
-		}
-		return out
-	}
-	return nil
-}
-
-// importSnapshot registers every video of a legacy single-file snapshot
-// that the library does not already hold, reporting how many were new. On
-// a durable library the imports are journaled like any registration, so
-// -load doubles as a one-shot migration into -data-dir.
-func importSnapshot(lib library, path string) (int, error) {
+// importSnapshot registers every video of a snapshot file that the library
+// does not already hold, reporting how many were new. On a durable library
+// the imports are journaled like any registration, so -load is the one-shot
+// migration of a snapshot into -data-dir.
+func importSnapshot(lib *shard.Library, path string) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err

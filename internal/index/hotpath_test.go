@@ -113,9 +113,10 @@ func TestBeamCrossLeafRanking(t *testing.T) {
 }
 
 // TestSearchReportsExactDistance pins what Dist means: the full-space
-// Euclidean distance ShotSqDist computes, bit for bit — the router's
-// MergeHits and FlatSearch report the same number for the same shot — so a
-// query-by-example that finds its example ranks it first at distance 0.
+// Euclidean distance ShotSqDist computes, bit for bit — FlatSearch reports
+// the same number for the same shot, and the shard router merges on it
+// without recomputing — so a query-by-example that finds its example ranks
+// it first at distance 0.
 func TestSearchReportsExactDistance(t *testing.T) {
 	entries := multiLeafCorpus(28, 90)
 	ix, err := Build(entries, Options{Seed: 28})

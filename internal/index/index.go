@@ -202,7 +202,7 @@ func Build(entries []*Entry, opts Options) (*Index, error) {
 // be mutated afterwards: a built Index is immutable, and every concurrent
 // search reads entry pointers and feature rows straight out of them. A
 // caller that later shrinks its own entry set (classminer's
-// DeleteVideo/ReplaceVideo) must therefore rebuild into fresh backing
+// DeleteVideo/ReplaceResult) must therefore rebuild into fresh backing
 // arrays and hand the next BuildMatrix the new ones — the old index keeps
 // serving its snapshot untouched until it is swapped out.
 func BuildMatrix(entries []*Entry, feats *mat.Dense, opts Options) (*Index, error) {
@@ -892,7 +892,7 @@ func shotSqDistBounded(s *vidmodel.Shot, query []float64, bound float64) float64
 
 // splitSqDistBounded is shotSqDistBounded on the two halves of a feature,
 // wherever they are stored: rank feeds it contiguous matrix rows, and gets
-// bit for bit the distance FlatSearch and MergeHits get from the shot.
+// bit for bit the distance FlatSearch gets from the shot.
 func splitSqDistBounded(color, texture, query []float64, bound float64) float64 {
 	nc := len(color)
 	if len(query) != nc+len(texture) {

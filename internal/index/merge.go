@@ -2,15 +2,17 @@ package index
 
 // Shard-merge helpers. A sharded library fans a search across independent
 // per-shard indexes and merges the per-shard hit lists into one global
-// ranking. The merge recomputes every candidate's exact full-space distance
-// — the same number each shard's index already reports as Dist — and orders
-// by the total order (distance, video name, shot index): entry IDs, which
-// break ties inside one index, mean nothing across shards, so the merged
-// ranking is deterministic and independent of how entries were partitioned.
+// ranking. Every index reports the exact full-space distance as Dist, so
+// the merge recomputes nothing: it orders what the shards report by the
+// total order (distance, video name, shot index). Entry IDs, which break
+// ties inside one index, mean nothing across shards, so this order is what
+// makes the merged ranking deterministic and independent of how entries
+// were partitioned.
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"classminer/internal/vidmodel"
 )
@@ -18,63 +20,37 @@ import (
 // ShotSqDist is the exact full-dimension squared distance between a query
 // and a shot's (colour ++ texture) feature, computed without materialising
 // the concatenated vector. It is the distance every search result reports:
-// Index.SearchInto, FlatSearch and MergeHits all rank by it.
+// Index.SearchInto and FlatSearch both rank by it.
 func ShotSqDist(s *vidmodel.Shot, query []float64) float64 {
 	return shotSqDistBounded(s, query, math.Inf(1))
 }
 
-// MergeHits merges per-shard hit lists into the global top-k, re-ranking
-// every candidate with ShotSqDist and breaking ties by (video name, shot
-// index) — a total order over the library, so the result is byte-identical
-// no matter how the entries were sharded. k <= 0 keeps every candidate.
-// The merged hits are appended to dst[:0] with exact full-space Dist
-// values; lists is not modified.
-func MergeHits(dst []Result, query []float64, lists [][]Result, k int) []Result {
-	total := 0
+// MergeHits merges per-shard hit lists into the global top-k: the lists are
+// appended to dst — which may already hold one shard's hits — and dst is
+// sorted in place by (Dist, video name, shot index) and cut to k (k <= 0
+// keeps every hit). That is a total order over the library, so the result
+// is byte-identical no matter how the entries were sharded, one shard
+// included. It differs from a single index's own order only on exact
+// distance ties, which an index breaks by entry id (registration order);
+// the sort runs even over a single list so those ties never depend on the
+// shard count. lists is not modified.
+func MergeHits(dst []Result, lists [][]Result, k int) []Result {
 	for _, l := range lists {
-		total += len(l)
+		dst = append(dst, l...)
 	}
-	items := make([]mergeItem, 0, total)
-	for _, l := range lists {
-		for i := range l {
-			e := l[i].Entry
-			items = append(items, mergeItem{sq: shotSqDistBounded(e.Shot, query, math.Inf(1)), e: e})
-		}
-	}
-	sort.Slice(items, func(i, j int) bool { return mergeLess(items[i], items[j]) })
-	if k > 0 && len(items) > k {
-		items = items[:k]
-	}
-	dst = dst[:0]
-	for _, it := range items {
-		dst = append(dst, Result{Entry: it.e, Dist: math.Sqrt(it.sq)})
+	slices.SortFunc(dst, compareHits)
+	if k > 0 && len(dst) > k {
+		dst = dst[:k]
 	}
 	return dst
 }
 
-// MergeCost reports the Stats cost of re-ranking the given per-shard lists:
-// one exact distance per candidate. The router adds it to the summed
-// per-shard stats so /v1/search cost accounting stays honest.
-func MergeCost(lists [][]Result, queryDim int) Stats {
-	var st Stats
-	for _, l := range lists {
-		st.DistanceOps += len(l)
-		st.FloatOps += len(l) * queryDim
+func compareHits(a, b Result) int {
+	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+		return c
 	}
-	return st
-}
-
-type mergeItem struct {
-	sq float64
-	e  *Entry
-}
-
-func mergeLess(a, b mergeItem) bool {
-	if a.sq != b.sq {
-		return a.sq < b.sq
+	if c := cmp.Compare(a.Entry.VideoName, b.Entry.VideoName); c != 0 {
+		return c
 	}
-	if a.e.VideoName != b.e.VideoName {
-		return a.e.VideoName < b.e.VideoName
-	}
-	return a.e.Shot.Index < b.e.Shot.Index
+	return cmp.Compare(a.Entry.Shot.Index, b.Entry.Shot.Index)
 }

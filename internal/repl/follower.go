@@ -21,8 +21,8 @@ import (
 	"classminer/internal/wal"
 )
 
-// Applier is what the follower replicates into: one per shard. Both
-// *classminer.Library and shard.Shard satisfy it. ApplyRecord must be
+// Applier is what the follower replicates into: one per shard — each
+// *classminer.Library behind the daemon's shard router. ApplyRecord must be
 // idempotent (re-applying a batch after a crash is the recovery path) and
 // must journal into the applier's own WAL so the follower stays durable and
 // promotable.

@@ -181,10 +181,12 @@ func TestFollowerAppliesAndResumes(t *testing.T) {
 	if fb.reseedCount() != 0 {
 		t.Fatalf("warm restart reseeded %d times, want 0", fb.reseedCount())
 	}
-	st := f2.Stats()
-	if len(st) != 1 || st[0].LagRecords != 0 || !st[0].Seeded {
-		t.Fatalf("follower stats after catch-up = %+v", st)
-	}
+	// The follower publishes lag and the applied count only once the batch
+	// has returned, after the applier saw its last key: wait, don't sample.
+	waitFor(t, "lag to settle", func() bool {
+		st := f2.Stats()
+		return len(st) == 1 && st[0].LagRecords == 0 && st[0].Seeded
+	})
 }
 
 // TestFollowerCrashMidBatchResumes kills the follower mid-batch-apply (the

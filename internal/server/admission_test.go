@@ -255,7 +255,7 @@ func TestRouteClass(t *testing.T) {
 		{http.MethodGet, "/v1/jobs/job-1", admit.ClassSearch, false},
 		{http.MethodPost, "/v1/videos", admit.ClassMutate, false},
 		{http.MethodDelete, "/v1/videos/laparoscopy", admit.ClassMutate, false},
-		{http.MethodPost, "/v1/admin/save", admit.ClassAdmin, false},
+		{http.MethodPost, "/v1/admin/checkpoint", admit.ClassAdmin, false},
 		{http.MethodGet, "/debug/pprof/heap", admit.ClassAdmin, false},
 	}
 	for _, c := range cases {

@@ -338,7 +338,7 @@ func frameSec(frame int, fps float64) float64 {
 // anything changes. Deletion is gated like ingestion (IngestClearance) and
 // additionally requires the caller to be allowed to see the video's
 // subcluster — you cannot delete what policy hides from you
-// (DeleteVideoAs runs that check atomically with the removal, so a
+// (DeleteVideoAsCtx runs that check atomically with the removal, so a
 // concurrent replacement cannot slip the video behind a policy wall
 // between check and delete). In the common case the serving index masks
 // the deleted shots incrementally — searches stop ranking them before this
@@ -804,7 +804,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// Superseding destroys the existing registration, so it is gated
 		// like DELETE: the caller must be allowed to see it. This check is
 		// a fast 403; the authoritative one runs atomically inside
-		// ReplaceResultAs/ReplaceVideoAs when the job applies.
+		// ReplaceResultAsCtx/ReplaceVideoAsCtx when the job applies.
 		if !s.lib.Allowed(u, s.subclusterPath(ve.Subcluster)) {
 			writeError(w, http.StatusForbidden, fmt.Sprintf("subcluster %q not accessible", ve.Subcluster))
 			return
@@ -911,24 +911,6 @@ func (s *Server) handleJob(w http.ResponseWriter, _ *http.Request, id string) {
 		return
 	}
 	writeJSON(w, http.StatusOK, j)
-}
-
-// --- POST /v1/admin/save ---------------------------------------------------
-
-func (s *Server) handleAdminSave(w http.ResponseWriter, r *http.Request) {
-	if !s.requireClearance(w, r, classminer.Administrator) {
-		return
-	}
-	if s.opts.SnapshotPath == "" {
-		writeError(w, http.StatusNotImplemented, "no snapshot path configured")
-		return
-	}
-	if err := store.WriteFileAtomic(s.opts.SnapshotPath, s.lib.Save); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	s.opts.Logf("library snapshot saved to %s", s.opts.SnapshotPath)
-	writeJSON(w, http.StatusOK, map[string]string{"saved": s.opts.SnapshotPath})
 }
 
 // --- POST /v1/admin/checkpoint ---------------------------------------------

@@ -264,7 +264,7 @@ func TestRouteTemplate(t *testing.T) {
 		"/v1/videos/op-42":  "/v1/videos/{name}",
 		"/v1/events/dialog": "/v1/events/{kind}",
 		"/v1/jobs/job-7":    "/v1/jobs/{id}",
-		"/v1/admin/save":    "/v1/admin/save",
+		"/v1/admin/compact": "/v1/admin/compact",
 		"/metrics":          "/metrics",
 		"/debug/pprof/heap": "/debug/pprof",
 		"/debug/pprof":      "/debug/pprof",

@@ -17,7 +17,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -50,9 +49,6 @@ type Options struct {
 	// QueueDepth bounds pending ingest jobs (default 8); a full queue
 	// returns 503 rather than blocking the request.
 	QueueDepth int
-	// SnapshotPath is where POST /v1/admin/save checkpoints the library
-	// ("" disables the endpoint).
-	SnapshotPath string
 	// RebuildBudget is the index staleness fraction (entries inserted or
 	// removed since the last full fit, relative to that fit) that warrants
 	// a background refit (default 0.25; mutations below it are served by
@@ -204,12 +200,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Library is the storage/index/search contract the server fronts. Both a
-// plain *classminer.Library and the sharded router (internal/shard.Library)
-// satisfy it, so the serving layer is indifferent to the shard count: the
-// rebuilder kicks, the memory-watchdog degrade hooks, /v1/stats and the
-// admin WAL endpoints all address whatever is behind this interface, and a
-// sharded implementation fans them out per shard.
+// Library is the storage/index/search contract the server fronts. The daemon
+// serves the shard router (internal/shard.Library); a plain
+// *classminer.Library satisfies it too, so the serving layer is indifferent
+// to the shard count: the rebuilder kicks, the memory-watchdog degrade
+// hooks, /v1/stats and the admin WAL endpoints all address whatever is
+// behind this interface, and the router fans them out per shard.
 type Library interface {
 	// Mutations.
 	AddVideoCtx(ctx context.Context, v *classminer.Video, subcluster string) (*classminer.Result, error)
@@ -241,7 +237,6 @@ type Library interface {
 	ScenesByEvent(u classminer.User, kind classminer.EventKind) []classminer.SceneRef
 
 	// Durability.
-	Save(w io.Writer) error
 	Durable() bool
 	Checkpoint() error
 	Compact() (classminer.CompactStats, error)
@@ -381,8 +376,6 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 		s.get(w, r, func(w http.ResponseWriter, r *http.Request) {
 			s.handleJob(w, r, strings.TrimPrefix(path, "/v1/jobs/"))
 		})
-	case path == "/v1/admin/save":
-		s.post(w, r, s.handleAdminSave)
 	case path == "/v1/admin/checkpoint":
 		s.post(w, r, s.handleAdminCheckpoint)
 	case path == "/v1/admin/compact":

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -118,11 +116,11 @@ func TestHealthzNeedsNoAuth(t *testing.T) {
 
 func TestAuthDenialIs403(t *testing.T) {
 	anon := access.User{Name: "anon", Clearance: access.Public}
-	s := newTestServer(t, Options{Anonymous: &anon, SnapshotPath: filepath.Join(t.TempDir(), "lib.json")})
+	s := newTestServer(t, Options{Anonymous: &anon})
 	// Admin endpoint: authenticated but under-cleared users get 403.
 	for _, tok := range []string{"", "pub-tok", "clin-tok"} {
-		if code := do(t, s, http.MethodPost, "/v1/admin/save", tok, nil, nil); code != http.StatusForbidden {
-			t.Fatalf("save as %q = %d, want 403", tok, code)
+		if code := do(t, s, http.MethodPost, "/v1/admin/checkpoint", tok, nil, nil); code != http.StatusForbidden {
+			t.Fatalf("checkpoint as %q = %d, want 403", tok, code)
 		}
 	}
 	// Ingestion requires Clinician.
@@ -351,36 +349,6 @@ func TestIngestSavedResultAsync(t *testing.T) {
 	}
 }
 
-func TestAdminSaveWritesLoadableSnapshot(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap.json")
-	s := newTestServer(t, Options{SnapshotPath: path})
-	var resp map[string]string
-	if code := do(t, s, http.MethodPost, "/v1/admin/save", "admin-tok", nil, &resp); code != http.StatusOK {
-		t.Fatalf("save = %d (%v)", code, resp)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	a, err := classminer.NewAnalyzer(classminer.Options{SkipEvents: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := classminer.LoadLibrary(f, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Stats().Videos == 0 {
-		t.Fatal("snapshot empty")
-	}
-
-	noPath := newTestServer(t, Options{})
-	if code := do(t, noPath, http.MethodPost, "/v1/admin/save", "admin-tok", nil, nil); code != http.StatusNotImplemented {
-		t.Fatal("save without a snapshot path must 501")
-	}
-}
-
 func TestStatsEndpoint(t *testing.T) {
 	s := newTestServer(t, Options{})
 	// Warm the cache so hit/miss counters are meaningful.
@@ -416,8 +384,8 @@ func TestMethodNotAllowed(t *testing.T) {
 	if code := do(t, s, http.MethodGet, "/v1/search", "admin-tok", nil, nil); code != http.StatusMethodNotAllowed {
 		t.Fatal("GET /v1/search must 405")
 	}
-	if code := do(t, s, http.MethodGet, "/v1/admin/save", "admin-tok", nil, nil); code != http.StatusMethodNotAllowed {
-		t.Fatal("GET /v1/admin/save must 405")
+	if code := do(t, s, http.MethodGet, "/v1/admin/checkpoint", "admin-tok", nil, nil); code != http.StatusMethodNotAllowed {
+		t.Fatal("GET /v1/admin/checkpoint must 405")
 	}
 }
 

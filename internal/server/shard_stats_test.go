@@ -1,11 +1,13 @@
 package server
 
-// The server against the sharded router: the Library interface makes the
+// The server against the shard router: the Library interface makes the
 // serving stack indifferent to the shard count, and /v1/stats must expose
 // the per-shard breakdown with a correctly aggregated WAL block (summed
-// counters) rather than any single shard's view.
+// counters) rather than any single shard's view — and no breakdown at all
+// when there is one shard.
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -128,5 +130,60 @@ func TestStatsEndpointShardedWAL(t *testing.T) {
 	}
 	if resp.Library.WAL.Syncs != sumSyncs {
 		t.Fatalf("aggregate WAL syncs = %d, shard sum = %d", resp.Library.WAL.Syncs, sumSyncs)
+	}
+}
+
+// TestStatsEndpointOneShard: the daemon's default library is the router over
+// one shard, and there the aggregate is the shard — /v1/stats carries the
+// same library block a plain library would, with no per-shard breakdown.
+func TestStatsEndpointOneShard(t *testing.T) {
+	a, err := classminer.NewAnalyzer(classminer.Options{SkipEvents: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := shard.Recover(t.TempDir(), 0, a,
+		classminer.DurableOptions{CheckpointBytes: -1, CheckpointRecords: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lib.Close() })
+	const videos = 4
+	for i := 0; i < videos; i++ {
+		res, err := store.DecodeResult(shardSaved(fmt.Sprintf("scan-%02d", i), int64(i), 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lib.AddResult(res, "medicine"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lib.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	s := New(lib, Options{Tokens: testTokens()})
+	t.Cleanup(s.Close)
+
+	var resp struct {
+		Library json.RawMessage `json:"library"`
+	}
+	if code := do(t, s, http.MethodGet, "/v1/stats", "admin-tok", nil, &resp); code != http.StatusOK {
+		t.Fatalf("stats = %d", code)
+	}
+	var keys map[string]json.RawMessage
+	var got classminer.LibraryStats
+	if err := json.Unmarshal(resp.Library, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(resp.Library, &got); err != nil {
+		t.Fatal(err)
+	}
+	if raw, ok := keys["shards"]; ok {
+		t.Fatalf("one-shard stats carry a per-shard block: %s", raw)
+	}
+	want := lib.ShardAt(0).Stats()
+	if got.Videos != videos || got.Videos != want.Videos || got.Shots != want.Shots ||
+		got.IndexedShots != want.IndexedShots || got.WAL == nil || got.WAL.Records != want.WAL.Records {
+		t.Fatalf("one-shard aggregate = %+v (wal %+v), the shard itself reports %+v (wal %+v)",
+			got, got.WAL, want, want.WAL)
 	}
 }

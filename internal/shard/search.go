@@ -1,15 +1,18 @@
 package shard
 
-// Scatter-gather search. Each non-empty shard ranks its own top-k on a
-// goroutine (per-shard hit buffers are pooled), then the router merges by
-// exact full-space distance — what every shard's index reports as Dist, and
-// what MergeHits recomputes per candidate — under the
+// Scatter-gather search. The first non-empty shard ranks its top-k on the
+// caller's goroutine, straight into the caller's buffer; every further
+// non-empty shard ranks its own on a spawned goroutine into a pooled buffer.
+// The router then merges by the exact full-space distance every shard's
+// index already reports as Dist — nothing is recomputed — under the
 // (distance, video name, shot index) total order, which unlike a shard's
-// entry IDs means the same thing on every shard. The merged ranking — and
-// therefore the bytes /v1/search returns — is deterministic and identical
-// for every shard count whenever per-shard candidate coverage is complete
-// (k at least the largest shard's size forces the index's whole-leaf
-// fallback; the golden-equivalence tests pin this).
+// entry IDs means the same thing on every shard. With one shard nothing is
+// spawned and the merge is a sort of k hits, so the router costs what the
+// shard costs. The merged ranking — and therefore the bytes /v1/search
+// returns — is deterministic and identical for every shard count whenever
+// per-shard candidate coverage is complete (k at least the largest shard's
+// size forces the index's whole-leaf fallback; the golden-equivalence tests
+// pin this).
 
 import (
 	"context"
@@ -21,12 +24,68 @@ import (
 	"classminer/internal/index"
 )
 
-// hitsPool recycles per-shard result buffers across searches.
+// hitsPool recycles the spawned shards' result buffers across searches.
 var hitsPool = sync.Pool{
 	New: func() any {
 		s := make([]classminer.SearchHit, 0, 64)
 		return &s
 	},
+}
+
+// gather is the searches in flight on spawned goroutines, one slot per
+// shard (slots of shards that did not spawn stay zero).
+type gather struct {
+	wg   sync.WaitGroup
+	outs []gathered
+}
+
+type gathered struct {
+	buf  *[]classminer.SearchHit // pooled; nil when the shard did not spawn
+	hits []classminer.SearchHit
+	st   classminer.SearchStats
+	err  error
+}
+
+// search runs shard i's top-k into a pooled buffer.
+func (g *gather) search(ctx context.Context, i int, sh *classminer.Library, u classminer.User, query []float64, k int) {
+	defer g.wg.Done()
+	o := &g.outs[i]
+	o.buf = hitsPool.Get().(*[]classminer.SearchHit)
+	o.hits, o.st, o.err = sh.SearchIntoCtx(ctx, (*o.buf)[:0], u, query, k)
+}
+
+// collect waits for the spawned searches, adds their work to stats, appends
+// their errors to errs and returns their hit lists.
+func (g *gather) collect(stats *classminer.SearchStats, errs []error) ([][]classminer.SearchHit, []error) {
+	g.wg.Wait()
+	var lists [][]classminer.SearchHit
+	for i := range g.outs {
+		o := &g.outs[i]
+		switch {
+		case o.buf == nil:
+		case o.err != nil:
+			errs = append(errs, fmt.Errorf("shard %d: %w", i, o.err))
+		default:
+			stats.DistanceOps += o.st.DistanceOps
+			stats.FloatOps += o.st.FloatOps
+			stats.Candidates += o.st.Candidates
+			lists = append(lists, o.hits)
+		}
+	}
+	return lists, errs
+}
+
+// release returns the pooled buffers, keeping any growth the shard searches
+// did. The hits collect returned alias them and must not be used afterwards.
+func (g *gather) release() {
+	for i := range g.outs {
+		if o := &g.outs[i]; o.buf != nil {
+			if o.hits != nil {
+				*o.buf = o.hits[:0]
+			}
+			hitsPool.Put(o.buf)
+		}
+	}
 }
 
 // Search ranks the k nearest shots across all shards as the given user.
@@ -39,81 +98,47 @@ func (l *Library) SearchInto(dst []classminer.SearchHit, u classminer.User, quer
 	return l.SearchIntoCtx(context.Background(), dst, u, query, k)
 }
 
-// SearchIntoCtx fans the query across every non-empty shard concurrently
-// and merges the per-shard top-k into dst. Stats sum the per-shard index
-// work plus the router's exact re-rank (one full-space distance per
-// candidate). Shard ACL filtering applies before the merge, so a user only
+// SearchIntoCtx fans the query across every non-empty shard — the first on
+// the caller's goroutine into dst, the rest concurrently — and merges the
+// per-shard top-k into dst. Stats sum the per-shard index work; the merge
+// adds none. Shard ACL filtering applies before the merge, so a user only
 // ever ranks what they may see.
 func (l *Library) SearchIntoCtx(ctx context.Context, dst []classminer.SearchHit, u classminer.User, query []float64, k int) ([]classminer.SearchHit, classminer.SearchStats, error) {
-	type shardOut struct {
-		buf  *[]classminer.SearchHit
-		hits []classminer.SearchHit
-		st   classminer.SearchStats
-		err  error
-		ran  bool
-	}
-	outs := make([]shardOut, len(l.shards))
-	var wg sync.WaitGroup
+	first := -1
+	var g *gather // allocated by the first spawn
 	for i, sh := range l.shards {
 		if sh.Size() == 0 {
 			continue
 		}
-		outs[i].ran = true
-		wg.Add(1)
-		go func(o *shardOut, sh Shard) {
-			defer wg.Done()
-			o.buf = hitsPool.Get().(*[]classminer.SearchHit)
-			o.hits, o.st, o.err = sh.SearchIntoCtx(ctx, (*o.buf)[:0], u, query, k)
-		}(&outs[i], sh)
-	}
-	wg.Wait()
-
-	var (
-		stats classminer.SearchStats
-		lists [][]classminer.SearchHit
-		errs  []error
-		ran   bool
-	)
-	for i := range outs {
-		o := &outs[i]
-		if !o.ran {
+		if first < 0 {
+			first = i
 			continue
 		}
-		ran = true
-		if o.err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", i, o.err))
-			continue
+		if g == nil {
+			g = &gather{outs: make([]gathered, len(l.shards))}
 		}
-		stats.DistanceOps += o.st.DistanceOps
-		stats.FloatOps += o.st.FloatOps
-		stats.Candidates += o.st.Candidates
-		lists = append(lists, o.hits)
+		g.wg.Add(1)
+		go g.search(ctx, i, sh, u, query, k)
 	}
-	release := func() {
-		for i := range outs {
-			if o := &outs[i]; o.buf != nil {
-				// Keep any growth the shard search did.
-				if o.hits != nil {
-					*o.buf = o.hits[:0]
-				}
-				hitsPool.Put(o.buf)
-			}
-		}
-	}
-	if !ran {
-		release()
+	if first < 0 {
 		return nil, classminer.SearchStats{}, fmt.Errorf("classminer: index not built (call BuildIndex)")
 	}
+	hits, stats, err := l.shards[first].SearchIntoCtx(ctx, dst, u, query, k)
+	var (
+		lists [][]classminer.SearchHit
+		errs  []error
+	)
+	if err != nil {
+		errs = append(errs, fmt.Errorf("shard %d: %w", first, err))
+	}
+	if g != nil {
+		lists, errs = g.collect(&stats, errs)
+		defer g.release()
+	}
 	if len(errs) > 0 {
-		release()
 		return nil, stats, errors.Join(errs...)
 	}
-	mc := index.MergeCost(lists, len(query))
-	stats.DistanceOps += mc.DistanceOps
-	stats.FloatOps += mc.FloatOps
-	merged := index.MergeHits(dst, query, lists, k)
-	release()
-	return merged, stats, nil
+	return index.MergeHits(hits, lists, k), stats, nil
 }
 
 // SearchBatch runs many queries, fanning whole batches to each shard (the
@@ -133,7 +158,7 @@ func (l *Library) SearchBatch(u classminer.User, queries [][]float64, k int) ([]
 		}
 		outs[i].ran = true
 		wg.Add(1)
-		go func(o *shardOut, sh Shard) {
+		go func(o *shardOut, sh *classminer.Library) {
 			defer wg.Done()
 			o.hits, o.st, o.err = sh.SearchBatch(u, queries, k)
 		}(&outs[i], sh)
@@ -172,10 +197,7 @@ func (l *Library) SearchBatch(u classminer.User, queries [][]float64, k int) ([]
 			stats[q].FloatOps += outs[i].st[q].FloatOps
 			stats[q].Candidates += outs[i].st[q].Candidates
 		}
-		mc := index.MergeCost(lists, len(queries[q]))
-		stats[q].DistanceOps += mc.DistanceOps
-		stats[q].FloatOps += mc.FloatOps
-		hits[q] = index.MergeHits(nil, queries[q], lists, k)
+		hits[q] = index.MergeHits(nil, lists, k)
 	}
 	return hits, stats, nil
 }

@@ -1,22 +1,24 @@
-// Package shard partitions a video library into N independent shards — each
-// with its own WAL engine, feature matrix, incremental index and rebuild
-// bookkeeping — behind a router that keeps the single-library API. Mutations
-// route to exactly one shard by a deterministic hash of the video name
-// (content-based placement: the same name always lands on the same shard, so
-// duplicate detection and replacement stay shard-local), and searches
-// scatter-gather: every non-empty shard ranks its own top-k and the router
-// merges with an exact full-space re-rank (internal/index.MergeHits) whose
-// (distance, video name, shot index) total order makes results deterministic
-// and independent of the shard count.
+// Package shard is the library the daemon serves: a router over N >= 1
+// independent *classminer.Library shards — each with its own WAL engine,
+// feature matrix, incremental index and rebuild bookkeeping — that keeps the
+// single-library API. Mutations route to exactly one shard by a
+// deterministic hash of the video name (content-based placement: the same
+// name always lands on the same shard, so duplicate detection and
+// replacement stay shard-local), and searches scatter-gather: every
+// non-empty shard ranks its own top-k, and the router merges the exact
+// distances the shards report (internal/index.MergeHits) under the
+// (distance, video name, shot index) total order, which makes results
+// deterministic and independent of the shard count.
 //
 // Every per-library cost — group commit, checkpoint, compaction, index
-// rebuild, lock contention — becomes per-shard and therefore parallel.
-// Subcluster and ACL policy is replicated to all shards (Protect fans out),
-// so per-shard search filtering applies exactly the rules the router holds.
+// rebuild, lock contention — is per-shard and therefore parallel at N > 1;
+// at N = 1 the router adds a name hash and a sort of k hits to what the one
+// shard does. Subcluster and ACL policy is replicated to all shards (Protect
+// fans out), so per-shard search filtering applies exactly the rules the
+// router holds.
 package shard
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -34,63 +36,11 @@ import (
 	"classminer/internal/wal"
 )
 
-// Shard is the narrow storage/index/search contract the router addresses.
-// *classminer.Library satisfies it; the router never reaches past it.
-type Shard interface {
-	// Mutations (each routed to exactly one shard).
-	AddVideoCtx(ctx context.Context, v *classminer.Video, subcluster string) (*classminer.Result, error)
-	AddResultCtx(ctx context.Context, res *classminer.Result, subcluster string) error
-	ReplaceResultAsCtx(ctx context.Context, u classminer.User, res *classminer.Result, subcluster string) error
-	ReplaceVideoAsCtx(ctx context.Context, u classminer.User, v *classminer.Video, subcluster string) (*classminer.Result, error)
-	DeleteVideo(name string) error
-	DeleteVideoAsCtx(ctx context.Context, u classminer.User, name string) error
-
-	// Policy (replicated to every shard).
-	Protect(r classminer.Rule)
-	Allowed(u classminer.User, path []string) bool
-	HasSubcluster(name string) bool
-	ConceptPath(name string) []string
-
-	// Index lifecycle (fanned out).
-	BuildIndexCtx(ctx context.Context) error
-	RebuildNeeded(budget float64) bool
-	IndexStale() bool
-	IndexStaleness() float64
-
-	// Reads.
-	Generation() int64
-	Stats() classminer.LibraryStats
-	Video(name string) *classminer.VideoEntry
-	VideoNames() []string
-	Size() int
-	SearchIntoCtx(ctx context.Context, dst []classminer.SearchHit, u classminer.User, query []float64, k int) ([]classminer.SearchHit, classminer.SearchStats, error)
-	SearchBatch(u classminer.User, queries [][]float64, k int) ([][]classminer.SearchHit, []classminer.SearchStats, error)
-	ScenesByEvent(u classminer.User, kind classminer.EventKind) []classminer.SceneRef
-
-	// Durability (fanned out; each shard owns one WAL engine).
-	Save(w io.Writer) error
-	Durable() bool
-	Checkpoint() error
-	Compact() (classminer.CompactStats, error)
-	WALStats() (classminer.WALStats, bool)
-
-	// Replication (per shard: the leader ships each shard's log as its own
-	// stream, and a follower applies each stream to the matching shard).
-	Engine() *wal.Engine
-	ApplyRecord(ctx context.Context, rec *wal.Record) error
-	ReseedFromSnapshot(ctx context.Context, r io.Reader) (installed, removed int, err error)
-
-	Instrument(reg *metrics.Registry)
-	Close() error
-}
-
-var _ Shard = (*classminer.Library)(nil)
-
 // Library routes the single-library API across N shards. It satisfies the
 // same serving contract as *classminer.Library (internal/server.Library),
-// so the daemon and server are indifferent to the shard count.
+// so the server is indifferent to the shard count.
 type Library struct {
-	shards []Shard
+	shards []*classminer.Library
 }
 
 // New creates an in-memory (non-durable) sharded library.
@@ -98,7 +48,7 @@ func New(a *classminer.Analyzer, n int) (*Library, error) {
 	if err := checkShardCount(n); err != nil {
 		return nil, err
 	}
-	shards := make([]Shard, n)
+	shards := make([]*classminer.Library, n)
 	for i := range shards {
 		shards[i] = classminer.NewLibrary(a)
 	}
@@ -111,7 +61,7 @@ func (l *Library) ShardCount() int { return len(l.shards) }
 // ShardAt exposes shard i directly. Replication addresses shards by index —
 // the leader's shard i stream applies to the follower's shard i, because
 // content-based placement makes the partitioning identical on both sides.
-func (l *Library) ShardAt(i int) Shard { return l.shards[i] }
+func (l *Library) ShardAt(i int) *classminer.Library { return l.shards[i] }
 
 // Engines returns every shard's WAL engine, indexed by shard (nil entries
 // when the library is not durable). The replication hub ships one stream
@@ -124,31 +74,29 @@ func (l *Library) Engines() []*wal.Engine {
 	return engines
 }
 
-// maxShards bounds the shard count to something a single node can own;
+// MaxShards bounds the shard count to something a single node can own;
 // beyond it a flag typo is far more likely than a real deployment.
-const maxShards = 256
+const MaxShards = 256
 
 func checkShardCount(n int) error {
-	if n < 1 || n > maxShards {
-		return fmt.Errorf("shard: shard count %d out of range [1,%d]", n, maxShards)
+	if n < 1 || n > MaxShards {
+		return fmt.Errorf("shard: shard count %d out of range [1,%d]", n, MaxShards)
 	}
 	return nil
 }
 
-// manifestName is the parent-dir file that pins a sharded data dir's shard
-// count. Its presence is what distinguishes a sharded layout (shard-<i>/
-// subdirectories) from a legacy single-shard dir (MANIFEST at top level).
+// manifestName is the parent-dir file that pins a multi-shard data dir's
+// shard count. Its presence selects the shard-<i>/ subdirectory layout; a
+// data dir without it is one shard living at the top level.
 const manifestName = "SHARDS"
 
 type shardsManifest struct {
 	Shards int `json:"shards"`
 }
 
-// Count reports the shard count recorded in dir's SHARDS manifest, or 0
-// when the directory is not a sharded data dir (including when it does not
-// exist yet). The daemon uses it to pick the recovery path before opening
-// anything.
-func Count(dir string) (int, error) {
+// recordedCount reports the shard count in dir's SHARDS manifest, or 0 when
+// there is none (including when dir does not exist yet).
+func recordedCount(dir string) (int, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
@@ -166,10 +114,10 @@ func Count(dir string) (int, error) {
 	return m.Shards, nil
 }
 
-// legacySingleShardDir reports whether dir already holds a single-shard
-// WAL layout at its top level (MANIFEST appears only after the first
-// checkpoint, so the lock file and log segments count too).
-func legacySingleShardDir(dir string) bool {
+// hasTopLevelWAL reports whether dir already holds one shard's WAL files at
+// its top level (MANIFEST appears only after the first checkpoint, so the
+// lock file and log segments count too).
+func hasTopLevelWAL(dir string) bool {
 	for _, name := range []string{"MANIFEST", "LOCK"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
 			return true
@@ -186,62 +134,72 @@ func writeManifest(dir string, n int) error {
 	})
 }
 
-// ShardDir returns the data subdirectory of shard i under parent dir.
-func ShardDir(dir string, i int) string {
+// shardDir returns the data subdirectory of shard i under parent dir.
+func shardDir(dir string, i int) string {
 	return filepath.Join(dir, "shard-"+strconv.Itoa(i))
 }
 
-// Recover opens (or creates) a sharded durable library under dir: one
-// shard-<i>/ subdirectory per shard, each a full classminer data dir with
-// its own MANIFEST, lock, snapshots and log segments, booted in parallel.
-// The shard count is pinned at creation by the SHARDS manifest; n must
-// match it on reopen (n <= 0 means "use the recorded count"). A legacy
-// single-shard data dir (top-level MANIFEST) is refused — recover it with
-// the plain classminer.Recover path instead.
+// Recover opens (or creates) the durable library under dir, booting its
+// shards in parallel. n = 0 means "what the dir records, else 1". One shard
+// is a classminer data dir at the top level of dir — MANIFEST, lock,
+// snapshots and log segments exactly where classminer.Recover puts them, no
+// SHARDS file — so a dir written before the router existed is simply a
+// one-shard dir. More shards live in shard-<i>/ subdirectories, each a full
+// classminer data dir, under a SHARDS manifest that pins the count at
+// creation: n must match it on reopen, and a dir that already holds
+// top-level WAL files cannot be resharded by asking for n > 1.
 func Recover(dir string, n int, a *classminer.Analyzer, opts classminer.DurableOptions) (*Library, error) {
-	persisted, err := Count(dir)
+	recorded, err := recordedCount(dir)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case persisted > 0 && n > 0 && n != persisted:
-		return nil, fmt.Errorf("shard: data dir %s holds %d shards but %d were requested (the shard count is fixed when the dir is created)", dir, persisted, n)
-	case persisted > 0:
-		n = persisted
-	default:
-		if err := checkShardCount(n); err != nil {
-			return nil, err
+	if n == 0 {
+		n = max(recorded, 1)
+	}
+	if err := checkShardCount(n); err != nil {
+		return nil, err
+	}
+	if recorded > 0 && n != recorded {
+		return nil, fmt.Errorf("shard: data dir %s holds %d shards but %d were requested (the shard count is fixed when the dir is created)", dir, recorded, n)
+	}
+	dirs := []string{dir}
+	if recorded > 0 || n > 1 {
+		if recorded == 0 {
+			if hasTopLevelWAL(dir) {
+				return nil, fmt.Errorf("shard: %s holds one shard (top-level WAL files) but %d were requested (the shard count is fixed when the dir is created)", dir, n)
+			}
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				return nil, err
+			}
+			if err := writeManifest(dir, n); err != nil {
+				return nil, err
+			}
 		}
-		if legacySingleShardDir(dir) {
-			return nil, fmt.Errorf("shard: %s is a legacy single-shard data dir (top-level WAL files); recover it with a single-shard library instead of -shards %d", dir, n)
-		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-		if err := writeManifest(dir, n); err != nil {
-			return nil, err
+		dirs = make([]string, n)
+		for i := range dirs {
+			dirs[i] = shardDir(dir, i)
 		}
 	}
 
-	shards := make([]Shard, n)
+	shards := make([]*classminer.Library, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i, sdir := range dirs {
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, sdir string) {
 			defer wg.Done()
 			o := opts
-			if logf := opts.Logf; logf != nil {
-				prefix := "shard-" + strconv.Itoa(i) + ": "
+			if logf := opts.Logf; logf != nil && sdir != dir {
+				prefix := filepath.Base(sdir) + ": "
 				o.Logf = func(format string, args ...any) { logf(prefix+format, args...) }
 			}
-			lib, err := classminer.Recover(ShardDir(dir, i), a, o)
+			lib, err := classminer.Recover(sdir, a, o)
 			if err != nil {
 				errs[i] = fmt.Errorf("shard %d: %w", i, err)
 				return
 			}
 			shards[i] = lib
-		}(i)
+		}(i, sdir)
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
@@ -278,7 +236,7 @@ func shardIndex(name string, n int) int {
 }
 
 // owner returns the shard responsible for the named video.
-func (l *Library) owner(name string) Shard {
+func (l *Library) owner(name string) *classminer.Library {
 	return l.shards[shardIndex(name, len(l.shards))]
 }
 
@@ -362,22 +320,28 @@ func (l *Library) ConceptPath(name string) []string { return l.shards[0].Concept
 
 // ---- Index lifecycle: fan out. ----
 
-// BuildIndex fits every non-empty shard's index.
+// BuildIndex fits every shard's index that is not already current.
 func (l *Library) BuildIndex() error { return l.BuildIndexCtx(context.Background()) }
 
-// BuildIndexCtx fits every non-empty shard's index in parallel. Matching
-// the single-library contract, an entirely empty library is an error.
+// BuildIndexCtx refits, in parallel, every non-empty shard whose index is
+// stale or carries an incremental overlay; a shard whose index is a current
+// full fit is skipped, because refitting it is bit-identical by
+// construction. Matching the single-library contract, an entirely empty
+// library is an error.
 func (l *Library) BuildIndexCtx(ctx context.Context) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(l.shards))
-	built := false
+	empty := true
 	for i, sh := range l.shards {
 		if sh.Size() == 0 {
 			continue
 		}
-		built = true
+		empty = false
+		if !sh.IndexStale() && sh.IndexStaleness() == 0 {
+			continue
+		}
 		wg.Add(1)
-		go func(i int, sh Shard) {
+		go func(i int, sh *classminer.Library) {
 			defer wg.Done()
 			if err := sh.BuildIndexCtx(ctx); err != nil {
 				errs[i] = fmt.Errorf("shard %d: %w", i, err)
@@ -385,7 +349,7 @@ func (l *Library) BuildIndexCtx(ctx context.Context) error {
 		}(i, sh)
 	}
 	wg.Wait()
-	if !built {
+	if empty {
 		return fmt.Errorf("classminer: no videos registered")
 	}
 	return errors.Join(errs...)
@@ -443,14 +407,14 @@ func (l *Library) Generation() int64 {
 }
 
 // Stats aggregates across shards — counters summed, staleness is the max
-// (worst shard) — and carries the per-shard breakdown in Shards. The WAL
-// block sums every counter (total replay cost) and reports the minimum
-// checkpoint generation (the weakest shard's durability progress).
+// (worst shard) — and, when there is more than one shard, carries the
+// per-shard breakdown in Shards (with one shard the aggregate is the shard).
+// The WAL block sums every counter (total replay cost) and reports the
+// minimum checkpoint generation (the weakest shard's durability progress).
 func (l *Library) Stats() classminer.LibraryStats {
 	var agg classminer.LibraryStats
 	var wal classminer.WALStats
 	durable := true
-	agg.Shards = make([]classminer.ShardStats, 0, len(l.shards))
 	for i, sh := range l.shards {
 		st := sh.Stats()
 		agg.Videos += st.Videos
@@ -477,7 +441,9 @@ func (l *Library) Stats() classminer.LibraryStats {
 				wal.Generation = st.WAL.Generation
 			}
 		}
-		agg.Shards = append(agg.Shards, classminer.ShardStats{Shard: i, LibraryStats: st})
+		if len(l.shards) > 1 {
+			agg.Shards = append(agg.Shards, classminer.ShardStats{Shard: i, LibraryStats: st})
+		}
 	}
 	if agg.Shots == 0 {
 		agg.IndexStale = true
@@ -523,30 +489,10 @@ func (l *Library) ScenesByEvent(u classminer.User, kind classminer.EventKind) []
 
 // ---- Durability: fan out; each shard owns an independent WAL. ----
 
-// Save writes one merged snapshot of every shard, sorted by video name so
-// the bytes are independent of the shard count. Each shard's Save settles
-// its own pending group commits first, exactly as a single library would.
-func (l *Library) Save(w io.Writer) error {
-	var entries []store.SavedLibraryEntry
-	for i, sh := range l.shards {
-		var buf bytes.Buffer
-		if err := sh.Save(&buf); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		sl, err := store.ReadLibrary(&buf)
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		entries = append(entries, sl.Videos...)
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].Result.VideoName < entries[j].Result.VideoName
-	})
-	return store.WriteLibrary(w, entries)
-}
-
-// ImportSnapshot reads a merged snapshot and routes every video to its
-// owning shard, returning how many were imported.
+// ImportSnapshot reads a library snapshot (classminer.Library.Save's format)
+// and routes every video to its owning shard, returning how many were
+// imported. On a durable library each import is journaled like any
+// registration.
 func (l *Library) ImportSnapshot(r io.Reader, skipExisting bool) (int, error) {
 	saved, err := store.ReadLibrary(r)
 	if err != nil {
@@ -580,7 +526,7 @@ func (l *Library) Checkpoint() error {
 	errs := make([]error, len(l.shards))
 	for i, sh := range l.shards {
 		wg.Add(1)
-		go func(i int, sh Shard) {
+		go func(i int, sh *classminer.Library) {
 			defer wg.Done()
 			if err := sh.Checkpoint(); err != nil {
 				errs[i] = fmt.Errorf("shard %d: %w", i, err)

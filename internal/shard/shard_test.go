@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -310,68 +311,141 @@ func TestGoldenEquivalenceFiltered(t *testing.T) {
 }
 
 // TestMergeTieOrdering plants byte-identical features under different names
-// owned by different shards: the merged ranking must break the exact
-// distance ties by (video name, shot index) across shard boundaries, same
-// as FlatSearch's total order within one library.
+// — one name per shard of a 4-shard router, registered in reverse name order
+// so that entry ids, a single index's own tie-break, run against the name
+// order. The ranking must break the exact distance ties by (video name, shot
+// index) at every shard count: across shard boundaries at N = 4, and at
+// N = 1 too, where the one shard's hits arrive in entry-id order and only
+// the router's sort puts them in the order every other N returns.
 func TestMergeTieOrdering(t *testing.T) {
-	const n = 4
-	// Find one name per shard, then give all of them the same features.
-	names := make([]string, 0, n)
+	const maxN, shots = 4, 3
+	names := make([]string, 0, maxN)
 	seen := map[int]bool{}
-	for i := 0; len(names) < n && i < 1000; i++ {
+	for i := 0; len(names) < maxN && i < 1000; i++ {
 		name := fmt.Sprintf("twin-%03d", i)
-		if s := shardIndex(name, n); !seen[s] {
+		if s := shardIndex(name, maxN); !seen[s] {
 			seen[s] = true
 			names = append(names, name)
 		}
 	}
-	if len(names) < n {
-		t.Fatalf("could not find names covering %d shards", n)
+	if len(names) < maxN {
+		t.Fatalf("could not find names covering %d shards", maxN)
 	}
-	l, err := New(testAnalyzer(t), n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shots := 3
-	for _, name := range names {
-		if err := l.AddResult(tinyResult(t, name, 42, shots), "medicine"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range fixedQueries(4, 12, 42) {
-		hits, _, err := l.Search(admin, q, n*shots)
+	sort.Sort(sort.Reverse(sort.StringSlice(names)))
+	queries := fixedQueries(4, 12, 42)
+
+	var want [][]classminer.SearchHit
+	for _, n := range []int{1, maxN} {
+		l, err := New(testAnalyzer(t), n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(hits) != n*shots {
-			t.Fatalf("got %d hits, want %d", len(hits), n*shots)
-		}
-		for i := 1; i < len(hits); i++ {
-			a, b := hits[i-1], hits[i]
-			switch {
-			case a.Dist < b.Dist:
-			case a.Dist > b.Dist:
-				t.Fatalf("hit %d: distance order violated (%g then %g)", i, a.Dist, b.Dist)
-			case a.Entry.VideoName < b.Entry.VideoName:
-			case a.Entry.VideoName > b.Entry.VideoName:
-				t.Fatalf("hit %d: name tie-break violated (%s then %s at dist %g)",
-					i, a.Entry.VideoName, b.Entry.VideoName, a.Dist)
-			case a.Entry.Shot.Index >= b.Entry.Shot.Index:
-				t.Fatalf("hit %d: shot tie-break violated (%s shot %d then %d)",
-					i, a.Entry.VideoName, a.Entry.Shot.Index, b.Entry.Shot.Index)
+		for _, name := range names {
+			if err := l.AddResult(tinyResult(t, name, 42, shots), "medicine"); err != nil {
+				t.Fatal(err)
 			}
 		}
-		// The four clones tie exactly; each distance run must list them in
-		// name order.
-		for i := 1; i < len(hits); i++ {
-			if hits[i].Dist == hits[i-1].Dist && hits[i].Entry.Shot.Index == hits[i-1].Entry.Shot.Index &&
-				hits[i].Entry.VideoName <= hits[i-1].Entry.VideoName {
-				t.Fatalf("tied run out of name order: %s before %s",
-					hits[i-1].Entry.VideoName, hits[i].Entry.VideoName)
+		if err := l.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
+		got := searchAll(t, l, admin, queries, maxN*shots)
+		for _, hits := range got {
+			if len(hits) != maxN*shots {
+				t.Fatalf("shards %d: got %d hits, want %d", n, len(hits), maxN*shots)
 			}
+			for i := 1; i < len(hits); i++ {
+				a, b := hits[i-1], hits[i]
+				switch {
+				case a.Dist < b.Dist:
+				case a.Dist > b.Dist:
+					t.Fatalf("shards %d hit %d: distance order violated (%g then %g)", n, i, a.Dist, b.Dist)
+				case a.Entry.VideoName < b.Entry.VideoName:
+				case a.Entry.VideoName > b.Entry.VideoName:
+					t.Fatalf("shards %d hit %d: name tie-break violated (%s then %s at dist %g)",
+						n, i, a.Entry.VideoName, b.Entry.VideoName, a.Dist)
+				case a.Entry.Shot.Index >= b.Entry.Shot.Index:
+					t.Fatalf("shards %d hit %d: shot tie-break violated (%s shot %d then %d)",
+						n, i, a.Entry.VideoName, a.Entry.Shot.Index, b.Entry.Shot.Index)
+				}
+			}
+			// The clones tie exactly, so every distance occurs once per name.
+			for i := 0; i < len(hits); i += maxN {
+				if hits[i].Dist != hits[i+maxN-1].Dist {
+					t.Fatalf("shards %d: hits %d..%d are not one tied run; fixture lost its teeth", n, i, i+maxN-1)
+				}
+			}
+		}
+		if want == nil {
+			want = got
+		} else {
+			mustSameHits(t, fmt.Sprintf("exact ties, shards %d vs 1", n), got, want)
+		}
+	}
+}
+
+// TestOneShardSearchAllocFree pins what "the router is free at N = 1" means
+// mechanically: with one non-empty shard nothing is spawned, nothing is
+// pooled and the merge sorts in place, so a search into a reused buffer
+// allocates nothing — exactly like the plain library it wraps.
+func TestOneShardSearchAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts differ under the race detector")
+	}
+	l := buildRouter(t, 1, testCorpus(13, 30), nil)
+	q := fixedQueries(1, 12, 13)[0]
+	ctx := context.Background()
+	dst := make([]classminer.SearchHit, 0, 64)
+	search := func() {
+		hits, _, err := l.SearchIntoCtx(ctx, dst, admin, q, 10)
+		if err != nil || len(hits) != 10 {
+			t.Fatalf("search: %d hits, %v", len(hits), err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		search() // warm the index's scratch pools
+	}
+	if got := testing.AllocsPerRun(200, search); got != 0 {
+		t.Fatalf("one-shard router search = %v allocs/op, want 0", got)
+	}
+}
+
+// TestBuildIndexSkipsCurrentShards: a rebuild refits only the shards that
+// drifted. One registration lands on one shard; the other shards' indexes
+// are current full fits, refitting them would be bit-identical, and their
+// generation — which every index swap advances — must not move.
+func TestBuildIndexSkipsCurrentShards(t *testing.T) {
+	const n = 4
+	corpus := testCorpus(17, 16)
+	l := buildRouter(t, n, corpus, nil)
+	before := l.Stats().Shards
+
+	late := "late-arrival"
+	if err := l.AddResult(tinyResult(t, late, 170, 3), "medicine"); err != nil {
+		t.Fatal(err)
+	}
+	mid := l.Stats().Shards
+	if err := l.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	after := l.Stats().Shards
+	for i := range after {
+		switch {
+		case i == l.Owner(late):
+			if after[i].Generation <= mid[i].Generation || after[i].IndexStaleness != 0 ||
+				after[i].IndexedShots != before[i].IndexedShots+3 {
+				t.Fatalf("drifted shard %d was not refit: %+v -> %+v", i, mid[i].LibraryStats, after[i].LibraryStats)
+			}
+		case after[i].Generation != before[i].Generation || after[i].IndexedShots != before[i].IndexedShots:
+			t.Fatalf("current shard %d was refit: %+v -> %+v", i, before[i].LibraryStats, after[i].LibraryStats)
+		}
+	}
+	// Nothing drifted now: a rebuild is a no-op, not an error.
+	if err := l.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	for i, ss := range l.Stats().Shards {
+		if ss.Generation != after[i].Generation {
+			t.Fatalf("shard %d refit although nothing drifted", i)
 		}
 	}
 }
@@ -418,14 +492,14 @@ func TestShardedRecoverEquivalence(t *testing.T) {
 
 	// Layout: parent holds the SHARDS manifest plus one subdir per shard,
 	// each a full single-shard data dir (lock file + its own WAL).
-	if n, err := Count(dir); err != nil || n != 4 {
-		t.Fatalf("Count(%s) = %d, %v; want 4", dir, n, err)
+	if n, err := recordedCount(dir); err != nil || n != 4 {
+		t.Fatalf("recordedCount(%s) = %d, %v; want 4", dir, n, err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := os.Stat(filepath.Join(ShardDir(dir, i), "LOCK")); err != nil {
+		if _, err := os.Stat(filepath.Join(shardDir(dir, i), "LOCK")); err != nil {
 			t.Fatalf("shard %d has no data dir lock: %v", i, err)
 		}
-		segs, _ := filepath.Glob(filepath.Join(ShardDir(dir, i), "wal-*.log"))
+		segs, _ := filepath.Glob(filepath.Join(shardDir(dir, i), "wal-*.log"))
 		if len(segs) == 0 {
 			t.Fatalf("shard %d has no WAL segments", i)
 		}
@@ -454,9 +528,8 @@ func TestShardedRecoverEquivalence(t *testing.T) {
 	}
 }
 
-// TestRecoverShardCountPinned: reopening with a different -shards is an
-// error (resharding is a migration, not a flag change), and a legacy
-// single-shard dir is refused outright.
+// TestRecoverShardCountPinned: reopening with a different shard count is an
+// error (resharding is a migration, not a flag change), in both layouts.
 func TestRecoverShardCountPinned(t *testing.T) {
 	a := testAnalyzer(t)
 	dir := t.TempDir()
@@ -467,21 +540,96 @@ func TestRecoverShardCountPinned(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Recover(dir, 2, a, quietWAL()); err == nil {
-		t.Fatal("reopening a 3-shard dir with n=2 succeeded; want an error")
+	for _, n := range []int{1, 2} {
+		if _, err := Recover(dir, n, a, quietWAL()); err == nil {
+			t.Fatalf("reopening a 3-shard dir with n=%d succeeded; want an error", n)
+		}
 	}
 
-	legacy := t.TempDir()
-	pl, err := classminer.Recover(legacy, a, quietWAL())
+	plain := t.TempDir()
+	pl, err := classminer.Recover(plain, a, quietWAL())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := pl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Recover(legacy, 4, a, quietWAL()); err == nil {
-		t.Fatal("sharding over a legacy single-shard dir succeeded; want an error")
+	if _, err := Recover(plain, 4, a, quietWAL()); err == nil {
+		t.Fatal("sharding over a one-shard dir succeeded; want an error")
 	}
+	if n, _ := recordedCount(plain); n != 0 {
+		t.Fatalf("the refused reshard left a SHARDS manifest recording %d", n)
+	}
+}
+
+// TestOneShardLivesAtTopLevel: one shard is a plain classminer data dir — no
+// SHARDS manifest, no shard-0/ — so the router and classminer.Recover open
+// each other's directories, and n = 0 on a dir that records nothing means 1.
+func TestOneShardLivesAtTopLevel(t *testing.T) {
+	a := testAnalyzer(t)
+	dir := t.TempDir()
+	corpus := testCorpus(9, 6)
+	queries := fixedQueries(4, 12, 9)
+	k := totalShots(corpus) + 1
+
+	// Written by a plain library, killed without a checkpoint...
+	pl, err := classminer.Recover(dir, a, quietWAL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range corpus[:3] {
+		if err := pl.AddResult(tinyResult(t, v.name, v.seed, v.shots), "medicine"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// ...extended through the router (n = 0: the dir records nothing, so 1)...
+	l, err := Recover(dir, 0, a, quietWAL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.ShardCount() != 1 || l.Stats().Videos != 3 {
+		t.Fatalf("router over a plain dir: %d shards, %d videos; want 1, 3", l.ShardCount(), l.Stats().Videos)
+	}
+	for _, v := range corpus[3:] {
+		if err := l.AddResult(tinyResult(t, v.name, v.seed, v.shots), "medicine"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	want := searchAll(t, l, admin, queries, k)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{manifestName, "shard-0"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("one-shard data dir grew %s (stat: %v)", name, err)
+		}
+	}
+	// ...and read back by a plain library, and by the router asked for 1.
+	pl, err = classminer.Recover(dir, a, quietWAL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pl.Stats().Videos; got != len(corpus) {
+		t.Fatalf("plain library recovered %d videos from the router's dir, want %d", got, len(corpus))
+	}
+	if err := pl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err = Recover(dir, 1, a, quietWAL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	mustSameHits(t, "reopened one-shard dir", searchAll(t, l, admin, queries, k), want)
 }
 
 // TestStatsAggregation: the router's Stats must sum counters across shards,
@@ -554,35 +702,30 @@ func TestStatsAggregation(t *testing.T) {
 	}
 }
 
-// TestSaveMergeShardInvariant: Save must write one merged, name-sorted
-// snapshot whose bytes do not depend on the shard count, and
-// ImportSnapshot must route it back across shards.
-func TestSaveMergeShardInvariant(t *testing.T) {
+// TestImportSnapshotRoutesAcrossShards: ImportSnapshot must route a library
+// snapshot (classminer.Library.Save's format, what -load reads) across
+// shards by name, skipping what is already registered when asked to.
+func TestImportSnapshotRoutesAcrossShards(t *testing.T) {
 	corpus := testCorpus(31, 10)
 	one := buildRouter(t, 1, corpus, nil)
-	four := buildRouter(t, 4, corpus, nil)
-
-	var a, b bytes.Buffer
-	if err := one.Save(&a); err != nil {
+	var snap bytes.Buffer
+	if err := one.ShardAt(0).Save(&snap); err != nil {
 		t.Fatal(err)
-	}
-	if err := four.Save(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("Save bytes differ between 1 shard (%d bytes) and 4 shards (%d bytes)", a.Len(), b.Len())
 	}
 
 	imported, err := New(testAnalyzer(t), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := imported.ImportSnapshot(&b, false)
+	n, err := imported.ImportSnapshot(bytes.NewReader(snap.Bytes()), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != len(corpus) {
 		t.Fatalf("imported %d videos, want %d", n, len(corpus))
+	}
+	if n, err := imported.ImportSnapshot(bytes.NewReader(snap.Bytes()), true); err != nil || n != 0 {
+		t.Fatalf("re-import skipping existing = %d, %v; want 0, nil", n, err)
 	}
 	if err := imported.BuildIndex(); err != nil {
 		t.Fatal(err)

@@ -68,8 +68,8 @@ func (p recPos) after(q recPos) bool {
 // a later tombstone or replace for the same key, and advances the manifest
 // past leading segments that emptied. It is safe to run concurrently with
 // appends (rotation included) and serialises with checkpoints; replayed
-// state is identical before and after. Legacy records whose key cannot be
-// probed are never dropped.
+// state is identical before and after. A frame that does not decode is
+// never evidence and never dropped.
 func (e *Engine) Compact() (CompactResult, error) {
 	e.cpMu.Lock()
 	defer e.cpMu.Unlock()

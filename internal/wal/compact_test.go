@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -323,26 +322,19 @@ func lifecycleLogPrefixDead(t testing.TB, eng *Engine) {
 	lifecycleLog(t, eng)
 }
 
-// TestCompactKeepsUnclassifiableRecords: legacy frames with a probeable
-// key participate in compaction; frames with no probeable key are never
-// dropped, even when unrelated keys die around them.
+// TestCompactKeepsUnclassifiableRecords: a frame compaction cannot decode is
+// never evidence and never dropped, even when keys die around it.
 func TestCompactKeepsUnclassifiableRecords(t *testing.T) {
 	dir := t.TempDir()
 	eng, err := Open(dir, compactOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := json.Marshal(map[string]any{
-		"subcluster": "medicine",
-		"result":     map[string]any{"videoName": "legacy-1", "pad": strings.Repeat("y", 160)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opaque := []byte(`{"mystery":"frame"}`) // legacy-shaped, no probeable key
-	appendAll(t, eng, [][]byte{legacy, opaque})
+	doomed := mustRecord(t, RecordRegister, "doomed-1", registerBody(0))
+	opaque := []byte(`{"mystery":"frame"}`) // no envelope: undecodable
+	appendAll(t, eng, [][]byte{doomed, opaque})
 	appendAll(t, eng, [][]byte{mustRecord(t, RecordRegister, "other", registerBody(1))})
-	appendAll(t, eng, [][]byte{mustRecord(t, RecordTombstone, "legacy-1", "")})
+	appendAll(t, eng, [][]byte{mustRecord(t, RecordTombstone, "doomed-1", "")})
 	for i := 0; i < 4; i++ { // seal everything above
 		appendAll(t, eng, [][]byte{mustRecord(t, RecordRegister, fmt.Sprintf("pad%d", i), registerBody(i))})
 	}
@@ -351,7 +343,7 @@ func TestCompactKeepsUnclassifiableRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.RecordsDropped != 1 {
-		t.Fatalf("dropped %d records, want exactly the tombstoned legacy frame", res.RecordsDropped)
+		t.Fatalf("dropped %d records, want exactly the tombstoned registration", res.RecordsDropped)
 	}
 	eng.Close()
 	eng2, err := Open(dir, compactOpts())
@@ -365,8 +357,8 @@ func TestCompactKeepsUnclassifiableRecords(t *testing.T) {
 		if string(f) == string(opaque) {
 			foundOpaque = true
 		}
-		if strings.Contains(string(f), "legacy-1") && !strings.Contains(string(f), "tombstone") {
-			t.Fatalf("tombstoned legacy registration survived: %s", f)
+		if strings.Contains(string(f), "doomed-1") && !strings.Contains(string(f), "tombstone") {
+			t.Fatalf("tombstoned registration survived: %s", f)
 		}
 	}
 	if !foundOpaque {
@@ -470,17 +462,14 @@ func TestAutoCompactTrigger(t *testing.T) {
 	// The library-side bookkeeping would report each superseded record's
 	// footprint; 6 fat registrations comfortably clear the threshold.
 	eng.NoteDead(6, 6*200)
+	// The compactor rewrites the segment first and settles the dead-bytes
+	// estimate after, so wait for both rather than sampling between them.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if sealedBytes(t, dir) < before {
-			break
-		}
+	for sealedBytes(t, dir) >= before || eng.Stats().DeadBytes >= 6*200 {
 		if time.Now().After(deadline) {
-			t.Fatalf("background compaction never ran (sealed bytes still %d)", before)
+			t.Fatalf("background compaction never settled (sealed bytes %d, were %d; stats %+v)",
+				sealedBytes(t, dir), before, eng.Stats())
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-	if st := eng.Stats(); st.DeadBytes >= 6*200 {
-		t.Fatalf("dead-bytes estimate not reset after compaction: %+v", st)
 	}
 }

@@ -7,18 +7,12 @@ import (
 )
 
 // Record envelope: the logical layer above the byte framing of record.go.
-// Every frame payload is one JSON document describing a library mutation.
-// Two shapes are live on disk:
-//
-//   - Typed (this PR onward): {"type":"register","version":1,"key":"v1",
-//     "payload":{…}} — the envelope carries the mutation kind and the video
-//     name (the compaction key), and the payload is the kind-specific body
-//     (a store.SavedLibraryEntry for register/replace, empty for tombstone).
-//
-//   - Legacy (pre-envelope data dirs): a bare store.SavedLibraryEntry
-//     document. It has no "type" member, which is how DecodeRecord tells the
-//     shapes apart; it always means a registration, so existing data
-//     directories recover unchanged.
+// Every frame payload is one JSON document describing a library mutation,
+// in one shape: {"type":"register","version":1,"key":"v1","payload":{…}} —
+// the envelope carries the mutation kind and the video name (the compaction
+// key), and the payload is the kind-specific body (a
+// store.SavedLibraryEntry for register/replace, empty for tombstone). A
+// frame without a type is a decode error, never a guessed registration.
 //
 // The envelope lives in this package — not in classminer — because the
 // compactor must classify records without the library: a register or
@@ -42,22 +36,20 @@ const (
 )
 
 // recordVersion is the envelope schema version this build writes and the
-// only one it accepts; legacy frames (no envelope at all) report version 0.
+// only one it accepts.
 const recordVersion = 1
 
 // Record is one decoded log record.
 type Record struct {
 	// Type is one of the Record* kinds.
 	Type string `json:"type"`
-	// Version is the envelope schema version (0 for a legacy bare frame).
+	// Version is the envelope schema version.
 	Version int `json:"version"`
 	// Key is the video name the record is about — the identity compaction
-	// and replay dedupe on. Empty only for a legacy frame whose payload
-	// could not be probed (such records are never dropped by compaction).
+	// and replay dedupe on.
 	Key string `json:"key,omitempty"`
 	// Payload is the kind-specific body: a store.SavedLibraryEntry JSON
-	// document for register/replace (for a legacy frame, the whole frame),
-	// empty for tombstone.
+	// document for register/replace, empty for tombstone.
 	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
@@ -92,22 +84,9 @@ func EncodeRecord(kind, key string, payload []byte) ([]byte, error) {
 	return bytes.TrimSuffix(buf.Bytes(), []byte("\n")), nil
 }
 
-// legacyProbe mirrors just enough of store.SavedLibraryEntry /
-// store.SavedResult to pull the video name out of a legacy bare frame
-// without decoding the whole mined result. envelope_test.go pins it against
-// store's actual encoding so the tags cannot drift apart silently.
-type legacyProbe struct {
-	Result struct {
-		VideoName string `json:"videoName"`
-	} `json:"result"`
-}
-
-// DecodeRecord parses one frame payload into a Record. Legacy bare
-// store.SavedLibraryEntry frames (no "type" member) decode as version-0
-// registrations whose Payload is the whole frame, so every pre-envelope
-// data directory replays exactly as it did before typed records existed.
-// The returned Payload may alias frame; callers that retain it past the
-// frame's lifetime must copy.
+// DecodeRecord parses one frame payload into a Record. The returned Payload
+// may alias frame; callers that retain it past the frame's lifetime must
+// copy.
 func DecodeRecord(frame []byte) (Record, error) {
 	var rec Record
 	if err := DecodeRecordInto(&rec, frame); err != nil {
@@ -116,17 +95,14 @@ func DecodeRecord(frame []byte) (Record, error) {
 	return rec, nil
 }
 
-// Byte shapes every frame this package ever wrote. Typed frames come from
-// EncodeRecord's json.Encoder over the Record struct, so field order and
-// spacing are fixed; legacy frames are json.Marshal of a
-// store.SavedLibraryEntry, whose first field is "subcluster"
-// (envelope_test.go pins both against the real encoders).
+// The byte shape of every frame EncodeRecord writes: its json.Encoder runs
+// over the Record struct, so field order and spacing are fixed
+// (envelope_test.go pins them against the real encoder).
 var (
 	typedPrefix    = []byte(`{"type":"`)
 	typedVersion   = []byte(`","version":1,"key":"`)
 	typedPayload   = []byte(`","payload":`)
 	typedTombstone = []byte(`"}`)
-	legacyPrefix   = []byte(`{"subcluster":`)
 )
 
 // DecodeRecordInto is DecodeRecord writing into *rec — replay and
@@ -139,24 +115,19 @@ var (
 // for integrity, and the consumer parses the payload next anyway). That
 // removes the second full parse of every record from the recovery path.
 // Anything irregular — an escaped key, foreign spacing — falls back to the
-// strict envelope unmarshal, and legacy frames take a single probe parse
-// for the key instead of the envelope-then-probe double parse.
+// strict envelope unmarshal.
 func DecodeRecordInto(rec *Record, frame []byte) error {
 	if fastDecodeTyped(rec, frame) {
 		return nil
-	}
-	if bytes.HasPrefix(frame, legacyPrefix) {
-		return decodeLegacy(rec, frame)
 	}
 	*rec = Record{}
 	if err := json.Unmarshal(frame, rec); err != nil {
 		return fmt.Errorf("wal: decoding record envelope: %w", err)
 	}
-	if rec.Type == "" {
-		return decodeLegacy(rec, frame)
-	}
 	switch rec.Type {
 	case RecordRegister, RecordTombstone, RecordReplace:
+	case "":
+		return fmt.Errorf("wal: record has no type")
 	default:
 		return fmt.Errorf("wal: unknown record type %q", rec.Type)
 	}
@@ -169,19 +140,6 @@ func DecodeRecordInto(rec *Record, frame []byte) error {
 	if (rec.Type == RecordRegister || rec.Type == RecordReplace) && len(rec.Payload) == 0 {
 		return fmt.Errorf("wal: %s record has no payload", rec.Type)
 	}
-	return nil
-}
-
-// decodeLegacy fills *rec from a legacy bare frame. The key probe is
-// best-effort: a frame it cannot name still registers fine (classminer
-// decodes the full payload); it is only invisible to compaction.
-func decodeLegacy(rec *Record, frame []byte) error {
-	key := ""
-	var p legacyProbe
-	if err := json.Unmarshal(frame, &p); err == nil {
-		key = p.Result.VideoName
-	}
-	*rec = Record{Type: RecordRegister, Version: 0, Key: key, Payload: frame}
 	return nil
 }
 

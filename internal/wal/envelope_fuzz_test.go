@@ -9,11 +9,9 @@ import (
 // FuzzDecodeRecord exercises the envelope decoder on arbitrary bytes from
 // both directions: (1) any frame EncodeRecord accepts must round-trip
 // through DecodeRecord unchanged, and (2) arbitrary input must either
-// decode to one of the known record kinds — a legacy frame always
-// decoding as a registration whose payload is the input itself — or fail,
-// never panic and never invent a typed record with missing parts.
+// decode to one of the known record kinds, complete, or fail — never panic
+// and never invent a typed record with missing parts.
 func FuzzDecodeRecord(f *testing.F) {
-	f.Add([]byte(`{"subcluster":"medicine","result":{"videoName":"v1"}}`)) // legacy
 	f.Add([]byte(`{"type":"register","version":1,"key":"v1","payload":{"a":1}}`))
 	f.Add([]byte(`{"type":"tombstone","version":1,"key":"v1"}`))
 	f.Add([]byte(`{"type":"replace","version":1,"key":"v1","payload":{}}`))
@@ -51,14 +49,8 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		switch rec.Type {
 		case RecordRegister, RecordReplace:
-			if rec.Version == 0 {
-				// Legacy fallback: the payload is the input itself and the
-				// kind is always register.
-				if rec.Type != RecordRegister || !bytes.Equal(rec.Payload, data) {
-					t.Fatalf("legacy decode invariant broken: %+v", rec)
-				}
-			} else if rec.Key == "" || len(rec.Payload) == 0 {
-				t.Fatalf("typed %s missing key or payload: %+v", rec.Type, rec)
+			if rec.Version != recordVersion || rec.Key == "" || len(rec.Payload) == 0 {
+				t.Fatalf("typed %s missing version, key or payload: %+v", rec.Type, rec)
 			}
 		case RecordTombstone:
 			if rec.Key == "" {

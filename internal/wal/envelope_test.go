@@ -2,10 +2,8 @@ package wal
 
 import (
 	"bytes"
-	"encoding/json"
+	"strings"
 	"testing"
-
-	"classminer/internal/store"
 )
 
 func TestEnvelopeRoundTrip(t *testing.T) {
@@ -23,6 +21,11 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode %s: %v", c.kind, err)
 		}
+		// The hand-rolled scanner's literals must match what the encoder
+		// writes, or every record silently takes the slow path.
+		if !fastDecodeTyped(new(Record), frame) {
+			t.Fatalf("%s frame %s missed the exact-shape decode", c.kind, frame)
+		}
 		rec, err := DecodeRecord(frame)
 		if err != nil {
 			t.Fatalf("decode %s: %v", c.kind, err)
@@ -33,35 +36,6 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		if !bytes.Equal(rec.Payload, c.payload) {
 			t.Fatalf("%s payload mutated: %q vs %q", c.kind, rec.Payload, c.payload)
 		}
-	}
-}
-
-// TestEnvelopeLegacyFrame pins the legacy path against store's actual
-// encoding: a bare SavedLibraryEntry document — exactly what pre-envelope
-// data directories hold — must decode as a version-0 registration whose
-// payload is the whole frame and whose key is the probed video name. If
-// store's JSON tags ever drift from legacyProbe, this test breaks first.
-func TestEnvelopeLegacyFrame(t *testing.T) {
-	entry := store.SavedLibraryEntry{
-		Subcluster: "medicine",
-		Result:     &store.SavedResult{Version: store.FormatVersion, VideoName: "legacy-vid"},
-	}
-	frame, err := json.Marshal(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := DecodeRecord(frame)
-	if err != nil {
-		t.Fatalf("legacy decode: %v", err)
-	}
-	if rec.Type != RecordRegister || rec.Version != 0 {
-		t.Fatalf("legacy frame decoded as %+v, want version-0 register", rec)
-	}
-	if rec.Key != "legacy-vid" {
-		t.Fatalf("legacy key probe = %q, want %q", rec.Key, "legacy-vid")
-	}
-	if !bytes.Equal(rec.Payload, frame) {
-		t.Fatal("legacy payload is not the original frame")
 	}
 }
 
@@ -84,23 +58,17 @@ func TestEnvelopeRejectsMalformed(t *testing.T) {
 		[]byte(`{"type":"tombstone","version":1}`),          // no key
 		[]byte(`{"type":"register","version":1,"key":"k"}`), // no payload
 		[]byte(`[1,2,3]`), // not an object
+		// Untyped: what pre-envelope logs held. A loud error, never a
+		// guessed registration.
+		[]byte(`{"subcluster":"medicine","result":{"videoName":"v1"}}`),
+		[]byte(`{"something":"else"}`),
 	}
 	for _, frame := range bad {
 		if _, err := DecodeRecord(frame); err == nil {
 			t.Fatalf("malformed frame %s decoded", frame)
 		}
 	}
-}
-
-// TestEnvelopeLegacyUnprobeableKey: a legacy-shaped frame whose video name
-// cannot be found still decodes (classminer's full decoder handles or
-// rejects it); the empty key only makes it invisible to compaction.
-func TestEnvelopeLegacyUnprobeableKey(t *testing.T) {
-	rec, err := DecodeRecord([]byte(`{"something":"else"}`))
-	if err != nil {
-		t.Fatalf("legacy-shaped frame: %v", err)
-	}
-	if rec.Type != RecordRegister || rec.Key != "" {
-		t.Fatalf("decoded %+v, want keyless register", rec)
+	if _, err := DecodeRecord([]byte(`{"key":"k"}`)); err == nil || !strings.Contains(err.Error(), "wal: record has no type") {
+		t.Fatalf("untyped frame: %v, want the no-type error", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -332,14 +333,23 @@ func TestDamagedChainHealedByCheckpoint(t *testing.T) {
 	}
 }
 
-type memState struct{ recs [][]byte }
+// memState is the in-memory "library" behind a test engine. The background
+// checkpointer snapshots it while the test keeps applying, hence the lock.
+type memState struct {
+	mu   sync.Mutex
+	recs [][]byte
+}
 
 func (m *memState) apply(p []byte) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.recs = append(m.recs, append([]byte(nil), p...))
 	return nil
 }
 
 func (m *memState) snapshot(w io.Writer) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for _, r := range m.recs {
 		if _, err := fmt.Fprintf(w, "%s\n", r); err != nil {
 			return err

@@ -18,16 +18,19 @@ import (
 	"classminer"
 	"classminer/internal/access"
 	"classminer/internal/server"
+	"classminer/internal/shard"
 	"classminer/internal/synth"
 )
 
 var (
 	srvOnce sync.Once
-	srvLib  *classminer.Library
+	srvLib  *shard.Library
 	srvErr  error
 )
 
-func benchLibrary(b testing.TB) *classminer.Library {
+// benchLibrary is the library the daemon builds by default: the shard router
+// over one shard.
+func benchLibrary(b testing.TB) *shard.Library {
 	b.Helper()
 	srvOnce.Do(func() {
 		a, err := classminer.NewAnalyzer(classminer.Options{SkipEvents: true})
@@ -35,7 +38,10 @@ func benchLibrary(b testing.TB) *classminer.Library {
 			srvErr = err
 			return
 		}
-		srvLib = classminer.NewLibrary(a)
+		if srvLib, err = shard.New(a, 1); err != nil {
+			srvErr = err
+			return
+		}
 		script := synth.CorpusScript("laparoscopy", 0.3, 2003)
 		v, err := synth.Generate(synth.DefaultConfig(), script, 2003)
 		if err != nil {
