@@ -27,7 +27,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -159,19 +161,37 @@ func (a *Analyzer) Analyze(v *Video) (*Result, error) { return a.inner.Analyze(v
 type VideoEntry struct {
 	Result     *Result
 	Subcluster string // concept hierarchy placement (e.g. "medicine")
+	// row and rows are the contiguous span of library rows the video's shots
+	// were appended at: rows [row, row+rows) of entries/featData. The library
+	// rewrites row whenever it compacts.
+	row, rows int
 }
 
 // Library is the paper's video database: mined videos behind a
 // concept-hierarchy index with access control. All methods are safe for
 // concurrent use; reads proceed in parallel while registration, deletion
-// and policy changes serialise. BuildIndex is copy-on-write: the expensive
-// fit runs outside the lock against a snapshot of the entries and the
-// finished index is swapped in atomically, so concurrent searches keep
-// answering from the previous index (at worst slightly stale) instead of
-// blocking or erroring while a rebuild is in flight. Deletion and
-// replacement (DeleteVideo, ReplaceResult/ReplaceVideoAsCtx) follow the same
-// discipline: the entry set and flat feature matrix are rebuilt into fresh
-// arrays and the old index serves until the next BuildIndex.
+// and policy changes serialise.
+//
+// Rows. Every registered shot is one row of entries/featData. Between
+// compactions the two arrays are append-only: a registration appends its
+// rows and remembers the span in its VideoEntry, and a deletion or
+// replacement only marks the span in the dead bitset (removeLocked) — it
+// costs what the video holds, not what the library holds, and copies no
+// feature row. Rows move in exactly two places, both of which build fresh
+// arrays (nothing ever edits the old ones, which an index or an in-flight
+// fit may still be reading) and bump epoch: a full fit that found dead rows
+// hands the library the compacted arrays it fitted over (BuildIndexCtx), and
+// removeLocked compacts by itself once dead rows outnumber live ones, which
+// bounds rows at twice the live count when nothing is refitting.
+//
+// Index. BuildIndex is copy-on-write: the expensive fit runs outside the
+// lock against a snapshot of the rows and the finished index is swapped in
+// atomically, so concurrent searches keep answering from the previous index
+// (at worst slightly stale) instead of blocking or erroring while a rebuild
+// is in flight. Between fits the serving index absorbs registrations
+// (InsertAll) and deletions (a mask) incrementally, and because the index
+// numbers its entries the way the library numbers its rows, a deletion
+// masks by row span.
 type Library struct {
 	mu        sync.RWMutex
 	analyzer  *Analyzer
@@ -184,19 +204,31 @@ type Library struct {
 	// every index rebuild so BuildIndex never re-extracts shot features.
 	featData []float64
 	featDim  int
+	// dead marks the rows of videos no longer registered (bit i = row i; it
+	// always covers every row) and deadRows counts them, so the live shot
+	// count is len(entries) - deadRows. epoch counts compactions: a fit
+	// snapshotted under an older epoch describes rows that have since moved.
+	dead     []uint64
+	deadRows int
+	epoch    int64
 	ix       *index.Index
+	// ixEpoch is the epoch ix was installed under. While it equals epoch the
+	// index's entry IDs are the library's row numbers (for every entry the
+	// index holds), so removeLocked masks by span; after a compaction the
+	// index did not take part in, it masks by name until the next fit.
+	ixEpoch int64
 	// entriesVer counts entry-set mutations; ixVer is the entriesVer the
 	// installed index reflects (index is stale while they differ —
 	// incremental maintenance usually keeps them equal). ixFitVer is the
 	// entriesVer of the installed index's last *full fit*: the gap between
-	// it and ixVer is served by the incremental overlay. lastRemoveVer
-	// records the entriesVer of the most recent removal, which compacts the
-	// entry arrays — a BuildIndex snapshotted before it fit rows that no
-	// longer exist and must be discarded.
-	entriesVer    int64
-	ixVer         int64
-	ixFitVer      int64
-	lastRemoveVer int64
+	// it and ixVer is served by the incremental overlay.
+	entriesVer int64
+	ixVer      int64
+	ixFitVer   int64
+	// fits counts the full fits BuildIndexCtx installed, fitsDropped the ones
+	// it threw away at the swap (see BuildIndexCtx for the only two reasons).
+	fits        int64
+	fitsDropped int64
 	// gen counts every mutation that can change what a query returns
 	// (registration, index swap, policy change). Caches key on it.
 	gen int64
@@ -238,6 +270,7 @@ type libMetrics struct {
 	deletes       *metrics.Counter // videos unregistered
 	ixInserts     *metrics.Counter // shots absorbed into the serving index incrementally
 	ixRemoves     *metrics.Counter // shots masked out of the serving index incrementally
+	fitsDropped   *metrics.Counter // full fits thrown away at the swap
 }
 
 // Instrument registers the library's metrics on reg: lifecycle counters
@@ -261,11 +294,16 @@ func (l *Library) Instrument(reg *metrics.Registry) {
 			"Shots absorbed into the serving index without a full refit."),
 		ixRemoves: reg.Counter("classminer_index_incremental_removes_total",
 			"Shots masked out of the serving index without a full refit."),
+		fitsDropped: reg.Counter("classminer_index_fits_dropped_total",
+			"Full index fits discarded at the swap (the library compacted under them, or a newer fit landed first)."),
 	}
 	reg.GaugeFunc("classminer_videos", "Videos currently registered.",
 		func() float64 { l.mu.RLock(); defer l.mu.RUnlock(); return float64(len(l.videos)) })
 	reg.GaugeFunc("classminer_shots", "Indexable shots currently registered.",
 		func() float64 { return float64(l.Size()) })
+	reg.GaugeFunc("classminer_dead_rows",
+		"Rows of deleted or replaced videos awaiting the next compaction.",
+		func() float64 { l.mu.RLock(); defer l.mu.RUnlock(); return float64(l.deadRows) })
 	reg.GaugeFunc("classminer_index_staleness",
 		"Incremental-overlay fraction of the serving index (0 = freshly fit).",
 		func() float64 { return l.IndexStaleness() })
@@ -514,19 +552,20 @@ func (l *Library) replace(ctx context.Context, name string, res *Result, subclus
 			return fmt.Errorf("classminer: journaling replacement of %q: %w", name, err)
 		}
 	}
-	// removeLocked's empty-library branch drops the serving index and
-	// fences stale builds — right for a delete, wrong mid-replace: a
-	// successor is about to be installed, and the replace contract is
-	// that the old index keeps serving until the next BuildIndex. The
-	// exception is a replacement that changes the feature dimensionality
-	// (possible only when the victim was the sole video): the old index
-	// answers queries of the *old* width, and serving it against the
-	// library's new width would panic projection deep in Search — there
-	// the index stays down, exactly as a delete leaves it.
+	// removeLocked's empty-library branch drops the serving index — right
+	// for a delete, wrong mid-replace: a successor is about to be installed,
+	// and the replace contract is that the old index (the victim masked out
+	// of it) keeps serving, stale, until the next BuildIndex. The exception
+	// is a replacement that changes the feature dimensionality (possible
+	// only when the victim was the sole video): the old index answers
+	// queries of the *old* width, and serving it against the library's new
+	// width would panic projection deep in Search — there the index stays
+	// down, exactly as a delete leaves it.
 	oldIx, oldIxVer, oldDim := l.ix, l.ixVer, l.featDim
 	l.removeLocked(name) // consumes the superseded record's on-log size
 	if l.ix == nil && oldIx != nil && dim == oldDim {
-		l.ix, l.ixVer = oldIx, oldIxVer
+		l.ix, _ = oldIx.Remove(name)
+		l.ixVer = oldIxVer
 	}
 	if rec != nil && l.journal != nil {
 		l.setLogSizeLocked(name, int64(len(rec))+wal.FrameOverhead)
@@ -574,104 +613,108 @@ func (l *Library) checkEntryDims(name string, newEntries []*index.Entry, dim int
 
 // installLocked commits a validated registration to in-memory state:
 // feature rows are appended to the flat matrix (once per shot, so index
-// rebuilds never re-extract them) and the entry set and generation advance.
-// When the serving index was current, the new entries are inserted into it
-// incrementally (copy-on-write, no refit) so the registration is
-// searchable the moment the caller is acknowledged; otherwise — or when an
-// entry's concept path has no leaf in the built tree — the index is left
-// stale for the coalesced rebuilder. Callers hold l.mu.
+// rebuilds never re-extract them), the video remembers the row span, and the
+// entry set and generation advance. When the serving index was current, the
+// new entries are inserted into it incrementally (copy-on-write, no refit,
+// one batch per video) so the registration is searchable the moment the
+// caller is acknowledged; otherwise — or when an entry's concept path has no
+// leaf in the built tree — the index is left stale for the coalesced
+// rebuilder. Callers hold l.mu.
 func (l *Library) installLocked(name string, res *Result, subcluster string, newEntries []*index.Entry, dim int) {
 	l.featDim = dim
+	row := len(l.entries)
 	for _, e := range newEntries {
 		l.featData = append(l.featData, e.Shot.Color...)
 		l.featData = append(l.featData, e.Shot.Texture...)
 	}
-	l.videos[name] = &VideoEntry{Result: res, Subcluster: subcluster}
 	l.entries = append(l.entries, newEntries...)
+	for len(l.dead)*64 < len(l.entries) {
+		l.dead = append(l.dead, 0)
+	}
+	l.videos[name] = &VideoEntry{Result: res, Subcluster: subcluster, row: row, rows: len(newEntries)}
 	wasCurrent := l.ix != nil && l.ixVer == l.entriesVer
 	l.entriesVer++
 	l.gen++
 	if !wasCurrent {
 		return
 	}
-	ix := l.ix
-	for _, e := range newEntries {
-		nix, err := ix.Insert(e)
-		if err != nil {
-			// A brand-new concept (or any other incremental limit): keep the
-			// pre-mutation index serving and flag staleness instead.
-			return
-		}
-		ix = nix
+	nix, err := l.ix.InsertAll(newEntries)
+	if err != nil {
+		// A brand-new concept (or any other incremental limit): keep the
+		// pre-mutation index serving and flag staleness instead.
+		return
 	}
-	l.ix = ix
+	l.ix = nix
 	l.ixVer = l.entriesVer
 	l.met.ixInserts.Add(uint64(len(newEntries)))
 }
 
-// removeLocked unregisters name, if present, and compacts the entry list
-// and flat feature matrix. Both are rebuilt into *fresh* backing arrays,
-// never edited in place: BuildIndex snapshots alias the old arrays
-// (capacity-capped slices), and a concurrent search against the installed
-// index must keep reading consistent rows until the next swap. When the
-// serving index was current, the deleted entries are masked out of it
-// incrementally (copy-on-write) so searches stop ranking them immediately;
-// the generation bump invalidates response caches either way. Callers hold
-// l.mu.
+// removeLocked unregisters name, if present. It is the one removal routine —
+// delete, replace, the undo of an unacknowledged registration, tombstone
+// replay and a follower's apply all end here — and it costs what the video
+// holds: the video's row span is marked in the dead bitset and masked out of
+// the serving index (copy-on-write, by span), and no feature row is touched.
+// The rows stay where they are, because an in-flight BuildIndex and the
+// installed index read the arrays they sit in; the next full fit drops them
+// as it lands. The mask never waits for that: it is applied whether or not
+// the index was current (a stale index stays stale, but stops ranking the
+// video now), and the generation bump invalidates response caches.
+//
+// When no fit is coming — log replay, a library nobody runs BuildIndex on,
+// rebuilds paused — dead rows are bounded here instead: once they outnumber
+// the live ones the library compacts into fresh arrays (compactLocked),
+// amortised O(1) per retired row, so rows never exceed twice the live count.
+// Callers hold l.mu.
 func (l *Library) removeLocked(name string) bool {
-	if _, ok := l.videos[name]; !ok {
+	ve, ok := l.videos[name]
+	if !ok {
 		return false
 	}
 	delete(l.videos, name)
-	kept := make([]*index.Entry, 0, len(l.entries))
-	var data []float64
-	if l.featDim > 0 {
-		data = make([]float64, 0, len(l.entries)*l.featDim)
+	for r := ve.row; r < ve.row+ve.rows; r++ {
+		l.dead[r>>6] |= 1 << uint(r&63)
 	}
-	for i, e := range l.entries {
-		if e.VideoName == name {
-			continue
-		}
-		kept = append(kept, e)
-		if l.featDim > 0 {
-			data = append(data, l.featData[i*l.featDim:(i+1)*l.featDim]...)
-		}
-	}
+	l.deadRows += ve.rows
 	wasCurrent := l.ix != nil && l.ixVer == l.entriesVer
-	removed := len(l.entries) - len(kept)
-	l.entries = kept
-	l.featData = data
-	empty := len(l.entries) == 0
-	if empty && len(l.pendingAck) == 0 {
-		// Nothing left to index: drop the installed index now rather than
-		// serve a library of ghosts until a BuildIndex that would error,
-		// and forget the feature dimensionality — it was learned from the
-		// registrations just removed, and an empty library constrains
-		// nothing (the next registration re-establishes it). An in-flight
-		// unacknowledged registration still pins the dimensionality: its
-		// entries validated against it and are about to install.
-		l.ix = nil
-		l.featDim = 0
-		l.featData = nil
-	} else if empty {
-		l.ix = nil
-	}
 	l.entriesVer++
 	l.gen++
-	l.lastRemoveVer = l.entriesVer
-	switch {
-	case empty:
-		// Fence out in-flight builds: a BuildIndex snapshotted before this
-		// delete would otherwise reinstall an index of the just-deleted
-		// entries — permanently, since BuildIndex on an empty library only
-		// errors. (lastRemoveVer already discards them; the ixVer fence
-		// keeps IndexStale reporting sane.)
+	if l.ix != nil {
+		var masked int
+		if l.ixEpoch == l.epoch {
+			ids := make([]int32, ve.rows)
+			for i := range ids {
+				ids[i] = int32(ve.row + i)
+			}
+			l.ix, masked = l.ix.RemoveIDs(ids)
+		} else {
+			l.ix, masked = l.ix.Remove(name)
+		}
+		l.met.ixRemoves.Add(uint64(masked))
+		if wasCurrent {
+			l.ixVer = l.entriesVer
+		}
+	}
+	switch live := len(l.entries) - l.deadRows; {
+	case live == 0:
+		// Nothing left to index: drop the installed index now rather than
+		// serve a library of ghosts until a BuildIndex that would error, and
+		// fence its version so nothing reads as pending against an empty
+		// library. The rows go too (a compaction: in-flight fits are dropped
+		// at their swap), and with them the feature dimensionality — it was
+		// learned from the registrations just removed, and an empty library
+		// constrains nothing (the next registration re-establishes it). An
+		// in-flight unacknowledged registration still pins the
+		// dimensionality: its entries validated against it and are about to
+		// install.
+		l.ix = nil
 		l.ixVer = l.entriesVer
-	case wasCurrent:
-		nix, _ := l.ix.Remove(name)
-		l.ix = nix
-		l.ixVer = l.entriesVer
-		l.met.ixRemoves.Add(uint64(removed))
+		l.entries, l.featData, l.dead, l.deadRows = nil, nil, nil, 0
+		l.epoch++
+		if len(l.pendingAck) == 0 {
+			l.featDim = 0
+		}
+	case l.deadRows > live:
+		l.compactLocked()
 	}
 	if n := l.logBytes[name]; n > 0 {
 		delete(l.logBytes, name)
@@ -680,6 +723,84 @@ func (l *Library) removeLocked(name string) bool {
 		}
 	}
 	return true
+}
+
+// compactLocked rebuilds entries and featData into fresh arrays holding the
+// live rows in row order. The installed index keeps serving from the arrays
+// it was built over; its IDs no longer match the library's rows, which
+// removeLocked reads off ixEpoch. Callers hold l.mu.
+func (l *Library) compactLocked() {
+	rank := newRowRank(l.dead)
+	entries, data := gatherLive(l.entries, l.featData, l.featDim, l.dead, len(l.entries)-l.deadRows)
+	l.adoptLocked(entries, data, rank, nil)
+}
+
+// adoptLocked makes entries/data the library's arrays: they hold the rows
+// rank maps the current ones to (the live rows, gathered). Every video is
+// pointed at its new span, died — rows of the new layout that are already
+// retired — becomes the dead set, and a new epoch starts. Callers hold l.mu.
+func (l *Library) adoptLocked(entries []*index.Entry, data []float64, rank rowRank, died []int32) {
+	l.entries, l.featData = entries, data
+	for _, ve := range l.videos {
+		ve.row = rank.of(ve.row)
+	}
+	l.dead = make([]uint64, (len(entries)+63)/64)
+	for _, r := range died {
+		l.dead[r>>6] |= 1 << uint(r&63)
+	}
+	l.deadRows = len(died)
+	l.epoch++
+}
+
+// rowRank maps a row of a layout with dead rows to its position among the
+// live ones — where gatherLive puts it.
+type rowRank struct {
+	dead   []uint64
+	before []int // before[w] = dead rows in words < w
+}
+
+func newRowRank(dead []uint64) rowRank {
+	before := make([]int, len(dead)+1)
+	for w, word := range dead {
+		before[w+1] = before[w] + bits.OnesCount64(word)
+	}
+	return rowRank{dead: dead, before: before}
+}
+
+// of returns the new position of live row r. Rows past the bitset — appended
+// after it was taken — count every dead row before them, and the zero rowRank
+// (no dead rows) is the identity.
+func (rr rowRank) of(r int) int {
+	if rr.before == nil {
+		return r
+	}
+	w := r >> 6
+	if w >= len(rr.dead) {
+		return r - rr.before[len(rr.dead)]
+	}
+	return r - rr.before[w] - bits.OnesCount64(rr.dead[w]&(1<<uint(r&63)-1))
+}
+
+// gatherLive copies the rows of entries/data that dead does not mark into
+// fresh arrays of capacity capRows rows, preserving row order. Rows past the
+// bitset are live.
+func gatherLive(entries []*index.Entry, data []float64, dim int, dead []uint64, capRows int) ([]*index.Entry, []float64) {
+	isDead := func(r int) bool { return r>>6 < len(dead) && dead[r>>6]&(1<<uint(r&63)) != 0 }
+	outE := make([]*index.Entry, 0, capRows)
+	outD := make([]float64, 0, capRows*dim)
+	for r := 0; r < len(entries); {
+		if isDead(r) {
+			r++
+			continue
+		}
+		start := r
+		for r < len(entries) && !isDead(r) {
+			r++
+		}
+		outE = append(outE, entries[start:r]...)
+		outD = append(outD, data[start*dim:r*dim]...)
+	}
+	return outE, outD
 }
 
 // remove is removeLocked under the lock (the tombstone-replay path).
@@ -741,15 +862,16 @@ func (l *Library) encodeTombstone(name string) ([]byte, error) {
 	return wal.EncodeRecord(wal.RecordTombstone, name, nil)
 }
 
-// DeleteVideo unregisters a video: its entries leave the library, the flat
-// feature matrix is compacted, and the generation advances so cached
-// answers stop being served. The installed index keeps serving until the
-// next BuildIndex (copy-on-write, exactly like registration: at worst
-// slightly stale, never blocking). On a durable library the tombstone is
-// journaled before any state changes — replay applies it even over a
-// registration recovered from a checkpoint snapshot, so delete wins across
-// a crash — and the superseded registration's log footprint is reported to
-// the engine, feeding the sealed-segment compaction trigger.
+// DeleteVideo unregisters a video at a cost proportional to the video, not
+// the library: its rows are marked dead and masked out of the serving index
+// (searches stop ranking them before this returns, whether or not the index
+// was current), and the generation advances so cached answers stop being
+// served. The rows themselves leave with the next full fit (see
+// removeLocked for what bounds them meanwhile). On a durable library the
+// tombstone is journaled before any state changes — replay applies it even
+// over a registration recovered from a checkpoint snapshot, so delete wins
+// across a crash — and the superseded registration's log footprint is
+// reported to the engine, feeding the sealed-segment compaction trigger.
 func (l *Library) DeleteVideo(name string) error {
 	return l.deleteVideo(context.Background(), name, nil)
 }
@@ -849,16 +971,15 @@ func (l *Library) ReplaceVideoAsCtx(ctx context.Context, u User, v *Video, subcl
 }
 
 // BuildIndex (re)builds the hierarchical index over all registered videos
-// — the full fit that resets the incremental overlay's staleness. The fit
-// runs outside the lock against a snapshot of the entries, so concurrent
-// searches keep answering from the previous index until the new one is
-// swapped in, and registrations that land *while* the fit runs are caught
-// up by inserting them incrementally into the fresh fit before the swap —
-// a rebuild is never discarded just because ingest outpaced it. Only a
-// removal racing the fit discards it (the entry arrays were compacted
-// under it); the caller — typically the coalesced rebuilder — simply
-// retries. Concurrent builds are safe: an older fit never overwrites a
-// newer one.
+// — the full fit that resets the incremental overlay's staleness and, as a
+// by-product, compacts the library. The fit runs outside the lock against a
+// snapshot of the rows, so concurrent searches keep answering from the
+// previous index until the new one is swapped in, and whatever happened
+// *while* the fit ran is caught up under the lock before the swap, in both
+// directions: videos registered meanwhile are inserted into the fresh fit,
+// videos deleted meanwhile are masked out of it. A fit is therefore never
+// thrown away because ingest or deletes raced it. Concurrent builds are
+// safe: an older fit never overwrites a newer one.
 func (l *Library) BuildIndex() error {
 	return l.BuildIndexCtx(context.Background())
 }
@@ -868,25 +989,49 @@ func (l *Library) BuildIndex() error {
 // under-lock catch-up-and-swap each record a child span — the split that
 // matters when a rebuild stalls queries (only "swap" runs under the write
 // lock).
+//
+// The snapshot is (row count, a copy of the dead bitset, epoch). With no dead
+// row the fit aliases the library's own arrays — capacity-capped views that
+// stay valid while registrations append past them, so a static library pays
+// no copy and keeps one matrix in memory. With dead rows the fit first
+// gathers the live rows, in row order, into fresh arrays; at the swap the
+// library adopts those arrays (plus the rows appended since) as its own and
+// repoints every video, so the dead rows are gone, index entry IDs equal
+// library rows again, and the installed index still aliases the library's
+// matrix. Either way the fit is the fit BuildIndex would run over the same
+// videos registered into an empty library in the same order.
+//
+// Only the library compacting on its own under the fit (removeLocked: it
+// emptied, or more than half its rows were dead) moves rows the snapshot
+// cannot be mapped through; such a fit, and one a newer fit overtook, is
+// dropped and counted (Stats().IndexFitsDropped) — the caller's staleness
+// check simply schedules the next one.
 func (l *Library) BuildIndexCtx(ctx context.Context) error {
 	sp := trace.SpanFrom(ctx)
 	l.mu.RLock()
-	entries := l.entries[:len(l.entries):len(l.entries)]
-	// Snapshot the precomputed feature matrix alongside: the capacity-capped
-	// view stays valid even if later registrations grow featData, rows past
-	// the snapshot are never written concurrently, and a delete or
-	// replacement rebuilds both slices into fresh backing arrays
-	// (removeLocked) rather than editing the ones this snapshot aliases.
-	flen := len(entries) * l.featDim
-	feats := &mat.Dense{R: len(entries), C: l.featDim, Data: l.featData[:flen:flen]}
-	ver := l.entriesVer
+	n, dim := len(l.entries), l.featDim
+	live := n - l.deadRows
+	entries, data := l.entries[:n:n], l.featData[:n*dim:n*dim]
+	var dead []uint64
+	if l.deadRows > 0 {
+		dead = slices.Clone(l.dead)
+	}
+	ver, epoch := l.entriesVer, l.epoch
 	l.mu.RUnlock()
-	if len(entries) == 0 {
+	if live == 0 {
 		return fmt.Errorf("classminer: no videos registered")
 	}
 	fit := sp.Start("fit")
-	fit.SetInt("entries", int64(len(entries)))
-	ix, err := index.BuildMatrix(entries, feats, index.Options{})
+	fit.SetInt("entries", int64(live))
+	var rank rowRank
+	if dead != nil {
+		rank = newRowRank(dead)
+		// Headroom for the rows the swap appends, so adopting the arrays
+		// does not re-copy them under the write lock.
+		entries, data = gatherLive(entries, data, dim, dead, live+live/4)
+	}
+	ix, err := index.BuildMatrix(entries[:live:live],
+		&mat.Dense{R: live, C: dim, Data: data[: live*dim : live*dim]}, index.Options{})
 	fit.End()
 	if err != nil {
 		return err
@@ -895,35 +1040,44 @@ func (l *Library) BuildIndexCtx(ctx context.Context) error {
 	defer swap.End()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if ver < l.ixFitVer {
-		return nil // a newer fit already landed; keep it
-	}
-	if l.lastRemoveVer > ver {
-		// A delete or replacement compacted the entry arrays after this fit
-		// snapshotted them: the fit describes rows that no longer line up
-		// with the library. Discard it; staleness stays flagged and the
-		// rebuilder retries against the compacted arrays.
+	if epoch != l.epoch || ver < l.ixFitVer {
+		l.fitsDropped++
+		l.met.fitsDropped.Inc()
 		return nil
 	}
-	// No removal ran, so l.entries is the snapshot's own backing array,
-	// possibly grown: everything past the snapshot is a registration to
-	// catch up on.
+	// Rows past the snapshot are registrations to catch up on, all or
+	// nothing: a new concept among them leaves the fit installed but stale.
+	// Dead ones go in too, so that IDs keep matching rows, and are masked
+	// with the rest below.
+	tail := l.entries[n:]
 	caughtUp := true
-	for _, e := range l.entries[len(entries):] {
-		nix, ierr := ix.Insert(e)
-		if ierr != nil {
-			caughtUp = false // new concept mid-fit: install the fit, stay stale
-			break
-		}
+	if nix, ierr := ix.InsertAll(tail); ierr != nil {
+		caughtUp = false
+	} else {
 		ix = nix
 	}
-	l.ix = ix
+	// Rows that died since the snapshot, numbered as the fit numbers them.
+	var died []int32
+	for w, word := range l.dead {
+		if w < len(dead) {
+			word &^= dead[w]
+		}
+		for ; word != 0; word &= word - 1 {
+			died = append(died, int32(rank.of(w<<6+bits.TrailingZeros64(word))))
+		}
+	}
+	ix, _ = ix.RemoveIDs(died)
+	if dead != nil {
+		l.adoptLocked(append(entries, tail...), append(data, l.featData[n*dim:]...), rank, died)
+	}
+	l.ix, l.ixEpoch = ix, l.epoch
 	l.ixFitVer = ver
 	if caughtUp {
 		l.ixVer = l.entriesVer
 	} else {
 		l.ixVer = ver
 	}
+	l.fits++
 	l.gen++
 	return nil
 }
@@ -951,7 +1105,7 @@ func (l *Library) IndexStaleness() float64 {
 func (l *Library) RebuildNeeded(budget float64) bool {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if len(l.entries) == 0 {
+	if len(l.entries) == l.deadRows {
 		return false
 	}
 	if l.ix == nil || l.entriesVer != l.ixVer {
@@ -980,6 +1134,14 @@ type LibraryStats struct {
 	// the rebuild budget is compared against it.
 	IndexStaleness float64 `json:"indexStaleness"`
 	Generation     int64   `json:"generation"`
+	// DeadRows counts rows of deleted or replaced videos the library still
+	// holds; the next full fit (or, without one, the library itself once
+	// they outnumber the live rows) compacts them away.
+	DeadRows int `json:"deadRows"`
+	// IndexFits counts the full fits installed, IndexFitsDropped the ones
+	// thrown away at the swap (BuildIndexCtx says when).
+	IndexFits        int64 `json:"indexFits"`
+	IndexFitsDropped int64 `json:"indexFitsDropped"`
 	// WAL is the durable log's lag since its last checkpoint; nil when the
 	// library is not durable. For a sharded library this is the aggregate
 	// across shards (summed counters, min generation).
@@ -1000,10 +1162,13 @@ func (l *Library) Stats() LibraryStats {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	st := LibraryStats{
-		Videos:     len(l.videos),
-		Shots:      len(l.entries),
-		IndexStale: l.ix == nil || l.entriesVer != l.ixVer,
-		Generation: l.gen,
+		Videos:           len(l.videos),
+		Shots:            len(l.entries) - l.deadRows,
+		IndexStale:       l.ix == nil || l.entriesVer != l.ixVer,
+		Generation:       l.gen,
+		DeadRows:         l.deadRows,
+		IndexFits:        l.fits,
+		IndexFitsDropped: l.fitsDropped,
 	}
 	if l.ix != nil {
 		st.IndexedShots = l.ix.Size()
@@ -1061,11 +1226,12 @@ func (l *Library) VideoNames() []string {
 	return names
 }
 
-// Size returns the number of indexed shots.
+// Size returns the number of registered shots (rows of deleted videos the
+// library has not compacted away yet do not count).
 func (l *Library) Size() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return len(l.entries)
+	return len(l.entries) - l.deadRows
 }
 
 // Search runs a query-by-example over the library as the given user: the

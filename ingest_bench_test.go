@@ -91,3 +91,62 @@ func BenchmarkDurableIngestParallel(b *testing.B) {
 		b.ReportMetric(float64(ws.Records)/float64(ws.Syncs), "records/fsync")
 	}
 }
+
+// BenchmarkDeleteVideo deletes one 25-shot video per iteration from a
+// library of 10 000 shots whose index is current — the exclusive section of
+// a delete. Each victim is replaced and, every 100 deletes, the index refit
+// (which also compacts the dead rows away) outside the timer, so every
+// iteration meets the same library.
+func BenchmarkDeleteVideo(b *testing.B) {
+	b.Run("shots=10k", func(b *testing.B) {
+		a, err := NewAnalyzer(Options{SkipEvents: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		const videos = 400
+		lib := churnLibrary(b, a, videos)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := lib.DeleteVideo(fmt.Sprintf("vid-%05d", i)); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := lib.AddResult(tinyResult(b, fmt.Sprintf("vid-%05d", videos+i), int64(videos+i), 25), "medicine"); err != nil {
+				b.Fatal(err)
+			}
+			if i%100 == 99 {
+				if err := lib.BuildIndex(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+		}
+	})
+}
+
+// BenchmarkRecoverChurn recovers the directory ingest-churn leaves behind:
+// 400 base videos and 1 000 register/delete pairs on the log, no checkpoint.
+func BenchmarkRecoverChurn(b *testing.B) {
+	a, err := NewAnalyzer(Options{SkipEvents: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	_, logBytes := churnDir(b, a, dir, 400, 1000, true)
+	b.SetBytes(logBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lib, err := Recover(dir, a, quietWAL())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if got := lib.Stats().Videos; got != 400 {
+			b.Fatalf("recovered %d videos, want 400", got)
+		}
+		lib.Close()
+		b.StartTimer()
+	}
+}

@@ -1,19 +1,28 @@
-// Incremental index maintenance: copy-on-write Insert and Remove keep a
-// built index searchable across registrations and deletions without the
-// O(library) refit of BuildMatrix. An inserted entry is routed down the
-// existing tree by its concept path to its leaf, its projected row and full
-// feature appended to overlay arrays — no PCA or k-means is refit, so the
-// routing and ranking spaces stay those of the last full fit. A removed
-// entry is masked by a bitset. Both return a *new* Index sharing all
-// unchanged structure with the old one: concurrent searches keep running
-// against whichever index they started with.
+// Incremental index maintenance: copy-on-write Insert/InsertAll and
+// Remove/RemoveIDs keep a built index searchable across registrations and
+// deletions without the O(library) refit of BuildMatrix. An inserted entry
+// is routed down the existing tree by its concept path to its leaf, its
+// projected row and full feature appended to overlay arrays — no PCA or
+// k-means is refit, so the routing and ranking spaces stay those of the last
+// full fit. A removed entry is masked by a paged bitset: a removal copies the
+// page table and the pages it touches, never the whole mask, so masking a
+// video costs what the video holds however large the index is. All four
+// return a *new* Index sharing all unchanged structure with the old one:
+// concurrent searches keep running against whichever index they started
+// with.
 //
-// Single-writer contract: Insert and Remove must be called on the newest
-// index of a chain only, serialised by the caller (classminer.Library holds
-// its write lock). Overlay slices are extended append-style — an older
-// index's readers never look past their own lengths, so sharing the grown
-// backing arrays down the chain is safe under that discipline, exactly like
-// the library's flat feature matrix.
+// Entry IDs are positions: the entries handed to BuildMatrix are 0..n-1 and
+// every inserted entry takes the next one. A caller that appends to its own
+// row store in the same order (classminer.Library) can therefore address
+// index entries by its own row numbers — RemoveIDs — and needs the by-name
+// scan of Remove only once its rows have moved under a fit (it compacted).
+//
+// Single-writer contract: the mutators must be called on the newest index of
+// a chain only, serialised by the caller (classminer.Library holds its write
+// lock). Overlay slices are extended append-style — an older index's readers
+// never look past their own lengths, so sharing the grown backing arrays
+// down the chain is safe under that discipline, exactly like the library's
+// flat feature matrix.
 //
 // Accuracy: the overlay is exact for candidate generation (extras are
 // unconditionally candidates at their leaf; masked entries never rank), but
@@ -34,12 +43,9 @@ import (
 // rebuild.
 var ErrNoLeaf = errors.New("index: entry path has no leaf in the built tree (full rebuild required)")
 
-// Insert returns a new Index extended with e, routed to the leaf its
-// concept path names. The cost is O(path depth + reduced dim), independent
-// of how many entries the index holds. The receiving index must be the
-// newest of its chain (see the package comment's single-writer contract);
-// it remains valid — and unchanged — for concurrent searches.
-func (ix *Index) Insert(e *Entry) (*Index, error) {
+// leafOf validates e against the index and returns the leaf its concept path
+// names. Nothing is cloned or written.
+func (ix *Index) leafOf(e *Entry) (*node, error) {
 	if e == nil || e.Shot == nil {
 		return nil, fmt.Errorf("index: nil entry")
 	}
@@ -50,10 +56,6 @@ func (ix *Index) Insert(e *Entry) (*Index, error) {
 	if d != ix.feats.C {
 		return nil, fmt.Errorf("index: entry has %d feature dims, index has %d", d, ix.feats.C)
 	}
-	if len(ix.all) >= math.MaxInt32 {
-		return nil, fmt.Errorf("index: %d entries exceed the int32 ID space", len(ix.all))
-	}
-	// Verify the path ends at an existing leaf before cloning anything.
 	cur := ix.root
 	for _, name := range e.Path {
 		next, ok := cur.children[name]
@@ -65,7 +67,22 @@ func (ix *Index) Insert(e *Entry) (*Index, error) {
 	if len(cur.children) != 0 {
 		return nil, fmt.Errorf("%w: path ends at non-leaf %q", ErrNoLeaf, cur.name)
 	}
+	return cur, nil
+}
 
+// Insert returns a new Index extended with e, routed to the leaf its
+// concept path names. The cost is O(path depth + reduced dim), independent
+// of how many entries the index holds. The receiving index must be the
+// newest of its chain (see the package comment's single-writer contract);
+// it remains valid — and unchanged — for concurrent searches.
+func (ix *Index) Insert(e *Entry) (*Index, error) {
+	// Verify the path ends at an existing leaf before cloning anything.
+	if _, err := ix.leafOf(e); err != nil {
+		return nil, err
+	}
+	if len(ix.all) >= math.MaxInt32 {
+		return nil, fmt.Errorf("index: %d entries exceed the int32 ID space", len(ix.all))
+	}
 	id := int32(len(ix.all))
 	nix := *ix // shallow copy: shares root, feats, scratch pool, options
 	nix.all = append(ix.all, e)
@@ -75,9 +92,8 @@ func (ix *Index) Insert(e *Entry) (*Index, error) {
 	nix.root = cloneSpine(ix.root, e.Path, func(leaf *node) *node {
 		nl := *leaf // shares ids, proj, cell table, reducer with the old leaf
 		dim := leaf.reducer.Dim()
-		full := ix.featRowOf(&nix, id)
 		row := make([]float64, dim)
-		leaf.reducer.ProjectInto(row, full)
+		leaf.reducer.ProjectInto(row, nix.featRow(id))
 		nl.extraIDs = append(leaf.extraIDs, id)
 		nl.extraProj = append(leaf.extraProj, row...)
 		return &nl
@@ -85,43 +101,140 @@ func (ix *Index) Insert(e *Entry) (*Index, error) {
 	return &nix, nil
 }
 
-// featRowOf reads the freshly appended full feature row from the new
-// index's overlay (contiguous, unlike the entry's split Color/Texture).
-func (ix *Index) featRowOf(nix *Index, id int32) []float64 {
-	r := int(id) - nix.baseRows
-	return nix.extraFeats[r*nix.feats.C : (r+1)*nix.feats.C]
+// InsertAll is Insert for a run of entries — one video's shots, or the
+// registrations a refit has to catch up on: entries[i] takes ID Size-at-call
+// + i, the index struct is copied once, and the spine down to each distinct
+// leaf is cloned once however many of the entries land there. It is all or
+// nothing: when any entry cannot be routed (ErrNoLeaf, wrong dimensionality)
+// the receiver is returned to the caller's care unchanged and no entry is
+// inserted.
+func (ix *Index) InsertAll(entries []*Entry) (*Index, error) {
+	if len(entries) == 0 {
+		return ix, nil
+	}
+	if len(ix.all)+len(entries) > math.MaxInt32 {
+		return nil, fmt.Errorf("index: %d entries exceed the int32 ID space", len(ix.all)+len(entries))
+	}
+	// Group the entries by leaf, leaves in first-appearance order, before
+	// cloning anything.
+	type group struct {
+		path []string
+		at   []int // positions in entries, ascending
+	}
+	var groups []group
+	slot := map[*node]int{}
+	for i, e := range entries {
+		leaf, err := ix.leafOf(e)
+		if err != nil {
+			return nil, err
+		}
+		g, ok := slot[leaf]
+		if !ok {
+			g = len(groups)
+			slot[leaf] = g
+			groups = append(groups, group{path: e.Path})
+		}
+		groups[g].at = append(groups[g].at, i)
+	}
+	base := len(ix.all)
+	nix := *ix
+	nix.all = append(ix.all, entries...)
+	nix.extraFeats = ix.extraFeats
+	for _, e := range entries {
+		nix.extraFeats = append(nix.extraFeats, e.Shot.Color...)
+		nix.extraFeats = append(nix.extraFeats, e.Shot.Texture...)
+	}
+	nix.inserted = ix.inserted + len(entries)
+	for _, g := range groups {
+		nix.root = cloneSpine(nix.root, g.path, func(leaf *node) *node {
+			nl := *leaf
+			dim := leaf.reducer.Dim()
+			rows := make([]float64, len(g.at)*dim)
+			for j, i := range g.at {
+				id := int32(base + i)
+				leaf.reducer.ProjectInto(rows[j*dim:(j+1)*dim], nix.featRow(id))
+				nl.extraIDs = append(nl.extraIDs, id)
+			}
+			nl.extraProj = append(leaf.extraProj, rows...)
+			return &nl
+		})
+	}
+	return &nix, nil
+}
+
+// The removal mask is paged so that a removal is copy-on-write at the price
+// of the pages it touches: page p covers entry IDs [p<<maskPageShift,
+// (p+1)<<maskPageShift). A page table never holds nil — pages nothing was
+// removed from all point at noneMasked, which is never written — so the
+// per-candidate test in addCand needs no nil check.
+const (
+	maskPageShift = 12
+	maskPageWords = 1 << (maskPageShift - 6)
+)
+
+type maskPage [maskPageWords]uint64
+
+var noneMasked maskPage
+
+// masked reports whether the removal mask covers id. IDs past the table —
+// entries inserted since the last removal — are never masked.
+func masked(removed []*maskPage, id int32) bool {
+	p := int(id >> maskPageShift)
+	return p < len(removed) && removed[p][id>>6&(maskPageWords-1)]>>uint(id&63)&1 != 0
 }
 
 // Remove returns a new Index with every entry of the named video masked,
 // along with how many entries the mask newly covers (0 means the video has
-// no live entries and the receiver is returned unchanged). Masked entries
-// are invisible to every search against the new index; searches against
-// older indexes of the chain still see them, exactly like any other
-// copy-on-write snapshot.
+// no live entries and the receiver is returned unchanged). It finds them by
+// comparing names over every entry the index holds — the fallback for a
+// caller that cannot say where the video's entries are; one that can uses
+// RemoveIDs.
 func (ix *Index) Remove(videoName string) (*Index, int) {
-	words := (len(ix.all) + 63) / 64
-	var mask []uint64
-	n := 0
+	var ids []int32
 	for i, e := range ix.all {
-		if e.VideoName != videoName {
+		if e.VideoName == videoName {
+			ids = append(ids, int32(i))
+		}
+	}
+	return ix.RemoveIDs(ids)
+}
+
+// RemoveIDs returns a new Index with the given entry IDs masked, along with
+// how many entries the mask newly covers (0 returns the receiver unchanged).
+// IDs the index does not hold and IDs already masked are skipped. Masked
+// entries are invisible to every search against the new index; searches
+// against older indexes of the chain still see them, exactly like any other
+// copy-on-write snapshot. The cost is that of the IDs and the mask pages
+// they fall on, independent of how many entries the index holds.
+func (ix *Index) RemoveIDs(ids []int32) (*Index, int) {
+	var pages []*maskPage
+	n := 0
+	for _, id := range ids {
+		if id < 0 || int(id) >= len(ix.all) || masked(ix.removed, id) {
 			continue
 		}
-		w, b := i>>6, uint(i&63)
-		if int(w) < len(ix.removed) && ix.removed[w]&(1<<b) != 0 {
-			continue // already masked (an earlier Remove of a replaced video)
+		if pages == nil {
+			pages = make([]*maskPage, (len(ix.all)+1<<maskPageShift-1)>>maskPageShift)
+			for p := copy(pages, ix.removed); p < len(pages); p++ {
+				pages[p] = &noneMasked
+			}
 		}
-		if mask == nil {
-			mask = make([]uint64, words)
-			copy(mask, ix.removed)
+		p := int(id >> maskPageShift)
+		if pg := pages[p]; pg == &noneMasked || (p < len(ix.removed) && pg == ix.removed[p]) {
+			cp := *pg // first touch of a page older indexes (or every index) share
+			pages[p] = &cp
 		}
-		mask[w] |= 1 << b
-		n++
+		w, bit := (id>>6)&(maskPageWords-1), uint64(1)<<uint(id&63)
+		if pages[p][w]&bit == 0 { // ids may repeat
+			pages[p][w] |= bit
+			n++
+		}
 	}
 	if n == 0 {
 		return ix, 0
 	}
 	nix := *ix
-	nix.removed = mask
+	nix.removed = pages
 	nix.removedCount = ix.removedCount + n
 	return &nix, n
 }

@@ -126,6 +126,116 @@ func TestRemoveMasksEntries(t *testing.T) {
 	}
 }
 
+// searchAllEqual requires two indexes to answer a query set identically:
+// same entries, distances and per-query stats.
+func searchAllEqual(t *testing.T, a, b *Index, queries []*Entry, k int) {
+	t.Helper()
+	for _, q := range queries {
+		ra, sa := a.Search(q.Shot.Feature(), k)
+		rb, sb := b.Search(q.Shot.Feature(), k)
+		if len(ra) != len(rb) || sa != sb {
+			t.Fatalf("%d hits %+v vs %d hits %+v", len(ra), sa, len(rb), sb)
+		}
+		for i := range ra {
+			if ra[i] != rb[i] {
+				t.Fatalf("hit %d: %s/%d@%g vs %s/%d@%g", i, ra[i].Entry.VideoName, ra[i].Entry.Shot.Index, ra[i].Dist,
+					rb[i].Entry.VideoName, rb[i].Entry.Shot.Index, rb[i].Dist)
+			}
+		}
+	}
+}
+
+// TestInsertAllMatchesInsertChain: the batch form is the chain of single
+// inserts — same IDs, same answers, same stats — and is all or nothing.
+func TestInsertAllMatchesInsertChain(t *testing.T) {
+	entries := corpus(180, 6)
+	ix, err := Build(entries, Options{Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	var batch []*Entry
+	for i := 0; i < 25; i++ { // one video's shots over four leaves
+		batch = append(batch, corpusEntry(i%4, "batch", 5000+i, rng))
+	}
+	chain := ix
+	for _, e := range batch {
+		chain = mustInsert(t, chain, e)
+	}
+	all, err := ix.InsertAll(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all.Size() != chain.Size() || all.Staleness() != chain.Staleness() || ix.Size() != 180 {
+		t.Fatalf("sizes %d / %d (receiver %d)", all.Size(), chain.Size(), ix.Size())
+	}
+	for i, e := range batch {
+		if all.all[180+i] != e {
+			t.Fatalf("entry %d did not take ID %d", i, 180+i)
+		}
+	}
+	searchAllEqual(t, all, chain, append(batch[:8:8], entries[:8]...), 12)
+
+	// One unroutable entry refuses the whole batch and leaves the receiver
+	// as it was.
+	bad := corpusEntry(0, "batch", 9999, rng)
+	bad.Path = []string{"medical education", "dentistry", "dentistry/dialog"}
+	if _, err := all.InsertAll(append(batch[:3:3], bad)); !errors.Is(err, ErrNoLeaf) {
+		t.Fatalf("InsertAll with an unroutable entry = %v, want ErrNoLeaf", err)
+	}
+	searchAllEqual(t, all, chain, batch[:4], 12)
+	if same, err := all.InsertAll(nil); err != nil || same != all {
+		t.Fatalf("empty InsertAll = (%p, %v), want the receiver", same, err)
+	}
+}
+
+// TestRemoveIDsMatchesRemove: masking a video by the IDs its entries hold is
+// masking it by name; IDs the index does not hold or already masks are
+// skipped; and the paged mask is copy-on-write across a page boundary.
+func TestRemoveIDsMatchesRemove(t *testing.T) {
+	n := 1<<maskPageShift + 600 // two mask pages
+	entries := corpus(n, 7)
+	ix, err := Build(entries, Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int32
+	for i, e := range entries {
+		if e.VideoName == "video-2" {
+			ids = append(ids, int32(i))
+		}
+	}
+	byName, nName := ix.Remove("video-2")
+	byID, nID := ix.RemoveIDs(append([]int32{-1, int32(n), int32(n + 5000)}, append(ids, ids[0])...))
+	if nID != nName || nID != len(ids) || byID.Size() != byName.Size() {
+		t.Fatalf("RemoveIDs masked %d, Remove %d, the video has %d", nID, nName, len(ids))
+	}
+	searchAllEqual(t, byID, byName, entries[:24], 10)
+	for _, e := range entries[:24] {
+		res, _ := byID.Search(e.Shot.Feature(), 10)
+		for _, h := range res {
+			if h.Entry.VideoName == "video-2" {
+				t.Fatal("masked video still ranked")
+			}
+		}
+	}
+	// A second removal touches pages the first index shares: the first must
+	// not see it.
+	last := int32(n - 1)
+	second, n2 := byID.RemoveIDs([]int32{0, last})
+	if n2 != 2 || masked(byID.removed, 0) || masked(byID.removed, last) || !masked(second.removed, 0) || !masked(second.removed, last) {
+		t.Fatalf("second removal masked %d; parent sees it: %v/%v", n2, masked(byID.removed, 0), masked(byID.removed, last))
+	}
+	for _, id := range ids {
+		if !masked(second.removed, id) || masked(ix.removed, id) {
+			t.Fatalf("ID %d: carried over %v, leaked into the parent %v", id, masked(second.removed, id), masked(ix.removed, id))
+		}
+	}
+	if again, n3 := second.RemoveIDs(ids); n3 != 0 || again != second {
+		t.Fatalf("re-removing masked IDs = (%p, %d), want identity no-op", again, n3)
+	}
+}
+
 // TestInsertRejectsUnknownPath: a path with no leaf in the built tree needs
 // a full rebuild and must say so.
 func TestInsertRejectsUnknownPath(t *testing.T) {
@@ -336,3 +446,34 @@ func benchmarkInsert(b *testing.B, n int) {
 
 func BenchmarkIndexInsert1k(b *testing.B)  { benchmarkInsert(b, 1_000) }
 func BenchmarkIndexInsert10k(b *testing.B) { benchmarkInsert(b, 10_000) }
+
+// BenchmarkIndexInsertAllVideo inserts one 25-shot video per iteration into
+// a 10k-entry index, the batch the library hands over per registration. The
+// overlay restarts every 100 videos, which is where a 0.25 staleness budget
+// would have refitted.
+func BenchmarkIndexInsertAllVideo(b *testing.B) {
+	ix, err := Build(corpus(10_000, 9), Options{Seed: 9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	videos := make([][]*Entry, b.N)
+	for v := range videos {
+		for i := 0; i < 25; i++ {
+			videos[v] = append(videos[v], corpusEntry(i%4, fmt.Sprintf("bench-%d", v), i, rng))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	cur := ix
+	for v, video := range videos {
+		if v%100 == 0 {
+			cur = ix
+		}
+		nix, err := cur.InsertAll(video)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cur = nix
+	}
+}

@@ -103,14 +103,14 @@ type Index struct {
 	// Incremental overlay state. baseRows is feats.R at the last full fit;
 	// entries inserted since then keep their full features in extraFeats
 	// (row id-baseRows, feats.C wide) and are counted by inserted. removed
-	// is a bitset over global entry IDs masking deleted entries (nil when
-	// none); removedCount tallies its set bits. The overlay is bounded in
-	// practice by the caller's staleness budget — once
+	// is a paged bitset over global entry IDs masking deleted entries (nil
+	// when none; see maskPage); removedCount tallies its set bits. The
+	// overlay is bounded in practice by the caller's staleness budget — once
 	// (inserted+removed)/baseRows exceeds it, a full refit is warranted.
 	baseRows     int
 	extraFeats   []float64
 	inserted     int
-	removed      []uint64
+	removed      []*maskPage
 	removedCount int
 
 	maxDim int // widest reducer output across nodes (scratch sizing)
@@ -197,14 +197,16 @@ func Build(entries []*Entry, opts Options) (*Index, error) {
 }
 
 // BuildMatrix constructs the index from entries whose full features are
-// already laid out as rows of feats (row i belongs to entries[i]). Both
-// the entry slice and the matrix are retained by the index and must never
-// be mutated afterwards: a built Index is immutable, and every concurrent
-// search reads entry pointers and feature rows straight out of them. A
-// caller that later shrinks its own entry set (classminer's
-// DeleteVideo/ReplaceResult) must therefore rebuild into fresh backing
-// arrays and hand the next BuildMatrix the new ones — the old index keeps
-// serving its snapshot untouched until it is swapped out.
+// already laid out as rows of feats (row i belongs to entries[i], and i is
+// the entry's ID). Both the entry slice and the matrix are retained by the
+// index and must never be mutated afterwards: a built Index is immutable,
+// and every concurrent search reads entry pointers and feature rows straight
+// out of them. Appending to the same backing arrays past the lengths handed
+// in is fine — the index never looks there — which is how classminer's
+// Library shares one matrix with its index: it only ever appends rows,
+// retires them with a mask (RemoveIDs) instead of moving them, and when it
+// does drop retired rows it builds fresh arrays for the next BuildMatrix
+// while the old index keeps serving its own untouched.
 func BuildMatrix(entries []*Entry, feats *mat.Dense, opts Options) (*Index, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("index: no entries")
@@ -467,13 +469,12 @@ func (sc *searchScratch) leafQuery(i int, leaf *node, maxDim int) []float64 {
 }
 
 // addCand records a candidate. removed, when non-nil, is the index's
-// deletion mask — masked entries never become candidates.
-func (sc *searchScratch) addCand(leaf *node, row int32, removed []uint64) {
+// deletion mask — masked entries never become candidates. It runs once per
+// candidate row of every visited leaf and only just fits the compiler's
+// inlining budget (go build -gcflags=-m=2: cost 79 of 80); keep it there.
+func (sc *searchScratch) addCand(leaf *node, row int32, removed []*maskPage) {
 	id := leaf.idAt(row)
-	w, b := id>>6, uint(id&63)
-	// The mask was sized when the last Remove ran; entries inserted since
-	// lie past its end and are never masked.
-	if int(w) < len(removed) && removed[w]&(1<<b) != 0 {
+	if masked(removed, id) {
 		return
 	}
 	sc.cands = append(sc.cands, candRef{row: row, id: id})

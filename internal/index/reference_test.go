@@ -122,8 +122,11 @@ func refSearch(ix *Index, query []float64, k int) []Result {
 		k = 1
 	}
 	live := func(id int32) bool {
-		w := int(id >> 6)
-		return w >= len(ix.removed) || ix.removed[w]&(1<<uint(id&63)) == 0
+		p := int(id >> maskPageShift)
+		if p >= len(ix.removed) {
+			return true
+		}
+		return ix.removed[p][int(id>>6)%maskPageWords]&(1<<uint(id&63)) == 0
 	}
 	byRank := func(items []heapItem) {
 		sort.Slice(items, func(a, b int) bool {

@@ -340,14 +340,13 @@ func frameSec(frame int, fps float64) float64 {
 // subcluster — you cannot delete what policy hides from you
 // (DeleteVideoAsCtx runs that check atomically with the removal, so a
 // concurrent replacement cannot slip the video behind a policy wall
-// between check and delete). In the common case the serving index masks
-// the deleted shots incrementally — searches stop ranking them before this
-// responds at no O(library) cost — and the full refit is left to the
-// coalesced background rebuilder. Only when the index was *already* stale
-// at delete time (a mutation the incremental path could not absorb) does
-// the handler rebuild synchronously, exactly like the old per-delete path:
-// that is the one case where responding first would leave the deleted
-// shots searchable for the debounce window.
+// between check and delete). The library masks the deleted shots out of the
+// serving index as part of the delete — whether or not that index was
+// current — so searches stop ranking them before this responds, at a cost
+// proportional to the video; the handler only nudges the coalesced
+// background rebuilder. indexLive reports whether the serving index
+// reflects every registration (a stale one still never ranks a deleted
+// video).
 func (s *Server) handleDeleteVideo(w http.ResponseWriter, r *http.Request, name string) {
 	if !s.requireClearance(w, r, s.opts.IngestClearance) {
 		return
@@ -366,16 +365,7 @@ func (s *Server) handleDeleteVideo(w http.ResponseWriter, r *http.Request, name 
 		}
 		return
 	}
-	if s.lib.IndexStale() {
-		if err := s.rebuilder.EnsureLive(); err != nil {
-			// The delete is committed; only the rebuild failed. Report it
-			// rather than failing the request — the stale index self-heals
-			// on the rebuilder's next successful pass.
-			s.opts.Logf("rebuild after deleting %q: %v", name, err)
-		}
-	} else {
-		s.rebuilder.Kick()
-	}
+	s.rebuilder.Kick()
 	s.opts.Logf("deleted video %q", name)
 	writeJSON(w, http.StatusOK, map[string]any{"deleted": name, "indexLive": !s.lib.IndexStale()})
 }

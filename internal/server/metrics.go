@@ -161,7 +161,7 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 	reg.CounterFunc("ingest_jobs_failed_total", "Ingest jobs that failed.",
 		func() float64 { return float64(s.pool.Stats(s.opts.Workers).Failed) })
 
-	reg.CounterFunc("index_rebuilds_total", "Full index refits performed.",
+	reg.CounterFunc("index_rebuilds_total", "Full index refits installed by the rebuilder.",
 		func() float64 { return float64(s.rebuilder.Stats().Rebuilds) })
 	reg.CounterFunc("index_rebuild_kicks_coalesced_total",
 		"Mutation kicks absorbed into an already-pending rebuild window.",

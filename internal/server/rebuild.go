@@ -40,7 +40,8 @@ type rebuilder struct {
 
 	// buildMu makes rebuilds single-flight: whoever holds it re-checks the
 	// need under the latest state, so callers queued behind a finished
-	// rebuild return without building again.
+	// rebuild return without building again. rebuilds counts the rounds
+	// whose fit the library installed (a dropped fit is not a rebuild).
 	buildMu  sync.Mutex
 	rebuilds atomic.Int64
 	// coalesced counts kicks absorbed into an already-open debounce window
@@ -99,23 +100,30 @@ func (r *rebuilder) EnsureLive() error {
 	return r.rebuildIf(func() bool { return r.lib.Size() > 0 && r.lib.IndexStale() })
 }
 
-// rebuildIf runs one single-flight BuildIndex when need() still holds by
-// the time the caller gets the build slot. A rebuild discarded by the
-// library (a delete raced the fit) leaves need() true, so the loop retries
-// until the fit sticks or the need disappears.
+// rebuildIf runs single-flight BuildIndex calls until need() no longer holds
+// by the time the caller has the build slot. Normally that is one fit: the
+// library catches a fit up on the registrations and deletions that raced it,
+// so a fit lands whatever ingest and deletes are doing, and landing clears
+// the need. The loop goes round again in two cases, both of which make
+// progress: the mutations that raced the fit already exceed the staleness
+// budget (the next fit is due at once), or the library dropped the fit — it
+// compacted its own rows under it, which takes the library halving during
+// one fit, and the next fit starts from the compacted rows. Only an
+// installed fit counts as a rebuild; the library's own counters say which it
+// was. Close ends the loop between fits.
 func (r *rebuilder) rebuildIf(need func() bool) error {
 	r.buildMu.Lock()
 	defer r.buildMu.Unlock()
-	for attempt := 0; need(); attempt++ {
-		if attempt == 8 {
-			// Mutations are landing faster than fits complete; the index is
-			// still serving incrementally, so yield rather than spin here.
+	for need() {
+		select {
+		case <-r.done:
 			return nil
+		default:
 		}
 		start := time.Now()
-		// Each attempt gets its own trace: a refit has no originating
-		// request, but operators want the same fit/swap breakdown in
-		// /debug/traces that request-driven work gets.
+		// Each fit gets its own trace: a refit has no originating request,
+		// but operators want the same fit/swap breakdown in /debug/traces
+		// that request-driven work gets.
 		var sid [8]byte
 		trace.PutUint64(sid[:], trace.RandU64())
 		tr, root := r.tracer.StartTrace("rebuild", sid, "")
@@ -123,6 +131,7 @@ func (r *rebuilder) rebuildIf(need func() bool) error {
 		if root != nil {
 			ctx = trace.With(ctx, root)
 		}
+		fits := r.lib.Stats().IndexFits
 		err := r.lib.BuildIndexCtx(ctx)
 		meta := trace.Meta{Route: "rebuild"}
 		if err != nil {
@@ -131,6 +140,10 @@ func (r *rebuilder) rebuildIf(need func() bool) error {
 		r.tracer.Finish(tr, meta)
 		if err != nil {
 			return err
+		}
+		if r.lib.Stats().IndexFits == fits {
+			r.logf("index fit dropped after %s (the library compacted under it); refitting", time.Since(start).Round(time.Millisecond))
+			continue
 		}
 		r.rebuilds.Add(1)
 		r.logf("index rebuilt in %s (staleness now %.3f)", time.Since(start).Round(time.Millisecond), r.lib.IndexStaleness())

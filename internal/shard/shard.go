@@ -427,6 +427,9 @@ func (l *Library) Stats() classminer.LibraryStats {
 			agg.IndexStaleness = st.IndexStaleness
 		}
 		agg.Generation += st.Generation
+		agg.DeadRows += st.DeadRows
+		agg.IndexFits += st.IndexFits
+		agg.IndexFitsDropped += st.IndexFitsDropped
 		if st.WAL == nil {
 			durable = false
 		} else {
@@ -600,6 +603,9 @@ func (l *Library) Instrument(reg *metrics.Registry) {
 		})
 	reg.GaugeFunc("classminer_shots", "Indexable shots currently registered.",
 		func() float64 { return float64(l.Size()) })
+	reg.GaugeFunc("classminer_dead_rows",
+		"Rows of deleted or replaced videos awaiting the next compaction.",
+		func() float64 { return float64(l.Stats().DeadRows) })
 	reg.GaugeFunc("classminer_index_staleness",
 		"Incremental-overlay fraction of the serving index (0 = freshly fit).",
 		func() float64 { return l.IndexStaleness() })
