@@ -2,7 +2,6 @@ package server
 
 import (
 	"container/list"
-	"hash/fnv"
 	"math"
 	"sort"
 	"strconv"
@@ -20,20 +19,23 @@ import (
 type cacheKey struct {
 	gen       int64
 	clearance access.Clearance
-	roles     string // sorted, lowercase, length-prefixed (see makeKey)
+	roles     string // roleKey of the caller's role set
 	qhash     uint64
 	k         int
 }
 
 // cacheEntry retains the full query so a 64-bit hash collision degrades to
-// a miss, never to another query's results.
+// a miss, never to another query's results. body is the encoded reply a hit
+// sends (see searchCache.Put); it is never written after it is stored, so a
+// reader may use it after the cache lock is released.
 type cacheEntry struct {
 	key   cacheKey
 	query []float64
-	resp  searchResponse
+	body  []byte
 }
 
-// searchCache is a mutex-guarded LRU over recent search responses.
+// searchCache is a mutex-guarded LRU over recent search replies, held as the
+// bytes that go on the wire: a hit encodes nothing.
 type searchCache struct {
 	mu                      sync.Mutex
 	cap                     int
@@ -48,13 +50,14 @@ func newSearchCache(capacity int) *searchCache {
 	return &searchCache{cap: capacity, ll: list.New(), byKey: map[cacheKey]*list.Element{}}
 }
 
-// makeKey hashes the query into a cache key for the given identity. Roles
-// are length-prefixed rather than joined with a separator: a bare join
-// would alias ["a|b"] with ["a","b"] — one cache identity for two distinct
-// role sets, letting one user's policy-filtered answer leak to the other —
-// because "|" is a legal character inside a role name.
-func makeKey(gen int64, u access.User, query []float64, k int) cacheKey {
-	roles := append([]string(nil), u.Roles...)
+// roleKey renders a role set as its cache identity: lowercase, sorted, each
+// role length-prefixed. Length prefixes rather than a separator because "|"
+// is a legal character inside a role name: a bare join would alias ["a|b"]
+// with ["a","b"] — one cache identity for two distinct role sets, letting one
+// user's policy-filtered answer leak to the other. Server.New computes it
+// once per configured identity, so requests only carry the string.
+func roleKey(roles []string) string {
+	roles = append([]string(nil), roles...)
 	for i := range roles {
 		roles[i] = strings.ToLower(roles[i])
 	}
@@ -65,26 +68,26 @@ func makeKey(gen int64, u access.User, query []float64, k int) cacheKey {
 		rb.WriteByte(':')
 		rb.WriteString(r)
 	}
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, v := range query {
-		bits := math.Float64bits(v)
-		for i := range buf {
-			buf[i] = byte(bits >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return cacheKey{
-		gen:       gen,
-		clearance: u.Clearance,
-		roles:     rb.String(),
-		qhash:     h.Sum64(),
-		k:         k,
-	}
+	return rb.String()
 }
 
-// Get returns the cached response for (key, query), if any.
-func (c *searchCache) Get(key cacheKey, query []float64) (searchResponse, bool) {
+// makeKey hashes the query into a cache key for the given identity (roles is
+// the caller's roleKey). The hash is FNV-1a taken a float64 word at a time,
+// with a fold after each multiply so a word's high bits reach the low ones;
+// the key never leaves the process, so nothing depends on its exact value.
+func makeKey(gen int64, clearance access.Clearance, roles string, query []float64, k int) cacheKey {
+	const fnvOffset64, fnvPrime64 = 14695981039346656037, 1099511628211
+	h := uint64(fnvOffset64)
+	for _, v := range query {
+		h = (h ^ math.Float64bits(v)) * fnvPrime64
+		h ^= h >> 32
+	}
+	return cacheKey{gen: gen, clearance: clearance, roles: roles, qhash: h, k: k}
+}
+
+// Get returns the cached reply body for (key, query), if any. The bytes are
+// shared with the cache: callers write them out, never into them.
+func (c *searchCache) Get(key cacheKey, query []float64) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
@@ -92,38 +95,51 @@ func (c *searchCache) Get(key cacheKey, query []float64) (searchResponse, bool) 
 		if sameQuery(e.query, query) {
 			c.ll.MoveToFront(el)
 			c.hits++
-			return e.resp, true
+			return e.body, true
 		}
 	}
 	c.misses++
-	return searchResponse{}, false
+	return nil, false
 }
 
-// Put stores a response, evicting the least recently used entry when full.
-func (c *searchCache) Put(key cacheKey, query []float64, resp searchResponse) {
-	if c.cap <= 0 {
-		return
+// Put stores the reply a later hit will send — fresh, the reply just encoded
+// for the miss, copied with its `"cached": false` flipped to true — evicting
+// the least recently used entry when full. Both copies (reply and query) are
+// made before the lock is taken for good: every hit's Get waits on that lock.
+func (c *searchCache) Put(key cacheKey, query []float64, fresh []byte) {
+	c.mu.Lock()
+	enabled := c.cap > 0
+	c.mu.Unlock()
+	if !enabled {
+		return // the watchdog emptied the cache to shed memory: copy nothing
 	}
+	body := asCacheHit(fresh)
+	q := append([]float64(nil), query...)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.cap <= 0 {
+		return // disabled while the copies were made
+	}
 	if el, ok := c.byKey[key]; ok {
+		// Same query: the reply is refreshed. A different one is a 64-bit
+		// qhash collision — two distinct queries share the key — and the
+		// stored query and reply must always agree: updating body alone would
+		// hand this reply to the *other* query's callers, the exact poisoning
+		// Get's sameQuery guard exists to prevent. Either way the entry is
+		// replaced wholesale (one slot per key; latest query wins, the other
+		// degrades to a miss).
 		e := el.Value.(*cacheEntry)
-		if !sameQuery(e.query, query) {
-			// A 64-bit qhash collision: two distinct queries share the key.
-			// The stored query and response must always agree — updating
-			// resp alone would hand this response to the *other* query's
-			// callers, the exact poisoning Get's sameQuery guard exists to
-			// prevent — so the entry is replaced wholesale (one slot per
-			// key; latest query wins, the other degrades to a miss).
-			e.query = append(e.query[:0], query...)
-		}
-		e.resp = resp
+		e.query, e.body = q, body
 		c.ll.MoveToFront(el)
 		return
 	}
-	q := append([]float64(nil), query...)
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, query: q, resp: resp})
-	for c.ll.Len() > c.cap {
+	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, query: q, body: body})
+	c.evictDown(c.cap)
+}
+
+// evictDown drops least recently used entries until at most n remain.
+func (c *searchCache) evictDown(n int) {
+	for c.ll.Len() > n {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.byKey, oldest.Value.(*cacheEntry).key)
@@ -139,12 +155,7 @@ func (c *searchCache) SetCapacity(capacity int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cap = capacity
-	for c.ll.Len() > max(capacity, 0) {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*cacheEntry).key)
-		c.evictions++
-	}
+	c.evictDown(max(capacity, 0))
 }
 
 func sameQuery(a, b []float64) bool {

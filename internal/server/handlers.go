@@ -1,19 +1,23 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"classminer"
 	"classminer/internal/access"
@@ -391,11 +395,196 @@ type searchHit struct {
 	Dist    float64  `json:"dist"`
 }
 
+// searchResponse is a /v1/search reply. The server only ever encodes it with
+// Cached false — the reply to a miss; asCacheHit turns those bytes into the
+// reply a hit sends — so Cached is set only where a client decodes one.
 type searchResponse struct {
 	Hits   []searchHit            `json:"hits"`
 	Stats  classminer.SearchStats `json:"stats"`
 	K      int                    `json:"k"`
 	Cached bool                   `json:"cached"`
+}
+
+// Search replies are encoded by hand, once per distinct answer: the append
+// functions below are searchResponse's only encoder on the serving path, and
+// the bytes they produce are what the cache stores and what a hit writes. They
+// emit exactly what json.Encoder with SetIndent("", "  ") emits for the same
+// value — key order, indentation, null for a nil slice, float formatting,
+// string and HTML escaping, the trailing newline — so replies did not change
+// when reflection left the path; TestSearchEncoderMatchesEncodingJSON holds
+// the two together byte for byte.
+
+// freshTail and hitTail end a reply; they are the only bytes in which the
+// reply to a miss and the reply to a later hit on the same answer differ.
+const (
+	freshTail = "false\n}\n"
+	hitTail   = "true\n}\n"
+)
+
+// asCacheHit copies a reply encoded for a miss into the one a hit sends.
+func asCacheHit(fresh []byte) []byte {
+	n := len(fresh) - len(freshTail)
+	return append(append(make([]byte, 0, n+len(hitTail)), fresh[:n]...), hitTail...)
+}
+
+// appendSearchResponse appends resp as the complete /v1/search reply body of a
+// miss (resp.Cached is not read: see asCacheHit). Like encoding/json it refuses
+// a NaN or infinite distance.
+func appendSearchResponse(dst []byte, resp *searchResponse) ([]byte, error) {
+	dst = append(dst, "{\n  \"hits\": "...)
+	switch {
+	case resp.Hits == nil:
+		dst = append(dst, "null"...)
+	case len(resp.Hits) == 0:
+		dst = append(dst, "[]"...)
+	default:
+		for i := range resp.Hits {
+			h := &resp.Hits[i]
+			if i == 0 {
+				dst = append(dst, "[\n    {\n      \"video\": "...)
+			} else {
+				dst = append(dst, ",\n    {\n      \"video\": "...)
+			}
+			dst = appendJSONString(dst, h.Video)
+			dst = append(dst, ",\n      \"shot\": "...)
+			dst = strconv.AppendInt(dst, int64(h.Shot), 10)
+			dst = append(dst, ",\n      \"start\": "...)
+			dst = strconv.AppendInt(dst, int64(h.Start), 10)
+			dst = append(dst, ",\n      \"end\": "...)
+			dst = strconv.AppendInt(dst, int64(h.End), 10)
+			dst = append(dst, ",\n      \"concept\": "...)
+			dst = appendJSONString(dst, h.Concept)
+			dst = append(dst, ",\n      \"path\": "...)
+			switch {
+			case h.Path == nil:
+				dst = append(dst, "null"...)
+			case len(h.Path) == 0:
+				dst = append(dst, "[]"...)
+			default:
+				for j, p := range h.Path {
+					if j == 0 {
+						dst = append(dst, "[\n        "...)
+					} else {
+						dst = append(dst, ",\n        "...)
+					}
+					dst = appendJSONString(dst, p)
+				}
+				dst = append(dst, "\n      ]"...)
+			}
+			dst = append(dst, ",\n      \"dist\": "...)
+			var err error
+			if dst, err = appendJSONFloat(dst, h.Dist); err != nil {
+				return dst, err
+			}
+			dst = append(dst, "\n    }"...)
+		}
+		dst = append(dst, "\n  ]"...)
+	}
+	dst = append(dst, ",\n  \"stats\": {\n    \"DistanceOps\": "...)
+	dst = strconv.AppendInt(dst, int64(resp.Stats.DistanceOps), 10)
+	dst = append(dst, ",\n    \"FloatOps\": "...)
+	dst = strconv.AppendInt(dst, int64(resp.Stats.FloatOps), 10)
+	dst = append(dst, ",\n    \"Candidates\": "...)
+	dst = strconv.AppendInt(dst, int64(resp.Stats.Candidates), 10)
+	dst = append(dst, "\n  },\n  \"k\": "...)
+	dst = strconv.AppendInt(dst, int64(resp.K), 10)
+	dst = append(dst, ",\n  \"cached\": "...)
+	return append(dst, freshTail...), nil
+}
+
+// appendBatchReply appends the /v1/search/batch reply whose results are the
+// given single-search reply bodies (at least one): each is nested two levels
+// down, which in indented JSON is the same bytes with every line indented
+// four more spaces. No string in a body holds a raw newline (the encoder
+// escapes them), so every newline byte is a line break.
+func appendBatchReply(dst []byte, items [][]byte) []byte {
+	dst = append(dst, "{\n  \"results\": ["...)
+	for i, item := range items {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		item = item[:len(item)-1] // the reply's trailing newline
+		for {
+			dst = append(dst, "\n    "...)
+			nl := bytes.IndexByte(item, '\n')
+			if nl < 0 {
+				dst = append(dst, item...)
+				break
+			}
+			dst = append(dst, item[:nl]...)
+			item = item[nl+1:]
+		}
+	}
+	return append(dst, "\n  ]\n}\n"...)
+}
+
+// appendJSONString appends s as encoding/json quotes a string with HTML
+// escaping on (the Encoder default).
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default: // other control bytes, and <, > and &
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1: // invalid UTF-8
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			start = i + size
+		case c == '\u2028' || c == '\u2029': // valid JSON, but not valid JavaScript
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// appendJSONFloat appends f as encoding/json renders a float64: shortest
+// round-trip digits, exponent form below 1e-6 and from 1e21 with a two-digit
+// exponent's leading zero dropped, and an error for NaN and infinities.
+func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1] // e-09 → e-9
+		dst = dst[:n-1]
+	}
+	return dst, nil
 }
 
 // resolveQuery turns a search request's query spec (raw vector or
@@ -443,30 +632,43 @@ func clampK(k int) int {
 	return k
 }
 
-// buildSearchResponse renders ranked hits into the JSON response shape.
-func buildSearchResponse(hits []classminer.SearchHit, stats classminer.SearchStats, k int) searchResponse {
-	resp := searchResponse{Hits: make([]searchHit, 0, len(hits)), Stats: stats, K: k}
+// buildSearchResponse renders ranked hits into the reply's shape, reusing
+// wire's backing array for the hit list. Hits is never nil: an answer with no
+// hits (everything near the query is filtered by policy) is `[]`, not `null`.
+func buildSearchResponse(wire []searchHit, hits []classminer.SearchHit, stats classminer.SearchStats, k int) searchResponse {
+	if wire == nil {
+		wire = make([]searchHit, 0, len(hits))
+	}
+	wire = wire[:0]
 	for _, h := range hits {
 		concept := ""
 		if n := len(h.Entry.Path); n > 0 {
 			concept = h.Entry.Path[n-1]
 		}
-		resp.Hits = append(resp.Hits, searchHit{
+		wire = append(wire, searchHit{
 			Video: h.Entry.VideoName, Shot: h.Entry.Shot.Index,
 			Start: h.Entry.Shot.Start, End: h.Entry.Shot.End,
 			Concept: concept, Path: h.Entry.Path, Dist: h.Dist,
 		})
 	}
-	return resp
+	return searchResponse{Hits: wire, Stats: stats, K: k}
 }
 
-// hitsPool recycles the ranked-hit scratch between uncached searches: the
-// library's SearchInto fills it and buildSearchResponse copies what the
-// response (and the cache) retain, so the scratch itself never escapes.
-// Capacity covers the clamped k, so steady state never regrows it.
-var hitsPool = sync.Pool{New: func() any {
-	s := make([]classminer.SearchHit, 0, 128)
-	return &s
+// searchScratch is what an uncached search borrows: the ranked-hit slice the
+// library's SearchInto fills and the reply-shaped copy the encoder reads.
+// Neither escapes — the reply leaves as bytes, and bytes are what the cache
+// keeps — so both are recycled. Capacity covers the clamped k, so steady
+// state never regrows them.
+type searchScratch struct {
+	ranked []classminer.SearchHit
+	wire   []searchHit
+}
+
+var searchScratchPool = sync.Pool{New: func() any {
+	return &searchScratch{
+		ranked: make([]classminer.SearchHit, 0, 128),
+		wire:   make([]searchHit, 0, 128),
+	}
 }}
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -475,7 +677,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp := trace.SpanFrom(r.Context())
-	u := userOf(r)
+	u, roles := identityOf(r)
 	rq := sp.Start("resolve")
 	query, ok := s.resolveQuery(w, u, req)
 	rq.End()
@@ -483,40 +685,44 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	k := clampK(req.K)
-	key := makeKey(s.lib.Generation(), u, query, k)
+	key := makeKey(s.lib.Generation(), u.Clearance, roles, query, k)
 	cg := sp.Start("cache.get")
-	resp, hit := s.cache.Get(key, query)
+	body, hit := s.cache.Get(key, query)
 	cg.End()
 	if hit {
 		sp.SetAttr("cache", "hit")
-		resp.Cached = true
-		writeJSON(w, http.StatusOK, resp)
+		writeBody(w, http.StatusOK, body)
 		return
 	}
 	if s.deadlineExpired(w, r) {
 		return
 	}
-	scratch := hitsPool.Get().(*[]classminer.SearchHit)
-	hits, stats, err := s.lib.SearchIntoCtx(r.Context(), (*scratch)[:0], u, query, k)
+	scratch := searchScratchPool.Get().(*searchScratch)
+	defer searchScratchPool.Put(scratch)
+	hits, stats, err := s.lib.SearchIntoCtx(r.Context(), scratch.ranked[:0], u, query, k)
 	if err != nil && s.healColdIndex() {
-		hits, stats, err = s.lib.SearchIntoCtx(r.Context(), (*scratch)[:0], u, query, k)
+		hits, stats, err = s.lib.SearchIntoCtx(r.Context(), scratch.ranked[:0], u, query, k)
 	}
 	if err != nil {
-		hitsPool.Put(scratch)
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
+	scratch.ranked = hits[:0]
 	if s.deadlineExpired(w, r) {
-		hitsPool.Put(scratch)
 		return
 	}
-	resp = buildSearchResponse(hits, stats, k)
-	*scratch = hits[:0]
-	hitsPool.Put(scratch)
+	resp := buildSearchResponse(scratch.wire, hits, stats, k)
+	scratch.wire = resp.Hits[:0]
+	out := jsonPool.Get().(*jsonScratch)
+	defer out.release()
+	if out.buf, err = appendSearchResponse(out.buf[:0], &resp); err != nil {
+		writeEncodeError(w, err)
+		return
+	}
 	cp := sp.Start("cache.put")
-	s.cache.Put(key, query, resp)
+	s.cache.Put(key, query, out.buf)
 	cp.End()
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, out.buf)
 }
 
 // --- POST /v1/search/batch -------------------------------------------------
@@ -529,10 +735,6 @@ type batchSearchRequest struct {
 	// supported — the request-level K applies to every item.
 	Items []searchRequest `json:"items"`
 	K     int             `json:"k,omitempty"`
-}
-
-type batchSearchResponse struct {
-	Results []searchResponse `json:"results"`
 }
 
 // handleSearchBatch answers many searches in one round trip: items already
@@ -553,7 +755,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch has %d items, max %d", len(req.Items), maxBatchItems))
 		return
 	}
-	u := userOf(r)
+	u, roles := identityOf(r)
 	k := clampK(req.K)
 	queries := make([][]float64, len(req.Items))
 	for i, item := range req.Items {
@@ -569,7 +771,9 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		queries[i] = q
 	}
 	gen := s.lib.Generation()
-	results := make([]searchResponse, len(req.Items))
+	// results[i] is item i's reply body as /v1/search would send it: the
+	// cache's bytes for a hit, a slice of fresh's buffer for a miss.
+	results := make([][]byte, len(req.Items))
 	// Deduplicate uncached items by cache key so repeated specs in one
 	// batch run a single search; itemMiss maps each uncached item to its
 	// slot in the deduped fan-out.
@@ -578,10 +782,9 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var missKeys []cacheKey
 	var missQueries [][]float64
 	for i, q := range queries {
-		key := makeKey(gen, u, q, k)
-		if resp, ok := s.cache.Get(key, q); ok {
-			resp.Cached = true
-			results[i] = resp
+		key := makeKey(gen, u.Clearance, roles, q, k)
+		if body, ok := s.cache.Get(key, q); ok {
+			results[i] = body
 			itemMiss[i] = -1
 			continue
 		}
@@ -612,18 +815,34 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		if s.deadlineExpired(w, r) {
 			return
 		}
-		missResp := make([]searchResponse, len(missQueries))
+		// Every miss is encoded once, end to end in one buffer (held until
+		// the reply is assembled): answer pos is fresh.buf[ends[pos]:ends[pos+1]].
+		fresh := jsonPool.Get().(*jsonScratch)
+		defer fresh.release()
+		fresh.buf = fresh.buf[:0]
+		scratch := searchScratchPool.Get().(*searchScratch)
+		defer searchScratchPool.Put(scratch)
+		ends := make([]int, 1, len(missQueries)+1)
 		for pos := range missQueries {
-			missResp[pos] = buildSearchResponse(hits[pos], stats[pos], k)
-			s.cache.Put(missKeys[pos], missQueries[pos], missResp[pos])
+			resp := buildSearchResponse(scratch.wire, hits[pos], stats[pos], k)
+			scratch.wire = resp.Hits[:0]
+			if fresh.buf, err = appendSearchResponse(fresh.buf, &resp); err != nil {
+				writeEncodeError(w, err)
+				return
+			}
+			s.cache.Put(missKeys[pos], missQueries[pos], fresh.buf[ends[pos]:])
+			ends = append(ends, len(fresh.buf))
 		}
 		for i, pos := range itemMiss {
 			if pos >= 0 {
-				results[i] = missResp[pos]
+				results[i] = fresh.buf[ends[pos]:ends[pos+1]]
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, batchSearchResponse{Results: results})
+	out := jsonPool.Get().(*jsonScratch)
+	defer out.release()
+	out.buf = appendBatchReply(out.buf[:0], results)
+	writeBody(w, http.StatusOK, out.buf)
 }
 
 // healColdIndex recovers the one search failure that is the server's own

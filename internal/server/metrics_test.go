@@ -1,12 +1,10 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"classminer"
@@ -193,13 +191,8 @@ func TestPprofGating(t *testing.T) {
 // TestHealthzCountedNotLogged: load-balancer probes must not flood the
 // request log, but they still count in the metrics.
 func TestHealthzCountedNotLogged(t *testing.T) {
-	var mu sync.Mutex
-	var lines []string
-	s := newTestServer(t, Options{Logf: func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		lines = append(lines, fmt.Sprintf(format, args...))
-	}})
+	var sink logSink
+	s := newTestServer(t, Options{Logf: sink.logf})
 	if code := do(t, s, http.MethodGet, "/healthz", "", nil, nil); code != http.StatusOK {
 		t.Fatalf("healthz = %d", code)
 	}
@@ -210,8 +203,8 @@ func TestHealthzCountedNotLogged(t *testing.T) {
 	if v := metricValue(t, body, `http_requests_total{route="/healthz",status="2xx"}`); v < 1 {
 		t.Errorf("healthz requests = %v, want >= 1", v)
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	s.Close() // the stats line is a 200: it waits in the buffer until a flush
+	lines := sink.lines()
 	for _, line := range lines {
 		if strings.Contains(line, "/healthz") {
 			t.Errorf("healthz probe reached the request log: %q", line)

@@ -1,12 +1,12 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -29,6 +29,24 @@ func userOf(r *http.Request) access.User {
 	}
 	u, _ := r.Context().Value(userKey).(access.User)
 	return u
+}
+
+// identity is a configured user with the cache identity of its role set
+// (roleKey), rendered once at New so no request sorts or joins roles.
+type identity struct {
+	user  access.User
+	roles string
+}
+
+func newIdentity(u access.User) identity { return identity{user: u, roles: roleKey(u.Roles)} }
+
+// identityOf is userOf plus the user's roleKey, for the search cache key.
+func identityOf(r *http.Request) (access.User, string) {
+	if rs := stateOf(r); rs != nil {
+		return rs.user, rs.roles
+	}
+	u := userOf(r)
+	return u, roleKey(u.Roles)
 }
 
 // token extracts the request's credential: "Authorization: Bearer <tok>"
@@ -60,30 +78,30 @@ func (s *Server) withAuth(next http.Handler) http.Handler {
 		}
 		sp := trace.StartSpan(r.Context(), "auth")
 		tok := token(r)
-		var u access.User
+		var id identity
 		switch {
-		case tok == "" && s.opts.Anonymous != nil:
-			u = *s.opts.Anonymous
+		case tok == "" && s.anon != nil:
+			id = *s.anon
 		case tok == "":
 			sp.End()
 			writeError(w, http.StatusUnauthorized, "credentials required (Bearer token or X-Api-Token)")
 			return
 		default:
-			known, ok := s.opts.Tokens[tok]
+			known, ok := s.tokens[tok]
 			if !ok {
 				sp.End()
 				writeError(w, http.StatusUnauthorized, "unknown token")
 				return
 			}
-			u = known
+			id = known
 		}
 		sp.End()
 		if rs, ok := w.(*reqState); ok {
-			rs.user = u
+			rs.user, rs.roles = id.user, id.roles
 			next.ServeHTTP(w, r)
 			return
 		}
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), userKey, u)))
+		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), userKey, id.user)))
 	})
 }
 
@@ -126,16 +144,24 @@ func (s *Server) withRecovery(next http.Handler) http.Handler {
 	})
 }
 
-// jsonScratch pairs a reusable buffer with an encoder bound to it, so the
-// response hot path allocates neither per request.
+// jsonScratch is a reusable response buffer. The hand-written search-reply
+// encoders append to buf directly; every other response goes through enc, a
+// reflection encoder bound to the same buffer, so either way the response
+// hot path allocates no buffer and no encoder per request.
 type jsonScratch struct {
-	buf bytes.Buffer
+	buf []byte
 	enc *json.Encoder
+}
+
+// Write appends to buf: the scratch is its own encoder's sink.
+func (s *jsonScratch) Write(p []byte) (int, error) {
+	s.buf = append(s.buf, p...)
+	return len(p), nil
 }
 
 var jsonPool = sync.Pool{New: func() any {
 	s := &jsonScratch{}
-	s.enc = json.NewEncoder(&s.buf)
+	s.enc = json.NewEncoder(s)
 	s.enc.SetIndent("", "  ")
 	return s
 }}
@@ -144,27 +170,50 @@ var jsonPool = sync.Pool{New: func() any {
 // (a big batch, a long listing) must not pin its buffer forever.
 const jsonPoolMaxBuf = 1 << 20
 
+// release returns the scratch to the pool once its bytes are written out.
+func (s *jsonScratch) release() {
+	if cap(s.buf) <= jsonPoolMaxBuf {
+		jsonPool.Put(s)
+	}
+}
+
+// jsonContentType is shared by every JSON response's header map; nothing
+// appends to or writes through a response header's value slice.
+var jsonContentType = []string{"application/json"}
+
+// writeBody sends an encoded JSON body as the whole response: one Write, with
+// Content-Length set so a body past net/http's 2 KiB sniff buffer (a k = 10
+// search reply is) is not sent chunked.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(len(body))}
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
 // writeJSON writes v with the given status, encoding through a pooled
 // buffer so the body is one Write and the encoder state is reused across
 // requests.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	s := jsonPool.Get().(*jsonScratch)
-	s.buf.Reset()
+	defer s.release()
+	s.buf = s.buf[:0]
 	if err := s.enc.Encode(v); err != nil {
-		// v came from our own handlers; an encode failure is a programming
-		// error. Fall back to a plain 500 rather than a half-written body.
-		jsonPool.Put(s)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintf(w, "{\n  \"error\": %q\n}\n", "encoding response: "+err.Error())
+		writeEncodeError(w, err)
 		return
 	}
+	writeBody(w, status, s.buf)
+}
+
+// writeEncodeError answers a response that could not be encoded. The value
+// came from our own handlers, so that is a programming error (or a search
+// distance that is not a finite number): a plain 500 rather than a
+// half-written body.
+func writeEncodeError(w http.ResponseWriter, err error) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(s.buf.Bytes())
-	if s.buf.Cap() <= jsonPoolMaxBuf {
-		jsonPool.Put(s)
-	}
+	w.WriteHeader(http.StatusInternalServerError)
+	fmt.Fprintf(w, "{\n  \"error\": %q\n}\n", "encoding response: "+err.Error())
 }
 
 // writeError writes the uniform error envelope.

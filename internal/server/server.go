@@ -92,7 +92,9 @@ type Options struct {
 	// attached follower's unshipped backlog exceeds it (0 disables; needs
 	// ReplHub). Follower pulls drain the condition.
 	ReplLagBytes int64
-	// Logf receives one line per request and per job transition (nil = silent).
+	// Logf receives one line per job transition and the request log (nil =
+	// silent). Request lines arrive in batches, several lines to a call, each
+	// stamped with its own time: see accessLog for when a batch is cut.
 	Logf func(format string, args ...any)
 
 	// --- admission control (see internal/admit and the README's "Traffic
@@ -252,6 +254,9 @@ var _ Library = (*classminer.Library)(nil)
 type Server struct {
 	lib       Library
 	opts      Options
+	tokens    map[string]identity // opts.Tokens, each with its cache identity
+	anon      *identity           // opts.Anonymous likewise; nil = credentials required
+	alog      *accessLog          // nil when opts.Logf is
 	cache     *searchCache
 	pool      *ingestPool
 	rebuilder *rebuilder
@@ -285,8 +290,19 @@ func New(lib Library, opts Options) *Server {
 	s := &Server{
 		lib:     lib,
 		opts:    opts,
+		tokens:  make(map[string]identity, len(opts.Tokens)),
 		cache:   newSearchCache(opts.CacheSize),
 		started: time.Now(),
+	}
+	for tok, u := range opts.Tokens {
+		s.tokens[tok] = newIdentity(u)
+	}
+	if opts.Anonymous != nil {
+		anon := newIdentity(*opts.Anonymous)
+		s.anon = &anon
+	}
+	if !opts.quiet {
+		s.alog = newAccessLog(opts.Logf)
 	}
 	if !opts.DisableTracing {
 		slow := opts.TraceSlow
@@ -323,12 +339,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.handler.ServeHTTP(w, r)
 }
 
-// Close stops accepting ingest jobs, waits for running ones to finish, and
-// stops the background rebuilder and memory watchdog.
+// Close stops accepting ingest jobs, waits for running ones to finish, stops
+// the background rebuilder and memory watchdog, and writes out whatever the
+// access log still holds.
 func (s *Server) Close() {
 	s.pool.Close()
 	s.rebuilder.Close()
 	s.admit.Close()
+	s.alog.close()
 }
 
 // route dispatches by hand: the declared module version predates pattern

@@ -42,15 +42,10 @@ func spanSet(v *trace.View) map[string]bool {
 // id matching the X-Request-Id header, with the admission, auth, cache and
 // search-stage spans — and that the endpoint is Administrator-gated.
 func TestDebugTracesCaptureAndGating(t *testing.T) {
-	var logMu sync.Mutex
-	var logLines []string
+	var sink logSink
 	s := newTestServer(t, Options{
 		TraceSlow: -1, // keep every trace
-		Logf: func(format string, args ...any) {
-			logMu.Lock()
-			logLines = append(logLines, fmt.Sprintf(format, args...))
-			logMu.Unlock()
-		},
+		Logf:      sink.logf,
 	})
 
 	body := map[string]any{"video": "laparoscopy", "shot": 0, "k": 3}
@@ -85,24 +80,20 @@ func TestDebugTracesCaptureAndGating(t *testing.T) {
 	}
 
 	// The request log line carries the id, and keep-all mode means the tail
-	// sampler fired, so the structured slow line names the same trace.
-	var sawReq, sawSlow bool
-	logMu.Lock()
-	lines := append([]string(nil), logLines...)
-	logMu.Unlock()
+	// sampler fired, so the structured slow line names the same trace (and,
+	// being a slow line, was flushed before the search returned).
+	var sawSlow bool
+	lines := sink.lines()
 	for _, line := range lines {
-		if strings.Contains(line, "/v1/search") && strings.Contains(line, "rid="+rid) {
-			sawReq = true
-		}
-		if strings.HasPrefix(line, "slow request rid="+rid) {
+		if strings.Contains(line, " slow request rid="+rid+" ") {
 			sawSlow = true
 		}
 	}
-	if !sawReq {
-		t.Errorf("request log line with rid=%s missing from %q", rid, logLines)
+	if line := requestLine(lines, rid); !strings.Contains(line, "/v1/search") {
+		t.Errorf("request log line with rid=%s missing from %q", rid, lines)
 	}
 	if !sawSlow {
-		t.Errorf("slow-request line for rid=%s missing from %q", rid, logLines)
+		t.Errorf("slow-request line for rid=%s missing from %q", rid, lines)
 	}
 
 	// Filters.

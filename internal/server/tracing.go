@@ -25,9 +25,10 @@ type reqState struct {
 	bytes  int64
 	wrote  bool // headers (or body) already on the wire; see withRecovery
 
-	user access.User
-	rid  string
-	err  string // panic note for the trace's tail sampler
+	user  access.User
+	roles string // the user's roleKey (see identity)
+	rid   string
+	err   string // panic note for the trace's tail sampler
 
 	tr   *trace.Trace
 	root *trace.Span
@@ -111,22 +112,22 @@ func (s *Server) withTrace(next http.Handler) http.Handler {
 			RequestID: rs.rid,
 			Err:       rs.err,
 		})
-		if route != "/healthz" && !s.opts.quiet {
-			s.opts.Logf("%s %s -> %d (%s) rid=%s",
-				r.Method, r.URL.Path, rs.status, elapsed.Round(time.Microsecond), rs.rid)
+		if route != "/healthz" && s.alog != nil {
+			slow := ""
 			if view.Tail() {
-				s.logSlow(view)
+				slow = slowLine(view)
 			}
+			s.alog.request(start.Add(elapsed), r.Method, r.URL.Path, rs.status, elapsed, rs.rid, slow)
 		}
 		*rs = reqState{} // drop the user/trace references before pooling
 		reqStatePool.Put(rs)
 	})
 }
 
-// logSlow emits the structured slow-request line when the tail sampler
-// fired: one line with the identifiers an operator needs to pull the full
-// trace, plus the per-stage breakdown inline.
-func (s *Server) logSlow(v *trace.View) {
+// slowLine renders the structured slow-request line for a trace the tail
+// sampler kept: one line with the identifiers an operator needs to pull the
+// full trace, plus the per-stage breakdown inline.
+func slowLine(v *trace.View) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "slow request rid=%s trace=%s %s %s -> %d in %.1fms reason=%s",
 		v.RequestID, v.TraceID, v.Method, v.Route, v.Status, v.DurationMS, v.Reason)
@@ -140,7 +141,109 @@ func (s *Server) logSlow(v *trace.View) {
 		}
 		fmt.Fprintf(&b, " %s=%dus", sp.Name, sp.DurUS)
 	}
-	s.opts.Logf("%s", b.String())
+	return b.String()
+}
+
+// accessLog keeps the request log off the request path. A request appends
+// its line to a buffer — no fmt, no sink call, a mutex held for one append —
+// and the buffer reaches Logf as one call (one write(2) behind the daemon's
+// logger) when it fills, accessLogEvery after its first line, and when the
+// server closes. A line an operator may be waiting on does not wait: a status
+// of 400 or above, or a slow-request line, flushes the buffer before the
+// request returns. Lines carry their own completion time, since the sink's
+// stamp is the batch's. A SIGKILL can therefore lose up to accessLogEvery of
+// 2xx/3xx lines; nothing else.
+type accessLog struct {
+	logf  func(format string, args ...any)
+	timer *time.Timer // runs flush; armed by the first line into an empty buffer
+
+	mu     sync.Mutex // guards buf, lines and closed
+	buf    []byte
+	lines  int
+	closed bool // after close every line flushes itself
+
+	flushMu sync.Mutex // held across the sink call, so batches land in order
+	spare   []byte     // the buffer not being filled; guarded by flushMu
+}
+
+const (
+	accessLogBytes = 64 << 10
+	accessLogEvery = 100 * time.Millisecond
+	accessLogStamp = "2006/01/02 15:04:05.000000 "
+)
+
+func newAccessLog(logf func(string, ...any)) *accessLog {
+	l := &accessLog{
+		logf:  logf,
+		buf:   make([]byte, 0, accessLogBytes+1024),
+		spare: make([]byte, 0, accessLogBytes+1024),
+	}
+	l.timer = time.AfterFunc(accessLogEvery, l.flush)
+	return l
+}
+
+// request appends one request's line — and its slow-request line, when the
+// tail sampler kept the trace — and flushes if either must not wait. The
+// lines are rendered on the caller's stack; the lock covers one copy.
+func (l *accessLog) request(end time.Time, method, path string, status int, elapsed time.Duration, rid, slow string) {
+	var stack [256]byte
+	b := end.AppendFormat(stack[:0], accessLogStamp)
+	b = append(b, method...)
+	b = append(b, ' ')
+	b = append(b, path...)
+	b = append(b, " -> "...)
+	b = strconv.AppendInt(b, int64(status), 10)
+	b = append(b, " ("...)
+	b = append(b, elapsed.Round(time.Microsecond).String()...)
+	b = append(b, ") rid="...)
+	b = append(b, rid...)
+	b = append(b, '\n')
+	n := 1
+	if slow != "" {
+		b = append(b, b[:len(accessLogStamp)]...) // the layout is fixed-width: the same stamp
+		b = append(b, slow...)
+		b = append(b, '\n')
+		n = 2
+	}
+	l.mu.Lock()
+	l.buf = append(l.buf, b...)
+	l.lines += n
+	now := status >= 400 || slow != "" || len(l.buf) >= accessLogBytes || l.closed
+	first := l.lines == n
+	l.mu.Unlock()
+	switch {
+	case now:
+		l.flush()
+	case first:
+		l.timer.Reset(accessLogEvery)
+	}
+}
+
+// flush hands everything buffered to the sink as one call.
+func (l *accessLog) flush() {
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
+	l.mu.Lock()
+	batch, n := l.buf, l.lines
+	l.buf, l.lines = l.spare[:0], 0
+	l.mu.Unlock()
+	l.spare = batch
+	if n > 0 {
+		l.logf("access log, %d lines:\n%s", n, string(batch[:len(batch)-1]))
+	}
+}
+
+// close flushes what is buffered and makes every later line flush itself, so
+// nothing is left to a timer that outlives the server. A nil log is a no-op.
+func (l *accessLog) close() {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	l.closed = true
+	l.mu.Unlock()
+	l.timer.Stop()
+	l.flush()
 }
 
 // --- GET /debug/traces -------------------------------------------------------

@@ -49,6 +49,10 @@ func (t *Tracer) render(tr *Trace, m Meta, dur time.Duration, reason string, tai
 		dropped = n - len(tr.spans)
 		n = len(tr.spans)
 	}
+	// Whole microseconds, the resolution the spans are reported at: the root
+	// span's DurUS is DurationMS × 1000 exactly, so span self times add up to
+	// the trace's duration with no truncation left over.
+	durMS := float64(dur.Microseconds()) / 1e3
 	v := &View{
 		TraceID:      HexString(tr.id[:]),
 		RequestID:    m.RequestID,
@@ -57,7 +61,7 @@ func (t *Tracer) render(tr *Trace, m Meta, dur time.Duration, reason string, tai
 		Status:       m.Status,
 		Err:          m.Err,
 		Start:        time.Now().Add(-dur), // wall anchor; spans carry monotonic offsets
-		DurationMS:   float64(dur) / float64(time.Millisecond),
+		DurationMS:   durMS,
 		Reason:       reason,
 		DroppedSpans: dropped,
 		Spans:        make([]SpanView, n),

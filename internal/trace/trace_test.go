@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -65,6 +66,23 @@ func TestSlowZeroKeepsEverything(t *testing.T) {
 	tr := New(Config{Slow: 0})
 	if v := startFinish(tr, 0, 200); v == nil {
 		t.Fatal("Slow=0 must keep every trace")
+	}
+}
+
+// TestDurationAtSpanResolution: a trace's duration is reported at its spans'
+// resolution, so the root span accounts for all of it — a reader summing span
+// self times (cmd/loadgen's trace.sum_check_pct) sees no residue however short
+// the request.
+func TestDurationAtSpanResolution(t *testing.T) {
+	tr := New(Config{Slow: 0})
+	for _, dur := range []time.Duration{0, 999 * time.Nanosecond, 28_600 * time.Nanosecond, 3*time.Millisecond + 1} {
+		v := startFinish(tr, dur, 200)
+		if got, want := v.DurationMS*1e3, float64(v.Spans[0].DurUS); math.Abs(got-want) > 1e-6 {
+			t.Errorf("backdated %v: durationMs×1000 = %v, root durUs = %v", dur, got, want)
+		}
+		if lo := float64(dur.Microseconds()) / 1e3; v.DurationMS < lo {
+			t.Errorf("backdated %v: durationMs = %v, under %v", dur, v.DurationMS, lo)
+		}
 	}
 }
 
