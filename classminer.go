@@ -31,7 +31,9 @@ import (
 	"os"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"classminer/internal/access"
 	"classminer/internal/concept"
@@ -235,7 +237,7 @@ type Library struct {
 	// journal, when non-nil, is the durable storage engine: register,
 	// replace and delete append their encoded records to it before
 	// mutating in-memory state, and Recover rebuilds the library from its
-	// snapshot + log.
+	// snapshot + log. The libraries of one RecoverPartitioned share it.
 	journal *wal.Engine
 	// logBytes tracks, per registered video, the on-log size of its
 	// journal record (payload + frame overhead) so a delete or replacement
@@ -1143,8 +1145,8 @@ type LibraryStats struct {
 	IndexFits        int64 `json:"indexFits"`
 	IndexFitsDropped int64 `json:"indexFitsDropped"`
 	// WAL is the durable log's lag since its last checkpoint; nil when the
-	// library is not durable. For a sharded library this is the aggregate
-	// across shards (summed counters, min generation).
+	// library is not durable. A sharded library has one log behind all its
+	// shards, reported here and left out of the per-shard blocks.
 	WAL *WALStats `json:"wal,omitempty"`
 	// Shards carries the per-shard breakdown when the stats come from a
 	// sharded library (internal/shard); nil for a plain Library.
@@ -1316,6 +1318,16 @@ func (l *Library) ScenesByEvent(u User, kind EventKind) []SceneRef {
 
 // Save serialises every mined video's metadata (not the media) to w. The
 // saved library can be reloaded with LoadLibrary without re-mining.
+func (l *Library) Save(w io.Writer) error {
+	entries, err := l.savedEntries()
+	if err != nil {
+		return err
+	}
+	return store.WriteLibrary(w, entries)
+}
+
+// savedEntries encodes every registered video in name order — what Save
+// writes and what a checkpoint snapshots.
 //
 // Only the registration set is snapshotted under the lock; the heavy
 // encoding runs outside it (registered Results are immutable), so a
@@ -1323,7 +1335,7 @@ func (l *Library) ScenesByEvent(u User, kind EventKind) []SceneRef {
 // writer. The WAL ordering contract survives: the lock acquisition still
 // observes every journaled registration, and anything registered later is
 // on the log past the checkpoint's cut point anyway.
-func (l *Library) Save(w io.Writer) error {
+func (l *Library) savedEntries() ([]store.SavedLibraryEntry, error) {
 	l.mu.RLock()
 	names := make([]string, 0, len(l.videos))
 	for name := range l.videos {
@@ -1353,11 +1365,11 @@ func (l *Library) Save(w io.Writer) error {
 		}
 		saved, err := store.EncodeResult(ves[i].Result)
 		if err != nil {
-			return fmt.Errorf("classminer: saving %q: %w", name, err)
+			return nil, fmt.Errorf("classminer: saving %q: %w", name, err)
 		}
 		entries = append(entries, store.SavedLibraryEntry{Subcluster: ves[i].Subcluster, Result: saved})
 	}
-	return store.WriteLibrary(w, entries)
+	return entries, nil
 }
 
 // LoadLibrary reconstructs a library from a stream written by Save and
@@ -1387,95 +1399,142 @@ func LoadLibrary(r io.Reader, a *Analyzer) (*Library, error) {
 // The recovered index is left stale — call BuildIndex once before serving
 // searches. Close the library when done to release the engine.
 func Recover(dir string, a *Analyzer, opts DurableOptions) (*Library, error) {
+	libs, err := RecoverPartitioned(dir, 1, placeOne, a, opts)
+	if err != nil {
+		return nil, err
+	}
+	return libs[0], nil
+}
+
+// placeOne places every name on the only library there is.
+func placeOne(string) int { return 0 }
+
+// RecoverPartitioned is Recover over n libraries that partition the videos
+// of one data directory between them: place names the library, in [0, n),
+// that owns a video name, and must be a pure function of the name. The
+// directory holds one log whatever n is — nothing on disk records n or
+// place, so any count opens any directory — and the n libraries share its
+// engine as their journal: each stages its own mutations on it under its
+// own lock, one checkpoint snapshots all of them, and Checkpoint, Compact,
+// WALStats, Engine and Close on any of them address that one engine.
+// Partitioning costs no ordering: a name has one owner, so the order of
+// the log's records about a name is the order its owner installed them in.
+func RecoverPartitioned(dir string, n int, place func(name string) int, a *Analyzer, opts DurableOptions) ([]*Library, error) {
 	eng, err := wal.Open(dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	l := NewLibrary(a)
-	ok := false
-	defer func() {
-		if !ok {
-			eng.Close()
-		}
-	}()
+	libs := make([]*Library, n)
+	for i := range libs {
+		libs[i] = NewLibrary(a)
+	}
+	if err := recoverInto(eng, libs, place); err != nil {
+		eng.Close()
+		return nil, err
+	}
+	return libs, nil
+}
+
+// recoverInto loads eng's snapshot and replays its log into libs, then
+// attaches eng to every one of them.
+func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int) error {
 	if snap := eng.SnapshotPath(); snap != "" {
 		f, err := os.Open(snap)
 		if err != nil {
-			return nil, fmt.Errorf("classminer: opening snapshot: %w", err)
+			return fmt.Errorf("classminer: opening snapshot: %w", err)
 		}
-		_, err = l.ImportSnapshot(f, false)
+		_, err = ImportPartitioned(libs, place, f, false)
 		f.Close()
 		if err != nil {
-			return nil, fmt.Errorf("classminer: snapshot %s: %w", snap, err)
+			return fmt.Errorf("classminer: snapshot %s: %w", snap, err)
 		}
 	}
 	// Dead log discovered during replay (a tombstone or replacement whose
-	// victim is also on the log) is accumulated locally and handed to the
-	// engine once it is attached, so a recovered-but-never-compacted data
-	// directory can trigger compaction without waiting for fresh deletes.
-	var replayDeadRecs, replayDeadBytes int64
-	l.mu.Lock()
-	l.deadNote = func(records, bytes int64) {
-		replayDeadRecs += records
-		replayDeadBytes += bytes
+	// victim is also on the log) is counted here and handed to the engine
+	// once it is attached, so a recovered-but-never-compacted data directory
+	// can trigger compaction without waiting for fresh deletes.
+	var deadRecs, deadBytes atomic.Int64
+	noteDead := func(records, bytes int64) {
+		deadRecs.Add(records)
+		deadBytes.Add(bytes)
 	}
-	l.mu.Unlock()
-	// Replay reuses one scratch Record and one scratch SavedLibraryEntry
-	// across the whole log tail — the per-record work is the decode, and a
-	// 10k-record recovery should not also pay 10k envelope re-parses and
-	// scratch allocations.
-	var rec wal.Record
-	var sv store.SavedLibraryEntry
-	err = eng.Replay(func(payload []byte) error {
+	// The log is read once, in order, and each record is handed to the
+	// goroutine of the library that owns its key: parsing the envelope to
+	// learn the key is cheap, decoding the payload is the cost of a recovery,
+	// and the owners pay it side by side. An owner sees its records in log
+	// order, which for any one key is all the order replay needs. Records
+	// travel in batches cut by size: waking an owner per record costs more
+	// than reading one, and a slow owner holds back a bounded amount of log.
+	const batchBytes = 256 << 10
+	type replayed struct {
+		rec  wal.Record
+		size int64 // on-log footprint, frame header included
+	}
+	queues := make([]chan []replayed, len(libs))
+	filling := make([][]replayed, len(libs))
+	fillBytes := make([]int64, len(libs))
+	errs := make([]error, len(libs))
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for i, l := range libs {
+		i, l := i, l
+		l.mu.Lock()
+		l.deadNote = noteDead
+		l.mu.Unlock()
+		queues[i] = make(chan []replayed, 1) // one batch queued while the next fills
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sv store.SavedLibraryEntry // decode scratch, one per owner
+			for recs := range queues[i] {
+				for k := 0; k < len(recs) && errs[i] == nil; k++ {
+					if errs[i] = l.replayRecord(&recs[k].rec, recs[k].size, &sv); errs[i] != nil {
+						failed.Store(true) // the reader stops at its next frame
+					}
+				}
+			}
+		}()
+	}
+	var rec wal.Record // envelope scratch, copied into the owner's batch
+	err := eng.Replay(func(payload []byte) error {
+		if failed.Load() {
+			return errReplayAborted
+		}
 		if err := wal.DecodeRecordInto(&rec, payload); err != nil {
 			return fmt.Errorf("classminer: %w", err)
 		}
-		size := int64(len(payload)) + wal.FrameOverhead
-		if rec.Type == wal.RecordTombstone {
-			// Delete wins over a straddling checkpointed registration (the
-			// video is in the snapshot, its tombstone on the log tail);
-			// unknown names are fine — the tombstone itself may straddle a
-			// checkpoint that already dropped the video.
-			l.remove(rec.Key)
-			return nil
+		i, size := place(rec.Key), int64(len(payload))+wal.FrameOverhead
+		filling[i] = append(filling[i], replayed{rec, size})
+		if fillBytes[i] += size; fillBytes[i] >= batchBytes {
+			queues[i] <- filling[i]
+			filling[i], fillBytes[i] = nil, 0
 		}
-		sv = store.SavedLibraryEntry{}
-		if err := json.Unmarshal(rec.Payload, &sv); err != nil {
-			return fmt.Errorf("classminer: decoding journal record: %w", err)
-		}
-		res, err := store.DecodeResult(sv.Result)
-		if err != nil {
-			return fmt.Errorf("classminer: decoding journal record: %w", err)
-		}
-		name := res.Video.Name
-		if rec.Type == wal.RecordReplace {
-			if err := l.replace(context.Background(), name, res, sv.Subcluster, nil); err != nil {
-				return err
-			}
-		} else {
-			err := l.register(context.Background(), name, res, sv.Subcluster)
-			if err != nil && !errors.Is(err, ErrDuplicateVideo) {
-				// A duplicate straddles the last checkpoint: it is both in
-				// the snapshot and on the log tail, and the snapshot copy
-				// won. Anything else is real.
-				return err
-			}
-		}
-		// Either way the record is on the live log; a later delete or
-		// replacement makes its bytes reclaimable.
-		l.setLogSize(name, size)
 		return nil
 	})
-	if err != nil {
-		return nil, err
+	for i, q := range queues {
+		if err == nil && len(filling[i]) > 0 {
+			q <- filling[i]
+		}
+		close(q)
 	}
-	l.mu.Lock()
-	l.journal = eng
-	l.deadNote = eng.NoteDead
-	l.mu.Unlock()
-	eng.SetSource(l.checkpointSource)
-	if replayDeadRecs > 0 {
-		eng.NoteDead(replayDeadRecs, replayDeadBytes)
+	wg.Wait()
+	for _, oerr := range errs {
+		if oerr != nil {
+			return oerr
+		}
+	}
+	if err != nil {
+		return err
+	}
+	for _, l := range libs {
+		l.mu.Lock()
+		l.journal = eng
+		l.deadNote = eng.NoteDead
+		l.mu.Unlock()
+	}
+	eng.SetSource(checkpointSource(libs))
+	if n := deadRecs.Load(); n > 0 {
+		eng.NoteDead(n, deadBytes.Load())
 	}
 	if eng.ReplayDamaged() {
 		// The log chain is broken mid-way: records past the damage (and any
@@ -1483,43 +1542,105 @@ func Recover(dir string, a *Analyzer, opts DurableOptions) (*Library, error) {
 		// the next replay. A checkpoint heals it — the fresh snapshot holds
 		// everything just recovered, and the broken segments are pruned.
 		if err := eng.Checkpoint(); err != nil {
-			return nil, fmt.Errorf("classminer: checkpointing past damaged log: %w", err)
+			return fmt.Errorf("classminer: checkpointing past damaged log: %w", err)
 		}
 	}
-	ok = true
-	return l, nil
+	return nil
 }
 
-// ImportSnapshot registers every video of a library snapshot (a stream
-// written by Save) into l, reporting how many were added. With
-// skipExisting, names the library already holds are skipped — the
+// errReplayAborted stops the log reader once an owner has failed; the
+// owner's error is the one reported.
+var errReplayAborted = errors.New("classminer: replay aborted")
+
+// replayRecord applies one log record during recovery, before the journal
+// is attached (nothing is re-logged). size is the record's on-log footprint
+// and sv a scratch entry the caller reuses across records.
+func (l *Library) replayRecord(rec *wal.Record, size int64, sv *store.SavedLibraryEntry) error {
+	if rec.Type == wal.RecordTombstone {
+		// Delete wins over a straddling checkpointed registration (the
+		// video is in the snapshot, its tombstone on the log tail);
+		// unknown names are fine — the tombstone itself may straddle a
+		// checkpoint that already dropped the video.
+		l.remove(rec.Key)
+		return nil
+	}
+	*sv = store.SavedLibraryEntry{}
+	if err := json.Unmarshal(rec.Payload, sv); err != nil {
+		return fmt.Errorf("classminer: decoding journal record: %w", err)
+	}
+	res, err := store.DecodeResult(sv.Result)
+	if err != nil {
+		return fmt.Errorf("classminer: decoding journal record: %w", err)
+	}
+	name := res.Video.Name
+	if rec.Type == wal.RecordReplace {
+		if err := l.replace(context.Background(), name, res, sv.Subcluster, nil); err != nil {
+			return err
+		}
+	} else {
+		err := l.register(context.Background(), name, res, sv.Subcluster)
+		if err != nil && !errors.Is(err, ErrDuplicateVideo) {
+			// A duplicate straddles the last checkpoint: it is both in
+			// the snapshot and on the log tail, and the snapshot copy
+			// won. Anything else is real.
+			return err
+		}
+	}
+	// Either way the record is on the live log; a later delete or
+	// replacement makes its bytes reclaimable.
+	l.setLogSize(name, size)
+	return nil
+}
+
+// routeEntries decodes each saved entry and hands it, with the library that
+// owns its name, to apply — the one loop behind snapshot load, -load imports
+// and a follower's reseed.
+func routeEntries(entries []store.SavedLibraryEntry, libs []*Library, place func(name string) int,
+	apply func(l *Library, res *Result, subcluster string) error) error {
+	for _, sv := range entries {
+		res, err := store.DecodeResult(sv.Result)
+		if err != nil {
+			return err
+		}
+		if err := apply(libs[place(res.Video.Name)], res, sv.Subcluster); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ImportPartitioned registers every video of a library snapshot (a stream
+// written by Save) into the library that owns its name, reporting how many
+// were added. With skipExisting, names already held are skipped — the
 // one-shot-migration semantics of classminerd's -load — otherwise a
 // duplicate is an error. Placement concepts are validated like any other
-// registration, and on a durable library every import is journaled. The
-// index is left stale; call BuildIndex afterwards.
-func (l *Library) ImportSnapshot(r io.Reader, skipExisting bool) (int, error) {
+// registration, and on durable libraries every import is journaled. The
+// indexes are left stale; call BuildIndex afterwards.
+func ImportPartitioned(libs []*Library, place func(name string) int, r io.Reader, skipExisting bool) (int, error) {
 	saved, err := store.ReadLibrary(r)
 	if err != nil {
 		return 0, err
 	}
 	n := 0
-	for _, sv := range saved.Videos {
-		res, err := store.DecodeResult(sv.Result)
-		if err != nil {
-			return n, err
-		}
+	err = routeEntries(saved.Videos, libs, place, func(l *Library, res *Result, subcluster string) error {
 		if skipExisting && l.Video(res.Video.Name) != nil {
-			continue
+			return nil
 		}
-		if err := l.checkSubcluster(sv.Subcluster); err != nil {
-			return n, err
+		if err := l.checkSubcluster(subcluster); err != nil {
+			return err
 		}
-		if err := l.register(context.Background(), res.Video.Name, res, sv.Subcluster); err != nil {
-			return n, err
+		if err := l.register(context.Background(), res.Video.Name, res, subcluster); err != nil {
+			return err
 		}
 		n++
-	}
-	return n, nil
+		return nil
+	})
+	return n, err
+}
+
+// ImportSnapshot is ImportPartitioned into this one library.
+func (l *Library) ImportSnapshot(r io.Reader, skipExisting bool) (int, error) {
+	return ImportPartitioned([]*Library{l}, placeOne, r, skipExisting)
 }
 
 // Engine exposes the library's write-ahead-log engine, or nil when the
@@ -1572,17 +1693,18 @@ func (l *Library) ApplyRecord(ctx context.Context, rec *wal.Record) error {
 	}
 }
 
-// ReseedFromSnapshot converges the library onto a leader checkpoint
-// snapshot without wiping: videos absent from the snapshot are tombstoned,
-// every snapshot entry is applied as a replacement (an upsert, so entries
-// whose content drifted are refreshed too), and all of it flows through the
-// normal journaled mutation paths, making the reseed itself crash-safe and
-// re-runnable. This is the follower's fallback when its cursor falls behind
-// the leader's compaction horizon: the snapshot plus the log tail after it
-// is exactly the leader's state. r may be nil — a leader that has never
-// checkpointed has an empty snapshot, and the whole history arrives via the
-// log instead. Reports how many videos were installed and removed.
-func (l *Library) ReseedFromSnapshot(ctx context.Context, r io.Reader) (installed, removed int, err error) {
+// ReseedPartitioned converges libs onto a leader checkpoint snapshot without
+// wiping: videos absent from the snapshot are tombstoned, every snapshot
+// entry is applied as a replacement on the library that owns its name (an
+// upsert, so entries whose content drifted are refreshed too), and all of it
+// flows through the normal journaled mutation paths, making the reseed
+// itself crash-safe and re-runnable. This is the follower's fallback when
+// its cursor falls behind the leader's compaction horizon: the snapshot plus
+// the log tail after it is exactly the leader's state. r may be nil — a
+// leader that has never checkpointed has an empty snapshot, and the whole
+// history arrives via the log instead. Reports how many videos were
+// installed and removed.
+func ReseedPartitioned(ctx context.Context, libs []*Library, place func(name string) int, r io.Reader) (installed, removed int, err error) {
 	var entries []store.SavedLibraryEntry
 	if r != nil {
 		saved, err := store.ReadLibrary(r)
@@ -1597,29 +1719,33 @@ func (l *Library) ReseedFromSnapshot(ctx context.Context, r io.Reader) (installe
 			keep[sv.Result.VideoName] = true
 		}
 	}
-	for _, name := range l.VideoNames() {
-		if keep[name] {
-			continue
+	for _, l := range libs {
+		for _, name := range l.VideoNames() {
+			if keep[name] {
+				continue
+			}
+			if derr := l.deleteVideo(ctx, name, nil); derr != nil && !errors.Is(derr, ErrUnknownVideo) {
+				return installed, removed, derr
+			}
+			removed++
 		}
-		if derr := l.deleteVideo(ctx, name, nil); derr != nil && !errors.Is(derr, ErrUnknownVideo) {
-			return installed, removed, derr
-		}
-		removed++
 	}
-	for _, sv := range entries {
-		res, derr := store.DecodeResult(sv.Result)
-		if derr != nil {
-			return installed, removed, derr
+	err = routeEntries(entries, libs, place, func(l *Library, res *Result, subcluster string) error {
+		if err := l.checkSubcluster(subcluster); err != nil {
+			return err
 		}
-		if derr := l.checkSubcluster(sv.Subcluster); derr != nil {
-			return installed, removed, derr
-		}
-		if derr := l.replace(ctx, res.Video.Name, res, sv.Subcluster, nil); derr != nil {
-			return installed, removed, derr
+		if err := l.replace(ctx, res.Video.Name, res, subcluster, nil); err != nil {
+			return err
 		}
 		installed++
-	}
-	return installed, removed, nil
+		return nil
+	})
+	return installed, removed, err
+}
+
+// ReseedFromSnapshot is ReseedPartitioned over this one library.
+func (l *Library) ReseedFromSnapshot(ctx context.Context, r io.Reader) (installed, removed int, err error) {
+	return ReseedPartitioned(ctx, []*Library{l}, placeOne, r)
 }
 
 // Durable reports whether registrations are write-ahead logged (the
@@ -1630,22 +1756,40 @@ func (l *Library) Durable() bool {
 	return l.journal != nil
 }
 
-// checkpointSource is the snapshot writer the engine's checkpoints call.
-// It is Save plus bookkeeping: once the snapshot is cut, the log records
-// it covers are about to be pruned, so their per-name footprints are
-// forgotten — a later delete of a checkpointed video costs the log nothing
-// (only its tombstone is appended). Registrations that straddle the
-// checkpoint lose their entry too, a deliberate undercount: the dead-bytes
-// counter is a compaction trigger, and Compact recomputes exact deadness
-// from the log itself.
-func (l *Library) checkpointSource(w io.Writer) error {
-	if err := l.Save(w); err != nil {
-		return err
+// checkpointSource is the snapshot writer the engine's checkpoints call:
+// every library's entries in one name-ordered snapshot — the same bytes
+// however many libraries the videos are spread over — plus bookkeeping. Once
+// the snapshot is cut, the log records it covers are about to be pruned, so
+// their per-name footprints are forgotten: a later delete of a checkpointed
+// video costs the log nothing (only its tombstone is appended).
+// Registrations that straddle the checkpoint lose their entry too, a
+// deliberate undercount: the dead-bytes counter is a compaction trigger, and
+// Compact recomputes exact deadness from the log itself. Each library is read
+// under its own lock after the engine's cut, so it shows every record it
+// staged before the cut — the SetSource contract, library by library.
+func checkpointSource(libs []*Library) func(io.Writer) error {
+	return func(w io.Writer) error {
+		var entries []store.SavedLibraryEntry
+		for _, l := range libs {
+			es, err := l.savedEntries()
+			if err != nil {
+				return err
+			}
+			entries = append(entries, es...)
+		}
+		slices.SortFunc(entries, func(a, b store.SavedLibraryEntry) int {
+			return strings.Compare(a.Result.VideoName, b.Result.VideoName)
+		})
+		if err := store.WriteLibrary(w, entries); err != nil {
+			return err
+		}
+		for _, l := range libs {
+			l.mu.Lock()
+			l.logBytes = nil
+			l.mu.Unlock()
+		}
+		return nil
 	}
-	l.mu.Lock()
-	l.logBytes = nil
-	l.mu.Unlock()
-	return nil
 }
 
 // Checkpoint folds the write-ahead log into a fresh snapshot and prunes

@@ -5,11 +5,13 @@
 //
 // The daemon always serves through the shard router (internal/shard) over
 // -shards N >= 1 libraries; one shard, the default, is a single library
-// behind a router that costs nothing. The library is populated from a
-// durable data directory (-data-dir, with write-ahead logging and crash
-// recovery), by a one-shot import of a snapshot file (-load), by mining
-// synthetic corpus videos at startup (-bootstrap), or later through
-// POST /v1/videos. With -data-dir every registration — imported,
+// behind a router that costs nothing. N partitions what lives in memory —
+// locks, matrices, indexes, refits — not what is on disk: -data-dir holds one
+// log at every N, so N may change from one boot to the next. The library is
+// populated from a durable data directory (-data-dir, with write-ahead
+// logging and crash recovery), by a one-shot import of a snapshot file
+// (-load), by mining synthetic corpus videos at startup (-bootstrap), or
+// later through POST /v1/videos. With -data-dir every registration — imported,
 // bootstrapped or ingested — is journaled before it becomes visible, so a
 // crash — OOM kill, power loss — loses no completed registration (an ingest
 // job is durable once it reports done; a 202-accepted job that never ran
@@ -111,8 +113,7 @@ type config struct {
 	pprof      bool
 	tokens     map[string]access.User
 
-	// shards is the router's shard count; 0 means what the data dir
-	// records, else 1.
+	// shards is the router's shard count, chosen per boot; 0 means 1.
 	shards int
 
 	// replication
@@ -183,7 +184,7 @@ func main() {
 	flag.Int64Var(&cfg.ckptBytes, "checkpoint-bytes", 64<<20, "auto-checkpoint once this much WAL accumulates (negative disables)")
 	flag.Int64Var(&cfg.ckptRecords, "checkpoint-records", 10000, "auto-checkpoint once this many WAL records accumulate (negative disables)")
 	flag.Int64Var(&cfg.compactBytes, "compact-bytes", 8<<20, "auto-compact sealed WAL segments once this many dead bytes accumulate (negative disables)")
-	flag.IntVar(&cfg.shards, "shards", 0, "library shards, each with its own WAL/index/rebuild state (fixed at data-dir creation; 0 = what the data dir records, else 1)")
+	flag.IntVar(&cfg.shards, "shards", 0, "in-memory library shards, each with its own lock, index and rebuild state over the one -data-dir log (a per-boot choice: any count opens any data dir; 0 = 1)")
 	flag.StringVar(&cfg.role, "role", "leader", "replication role: leader (serves /v1/repl/* when durable) or follower (replicates from -leader-url, read-only until promoted)")
 	flag.StringVar(&cfg.leaderURL, "leader-url", "", "leader base URL a follower replicates from (required with -role follower)")
 	flag.StringVar(&cfg.replToken, "repl-token", "", "bearer token the follower presents to the leader (needs administrator clearance there)")
@@ -270,25 +271,19 @@ func run(cfg config) error {
 	// downstream replicas without a restart.
 	var hub *repl.Hub
 	if lib.Durable() {
-		hub, err = repl.NewHub(lib.Engines(), reg, logger.Printf)
+		hub, err = repl.NewHub(lib.Engine(), reg, logger.Printf)
 		if err != nil {
 			return err
 		}
 	}
 	var follower *repl.Follower
 	if cfg.role == "follower" {
-		// One replication target per shard: the shard layout must match the
-		// leader's, which the pull protocol cross-checks via X-Repl-Shards.
-		appliers := make([]repl.Applier, lib.ShardCount())
-		for i := range appliers {
-			appliers[i] = lib.ShardAt(i)
-		}
 		follower, err = repl.Start(repl.Options{
 			LeaderURL:       strings.TrimSuffix(cfg.leaderURL, "/"),
 			Token:           cfg.replToken,
 			ID:              cfg.followerID,
 			Dir:             cfg.dataDir,
-			Appliers:        appliers,
+			Applier:         lib,
 			ReadyLagRecords: cfg.replLagReady,
 			Metrics:         reg,
 			Logf:            logger.Printf,
@@ -297,7 +292,7 @@ func run(cfg config) error {
 			return err
 		}
 		defer follower.Close()
-		logger.Printf("replicating from %s as %q (%d shards)", cfg.leaderURL, cfg.followerID, len(appliers))
+		logger.Printf("replicating from %s as %q", cfg.leaderURL, cfg.followerID)
 	}
 
 	opts := server.Options{

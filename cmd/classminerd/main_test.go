@@ -52,9 +52,11 @@ func TestValidateRejectsBeforeSideEffects(t *testing.T) {
 }
 
 // TestBuildLibraryLayouts boots the daemon's one library constructor over
-// both on-disk layouts: a dir written by classminer.Recover is a one-shard
-// dir and stays one (no SHARDS, no shard-0/), a SHARDS dir reopens at its
-// recorded count with no flag, and -shards can never reshard either.
+// both layouts a data dir can arrive in — a plain dir as classminer.Recover
+// writes it, and the SHARDS + shard-<i>/ dir an older build wrote at
+// -shards 4 — at the default and at an explicit shard count: every
+// combination opens, at the count asked for, with the same videos, and what
+// is left is a plain dir.
 func TestBuildLibraryLayouts(t *testing.T) {
 	analyzer, err := classminer.NewAnalyzer(classminer.Options{SkipEvents: true})
 	if err != nil {
@@ -63,60 +65,68 @@ func TestBuildLibraryLayouts(t *testing.T) {
 	logger := log.New(io.Discard, "", 0)
 	base := config{fsync: "always", ckptBytes: -1, ckptRecords: -1, compactBytes: -1}
 
-	plain := t.TempDir()
-	pl, err := classminer.Recover(plain, analyzer, classminer.DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const scale, seed = 0.2, 11
+	var mined []*classminer.Result
 	for _, name := range []string{"laparoscopy", "skin-examination"} {
 		v, err := synth.Generate(synth.DefaultConfig(), synth.CorpusScript(name, scale, seed), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pl.AddVideo(v, "medicine"); err != nil {
+		res, err := analyzer.Analyze(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mined = append(mined, res)
+	}
+	want := "laparoscopy,skin-examination"
+	// write journals one mined video into a fresh classminer data dir.
+	write := func(dir string, res *classminer.Result) {
+		t.Helper()
+		l, err := classminer.Recover(dir, analyzer, classminer.DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AddResult(res, "medicine"); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := pl.VideoNames()
-	if err := pl.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	sharded := t.TempDir()
-	cfg := base
-	cfg.dataDir, cfg.shards = sharded, 4
-	lib, err := buildLibrary(logger, analyzer, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lib.Close(); err != nil {
-		t.Fatal(err)
+	layouts := map[string]func(dir string){
+		"plain": func(dir string) {
+			for _, res := range mined {
+				write(dir, res)
+			}
+		},
+		// Two of the four old shards hold a video (which ones is of no
+		// consequence: the fold places every record afresh).
+		"SHARDS=4": func(dir string) {
+			write(filepath.Join(dir, "shard-0"), mined[0])
+			write(filepath.Join(dir, "shard-2"), mined[1])
+			if err := os.WriteFile(filepath.Join(dir, "SHARDS"), []byte("{\"shards\":4}\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
 	}
 
 	cases := []struct {
 		name       string
-		dir        string
+		layout     string
 		shards     int
-		wantShards int // 0: the boot must be refused
+		wantShards int
 	}{
-		{"plain dir, default flags", plain, 0, 1},
-		{"plain dir, -shards 4", plain, 4, 0},
-		{"SHARDS=4 dir, default flags", sharded, 0, 4},
-		{"SHARDS=4 dir, -shards 2", sharded, 2, 0},
+		{"plain dir, default flags", "plain", 0, 1},
+		{"plain dir, -shards 4", "plain", 4, 4},
+		{"SHARDS=4 dir, default flags", "SHARDS=4", 0, 1},
+		{"SHARDS=4 dir, -shards 2", "SHARDS=4", 2, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
-			cfg.dataDir, cfg.shards = tc.dir, tc.shards
+			cfg.dataDir, cfg.shards = filepath.Join(t.TempDir(), "data"), tc.shards
+			layouts[tc.layout](cfg.dataDir)
 			lib, err := buildLibrary(logger, analyzer, cfg, nil)
-			if tc.wantShards == 0 {
-				if err == nil {
-					lib.Close()
-					t.Fatal("boot succeeded; want the shard-count mismatch refused")
-				}
-				return
-			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,20 +134,20 @@ func TestBuildLibraryLayouts(t *testing.T) {
 			if got := lib.ShardCount(); got != tc.wantShards {
 				t.Fatalf("booted %d shards, want %d", got, tc.wantShards)
 			}
-			if tc.dir != plain {
-				return
-			}
-			if got := lib.VideoNames(); strings.Join(got, ",") != strings.Join(want, ",") {
-				t.Fatalf("recovered videos %v, want %v", got, want)
+			if got := strings.Join(lib.VideoNames(), ","); got != want {
+				t.Fatalf("recovered videos %s, want %s", got, want)
 			}
 			if lib.IndexStale() {
 				t.Fatal("booted library serves a stale index")
 			}
+			for _, name := range []string{"SHARDS", "shard-0", "shard-2"} {
+				if _, err := os.Stat(filepath.Join(cfg.dataDir, name)); !os.IsNotExist(err) {
+					t.Fatalf("the booted data dir holds %s (stat: %v)", name, err)
+				}
+			}
+			if _, err := os.Stat(filepath.Join(cfg.dataDir, "LOCK")); err != nil {
+				t.Fatalf("the booted data dir has no top-level lock: %v", err)
+			}
 		})
-	}
-	for _, name := range []string{"SHARDS", "shard-0"} {
-		if _, err := os.Stat(filepath.Join(plain, name)); !os.IsNotExist(err) {
-			t.Fatalf("the one-shard data dir grew %s (stat: %v)", name, err)
-		}
 	}
 }

@@ -21,8 +21,9 @@ import (
 	"classminer/internal/wal"
 )
 
-// Applier is what the follower replicates into: one per shard — each
-// *classminer.Library behind the daemon's shard router. ApplyRecord must be
+// Applier is what the follower replicates into: a *classminer.Library, or
+// the daemon's shard router, which hands each record to the shard that owns
+// its key and splits a reseed snapshot the same way. ApplyRecord must be
 // idempotent (re-applying a batch after a crash is the recovery path) and
 // must journal into the applier's own WAL so the follower stays durable and
 // promotable.
@@ -42,32 +43,30 @@ type Options struct {
 	// logs. Must match [A-Za-z0-9._-]. Reusing an ID after a restart resumes
 	// the same pin, which is exactly right.
 	ID string
-	// Dir is where the durable per-shard cursor files live (normally the
-	// follower's data directory).
+	// Dir is where the durable cursor file lives (normally the follower's
+	// data directory).
 	Dir string
-	// Appliers is one replication target per leader shard; the count must
-	// match the leader's or pulls fail loudly.
-	Appliers []Applier
+	// Applier is the replication target.
+	Applier Applier
 	// PollWait is the long-poll window sent with each pull (default 25s).
 	PollWait time.Duration
 	// MaxBatchBytes bounds one pulled batch (default 1 MiB).
 	MaxBatchBytes int64
-	// ReadyLagRecords is the per-shard record lag at or under which Ready
-	// reports true (default 0: fully caught up at the last pull).
+	// ReadyLagRecords is the record lag at or under which Ready reports
+	// true (default 0: fully caught up at the last pull).
 	ReadyLagRecords int64
 	// Client overrides the HTTP client (tests); nil builds one with a
 	// timeout covering the long-poll window.
 	Client *http.Client
-	// Metrics, when non-nil, receives the follower-side per-shard lag and
-	// apply counters.
+	// Metrics, when non-nil, receives the follower-side lag and apply
+	// counters.
 	Metrics *metrics.Registry
 	// Logf receives replication progress and errors (nil = silent).
 	Logf func(format string, args ...any)
 }
 
-// ShardStatus is one shard's replication state, for Ready and /v1/stats.
-type ShardStatus struct {
-	Shard      int        `json:"shard"`
+// Status is the follower's replication state, for Ready and /v1/stats.
+type Status struct {
 	Cursor     wal.Cursor `json:"cursor"`
 	Seeded     bool       `json:"seeded"`
 	LagRecords int64      `json:"lagRecords"`
@@ -77,23 +76,12 @@ type ShardStatus struct {
 	LastError  string     `json:"lastError,omitempty"`
 }
 
-// shardState is one shard's pull loop state.
-type shardState struct {
-	idx     int
-	applier Applier
-	path    string // durable cursor file
+// cursorName is the durable cursor file in Options.Dir. The 000 dates from
+// when a leader exported one stream per shard and this was the first; the
+// name is kept so a follower dir written then resumes from its cursor.
+const cursorName = "repl-cursor-000.json"
 
-	mu sync.Mutex
-	st ShardStatus
-}
-
-func (s *shardState) status() ShardStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.st
-}
-
-// cursorFile is the on-disk format of a shard's replication cursor. Seeded
+// cursorFile is the on-disk format of the replication cursor. Seeded
 // distinguishes "never initialised" (must snapshot-seed before pulling) from
 // a legitimate zero cursor.
 type cursorFile struct {
@@ -101,21 +89,24 @@ type cursorFile struct {
 	Seeded bool       `json:"seeded"`
 }
 
-// Follower pulls one replication stream per leader shard and applies it.
-// Create with Start, stop with Close, or Promote to stop replicating and
-// take writes.
+// Follower pulls the leader's replication stream and applies it. Create
+// with Start, stop with Close, or Promote to stop replicating and take
+// writes.
 type Follower struct {
 	opts   Options
 	client *http.Client
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	shards []*shardState
+	path   string // durable cursor file
+
+	mu sync.Mutex
+	st Status
 
 	// applyHook, when non-nil, runs before each record is applied; an error
 	// aborts the batch with the cursor unadvanced. White-box crash-mid-batch
 	// tests inject failures here.
-	applyHook func(shard int, rec *wal.Record) error
+	applyHook func(rec *wal.Record) error
 
 	// onApply fires after a batch or reseed lands new state. The serving
 	// layer hooks its index rebuilder here, so a replica's index refits as
@@ -125,7 +116,7 @@ type Follower struct {
 }
 
 // SetOnApply registers a callback invoked after each applied batch and each
-// reseed. Safe to call while the pull loops run; only the latest callback
+// reseed. Safe to call while the pull loop runs; only the latest callback
 // fires.
 func (f *Follower) SetOnApply(fn func()) { f.onApply.Store(fn) }
 
@@ -135,12 +126,12 @@ func (f *Follower) notifyApply() {
 	}
 }
 
-// Start loads the durable cursors and launches one pull loop per shard.
+// Start loads the durable cursor and launches the pull loop.
 func Start(opts Options) (*Follower, error) {
 	return start(opts, nil)
 }
 
-func start(opts Options, hook func(int, *wal.Record) error) (*Follower, error) {
+func start(opts Options, hook func(*wal.Record) error) (*Follower, error) {
 	if opts.LeaderURL == "" {
 		return nil, fmt.Errorf("repl: follower needs a leader URL")
 	}
@@ -153,8 +144,8 @@ func start(opts Options, hook func(int, *wal.Record) error) (*Follower, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("repl: follower needs a cursor directory")
 	}
-	if len(opts.Appliers) == 0 {
-		return nil, fmt.Errorf("repl: follower needs at least one applier")
+	if opts.Applier == nil {
+		return nil, fmt.Errorf("repl: follower needs an applier")
 	}
 	if opts.PollWait <= 0 {
 		opts.PollWait = 25 * time.Second
@@ -168,42 +159,32 @@ func start(opts Options, hook func(int, *wal.Record) error) (*Follower, error) {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	f := &Follower{opts: opts, client: opts.Client, applyHook: hook}
+	f := &Follower{
+		opts:      opts,
+		client:    opts.Client,
+		path:      filepath.Join(opts.Dir, cursorName),
+		st:        Status{LagRecords: -1, LagBytes: -1},
+		applyHook: hook,
+	}
 	if f.client == nil {
 		// The transport timeout must outlive the long-poll window plus the
 		// transfer of one full batch.
 		f.client = &http.Client{Timeout: opts.PollWait + 30*time.Second}
 	}
+	if err := f.loadCursor(); err != nil {
+		return nil, err
+	}
 	f.ctx, f.cancel = context.WithCancel(context.Background())
-	for i, a := range opts.Appliers {
-		if a == nil {
-			f.cancel()
-			return nil, fmt.Errorf("repl: shard %d applier is nil", i)
-		}
-		s := &shardState{
-			idx:     i,
-			applier: a,
-			path:    filepath.Join(opts.Dir, fmt.Sprintf("repl-cursor-%03d.json", i)),
-			st:      ShardStatus{Shard: i, LagRecords: -1, LagBytes: -1},
-		}
-		if err := s.loadCursor(); err != nil {
-			f.cancel()
-			return nil, err
-		}
-		f.shards = append(f.shards, s)
-	}
 	f.registerMetrics()
-	for _, s := range f.shards {
-		f.wg.Add(1)
-		go f.run(s)
-	}
+	f.wg.Add(1)
+	go f.run()
 	return f, nil
 }
 
-// loadCursor restores the shard's durable cursor; a missing file means cold
-// (seed first).
-func (s *shardState) loadCursor() error {
-	b, err := os.ReadFile(s.path)
+// loadCursor restores the durable cursor; a missing file means cold (seed
+// first).
+func (f *Follower) loadCursor() error {
+	b, err := os.ReadFile(f.path)
 	if os.IsNotExist(err) {
 		return nil
 	}
@@ -212,24 +193,24 @@ func (s *shardState) loadCursor() error {
 	}
 	var cf cursorFile
 	if err := json.Unmarshal(b, &cf); err != nil {
-		return fmt.Errorf("repl: parsing %s: %w", s.path, err)
+		return fmt.Errorf("repl: parsing %s: %w", f.path, err)
 	}
-	s.st.Cursor, s.st.Seeded = cf.Cursor, cf.Seeded
+	f.st.Cursor, f.st.Seeded = cf.Cursor, cf.Seeded
 	return nil
 }
 
-// saveCursor durably persists the shard's cursor. Called only after a batch
-// (or reseed) is fully applied — the crash-recovery contract is that the
-// on-disk cursor never runs ahead of applied state.
-func (s *shardState) saveCursor(cur wal.Cursor) error {
-	return store.WriteFileAtomic(s.path, func(w io.Writer) error {
+// saveCursor durably persists the cursor. Called only after a batch (or
+// reseed) is fully applied — the crash-recovery contract is that the on-disk
+// cursor never runs ahead of applied state.
+func (f *Follower) saveCursor(cur wal.Cursor) error {
+	return store.WriteFileAtomic(f.path, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(cursorFile{Cursor: cur, Seeded: true})
 	})
 }
 
-// Close stops the pull loops and waits for them.
+// Close stops the pull loop and waits for it.
 func (f *Follower) Close() {
 	f.cancel()
 	f.wg.Wait()
@@ -244,32 +225,27 @@ func (f *Follower) Promote() {
 	f.opts.Logf("repl: follower %q promoted; replication stopped", f.opts.ID)
 }
 
-// Ready reports whether every shard is seeded and within the lag threshold —
-// the /readyz criterion for a follower.
+// Ready reports whether the follower is seeded and within the lag threshold
+// — the /readyz criterion for a follower.
 func (f *Follower) Ready() (bool, string) {
-	for _, s := range f.shards {
-		st := s.status()
-		if !st.Seeded {
-			return false, fmt.Sprintf("shard %d not seeded", st.Shard)
-		}
-		if st.LagRecords < 0 {
-			return false, fmt.Sprintf("shard %d has not completed a pull", st.Shard)
-		}
-		if st.LagRecords > f.opts.ReadyLagRecords {
-			return false, fmt.Sprintf("shard %d is %d records behind (threshold %d)",
-				st.Shard, st.LagRecords, f.opts.ReadyLagRecords)
-		}
+	st := f.Stats()
+	if !st.Seeded {
+		return false, "not seeded"
+	}
+	if st.LagRecords < 0 {
+		return false, "has not completed a pull"
+	}
+	if st.LagRecords > f.opts.ReadyLagRecords {
+		return false, fmt.Sprintf("%d records behind (threshold %d)", st.LagRecords, f.opts.ReadyLagRecords)
 	}
 	return true, ""
 }
 
-// Stats reports every shard's replication state.
-func (f *Follower) Stats() []ShardStatus {
-	out := make([]ShardStatus, len(f.shards))
-	for i, s := range f.shards {
-		out[i] = s.status()
-	}
-	return out
+// Stats reports the follower's replication state.
+func (f *Follower) Stats() Status {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.st
 }
 
 func (f *Follower) registerMetrics() {
@@ -277,19 +253,15 @@ func (f *Follower) registerMetrics() {
 	if reg == nil {
 		return
 	}
-	for _, s := range f.shards {
-		s := s
-		labels := []string{"shard", strconv.Itoa(s.idx)}
-		reg.GaugeFunc("repl_follower_lag_records",
-			"Records this follower is behind the leader, per shard (-1 before the first pull).",
-			func() float64 { return float64(s.status().LagRecords) }, labels...)
-		reg.CounterFunc("repl_follower_applied_total",
-			"Replicated records applied, per shard.",
-			func() float64 { return float64(s.status().Applied) }, labels...)
-		reg.CounterFunc("repl_follower_reseeds_total",
-			"Snapshot re-seeds this follower performed, per shard.",
-			func() float64 { return float64(s.status().Reseeds) }, labels...)
-	}
+	reg.GaugeFunc("repl_follower_lag_records",
+		"Records this follower is behind the leader (-1 before the first pull).",
+		func() float64 { return float64(f.Stats().LagRecords) })
+	reg.CounterFunc("repl_follower_applied_total",
+		"Replicated records applied.",
+		func() float64 { return float64(f.Stats().Applied) })
+	reg.CounterFunc("repl_follower_reseeds_total",
+		"Snapshot re-seeds this follower performed.",
+		func() float64 { return float64(f.Stats().Reseeds) })
 }
 
 // backoff is the retry pacing for transport and leader errors: exponential
@@ -319,13 +291,13 @@ func (b *backoff) next() time.Duration {
 
 func (b *backoff) reset() { b.d = 0 }
 
-// run is one shard's pull loop: seed if cold, then pull-apply-persist
-// forever, backing off on errors and re-seeding on 410.
-func (f *Follower) run(s *shardState) {
+// run is the pull loop: seed if cold, then pull-apply-persist forever,
+// backing off on errors and re-seeding on 410.
+func (f *Follower) run() {
 	defer f.wg.Done()
 	bo := newBackoff()
 	for f.ctx.Err() == nil {
-		err := f.step(s)
+		err := f.step()
 		if err == nil {
 			bo.reset()
 			continue
@@ -333,11 +305,11 @@ func (f *Follower) run(s *shardState) {
 		if f.ctx.Err() != nil {
 			return
 		}
-		s.mu.Lock()
-		s.st.LastError = err.Error()
-		s.mu.Unlock()
+		f.mu.Lock()
+		f.st.LastError = err.Error()
+		f.mu.Unlock()
 		d := bo.next()
-		f.opts.Logf("repl: shard %d: %v (retrying in %v)", s.idx, err, d.Round(time.Millisecond))
+		f.opts.Logf("repl: %v (retrying in %v)", err, d.Round(time.Millisecond))
 		select {
 		case <-f.ctx.Done():
 			return
@@ -346,18 +318,15 @@ func (f *Follower) run(s *shardState) {
 	}
 }
 
-// step performs one protocol round for the shard: a snapshot seed when cold,
-// otherwise one pull (which may long-poll at the leader) plus the batch
-// application and cursor persist.
-func (f *Follower) step(s *shardState) error {
-	s.mu.Lock()
-	seeded := s.st.Seeded
-	cur := s.st.Cursor
-	s.mu.Unlock()
-	if !seeded {
-		return f.reseed(s)
+// step performs one protocol round: a snapshot seed when cold, otherwise one
+// pull (which may long-poll at the leader) plus the batch application and
+// cursor persist.
+func (f *Follower) step() error {
+	st := f.Stats()
+	if !st.Seeded {
+		return f.reseed()
 	}
-	return f.pull(s, cur)
+	return f.pull(st.Cursor)
 }
 
 // get issues one authenticated GET against the leader.
@@ -396,38 +365,24 @@ func cursorFromHeaders(h http.Header) (wal.Cursor, error) {
 	return cur, nil
 }
 
-// checkShards cross-checks the leader's shard count against ours.
-func (f *Follower) checkShards(h http.Header) error {
-	v := h.Get(HeaderShards)
-	if v == "" {
-		return nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n != len(f.shards) {
-		return fmt.Errorf("repl: leader has %s shards, follower has %d — topology mismatch", v, len(f.shards))
-	}
-	return nil
-}
-
-// lagFromHeaders updates the shard's lag view from a leader response.
-func (s *shardState) lagFromHeaders(h http.Header) {
+// lagFromHeaders updates the lag view from a leader response.
+func (f *Follower) lagFromHeaders(h http.Header) {
 	recs, err1 := strconv.ParseInt(h.Get(HeaderLagRecords), 10, 64)
 	bts, err2 := strconv.ParseInt(h.Get(HeaderLagBytes), 10, 64)
 	if err1 != nil || err2 != nil {
 		return
 	}
-	s.mu.Lock()
-	s.st.LagRecords, s.st.LagBytes = recs, bts
-	s.mu.Unlock()
+	f.mu.Lock()
+	f.st.LagRecords, f.st.LagBytes = recs, bts
+	f.mu.Unlock()
 }
 
 // pull fetches and applies one batch from cur. Requesting cur is also the
 // durability acknowledgement for everything before it — the leader releases
 // its pin up to cur.
-func (f *Follower) pull(s *shardState, cur wal.Cursor) error {
+func (f *Follower) pull(cur wal.Cursor) error {
 	q := url.Values{
 		"follower": {f.opts.ID},
-		"shard":    {strconv.Itoa(s.idx)},
 		"segment":  {strconv.FormatUint(cur.Segment, 10)},
 		"offset":   {strconv.FormatInt(cur.Offset, 10)},
 		"epoch":    {strconv.FormatUint(cur.Epoch, 10)},
@@ -441,9 +396,6 @@ func (f *Follower) pull(s *shardState, cur wal.Cursor) error {
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		if err := f.checkShards(resp.Header); err != nil {
-			return err
-		}
 		next, err := cursorFromHeaders(resp.Header)
 		if err != nil {
 			return err
@@ -454,35 +406,32 @@ func (f *Follower) pull(s *shardState, cur wal.Cursor) error {
 		if err != nil {
 			return fmt.Errorf("repl: reading batch: %w", err)
 		}
-		applied, err := f.applyBatch(s, body)
+		applied, err := f.applyBatch(body)
 		if err != nil {
 			return err
 		}
-		if err := s.saveCursor(next); err != nil {
+		if err := f.saveCursor(next); err != nil {
 			return err
 		}
-		s.mu.Lock()
-		s.st.Cursor, s.st.Seeded = next, true
-		s.st.Applied += uint64(applied)
-		s.st.LastError = ""
-		s.mu.Unlock()
-		s.lagFromHeaders(resp.Header)
+		f.mu.Lock()
+		f.st.Cursor, f.st.Seeded = next, true
+		f.st.Applied += uint64(applied)
+		f.st.LastError = ""
+		f.mu.Unlock()
+		f.lagFromHeaders(resp.Header)
 		if applied > 0 {
 			f.notifyApply()
 		}
 		return nil
 	case http.StatusNoContent:
-		if err := f.checkShards(resp.Header); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.st.LastError = ""
-		s.mu.Unlock()
-		s.lagFromHeaders(resp.Header)
+		f.mu.Lock()
+		f.st.LastError = ""
+		f.mu.Unlock()
+		f.lagFromHeaders(resp.Header)
 		return nil
 	case http.StatusGone:
-		f.opts.Logf("repl: shard %d cursor behind the leader's horizon; re-seeding", s.idx)
-		return f.reseed(s)
+		f.opts.Logf("repl: cursor behind the leader's horizon; re-seeding")
+		return f.reseed()
 	default:
 		return leaderError(resp)
 	}
@@ -491,7 +440,7 @@ func (f *Follower) pull(s *shardState, cur wal.Cursor) error {
 // applyBatch applies every framed record in body, in order. A failure
 // anywhere leaves the cursor unadvanced; re-applying the whole batch later
 // is safe because application is idempotent.
-func (f *Follower) applyBatch(s *shardState, body []byte) (int, error) {
+func (f *Follower) applyBatch(body []byte) (int, error) {
 	rd := bytes.NewReader(body)
 	applied := 0
 	var rec wal.Record
@@ -507,35 +456,28 @@ func (f *Follower) applyBatch(s *shardState, body []byte) (int, error) {
 			return applied, err
 		}
 		if f.applyHook != nil {
-			if err := f.applyHook(s.idx, &rec); err != nil {
+			if err := f.applyHook(&rec); err != nil {
 				return applied, err
 			}
 		}
-		if err := s.applier.ApplyRecord(f.ctx, &rec); err != nil {
+		if err := f.opts.Applier.ApplyRecord(f.ctx, &rec); err != nil {
 			return applied, fmt.Errorf("repl: applying %s %q: %w", rec.Type, rec.Key, err)
 		}
 		applied++
 	}
 }
 
-// reseed pulls the leader's newest checkpoint snapshot, converges the shard
-// onto it, and persists the snapshot's cursor. Used on cold start and
-// whenever the leader answers 410.
-func (f *Follower) reseed(s *shardState) error {
-	q := url.Values{
-		"follower": {f.opts.ID},
-		"shard":    {strconv.Itoa(s.idx)},
-	}
-	resp, err := f.get("/v1/repl/snapshot", q)
+// reseed pulls the leader's newest checkpoint snapshot, converges the
+// applier onto it, and persists the snapshot's cursor. Used on cold start
+// and whenever the leader answers 410.
+func (f *Follower) reseed() error {
+	resp, err := f.get("/v1/repl/snapshot", url.Values{"follower": {f.opts.ID}})
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return leaderError(resp)
-	}
-	if err := f.checkShards(resp.Header); err != nil {
-		return err
 	}
 	cur, err := cursorFromHeaders(resp.Header)
 	if err != nil {
@@ -545,21 +487,21 @@ func (f *Follower) reseed(s *shardState) error {
 	if resp.Header.Get(HeaderSnapshot) == "none" {
 		body = nil
 	}
-	installed, removed, err := s.applier.ReseedFromSnapshot(f.ctx, body)
+	installed, removed, err := f.opts.Applier.ReseedFromSnapshot(f.ctx, body)
 	if err != nil {
-		return fmt.Errorf("repl: reseeding shard %d: %w", s.idx, err)
+		return fmt.Errorf("repl: reseeding: %w", err)
 	}
-	if err := s.saveCursor(cur); err != nil {
+	if err := f.saveCursor(cur); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.st.Cursor, s.st.Seeded = cur, true
-	s.st.Reseeds++
-	s.st.LastError = ""
-	s.mu.Unlock()
-	s.lagFromHeaders(resp.Header)
+	f.mu.Lock()
+	f.st.Cursor, f.st.Seeded = cur, true
+	f.st.Reseeds++
+	f.st.LastError = ""
+	f.mu.Unlock()
+	f.lagFromHeaders(resp.Header)
 	f.notifyApply()
-	f.opts.Logf("repl: shard %d reseeded from leader snapshot (%d installed, %d removed), resuming at segment %d",
-		s.idx, installed, removed, cur.Segment)
+	f.opts.Logf("repl: reseeded from leader snapshot (%d installed, %d removed), resuming at segment %d",
+		installed, removed, cur.Segment)
 	return nil
 }

@@ -1,13 +1,16 @@
 // Package repl replicates a durable library from one leader to N read
 // replicas by shipping the leader's write-ahead log. The leader side (Hub)
-// exports each shard's WAL over two long-poll HTTP endpoints; the follower
+// exports the library's WAL over two long-poll HTTP endpoints; the follower
 // side (Follower) pulls framed batches, applies the typed records through
 // the same incremental mutation paths the leader used, and journals them
 // into its own WAL — so a follower is itself durable, crash-recoverable,
 // and promotable to a write-accepting leader the moment the old one dies.
+// A library has one log however many in-memory shards it runs, so there is
+// one stream, and the two sides' shard counts are independent: the follower
+// routes each record to whichever of its own shards owns the key.
 //
 // The protocol is deliberately dumb: a follower's whole state is one durable
-// cursor per shard — (segment, offset, epoch) in the leader's log — persisted
+// cursor — (segment, offset, epoch) in the leader's log — persisted
 // only after a batch is fully applied. Pulling from cursor C doubles as the
 // durability acknowledgement for everything before C, which is what lets the
 // leader's compaction and checkpoint pruning advance past shipped log (see
@@ -44,10 +47,6 @@ const (
 	HeaderEpoch      = "X-Repl-Epoch"
 	HeaderLagRecords = "X-Repl-Lag-Records"
 	HeaderLagBytes   = "X-Repl-Lag-Bytes"
-	// HeaderShards is the leader's shard count; a follower cross-checks it
-	// against its own applier count so a topology mismatch fails loudly
-	// instead of interleaving shards wrongly.
-	HeaderShards = "X-Repl-Shards"
 	// HeaderSnapshot on a snapshot response is "full" when a checkpoint body
 	// follows and "none" when the leader has never checkpointed (the log
 	// alone is the full history).
@@ -62,70 +61,37 @@ const (
 	maxPullWait       = 55 * time.Second
 )
 
-// Hub is the leader side: one HTTP-facing exporter over the per-shard WAL
-// engines. The server routes /v1/repl/pull and /v1/repl/snapshot here after
+// Hub is the leader side: the HTTP-facing exporter of the library's WAL
+// engine. The server routes /v1/repl/pull and /v1/repl/snapshot here after
 // authentication; the Hub owns everything protocol-level below that.
 type Hub struct {
-	engines []*wal.Engine
-	reg     *metrics.Registry
-	logf    func(string, ...any)
+	eng  *wal.Engine
+	reg  *metrics.Registry
+	logf func(string, ...any)
 
 	mu     sync.Mutex
-	gauges map[string]bool // (follower, shard) pairs with registered lag gauges
+	gauges map[string]bool // followers with registered lag gauges
 }
 
-// NewHub builds the leader-side exporter over one WAL engine per shard.
-// Every engine must be non-nil: replication is only meaningful on a durable
+// NewHub builds the leader-side exporter over the library's WAL engine,
+// which must be non-nil: replication is only meaningful on a durable
 // library.
-func NewHub(engines []*wal.Engine, reg *metrics.Registry, logf func(string, ...any)) (*Hub, error) {
-	if len(engines) == 0 {
-		return nil, fmt.Errorf("repl: no engines")
-	}
-	for i, e := range engines {
-		if e == nil {
-			return nil, fmt.Errorf("repl: shard %d has no WAL engine (library not durable)", i)
-		}
+func NewHub(eng *wal.Engine, reg *metrics.Registry, logf func(string, ...any)) (*Hub, error) {
+	if eng == nil {
+		return nil, fmt.Errorf("repl: no WAL engine (library not durable)")
 	}
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Hub{engines: engines, reg: reg, logf: logf, gauges: map[string]bool{}}, nil
+	return &Hub{eng: eng, reg: reg, logf: logf, gauges: map[string]bool{}}, nil
 }
 
-// Shards is the leader's shard count (one replication stream each).
-func (h *Hub) Shards() int { return len(h.engines) }
+// MaxLag is the worst attached follower's backlog — the signal the leader's
+// write path sheds on when replication lag exceeds its budget.
+func (h *Hub) MaxLag() (records, bytes int64) { return h.eng.MaxPinLag() }
 
-// MaxLag is the worst attached follower's backlog across every shard — the
-// signal the leader's write path sheds on when replication lag exceeds its
-// budget.
-func (h *Hub) MaxLag() (records, bytes int64) {
-	for _, e := range h.engines {
-		r, b := e.MaxPinLag()
-		if r > records {
-			records = r
-		}
-		if b > bytes {
-			bytes = b
-		}
-	}
-	return records, bytes
-}
-
-// ShardPins is one shard's attached followers, for /v1/stats.
-type ShardPins struct {
-	Shard     int            `json:"shard"`
-	Followers []wal.PinStats `json:"followers"`
-}
-
-// Stats reports every shard's attached followers (shards with none are
-// included with an empty list, so the view always shows the topology).
-func (h *Hub) Stats() []ShardPins {
-	out := make([]ShardPins, len(h.engines))
-	for i, e := range h.engines {
-		out[i] = ShardPins{Shard: i, Followers: e.Pins()}
-	}
-	return out
-}
+// Stats reports the attached followers, for /v1/stats.
+func (h *Hub) Stats() []wal.PinStats { return h.eng.Pins() }
 
 // validateFollowerID bounds follower identifiers: they become file-adjacent
 // label values and log fields, so keep them to a tame charset.
@@ -156,27 +122,16 @@ func writeErr(w http.ResponseWriter, status int, msg string) {
 // pullParams is one parsed pull request.
 type pullParams struct {
 	follower string
-	shard    int
 	cur      wal.Cursor
 	wait     time.Duration
 	max      int64
 }
 
-func (h *Hub) parsePull(r *http.Request) (pullParams, error) {
+func parsePull(r *http.Request) (pullParams, error) {
 	q := r.URL.Query()
 	p := pullParams{follower: q.Get("follower"), max: defaultBatchBytes}
 	if err := validateFollowerID(p.follower); err != nil {
 		return p, err
-	}
-	if v := q.Get("shard"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return p, fmt.Errorf("repl: bad shard %q", v)
-		}
-		p.shard = n
-	}
-	if p.shard < 0 || p.shard >= len(h.engines) {
-		return p, fmt.Errorf("repl: shard %d outside [0,%d)", p.shard, len(h.engines))
 	}
 	var err error
 	if v := q.Get("segment"); v != "" {
@@ -214,14 +169,13 @@ func (h *Hub) parsePull(r *http.Request) (pullParams, error) {
 }
 
 // setCursorHeaders stamps the response with a cursor plus the follower's
-// remaining backlog on this shard's engine.
-func (h *Hub) setCursorHeaders(w http.ResponseWriter, eng *wal.Engine, follower string, cur wal.Cursor) {
+// remaining backlog.
+func (h *Hub) setCursorHeaders(w http.ResponseWriter, follower string, cur wal.Cursor) {
 	hd := w.Header()
 	hd.Set(HeaderSegment, strconv.FormatUint(cur.Segment, 10))
 	hd.Set(HeaderOffset, strconv.FormatInt(cur.Offset, 10))
 	hd.Set(HeaderEpoch, strconv.FormatUint(cur.Epoch, 10))
-	hd.Set(HeaderShards, strconv.Itoa(len(h.engines)))
-	for _, p := range eng.Pins() {
+	for _, p := range h.eng.Pins() {
 		if p.ID == follower {
 			hd.Set(HeaderLagRecords, strconv.FormatInt(p.LagRecords, 10))
 			hd.Set(HeaderLagBytes, strconv.FormatInt(p.LagBytes, 10))
@@ -231,7 +185,7 @@ func (h *Hub) setCursorHeaders(w http.ResponseWriter, eng *wal.Engine, follower 
 }
 
 // ServePull answers GET /v1/repl/pull: ship the framed records between the
-// follower's cursor and the shard's durable tip. 200 carries a batch and the
+// follower's cursor and the log's durable tip. 200 carries a batch and the
 // next cursor; 204 means the follower is at the tip and the long-poll window
 // elapsed; 410 Gone means the log cannot serve the cursor any more and the
 // follower must re-seed from a snapshot.
@@ -240,12 +194,12 @@ func (h *Hub) ServePull(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	p, err := h.parsePull(r)
+	p, err := parsePull(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	eng := h.engines[p.shard]
+	eng := h.eng
 	sp := trace.StartSpan(r.Context(), "repl.ship")
 	defer sp.End()
 
@@ -271,7 +225,7 @@ func (h *Hub) ServePull(w http.ResponseWriter, r *http.Request) {
 				writeErr(w, http.StatusInternalServerError, aerr.Error())
 				return
 			}
-			h.ensureLagGauges(p.follower, p.shard, eng)
+			h.ensureLagGauges(p.follower)
 			cur = ac // a zero cursor attaches at the oldest live segment
 			attached = true
 			continue
@@ -286,7 +240,7 @@ func (h *Hub) ServePull(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if len(batch) > 0 {
-			h.setCursorHeaders(w, eng, p.follower, next)
+			h.setCursorHeaders(w, p.follower, next)
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.WriteHeader(http.StatusOK)
 			_, _ = w.Write(batch)
@@ -296,7 +250,7 @@ func (h *Hub) ServePull(w http.ResponseWriter, r *http.Request) {
 		// arrives, the long-poll window elapses, or the client hangs up.
 		remain := time.Until(deadline)
 		if remain <= 0 {
-			h.setCursorHeaders(w, eng, p.follower, cur)
+			h.setCursorHeaders(w, p.follower, cur)
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
@@ -309,7 +263,7 @@ func (h *Hub) ServePull(w http.ResponseWriter, r *http.Request) {
 		}
 		timer.Stop()
 		if r.Context().Err() != nil {
-			h.setCursorHeaders(w, eng, p.follower, cur)
+			h.setCursorHeaders(w, p.follower, cur)
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
@@ -331,24 +285,10 @@ func (h *Hub) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	shard := 0
-	if v := q.Get("shard"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Sprintf("repl: bad shard %q", v))
-			return
-		}
-		shard = n
-	}
-	if shard < 0 || shard >= len(h.engines) {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("repl: shard %d outside [0,%d)", shard, len(h.engines)))
-		return
-	}
-	eng := h.engines[shard]
 	sp := trace.StartSpan(r.Context(), "repl.seed")
 	defer sp.End()
 
-	rc, cur, err := eng.Seed(follower)
+	rc, cur, err := h.eng.Seed(follower)
 	if err != nil {
 		if errors.Is(err, wal.ErrClosed) {
 			writeErr(w, http.StatusServiceUnavailable, err.Error())
@@ -357,8 +297,8 @@ func (h *Hub) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	h.ensureLagGauges(follower, shard, eng)
-	h.setCursorHeaders(w, eng, follower, cur)
+	h.ensureLagGauges(follower)
+	h.setCursorHeaders(w, follower, cur)
 	if rc == nil {
 		w.Header().Set(HeaderSnapshot, "none")
 		w.WriteHeader(http.StatusOK)
@@ -373,28 +313,26 @@ func (h *Hub) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 		// follower's reseed will fail to parse and retry.
 		h.logf("repl: streaming snapshot to %q: %v", follower, err)
 	}
-	h.logf("repl: follower %q seeded shard %d at segment %d", follower, shard, cur.Segment)
+	h.logf("repl: follower %q seeded at segment %d", follower, cur.Segment)
 }
 
 // ensureLagGauges registers the per-follower lag gauges on first sight of a
-// (follower, shard) pair. GaugeFunc re-registration replaces the callback,
-// so a follower re-attaching after a leader restart simply re-binds.
-func (h *Hub) ensureLagGauges(follower string, shard int, eng *wal.Engine) {
+// follower. GaugeFunc re-registration replaces the callback, so a follower
+// re-attaching after a leader restart simply re-binds.
+func (h *Hub) ensureLagGauges(follower string) {
 	if h.reg == nil {
 		return
 	}
-	key := follower + "\x00" + strconv.Itoa(shard)
 	h.mu.Lock()
-	seen := h.gauges[key]
-	h.gauges[key] = true
+	seen := h.gauges[follower]
+	h.gauges[follower] = true
 	h.mu.Unlock()
 	if seen {
 		return
 	}
-	labels := []string{"follower", follower, "shard", strconv.Itoa(shard)}
 	pinLag := func(sel func(wal.PinStats) int64) func() float64 {
 		return func() float64 {
-			for _, p := range eng.Pins() {
+			for _, p := range h.eng.Pins() {
 				if p.ID == follower {
 					return float64(sel(p))
 				}
@@ -403,9 +341,9 @@ func (h *Hub) ensureLagGauges(follower string, shard int, eng *wal.Engine) {
 		}
 	}
 	h.reg.GaugeFunc("repl_lag_records",
-		"Unshipped WAL records an attached follower is behind, per follower and shard.",
-		pinLag(func(p wal.PinStats) int64 { return p.LagRecords }), labels...)
+		"Unshipped WAL records an attached follower is behind.",
+		pinLag(func(p wal.PinStats) int64 { return p.LagRecords }), "follower", follower)
 	h.reg.GaugeFunc("repl_lag_bytes",
-		"Unshipped WAL bytes an attached follower is behind, per follower and shard.",
-		pinLag(func(p wal.PinStats) int64 { return p.LagBytes }), labels...)
+		"Unshipped WAL bytes an attached follower is behind.",
+		pinLag(func(p wal.PinStats) int64 { return p.LagBytes }), "follower", follower)
 }

@@ -1,18 +1,24 @@
 package repl
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"classminer"
+	"classminer/internal/shard"
 	"classminer/internal/store"
 	"classminer/internal/wal"
 )
@@ -82,7 +88,7 @@ func newLeader(t testing.TB) (*wal.Engine, *httptest.Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Close() })
-	hub, err := NewHub([]*wal.Engine{eng}, nil, nil)
+	hub, err := NewHub(eng, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +129,12 @@ func waitFor(t testing.TB, what string, cond func() bool) {
 }
 
 // followerOpts is the fast-cycling baseline every test starts from.
-func followerOpts(leaderURL, dir string, appliers ...Applier) Options {
+func followerOpts(leaderURL, dir string, applier Applier) Options {
 	return Options{
 		LeaderURL: leaderURL,
 		ID:        "test-follower",
 		Dir:       dir,
-		Appliers:  appliers,
+		Applier:   applier,
 		PollWait:  100 * time.Millisecond,
 	}
 }
@@ -185,7 +191,7 @@ func TestFollowerAppliesAndResumes(t *testing.T) {
 	// has returned, after the applier saw its last key: wait, don't sample.
 	waitFor(t, "lag to settle", func() bool {
 		st := f2.Stats()
-		return len(st) == 1 && st[0].LagRecords == 0 && st[0].Seeded
+		return st.LagRecords == 0 && st.Seeded
 	})
 }
 
@@ -206,7 +212,7 @@ func TestFollowerCrashMidBatchResumes(t *testing.T) {
 	fa := &fakeApplier{}
 	// The hook rejects k3 every time: the batch aborts after k0..k2 with
 	// the cursor left where it was.
-	f, err := start(followerOpts(ts.URL, dir, fa), func(_ int, rec *wal.Record) error {
+	f, err := start(followerOpts(ts.URL, dir, fa), func(rec *wal.Record) error {
 		if rec.Key == "k3" {
 			return fmt.Errorf("injected crash before %s", rec.Key)
 		}
@@ -216,10 +222,7 @@ func TestFollowerCrashMidBatchResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "partial batch", func() bool { return len(fa.keys()) >= 3 })
-	waitFor(t, "abort surfaced", func() bool {
-		st := f.Stats()
-		return len(st) == 1 && st[0].LastError != ""
-	})
+	waitFor(t, "abort surfaced", func() bool { return f.Stats().LastError != "" })
 	f.Close() // the "crash": cursor on disk still predates the batch
 
 	fb := &fakeApplier{}
@@ -289,28 +292,42 @@ func TestFollowerReseedsOn410(t *testing.T) {
 	}
 }
 
-// TestShardTopologyMismatchFailsLoudly starts a two-applier follower
-// against a one-shard leader and verifies the mismatch is surfaced as a
-// persistent error instead of interleaving shards wrongly.
-func TestShardTopologyMismatchFailsLoudly(t *testing.T) {
+// TestFollowerResumesParentCursorFile: the single stream keeps the cursor
+// file of what used to be stream 0, so a one-shard follower dir written
+// before there was one stream — the file below is that build's, byte for
+// byte — resumes from its cursor: no reseed, nothing re-applied.
+func TestFollowerResumesParentCursorFile(t *testing.T) {
 	eng, ts := newLeader(t)
-	appendTyped(t, eng, wal.RecordRegister, "k0")
+	var off int64
+	for i := 0; i < 4; i++ {
+		key := fmt.Sprintf("k%d", i)
+		appendTyped(t, eng, wal.RecordRegister, key)
+		frame, err := wal.EncodeRecord(wal.RecordRegister, key, []byte(fmt.Sprintf(`{"key":%q}`, key)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		off += int64(len(frame)) + wal.FrameOverhead
+	}
+	dir := t.TempDir()
+	cursor := fmt.Sprintf("{\n  \"cursor\": {\n    \"segment\": 1,\n    \"offset\": %d,\n    \"epoch\": 0\n  },\n  \"seeded\": true\n}\n", off)
+	if err := os.WriteFile(filepath.Join(dir, "repl-cursor-000.json"), []byte(cursor), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	appendTyped(t, eng, wal.RecordTombstone, "k1")
+	appendTyped(t, eng, wal.RecordRegister, "k4")
 
-	f, err := Start(followerOpts(ts.URL, t.TempDir(), &fakeApplier{}, &fakeApplier{}))
+	fa := &fakeApplier{}
+	f, err := Start(followerOpts(ts.URL, dir, fa))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	waitFor(t, "topology error", func() bool {
-		for _, st := range f.Stats() {
-			if st.LastError != "" {
-				return true
-			}
-		}
-		return false
-	})
-	if ok, why := f.Ready(); ok {
-		t.Fatalf("mismatched follower reported ready (%s)", why)
+	waitFor(t, "resume from the old cursor", func() bool { return len(fa.keys()) == 2 })
+	if got := fa.keys(); !reflect.DeepEqual(got, []string{"k1", "k4"}) {
+		t.Fatalf("resumed keys = %v, want [k1 k4]", got)
+	}
+	if fa.reseedCount() != 0 {
+		t.Fatalf("resume reseeded %d times, want 0", fa.reseedCount())
 	}
 }
 
@@ -318,11 +335,10 @@ func TestShardTopologyMismatchFailsLoudly(t *testing.T) {
 func TestStartValidatesOptions(t *testing.T) {
 	base := followerOpts("http://localhost:0", t.TempDir(), &fakeApplier{})
 	for name, mut := range map[string]func(*Options){
-		"no leader":   func(o *Options) { o.LeaderURL = "" },
-		"bad id":      func(o *Options) { o.ID = "no spaces allowed" },
-		"no dir":      func(o *Options) { o.Dir = "" },
-		"no appliers": func(o *Options) { o.Appliers = nil },
-		"nil applier": func(o *Options) { o.Appliers = []Applier{nil} },
+		"no leader":  func(o *Options) { o.LeaderURL = "" },
+		"bad id":     func(o *Options) { o.ID = "no spaces allowed" },
+		"no dir":     func(o *Options) { o.Dir = "" },
+		"no applier": func(o *Options) { o.Applier = nil },
 	} {
 		o := base
 		mut(&o)
@@ -389,7 +405,7 @@ func TestRealLibraryFollowerConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer leader.Close()
-	hub, err := NewHub([]*wal.Engine{leader.Engine()}, nil, nil)
+	hub, err := NewHub(leader.Engine(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,5 +492,167 @@ func TestRealLibraryFollowerConverges(t *testing.T) {
 		if !reflect.DeepEqual(lh, fh) {
 			t.Fatalf("query %d diverged:\nleader:   %+v\nfollower: %+v", q, lh, fh)
 		}
+	}
+}
+
+// sameVideos reports whether two routers hold the same videos with the same
+// stored results (compared as their re-encoded bytes).
+func sameVideos(t testing.TB, a, b *shard.Library) bool {
+	t.Helper()
+	names := a.VideoNames()
+	if !reflect.DeepEqual(names, b.VideoNames()) {
+		return false
+	}
+	encode := func(l *shard.Library, name string) []byte {
+		saved, err := store.EncodeResult(l.Video(name).Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(saved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	for _, name := range names {
+		if !bytes.Equal(encode(a, name), encode(b, name)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRealLibraryFollowerAcrossShardCounts is TestRealLibraryFollowerConverges
+// between routers that run different shard counts: the leader has one log
+// whatever its count, and the follower routes every record, and splits a
+// reseed snapshot, by its own placement. After registers, a delete and a
+// replace over the live stream, and more of each across a forced 410 reseed,
+// both sides hold the same videos and rank the whole corpus identically.
+func TestRealLibraryFollowerAcrossShardCounts(t *testing.T) {
+	a, err := classminer.NewAnalyzer(classminer.Options{SkipEvents: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wopts := classminer.DurableOptions{CheckpointBytes: -1, CheckpointRecords: -1, CompactBytes: -1}
+	admin := classminer.User{Name: "root", Clearance: classminer.Administrator}
+	for _, tc := range []struct{ leaderN, followerN int }{{4, 1}, {1, 4}} {
+		t.Run(fmt.Sprintf("leader-%d-follower-%d", tc.leaderN, tc.followerN), func(t *testing.T) {
+			leader, err := shard.Recover(t.TempDir(), tc.leaderN, a, wopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer leader.Close()
+			hub, err := NewHub(leader.Engine(), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// pulls counts the pull handlers still running, so the test can
+			// tell when a stopped follower's last long-poll has left the leader.
+			var pulls atomic.Int64
+			mux := http.NewServeMux()
+			mux.HandleFunc("/v1/repl/pull", func(w http.ResponseWriter, r *http.Request) {
+				pulls.Add(1)
+				defer pulls.Add(-1)
+				hub.ServePull(w, r)
+			})
+			mux.HandleFunc("/v1/repl/snapshot", hub.ServeSnapshot)
+			ts := httptest.NewServer(mux)
+			defer ts.Close()
+
+			shots := 0
+			put := func(name string, seed int64, replace bool) {
+				t.Helper()
+				res, err := store.DecodeResult(tinySaved(name, seed, 3+int(seed)%3))
+				if err != nil {
+					t.Fatal(err)
+				}
+				shots += len(res.Shots) // an upper bound is all k needs
+				if replace {
+					err = leader.ReplaceResultAsCtx(context.Background(), admin, res, "medicine")
+				} else {
+					err = leader.AddResult(res, "medicine")
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			drop := func(name string) {
+				t.Helper()
+				if err := leader.DeleteVideo(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 8; i++ {
+				put(fmt.Sprintf("vid-%02d", i), int64(i), false)
+			}
+
+			fdir := t.TempDir() // data dir and cursor dir, as in the daemon
+			flib, err := shard.Recover(fdir, tc.followerN, a, wopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer flib.Close()
+			f, err := Start(followerOpts(ts.URL, fdir, flib))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "cold catch-up", func() bool { return sameVideos(t, leader, flib) })
+			drop("vid-01")
+			put("vid-03", 93, true)
+			put("vid-08", 8, false)
+			waitFor(t, "live stream", func() bool { return sameVideos(t, leader, flib) })
+
+			// The leader moves on without the follower and checkpoints: the
+			// segments the follower's cursor points into are pruned, so its
+			// next pull is answered 410 and it reseeds from a snapshot that
+			// holds every leader shard's videos. (A pull still parked at the
+			// leader would re-attach the pin the moment it woke.)
+			f.Close()
+			waitFor(t, "the stopped follower's pull to leave the leader", func() bool { return pulls.Load() == 0 })
+			leader.Engine().Detach("test-follower")
+			drop("vid-02")
+			put("vid-04", 94, true)
+			put("vid-09", 9, false)
+			if err := leader.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			drop("vid-05")
+			put("vid-10", 10, false)
+			f2, err := Start(followerOpts(ts.URL, fdir, flib))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f2.Close()
+			waitFor(t, "reseed + tail", func() bool { return sameVideos(t, leader, flib) })
+			if got := f2.Stats().Reseeds; got != 1 {
+				t.Fatalf("follower reseeded %d times after the 410, want 1", got)
+			}
+
+			if err := leader.BuildIndex(); err != nil {
+				t.Fatal(err)
+			}
+			if err := flib.BuildIndex(); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(42))
+			for q := 0; q < 5; q++ {
+				query := make([]float64, 12)
+				for i := range query {
+					query[i] = rng.Float64()
+				}
+				lh, _, err := leader.Search(admin, query, shots)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fh, _, err := flib.Search(admin, query, shots)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(lh) != leader.Size() || !reflect.DeepEqual(lh, fh) {
+					t.Fatalf("query %d diverged (%d and %d hits of %d shots):\nleader:   %+v\nfollower: %+v",
+						q, len(lh), len(fh), leader.Size(), lh, fh)
+				}
+			}
+		})
 	}
 }

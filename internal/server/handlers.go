@@ -71,8 +71,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // /healthz answers "the process is up" and must never fail while the server
 // can respond at all, while /readyz answers "route traffic here". A leader
 // is ready as soon as it serves (recovery completes before the listener
-// opens); a follower is ready only once every shard is seeded and within
-// the configured replication-lag threshold. Load balancers and the failover
+// opens); a follower is ready only once it is seeded and within the
+// configured replication-lag threshold. Load balancers and the failover
 // runbook key off this endpoint.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	resp := map[string]any{
@@ -125,7 +125,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			rs["maxLagBytes"] = bts
 		}
 		if f := s.opts.Follower; f != nil && s.isFollower() {
-			rs["shards"] = f.Stats()
+			rs["stream"] = f.Stats()
 		}
 		stats["repl"] = rs
 	}

@@ -51,7 +51,7 @@ type replPair struct {
 func newReplPair(t testing.TB, leaderReg, followerReg *metrics.Registry) *replPair {
 	t.Helper()
 	p := &replPair{leaderLib: newDurableLib(t)}
-	hub, err := repl.NewHub([]*wal.Engine{p.leaderLib.Engine()}, leaderReg, nil)
+	hub, err := repl.NewHub(p.leaderLib.Engine(), leaderReg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func newReplPair(t testing.TB, leaderReg, followerReg *metrics.Registry) *replPa
 		Token:     "admin-tok",
 		ID:        "replica-1",
 		Dir:       t.TempDir(),
-		Appliers:  []repl.Applier{p.followerLib},
+		Applier:   p.followerLib,
 		PollWait:  100 * time.Millisecond,
 		Metrics:   followerReg,
 	})
@@ -96,13 +96,8 @@ func (p *replPair) waitConverged(t testing.TB) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		drained := true
-		for _, st := range p.follower.Stats() {
-			if !st.Seeded || st.LagRecords != 0 {
-				drained = false
-			}
-		}
-		if drained && reflect.DeepEqual(p.followerLib.VideoNames(), p.leaderLib.VideoNames()) {
+		st := p.follower.Stats()
+		if st.Seeded && st.LagRecords == 0 && reflect.DeepEqual(p.followerLib.VideoNames(), p.leaderLib.VideoNames()) {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -176,32 +171,31 @@ func TestFailoverPromoteFollower(t *testing.T) {
 	// Replication lag is observable per follower on the leader…
 	var stats struct {
 		Repl struct {
-			Role          string             `json:"role"`
-			Followers     []repl.ShardPins   `json:"followers"`
-			MaxLagRecords int64              `json:"maxLagRecords"`
-			Shards        []repl.ShardStatus `json:"shards"`
+			Role          string         `json:"role"`
+			Followers     []wal.PinStats `json:"followers"`
+			MaxLagRecords int64          `json:"maxLagRecords"`
+			Stream        *repl.Status   `json:"stream"`
 		} `json:"repl"`
 	}
 	if code := do(t, p.leader, http.MethodGet, "/v1/stats", "admin-tok", nil, &stats); code != http.StatusOK {
 		t.Fatalf("leader stats = %d", code)
 	}
-	if stats.Repl.Role != "leader" || len(stats.Repl.Followers) != 1 ||
-		len(stats.Repl.Followers[0].Followers) != 1 || stats.Repl.Followers[0].Followers[0].ID != "replica-1" {
+	if stats.Repl.Role != "leader" || len(stats.Repl.Followers) != 1 || stats.Repl.Followers[0].ID != "replica-1" {
 		t.Fatalf("leader repl stats = %+v", stats.Repl)
 	}
 	lm := doRaw(t, p.leader, http.MethodGet, "/metrics", "admin-tok", nil)
-	if lm.Code != http.StatusOK || !strings.Contains(lm.Body.String(), `repl_lag_records{follower="replica-1",shard="0"}`) {
+	if lm.Code != http.StatusOK || !strings.Contains(lm.Body.String(), `repl_lag_records{follower="replica-1"}`) {
 		t.Fatalf("leader /metrics (%d) missing per-follower lag gauge", lm.Code)
 	}
 	// …and on the follower side.
 	if code := do(t, p.fs, http.MethodGet, "/v1/stats", "admin-tok", nil, &stats); code != http.StatusOK {
 		t.Fatalf("follower stats = %d", code)
 	}
-	if stats.Repl.Role != "follower" || len(stats.Repl.Shards) != 1 || stats.Repl.Shards[0].LagRecords != 0 {
+	if stats.Repl.Role != "follower" || stats.Repl.Stream == nil || stats.Repl.Stream.LagRecords != 0 {
 		t.Fatalf("follower repl stats = %+v", stats.Repl)
 	}
 	fm := doRaw(t, p.fs, http.MethodGet, "/metrics", "admin-tok", nil)
-	if fm.Code != http.StatusOK || !strings.Contains(fm.Body.String(), `repl_follower_lag_records{shard="0"}`) {
+	if fm.Code != http.StatusOK || !strings.Contains(fm.Body.String(), "\nrepl_follower_lag_records 0\n") {
 		t.Fatalf("follower /metrics (%d) missing follower lag gauge", fm.Code)
 	}
 
@@ -316,7 +310,7 @@ func TestReadyzUnseededFollower(t *testing.T) {
 		LeaderURL: dead.URL,
 		ID:        "orphan",
 		Dir:       t.TempDir(),
-		Appliers:  []repl.Applier{flib},
+		Applier:   flib,
 		PollWait:  50 * time.Millisecond,
 	})
 	if err != nil {
@@ -402,7 +396,7 @@ func TestWALPressureShedsIngest(t *testing.T) {
 func TestReplLagShedsIngest(t *testing.T) {
 	lib := newDurableLib(t)
 	t.Cleanup(func() { lib.Close() })
-	hub, err := repl.NewHub([]*wal.Engine{lib.Engine()}, nil, nil)
+	hub, err := repl.NewHub(lib.Engine(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

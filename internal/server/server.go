@@ -72,7 +72,7 @@ type Options struct {
 	// --- replication (see internal/repl and the README's "Replication &
 	// failover" section) ---
 
-	// ReplHub, when non-nil, exports the library's per-shard WAL to
+	// ReplHub, when non-nil, exports the library's WAL to
 	// followers at GET /v1/repl/pull and /v1/repl/snapshot (both gated on
 	// Administrator clearance).
 	ReplHub *repl.Hub
@@ -207,7 +207,8 @@ func (o Options) withDefaults() Options {
 // *classminer.Library satisfies it too, so the serving layer is indifferent
 // to the shard count: the rebuilder kicks, the memory-watchdog degrade
 // hooks, /v1/stats and the admin WAL endpoints all address whatever is
-// behind this interface, and the router fans them out per shard.
+// behind this interface; the router fans the index work out per shard and
+// hands the WAL calls to the one log behind them.
 type Library interface {
 	// Mutations.
 	AddVideoCtx(ctx context.Context, v *classminer.Video, subcluster string) (*classminer.Result, error)
@@ -217,7 +218,6 @@ type Library interface {
 	DeleteVideoAsCtx(ctx context.Context, u classminer.User, name string) error
 
 	// Policy and hierarchy.
-	Protect(r classminer.Rule)
 	Allowed(u classminer.User, path []string) bool
 	HasSubcluster(name string) bool
 	ConceptPath(name string) []string

@@ -234,7 +234,7 @@ func TestSearchRoundTripAndCache(t *testing.T) {
 	if other.Cached {
 		t.Fatal("cache leaked across identities")
 	}
-	s.lib.Protect(classminer.Rule{Concept: "medicine/other", MinClearance: access.Student})
+	fixtureLibrary(t).Protect(classminer.Rule{Concept: "medicine/other", MinClearance: access.Student})
 	var third searchResponse
 	do(t, s, http.MethodPost, "/v1/search", "admin-tok", req, &third)
 	if third.Cached {

@@ -2,9 +2,9 @@ package server
 
 // The server against the shard router: the Library interface makes the
 // serving stack indifferent to the shard count, and /v1/stats must expose
-// the per-shard breakdown with a correctly aggregated WAL block (summed
-// counters) rather than any single shard's view — and no breakdown at all
-// when there is one shard.
+// the per-shard breakdown of the library counters beside one WAL block for
+// the one log behind them — the same engine the wal_* series on /metrics
+// describe — and no breakdown at all when there is one shard.
 
 import (
 	"encoding/json"
@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"classminer"
+	"classminer/internal/metrics"
 	"classminer/internal/shard"
 	"classminer/internal/store"
 )
@@ -56,13 +57,16 @@ func TestStatsEndpointShardedWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := metrics.NewRegistry()
 	lib, err := shard.Recover(t.TempDir(), 3, a,
-		classminer.DurableOptions{CheckpointBytes: -1, CheckpointRecords: -1})
+		classminer.DurableOptions{CheckpointBytes: -1, CheckpointRecords: -1, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { lib.Close() })
-	const videos = 9
+	// Nine videos folded into a checkpoint, two more on the log tail: the
+	// generation and the lag both read something other than zero.
+	const videos, tail = 11, 2
 	for i := 0; i < videos; i++ {
 		res, err := store.DecodeResult(shardSaved(fmt.Sprintf("scan-%02d", i), int64(i), 2+i%2))
 		if err != nil {
@@ -71,12 +75,17 @@ func TestStatsEndpointShardedWAL(t *testing.T) {
 		if err := lib.AddResult(res, "medicine"); err != nil {
 			t.Fatal(err)
 		}
+		if i == videos-tail-1 {
+			if err := lib.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if err := lib.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
 
-	s := New(lib, Options{Tokens: testTokens()})
+	s := New(lib, Options{Tokens: testTokens(), Metrics: reg})
 	t.Cleanup(s.Close)
 
 	// A search through the full middleware stack works against the router.
@@ -105,31 +114,38 @@ func TestStatsEndpointShardedWAL(t *testing.T) {
 	if len(resp.Library.Shards) != 3 {
 		t.Fatalf("stats carries %d shard blocks, want 3", len(resp.Library.Shards))
 	}
-	if resp.Library.WAL == nil {
-		t.Fatal("aggregate WAL block missing")
-	}
-	var sumRecords, sumSyncs int64
 	var shardVideos int
 	for i, ss := range resp.Library.Shards {
 		if ss.Shard != i {
 			t.Fatalf("shard block %d labeled %d", i, ss.Shard)
 		}
-		if ss.WAL == nil {
-			t.Fatalf("shard %d block has no WAL stats", i)
+		if ss.WAL != nil {
+			t.Fatalf("shard %d block carries WAL stats %+v; the one log belongs on the aggregate", i, ss.WAL)
 		}
-		sumRecords += ss.WAL.Records
-		sumSyncs += ss.WAL.Syncs
 		shardVideos += ss.Videos
 	}
 	if shardVideos != videos {
 		t.Fatalf("shard blocks sum to %d videos, want %d", shardVideos, videos)
 	}
-	if resp.Library.WAL.Records != sumRecords || sumRecords != videos {
-		t.Fatalf("aggregate WAL records = %d, shard sum = %d, want %d",
-			resp.Library.WAL.Records, sumRecords, videos)
+	ws := resp.Library.WAL
+	if ws == nil {
+		t.Fatal("WAL block missing")
 	}
-	if resp.Library.WAL.Syncs != sumSyncs {
-		t.Fatalf("aggregate WAL syncs = %d, shard sum = %d", resp.Library.WAL.Syncs, sumSyncs)
+	if ws.Generation != 1 || ws.Records != tail {
+		t.Fatalf("WAL block = %+v, want generation 1 and %d records of lag", ws, tail)
+	}
+	// /metrics describes the same engine, generation included.
+	body := scrape(t, s, "admin-tok")
+	for series, want := range map[string]float64{
+		"wal_checkpoints_total": float64(ws.Generation),
+		"wal_lag_records":       float64(ws.Records),
+		"wal_lag_bytes":         float64(ws.Bytes),
+		"wal_segments":          float64(ws.Segments),
+		"wal_syncs_total":       float64(ws.Syncs),
+	} {
+		if got := metricValue(t, body, series); got != want {
+			t.Fatalf("/metrics %s = %v, /v1/stats library.wal says %v", series, got, want)
+		}
 	}
 }
 

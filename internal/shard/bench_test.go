@@ -1,10 +1,10 @@
 package shard
 
 // Sharded counterparts of the root package's durable-ingest and recovery
-// benchmarks, parameterized by shard count so BENCH_*.json can compare
-// N=1 vs N=4 directly: independent per-shard WALs let concurrent writers
-// overlap their group commits (fsyncs to different files proceed in
-// parallel) and recovery replays shards concurrently.
+// benchmarks, parameterized by shard count to compare N=1 and N=4 directly.
+// Every shard journals to the one log, so the writers of all shards share
+// its group commits (records/fsync should not depend on N), and recovery
+// reads the log once while the shards decode their records side by side.
 
 import (
 	"fmt"
@@ -38,8 +38,8 @@ func benchResults(b *testing.B, prefix string, count int) []*classminer.Result {
 }
 
 // BenchmarkShardedDurableIngestParallel: 8 writers registering pre-mined
-// results through the router with fsync-always WALs. records/fsync shows
-// group commit still batching per shard.
+// results through the router with an fsync-always WAL. records/fsync shows
+// group commit batching across shards.
 func BenchmarkShardedDurableIngestParallel(b *testing.B) {
 	for _, n := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards-%d", n), func(b *testing.B) {

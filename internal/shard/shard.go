@@ -1,33 +1,35 @@
 // Package shard is the library the daemon serves: a router over N >= 1
-// independent *classminer.Library shards — each with its own WAL engine,
-// feature matrix, incremental index and rebuild bookkeeping — that keeps the
-// single-library API. Mutations route to exactly one shard by a
-// deterministic hash of the video name (content-based placement: the same
-// name always lands on the same shard, so duplicate detection and
-// replacement stay shard-local), and searches scatter-gather: every
-// non-empty shard ranks its own top-k, and the router merges the exact
-// distances the shards report (internal/index.MergeHits) under the
-// (distance, video name, shot index) total order, which makes results
-// deterministic and independent of the shard count.
+// *classminer.Library shards — each with its own lock, feature matrix,
+// incremental index and rebuild bookkeeping — that keeps the single-library
+// API. N partitions memory, not storage: a durable router has one WAL engine
+// in one plain data directory whatever N is (classminer.RecoverPartitioned),
+// so N is a choice made per process, any count opens any directory, and one
+// group commit, one checkpoint and one compaction serve every shard.
+// Mutations route to exactly one shard by a deterministic hash of the video
+// name (content-based placement: the same name always lands on the same
+// shard, so duplicate detection and replacement stay shard-local and the
+// log's order per name is that shard's install order), and searches
+// scatter-gather: every non-empty shard ranks its own top-k, and the router
+// merges the exact distances the shards report (internal/index.MergeHits)
+// under the (distance, video name, shot index) total order, which makes
+// results deterministic and independent of the shard count.
 //
-// Every per-library cost — group commit, checkpoint, compaction, index
-// rebuild, lock contention — is per-shard and therefore parallel at N > 1;
-// at N = 1 the router adds a name hash and a sort of k hits to what the one
-// shard does. Subcluster and ACL policy is replicated to all shards (Protect
-// fans out), so per-shard search filtering applies exactly the rules the
-// router holds.
+// What is per-shard and therefore parallel at N > 1 is what lives in memory
+// — lock contention, incremental index updates, refits, replay's record
+// decode; at N = 1 the router adds a name hash and a sort of k hits to what
+// the one shard does. Subcluster and ACL policy is replicated to all shards
+// (Protect fans out), so per-shard search filtering applies exactly the
+// rules the router holds.
 package shard
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
 
 	"classminer"
@@ -58,21 +60,12 @@ func New(a *classminer.Analyzer, n int) (*Library, error) {
 // ShardCount reports how many shards the router owns.
 func (l *Library) ShardCount() int { return len(l.shards) }
 
-// ShardAt exposes shard i directly. Replication addresses shards by index —
-// the leader's shard i stream applies to the follower's shard i, because
-// content-based placement makes the partitioning identical on both sides.
+// ShardAt exposes shard i directly.
 func (l *Library) ShardAt(i int) *classminer.Library { return l.shards[i] }
 
-// Engines returns every shard's WAL engine, indexed by shard (nil entries
-// when the library is not durable). The replication hub ships one stream
-// per engine.
-func (l *Library) Engines() []*wal.Engine {
-	engines := make([]*wal.Engine, len(l.shards))
-	for i, sh := range l.shards {
-		engines[i] = sh.Engine()
-	}
-	return engines
-}
+// Engine returns the WAL engine every shard journals to (nil when the
+// library is not durable). The replication hub ships it.
+func (l *Library) Engine() *wal.Engine { return l.shards[0].Engine() }
 
 // MaxShards bounds the shard count to something a single node can own;
 // beyond it a flag typo is far more likely than a real deployment.
@@ -85,136 +78,107 @@ func checkShardCount(n int) error {
 	return nil
 }
 
-// manifestName is the parent-dir file that pins a multi-shard data dir's
-// shard count. Its presence selects the shard-<i>/ subdirectory layout; a
-// data dir without it is one shard living at the top level.
-const manifestName = "SHARDS"
-
-type shardsManifest struct {
-	Shards int `json:"shards"`
-}
-
-// recordedCount reports the shard count in dir's SHARDS manifest, or 0 when
-// there is none (including when dir does not exist yet).
-func recordedCount(dir string) (int, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	var m shardsManifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return 0, fmt.Errorf("shard: corrupt %s manifest in %s: %w", manifestName, dir, err)
-	}
-	if err := checkShardCount(m.Shards); err != nil {
-		return 0, fmt.Errorf("shard: corrupt %s manifest in %s: %w", manifestName, dir, err)
-	}
-	return m.Shards, nil
-}
-
-// hasTopLevelWAL reports whether dir already holds one shard's WAL files at
-// its top level (MANIFEST appears only after the first checkpoint, so the
-// lock file and log segments count too).
-func hasTopLevelWAL(dir string) bool {
-	for _, name := range []string{"MANIFEST", "LOCK"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-			return true
-		}
-	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	return len(segs) > 0
-}
-
-func writeManifest(dir string, n int) error {
-	return store.WriteFileAtomic(filepath.Join(dir, manifestName), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		return enc.Encode(shardsManifest{Shards: n})
-	})
-}
-
-// shardDir returns the data subdirectory of shard i under parent dir.
-func shardDir(dir string, i int) string {
-	return filepath.Join(dir, "shard-"+strconv.Itoa(i))
-}
-
-// Recover opens (or creates) the durable library under dir, booting its
-// shards in parallel. n = 0 means "what the dir records, else 1". One shard
-// is a classminer data dir at the top level of dir — MANIFEST, lock,
-// snapshots and log segments exactly where classminer.Recover puts them, no
-// SHARDS file — so a dir written before the router existed is simply a
-// one-shard dir. More shards live in shard-<i>/ subdirectories, each a full
-// classminer data dir, under a SHARDS manifest that pins the count at
-// creation: n must match it on reopen, and a dir that already holds
-// top-level WAL files cannot be resharded by asking for n > 1.
+// Recover opens (or creates) the durable library under dir with n in-memory
+// shards over the directory's one log; n = 0 means 1. The directory is a
+// plain classminer data dir and records nothing about n: any count opens any
+// dir, and this Recover and classminer.Recover open each other's. A dir
+// written when every shard had a log of its own is folded into that layout
+// first (foldLegacy).
 func Recover(dir string, n int, a *classminer.Analyzer, opts classminer.DurableOptions) (*Library, error) {
-	recorded, err := recordedCount(dir)
-	if err != nil {
-		return nil, err
-	}
 	if n == 0 {
-		n = max(recorded, 1)
+		n = 1
 	}
 	if err := checkShardCount(n); err != nil {
 		return nil, err
 	}
-	if recorded > 0 && n != recorded {
-		return nil, fmt.Errorf("shard: data dir %s holds %d shards but %d were requested (the shard count is fixed when the dir is created)", dir, recorded, n)
-	}
-	dirs := []string{dir}
-	if recorded > 0 || n > 1 {
-		if recorded == 0 {
-			if hasTopLevelWAL(dir) {
-				return nil, fmt.Errorf("shard: %s holds one shard (top-level WAL files) but %d were requested (the shard count is fixed when the dir is created)", dir, n)
-			}
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return nil, err
-			}
-			if err := writeManifest(dir, n); err != nil {
-				return nil, err
-			}
-		}
-		dirs = make([]string, n)
-		for i := range dirs {
-			dirs[i] = shardDir(dir, i)
-		}
-	}
-
-	shards := make([]*classminer.Library, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i, sdir := range dirs {
-		wg.Add(1)
-		go func(i int, sdir string) {
-			defer wg.Done()
-			o := opts
-			if logf := opts.Logf; logf != nil && sdir != dir {
-				prefix := filepath.Base(sdir) + ": "
-				o.Logf = func(format string, args ...any) { logf(prefix+format, args...) }
-			}
-			lib, err := classminer.Recover(sdir, a, o)
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %d: %w", i, err)
-				return
-			}
-			shards[i] = lib
-		}(i, sdir)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		for _, sh := range shards {
-			if sh != nil {
-				sh.Close()
-			}
-		}
+	shards, err := classminer.RecoverPartitioned(dir, n, func(name string) int { return shardIndex(name, n) }, a, opts)
+	if err != nil {
 		return nil, err
 	}
 	l := &Library{shards: shards}
-	if opts.Metrics != nil {
-		l.instrumentWAL(opts.Metrics)
+	if err := l.foldLegacy(dir, opts.Logf, l.foldShard); err != nil {
+		l.Close()
+		return nil, err
 	}
 	return l, nil
+}
+
+// legacyManifest marks a data dir written when every shard owned a full data
+// dir of its own, shard-<i>/ beside this file, which pinned their number.
+const legacyManifest = "SHARDS"
+
+// foldLegacy moves a data dir out of that layout, once: step applies each
+// old shard's snapshot and log to the router (foldShard; a parameter so a
+// test can interrupt between shards), one checkpoint then makes all of it
+// durable in the top-level log whatever the sync policy, and only after that
+// are the old directories removed, the manifest last. A crash anywhere
+// leaves the manifest in place and the next boot runs the fold again over
+// whatever directories remain, to the same result, because step is
+// idempotent. Old shards hold disjoint names and each is applied in its own
+// log order, so a router reopened at the old count registers on every shard
+// what that shard's old log registered, in the same order.
+func (l *Library) foldLegacy(dir string, logf func(string, ...any), step func(sdir string) error) error {
+	manifest := filepath.Join(dir, legacyManifest)
+	if _, err := os.Stat(manifest); err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return nil
+		}
+		return err
+	}
+	// Glob's only error is a malformed pattern, and these are constants.
+	old, _ := filepath.Glob(filepath.Join(dir, "shard-*"))
+	// A follower's cursors into its leader's per-shard logs describe streams
+	// that no longer exist; without them it re-seeds from the leader.
+	cursors, _ := filepath.Glob(filepath.Join(dir, "repl-cursor-*.json"))
+	if logf != nil {
+		logf("shard: folding the %d per-shard data dirs under %s into its one log (serving %d shards)", len(old), dir, len(l.shards))
+	}
+	for _, sdir := range old {
+		if err := step(sdir); err != nil {
+			return fmt.Errorf("shard: folding %s: %w", sdir, err)
+		}
+	}
+	if err := l.Checkpoint(); err != nil {
+		return err
+	}
+	for _, path := range append(append(old, cursors...), manifest) {
+		if err := os.RemoveAll(path); err != nil {
+			return err
+		}
+	}
+	return store.SyncDir(dir)
+}
+
+// foldShard applies one old shard's data dir to the router the way a
+// follower applies its leader's: journaled into the router's own log and
+// idempotent — a registration whose name is already held is skipped, a
+// replacement is an upsert, a tombstone for an unknown name is a no-op —
+// so applying a shard twice, or over a partial earlier apply, ends where
+// applying it once does.
+func (l *Library) foldShard(sdir string) error {
+	eng, err := wal.Open(sdir, wal.Options{CheckpointBytes: -1, CheckpointRecords: -1, CompactBytes: -1})
+	if err != nil {
+		return err
+	}
+	defer eng.Close()
+	if snap := eng.SnapshotPath(); snap != "" {
+		f, err := os.Open(snap)
+		if err != nil {
+			return err
+		}
+		_, err = l.ImportSnapshot(f, true)
+		f.Close()
+		if err != nil {
+			return err
+		}
+	}
+	var rec wal.Record
+	return eng.Replay(func(frame []byte) error {
+		if err := wal.DecodeRecordInto(&rec, frame); err != nil {
+			return err
+		}
+		return l.ApplyRecord(context.Background(), &rec)
+	})
 }
 
 // fnv32Offset/fnv32Prime: FNV-1a, inlined so routing never allocates.
@@ -235,15 +199,13 @@ func shardIndex(name string, n int) int {
 	return int(h % uint32(n))
 }
 
+// place is the router's placement: the index of the shard that owns name.
+func (l *Library) place(name string) int { return shardIndex(name, len(l.shards)) }
+
 // owner returns the shard responsible for the named video.
-func (l *Library) owner(name string) *classminer.Library {
-	return l.shards[shardIndex(name, len(l.shards))]
-}
+func (l *Library) owner(name string) *classminer.Library { return l.shards[l.place(name)] }
 
-// Owner exposes the placement decision for tests and tooling.
-func (l *Library) Owner(name string) int { return shardIndex(name, len(l.shards)) }
-
-// ---- Mutations: route to exactly one shard's WAL. ----
+// ---- Mutations: route to exactly one shard. ----
 
 // AddVideo mines and registers a video on its owning shard.
 func (l *Library) AddVideo(v *classminer.Video, subcluster string) (*classminer.Result, error) {
@@ -409,14 +371,13 @@ func (l *Library) Generation() int64 {
 // Stats aggregates across shards — counters summed, staleness is the max
 // (worst shard) — and, when there is more than one shard, carries the
 // per-shard breakdown in Shards (with one shard the aggregate is the shard).
-// The WAL block sums every counter (total replay cost) and reports the
-// minimum checkpoint generation (the weakest shard's durability progress).
+// The WAL block describes the one log behind every shard, so it appears once,
+// on the aggregate; the per-shard blocks carry library counters only.
 func (l *Library) Stats() classminer.LibraryStats {
 	var agg classminer.LibraryStats
-	var wal classminer.WALStats
-	durable := true
 	for i, sh := range l.shards {
 		st := sh.Stats()
+		agg.WAL, st.WAL = st.WAL, nil
 		agg.Videos += st.Videos
 		agg.Shots += st.Shots
 		agg.IndexedShots += st.IndexedShots
@@ -430,29 +391,12 @@ func (l *Library) Stats() classminer.LibraryStats {
 		agg.DeadRows += st.DeadRows
 		agg.IndexFits += st.IndexFits
 		agg.IndexFitsDropped += st.IndexFitsDropped
-		if st.WAL == nil {
-			durable = false
-		} else {
-			wal.Records += st.WAL.Records
-			wal.Bytes += st.WAL.Bytes
-			wal.DeadRecords += st.WAL.DeadRecords
-			wal.DeadBytes += st.WAL.DeadBytes
-			wal.LiveRecords += st.WAL.LiveRecords
-			wal.Segments += st.WAL.Segments
-			wal.Syncs += st.WAL.Syncs
-			if i == 0 || st.WAL.Generation < wal.Generation {
-				wal.Generation = st.WAL.Generation
-			}
-		}
 		if len(l.shards) > 1 {
 			agg.Shards = append(agg.Shards, classminer.ShardStats{Shard: i, LibraryStats: st})
 		}
 	}
 	if agg.Shots == 0 {
 		agg.IndexStale = true
-	}
-	if durable {
-		agg.WAL = &wal
 	}
 	return agg
 }
@@ -490,96 +434,47 @@ func (l *Library) ScenesByEvent(u classminer.User, kind classminer.EventKind) []
 	return out
 }
 
-// ---- Durability: fan out; each shard owns an independent WAL. ----
+// ---- Durability and replication: one log behind every shard. ----
 
 // ImportSnapshot reads a library snapshot (classminer.Library.Save's format)
 // and routes every video to its owning shard, returning how many were
 // imported. On a durable library each import is journaled like any
 // registration.
 func (l *Library) ImportSnapshot(r io.Reader, skipExisting bool) (int, error) {
-	saved, err := store.ReadLibrary(r)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, sv := range saved.Videos {
-		res, err := store.DecodeResult(sv.Result)
-		if err != nil {
-			return n, err
-		}
-		sh := l.owner(res.Video.Name)
-		if skipExisting && sh.Video(res.Video.Name) != nil {
-			continue
-		}
-		if err := sh.AddResultCtx(context.Background(), res, sv.Subcluster); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
+	return classminer.ImportPartitioned(l.shards, l.place, r, skipExisting)
 }
 
-// Durable reports whether the shards write-ahead log registrations; shards
-// are homogeneous by construction, so shard 0 answers for all.
+// ApplyRecord applies one replicated log record on the shard that owns its
+// key (see classminer.Library.ApplyRecord). The leader's shard count plays
+// no part: its one log orders the records of any one key, which is all the
+// order an owner needs.
+func (l *Library) ApplyRecord(ctx context.Context, rec *wal.Record) error {
+	return l.owner(rec.Key).ApplyRecord(ctx, rec)
+}
+
+// ReseedFromSnapshot converges the router onto a leader checkpoint snapshot,
+// every entry on its owning shard (see classminer.ReseedPartitioned).
+func (l *Library) ReseedFromSnapshot(ctx context.Context, r io.Reader) (installed, removed int, err error) {
+	return classminer.ReseedPartitioned(ctx, l.shards, l.place, r)
+}
+
+// Durable reports whether the shards write-ahead log registrations. The
+// shards share one engine (or none), so shard 0 answers for all — here and
+// in Checkpoint, Compact, WALStats and Close.
 func (l *Library) Durable() bool { return l.shards[0].Durable() }
 
-// Checkpoint snapshots every shard in parallel.
-func (l *Library) Checkpoint() error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(l.shards))
-	for i, sh := range l.shards {
-		wg.Add(1)
-		go func(i int, sh *classminer.Library) {
-			defer wg.Done()
-			if err := sh.Checkpoint(); err != nil {
-				errs[i] = fmt.Errorf("shard %d: %w", i, err)
-			}
-		}(i, sh)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
+// Checkpoint snapshots every shard into one checkpoint of the shared log.
+func (l *Library) Checkpoint() error { return l.shards[0].Checkpoint() }
 
-// Compact compacts every shard's sealed segments, summing what was
-// reclaimed.
-func (l *Library) Compact() (classminer.CompactStats, error) {
-	var total classminer.CompactStats
-	var errs []error
-	for i, sh := range l.shards {
-		cs, err := sh.Compact()
-		if err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
-			continue
-		}
-		total.SegmentsScanned += cs.SegmentsScanned
-		total.SegmentsCompacted += cs.SegmentsCompacted
-		total.SegmentsRemoved += cs.SegmentsRemoved
-		total.RecordsDropped += cs.RecordsDropped
-		total.BytesFreed += cs.BytesFreed
-	}
-	return total, errors.Join(errs...)
-}
+// Compact compacts the shared log's sealed segments.
+func (l *Library) Compact() (classminer.CompactStats, error) { return l.shards[0].Compact() }
 
-// WALStats aggregates the per-shard logs (same discipline as Stats);
-// ok is false when the library is not durable.
-func (l *Library) WALStats() (classminer.WALStats, bool) {
-	st := l.Stats()
-	if st.WAL == nil {
-		return classminer.WALStats{}, false
-	}
-	return *st.WAL, true
-}
+// WALStats reports the shared log's lag; ok is false when the library is
+// not durable.
+func (l *Library) WALStats() (classminer.WALStats, bool) { return l.shards[0].WALStats() }
 
-// Close closes every shard, releasing each data-dir lock.
-func (l *Library) Close() error {
-	errs := make([]error, len(l.shards))
-	for i, sh := range l.shards {
-		if err := sh.Close(); err != nil {
-			errs[i] = fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return errors.Join(errs...)
-}
+// Close releases the shared engine and with it the data-dir lock.
+func (l *Library) Close() error { return l.shards[0].Close() }
 
 // ---- Metrics. ----
 
@@ -609,33 +504,4 @@ func (l *Library) Instrument(reg *metrics.Registry) {
 	reg.GaugeFunc("classminer_index_staleness",
 		"Incremental-overlay fraction of the serving index (0 = freshly fit).",
 		func() float64 { return l.IndexStaleness() })
-}
-
-// instrumentWAL replaces the per-engine WAL gauges (each shard's engine
-// registered its own at open; last one won) with sums across shards.
-func (l *Library) instrumentWAL(reg *metrics.Registry) {
-	sum := func(f func(classminer.WALStats) float64) func() float64 {
-		return func() float64 {
-			var t float64
-			for _, sh := range l.shards {
-				if ws, ok := sh.WALStats(); ok {
-					t += f(ws)
-				}
-			}
-			return t
-		}
-	}
-	reg.GaugeFunc("wal_lag_records", "Records appended since the last checkpoint.",
-		sum(func(ws classminer.WALStats) float64 { return float64(ws.Records) }))
-	reg.GaugeFunc("wal_lag_bytes", "Log bytes appended since the last checkpoint.",
-		sum(func(ws classminer.WALStats) float64 { return float64(ws.Bytes) }))
-	reg.GaugeFunc("wal_dead_bytes",
-		"Estimated superseded (dead) bytes on the live log.",
-		sum(func(ws classminer.WALStats) float64 { return float64(ws.DeadBytes) }))
-	reg.GaugeFunc("wal_segments", "Live log segments (replayed on recovery).",
-		sum(func(ws classminer.WALStats) float64 { return float64(ws.Segments) }))
-	reg.CounterFunc("wal_checkpoints_total", "Completed checkpoint generations.",
-		sum(func(ws classminer.WALStats) float64 { return float64(ws.Generation) }))
-	reg.CounterFunc("wal_syncs_total", "Segment-data fsyncs since open.",
-		sum(func(ws classminer.WALStats) float64 { return float64(ws.Syncs) }))
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -430,7 +431,7 @@ func TestBuildIndexSkipsCurrentShards(t *testing.T) {
 	after := l.Stats().Shards
 	for i := range after {
 		switch {
-		case i == l.Owner(late):
+		case i == shardIndex(late, n):
 			if after[i].Generation <= mid[i].Generation || after[i].IndexStaleness != 0 ||
 				after[i].IndexedShots != before[i].IndexedShots+3 {
 				t.Fatalf("drifted shard %d was not refit: %+v -> %+v", i, mid[i].LibraryStats, after[i].LibraryStats)
@@ -450,191 +451,505 @@ func TestBuildIndexSkipsCurrentShards(t *testing.T) {
 	}
 }
 
-// TestShardedRecoverEquivalence drives a durable sharded router through
-// registrations, a replace and a delete, kills it without any shutdown
-// save, and requires the reopened router (shard count read back from the
-// SHARDS manifest) to answer exactly like an in-memory reference.
+// copyTree copies a data dir as it stands — taken while the library is open,
+// that is the image a SIGKILL leaves.
+func copyTree(t testing.TB, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// storedBytes re-encodes every registered video's result, by name.
+func storedBytes(t testing.TB, l *Library) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, name := range l.VideoNames() {
+		saved, err := store.EncodeResult(l.Video(name).Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(saved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = string(raw)
+	}
+	return out
+}
+
+// mustSameVideos requires got to hold exactly want's videos, each with the
+// same stored result.
+func mustSameVideos(t testing.TB, label string, got, want *Library) {
+	t.Helper()
+	g, w := storedBytes(t, got), storedBytes(t, want)
+	if len(g) != len(w) {
+		t.Fatalf("%s: holds %v, want %v", label, got.VideoNames(), want.VideoNames())
+	}
+	for name, raw := range w {
+		if g[name] != raw {
+			t.Fatalf("%s: video %q is missing or its stored result differs", label, name)
+		}
+	}
+}
+
+// mustPlainLayout requires dir to be one plain data dir: one LOCK, one
+// MANIFEST, one snapshot, log segments, and nothing else — no SHARDS
+// manifest, no shard-<i>/.
+func mustPlainLayout(t testing.TB, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := map[string]int{}
+	for _, e := range entries {
+		name := e.Name()
+		switch {
+		case e.IsDir():
+			t.Fatalf("data dir holds a subdirectory %s", name)
+		case name == "LOCK" || name == "MANIFEST":
+			count[name]++
+		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".json"):
+			count["snap"]++
+		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
+			count["wal"]++
+		default:
+			t.Fatalf("data dir holds %s, which no plain data dir has", name)
+		}
+	}
+	if count["LOCK"] != 1 || count["MANIFEST"] != 1 || count["snap"] != 1 || count["wal"] == 0 {
+		t.Fatalf("data dir holds %v; want one LOCK, one MANIFEST, one snapshot and the log", count)
+	}
+}
+
+// recoveryScript is one seeded interleaving of registers, replaces and
+// deletes over a pool of names wide enough that every shard of every count
+// under test owns several. run applies it to each library in turn, calling
+// between(step) after every step.
+type recoveryScript struct {
+	seed  int64
+	steps int
+}
+
+func (sc recoveryScript) run(t testing.TB, apply func(op func(*Library) error), between func(step int)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(sc.seed))
+	var live []string
+	next := 0
+	for step := 0; step < sc.steps; step++ {
+		switch r := rng.Float64(); {
+		case r < 0.55 || len(live) < 4:
+			name := fmt.Sprintf("case-%d-%02d", sc.seed, next)
+			next++
+			res := tinyResult(t, name, sc.seed*1000+int64(step), 2+rng.Intn(3))
+			apply(func(x *Library) error { return x.AddResult(res, "medicine") })
+			live = append(live, name)
+		case r < 0.8:
+			name := live[rng.Intn(len(live))]
+			res := tinyResult(t, name, sc.seed*1000+int64(step), 2+rng.Intn(3))
+			apply(func(x *Library) error {
+				return x.ReplaceResultAsCtx(context.Background(), admin, res, "medicine")
+			})
+		default:
+			i := rng.Intn(len(live))
+			name := live[i]
+			live = append(live[:i], live[i+1:]...)
+			apply(func(x *Library) error { return x.DeleteVideo(name) })
+		}
+		between(step)
+	}
+}
+
+// TestShardedRecoverEquivalence: any count opens any dir, across a crash.
+// One script runs durably at each a in {1, 2, 4} beside an in-memory
+// reference router of the same count, the data dir is copied as it stands
+// after the last acknowledged op (no Close: the image a SIGKILL leaves), and
+// the copy is recovered at each b in {1, 2, 4}. Every one of the nine holds
+// the reference's videos with the same stored results and ranks the whole
+// corpus identically; with a = b it also answers k = 10 exactly like the
+// reference. The checkpoint variant puts the all-shard snapshot source on
+// the path, the compaction variant the dead-bytes bookkeeping n shards feed
+// into the one engine.
 func TestShardedRecoverEquivalence(t *testing.T) {
 	a := testAnalyzer(t)
-	dir := t.TempDir()
-	corpus := testCorpus(5, 12)
-	k := totalShots(corpus) + 3
+	counts := []int{1, 2, 4}
+	script := recoveryScript{seed: 5, steps: 48}
 	queries := fixedQueries(6, 12, 5)
+	for _, variant := range []string{"wal-only", "checkpoint", "compaction"} {
+		t.Run(variant, func(t *testing.T) {
+			opts := quietWAL()
+			opts.CompactBytes = -1
+			opts.SegmentBytes = 4 << 10        // several sealed segments per run
+			var whole [][]classminer.SearchHit // the full ranking; the same for all nine
+			for _, from := range counts {
+				dir := t.TempDir()
+				l, err := Recover(dir, from, a, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l.Close()
+				ref, err := New(a, from)
+				if err != nil {
+					t.Fatal(err)
+				}
+				script.run(t, func(op func(*Library) error) {
+					t.Helper()
+					if err := op(l); err != nil {
+						t.Fatal(err)
+					}
+					if err := op(ref); err != nil {
+						t.Fatal(err)
+					}
+				}, func(step int) {
+					if step != script.steps*2/3 {
+						return
+					}
+					switch variant {
+					case "checkpoint":
+						if err := l.Checkpoint(); err != nil {
+							t.Fatal(err)
+						}
+					case "compaction":
+						if ws, _ := l.WALStats(); ws.DeadRecords == 0 {
+							t.Fatal("deletes and replaces on every shard noted no dead record on the shared log")
+						}
+						cs, err := l.Compact()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if cs.RecordsDropped == 0 {
+							t.Fatalf("compaction dropped nothing (%+v); fixture lost its teeth", cs)
+						}
+					}
+				})
+				if err := ref.BuildIndex(); err != nil {
+					t.Fatal(err)
+				}
+				k := ref.Size() + 3
+				if whole == nil {
+					whole = searchAll(t, ref, admin, queries, k)
+				}
+				for _, to := range counts {
+					label := fmt.Sprintf("written at %d, recovered at %d", from, to)
+					killed := filepath.Join(t.TempDir(), "killed")
+					copyTree(t, dir, killed)
+					rec, err := Recover(killed, to, a, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if rec.ShardCount() != to {
+						t.Fatalf("%s: serving %d shards", label, rec.ShardCount())
+					}
+					mustSameVideos(t, label, rec, ref)
+					if err := rec.BuildIndex(); err != nil {
+						t.Fatal(err)
+					}
+					mustSameHits(t, label, searchAll(t, rec, admin, queries, k), whole)
+					if to == from {
+						mustSameHits(t, label+", k=10", searchAll(t, rec, admin, queries, 10), searchAll(t, ref, admin, queries, 10))
+					}
+					if err := rec.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
 
-	l, err := Recover(dir, 4, a, quietWAL())
+// TestEveryShardCountLivesAtTopLevel: a durable router is one plain
+// classminer data dir whatever its count — one engine, one lock, no SHARDS
+// manifest, no shard-<i>/ — so the router at any N and classminer.Recover
+// open each other's directories, and n = 0 means 1.
+func TestEveryShardCountLivesAtTopLevel(t *testing.T) {
+	a := testAnalyzer(t)
+	corpus := testCorpus(9, 12)
+	queries := fixedQueries(4, 12, 9)
+	k := totalShots(corpus) + 1
+	opts := quietWAL()
+	opts.CompactBytes = -1
+	opts.SegmentBytes = 2 << 10
+
+	for _, n := range []int{0, 1, 2, 4} {
+		t.Run(fmt.Sprintf("shards-%d", n), func(t *testing.T) {
+			dir := t.TempDir()
+			// Written by a plain library, killed without a checkpoint...
+			pl, err := classminer.Recover(dir, a, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range corpus[:4] {
+				if err := pl.AddResult(tinyResult(t, v.name, v.seed, v.shots), "medicine"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := pl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// ...extended through the router at n, checkpointed and compacted...
+			l, err := Recover(dir, n, a, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := max(n, 1); l.ShardCount() != want || l.Stats().Videos != 4 {
+				t.Fatalf("router over a plain dir: %d shards, %d videos; want %d, 4", l.ShardCount(), l.Stats().Videos, want)
+			}
+			for i := 0; i < l.ShardCount(); i++ {
+				if eng := l.ShardAt(i).Engine(); eng == nil || eng != l.Engine() {
+					t.Fatalf("shard %d journals to engine %p, the router's is %p; want one engine", i, eng, l.Engine())
+				}
+			}
+			if other, err := Recover(dir, 2, a, opts); err == nil {
+				other.Close()
+				t.Fatal("a second router opened the dir; want the one data-dir lock to refuse it")
+			}
+			for _, v := range corpus[4:] {
+				if err := l.AddResult(tinyResult(t, v.name, v.seed, v.shots), "medicine"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			for round := int64(1); round <= 2; round++ { // the second round supersedes the first on the log
+				for _, v := range corpus[:6] {
+					res := tinyResult(t, v.name, v.seed+500*round, v.shots)
+					if err := l.ReplaceResultAsCtx(context.Background(), admin, res, "medicine"); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if cs, err := l.Compact(); err != nil || cs.RecordsDropped == 0 {
+				t.Fatalf("compaction = %+v, %v; want it to drop the superseded records", cs, err)
+			}
+			if err := l.BuildIndex(); err != nil {
+				t.Fatal(err)
+			}
+			want := searchAll(t, l, admin, queries, k)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			mustPlainLayout(t, dir)
+			// ...and read back by a plain library, and by the router at 1 and 4.
+			pl, err = classminer.Recover(dir, a, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := pl.Stats().Videos; got != len(corpus) {
+				t.Fatalf("plain library recovered %d videos from the router's dir, want %d", got, len(corpus))
+			}
+			if err := pl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range []int{1, 4} {
+				l, err = Recover(dir, m, a, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := l.BuildIndex(); err != nil {
+					t.Fatal(err)
+				}
+				mustSameHits(t, fmt.Sprintf("reopened at %d shards", m), searchAll(t, l, admin, queries, k), want)
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustPlainLayout(t, dir)
+		})
+	}
+}
+
+// legacyLayout builds, by hand, a data dir as the build before the shared
+// log laid it out at -shards 4: a SHARDS manifest pinning the count over
+// shard-<i>/, each a full classminer data dir holding the names shardIndex
+// places on it. Shard 1 is checkpointed mid-script and shard 2 ends with
+// tombstones on its log tail. It returns the in-memory reference router that
+// ran the same script.
+func legacyLayout(t testing.TB, dir string) *Library {
+	t.Helper()
+	const n = 4
+	a := testAnalyzer(t)
+	old := make([]*classminer.Library, n)
+	for i := range old {
+		var err error
+		if old[i], err = classminer.Recover(filepath.Join(dir, "shard-"+fmt.Sprint(i)), a, quietWAL()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref, err := New(a, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := New(a, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	apply := func(op func(*Library) error) {
+	step := 0
+	put := func(name string, replace bool) {
 		t.Helper()
-		if err := op(l); err != nil {
+		step++
+		res := tinyResult(t, name, int64(7000+step), 2+step%3)
+		sh := old[shardIndex(name, n)]
+		if replace {
+			err = sh.ReplaceResult(res, "medicine")
+		} else {
+			err = sh.AddResult(res, "medicine")
+		}
+		if err == nil {
+			err = ref.ReplaceResultAsCtx(context.Background(), admin, res, "medicine")
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := op(ref); err != nil {
+	}
+	drop := func(name string) {
+		t.Helper()
+		if err := old[shardIndex(name, n)].DeleteVideo(name); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.DeleteVideo(name); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, v := range corpus {
-		v := v
-		apply(func(x *Library) error { return x.AddResult(tinyResult(t, v.name, v.seed, v.shots), "medicine") })
+	var names []string
+	owned := make([][]string, n)
+	for i := 0; i < 24; i++ {
+		name := fmt.Sprintf("legacy-%02d", i)
+		names = append(names, name)
+		owned[shardIndex(name, n)] = append(owned[shardIndex(name, n)], name)
+		put(name, false)
 	}
-	apply(func(x *Library) error { return x.DeleteVideo(corpus[3].name) })
-	apply(func(x *Library) error {
-		return x.ReplaceResultAsCtx(context.Background(), admin, tinyResult(t, corpus[5].name, 999, 4), "medicine")
-	})
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Layout: parent holds the SHARDS manifest plus one subdir per shard,
-	// each a full single-shard data dir (lock file + its own WAL).
-	if n, err := recordedCount(dir); err != nil || n != 4 {
-		t.Fatalf("recordedCount(%s) = %d, %v; want 4", dir, n, err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := os.Stat(filepath.Join(shardDir(dir, i), "LOCK")); err != nil {
-			t.Fatalf("shard %d has no data dir lock: %v", i, err)
-		}
-		segs, _ := filepath.Glob(filepath.Join(shardDir(dir, i), "wal-*.log"))
-		if len(segs) == 0 {
-			t.Fatalf("shard %d has no WAL segments", i)
+	for i, own := range owned {
+		if len(own) < 3 {
+			t.Fatalf("old shard %d owns %v; fixture names degenerate", i, own)
 		}
 	}
+	if err := old[1].Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names[:12] {
+		put(name, true) // replacements on every old shard, past shard 1's checkpoint
+	}
+	drop(owned[1][0]) // a tombstone over a checkpointed registration
+	put(owned[1][0], false)
+	drop(owned[0][1])
+	drop(owned[2][0])
+	drop(owned[2][1]) // old shard 2's log ends in tombstones
+	for _, sh := range old {
+		if err := sh.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, legacyManifest), []byte("{\"shards\":4}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
 
-	// n <= 0 means "use the recorded shard count".
-	rec, err := Recover(dir, 0, a, quietWAL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	if rec.ShardCount() != 4 {
-		t.Fatalf("recovered %d shards, want 4", rec.ShardCount())
-	}
-	if err := rec.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
+// TestFoldLegacyLayout: a dir in the old SHARDS + shard-<i>/ layout opens —
+// folded into one plain data dir — with every video intact: at the recorded
+// count it answers byte for byte like the reference that ran the same script
+// on the old layout, at another count it holds the same videos, and a fold
+// interrupted after any old shard re-runs to the same end state.
+func TestFoldLegacyLayout(t *testing.T) {
+	a := testAnalyzer(t)
+	legacy := filepath.Join(t.TempDir(), "legacy")
+	ref := legacyLayout(t, legacy)
 	if err := ref.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	mustSameHits(t, "recovered", searchAll(t, rec, admin, queries, k), searchAll(t, ref, admin, queries, k))
-
-	st := rec.Stats()
-	if st.Videos != len(corpus)-1 {
-		t.Fatalf("recovered %d videos, want %d", st.Videos, len(corpus)-1)
+	queries := fixedQueries(6, 12, 13)
+	k := ref.Size() + 3
+	whole := searchAll(t, ref, admin, queries, k)
+	fresh := func(t *testing.T) string {
+		dir := filepath.Join(t.TempDir(), "data")
+		copyTree(t, legacy, dir)
+		return dir
 	}
-}
-
-// TestRecoverShardCountPinned: reopening with a different shard count is an
-// error (resharding is a migration, not a flag change), in both layouts.
-func TestRecoverShardCountPinned(t *testing.T) {
-	a := testAnalyzer(t)
-	dir := t.TempDir()
-	l, err := Recover(dir, 3, a, quietWAL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{1, 2} {
-		if _, err := Recover(dir, n, a, quietWAL()); err == nil {
-			t.Fatalf("reopening a 3-shard dir with n=%d succeeded; want an error", n)
-		}
-	}
-
-	plain := t.TempDir()
-	pl, err := classminer.Recover(plain, a, quietWAL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Recover(plain, 4, a, quietWAL()); err == nil {
-		t.Fatal("sharding over a one-shard dir succeeded; want an error")
-	}
-	if n, _ := recordedCount(plain); n != 0 {
-		t.Fatalf("the refused reshard left a SHARDS manifest recording %d", n)
-	}
-}
-
-// TestOneShardLivesAtTopLevel: one shard is a plain classminer data dir — no
-// SHARDS manifest, no shard-0/ — so the router and classminer.Recover open
-// each other's directories, and n = 0 on a dir that records nothing means 1.
-func TestOneShardLivesAtTopLevel(t *testing.T) {
-	a := testAnalyzer(t)
-	dir := t.TempDir()
-	corpus := testCorpus(9, 6)
-	queries := fixedQueries(4, 12, 9)
-	k := totalShots(corpus) + 1
-
-	// Written by a plain library, killed without a checkpoint...
-	pl, err := classminer.Recover(dir, a, quietWAL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range corpus[:3] {
-		if err := pl.AddResult(tinyResult(t, v.name, v.seed, v.shots), "medicine"); err != nil {
+	// check reopens dir at n and compares it with the reference; every
+	// ranking when exact, the whole-corpus one otherwise.
+	check := func(t *testing.T, dir string, n int, exact bool) {
+		t.Helper()
+		l, err := Recover(dir, n, a, quietWAL())
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := pl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// ...extended through the router (n = 0: the dir records nothing, so 1)...
-	l, err := Recover(dir, 0, a, quietWAL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.ShardCount() != 1 || l.Stats().Videos != 3 {
-		t.Fatalf("router over a plain dir: %d shards, %d videos; want 1, 3", l.ShardCount(), l.Stats().Videos)
-	}
-	for _, v := range corpus[3:] {
-		if err := l.AddResult(tinyResult(t, v.name, v.seed, v.shots), "medicine"); err != nil {
+		defer l.Close()
+		mustPlainLayout(t, dir)
+		mustSameVideos(t, "folded", l, ref)
+		if err := l.BuildIndex(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := l.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	want := searchAll(t, l, admin, queries, k)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{manifestName, "shard-0"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-			t.Fatalf("one-shard data dir grew %s (stat: %v)", name, err)
+		mustSameHits(t, "folded", searchAll(t, l, admin, queries, k), whole)
+		if exact {
+			mustSameHits(t, "folded, k=10", searchAll(t, l, admin, queries, 10), searchAll(t, ref, admin, queries, 10))
 		}
 	}
-	// ...and read back by a plain library, and by the router asked for 1.
-	pl, err = classminer.Recover(dir, a, quietWAL())
-	if err != nil {
-		t.Fatal(err)
+
+	t.Run("recorded count", func(t *testing.T) {
+		dir := fresh(t)
+		check(t, dir, 4, true)
+		check(t, dir, 4, true) // and again, from the folded dir
+	})
+	t.Run("another count", func(t *testing.T) {
+		dir := fresh(t)
+		check(t, dir, 2, false)
+		check(t, dir, 0, false)
+	})
+	for stop := 0; stop < 4; stop++ {
+		t.Run(fmt.Sprintf("interrupted after old shard %d", stop), func(t *testing.T) {
+			dir := fresh(t)
+			shards, err := classminer.RecoverPartitioned(dir, 4, func(name string) int { return shardIndex(name, 4) }, a, quietWAL())
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := &Library{shards: shards}
+			interrupted := errors.New("interrupted")
+			done := 0
+			err = l.foldLegacy(dir, nil, func(sdir string) error {
+				if err := l.foldShard(sdir); err != nil {
+					return err
+				}
+				if done == stop {
+					return interrupted
+				}
+				done++
+				return nil
+			})
+			if !errors.Is(err, interrupted) {
+				t.Fatalf("fold = %v, want the injected interruption", err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{legacyManifest, "shard-0", "shard-3"} {
+				if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+					t.Fatalf("the interrupted fold already removed %s: %v", name, err)
+				}
+			}
+			check(t, dir, 4, true)
+		})
 	}
-	if got := pl.Stats().Videos; got != len(corpus) {
-		t.Fatalf("plain library recovered %d videos from the router's dir, want %d", got, len(corpus))
-	}
-	if err := pl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l, err = Recover(dir, 1, a, quietWAL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if err := l.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	mustSameHits(t, "reopened one-shard dir", searchAll(t, l, admin, queries, k), want)
 }
 
 // TestStatsAggregation: the router's Stats must sum counters across shards,
-// take the worst staleness, aggregate the WAL block (sum counters, min
-// generation) and carry a per-shard breakdown — the /v1/stats payload.
+// take the worst staleness, report the one log's WAL block once — on the
+// aggregate, not per shard — and carry a per-shard breakdown of the library
+// counters: the /v1/stats payload.
 func TestStatsAggregation(t *testing.T) {
 	a := testAnalyzer(t)
 	dir := t.TempDir()
@@ -658,7 +973,7 @@ func TestStatsAggregation(t *testing.T) {
 		t.Fatalf("Stats carries %d shard blocks, want 3", len(st.Shards))
 	}
 	var videos, shots int
-	var gen, walRecords, walSyncs int64
+	var gen int64
 	for i, ss := range st.Shards {
 		if ss.Shard != i {
 			t.Fatalf("shard block %d labeled %d", i, ss.Shard)
@@ -666,11 +981,9 @@ func TestStatsAggregation(t *testing.T) {
 		videos += ss.Videos
 		shots += ss.Shots
 		gen += ss.Generation
-		if ss.WAL == nil {
-			t.Fatalf("shard %d missing WAL stats on a durable library", i)
+		if ss.WAL != nil {
+			t.Fatalf("shard %d block carries WAL stats; the shards share one log", i)
 		}
-		walRecords += ss.WAL.Records
-		walSyncs += ss.WAL.Syncs
 	}
 	if videos != len(corpus) || st.Videos != videos {
 		t.Fatalf("videos: aggregate %d, sum %d, want %d", st.Videos, videos, len(corpus))
@@ -684,11 +997,8 @@ func TestStatsAggregation(t *testing.T) {
 	if st.WAL == nil {
 		t.Fatal("aggregate WAL block missing on a durable library")
 	}
-	if st.WAL.Records != walRecords || walRecords != int64(len(corpus)) {
-		t.Fatalf("wal records: aggregate %d, sum %d, want %d", st.WAL.Records, walRecords, len(corpus))
-	}
-	if st.WAL.Syncs != walSyncs {
-		t.Fatalf("wal syncs: aggregate %d, sum %d", st.WAL.Syncs, walSyncs)
+	if ws, _ := l.WALStats(); *st.WAL != ws || ws.Records != int64(len(corpus)) {
+		t.Fatalf("wal block = %+v, the engine says %+v; want %d records", *st.WAL, ws, len(corpus))
 	}
 	if g := l.Generation(); g != gen {
 		t.Fatalf("Generation() = %d, want shard sum %d", g, gen)

@@ -8,10 +8,15 @@
 // On disk a data directory looks like
 //
 //	data/
+//	  LOCK                        flock held while an engine has the dir open
 //	  MANIFEST                    current generation, snapshot, first segment
 //	  snap-00000000000000000003.json   full library snapshot (store format)
 //	  wal-00000000000000000007.log     sealed segment
 //	  wal-00000000000000000008.log     active segment (appends go here)
+//
+// and that is all of it at any shard count: the shards of internal/shard
+// partition memory and journal to this one engine, so nothing here is per
+// shard and nothing records how many there were.
 //
 // Records are length-prefixed and CRC32-C framed; appends go to the active
 // segment, which rotates at Options.SegmentBytes. Replay walks the segments
