@@ -27,6 +27,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"math/bits"
 	"os"
 	"slices"
@@ -596,9 +598,13 @@ func (l *Library) visibleTo(u User) func(*VideoEntry) error {
 }
 
 // checkEntryDims validates that every new entry matches dim (0 = the
-// library constrains nothing and the entries establish it), returning the
-// dimension to install. Validation runs before any journaling or mutation:
-// a registration that would fail must never reach the log.
+// library constrains nothing and the entries establish it) and holds only
+// finite feature values, returning the dimension to install. Validation runs
+// before any journaling or mutation: a registration that would fail must
+// never reach the log. A NaN or an infinity would — the binary record carries
+// any float64 — and from there into every distance it is ranked by, on this
+// node and, replayed, on every other; so it is refused here, with the same
+// error whether or not the library is durable.
 func (l *Library) checkEntryDims(name string, newEntries []*index.Entry, dim int) (int, error) {
 	for _, e := range newEntries {
 		d := len(e.Shot.Color) + len(e.Shot.Texture)
@@ -608,6 +614,14 @@ func (l *Library) checkEntryDims(name string, newEntries []*index.Entry, dim int
 		if d != dim {
 			return 0, fmt.Errorf("classminer: video %q shot has %d feature dims, library has %d",
 				name, d, dim)
+		}
+		for _, row := range [2][]float64{e.Shot.Color, e.Shot.Texture} {
+			for _, v := range row {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return 0, fmt.Errorf("classminer: video %q shot %d has a non-finite feature value",
+						name, e.Shot.Index)
+				}
+			}
 		}
 	}
 	return dim, nil
@@ -830,10 +844,7 @@ func (l *Library) setLogSize(name string, n int64) {
 }
 
 // encodeJournalRecord serialises a register/replace record for the
-// write-ahead log, or returns nil when the library is not durable. The
-// envelope payload is the JSON of a store.SavedLibraryEntry — the same
-// shape a snapshot holds per video — so snapshot load and log replay share
-// one decode path.
+// write-ahead log, or returns nil when the library is not durable.
 func (l *Library) encodeJournalRecord(kind, name string, res *Result, subcluster string) ([]byte, error) {
 	l.mu.RLock()
 	durable := l.journal != nil
@@ -841,15 +852,49 @@ func (l *Library) encodeJournalRecord(kind, name string, res *Result, subcluster
 	if !durable {
 		return nil, nil
 	}
+	return appendEntryRecord(nil, kind, name, res, subcluster)
+}
+
+// appendEntryRecord appends to dst the one record shape a video is ever
+// written in — the envelope of internal/wal around the binary entry of
+// internal/store — which is what the log holds for a register or replace,
+// what a checkpoint snapshot holds per video, and what replication ships; so
+// snapshot load, log replay and a follower's apply share one decode path
+// (decodeEntryRecord). The entry is encoded straight into the frame.
+func appendEntryRecord(dst []byte, kind, name string, res *Result, subcluster string) ([]byte, error) {
 	saved, err := store.EncodeResult(res)
 	if err != nil {
-		return nil, fmt.Errorf("classminer: encoding journal record: %w", err)
+		return nil, fmt.Errorf("classminer: encoding %s record for %q: %w", kind, name, err)
 	}
-	entry, err := json.Marshal(store.SavedLibraryEntry{Subcluster: subcluster, Result: saved})
+	if dst == nil {
+		// A mined shot's two rows come to ≈ 200 bytes zero-suppressed.
+		dst = make([]byte, 0, 256*(1+len(saved.Shots)))
+	}
+	if dst, err = wal.AppendRecordHead(dst, kind, name); err != nil {
+		return nil, fmt.Errorf("classminer: encoding %s record for %q: %w", kind, name, err)
+	}
+	return store.AppendEntry(dst, &store.SavedLibraryEntry{Subcluster: subcluster, Result: saved}), nil
+}
+
+// decodeEntryRecord is appendEntryRecord's inverse: the mined result and
+// placement a register or replace record carries. A record out of a legacy
+// JSON envelope carries the entry as JSON.
+func decodeEntryRecord(rec *wal.Record) (*Result, string, error) {
+	var sv store.SavedLibraryEntry
+	var err error
+	if rec.Legacy() {
+		err = json.Unmarshal(rec.Payload, &sv)
+	} else {
+		sv, err = store.DecodeEntry(rec.Payload)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("classminer: encoding journal record: %w", err)
+		return nil, "", fmt.Errorf("classminer: decoding %s record for %q: %w", rec.Type, rec.Key, err)
 	}
-	return wal.EncodeRecord(kind, name, entry)
+	res, err := store.DecodeResult(sv.Result)
+	if err != nil {
+		return nil, "", fmt.Errorf("classminer: decoding %s record for %q: %w", rec.Type, rec.Key, err)
+	}
+	return res, sv.Subcluster, nil
 }
 
 // encodeTombstone serialises a delete record, or returns nil when the
@@ -1316,60 +1361,62 @@ func (l *Library) ScenesByEvent(u User, kind EventKind) []SceneRef {
 	return out
 }
 
-// Save serialises every mined video's metadata (not the media) to w. The
-// saved library can be reloaded with LoadLibrary without re-mining.
+// Save serialises every mined video's metadata (not the media) to w as one
+// JSON document — the human-readable export, and what LoadLibrary and
+// classminerd's -load read back without re-mining. (A durable library's own
+// files are binary; see Recover.)
 func (l *Library) Save(w io.Writer) error {
-	entries, err := l.savedEntries()
-	if err != nil {
-		return err
+	vids := l.settledVideos()
+	entries := make([]store.SavedLibraryEntry, len(vids))
+	for i, v := range vids {
+		saved, err := store.EncodeResult(v.ve.Result)
+		if err != nil {
+			return fmt.Errorf("classminer: saving %q: %w", v.name, err)
+		}
+		entries[i] = store.SavedLibraryEntry{Subcluster: v.ve.Subcluster, Result: saved}
 	}
 	return store.WriteLibrary(w, entries)
 }
 
-// savedEntries encodes every registered video in name order — what Save
-// writes and what a checkpoint snapshots.
+// savedVideo is one registered video as a snapshot sees it.
+type savedVideo struct {
+	name string
+	ve   *VideoEntry
+}
+
+func (v savedVideo) compareName(w savedVideo) int { return strings.Compare(v.name, w.name) }
+
+// settledVideos lists the registered videos in name order — what Save writes
+// and what a checkpoint snapshots.
 //
-// Only the registration set is snapshotted under the lock; the heavy
-// encoding runs outside it (registered Results are immutable), so a
+// Only the registration set is snapshotted under the lock; encoding it is the
+// caller's business and runs outside (registered Results are immutable), so a
 // checkpoint of a large library never stalls searches behind a pending
 // writer. The WAL ordering contract survives: the lock acquisition still
 // observes every journaled registration, and anything registered later is
 // on the log past the checkpoint's cut point anyway.
-func (l *Library) savedEntries() ([]store.SavedLibraryEntry, error) {
+//
+// A registration that is installed but whose group commit has not resolved
+// is waited out (outside the lock — this can even lead the flush): on
+// success the record is durable and belongs in the snapshot; on failure it
+// was clawed back and the install is being compensated, so the snapshot
+// must not resurrect it.
+func (l *Library) settledVideos() []savedVideo {
 	l.mu.RLock()
-	names := make([]string, 0, len(l.videos))
-	for name := range l.videos {
-		names = append(names, name)
+	vids := make([]savedVideo, 0, len(l.videos))
+	for name, ve := range l.videos {
+		vids = append(vids, savedVideo{name, ve})
 	}
-	sort.Strings(names)
-	ves := make([]*VideoEntry, len(names))
-	pend := make(map[string]wal.Commit, len(l.pendingAck))
-	for i, name := range names {
-		ves[i] = l.videos[name]
-		if c, ok := l.pendingAck[name]; ok {
-			pend[name] = c
-		}
-	}
+	pend := maps.Clone(l.pendingAck)
 	l.mu.RUnlock()
-	entries := make([]store.SavedLibraryEntry, 0, len(names))
-	for i, name := range names {
-		if c, ok := pend[name]; ok {
-			// The registration is installed but its group commit has not
-			// resolved. Wait it out (outside the lock — this can even lead
-			// the flush): on success the record is durable and belongs in
-			// the snapshot; on failure it was clawed back and the install
-			// is being compensated, so the snapshot must not resurrect it.
-			if c.Wait() != nil {
-				continue
-			}
-		}
-		saved, err := store.EncodeResult(ves[i].Result)
-		if err != nil {
-			return nil, fmt.Errorf("classminer: saving %q: %w", name, err)
-		}
-		entries = append(entries, store.SavedLibraryEntry{Subcluster: ves[i].Subcluster, Result: saved})
+	slices.SortFunc(vids, savedVideo.compareName)
+	if len(pend) == 0 {
+		return vids
 	}
-	return entries, nil
+	return slices.DeleteFunc(vids, func(v savedVideo) bool {
+		c, staged := pend[v.name]
+		return staged && c.Wait() != nil
+	})
 }
 
 // LoadLibrary reconstructs a library from a stream written by Save and
@@ -1395,6 +1442,14 @@ func LoadLibrary(r io.Reader, a *Analyzer) (*Library, error) {
 // durable before it is visible. A crashed process therefore restarts with
 // exactly the registrations it acknowledged (under SyncAlways; see
 // DurableOptions.Sync for the weaker modes).
+//
+// Everything in dir but its MANIFEST is binary — one record shape
+// (appendEntryRecord) in log, snapshot and replication stream alike; the
+// package comment of internal/wal draws the layers — and recovery parses no
+// JSON. A directory from before that opens all the same and is rewritten in
+// place by this call (recoverInto says how). A snapshot that is damaged or
+// incomplete fails the recovery, naming the file; a damaged log tail does
+// not, it ends the replay.
 //
 // The recovered index is left stale — call BuildIndex once before serving
 // searches. Close the library when done to release the engine.
@@ -1437,18 +1492,32 @@ func RecoverPartitioned(dir string, n int, place func(name string) int, a *Analy
 
 // recoverInto loads eng's snapshot and replays its log into libs, then
 // attaches eng to every one of them.
+//
+// Snapshot and log are read by one loop. Both are runs of the same frames
+// holding the same records (a snapshot's are all registrations), so the
+// reader — this goroutine — only checks each frame's CRC, reads the record's
+// key off its envelope and hands the record to the goroutine of the library
+// that owns the key; decoding the entry and installing it, the cost of a
+// recovery, is the owners' and runs beside the read at one library and side
+// by side at several. An owner sees its records in file order — the snapshot's
+// before the log's — which for any one key is all the order replay needs.
+// Records travel in batches cut by size: waking an owner per record costs
+// more than reading one, and a slow owner holds back a bounded amount of
+// input.
+//
+// The two differ in what damage means. The log's tail is where a crash lands:
+// replay stops cleanly at the first bad frame and the prefix is the state. A
+// snapshot is all or nothing (wal.ReadSnapshot): any damage, or a record
+// count short of its header, fails the recovery with the file's name.
+//
+// A directory written before records were binary opens through the one legacy
+// path left for it: a snap-<gen>.json is read by store.ReadLibrary, a frame
+// starting with '{' by the JSON envelope and entry decoders. A recovery that
+// read either checkpoints before it returns — as one that found a damaged
+// chain always has — and that checkpoint, being a current-format snapshot
+// that prunes every segment before it, converts the directory: no later boot
+// meets JSON in it again.
 func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int) error {
-	if snap := eng.SnapshotPath(); snap != "" {
-		f, err := os.Open(snap)
-		if err != nil {
-			return fmt.Errorf("classminer: opening snapshot: %w", err)
-		}
-		_, err = ImportPartitioned(libs, place, f, false)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("classminer: snapshot %s: %w", snap, err)
-		}
-	}
 	// Dead log discovered during replay (a tombstone or replacement whose
 	// victim is also on the log) is counted here and handed to the engine
 	// once it is attached, so a recovered-but-never-compacted data directory
@@ -1458,21 +1527,14 @@ func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int) 
 		deadRecs.Add(records)
 		deadBytes.Add(bytes)
 	}
-	// The log is read once, in order, and each record is handed to the
-	// goroutine of the library that owns its key: parsing the envelope to
-	// learn the key is cheap, decoding the payload is the cost of a recovery,
-	// and the owners pay it side by side. An owner sees its records in log
-	// order, which for any one key is all the order replay needs. Records
-	// travel in batches cut by size: waking an owner per record costs more
-	// than reading one, and a slow owner holds back a bounded amount of log.
 	const batchBytes = 256 << 10
 	type replayed struct {
 		rec  wal.Record
-		size int64 // on-log footprint, frame header included
+		size int64 // on-log footprint, frame header included; 0 in a snapshot
 	}
 	queues := make([]chan []replayed, len(libs))
 	filling := make([][]replayed, len(libs))
-	fillBytes := make([]int64, len(libs))
+	fillBytes := make([]int, len(libs))
 	errs := make([]error, len(libs))
 	var failed atomic.Bool
 	var wg sync.WaitGroup
@@ -1485,32 +1547,93 @@ func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sv store.SavedLibraryEntry // decode scratch, one per owner
 			for recs := range queues[i] {
 				for k := 0; k < len(recs) && errs[i] == nil; k++ {
-					if errs[i] = l.replayRecord(&recs[k].rec, recs[k].size, &sv); errs[i] != nil {
+					if errs[i] = l.replayRecord(&recs[k].rec, recs[k].size); errs[i] != nil {
 						failed.Store(true) // the reader stops at its next frame
 					}
 				}
 			}
 		}()
 	}
+	legacy := false    // the reader met a JSON snapshot or frame
 	var rec wal.Record // envelope scratch, copied into the owner's batch
-	err := eng.Replay(func(payload []byte) error {
+	decode := func(frame []byte) error {
 		if failed.Load() {
 			return errReplayAborted
 		}
-		if err := wal.DecodeRecordInto(&rec, payload); err != nil {
+		if err := wal.DecodeRecordInto(&rec, frame); err != nil {
 			return fmt.Errorf("classminer: %w", err)
 		}
-		i, size := place(rec.Key), int64(len(payload))+wal.FrameOverhead
+		legacy = legacy || rec.Legacy()
+		return nil
+	}
+	// route queues the record in rec for its owner.
+	route := func(frame []byte, size int64) {
+		i := place(rec.Key)
 		filling[i] = append(filling[i], replayed{rec, size})
-		if fillBytes[i] += size; fillBytes[i] >= batchBytes {
+		if fillBytes[i] += len(frame); fillBytes[i] >= batchBytes {
 			queues[i] <- filling[i]
 			filling[i], fillBytes[i] = nil, 0
 		}
-		return nil
-	})
+	}
+	var err error
+	if snap := eng.SnapshotPath(); snap != "" {
+		if legacy = wal.LegacySnapshot(snap); legacy {
+			err = importLegacySnapshot(snap, libs, place)
+		} else {
+			err = readSnapshot(snap, libs, func(frame []byte) error {
+				if err := decode(frame); err != nil {
+					return err
+				}
+				if rec.Type != wal.RecordRegister {
+					return fmt.Errorf("classminer: a snapshot holds a %s record for %q", rec.Type, rec.Key)
+				}
+				route(frame, 0)
+				return nil
+			})
+		}
+		if err != nil {
+			err = fmt.Errorf("classminer: snapshot %s: %w", snap, err)
+		}
+	}
+	// The log is read twice. The first pass reads envelopes only and notes,
+	// per key, the last record that settles the key's state whatever came
+	// before it (a tombstone or a replace); the second replays — and skips
+	// every record a later one of those supersedes, which is the rule
+	// compaction drops records by, applied at read time. A recovery then
+	// decodes and installs what survives, not what was ever written: the
+	// compactor runs on a byte threshold, and a log of small records holds
+	// many dead ones below it.
+	settled := map[string]int{} // key → ordinal of its last tombstone or replace
+	replay := func(each func(n int, frame []byte)) error {
+		n := 0
+		return eng.Replay(func(frame []byte) error {
+			if err := decode(frame); err != nil {
+				return err
+			}
+			each(n, frame)
+			n++
+			return nil
+		})
+	}
+	if err == nil {
+		err = replay(func(n int, _ []byte) {
+			if rec.Type != wal.RecordRegister {
+				settled[rec.Key] = n
+			}
+		})
+	}
+	if err == nil {
+		err = replay(func(n int, frame []byte) {
+			size := int64(len(frame)) + wal.FrameOverhead
+			if last, ok := settled[rec.Key]; ok && n < last {
+				noteDead(1, size)
+			} else {
+				route(frame, size)
+			}
+		})
+	}
 	for i, q := range queues {
 		if err == nil && len(filling[i]) > 0 {
 			q <- filling[i]
@@ -1536,26 +1659,75 @@ func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int) 
 	if n := deadRecs.Load(); n > 0 {
 		eng.NoteDead(n, deadBytes.Load())
 	}
-	if eng.ReplayDamaged() {
-		// The log chain is broken mid-way: records past the damage (and any
-		// future appends, which land after them) would be unreachable by
-		// the next replay. A checkpoint heals it — the fresh snapshot holds
-		// everything just recovered, and the broken segments are pruned.
+	if legacy || eng.ReplayDamaged() {
+		// A broken chain strands the records past the damage (and any future
+		// appends, which land after them) from the next replay; a legacy
+		// directory would be parsed as JSON again at every boot. One checkpoint
+		// cures both — the fresh snapshot holds everything just recovered, in
+		// the current format, and the segments behind it are pruned.
 		if err := eng.Checkpoint(); err != nil {
-			return fmt.Errorf("classminer: checkpointing past damaged log: %w", err)
+			return fmt.Errorf("classminer: checkpointing the recovered state: %w", err)
 		}
 	}
 	return nil
 }
 
-// errReplayAborted stops the log reader once an owner has failed; the
-// owner's error is the one reported.
+// readSnapshot feeds every record of the frame snapshot at path to record,
+// after sizing libs for what its header announces: each library reserves its
+// share of the rows once instead of doubling its way there.
+func readSnapshot(path string, libs []*Library, record func(frame []byte) error) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	return wal.ReadSnapshot(f, func(h wal.SnapshotHeader) error {
+		// The header is a hint, so it is believed only as far as the file can
+		// back it: a written value costs at least its presence bit.
+		if h.Dim > 0 && int64(h.Rows) <= 8*fi.Size()/int64(h.Dim) {
+			for _, l := range libs {
+				l.reserve((h.Rows+len(libs)-1)/len(libs), h.Dim)
+			}
+		}
+		return nil
+	}, record)
+}
+
+// importLegacySnapshot loads a snap-<gen>.json, the whole-library JSON
+// document checkpoints used to write.
+func importLegacySnapshot(path string, libs []*Library, place func(name string) int) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	_, err = ImportPartitioned(libs, place, f, false)
+	return err
+}
+
+// reserve gives an empty library room for rows rows of dim features.
+func (l *Library) reserve(rows, dim int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.entries) == 0 && cap(l.entries) < rows {
+		l.entries = make([]*index.Entry, 0, rows)
+		l.featData = make([]float64, 0, rows*dim)
+		l.dead = make([]uint64, 0, (rows+63)/64)
+	}
+}
+
+// errReplayAborted stops the reader once an owner has failed; the owner's
+// error is the one reported.
 var errReplayAborted = errors.New("classminer: replay aborted")
 
-// replayRecord applies one log record during recovery, before the journal
-// is attached (nothing is re-logged). size is the record's on-log footprint
-// and sv a scratch entry the caller reuses across records.
-func (l *Library) replayRecord(rec *wal.Record, size int64, sv *store.SavedLibraryEntry) error {
+// replayRecord applies one record during recovery, before the journal is
+// attached (nothing is re-logged). size is the record's on-log footprint, 0
+// for a snapshot's.
+func (l *Library) replayRecord(rec *wal.Record, size int64) error {
 	if rec.Type == wal.RecordTombstone {
 		// Delete wins over a straddling checkpointed registration (the
 		// video is in the snapshot, its tombstone on the log tail);
@@ -1564,53 +1736,35 @@ func (l *Library) replayRecord(rec *wal.Record, size int64, sv *store.SavedLibra
 		l.remove(rec.Key)
 		return nil
 	}
-	*sv = store.SavedLibraryEntry{}
-	if err := json.Unmarshal(rec.Payload, sv); err != nil {
-		return fmt.Errorf("classminer: decoding journal record: %w", err)
-	}
-	res, err := store.DecodeResult(sv.Result)
+	res, subcluster, err := decodeEntryRecord(rec)
 	if err != nil {
-		return fmt.Errorf("classminer: decoding journal record: %w", err)
+		return err
 	}
 	name := res.Video.Name
 	if rec.Type == wal.RecordReplace {
-		if err := l.replace(context.Background(), name, res, sv.Subcluster, nil); err != nil {
+		if err := l.replace(context.Background(), name, res, subcluster, nil); err != nil {
 			return err
 		}
 	} else {
-		err := l.register(context.Background(), name, res, sv.Subcluster)
-		if err != nil && !errors.Is(err, ErrDuplicateVideo) {
-			// A duplicate straddles the last checkpoint: it is both in
-			// the snapshot and on the log tail, and the snapshot copy
-			// won. Anything else is real.
+		err := l.register(context.Background(), name, res, subcluster)
+		if err != nil && !(size > 0 && errors.Is(err, ErrDuplicateVideo)) {
+			// A duplicate on the log straddles the last checkpoint: it is
+			// both in the snapshot and on the log tail, and the snapshot
+			// copy won. Anything else — a name twice in one snapshot too —
+			// is real.
 			return err
 		}
 	}
-	// Either way the record is on the live log; a later delete or
-	// replacement makes its bytes reclaimable.
-	l.setLogSize(name, size)
-	return nil
-}
-
-// routeEntries decodes each saved entry and hands it, with the library that
-// owns its name, to apply — the one loop behind snapshot load, -load imports
-// and a follower's reseed.
-func routeEntries(entries []store.SavedLibraryEntry, libs []*Library, place func(name string) int,
-	apply func(l *Library, res *Result, subcluster string) error) error {
-	for _, sv := range entries {
-		res, err := store.DecodeResult(sv.Result)
-		if err != nil {
-			return err
-		}
-		if err := apply(libs[place(res.Video.Name)], res, sv.Subcluster); err != nil {
-			return err
-		}
+	if size > 0 {
+		// The record is on the live log; a later delete or replacement
+		// makes its bytes reclaimable.
+		l.setLogSize(name, size)
 	}
 	return nil
 }
 
-// ImportPartitioned registers every video of a library snapshot (a stream
-// written by Save) into the library that owns its name, reporting how many
+// ImportPartitioned registers every video of a library export (the JSON
+// stream Save writes) into the library that owns its name, reporting how many
 // were added. With skipExisting, names already held are skipped — the
 // one-shot-migration semantics of classminerd's -load — otherwise a
 // duplicate is an error. Placement concepts are validated like any other
@@ -1622,20 +1776,24 @@ func ImportPartitioned(libs []*Library, place func(name string) int, r io.Reader
 		return 0, err
 	}
 	n := 0
-	err = routeEntries(saved.Videos, libs, place, func(l *Library, res *Result, subcluster string) error {
+	for _, sv := range saved.Videos {
+		res, err := store.DecodeResult(sv.Result)
+		if err != nil {
+			return n, err
+		}
+		l := libs[place(res.Video.Name)]
 		if skipExisting && l.Video(res.Video.Name) != nil {
-			return nil
+			continue
 		}
-		if err := l.checkSubcluster(subcluster); err != nil {
-			return err
+		if err := l.checkSubcluster(sv.Subcluster); err != nil {
+			return n, err
 		}
-		if err := l.register(context.Background(), res.Video.Name, res, subcluster); err != nil {
-			return err
+		if err := l.register(context.Background(), res.Video.Name, res, sv.Subcluster); err != nil {
+			return n, err
 		}
 		n++
-		return nil
-	})
-	return n, err
+	}
+	return n, nil
 }
 
 // ImportSnapshot is ImportPartitioned into this one library.
@@ -1670,21 +1828,17 @@ func (l *Library) ApplyRecord(ctx context.Context, rec *wal.Record) error {
 		}
 		return nil
 	case wal.RecordRegister, wal.RecordReplace:
-		var sv store.SavedLibraryEntry
-		if err := json.Unmarshal(rec.Payload, &sv); err != nil {
-			return fmt.Errorf("classminer: decoding replicated record: %w", err)
-		}
-		res, err := store.DecodeResult(sv.Result)
+		res, subcluster, err := decodeEntryRecord(rec)
 		if err != nil {
-			return fmt.Errorf("classminer: decoding replicated record: %w", err)
+			return err
 		}
-		if err := l.checkSubcluster(sv.Subcluster); err != nil {
+		if err := l.checkSubcluster(subcluster); err != nil {
 			return err
 		}
 		if rec.Type == wal.RecordReplace {
-			return l.replace(ctx, res.Video.Name, res, sv.Subcluster, nil)
+			return l.replace(ctx, res.Video.Name, res, subcluster, nil)
 		}
-		if err := l.register(ctx, res.Video.Name, res, sv.Subcluster); err != nil && !errors.Is(err, ErrDuplicateVideo) {
+		if err := l.register(ctx, res.Video.Name, res, subcluster); err != nil && !errors.Is(err, ErrDuplicateVideo) {
 			return err
 		}
 		return nil
@@ -1695,28 +1849,32 @@ func (l *Library) ApplyRecord(ctx context.Context, rec *wal.Record) error {
 
 // ReseedPartitioned converges libs onto a leader checkpoint snapshot without
 // wiping: videos absent from the snapshot are tombstoned, every snapshot
-// entry is applied as a replacement on the library that owns its name (an
+// record is applied as a replacement on the library that owns its name (an
 // upsert, so entries whose content drifted are refreshed too), and all of it
 // flows through the normal journaled mutation paths, making the reseed
 // itself crash-safe and re-runnable. This is the follower's fallback when
 // its cursor falls behind the leader's compaction horizon: the snapshot plus
-// the log tail after it is exactly the leader's state. r may be nil — a
-// leader that has never checkpointed has an empty snapshot, and the whole
-// history arrives via the log instead. Reports how many videos were
-// installed and removed.
+// the log tail after it is exactly the leader's state. r is the leader's
+// snapshot file as it stands on the leader's disk (wal.ReadSnapshot's
+// format) and is read whole, and checked whole, before anything is touched —
+// a stream cut short converges on nothing. r may be nil — a leader that has
+// never checkpointed has an empty snapshot, and the whole history arrives
+// via the log instead. Reports how many videos were installed and removed.
 func ReseedPartitioned(ctx context.Context, libs []*Library, place func(name string) int, r io.Reader) (installed, removed int, err error) {
-	var entries []store.SavedLibraryEntry
+	var recs []wal.Record
+	keep := map[string]bool{}
 	if r != nil {
-		saved, err := store.ReadLibrary(r)
+		err := wal.ReadSnapshot(r, nil, func(frame []byte) error {
+			rec, err := wal.DecodeRecord(frame)
+			if err == nil && rec.Type != wal.RecordRegister {
+				err = fmt.Errorf("a snapshot holds a %s record for %q", rec.Type, rec.Key)
+			}
+			recs = append(recs, rec)
+			keep[rec.Key] = true
+			return err
+		})
 		if err != nil {
-			return 0, 0, err
-		}
-		entries = saved.Videos
-	}
-	keep := make(map[string]bool, len(entries))
-	for _, sv := range entries {
-		if sv.Result != nil {
-			keep[sv.Result.VideoName] = true
+			return 0, 0, fmt.Errorf("classminer: leader snapshot: %w", err)
 		}
 	}
 	for _, l := range libs {
@@ -1730,17 +1888,21 @@ func ReseedPartitioned(ctx context.Context, libs []*Library, place func(name str
 			removed++
 		}
 	}
-	err = routeEntries(entries, libs, place, func(l *Library, res *Result, subcluster string) error {
+	for i := range recs {
+		res, subcluster, err := decodeEntryRecord(&recs[i])
+		if err != nil {
+			return installed, removed, err
+		}
+		l := libs[place(res.Video.Name)]
 		if err := l.checkSubcluster(subcluster); err != nil {
-			return err
+			return installed, removed, err
 		}
 		if err := l.replace(ctx, res.Video.Name, res, subcluster, nil); err != nil {
-			return err
+			return installed, removed, err
 		}
 		installed++
-		return nil
-	})
-	return installed, removed, err
+	}
+	return installed, removed, nil
 }
 
 // ReseedFromSnapshot is ReseedPartitioned over this one library.
@@ -1756,31 +1918,51 @@ func (l *Library) Durable() bool {
 	return l.journal != nil
 }
 
-// checkpointSource is the snapshot writer the engine's checkpoints call:
-// every library's entries in one name-ordered snapshot — the same bytes
-// however many libraries the videos are spread over — plus bookkeeping. Once
-// the snapshot is cut, the log records it covers are about to be pruned, so
-// their per-name footprints are forgotten: a later delete of a checkpointed
-// video costs the log nothing (only its tombstone is appended).
+// checkpointSource is the snapshot writer the engine's checkpoints call. A
+// snapshot is a wal.SnapshotWriter stream — a header, then the register
+// record of every video of every library in name order, the same bytes
+// however many libraries the videos are spread over — and it is written one
+// video at a time: what is sorted is (name, entry) pairs, and no more than
+// one encoded video exists at once. Each library is read under its own lock
+// after the engine's cut, so it shows every record it staged before the cut —
+// the SetSource contract, library by library.
+//
+// Once the snapshot is cut, the log records it covers are about to be pruned,
+// so their per-name footprints are forgotten: a later delete of a
+// checkpointed video costs the log nothing (only its tombstone is appended).
 // Registrations that straddle the checkpoint lose their entry too, a
 // deliberate undercount: the dead-bytes counter is a compaction trigger, and
-// Compact recomputes exact deadness from the log itself. Each library is read
-// under its own lock after the engine's cut, so it shows every record it
-// staged before the cut — the SetSource contract, library by library.
+// Compact recomputes exact deadness from the log itself.
 func checkpointSource(libs []*Library) func(io.Writer) error {
 	return func(w io.Writer) error {
-		var entries []store.SavedLibraryEntry
+		var vids []savedVideo
 		for _, l := range libs {
-			es, err := l.savedEntries()
-			if err != nil {
+			vids = append(vids, l.settledVideos()...)
+		}
+		if len(libs) > 1 {
+			slices.SortFunc(vids, savedVideo.compareName)
+		}
+		h := wal.SnapshotHeader{Videos: len(vids)}
+		for _, v := range vids {
+			h.Rows += v.ve.rows
+			if shots := v.ve.Result.Shots; h.Dim == 0 && len(shots) > 0 {
+				h.Dim = len(shots[0].Color) + len(shots[0].Texture)
+			}
+		}
+		sw, err := wal.NewSnapshotWriter(w, h)
+		if err != nil {
+			return err
+		}
+		var rec []byte // one video's record, reused
+		for _, v := range vids {
+			if rec, err = appendEntryRecord(rec[:0], wal.RecordRegister, v.name, v.ve.Result, v.ve.Subcluster); err != nil {
 				return err
 			}
-			entries = append(entries, es...)
+			if err := sw.Append(rec); err != nil {
+				return err
+			}
 		}
-		slices.SortFunc(entries, func(a, b store.SavedLibraryEntry) int {
-			return strings.Compare(a.Result.VideoName, b.Result.VideoName)
-		})
-		if err := store.WriteLibrary(w, entries); err != nil {
+		if err := sw.Close(); err != nil {
 			return err
 		}
 		for _, l := range libs {

@@ -1,14 +1,22 @@
 package classminer
 
 import (
+	"bytes"
+	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"classminer/internal/store"
+	"classminer/internal/wal"
 )
 
 // tinyResult fabricates a small mined result (a few shots in one group and
@@ -558,5 +566,374 @@ func BenchmarkRecover10k(b *testing.B) {
 			b.Fatalf("recovered %d videos, want %d", got, n)
 		}
 		recovered.Close()
+	}
+}
+
+// frameOffsets returns where each frame of a frame file starts: a frame is an
+// 8-byte header, length first, and its payload.
+func frameOffsets(file []byte) (offsets []int) {
+	for off := 0; off < len(file); off += 8 + int(binary.LittleEndian.Uint32(file[off:])) {
+		offsets = append(offsets, off)
+	}
+	return offsets
+}
+
+// TestRecoverSnapshotAllOrNothing: damage on the log's tail means "stop
+// cleanly, the prefix is the state"; damage in the checkpoint snapshot may
+// not. A flipped byte, a dropped last frame, a cut inside a frame and an
+// empty file each fail the boot with the snapshot's name — none recovers as
+// a smaller library — while the same data dir with its snapshot intact and
+// its log tail torn still opens.
+func TestRecoverSnapshotAllOrNothing(t *testing.T) {
+	a, err := NewAnalyzer(Options{SkipEvents: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := t.TempDir()
+	lib, err := Recover(src, a, quietWAL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := lib.AddResult(tinyResult(t, fmt.Sprintf("v%d", i), int64(i), 3), "medicine"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lib.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.AddResult(tinyResult(t, "tail", 9, 3), "medicine"); err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, _ := filepath.Glob(filepath.Join(src, "snap-*"))
+	if len(snaps) != 1 {
+		t.Fatalf("snapshots: %v", snaps)
+	}
+	snapName := filepath.Base(snaps[0])
+	whole, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := frameOffsets(whole)
+	if len(frames) != 7 {
+		t.Fatalf("snapshot holds %d frames, want a header and 6 videos", len(frames))
+	}
+	reopen := func(file string, content []byte) (*Library, error) {
+		dir := t.TempDir()
+		entries, err := os.ReadDir(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			raw, err := os.ReadFile(filepath.Join(src, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Name() == file {
+				raw = content
+			}
+			if err := os.WriteFile(filepath.Join(dir, e.Name()), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return Recover(dir, a, quietWAL())
+	}
+	flipped := bytes.Clone(whole)
+	flipped[frames[3]+40] ^= 0x04
+	for name, content := range map[string][]byte{
+		"byte flipped mid-file": flipped,
+		"last frame dropped":    whole[:frames[6]],
+		"cut inside a frame":    whole[:frames[4]+11],
+		"header only":           whole[:frames[1]],
+		"empty file":            {},
+	} {
+		lib, err := reopen(snapName, content)
+		if err == nil {
+			n := lib.Stats().Videos
+			lib.Close()
+			t.Fatalf("%s: recovered %d videos from a damaged snapshot", name, n)
+		}
+		if !strings.Contains(err.Error(), snapName) {
+			t.Fatalf("%s: %v, want the error to name %s", name, err, snapName)
+		}
+	}
+
+	// The log keeps its licence: the same cut applied to its tail is a crash
+	// mid-append, and the prefix is the state.
+	segs, _ := filepath.Glob(filepath.Join(src, "wal-*.log"))
+	last := segs[len(segs)-1]
+	tail, err := os.ReadFile(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err = reopen(filepath.Base(last), tail[:len(tail)-5])
+	if err != nil {
+		t.Fatalf("torn log tail: %v", err)
+	}
+	defer lib.Close()
+	if got := lib.Stats().Videos; got != 6 || lib.Video("tail") != nil {
+		t.Fatalf("torn log tail recovered %d videos, want the 6 checkpointed ones", got)
+	}
+}
+
+// TestNonFiniteFeatureRefused: a NaN or infinite feature value is refused
+// where dimensions are — before anything is staged — with the same error on
+// a durable and an in-memory library, through register, replace and a
+// follower's apply alike, and nothing reaches the log: the binary record
+// carries any float64, so no serialiser will catch it later.
+func TestNonFiniteFeatureRefused(t *testing.T) {
+	a, err := NewAnalyzer(Options{SkipEvents: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	durable, err := Recover(t.TempDir(), a, quietWAL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer durable.Close()
+	poisoned := func(name string, v float64) *Result {
+		res := tinyResult(t, name, 7, 3)
+		res.Shots[1].Texture[2] = v
+		return res
+	}
+	said := map[string]string{}
+	for label, lib := range map[string]*Library{"durable": durable, "in-memory": NewLibrary(a)} {
+		if err := lib.AddResult(tinyResult(t, "held", 1, 3), "medicine"); err != nil {
+			t.Fatal(err)
+		}
+		before := lib.Stats()
+		var refusals []string
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			// What a leader running the same code could never have shipped, but
+			// a follower must not trust: the poisoned video as a log record.
+			rec, err := appendEntryRecord(nil, wal.RecordReplace, "held", poisoned("held", v), "medicine")
+			if err != nil {
+				t.Fatal(err)
+			}
+			shipped, err := wal.DecodeRecord(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for op, err := range map[string]error{
+				"register": lib.AddResult(poisoned("fresh", v), "medicine"),
+				"replace":  lib.ReplaceResult(poisoned("held", v), "medicine"),
+				"apply":    lib.ApplyRecord(context.Background(), &shipped),
+			} {
+				if err == nil || !strings.Contains(err.Error(), "non-finite feature value") {
+					t.Fatalf("%s %s of %v: %v, want the non-finite refusal", label, op, v, err)
+				}
+				refusals = append(refusals, err.Error())
+			}
+		}
+		after := lib.Stats()
+		if after.Videos != 1 || after.Generation != before.Generation {
+			t.Fatalf("%s: a refused registration changed the library: %+v -> %+v", label, before, after)
+		}
+		if before.WAL != nil && *after.WAL != *before.WAL {
+			t.Fatalf("a refused registration reached the log: %+v -> %+v", *before.WAL, *after.WAL)
+		}
+		sort.Strings(refusals)
+		said[label] = fmt.Sprintf("%q", slices.Compact(refusals))
+	}
+	if said["durable"] != said["in-memory"] {
+		t.Fatalf("the refusal depends on durability:\n%s\n%s", said["durable"], said["in-memory"])
+	}
+}
+
+// TestCheckpointForgetsLogFootprints: the dead-bytes bookkeeping across a
+// checkpoint. A delete of a video whose record is on the live log reports
+// that record dead; a checkpoint prunes the log the footprints described and
+// forgets them, so deleting a checkpointed video afterwards costs the log its
+// tombstone and nothing else.
+func TestCheckpointForgetsLogFootprints(t *testing.T) {
+	a, err := NewAnalyzer(Options{SkipEvents: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := quietWAL()
+	opts.CompactBytes = -1
+	lib, err := Recover(t.TempDir(), a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lib.Close()
+	for i := 0; i < 4; i++ {
+		if err := lib.AddResult(tinyResult(t, fmt.Sprintf("v%d", i), int64(i), 3), "medicine"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dead := func() (int64, int64) {
+		ws, _ := lib.WALStats()
+		return ws.DeadRecords, ws.DeadBytes
+	}
+	if err := lib.DeleteVideo("v0"); err != nil {
+		t.Fatal(err)
+	}
+	if recs, bytes := dead(); recs != 1 || bytes == 0 {
+		t.Fatalf("deleting a logged video noted %d dead records, %d bytes; want its one record", recs, bytes)
+	}
+	if err := lib.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.DeleteVideo("v1"); err != nil {
+		t.Fatal(err)
+	}
+	if recs, bytes := dead(); recs != 0 || bytes != 0 {
+		t.Fatalf("deleting a checkpointed video noted %d dead records, %d bytes; its record left with the checkpoint", recs, bytes)
+	}
+	if err := lib.ReplaceResult(tinyResult(t, "v2", 22, 3), "medicine"); err != nil { // v2's first record is checkpointed too
+		t.Fatal(err)
+	}
+	if err := lib.DeleteVideo("v2"); err != nil { // its replacement is on the log
+		t.Fatal(err)
+	}
+	if recs, _ := dead(); recs != 1 {
+		t.Fatalf("%d dead records after deleting a video replaced since the checkpoint, want 1", recs)
+	}
+}
+
+// TestRecoverSkipsSupersededRecords: replay installs what survives, not what
+// was ever written. A record that a later tombstone or replace for its key
+// supersedes — compaction's rule, applied at read time — is counted as dead
+// log and otherwise passed over, and the recovered library is the one a full
+// replay builds: same videos, same contents, same answers.
+func TestRecoverSkipsSupersededRecords(t *testing.T) {
+	a, err := NewAnalyzer(Options{SkipEvents: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opts := quietWAL()
+	opts.CompactBytes = -1
+	lib, err := Recover(dir, a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reference := NewLibrary(a)
+	both := func(op func(l *Library) error) {
+		t.Helper()
+		for _, l := range []*Library{lib, reference} {
+			if err := op(l); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	add := func(name string, seed int64) {
+		t.Helper()
+		both(func(l *Library) error { return l.AddResult(tinyResult(t, name, seed, 3), "medicine") })
+	}
+	replace := func(name string, seed int64) {
+		t.Helper()
+		both(func(l *Library) error { return l.ReplaceResult(tinyResult(t, name, seed, 4), "medicine") })
+	}
+	del := func(name string) {
+		t.Helper()
+		both(func(l *Library) error { return l.DeleteVideo(name) })
+	}
+	add("kept", 1)
+	add("snapped", 2)
+	if err := lib.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// On the log, in order; † marks the records a later one supersedes.
+	add("a", 3)      // †
+	add("b", 4)      // †
+	replace("a", 5)  // † (a is replaced again)
+	del("b")         //   b's last word...
+	add("b", 6)      //   ...and a registration after it: both live
+	add("c", 7)      // †
+	del("c")         //   live: the tombstone settles c
+	replace("a", 8)  //   live
+	del("snapped")   //   live: its victim is in the snapshot
+	add("d", 9)      //   live
+	replace("e", 10) // † an upsert that registered...
+	del("e")         // † ...deleted...
+	add("e", 11)     // † ...registered again...
+	replace("e", 12) //   ...and replaced: only this one is live
+	const logged, superseded = 14, 7
+	if err := lib.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered, err := Recover(dir, a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	ws, _ := recovered.WALStats()
+	if ws.Records != logged || ws.DeadRecords != superseded || ws.DeadBytes == 0 {
+		t.Fatalf("recovery saw %d records, %d of them dead (%d B); want %d and %d", ws.Records, ws.DeadRecords, ws.DeadBytes, logged, superseded)
+	}
+	if got, want := fmt.Sprint(recovered.VideoNames()), fmt.Sprint(reference.VideoNames()); got != want {
+		t.Fatalf("recovered %s, want %s", got, want)
+	}
+	for _, name := range reference.VideoNames() {
+		if g, w := len(recovered.Video(name).Result.Shots), len(reference.Video(name).Result.Shots); g != w {
+			t.Fatalf("%s recovered with %d shots, want %d", name, g, w)
+		}
+	}
+	for _, l := range []*Library{recovered, reference} {
+		if err := l.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := fixedQueries(8, 12, 5)
+	mustSameHits(t, searchAll(t, recovered, queries, 40), searchAll(t, reference, queries, 40))
+}
+
+// TestReseedIsAllOrNothing: a follower converging onto a leader's snapshot
+// tombstones what the snapshot lacks before it installs what it holds, so it
+// must know the snapshot is whole before it touches anything. A stream cut
+// short — even exactly between two frames — changes nothing; the whole one
+// converges.
+func TestReseedIsAllOrNothing(t *testing.T) {
+	a, err := NewAnalyzer(Options{SkipEvents: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader, err := Recover(t.TempDir(), a, quietWAL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	for i := 0; i < 4; i++ {
+		if err := leader.AddResult(tinyResult(t, fmt.Sprintf("l%d", i), int64(i), 3), "medicine"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := leader.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(leader.Engine().SnapshotPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := NewLibrary(a)
+	for _, name := range []string{"l0", "stale"} {
+		if err := follower.AddResult(tinyResult(t, name, 77, 2), "medicine"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frames := frameOffsets(snap)
+	for name, cut := range map[string]int{"between frames": frames[len(frames)-1], "inside a frame": len(snap) - 3, "to nothing": 0} {
+		if _, _, err := follower.ReseedFromSnapshot(context.Background(), bytes.NewReader(snap[:cut])); err == nil {
+			t.Fatalf("a snapshot cut %s reseeded", name)
+		}
+		if got := fmt.Sprint(follower.VideoNames()); got != "[l0 stale]" {
+			t.Fatalf("a snapshot cut %s left the follower holding %s", name, got)
+		}
+	}
+	installed, removed, err := follower.ReseedFromSnapshot(context.Background(), bytes.NewReader(snap))
+	if err != nil || installed != 4 || removed != 1 {
+		t.Fatalf("reseed = %d installed, %d removed, %v; want 4, 1", installed, removed, err)
+	}
+	if got, want := fmt.Sprint(follower.VideoNames()), fmt.Sprint(leader.VideoNames()); got != want {
+		t.Fatalf("follower holds %s, leader %s", got, want)
+	}
+	if got := len(follower.Video("l0").Result.Shots); got != 3 {
+		t.Fatalf("l0 kept its stale content (%d shots)", got)
 	}
 }

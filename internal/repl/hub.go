@@ -271,8 +271,10 @@ func (h *Hub) ServePull(w http.ResponseWriter, r *http.Request) {
 }
 
 // ServeSnapshot answers GET /v1/repl/snapshot: register the follower's pin
-// at the current horizon and stream the newest checkpoint snapshot (empty
-// body, HeaderSnapshot "none", when no checkpoint exists yet). The cursor
+// at the current horizon and stream the newest checkpoint snapshot — the
+// file as it stands on disk, frames of the same records /v1/repl/pull ships,
+// behind a header the follower holds it to (wal.ReadSnapshot) — or an empty
+// body, HeaderSnapshot "none", when no checkpoint exists yet. The cursor
 // headers name the log position the snapshot's state continues from.
 func (h *Hub) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -306,11 +308,12 @@ func (h *Hub) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rc.Close()
 	w.Header().Set(HeaderSnapshot, "full")
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	if _, err := io.Copy(w, rc); err != nil {
 		// Headers are gone; all we can do is log the truncated stream. The
-		// follower's reseed will fail to parse and retry.
+		// follower's reseed finds it short of its header, applies none of it
+		// and retries.
 		h.logf("repl: streaming snapshot to %q: %v", follower, err)
 	}
 	h.logf("repl: follower %q seeded at segment %d", follower, cur.Segment)

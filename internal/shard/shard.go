@@ -161,24 +161,31 @@ func (l *Library) foldShard(sdir string) error {
 		return err
 	}
 	defer eng.Close()
+	var rec wal.Record
+	apply := func(frame []byte) error {
+		if err := wal.DecodeRecordInto(&rec, frame); err != nil {
+			return err
+		}
+		return l.ApplyRecord(context.Background(), &rec)
+	}
 	if snap := eng.SnapshotPath(); snap != "" {
 		f, err := os.Open(snap)
 		if err != nil {
 			return err
 		}
-		_, err = l.ImportSnapshot(f, true)
+		// The layout predates frame snapshots, but a shard's directory is a
+		// plain data dir and may have been opened as one since.
+		if wal.LegacySnapshot(snap) {
+			_, err = l.ImportSnapshot(f, true)
+		} else {
+			err = wal.ReadSnapshot(f, nil, apply)
+		}
 		f.Close()
 		if err != nil {
-			return err
+			return fmt.Errorf("snapshot %s: %w", snap, err)
 		}
 	}
-	var rec wal.Record
-	return eng.Replay(func(frame []byte) error {
-		if err := wal.DecodeRecordInto(&rec, frame); err != nil {
-			return err
-		}
-		return l.ApplyRecord(context.Background(), &rec)
-	})
+	return eng.Replay(apply)
 }
 
 // fnv32Offset/fnv32Prime: FNV-1a, inlined so routing never allocates.

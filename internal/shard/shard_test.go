@@ -16,6 +16,7 @@ import (
 
 	"classminer"
 	"classminer/internal/store"
+	"classminer/internal/wal"
 )
 
 var (
@@ -527,7 +528,7 @@ func mustPlainLayout(t testing.TB, dir string) {
 			t.Fatalf("data dir holds a subdirectory %s", name)
 		case name == "LOCK" || name == "MANIFEST":
 			count[name]++
-		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".json"):
+		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".ckpt"):
 			count["snap"]++
 		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
 			count["wal"]++
@@ -774,6 +775,66 @@ func TestEveryShardCountLivesAtTopLevel(t *testing.T) {
 			}
 			mustPlainLayout(t, dir)
 		})
+	}
+}
+
+// TestCheckpointSameBytesAtEveryShardCount: a checkpoint streams every
+// shard's videos as one name-ordered run of records, so the snapshot a
+// history leaves is the same file however many shards held it — and its
+// header counts what follows.
+func TestCheckpointSameBytesAtEveryShardCount(t *testing.T) {
+	a := testAnalyzer(t)
+	corpus := testCorpus(31, 14)
+	var want []byte
+	for _, n := range []int{1, 2, 4} {
+		dir := t.TempDir()
+		l, err := Recover(dir, n, a, quietWAL())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := len(corpus) - 1; i >= 0; i-- { // registered against the name order
+			v := corpus[i]
+			if err := l.AddResult(tinyResult(t, v.name, v.seed, v.shots), "medicine"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.DeleteVideo(corpus[3].name); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		snap := l.Engine().SnapshotPath()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+			var h wal.SnapshotHeader
+			var keys []string
+			err := wal.ReadSnapshot(bytes.NewReader(got), func(hdr wal.SnapshotHeader) error { h = hdr; return nil },
+				func(frame []byte) error {
+					rec, err := wal.DecodeRecord(frame)
+					keys = append(keys, rec.Key)
+					return err
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantH := (wal.SnapshotHeader{Videos: len(corpus) - 1, Rows: totalShots(corpus) - corpus[3].shots, Dim: 12}); h != wantH {
+				t.Fatalf("snapshot header %+v, want %+v", h, wantH)
+			}
+			if !sort.StringsAreSorted(keys) || len(keys) != h.Videos {
+				t.Fatalf("snapshot records %v: want %d in name order", keys, h.Videos)
+			}
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("the snapshot written at %d shards differs from the one written at 1", n)
+		}
 	}
 }
 

@@ -1,0 +1,384 @@
+package store
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+)
+
+// The binary entry: what the write-ahead log, the checkpoint snapshot and the
+// replication wire carry per video. It is a second serialisation of
+// SavedLibraryEntry beside the JSON one, not a second model — EncodeResult
+// and DecodeResult stay the one flattener and the one validator — and it
+// round-trips a value exactly: nil and empty slices stay distinct, every
+// float64 keeps its bits (-0, subnormals, NaN payloads), and the bytes are a
+// pure function of the value (Events are written in ascending key order).
+//
+//	entry   := format(1 byte = 1) string(subcluster) present(0|1) [result]
+//	result  := int(version) string(videoName) fps(8 bytes: IEEE bits, LE)
+//	           int(totalFrames) shots groups scenes scenes(discarded)
+//	           clusters events
+//	shots   := count uvarint(values) count×shot    values = Σ row lengths
+//	shot    := int(index) int(start) int(end) int(repFrame) row(color) row(texture)
+//	row     := count ⌈n/64⌉×presence(uint64 LE) set-bits×value(8 bytes: IEEE bits, LE)
+//	group   := int(index) int(kind) ints(shots) ints(repShots)
+//	scene   := int(index) ints(groups) int(repGroup) int(event)
+//	cluster := int(index) ints(scenes) int(repGroup)
+//	events  := count count×(int(key) int(value))   keys strictly ascending
+//	ints    := count count×int
+//	string  := uvarint(length) bytes
+//	int     := uvarint(zig-zag)
+//	count   := uvarint: 0 = nil, n+1 = n elements
+//
+// A feature row is zero-suppressed: bit i of the presence words (bit i&63 of
+// word i>>6) says whether element i is written, and an element is written
+// exactly when its *bits* are non-zero. A mined shot has ≈ 18 non-zero
+// dimensions of 266, so a row shrinks about fivefold against its JSON; a
+// fully dense row pays 1/64 extra.
+//
+// The decoder is strict, which is what makes it one format: an unknown
+// format byte, a non-minimal varint, a presence bit past the row's end, a
+// written zero, events out of order, a values total the rows do not add up
+// to, and trailing bytes are all errors — so any input DecodeEntry accepts
+// re-encodes to the identical bytes. Every count is checked against the
+// bytes that remain before anything is allocated for it, so a hostile input
+// cannot make the decoder allocate more than a constant multiple of its own
+// length (64×, the zero-suppression ratio of an all-zero row).
+const entryFormat = 1
+
+// AppendEntry appends e's binary form to dst and returns the extended slice.
+func AppendEntry(dst []byte, e *SavedLibraryEntry) []byte {
+	dst = append(dst, entryFormat)
+	dst = appendString(dst, e.Subcluster)
+	r := e.Result
+	if r == nil {
+		return append(dst, 0)
+	}
+	dst = append(dst, 1)
+	dst = appendInt(dst, r.Version)
+	dst = appendString(dst, r.VideoName)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.FPS))
+	dst = appendInt(dst, r.TotalFrames)
+
+	dst = appendCount(dst, r.Shots)
+	values := 0
+	for i := range r.Shots {
+		values += len(r.Shots[i].Color) + len(r.Shots[i].Texture)
+	}
+	dst = binary.AppendUvarint(dst, uint64(values))
+	for i := range r.Shots {
+		s := &r.Shots[i]
+		dst = appendInt(dst, s.Index)
+		dst = appendInt(dst, s.Start)
+		dst = appendInt(dst, s.End)
+		dst = appendInt(dst, s.RepFrame)
+		dst = appendRow(dst, s.Color)
+		dst = appendRow(dst, s.Texture)
+	}
+	dst = appendCount(dst, r.Groups)
+	for i := range r.Groups {
+		g := &r.Groups[i]
+		dst = appendInt(dst, g.Index)
+		dst = appendInt(dst, g.Kind)
+		dst = appendInts(dst, g.Shots)
+		dst = appendInts(dst, g.RepShots)
+	}
+	for _, scenes := range [2][]SavedScene{r.Scenes, r.Discarded} {
+		dst = appendCount(dst, scenes)
+		for i := range scenes {
+			sc := &scenes[i]
+			dst = appendInt(dst, sc.Index)
+			dst = appendInts(dst, sc.Groups)
+			dst = appendInt(dst, sc.RepGroup)
+			dst = appendInt(dst, sc.Event)
+		}
+	}
+	dst = appendCount(dst, r.Clusters)
+	for i := range r.Clusters {
+		c := &r.Clusters[i]
+		dst = appendInt(dst, c.Index)
+		dst = appendInts(dst, c.Scenes)
+		dst = appendInt(dst, c.RepGroup)
+	}
+	if r.Events == nil {
+		return append(dst, 0)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(r.Events))+1)
+	var few [16]int // a video mines a handful of events; no allocation for them
+	keys := few[:0]
+	for k := range r.Events {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		dst = appendInt(dst, k)
+		dst = appendInt(dst, r.Events[k])
+	}
+	return dst
+}
+
+func appendCount[T any](dst []byte, s []T) []byte {
+	if s == nil {
+		return append(dst, 0)
+	}
+	return binary.AppendUvarint(dst, uint64(len(s))+1)
+}
+
+func appendInt(dst []byte, v int) []byte {
+	x := int64(v)
+	return binary.AppendUvarint(dst, uint64(x<<1)^uint64(x>>63))
+}
+
+func appendInts(dst []byte, s []int) []byte {
+	dst = appendCount(dst, s)
+	for _, v := range s {
+		dst = appendInt(dst, v)
+	}
+	return dst
+}
+
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+func appendRow(dst []byte, row []float64) []byte {
+	dst = appendCount(dst, row)
+	// Little-endian words make the presence block a plain bitmap: element i
+	// is bit i&7 of byte i>>3.
+	presence := len(dst)
+	dst = append(dst, make([]byte, (len(row)+63)/64*8)...)
+	for i, v := range row {
+		if b := math.Float64bits(v); b != 0 {
+			dst[presence+i>>3] |= 1 << (i & 7)
+			dst = binary.LittleEndian.AppendUint64(dst, b)
+		}
+	}
+	return dst
+}
+
+// DecodeEntry parses one binary entry. The result shares no memory with b;
+// the feature rows of all its shots share one backing array.
+func DecodeEntry(b []byte) (SavedLibraryEntry, error) {
+	d := entryDecoder{b: b}
+	if format := d.byte(); d.err == nil && format != entryFormat {
+		return SavedLibraryEntry{}, fmt.Errorf("store: entry format %d unsupported (want %d)", format, entryFormat)
+	}
+	var e SavedLibraryEntry
+	e.Subcluster = d.string()
+	switch d.byte() {
+	case 0:
+	case 1:
+		e.Result = d.result()
+	default:
+		d.fail("bad result marker")
+	}
+	if d.err == nil && len(d.b) != 0 {
+		d.fail("%d trailing bytes", len(d.b))
+	}
+	if d.err != nil {
+		return SavedLibraryEntry{}, d.err
+	}
+	return e, nil
+}
+
+// entryDecoder reads an entry front to back. The first failure sticks: it
+// empties the input, so every later read fails its own bounds check and
+// returns a zero, and the caller tests err once at the end.
+type entryDecoder struct {
+	b   []byte // unread input
+	err error
+}
+
+func (d *entryDecoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("store: corrupt entry: "+format, args...)
+	}
+	d.b = nil
+}
+
+func (d *entryDecoder) byte() byte {
+	if len(d.b) == 0 {
+		d.fail("truncated")
+		return 0
+	}
+	c := d.b[0]
+	d.b = d.b[1:]
+	return c
+}
+
+func (d *entryDecoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	// A minimal encoding ends in a non-zero byte (or is the single byte 0).
+	if n <= 0 || (n > 1 && d.b[n-1] == 0) {
+		d.fail("bad varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *entryDecoder) int() int {
+	u := d.uvarint()
+	v := int64(u>>1) ^ -int64(u&1)
+	if int64(int(v)) != v {
+		d.fail("integer %d overflows int", v)
+		return 0
+	}
+	return int(v)
+}
+
+func (d *entryDecoder) string() string {
+	n := d.uvarint()
+	if n > uint64(len(d.b)) {
+		d.fail("string of %d bytes in %d", n, len(d.b))
+		return ""
+	}
+	s := string(d.b[:n])
+	d.b = d.b[n:]
+	return s
+}
+
+// count reads a slice header: the element count and whether the slice is
+// nil. Each element takes at least minBytes of input, which bounds the count
+// by what is left — the check every allocation below rests on.
+func (d *entryDecoder) count(minBytes int) (n int, isNil bool) {
+	u := d.uvarint()
+	if u == 0 {
+		return 0, true
+	}
+	if u-1 > uint64(len(d.b)/minBytes) {
+		d.fail("%d elements in %d bytes", u-1, len(d.b))
+		return 0, true
+	}
+	return int(u - 1), false
+}
+
+func (d *entryDecoder) ints() []int {
+	n, isNil := d.count(1)
+	if isNil {
+		return nil
+	}
+	s := make([]int, n)
+	for i := range s {
+		s[i] = d.int()
+	}
+	return s
+}
+
+// row reads one feature row into the front of *arena and cuts it off.
+func (d *entryDecoder) row(arena *[]float64) []float64 {
+	u := d.uvarint()
+	if u == 0 {
+		return nil
+	}
+	n := u - 1
+	if n > uint64(len(*arena)) {
+		d.fail("rows exceed the declared %d values", len(*arena))
+		return nil
+	}
+	words := int(n+63) / 64 // n ≤ len(arena) ≤ 8·len(input): no overflow
+	if words*8 > len(d.b) {
+		d.fail("row of %d in %d bytes", n, len(d.b))
+		return nil
+	}
+	row := (*arena)[:n:n]
+	*arena = (*arena)[n:]
+	presence, values := d.b[:words*8], d.b[words*8:]
+	for w := 0; w < words; w++ {
+		word := binary.LittleEndian.Uint64(presence[w*8:])
+		if w == words-1 && n&63 != 0 && word>>(n&63) != 0 {
+			d.fail("presence bit past the end of a row of %d", n)
+			return nil
+		}
+		for ; word != 0; word &= word - 1 {
+			if len(values) < 8 {
+				d.fail("truncated row")
+				return nil
+			}
+			v := binary.LittleEndian.Uint64(values)
+			if v == 0 {
+				d.fail("zero written in a zero-suppressed row")
+				return nil
+			}
+			row[w<<6+bits.TrailingZeros64(word)] = math.Float64frombits(v)
+			values = values[8:]
+		}
+	}
+	d.b = values
+	return row
+}
+
+func (d *entryDecoder) scenes() []SavedScene {
+	n, isNil := d.count(4)
+	if isNil {
+		return nil
+	}
+	scenes := make([]SavedScene, n)
+	for i := range scenes {
+		scenes[i] = SavedScene{Index: d.int(), Groups: d.ints(), RepGroup: d.int(), Event: d.int()}
+	}
+	return scenes
+}
+
+func (d *entryDecoder) result() *SavedResult {
+	r := &SavedResult{Version: d.int(), VideoName: d.string()}
+	if len(d.b) < 8 {
+		d.fail("truncated")
+		return nil
+	}
+	r.FPS = math.Float64frombits(binary.LittleEndian.Uint64(d.b))
+	d.b = d.b[8:]
+	r.TotalFrames = d.int()
+
+	n, isNil := d.count(6)
+	// Every value costs at least its presence bit.
+	values := d.uvarint()
+	if values > 8*uint64(len(d.b)) {
+		d.fail("%d feature values in %d bytes", values, len(d.b))
+		return nil
+	}
+	if !isNil {
+		r.Shots = make([]SavedShot, n)
+		arena := make([]float64, values)
+		for i := range r.Shots {
+			r.Shots[i] = SavedShot{
+				Index: d.int(), Start: d.int(), End: d.int(), RepFrame: d.int(),
+				Color: d.row(&arena), Texture: d.row(&arena),
+			}
+		}
+		values = uint64(len(arena))
+	}
+	if values != 0 {
+		d.fail("rows fall %d short of the declared values", values)
+		return nil
+	}
+	if n, isNil := d.count(4); !isNil {
+		r.Groups = make([]SavedGroup, n)
+		for i := range r.Groups {
+			r.Groups[i] = SavedGroup{Index: d.int(), Kind: d.int(), Shots: d.ints(), RepShots: d.ints()}
+		}
+	}
+	r.Scenes = d.scenes()
+	r.Discarded = d.scenes()
+	if n, isNil := d.count(3); !isNil {
+		r.Clusters = make([]SavedCluster, n)
+		for i := range r.Clusters {
+			r.Clusters[i] = SavedCluster{Index: d.int(), Scenes: d.ints(), RepGroup: d.int()}
+		}
+	}
+	if n, isNil := d.count(2); !isNil {
+		r.Events = make(map[int]int, n)
+		for i, prev := 0, 0; i < n; i++ {
+			k, v := d.int(), d.int()
+			if i > 0 && k <= prev {
+				d.fail("event keys out of order")
+				return nil
+			}
+			r.Events[k], prev = v, k
+		}
+	}
+	return r
+}

@@ -3,9 +3,15 @@
 // not the media itself, so a saved library can be reloaded and queried
 // without re-running the pipeline (or without the original frames at all).
 //
-// The format is JSON with explicit index-based references: Go pointers
-// (shots shared between groups, scenes and skim levels) are flattened to
-// indices on save and re-linked on load, preserving identity.
+// There is one model and two serialisations of it. The model is SavedResult:
+// a mined result with explicit index-based references — Go pointers (shots
+// shared between groups, scenes and skim levels) are flattened to indices by
+// EncodeResult and re-linked, validated, by DecodeResult, preserving
+// identity. JSON (WriteLibrary/ReadLibrary, and the struct tags) is the
+// human-readable one: the export and import format of Library.Save,
+// LoadLibrary, classminer -save and classminerd -load. The binary entry
+// (AppendEntry/DecodeEntry, entry.go) is the compact one: what a durable
+// library's log, checkpoints and replication stream carry per video.
 package store
 
 import (
@@ -291,7 +297,7 @@ type SavedLibrary struct {
 	Videos  []SavedLibraryEntry `json:"videos"`
 }
 
-// WriteLibrary serialises entries to w as JSON.
+// WriteLibrary serialises entries to w as one JSON document.
 func WriteLibrary(w io.Writer, entries []SavedLibraryEntry) error {
 	lib := SavedLibrary{Version: FormatVersion, Videos: entries}
 	enc := json.NewEncoder(w)

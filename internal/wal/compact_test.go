@@ -357,8 +357,8 @@ func TestCompactKeepsUnclassifiableRecords(t *testing.T) {
 		if string(f) == string(opaque) {
 			foundOpaque = true
 		}
-		if strings.Contains(string(f), "doomed-1") && !strings.Contains(string(f), "tombstone") {
-			t.Fatalf("tombstoned registration survived: %s", f)
+		if rec, err := DecodeRecord(f); err == nil && rec.Key == "doomed-1" && rec.Type != RecordTombstone {
+			t.Fatalf("tombstoned registration survived: %q", f)
 		}
 	}
 	if !foundOpaque {

@@ -21,7 +21,7 @@ import (
 // lifecycle is
 //
 //	eng, _ := wal.Open(dir, opts)     // repairs torn tail, prunes leftovers
-//	io    := eng.SnapshotPath()       // load the newest snapshot, if any
+//	path  := eng.SnapshotPath()       // load the newest snapshot, if any (ReadSnapshot)
 //	eng.Replay(apply)                 // apply the log tail on top of it
 //	eng.SetSource(save)               // teach checkpoints how to snapshot
 //	eng.Append(record)                // journal each mutation before applying
@@ -229,8 +229,8 @@ func (e *Engine) pruneStale() error {
 	if err != nil {
 		return err
 	}
-	for _, gen := range snaps {
-		if name := snapshotName(gen); name != e.man.Snapshot {
+	for _, name := range snaps {
+		if name != e.man.Snapshot {
 			e.opts.Logf("wal: pruning stale snapshot %s", name)
 			if err := os.Remove(filepath.Join(e.dir, name)); err != nil {
 				return fmt.Errorf("wal: %w", err)
@@ -321,8 +321,9 @@ func (e *Engine) SnapshotPath() string {
 // fully damaged segment chain loses its tail — that is surfaced via Logf
 // and ReplayDamaged, not an error, because the valid prefix is still the
 // best available state). An error from fn aborts the replay and is
-// returned. Replay is meant to run once, after Open and before the first
-// Append.
+// returned. Replay is meant to run after Open and before the first Append;
+// until then it may run again and yields the same records (the library's
+// recovery reads the log twice, envelopes first).
 func (e *Engine) Replay(fn func(payload []byte) error) error {
 	e.mu.Lock()
 	start, end := e.segStart, e.activeIdx

@@ -1,18 +1,31 @@
 package wal
 
 import (
-	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 )
 
 // Record envelope: the logical layer above the byte framing of record.go.
-// Every frame payload is one JSON document describing a library mutation,
-// in one shape: {"type":"register","version":1,"key":"v1","payload":{…}} —
-// the envelope carries the mutation kind and the video name (the compaction
-// key), and the payload is the kind-specific body (a
-// store.SavedLibraryEntry for register/replace, empty for tombstone). A
-// frame without a type is a decode error, never a guessed registration.
+// Every frame payload describes one library mutation in one binary shape,
+//
+//	envelope := version(1 byte = 2) kind(1 byte) uvarint(len(key)) key payload
+//
+// — the envelope carries the mutation kind and the video name (the
+// compaction key), and the payload is everything after the key: the
+// kind-specific body (a store.AppendEntry encoding for register/replace,
+// empty for tombstone), which this package never looks inside. Reading the
+// key is a bounds check and a slice, so compaction, replay routing and a
+// follower classify a record without parsing it. A frame of any other shape
+// is a decode error, never a guessed registration.
+//
+// The version byte is never '{'. A frame that does start with '{' is the
+// envelope this format replaces — one JSON document,
+// {"type":"register","version":1,"key":"v1","payload":{…}} — and is read by
+// the strict decoder kept for it (decodeLegacy), so a log written before the
+// change still opens; Record.Legacy tells the reader it met one, and the
+// library checkpoints once after a recovery that did, which leaves no such
+// frame behind.
 //
 // The envelope lives in this package — not in classminer — because the
 // compactor must classify records without the library: a register or
@@ -35,26 +48,71 @@ const (
 	RecordReplace = "replace"
 )
 
-// recordVersion is the envelope schema version this build writes and the
-// only one it accepts.
-const recordVersion = 1
+const (
+	// recordVersion is the envelope version this build writes, and the first
+	// byte of every frame it writes.
+	recordVersion = 2
+	// legacyVersion is the JSON envelope's; frames carrying it are read, never
+	// written.
+	legacyVersion = 1
+)
+
+// The kind byte. kindSnapshot heads a checkpoint snapshot (snapshot.go) and
+// is not a record: a log that holds one does not decode.
+const (
+	kindRegister  = 1
+	kindTombstone = 2
+	kindReplace   = 3
+	kindSnapshot  = 4
+)
+
+var kindNames = [...]string{kindRegister: RecordRegister, kindTombstone: RecordTombstone, kindReplace: RecordReplace}
 
 // Record is one decoded log record.
 type Record struct {
 	// Type is one of the Record* kinds.
 	Type string `json:"type"`
-	// Version is the envelope schema version.
+	// Version is the envelope version the frame was written in.
 	Version int `json:"version"`
 	// Key is the video name the record is about — the identity compaction
 	// and replay dedupe on.
 	Key string `json:"key,omitempty"`
-	// Payload is the kind-specific body: a store.SavedLibraryEntry JSON
-	// document for register/replace, empty for tombstone.
+	// Payload is the kind-specific body, opaque to this package: a binary
+	// store entry for register/replace (a JSON one in a legacy frame), empty
+	// for tombstone.
 	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
+// Legacy reports whether the record came out of a JSON envelope, whose
+// payload is the JSON of a store.SavedLibraryEntry rather than its binary
+// encoding.
+func (r Record) Legacy() bool { return r.Version == legacyVersion }
+
+// AppendRecordHead appends the envelope of a kind record about key to dst;
+// the record's payload is whatever the caller appends after it, so a large
+// body is encoded straight into the frame instead of being copied in.
+func AppendRecordHead(dst []byte, kind, key string) ([]byte, error) {
+	var k byte
+	switch kind {
+	case RecordRegister:
+		k = kindRegister
+	case RecordTombstone:
+		k = kindTombstone
+	case RecordReplace:
+		k = kindReplace
+	default:
+		return nil, fmt.Errorf("wal: unknown record kind %q", kind)
+	}
+	if key == "" {
+		return nil, fmt.Errorf("wal: %s record needs a key", kind)
+	}
+	dst = append(dst, recordVersion, k)
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	return append(dst, key...), nil
+}
+
 // EncodeRecord serialises one typed record for Append. payload may be nil
-// for tombstones.
+// for tombstones; it is embedded byte for byte.
 func EncodeRecord(kind, key string, payload []byte) ([]byte, error) {
 	switch kind {
 	case RecordRegister, RecordReplace:
@@ -65,23 +123,12 @@ func EncodeRecord(kind, key string, payload []byte) ([]byte, error) {
 		if len(payload) != 0 {
 			return nil, fmt.Errorf("wal: tombstone record takes no payload")
 		}
-	default:
-		return nil, fmt.Errorf("wal: unknown record kind %q", kind)
 	}
-	if key == "" {
-		return nil, fmt.Errorf("wal: %s record needs a key", kind)
+	frame, err := AppendRecordHead(make([]byte, 0, 2+binary.MaxVarintLen32+len(key)+len(payload)), kind, key)
+	if err != nil {
+		return nil, err
 	}
-	// Encode without HTML escaping so the payload embeds byte-for-byte
-	// (modulo JSON whitespace compaction): compaction copies surviving
-	// frames verbatim, and keeping encode deterministic and transparent
-	// makes on-disk records greppable and diffable.
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(Record{Type: kind, Version: recordVersion, Key: key, Payload: payload}); err != nil {
-		return nil, fmt.Errorf("wal: encoding %s record: %w", kind, err)
-	}
-	return bytes.TrimSuffix(buf.Bytes(), []byte("\n")), nil
+	return append(frame, payload...), nil
 }
 
 // DecodeRecord parses one frame payload into a Record. The returned Payload
@@ -95,31 +142,51 @@ func DecodeRecord(frame []byte) (Record, error) {
 	return rec, nil
 }
 
-// The byte shape of every frame EncodeRecord writes: its json.Encoder runs
-// over the Record struct, so field order and spacing are fixed
-// (envelope_test.go pins them against the real encoder).
-var (
-	typedPrefix    = []byte(`{"type":"`)
-	typedVersion   = []byte(`","version":1,"key":"`)
-	typedPayload   = []byte(`","payload":`)
-	typedTombstone = []byte(`"}`)
-)
-
 // DecodeRecordInto is DecodeRecord writing into *rec — replay and
-// compaction loops reuse one scratch Record across millions of frames.
-//
-// Frames matching the exact byte shape EncodeRecord produces are parsed by
-// a sliver of hand-rolled scanning instead of a full json.Unmarshal: the
-// envelope head is a handful of fixed literals, and the payload is sliced
-// out untouched (no re-validation, no copy — the CRC frame already vouches
-// for integrity, and the consumer parses the payload next anyway). That
-// removes the second full parse of every record from the recovery path.
-// Anything irregular — an escaped key, foreign spacing — falls back to the
-// strict envelope unmarshal.
+// compaction loops reuse one scratch Record across millions of frames. The
+// payload is sliced out of frame untouched (no validation, no copy — the CRC
+// frame already vouches for integrity, and the consumer decodes the payload
+// next anyway).
 func DecodeRecordInto(rec *Record, frame []byte) error {
-	if fastDecodeTyped(rec, frame) {
-		return nil
+	if len(frame) > 0 && frame[0] == '{' {
+		return decodeLegacy(rec, frame)
 	}
+	if len(frame) < 2 {
+		return fmt.Errorf("wal: record envelope of %d bytes", len(frame))
+	}
+	if frame[0] != recordVersion {
+		return fmt.Errorf("wal: record version %d unsupported (want %d)", frame[0], recordVersion)
+	}
+	k := frame[1]
+	if k == 0 || int(k) >= len(kindNames) {
+		return fmt.Errorf("wal: unknown record kind %d", k)
+	}
+	kind := kindNames[k]
+	// One encoding per record: the key length is a minimal varint.
+	n, w := binary.Uvarint(frame[2:])
+	if w <= 0 || (w > 1 && frame[1+w] == 0) || n > uint64(len(frame)-2-w) {
+		return fmt.Errorf("wal: %s record has a bad key length", kind)
+	}
+	if n == 0 {
+		return fmt.Errorf("wal: %s record has no key", kind)
+	}
+	rest := frame[2+w:]
+	payload := rest[n:]
+	switch {
+	case k == kindTombstone && len(payload) != 0:
+		return fmt.Errorf("wal: tombstone record carries a payload")
+	case k != kindTombstone && len(payload) == 0:
+		return fmt.Errorf("wal: %s record has no payload", kind)
+	}
+	*rec = Record{Type: kind, Version: recordVersion, Key: string(rest[:n])}
+	if len(payload) > 0 {
+		rec.Payload = payload
+	}
+	return nil
+}
+
+// decodeLegacy reads the JSON envelope with a strict unmarshal.
+func decodeLegacy(rec *Record, frame []byte) error {
 	*rec = Record{}
 	if err := json.Unmarshal(frame, rec); err != nil {
 		return fmt.Errorf("wal: decoding record envelope: %w", err)
@@ -131,8 +198,8 @@ func DecodeRecordInto(rec *Record, frame []byte) error {
 	default:
 		return fmt.Errorf("wal: unknown record type %q", rec.Type)
 	}
-	if rec.Version != recordVersion {
-		return fmt.Errorf("wal: record version %d unsupported (want %d)", rec.Version, recordVersion)
+	if rec.Version != legacyVersion {
+		return fmt.Errorf("wal: record version %d unsupported (want %d)", rec.Version, legacyVersion)
 	}
 	if rec.Key == "" {
 		return fmt.Errorf("wal: %s record has no key", rec.Type)
@@ -141,56 +208,6 @@ func DecodeRecordInto(rec *Record, frame []byte) error {
 		return fmt.Errorf("wal: %s record has no payload", rec.Type)
 	}
 	return nil
-}
-
-// fastDecodeTyped attempts the exact-shape parse of an EncodeRecord frame.
-// It reports false — leaving *rec unspecified — whenever the bytes deviate
-// from the canonical shape; the caller then takes the strict path.
-func fastDecodeTyped(rec *Record, frame []byte) bool {
-	if len(frame) < len(typedPrefix)+2 || frame[len(frame)-1] != '}' || !bytes.HasPrefix(frame, typedPrefix) {
-		return false
-	}
-	rest := frame[len(typedPrefix):]
-	var kind string
-	switch {
-	case bytes.HasPrefix(rest, []byte(RecordRegister)):
-		kind, rest = RecordRegister, rest[len(RecordRegister):]
-	case bytes.HasPrefix(rest, []byte(RecordTombstone)):
-		kind, rest = RecordTombstone, rest[len(RecordTombstone):]
-	case bytes.HasPrefix(rest, []byte(RecordReplace)):
-		kind, rest = RecordReplace, rest[len(RecordReplace):]
-	default:
-		return false
-	}
-	if !bytes.HasPrefix(rest, typedVersion) {
-		return false
-	}
-	rest = rest[len(typedVersion):]
-	q := bytes.IndexByte(rest, '"')
-	if q <= 0 {
-		return false // empty or unterminated key
-	}
-	key := rest[:q]
-	if bytes.IndexByte(key, '\\') >= 0 {
-		return false // escaped key: let encoding/json do the unescaping
-	}
-	rest = rest[q:]
-	if kind == RecordTombstone {
-		if !bytes.Equal(rest, typedTombstone) {
-			return false
-		}
-		*rec = Record{Type: kind, Version: recordVersion, Key: string(key)}
-		return true
-	}
-	if !bytes.HasPrefix(rest, typedPayload) {
-		return false
-	}
-	payload := rest[len(typedPayload) : len(rest)-1]
-	if len(payload) == 0 {
-		return false
-	}
-	*rec = Record{Type: kind, Version: recordVersion, Key: string(key), Payload: payload}
-	return true
 }
 
 // supersedes reports whether a record of this kind makes every earlier

@@ -22,7 +22,10 @@ const (
 	segPrefix    = "wal-"
 	segSuffix    = ".log"
 	snapPrefix   = "snap-"
-	snapSuffix   = ".json"
+	snapSuffix   = ".ckpt"
+	// legacySnapSuffix names the snapshots written before snapshots were
+	// frames: one JSON document (see LegacySnapshot). Never written, read once.
+	legacySnapSuffix = ".json"
 )
 
 // manifest is the commit record of the storage engine: which snapshot is
@@ -87,7 +90,7 @@ func segmentName(idx uint64) string  { return fmt.Sprintf("%s%020d%s", segPrefix
 func snapshotName(gen uint64) string { return fmt.Sprintf("%s%020d%s", snapPrefix, gen, snapSuffix) }
 
 // parseIndexed extracts the numeric index from a prefixed, zero-padded file
-// name like wal-…​.log or snap-…​.json.
+// name like wal-…​.log or snap-…​.ckpt.
 func parseIndexed(name, prefix, suffix string) (uint64, bool) {
 	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 		return 0, false
@@ -136,16 +139,18 @@ func listTempFiles(dir string) ([]string, error) {
 	return temps, nil
 }
 
-// listSnapshots returns the generations of dir's snapshot files.
-func listSnapshots(dir string) ([]uint64, error) {
+// listSnapshots returns the names of dir's snapshot files, of either format.
+func listSnapshots(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	var snaps []uint64
+	var snaps []string
 	for _, e := range entries {
-		if gen, ok := parseIndexed(e.Name(), snapPrefix, snapSuffix); ok {
-			snaps = append(snaps, gen)
+		for _, suffix := range [...]string{snapSuffix, legacySnapSuffix} {
+			if _, ok := parseIndexed(e.Name(), snapPrefix, suffix); ok {
+				snaps = append(snaps, e.Name())
+			}
 		}
 	}
 	return snaps, nil

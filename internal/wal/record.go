@@ -32,12 +32,17 @@ var (
 	ErrCorrupt = errors.New("wal: corrupt record")
 )
 
+// frameHeader is the length + CRC header that precedes payload in its frame.
+func frameHeader(payload []byte) (hdr [headerSize]byte) {
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	return hdr
+}
+
 // appendRecord appends one framed record to dst and returns the extended
 // slice (append-style, so callers can reuse a scratch buffer).
 func appendRecord(dst, payload []byte) []byte {
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	hdr := frameHeader(payload)
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
 }

@@ -10,7 +10,7 @@
 //	data/
 //	  LOCK                        flock held while an engine has the dir open
 //	  MANIFEST                    current generation, snapshot, first segment
-//	  snap-00000000000000000003.json   full library snapshot (store format)
+//	  snap-00000000000000000003.ckpt   checkpoint snapshot: a header frame, then one frame per video
 //	  wal-00000000000000000007.log     sealed segment
 //	  wal-00000000000000000008.log     active segment (appends go here)
 //
@@ -18,15 +18,27 @@
 // partition memory and journal to this one engine, so nothing here is per
 // shard and nothing records how many there were.
 //
-// Records are length-prefixed and CRC32-C framed; appends go to the active
-// segment, which rotates at Options.SegmentBytes. Replay walks the segments
-// named live by MANIFEST, yields every intact record in append order, and
-// stops at the first torn or corrupt frame — a torn tail on the active
-// segment is physically truncated at open so the log always ends clean. A
-// checkpoint writes a full snapshot via store.WriteFileAtomic, commits it by
-// atomically replacing MANIFEST, then prunes the segments the snapshot
-// superseded. Recovery is therefore: load MANIFEST's snapshot, replay the
-// segments from MANIFEST's first segment, done.
+// There is one on-disk format, in three layers. A file — segment or snapshot
+// — is a run of frames: [length uint32 LE][crc32c uint32 LE][payload]
+// (record.go). A frame's payload is an envelope: a version byte, a kind byte,
+// the video name, and a body this package never looks inside (envelope.go).
+// The body of a register or replace is the library's binary entry
+// (internal/store). A snapshot differs from a segment only in opening with a
+// header frame that counts what follows (snapshot.go), and a replication
+// batch is a run of segment frames as they stand on disk. Only MANIFEST is
+// JSON. (Directories written when records and snapshots were JSON still
+// open — envelope.go and LegacySnapshot keep a decoder for each — and the
+// library's first recovery of one rewrites it in this format.)
+//
+// Appends go to the active segment, which rotates at Options.SegmentBytes.
+// Replay walks the segments named live by MANIFEST, yields every intact
+// record in append order, and stops at the first torn or corrupt frame — a
+// torn tail on the active segment is physically truncated at open so the log
+// always ends clean. A checkpoint streams a full snapshot through
+// store.WriteFileAtomic, commits it by atomically replacing MANIFEST, then
+// prunes the segments the snapshot superseded. Recovery is therefore: read
+// MANIFEST's snapshot (all of it or the boot fails: ReadSnapshot), replay
+// the segments from MANIFEST's first segment, done.
 //
 // Durability is configurable per deployment: fsync every record (default,
 // survives power loss), on a background interval (bounded loss window), or
