@@ -90,11 +90,8 @@ type (
 	// DurableOptions configures the write-ahead log behind Recover.
 	DurableOptions = wal.Options
 	// WALStats reports a durable library's log lag (records and bytes
-	// appended since the last checkpoint, and how much of it is dead —
-	// superseded by deletes and replacements).
+	// appended since the last checkpoint).
 	WALStats = wal.Stats
-	// CompactStats reports what one sealed-segment compaction reclaimed.
-	CompactStats = wal.CompactResult
 )
 
 // Write-ahead-log fsync policies for DurableOptions.Sync.
@@ -241,20 +238,6 @@ type Library struct {
 	// mutating in-memory state, and Recover rebuilds the library from its
 	// snapshot + log. The libraries of one RecoverPartitioned share it.
 	journal *wal.Engine
-	// logBytes tracks, per registered video, the on-log size of its
-	// journal record (payload + frame overhead) so a delete or replacement
-	// can tell the engine how much log just went dead — the signal that
-	// triggers sealed-segment compaction. Entries exist only for records
-	// on the live log: snapshot-loaded videos have none, and a checkpoint
-	// clears the map (their records are about to be pruned with the
-	// superseded segments). The figures feed a trigger heuristic, not
-	// correctness — Compact recomputes exact deadness from the log itself.
-	logBytes map[string]int64
-	// deadNote receives (records, bytes) whenever a live log record is
-	// superseded: wal.Engine.NoteDead once the journal is attached, a
-	// local accumulator while Recover replays (the engine's counters are
-	// seeded from it afterwards), nil on a non-durable library.
-	deadNote func(records, bytes int64)
 	// pendingAck tracks registrations that are installed and staged on the
 	// log but whose group commit has not resolved yet: the name maps to the
 	// staged record's durability handle. Save waits these out (or drops the
@@ -474,7 +457,6 @@ func (l *Library) register(ctx context.Context, name string, res *Result, subclu
 		inst.End()
 		return fmt.Errorf("classminer: journaling %q: %w", name, err)
 	}
-	l.setLogSizeLocked(name, int64(len(rec))+wal.FrameOverhead)
 	l.installLocked(name, res, subcluster, newEntries, dim)
 	ve := l.videos[name]
 	if l.pendingAck == nil {
@@ -507,9 +489,6 @@ func (l *Library) undoUnacked(name string, ve *VideoEntry) {
 	if l.videos[name] != ve {
 		return
 	}
-	// The record never survived on the log, so there is nothing to report
-	// dead to the compaction trigger.
-	delete(l.logBytes, name)
 	l.removeLocked(name)
 }
 
@@ -566,13 +545,10 @@ func (l *Library) replace(ctx context.Context, name string, res *Result, subclus
 	// width would panic projection deep in Search — there the index stays
 	// down, exactly as a delete leaves it.
 	oldIx, oldIxVer, oldDim := l.ix, l.ixVer, l.featDim
-	l.removeLocked(name) // consumes the superseded record's on-log size
+	l.removeLocked(name)
 	if l.ix == nil && oldIx != nil && dim == oldDim {
 		l.ix, _ = oldIx.Remove(name)
 		l.ixVer = oldIxVer
-	}
-	if rec != nil && l.journal != nil {
-		l.setLogSizeLocked(name, int64(len(rec))+wal.FrameOverhead)
 	}
 	l.installLocked(name, res, subcluster, newEntries, dim)
 	if replacing {
@@ -732,12 +708,6 @@ func (l *Library) removeLocked(name string) bool {
 	case l.deadRows > live:
 		l.compactLocked()
 	}
-	if n := l.logBytes[name]; n > 0 {
-		delete(l.logBytes, name)
-		if l.deadNote != nil {
-			l.deadNote(1, n)
-		}
-	}
 	return true
 }
 
@@ -826,23 +796,6 @@ func (l *Library) remove(name string) {
 	l.removeLocked(name)
 }
 
-// setLogSizeLocked records name's journal-record footprint on the live
-// log. Callers hold l.mu.
-func (l *Library) setLogSizeLocked(name string, n int64) {
-	if l.logBytes == nil {
-		l.logBytes = map[string]int64{}
-	}
-	l.logBytes[name] = n
-}
-
-// setLogSize is setLogSizeLocked under the lock (the replay path, where
-// records enter the library without passing through Append).
-func (l *Library) setLogSize(name string, n int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.setLogSizeLocked(name, n)
-}
-
 // encodeJournalRecord serialises a register/replace record for the
 // write-ahead log, or returns nil when the library is not durable.
 func (l *Library) encodeJournalRecord(kind, name string, res *Result, subcluster string) ([]byte, error) {
@@ -917,8 +870,7 @@ func (l *Library) encodeTombstone(name string) ([]byte, error) {
 // removeLocked for what bounds them meanwhile). On a durable library the
 // tombstone is journaled before any state changes — replay applies it even
 // over a registration recovered from a checkpoint snapshot, so delete wins
-// across a crash — and the superseded registration's log footprint is
-// reported to the engine, feeding the sealed-segment compaction trigger.
+// across a crash.
 func (l *Library) DeleteVideo(name string) error {
 	return l.deleteVideo(context.Background(), name, nil)
 }
@@ -1470,8 +1422,8 @@ func placeOne(string) int { return 0 }
 // directory holds one log whatever n is — nothing on disk records n or
 // place, so any count opens any directory — and the n libraries share its
 // engine as their journal: each stages its own mutations on it under its
-// own lock, one checkpoint snapshots all of them, and Checkpoint, Compact,
-// WALStats, Engine and Close on any of them address that one engine.
+// own lock, one checkpoint snapshots all of them, and Checkpoint, WALStats,
+// Engine and Close on any of them address that one engine.
 // Partitioning costs no ordering: a name has one owner, so the order of
 // the log's records about a name is the order its owner installed them in.
 func RecoverPartitioned(dir string, n int, place func(name string) int, a *Analyzer, opts DurableOptions) ([]*Library, error) {
@@ -1483,7 +1435,7 @@ func RecoverPartitioned(dir string, n int, place func(name string) int, a *Analy
 	for i := range libs {
 		libs[i] = NewLibrary(a)
 	}
-	if err := recoverInto(eng, libs, place); err != nil {
+	if err := recoverInto(eng, libs, place, opts.Logf); err != nil {
 		eng.Close()
 		return nil, err
 	}
@@ -1516,21 +1468,17 @@ func RecoverPartitioned(dir string, n int, place func(name string) int, a *Analy
 // read either checkpoints before it returns — as one that found a damaged
 // chain always has — and that checkpoint, being a current-format snapshot
 // that prunes every segment before it, converts the directory: no later boot
-// meets JSON in it again.
-func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int) error {
-	// Dead log discovered during replay (a tombstone or replacement whose
-	// victim is also on the log) is counted here and handed to the engine
-	// once it is attached, so a recovered-but-never-compacted data directory
-	// can trigger compaction without waiting for fresh deletes.
-	var deadRecs, deadBytes atomic.Int64
-	noteDead := func(records, bytes int64) {
-		deadRecs.Add(records)
-		deadBytes.Add(bytes)
-	}
+// meets JSON in it again. A directory whose segments an earlier build rewrote
+// in place (wal.Engine.Rewritten) gets the same one checkpoint for what it
+// prunes: no replication cursor minted over the old bytes can name a segment
+// that survives it.
+//
+// logf, when non-nil, is told how many log records the replay skipped.
+func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int, logf func(string, ...any)) error {
 	const batchBytes = 256 << 10
 	type replayed struct {
-		rec  wal.Record
-		size int64 // on-log footprint, frame header included; 0 in a snapshot
+		rec     wal.Record
+		fromLog bool // read off the log, not the snapshot
 	}
 	queues := make([]chan []replayed, len(libs))
 	filling := make([][]replayed, len(libs))
@@ -1540,16 +1488,13 @@ func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int) 
 	var wg sync.WaitGroup
 	for i, l := range libs {
 		i, l := i, l
-		l.mu.Lock()
-		l.deadNote = noteDead
-		l.mu.Unlock()
 		queues[i] = make(chan []replayed, 1) // one batch queued while the next fills
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for recs := range queues[i] {
 				for k := 0; k < len(recs) && errs[i] == nil; k++ {
-					if errs[i] = l.replayRecord(&recs[k].rec, recs[k].size); errs[i] != nil {
+					if errs[i] = l.replayRecord(&recs[k].rec, recs[k].fromLog); errs[i] != nil {
 						failed.Store(true) // the reader stops at its next frame
 					}
 				}
@@ -1569,9 +1514,9 @@ func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int) 
 		return nil
 	}
 	// route queues the record in rec for its owner.
-	route := func(frame []byte, size int64) {
+	route := func(frame []byte, fromLog bool) {
 		i := place(rec.Key)
-		filling[i] = append(filling[i], replayed{rec, size})
+		filling[i] = append(filling[i], replayed{rec, fromLog})
 		if fillBytes[i] += len(frame); fillBytes[i] >= batchBytes {
 			queues[i] <- filling[i]
 			filling[i], fillBytes[i] = nil, 0
@@ -1589,7 +1534,7 @@ func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int) 
 				if rec.Type != wal.RecordRegister {
 					return fmt.Errorf("classminer: a snapshot holds a %s record for %q", rec.Type, rec.Key)
 				}
-				route(frame, 0)
+				route(frame, false)
 				return nil
 			})
 		}
@@ -1600,12 +1545,12 @@ func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int) 
 	// The log is read twice. The first pass reads envelopes only and notes,
 	// per key, the last record that settles the key's state whatever came
 	// before it (a tombstone or a replace); the second replays — and skips
-	// every record a later one of those supersedes, which is the rule
-	// compaction drops records by, applied at read time. A recovery then
-	// decodes and installs what survives, not what was ever written: the
-	// compactor runs on a byte threshold, and a log of small records holds
-	// many dead ones below it.
+	// every record a later one of those supersedes. A recovery then decodes
+	// and installs what survives, not what was ever written: superseded
+	// records stay on the log until the next checkpoint prunes their
+	// segments, and meanwhile cost a boot their CRC check and nothing more.
 	settled := map[string]int{} // key → ordinal of its last tombstone or replace
+	skipped := 0
 	replay := func(each func(n int, frame []byte)) error {
 		n := 0
 		return eng.Replay(func(frame []byte) error {
@@ -1626,11 +1571,10 @@ func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int) 
 	}
 	if err == nil {
 		err = replay(func(n int, frame []byte) {
-			size := int64(len(frame)) + wal.FrameOverhead
 			if last, ok := settled[rec.Key]; ok && n < last {
-				noteDead(1, size)
+				skipped++
 			} else {
-				route(frame, size)
+				route(frame, true)
 			}
 		})
 	}
@@ -1649,22 +1593,23 @@ func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int) 
 	if err != nil {
 		return err
 	}
+	if skipped > 0 && logf != nil {
+		logf("classminer: replay skipped %d of %d log records (superseded by a later delete or replace)", skipped, eng.Stats().Records)
+	}
 	for _, l := range libs {
 		l.mu.Lock()
 		l.journal = eng
-		l.deadNote = eng.NoteDead
 		l.mu.Unlock()
 	}
 	eng.SetSource(checkpointSource(libs))
-	if n := deadRecs.Load(); n > 0 {
-		eng.NoteDead(n, deadBytes.Load())
-	}
-	if legacy || eng.ReplayDamaged() {
+	if legacy || eng.ReplayDamaged() || eng.Rewritten() {
 		// A broken chain strands the records past the damage (and any future
 		// appends, which land after them) from the next replay; a legacy
-		// directory would be parsed as JSON again at every boot. One checkpoint
-		// cures both — the fresh snapshot holds everything just recovered, in
-		// the current format, and the segments behind it are pruned.
+		// directory would be parsed as JSON again at every boot; rewritten
+		// segments could honour a cursor minted over their old bytes. One
+		// checkpoint cures all three — the fresh snapshot holds everything
+		// just recovered, in the current format, and the segments behind it
+		// are pruned.
 		if err := eng.Checkpoint(); err != nil {
 			return fmt.Errorf("classminer: checkpointing the recovered state: %w", err)
 		}
@@ -1725,9 +1670,9 @@ func (l *Library) reserve(rows, dim int) {
 var errReplayAborted = errors.New("classminer: replay aborted")
 
 // replayRecord applies one record during recovery, before the journal is
-// attached (nothing is re-logged). size is the record's on-log footprint, 0
-// for a snapshot's.
-func (l *Library) replayRecord(rec *wal.Record, size int64) error {
+// attached (nothing is re-logged). fromLog tells a log record from a
+// snapshot's.
+func (l *Library) replayRecord(rec *wal.Record, fromLog bool) error {
 	if rec.Type == wal.RecordTombstone {
 		// Delete wins over a straddling checkpointed registration (the
 		// video is in the snapshot, its tombstone on the log tail);
@@ -1742,25 +1687,16 @@ func (l *Library) replayRecord(rec *wal.Record, size int64) error {
 	}
 	name := res.Video.Name
 	if rec.Type == wal.RecordReplace {
-		if err := l.replace(context.Background(), name, res, subcluster, nil); err != nil {
-			return err
-		}
-	} else {
-		err := l.register(context.Background(), name, res, subcluster)
-		if err != nil && !(size > 0 && errors.Is(err, ErrDuplicateVideo)) {
-			// A duplicate on the log straddles the last checkpoint: it is
-			// both in the snapshot and on the log tail, and the snapshot
-			// copy won. Anything else — a name twice in one snapshot too —
-			// is real.
-			return err
-		}
+		return l.replace(context.Background(), name, res, subcluster, nil)
 	}
-	if size > 0 {
-		// The record is on the live log; a later delete or replacement
-		// makes its bytes reclaimable.
-		l.setLogSize(name, size)
+	err = l.register(context.Background(), name, res, subcluster)
+	if fromLog && errors.Is(err, ErrDuplicateVideo) {
+		// A duplicate on the log straddles the last checkpoint: it is both in
+		// the snapshot and on the log tail, and the snapshot copy won.
+		// Anything else — a name twice in one snapshot too — is real.
+		return nil
 	}
-	return nil
+	return err
 }
 
 // ImportPartitioned registers every video of a library export (the JSON
@@ -1853,7 +1789,7 @@ func (l *Library) ApplyRecord(ctx context.Context, rec *wal.Record) error {
 // upsert, so entries whose content drifted are refreshed too), and all of it
 // flows through the normal journaled mutation paths, making the reseed
 // itself crash-safe and re-runnable. This is the follower's fallback when
-// its cursor falls behind the leader's compaction horizon: the snapshot plus
+// its cursor falls behind the leader's checkpoint horizon: the snapshot plus
 // the log tail after it is exactly the leader's state. r is the leader's
 // snapshot file as it stands on the leader's disk (wal.ReadSnapshot's
 // format) and is read whole, and checked whole, before anything is touched —
@@ -1926,13 +1862,6 @@ func (l *Library) Durable() bool {
 // one encoded video exists at once. Each library is read under its own lock
 // after the engine's cut, so it shows every record it staged before the cut —
 // the SetSource contract, library by library.
-//
-// Once the snapshot is cut, the log records it covers are about to be pruned,
-// so their per-name footprints are forgotten: a later delete of a
-// checkpointed video costs the log nothing (only its tombstone is appended).
-// Registrations that straddle the checkpoint lose their entry too, a
-// deliberate undercount: the dead-bytes counter is a compaction trigger, and
-// Compact recomputes exact deadness from the log itself.
 func checkpointSource(libs []*Library) func(io.Writer) error {
 	return func(w io.Writer) error {
 		var vids []savedVideo
@@ -1962,20 +1891,13 @@ func checkpointSource(libs []*Library) func(io.Writer) error {
 				return err
 			}
 		}
-		if err := sw.Close(); err != nil {
-			return err
-		}
-		for _, l := range libs {
-			l.mu.Lock()
-			l.logBytes = nil
-			l.mu.Unlock()
-		}
-		return nil
+		return sw.Close()
 	}
 }
 
 // Checkpoint folds the write-ahead log into a fresh snapshot and prunes
-// the superseded segments, bounding the next recovery's replay. The
+// the superseded segments, bounding the next recovery's replay; it is also
+// the one way the log that deletes and replacements left dead is reclaimed. The
 // background checkpointer calls this when the configured lag thresholds
 // trip; the daemon's admin endpoint calls it on demand. It is an error on
 // a non-durable library.
@@ -1987,22 +1909,6 @@ func (l *Library) Checkpoint() error {
 		return fmt.Errorf("classminer: library is not durable")
 	}
 	return eng.Checkpoint()
-}
-
-// Compact rewrites the write-ahead log's sealed segments, dropping
-// registrations a later delete or replacement superseded, so recovery
-// replays (and checkpoints rewrite) only the live set. The background
-// compactor calls this when the dead-bytes threshold trips
-// (DurableOptions.CompactBytes); the daemon's admin endpoint calls it on
-// demand. It is an error on a non-durable library.
-func (l *Library) Compact() (CompactStats, error) {
-	l.mu.RLock()
-	eng := l.journal
-	l.mu.RUnlock()
-	if eng == nil {
-		return CompactStats{}, fmt.Errorf("classminer: library is not durable")
-	}
-	return eng.Compact()
 }
 
 // WALStats reports the durable log's lag since its last checkpoint. ok is

@@ -9,6 +9,7 @@ package classminer
 // delete, tombstone replay is linear in the log.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -16,12 +17,16 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"classminer/internal/store"
+	"classminer/internal/wal"
 )
 
 // churnSpec is everything that determines one registration's content.
@@ -152,13 +157,180 @@ func TestChurnMatchesRebuiltLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	runChurnScript(t, a, NewLibrary(a), nil)
+}
+
+// TestChurnMatchesRebuiltLibraryDurable runs the same script on a durable
+// library, across the checkpoint and across the crash. Checkpoint is one more
+// script step and the record threshold is low enough that the background
+// checkpointer fires between them, so the log is pruned — the only thing that
+// ever removes acknowledged data from disk — dozens of times under the
+// script. At every build, and around every eighth delete (a victim's
+// registration is then usually still on the log, so the second image holds a
+// register and the tombstone that supersedes it and the first holds the
+// register alone), the data dir is copied as it stands, library open — the
+// image a SIGKILL at that instant leaves — and the copy must recover to the
+// model: same names, same stored results byte for byte, and after BuildIndex
+// the same answers as a library that never touched a disk.
+func TestChurnMatchesRebuiltLibraryDurable(t *testing.T) {
+	a, err := NewAnalyzer(Options{SkipEvents: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &churnCrasher{t: t, a: a, dir: t.TempDir(), rng: rand.New(rand.NewSource(21))}
+	opts := DurableOptions{
+		SegmentBytes:      8 << 10, // a checkpoint prunes several segments, and leaves some
+		CheckpointBytes:   -1,
+		CheckpointRecords: churnCheckpointRecords,
+		Logf: func(format string, _ ...any) {
+			if strings.HasPrefix(format, "wal: checkpoint generation") { // the engine's last word on a checkpoint
+				c.checkpoints.Add(1)
+			}
+		},
+	}
+	if c.lib, err = Recover(c.dir, a, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer c.lib.Close()
+	runChurnScript(t, a, c.lib, c)
+	t.Logf("%d crash images recovered across %d checkpoints, %d of them script steps", c.images, c.checkpoints.Load(), c.manual)
+	if n := c.checkpoints.Load(); n < 30 || c.manual < 10 || int(n) <= c.manual {
+		t.Fatalf("%d checkpoints, %d of them script steps; want both kinds, dozens in all", n, c.manual)
+	}
+	if c.images < 250 {
+		t.Fatalf("only %d crash images recovered", c.images)
+	}
+}
+
+// churnCheckpointRecords is the durable run's background-checkpoint threshold.
+const churnCheckpointRecords = 48
+
+// churnCrasher is what the durable run adds to the churn script; a nil one —
+// the in-memory run's — adds nothing.
+type churnCrasher struct {
+	t           *testing.T
+	a           *Analyzer
+	dir         string
+	lib         *Library
+	rng         *rand.Rand   // the durable run's own choices; the script's rng is the in-memory run's
+	checkpoints atomic.Int64 // completed, background ones included
+	manual      int
+	images      int
+}
+
+// journaled runs one mutation — each appends exactly one record — and, when
+// that record trips the threshold, waits for the background checkpoint it
+// kicked to finish, so no crash image is ever copied from under a checkpoint.
+func (c *churnCrasher) journaled(op func() error) error {
+	if c == nil {
+		return op()
+	}
+	ws, _ := c.lib.WALStats()
+	done := c.checkpoints.Load()
+	if err := op(); err != nil {
+		return err
+	}
+	if ws.Records+1 >= churnCheckpointRecords {
+		for deadline := time.Now().Add(30 * time.Second); c.checkpoints.Load() == done; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				c.t.Fatal("the background checkpoint never finished")
+			}
+		}
+	}
+	return nil
+}
+
+// step is the script's checkpoint step, taken at one step in fifty.
+func (c *churnCrasher) step() {
+	if c == nil || c.rng.Intn(50) != 0 {
+		return
+	}
+	if err := c.lib.Checkpoint(); err != nil {
+		c.t.Fatal(err)
+	}
+	c.manual++
+}
+
+// crash recovers a copy of the data dir as it stands and holds it to the
+// model: order's videos and nothing else, each stored as it was registered,
+// answering like a fresh library that registered them. A snapshot lists its
+// videos by name, so which rows a recovered video sits at is recovery's
+// business — and a fit depends on it — so the fresh library registers them in
+// the recovered one's row order.
+func (c *churnCrasher) crash(order []churnSpec) {
+	if c == nil {
+		return
+	}
+	t := c.t
+	t.Helper()
+	c.images++
+	img := filepath.Join(c.dir, "..", fmt.Sprintf("image-%d", c.images))
+	copyDataDir(t, c.dir, img)
+	defer os.RemoveAll(img)
+	rec, err := Recover(img, c.a, quietWAL())
+	if err != nil {
+		t.Fatalf("image %d: %v", c.images, err)
+	}
+	defer rec.Close()
+	if got := rec.Stats().Videos; got != len(order) {
+		t.Fatalf("image %d recovered %d videos %v, model holds %d", c.images, got, rec.VideoNames(), len(order))
+	}
+	for _, sp := range order {
+		ve := rec.Video(sp.name)
+		if ve == nil {
+			t.Fatalf("image %d lost %q", c.images, sp.name)
+		}
+		got, gerr := appendEntryRecord(nil, wal.RecordRegister, sp.name, ve.Result, ve.Subcluster)
+		want, werr := appendEntryRecord(nil, wal.RecordRegister, sp.name, sp.result(t), sp.subcluster)
+		if gerr != nil || werr != nil || !bytes.Equal(got, want) {
+			t.Fatalf("image %d: %q recovered as a different video (%v, %v)", c.images, sp.name, gerr, werr)
+		}
+	}
+	if len(order) == 0 {
+		return
+	}
+	if err := rec.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	byRow := slices.Clone(order)
+	rec.mu.RLock()
+	sort.Slice(byRow, func(i, j int) bool { return rec.videos[byRow[i].name].row < rec.videos[byRow[j].name].row })
+	rec.mu.RUnlock()
+	mustMatchRebuilt(t, rec, rebuiltFrom(t, c.a, byRow), order[0].dim(), int64(c.images))
+}
+
+// copyDataDir copies the files of data dir src, as they stand, into a new
+// directory dst.
+func copyDataDir(t testing.TB, src, dst string) {
+	t.Helper()
+	if err := os.Mkdir(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join(src, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, f.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// runChurnScript is the script. durable is the durable run's additions (lib is
+// then its library) and nil for the in-memory run; the script's own choices do
+// not depend on it, so both runs go through the same 2 400 steps.
+func runChurnScript(t *testing.T, a *Analyzer, lib *Library, durable *churnCrasher) {
 	const steps = 2400
 	rng := rand.New(rand.NewSource(15))
-	lib := NewLibrary(a)
 	u := User{Name: "admin", Clearance: Administrator}
 	subclusters := []string{"medicine", "nursing", "dentistry"}
 	var order []churnSpec // survivors, in surviving order
-	next, colorDims, builds := 0, 8, 0
+	next, colorDims, builds, removes := 0, 8, 0, 0
 	fresh := func(name string) churnSpec {
 		next++
 		return churnSpec{
@@ -167,23 +339,30 @@ func TestChurnMatchesRebuiltLibrary(t *testing.T) {
 			colorDims: colorDims,
 		}
 	}
-	register := func() {
-		sp := fresh(fmt.Sprintf("v-%04d", next))
-		if err := lib.AddResult(sp.result(t), sp.subcluster); err != nil {
+	mutate := func(op func() error) {
+		t.Helper()
+		if err := durable.journaled(op); err != nil {
 			t.Fatal(err)
 		}
+	}
+	register := func() {
+		sp := fresh(fmt.Sprintf("v-%04d", next))
+		mutate(func() error { return lib.AddResult(sp.result(t), sp.subcluster) })
 		order = append(order, sp)
 	}
 	remove := func(i int) {
-		if err := lib.DeleteVideo(order[i].name); err != nil {
-			t.Fatal(err)
+		removes++
+		if removes%8 == 0 {
+			durable.crash(order) // the victim's registration, and no tombstone yet
 		}
+		mutate(func() error { return lib.DeleteVideo(order[i].name) })
 		order = append(order[:i], order[i+1:]...)
+		if removes%8 == 0 {
+			durable.crash(order)
+		}
 	}
 	replace := func(i int, sp churnSpec) {
-		if err := lib.ReplaceResult(sp.result(t), sp.subcluster); err != nil {
-			t.Fatal(err)
-		}
+		mutate(func() error { return lib.ReplaceResult(sp.result(t), sp.subcluster) })
 		order = append(append(order[:i], order[i+1:]...), sp)
 	}
 	build := func() {
@@ -191,6 +370,7 @@ func TestChurnMatchesRebuiltLibrary(t *testing.T) {
 			if err := lib.BuildIndex(); err == nil {
 				t.Fatal("BuildIndex on an empty library succeeded")
 			}
+			durable.crash(order)
 			return
 		}
 		if err := lib.BuildIndex(); err != nil {
@@ -198,6 +378,7 @@ func TestChurnMatchesRebuiltLibrary(t *testing.T) {
 		}
 		builds++
 		mustMatchRebuilt(t, lib, rebuiltFrom(t, a, order), order[0].dim(), int64(builds))
+		durable.crash(order)
 	}
 	for step := 0; step < steps; step++ {
 		switch {
@@ -232,6 +413,7 @@ func TestChurnMatchesRebuiltLibrary(t *testing.T) {
 				build()
 			}
 		}
+		durable.step()
 		// Rows never exceed twice the live shots plus one video.
 		lib.mu.RLock()
 		rows, live := len(lib.entries), len(lib.entries)-lib.deadRows
@@ -547,18 +729,23 @@ func TestDeleteCostIndependentOfLibrarySize(t *testing.T) {
 // on the log — register churn-i, delete the video 128 registrations back, as
 // the ingest-churn workload does — and returns the surviving specs in
 // registration order plus the log's size. With tombstones false the deletes
-// are left out.
-func churnDir(t testing.TB, a *Analyzer, dir string, base, pairs int, tombstones bool) ([]churnSpec, int64) {
+// are left out; with snapshot true the base videos are checkpointed before the
+// pairs run, so the log holds the pairs alone.
+func churnDir(t testing.TB, a *Analyzer, dir string, base, pairs int, tombstones, snapshot bool) ([]churnSpec, int64) {
 	t.Helper()
 	opts := quietWAL()
 	opts.Sync = SyncNever
-	opts.CompactBytes = -1
 	lib, err := Recover(dir, a, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var order []churnSpec
 	for i := 0; i < base+pairs; i++ {
+		if snapshot && i == base {
+			if err := lib.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		sp := churnSpec{name: fmt.Sprintf("vid-%05d", i), seed: int64(i + 1), shots: 25, subcluster: "medicine", colorDims: 8}
 		if err := lib.AddResult(sp.result(t), sp.subcluster); err != nil {
 			t.Fatal(err)
@@ -575,19 +762,7 @@ func churnDir(t testing.TB, a *Analyzer, dir string, base, pairs int, tombstones
 	if err := lib.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var logBytes int64
-	for _, seg := range segs {
-		fi, err := os.Stat(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		logBytes += fi.Size()
-	}
-	return order, logBytes
+	return order, dirBytes(t, dir, "wal-*.log")
 }
 
 // TestRecoverTombstoneReplayLinear: replaying a log with 1 000 churn pairs
@@ -610,8 +785,8 @@ func TestRecoverTombstoneReplayLinear(t *testing.T) {
 	}
 	const base, pairs = 400, 1000
 	churned, plain := t.TempDir(), t.TempDir()
-	survivors, _ := churnDir(t, a, churned, base, pairs, true)
-	churnDir(t, a, plain, base, pairs, false)
+	survivors, _ := churnDir(t, a, churned, base, pairs, true, false)
+	churnDir(t, a, plain, base, pairs, false, false)
 	const featureBytes = (base + pairs) * 25 * 12 * 8 // videos × shots × dims × float64
 	reopen := func(dir string) (lib *Library, allocated uint64) {
 		allocated = allocatedBy(func() {

@@ -317,20 +317,16 @@ func TestDeleteEmptyFencesStaleBuild(t *testing.T) {
 	}
 }
 
-// sealedWALBytes sums the sizes of dir's sealed segments (all but the
-// highest-numbered one, which is active).
-func sealedWALBytes(t testing.TB, dir string) int64 {
+// dirBytes sums the sizes of the files in dir matching pattern.
+func dirBytes(t testing.TB, dir, pattern string) int64 {
 	t.Helper()
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	paths, err := filepath.Glob(filepath.Join(dir, pattern))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) == 0 {
-		return 0
-	}
 	var total int64
-	for _, seg := range segs[:len(segs)-1] {
-		fi, err := os.Stat(seg)
+	for _, p := range paths {
+		fi, err := os.Stat(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,11 +335,12 @@ func sealedWALBytes(t testing.TB, dir string) int64 {
 	return total
 }
 
-// TestCompactionShrinksLog is the acceptance bar: register 1000 videos,
-// delete or replace 50% of them, and a triggered compaction must shrink
-// the sealed-segment bytes by at least 40% while Recover replays only the
-// live records and answers exactly like a reference library that performed
-// the same mutations in memory.
+// TestCompactionShrinksLog is the acceptance bar for log reclaim: register
+// 1000 videos, delete or replace 50% of them, and one Checkpoint must leave
+// the directory holding a snapshot of exactly the live set and an empty log
+// — every byte the deletes and replacements left dead is gone — while
+// Recover answers exactly like a reference library that performed the same
+// mutations in memory.
 func TestCompactionShrinksLog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k-video workload")
@@ -356,7 +353,6 @@ func TestCompactionShrinksLog(t *testing.T) {
 	opts := quietWAL()
 	opts.Sync = SyncNever
 	opts.SegmentBytes = 32 << 10
-	opts.CompactBytes = -1 // triggered explicitly below
 	lib, err := Recover(dir, a, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -395,22 +391,37 @@ func TestCompactionShrinksLog(t *testing.T) {
 		}
 	}
 
-	before := sealedWALBytes(t, dir)
-	cs, err := lib.Compact()
+	before := dirBytes(t, dir, "wal-*.log")
+	if err := lib.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if after := dirBytes(t, dir, "wal-*.log"); after != 0 {
+		t.Fatalf("log holds %d bytes after the checkpoint (was %d), want 0", after, before)
+	}
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.ckpt"))
+	if len(snaps) != 1 {
+		t.Fatalf("directory holds snapshots %v, want exactly one", snaps)
+	}
+	f, err := os.Open(snaps[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := sealedWALBytes(t, dir)
-	if cs.RecordsDropped != deletes+replaces {
-		t.Fatalf("compaction dropped %d records, want %d", cs.RecordsDropped, deletes+replaces)
+	var head wal.SnapshotHeader
+	err = wal.ReadSnapshot(f, func(h wal.SnapshotHeader) error { head = h; return nil }, func([]byte) error { return nil })
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	shrink := float64(before-after) / float64(before)
-	t.Logf("sealed bytes %d -> %d (%.1f%% shrink)", before, after, 100*shrink)
-	if shrink < 0.40 {
-		t.Fatalf("sealed bytes shrank %d -> %d (%.1f%%), want >= 40%%", before, after, 100*shrink)
+	if head.Videos != videos-deletes {
+		t.Fatalf("snapshot holds %d videos, want the %d live ones", head.Videos, videos-deletes)
+	}
+	snapBytes := dirBytes(t, dir, "snap-*.ckpt")
+	t.Logf("log %d bytes -> snapshot %d bytes + empty log", before, snapBytes)
+	if snapBytes >= before*6/10 {
+		t.Fatalf("directory went %d -> %d bytes, want at least a 40%% shrink", before, snapBytes)
 	}
 	// Crash: no shutdown checkpoint (Close only releases the lock under
-	// SyncNever after the final fsync — the log is what recovery gets).
+	// SyncNever after the final fsync — the directory is what recovery gets).
 	if err := lib.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -420,12 +431,8 @@ func TestCompactionShrinksLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer recovered.Close()
-	// Only live records remain: the untouched registers, the tombstones,
-	// and the replacement records.
-	wantLive := int64(videos - deletes - replaces + deletes + replaces)
-	ws, ok := recovered.WALStats()
-	if !ok || ws.Records != wantLive {
-		t.Fatalf("recovered replay saw %d records, want %d (live only)", ws.Records, wantLive)
+	if ws, ok := recovered.WALStats(); !ok || ws.Records != 0 {
+		t.Fatalf("recovered replay saw %d log records, want none", ws.Records)
 	}
 	if got, want := recovered.Stats().Videos, videos-deletes; got != want {
 		t.Fatalf("recovered %d videos, want %d", got, want)

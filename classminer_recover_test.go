@@ -743,63 +743,11 @@ func TestNonFiniteFeatureRefused(t *testing.T) {
 	}
 }
 
-// TestCheckpointForgetsLogFootprints: the dead-bytes bookkeeping across a
-// checkpoint. A delete of a video whose record is on the live log reports
-// that record dead; a checkpoint prunes the log the footprints described and
-// forgets them, so deleting a checkpointed video afterwards costs the log its
-// tombstone and nothing else.
-func TestCheckpointForgetsLogFootprints(t *testing.T) {
-	a, err := NewAnalyzer(Options{SkipEvents: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := quietWAL()
-	opts.CompactBytes = -1
-	lib, err := Recover(t.TempDir(), a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lib.Close()
-	for i := 0; i < 4; i++ {
-		if err := lib.AddResult(tinyResult(t, fmt.Sprintf("v%d", i), int64(i), 3), "medicine"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dead := func() (int64, int64) {
-		ws, _ := lib.WALStats()
-		return ws.DeadRecords, ws.DeadBytes
-	}
-	if err := lib.DeleteVideo("v0"); err != nil {
-		t.Fatal(err)
-	}
-	if recs, bytes := dead(); recs != 1 || bytes == 0 {
-		t.Fatalf("deleting a logged video noted %d dead records, %d bytes; want its one record", recs, bytes)
-	}
-	if err := lib.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := lib.DeleteVideo("v1"); err != nil {
-		t.Fatal(err)
-	}
-	if recs, bytes := dead(); recs != 0 || bytes != 0 {
-		t.Fatalf("deleting a checkpointed video noted %d dead records, %d bytes; its record left with the checkpoint", recs, bytes)
-	}
-	if err := lib.ReplaceResult(tinyResult(t, "v2", 22, 3), "medicine"); err != nil { // v2's first record is checkpointed too
-		t.Fatal(err)
-	}
-	if err := lib.DeleteVideo("v2"); err != nil { // its replacement is on the log
-		t.Fatal(err)
-	}
-	if recs, _ := dead(); recs != 1 {
-		t.Fatalf("%d dead records after deleting a video replaced since the checkpoint, want 1", recs)
-	}
-}
-
 // TestRecoverSkipsSupersededRecords: replay installs what survives, not what
 // was ever written. A record that a later tombstone or replace for its key
-// supersedes — compaction's rule, applied at read time — is counted as dead
-// log and otherwise passed over, and the recovered library is the one a full
-// replay builds: same videos, same contents, same answers.
+// supersedes is passed over at read time — recovery says how many on one log
+// line — and the recovered library is the one a full replay builds: same
+// videos, same contents, same answers.
 func TestRecoverSkipsSupersededRecords(t *testing.T) {
 	a, err := NewAnalyzer(Options{SkipEvents: true})
 	if err != nil {
@@ -807,7 +755,8 @@ func TestRecoverSkipsSupersededRecords(t *testing.T) {
 	}
 	dir := t.TempDir()
 	opts := quietWAL()
-	opts.CompactBytes = -1
+	var logged []string
+	opts.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
 	lib, err := Recover(dir, a, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -853,19 +802,23 @@ func TestRecoverSkipsSupersededRecords(t *testing.T) {
 	del("e")         // † ...deleted...
 	add("e", 11)     // † ...registered again...
 	replace("e", 12) //   ...and replaced: only this one is live
-	const logged, superseded = 14, 7
+	const records, superseded = 14, 7
 	if err := lib.Close(); err != nil {
 		t.Fatal(err)
 	}
 
+	logged = nil
 	recovered, err := Recover(dir, a, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer recovered.Close()
-	ws, _ := recovered.WALStats()
-	if ws.Records != logged || ws.DeadRecords != superseded || ws.DeadBytes == 0 {
-		t.Fatalf("recovery saw %d records, %d of them dead (%d B); want %d and %d", ws.Records, ws.DeadRecords, ws.DeadBytes, logged, superseded)
+	if ws, _ := recovered.WALStats(); ws.Records != records {
+		t.Fatalf("recovery saw %d records, want %d", ws.Records, records)
+	}
+	want := fmt.Sprintf("classminer: replay skipped %d of %d log records", superseded, records)
+	if !slices.ContainsFunc(logged, func(line string) bool { return strings.HasPrefix(line, want) }) {
+		t.Fatalf("recovery logged %q, want a line starting %q", logged, want)
 	}
 	if got, want := fmt.Sprint(recovered.VideoNames()), fmt.Sprint(reference.VideoNames()); got != want {
 		t.Fatalf("recovered %s, want %s", got, want)
@@ -882,6 +835,140 @@ func TestRecoverSkipsSupersededRecords(t *testing.T) {
 	}
 	queries := fixedQueries(8, 12, 5)
 	mustSameHits(t, searchAll(t, recovered, queries, 40), searchAll(t, reference, queries, 40))
+}
+
+// TestRecoverRewrittenDirRefusesOldCursors: builds before this one could
+// rewrite sealed segments in place and counted the rewrites in MANIFEST
+// ("compactions"); this one reads the count and never writes it. A directory
+// that carries one boots to the same library, through one checkpoint that
+// prunes every segment a replication cursor minted before the boot could
+// name — such a cursor may fall on a record boundary of bytes that are not
+// the ones it was minted over, so it must be refused (the follower re-seeds),
+// never honoured — and the manifest that checkpoint commits drops the field,
+// so the next boot is an ordinary one. The same directory without the count
+// honours the same cursors and takes no checkpoint.
+func TestRecoverRewrittenDirRefusesOldCursors(t *testing.T) {
+	a, err := NewAnalyzer(Options{SkipEvents: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, compactions := range []int{0, 3} {
+		t.Run(fmt.Sprintf("compactions=%d", compactions), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := quietWAL()
+			opts.SegmentBytes = 1 << 10 // the tail spans several segments
+			lib, err := Recover(dir, a, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reference := NewLibrary(a)
+			for i := 0; i < 12; i++ {
+				for _, l := range []*Library{lib, reference} {
+					if err := l.AddResult(tinyResult(t, fmt.Sprintf("v%02d", i), int64(i+1), 3), "medicine"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if i == 3 { // a snapshot and a tail, as a directory in service has
+					if err := lib.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, l := range []*Library{lib, reference} {
+				if err := l.DeleteVideo("v05"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Cursors a follower of the old process could be holding: the head
+			// of each live segment and the end of the log.
+			eng := lib.Engine()
+			tail, err := eng.Attach("old", wal.Cursor{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				_, next, err := eng.ReadFrom("old", tail, 1<<20)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if next == tail {
+					break
+				}
+				tail = next
+			}
+			ws, _ := lib.WALStats()
+			var cursors []wal.Cursor
+			for seg := tail.Segment - uint64(ws.Segments) + 1; seg <= tail.Segment; seg++ {
+				cursors = append(cursors, wal.Cursor{Segment: seg})
+			}
+			cursors = append(cursors, tail)
+			if len(cursors) < 4 {
+				t.Fatalf("the log spans %d segments, want several", ws.Segments)
+			}
+			if err := lib.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			manifest := filepath.Join(dir, "MANIFEST")
+			b, err := os.ReadFile(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if compactions > 0 {
+				b = bytes.Replace(b, []byte("{"), []byte(fmt.Sprintf("{\n  \"compactions\": %d,", compactions)), 1)
+				if err := os.WriteFile(manifest, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			booted, err := Recover(dir, a, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := fmt.Sprint(booted.VideoNames()), fmt.Sprint(reference.VideoNames()); g != w {
+				t.Fatalf("booted with %s, want %s", g, w)
+			}
+			for _, l := range []*Library{booted, reference} {
+				if err := l.BuildIndex(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			queries := fixedQueries(6, 12, 9)
+			mustSameHits(t, searchAll(t, booted, queries, 40), searchAll(t, reference, queries, 40))
+			after, err := os.ReadFile(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Contains(after, []byte("compactions")) {
+				t.Fatalf("the booted directory's manifest still carries the count:\n%s", after)
+			}
+			bws, _ := booted.WALStats()
+			for _, cur := range cursors {
+				_, err := booted.Engine().Attach("old", cur)
+				if compactions > 0 && !errors.Is(err, wal.ErrBehindHorizon) {
+					t.Fatalf("attach at pre-boot cursor %+v: %v, want ErrBehindHorizon", cur, err)
+				}
+				if compactions == 0 && err != nil {
+					t.Fatalf("attach at cursor %+v of a never-rewritten log: %v", cur, err)
+				}
+			}
+			if want := ws.Generation + uint64(min(compactions, 1)); bws.Generation != want {
+				t.Fatalf("boot left the directory at generation %d, want %d", bws.Generation, want)
+			}
+			if err := booted.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			again, err := Recover(dir, a, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer again.Close()
+			if aws, _ := again.WALStats(); aws.Generation != bws.Generation {
+				t.Fatalf("the second boot checkpointed again (generation %d -> %d)", bws.Generation, aws.Generation)
+			}
+		})
+	}
 }
 
 // TestReseedIsAllOrNothing: a follower converging onto a leader's snapshot

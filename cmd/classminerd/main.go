@@ -38,7 +38,6 @@
 //	    -d '{"corpus":"skin-examination","subcluster":"medicine","replace":true}'
 //	curl -H 'Authorization: Bearer s3cret' -X DELETE localhost:8471/v1/videos/laparoscopy
 //	curl -H 'Authorization: Bearer admin' -X POST localhost:8471/v1/admin/checkpoint
-//	curl -H 'Authorization: Bearer admin' -X POST localhost:8471/v1/admin/compact
 package main
 
 import (
@@ -143,12 +142,11 @@ type config struct {
 	traceRing   int
 
 	// durable-mode tuning (only read when dataDir is set)
-	fsync        string
-	fsyncEvery   time.Duration
-	segBytes     int64
-	ckptBytes    int64
-	ckptRecords  int64
-	compactBytes int64
+	fsync       string
+	fsyncEvery  time.Duration
+	segBytes    int64
+	ckptBytes   int64
+	ckptRecords int64
 }
 
 func main() {
@@ -181,17 +179,16 @@ func main() {
 	flag.StringVar(&cfg.fsync, "fsync", "always", "WAL fsync policy: always, interval or off")
 	flag.DurationVar(&cfg.fsyncEvery, "fsync-interval", 100*time.Millisecond, "background fsync period under -fsync=interval")
 	flag.Int64Var(&cfg.segBytes, "segment-bytes", 4<<20, "WAL segment rotation size")
-	flag.Int64Var(&cfg.ckptBytes, "checkpoint-bytes", 64<<20, "auto-checkpoint once this much WAL accumulates (negative disables)")
+	flag.Int64Var(&cfg.ckptBytes, "checkpoint-bytes", 64<<20, "auto-checkpoint — the one way log is reclaimed — once this much WAL accumulates (negative disables)")
 	flag.Int64Var(&cfg.ckptRecords, "checkpoint-records", 10000, "auto-checkpoint once this many WAL records accumulate (negative disables)")
-	flag.Int64Var(&cfg.compactBytes, "compact-bytes", 8<<20, "auto-compact sealed WAL segments once this many dead bytes accumulate (negative disables)")
 	flag.IntVar(&cfg.shards, "shards", 0, "in-memory library shards, each with its own lock, index and rebuild state over the one -data-dir log (a per-boot choice: any count opens any data dir; 0 = 1)")
 	flag.StringVar(&cfg.role, "role", "leader", "replication role: leader (serves /v1/repl/* when durable) or follower (replicates from -leader-url, read-only until promoted)")
 	flag.StringVar(&cfg.leaderURL, "leader-url", "", "leader base URL a follower replicates from (required with -role follower)")
 	flag.StringVar(&cfg.replToken, "repl-token", "", "bearer token the follower presents to the leader (needs administrator clearance there)")
 	flag.StringVar(&cfg.followerID, "follower-id", "follower", "this follower's id in the leader's pin table; keep it stable across restarts")
 	flag.Int64Var(&cfg.replLagReady, "repl-lag-ready", 0, "record lag at or under which a follower's /readyz reports ready")
-	flag.Int64Var(&cfg.replPinBudget, "repl-pin-budget-bytes", 0, "max unshipped WAL bytes a follower's pin may hold against compaction before eviction (0 = 512 MiB default, negative disables)")
-	flag.Int64Var(&cfg.walPressure, "wal-pressure-bytes", 0, "shed ingest with 503 once un-checkpointed or dead WAL bytes exceed this (0 disables)")
+	flag.Int64Var(&cfg.replPinBudget, "repl-pin-budget-bytes", 0, "max unshipped WAL bytes a follower's pin may hold against checkpoint pruning before eviction (0 = 512 MiB default, negative disables)")
+	flag.Int64Var(&cfg.walPressure, "wal-pressure-bytes", 0, "shed ingest with 503 once un-checkpointed WAL bytes exceed this (0 disables)")
 	flag.Int64Var(&cfg.replLagBytes, "repl-lag-bytes", 0, "shed ingest with 503 once the worst follower's replication lag exceeds this many bytes (0 disables)")
 	flag.Var(&tokens, "token", "token=name:clearance[:role1|role2] (repeatable)")
 	flag.Parse()
@@ -394,7 +391,6 @@ func buildLibrary(logger *log.Logger, analyzer *classminer.Analyzer, cfg config,
 		wopts.SegmentBytes = cfg.segBytes
 		wopts.CheckpointBytes = cfg.ckptBytes
 		wopts.CheckpointRecords = cfg.ckptRecords
-		wopts.CompactBytes = cfg.compactBytes
 		wopts.ReplPinBudgetBytes = cfg.replPinBudget
 		wopts.Metrics = reg
 		wopts.Logf = logger.Printf

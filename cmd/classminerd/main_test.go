@@ -4,6 +4,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,6 +12,30 @@ import (
 	"classminer"
 	"classminer/internal/synth"
 )
+
+// daemonEnv, set, makes the test binary run the daemon's main on its own
+// command line, so a test can see what the flag parser itself says.
+const daemonEnv = "CLASSMINERD_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(daemonEnv) != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestRemovedFlagsAreUndefined: a flag whose mechanism was deleted is refused
+// by the parser, not accepted and ignored — an operator's stale unit file
+// fails loudly at the first start after the upgrade.
+func TestRemovedFlagsAreUndefined(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-compact-bytes", "1")
+	cmd.Env = append(os.Environ(), daemonEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "flag provided but not defined: -compact-bytes") {
+		t.Fatalf("classminerd -compact-bytes 1: err %v, output:\n%s", err, out)
+	}
+}
 
 // TestValidateRejectsBeforeSideEffects: every flag-only mistake is caught by
 // validate, which run calls before it trains, locks or replays anything. The
@@ -63,7 +88,7 @@ func TestBuildLibraryLayouts(t *testing.T) {
 		t.Fatal(err)
 	}
 	logger := log.New(io.Discard, "", 0)
-	base := config{fsync: "always", ckptBytes: -1, ckptRecords: -1, compactBytes: -1}
+	base := config{fsync: "always", ckptBytes: -1, ckptRecords: -1}
 
 	const scale, seed = 0.2, 11
 	var mined []*classminer.Result

@@ -2,6 +2,8 @@ package classminer
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 )
@@ -133,7 +135,7 @@ func BenchmarkRecoverChurn(b *testing.B) {
 		b.Fatal(err)
 	}
 	dir := b.TempDir()
-	_, logBytes := churnDir(b, a, dir, 400, 1000, true)
+	_, logBytes := churnDir(b, a, dir, 400, 1000, true, false)
 	b.SetBytes(logBytes)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -148,5 +150,54 @@ func BenchmarkRecoverChurn(b *testing.B) {
 		}
 		lib.Close()
 		b.StartTimer()
+	}
+}
+
+// BenchmarkCheckpointChurned times the one mechanism that reclaims log, on
+// the directory it exists for: the live set in a snapshot and 1 600
+// register/delete pairs — nearly all of them dead — on the log behind it, as
+// ingest-churn leaves a directory between checkpoints. One checkpoint writes
+// the live set out again (snapshot-B) and prunes the whole log
+// (log-B-reclaimed). 528 videos of 25 shots is the benchmark's library; 4 000
+// is 100 000 shots, where a checkpoint's cost — it is O(library), not
+// O(dead log) — is what deleting sealed-segment compaction gave up.
+func BenchmarkCheckpointChurned(b *testing.B) {
+	for _, videos := range []int{528, 4000} {
+		b.Run(fmt.Sprintf("videos=%d", videos), func(b *testing.B) {
+			a, err := NewAnalyzer(Options{SkipEvents: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			src := b.TempDir()
+			_, logBytes := churnDir(b, a, src, videos, 1600, true, true)
+			var snapBytes int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dir := filepath.Join(b.TempDir(), "data")
+				copyDataDir(b, src, dir)
+				lib, err := Recover(dir, a, quietWAL())
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := lib.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if left := dirBytes(b, dir, "wal-*.log"); left != 0 {
+					b.Fatalf("the checkpoint left %d bytes of log", left)
+				}
+				snapBytes = dirBytes(b, dir, "snap-*.ckpt")
+				if err := lib.Close(); err != nil {
+					b.Fatal(err)
+				}
+				os.RemoveAll(dir)
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/op")
+			b.ReportMetric(float64(snapBytes), "snapshot-B")
+			b.ReportMetric(float64(logBytes), "log-B-reclaimed")
+		})
 	}
 }

@@ -29,7 +29,7 @@ const (
 	ClassSearch Class = iota
 	// ClassMutate covers writes: ingest and delete.
 	ClassMutate
-	// ClassAdmin covers operator endpoints: save, checkpoint, compact, pprof.
+	// ClassAdmin covers operator endpoints: checkpoint, promote, pprof.
 	ClassAdmin
 	// NumClasses sizes per-class tables.
 	NumClasses

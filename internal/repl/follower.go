@@ -359,9 +359,6 @@ func cursorFromHeaders(h http.Header) (wal.Cursor, error) {
 	if cur.Offset, err = strconv.ParseInt(h.Get(HeaderOffset), 10, 64); err != nil {
 		return cur, fmt.Errorf("repl: bad %s header %q", HeaderOffset, h.Get(HeaderOffset))
 	}
-	if cur.Epoch, err = strconv.ParseUint(h.Get(HeaderEpoch), 10, 64); err != nil {
-		return cur, fmt.Errorf("repl: bad %s header %q", HeaderEpoch, h.Get(HeaderEpoch))
-	}
 	return cur, nil
 }
 
@@ -385,7 +382,6 @@ func (f *Follower) pull(cur wal.Cursor) error {
 		"follower": {f.opts.ID},
 		"segment":  {strconv.FormatUint(cur.Segment, 10)},
 		"offset":   {strconv.FormatInt(cur.Offset, 10)},
-		"epoch":    {strconv.FormatUint(cur.Epoch, 10)},
 		"wait":     {f.opts.PollWait.String()},
 		"max":      {strconv.FormatInt(f.opts.MaxBatchBytes, 10)},
 	}

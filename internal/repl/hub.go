@@ -10,15 +10,15 @@
 // routes each record to whichever of its own shards owns the key.
 //
 // The protocol is deliberately dumb: a follower's whole state is one durable
-// cursor — (segment, offset, epoch) in the leader's log — persisted
-// only after a batch is fully applied. Pulling from cursor C doubles as the
-// durability acknowledgement for everything before C, which is what lets the
-// leader's compaction and checkpoint pruning advance past shipped log (see
-// the pinning rules in internal/wal/repl.go). Every failure collapses onto
-// two recoveries: retry with exponential backoff (transient transport or
-// leader errors), or re-seed from the leader's newest checkpoint snapshot
-// (HTTP 410 — the cursor fell behind the compaction horizon, the pin was
-// evicted past its budget, or the leader lost a relaxed-sync tail). A
+// cursor — (segment, offset) in the leader's log — persisted only after a
+// batch is fully applied. Pulling from cursor C doubles as the durability
+// acknowledgement for everything before C, which is what lets the leader's
+// checkpoint pruning advance past shipped log (see the pinning rules in
+// internal/wal/repl.go). Every failure collapses onto two recoveries: retry
+// with exponential backoff (transient transport or leader errors), or
+// re-seed from the leader's newest checkpoint snapshot (HTTP 410 — a
+// checkpoint pruned the cursor's segment, the pin was evicted past its
+// budget, or the leader lost a relaxed-sync tail). A
 // follower crash mid-batch needs nothing special at all: the cursor was not
 // advanced, the batch is re-pulled, and application is idempotent.
 package repl
@@ -44,7 +44,6 @@ import (
 const (
 	HeaderSegment    = "X-Repl-Segment"
 	HeaderOffset     = "X-Repl-Offset"
-	HeaderEpoch      = "X-Repl-Epoch"
 	HeaderLagRecords = "X-Repl-Lag-Records"
 	HeaderLagBytes   = "X-Repl-Lag-Bytes"
 	// HeaderSnapshot on a snapshot response is "full" when a checkpoint body
@@ -144,11 +143,6 @@ func parsePull(r *http.Request) (pullParams, error) {
 			return p, fmt.Errorf("repl: bad offset %q", v)
 		}
 	}
-	if v := q.Get("epoch"); v != "" {
-		if p.cur.Epoch, err = strconv.ParseUint(v, 10, 64); err != nil {
-			return p, fmt.Errorf("repl: bad epoch %q", v)
-		}
-	}
 	if v := q.Get("wait"); v != "" {
 		if p.wait, err = time.ParseDuration(v); err != nil || p.wait < 0 {
 			return p, fmt.Errorf("repl: bad wait %q", v)
@@ -174,7 +168,6 @@ func (h *Hub) setCursorHeaders(w http.ResponseWriter, follower string, cur wal.C
 	hd := w.Header()
 	hd.Set(HeaderSegment, strconv.FormatUint(cur.Segment, 10))
 	hd.Set(HeaderOffset, strconv.FormatInt(cur.Offset, 10))
-	hd.Set(HeaderEpoch, strconv.FormatUint(cur.Epoch, 10))
 	for _, p := range h.eng.Pins() {
 		if p.ID == follower {
 			hd.Set(HeaderLagRecords, strconv.FormatInt(p.LagRecords, 10))

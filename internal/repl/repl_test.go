@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,7 +82,6 @@ func newLeader(t testing.TB) (*wal.Engine, *httptest.Server) {
 		Sync:              wal.SyncNever,
 		CheckpointBytes:   -1,
 		CheckpointRecords: -1,
-		CompactBytes:      -1,
 		Logf:              func(string, ...any) {},
 	})
 	if err != nil {
@@ -294,8 +294,10 @@ func TestFollowerReseedsOn410(t *testing.T) {
 
 // TestFollowerResumesParentCursorFile: the single stream keeps the cursor
 // file of what used to be stream 0, so a one-shard follower dir written
-// before there was one stream — the file below is that build's, byte for
-// byte — resumes from its cursor: no reseed, nothing re-applied.
+// before there was one stream — the file below is that build's shape —
+// resumes from its cursor: no reseed, nothing re-applied. Cursors of that
+// build carried an "epoch" as well; a cursor is (segment, offset) now, so
+// the key loads, is ignored, and is gone from the next file written.
 func TestFollowerResumesParentCursorFile(t *testing.T) {
 	eng, ts := newLeader(t)
 	var off int64
@@ -309,7 +311,7 @@ func TestFollowerResumesParentCursorFile(t *testing.T) {
 		off += int64(len(frame)) + wal.FrameOverhead
 	}
 	dir := t.TempDir()
-	cursor := fmt.Sprintf("{\n  \"cursor\": {\n    \"segment\": 1,\n    \"offset\": %d,\n    \"epoch\": 0\n  },\n  \"seeded\": true\n}\n", off)
+	cursor := fmt.Sprintf("{\n  \"cursor\": {\n    \"segment\": 1,\n    \"offset\": %d,\n    \"epoch\": 7\n  },\n  \"seeded\": true\n}\n", off)
 	if err := os.WriteFile(filepath.Join(dir, "repl-cursor-000.json"), []byte(cursor), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -328,6 +330,14 @@ func TestFollowerResumesParentCursorFile(t *testing.T) {
 	}
 	if fa.reseedCount() != 0 {
 		t.Fatalf("resume reseeded %d times, want 0", fa.reseedCount())
+	}
+	f.Close() // the batch's cursor is on disk once its keys are applied and the loop has stopped
+	saved, err := os.ReadFile(filepath.Join(dir, "repl-cursor-000.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(saved), "epoch") || !strings.Contains(string(saved), `"segment": 1`) {
+		t.Fatalf("cursor file after the resume:\n%s", saved)
 	}
 }
 
@@ -399,7 +409,7 @@ func TestRealLibraryFollowerConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wopts := classminer.DurableOptions{CheckpointBytes: -1, CheckpointRecords: -1, CompactBytes: -1}
+	wopts := classminer.DurableOptions{CheckpointBytes: -1, CheckpointRecords: -1}
 	leader, err := classminer.Recover(t.TempDir(), a, wopts)
 	if err != nil {
 		t.Fatal(err)
@@ -533,7 +543,7 @@ func TestRealLibraryFollowerAcrossShardCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wopts := classminer.DurableOptions{CheckpointBytes: -1, CheckpointRecords: -1, CompactBytes: -1}
+	wopts := classminer.DurableOptions{CheckpointBytes: -1, CheckpointRecords: -1}
 	admin := classminer.User{Name: "root", Clearance: classminer.Administrator}
 	for _, tc := range []struct{ leaderN, followerN int }{{4, 1}, {1, 4}} {
 		t.Run(fmt.Sprintf("leader-%d-follower-%d", tc.leaderN, tc.followerN), func(t *testing.T) {

@@ -96,7 +96,7 @@ func newAdmission(opts Options, onDegrade func(from, to admit.Level)) *admission
 		a.timeouts = [admit.NumClasses]time.Duration{
 			admit.ClassSearch: opts.ReqTimeout,
 			admit.ClassMutate: opts.ReqTimeout,
-			// Admin operations (checkpoint, compact, CPU profiles) are
+			// Admin operations (checkpoint, promote, CPU profiles) are
 			// legitimately slow; give them 4x.
 			admit.ClassAdmin: 4 * opts.ReqTimeout,
 		}

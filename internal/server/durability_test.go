@@ -287,9 +287,10 @@ func TestReplaceIngestPolicyGated(t *testing.T) {
 
 // TestDeleteReplaceCompactKillRestart is the lifecycle acceptance test at
 // the serving layer: mutate a durable library over HTTP (ingest, delete,
-// replace), compact through the admin endpoint, abandon the process
-// SIGKILL-style, recover, and require byte-identical /v1/search responses
-// plus the mutated video set.
+// replace), reclaim the log the deletes and replacements left dead through
+// the admin endpoint — a checkpoint, the one way there is — abandon the
+// process SIGKILL-style, recover, and require byte-identical /v1/search
+// responses plus the mutated video set.
 func TestDeleteReplaceCompactKillRestart(t *testing.T) {
 	a, err := classminer.NewAnalyzer(classminer.Options{SkipEvents: true})
 	if err != nil {
@@ -299,8 +300,7 @@ func TestDeleteReplaceCompactKillRestart(t *testing.T) {
 	wopts := classminer.DurableOptions{
 		CheckpointBytes:   -1,
 		CheckpointRecords: -1,
-		CompactBytes:      -1,      // exercised via the admin endpoint
-		SegmentBytes:      2 << 10, // a couple of records per segment: every victim registration seals
+		SegmentBytes:      2 << 10, // a couple of records per segment: the checkpoint prunes a chain of them
 	}
 	lib, err := classminer.Recover(dir, a, wopts)
 	if err != nil {
@@ -320,19 +320,21 @@ func TestDeleteReplaceCompactKillRestart(t *testing.T) {
 	ingestReplaceAndWait(t, s, "ingested-03", 77)
 	ingestReplaceAndWait(t, s, "ingested-04", 88)
 
-	if code := do(t, s, http.MethodPost, "/v1/admin/compact", "clin-tok", nil, nil); code != http.StatusForbidden {
-		t.Fatalf("clinician compact = %d, want 403", code)
+	if code := do(t, s, http.MethodPost, "/v1/admin/checkpoint", "clin-tok", nil, nil); code != http.StatusForbidden {
+		t.Fatalf("clinician checkpoint = %d, want 403", code)
 	}
-	var compactResp struct {
-		Compacted classminer.CompactStats `json:"compacted"`
-		WAL       classminer.WALStats     `json:"wal"`
+	// There is no second reclaim endpoint.
+	if code := do(t, s, http.MethodPost, "/v1/admin/compact", "admin-tok", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("POST /v1/admin/compact = %d, want 404", code)
 	}
-	if code := do(t, s, http.MethodPost, "/v1/admin/compact", "admin-tok", nil, &compactResp); code != http.StatusOK {
-		t.Fatalf("admin compact = %d", code)
+	var ckptResp struct {
+		WAL classminer.WALStats `json:"wal"`
 	}
-	if compactResp.Compacted.RecordsDropped != 5 {
-		t.Fatalf("compaction dropped %d records, want 5 (3 deletes + 2 replaces): %+v",
-			compactResp.Compacted.RecordsDropped, compactResp.Compacted)
+	if code := do(t, s, http.MethodPost, "/v1/admin/checkpoint", "admin-tok", nil, &ckptResp); code != http.StatusOK {
+		t.Fatalf("admin checkpoint = %d", code)
+	}
+	if ckptResp.WAL.Records != 0 || ckptResp.WAL.Bytes != 0 || ckptResp.WAL.Segments != 1 {
+		t.Fatalf("the checkpoint left log behind (13 records went in, 5 of them dead): %+v", ckptResp.WAL)
 	}
 
 	// Refit before capturing, for the same reason as
@@ -380,16 +382,8 @@ func TestDeleteReplaceCompactKillRestart(t *testing.T) {
 			t.Fatalf("recovered search %d = %d", q, w.Code)
 		}
 		if got := w.Body.String(); got != before[q] {
-			t.Fatalf("query %d diverged after compact+recovery:\nbefore: %s\nafter:  %s", q, before[q], got)
+			t.Fatalf("query %d diverged after checkpoint+recovery:\nbefore: %s\nafter:  %s", q, before[q], got)
 		}
-	}
-}
-
-// TestAdminCompactNotDurable hits the endpoint on a snapshot-mode library.
-func TestAdminCompactNotDurable(t *testing.T) {
-	s := newTestServer(t, Options{})
-	if code := do(t, s, http.MethodPost, "/v1/admin/compact", "admin-tok", nil, nil); code != http.StatusNotImplemented {
-		t.Fatalf("non-durable compact = %d, want 501", code)
 	}
 }
 

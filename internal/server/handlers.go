@@ -962,10 +962,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Durable-backlog backpressure, same shape as the memory stage: when the
-	// WAL outruns its checkpoint/compaction budget, or an attached follower's
+	// WAL outruns its checkpoint budget, or an attached follower's
 	// replication lag exceeds its budget, shed new data instead of digging
 	// the hole deeper. Both conditions drain on their own (background
-	// checkpointer/compactor, follower pulls), so Retry-After is honest.
+	// checkpointer, follower pulls), so Retry-After is honest.
 	if reason, msg, hit := s.writeBackpressure(); hit {
 		s.admit.countReject(reason)
 		w.Header().Set("Retry-After", "5")
@@ -1145,30 +1145,6 @@ func (s *Server) handleAdminCheckpoint(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"checkpointed": true, "wal": ws})
 }
 
-// --- POST /v1/admin/compact ------------------------------------------------
-
-// handleAdminCompact rewrites the WAL's sealed segments on demand, dropping
-// registrations that deletes and replacements superseded (the background
-// compactor handles the dead-bytes-threshold case). Only meaningful when
-// the daemon runs with -data-dir.
-func (s *Server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
-	if !s.requireClearance(w, r, classminer.Administrator) {
-		return
-	}
-	if !s.lib.Durable() {
-		writeError(w, http.StatusNotImplemented, "library is not durable (start with -data-dir)")
-		return
-	}
-	cs, err := s.lib.Compact()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	ws, _ := s.lib.WALStats()
-	s.opts.Logf("admin compaction: %d records (%d bytes) dropped", cs.RecordsDropped, cs.BytesFreed)
-	writeJSON(w, http.StatusOK, map[string]any{"compacted": cs, "wal": ws})
-}
-
 // --- replication: /v1/repl/*, /v1/admin/promote ------------------------------
 
 // handleReplPull and handleReplSnapshot route to the replication hub after
@@ -1236,15 +1212,15 @@ func (s *Server) rejectFollowerWrite(w http.ResponseWriter) bool {
 }
 
 // writeBackpressure reports whether the durable write path should shed new
-// ingest, and why: the WAL's un-checkpointed or dead bytes exceeded
+// ingest, and why: the WAL's un-checkpointed bytes exceeded
 // WALPressureBytes, or an attached follower's unshipped backlog exceeded
 // ReplLagBytes.
 func (s *Server) writeBackpressure() (rejectReason, string, bool) {
 	if b := s.opts.WALPressureBytes; b > 0 {
-		if ws, ok := s.lib.WALStats(); ok && (ws.Bytes > b || ws.DeadBytes > b) {
+		if ws, ok := s.lib.WALStats(); ok && ws.Bytes > b {
 			return rejWALPressure, fmt.Sprintf(
-				"WAL backlog %d bytes (%d dead) exceeds budget %d; retry after checkpoint/compaction",
-				ws.Bytes, ws.DeadBytes, b), true
+				"WAL backlog %d bytes exceeds budget %d; retry after the next checkpoint",
+				ws.Bytes, b), true
 		}
 	}
 	if b := s.opts.ReplLagBytes; b > 0 && s.opts.ReplHub != nil {

@@ -23,7 +23,6 @@ var routeTemplates = []string{
 	"/v1/events/{kind}",
 	"/v1/jobs/{id}",
 	"/v1/admin/checkpoint",
-	"/v1/admin/compact",
 	"/v1/admin/promote",
 	"/v1/repl/pull",
 	"/v1/repl/snapshot",
@@ -40,7 +39,7 @@ func routeTemplate(path string) string {
 	path = strings.TrimSuffix(path, "/")
 	switch path {
 	case "/healthz", "/readyz", "/v1/stats", "/v1/videos", "/v1/search", "/v1/search/batch",
-		"/v1/admin/checkpoint", "/v1/admin/compact", "/v1/admin/promote",
+		"/v1/admin/checkpoint", "/v1/admin/promote",
 		"/v1/repl/pull", "/v1/repl/snapshot", "/metrics", "/debug/traces":
 		return path
 	}

@@ -249,20 +249,21 @@ func TestStatusWriterFlushAndBytes(t *testing.T) {
 // identifier collapsing and trailing-slash handling.
 func TestRouteTemplate(t *testing.T) {
 	cases := map[string]string{
-		"/healthz":          "/healthz",
-		"/v1/search":        "/v1/search",
-		"/v1/search/":       "/v1/search",
-		"/v1/search/batch":  "/v1/search/batch",
-		"/v1/videos":        "/v1/videos",
-		"/v1/videos/op-42":  "/v1/videos/{name}",
-		"/v1/events/dialog": "/v1/events/{kind}",
-		"/v1/jobs/job-7":    "/v1/jobs/{id}",
-		"/v1/admin/compact": "/v1/admin/compact",
-		"/metrics":          "/metrics",
-		"/debug/pprof/heap": "/debug/pprof",
-		"/debug/pprof":      "/debug/pprof",
-		"/v1/nope":          "other",
-		"/":                 "other",
+		"/healthz":             "/healthz",
+		"/v1/search":           "/v1/search",
+		"/v1/search/":          "/v1/search",
+		"/v1/search/batch":     "/v1/search/batch",
+		"/v1/videos":           "/v1/videos",
+		"/v1/videos/op-42":     "/v1/videos/{name}",
+		"/v1/events/dialog":    "/v1/events/{kind}",
+		"/v1/jobs/job-7":       "/v1/jobs/{id}",
+		"/v1/admin/checkpoint": "/v1/admin/checkpoint",
+		"/v1/admin/compact":    "other",
+		"/metrics":             "/metrics",
+		"/debug/pprof/heap":    "/debug/pprof",
+		"/debug/pprof":         "/debug/pprof",
+		"/v1/nope":             "other",
+		"/":                    "other",
 	}
 	for path, want := range cases {
 		if got := routeTemplate(path); got != want {

@@ -25,7 +25,7 @@ func newDurableLib(t testing.TB) *classminer.Library {
 		t.Fatal(err)
 	}
 	lib, err := classminer.Recover(t.TempDir(), a, classminer.DurableOptions{
-		CheckpointBytes: -1, CheckpointRecords: -1, CompactBytes: -1,
+		CheckpointBytes: -1, CheckpointRecords: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

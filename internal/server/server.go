@@ -85,8 +85,8 @@ type Options struct {
 	// X-Repl-Leader response header.
 	LeaderURL string
 	// WALPressureBytes sheds ingest with 503 + Retry-After once the WAL's
-	// un-checkpointed or dead bytes exceed it (0 disables). The background
-	// checkpointer/compactor drains the condition.
+	// un-checkpointed bytes exceed it (0 disables). The background
+	// checkpointer drains the condition.
 	WALPressureBytes int64
 	// ReplLagBytes sheds ingest with 503 + Retry-After once the worst
 	// attached follower's unshipped backlog exceeds it (0 disables; needs
@@ -241,7 +241,6 @@ type Library interface {
 	// Durability.
 	Durable() bool
 	Checkpoint() error
-	Compact() (classminer.CompactStats, error)
 	WALStats() (classminer.WALStats, bool)
 
 	Instrument(reg *metrics.Registry)
@@ -396,8 +395,6 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 		})
 	case path == "/v1/admin/checkpoint":
 		s.post(w, r, s.handleAdminCheckpoint)
-	case path == "/v1/admin/compact":
-		s.post(w, r, s.handleAdminCompact)
 	case path == "/v1/admin/promote":
 		s.post(w, r, s.handleAdminPromote)
 	case path == "/v1/repl/pull":

@@ -85,7 +85,6 @@ func applyLegacyHistory(t testing.TB, l *Library, checkpoint func()) {
 func writeLegacyDir(t *testing.T, dir string) {
 	opts := quietWAL()
 	opts.SegmentBytes = 4 << 10 // a sealed segment or two behind the active one
-	opts.CompactBytes = -1
 	l, err := Recover(dir, 1, testAnalyzer(t), opts)
 	if err != nil {
 		t.Fatal(err)

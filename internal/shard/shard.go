@@ -4,7 +4,7 @@
 // API. N partitions memory, not storage: a durable router has one WAL engine
 // in one plain data directory whatever N is (classminer.RecoverPartitioned),
 // so N is a choice made per process, any count opens any directory, and one
-// group commit, one checkpoint and one compaction serve every shard.
+// group commit and one checkpoint serve every shard.
 // Mutations route to exactly one shard by a deterministic hash of the video
 // name (content-based placement: the same name always lands on the same
 // shard, so duplicate detection and replacement stay shard-local and the
@@ -156,7 +156,7 @@ func (l *Library) foldLegacy(dir string, logf func(string, ...any), step func(sd
 // so applying a shard twice, or over a partial earlier apply, ends where
 // applying it once does.
 func (l *Library) foldShard(sdir string) error {
-	eng, err := wal.Open(sdir, wal.Options{CheckpointBytes: -1, CheckpointRecords: -1, CompactBytes: -1})
+	eng, err := wal.Open(sdir, wal.Options{CheckpointBytes: -1, CheckpointRecords: -1})
 	if err != nil {
 		return err
 	}
@@ -467,14 +467,11 @@ func (l *Library) ReseedFromSnapshot(ctx context.Context, r io.Reader) (installe
 
 // Durable reports whether the shards write-ahead log registrations. The
 // shards share one engine (or none), so shard 0 answers for all — here and
-// in Checkpoint, Compact, WALStats and Close.
+// in Checkpoint, WALStats and Close.
 func (l *Library) Durable() bool { return l.shards[0].Durable() }
 
 // Checkpoint snapshots every shard into one checkpoint of the shared log.
 func (l *Library) Checkpoint() error { return l.shards[0].Checkpoint() }
-
-// Compact compacts the shared log's sealed segments.
-func (l *Library) Compact() (classminer.CompactStats, error) { return l.shards[0].Compact() }
 
 // WALStats reports the shared log's lag; ok is false when the library is
 // not durable.

@@ -586,18 +586,16 @@ func (sc recoveryScript) run(t testing.TB, apply func(op func(*Library) error), 
 // the copy is recovered at each b in {1, 2, 4}. Every one of the nine holds
 // the reference's videos with the same stored results and ranks the whole
 // corpus identically; with a = b it also answers k = 10 exactly like the
-// reference. The checkpoint variant puts the all-shard snapshot source on
-// the path, the compaction variant the dead-bytes bookkeeping n shards feed
-// into the one engine.
+// reference. The checkpoint variant puts the all-shard snapshot source — and
+// the prune of the segments behind it — on the path.
 func TestShardedRecoverEquivalence(t *testing.T) {
 	a := testAnalyzer(t)
 	counts := []int{1, 2, 4}
 	script := recoveryScript{seed: 5, steps: 48}
 	queries := fixedQueries(6, 12, 5)
-	for _, variant := range []string{"wal-only", "checkpoint", "compaction"} {
+	for _, variant := range []string{"wal-only", "checkpoint"} {
 		t.Run(variant, func(t *testing.T) {
 			opts := quietWAL()
-			opts.CompactBytes = -1
 			opts.SegmentBytes = 4 << 10        // several sealed segments per run
 			var whole [][]classminer.SearchHit // the full ranking; the same for all nine
 			for _, from := range counts {
@@ -620,24 +618,9 @@ func TestShardedRecoverEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 				}, func(step int) {
-					if step != script.steps*2/3 {
-						return
-					}
-					switch variant {
-					case "checkpoint":
+					if variant == "checkpoint" && step == script.steps*2/3 {
 						if err := l.Checkpoint(); err != nil {
 							t.Fatal(err)
-						}
-					case "compaction":
-						if ws, _ := l.WALStats(); ws.DeadRecords == 0 {
-							t.Fatal("deletes and replaces on every shard noted no dead record on the shared log")
-						}
-						cs, err := l.Compact()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if cs.RecordsDropped == 0 {
-							t.Fatalf("compaction dropped nothing (%+v); fixture lost its teeth", cs)
 						}
 					}
 				})
@@ -686,7 +669,6 @@ func TestEveryShardCountLivesAtTopLevel(t *testing.T) {
 	queries := fixedQueries(4, 12, 9)
 	k := totalShots(corpus) + 1
 	opts := quietWAL()
-	opts.CompactBytes = -1
 	opts.SegmentBytes = 2 << 10
 
 	for _, n := range []int{0, 1, 2, 4} {
@@ -705,7 +687,7 @@ func TestEveryShardCountLivesAtTopLevel(t *testing.T) {
 			if err := pl.Close(); err != nil {
 				t.Fatal(err)
 			}
-			// ...extended through the router at n, checkpointed and compacted...
+			// ...extended through the router at n, checkpointed twice...
 			l, err := Recover(dir, n, a, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -730,16 +712,18 @@ func TestEveryShardCountLivesAtTopLevel(t *testing.T) {
 			if err := l.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			for round := int64(1); round <= 2; round++ { // the second round supersedes the first on the log
+			for round := int64(1); round <= 2; round++ {
 				for _, v := range corpus[:6] {
 					res := tinyResult(t, v.name, v.seed+500*round, v.shots)
 					if err := l.ReplaceResultAsCtx(context.Background(), admin, res, "medicine"); err != nil {
 						t.Fatal(err)
 					}
 				}
-			}
-			if cs, err := l.Compact(); err != nil || cs.RecordsDropped == 0 {
-				t.Fatalf("compaction = %+v, %v; want it to drop the superseded records", cs, err)
+				if round == 1 { // reclaims what the first round killed; the second supersedes its snapshot from the log
+					if err := l.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 			if err := l.BuildIndex(); err != nil {
 				t.Fatal(err)

@@ -55,23 +55,12 @@ type Engine struct {
 	man        manifest
 	lagRecords int64 // appended since the last checkpoint
 	lagBytes   int64
-	// deadRecords/deadBytes estimate the superseded share of the lag:
-	// callers report each registration a tombstone or replacement killed
-	// via NoteDead, and Compact resets the estimate to the exact residue
-	// it could not reclaim (dead records still in the active segment).
-	// deadActiveBytes is that known-unreclaimable residue — the compact
-	// trigger subtracts it so a pile of active-side dead bytes cannot
-	// kick futile full-log passes; rotation zeroes it (sealing makes the
-	// residue reclaimable again).
-	deadRecords     int64
-	deadBytes       int64
-	deadActiveBytes int64
-	damaged         bool // Replay stopped early at a damaged or missing segment
-	dirty           bool // unsynced writes on the active segment
-	wedged          bool // an append failure could not be undone; log refuses writes
-	buf             []byte
-	source          func(io.Writer) error
-	closed          bool
+	damaged    bool // Replay stopped early at a damaged or missing segment
+	dirty      bool // unsynced writes on the active segment
+	wedged     bool // an append failure could not be undone; log refuses writes
+	buf        []byte
+	source     func(io.Writer) error
+	closed     bool
 
 	// Group-commit state (SyncAlways only). Appenders stage frames under mu
 	// and join curBatch; the batch's creator becomes its commit leader and
@@ -98,11 +87,6 @@ type Engine struct {
 	// (test-only fault injection for the batched-ack contract).
 	syncHook func(f *os.File) error
 
-	// compactHook, when non-nil, runs between Compact's commit stages
-	// (test-only fault injection: a returned error aborts mid-flight the
-	// way a crash would).
-	compactHook func(stage string, seg uint64) error
-
 	// Replication state (repl.go): attached follower pins keyed by follower
 	// id, the lazily created durable-advance broadcast channel long-polling
 	// pullers park on, and the low-water mark below which checkpoint pruning
@@ -117,10 +101,9 @@ type Engine struct {
 	// value is inert.
 	met engineMetrics
 
-	kick        chan struct{} // nudges the background checkpointer
-	compactKick chan struct{} // nudges the background compactor
-	done        chan struct{}
-	wg          sync.WaitGroup
+	kick chan struct{} // nudges the background checkpointer
+	done chan struct{}
+	wg   sync.WaitGroup
 }
 
 // Open opens (creating if needed) the data directory and repairs it: stale
@@ -148,15 +131,14 @@ func Open(dir string, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		dir:         dir,
-		opts:        opts,
-		lock:        lock,
-		man:         man,
-		segStart:    man.FirstSegment,
-		pruneFloor:  man.FirstSegment,
-		kick:        make(chan struct{}, 1),
-		compactKick: make(chan struct{}, 1),
-		done:        make(chan struct{}),
+		dir:        dir,
+		opts:       opts,
+		lock:       lock,
+		man:        man,
+		segStart:   man.FirstSegment,
+		pruneFloor: man.FirstSegment,
+		kick:       make(chan struct{}, 1),
+		done:       make(chan struct{}),
 	}
 	if err := e.pruneStale(); err != nil {
 		return nil, err
@@ -200,8 +182,6 @@ func Open(dir string, opts Options) (*Engine, error) {
 	}
 	e.wg.Add(1)
 	go e.checkpointLoop()
-	e.wg.Add(1)
-	go e.compactLoop()
 	ok = true
 	return e, nil
 }
@@ -238,10 +218,10 @@ func (e *Engine) pruneStale() error {
 		}
 	}
 	// Orphaned atomic-write temps: a crash inside WriteFileAtomic — a
-	// checkpoint snapshot, a manifest replacement or a compaction segment
-	// rewrite — leaves its temp file behind (the rename never ran, so the
-	// live files are untouched). They are never named by the manifest and
-	// never parse as segments or snapshots; clear them out.
+	// checkpoint snapshot or a manifest replacement — leaves its temp file
+	// behind (the rename never ran, so the live files are untouched). They
+	// are never named by the manifest and never parse as segments or
+	// snapshots; clear them out.
 	temps, err := listTempFiles(e.dir)
 	if err != nil {
 		return err
@@ -373,6 +353,20 @@ func (e *Engine) ReplayDamaged() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.damaged
+}
+
+// Rewritten reports whether an earlier build, which could rewrite sealed
+// segments in place and counted in MANIFEST the times it did, ever did so to
+// this directory. A replication cursor minted before such a rewrite may name
+// an offset that happens to be a record boundary of the rewritten bytes, so a
+// caller that recovered the directory should checkpoint before it serves
+// followers: that prunes every segment such a cursor could name (Attach
+// refuses it, the follower re-seeds) and commits a manifest without the
+// count, so this is true at most until the first boot completes.
+func (e *Engine) Rewritten() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.man.Compactions != 0
 }
 
 // SetSource installs the snapshot writer checkpoints call to serialise the
@@ -732,38 +726,6 @@ func (e *Engine) lagExceededLocked() bool {
 		(e.opts.CheckpointRecords > 0 && e.lagRecords >= e.opts.CheckpointRecords)
 }
 
-// NoteDead reports that records already on the log have been superseded — a
-// registration a tombstone or replacement just killed — so the engine can
-// weigh sealed-segment compaction. The caller supplies the on-log size of
-// the superseded records (payload plus FrameOverhead); the figure is an
-// estimate that Compact later replaces with the exact residue, so a stale
-// or duplicate note degrades to an early compaction, never to data loss.
-func (e *Engine) NoteDead(records, bytes int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed || records <= 0 {
-		return
-	}
-	e.deadRecords += records
-	e.deadBytes += bytes
-	e.maybeKickCompactLocked()
-}
-
-// maybeKickCompactLocked nudges the background compactor once enough
-// presumed-reclaimable dead bytes accumulate — the estimate minus the
-// residue the last pass proved lives in the active segment — and there is
-// at least one sealed segment to reclaim them from (active-side dead
-// records are unreachable until rotation seals them — rotateLocked
-// re-evaluates then). Callers hold e.mu.
-func (e *Engine) maybeKickCompactLocked() {
-	if e.opts.CompactBytes > 0 && e.deadBytes-e.deadActiveBytes >= e.opts.CompactBytes && e.activeIdx > e.segStart {
-		select {
-		case e.compactKick <- struct{}{}:
-		default: // a compaction is already pending
-		}
-	}
-}
-
 // rotateLocked seals the active segment and starts the next one. Callers
 // hold e.mu AND e.syncMu (sealing closes the file a group-commit leader
 // may otherwise be fsyncing). State is only committed once the new segment
@@ -815,10 +777,6 @@ func (e *Engine) rotateLocked() error {
 		// The old segment is already synced; nothing is lost.
 		e.opts.Logf("wal: closing sealed %s: %v", segmentName(next-1), err)
 	}
-	// The just-sealed segment may carry dead records compaction could not
-	// reach while it was active.
-	e.deadActiveBytes = 0
-	e.maybeKickCompactLocked()
 	e.met.rotations.Inc()
 	return nil
 }
@@ -857,7 +815,6 @@ func (e *Engine) Checkpoint() error {
 	}
 	cut := e.activeIdx
 	gen := e.man.Generation + 1
-	comps := e.man.Compactions
 	prevRecords, prevBytes := e.lagRecords, e.lagBytes
 	e.lagRecords, e.lagBytes = 0, 0
 	// Followers too far behind to wait for forfeit their pins now (their
@@ -881,7 +838,7 @@ func (e *Engine) Checkpoint() error {
 		restoreLag()
 		return err
 	}
-	man := manifest{Version: manifestVersion, Generation: gen, Snapshot: snap, FirstSegment: cut, Compactions: comps}
+	man := manifest{Version: manifestVersion, Generation: gen, Snapshot: snap, FirstSegment: cut}
 	if err := man.write(e.dir); err != nil {
 		// Do NOT remove the snapshot here: write can fail after the rename
 		// actually installed the new MANIFEST (e.g. the directory fsync
@@ -897,10 +854,6 @@ func (e *Engine) Checkpoint() error {
 	e.man = man
 	e.segStart = cut
 	e.damaged = false // the snapshot supersedes any broken segment chain
-	// The pruned segments take their dead records with them; notes filed
-	// for post-cut straddlers are dropped too (an undercount Compact's
-	// exact recount later repairs).
-	e.deadRecords, e.deadBytes, e.deadActiveBytes = 0, 0, 0
 	e.mu.Unlock()
 
 	// The commit is durable; pruning is best-effort (Open re-prunes). An
@@ -936,19 +889,12 @@ func (e *Engine) Checkpoint() error {
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	live := e.lagRecords - e.deadRecords
-	if live < 0 {
-		live = 0
-	}
 	return Stats{
-		Records:     e.lagRecords,
-		Bytes:       e.lagBytes,
-		DeadRecords: e.deadRecords,
-		DeadBytes:   e.deadBytes,
-		LiveRecords: live,
-		Segments:    int(e.activeIdx - e.segStart + 1),
-		Generation:  e.man.Generation,
-		Syncs:       e.syncCount,
+		Records:    e.lagRecords,
+		Bytes:      e.lagBytes,
+		Segments:   int(e.activeIdx - e.segStart + 1),
+		Generation: e.man.Generation,
+		Syncs:      e.syncCount,
 	}
 }
 
@@ -960,23 +906,19 @@ func (e *Engine) checkpointLoop() {
 		case <-e.done:
 			return
 		case <-e.kick:
+			// A kick is a hint, not an order: appends that land between this
+			// receive and the checkpoint's cut see the lag still over the
+			// threshold and kick again, and a caller-driven checkpoint may
+			// have folded the lag in since. Only a lag that is over the
+			// threshold now is worth a snapshot of the whole library.
+			e.mu.Lock()
+			due := e.lagExceededLocked()
+			e.mu.Unlock()
+			if !due {
+				continue
+			}
 			if err := e.Checkpoint(); err != nil && err != ErrClosed {
 				e.opts.Logf("wal: background checkpoint: %v", err)
-			}
-		}
-	}
-}
-
-// compactLoop services dead-bytes kicks from NoteDead and rotateLocked.
-func (e *Engine) compactLoop() {
-	defer e.wg.Done()
-	for {
-		select {
-		case <-e.done:
-			return
-		case <-e.compactKick:
-			if _, err := e.Compact(); err != nil && err != ErrClosed {
-				e.opts.Logf("wal: background compaction: %v", err)
 			}
 		}
 	}
@@ -1035,12 +977,12 @@ func (e *Engine) Close() error {
 	e.mu.Unlock()
 	close(e.done)
 	e.wg.Wait()
-	// Serialise with a caller-driven Checkpoint or Compact still in
-	// flight (both hold cpMu; new ones bail on the closed flag): without
-	// this, Close could release the data-dir flock while a zombie
-	// compaction keeps renaming segments and rewriting MANIFEST under a
-	// successor engine's feet. syncMu likewise waits out any in-flight
-	// group-commit fsync before the active file is closed under it.
+	// Serialise with a caller-driven Checkpoint still in flight (it holds
+	// cpMu; new ones bail on the closed flag): without this, Close could
+	// release the data-dir flock while a zombie checkpoint keeps pruning
+	// segments and rewriting MANIFEST under a successor engine's feet.
+	// syncMu likewise waits out any in-flight group-commit fsync before the
+	// active file is closed under it.
 	e.cpMu.Lock()
 	defer e.cpMu.Unlock()
 	e.syncMu.Lock()

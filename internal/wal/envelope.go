@@ -11,13 +11,13 @@ import (
 //
 //	envelope := version(1 byte = 2) kind(1 byte) uvarint(len(key)) key payload
 //
-// — the envelope carries the mutation kind and the video name (the
-// compaction key), and the payload is everything after the key: the
-// kind-specific body (a store.AppendEntry encoding for register/replace,
-// empty for tombstone), which this package never looks inside. Reading the
-// key is a bounds check and a slice, so compaction, replay routing and a
-// follower classify a record without parsing it. A frame of any other shape
-// is a decode error, never a guessed registration.
+// — the envelope carries the mutation kind and the video name, and the
+// payload is everything after the key: the kind-specific body (a
+// store.AppendEntry encoding for register/replace, empty for tombstone),
+// which this package never looks inside. Reading the key is a bounds check
+// and a slice, so replay routing, the read-time skip of superseded records
+// and a follower classify a record without parsing it. A frame of any other
+// shape is a decode error, never a guessed registration.
 //
 // The version byte is never '{'. A frame that does start with '{' is the
 // envelope this format replaces — one JSON document,
@@ -27,10 +27,9 @@ import (
 // library checkpoints once after a recovery that did, which leaves no such
 // frame behind.
 //
-// The envelope lives in this package — not in classminer — because the
-// compactor must classify records without the library: a register or
-// replace record is dead once a later tombstone or replace for the same key
-// exists, and that rule is all compaction needs to know about payloads.
+// The envelope lives in this package — not in classminer — because log,
+// snapshot and replication stream all carry it, and internal/repl reads it
+// without the library.
 const (
 	// RecordRegister adds a video under a new name. Replay skips it when
 	// the name already exists (the checkpoint-straddler case: the record is
@@ -74,8 +73,8 @@ type Record struct {
 	Type string `json:"type"`
 	// Version is the envelope version the frame was written in.
 	Version int `json:"version"`
-	// Key is the video name the record is about — the identity compaction
-	// and replay dedupe on.
+	// Key is the video name the record is about — the identity replay
+	// dedupes on.
 	Key string `json:"key,omitempty"`
 	// Payload is the kind-specific body, opaque to this package: a binary
 	// store entry for register/replace (a JSON one in a legacy frame), empty
@@ -142,8 +141,8 @@ func DecodeRecord(frame []byte) (Record, error) {
 	return rec, nil
 }
 
-// DecodeRecordInto is DecodeRecord writing into *rec — replay and
-// compaction loops reuse one scratch Record across millions of frames. The
+// DecodeRecordInto is DecodeRecord writing into *rec — replay and apply
+// loops reuse one scratch Record across millions of frames. The
 // payload is sliced out of frame untouched (no validation, no copy — the CRC
 // frame already vouches for integrity, and the consumer decodes the payload
 // next anyway).
@@ -210,16 +209,7 @@ func decodeLegacy(rec *Record, frame []byte) error {
 	return nil
 }
 
-// supersedes reports whether a record of this kind makes every earlier
-// record for the same key dead: a tombstone or replace fully determines the
-// key's state regardless of what preceded it, a register does not (replay
-// skips it when the key already exists, so dropping an earlier record would
-// change what survives).
-func (r Record) supersedes() bool {
-	return r.Type == RecordTombstone || r.Type == RecordReplace
-}
-
 // FrameOverhead is the per-record framing cost in bytes on top of the
 // payload (the length + CRC header). Callers accounting for on-log record
-// sizes — the library's dead-bytes bookkeeping — add it to len(payload).
+// sizes — a follower bounding the batch it reads — add it to len(payload).
 const FrameOverhead = headerSize

@@ -44,13 +44,11 @@ type manifest struct {
 	// FirstSegment is the oldest segment recovery replays; earlier
 	// segments are superseded by the snapshot.
 	FirstSegment uint64 `json:"firstSegment"`
-	// Compactions is the log's compaction epoch: bumped (and committed,
-	// before any segment is touched) whenever Compact rewrites sealed
-	// segments. A replication cursor minted under an older epoch may point
-	// into bytes that no longer exist, so attaching one is refused and the
-	// follower re-seeds (repl.go). Pre-replication manifests decode as
-	// epoch 0, which is correct: their segments were never rewritten under
-	// a shipped cursor.
+	// Compactions is read, never written: builds that could rewrite sealed
+	// segments in place counted the rewrites here, and a directory that
+	// still carries a count is checkpointed once on its first recovery
+	// (Engine.Rewritten). Every manifest this build commits leaves it zero,
+	// which omits it.
 	Compactions uint64 `json:"compactions,omitempty"`
 }
 

@@ -13,7 +13,6 @@ type engineMetrics struct {
 	fsync       *metrics.Histogram // group-commit fsync latency
 	batch       *metrics.Histogram // records acknowledged per group-commit fsync
 	checkpoint  *metrics.Histogram // successful checkpoint wall time
-	compact     *metrics.Histogram // successful compaction wall time
 	shipRecords *metrics.Counter   // records shipped to followers
 	shipBytes   *metrics.Counter   // framed bytes shipped to followers
 }
@@ -37,8 +36,6 @@ func (e *Engine) registerMetrics(reg *metrics.Registry) {
 			"Records acknowledged per group-commit fsync.", metrics.CountBuckets),
 		checkpoint: reg.Histogram("wal_checkpoint_duration_seconds",
 			"Wall time of successful checkpoints.", metrics.LatencyBuckets),
-		compact: reg.Histogram("wal_compact_duration_seconds",
-			"Wall time of successful sealed-segment compactions.", metrics.LatencyBuckets),
 		shipRecords: reg.Counter("repl_ship_records_total",
 			"Records shipped to attached followers."),
 		shipBytes: reg.Counter("repl_ship_bytes_total",
@@ -48,9 +45,6 @@ func (e *Engine) registerMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(e.Stats().Records) })
 	reg.GaugeFunc("wal_lag_bytes", "Log bytes appended since the last checkpoint.",
 		func() float64 { return float64(e.Stats().Bytes) })
-	reg.GaugeFunc("wal_dead_bytes",
-		"Estimated bytes of superseded records on the live log (compaction trigger).",
-		func() float64 { return float64(e.Stats().DeadBytes) })
 	reg.GaugeFunc("wal_segments", "Live log segments (replayed on recovery).",
 		func() float64 { return float64(e.Stats().Segments) })
 	reg.CounterFunc("wal_checkpoints_total", "Completed checkpoint generations.",

@@ -11,46 +11,39 @@ import (
 )
 
 // Log shipping: the leader-side export surface replication is built on. A
-// follower holds a Cursor — a durable (segment, offset) position plus the
-// log's compaction epoch — and repeatedly asks the engine for the framed
-// records between its cursor and the durable tip. While a follower is
-// attached its cursor pins the log: Compact never rewrites and Checkpoint
-// never deletes a segment at or past the oldest pin, so the bytes a follower
-// still needs stay exactly where its cursor says they are. The pin budget
-// bounds how much reclaimable log a lagging follower may hold hostage:
+// follower holds a Cursor — a durable (segment, offset) position — and
+// repeatedly asks the engine for the framed records between its cursor and
+// the durable tip. While a follower is attached its cursor pins the log:
+// Checkpoint never deletes a segment at or past the oldest pin, so the bytes
+// a follower still needs stay exactly where its cursor says they are. The pin
+// budget bounds how much reclaimable log a lagging follower may hold hostage:
 // past it the pin is evicted and the follower's next pull gets
 // ErrBehindHorizon, which means "re-seed from the newest snapshot" — the
 // log never wedges waiting for a dead replica.
 //
-// Validity rule: a mid-segment offset is only meaningful against the exact
-// bytes the leader shipped. Appends only ever extend a segment and pinned
-// segments are never touched, so an attached cursor stays valid by
-// construction. The dangerous case is re-attaching (leader restart, pin
-// eviction): a compaction may have rewritten the segment since the cursor
-// was minted. Every rewrite therefore bumps a compaction epoch persisted in
-// the manifest, the epoch rides inside the cursor, and Attach refuses a
-// cursor from an older epoch — the follower re-seeds instead of replaying
-// from an offset that no longer falls on a record boundary.
+// Validity rule: segment numbers are never reused, appends only ever extend
+// the active segment, and a sealed segment's bytes never change again — the
+// only thing that happens to one is a checkpoint deleting it whole. So a
+// cursor is good for as long as its segment exists, and "the segment is
+// live and the offset is a record boundary of it" is all Attach checks when
+// a follower re-attaches after a leader restart or a pin eviction.
 
 // Cursor is a follower's durable position in the leader's log: the next
-// record to ship starts at Offset within Segment. Epoch is the log's
-// compaction epoch when the cursor was minted; a mismatch on attach means
-// sealed segments may have been rewritten underneath the offset.
+// record to ship starts at Offset within Segment.
 type Cursor struct {
 	Segment uint64 `json:"segment"`
 	Offset  int64  `json:"offset"`
-	Epoch   uint64 `json:"epoch"`
 }
 
-// before orders cursors by log position (epoch excluded).
+// before orders cursors by log position.
 func (c Cursor) before(d Cursor) bool {
 	return c.Segment < d.Segment || (c.Segment == d.Segment && c.Offset < d.Offset)
 }
 
 // ErrBehindHorizon means the log can no longer serve the requested cursor —
-// the segment was pruned, rewritten (epoch mismatch), or the pin was evicted
-// past its budget. The follower's only correct move is a snapshot re-seed.
-var ErrBehindHorizon = errors.New("wal: cursor behind the compaction horizon; re-seed from snapshot")
+// a checkpoint pruned its segment, or the pin was evicted past its budget.
+// The follower's only correct move is a snapshot re-seed.
+var ErrBehindHorizon = errors.New("wal: cursor behind the checkpoint horizon; re-seed from snapshot")
 
 // ErrNotAttached means ReadFrom was called for a follower id with no live
 // pin (never attached, evicted, or the engine restarted). The caller should
@@ -59,7 +52,7 @@ var ErrNotAttached = errors.New("wal: follower not attached")
 
 // replPin is one attached follower's claim on the log. cursor is the last
 // position the follower *requested* — evidence it durably applied everything
-// before it — and is what compaction and checkpoint pruning must preserve.
+// before it — and is what checkpoint pruning must preserve.
 // lagRecords/lagBytes track the unshipped backlog: advanced as records
 // become durable, drained as ReadFrom ships them.
 type replPin struct {
@@ -136,18 +129,17 @@ func (e *Engine) advancePinsLocked(records, bytes int64) {
 }
 
 // Attach registers (or re-registers) follower id at cur, validating that the
-// log can actually serve it: the segment must still exist, the compaction
-// epoch must match, and the offset must fall on a record boundary of the
-// current bytes. On success the cursor pins the log from cur onward and the
-// pin's backlog is an exact scan of cursor→tip. A zero cursor attaches at
-// the oldest live segment (epoch is stamped in, not checked, when the cursor
-// has never been minted — Segment == 0).
+// log can actually serve it: the segment must still be live and the offset
+// must fall on a record boundary of it. On success the cursor pins the log
+// from cur onward and the pin's backlog is an exact scan of cursor→tip. A
+// zero cursor (never minted — Segment == 0) attaches at the oldest live
+// segment.
 func (e *Engine) Attach(id string, cur Cursor) (Cursor, error) {
 	if id == "" {
 		return Cursor{}, fmt.Errorf("wal: empty follower id")
 	}
-	// cpMu keeps checkpoints and compactions from moving the horizon while
-	// the cursor is validated and the backlog scanned (lock order cpMu < mu).
+	// cpMu keeps a checkpoint from moving the horizon while the cursor is
+	// validated and the backlog scanned (lock order cpMu < mu).
 	e.cpMu.Lock()
 	defer e.cpMu.Unlock()
 
@@ -157,11 +149,7 @@ func (e *Engine) Attach(id string, cur Cursor) (Cursor, error) {
 		return Cursor{}, ErrClosed
 	}
 	if cur.Segment == 0 { // never minted: start at the oldest live segment
-		cur = Cursor{Segment: e.segStart, Offset: 0, Epoch: e.man.Compactions}
-	}
-	if cur.Epoch != e.man.Compactions {
-		e.mu.Unlock()
-		return Cursor{}, fmt.Errorf("%w (epoch %d, log at %d)", ErrBehindHorizon, cur.Epoch, e.man.Compactions)
+		cur = Cursor{Segment: e.segStart}
 	}
 	if cur.Segment < e.segStart || cur.Segment > e.activeIdx {
 		e.mu.Unlock()
@@ -212,13 +200,13 @@ func (e *Engine) tipLocked() Cursor {
 	if e.opts.Sync == SyncAlways {
 		off = e.durableSize
 	}
-	return Cursor{Segment: e.activeIdx, Offset: off, Epoch: e.man.Compactions}
+	return Cursor{Segment: e.activeIdx, Offset: off}
 }
 
 // scanBacklog counts the records and bytes between cur and tip, verifying on
 // the way that cur.Offset lands on a record boundary (the scan starts at the
-// segment head, so a stale offset into rewritten bytes is caught by frame
-// arithmetic or CRC, not silently replayed). Runs without e.mu: cpMu is held
+// segment head, so an offset that was never minted by this log is caught by
+// frame arithmetic, not silently replayed). Runs without e.mu: cpMu is held
 // by the caller, segments at or past cur are pinned, and the active segment
 // is read only up to the pre-captured tip.
 func (e *Engine) scanBacklog(cur, tip Cursor) (records, bytes int64, err error) {
@@ -229,7 +217,7 @@ func (e *Engine) scanBacklog(cur, tip Cursor) (records, bytes int64, err error) 
 		}
 		var off int64
 		aligned := cur.Segment != seg || cur.Offset == 0
-		serr := e.scanSegment(seg, limit, func(_ int64, frame []byte) error {
+		serr := e.scanSegment(seg, limit, func(frame []byte) {
 			size := int64(len(frame)) + FrameOverhead
 			if seg == cur.Segment {
 				if off == cur.Offset {
@@ -244,7 +232,6 @@ func (e *Engine) scanBacklog(cur, tip Cursor) (records, bytes int64, err error) 
 				bytes += size
 			}
 			off += size
-			return nil
 		})
 		if serr != nil {
 			if errors.Is(serr, ErrTorn) || errors.Is(serr, ErrCorrupt) || os.IsNotExist(errors.Unwrap(serr)) {
@@ -262,6 +249,38 @@ func (e *Engine) scanBacklog(cur, tip Cursor) (records, bytes int64, err error) 
 		}
 	}
 	return records, bytes, nil
+}
+
+// scanSegment reads segment idx's framed records in order, invoking fn with
+// each record's payload. limit >= 0 caps the read to that many leading bytes
+// (the snapshot of the active segment's acknowledged size); the cap always
+// falls on a record boundary. Unlike replay, a backlog scan has no licence
+// to stop early: damage between a cursor and the tip is an error, not a
+// truncation point.
+func (e *Engine) scanSegment(idx uint64, limit int64, fn func(frame []byte)) error {
+	f, err := os.Open(e.segPath(idx))
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	defer f.Close()
+	var r io.Reader = f
+	if limit >= 0 {
+		r = io.LimitReader(f, limit)
+	}
+	br := bufio.NewReader(r)
+	for {
+		frame, rerr := ReadRecord(br)
+		if rerr == io.EOF {
+			return nil
+		}
+		if errors.Is(rerr, ErrTorn) || errors.Is(rerr, ErrCorrupt) {
+			return fmt.Errorf("wal: scanning %s: %w", segmentName(idx), rerr)
+		}
+		if rerr != nil {
+			return rerr
+		}
+		fn(frame)
+	}
 }
 
 // ReadFrom ships the framed records between cur and the durable tip, up to
@@ -287,8 +306,8 @@ func (e *Engine) ReadFrom(id string, cur Cursor, maxBytes int64) ([]byte, Cursor
 	}
 	if pin.cursor.before(cur) {
 		// The follower asking for cur proves everything before it is durably
-		// applied; releasing the pin up to cur is what lets compaction and
-		// checkpoint pruning move past shipped log.
+		// applied; releasing the pin up to cur is what lets checkpoint
+		// pruning move past shipped log.
 		pin.cursor = cur
 	}
 	tip := e.tipLocked()
@@ -333,9 +352,8 @@ func (e *Engine) ReadFrom(id string, cur Cursor, maxBytes int64) ([]byte, Cursor
 					next.Offset = tip.Offset
 				} else {
 					// Sealed segment exhausted: continue at the head of the
-					// next one (zero-byte mid-chain segments skip through
-					// here immediately).
-					next = Cursor{Segment: next.Segment + 1, Offset: 0, Epoch: next.Epoch}
+					// next one.
+					next = Cursor{Segment: next.Segment + 1}
 				}
 				break
 			}
@@ -393,7 +411,7 @@ func (e *Engine) Seed(id string) (io.ReadCloser, Cursor, error) {
 		e.mu.Unlock()
 		return nil, Cursor{}, ErrClosed
 	}
-	cur := Cursor{Segment: e.segStart, Offset: 0, Epoch: e.man.Compactions}
+	cur := Cursor{Segment: e.segStart}
 	snap := e.man.Snapshot
 	tip := e.tipLocked()
 	pin := &replPin{cursor: cur}
@@ -437,7 +455,7 @@ func (e *Engine) Seed(id string) (io.ReadCloser, Cursor, error) {
 // budget, so one dead or glacial follower cannot hold the whole log hostage.
 // The evicted follower's next pull fails ErrNotAttached, its re-Attach is
 // validated against whatever the log looks like by then, and the worst case
-// is a snapshot re-seed — never a wedged compaction. Callers hold e.mu.
+// is a snapshot re-seed — never a wedged prune. Callers hold e.mu.
 func (e *Engine) evictOverBudgetLocked() {
 	budget := e.opts.ReplPinBudgetBytes
 	if budget <= 0 {

@@ -5,11 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
+
+// replOpts keeps auto-checkpointing out of the way and rotates segments
+// aggressively so a handful of records spans several.
+func replOpts() Options {
+	return Options{
+		SegmentBytes:      512,
+		Sync:              SyncNever,
+		CheckpointBytes:   -1,
+		CheckpointRecords: -1,
+	}
+}
 
 // pullAll drains follower id's stream from cur to the durable tip through
 // repeated bounded ReadFrom calls, returning the decoded payloads and the
@@ -50,7 +59,7 @@ func pullAll(t testing.TB, eng *Engine, id string, cur Cursor, maxBytes int64) (
 // pulls and verifies the follower sees every record byte-for-byte, the
 // backlog drains to zero, and the tip answers with an empty batch.
 func TestAttachReadFromRoundTrip(t *testing.T) {
-	eng, err := Open(t.TempDir(), compactOpts())
+	eng, err := Open(t.TempDir(), replOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +95,7 @@ func TestAttachReadFromRoundTrip(t *testing.T) {
 // cursor is refused at attach.
 func TestCheckpointPruneStopsAtPin(t *testing.T) {
 	dir := t.TempDir()
-	opts := compactOpts()
+	opts := replOpts()
 	opts.SegmentBytes = 128 // the small test payloads must still span several segments
 	eng, err := Open(dir, opts)
 	if err != nil {
@@ -145,84 +154,12 @@ func TestCheckpointPruneStopsAtPin(t *testing.T) {
 	}
 }
 
-// TestCompactSkipsPinnedSegments runs the lifecycle workload with a
-// follower pinned at the head: compaction must rewrite nothing (the pinned
-// bytes stay exactly as shipped, epoch unchanged), and the follower streams
-// the original frames. After the follower detaches, compaction reclaims the
-// dead records, bumps the epoch, and the old-epoch cursor is refused.
-func TestCompactSkipsPinnedSegments(t *testing.T) {
-	dir := t.TempDir()
-	eng, err := Open(dir, compactOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	lifecycleLog(t, eng)
-	wantFrames := collectFrames(t, dir)
-
-	cur, err := eng.Attach("pinned", Cursor{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SegmentsCompacted != 0 || res.RecordsDropped != 0 {
-		t.Fatalf("compaction touched pinned segments: %+v", res)
-	}
-	got, _ := pullAll(t, eng, "pinned", cur, 1<<20)
-	mustEqual(t, got, wantFrames)
-
-	eng.Detach("pinned")
-	res, err = eng.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RecordsDropped == 0 {
-		t.Fatalf("compaction after detach reclaimed nothing: %+v", res)
-	}
-	// The rewrite bumped the epoch: a cursor minted before it must re-seed,
-	// never replay from an offset into rewritten bytes.
-	if _, err := eng.Attach("pinned", cur); !errors.Is(err, ErrBehindHorizon) {
-		t.Fatalf("attach with pre-compaction epoch: %v, want ErrBehindHorizon", err)
-	}
-}
-
-// collectFrames replays dir's raw sealed+active frames in order.
-func collectFrames(t testing.TB, dir string) [][]byte {
-	t.Helper()
-	segs, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out [][]byte
-	for _, idx := range segs {
-		raw, err := os.ReadFile(filepath.Join(dir, segmentName(idx)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := bytes.NewReader(raw)
-		for {
-			frame, rerr := ReadRecord(r)
-			if rerr == io.EOF {
-				break
-			}
-			if rerr != nil {
-				t.Fatal(rerr)
-			}
-			out = append(out, append([]byte(nil), frame...))
-		}
-	}
-	return out
-}
-
 // TestPinBudgetEviction lets a follower fall further behind than the pin
 // budget allows and verifies reclamation evicts it rather than wedging:
 // the pin disappears, ReadFrom says not-attached, and after the checkpoint
 // prunes the log the stale cursor can only re-seed.
 func TestPinBudgetEviction(t *testing.T) {
-	opts := compactOpts()
+	opts := replOpts()
 	opts.ReplPinBudgetBytes = 512
 	eng, err := Open(t.TempDir(), opts)
 	if err != nil {
@@ -266,7 +203,7 @@ func TestPinBudgetEviction(t *testing.T) {
 // one it streams the snapshot and a cursor whose log tail contains exactly
 // the records the snapshot does not cover.
 func TestSeedReturnsSnapshotAndCursor(t *testing.T) {
-	eng, err := Open(t.TempDir(), compactOpts())
+	eng, err := Open(t.TempDir(), replOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +259,7 @@ func TestSeedReturnsSnapshotAndCursor(t *testing.T) {
 // follower whose cursor runs ahead of the leader's durable log must be told
 // to re-seed, not silently wait for bytes that will never exist.
 func TestReadFromPastTipReseeds(t *testing.T) {
-	eng, err := Open(t.TempDir(), compactOpts())
+	eng, err := Open(t.TempDir(), replOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +270,7 @@ func TestReadFromPastTipReseeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, tip := pullAll(t, eng, "ahead", cur, 1<<20)
-	past := Cursor{Segment: tip.Segment, Offset: tip.Offset + 64, Epoch: tip.Epoch}
+	past := Cursor{Segment: tip.Segment, Offset: tip.Offset + 64}
 	if _, _, err := eng.ReadFrom("ahead", past, 1<<20); !errors.Is(err, ErrBehindHorizon) {
 		t.Fatalf("cursor past the tip: %v, want ErrBehindHorizon", err)
 	}
@@ -342,7 +279,7 @@ func TestReadFromPastTipReseeds(t *testing.T) {
 // TestDurableNotifyWakesOnAppend parks on the notification channel and
 // verifies one append closes it — the primitive long-poll pulls block on.
 func TestDurableNotifyWakesOnAppend(t *testing.T) {
-	eng, err := Open(t.TempDir(), compactOpts())
+	eng, err := Open(t.TempDir(), replOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,25 @@ import (
 	"testing"
 )
 
+// mustRecord builds one typed record frame.
+func mustRecord(t testing.TB, kind, key, body string) []byte {
+	t.Helper()
+	var payload []byte
+	if kind != RecordTombstone {
+		payload = []byte(fmt.Sprintf(`{"key":%q,"body":%q}`, key, body))
+	}
+	frame, err := EncodeRecord(kind, key, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// registerBody pads register payloads to a realistic few hundred bytes.
+func registerBody(i int) string {
+	return fmt.Sprintf("%04d-%s", i, strings.Repeat("x", 160))
+}
+
 // testSnapshot writes a snapshot of n register records and returns its bytes
 // with the offset each frame starts at (the header's first, the end last).
 func testSnapshot(t testing.TB, n int) (file []byte, frames []int) {

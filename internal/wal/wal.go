@@ -40,6 +40,14 @@
 // MANIFEST's snapshot (all of it or the boot fails: ReadSnapshot), replay
 // the segments from MANIFEST's first segment, done.
 //
+// The checkpoint is the only thing that ever removes a byte. A sealed
+// segment is immutable: it is written once, read by replay and by log
+// shipping, and deleted whole by the checkpoint that supersedes it. Records
+// that a later delete or replacement made irrelevant therefore stay on the
+// log until the next checkpoint — bounded by the two thresholds below — and
+// cost a recovery their CRC check, not their decode (the library's replay
+// skips them at read time).
+//
 // Durability is configurable per deployment: fsync every record (default,
 // survives power loss), on a background interval (bounded loss window), or
 // never (test/bulk-load mode, survives process crash but not power loss).
@@ -88,18 +96,13 @@ type Options struct {
 	// CheckpointRecords likewise triggers on record count (default 10000;
 	// negative disables).
 	CheckpointRecords int64
-	// CompactBytes triggers a background sealed-segment compaction once
-	// that many dead bytes — records superseded by later tombstones or
-	// replacements, reported via NoteDead — accumulate on the log (default
-	// 8 MiB; negative disables). Compaction is cheaper than a checkpoint:
-	// it rewrites only the sealed segments that shrank, not a full
-	// snapshot.
+	// CompactBytes is ignored: frozen cmd/loadgen still sets it, and ROADMAP item 1 removes both.
 	CompactBytes int64
 	// ReplPinBudgetBytes bounds how many bytes of unshipped backlog an
-	// attached follower's pin may hold against compaction and checkpoint
-	// pruning (default 512 MiB; negative disables eviction). Past the
-	// budget the pin is evicted and the follower re-seeds from the newest
-	// snapshot — reclamation never wedges behind a dead replica.
+	// attached follower's pin may hold against checkpoint pruning (default
+	// 512 MiB; negative disables eviction). Past the budget the pin is
+	// evicted and the follower re-seeds from the newest snapshot —
+	// reclamation never wedges behind a dead replica.
 	ReplPinBudgetBytes int64
 	// Metrics, when non-nil, receives the engine's instrumentation: append
 	// and fsync counters/histograms, group-commit batch sizes, and
@@ -124,9 +127,6 @@ func (o Options) withDefaults() Options {
 	if o.CheckpointRecords == 0 {
 		o.CheckpointRecords = 10000
 	}
-	if o.CompactBytes == 0 {
-		o.CompactBytes = 8 << 20
-	}
 	if o.ReplPinBudgetBytes == 0 {
 		o.ReplPinBudgetBytes = 512 << 20
 	}
@@ -143,16 +143,6 @@ type Stats struct {
 	// Records and Bytes count the log appended since the last checkpoint.
 	Records int64 `json:"records"`
 	Bytes   int64 `json:"bytes"`
-	// DeadRecords and DeadBytes estimate how much of that log is
-	// superseded — registrations a later tombstone or replacement made
-	// irrelevant (reported via NoteDead, recomputed exactly by Compact).
-	// Dead log is pure replay and disk waste; compaction reclaims the
-	// sealed-segment share of it.
-	DeadRecords int64 `json:"deadRecords"`
-	DeadBytes   int64 `json:"deadBytes"`
-	// LiveRecords is Records minus DeadRecords: the portion of the replay
-	// a recovery actually keeps.
-	LiveRecords int64 `json:"liveRecords"`
 	// Segments is the number of live log segments (replayed on recovery).
 	Segments int `json:"segments"`
 	// Generation counts completed checkpoints.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -444,6 +445,54 @@ func TestAutoCheckpoint(t *testing.T) {
 	}
 	if eng.SnapshotPath() == "" {
 		t.Fatal("auto checkpoint left no snapshot")
+	}
+}
+
+// TestAutoCheckpointOncePerThreshold: a checkpoint rewrites the whole library,
+// so the background one runs only for a threshold's worth of log. Concurrent
+// appenders keep kicking the checkpointer between the moment it wakes and the
+// moment its checkpoint cuts the log; those kicks must not each become a
+// second snapshot over the handful of records that followed the cut.
+func TestAutoCheckpointOncePerThreshold(t *testing.T) {
+	const writers, each, threshold = 8, 150, 100
+	var mu sync.Mutex
+	var folded []int64 // records each checkpoint folded in
+	eng, err := Open(t.TempDir(), Options{CheckpointRecords: threshold, CheckpointBytes: -1,
+		Logf: func(format string, args ...any) {
+			if strings.HasPrefix(format, "wal: checkpoint generation") {
+				mu.Lock()
+				folded = append(folded, args[1].(int64))
+				mu.Unlock()
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetSource((&memState{}).snapshot) // what a snapshot holds is other tests' business
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := eng.Append([]byte(fmt.Sprintf("w%d-%04d", w, i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := eng.Close(); err != nil { // waits out a checkpoint in flight
+		t.Fatal(err)
+	}
+	for _, n := range folded {
+		if n < threshold {
+			t.Fatalf("a background checkpoint ran for %d records at a threshold of %d (all: %v)", n, threshold, folded)
+		}
+	}
+	if len(folded) < 2 {
+		t.Fatalf("%d records took %d checkpoints; the fixture lost its teeth", writers*each, len(folded))
 	}
 }
 
