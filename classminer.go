@@ -31,6 +31,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -1022,6 +1023,7 @@ func (l *Library) BuildIndexCtx(ctx context.Context) error {
 	}
 	fit := sp.Start("fit")
 	fit.SetInt("entries", int64(live))
+	fit.SetInt("workers", int64(runtime.GOMAXPROCS(0))) // BuildMatrix fits on this many goroutines
 	var rank rowRank
 	if dead != nil {
 		rank = newRowRank(dead)

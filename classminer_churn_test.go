@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"classminer/internal/store"
+	"classminer/internal/trace"
 	"classminer/internal/wal"
 )
 
@@ -662,6 +663,35 @@ func TestFitSurvivesRacingDeletes(t *testing.T) {
 	})
 	lib.mu.RUnlock()
 	mustMatchRebuilt(t, lib, rebuiltFrom(t, a, survivors), 12, 7)
+}
+
+// TestFitSpanAttrs: a traced BuildIndexCtx records a "fit" span naming the
+// rows it fitted and the goroutines the fit ran on.
+func TestFitSpanAttrs(t *testing.T) {
+	a, err := NewAnalyzer(Options{SkipEvents: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := churnLibrary(t, a, 4)
+	tc := trace.New(trace.Config{Slow: 0}) // keep every trace
+	tr, root := tc.StartTrace("rebuild", [8]byte{1}, "")
+	if err := lib.BuildIndexCtx(trace.With(context.Background(), root)); err != nil {
+		t.Fatal(err)
+	}
+	v := tc.Finish(tr, trace.Meta{Route: "rebuild"})
+	for _, sp := range v.Spans {
+		if sp.Name != "fit" {
+			continue
+		}
+		if got := sp.Attrs["entries"]; got != "100" {
+			t.Errorf("fit entries = %q, want 100", got)
+		}
+		if got, want := sp.Attrs["workers"], fmt.Sprint(runtime.GOMAXPROCS(0)); got != want {
+			t.Errorf("fit workers = %q, want %s", got, want)
+		}
+		return
+	}
+	t.Fatalf("no fit span in %+v", v.Spans)
 }
 
 // allocatedBy reports the bytes the heap handed out while f ran.

@@ -446,11 +446,13 @@ func buildLibrary(logger *log.Logger, analyzer *classminer.Analyzer, cfg config,
 	}
 
 	if lib.Size() > 0 && lib.IndexStale() {
+		start := time.Now()
 		if err := lib.BuildIndex(); err != nil {
 			lib.Close()
 			return nil, err
 		}
-		logger.Printf("index built over %d shots", lib.Stats().IndexedShots)
+		logger.Printf("index built over %d shots (%v)",
+			lib.Stats().IndexedShots, time.Since(start).Round(time.Millisecond))
 	}
 	return lib, nil
 }

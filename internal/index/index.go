@@ -14,6 +14,13 @@
 // cells. The search hot path runs on pooled per-call scratch (query
 // projections, candidate lists, bounded top-k max-heaps), so steady-state
 // SearchInto performs zero heap allocations.
+//
+// The fit is a pure function of its rows, bit for bit. Its one random step,
+// k-means++ seeding, draws from the seeded source node after node in one
+// fixed order; everything else — the reducers, the projections, the Lloyd
+// refinements, the leaves' cell tables — depends only on a node's rows and
+// runs on up to GOMAXPROCS goroutines that BuildMatrix starts and waits for.
+// The index BuildMatrix returns is therefore the same at any GOMAXPROCS.
 package index
 
 import (
@@ -207,6 +214,10 @@ func Build(entries []*Entry, opts Options) (*Index, error) {
 // retires them with a mask (RemoveIDs) instead of moving them, and when it
 // does drop retired rows it builds fresh arrays for the next BuildMatrix
 // while the old index keeps serving its own untouched.
+//
+// The fit runs on up to GOMAXPROCS goroutines, all finished by the time
+// BuildMatrix returns. It only reads entries and feats, so concurrent
+// BuildMatrix calls may share them, as may searches of an older index.
 func BuildMatrix(entries []*Entry, feats *mat.Dense, opts Options) (*Index, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("index: no entries")
@@ -240,12 +251,7 @@ func BuildMatrix(entries []*Entry, feats *mat.Dense, opts Options) (*Index, erro
 		}
 		cur.ids = append(cur.ids, int32(i))
 	}
-	rng := rand.New(rand.NewSource(opts.Seed + 1))
-	// Every node's entry-ID list is computed exactly once, bottom-up, and
-	// handed to fit — nothing re-walks the tree per level.
-	idsOf := map[*node][]int32{}
-	collectIDs(ix.root, idsOf)
-	if err := ix.fit(ix.root, idsOf, rng); err != nil {
+	if err := ix.fit(rand.New(rand.NewSource(opts.Seed + 1))); err != nil {
 		return nil, err
 	}
 	ix.baseRows = feats.R
@@ -261,20 +267,68 @@ func newNode(name string) *node {
 	return &node{name: name, children: map[string]*node{}}
 }
 
-// collectIDs fills out with every node's entry-ID list (leaf insertion
-// order, children concatenated in deterministic order) in one post-order
-// pass.
-func collectIDs(n *node, out map[*node][]int32) []int32 {
+// fitNode is one node of the tree as the fit sees it.
+type fitNode struct {
+	*node
+	parent int     // position of the parent in the pre-order list, -1 at the root
+	ids    []int32 // the node's entry IDs: a leaf's own, else its children's concatenated in order
+}
+
+// preorder appends n's subtree to out, each node before its children and
+// children in their deterministic order, computing every node's entry-ID
+// list once on the way back up. It returns out and n's ID list.
+func preorder(n *node, parent int, out []fitNode) ([]fitNode, []int32) {
+	at := len(out)
+	out = append(out, fitNode{node: n, parent: parent, ids: n.ids})
 	if len(n.children) == 0 {
-		out[n] = n.ids
-		return n.ids
+		return out, n.ids
 	}
 	var ids []int32
 	for _, name := range n.order {
-		ids = append(ids, collectIDs(n.children[name], out)...)
+		var cids []int32
+		out, cids = preorder(n.children[name], at, out)
+		ids = append(ids, cids...)
 	}
-	out[n] = ids
-	return ids
+	out[at].ids = ids
+	return out, ids
+}
+
+// fitJob is one unit of a fit phase: rows sizes it, for scheduling.
+type fitJob struct {
+	rows int
+	run  func()
+}
+
+// runJobs runs the jobs over up to GOMAXPROCS goroutines, the caller's among
+// them, and returns once all have run. Workers pull the jobs with the most
+// rows first, so they start on the longest and finish close together; with
+// one proc the jobs run inline. No goroutine outlives the call.
+func runJobs(jobs []fitJob) {
+	slices.SortStableFunc(jobs, func(a, b fitJob) int { return b.rows - a.rows })
+	parallel(len(jobs), func(i int) { jobs[i].run() })
+}
+
+// parallel runs job(0) … job(n-1) over up to GOMAXPROCS goroutines, the
+// caller's among them, and returns once all have run. Jobs are handed out in
+// index order; with one proc or one job they run inline, in order.
+func parallel(n int, job func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var next atomic.Int64
+	run := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			job(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
 }
 
 func maxReducerDim(n *node) int {
@@ -290,49 +344,101 @@ func maxReducerDim(n *node) int {
 	return d
 }
 
-// fit trains each node: reducers and per-child centers at non-leaf nodes,
-// the cell table at leaves. The node's entry list arrives precomputed.
-func (ix *Index) fit(n *node, idsOf map[*node][]int32, rng *rand.Rand) error {
-	ids := idsOf[n]
-	if len(ids) == 0 {
-		return fmt.Errorf("index: node %q has no entries", n.name)
+// fit trains every node: reducers and per-child centers at non-leaf nodes,
+// the cell table at leaves. Only k-means seeding draws random numbers, so
+// only it runs one node after another, drawing from rng in the order a
+// recursive fit draws (a node's children in order, each child's centres
+// before anything in its subtree). Every other step is a pure function of
+// its rows and runs on parallel workers, so the fit is bit-identical at any
+// GOMAXPROCS. The phases:
+//
+//	(a) every node's reducer, in parallel;
+//	(b) every child's rows projected into its parent's space, in parallel;
+//	(c) every child's k-means++ seeds over (b)'s points, in pre-order;
+//	(d) every child's Lloyd refinement of its seeds, and every leaf's
+//	    projection and cell table, in parallel.
+func (ix *Index) fit(rng *rand.Rand) error {
+	nodes, _ := preorder(ix.root, -1, nil)
+	for _, fn := range nodes {
+		if len(fn.ids) == 0 {
+			return fmt.Errorf("index: node %q has no entries", fn.name)
+		}
 	}
-	reducer, err := FitReducer(ix.feats.RowsAt(ids), ix.opts.SelectDims, ix.opts.PCADims)
-	if err != nil {
-		return fmt.Errorf("index: node %q: %w", n.name, err)
-	}
-	n.reducer = reducer
 
-	if len(n.children) == 0 {
-		return ix.fitLeaf(n)
+	// (a) A node with one child holds exactly the child's rows, in the same
+	// order, so its reducer is the child's: fit it once, then hand it up.
+	var jobs []fitJob
+	errs := make([]error, len(nodes))
+	for i, fn := range nodes {
+		if len(fn.order) != 1 {
+			i, fn := i, fn
+			jobs = append(jobs, fitJob{len(fn.ids), func() {
+				fn.reducer, errs[i] = FitReducer(ix.feats, fn.ids, ix.opts.SelectDims, ix.opts.PCADims)
+			}})
+		}
 	}
-	n.centers = map[string][][]float64{}
-	for _, name := range n.order {
-		child := n.children[name]
-		childIDs := idsOf[child]
-		pts := mat.NewDense(len(childIDs), reducer.Dim())
-		for i, id := range childIDs {
-			reducer.ProjectInto(pts.Row(i), ix.feats.Row(int(id)))
-		}
-		k := ix.opts.Centers
-		if k > pts.R {
-			k = pts.R
-		}
-		km, err := mat.KMeans(pts.Rows(), k, rng, 40)
+	runJobs(jobs)
+	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("index: centers for %q: %w", name, err)
+			return fmt.Errorf("index: node %q: %w", nodes[i].name, err)
 		}
-		n.centers[name] = km.Centers
-		if err := ix.fit(child, idsOf, rng); err != nil {
-			return err
+	}
+	for i := len(nodes) - 1; i >= 0; i-- {
+		if n := nodes[i]; len(n.order) == 1 {
+			n.reducer = n.children[n.order[0]].reducer
 		}
+	}
+
+	// (b) pts[i] holds nodes[i]'s rows in its parent's reduced space.
+	pts := make([][][]float64, len(nodes))
+	jobs = jobs[:0]
+	for i, fn := range nodes[1:] {
+		i, fn := i+1, fn
+		jobs = append(jobs, fitJob{len(fn.ids), func() {
+			r := nodes[fn.parent].reducer
+			p := mat.NewDense(len(fn.ids), r.Dim())
+			for row, id := range fn.ids {
+				r.ProjectInto(p.Row(row), ix.feats.Row(int(id)))
+			}
+			pts[i] = p.Rows()
+		}})
+	}
+	runJobs(jobs)
+
+	// (c)
+	centers := make([][][]float64, len(nodes))
+	for i := 1; i < len(nodes); i++ {
+		var err error
+		if centers[i], err = mat.KMeansSeeds(pts[i], min(ix.opts.Centers, len(pts[i])), rng); err != nil {
+			return fmt.Errorf("index: centers for %q: %w", nodes[i].name, err)
+		}
+	}
+
+	// (d)
+	jobs = jobs[:0]
+	for i, fn := range nodes {
+		i, fn := i, fn
+		if i > 0 {
+			jobs = append(jobs, fitJob{len(fn.ids), func() { mat.Lloyd(pts[i], centers[i], 40) }})
+		}
+		if len(fn.children) == 0 {
+			jobs = append(jobs, fitJob{len(fn.ids), func() { ix.fitLeaf(fn.node) }})
+		}
+	}
+	runJobs(jobs)
+	for i, fn := range nodes[1:] {
+		parent := nodes[fn.parent]
+		if parent.centers == nil {
+			parent.centers = make(map[string][][]float64, len(parent.order))
+		}
+		parent.centers[fn.name] = centers[i+1]
 	}
 	return nil
 }
 
 // fitLeaf projects the leaf's entries into one contiguous matrix and builds
 // the cell table over quantised reduced signatures.
-func (ix *Index) fitLeaf(n *node) error {
+func (ix *Index) fitLeaf(n *node) {
 	dims := n.reducer.Dim()
 	h := ix.opts.HashDims
 	if h > dims {
@@ -362,7 +468,6 @@ func (ix *Index) fitLeaf(n *node) error {
 		n.cell[d] = sd / 2
 	}
 	n.buildCells()
-	return nil
 }
 
 // buildCells builds the leaf's cell table from proj and cell: the rows are
@@ -551,32 +656,9 @@ func (ix *Index) SearchIntoSpans(dst []Result, query []float64, k int, sp *trace
 func (ix *Index) SearchBatch(queries [][]float64, k int) ([][]Result, []Stats) {
 	results := make([][]Result, len(queries))
 	stats := make([]Stats, len(queries))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers <= 1 {
-		for i, q := range queries {
-			results[i], stats[i] = ix.Search(q, k)
-		}
-		return results, stats
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				results[i], stats[i] = ix.Search(queries[i], k)
-			}
-		}()
-	}
-	wg.Wait()
+	parallel(len(queries), func(i int) {
+		results[i], stats[i] = ix.Search(queries[i], k)
+	})
 	return results, stats
 }
 

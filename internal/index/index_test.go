@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"classminer/internal/feature"
+	"classminer/internal/mat"
 	"classminer/internal/vidmodel"
 )
 
@@ -195,18 +196,19 @@ func TestFlatSearchRanking(t *testing.T) {
 
 func TestReducerRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	x := make([][]float64, 50)
-	for i := range x {
-		row := make([]float64, 20)
+	x := mat.NewDense(50, 20)
+	ids := make([]int32, x.R)
+	for i := range ids {
+		row := x.Row(i)
 		// Two informative dims, rest near-constant noise.
 		row[3] = rng.NormFloat64() * 5
 		row[11] = rng.NormFloat64() * 3
 		for j := range row {
 			row[j] += rng.NormFloat64() * 0.01
 		}
-		x[i] = row
+		ids[i] = int32(i)
 	}
-	r, err := FitReducer(x, 4, 2)
+	r, err := FitReducer(x, ids, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +228,7 @@ func TestReducerRoundTrip(t *testing.T) {
 }
 
 func TestReducerErrors(t *testing.T) {
-	if _, err := FitReducer(nil, 4, 2); err == nil {
+	if _, err := FitReducer(mat.NewDense(0, 20), nil, 4, 2); err == nil {
 		t.Fatal("want error on empty fit")
 	}
 }

@@ -24,14 +24,15 @@ type Reducer struct {
 	compsT []float64
 }
 
-// FitReducer fits a reducer on the sample rows: selectDims coordinates by
-// variance, then pcaDims principal components. Dimensions are clamped to
-// what the data supports.
-func FitReducer(x [][]float64, selectDims, pcaDims int) (*Reducer, error) {
-	if len(x) == 0 {
+// FitReducer fits a reducer on the rows of feats named by ids: selectDims
+// coordinates by variance, then pcaDims principal components. Dimensions are
+// clamped to what the data supports. It reads feats and ids and writes
+// neither, so any number of fits may share one matrix concurrently.
+func FitReducer(feats *mat.Dense, ids []int32, selectDims, pcaDims int) (*Reducer, error) {
+	if len(ids) == 0 {
 		return nil, fmt.Errorf("index: FitReducer needs samples")
 	}
-	d := len(x[0])
+	d := feats.C
 	if selectDims < 1 || selectDims > d {
 		selectDims = d
 	}
@@ -41,27 +42,49 @@ func FitReducer(x [][]float64, selectDims, pcaDims int) (*Reducer, error) {
 	if pcaDims > selectDims {
 		pcaDims = selectDims
 	}
+	x := feats.RowsAt(ids)
 	mean := mat.Mean(x)
+	// Per-coordinate sums of squared deviations, four rows at a time: each
+	// accumulator takes its rows' terms in row order, as mat.Mean does.
 	vars := make([]float64, d)
-	for _, row := range x {
-		for j, v := range row {
-			dv := v - mean[j]
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		x0, x1, x2, x3 := x[i][:d], x[i+1][:d], x[i+2][:d], x[i+3][:d]
+		for j, m := range mean {
+			d0, d1, d2, d3 := x0[j]-m, x1[j]-m, x2[j]-m, x3[j]-m
+			s := vars[j]
+			s += d0 * d0
+			s += d1 * d1
+			s += d2 * d2
+			s += d3 * d3
+			vars[j] = s
+		}
+	}
+	for _, row := range x[i:] {
+		for j, m := range mean {
+			dv := row[j] - m
 			vars[j] += dv * dv
 		}
 	}
 	idx := make([]int, d)
-	for i := range idx {
-		idx[i] = i
+	for j := range idx {
+		idx[j] = j
 	}
 	sort.Slice(idx, func(a, b int) bool { return vars[idx[a]] > vars[idx[b]] })
 	selected := append([]int(nil), idx[:selectDims]...)
 	sort.Ints(selected)
 
-	sub := make([][]float64, len(x))
+	// Gather the selected columns into one flat buffer; x's row headers are
+	// re-pointed at it, since the full rows are not read again.
+	sub := make([]float64, len(x)*selectDims)
 	for i, row := range x {
-		sub[i] = pick(row, selected)
+		out := sub[i*selectDims : (i+1)*selectDims : (i+1)*selectDims]
+		for k, j := range selected {
+			out[k] = row[j]
+		}
+		x[i] = out
 	}
-	pca, err := mat.FitPCA(sub, pcaDims)
+	pca, err := mat.FitPCA(x, pcaDims)
 	if err != nil {
 		return nil, err
 	}
@@ -106,11 +129,3 @@ func (r *Reducer) ProjectInto(dst, v []float64) []float64 {
 
 // Dim is the reduced dimensionality.
 func (r *Reducer) Dim() int { return r.pca.Dim() }
-
-func pick(v []float64, idx []int) []float64 {
-	out := make([]float64, len(idx))
-	for i, j := range idx {
-		out[i] = v[j]
-	}
-	return out
-}

@@ -22,6 +22,19 @@ type KMeansResult struct {
 // those centers. It is also the seeded comparator the Pairwise Cluster
 // Scheme is evaluated against (§3.5 ablation).
 func KMeans(x [][]float64, k int, rng *rand.Rand, maxIter int) (*KMeansResult, error) {
+	centers, err := KMeansSeeds(x, k, rng)
+	if err != nil {
+		return nil, err
+	}
+	return Lloyd(x, centers, maxIter), nil
+}
+
+// KMeansSeeds picks KMeans' k initial centers by k-means++ seeding. It is the
+// only part of KMeans that draws from rng: a caller running several
+// clusterings can seed them one after another from one source and then run
+// their Lloyd refinements concurrently, and gets what KMeans would have
+// returned run by run.
+func KMeansSeeds(x [][]float64, k int, rng *rand.Rand) ([][]float64, error) {
 	n := len(x)
 	if n == 0 {
 		return nil, fmt.Errorf("mat: KMeans on empty data")
@@ -32,12 +45,22 @@ func KMeans(x [][]float64, k int, rng *rand.Rand, maxIter int) (*KMeansResult, e
 	if k > n {
 		k = n
 	}
+	return seedPlusPlus(x, k, rng), nil
+}
+
+// Lloyd refines centers over the rows of x by Lloyd's algorithm for at most
+// maxIter iterations (50 when maxIter <= 0). It updates centers in place and
+// returns them in the result; it draws no random numbers.
+func Lloyd(x [][]float64, centers [][]float64, maxIter int) *KMeansResult {
 	if maxIter <= 0 {
 		maxIter = 50
 	}
-	centers := seedPlusPlus(x, k, rng)
+	n, k := len(x), len(centers)
 	assign := make([]int, n)
 	res := &KMeansResult{Centers: centers, Assignment: assign}
+	d := len(x[0])
+	sums := NewMatrix(k, d)
+	counts := make([]int, k)
 	for iter := 0; iter < maxIter; iter++ {
 		res.Iterations = iter + 1
 		changed := false
@@ -58,9 +81,10 @@ func KMeans(x [][]float64, k int, rng *rand.Rand, maxIter int) (*KMeansResult, e
 		if !changed && iter > 0 {
 			break
 		}
-		d := len(x[0])
-		sums := NewMatrix(k, d)
-		counts := make([]int, k)
+		for c := range sums {
+			clear(sums[c])
+		}
+		clear(counts)
 		for i, row := range x {
 			c := assign[i]
 			counts[c]++
@@ -81,7 +105,7 @@ func KMeans(x [][]float64, k int, rng *rand.Rand, maxIter int) (*KMeansResult, e
 			}
 		}
 	}
-	return res, nil
+	return res
 }
 
 func seedPlusPlus(x [][]float64, k int, rng *rand.Rand) [][]float64 {

@@ -7,6 +7,13 @@
 //
 // Everything operates on plain float64 slices so callers never pay for an
 // abstraction they do not need. Matrices are dense, row-major [][]float64.
+//
+// Results are reproducible to the bit. Mean and Covariance take rows four at
+// a time for speed, but every accumulator receives its terms one row at a
+// time in row order, exactly as a row-by-row loop adds them. KMeans draws
+// random numbers only while seeding (KMeansSeeds); its Lloyd refinement
+// (Lloyd) is deterministic, so independent clusterings may refine
+// concurrently once their seeds are drawn in order.
 package mat
 
 import (
@@ -104,7 +111,18 @@ func Mean(x [][]float64) []float64 {
 	}
 	d := len(x[0])
 	m := make([]float64, d)
-	for _, row := range x {
+	r := 0
+	for ; r+4 <= len(x); r += 4 {
+		x0, x1, x2, x3 := rowsOf4(x[r:r+4], len(m))
+		for j, s := range m {
+			s += x0[j]
+			s += x1[j]
+			s += x2[j]
+			s += x3[j]
+			m[j] = s
+		}
+	}
+	for _, row := range x[r:] {
 		if len(row) != d {
 			panic(ErrDimension)
 		}
@@ -119,6 +137,16 @@ func Mean(x [][]float64) []float64 {
 	return m
 }
 
+// rowsOf4 returns the four rows of a row block, each checked to be d long.
+// Blocking rows lets each accumulator be loaded and stored once per block
+// rather than once per row; it still takes its terms in row order.
+func rowsOf4(x [][]float64, d int) (x0, x1, x2, x3 []float64) {
+	if len(x[0]) != d || len(x[1]) != d || len(x[2]) != d || len(x[3]) != d {
+		panic(ErrDimension)
+	}
+	return x[0][:d], x[1][:d], x[2][:d], x[3][:d]
+}
+
 // Covariance returns the (biased, 1/n) sample covariance matrix of the rows
 // of x. The biased estimator matches the maximum-likelihood form used by the
 // BIC likelihood-ratio test of the paper (§4.2, Eq. 18). It returns nil when
@@ -127,14 +155,52 @@ func Covariance(x [][]float64) [][]float64 {
 	if len(x) == 0 {
 		return nil
 	}
-	d := len(x[0])
-	mean := Mean(x)
+	return covariance(x, Mean(x))
+}
+
+// covariance is Covariance about a mean the caller already holds. Each row
+// is centred once, four rows at a time, and the upper triangle accumulates
+// the products of the centred values.
+func covariance(x [][]float64, mean []float64) [][]float64 {
+	d := len(mean)
 	cov := NewMatrix(d, d)
-	for _, row := range x {
+	c := make([]float64, 4*d)
+	c0, c1, c2, c3 := c[:d:d], c[d:2*d:2*d], c[2*d:3*d:3*d], c[3*d:]
+	r := 0
+	for ; r+4 <= len(x); r += 4 {
+		x0, x1, x2, x3 := rowsOf4(x[r:r+4], len(mean))
+		for j, m := range mean {
+			c0[j] = x0[j] - m
+			c1[j] = x1[j] - m
+			c2[j] = x2[j] - m
+			c3[j] = x3[j] - m
+		}
 		for i := 0; i < d; i++ {
-			di := row[i] - mean[i]
-			for j := i; j < d; j++ {
-				cov[i][j] += di * (row[j] - mean[j])
+			a0, a1, a2, a3 := c0[i], c1[i], c2[i], c3[i]
+			row := cov[i][i:]
+			b0, b1, b2, b3 := c0[i:][:len(row)], c1[i:][:len(row)], c2[i:][:len(row)], c3[i:][:len(row)]
+			for j, s := range row {
+				s += a0 * b0[j]
+				s += a1 * b1[j]
+				s += a2 * b2[j]
+				s += a3 * b3[j]
+				row[j] = s
+			}
+		}
+	}
+	for _, xr := range x[r:] {
+		if len(xr) != d {
+			panic(ErrDimension)
+		}
+		for j, m := range mean {
+			c0[j] = xr[j] - m
+		}
+		for i := 0; i < d; i++ {
+			a0 := c0[i]
+			row := cov[i][i:]
+			b0 := c0[i:][:len(row)]
+			for j := range row {
+				row[j] += a0 * b0[j]
 			}
 		}
 	}

@@ -63,6 +63,99 @@ func TestMean(t *testing.T) {
 	}
 }
 
+// naiveMean and naiveCovariance are the row-at-a-time loops Mean and
+// Covariance block: the references their output must equal bit for bit.
+func naiveMean(x [][]float64) []float64 {
+	if len(x) == 0 {
+		return nil
+	}
+	m := make([]float64, len(x[0]))
+	for _, row := range x {
+		for j, v := range row {
+			m[j] += v
+		}
+	}
+	inv := 1 / float64(len(x))
+	for j := range m {
+		m[j] *= inv
+	}
+	return m
+}
+
+func naiveCovariance(x [][]float64) [][]float64 {
+	if len(x) == 0 {
+		return nil
+	}
+	d := len(x[0])
+	mean := naiveMean(x)
+	cov := NewMatrix(d, d)
+	for _, row := range x {
+		for i := 0; i < d; i++ {
+			di := row[i] - mean[i]
+			for j := i; j < d; j++ {
+				cov[i][j] += di * (row[j] - mean[j])
+			}
+		}
+	}
+	inv := 1 / float64(len(x))
+	for i := 0; i < d; i++ {
+		for j := i; j < d; j++ {
+			cov[i][j] *= inv
+			cov[j][i] = cov[i][j]
+		}
+	}
+	return cov
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBlockedKernelsBitIdentical holds Mean and Covariance, which take rows
+// four at a time, to the row-at-a-time loops bit for bit, at every row count
+// modulo the block (0…9 rows, and 1 001) and on data with exact zeros and
+// negative entries.
+func TestBlockedKernelsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1001} {
+		for _, d := range []int{1, 5, 48} {
+			x := make([][]float64, n)
+			for i := range x {
+				x[i] = make([]float64, d)
+				for j := range x[i] {
+					switch rng.Intn(4) {
+					case 0: // exact zero
+					case 1:
+						x[i][j] = -rng.ExpFloat64()
+					default:
+						x[i][j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+					}
+				}
+			}
+			if got, want := Mean(x), naiveMean(x); !sameBits(got, want) {
+				t.Fatalf("n=%d d=%d: Mean = %v, want %v", n, d, got, want)
+			}
+			got, want := Covariance(x), naiveCovariance(x)
+			if len(got) != len(want) {
+				t.Fatalf("n=%d d=%d: Covariance has %d rows, want %d", n, d, len(got), len(want))
+			}
+			for i := range want {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("n=%d d=%d: Covariance row %d = %v, want %v", n, d, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestCovarianceKnown(t *testing.T) {
 	// Points on a line y=x have equal variances and covariance.
 	x := [][]float64{{0, 0}, {1, 1}, {2, 2}, {3, 3}}

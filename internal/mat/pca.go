@@ -25,8 +25,8 @@ func FitPCA(x [][]float64, k int) (*PCA, error) {
 	if k > d {
 		k = d
 	}
-	cov := Covariance(x)
-	values, vectors, err := Jacobi(cov)
+	mean := Mean(x)
+	values, vectors, err := Jacobi(covariance(x, mean))
 	if err != nil {
 		return nil, err
 	}
@@ -36,7 +36,7 @@ func FitPCA(x [][]float64, k int) (*PCA, error) {
 			total += v
 		}
 	}
-	p := &PCA{Mean: Mean(x), Components: NewMatrix(k, d), Explained: make([]float64, k)}
+	p := &PCA{Mean: mean, Components: NewMatrix(k, d), Explained: make([]float64, k)}
 	for c := 0; c < k; c++ {
 		for r := 0; r < d; r++ {
 			p.Components[c][r] = vectors[r][c]
