@@ -1011,6 +1011,16 @@ func (l *Library) BuildIndexCtx(ctx context.Context) error {
 	l.mu.RLock()
 	n, dim := len(l.entries), l.featDim
 	live := n - l.deadRows
+	// Gathered arrays get headroom for the rows the swap appends and the
+	// registrations after it, and never less room than the arrays they
+	// replace: registrations that outgrew the last fit's headroom will again
+	// at the same pace, and appending past it reallocates the matrix while the
+	// installed index still aliases the old one — two matrices held until
+	// the next fit lands.
+	capRows := live + live/4
+	if dim > 0 {
+		capRows = max(capRows, cap(l.featData)/dim)
+	}
 	entries, data := l.entries[:n:n], l.featData[:n*dim:n*dim]
 	var dead []uint64
 	if l.deadRows > 0 {
@@ -1027,9 +1037,7 @@ func (l *Library) BuildIndexCtx(ctx context.Context) error {
 	var rank rowRank
 	if dead != nil {
 		rank = newRowRank(dead)
-		// Headroom for the rows the swap appends, so adopting the arrays
-		// does not re-copy them under the write lock.
-		entries, data = gatherLive(entries, data, dim, dead, live+live/4)
+		entries, data = gatherLive(entries, data, dim, dead, capRows)
 	}
 	ix, err := index.BuildMatrix(entries[:live:live],
 		&mat.Dense{R: live, C: dim, Data: data[: live*dim : live*dim]}, index.Options{})

@@ -719,6 +719,48 @@ func churnLibrary(t testing.TB, a *Analyzer, n int) *Library {
 	return lib
 }
 
+// TestFitKeepsMatrixCapacity: a fit that compacts leaves the library arrays
+// no smaller than the ones they replace, so a churn cycle that outgrew the
+// headroom once does not reallocate the matrix — under an installed index
+// that still aliases the old one — on every cycle after.
+func TestFitKeepsMatrixCapacity(t *testing.T) {
+	a, err := NewAnalyzer(Options{SkipEvents: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const live = 8
+	lib := churnLibrary(t, a, live)
+	next := live
+	// cycle registers live videos and deletes as many, then fits.
+	cycle := func() {
+		for i := 0; i < live; i++ {
+			if err := lib.AddResult(tinyResult(t, fmt.Sprintf("vid-%05d", next), int64(next), 25), "medicine"); err != nil {
+				t.Fatal(err)
+			}
+			if err := lib.DeleteVideo(fmt.Sprintf("vid-%05d", next-live)); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		if err := lib.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	cycle()
+	base := &lib.featData[:1][0]
+	for i := 0; i < live; i++ {
+		if err := lib.AddResult(tinyResult(t, fmt.Sprintf("vid-%05d", next), int64(next), 25), "medicine"); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	if &lib.featData[:1][0] != base {
+		t.Fatalf("a cycle's registrations reallocated the matrix a fit had just sized (cap %d rows for %d)",
+			cap(lib.featData)/lib.featDim, len(lib.featData)/lib.featDim)
+	}
+}
+
 // TestDeleteCostIndependentOfLibrarySize: deleting one 25-shot video from a
 // current index allocates about the same — and little — whether the library
 // holds 2 000 rows or 16 000.

@@ -31,8 +31,12 @@ import (
 )
 
 // maxBodyBytes bounds request bodies (a SavedResult for a full-scale video
-// is well under this).
+// is well under this). A body whose first JSON value does not end within it
+// is answered 413; bytes past a value that does are ignored, as they are
+// after any value.
 const maxBodyBytes = 32 << 20
+
+var bodyTooLargeMsg = fmt.Sprintf("request body exceeds %d MiB", maxBodyBytes>>20)
 
 // subclusterPath is the concept path of a video's placement, the unit at
 // which browsing endpoints are gated. It is derived from the library's
@@ -41,19 +45,85 @@ func (s *Server) subclusterPath(subcluster string) []string {
 	return s.lib.ConceptPath(subcluster)
 }
 
-// lrPool recycles the body-limiting wrapper: the decoder referencing it is
-// dead by the time decodeBody returns, so the wrapper can be reused without
-// aliasing a live reader.
+// lrPool recycles the body-limiting wrapper: the reader referencing it is
+// dead by the time decodeBody or decodeIngestBody returns, so the wrapper can
+// be reused without aliasing a live reader.
 var lrPool = sync.Pool{New: func() any { return new(io.LimitedReader) }}
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	lr := lrPool.Get().(*io.LimitedReader)
 	lr.R, lr.N = r.Body, maxBodyBytes
 	err := json.NewDecoder(lr).Decode(v)
+	atLimit := lr.N == 0
 	lr.R = nil
 	lrPool.Put(lr)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		// The limit ends a body as its end would: only a byte past it tells
+		// an oversized body from a malformed one.
+		tooLarge := false
+		if atLimit && endedEarly(err) {
+			var one [1]byte
+			n, _ := io.ReadFull(r.Body, one[:])
+			tooLarge = n == 1
+		}
+		writeBodyError(w, err, tooLarge)
+		return false
+	}
+	return true
+}
+
+// endedEarly reports a decode error that is the input running out: before
+// the value began, or inside it.
+func endedEarly(err error) bool {
+	return err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF)
+}
+
+// writeBodyError answers a request whose body did not decode: 413 when the
+// body was cut at maxBodyBytes before its value ended, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error, tooLarge bool) {
+	if tooLarge {
+		writeError(w, http.StatusRequestEntityTooLarge, bodyTooLargeMsg)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+}
+
+// bodyPool recycles the buffers ingest bodies are read into: decodeIngest
+// copies out everything it keeps, so a buffer is free once it returns.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody caps the buffer a pooled ingest body keeps.
+const maxPooledBody = 4 << 20
+
+// decodeIngestBody reads a POST /v1/videos body, up to maxBodyBytes, and
+// decodes it into req, under a "decode" span.
+func decodeIngestBody(w http.ResponseWriter, r *http.Request, req *ingestRequest) bool {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	lr := lrPool.Get().(*io.LimitedReader)
+	lr.R, lr.N = r.Body, maxBodyBytes+1
+	_, readErr := buf.ReadFrom(lr)
+	lr.R = nil
+	lrPool.Put(lr)
+	body := buf.Bytes()
+	tooLarge := len(body) > maxBodyBytes
+	if tooLarge {
+		body = body[:maxBodyBytes]
+	}
+	sp := trace.SpanFrom(r.Context()).Start("decode")
+	sp.SetInt("bytes", int64(len(body)))
+	err := decodeIngest(body, req)
+	sp.End()
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
+	if err != nil {
+		// Like a json.Decoder, fail on a broken body only when the value
+		// needed the bytes that did not come.
+		if readErr != nil && endedEarly(err) {
+			err = readErr
+		}
+		writeBodyError(w, err, tooLarge && endedEarly(err))
 		return false
 	}
 	return true
@@ -973,7 +1043,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ingestRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeIngestBody(w, r, &req) {
 		return
 	}
 	if req.Subcluster == "" || !s.lib.HasSubcluster(req.Subcluster) {

@@ -37,7 +37,9 @@ type Job struct {
 	Started   time.Time `json:"started,omitempty"`
 	Finished  time.Time `json:"finished,omitempty"`
 
-	// payload, set by the ingest handler, consumed by Server.runJob.
+	// payload, set by the ingest handler, consumed by Server.runJob, and
+	// dropped when the job finishes: a finished job is kept for polling, and
+	// its feature rows would otherwise outlive the video they built.
 	req ingestRequest
 	// user is the submitter's identity, carried to the worker so a
 	// replace-on-ingest is policy-gated against the video it supersedes at
@@ -168,10 +170,12 @@ func (p *ingestPool) transition(j *Job, to JobStatus, errMsg string) {
 		p.counts.running++
 	case JobDone:
 		j.Finished = now
+		j.req = ingestRequest{}
 		p.counts.done++
 		p.retire(j, now)
 	case JobFailed:
 		j.Finished = now
+		j.req = ingestRequest{}
 		p.counts.failed++
 		p.retire(j, now)
 	}
@@ -191,7 +195,7 @@ func (p *ingestPool) retire(j *Job, now time.Time) {
 			break
 		}
 		delete(p.byID, p.finished[cut].ID)
-		p.finished[cut] = nil // release the Job (and its payload) now
+		p.finished[cut] = nil // release the Job now
 		cut++
 	}
 	if cut > 0 {

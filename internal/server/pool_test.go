@@ -3,8 +3,11 @@ package server
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"testing"
 	"time"
+
+	"classminer/internal/store"
 )
 
 // waitPoolDrained polls until the pool has finished n jobs or the deadline
@@ -71,6 +74,64 @@ func TestPoolFinishedJobsBounded(t *testing.T) {
 	// Pruning bounds memory, not history: the counters still saw every job.
 	if st := p.Stats(1); st.Done != total {
 		t.Fatalf("done count = %d, want %d", st.Done, total)
+	}
+}
+
+// TestFinishedJobReleasesPayload: a job drops its request — the decoded
+// video, feature rows and all — the moment it finishes, done or failed,
+// while GET /v1/jobs/{id} answers as it always did.
+func TestFinishedJobReleasesPayload(t *testing.T) {
+	s := newTestServer(t, Options{})
+	good, err := store.EncodeResult(s.lib.Video("laparoscopy").Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good.VideoName = "payload-done"
+	bad := tinySavedResult("payload-failed", 5, 3)
+	bad.Version = 99 // store.DecodeResult refuses it: the job fails
+	for _, tc := range []struct {
+		saved *store.SavedResult
+		want  JobStatus
+	}{
+		{good, JobDone},
+		{bad, JobFailed},
+	} {
+		var job Job
+		req := map[string]any{"subcluster": "medicine", "saved": tc.saved}
+		if code := do(t, s, http.MethodPost, "/v1/videos", "admin-tok", req, &job); code != http.StatusAccepted {
+			t.Fatalf("ingest %s = %d", tc.saved.VideoName, code)
+		}
+		var got map[string]any
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			got = nil
+			if code := do(t, s, http.MethodGet, "/v1/jobs/"+job.ID, "admin-tok", nil, &got); code != http.StatusOK {
+				t.Fatalf("job poll = %d", code)
+			}
+			if st := JobStatus(fmt.Sprint(got["status"])); st == JobDone || st == JobFailed {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s stuck in %v", job.ID, got["status"])
+			}
+		}
+		if got["status"] != string(tc.want) || got["id"] != job.ID || got["video"] != tc.saved.VideoName ||
+			got["subcluster"] != "medicine" || got["requestId"] != job.RequestID || job.RequestID == "" {
+			t.Fatalf("GET /v1/jobs/%s = %v, want status %s for the submitted job", job.ID, got, tc.want)
+		}
+		for _, k := range []string{"created", "started", "finished"} {
+			if _, ok := got[k]; !ok {
+				t.Fatalf("GET /v1/jobs/%s lacks %q: %v", job.ID, k, got)
+			}
+		}
+		if _, hasErr := got["error"]; hasErr != (tc.want == JobFailed) {
+			t.Fatalf("GET /v1/jobs/%s error = %v for a %s job", job.ID, got["error"], tc.want)
+		}
+		s.pool.mu.Lock()
+		held := s.pool.byID[job.ID].req.Saved
+		s.pool.mu.Unlock()
+		if held != nil {
+			t.Fatalf("%s job %s still holds its payload", tc.want, job.ID)
+		}
 	}
 }
 

@@ -3,9 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -345,6 +348,106 @@ func TestIngestSavedResultAsync(t *testing.T) {
 	} {
 		if code := do(t, s, http.MethodPost, "/v1/videos", "clin-tok", bad, nil); code != http.StatusBadRequest {
 			t.Fatalf("bad ingest %v = %d, want 400", bad, code)
+		}
+	}
+}
+
+// repeatByte is an endless run of one byte.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestOversizedBodyIs413: a body whose JSON value does not end within
+// maxBodyBytes is answered 413, by the search decoder and the ingest reader
+// alike; a value that ends within it may be followed by any number of
+// bytes, and one cut short below the limit is still a malformed 400.
+func TestOversizedBodyIs413(t *testing.T) {
+	s := newTestServer(t, Options{})
+	tiny, err := json.Marshal(tinySavedResult("long-tail", 9, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(path, head string, fill byte, tail string) *httptest.ResponseRecorder {
+		body := io.MultiReader(strings.NewReader(head),
+			io.LimitReader(repeatByte(fill), maxBodyBytes), strings.NewReader(tail))
+		r := httptest.NewRequest(http.MethodPost, path, body)
+		r.Header.Set("X-Api-Token", "admin-tok")
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, r)
+		return w
+	}
+	for _, tc := range []struct {
+		path, head string
+		fill       byte
+		tail       string
+		want       int
+	}{
+		{"/v1/search", `{"video":"laparoscopy","shot":0,"k":3,"pad":"`, 'a', `"}`, http.StatusRequestEntityTooLarge},
+		{"/v1/search", `{"video":"laparoscopy","shot":0,"k":3}`, ' ', "", http.StatusOK},
+		{"/v1/videos", `{"subcluster":"medicine","corpus":"laparoscopy","pad":"`, 'a', `"}`, http.StatusRequestEntityTooLarge},
+		{"/v1/videos", `{"subcluster":"medicine","saved":` + string(tiny) + `}`, ' ', "", http.StatusAccepted},
+		// A value of the wrong type before the cut does not make the cut a
+		// malformed body: encoding/json reads the whole value first.
+		{"/v1/search", `{"video":7,"pad":"`, 'a', `"}`, http.StatusRequestEntityTooLarge},
+		{"/v1/videos", `{"subcluster":7,"pad":"`, 'a', `"}`, http.StatusRequestEntityTooLarge},
+	} {
+		w := post(tc.path, tc.head, tc.fill, tc.tail)
+		if w.Code != tc.want {
+			t.Fatalf("POST %s %.40s… = %d %s, want %d", tc.path, tc.head, w.Code, w.Body.String(), tc.want)
+		}
+		if tc.want == http.StatusRequestEntityTooLarge && !strings.Contains(w.Body.String(), "request body exceeds 32 MiB") {
+			t.Fatalf("POST %s: 413 body %s", tc.path, w.Body.String())
+		}
+	}
+	for _, path := range []string{"/v1/search", "/v1/videos"} {
+		r := httptest.NewRequest(http.MethodPost, path, strings.NewReader(`{"video":"lap`))
+		r.Header.Set("X-Api-Token", "admin-tok")
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, r)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "bad request body: unexpected EOF") {
+			t.Fatalf("truncated POST %s = %d %s, want 400 unexpected EOF", path, w.Code, w.Body.String())
+		}
+	}
+}
+
+// brokenBody is a request body whose connection fails after its bytes.
+type brokenBody struct{ io.Reader }
+
+func (b brokenBody) Read(p []byte) (int, error) {
+	n, err := b.Reader.Read(p)
+	if err == io.EOF {
+		err = errors.New("connection reset")
+	}
+	return n, err
+}
+
+// TestIngestBodyReadError: as with a json.Decoder, a body that breaks off
+// after its value has ended is accepted, and one that breaks off inside it
+// is a 400 naming the read error.
+func TestIngestBodyReadError(t *testing.T) {
+	s := newTestServer(t, Options{})
+	tiny, err := json.Marshal(tinySavedResult("broken-tail", 8, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{`{"subcluster":"medicine","saved":` + string(tiny) + `} `, http.StatusAccepted},
+		{`{"subcluster":"medicine","saved":` + string(tiny[:40]), http.StatusBadRequest},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/videos", brokenBody{strings.NewReader(tc.body)})
+		r.Header.Set("X-Api-Token", "admin-tok")
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, r)
+		if w.Code != tc.want || tc.want == http.StatusBadRequest && !strings.Contains(w.Body.String(), "connection reset") {
+			t.Fatalf("POST %.50q… = %d %s, want %d", tc.body, w.Code, w.Body.String(), tc.want)
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -146,6 +148,40 @@ func TestDebugTracesCaptureAndGating(t *testing.T) {
 	if !ok || ex.TraceID == "" {
 		t.Fatalf("stats exemplars = %+v, want a /v1/search entry", stats.Traces.Exemplars)
 	}
+}
+
+// TestIngestTraceHasDecodeSpan: a POST /v1/videos trace times the body
+// decode as a child of the request span, tagged with the body's size.
+func TestIngestTraceHasDecodeSpan(t *testing.T) {
+	s := newTestServer(t, Options{TraceSlow: -1})
+	body, err := json.Marshal(map[string]any{"subcluster": "medicine", "saved": tinySavedResult("decode-span", 3, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := httptest.NewRequest(http.MethodPost, "/v1/videos", bytes.NewReader(body))
+	r.Header.Set("X-Api-Token", "admin-tok")
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, r)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("ingest = %d: %s", w.Code, w.Body.String())
+	}
+	v := findTrace(s.tracer.Recent(), w.Header().Get("X-Request-Id"))
+	if v == nil {
+		t.Fatal("no trace for the ingest request")
+	}
+	for _, sp := range v.Spans {
+		if sp.Name != "decode" {
+			continue
+		}
+		if sp.Parent < 0 || v.Spans[sp.Parent].Name != "request" {
+			t.Fatalf("decode span's parent = %d, want the request span (spans %v)", sp.Parent, v.Spans)
+		}
+		if got, want := sp.Attrs["bytes"], strconv.Itoa(len(body)); got != want {
+			t.Fatalf("decode span bytes = %q, want %q", got, want)
+		}
+		return
+	}
+	t.Fatalf("ingest trace has no decode span (spans %v)", v.Spans)
 }
 
 // TestDebugTracesDisabled: with tracing off the endpoint is
