@@ -42,7 +42,6 @@ import (
 	"classminer/internal/concept"
 	"classminer/internal/core"
 	"classminer/internal/index"
-	"classminer/internal/mat"
 	"classminer/internal/metrics"
 	"classminer/internal/skim"
 	"classminer/internal/store"
@@ -164,8 +163,8 @@ type VideoEntry struct {
 	Result     *Result
 	Subcluster string // concept hierarchy placement (e.g. "medicine")
 	// row and rows are the contiguous span of library rows the video's shots
-	// were appended at: rows [row, row+rows) of entries/featData. The library
-	// rewrites row whenever it compacts.
+	// were appended at: rows [row, row+rows) of entries. The library rewrites
+	// row whenever it compacts.
 	row, rows int
 }
 
@@ -174,17 +173,27 @@ type VideoEntry struct {
 // concurrent use; reads proceed in parallel while registration, deletion
 // and policy changes serialise.
 //
-// Rows. Every registered shot is one row of entries/featData. Between
-// compactions the two arrays are append-only: a registration appends its
-// rows and remembers the span in its VideoEntry, and a deletion or
-// replacement only marks the span in the dead bitset (removeLocked) — it
-// costs what the video holds, not what the library holds, and copies no
-// feature row. Rows move in exactly two places, both of which build fresh
-// arrays (nothing ever edits the old ones, which an index or an in-flight
-// fit may still be reading) and bump epoch: a full fit that found dead rows
-// hands the library the compacted arrays it fitted over (BuildIndexCtx), and
-// removeLocked compacts by itself once dead rows outnumber live ones, which
-// bounds rows at twice the live count when nothing is refitting.
+// Rows. Every registered shot is one row of entries, and its features are
+// held once: at registration the library copies a video's rows into one
+// arena sized to hold exactly them and points each shot's Color/Texture and
+// its entry's Row at its slice of it (installLocked). The fit and the index
+// read the rows there; nothing else copies them. Between compactions entries
+// is append-only: a registration appends its rows and remembers the span in
+// its VideoEntry, and a deletion or replacement only marks the span in the
+// dead bitset (removeLocked) — it costs what the video holds, not what the
+// library holds, and copies no feature row. Rows move in exactly two places,
+// both of which gather entry pointers into a fresh array (nothing ever edits
+// the old one, which an index or an in-flight fit may still be reading) and
+// bump epoch: a full fit that found dead rows hands the library the
+// compacted array it fitted over (BuildIndexCtx), and removeLocked compacts
+// by itself once dead rows outnumber live ones, which bounds rows at twice
+// the live count when nothing is refitting. A dead video's arena is garbage
+// once no entry array or index names it.
+//
+// A registered Result's shots belong to the library: their feature slices
+// are rewritten as they move into the arena, under the write lock and
+// before the video is visible, and are never written again — the
+// checkpoint writer and the serving layer read them without the lock.
 //
 // Index. BuildIndex is copy-on-write: the expensive fit runs outside the
 // lock against a snapshot of the rows and the finished index is swapped in
@@ -201,11 +210,7 @@ type Library struct {
 	policy    *access.Policy
 	videos    map[string]*VideoEntry
 	entries   []*index.Entry
-	// featData is the flat row-major feature matrix over entries (row i =
-	// entries[i], featDim columns), grown at registration and reused across
-	// every index rebuild so BuildIndex never re-extracts shot features.
-	featData []float64
-	featDim  int
+	featDim   int // feature dimensionality of every row (0 = unconstrained)
 	// dead marks the rows of videos no longer registered (bit i = row i; it
 	// always covers every row) and deadRows counts them, so the live shot
 	// count is len(entries) - deadRows. epoch counts compactions: a fit
@@ -345,7 +350,8 @@ func (l *Library) checkSubcluster(name string) error {
 
 // AddVideo mines a video and registers its shots under the given
 // subcluster concept ("medicine", "nursing", "dentistry"). The index is
-// invalidated; call BuildIndex after the last AddVideo.
+// invalidated; call BuildIndex after the last AddVideo. The returned Result
+// belongs to the library and is immutable (see AddResult).
 func (l *Library) AddVideo(v *Video, subcluster string) (*Result, error) {
 	return l.AddVideoCtx(context.Background(), v, subcluster)
 }
@@ -377,6 +383,10 @@ func (l *Library) AddVideoCtx(ctx context.Context, v *Video, subcluster string) 
 // AddResult registers an already-mined result (e.g. loaded from a snapshot
 // or produced by a remote miner) under the given subcluster concept. Like
 // AddVideo it leaves the index stale; call BuildIndex afterwards.
+//
+// Once registered, res belongs to the library and is immutable: its shots'
+// feature slices are moved into the library's row store, and nothing may
+// write them afterwards. Do not register it while another goroutine reads it.
 func (l *Library) AddResult(res *Result, subcluster string) error {
 	return l.AddResultCtx(context.Background(), res, subcluster)
 }
@@ -536,15 +546,25 @@ func (l *Library) replace(ctx context.Context, name string, res *Result, subclus
 			return fmt.Errorf("classminer: journaling replacement of %q: %w", name, err)
 		}
 	}
+	if replacing && ve.Result == res && ve.rows == len(newEntries) {
+		// The shots already sit in this video's arena and may be read
+		// outside the lock: point the new entries at their rows, so that
+		// installLocked moves nothing.
+		for i, old := range l.entries[ve.row : ve.row+ve.rows] {
+			if old.Shot == newEntries[i].Shot {
+				newEntries[i].Row = old.Row
+			}
+		}
+	}
 	// removeLocked's empty-library branch drops the serving index — right
 	// for a delete, wrong mid-replace: a successor is about to be installed,
 	// and the replace contract is that the old index (the victim masked out
 	// of it) keeps serving, stale, until the next BuildIndex. The exception
 	// is a replacement that changes the feature dimensionality (possible
 	// only when the victim was the sole video): the old index answers
-	// queries of the *old* width, and serving it against the library's new
-	// width would panic projection deep in Search — there the index stays
-	// down, exactly as a delete leaves it.
+	// queries of the *old* width only, and would refuse every query of the
+	// library's new one — there the index stays down, exactly as a delete
+	// leaves it.
 	oldIx, oldIxVer, oldDim := l.ix, l.ixVer, l.featDim
 	l.removeLocked(name)
 	if l.ix == nil && oldIx != nil && dim == oldDim {
@@ -604,22 +624,19 @@ func (l *Library) checkEntryDims(name string, newEntries []*index.Entry, dim int
 	return dim, nil
 }
 
-// installLocked commits a validated registration to in-memory state:
-// feature rows are appended to the flat matrix (once per shot, so index
-// rebuilds never re-extract them), the video remembers the row span, and the
-// entry set and generation advance. When the serving index was current, the
-// new entries are inserted into it incrementally (copy-on-write, no refit,
-// one batch per video) so the registration is searchable the moment the
-// caller is acknowledged; otherwise — or when an entry's concept path has no
-// leaf in the built tree — the index is left stale for the coalesced
-// rebuilder. Callers hold l.mu.
+// installLocked commits a validated registration to in-memory state: the
+// rows of entries without a Row are moved into one arena (homeRows), the
+// entries are appended to the library's rows, the video remembers the row
+// span, and the entry set and generation advance. When the serving index
+// was current, the new entries are inserted into it incrementally
+// (copy-on-write, no refit, one batch per video) so the registration is
+// searchable the moment the caller is acknowledged; otherwise — or when an
+// entry's concept path has no leaf in the built tree — the index is left
+// stale for the coalesced rebuilder. Callers hold l.mu.
 func (l *Library) installLocked(name string, res *Result, subcluster string, newEntries []*index.Entry, dim int) {
 	l.featDim = dim
 	row := len(l.entries)
-	for _, e := range newEntries {
-		l.featData = append(l.featData, e.Shot.Color...)
-		l.featData = append(l.featData, e.Shot.Texture...)
-	}
+	homeRows(newEntries, dim)
 	l.entries = append(l.entries, newEntries...)
 	for len(l.dead)*64 < len(l.entries) {
 		l.dead = append(l.dead, 0)
@@ -642,20 +659,56 @@ func (l *Library) installLocked(name string, res *Result, subcluster string, new
 	l.met.ixInserts.Add(uint64(len(newEntries)))
 }
 
+// homeRows copies the features of the entries whose Row is unset into one
+// arena sized to hold exactly them, row after row, each row colour ++
+// texture. The entry's Row and its shot's Color and Texture are pointed at
+// the row and its two halves, cut with three-index slices so an append
+// through one can never reach its neighbour; the arrays they were read from
+// become garbage. A nil half stays nil.
+func homeRows(entries []*index.Entry, dim int) {
+	n := 0
+	for _, e := range entries {
+		if e.Row == nil {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	arena := make([]float64, n*dim)
+	for _, e := range entries {
+		if e.Row != nil {
+			continue
+		}
+		s := e.Shot
+		row := arena[:dim:dim]
+		arena = arena[dim:]
+		nc := copy(row, s.Color)
+		copy(row[nc:], s.Texture)
+		if s.Color != nil {
+			s.Color = row[:nc:nc]
+		}
+		if s.Texture != nil {
+			s.Texture = row[nc:]
+		}
+		e.Row = row
+	}
+}
+
 // removeLocked unregisters name, if present. It is the one removal routine —
 // delete, replace, the undo of an unacknowledged registration, tombstone
 // replay and a follower's apply all end here — and it costs what the video
 // holds: the video's row span is marked in the dead bitset and masked out of
 // the serving index (copy-on-write, by span), and no feature row is touched.
 // The rows stay where they are, because an in-flight BuildIndex and the
-// installed index read the arrays they sit in; the next full fit drops them
-// as it lands. The mask never waits for that: it is applied whether or not
-// the index was current (a stale index stays stale, but stops ranking the
-// video now), and the generation bump invalidates response caches.
+// installed index read them; the next full fit drops them as it lands. The
+// mask never waits for that: it is applied whether or not the index was
+// current (a stale index stays stale, but stops ranking the video now), and
+// the generation bump invalidates response caches.
 //
 // When no fit is coming — log replay, a library nobody runs BuildIndex on,
 // rebuilds paused — dead rows are bounded here instead: once they outnumber
-// the live ones the library compacts into fresh arrays (compactLocked),
+// the live ones the library compacts into a fresh array (compactLocked),
 // amortised O(1) per retired row, so rows never exceed twice the live count.
 // Callers hold l.mu.
 func (l *Library) removeLocked(name string) bool {
@@ -701,7 +754,7 @@ func (l *Library) removeLocked(name string) bool {
 		// install.
 		l.ix = nil
 		l.ixVer = l.entriesVer
-		l.entries, l.featData, l.dead, l.deadRows = nil, nil, nil, 0
+		l.entries, l.dead, l.deadRows = nil, nil, 0
 		l.epoch++
 		if len(l.pendingAck) == 0 {
 			l.featDim = 0
@@ -712,22 +765,21 @@ func (l *Library) removeLocked(name string) bool {
 	return true
 }
 
-// compactLocked rebuilds entries and featData into fresh arrays holding the
-// live rows in row order. The installed index keeps serving from the arrays
-// it was built over; its IDs no longer match the library's rows, which
-// removeLocked reads off ixEpoch. Callers hold l.mu.
+// compactLocked rebuilds entries into a fresh array holding the live rows in
+// row order. The installed index keeps serving from the entries it was built
+// over; its IDs no longer match the library's rows, which removeLocked reads
+// off ixEpoch. Callers hold l.mu.
 func (l *Library) compactLocked() {
 	rank := newRowRank(l.dead)
-	entries, data := gatherLive(l.entries, l.featData, l.featDim, l.dead, len(l.entries)-l.deadRows)
-	l.adoptLocked(entries, data, rank, nil)
+	l.adoptLocked(gatherLive(l.entries, l.dead, len(l.entries)-l.deadRows), rank, nil)
 }
 
-// adoptLocked makes entries/data the library's arrays: they hold the rows
-// rank maps the current ones to (the live rows, gathered). Every video is
-// pointed at its new span, died — rows of the new layout that are already
-// retired — becomes the dead set, and a new epoch starts. Callers hold l.mu.
-func (l *Library) adoptLocked(entries []*index.Entry, data []float64, rank rowRank, died []int32) {
-	l.entries, l.featData = entries, data
+// adoptLocked makes entries the library's rows: they are the rows rank maps
+// the current ones to (the live rows, gathered). Every video is pointed at
+// its new span, died — rows of the new layout that are already retired —
+// becomes the dead set, and a new epoch starts. Callers hold l.mu.
+func (l *Library) adoptLocked(entries []*index.Entry, rank rowRank, died []int32) {
+	l.entries = entries
 	for _, ve := range l.videos {
 		ve.row = rank.of(ve.row)
 	}
@@ -768,13 +820,12 @@ func (rr rowRank) of(r int) int {
 	return r - rr.before[w] - bits.OnesCount64(rr.dead[w]&(1<<uint(r&63)-1))
 }
 
-// gatherLive copies the rows of entries/data that dead does not mark into
-// fresh arrays of capacity capRows rows, preserving row order. Rows past the
-// bitset are live.
-func gatherLive(entries []*index.Entry, data []float64, dim int, dead []uint64, capRows int) ([]*index.Entry, []float64) {
+// gatherLive copies the entries that dead does not mark into a fresh array
+// of capacity capRows, preserving row order. Rows past the bitset are live.
+// Only entry pointers move: every row stays in its video's arena.
+func gatherLive(entries []*index.Entry, dead []uint64, capRows int) []*index.Entry {
 	isDead := func(r int) bool { return r>>6 < len(dead) && dead[r>>6]&(1<<uint(r&63)) != 0 }
-	outE := make([]*index.Entry, 0, capRows)
-	outD := make([]float64, 0, capRows*dim)
+	out := make([]*index.Entry, 0, capRows)
 	for r := 0; r < len(entries); {
 		if isDead(r) {
 			r++
@@ -784,10 +835,9 @@ func gatherLive(entries []*index.Entry, data []float64, dim int, dead []uint64, 
 		for r < len(entries) && !isDead(r) {
 			r++
 		}
-		outE = append(outE, entries[start:r]...)
-		outD = append(outD, data[start*dim:r*dim]...)
+		out = append(out, entries[start:r]...)
 	}
-	return outE, outD
+	return out
 }
 
 // remove is removeLocked under the lock (the tombstone-replay path).
@@ -985,21 +1035,21 @@ func (l *Library) BuildIndex() error {
 }
 
 // BuildIndexCtx is BuildIndex with tracing: when ctx carries a trace span
-// (the rebuilder traces every rebuild), the out-of-lock matrix fit and the
+// (the rebuilder traces every rebuild), the out-of-lock fit and the
 // under-lock catch-up-and-swap each record a child span — the split that
 // matters when a rebuild stalls queries (only "swap" runs under the write
 // lock).
 //
-// The snapshot is (row count, a copy of the dead bitset, epoch). With no dead
-// row the fit aliases the library's own arrays — capacity-capped views that
-// stay valid while registrations append past them, so a static library pays
-// no copy and keeps one matrix in memory. With dead rows the fit first
-// gathers the live rows, in row order, into fresh arrays; at the swap the
-// library adopts those arrays (plus the rows appended since) as its own and
-// repoints every video, so the dead rows are gone, index entry IDs equal
-// library rows again, and the installed index still aliases the library's
-// matrix. Either way the fit is the fit BuildIndex would run over the same
-// videos registered into an empty library in the same order.
+// The snapshot is (row count, a copy of the dead bitset, epoch). The fit
+// reads every row in place, in its video's arena, through the entries' Row.
+// With no dead row it aliases the library's own entry array — a
+// capacity-capped view that stays valid while registrations append past it.
+// With dead rows it first gathers the live entry pointers, in row order, into
+// a fresh array; at the swap the library adopts that array (plus the rows
+// appended since) as its own and repoints every video, so the dead rows are
+// gone and index entry IDs equal library rows again. Either way the fit is
+// the fit BuildIndex would run over the same videos registered into an empty
+// library in the same order.
 //
 // Only the library compacting on its own under the fit (removeLocked: it
 // emptied, or more than half its rows were dead) moves rows the snapshot
@@ -1009,19 +1059,14 @@ func (l *Library) BuildIndex() error {
 func (l *Library) BuildIndexCtx(ctx context.Context) error {
 	sp := trace.SpanFrom(ctx)
 	l.mu.RLock()
-	n, dim := len(l.entries), l.featDim
+	n := len(l.entries)
 	live := n - l.deadRows
-	// Gathered arrays get headroom for the rows the swap appends and the
-	// registrations after it, and never less room than the arrays they
-	// replace: registrations that outgrew the last fit's headroom will again
-	// at the same pace, and appending past it reallocates the matrix while the
-	// installed index still aliases the old one — two matrices held until
-	// the next fit lands.
-	capRows := live + live/4
-	if dim > 0 {
-		capRows = max(capRows, cap(l.featData)/dim)
-	}
-	entries, data := l.entries[:n:n], l.featData[:n*dim:n*dim]
+	// A gathered array gets headroom for the rows the swap appends and the
+	// registrations after it, and never less room than the array it
+	// replaces: registrations that outgrew the last fit's headroom will again
+	// at the same pace.
+	capRows := max(live+live/4, cap(l.entries))
+	entries := l.entries[:n:n]
 	var dead []uint64
 	if l.deadRows > 0 {
 		dead = slices.Clone(l.dead)
@@ -1033,14 +1078,13 @@ func (l *Library) BuildIndexCtx(ctx context.Context) error {
 	}
 	fit := sp.Start("fit")
 	fit.SetInt("entries", int64(live))
-	fit.SetInt("workers", int64(runtime.GOMAXPROCS(0))) // BuildMatrix fits on this many goroutines
+	fit.SetInt("workers", int64(runtime.GOMAXPROCS(0))) // the fit runs on this many goroutines
 	var rank rowRank
 	if dead != nil {
 		rank = newRowRank(dead)
-		entries, data = gatherLive(entries, data, dim, dead, capRows)
+		entries = gatherLive(entries, dead, capRows)
 	}
-	ix, err := index.BuildMatrix(entries[:live:live],
-		&mat.Dense{R: live, C: dim, Data: data[: live*dim : live*dim]}, index.Options{})
+	ix, err := index.Build(entries[:live:live], index.Options{})
 	fit.End()
 	if err != nil {
 		return err
@@ -1077,7 +1121,7 @@ func (l *Library) BuildIndexCtx(ctx context.Context) error {
 	}
 	ix, _ = ix.RemoveIDs(died)
 	if dead != nil {
-		l.adoptLocked(append(entries, tail...), append(data, l.featData[n*dim:]...), rank, died)
+		l.adoptLocked(append(entries, tail...), rank, died)
 	}
 	l.ix, l.ixEpoch = ix, l.epoch
 	l.ixFitVer = ver
@@ -1151,6 +1195,9 @@ type LibraryStats struct {
 	// thrown away at the swap (BuildIndexCtx says when).
 	IndexFits        int64 `json:"indexFits"`
 	IndexFitsDropped int64 `json:"indexFitsDropped"`
+	// FeatureRowBytes is what the feature rows the library holds take:
+	// (Shots + DeadRows) × dimensionality × 8 B, each row held once.
+	FeatureRowBytes int64 `json:"featureRowBytes"`
 	// WAL is the durable log's lag since its last checkpoint; nil when the
 	// library is not durable. A sharded library has one log behind all its
 	// shards, reported here and left out of the per-shard blocks.
@@ -1178,6 +1225,7 @@ func (l *Library) Stats() LibraryStats {
 		DeadRows:         l.deadRows,
 		IndexFits:        l.fits,
 		IndexFitsDropped: l.fitsDropped,
+		FeatureRowBytes:  int64(len(l.entries)) * int64(l.featDim) * 8,
 	}
 	if l.ix != nil {
 		st.IndexedShots = l.ix.Size()
@@ -1259,6 +1307,18 @@ func (l *Library) SearchInto(dst []SearchHit, u User, query []float64, k int) ([
 	return l.SearchIntoCtx(context.Background(), dst, u, query, k)
 }
 
+// QueryDimError is the error a search returns for a query whose length is
+// not the feature dimensionality of the index serving it. The
+// dimensionality is the library's, and it changes when an emptied library
+// registers videos of another width.
+type QueryDimError struct {
+	Got, Want int
+}
+
+func (e *QueryDimError) Error() string {
+	return fmt.Sprintf("classminer: query has %d dims, index has %d", e.Got, e.Want)
+}
+
 // SearchIntoCtx is SearchInto with tracing: when ctx carries a trace span,
 // the index stages (project/scan/rank — see Index.SearchIntoSpans) and the
 // policy filter record child spans under one "search" span. Untraced and
@@ -1271,6 +1331,9 @@ func (l *Library) SearchIntoCtx(ctx context.Context, dst []SearchHit, u User, qu
 	defer l.mu.RUnlock()
 	if l.ix == nil {
 		return nil, SearchStats{}, fmt.Errorf("classminer: index not built (call BuildIndex)")
+	}
+	if d := l.ix.Dim(); len(query) != d {
+		return nil, SearchStats{}, &QueryDimError{Got: len(query), Want: d}
 	}
 	hits, stats := l.ix.SearchIntoSpans(dst, query, k, sp)
 	fsp := sp.Start("filter")
@@ -1287,6 +1350,11 @@ func (l *Library) SearchBatch(u User, queries [][]float64, k int) ([][]SearchHit
 	defer l.mu.RUnlock()
 	if l.ix == nil {
 		return nil, nil, fmt.Errorf("classminer: index not built (call BuildIndex)")
+	}
+	for _, q := range queries {
+		if d := l.ix.Dim(); len(q) != d {
+			return nil, nil, &QueryDimError{Got: len(q), Want: d}
+		}
 	}
 	hits, stats := l.ix.SearchBatch(queries, k)
 	for i := range hits {
@@ -1645,7 +1713,7 @@ func readSnapshot(path string, libs []*Library, record func(frame []byte) error)
 		// back it: a written value costs at least its presence bit.
 		if h.Dim > 0 && int64(h.Rows) <= 8*fi.Size()/int64(h.Dim) {
 			for _, l := range libs {
-				l.reserve((h.Rows+len(libs)-1)/len(libs), h.Dim)
+				l.reserve((h.Rows + len(libs) - 1) / len(libs))
 			}
 		}
 		return nil
@@ -1664,13 +1732,13 @@ func importLegacySnapshot(path string, libs []*Library, place func(name string) 
 	return err
 }
 
-// reserve gives an empty library room for rows rows of dim features.
-func (l *Library) reserve(rows, dim int) {
+// reserve gives an empty library room for rows rows. Their features need
+// none: each video's arrive in an arena of their own.
+func (l *Library) reserve(rows int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.entries) == 0 && cap(l.entries) < rows {
 		l.entries = make([]*index.Entry, 0, rows)
-		l.featData = make([]float64, 0, rows*dim)
 		l.dead = make([]uint64, 0, (rows+63)/64)
 	}
 }

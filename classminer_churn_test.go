@@ -719,11 +719,11 @@ func churnLibrary(t testing.TB, a *Analyzer, n int) *Library {
 	return lib
 }
 
-// TestFitKeepsMatrixCapacity: a fit that compacts leaves the library arrays
-// no smaller than the ones they replace, so a churn cycle that outgrew the
-// headroom once does not reallocate the matrix — under an installed index
-// that still aliases the old one — on every cycle after.
-func TestFitKeepsMatrixCapacity(t *testing.T) {
+// TestFitKeepsEntryCapacity: a fit that compacts leaves the library's entry
+// array no smaller than the one it replaces, so a churn cycle that outgrew
+// the headroom once does not reallocate it — under an installed index that
+// still aliases the old one — on every cycle after.
+func TestFitKeepsEntryCapacity(t *testing.T) {
 	a, err := NewAnalyzer(Options{SkipEvents: true})
 	if err != nil {
 		t.Fatal(err)
@@ -748,16 +748,16 @@ func TestFitKeepsMatrixCapacity(t *testing.T) {
 	}
 	cycle()
 	cycle()
-	base := &lib.featData[:1][0]
+	base := &lib.entries[:1][0]
 	for i := 0; i < live; i++ {
 		if err := lib.AddResult(tinyResult(t, fmt.Sprintf("vid-%05d", next), int64(next), 25), "medicine"); err != nil {
 			t.Fatal(err)
 		}
 		next++
 	}
-	if &lib.featData[:1][0] != base {
-		t.Fatalf("a cycle's registrations reallocated the matrix a fit had just sized (cap %d rows for %d)",
-			cap(lib.featData)/lib.featDim, len(lib.featData)/lib.featDim)
+	if &lib.entries[:1][0] != base {
+		t.Fatalf("a cycle's registrations reallocated the entries a fit had just sized (cap %d rows for %d)",
+			cap(lib.entries), len(lib.entries))
 	}
 }
 

@@ -96,11 +96,10 @@ var fitDigestCases = []struct {
 		"810e9c7426ad2c23f0bc9dfad50a4abafc305a16af93edffe4e09607938df068"},
 }
 
-// TestBuildMatrixConcurrent holds the contract that fits over one shared
-// feature matrix may run concurrently — each reads entries and feats and
-// writes only its own tree — while searches run against an older index over
-// the same matrix, and that a fit racing others is still the same fit. Run
-// with -race.
+// TestBuildMatrixConcurrent holds the contract that fits over one shared row
+// store may run concurrently — each reads entries and rows and writes only
+// its own tree — while searches run against an older index over the same
+// rows, and that a fit racing others is still the same fit. Run with -race.
 func TestBuildMatrixConcurrent(t *testing.T) {
 	entries := corpus(1200, 10)
 	prev, err := Build(entries, Options{Seed: 10})
@@ -135,7 +134,7 @@ func TestBuildMatrixConcurrent(t *testing.T) {
 		builds.Add(1)
 		go func(b int) {
 			defer builds.Done()
-			fits[b], errs[b] = BuildMatrix(entries, prev.feats, Options{Seed: 10})
+			fits[b], errs[b] = build(entries, prev.rows, prev.dim, Options{Seed: 10})
 		}(b)
 	}
 	builds.Wait()

@@ -1,17 +1,18 @@
 // Incremental index maintenance: copy-on-write Insert/InsertAll and
 // Remove/RemoveIDs keep a built index searchable across registrations and
-// deletions without the O(library) refit of BuildMatrix. An inserted entry
+// deletions without the O(library) refit of a build. An inserted entry
 // is routed down the existing tree by its concept path to its leaf, its
-// projected row and full feature appended to overlay arrays — no PCA or
-// k-means is refit, so the routing and ranking spaces stay those of the last
-// full fit. A removed entry is masked by a paged bitset: a removal copies the
-// page table and the pages it touches, never the whole mask, so masking a
-// video costs what the video holds however large the index is. All four
-// return a *new* Index sharing all unchanged structure with the old one:
-// concurrent searches keep running against whichever index they started
-// with.
+// projected row appended to the leaf's overlay and a view of its full
+// feature (its Row, or a copy of its shot's halves when it has none)
+// appended to the row table — no PCA or k-means is refit, so the routing and
+// ranking spaces stay those of the last full fit. A removed entry is masked
+// by a paged bitset: a removal copies the page table and the pages it
+// touches, never the whole mask, so masking a video costs what the video
+// holds however large the index is. All four return a *new* Index sharing
+// all unchanged structure with the old one: concurrent searches keep running
+// against whichever index they started with.
 //
-// Entry IDs are positions: the entries handed to BuildMatrix are 0..n-1 and
+// Entry IDs are positions: the entries handed to a build are 0..n-1 and
 // every inserted entry takes the next one. A caller that appends to its own
 // row store in the same order (classminer.Library) can therefore address
 // index entries by its own row numbers — RemoveIDs — and needs the by-name
@@ -19,10 +20,10 @@
 //
 // Single-writer contract: the mutators must be called on the newest index of
 // a chain only, serialised by the caller (classminer.Library holds its write
-// lock). Overlay slices are extended append-style — an older index's readers
-// never look past their own lengths, so sharing the grown backing arrays
-// down the chain is safe under that discipline, exactly like the library's
-// flat feature matrix.
+// lock). The entry and row tables and the overlay slices are extended
+// append-style — an older index's readers never look past their own
+// lengths, so sharing the grown backing arrays down the chain is safe under
+// that discipline, exactly like the library's own entry slice.
 //
 // Accuracy: the overlay is exact for candidate generation (extras are
 // unconditionally candidates at their leaf; masked entries never rank), but
@@ -35,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrNoLeaf reports an entry whose concept path does not end at an existing
@@ -53,8 +55,8 @@ func (ix *Index) leafOf(e *Entry) (*node, error) {
 		return nil, fmt.Errorf("index: entry has empty path")
 	}
 	d := len(e.Shot.Color) + len(e.Shot.Texture)
-	if d != ix.feats.C {
-		return nil, fmt.Errorf("index: entry has %d feature dims, index has %d", d, ix.feats.C)
+	if d != ix.dim || (e.Row != nil && len(e.Row) != d) {
+		return nil, fmt.Errorf("index: entry has %d feature dims, index has %d", d, ix.dim)
 	}
 	cur := ix.root
 	for _, name := range e.Path {
@@ -84,18 +86,17 @@ func (ix *Index) Insert(e *Entry) (*Index, error) {
 		return nil, fmt.Errorf("index: %d entries exceed the int32 ID space", len(ix.all))
 	}
 	id := int32(len(ix.all))
-	nix := *ix // shallow copy: shares root, feats, scratch pool, options
+	nix := *ix // shallow copy: shares root, rows, scratch pool, options
 	nix.all = append(ix.all, e)
-	nix.extraFeats = append(ix.extraFeats, e.Shot.Color...)
-	nix.extraFeats = append(nix.extraFeats, e.Shot.Texture...)
+	nix.rows = appendRows(ix.rows, []*Entry{e}, ix.dim)
 	nix.inserted = ix.inserted + 1
 	nix.root = cloneSpine(ix.root, e.Path, func(leaf *node) *node {
 		nl := *leaf // shares ids, proj, cell table, reducer with the old leaf
 		dim := leaf.reducer.Dim()
-		row := make([]float64, dim)
-		leaf.reducer.ProjectInto(row, nix.featRow(id))
+		at := len(leaf.extraProj)
 		nl.extraIDs = append(leaf.extraIDs, id)
-		nl.extraProj = append(leaf.extraProj, row...)
+		nl.extraProj = slices.Grow(leaf.extraProj, dim)[:at+dim]
+		leaf.reducer.ProjectInto(nl.extraProj[at:], nix.rows[id])
 		return &nl
 	})
 	return &nix, nil
@@ -139,23 +140,20 @@ func (ix *Index) InsertAll(entries []*Entry) (*Index, error) {
 	base := len(ix.all)
 	nix := *ix
 	nix.all = append(ix.all, entries...)
-	nix.extraFeats = ix.extraFeats
-	for _, e := range entries {
-		nix.extraFeats = append(nix.extraFeats, e.Shot.Color...)
-		nix.extraFeats = append(nix.extraFeats, e.Shot.Texture...)
-	}
+	nix.rows = appendRows(ix.rows, entries, ix.dim)
 	nix.inserted = ix.inserted + len(entries)
 	for _, g := range groups {
 		nix.root = cloneSpine(nix.root, g.path, func(leaf *node) *node {
 			nl := *leaf
 			dim := leaf.reducer.Dim()
-			rows := make([]float64, len(g.at)*dim)
+			at := len(leaf.extraProj)
+			nl.extraIDs = slices.Grow(leaf.extraIDs, len(g.at))
+			nl.extraProj = slices.Grow(leaf.extraProj, len(g.at)*dim)[:at+len(g.at)*dim]
 			for j, i := range g.at {
 				id := int32(base + i)
-				leaf.reducer.ProjectInto(rows[j*dim:(j+1)*dim], nix.featRow(id))
+				leaf.reducer.ProjectInto(nl.extraProj[at+j*dim:at+(j+1)*dim], nix.rows[id])
 				nl.extraIDs = append(nl.extraIDs, id)
 			}
-			nl.extraProj = append(leaf.extraProj, rows...)
 			return &nl
 		})
 	}

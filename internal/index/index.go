@@ -8,19 +8,21 @@
 // distances only on the short list the leaves hand up, reproducing the
 // Tc ≪ Te total-cost comparison of Eqs. (24)–(25).
 //
-// Storage is flat and contiguous: entries are numbered at Build, all full
-// features live in one row-major matrix, and every leaf precomputes one
-// projection matrix over its rows and one sorted table of its occupied hash
-// cells. The search hot path runs on pooled per-call scratch (query
-// projections, candidate lists, bounded top-k max-heaps), so steady-state
-// SearchInto performs zero heap allocations.
+// Storage is flat: entries are numbered at Build, the full feature of entry
+// i is read through rows[i] — a view of wherever the entry's owner keeps it
+// (Entry.Row), never a copy — and every leaf precomputes one projection
+// matrix over its rows and one sorted table of its occupied hash cells. The
+// search hot path runs on pooled per-call scratch (query projections,
+// candidate lists, bounded top-k max-heaps), so steady-state SearchInto
+// performs zero heap allocations.
 //
 // The fit is a pure function of its rows, bit for bit. Its one random step,
 // k-means++ seeding, draws from the seeded source node after node in one
 // fixed order; everything else — the reducers, the projections, the Lloyd
 // refinements, the leaves' cell tables — depends only on a node's rows and
-// runs on up to GOMAXPROCS goroutines that BuildMatrix starts and waits for.
-// The index BuildMatrix returns is therefore the same at any GOMAXPROCS.
+// runs on up to GOMAXPROCS goroutines that the build starts and waits for.
+// The index Build or BuildMatrix returns is therefore the same at any
+// GOMAXPROCS.
 package index
 
 import (
@@ -45,6 +47,11 @@ type Entry struct {
 	// Path locates the entry in the concept hierarchy, e.g.
 	// ["medical education", "medicine", "medicine/dialog"].
 	Path []string
+	// Row, when set, is the shot's full feature (colour ++ texture) in the
+	// storage its owner keeps it in, and the index reads it there instead of
+	// copying the shot's two halves. It must hold the same numbers as the
+	// shot and must never be written while any index reads it.
+	Row []float64
 }
 
 // Options tunes index construction. Zero values become defaults.
@@ -99,23 +106,26 @@ type Result struct {
 // incremental.go), returning a new Index that shares all unchanged
 // structure with its predecessor.
 type Index struct {
-	opts  Options
-	root  *node
-	all   []*Entry
-	feats *mat.Dense // row i = full feature vector of entry i (build-time rows)
+	opts Options
+	root *node
+	all  []*Entry
+	// rows[i] is the full feature vector of entry i, dim wide: a view of the
+	// entry's Row (or of the matrix BuildMatrix was handed), held by
+	// reference, so the index keeps one slice header per entry and no copy
+	// of any feature. Inserted entries append to it like all.
+	rows [][]float64
+	dim  int
 	// colorDims is where a feature row splits into colour and texture; the
 	// exact re-rank sums the two halves as ShotSqDist does.
 	colorDims int
 
-	// Incremental overlay state. baseRows is feats.R at the last full fit;
-	// entries inserted since then keep their full features in extraFeats
-	// (row id-baseRows, feats.C wide) and are counted by inserted. removed
+	// Incremental overlay state. baseRows is the entry count at the last
+	// full fit; entries inserted since then are counted by inserted. removed
 	// is a paged bitset over global entry IDs masking deleted entries (nil
 	// when none; see maskPage); removedCount tallies its set bits. The
 	// overlay is bounded in practice by the caller's staleness budget — once
 	// (inserted+removed)/baseRows exceeds it, a full refit is warranted.
 	baseRows     int
-	extraFeats   []float64
 	inserted     int
 	removed      []*maskPage
 	removedCount int
@@ -183,37 +193,49 @@ type cellKey [maxHashDims]int32
 const maxHashDims = 4
 
 // Build constructs the index from entries. Every entry must carry a
-// non-empty path. The full feature matrix is extracted once here; callers
-// that already hold one (e.g. a Library that reuses it across rebuilds)
-// should use BuildMatrix instead.
+// non-empty path. An entry's Row is read in place; the entries without one
+// have their shots' features copied, once, into one array the index keeps.
 func Build(entries []*Entry, opts Options) (*Index, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("index: no entries")
 	}
 	d := len(entries[0].Shot.Color) + len(entries[0].Shot.Texture)
-	feats := &mat.Dense{R: len(entries), C: d, Data: make([]float64, 0, len(entries)*d)}
 	for i, e := range entries {
-		if len(e.Shot.Color)+len(e.Shot.Texture) != d {
-			return nil, fmt.Errorf("index: entry %d has %d feature dims, want %d",
-				i, len(e.Shot.Color)+len(e.Shot.Texture), d)
+		if n := len(e.Shot.Color) + len(e.Shot.Texture); n != d || (e.Row != nil && len(e.Row) != d) {
+			return nil, fmt.Errorf("index: entry %d has %d feature dims, want %d", i, n, d)
 		}
-		feats.Data = append(feats.Data, e.Shot.Color...)
-		feats.Data = append(feats.Data, e.Shot.Texture...)
 	}
-	return BuildMatrix(entries, feats, opts)
+	return build(entries, appendRows(nil, entries, d), d, opts)
+}
+
+// appendRows appends each entry's full feature to rows: its Row, or else a
+// copy of its shot's two halves, every copy cut from one array.
+func appendRows(rows [][]float64, entries []*Entry, dim int) [][]float64 {
+	copied := 0
+	for _, e := range entries {
+		if e.Row == nil {
+			copied++
+		}
+	}
+	arena := make([]float64, copied*dim)
+	rows = slices.Grow(rows, len(entries))
+	for _, e := range entries {
+		row := e.Row
+		if row == nil {
+			row = append(append(arena[:0:dim], e.Shot.Color...), e.Shot.Texture...)
+			arena = arena[dim:]
+		}
+		rows = append(rows, row)
+	}
+	return rows
 }
 
 // BuildMatrix constructs the index from entries whose full features are
-// already laid out as rows of feats (row i belongs to entries[i], and i is
-// the entry's ID). Both the entry slice and the matrix are retained by the
-// index and must never be mutated afterwards: a built Index is immutable,
-// and every concurrent search reads entry pointers and feature rows straight
-// out of them. Appending to the same backing arrays past the lengths handed
-// in is fine — the index never looks there — which is how classminer's
-// Library shares one matrix with its index: it only ever appends rows,
-// retires them with a mask (RemoveIDs) instead of moving them, and when it
-// does drop retired rows it builds fresh arrays for the next BuildMatrix
-// while the old index keeps serving its own untouched.
+// laid out as rows of feats (row i belongs to entries[i], and i is the
+// entry's ID); the entries' own Row fields are not read. Both the entry
+// slice and the matrix are retained by the index and must never be mutated
+// afterwards: a built Index is immutable, and every concurrent search reads
+// entry pointers and feature rows straight out of them.
 //
 // The fit runs on up to GOMAXPROCS goroutines, all finished by the time
 // BuildMatrix returns. It only reads entries and feats, so concurrent
@@ -221,9 +243,6 @@ func Build(entries []*Entry, opts Options) (*Index, error) {
 func BuildMatrix(entries []*Entry, feats *mat.Dense, opts Options) (*Index, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("index: no entries")
-	}
-	if len(entries) > math.MaxInt32 {
-		return nil, fmt.Errorf("index: %d entries exceed the int32 ID space", len(entries))
 	}
 	if feats == nil || feats.R != len(entries) {
 		return nil, fmt.Errorf("index: feature matrix must have one row per entry")
@@ -233,8 +252,24 @@ func BuildMatrix(entries []*Entry, feats *mat.Dense, opts Options) (*Index, erro
 		return nil, fmt.Errorf("index: feature matrix has %d columns, entry 0 has %d feature dims",
 			feats.C, len(first.Color)+len(first.Texture))
 	}
+	return build(entries, feats.Rows(), feats.C, opts)
+}
+
+// build fits the index over entries whose features rows holds (rows[i] is
+// entries[i]'s, dim wide). Both slices are retained, and so is every row
+// they name: the caller must never write any of them afterwards. Appending
+// to the caller's arrays past the lengths handed in is fine — the index
+// never looks there. The fit only reads entries and rows, so concurrent
+// builds may share them, as may searches of an older index; that is how
+// classminer's Library fits over the rows its videos keep while its serving
+// index reads the same rows.
+func build(entries []*Entry, rows [][]float64, dim int, opts Options) (*Index, error) {
+	if len(entries) > math.MaxInt32 {
+		return nil, fmt.Errorf("index: %d entries exceed the int32 ID space", len(entries))
+	}
 	opts = opts.withDefaults()
-	ix := &Index{opts: opts, root: newNode("database"), all: entries, feats: feats, colorDims: len(first.Color)}
+	ix := &Index{opts: opts, root: newNode("database"), all: entries, rows: rows, dim: dim,
+		colorDims: len(entries[0].Shot.Color)}
 	for i, e := range entries {
 		if len(e.Path) == 0 {
 			return nil, fmt.Errorf("index: entry %d has empty path", i)
@@ -254,7 +289,7 @@ func BuildMatrix(entries []*Entry, feats *mat.Dense, opts Options) (*Index, erro
 	if err := ix.fit(rand.New(rand.NewSource(opts.Seed + 1))); err != nil {
 		return nil, err
 	}
-	ix.baseRows = feats.R
+	ix.baseRows = len(entries)
 	ix.maxDim = maxReducerDim(ix.root)
 	maxDim := ix.maxDim
 	ix.scratch = &sync.Pool{New: func() any {
@@ -373,7 +408,7 @@ func (ix *Index) fit(rng *rand.Rand) error {
 		if len(fn.order) != 1 {
 			i, fn := i, fn
 			jobs = append(jobs, fitJob{len(fn.ids), func() {
-				fn.reducer, errs[i] = FitReducer(ix.feats, fn.ids, ix.opts.SelectDims, ix.opts.PCADims)
+				fn.reducer, errs[i] = FitReducer(ix.rows, fn.ids, ix.opts.SelectDims, ix.opts.PCADims)
 			}})
 		}
 	}
@@ -398,7 +433,7 @@ func (ix *Index) fit(rng *rand.Rand) error {
 			r := nodes[fn.parent].reducer
 			p := mat.NewDense(len(fn.ids), r.Dim())
 			for row, id := range fn.ids {
-				r.ProjectInto(p.Row(row), ix.feats.Row(int(id)))
+				r.ProjectInto(p.Row(row), ix.rows[id])
 			}
 			pts[i] = p.Rows()
 		}})
@@ -446,7 +481,7 @@ func (ix *Index) fitLeaf(n *node) {
 	}
 	n.proj = mat.NewDense(len(n.ids), dims)
 	for r, id := range n.ids {
-		n.reducer.ProjectInto(n.proj.Row(r), ix.feats.Row(int(id)))
+		n.reducer.ProjectInto(n.proj.Row(r), ix.rows[id])
 	}
 	// Cell width per hashed dim: half the standard deviation keeps bucket
 	// occupancy moderate without scattering near-identical shots.
@@ -884,7 +919,7 @@ func (ix *Index) rank(dst []Result, query []float64, k int, sc *searchScratch, s
 	stats.FloatOps += len(short) * len(query)
 	heap = heap[:0]
 	for _, it := range short {
-		row := ix.featRow(it.id)
+		row := ix.rows[it.id]
 		sq := splitSqDistBounded(row[:ix.colorDims], row[ix.colorDims:], query, heapBound(heap, k))
 		heap = heapOffer(heap, k, heapItem{sq: sq, id: it.id})
 	}
@@ -974,8 +1009,8 @@ func shotSqDistBounded(s *vidmodel.Shot, query []float64, bound float64) float64
 }
 
 // splitSqDistBounded is shotSqDistBounded on the two halves of a feature,
-// wherever they are stored: rank feeds it contiguous matrix rows, and gets
-// bit for bit the distance FlatSearch gets from the shot.
+// wherever they are stored: rank feeds it the index's rows, and gets bit
+// for bit the distance FlatSearch gets from the shot.
 func splitSqDistBounded(color, texture, query []float64, bound float64) float64 {
 	nc := len(color)
 	if len(query) != nc+len(texture) {
@@ -1067,15 +1102,12 @@ func flatScanTopK(entries []*Entry, off int, query []float64, k int) []heapItem 
 	return heap
 }
 
-// featRow returns the full feature vector of a global entry ID, whichever
-// region it lives in.
-func (ix *Index) featRow(id int32) []float64 {
-	if int(id) < ix.baseRows {
-		return ix.feats.Row(int(id))
-	}
-	r := int(id) - ix.baseRows
-	return ix.extraFeats[r*ix.feats.C : (r+1)*ix.feats.C]
-}
+// Row returns the full feature of entry id as the index reads it: a view of
+// the row wherever the entry's owner keeps it, never to be written.
+func (ix *Index) Row(id int) []float64 { return ix.rows[id] }
+
+// Dim returns the feature dimensionality every query must have.
+func (ix *Index) Dim() int { return ix.dim }
 
 // Size returns the number of live indexed entries (inserted entries count,
 // removed entries do not).

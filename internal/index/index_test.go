@@ -208,7 +208,7 @@ func TestReducerRoundTrip(t *testing.T) {
 		}
 		ids[i] = int32(i)
 	}
-	r, err := FitReducer(x, ids, 4, 2)
+	r, err := FitReducer(x.Rows(), ids, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestReducerRoundTrip(t *testing.T) {
 }
 
 func TestReducerErrors(t *testing.T) {
-	if _, err := FitReducer(mat.NewDense(0, 20), nil, 4, 2); err == nil {
+	if _, err := FitReducer(mat.NewDense(0, 20).Rows(), nil, 4, 2); err == nil {
 		t.Fatal("want error on empty fit")
 	}
 }

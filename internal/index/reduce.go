@@ -24,15 +24,16 @@ type Reducer struct {
 	compsT []float64
 }
 
-// FitReducer fits a reducer on the rows of feats named by ids: selectDims
-// coordinates by variance, then pcaDims principal components. Dimensions are
-// clamped to what the data supports. It reads feats and ids and writes
-// neither, so any number of fits may share one matrix concurrently.
-func FitReducer(feats *mat.Dense, ids []int32, selectDims, pcaDims int) (*Reducer, error) {
+// FitReducer fits a reducer on the rows named by ids (rows[id] for each id,
+// all of one width): selectDims coordinates by variance, then pcaDims
+// principal components. Dimensions are clamped to what the data supports. It
+// reads rows and ids and writes neither, so any number of fits may share one
+// row table concurrently.
+func FitReducer(rows [][]float64, ids []int32, selectDims, pcaDims int) (*Reducer, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("index: FitReducer needs samples")
 	}
-	d := feats.C
+	d := len(rows[ids[0]])
 	if selectDims < 1 || selectDims > d {
 		selectDims = d
 	}
@@ -42,7 +43,10 @@ func FitReducer(feats *mat.Dense, ids []int32, selectDims, pcaDims int) (*Reduce
 	if pcaDims > selectDims {
 		pcaDims = selectDims
 	}
-	x := feats.RowsAt(ids)
+	x := make([][]float64, len(ids))
+	for i, id := range ids {
+		x[i] = rows[id]
+	}
 	mean := mat.Mean(x)
 	// Per-coordinate sums of squared deviations, four rows at a time: each
 	// accumulator takes its rows' terms in row order, as mat.Mean does.

@@ -50,15 +50,6 @@ func (d *Dense) Rows() [][]float64 {
 	return out
 }
 
-// RowsAt returns views of the rows named by idx (headers only, shared data).
-func (d *Dense) RowsAt(idx []int32) [][]float64 {
-	out := make([][]float64, len(idx))
-	for i, j := range idx {
-		out[i] = d.Row(int(j))
-	}
-	return out
-}
-
 // SqDistRow returns the squared Euclidean distance between row i and v.
 func (d *Dense) SqDistRow(i int, v []float64) float64 {
 	return SqDist(d.Row(i), v)

@@ -25,10 +25,6 @@ func TestDenseRowsAndAppend(t *testing.T) {
 	if d.Data[3] != 40 {
 		t.Fatal("Rows must view, not copy")
 	}
-	at := d.RowsAt([]int32{1, 0})
-	if at[0][0] != 40 || at[1][0] != 7 {
-		t.Fatalf("RowsAt = %v", at)
-	}
 	if got := d.SqDistRow(0, []float64{7, 8, 9}); got != 0 {
 		t.Fatalf("SqDistRow = %v", got)
 	}

@@ -10,12 +10,14 @@ import (
 	"classminer/internal/store"
 )
 
-// POST /v1/videos bodies are decoded by hand. A write-pool body is 26 KB
-// holding ≈ 6 800 numbers, most of them a bare 0 in a zero-suppressed
-// histogram, and reflecting over them was the largest single cost of an
-// ingest. decodeIngest is the only decoder of an ingest body, and it yields
-// exactly the value json.NewDecoder(body).Decode(req) yields for the same
-// bytes, accepting exactly the bodies it accepts:
+// Request bodies are decoded by hand. A write-pool body is 26 KB holding
+// ≈ 6 800 numbers, most of them a bare 0 in a zero-suppressed histogram, and
+// reflecting over them was the largest single cost of an ingest; on a cached
+// search, reflecting over four fields was the largest piece of what is left.
+// decodeIngest, decodeSearch and decodeBatch are the only decoders of a POST
+// /v1/videos, /v1/search and /v1/search/batch body, and each yields exactly
+// the value json.NewDecoder(body).Decode(req) yields for the same bytes,
+// accepting exactly the bodies it accepts:
 //
 //   - leading whitespace is skipped, and whatever follows the first value is
 //     ignored;
@@ -33,8 +35,9 @@ import (
 // A string holding an escape or a byte ≥ 0x80 is unquoted by encoding/json
 // itself, one token at a time, so \u escapes, surrogate pairs and invalid
 // UTF-8 come out the same without a second implementation of them.
-// TestDecodeIngestMatchesEncodingJSON and FuzzDecodeIngest hold the two
-// decoders together value for value and float bit for float bit.
+// TestDecodeIngestMatchesEncodingJSON, TestDecodeSearchMatchesEncodingJSON,
+// FuzzDecodeIngest and FuzzDecodeSearch hold each of them to encoding/json
+// value for value and float bit for float bit.
 
 // maxDepth is encoding/json's nesting limit.
 const maxDepth = 10000
@@ -65,8 +68,8 @@ func (e *typeError) Error() string {
 }
 
 // decoder reads one body front to back. Feature rows go to vals, a scratch
-// shared by every row of the body; decodeIngest moves the rows the result
-// keeps into one arena of their own before it returns.
+// shared by every row of the body; decode moves the rows the request keeps
+// into one arena of their own before it returns.
 type decoder struct {
 	b     []byte
 	i     int // read position in b
@@ -82,56 +85,101 @@ var decoderPool = sync.Pool{New: func() any {
 // decodeIngest decodes body into req as encoding/json would (see above). On
 // error req is left zero.
 func decodeIngest(body []byte, req *ingestRequest) error {
+	return decode(body, req, requestFields, func(r *ingestRequest) {
+		if r.Saved != nil {
+			rehome(r.Saved)
+		}
+	})
+}
+
+// decodeSearch decodes a POST /v1/search body into req as encoding/json
+// would. On error req is left zero.
+func decodeSearch(body []byte, req *searchRequest) error {
+	return decode(body, req, searchFields, func(r *searchRequest) {
+		arena := make(rowArena, len(r.Query))
+		r.Query = arena.cut(r.Query)
+	})
+}
+
+// decodeBatch decodes a POST /v1/search/batch body into req as encoding/json
+// would. On error req is left zero.
+func decodeBatch(body []byte, req *batchSearchRequest) error {
+	return decode(body, req, batchFields, func(r *batchSearchRequest) {
+		n := 0
+		for i := range r.Items {
+			n += len(r.Items[i].Query)
+		}
+		arena := make(rowArena, n)
+		for i := range r.Items {
+			r.Items[i].Query = arena.cut(r.Items[i].Query)
+		}
+		// A repeated "items" key can leave decoded items past the length;
+		// they still point into the scratch.
+		clear(r.Items[len(r.Items):cap(r.Items)])
+	})
+}
+
+// decode decodes body into the struct *v its fields describe, as
+// encoding/json would. detach moves every row *v keeps out of the pooled
+// scratch before the decoder goes back to the pool. On error *v is left
+// zero.
+func decode[T any](body []byte, v *T, fields []field[T], detach func(*T)) error {
 	d := decoderPool.Get().(*decoder)
 	d.b, d.i, d.depth, d.vals = body, 0, 0, d.vals[:0]
 	err := error(io.EOF) // a body of nothing but whitespace, as to a json.Decoder
 	if _, nerr := d.next(); nerr == nil {
-		err = object(d, req, requestFields)
+		err = object(d, v, fields)
 	}
 	if _, ok := err.(*typeError); ok {
 		// encoding/json reads the whole value before it decodes any of it, so
 		// a syntax error anywhere, or the body ending early, outranks a type
 		// error found on the way.
-		v := decoder{b: body}
-		if serr := v.skip(); serr != nil {
+		sk := decoder{b: body}
+		if serr := sk.skip(); serr != nil {
 			err = serr
 		}
 	}
-	if err == nil && req.Saved != nil {
-		rehome(req.Saved)
+	if err == nil {
+		detach(v)
 	}
 	d.b = nil
 	if cap(d.vals) <= maxPooledValues {
 		decoderPool.Put(d)
 	}
 	if err != nil {
-		*req = ingestRequest{} // it may hold rows cut from the pooled scratch
+		var zero T
+		*v = zero // it may hold rows cut from the pooled scratch
 	}
 	return err
 }
 
+// rowArena hands out rows cut from one allocation, each with no spare
+// capacity, so an append through one row can never reach its neighbour.
+type rowArena []float64
+
+// cut returns a copy of row in the arena; nil stays nil.
+func (a *rowArena) cut(row []float64) []float64 {
+	if row == nil {
+		return nil
+	}
+	n := copy(*a, row)
+	out := (*a)[:n:n]
+	*a = (*a)[n:]
+	return out
+}
+
 // rehome moves every feature row of r into one arena sized to hold exactly
-// them. Rows are cut with three-index slices, so an append through one row
-// can never reach its neighbour.
+// them.
 func rehome(r *store.SavedResult) {
 	n := 0
 	for i := range r.Shots {
 		n += len(r.Shots[i].Color) + len(r.Shots[i].Texture)
 	}
-	arena := make([]float64, n)
-	cut := func(row []float64) []float64 {
-		if row == nil {
-			return nil
-		}
-		n := copy(arena, row)
-		out := arena[:n:n]
-		arena = arena[n:]
-		return out
-	}
+	arena := make(rowArena, n)
 	for i := range r.Shots {
 		sh := &r.Shots[i]
-		sh.Color = cut(sh.Color)
-		sh.Texture = cut(sh.Texture)
+		sh.Color = arena.cut(sh.Color)
+		sh.Texture = arena.cut(sh.Texture)
 	}
 	// A repeated "shots" key can leave decoded shots past the length; they
 	// still point into the scratch.
@@ -154,6 +202,18 @@ var requestFields = []field[ingestRequest]{
 	{"saved", func(d *decoder, r *ingestRequest) error { return d.saved(&r.Saved) }},
 	{"name", func(d *decoder, r *ingestRequest) error { return d.string(&r.Name) }},
 	{"replace", func(d *decoder, r *ingestRequest) error { return d.bool(&r.Replace) }},
+}
+
+var searchFields = []field[searchRequest]{
+	{"query", func(d *decoder, r *searchRequest) error { return d.row(&r.Query) }},
+	{"video", func(d *decoder, r *searchRequest) error { return d.string(&r.Video) }},
+	{"shot", func(d *decoder, r *searchRequest) error { return d.int(&r.Shot) }},
+	{"k", func(d *decoder, r *searchRequest) error { return d.int(&r.K) }},
+}
+
+var batchFields = []field[batchSearchRequest]{
+	{"items", func(d *decoder, r *batchSearchRequest) error { return array(d, &r.Items, searchItem) }},
+	{"k", func(d *decoder, r *batchSearchRequest) error { return d.int(&r.K) }},
 }
 
 var resultFields = []field[store.SavedResult]{
@@ -198,6 +258,7 @@ var clusterFields = []field[store.SavedCluster]{
 	{"repGroup", func(d *decoder, c *store.SavedCluster) error { return d.int(&c.RepGroup) }},
 }
 
+func searchItem(d *decoder, r *searchRequest) error   { return object(d, r, searchFields) }
 func shot(d *decoder, s *store.SavedShot) error       { return object(d, s, shotFields) }
 func group(d *decoder, g *store.SavedGroup) error     { return object(d, g, groupFields) }
 func scene(d *decoder, s *store.SavedScene) error     { return object(d, s, sceneFields) }

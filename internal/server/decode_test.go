@@ -133,36 +133,44 @@ func walRecord(req *ingestRequest) ([]byte, error) {
 	return store.AppendEntry(rec, &store.SavedLibraryEntry{Subcluster: req.Subcluster, Result: saved}), nil
 }
 
-// checkDecode decodes body by hand and with encoding/json and fails unless
-// both accept or both reject it — agreeing, when they reject, on whether the
-// input ran out, which is what makes a cut body 413 — and, where they accept,
-// agree on the value float bit for float bit, on its binary entry and on its
-// WAL record.
-func checkDecode(t testing.TB, body []byte) {
+// checkDecodeValue decodes body into a T by hand, with decode, and with
+// encoding/json, and fails unless both accept or both reject it — agreeing,
+// when they reject, on whether the input ran out, which is what makes a cut
+// body 413 — and, where they accept, agree on the value float bit for float
+// bit. It returns the two values, nil when both rejected the body.
+func checkDecodeValue[T any](t testing.TB, body []byte, decode func([]byte, *T) error) (got, want *T) {
 	t.Helper()
-	var got, want ingestRequest
-	gerr := decodeIngest(body, &got)
-	werr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+	got, want = new(T), new(T)
+	gerr := decode(body, got)
+	werr := json.NewDecoder(bytes.NewReader(body)).Decode(want)
 	if (gerr == nil) != (werr == nil) || endedEarly(gerr) != endedEarly(werr) {
-		t.Fatalf("body %.200q: hand decoder err = %v, encoding/json err = %v", body, gerr, werr)
+		t.Fatalf("body %.200q into %T: hand decoder err = %v, encoding/json err = %v", body, *got, gerr, werr)
 	}
 	if gerr != nil {
-		return
+		return nil, nil
 	}
-	if !reflect.DeepEqual(got, want) || !sameBits(reflect.ValueOf(got), reflect.ValueOf(want)) {
-		t.Fatalf("body %.200q:\nhand          %+v\nencoding/json %+v", body, got, want)
+	if !reflect.DeepEqual(*got, *want) || !sameBits(reflect.ValueOf(*got), reflect.ValueOf(*want)) {
+		t.Fatalf("body %.200q:\nhand          %+v\nencoding/json %+v", body, *got, *want)
 	}
-	if want.Saved == nil {
+	return got, want
+}
+
+// checkDecode holds decodeIngest to encoding/json (checkDecodeValue) and,
+// where both accept the body, to the same binary entry and WAL record.
+func checkDecode(t testing.TB, body []byte) {
+	t.Helper()
+	got, want := checkDecodeValue(t, body, decodeIngest)
+	if want == nil || want.Saved == nil {
 		return
 	}
 	entry := func(r *ingestRequest) []byte {
 		return store.AppendEntry(nil, &store.SavedLibraryEntry{Subcluster: r.Subcluster, Result: r.Saved})
 	}
-	if !bytes.Equal(entry(&got), entry(&want)) {
+	if !bytes.Equal(entry(got), entry(want)) {
 		t.Fatalf("body %.200q: binary entries differ", body)
 	}
-	grec, gerr := walRecord(&got)
-	wrec, werr := walRecord(&want)
+	grec, gerr := walRecord(got)
+	wrec, werr := walRecord(want)
 	if fmt.Sprint(gerr) != fmt.Sprint(werr) || !bytes.Equal(grec, wrec) {
 		t.Fatalf("body %.200q: WAL records differ (errors %v / %v)", body, gerr, werr)
 	}
@@ -342,6 +350,106 @@ var decodeCases = []string{
 	strings.Repeat("[", 100000),
 }
 
+// checkDecodeSearch holds decodeSearch and decodeBatch to encoding/json
+// (checkDecodeValue) on one body.
+func checkDecodeSearch(t testing.TB, body []byte) {
+	t.Helper()
+	checkDecodeValue(t, body, decodeSearch)
+	checkDecodeValue(t, body, decodeBatch)
+}
+
+// searchDecodeCases are search and batch bodies where a hand decoder is
+// likely to part from encoding/json; the ingest table runs through the
+// search decoders too.
+var searchDecodeCases = []string{
+	`{"video":"laparoscopy","shot":0,"k":10}`,
+	`{"query":[0.5,0,1e-3,-0,-0.0,5e-324,1e400],"k":3}`,
+	`{"query":[0.5,0,1e-3,-0,5e-324],"k":3}`,
+	`{"query":[]}`,
+	`{"query":null}`,
+	`{"query":[1],"query":null}`,
+	`{"query":null,"query":[2,3]}`,
+	`{"query":[1,2,3],"query":[4]}`,
+	`{"query":[1,2],"query":[],"query":[null]}`,
+	`{"query":[null,1]}`,
+	`{"QUERY":[1],"Video":"x","SHOT":2,"K":4}`,
+	`{"video":null,"shot":null,"k":null}`,
+	`{"video":"a","video":"b","shot":1,"shot":-2}`,
+	`{"shot":1.5}`,
+	`{"shot":1e2}`,
+	`{"shot":"1"}`,
+	`{"k":9223372036854775808}`,
+	`{"video":7}`,
+	`{"query":{}}`,
+	`{"query":[1,"2"]}`,
+	`{"query":[[1]]}`,
+	`{"query":[1,2`,
+	`{"query":[1,`,
+	`{"video":"lap`,
+	`{"video":"laparoscopy","shot":0,"k":3} trailing`,
+	`{"items":[{"video":"a","shot":1},{"query":[1,2]}],"k":5}`,
+	`{"items":[]}`,
+	`{"items":null}`,
+	`{"items":[null]}`,
+	`{"items":[{}],"items":null}`,
+	`{"items":[{"query":[1,2]}],"items":[{"k":2}]}`,
+	`{"items":[{"query":[1]},{"query":[2]}],"items":[{}]}`,
+	`{"items":[{"query":[1,2]}],"items":[{"query":[3]}]}`,
+	`{"items":{}}`,
+	`{"items":[1]}`,
+	`{"items":[{"query":7}]}`,
+	`{"ITEMS":[{"Query":[3]}],"k":2,"K":3}`,
+	`{"items":[{"k":1,"shot":2}]}`,
+	`{"items":[{"query":[1,2]},{"query":[3`,
+	`{"items":[{"video":"a"}`,
+}
+
+// TestDecodeSearchMatchesEncodingJSON holds decodeSearch and decodeBatch to
+// encoding/json on the search table, the ingest table and every prefix of a
+// batch body.
+func TestDecodeSearchMatchesEncodingJSON(t *testing.T) {
+	for _, body := range searchDecodeCases {
+		checkDecodeSearch(t, []byte(body))
+	}
+	for _, body := range decodeCases {
+		checkDecodeSearch(t, []byte(body))
+	}
+	body := []byte(`{"items":[{"video":"laparoscopy","shot":3},{"query":[0.25,0,1e-7,-3.5e12,0,0,1]},{"video":"b\u00e9","shot":0}],"k":7}`)
+	for cut := 0; cut <= len(body); cut++ {
+		checkDecodeSearch(t, body[:cut])
+	}
+}
+
+// TestDecodeSearchKeepsQueriesApart: decoded queries own their memory — no
+// spare capacity, nothing shared with the body or the decoder's scratch.
+func TestDecodeSearchKeepsQueriesApart(t *testing.T) {
+	var batch batchSearchRequest
+	body := []byte(`{"items":[{"query":[1,2]},{"query":[3]},{"query":[4,5,6]}],"items":[{},{}]}`)
+	if err := decodeBatch(body, &batch); err != nil {
+		t.Fatal(err)
+	}
+	for i, it := range batch.Items {
+		if cap(it.Query) != len(it.Query) {
+			t.Fatalf("item %d: query has spare capacity", i)
+		}
+	}
+	if spare := batch.Items[len(batch.Items):cap(batch.Items)]; len(spare) > 0 && spare[0].Query != nil {
+		t.Fatalf("an item past the length still holds query %v", spare[0].Query)
+	}
+	var req searchRequest
+	if err := decodeSearch([]byte(`{"query":[7,8,9]}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	// The next decode reuses the pooled scratch; the query must not move.
+	var other searchRequest
+	if err := decodeSearch([]byte(`{"query":[0,0,0]}`), &other); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(req.Query, []float64{7, 8, 9}) {
+		t.Fatalf("a decoded query changed under the next decode: %v", req.Query)
+	}
+}
+
 // TestDecodeIngestMatchesEncodingJSON holds decodeIngest to encoding/json on
 // the adversarial table and on write-pool bodies.
 func TestDecodeIngestMatchesEncodingJSON(t *testing.T) {
@@ -396,6 +504,36 @@ func TestDecodeIngestKeepsRowsApart(t *testing.T) {
 // to a store.Saved* type fails here until decode.go reads it.
 func TestDecodeIngestCoversEveryField(t *testing.T) {
 	var want ingestRequest
+	body := fillEveryField(t, reflect.ValueOf(&want).Elem())
+	var got ingestRequest
+	if err := decodeIngest(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(reflect.ValueOf(got), reflect.ValueOf(want)) {
+		t.Fatalf("hand decoder dropped a field:\nbody %s\ngot  %+v\nwant %+v", body, got, want)
+	}
+	checkDecode(t, body)
+}
+
+// TestDecodeSearchCoversEveryField is TestDecodeIngestCoversEveryField for
+// the batch body, whose items are search bodies.
+func TestDecodeSearchCoversEveryField(t *testing.T) {
+	var want batchSearchRequest
+	body := fillEveryField(t, reflect.ValueOf(&want).Elem())
+	var got batchSearchRequest
+	if err := decodeBatch(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(reflect.ValueOf(got), reflect.ValueOf(want)) {
+		t.Fatalf("hand decoder dropped a field:\nbody %s\ngot  %+v\nwant %+v", body, got, want)
+	}
+	checkDecodeSearch(t, body)
+}
+
+// fillEveryField sets every JSON field reachable from v to a non-zero value,
+// by reflection, and returns v marshalled.
+func fillEveryField(t *testing.T, v reflect.Value) []byte {
+	t.Helper()
 	n := 0
 	var fill func(v reflect.Value)
 	fill = func(v reflect.Value) {
@@ -434,19 +572,12 @@ func TestDecodeIngestCoversEveryField(t *testing.T) {
 			t.Fatalf("no filler for a %s field; teach the test and decode.go about it", v.Type())
 		}
 	}
-	fill(reflect.ValueOf(&want).Elem())
-	body, err := json.Marshal(&want)
+	fill(v)
+	body, err := json.Marshal(v.Interface())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got ingestRequest
-	if err := decodeIngest(body, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !sameBits(reflect.ValueOf(got), reflect.ValueOf(want)) {
-		t.Fatalf("hand decoder dropped a field:\nbody %s\ngot  %+v\nwant %+v", body, got, want)
-	}
-	checkDecode(t, body)
+	return body
 }
 
 func FuzzDecodeIngest(f *testing.F) {
@@ -456,6 +587,18 @@ func FuzzDecodeIngest(f *testing.F) {
 	f.Add(poolShapedBody(f, 1))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkDecode(t, body)
+	})
+}
+
+func FuzzDecodeSearch(f *testing.F) {
+	for _, body := range searchDecodeCases {
+		f.Add([]byte(body))
+	}
+	for _, body := range decodeCases[:8] {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDecodeSearch(t, body)
 	})
 }
 

@@ -46,7 +46,14 @@ func tinySavedResult(name string, seed int64, shots int) *store.SavedResult {
 // its job to completion, so registrations land in a deterministic order.
 func ingestAndWait(t *testing.T, s *Server, name string, seed int64) {
 	t.Helper()
-	req := map[string]any{"subcluster": "medicine", "saved": tinySavedResult(name, seed, 3+int(seed)%3)}
+	ingestSavedAndWait(t, s, tinySavedResult(name, seed, 3+int(seed)%3))
+}
+
+// ingestSavedAndWait is ingestAndWait for a result the caller made.
+func ingestSavedAndWait(t *testing.T, s *Server, sr *store.SavedResult) {
+	t.Helper()
+	name := sr.VideoName
+	req := map[string]any{"subcluster": "medicine", "saved": sr}
 	var job Job
 	if code := do(t, s, http.MethodPost, "/v1/videos", "admin-tok", req, &job); code != http.StatusAccepted {
 		t.Fatalf("ingest %s = %d", name, code)

@@ -13,6 +13,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,31 +47,9 @@ func (s *Server) subclusterPath(subcluster string) []string {
 }
 
 // lrPool recycles the body-limiting wrapper: the reader referencing it is
-// dead by the time decodeBody or decodeIngestBody returns, so the wrapper can
-// be reused without aliasing a live reader.
+// dead by the time readBody returns, so the wrapper can be reused without
+// aliasing a live reader.
 var lrPool = sync.Pool{New: func() any { return new(io.LimitedReader) }}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	lr := lrPool.Get().(*io.LimitedReader)
-	lr.R, lr.N = r.Body, maxBodyBytes
-	err := json.NewDecoder(lr).Decode(v)
-	atLimit := lr.N == 0
-	lr.R = nil
-	lrPool.Put(lr)
-	if err != nil {
-		// The limit ends a body as its end would: only a byte past it tells
-		// an oversized body from a malformed one.
-		tooLarge := false
-		if atLimit && endedEarly(err) {
-			var one [1]byte
-			n, _ := io.ReadFull(r.Body, one[:])
-			tooLarge = n == 1
-		}
-		writeBodyError(w, err, tooLarge)
-		return false
-	}
-	return true
-}
 
 // endedEarly reports a decode error that is the input running out: before
 // the value began, or inside it.
@@ -88,16 +67,17 @@ func writeBodyError(w http.ResponseWriter, err error, tooLarge bool) {
 	writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 }
 
-// bodyPool recycles the buffers ingest bodies are read into: decodeIngest
-// copies out everything it keeps, so a buffer is free once it returns.
+// bodyPool recycles the buffers request bodies are read into: the decoders
+// copy out everything they keep, so a buffer is free once they return.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// maxPooledBody caps the buffer a pooled ingest body keeps.
+// maxPooledBody caps the buffer a pooled body keeps.
 const maxPooledBody = 4 << 20
 
-// decodeIngestBody reads a POST /v1/videos body, up to maxBodyBytes, and
-// decodes it into req, under a "decode" span.
-func decodeIngestBody(w http.ResponseWriter, r *http.Request, req *ingestRequest) bool {
+// readBody reads a request body, up to maxBodyBytes, and decodes it into v
+// with decode (decodeIngest, decodeSearch or decodeBatch). On failure it
+// writes the 400 or 413 and returns false.
+func readBody[T any](w http.ResponseWriter, r *http.Request, v *T, decode func([]byte, *T) error) bool {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	lr := lrPool.Get().(*io.LimitedReader)
@@ -110,10 +90,7 @@ func decodeIngestBody(w http.ResponseWriter, r *http.Request, req *ingestRequest
 	if tooLarge {
 		body = body[:maxBodyBytes]
 	}
-	sp := trace.SpanFrom(r.Context()).Start("decode")
-	sp.SetInt("bytes", int64(len(body)))
-	err := decodeIngest(body, req)
-	sp.End()
+	err := decode(body, v)
 	if buf.Cap() <= maxPooledBody {
 		bodyPool.Put(buf)
 	}
@@ -127,6 +104,17 @@ func decodeIngestBody(w http.ResponseWriter, r *http.Request, req *ingestRequest
 		return false
 	}
 	return true
+}
+
+// decodeIngestBody is readBody for a POST /v1/videos body, decoded under a
+// "decode" span.
+func decodeIngestBody(w http.ResponseWriter, r *http.Request, req *ingestRequest) bool {
+	return readBody(w, r, req, func(body []byte, req *ingestRequest) error {
+		sp := trace.SpanFrom(r.Context()).Start("decode")
+		defer sp.End()
+		sp.SetInt("bytes", int64(len(body)))
+		return decodeIngest(body, req)
+	})
 }
 
 // --- GET /healthz ----------------------------------------------------------
@@ -168,8 +156,10 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 // --- GET /v1/stats ---------------------------------------------------------
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
+	lib := s.lib.Stats()
 	stats := map[string]any{
-		"library":   s.lib.Stats(),
+		"library":   lib,
+		"memory":    readMemoryStats(lib.FeatureRowBytes),
 		"cache":     s.cache.Stats(),
 		"ingest":    s.pool.Stats(s.opts.Workers),
 		"index":     s.rebuilder.Stats(),
@@ -200,6 +190,32 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		stats["repl"] = rs
 	}
 	writeJSON(w, http.StatusOK, stats)
+}
+
+// memoryStats is the memory block of /v1/stats: the Go runtime's view of the
+// heap, and the library's own count of the feature rows it holds, so what
+// the rows cost can be told apart from everything else from outside.
+type memoryStats struct {
+	HeapLiveBytes   uint64 `json:"heapLiveBytes"`   // heap reachable at the last GC
+	HeapGoalBytes   uint64 `json:"heapGoalBytes"`   // heap size the next GC starts at
+	GCCycles        uint64 `json:"gcCycles"`        // GC cycles completed since start
+	FeatureRowBytes int64  `json:"featureRowBytes"` // LibraryStats.FeatureRowBytes
+}
+
+func readMemoryStats(featureRowBytes int64) memoryStats {
+	samples := []rtmetrics.Sample{
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/gc/heap/goal:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+	}
+	rtmetrics.Read(samples)
+	v := func(i int) uint64 {
+		if samples[i].Value.Kind() != rtmetrics.KindUint64 {
+			return 0
+		}
+		return samples[i].Value.Uint64()
+	}
+	return memoryStats{HeapLiveBytes: v(0), HeapGoalBytes: v(1), GCCycles: v(2), FeatureRowBytes: featureRowBytes}
 }
 
 // buildIdentity extracts the VCS stamp once: debug.ReadBuildInfo walks the
@@ -657,10 +673,12 @@ func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
 	return dst, nil
 }
 
-// resolveQuery turns a search request's query spec (raw vector or
-// video+shot example) into a feature vector. On failure it writes the HTTP
-// error and returns false.
-func (s *Server) resolveQuery(w http.ResponseWriter, u access.User, req searchRequest) ([]float64, bool) {
+// resolveQuery turns a search request's query spec into a feature vector:
+// the request's raw vector, or a video+shot example's features appended to
+// dst. On failure it writes the HTTP error and returns false. Whether the
+// vector has the library's dimensionality is the library's to say, at
+// search time (writeSearchError).
+func (s *Server) resolveQuery(w http.ResponseWriter, u access.User, req *searchRequest, dst []float64) ([]float64, bool) {
 	query := req.Query
 	if req.Video != "" {
 		ve := s.lib.Video(req.Video)
@@ -677,18 +695,34 @@ func (s *Server) resolveQuery(w http.ResponseWriter, u access.User, req searchRe
 				fmt.Sprintf("video %q has %d shots", req.Video, len(ve.Result.Shots)))
 			return nil, false
 		}
-		query = ve.Result.Shots[req.Shot].Feature()
+		sh := ve.Result.Shots[req.Shot]
+		query = append(append(dst, sh.Color...), sh.Texture...)
 	}
 	if len(query) == 0 {
 		writeError(w, http.StatusBadRequest, "provide either query (feature vector) or video+shot")
 		return nil, false
 	}
-	if want := s.featureDim(); want > 0 && len(query) != want {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("query has %d dims, want %d", len(query), want))
-		return nil, false
-	}
 	return query, true
+}
+
+// queryDimError returns the error a search failed with when the query's
+// length was not the library's dimensionality, or nil.
+func queryDimError(err error) *classminer.QueryDimError {
+	var de *classminer.QueryDimError
+	if errors.As(err, &de) {
+		return de
+	}
+	return nil
+}
+
+// writeSearchError answers a failed search: 400 for a query of the wrong
+// dimensionality, 503 for an index that cannot serve.
+func writeSearchError(w http.ResponseWriter, err error) {
+	if de := queryDimError(err); de != nil {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("query has %d dims, want %d", de.Got, de.Want))
+		return
+	}
+	writeError(w, http.StatusServiceUnavailable, err.Error())
 }
 
 // clampK applies the search-k defaults and bounds.
@@ -724,12 +758,14 @@ func buildSearchResponse(wire []searchHit, hits []classminer.SearchHit, stats cl
 	return searchResponse{Hits: wire, Stats: stats, K: k}
 }
 
-// searchScratch is what an uncached search borrows: the ranked-hit slice the
-// library's SearchInto fills and the reply-shaped copy the encoder reads.
-// Neither escapes — the reply leaves as bytes, and bytes are what the cache
-// keeps — so both are recycled. Capacity covers the clamped k, so steady
-// state never regrows them.
+// searchScratch is what a search borrows: the video+shot example's features,
+// the ranked-hit slice the library's SearchInto fills and the reply-shaped
+// copy the encoder reads. None escapes — the cache copies the query it
+// keeps, the reply leaves as bytes, and bytes are what the cache keeps — so
+// all are recycled. Capacity covers the clamped k, so steady state never
+// regrows them.
 type searchScratch struct {
+	query  []float64
 	ranked []classminer.SearchHit
 	wire   []searchHit
 }
@@ -743,16 +779,21 @@ var searchScratchPool = sync.Pool{New: func() any {
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req searchRequest
-	if !decodeBody(w, r, &req) {
+	if !readBody(w, r, &req, decodeSearch) {
 		return
 	}
 	sp := trace.SpanFrom(r.Context())
 	u, roles := identityOf(r)
+	scratch := searchScratchPool.Get().(*searchScratch)
+	defer searchScratchPool.Put(scratch)
 	rq := sp.Start("resolve")
-	query, ok := s.resolveQuery(w, u, req)
+	query, ok := s.resolveQuery(w, u, &req, scratch.query[:0])
 	rq.End()
 	if !ok {
 		return
+	}
+	if req.Video != "" {
+		scratch.query = query[:0] // keep any growth
 	}
 	k := clampK(req.K)
 	key := makeKey(s.lib.Generation(), u.Clearance, roles, query, k)
@@ -767,14 +808,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if s.deadlineExpired(w, r) {
 		return
 	}
-	scratch := searchScratchPool.Get().(*searchScratch)
-	defer searchScratchPool.Put(scratch)
 	hits, stats, err := s.lib.SearchIntoCtx(r.Context(), scratch.ranked[:0], u, query, k)
-	if err != nil && s.healColdIndex() {
+	if err != nil && queryDimError(err) == nil && s.healColdIndex() {
 		hits, stats, err = s.lib.SearchIntoCtx(r.Context(), scratch.ranked[:0], u, query, k)
 	}
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		writeSearchError(w, err)
 		return
 	}
 	scratch.ranked = hits[:0]
@@ -813,7 +852,7 @@ type batchSearchRequest struct {
 // individually so later single-item searches hit too.
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchSearchRequest
-	if !decodeBody(w, r, &req) {
+	if !readBody(w, r, &req, decodeBatch) {
 		return
 	}
 	if len(req.Items) == 0 {
@@ -828,13 +867,14 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	u, roles := identityOf(r)
 	k := clampK(req.K)
 	queries := make([][]float64, len(req.Items))
-	for i, item := range req.Items {
+	for i := range req.Items {
+		item := &req.Items[i]
 		if item.K != 0 {
 			writeError(w, http.StatusBadRequest,
 				fmt.Sprintf("item %d sets k; set it once at the request level", i))
 			return
 		}
-		q, ok := s.resolveQuery(w, u, item)
+		q, ok := s.resolveQuery(w, u, item, nil)
 		if !ok {
 			return
 		}
@@ -875,11 +915,11 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		hits, stats, err := s.lib.SearchBatch(u, missQueries, k)
-		if err != nil && s.healColdIndex() {
+		if err != nil && queryDimError(err) == nil && s.healColdIndex() {
 			hits, stats, err = s.lib.SearchBatch(u, missQueries, k)
 		}
 		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, err.Error())
+			writeSearchError(w, err)
 			return
 		}
 		if s.deadlineExpired(w, r) {
@@ -926,24 +966,6 @@ func (s *Server) healColdIndex() bool {
 		return false
 	}
 	return s.rebuilder.EnsureLive() == nil
-}
-
-// featureDim returns the library's shot-feature dimensionality (0 when no
-// video is registered yet). The dimensionality is a constant of the
-// feature extractor, so the first successful resolution is cached and the
-// per-library scan never runs again on the hot search path.
-func (s *Server) featureDim() int {
-	if d := s.featDim.Load(); d > 0 {
-		return int(d)
-	}
-	for _, name := range s.lib.VideoNames() {
-		if ve := s.lib.Video(name); ve != nil && len(ve.Result.Shots) > 0 {
-			d := len(ve.Result.Shots[0].Feature())
-			s.featDim.Store(int64(d))
-			return d
-		}
-	}
-	return 0
 }
 
 // --- GET /v1/events/{kind} -------------------------------------------------

@@ -265,8 +265,7 @@ type Server struct {
 	handler   http.Handler
 	started   time.Time
 	requests  atomic.Int64
-	featDim   atomic.Int64 // cached shot-feature dimensionality (0 = unresolved)
-	promoted  atomic.Bool  // follower flipped to leader via /v1/admin/promote
+	promoted  atomic.Bool // follower flipped to leader via /v1/admin/promote
 }
 
 // isFollower reports whether the node is still a read replica (configured as

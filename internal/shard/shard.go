@@ -1,5 +1,5 @@
 // Package shard is the library the daemon serves: a router over N >= 1
-// *classminer.Library shards — each with its own lock, feature matrix,
+// *classminer.Library shards — each with its own lock, feature rows,
 // incremental index and rebuild bookkeeping — that keeps the single-library
 // API. N partitions memory, not storage: a durable router has one WAL engine
 // in one plain data directory whatever N is (classminer.RecoverPartitioned),
@@ -398,6 +398,7 @@ func (l *Library) Stats() classminer.LibraryStats {
 		agg.DeadRows += st.DeadRows
 		agg.IndexFits += st.IndexFits
 		agg.IndexFitsDropped += st.IndexFitsDropped
+		agg.FeatureRowBytes += st.FeatureRowBytes
 		if len(l.shards) > 1 {
 			agg.Shards = append(agg.Shards, classminer.ShardStats{Shard: i, LibraryStats: st})
 		}
