@@ -23,7 +23,6 @@ package classminer
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -881,16 +880,9 @@ func appendEntryRecord(dst []byte, kind, name string, res *Result, subcluster st
 }
 
 // decodeEntryRecord is appendEntryRecord's inverse: the mined result and
-// placement a register or replace record carries. A record out of a legacy
-// JSON envelope carries the entry as JSON.
+// placement a register or replace record carries.
 func decodeEntryRecord(rec *wal.Record) (*Result, string, error) {
-	var sv store.SavedLibraryEntry
-	var err error
-	if rec.Legacy() {
-		err = json.Unmarshal(rec.Payload, &sv)
-	} else {
-		sv, err = store.DecodeEntry(rec.Payload)
-	}
+	sv, err := store.DecodeEntry(rec.Payload)
 	if err != nil {
 		return nil, "", fmt.Errorf("classminer: decoding %s record for %q: %w", rec.Type, rec.Key, err)
 	}
@@ -1476,8 +1468,9 @@ func LoadLibrary(r io.Reader, a *Analyzer) (*Library, error) {
 // Everything in dir but its MANIFEST is binary — one record shape
 // (appendEntryRecord) in log, snapshot and replication stream alike; the
 // package comment of internal/wal draws the layers — and recovery parses no
-// JSON. A directory from before that opens all the same and is rewritten in
-// place by this call (recoverInto says how). A snapshot that is damaged or
+// JSON. A directory in a format an earlier build wrote is refused with an
+// error wrapping wal.ErrRetiredFormat, which names the last build that
+// converts it, and is left untouched. A snapshot that is damaged or
 // incomplete fails the recovery, naming the file; a damaged log tail does
 // not, it ends the replay.
 //
@@ -1540,16 +1533,8 @@ func RecoverPartitioned(dir string, n int, place func(name string) int, a *Analy
 // snapshot is all or nothing (wal.ReadSnapshot): any damage, or a record
 // count short of its header, fails the recovery with the file's name.
 //
-// A directory written before records were binary opens through the one legacy
-// path left for it: a snap-<gen>.json is read by store.ReadLibrary, a frame
-// starting with '{' by the JSON envelope and entry decoders. A recovery that
-// read either checkpoints before it returns — as one that found a damaged
-// chain always has — and that checkpoint, being a current-format snapshot
-// that prunes every segment before it, converts the directory: no later boot
-// meets JSON in it again. A directory whose segments an earlier build rewrote
-// in place (wal.Engine.Rewritten) gets the same one checkpoint for what it
-// prunes: no replication cursor minted over the old bytes can name a segment
-// that survives it.
+// A frame in the retired JSON envelope fails the recovery (wal.ErrRetiredFormat);
+// wal.Open has refused every other retired layout before this runs.
 //
 // logf, when non-nil, is told how many log records the replay skipped.
 func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int, logf func(string, ...any)) error {
@@ -1579,7 +1564,6 @@ func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int, 
 			}
 		}()
 	}
-	legacy := false    // the reader met a JSON snapshot or frame
 	var rec wal.Record // envelope scratch, copied into the owner's batch
 	decode := func(frame []byte) error {
 		if failed.Load() {
@@ -1588,7 +1572,6 @@ func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int, 
 		if err := wal.DecodeRecordInto(&rec, frame); err != nil {
 			return fmt.Errorf("classminer: %w", err)
 		}
-		legacy = legacy || rec.Legacy()
 		return nil
 	}
 	// route queues the record in rec for its owner.
@@ -1602,20 +1585,16 @@ func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int, 
 	}
 	var err error
 	if snap := eng.SnapshotPath(); snap != "" {
-		if legacy = wal.LegacySnapshot(snap); legacy {
-			err = importLegacySnapshot(snap, libs, place)
-		} else {
-			err = readSnapshot(snap, libs, func(frame []byte) error {
-				if err := decode(frame); err != nil {
-					return err
-				}
-				if rec.Type != wal.RecordRegister {
-					return fmt.Errorf("classminer: a snapshot holds a %s record for %q", rec.Type, rec.Key)
-				}
-				route(frame, false)
-				return nil
-			})
-		}
+		err = readSnapshot(snap, libs, func(frame []byte) error {
+			if err := decode(frame); err != nil {
+				return err
+			}
+			if rec.Type != wal.RecordRegister {
+				return fmt.Errorf("classminer: a snapshot holds a %s record for %q", rec.Type, rec.Key)
+			}
+			route(frame, false)
+			return nil
+		})
 		if err != nil {
 			err = fmt.Errorf("classminer: snapshot %s: %w", snap, err)
 		}
@@ -1680,14 +1659,11 @@ func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int, 
 		l.mu.Unlock()
 	}
 	eng.SetSource(checkpointSource(libs))
-	if legacy || eng.ReplayDamaged() || eng.Rewritten() {
+	if eng.ReplayDamaged() {
 		// A broken chain strands the records past the damage (and any future
-		// appends, which land after them) from the next replay; a legacy
-		// directory would be parsed as JSON again at every boot; rewritten
-		// segments could honour a cursor minted over their old bytes. One
-		// checkpoint cures all three — the fresh snapshot holds everything
-		// just recovered, in the current format, and the segments behind it
-		// are pruned.
+		// appends, which land after them) from the next replay. A checkpoint
+		// cures it: the fresh snapshot holds everything just recovered, and
+		// the segments behind it are pruned.
 		if err := eng.Checkpoint(); err != nil {
 			return fmt.Errorf("classminer: checkpointing the recovered state: %w", err)
 		}
@@ -1718,18 +1694,6 @@ func readSnapshot(path string, libs []*Library, record func(frame []byte) error)
 		}
 		return nil
 	}, record)
-}
-
-// importLegacySnapshot loads a snap-<gen>.json, the whole-library JSON
-// document checkpoints used to write.
-func importLegacySnapshot(path string, libs []*Library, place func(name string) int) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	_, err = ImportPartitioned(libs, place, f, false)
-	return err
 }
 
 // reserve gives an empty library room for rows rows. Their features need

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"classminer/internal/store"
@@ -448,8 +447,9 @@ func TestCompactionShrinksLog(t *testing.T) {
 }
 
 // TestRecoverRefusesUntypedFrame: the log has one record shape. A frame with
-// no envelope — what logs held before typed records — fails recovery loudly;
-// it is never skipped and never guessed to be a registration.
+// no envelope — what logs held before typed records — fails recovery loudly
+// as a retired format; it is never skipped and never guessed to be a
+// registration.
 func TestRecoverRefusesUntypedFrame(t *testing.T) {
 	a, err := NewAnalyzer(Options{SkipEvents: true})
 	if err != nil {
@@ -475,7 +475,7 @@ func TestRecoverRefusesUntypedFrame(t *testing.T) {
 		lib.Close()
 		t.Fatal("recovered a log holding an untyped frame; want an error")
 	}
-	if !strings.Contains(err.Error(), "wal: record has no type") {
-		t.Fatalf("recovery error = %v, want it to name the untyped record", err)
+	if !errors.Is(err, wal.ErrRetiredFormat) {
+		t.Fatalf("recovery error = %v, want wal.ErrRetiredFormat", err)
 	}
 }

@@ -837,138 +837,99 @@ func TestRecoverSkipsSupersededRecords(t *testing.T) {
 	mustSameHits(t, searchAll(t, recovered, queries, 40), searchAll(t, reference, queries, 40))
 }
 
-// TestRecoverRewrittenDirRefusesOldCursors: builds before this one could
-// rewrite sealed segments in place and counted the rewrites in MANIFEST
-// ("compactions"); this one reads the count and never writes it. A directory
-// that carries one boots to the same library, through one checkpoint that
-// prunes every segment a replication cursor minted before the boot could
-// name — such a cursor may fall on a record boundary of bytes that are not
-// the ones it was minted over, so it must be refused (the follower re-seeds),
-// never honoured — and the manifest that checkpoint commits drops the field,
-// so the next boot is an ordinary one. The same directory without the count
-// honours the same cursors and takes no checkpoint.
+// TestRecoverRewrittenDirRefusesOldCursors: an ordinary reboot of a
+// directory takes no checkpoint and leaves every segment where it was, so a
+// replication cursor a follower minted before it — at the head of any live
+// segment or at the end of the log — still attaches, and the follower resumes
+// instead of re-seeding. The name dates from a compactions=3 case, in which
+// a MANIFEST counting in-place rewrites of sealed segments booted through a
+// checkpoint that refused such cursors; that MANIFEST is now refused outright
+// (see TestRetiredFormatsRefused in internal/shard).
 func TestRecoverRewrittenDirRefusesOldCursors(t *testing.T) {
 	a, err := NewAnalyzer(Options{SkipEvents: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, compactions := range []int{0, 3} {
-		t.Run(fmt.Sprintf("compactions=%d", compactions), func(t *testing.T) {
-			dir := t.TempDir()
-			opts := quietWAL()
-			opts.SegmentBytes = 1 << 10 // the tail spans several segments
-			lib, err := Recover(dir, a, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reference := NewLibrary(a)
-			for i := 0; i < 12; i++ {
-				for _, l := range []*Library{lib, reference} {
-					if err := l.AddResult(tinyResult(t, fmt.Sprintf("v%02d", i), int64(i+1), 3), "medicine"); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if i == 3 { // a snapshot and a tail, as a directory in service has
-					if err := lib.Checkpoint(); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
+	t.Run("compactions=0", func(t *testing.T) {
+		dir := t.TempDir()
+		opts := quietWAL()
+		opts.SegmentBytes = 1 << 10 // the tail spans several segments
+		lib, err := Recover(dir, a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reference := NewLibrary(a)
+		for i := 0; i < 12; i++ {
 			for _, l := range []*Library{lib, reference} {
-				if err := l.DeleteVideo("v05"); err != nil {
+				if err := l.AddResult(tinyResult(t, fmt.Sprintf("v%02d", i), int64(i+1), 3), "medicine"); err != nil {
 					t.Fatal(err)
 				}
 			}
-			// Cursors a follower of the old process could be holding: the head
-			// of each live segment and the end of the log.
-			eng := lib.Engine()
-			tail, err := eng.Attach("old", wal.Cursor{})
+			if i == 3 { // a snapshot and a tail, as a directory in service has
+				if err := lib.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, l := range []*Library{lib, reference} {
+			if err := l.DeleteVideo("v05"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Cursors a follower of the old process could be holding: the head of
+		// each live segment and the end of the log.
+		eng := lib.Engine()
+		tail, err := eng.Attach("old", wal.Cursor{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			_, next, err := eng.ReadFrom("old", tail, 1<<20)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for {
-				_, next, err := eng.ReadFrom("old", tail, 1<<20)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if next == tail {
-					break
-				}
-				tail = next
+			if next == tail {
+				break
 			}
-			ws, _ := lib.WALStats()
-			var cursors []wal.Cursor
-			for seg := tail.Segment - uint64(ws.Segments) + 1; seg <= tail.Segment; seg++ {
-				cursors = append(cursors, wal.Cursor{Segment: seg})
-			}
-			cursors = append(cursors, tail)
-			if len(cursors) < 4 {
-				t.Fatalf("the log spans %d segments, want several", ws.Segments)
-			}
-			if err := lib.Close(); err != nil {
-				t.Fatal(err)
-			}
+			tail = next
+		}
+		ws, _ := lib.WALStats()
+		var cursors []wal.Cursor
+		for seg := tail.Segment - uint64(ws.Segments) + 1; seg <= tail.Segment; seg++ {
+			cursors = append(cursors, wal.Cursor{Segment: seg})
+		}
+		cursors = append(cursors, tail)
+		if len(cursors) < 4 {
+			t.Fatalf("the log spans %d segments, want several", ws.Segments)
+		}
+		if err := lib.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			manifest := filepath.Join(dir, "MANIFEST")
-			b, err := os.ReadFile(manifest)
-			if err != nil {
+		booted, err := Recover(dir, a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer booted.Close()
+		if g, w := fmt.Sprint(booted.VideoNames()), fmt.Sprint(reference.VideoNames()); g != w {
+			t.Fatalf("booted with %s, want %s", g, w)
+		}
+		for _, l := range []*Library{booted, reference} {
+			if err := l.BuildIndex(); err != nil {
 				t.Fatal(err)
 			}
-			if compactions > 0 {
-				b = bytes.Replace(b, []byte("{"), []byte(fmt.Sprintf("{\n  \"compactions\": %d,", compactions)), 1)
-				if err := os.WriteFile(manifest, b, 0o644); err != nil {
-					t.Fatal(err)
-				}
+		}
+		queries := fixedQueries(6, 12, 9)
+		mustSameHits(t, searchAll(t, booted, queries, 40), searchAll(t, reference, queries, 40))
+		for _, cur := range cursors {
+			if _, err := booted.Engine().Attach("old", cur); err != nil {
+				t.Fatalf("attach at pre-boot cursor %+v: %v", cur, err)
 			}
-
-			booted, err := Recover(dir, a, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g, w := fmt.Sprint(booted.VideoNames()), fmt.Sprint(reference.VideoNames()); g != w {
-				t.Fatalf("booted with %s, want %s", g, w)
-			}
-			for _, l := range []*Library{booted, reference} {
-				if err := l.BuildIndex(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			queries := fixedQueries(6, 12, 9)
-			mustSameHits(t, searchAll(t, booted, queries, 40), searchAll(t, reference, queries, 40))
-			after, err := os.ReadFile(manifest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bytes.Contains(after, []byte("compactions")) {
-				t.Fatalf("the booted directory's manifest still carries the count:\n%s", after)
-			}
-			bws, _ := booted.WALStats()
-			for _, cur := range cursors {
-				_, err := booted.Engine().Attach("old", cur)
-				if compactions > 0 && !errors.Is(err, wal.ErrBehindHorizon) {
-					t.Fatalf("attach at pre-boot cursor %+v: %v, want ErrBehindHorizon", cur, err)
-				}
-				if compactions == 0 && err != nil {
-					t.Fatalf("attach at cursor %+v of a never-rewritten log: %v", cur, err)
-				}
-			}
-			if want := ws.Generation + uint64(min(compactions, 1)); bws.Generation != want {
-				t.Fatalf("boot left the directory at generation %d, want %d", bws.Generation, want)
-			}
-			if err := booted.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			again, err := Recover(dir, a, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer again.Close()
-			if aws, _ := again.WALStats(); aws.Generation != bws.Generation {
-				t.Fatalf("the second boot checkpointed again (generation %d -> %d)", bws.Generation, aws.Generation)
-			}
-		})
-	}
+		}
+		if bws, _ := booted.WALStats(); bws.Generation != ws.Generation {
+			t.Fatalf("the reboot checkpointed (generation %d -> %d)", ws.Generation, bws.Generation)
+		}
+	})
 }
 
 // TestReseedIsAllOrNothing: a follower converging onto a leader's snapshot

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"log"
 	"os"
@@ -11,6 +12,7 @@ import (
 
 	"classminer"
 	"classminer/internal/synth"
+	"classminer/internal/wal"
 )
 
 // daemonEnv, set, makes the test binary run the daemon's main on its own
@@ -79,9 +81,9 @@ func TestValidateRejectsBeforeSideEffects(t *testing.T) {
 // TestBuildLibraryLayouts boots the daemon's one library constructor over
 // both layouts a data dir can arrive in — a plain dir as classminer.Recover
 // writes it, and the SHARDS + shard-<i>/ dir an older build wrote at
-// -shards 4 — at the default and at an explicit shard count: every
-// combination opens, at the count asked for, with the same videos, and what
-// is left is a plain dir.
+// -shards 4 — at the default and at an explicit shard count. A plain dir
+// opens at the count asked for with its videos; the old layout is refused
+// with wal.ErrRetiredFormat at any count and left as it was.
 func TestBuildLibraryLayouts(t *testing.T) {
 	analyzer, err := classminer.NewAnalyzer(classminer.Options{SkipEvents: true})
 	if err != nil {
@@ -124,8 +126,7 @@ func TestBuildLibraryLayouts(t *testing.T) {
 				write(dir, res)
 			}
 		},
-		// Two of the four old shards hold a video (which ones is of no
-		// consequence: the fold places every record afresh).
+		// Two of the four old shards hold a video.
 		"SHARDS=4": func(dir string) {
 			write(filepath.Join(dir, "shard-0"), mined[0])
 			write(filepath.Join(dir, "shard-2"), mined[1])
@@ -139,12 +140,12 @@ func TestBuildLibraryLayouts(t *testing.T) {
 		name       string
 		layout     string
 		shards     int
-		wantShards int
+		wantShards int // 0: the boot is refused
 	}{
 		{"plain dir, default flags", "plain", 0, 1},
 		{"plain dir, -shards 4", "plain", 4, 4},
-		{"SHARDS=4 dir, default flags", "SHARDS=4", 0, 1},
-		{"SHARDS=4 dir, -shards 2", "SHARDS=4", 2, 2},
+		{"SHARDS=4 dir, default flags", "SHARDS=4", 0, 0},
+		{"SHARDS=4 dir, -shards 2", "SHARDS=4", 2, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -152,6 +153,17 @@ func TestBuildLibraryLayouts(t *testing.T) {
 			cfg.dataDir, cfg.shards = filepath.Join(t.TempDir(), "data"), tc.shards
 			layouts[tc.layout](cfg.dataDir)
 			lib, err := buildLibrary(logger, analyzer, cfg, nil)
+			if tc.wantShards == 0 {
+				if !errors.Is(err, wal.ErrRetiredFormat) {
+					t.Fatalf("buildLibrary = %v, want wal.ErrRetiredFormat", err)
+				}
+				for _, name := range []string{"SHARDS", "shard-0/wal-00000000000000000001.log", "shard-2/wal-00000000000000000001.log"} {
+					if _, err := os.Stat(filepath.Join(cfg.dataDir, name)); err != nil {
+						t.Fatalf("the refused boot removed %s: %v", name, err)
+					}
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -27,14 +27,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
 	"classminer"
 	"classminer/internal/metrics"
-	"classminer/internal/store"
 	"classminer/internal/wal"
 )
 
@@ -81,9 +78,10 @@ func checkShardCount(n int) error {
 // Recover opens (or creates) the durable library under dir with n in-memory
 // shards over the directory's one log; n = 0 means 1. The directory is a
 // plain classminer data dir and records nothing about n: any count opens any
-// dir, and this Recover and classminer.Recover open each other's. A dir
-// written when every shard had a log of its own is folded into that layout
-// first (foldLegacy).
+// dir, and this Recover and classminer.Recover open each other's. A dir in a
+// layout an earlier build wrote — among them the SHARDS file over per-shard
+// data dirs that builds with a log per shard left — is refused untouched
+// (wal.ErrRetiredFormat).
 func Recover(dir string, n int, a *classminer.Analyzer, opts classminer.DurableOptions) (*Library, error) {
 	if n == 0 {
 		n = 1
@@ -95,97 +93,7 @@ func Recover(dir string, n int, a *classminer.Analyzer, opts classminer.DurableO
 	if err != nil {
 		return nil, err
 	}
-	l := &Library{shards: shards}
-	if err := l.foldLegacy(dir, opts.Logf, l.foldShard); err != nil {
-		l.Close()
-		return nil, err
-	}
-	return l, nil
-}
-
-// legacyManifest marks a data dir written when every shard owned a full data
-// dir of its own, shard-<i>/ beside this file, which pinned their number.
-const legacyManifest = "SHARDS"
-
-// foldLegacy moves a data dir out of that layout, once: step applies each
-// old shard's snapshot and log to the router (foldShard; a parameter so a
-// test can interrupt between shards), one checkpoint then makes all of it
-// durable in the top-level log whatever the sync policy, and only after that
-// are the old directories removed, the manifest last. A crash anywhere
-// leaves the manifest in place and the next boot runs the fold again over
-// whatever directories remain, to the same result, because step is
-// idempotent. Old shards hold disjoint names and each is applied in its own
-// log order, so a router reopened at the old count registers on every shard
-// what that shard's old log registered, in the same order.
-func (l *Library) foldLegacy(dir string, logf func(string, ...any), step func(sdir string) error) error {
-	manifest := filepath.Join(dir, legacyManifest)
-	if _, err := os.Stat(manifest); err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		return err
-	}
-	// Glob's only error is a malformed pattern, and these are constants.
-	old, _ := filepath.Glob(filepath.Join(dir, "shard-*"))
-	// A follower's cursors into its leader's per-shard logs describe streams
-	// that no longer exist; without them it re-seeds from the leader.
-	cursors, _ := filepath.Glob(filepath.Join(dir, "repl-cursor-*.json"))
-	if logf != nil {
-		logf("shard: folding the %d per-shard data dirs under %s into its one log (serving %d shards)", len(old), dir, len(l.shards))
-	}
-	for _, sdir := range old {
-		if err := step(sdir); err != nil {
-			return fmt.Errorf("shard: folding %s: %w", sdir, err)
-		}
-	}
-	if err := l.Checkpoint(); err != nil {
-		return err
-	}
-	for _, path := range append(append(old, cursors...), manifest) {
-		if err := os.RemoveAll(path); err != nil {
-			return err
-		}
-	}
-	return store.SyncDir(dir)
-}
-
-// foldShard applies one old shard's data dir to the router the way a
-// follower applies its leader's: journaled into the router's own log and
-// idempotent — a registration whose name is already held is skipped, a
-// replacement is an upsert, a tombstone for an unknown name is a no-op —
-// so applying a shard twice, or over a partial earlier apply, ends where
-// applying it once does.
-func (l *Library) foldShard(sdir string) error {
-	eng, err := wal.Open(sdir, wal.Options{CheckpointBytes: -1, CheckpointRecords: -1})
-	if err != nil {
-		return err
-	}
-	defer eng.Close()
-	var rec wal.Record
-	apply := func(frame []byte) error {
-		if err := wal.DecodeRecordInto(&rec, frame); err != nil {
-			return err
-		}
-		return l.ApplyRecord(context.Background(), &rec)
-	}
-	if snap := eng.SnapshotPath(); snap != "" {
-		f, err := os.Open(snap)
-		if err != nil {
-			return err
-		}
-		// The layout predates frame snapshots, but a shard's directory is a
-		// plain data dir and may have been opened as one since.
-		if wal.LegacySnapshot(snap) {
-			_, err = l.ImportSnapshot(f, true)
-		} else {
-			err = wal.ReadSnapshot(f, nil, apply)
-		}
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("snapshot %s: %w", snap, err)
-		}
-	}
-	return eng.Replay(apply)
+	return &Library{shards: shards}, nil
 }
 
 // fnv32Offset/fnv32Prime: FNV-1a, inlined so routing never allocates.

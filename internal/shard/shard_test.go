@@ -822,175 +822,6 @@ func TestCheckpointSameBytesAtEveryShardCount(t *testing.T) {
 	}
 }
 
-// legacyLayout builds, by hand, a data dir as the build before the shared
-// log laid it out at -shards 4: a SHARDS manifest pinning the count over
-// shard-<i>/, each a full classminer data dir holding the names shardIndex
-// places on it. Shard 1 is checkpointed mid-script and shard 2 ends with
-// tombstones on its log tail. It returns the in-memory reference router that
-// ran the same script.
-func legacyLayout(t testing.TB, dir string) *Library {
-	t.Helper()
-	const n = 4
-	a := testAnalyzer(t)
-	old := make([]*classminer.Library, n)
-	for i := range old {
-		var err error
-		if old[i], err = classminer.Recover(filepath.Join(dir, "shard-"+fmt.Sprint(i)), a, quietWAL()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ref, err := New(a, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	step := 0
-	put := func(name string, replace bool) {
-		t.Helper()
-		step++
-		res := tinyResult(t, name, int64(7000+step), 2+step%3)
-		sh := old[shardIndex(name, n)]
-		if replace {
-			err = sh.ReplaceResult(res, "medicine")
-		} else {
-			err = sh.AddResult(res, "medicine")
-		}
-		if err == nil {
-			err = ref.ReplaceResultAsCtx(context.Background(), admin, res, "medicine")
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	drop := func(name string) {
-		t.Helper()
-		if err := old[shardIndex(name, n)].DeleteVideo(name); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.DeleteVideo(name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var names []string
-	owned := make([][]string, n)
-	for i := 0; i < 24; i++ {
-		name := fmt.Sprintf("legacy-%02d", i)
-		names = append(names, name)
-		owned[shardIndex(name, n)] = append(owned[shardIndex(name, n)], name)
-		put(name, false)
-	}
-	for i, own := range owned {
-		if len(own) < 3 {
-			t.Fatalf("old shard %d owns %v; fixture names degenerate", i, own)
-		}
-	}
-	if err := old[1].Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range names[:12] {
-		put(name, true) // replacements on every old shard, past shard 1's checkpoint
-	}
-	drop(owned[1][0]) // a tombstone over a checkpointed registration
-	put(owned[1][0], false)
-	drop(owned[0][1])
-	drop(owned[2][0])
-	drop(owned[2][1]) // old shard 2's log ends in tombstones
-	for _, sh := range old {
-		if err := sh.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(filepath.Join(dir, legacyManifest), []byte("{\"shards\":4}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return ref
-}
-
-// TestFoldLegacyLayout: a dir in the old SHARDS + shard-<i>/ layout opens —
-// folded into one plain data dir — with every video intact: at the recorded
-// count it answers byte for byte like the reference that ran the same script
-// on the old layout, at another count it holds the same videos, and a fold
-// interrupted after any old shard re-runs to the same end state.
-func TestFoldLegacyLayout(t *testing.T) {
-	a := testAnalyzer(t)
-	legacy := filepath.Join(t.TempDir(), "legacy")
-	ref := legacyLayout(t, legacy)
-	if err := ref.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	queries := fixedQueries(6, 12, 13)
-	k := ref.Size() + 3
-	whole := searchAll(t, ref, admin, queries, k)
-	fresh := func(t *testing.T) string {
-		dir := filepath.Join(t.TempDir(), "data")
-		copyTree(t, legacy, dir)
-		return dir
-	}
-	// check reopens dir at n and compares it with the reference; every
-	// ranking when exact, the whole-corpus one otherwise.
-	check := func(t *testing.T, dir string, n int, exact bool) {
-		t.Helper()
-		l, err := Recover(dir, n, a, quietWAL())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		mustPlainLayout(t, dir)
-		mustSameVideos(t, "folded", l, ref)
-		if err := l.BuildIndex(); err != nil {
-			t.Fatal(err)
-		}
-		mustSameHits(t, "folded", searchAll(t, l, admin, queries, k), whole)
-		if exact {
-			mustSameHits(t, "folded, k=10", searchAll(t, l, admin, queries, 10), searchAll(t, ref, admin, queries, 10))
-		}
-	}
-
-	t.Run("recorded count", func(t *testing.T) {
-		dir := fresh(t)
-		check(t, dir, 4, true)
-		check(t, dir, 4, true) // and again, from the folded dir
-	})
-	t.Run("another count", func(t *testing.T) {
-		dir := fresh(t)
-		check(t, dir, 2, false)
-		check(t, dir, 0, false)
-	})
-	for stop := 0; stop < 4; stop++ {
-		t.Run(fmt.Sprintf("interrupted after old shard %d", stop), func(t *testing.T) {
-			dir := fresh(t)
-			shards, err := classminer.RecoverPartitioned(dir, 4, func(name string) int { return shardIndex(name, 4) }, a, quietWAL())
-			if err != nil {
-				t.Fatal(err)
-			}
-			l := &Library{shards: shards}
-			interrupted := errors.New("interrupted")
-			done := 0
-			err = l.foldLegacy(dir, nil, func(sdir string) error {
-				if err := l.foldShard(sdir); err != nil {
-					return err
-				}
-				if done == stop {
-					return interrupted
-				}
-				done++
-				return nil
-			})
-			if !errors.Is(err, interrupted) {
-				t.Fatalf("fold = %v, want the injected interruption", err)
-			}
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-			for _, name := range []string{legacyManifest, "shard-0", "shard-3"} {
-				if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-					t.Fatalf("the interrupted fold already removed %s: %v", name, err)
-				}
-			}
-			check(t, dir, 4, true)
-		})
-	}
-}
-
 // TestStatsAggregation: the router's Stats must sum counters across shards,
 // take the worst staleness, report the one log's WAL block once — on the
 // aggregate, not per shard — and carry a per-shard breakdown of the library

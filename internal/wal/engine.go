@@ -110,7 +110,9 @@ type Engine struct {
 // segments and snapshots a finished checkpoint no longer needs are pruned,
 // and a torn tail on the active segment — the signature of a crash mid-
 // append — is truncated away so the log ends on a record boundary. The
-// returned engine is ready to Replay and Append.
+// returned engine is ready to Replay and Append. A directory in a layout an
+// earlier build wrote is refused before anything in it is touched
+// (ErrRetiredFormat).
 func Open(dir string, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -128,6 +130,9 @@ func Open(dir string, opts Options) (*Engine, error) {
 	}()
 	man, err := loadManifest(dir)
 	if err != nil {
+		return nil, err
+	}
+	if err := refuseRetired(dir, man); err != nil {
 		return nil, err
 	}
 	e := &Engine{
@@ -353,20 +358,6 @@ func (e *Engine) ReplayDamaged() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.damaged
-}
-
-// Rewritten reports whether an earlier build, which could rewrite sealed
-// segments in place and counted in MANIFEST the times it did, ever did so to
-// this directory. A replication cursor minted before such a rewrite may name
-// an offset that happens to be a record boundary of the rewritten bytes, so a
-// caller that recovered the directory should checkpoint before it serves
-// followers: that prunes every segment such a cursor could name (Attach
-// refuses it, the follower re-seeds) and commits a manifest without the
-// count, so this is true at most until the first boot completes.
-func (e *Engine) Rewritten() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.man.Compactions != 0
 }
 
 // SetSource installs the snapshot writer checkpoints call to serialise the

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 )
 
@@ -20,12 +19,10 @@ import (
 // shape is a decode error, never a guessed registration.
 //
 // The version byte is never '{'. A frame that does start with '{' is the
-// envelope this format replaces — one JSON document,
-// {"type":"register","version":1,"key":"v1","payload":{…}} — and is read by
-// the strict decoder kept for it (decodeLegacy), so a log written before the
-// change still opens; Record.Legacy tells the reader it met one, and the
-// library checkpoints once after a recovery that did, which leaves no such
-// frame behind.
+// envelope this format replaced — one JSON document,
+// {"type":"register","version":1,"key":"v1","payload":{…}} — and decodes to
+// an error wrapping ErrRetiredFormat: a log that holds one is refused, never
+// read and never cut short as if it were torn.
 //
 // The envelope lives in this package — not in classminer — because log,
 // snapshot and replication stream all carry it, and internal/repl reads it
@@ -47,14 +44,9 @@ const (
 	RecordReplace = "replace"
 )
 
-const (
-	// recordVersion is the envelope version this build writes, and the first
-	// byte of every frame it writes.
-	recordVersion = 2
-	// legacyVersion is the JSON envelope's; frames carrying it are read, never
-	// written.
-	legacyVersion = 1
-)
+// recordVersion is the envelope version this build writes, and the first byte
+// of every frame it writes.
+const recordVersion = 2
 
 // The kind byte. kindSnapshot heads a checkpoint snapshot (snapshot.go) and
 // is not a record: a log that holds one does not decode.
@@ -70,22 +62,14 @@ var kindNames = [...]string{kindRegister: RecordRegister, kindTombstone: RecordT
 // Record is one decoded log record.
 type Record struct {
 	// Type is one of the Record* kinds.
-	Type string `json:"type"`
-	// Version is the envelope version the frame was written in.
-	Version int `json:"version"`
+	Type string
 	// Key is the video name the record is about — the identity replay
 	// dedupes on.
-	Key string `json:"key,omitempty"`
+	Key string
 	// Payload is the kind-specific body, opaque to this package: a binary
-	// store entry for register/replace (a JSON one in a legacy frame), empty
-	// for tombstone.
-	Payload json.RawMessage `json:"payload,omitempty"`
+	// store entry for register/replace, empty for tombstone.
+	Payload []byte
 }
-
-// Legacy reports whether the record came out of a JSON envelope, whose
-// payload is the JSON of a store.SavedLibraryEntry rather than its binary
-// encoding.
-func (r Record) Legacy() bool { return r.Version == legacyVersion }
 
 // AppendRecordHead appends the envelope of a kind record about key to dst;
 // the record's payload is whatever the caller appends after it, so a large
@@ -147,14 +131,14 @@ func DecodeRecord(frame []byte) (Record, error) {
 // frame already vouches for integrity, and the consumer decodes the payload
 // next anyway).
 func DecodeRecordInto(rec *Record, frame []byte) error {
-	if len(frame) > 0 && frame[0] == '{' {
-		return decodeLegacy(rec, frame)
+	if len(frame) > 0 && frame[0] != recordVersion {
+		if frame[0] == '{' {
+			return retired("a record in the JSON envelope of version 1")
+		}
+		return fmt.Errorf("wal: record version %d unsupported (want %d)", frame[0], recordVersion)
 	}
 	if len(frame) < 2 {
 		return fmt.Errorf("wal: record envelope of %d bytes", len(frame))
-	}
-	if frame[0] != recordVersion {
-		return fmt.Errorf("wal: record version %d unsupported (want %d)", frame[0], recordVersion)
 	}
 	k := frame[1]
 	if k == 0 || int(k) >= len(kindNames) {
@@ -177,34 +161,9 @@ func DecodeRecordInto(rec *Record, frame []byte) error {
 	case k != kindTombstone && len(payload) == 0:
 		return fmt.Errorf("wal: %s record has no payload", kind)
 	}
-	*rec = Record{Type: kind, Version: recordVersion, Key: string(rest[:n])}
+	*rec = Record{Type: kind, Key: string(rest[:n])}
 	if len(payload) > 0 {
 		rec.Payload = payload
-	}
-	return nil
-}
-
-// decodeLegacy reads the JSON envelope with a strict unmarshal.
-func decodeLegacy(rec *Record, frame []byte) error {
-	*rec = Record{}
-	if err := json.Unmarshal(frame, rec); err != nil {
-		return fmt.Errorf("wal: decoding record envelope: %w", err)
-	}
-	switch rec.Type {
-	case RecordRegister, RecordTombstone, RecordReplace:
-	case "":
-		return fmt.Errorf("wal: record has no type")
-	default:
-		return fmt.Errorf("wal: unknown record type %q", rec.Type)
-	}
-	if rec.Version != legacyVersion {
-		return fmt.Errorf("wal: record version %d unsupported (want %d)", rec.Version, legacyVersion)
-	}
-	if rec.Key == "" {
-		return fmt.Errorf("wal: %s record has no key", rec.Type)
-	}
-	if (rec.Type == RecordRegister || rec.Type == RecordReplace) && len(rec.Payload) == 0 {
-		return fmt.Errorf("wal: %s record has no payload", rec.Type)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -10,9 +11,9 @@ import (
 // through DecodeRecord with its payload untouched — the envelope never looks
 // inside one — and (2) arbitrary input must either decode to one of the known
 // record kinds, complete, or fail — never panic and never invent a typed
-// record with missing parts. A binary frame that decodes re-encodes to the
-// bytes it came from (one encoding per record); a frame starting with '{'
-// is the legacy JSON envelope and decodes to a Legacy record or not at all.
+// record with missing parts. A frame that decodes re-encodes to the bytes it
+// came from (one encoding per record); a frame starting with '{' is the
+// retired JSON envelope and fails with ErrRetiredFormat.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, c := range []struct {
 		kind, key string
@@ -52,7 +53,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			if err != nil {
 				t.Fatalf("round trip failed: %v", err)
 			}
-			if rec.Type != RecordRegister || rec.Key != "fuzz-key" || rec.Legacy() || !bytes.Equal(rec.Payload, data) {
+			if rec.Type != RecordRegister || rec.Key != "fuzz-key" || !bytes.Equal(rec.Payload, data) {
 				t.Fatalf("round trip mutated record: %+v, want payload %q", rec, data)
 			}
 			frame, err = EncodeRecord(RecordTombstone, string(data), nil)
@@ -66,6 +67,12 @@ func FuzzDecodeRecord(f *testing.F) {
 
 		// Decode: arbitrary input.
 		rec, err := DecodeRecord(data)
+		if len(data) > 0 && data[0] == '{' {
+			if !errors.Is(err, ErrRetiredFormat) {
+				t.Fatalf("JSON frame %q: %+v, %v; want ErrRetiredFormat", data, rec, err)
+			}
+			return
+		}
 		if err != nil {
 			return
 		}
@@ -81,14 +88,9 @@ func FuzzDecodeRecord(f *testing.F) {
 		default:
 			t.Fatalf("decoder produced unknown kind %q", rec.Type)
 		}
-		if rec.Legacy() != (data[0] == '{') {
-			t.Fatalf("frame %q decoded as version %d", data, rec.Version)
-		}
-		if !rec.Legacy() {
-			again, err := EncodeRecord(rec.Type, rec.Key, rec.Payload)
-			if err != nil || !bytes.Equal(again, data) {
-				t.Fatalf("frame %q re-encodes to %q (%v)", data, again, err)
-			}
+		again, err := EncodeRecord(rec.Type, rec.Key, rec.Payload)
+		if err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("frame %q re-encodes to %q (%v)", data, again, err)
 		}
 	})
 }

@@ -2,6 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -22,13 +25,13 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 			t.Fatalf("encode %s: %v", c.kind, err)
 		}
 		if frame[0] == '{' {
-			t.Fatalf("%s frame %q reads as a legacy envelope", c.kind, frame)
+			t.Fatalf("%s frame %q reads as a retired JSON envelope", c.kind, frame)
 		}
 		rec, err := DecodeRecord(frame)
 		if err != nil {
 			t.Fatalf("decode %s: %v", c.kind, err)
 		}
-		if rec.Type != c.kind || rec.Key != c.key || rec.Version != recordVersion || rec.Legacy() {
+		if rec.Type != c.kind || rec.Key != c.key {
 			t.Fatalf("decoded %+v, want kind %s key %s", rec, c.kind, c.key)
 		}
 		if !bytes.Equal(rec.Payload, c.payload) {
@@ -50,21 +53,8 @@ func TestEnvelopeRejectsMalformed(t *testing.T) {
 	if _, err := EncodeRecord(RecordTombstone, "k", []byte("x")); err == nil {
 		t.Fatal("tombstone with payload encoded")
 	}
-	bad := [][]byte{
-		[]byte(`{"type":"mutate","version":1,"key":"k"}`),   // unknown kind
-		[]byte(`{"type":"register","version":9,"key":"k"}`), // future version
-		[]byte(`{"type":"tombstone","version":1}`),          // no key
-		[]byte(`{"type":"register","version":1,"key":"k"}`), // no payload
-		[]byte(`[1,2,3]`), // not an object
-		// Untyped: what pre-envelope logs held. A loud error, never a
-		// guessed registration.
-		[]byte(`{"subcluster":"medicine","result":{"videoName":"v1"}}`),
-		[]byte(`{"something":"else"}`),
-	}
-	for _, frame := range bad {
-		if _, err := DecodeRecord(frame); err == nil {
-			t.Fatalf("malformed frame %s decoded", frame)
-		}
+	if _, err := DecodeRecord([]byte(`[1,2,3]`)); err == nil {
+		t.Fatal("a frame starting with '[' decoded")
 	}
 	for _, frame := range [][]byte{
 		nil,
@@ -83,27 +73,75 @@ func TestEnvelopeRejectsMalformed(t *testing.T) {
 			t.Fatalf("malformed frame %v decoded to %+v", frame, rec)
 		}
 	}
-	if _, err := DecodeRecord([]byte(`{"key":"k"}`)); err == nil || !strings.Contains(err.Error(), "wal: record has no type") {
-		t.Fatalf("untyped frame: %v, want the no-type error", err)
-	}
 }
 
-// TestEnvelopeReadsLegacyFrames: a frame starting with '{' is the JSON
-// envelope logs held before the binary one; it still decodes, says so, and
-// hands its payload over untouched.
-func TestEnvelopeReadsLegacyFrames(t *testing.T) {
-	rec, err := DecodeRecord([]byte(`{"type":"replace","version":1,"key":"v\u00e9","payload":{"subcluster":"nursing","result":null}}`))
+// TestJSONFrameIsRefusedNotTruncated: a frame starting with '{' is the JSON
+// envelope logs held before the binary one, and every such frame — well
+// formed or not, typed or not — is refused with ErrRetiredFormat, naming the
+// build that converts it. In the active segment it is a CRC-valid frame, so
+// Open leaves it where it is, and a replay whose callback refuses it returns
+// that error instead of healing past it: the segment is byte-identical after
+// any number of boots.
+func TestJSONFrameIsRefusedNotTruncated(t *testing.T) {
+	frames := [][]byte{
+		[]byte(`{"type":"replace","version":1,"key":"v\u00e9","payload":{"subcluster":"nursing","result":null}}`),
+		[]byte(`{"type":"tombstone","version":1,"key":"v3"}`),
+		[]byte(`{"type":"tombstone","version":2,"key":"v3"}`),
+		[]byte(`{"type":"mutate","version":1,"key":"k"}`),
+		[]byte(`{"subcluster":"medicine","result":{"videoName":"v1"}}`),
+		[]byte(`{"key":"k"}`),
+		[]byte(`{`),
+	}
+	for _, frame := range frames {
+		rec, err := DecodeRecord(frame)
+		if !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "93272af") {
+			t.Fatalf("JSON frame %s: %+v, %v; want ErrRetiredFormat naming 93272af", frame, rec, err)
+		}
+	}
+
+	dir := t.TempDir()
+	eng, err := Open(dir, Options{Sync: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Type != RecordReplace || rec.Key != "vé" || !rec.Legacy() || string(rec.Payload) != `{"subcluster":"nursing","result":null}` {
-		t.Fatalf("legacy frame decoded to %+v", rec)
+	good, err := EncodeRecord(RecordTombstone, "v0", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rec, err = DecodeRecord([]byte(`{"type":"tombstone","version":1,"key":"v3"}`)); err != nil || rec.Type != RecordTombstone || !rec.Legacy() {
-		t.Fatalf("legacy tombstone: %+v, %v", rec, err)
+	appendAll(t, eng, [][]byte{good, frames[0], good})
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
 	}
-	// Version 2 is the binary envelope's; no JSON frame ever carried it.
-	if _, err := DecodeRecord([]byte(`{"type":"tombstone","version":2,"key":"v3"}`)); err == nil {
-		t.Fatal("a JSON frame claiming the binary version decoded")
+	seg := filepath.Join(dir, segmentName(1))
+	before, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for boot := 0; boot < 2; boot++ {
+		eng, err := Open(dir, Options{Sync: SyncNever, Logf: func(f string, a ...any) { t.Errorf("boot logged: "+f, a...) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec Record
+		decoded := 0
+		err = eng.Replay(func(frame []byte) error {
+			if err := DecodeRecordInto(&rec, frame); err != nil {
+				return err
+			}
+			decoded++
+			return nil
+		})
+		if !errors.Is(err, ErrRetiredFormat) || decoded != 1 {
+			t.Fatalf("boot %d: replay = %v after %d records; want ErrRetiredFormat after 1", boot, err, decoded)
+		}
+		if eng.ReplayDamaged() {
+			t.Fatalf("boot %d: the refused frame was taken for damage", boot)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, before) {
+			t.Fatalf("boot %d changed the active segment (%d → %d bytes, %v)", boot, len(before), len(after), err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -23,9 +24,6 @@ const (
 	segSuffix    = ".log"
 	snapPrefix   = "snap-"
 	snapSuffix   = ".ckpt"
-	// legacySnapSuffix names the snapshots written before snapshots were
-	// frames: one JSON document (see LegacySnapshot). Never written, read once.
-	legacySnapSuffix = ".json"
 )
 
 // manifest is the commit record of the storage engine: which snapshot is
@@ -44,12 +42,40 @@ type manifest struct {
 	// FirstSegment is the oldest segment recovery replays; earlier
 	// segments are superseded by the snapshot.
 	FirstSegment uint64 `json:"firstSegment"`
-	// Compactions is read, never written: builds that could rewrite sealed
-	// segments in place counted the rewrites here, and a directory that
-	// still carries a count is checkpointed once on its first recovery
-	// (Engine.Rewritten). Every manifest this build commits leaves it zero,
-	// which omits it.
-	Compactions uint64 `json:"compactions,omitempty"`
+	// Rewrites is read, never written: builds that could rewrite sealed
+	// segments in place counted the rewrites under this key, and a manifest
+	// that carries it at all is refused (refuseRetired).
+	Rewrites json.RawMessage `json:"compactions,omitempty"`
+}
+
+// ErrRetiredFormat is wrapped by the error for a data directory, or a frame in
+// one, in a format earlier builds wrote and this one no longer reads. Nothing
+// is converted or touched: the directory stays as the converting build expects.
+var ErrRetiredFormat = errors.New("wal: retired on-disk format")
+
+// retired names what was found and the last build that converts it; any build
+// since 11fb8c7 converts it too.
+func retired(what string) error {
+	return fmt.Errorf("%w: %s; build 93272af is the last that converts it: boot it once on this directory, POST /v1/admin/checkpoint, stop",
+		ErrRetiredFormat, what)
+}
+
+// refuseRetired fails when dir, whose manifest is man, is in a retired layout:
+// segments rewritten in place, a JSON snapshot, or the SHARDS file builds with
+// a log per shard wrote over their shard-<i>/ dirs. A JSON frame is refused
+// where it is decoded (DecodeRecordInto).
+func refuseRetired(dir string, man manifest) error {
+	switch _, err := os.Stat(filepath.Join(dir, "SHARDS")); {
+	case man.Rewrites != nil:
+		return retired(manifestName + ` carries "compactions"`)
+	case strings.HasSuffix(man.Snapshot, ".json"):
+		return retired("snapshot " + man.Snapshot + " is a JSON document")
+	case err == nil:
+		return retired("a SHARDS file marks per-shard data dirs")
+	case !errors.Is(err, os.ErrNotExist):
+		return fmt.Errorf("wal: %w", err)
+	}
+	return nil
 }
 
 // loadManifest reads dir's manifest, or returns the pristine state (no
@@ -137,7 +163,7 @@ func listTempFiles(dir string) ([]string, error) {
 	return temps, nil
 }
 
-// listSnapshots returns the names of dir's snapshot files, of either format.
+// listSnapshots returns the names of dir's snapshot files.
 func listSnapshots(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -145,10 +171,8 @@ func listSnapshots(dir string) ([]string, error) {
 	}
 	var snaps []string
 	for _, e := range entries {
-		for _, suffix := range [...]string{snapSuffix, legacySnapSuffix} {
-			if _, ok := parseIndexed(e.Name(), snapPrefix, suffix); ok {
-				snaps = append(snaps, e.Name())
-			}
+		if _, ok := parseIndexed(e.Name(), snapPrefix, snapSuffix); ok {
+			snaps = append(snaps, e.Name())
 		}
 	}
 	return snaps, nil

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Checkpoint snapshots. The file a manifest names is made of what the log is
@@ -36,11 +35,6 @@ type SnapshotHeader struct {
 	// and Dim their dimensionality: what a reader reserves up front.
 	Rows, Dim int
 }
-
-// LegacySnapshot reports whether the snapshot at path predates the frame
-// format: a snap-<gen>.json is one JSON document in store.WriteLibrary's
-// shape, read by store.ReadLibrary.
-func LegacySnapshot(path string) bool { return strings.HasSuffix(path, legacySnapSuffix) }
 
 // SnapshotWriter streams a snapshot: the header at construction, then one
 // Append per video, then Close.

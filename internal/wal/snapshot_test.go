@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -157,4 +158,44 @@ func TestSnapshotIsAllOrNothing(t *testing.T) {
 			t.Errorf("%s: %v, want it to say %q", c.name, err, c.says)
 		}
 	}
+}
+
+// FuzzReadSnapshot holds ReadSnapshot, the one snapshot reader, to its
+// contract on arbitrary bytes: it never panics; a file it accepts calls
+// header once and record exactly as many times as the header declares; and
+// every strict prefix of an accepted file is refused as torn — a snapshot is
+// all or nothing, even when it is cut exactly between two frames. Seeds are
+// writer output and the JSON snapshot of a retired build, which must not
+// pass for a frame file.
+func FuzzReadSnapshot(f *testing.F) {
+	for _, n := range []int{0, 1, 3} {
+		file, _ := testSnapshot(f, n)
+		f.Add(file)
+	}
+	legacy, err := os.ReadFile("../shard/testdata/legacy-82ac79f/snap-00000000000000000001.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
+
+	read := func(data []byte) (headers, records int, h SnapshotHeader, err error) {
+		err = ReadSnapshot(bytes.NewReader(data),
+			func(got SnapshotHeader) error { headers++; h = got; return nil },
+			func([]byte) error { records++; return nil })
+		return headers, records, h, err
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		headers, records, h, err := read(data)
+		if err != nil {
+			return
+		}
+		if headers != 1 || records != h.Videos {
+			t.Fatalf("accepted with %d header calls and %d records; header declares %d", headers, records, h.Videos)
+		}
+		for cut := 0; cut < len(data); cut++ {
+			if _, _, _, err := read(data[:cut]); !errors.Is(err, ErrTorn) {
+				t.Fatalf("the first %d of %d accepted bytes: %v, want ErrTorn", cut, len(data), err)
+			}
+		}
+	})
 }

@@ -26,9 +26,11 @@
 // (internal/store). A snapshot differs from a segment only in opening with a
 // header frame that counts what follows (snapshot.go), and a replication
 // batch is a run of segment frames as they stand on disk. Only MANIFEST is
-// JSON. (Directories written when records and snapshots were JSON still
-// open — envelope.go and LegacySnapshot keep a decoder for each — and the
-// library's first recovery of one rewrites it in this format.)
+// JSON. A directory in a layout earlier builds wrote is refused with
+// ErrRetiredFormat and left untouched (refuseRetired): Open refuses a JSON
+// snapshot, a "compactions" count or a SHARDS file, and the envelope decoder
+// a JSON record, which a replay meets as its callback's error — never as a
+// torn tail to cut off.
 //
 // Appends go to the active segment, which rotates at Options.SegmentBytes.
 // Replay walks the segments named live by MANIFEST, yields every intact
