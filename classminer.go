@@ -95,9 +95,8 @@ type (
 
 // Write-ahead-log fsync policies for DurableOptions.Sync.
 const (
-	SyncAlways   = wal.SyncAlways
-	SyncInterval = wal.SyncInterval
-	SyncNever    = wal.SyncNever
+	SyncAlways = wal.SyncAlways
+	SyncNever  = wal.SyncNever
 )
 
 // ErrDuplicateVideo reports a registration under a name the library already
@@ -1384,9 +1383,8 @@ func (l *Library) ScenesByEvent(u User, kind EventKind) []SceneRef {
 }
 
 // Save serialises every mined video's metadata (not the media) to w as one
-// JSON document — the human-readable export, and what LoadLibrary and
-// classminerd's -load read back without re-mining. (A durable library's own
-// files are binary; see Recover.)
+// JSON document — the human-readable export, and what LoadLibrary reads back
+// without re-mining. (A durable library's own files are binary; see Recover.)
 func (l *Library) Save(w io.Writer) error {
 	vids := l.settledVideos()
 	entries := make([]store.SavedLibraryEntry, len(vids))
@@ -1443,14 +1441,27 @@ func (l *Library) settledVideos() []savedVideo {
 
 // LoadLibrary reconstructs a library from a stream written by Save and
 // rebuilds its index. The analyzer is kept for future AddVideo calls; the
-// loaded videos carry mined metadata only (no frames or audio).
+// loaded videos carry mined metadata only (no frames or audio). A name twice
+// in the stream, or a placement concept the taxonomy lacks, is an error.
 func LoadLibrary(r io.Reader, a *Analyzer) (*Library, error) {
-	l := NewLibrary(a)
-	n, err := l.ImportSnapshot(r, false)
+	saved, err := store.ReadLibrary(r)
 	if err != nil {
 		return nil, err
 	}
-	if n > 0 {
+	l := NewLibrary(a)
+	for _, sv := range saved.Videos {
+		res, err := store.DecodeResult(sv.Result)
+		if err != nil {
+			return nil, err
+		}
+		if err := l.checkSubcluster(sv.Subcluster); err != nil {
+			return nil, err
+		}
+		if err := l.register(context.Background(), res.Video.Name, res, sv.Subcluster); err != nil {
+			return nil, err
+		}
+	}
+	if len(saved.Videos) > 0 {
 		if err := l.BuildIndex(); err != nil {
 			return nil, err
 		}
@@ -1462,8 +1473,9 @@ func LoadLibrary(r io.Reader, a *Analyzer) (*Library, error) {
 // loads the newest checkpoint snapshot, replays the write-ahead log tail
 // over it, and attaches the journal so every subsequent registration is
 // durable before it is visible. A crashed process therefore restarts with
-// exactly the registrations it acknowledged (under SyncAlways; see
-// DurableOptions.Sync for the weaker modes).
+// exactly the registrations it acknowledged (under SyncAlways, the default;
+// SyncNever, for tests and bulk loads, survives a process crash but not a
+// power loss).
 //
 // Everything in dir but its MANIFEST is binary — one record shape
 // (appendEntryRecord) in log, snapshot and replication stream alike; the
@@ -1739,44 +1751,6 @@ func (l *Library) replayRecord(rec *wal.Record, fromLog bool) error {
 		return nil
 	}
 	return err
-}
-
-// ImportPartitioned registers every video of a library export (the JSON
-// stream Save writes) into the library that owns its name, reporting how many
-// were added. With skipExisting, names already held are skipped — the
-// one-shot-migration semantics of classminerd's -load — otherwise a
-// duplicate is an error. Placement concepts are validated like any other
-// registration, and on durable libraries every import is journaled. The
-// indexes are left stale; call BuildIndex afterwards.
-func ImportPartitioned(libs []*Library, place func(name string) int, r io.Reader, skipExisting bool) (int, error) {
-	saved, err := store.ReadLibrary(r)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, sv := range saved.Videos {
-		res, err := store.DecodeResult(sv.Result)
-		if err != nil {
-			return n, err
-		}
-		l := libs[place(res.Video.Name)]
-		if skipExisting && l.Video(res.Video.Name) != nil {
-			continue
-		}
-		if err := l.checkSubcluster(sv.Subcluster); err != nil {
-			return n, err
-		}
-		if err := l.register(context.Background(), res.Video.Name, res, sv.Subcluster); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
-}
-
-// ImportSnapshot is ImportPartitioned into this one library.
-func (l *Library) ImportSnapshot(r io.Reader, skipExisting bool) (int, error) {
-	return ImportPartitioned([]*Library{l}, placeOne, r, skipExisting)
 }
 
 // Engine exposes the library's write-ahead-log engine, or nil when the

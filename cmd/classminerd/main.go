@@ -9,15 +9,15 @@
 // locks, matrices, indexes, refits — not what is on disk: -data-dir holds one
 // log at every N, so N may change from one boot to the next. The library is
 // populated from a durable data directory (-data-dir, with write-ahead
-// logging and crash recovery), by a one-shot import of a snapshot file
-// (-load), by mining synthetic corpus videos at startup (-bootstrap), or
-// later through POST /v1/videos. With -data-dir every registration — imported,
-// bootstrapped or ingested — is journaled before it becomes visible, so a
-// crash — OOM kill, power loss — loses no completed registration (an ingest
-// job is durable once it reports done; a 202-accepted job that never ran
-// can simply be resubmitted): the next boot replays the newest checkpoint
-// snapshot plus the log tail, and a clean SIGINT/SIGTERM shutdown takes a
-// final checkpoint. Without it the library lives in memory only.
+// logging and crash recovery), by mining synthetic corpus videos at startup
+// (-bootstrap), or later through POST /v1/videos. With -data-dir every
+// registration — bootstrapped or ingested — is journaled and fsynced before
+// it becomes visible, so a crash — OOM kill, power loss — loses no completed
+// registration (an ingest job is durable once it reports done; a
+// 202-accepted job that never ran can simply be resubmitted): the next boot
+// replays the newest checkpoint snapshot plus the log tail, and a clean
+// SIGINT/SIGTERM shutdown takes a final checkpoint. Without it the library
+// lives in memory only.
 //
 // Usage:
 //
@@ -49,6 +49,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -98,7 +99,6 @@ func (t *tokenFlags) Set(v string) error {
 type config struct {
 	addr       string
 	dataDir    string
-	load       string
 	bootstrap  string
 	scale      float64
 	seed       int64
@@ -106,9 +106,7 @@ type config struct {
 	anon       string
 	workers    int
 	queue      int
-	cacheSize  int
 	skipEvents bool
-	metrics    bool
 	pprof      bool
 	tokens     map[string]access.User
 
@@ -116,18 +114,12 @@ type config struct {
 	shards int
 
 	// replication
-	role          string
-	leaderURL     string
-	replToken     string
-	followerID    string
-	replLagReady  int64
-	replPinBudget int64
-	walPressure   int64
-	replLagBytes  int64
-
-	// write-path index maintenance
-	rebuildAfter    float64
-	rebuildDebounce time.Duration
+	role         string
+	leaderURL    string
+	replToken    string
+	followerID   string
+	walPressure  int64
+	replLagBytes int64
 
 	// admission control / self-protection
 	rate        float64
@@ -140,13 +132,6 @@ type config struct {
 	traceSample float64
 	traceSlow   time.Duration
 	traceRing   int
-
-	// durable-mode tuning (only read when dataDir is set)
-	fsync       string
-	fsyncEvery  time.Duration
-	segBytes    int64
-	ckptBytes   int64
-	ckptRecords int64
 }
 
 func main() {
@@ -154,7 +139,6 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", ":8471", "listen address")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "durable data directory (write-ahead log + checkpoints; crash recovery on boot)")
-	flag.StringVar(&cfg.load, "load", "", "import the videos of a library snapshot (JSON written by classminer -save) that are not already registered")
 	flag.StringVar(&cfg.bootstrap, "bootstrap", "", "comma-separated corpus videos to mine at startup, or \"all\"")
 	flag.Float64Var(&cfg.scale, "scale", 0.4, "bootstrap corpus scale")
 	flag.Int64Var(&cfg.seed, "seed", 2003, "bootstrap corpus seed")
@@ -162,12 +146,8 @@ func main() {
 	flag.StringVar(&cfg.anon, "anon", "public", "clearance for unauthenticated requests (\"none\" to require a token)")
 	flag.IntVar(&cfg.workers, "workers", 2, "ingest worker pool size")
 	flag.IntVar(&cfg.queue, "queue", 8, "ingest queue depth")
-	flag.IntVar(&cfg.cacheSize, "cache", 256, "search cache entries (negative disables)")
 	flag.BoolVar(&cfg.skipEvents, "skip-events", false, "mine structure only (faster startup, no event queries on bootstrapped videos)")
-	flag.BoolVar(&cfg.metrics, "metrics", true, "serve Prometheus metrics on GET /metrics (token-gated like the API)")
 	flag.BoolVar(&cfg.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/ to Administrator-clearance callers")
-	flag.Float64Var(&cfg.rebuildAfter, "rebuild-after", 0.25, "index staleness fraction (inserted+removed since the last full fit) that triggers a background rebuild")
-	flag.DurationVar(&cfg.rebuildDebounce, "rebuild-debounce", 250*time.Millisecond, "how long the rebuilder waits for further mutations to coalesce into one rebuild")
 	flag.Float64Var(&cfg.rate, "rate", 0, "per-token request rate limit in req/s, scaled by clearance tier (0 disables)")
 	flag.Float64Var(&cfg.burst, "burst", 0, "per-token rate-limit burst (default 2x -rate)")
 	flag.IntVar(&cfg.maxInflight, "max-inflight", 256, "concurrent search requests admitted; mutations and admin get narrower slices (negative disables)")
@@ -176,18 +156,11 @@ func main() {
 	flag.Float64Var(&cfg.traceSample, "trace-sample", 0, "fraction of requests traced end to end regardless of outcome (slow and 5xx requests are always kept)")
 	flag.DurationVar(&cfg.traceSlow, "trace-slow", 500*time.Millisecond, "keep the trace of any request at least this slow (0 keeps every trace)")
 	flag.IntVar(&cfg.traceRing, "trace-ring", 256, "recent traces retained for GET /debug/traces")
-	flag.StringVar(&cfg.fsync, "fsync", "always", "WAL fsync policy: always, interval or off")
-	flag.DurationVar(&cfg.fsyncEvery, "fsync-interval", 100*time.Millisecond, "background fsync period under -fsync=interval")
-	flag.Int64Var(&cfg.segBytes, "segment-bytes", 4<<20, "WAL segment rotation size")
-	flag.Int64Var(&cfg.ckptBytes, "checkpoint-bytes", 64<<20, "auto-checkpoint — the one way log is reclaimed — once this much WAL accumulates (negative disables)")
-	flag.Int64Var(&cfg.ckptRecords, "checkpoint-records", 10000, "auto-checkpoint once this many WAL records accumulate (negative disables)")
 	flag.IntVar(&cfg.shards, "shards", 0, "in-memory library shards, each with its own lock, index and rebuild state over the one -data-dir log (a per-boot choice: any count opens any data dir; 0 = 1)")
 	flag.StringVar(&cfg.role, "role", "leader", "replication role: leader (serves /v1/repl/* when durable) or follower (replicates from -leader-url, read-only until promoted)")
 	flag.StringVar(&cfg.leaderURL, "leader-url", "", "leader base URL a follower replicates from (required with -role follower)")
 	flag.StringVar(&cfg.replToken, "repl-token", "", "bearer token the follower presents to the leader (needs administrator clearance there)")
 	flag.StringVar(&cfg.followerID, "follower-id", "follower", "this follower's id in the leader's pin table; keep it stable across restarts")
-	flag.Int64Var(&cfg.replLagReady, "repl-lag-ready", 0, "record lag at or under which a follower's /readyz reports ready")
-	flag.Int64Var(&cfg.replPinBudget, "repl-pin-budget-bytes", 0, "max unshipped WAL bytes a follower's pin may hold against checkpoint pruning before eviction (0 = 512 MiB default, negative disables)")
 	flag.Int64Var(&cfg.walPressure, "wal-pressure-bytes", 0, "shed ingest with 503 once un-checkpointed WAL bytes exceed this (0 disables)")
 	flag.Int64Var(&cfg.replLagBytes, "repl-lag-bytes", 0, "shed ingest with 503 once the worst follower's replication lag exceeds this many bytes (0 disables)")
 	flag.Var(&tokens, "token", "token=name:clearance[:role1|role2] (repeatable)")
@@ -200,19 +173,36 @@ func main() {
 	}
 }
 
-// syncPolicy maps the -fsync flag to a WAL policy.
-func syncPolicy(name string) (s classminer.DurableOptions, err error) {
-	switch name {
-	case "always", "":
-		s.Sync = classminer.SyncAlways
-	case "interval":
-		s.Sync = classminer.SyncInterval
-	case "off", "never":
-		s.Sync = classminer.SyncNever
-	default:
-		err = fmt.Errorf("unknown -fsync policy %q (want always, interval or off)", name)
+// anonymous is the user -anon names, or nil when unauthenticated requests
+// need a token ("" or "none").
+func anonymous(spec string) (*access.User, error) {
+	if spec == "" || spec == "none" {
+		return nil, nil
 	}
-	return s, err
+	clearance, err := access.ParseClearance(spec)
+	if err != nil {
+		return nil, err
+	}
+	return &access.User{Name: "anonymous", Clearance: clearance}, nil
+}
+
+// bootstrapNames is the corpus videos -bootstrap names: a comma-separated
+// list, or "all". Every name must be a corpus video.
+func bootstrapNames(spec string) ([]string, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	if spec == "all" {
+		return synth.CorpusNames(), nil
+	}
+	names := strings.Split(spec, ",")
+	for i, name := range names {
+		names[i] = strings.TrimSpace(name)
+		if !slices.Contains(synth.CorpusNames(), names[i]) {
+			return nil, fmt.Errorf("unknown corpus video %q (have %v)", names[i], synth.CorpusNames())
+		}
+	}
+	return names, nil
 }
 
 // validate is every check that needs only the flags. run makes it before its
@@ -233,7 +223,10 @@ func validate(cfg config) error {
 	if cfg.shards < 0 || cfg.shards > shard.MaxShards {
 		return fmt.Errorf("-shards must be in [0,%d], got %d", shard.MaxShards, cfg.shards)
 	}
-	_, err := syncPolicy(cfg.fsync)
+	if _, err := anonymous(cfg.anon); err != nil {
+		return err
+	}
+	_, err := bootstrapNames(cfg.bootstrap)
 	return err
 }
 
@@ -252,10 +245,7 @@ func run(cfg config) error {
 	// One registry spans the process: the WAL engine registers its series at
 	// Recover, the server adds the HTTP/cache/library ones at New, and
 	// GET /metrics exposes them all.
-	var reg *metrics.Registry
-	if cfg.metrics {
-		reg = metrics.NewRegistry()
-	}
+	reg := metrics.NewRegistry()
 
 	lib, err := buildLibrary(logger, analyzer, cfg, reg)
 	if err != nil {
@@ -276,14 +266,13 @@ func run(cfg config) error {
 	var follower *repl.Follower
 	if cfg.role == "follower" {
 		follower, err = repl.Start(repl.Options{
-			LeaderURL:       strings.TrimSuffix(cfg.leaderURL, "/"),
-			Token:           cfg.replToken,
-			ID:              cfg.followerID,
-			Dir:             cfg.dataDir,
-			Applier:         lib,
-			ReadyLagRecords: cfg.replLagReady,
-			Metrics:         reg,
-			Logf:            logger.Printf,
+			LeaderURL: strings.TrimSuffix(cfg.leaderURL, "/"),
+			Token:     cfg.replToken,
+			ID:        cfg.followerID,
+			Dir:       cfg.dataDir,
+			Applier:   lib,
+			Metrics:   reg,
+			Logf:      logger.Printf,
 		})
 		if err != nil {
 			return err
@@ -294,13 +283,9 @@ func run(cfg config) error {
 
 	opts := server.Options{
 		Tokens:           cfg.tokens,
-		CacheSize:        cfg.cacheSize,
 		Workers:          cfg.workers,
 		QueueDepth:       cfg.queue,
-		RebuildBudget:    cfg.rebuildAfter,
-		RebuildDebounce:  cfg.rebuildDebounce,
 		Metrics:          reg,
-		DisableMetrics:   !cfg.metrics,
 		EnablePprof:      cfg.pprof,
 		Rate:             cfg.rate,
 		Burst:            cfg.burst,
@@ -322,12 +307,8 @@ func run(cfg config) error {
 		// negative spelling (Options zero means "use the default").
 		opts.TraceSlow = -1
 	}
-	if cfg.anon != "" && cfg.anon != "none" {
-		clearance, err := access.ParseClearance(cfg.anon)
-		if err != nil {
-			return err
-		}
-		opts.Anonymous = &access.User{Name: "anonymous", Clearance: clearance}
+	if opts.Anonymous, err = anonymous(cfg.anon); err != nil {
+		return err
 	}
 	srv := server.New(lib, opts)
 	defer srv.Close()
@@ -377,71 +358,40 @@ func run(cfg config) error {
 }
 
 // buildLibrary assembles the serving library: recover the durable data
-// directory (or start empty in memory), import a snapshot file, mine
-// bootstrap corpus videos, and build the index. Every registration into a
-// durable library — imported, bootstrapped or later ingested — is journaled.
+// directory (or start empty in memory), mine bootstrap corpus videos, and
+// build the index. Every registration into a durable library — bootstrapped
+// or later ingested — is journaled.
 func buildLibrary(logger *log.Logger, analyzer *classminer.Analyzer, cfg config, reg *metrics.Registry) (*shard.Library, error) {
+	names, err := bootstrapNames(cfg.bootstrap)
+	if err != nil {
+		return nil, err
+	}
 	var lib *shard.Library
 	if cfg.dataDir != "" {
-		wopts, err := syncPolicy(cfg.fsync)
-		if err != nil {
-			return nil, err
-		}
-		wopts.SyncEvery = cfg.fsyncEvery
-		wopts.SegmentBytes = cfg.segBytes
-		wopts.CheckpointBytes = cfg.ckptBytes
-		wopts.CheckpointRecords = cfg.ckptRecords
-		wopts.ReplPinBudgetBytes = cfg.replPinBudget
-		wopts.Metrics = reg
-		wopts.Logf = logger.Printf
 		start := time.Now()
-		lib, err = shard.Recover(cfg.dataDir, cfg.shards, analyzer, wopts)
-		if err != nil {
+		wopts := classminer.DurableOptions{Metrics: reg, Logf: logger.Printf}
+		if lib, err = shard.Recover(cfg.dataDir, cfg.shards, analyzer, wopts); err != nil {
 			return nil, fmt.Errorf("recovering %s: %w", cfg.dataDir, err)
 		}
 		logger.Printf("recovered %d videos from %s (%d shards, %v)",
 			lib.Stats().Videos, cfg.dataDir, lib.ShardCount(), time.Since(start).Round(time.Millisecond))
-	} else {
-		var err error
-		if lib, err = shard.New(analyzer, max(cfg.shards, 1)); err != nil {
-			return nil, err
-		}
+	} else if lib, err = shard.New(analyzer, max(cfg.shards, 1)); err != nil {
+		return nil, err
 	}
 
-	if cfg.load != "" {
-		n, err := importSnapshot(lib, cfg.load)
+	for _, name := range names {
+		if lib.Video(name) != nil {
+			continue // already recovered
+		}
+		v, err := synth.Generate(synth.DefaultConfig(), synth.CorpusScript(name, cfg.scale, cfg.seed), cfg.seed)
 		if err != nil {
 			lib.Close()
-			return nil, fmt.Errorf("loading %s: %w", cfg.load, err)
+			return nil, err
 		}
-		logger.Printf("imported %d videos from %s", n, cfg.load)
-	}
-
-	if cfg.bootstrap != "" {
-		names := strings.Split(cfg.bootstrap, ",")
-		if cfg.bootstrap == "all" {
-			names = synth.CorpusNames()
-		}
-		for _, name := range names {
-			name = strings.TrimSpace(name)
-			if lib.Video(name) != nil {
-				continue // already recovered or imported
-			}
-			script := synth.CorpusScript(name, cfg.scale, cfg.seed)
-			if script == nil {
-				lib.Close()
-				return nil, fmt.Errorf("unknown corpus video %q (have %v)", name, synth.CorpusNames())
-			}
-			v, err := synth.Generate(synth.DefaultConfig(), script, cfg.seed)
-			if err != nil {
-				lib.Close()
-				return nil, err
-			}
-			logger.Printf("mining %q (%d frames)...", name, len(v.Frames))
-			if _, err := lib.AddVideo(v, cfg.subcluster); err != nil {
-				lib.Close()
-				return nil, err
-			}
+		logger.Printf("mining %q (%d frames)...", name, len(v.Frames))
+		if _, err := lib.AddVideo(v, cfg.subcluster); err != nil {
+			lib.Close()
+			return nil, err
 		}
 	}
 
@@ -455,17 +405,4 @@ func buildLibrary(logger *log.Logger, analyzer *classminer.Analyzer, cfg config,
 			lib.Stats().IndexedShots, time.Since(start).Round(time.Millisecond))
 	}
 	return lib, nil
-}
-
-// importSnapshot registers every video of a snapshot file that the library
-// does not already hold, reporting how many were new. On a durable library
-// the imports are journaled like any registration, so -load is the one-shot
-// migration of a snapshot into -data-dir.
-func importSnapshot(lib *shard.Library, path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	return lib.ImportSnapshot(f, true)
 }

@@ -31,11 +31,21 @@ func TestMain(m *testing.M) {
 // by the parser, not accepted and ignored — an operator's stale unit file
 // fails loudly at the first start after the upgrade.
 func TestRemovedFlagsAreUndefined(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-compact-bytes", "1")
-	cmd.Env = append(os.Environ(), daemonEnv+"=1")
-	out, err := cmd.CombinedOutput()
-	if err == nil || !strings.Contains(string(out), "flag provided but not defined: -compact-bytes") {
-		t.Fatalf("classminerd -compact-bytes 1: err %v, output:\n%s", err, out)
+	for _, name := range []string{
+		"compact-bytes",
+		"fsync", "fsync-interval",
+		"segment-bytes", "checkpoint-bytes", "checkpoint-records", "repl-pin-budget-bytes",
+		"rebuild-after", "rebuild-debounce", "cache",
+		"metrics", "repl-lag-ready", "load",
+	} {
+		t.Run(name, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-"+name, "1")
+			cmd.Env = append(os.Environ(), daemonEnv+"=1")
+			out, err := cmd.CombinedOutput()
+			if err == nil || !strings.Contains(string(out), "flag provided but not defined: -"+name) {
+				t.Fatalf("classminerd -%s 1: err %v, output:\n%s", name, err, out)
+			}
+		})
 	}
 }
 
@@ -43,7 +53,7 @@ func TestRemovedFlagsAreUndefined(t *testing.T) {
 // validate, which run calls before it trains, locks or replays anything. The
 // data dir of each case must still not exist afterwards.
 func TestValidateRejectsBeforeSideEffects(t *testing.T) {
-	good := config{role: "leader", fsync: "always"}
+	good := config{role: "leader", anon: "public"}
 	if err := validate(good); err != nil {
 		t.Fatalf("default flags rejected: %v", err)
 	}
@@ -57,7 +67,8 @@ func TestValidateRejectsBeforeSideEffects(t *testing.T) {
 		{"follower without data dir", func(c *config) { c.role, c.leaderURL, c.dataDir = "follower", "http://leader", "" }, "requires -data-dir"},
 		{"negative shards", func(c *config) { c.shards = -1 }, "-shards must be in"},
 		{"too many shards", func(c *config) { c.shards = 100000 }, "-shards must be in"},
-		{"unknown fsync policy", func(c *config) { c.fsync = "sometimes" }, "unknown -fsync policy"},
+		{"unknown anon clearance", func(c *config) { c.anon = "pubic" }, "unknown clearance"},
+		{"unknown bootstrap video", func(c *config) { c.bootstrap = "laparoscopy,typo" }, "unknown corpus video \"typo\""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -90,7 +101,6 @@ func TestBuildLibraryLayouts(t *testing.T) {
 		t.Fatal(err)
 	}
 	logger := log.New(io.Discard, "", 0)
-	base := config{fsync: "always", ckptBytes: -1, ckptRecords: -1}
 
 	const scale, seed = 0.2, 11
 	var mined []*classminer.Result
@@ -149,7 +159,7 @@ func TestBuildLibraryLayouts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := base
+			var cfg config
 			cfg.dataDir, cfg.shards = filepath.Join(t.TempDir(), "data"), tc.shards
 			layouts[tc.layout](cfg.dataDir)
 			lib, err := buildLibrary(logger, analyzer, cfg, nil)

@@ -52,9 +52,6 @@ type Options struct {
 	PollWait time.Duration
 	// MaxBatchBytes bounds one pulled batch (default 1 MiB).
 	MaxBatchBytes int64
-	// ReadyLagRecords is the record lag at or under which Ready reports
-	// true (default 0: fully caught up at the last pull).
-	ReadyLagRecords int64
 	// Client overrides the HTTP client (tests); nil builds one with a
 	// timeout covering the long-poll window.
 	Client *http.Client
@@ -225,8 +222,8 @@ func (f *Follower) Promote() {
 	f.opts.Logf("repl: follower %q promoted; replication stopped", f.opts.ID)
 }
 
-// Ready reports whether the follower is seeded and within the lag threshold
-// — the /readyz criterion for a follower.
+// Ready reports whether the follower is seeded and was fully caught up at
+// its last pull — the /readyz criterion for a follower.
 func (f *Follower) Ready() (bool, string) {
 	st := f.Stats()
 	if !st.Seeded {
@@ -235,8 +232,8 @@ func (f *Follower) Ready() (bool, string) {
 	if st.LagRecords < 0 {
 		return false, "has not completed a pull"
 	}
-	if st.LagRecords > f.opts.ReadyLagRecords {
-		return false, fmt.Sprintf("%d records behind (threshold %d)", st.LagRecords, f.opts.ReadyLagRecords)
+	if st.LagRecords > 0 {
+		return false, fmt.Sprintf("%d records behind", st.LagRecords)
 	}
 	return true, ""
 }

@@ -129,8 +129,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // /healthz answers "the process is up" and must never fail while the server
 // can respond at all, while /readyz answers "route traffic here". A leader
 // is ready as soon as it serves (recovery completes before the listener
-// opens); a follower is ready only once it is seeded and within the
-// configured replication-lag threshold. Load balancers and the failover
+// opens); a follower is ready only once it is seeded and was caught up with
+// the leader at its last pull. Load balancers and the failover
 // runbook key off this endpoint.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	resp := map[string]any{
@@ -259,10 +259,6 @@ func processInfo() map[string]any {
 // withAuth like every other endpoint (operational counters reveal workload
 // shape), but needs no clearance beyond authentication.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	if s.opts.Metrics == nil {
-		writeError(w, http.StatusNotFound, "metrics disabled")
-		return
-	}
 	w.Header().Set("Content-Type", metrics.ContentType)
 	if err := s.opts.Metrics.WritePrometheus(w); err != nil {
 		s.opts.Logf("writing /metrics: %v", err)
@@ -1116,7 +1112,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	job := &Job{Video: name, Subcluster: req.Subcluster, RequestID: requestID(r), req: req, user: u}
 	if err := s.pool.Submit(job); err != nil {
-		if errors.Is(err, ErrQueueFull) && s.metrics != nil {
+		if errors.Is(err, ErrQueueFull) {
 			s.metrics.ingestRejected.Inc()
 		}
 		writeError(w, http.StatusServiceUnavailable, err.Error())

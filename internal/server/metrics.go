@@ -71,8 +71,7 @@ type routeMetrics struct {
 }
 
 // serverMetrics is the server's slice of the registry. All instruments are
-// registered up front at New; the hot path only looks them up. A nil
-// *serverMetrics (metrics disabled) is a no-op observer.
+// registered up front at New; the hot path only looks them up.
 type serverMetrics struct {
 	byRoute        map[string]*routeMetrics
 	ingestRejected *metrics.Counter
@@ -104,9 +103,9 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 	m.panics = reg.Counter("http_panics_total",
 		"Handler panics recovered by the server.")
 
-	// Request tracing. Started/kept live in the tracer (so /v1/stats works
-	// with metrics disabled); the registry mirrors them at scrape time. Both
-	// funcs are nil-safe when tracing is disabled.
+	// Request tracing. Started/kept live in the tracer, which /v1/stats
+	// reads too; the registry mirrors them at scrape time. Both funcs are
+	// nil-safe when tracing is disabled.
 	reg.CounterFunc("traces_started_total", "Request traces started.",
 		func() float64 { return float64(s.tracer.Started()) })
 	reg.CounterFunc("traces_kept_total",
@@ -114,8 +113,8 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 		func() float64 { return float64(s.tracer.Kept()) })
 
 	// Admission control. The rejection counters live in the admission
-	// struct (so /v1/stats works with metrics disabled); the registry
-	// mirrors them at scrape time.
+	// struct, which /v1/stats reads too; the registry mirrors them at
+	// scrape time.
 	m.admitWait = reg.Histogram("admit_wait_seconds",
 		"Time requests spent parked at a concurrency gate before admission or shedding.",
 		metrics.LatencyBuckets)
@@ -170,28 +169,16 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 	return m
 }
 
-// countPanic bumps http_panics_total. Nil-safe so the recovery middleware
-// needs no disabled-metrics branch.
-func (m *serverMetrics) countPanic() {
-	if m != nil {
-		m.panics.Inc()
-	}
-}
+// countPanic bumps http_panics_total.
+func (m *serverMetrics) countPanic() { m.panics.Inc() }
 
 // observeAdmitWait records time spent parked at a concurrency gate.
-// Nil-safe so the admission middleware needs no disabled-metrics branch.
 func (m *serverMetrics) observeAdmitWait(d time.Duration) {
-	if m != nil {
-		m.admitWait.Observe(d.Seconds())
-	}
+	m.admitWait.Observe(d.Seconds())
 }
 
-// observe records one finished request. Nil-safe so the logging middleware
-// needs no disabled-metrics branch.
+// observe records one finished request.
 func (m *serverMetrics) observe(route string, status int, bytes int64, d time.Duration) {
-	if m == nil {
-		return
-	}
 	rm := m.byRoute[route]
 	if rm == nil {
 		return

@@ -138,19 +138,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabled asserts DisableMetrics turns both the instrumentation
-// and the endpoint off without disturbing the API.
-func TestMetricsDisabled(t *testing.T) {
-	s := newTestServer(t, Options{DisableMetrics: true})
-	if code := do(t, s, http.MethodGet, "/metrics", "admin-tok", nil, nil); code != http.StatusNotFound {
-		t.Fatalf("metrics disabled = %d, want 404", code)
-	}
-	req := map[string]any{"video": "laparoscopy", "shot": 0, "k": 5}
-	if w := doRaw(t, s, http.MethodPost, "/v1/search", "admin-tok", req); w.Code != http.StatusOK {
-		t.Fatalf("search with metrics disabled = %d", w.Code)
-	}
-}
-
 // TestMetricsRequireAuth: operational counters reveal workload shape, so
 // /metrics sits behind the same token gate as the API.
 func TestMetricsRequireAuth(t *testing.T) {

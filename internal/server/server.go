@@ -58,12 +58,10 @@ type Options struct {
 	// mutation for further mutations to coalesce into the same refit
 	// (default 250ms).
 	RebuildDebounce time.Duration
-	// Metrics is the registry GET /metrics exposes. When nil one is created
-	// unless DisableMetrics is set; pass a shared registry to combine the
-	// server's series with the WAL's (see wal.Options.Metrics).
+	// Metrics is the registry GET /metrics exposes (default: a new one);
+	// pass a shared registry to combine the server's series with the WAL's
+	// (see wal.Options.Metrics).
 	Metrics *metrics.Registry
-	// DisableMetrics turns instrumentation and GET /metrics off entirely.
-	DisableMetrics bool
 	// EnablePprof serves net/http/pprof under /debug/pprof/ to
 	// Administrator-clearance callers. Off by default: profiles expose
 	// internals far beyond the API's policy filtering.
@@ -194,9 +192,7 @@ func (o Options) withDefaults() Options {
 	if o.ReqTimeout == 0 {
 		o.ReqTimeout = 10 * time.Second
 	}
-	if o.DisableMetrics {
-		o.Metrics = nil
-	} else if o.Metrics == nil {
+	if o.Metrics == nil {
 		o.Metrics = metrics.NewRegistry()
 	}
 	return o
@@ -323,10 +319,8 @@ func New(lib Library, opts Options) *Server {
 	// Admission comes after cache and rebuilder: the watchdog's degrade
 	// callback manipulates both and may fire as soon as sampling starts.
 	s.admit = newAdmission(opts, s.applyDegrade)
-	if opts.Metrics != nil {
-		s.metrics = newServerMetrics(opts.Metrics, s)
-		lib.Instrument(opts.Metrics)
-	}
+	s.metrics = newServerMetrics(opts.Metrics, s)
+	lib.Instrument(opts.Metrics)
 	s.handler = s.withTrace(s.withRecovery(s.withAuth(s.withAdmit(http.HandlerFunc(s.route)))))
 	return s
 }

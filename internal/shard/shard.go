@@ -352,14 +352,6 @@ func (l *Library) ScenesByEvent(u classminer.User, kind classminer.EventKind) []
 
 // ---- Durability and replication: one log behind every shard. ----
 
-// ImportSnapshot reads a library snapshot (classminer.Library.Save's format)
-// and routes every video to its owning shard, returning how many were
-// imported. On a durable library each import is journaled like any
-// registration.
-func (l *Library) ImportSnapshot(r io.Reader, skipExisting bool) (int, error) {
-	return classminer.ImportPartitioned(l.shards, l.place, r, skipExisting)
-}
-
 // ApplyRecord applies one replicated log record on the shard that owns its
 // key (see classminer.Library.ApplyRecord). The leader's shard count plays
 // no part: its one log orders the records of any one key, which is all the

@@ -888,39 +888,6 @@ func TestStatsAggregation(t *testing.T) {
 	}
 }
 
-// TestImportSnapshotRoutesAcrossShards: ImportSnapshot must route a library
-// snapshot (classminer.Library.Save's format, what -load reads) across
-// shards by name, skipping what is already registered when asked to.
-func TestImportSnapshotRoutesAcrossShards(t *testing.T) {
-	corpus := testCorpus(31, 10)
-	one := buildRouter(t, 1, corpus, nil)
-	var snap bytes.Buffer
-	if err := one.ShardAt(0).Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-
-	imported, err := New(testAnalyzer(t), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := imported.ImportSnapshot(bytes.NewReader(snap.Bytes()), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(corpus) {
-		t.Fatalf("imported %d videos, want %d", n, len(corpus))
-	}
-	if n, err := imported.ImportSnapshot(bytes.NewReader(snap.Bytes()), true); err != nil || n != 0 {
-		t.Fatalf("re-import skipping existing = %d, %v; want 0, nil", n, err)
-	}
-	if err := imported.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	k := totalShots(corpus) + 1
-	queries := fixedQueries(4, 12, 31)
-	mustSameHits(t, "imported", searchAll(t, imported, admin, queries, k), searchAll(t, one, admin, queries, k))
-}
-
 // TestConcurrentMutateWhileSearch hammers one router from searchers,
 // mutators and an index rebuilder at once; run under -race this is the
 // scatter-gather path's data-race gate. One pinned video per shard keeps

@@ -9,7 +9,7 @@
 // EncodeResult and re-linked, validated, by DecodeResult, preserving
 // identity. JSON (WriteLibrary/ReadLibrary, and the struct tags) is the
 // human-readable one: the export and import format of Library.Save,
-// LoadLibrary, classminer -save and classminerd -load. The binary entry
+// LoadLibrary and classminer -save. The binary entry
 // (AppendEntry/DecodeEntry, entry.go) is the compact one: what a durable
 // library's log, checkpoints and replication stream carry per video.
 package store

@@ -174,22 +174,24 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	tc.Finish(tr2, Meta{})
 }
 
+// malformedTraceparents are headers ParseTraceparent must reject.
+var malformedTraceparents = []string{
+	"",
+	"junk",
+	"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331",     // missing flags
+	"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-0",   // short flags
+	"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // invalid version
+	"00-00000000000000000000000000000000-b7ad6b7169203331-01",  // zero trace id
+	"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",  // zero parent
+	"00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01",  // uppercase forbidden
+	"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-0g",  // non-hex flags
+	"00_0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // bad separator
+	"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-011", // trailing junk
+}
+
 func TestTraceparentMalformedIgnored(t *testing.T) {
-	bad := []string{
-		"",
-		"junk",
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331",     // missing flags
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-0",   // short flags
-		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // invalid version
-		"00-00000000000000000000000000000000-b7ad6b7169203331-01",  // zero trace id
-		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",  // zero parent
-		"00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01",  // uppercase forbidden
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-0g",  // non-hex flags
-		"00_0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // bad separator
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-011", // trailing junk
-	}
 	tc := New(Config{Slow: 0})
-	for _, h := range bad {
+	for _, h := range malformedTraceparents {
 		if _, _, _, ok := ParseTraceparent(h); ok {
 			t.Errorf("ParseTraceparent(%q) = ok", h)
 		}
@@ -204,6 +206,37 @@ func TestTraceparentMalformedIgnored(t *testing.T) {
 			t.Errorf("malformed %q produced remote parent %q", h, v.RemoteParent)
 		}
 	}
+}
+
+// FuzzTraceparent: the parser of a header any client may send never panics;
+// an accepted header is exactly what FormatTraceparent renders from its parts
+// (the renderer pins the version to 00); and a rejected one leaves StartTrace
+// on a fresh, non-zero trace id with no remote parent.
+func FuzzTraceparent(f *testing.F) {
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	for _, h := range malformedTraceparents {
+		f.Add(h)
+	}
+	tc := New(Config{Slow: time.Hour})
+	f.Fuzz(func(t *testing.T, h string) {
+		id, parent, flags, ok := ParseTraceparent(h)
+		a, _ := tc.StartTrace("request", [8]byte{1}, h)
+		defer tc.Finish(a, Meta{})
+		if ok {
+			if got := FormatTraceparent(id, parent, flags); got != "00"+h[2:] {
+				t.Fatalf("ParseTraceparent(%q) accepted, but its parts render as %q", h, got)
+			}
+			if a.id != id || !a.hasRemote || a.remoteParent != parent {
+				t.Fatalf("StartTrace(%q) did not adopt the accepted ids", h)
+			}
+			return
+		}
+		b, _ := tc.StartTrace("request", [8]byte{2}, h)
+		defer tc.Finish(b, Meta{})
+		if a.hasRemote || a.id == ([16]byte{}) || a.id == b.id {
+			t.Fatalf("StartTrace(%q) rejected the header but did not draw a fresh id: %x then %x", h, a.id, b.id)
+		}
+	})
 }
 
 func TestRingConcurrency(t *testing.T) {

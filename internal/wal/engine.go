@@ -3,7 +3,6 @@ package wal
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -180,10 +179,6 @@ func Open(dir string, opts Options) (*Engine, error) {
 	}
 	if opts.Metrics != nil {
 		e.registerMetrics(opts.Metrics)
-	}
-	if opts.Sync == SyncInterval {
-		e.wg.Add(1)
-		go e.syncLoop()
 	}
 	e.wg.Add(1)
 	go e.checkpointLoop()
@@ -409,7 +404,7 @@ func (b *syncBatch) commit(err error) {
 // Commit is the durability handle of one staged append: the record is on
 // the log, and Wait blocks until the fsync that covers it succeeds (or the
 // record is clawed back by a failed one). A zero-batch Commit means the
-// record needed no further waiting at stage time (SyncInterval/SyncNever).
+// record needed no further waiting at stage time (SyncNever).
 type Commit struct {
 	e *Engine
 	b *syncBatch
@@ -540,7 +535,7 @@ func (e *Engine) Begin(payload []byte) (Commit, error) {
 	}
 	if e.opts.Sync != SyncAlways {
 		e.dirty = true
-		// The relaxed policies acknowledge at append time, so the record is
+		// SyncNever acknowledges at append time, so the record is
 		// immediately shippable to followers.
 		e.advancePinsLocked(1, n)
 		e.mu.Unlock()
@@ -668,9 +663,9 @@ func (e *Engine) leadCommit(b *syncBatch) error {
 
 // clawBackLocked truncates the active segment back to the last durable byte
 // after a failed batched fsync, failing the still-open batch whose frames
-// the truncation also removes. Only meaningful under SyncAlways — the other
-// modes never stage unacknowledged frames, and their durableSize does not
-// track the interval fsyncs, so truncating to it would destroy durable
+// the truncation also removes. Only meaningful under SyncAlways — SyncNever
+// never stages unacknowledged frames, and its durableSize does not track
+// what it has appended, so truncating to it would destroy acknowledged
 // records. Callers hold e.mu (and syncMu, via the leader).
 func (e *Engine) clawBackLocked() {
 	if b := e.curBatch; b != nil {
@@ -724,9 +719,6 @@ func (e *Engine) lagExceededLocked() bool {
 // leaves the engine still appending to the old segment instead of wedged on
 // a closed file.
 func (e *Engine) rotateLocked() error {
-	// Sync unconditionally, not just when dirty: syncLoop clears the dirty
-	// flag before it fsyncs outside the lock, so trusting the flag here
-	// could seal a segment whose records are still only in page cache.
 	if err := e.active.Sync(); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -915,47 +907,6 @@ func (e *Engine) checkpointLoop() {
 	}
 }
 
-// syncLoop flushes dirty segments on the SyncInterval cadence. The fsync
-// itself runs outside e.mu — holding the lock across a slow disk flush
-// would stall every Append (and the Library writer behind it, and the
-// readers queued behind *that*), defeating SyncInterval's purpose.
-func (e *Engine) syncLoop() {
-	defer e.wg.Done()
-	t := time.NewTicker(e.opts.SyncEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-e.done:
-			return
-		case <-t.C:
-			e.mu.Lock()
-			var f *os.File
-			if e.dirty && !e.closed {
-				f = e.active
-				e.dirty = false
-			}
-			e.mu.Unlock()
-			if f == nil {
-				continue
-			}
-			// If a rotation sealed f meanwhile, it was synced there first;
-			// a closed-file error here means the data is already safe.
-			if err := f.Sync(); err != nil && !errors.Is(err, os.ErrClosed) {
-				e.opts.Logf("wal: interval sync: %v", err)
-				e.mu.Lock()
-				if e.active == f {
-					e.dirty = true // retry next tick
-				}
-				e.mu.Unlock()
-			} else {
-				e.mu.Lock()
-				e.syncCount++
-				e.mu.Unlock()
-			}
-		}
-	}
-}
-
 // Close stops the background goroutines, fsyncs any buffered appends, and
 // closes the active segment. The engine is unusable afterwards.
 func (e *Engine) Close() error {
@@ -1001,12 +952,9 @@ func (e *Engine) Close() error {
 			e.clawBackLocked()
 		}
 	case e.dirty:
-		// SyncInterval/SyncNever: every record here was already
-		// acknowledged at append time (those modes promise no durability
-		// before Close), and durableSize does not track the interval
-		// fsyncs — so a failed final flush is reported, never clawed back:
-		// truncation would destroy records earlier interval fsyncs already
-		// made durable.
+		// SyncNever: every record here was already acknowledged at append
+		// time (the mode promises no durability before Close), so a failed
+		// final flush is reported, never clawed back.
 		err = e.active.Sync()
 		e.dirty = false
 	}

@@ -100,7 +100,7 @@ func (e *Engine) MaxPinLag() (records, bytes int64) {
 
 // DurableNotify returns a channel closed the next time the durable tip
 // advances (a group commit lands, a rotation seals staged frames, or — under
-// relaxed sync policies — any append). Long-polling pullers park on it
+// SyncNever — any append). Long-polling pullers park on it
 // instead of spinning.
 func (e *Engine) DurableNotify() <-chan struct{} {
 	e.mu.Lock()
@@ -193,7 +193,7 @@ func (e *Engine) Detach(id string) {
 
 // tipLocked is the durable end of the log: everything before it may be
 // shipped. Under SyncAlways that is the fsynced prefix of the active segment
-// (staged frames can still be clawed back); under the relaxed policies every
+// (staged frames can still be clawed back); under SyncNever every
 // appended byte is acknowledged and shippable.
 func (e *Engine) tipLocked() Cursor {
 	off := e.activeSize

@@ -87,8 +87,7 @@ func TestAppendCtxSpans(t *testing.T) {
 func TestWaitCtxUntracedNoop(t *testing.T) {
 	dir := t.TempDir()
 	opts := quietOpts()
-	opts.Sync = SyncInterval
-	opts.SyncEvery = time.Hour
+	opts.Sync = SyncNever
 	e, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -50,14 +50,13 @@
 // cost a recovery their CRC check, not their decode (the library's replay
 // skips them at read time).
 //
-// Durability is configurable per deployment: fsync every record (default,
-// survives power loss), on a background interval (bounded loss window), or
-// never (test/bulk-load mode, survives process crash but not power loss).
+// Every appended record is fsynced before Append returns (SyncAlways, the
+// default: survives power loss); SyncNever leaves syncing to the OS until
+// Close (tests and bulk loads: survives a process crash, not power loss).
 package wal
 
 import (
 	"errors"
-	"time"
 
 	"classminer/internal/metrics"
 )
@@ -69,11 +68,6 @@ const (
 	// SyncAlways fsyncs after every appended record (default). No
 	// acknowledged record is ever lost, even to power failure.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs dirty segments every Options.SyncEvery on a
-	// background goroutine: at most one interval of acknowledged records is
-	// exposed to power loss. Process crashes lose nothing either way — the
-	// OS has the writes.
-	SyncInterval
 	// SyncNever leaves syncing to the OS page cache (and Close). For tests
 	// and bulk loads.
 	SyncNever
@@ -88,9 +82,6 @@ type Options struct {
 	SegmentBytes int64
 	// Sync is the fsync policy for appended records (default SyncAlways).
 	Sync SyncPolicy
-	// SyncEvery is the background fsync period under SyncInterval
-	// (default 100ms).
-	SyncEvery time.Duration
 	// CheckpointBytes triggers a background checkpoint once that many log
 	// bytes accumulate past the last one (default 64 MiB; negative
 	// disables).
@@ -119,9 +110,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 100 * time.Millisecond
 	}
 	if o.CheckpointBytes == 0 {
 		o.CheckpointBytes = 64 << 20

@@ -609,26 +609,6 @@ func TestAutoCheckpointAfterRecovery(t *testing.T) {
 	}
 }
 
-func TestSyncIntervalSmoke(t *testing.T) {
-	dir := t.TempDir()
-	eng, err := Open(dir, Options{Sync: SyncInterval, SyncEvery: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := payloads(20)
-	appendAll(t, eng, want)
-	time.Sleep(30 * time.Millisecond) // let the background sync run at least once
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	eng2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng2.Close()
-	mustEqual(t, collect(t, eng2), want)
-}
-
 func TestAppendAfterCloseFails(t *testing.T) {
 	eng, err := Open(t.TempDir(), Options{})
 	if err != nil {
