@@ -193,7 +193,7 @@ type VideoEntry struct {
 // before the video is visible, and are never written again — the
 // checkpoint writer and the serving layer read them without the lock.
 //
-// Index. BuildIndex is copy-on-write: the expensive fit runs outside the
+// Index. BuildIndexCtx is copy-on-write: the expensive fit runs outside the
 // lock against a snapshot of the rows and the finished index is swapped in
 // atomically, so concurrent searches keep answering from the previous index
 // (at worst slightly stale) instead of blocking or erroring while a rebuild
@@ -346,17 +346,13 @@ func (l *Library) checkSubcluster(name string) error {
 	return nil
 }
 
-// AddVideo mines a video and registers its shots under the given
-// subcluster concept ("medicine", "nursing", "dentistry"). The index is
-// invalidated; call BuildIndex after the last AddVideo. The returned Result
-// belongs to the library and is immutable (see AddResult).
-func (l *Library) AddVideo(v *Video, subcluster string) (*Result, error) {
-	return l.AddVideoCtx(context.Background(), v, subcluster)
-}
-
-// AddVideoCtx is AddVideo with tracing: when ctx carries a trace span
-// (a traced ingest job), the mining, journaling, and install stages each
-// record child spans.
+// AddVideoCtx mines a video and registers its shots under the given
+// subcluster concept ("medicine", "nursing", "dentistry"). The registration
+// is absorbed into a current serving index incrementally and otherwise
+// leaves it stale; call BuildIndexCtx after the last one for a full fit. The
+// returned Result belongs to the library and is immutable (see
+// AddResultCtx). When ctx carries a trace span (a traced ingest job), the
+// mining, journaling, and install stages each record child spans.
 func (l *Library) AddVideoCtx(ctx context.Context, v *Video, subcluster string) (*Result, error) {
 	if err := l.checkSubcluster(subcluster); err != nil {
 		return nil, err
@@ -378,18 +374,20 @@ func (l *Library) AddVideoCtx(ctx context.Context, v *Video, subcluster string) 
 	return res, l.register(ctx, v.Name, res, subcluster)
 }
 
-// AddResult registers an already-mined result (e.g. loaded from a snapshot
-// or produced by a remote miner) under the given subcluster concept. Like
-// AddVideo it leaves the index stale; call BuildIndex afterwards.
-//
-// Once registered, res belongs to the library and is immutable: its shots'
-// feature slices are moved into the library's row store, and nothing may
-// write them afterwards. Do not register it while another goroutine reads it.
+// AddResult is AddResultCtx without a trace. It stays only because the
+// benchmark's probes (cmd/loadgen) call it; ROADMAP item 1(d) retires it.
 func (l *Library) AddResult(res *Result, subcluster string) error {
 	return l.AddResultCtx(context.Background(), res, subcluster)
 }
 
-// AddResultCtx is AddResult with tracing (see AddVideoCtx).
+// AddResultCtx registers an already-mined result (e.g. decoded from a
+// journal record or produced by a remote miner) under the given subcluster
+// concept. Like AddVideoCtx it leaves a stale index stale; call BuildIndexCtx
+// afterwards. Traced like AddVideoCtx.
+//
+// Once registered, res belongs to the library and is immutable: its shots'
+// feature slices are moved into the library's row store, and nothing may
+// write them afterwards. Do not register it while another goroutine reads it.
 func (l *Library) AddResultCtx(ctx context.Context, res *Result, subcluster string) error {
 	if res == nil || res.Video == nil {
 		return fmt.Errorf("classminer: nil result")
@@ -417,7 +415,7 @@ func (l *Library) AddResultCtx(ctx context.Context, res *Result, subcluster stri
 // deliberate pre-ack read: if the batched fsync fails, the install is
 // compensated away and the caller told the registration failed — exactly
 // what the log (which clawed the record back) will replay. Replace and
-// DeleteVideo keep their synchronous shape (stage, wait, then apply under
+// delete keep their synchronous shape (stage, wait, then apply under
 // the lock) — they still coalesce into whatever batch is in flight.
 func (l *Library) register(ctx context.Context, name string, res *Result, subcluster string) error {
 	sp := trace.StartSpan(ctx, "register")
@@ -698,13 +696,13 @@ func homeRows(entries []*index.Entry, dim int) {
 // replay and a follower's apply all end here — and it costs what the video
 // holds: the video's row span is marked in the dead bitset and masked out of
 // the serving index (copy-on-write, by span), and no feature row is touched.
-// The rows stay where they are, because an in-flight BuildIndex and the
+// The rows stay where they are, because an in-flight BuildIndexCtx and the
 // installed index read them; the next full fit drops them as it lands. The
 // mask never waits for that: it is applied whether or not the index was
 // current (a stale index stays stale, but stops ranking the video now), and
 // the generation bump invalidates response caches.
 //
-// When no fit is coming — log replay, a library nobody runs BuildIndex on,
+// When no fit is coming — log replay, a library nobody runs BuildIndexCtx on,
 // rebuilds paused — dead rows are bounded here instead: once they outnumber
 // the live ones the library compacts into a fresh array (compactLocked),
 // amortised O(1) per retired row, so rows never exceed twice the live count.
@@ -904,26 +902,23 @@ func (l *Library) encodeTombstone(name string) ([]byte, error) {
 	return wal.EncodeRecord(wal.RecordTombstone, name, nil)
 }
 
-// DeleteVideo unregisters a video at a cost proportional to the video, not
-// the library: its rows are marked dead and masked out of the serving index
-// (searches stop ranking them before this returns, whether or not the index
-// was current), and the generation advances so cached answers stop being
-// served. The rows themselves leave with the next full fit (see
+// DeleteVideoAsCtx unregisters a video at a cost proportional to the video,
+// not the library: its rows are marked dead and masked out of the serving
+// index (searches stop ranking them before this returns, whether or not the
+// index was current), and the generation advances so cached answers stop
+// being served. The rows themselves leave with the next full fit (see
 // removeLocked for what bounds them meanwhile). On a durable library the
 // tombstone is journaled before any state changes — replay applies it even
 // over a registration recovered from a checkpoint snapshot, so delete wins
-// across a crash.
-func (l *Library) DeleteVideo(name string) error {
-	return l.deleteVideo(context.Background(), name, nil)
-}
-
-// DeleteVideoAsCtx is DeleteVideo gated by the library's access policy: the
-// user must be allowed to see the video's subcluster, and the check runs
-// under the same critical section as the removal — a concurrent
-// replacement can never move the video behind a policy wall between the
-// check and the delete. It returns an error wrapping ErrForbidden when
-// policy denies the user. A traced request records the delete and its WAL
-// tombstone append as child spans.
+// across a crash. An unknown name is an error wrapping ErrUnknownVideo.
+//
+// The delete is gated by the library's access policy: the user must be
+// allowed to see the video's subcluster, and the check runs under the same
+// critical section as the removal — a concurrent replacement can never move
+// the video behind a policy wall between the check and the delete. It
+// returns an error wrapping ErrForbidden when policy denies the user. A
+// traced request records the delete and its WAL tombstone append as child
+// spans.
 func (l *Library) DeleteVideoAsCtx(ctx context.Context, u User, name string) error {
 	return l.deleteVideo(ctx, name, l.visibleTo(u))
 }
@@ -962,28 +957,19 @@ func (l *Library) deleteVideo(ctx context.Context, name string, check func(*Vide
 	return nil
 }
 
-// ReplaceResult installs an already-mined result under its video name,
+// ReplaceResultAsCtx installs an already-mined result under its video name,
 // superseding any existing registration (an upsert: absent names register
 // fresh). This is the re-ingest path of a living archive — a clinician
-// re-records a procedure and the new cut supersedes the old. The index is
-// left stale; call BuildIndex afterwards. On a durable library the whole
-// replacement is a single journal record, atomic across crashes.
-func (l *Library) ReplaceResult(res *Result, subcluster string) error {
-	if res == nil || res.Video == nil {
-		return fmt.Errorf("classminer: nil result")
-	}
-	if err := l.checkSubcluster(subcluster); err != nil {
-		return err
-	}
-	return l.replace(context.Background(), res.Video.Name, res, subcluster, nil)
-}
-
-// ReplaceResultAsCtx is ReplaceResult gated by the library's access policy:
-// superseding a registration destroys it just as surely as DeleteVideo
-// does, so the user must be allowed to see the *existing* video's
-// subcluster, checked atomically with the swap (ErrForbidden otherwise).
-// Absent names register fresh with no gate — there is nothing to destroy.
-// Traced like AddVideoCtx.
+// re-records a procedure and the new cut supersedes the old. The victim is
+// masked out of the serving index and the successor left for the next
+// BuildIndexCtx. On a durable library the whole replacement is a single
+// journal record, atomic across crashes.
+//
+// The replacement is gated by the library's access policy: superseding a
+// registration destroys it just as surely as DeleteVideoAsCtx does, so the
+// user must be allowed to see the *existing* video's subcluster, checked
+// atomically with the swap (ErrForbidden otherwise). Absent names register
+// fresh with no gate — there is nothing to destroy. Traced like AddVideoCtx.
 func (l *Library) ReplaceResultAsCtx(ctx context.Context, u User, res *Result, subcluster string) error {
 	if res == nil || res.Video == nil {
 		return fmt.Errorf("classminer: nil result")
@@ -996,7 +982,7 @@ func (l *Library) ReplaceResultAsCtx(ctx context.Context, u User, res *Result, s
 
 // ReplaceVideoAsCtx mines a video and installs it under its name,
 // superseding any existing registration behind ReplaceResultAsCtx's atomic
-// policy gate. Mining runs outside the lock, like AddVideo; traced like
+// policy gate. Mining runs outside the lock, like AddVideoCtx; traced like
 // AddVideoCtx.
 func (l *Library) ReplaceVideoAsCtx(ctx context.Context, u User, v *Video, subcluster string) (*Result, error) {
 	if err := l.checkSubcluster(subcluster); err != nil {
@@ -1011,7 +997,13 @@ func (l *Library) ReplaceVideoAsCtx(ctx context.Context, u User, v *Video, subcl
 	return res, l.replace(ctx, v.Name, res, subcluster, l.visibleTo(u))
 }
 
-// BuildIndex (re)builds the hierarchical index over all registered videos
+// BuildIndex is BuildIndexCtx without a trace. It stays only because the
+// benchmark's probes (cmd/loadgen) call it; ROADMAP item 1(d) retires it.
+func (l *Library) BuildIndex() error {
+	return l.BuildIndexCtx(context.Background())
+}
+
+// BuildIndexCtx (re)builds the hierarchical index over all registered videos
 // — the full fit that resets the incremental overlay's staleness and, as a
 // by-product, compacts the library. The fit runs outside the lock against a
 // snapshot of the rows, so concurrent searches keep answering from the
@@ -1020,13 +1012,8 @@ func (l *Library) ReplaceVideoAsCtx(ctx context.Context, u User, v *Video, subcl
 // directions: videos registered meanwhile are inserted into the fresh fit,
 // videos deleted meanwhile are masked out of it. A fit is therefore never
 // thrown away because ingest or deletes raced it. Concurrent builds are
-// safe: an older fit never overwrites a newer one.
-func (l *Library) BuildIndex() error {
-	return l.BuildIndexCtx(context.Background())
-}
-
-// BuildIndexCtx is BuildIndex with tracing: when ctx carries a trace span
-// (the rebuilder traces every rebuild), the out-of-lock fit and the
+// safe: an older fit never overwrites a newer one. When ctx carries a trace
+// span (the rebuilder traces every rebuild), the out-of-lock fit and the
 // under-lock catch-up-and-swap each record a child span — the split that
 // matters when a rebuild stalls queries (only "swap" runs under the write
 // lock).
@@ -1039,7 +1026,7 @@ func (l *Library) BuildIndex() error {
 // a fresh array; at the swap the library adopts that array (plus the rows
 // appended since) as its own and repoints every video, so the dead rows are
 // gone and index entry IDs equal library rows again. Either way the fit is
-// the fit BuildIndex would run over the same videos registered into an empty
+// the fit BuildIndexCtx would run over the same videos registered into an empty
 // library in the same order.
 //
 // Only the library compacting on its own under the fit (removeLocked: it
@@ -1239,7 +1226,7 @@ func (l *Library) Allowed(u User, path []string) bool {
 }
 
 // HasSubcluster reports whether name is a valid placement target for
-// AddVideo / AddResult (a subcluster-level concept).
+// AddVideoCtx / AddResultCtx (a subcluster-level concept).
 func (l *Library) HasSubcluster(name string) bool {
 	return l.checkSubcluster(name) == nil
 }
@@ -1266,6 +1253,11 @@ func (l *Library) Video(name string) *VideoEntry {
 func (l *Library) VideoNames() []string {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
+	return l.videoNamesLocked()
+}
+
+// videoNamesLocked is VideoNames for a caller that holds l.mu.
+func (l *Library) videoNamesLocked() []string {
 	names := make([]string, 0, len(l.videos))
 	for name := range l.videos {
 		names = append(names, name)
@@ -1282,22 +1274,6 @@ func (l *Library) Size() int {
 	return len(l.entries) - l.deadRows
 }
 
-// Search runs a query-by-example over the library as the given user: the
-// hierarchical index finds the k nearest shots and the access-control
-// policy filters what the user may see. The §6.2 cost statistics of the
-// index traversal are returned alongside.
-func (l *Library) Search(u User, query []float64, k int) ([]SearchHit, SearchStats, error) {
-	return l.SearchInto(nil, u, query, k)
-}
-
-// SearchInto is Search writing its ranked, policy-filtered hits into dst
-// (grown only when capacity is insufficient). A caller that reuses one
-// buffer — the serving layer pools them per request — makes the whole
-// query path allocation-free. The returned slice aliases dst.
-func (l *Library) SearchInto(dst []SearchHit, u User, query []float64, k int) ([]SearchHit, SearchStats, error) {
-	return l.SearchIntoCtx(context.Background(), dst, u, query, k)
-}
-
 // QueryDimError is the error a search returns for a query whose length is
 // not the feature dimensionality of the index serving it. The
 // dimensionality is the library's, and it changes when an emptied library
@@ -1310,11 +1286,21 @@ func (e *QueryDimError) Error() string {
 	return fmt.Sprintf("classminer: query has %d dims, index has %d", e.Got, e.Want)
 }
 
-// SearchIntoCtx is SearchInto with tracing: when ctx carries a trace span,
-// the index stages (project/scan/rank — see Index.SearchIntoSpans) and the
-// policy filter record child spans under one "search" span. Untraced and
-// unsampled callers pay nothing — the span lookup on a bare context is a
-// nil value read, keeping the zero-alloc query contract.
+// SearchIntoCtx runs a query-by-example over the library as the given user:
+// the hierarchical index finds the k nearest shots and the access-control
+// policy filters what the user may see. The §6.2 cost statistics of the
+// index traversal are returned alongside.
+//
+// The ranked, policy-filtered hits are written into dst (grown only when
+// capacity is insufficient; nil is fine). A caller that reuses one buffer —
+// the serving layer pools them per request — makes the whole query path
+// allocation-free. The returned slice aliases dst.
+//
+// When ctx carries a trace span, the index stages (project/scan/rank — see
+// Index.SearchIntoSpans) and the policy filter record child spans under one
+// "search" span. Untraced and unsampled callers pay nothing — the span
+// lookup on a bare context is a nil value read, keeping the zero-alloc query
+// contract.
 func (l *Library) SearchIntoCtx(ctx context.Context, dst []SearchHit, u User, query []float64, k int) ([]SearchHit, SearchStats, error) {
 	sp := trace.StartSpan(ctx, "search")
 	defer sp.End()
@@ -1362,12 +1348,14 @@ type SceneRef struct {
 
 // ScenesByEvent answers queries like "show me all patient–doctor dialogs
 // within the library": every mined scene of the category the user is
-// allowed to see.
+// allowed to see, ordered by video name and then by scene index, so the
+// same library answers the same request with the same list.
 func (l *Library) ScenesByEvent(u User, kind EventKind) []SceneRef {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	var out []SceneRef
-	for name, ve := range l.videos {
+	for _, name := range l.videoNamesLocked() {
+		ve := l.videos[name]
 		leaf := concept.SceneConcept(ve.Subcluster, kind)
 		path := append(l.hierarchy.Find(ve.Subcluster).Path(), leaf)
 		if !l.policy.Allowed(u, path) {
@@ -1382,22 +1370,6 @@ func (l *Library) ScenesByEvent(u User, kind EventKind) []SceneRef {
 	return out
 }
 
-// Save serialises every mined video's metadata (not the media) to w as one
-// JSON document — the human-readable export, and what LoadLibrary reads back
-// without re-mining. (A durable library's own files are binary; see Recover.)
-func (l *Library) Save(w io.Writer) error {
-	vids := l.settledVideos()
-	entries := make([]store.SavedLibraryEntry, len(vids))
-	for i, v := range vids {
-		saved, err := store.EncodeResult(v.ve.Result)
-		if err != nil {
-			return fmt.Errorf("classminer: saving %q: %w", v.name, err)
-		}
-		entries[i] = store.SavedLibraryEntry{Subcluster: v.ve.Subcluster, Result: saved}
-	}
-	return store.WriteLibrary(w, entries)
-}
-
 // savedVideo is one registered video as a snapshot sees it.
 type savedVideo struct {
 	name string
@@ -1406,8 +1378,8 @@ type savedVideo struct {
 
 func (v savedVideo) compareName(w savedVideo) int { return strings.Compare(v.name, w.name) }
 
-// settledVideos lists the registered videos in name order — what Save writes
-// and what a checkpoint snapshots.
+// settledVideos lists the registered videos in name order — what a
+// checkpoint snapshots.
 //
 // Only the registration set is snapshotted under the lock; encoding it is the
 // caller's business and runs outside (registered Results are immutable), so a
@@ -1439,36 +1411,6 @@ func (l *Library) settledVideos() []savedVideo {
 	})
 }
 
-// LoadLibrary reconstructs a library from a stream written by Save and
-// rebuilds its index. The analyzer is kept for future AddVideo calls; the
-// loaded videos carry mined metadata only (no frames or audio). A name twice
-// in the stream, or a placement concept the taxonomy lacks, is an error.
-func LoadLibrary(r io.Reader, a *Analyzer) (*Library, error) {
-	saved, err := store.ReadLibrary(r)
-	if err != nil {
-		return nil, err
-	}
-	l := NewLibrary(a)
-	for _, sv := range saved.Videos {
-		res, err := store.DecodeResult(sv.Result)
-		if err != nil {
-			return nil, err
-		}
-		if err := l.checkSubcluster(sv.Subcluster); err != nil {
-			return nil, err
-		}
-		if err := l.register(context.Background(), res.Video.Name, res, sv.Subcluster); err != nil {
-			return nil, err
-		}
-	}
-	if len(saved.Videos) > 0 {
-		if err := l.BuildIndex(); err != nil {
-			return nil, err
-		}
-	}
-	return l, nil
-}
-
 // Recover opens (creating if needed) a durable library rooted at dir: it
 // loads the newest checkpoint snapshot, replays the write-ahead log tail
 // over it, and attaches the journal so every subsequent registration is
@@ -1486,7 +1428,7 @@ func LoadLibrary(r io.Reader, a *Analyzer) (*Library, error) {
 // incomplete fails the recovery, naming the file; a damaged log tail does
 // not, it ends the replay.
 //
-// The recovered index is left stale — call BuildIndex once before serving
+// The recovered index is left stale — call BuildIndexCtx once before serving
 // searches. Close the library when done to release the engine.
 func Recover(dir string, a *Analyzer, opts DurableOptions) (*Library, error) {
 	libs, err := RecoverPartitioned(dir, 1, placeOne, a, opts)

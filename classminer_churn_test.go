@@ -96,8 +96,8 @@ func mustMatchRebuilt(t testing.TB, lib, ref *Library, dim int, seed int64) {
 	queries := fixedQueries(6, dim, seed)
 	for _, k := range []int{3, ref.Size() + 2} {
 		for qi, q := range queries {
-			gh, gs, gerr := lib.Search(u, q, k)
-			wh, ws, werr := ref.Search(u, q, k)
+			gh, gs, gerr := lib.SearchIntoCtx(context.Background(), nil, u, q, k)
+			wh, ws, werr := ref.SearchIntoCtx(context.Background(), nil, u, q, k)
 			if gerr != nil || werr != nil {
 				t.Fatalf("search: %v / %v", gerr, werr)
 			}
@@ -137,8 +137,7 @@ func mustMatchRebuilt(t testing.TB, lib, ref *Library, dim int, seed int64) {
 		for _, ref := range l.ScenesByEvent(u, kind) {
 			out = append(out, fmt.Sprintf("%s/%d/%d", ref.VideoName, ref.Scene.Index, len(ref.Scene.Shots())))
 		}
-		sort.Strings(out) // ScenesByEvent walks a map
-		return out
+		return out // in ScenesByEvent's own order: by video name, then scene index
 	}
 	for _, kind := range []EventKind{EventUnknown, EventPresentation, EventDialog, EventClinicalOperation} {
 		if g, w := scenes(lib, kind), scenes(ref, kind); !reflect.DeepEqual(g, w) {
@@ -356,14 +355,14 @@ func runChurnScript(t *testing.T, a *Analyzer, lib *Library, durable *churnCrash
 		if removes%8 == 0 {
 			durable.crash(order) // the victim's registration, and no tombstone yet
 		}
-		mutate(func() error { return lib.DeleteVideo(order[i].name) })
+		mutate(func() error { return lib.DeleteVideoAsCtx(context.Background(), admin, order[i].name) })
 		order = append(order[:i], order[i+1:]...)
 		if removes%8 == 0 {
 			durable.crash(order)
 		}
 	}
 	replace := func(i int, sp churnSpec) {
-		mutate(func() error { return lib.ReplaceResult(sp.result(t), sp.subcluster) })
+		mutate(func() error { return lib.ReplaceResultAsCtx(context.Background(), admin, sp.result(t), sp.subcluster) })
 		order = append(append(order[:i], order[i+1:]...), sp)
 	}
 	build := func() {
@@ -397,7 +396,7 @@ func runChurnScript(t *testing.T, a *Analyzer, lib *Library, durable *churnCrash
 			}
 			colorDims = 6
 			replace(0, fresh(order[0].name))
-			if _, _, err := lib.Search(u, make([]float64, 12), 3); err == nil {
+			if _, _, err := lib.SearchIntoCtx(context.Background(), nil, u, make([]float64, 12), 3); err == nil {
 				t.Fatal("an index of the old dimensionality kept serving")
 			}
 			build()
@@ -426,7 +425,7 @@ func runChurnScript(t *testing.T, a *Analyzer, lib *Library, durable *churnCrash
 		if lib.Stats().IndexedShots == 0 {
 			continue
 		}
-		hits, _, err := lib.Search(u, fixedQueries(1, order[0].dim(), int64(step))[0], 8)
+		hits, _, err := lib.SearchIntoCtx(context.Background(), nil, u, fixedQueries(1, order[0].dim(), int64(step))[0], 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -479,7 +478,7 @@ func TestDeleteMasksStaleIndex(t *testing.T) {
 	mustNotRank := func(victim churnSpec) {
 		t.Helper()
 		for _, sh := range victim.result(t).Shots {
-			hits, _, err := lib.Search(u, sh.Feature(), 30)
+			hits, _, err := lib.SearchIntoCtx(context.Background(), nil, u, sh.Feature(), 30)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -490,7 +489,7 @@ func TestDeleteMasksStaleIndex(t *testing.T) {
 			}
 		}
 	}
-	if err := lib.DeleteVideo(specs[1].name); err != nil {
+	if err := lib.DeleteVideoAsCtx(context.Background(), admin, specs[1].name); err != nil {
 		t.Fatal(err)
 	}
 	mustNotRank(specs[1])
@@ -500,7 +499,7 @@ func TestDeleteMasksStaleIndex(t *testing.T) {
 	epoch := lib.epoch
 	lib.mu.RUnlock()
 	for _, sp := range specs[2:5] {
-		if err := lib.DeleteVideo(sp.name); err != nil {
+		if err := lib.DeleteVideoAsCtx(context.Background(), admin, sp.name); err != nil {
 			t.Fatal(err)
 		}
 		mustNotRank(sp)
@@ -511,7 +510,7 @@ func TestDeleteMasksStaleIndex(t *testing.T) {
 	if !compacted {
 		t.Fatal("library never compacted on its own; the by-name path went untested")
 	}
-	if err := lib.DeleteVideo(specs[5].name); err != nil {
+	if err := lib.DeleteVideoAsCtx(context.Background(), admin, specs[5].name); err != nil {
 		t.Fatal(err)
 	}
 	mustNotRank(specs[5])
@@ -589,7 +588,7 @@ func TestFitSurvivesRacingDeletes(t *testing.T) {
 				for lib.Video(victim) == nil {
 					runtime.Gosched() // its registrar was descheduled mid-pair
 				}
-				if err := lib.DeleteVideo(victim); err != nil {
+				if err := lib.DeleteVideoAsCtx(context.Background(), admin, victim); err != nil {
 					t.Error(err)
 					return
 				}
@@ -610,7 +609,7 @@ func TestFitSurvivesRacingDeletes(t *testing.T) {
 				default:
 				}
 				began := ackSeq.Load()
-				hits, _, err := lib.Search(u, queries[i%len(queries)], 20)
+				hits, _, err := lib.SearchIntoCtx(context.Background(), nil, u, queries[i%len(queries)], 20)
 				if err != nil {
 					t.Error(err)
 					return
@@ -737,7 +736,7 @@ func TestFitKeepsEntryCapacity(t *testing.T) {
 			if err := lib.AddResult(tinyResult(t, fmt.Sprintf("vid-%05d", next), int64(next), 25), "medicine"); err != nil {
 				t.Fatal(err)
 			}
-			if err := lib.DeleteVideo(fmt.Sprintf("vid-%05d", next-live)); err != nil {
+			if err := lib.DeleteVideoAsCtx(context.Background(), admin, fmt.Sprintf("vid-%05d", next-live)); err != nil {
 				t.Fatal(err)
 			}
 			next++
@@ -774,11 +773,11 @@ func TestDeleteCostIndependentOfLibrarySize(t *testing.T) {
 	}
 	cost := func(videos int) uint64 {
 		lib := churnLibrary(t, a, videos)
-		if err := lib.DeleteVideo("vid-00003"); err != nil { // warm: first mask page
+		if err := lib.DeleteVideoAsCtx(context.Background(), admin, "vid-00003"); err != nil { // warm: first mask page
 			t.Fatal(err)
 		}
 		n := allocatedBy(func() {
-			if err := lib.DeleteVideo("vid-00010"); err != nil {
+			if err := lib.DeleteVideoAsCtx(context.Background(), admin, "vid-00010"); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -825,7 +824,7 @@ func churnDir(t testing.TB, a *Analyzer, dir string, base, pairs int, tombstones
 		order = append(order, sp)
 		if tombstones && i >= base {
 			victim := len(order) - 1 - 128
-			if err := lib.DeleteVideo(order[victim].name); err != nil {
+			if err := lib.DeleteVideoAsCtx(context.Background(), admin, order[victim].name); err != nil {
 				t.Fatal(err)
 			}
 			order = append(order[:victim], order[victim+1:]...)

@@ -1,6 +1,7 @@
 package classminer
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -33,7 +34,7 @@ func TestIncrementalGoldenEquivalence(t *testing.T) {
 	if err := lib.AddResult(tinyResult(t, "delta-0", 100, 3), "medicine"); err != nil {
 		t.Fatal(err)
 	}
-	if err := lib.DeleteVideo("base-2"); err != nil {
+	if err := lib.DeleteVideoAsCtx(context.Background(), admin, "base-2"); err != nil {
 		t.Fatal(err)
 	}
 	if lib.IndexStale() {
@@ -88,7 +89,7 @@ func TestIncrementalGoldenEquivalence(t *testing.T) {
 	// Smaller k (hash-shell regime) still serves without error after the
 	// refit; candidate recall at low k is the hash approximation's own
 	// property, tested in internal/index.
-	if _, _, err := lib.Search(u, queries[0], 3); err != nil {
+	if _, _, err := lib.SearchIntoCtx(context.Background(), nil, u, queries[0], 3); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -120,16 +121,16 @@ func TestLibrarySearchIntoZeroAlloc(t *testing.T) {
 	q := fixedQueries(1, 12, 5)[0]
 	dst := make([]SearchHit, 0, 16)
 	for i := 0; i < 8; i++ { // warm the scratch pool
-		dst, _, err = lib.SearchInto(dst[:0], u, q, 10)
+		dst, _, err = lib.SearchIntoCtx(context.Background(), dst[:0], u, q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		dst, _, _ = lib.SearchInto(dst[:0], u, q, 10)
+		dst, _, _ = lib.SearchIntoCtx(context.Background(), dst[:0], u, q, 10)
 	})
 	if avg != 0 {
-		t.Fatalf("Library.SearchInto allocates %.1f per run, want 0", avg)
+		t.Fatalf("Library.SearchIntoCtx allocates %.1f per run, want 0", avg)
 	}
 }
 
@@ -157,7 +158,7 @@ func TestIncrementalRegistrationImmediatelySearchable(t *testing.T) {
 		if err := lib.AddResult(res, "medicine"); err != nil {
 			t.Fatal(err)
 		}
-		hits, _, err := lib.Search(u, res.Shots[0].Feature(), 1)
+		hits, _, err := lib.SearchIntoCtx(context.Background(), nil, u, res.Shots[0].Feature(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,13 +168,13 @@ func TestIncrementalRegistrationImmediatelySearchable(t *testing.T) {
 	}
 	// Replacement swaps content in the serving index immediately too.
 	repl := tinyResult(t, "live-0", 999, 3)
-	if err := lib.ReplaceResult(repl, "medicine"); err != nil {
+	if err := lib.ReplaceResultAsCtx(context.Background(), admin, repl, "medicine"); err != nil {
 		t.Fatal(err)
 	}
 	if lib.IndexStale() {
 		t.Fatal("index stale after replace")
 	}
-	hits, _, err := lib.Search(u, repl.Shots[0].Feature(), 1)
+	hits, _, err := lib.SearchIntoCtx(context.Background(), nil, u, repl.Shots[0].Feature(), 1)
 	if err != nil || len(hits) == 0 || hits[0].Entry.VideoName != "live-0" {
 		t.Fatalf("replacement not searchable: hits=%v err=%v", hits, err)
 	}

@@ -33,10 +33,10 @@ func TestDeleteVideo(t *testing.T) {
 	gen := lib.Generation()
 	shotsBefore := lib.Size()
 
-	if err := lib.DeleteVideo("nope"); !errors.Is(err, ErrUnknownVideo) {
+	if err := lib.DeleteVideoAsCtx(context.Background(), admin, "nope"); !errors.Is(err, ErrUnknownVideo) {
 		t.Fatalf("deleting unknown video: %v, want ErrUnknownVideo", err)
 	}
-	if err := lib.DeleteVideo("v1"); err != nil {
+	if err := lib.DeleteVideoAsCtx(context.Background(), admin, "v1"); err != nil {
 		t.Fatal(err)
 	}
 	if lib.Video("v1") != nil {
@@ -57,7 +57,7 @@ func TestDeleteVideo(t *testing.T) {
 	searchMisses := func(victim string) {
 		t.Helper()
 		for _, q := range fixedQueries(8, 12, 7) {
-			hits, _, err := lib.Search(u, q, 10)
+			hits, _, err := lib.SearchIntoCtx(context.Background(), nil, u, q, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,13 +77,13 @@ func TestDeleteVideo(t *testing.T) {
 
 	// Deleting the rest empties the library: the index is dropped rather
 	// than serving ghosts, and searches report it unbuilt.
-	if err := lib.DeleteVideo("v0"); err != nil {
+	if err := lib.DeleteVideoAsCtx(context.Background(), admin, "v0"); err != nil {
 		t.Fatal(err)
 	}
-	if err := lib.DeleteVideo("v2"); err != nil {
+	if err := lib.DeleteVideoAsCtx(context.Background(), admin, "v2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := lib.Search(u, fixedQueries(1, 12, 7)[0], 5); err == nil {
+	if _, _, err := lib.SearchIntoCtx(context.Background(), nil, u, fixedQueries(1, 12, 7)[0], 5); err == nil {
 		t.Fatal("search on an emptied library succeeded")
 	}
 	// An emptied library no longer constrains feature dimensionality: the
@@ -100,7 +100,7 @@ func TestDeleteVideo(t *testing.T) {
 	if err := lib.AddResult(oddRes, "medicine"); err != nil {
 		t.Fatalf("emptied library rejected a different dimensionality: %v", err)
 	}
-	if err := lib.DeleteVideo("odd-dims"); err != nil {
+	if err := lib.DeleteVideoAsCtx(context.Background(), admin, "odd-dims"); err != nil {
 		t.Fatal(err)
 	}
 	// And the library accepts registrations again.
@@ -188,7 +188,7 @@ func TestReplaceResult(t *testing.T) {
 	if got := len(lib.Video("proc").Result.Shots); got != 6 {
 		t.Fatalf("original has %d shots, want 6", got)
 	}
-	if err := lib.ReplaceResult(tinyResult(t, "proc", 2, 3), "nursing"); err != nil {
+	if err := lib.ReplaceResultAsCtx(context.Background(), admin, tinyResult(t, "proc", 2, 3), "nursing"); err != nil {
 		t.Fatal(err)
 	}
 	ve := lib.Video("proc")
@@ -199,14 +199,14 @@ func TestReplaceResult(t *testing.T) {
 		t.Fatalf("entries after replace = %d, want 3", got)
 	}
 	// Upsert on an absent name.
-	if err := lib.ReplaceResult(tinyResult(t, "new", 3, 2), "medicine"); err != nil {
+	if err := lib.ReplaceResultAsCtx(context.Background(), admin, tinyResult(t, "new", 3, 2), "medicine"); err != nil {
 		t.Fatal(err)
 	}
 	if lib.Video("new") == nil {
 		t.Fatal("replace of an absent name did not register it")
 	}
 	// Unknown subcluster still refused.
-	if err := lib.ReplaceResult(tinyResult(t, "bad", 4, 2), "astrology"); err == nil {
+	if err := lib.ReplaceResultAsCtx(context.Background(), admin, tinyResult(t, "bad", 4, 2), "astrology"); err == nil {
 		t.Fatal("replace into an unknown subcluster succeeded")
 	}
 }
@@ -230,10 +230,10 @@ func TestReplaceSoleVideoNewDims(t *testing.T) {
 	u := User{Name: "admin", Clearance: Administrator}
 	// A same-dim sole replace keeps the old index serving (stale), per the
 	// replace contract.
-	if err := lib.ReplaceResult(tinyResult(t, "solo", 7, 2), "medicine"); err != nil {
+	if err := lib.ReplaceResultAsCtx(context.Background(), admin, tinyResult(t, "solo", 7, 2), "medicine"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := lib.Search(u, make([]float64, 12), 3); err != nil {
+	if _, _, err := lib.SearchIntoCtx(context.Background(), nil, u, make([]float64, 12), 3); err != nil {
 		t.Fatalf("same-dim replace stopped the old index serving: %v", err)
 	}
 	odd := tinySaved("solo", 2, 2)
@@ -245,19 +245,19 @@ func TestReplaceSoleVideoNewDims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lib.ReplaceResult(oddRes, "medicine"); err != nil {
+	if err := lib.ReplaceResultAsCtx(context.Background(), admin, oddRes, "medicine"); err != nil {
 		t.Fatalf("replacing the sole video with new dims: %v", err)
 	}
 	// The dimensionality changed: the old index must NOT keep serving —
 	// a 9-dim query against a 12-dim index would panic projection. The
 	// index is down until the next BuildIndex, like after a delete.
-	if _, _, err := lib.Search(u, make([]float64, 9), 3); err == nil {
+	if _, _, err := lib.SearchIntoCtx(context.Background(), nil, u, make([]float64, 9), 3); err == nil {
 		t.Fatal("search served an index of the wrong dimensionality")
 	}
 	if err := lib.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := lib.Search(u, make([]float64, 9), 3); err != nil {
+	if _, _, err := lib.SearchIntoCtx(context.Background(), nil, u, make([]float64, 9), 3); err != nil {
 		t.Fatalf("search after rebuild: %v", err)
 	}
 	// A second 9-dim video pins the dimensionality again: now a 12-dim
@@ -275,7 +275,7 @@ func TestReplaceSoleVideoNewDims(t *testing.T) {
 	if err := lib.AddResult(otherRes, "medicine"); err != nil {
 		t.Fatal(err)
 	}
-	if err := lib.ReplaceResult(tinyResult(t, "solo", 3, 2), "medicine"); err == nil {
+	if err := lib.ReplaceResultAsCtx(context.Background(), admin, tinyResult(t, "solo", 3, 2), "medicine"); err == nil {
 		t.Fatal("12-dim replace accepted while another 9-dim video pins the library")
 	}
 }
@@ -300,10 +300,10 @@ func TestDeleteEmptyFencesStaleBuild(t *testing.T) {
 	lib.mu.RLock()
 	staleVer := lib.entriesVer
 	lib.mu.RUnlock()
-	if err := lib.DeleteVideo("v0"); err != nil {
+	if err := lib.DeleteVideoAsCtx(context.Background(), admin, "v0"); err != nil {
 		t.Fatal(err)
 	}
-	if err := lib.DeleteVideo("v1"); err != nil {
+	if err := lib.DeleteVideoAsCtx(context.Background(), admin, "v1"); err != nil {
 		t.Fatal(err)
 	}
 	lib.mu.RLock()
@@ -374,18 +374,18 @@ func TestCompactionShrinksLog(t *testing.T) {
 		}
 	}
 	for i := 0; i < deletes; i++ {
-		if err := lib.DeleteVideo(name(i)); err != nil {
+		if err := lib.DeleteVideoAsCtx(context.Background(), admin, name(i)); err != nil {
 			t.Fatal(err)
 		}
-		if err := reference.DeleteVideo(name(i)); err != nil {
+		if err := reference.DeleteVideoAsCtx(context.Background(), admin, name(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := deletes; i < deletes+replaces; i++ {
-		if err := lib.ReplaceResult(tinyResult(t, name(i), int64(10000+i), 1), "medicine"); err != nil {
+		if err := lib.ReplaceResultAsCtx(context.Background(), admin, tinyResult(t, name(i), int64(10000+i), 1), "medicine"); err != nil {
 			t.Fatal(err)
 		}
-		if err := reference.ReplaceResult(tinyResult(t, name(i), int64(10000+i), 1), "medicine"); err != nil {
+		if err := reference.ReplaceResultAsCtx(context.Background(), admin, tinyResult(t, name(i), int64(10000+i), 1), "medicine"); err != nil {
 			t.Fatal(err)
 		}
 	}

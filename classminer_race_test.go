@@ -1,13 +1,14 @@
 package classminer
 
-// Concurrency contract of the serving layer: queries (Search,
-// ScenesByEvent, browsing accessors, Save) keep answering — from the
+// Concurrency contract of the serving layer: queries (SearchIntoCtx,
+// ScenesByEvent, browsing accessors, the checkpoint writer) keep answering — from the
 // current copy-on-write index snapshot — while writers mine new videos,
 // register them and swap rebuilt indexes underneath. These tests are the
 // reason `go test -race ./...` is a tier-1 gate; without -race they only
 // prove liveness.
 
 import (
+	"context"
 	"io"
 	"math/rand"
 	"sync"
@@ -38,14 +39,13 @@ func TestLibraryConcurrentMutationDuringQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := NewLibrary(a)
-	if _, err := l.AddVideo(raceVideo(t, "seed-video", 31), "medicine"); err != nil {
+	if _, err := l.AddVideoCtx(context.Background(), raceVideo(t, "seed-video", 31), "medicine"); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
 	query := l.Video("seed-video").Result.Shots[0].Feature()
-	admin := User{Name: "admin", Clearance: Administrator}
 
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -61,7 +61,7 @@ func TestLibraryConcurrentMutationDuringQueries(t *testing.T) {
 				}
 				switch i % 6 {
 				case 0:
-					hits, stats, err := l.Search(admin, query, 4)
+					hits, stats, err := l.SearchIntoCtx(context.Background(), nil, admin, query, 4)
 					if err != nil || len(hits) == 0 || stats.DistanceOps == 0 {
 						t.Errorf("search during writes: hits=%d err=%v", len(hits), err)
 						return
@@ -82,8 +82,10 @@ func TestLibraryConcurrentMutationDuringQueries(t *testing.T) {
 					_ = l.Generation()
 					_ = l.IndexStale()
 				case 4:
-					if err := l.Save(io.Discard); err != nil {
-						t.Errorf("save during writes: %v", err)
+					// The checkpoint writer: settledVideos, then every video
+					// encoded without the lock.
+					if err := checkpointSource([]*Library{l})(io.Discard); err != nil {
+						t.Errorf("snapshot during writes: %v", err)
 						return
 					}
 				}
@@ -99,8 +101,8 @@ func TestLibraryConcurrentMutationDuringQueries(t *testing.T) {
 		go func(i int) {
 			defer writers.Done()
 			name := []string{"w-alpha", "w-beta", "w-gamma"}[i]
-			if _, err := l.AddVideo(raceVideo(t, name, int64(50+i)), "nursing"); err != nil {
-				t.Errorf("AddVideo %s: %v", name, err)
+			if _, err := l.AddVideoCtx(context.Background(), raceVideo(t, name, int64(50+i)), "nursing"); err != nil {
+				t.Errorf("AddVideoCtx %s: %v", name, err)
 				return
 			}
 			if err := l.BuildIndex(); err != nil {
@@ -123,7 +125,7 @@ func TestLibraryConcurrentMutationDuringQueries(t *testing.T) {
 	if st.IndexedShots != st.Shots {
 		t.Fatalf("indexed %d of %d shots", st.IndexedShots, st.Shots)
 	}
-	hits, _, err := l.Search(admin, query, 4)
+	hits, _, err := l.SearchIntoCtx(context.Background(), nil, admin, query, 4)
 	if err != nil || len(hits) == 0 {
 		t.Fatalf("final search: hits=%d err=%v", len(hits), err)
 	}
@@ -139,7 +141,7 @@ func TestLibraryStaleIndexKeepsServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := NewLibrary(a)
-	if _, err := l.AddVideo(raceVideo(t, "first", 71), "medicine"); err != nil {
+	if _, err := l.AddVideoCtx(context.Background(), raceVideo(t, "first", 71), "medicine"); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.BuildIndex(); err != nil {
@@ -147,7 +149,7 @@ func TestLibraryStaleIndexKeepsServing(t *testing.T) {
 	}
 	gen := l.Generation()
 	query := l.Video("first").Result.Shots[0].Feature()
-	if _, err := l.AddVideo(raceVideo(t, "second", 72), "medicine"); err != nil {
+	if _, err := l.AddVideoCtx(context.Background(), raceVideo(t, "second", 72), "medicine"); err != nil {
 		t.Fatal(err)
 	}
 	// Incremental maintenance absorbs the registration into the serving
@@ -160,11 +162,11 @@ func TestLibraryStaleIndexKeepsServing(t *testing.T) {
 		t.Fatal("generation did not advance on registration")
 	}
 	second := l.Video("second").Result.Shots[0].Feature()
-	hits, _, err := l.Search(User{Clearance: Administrator}, second, 3)
+	hits, _, err := l.SearchIntoCtx(context.Background(), nil, User{Clearance: Administrator}, second, 3)
 	if err != nil || len(hits) == 0 || hits[0].Entry.VideoName != "second" {
 		t.Fatalf("freshly registered video not searchable: hits=%v err=%v", hits, err)
 	}
-	if hits, _, err = l.Search(User{Clearance: Administrator}, query, 3); err != nil || len(hits) == 0 {
+	if hits, _, err = l.SearchIntoCtx(context.Background(), nil, User{Clearance: Administrator}, query, 3); err != nil || len(hits) == 0 {
 		t.Fatalf("index stopped serving: hits=%d err=%v", len(hits), err)
 	}
 	if err := l.BuildIndex(); err != nil {

@@ -73,7 +73,7 @@ func searchAll(t testing.TB, l *Library, queries [][]float64, k int) [][]SearchH
 	u := User{Name: "admin", Clearance: Administrator}
 	out := make([][]SearchHit, len(queries))
 	for i, q := range queries {
-		hits, _, err := l.Search(u, q, k)
+		hits, _, err := l.SearchIntoCtx(context.Background(), nil, u, q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,10 +223,10 @@ func TestRecoverDeleteReplaceEquivalence(t *testing.T) {
 				case rng.Float64() < 0.5:
 					victim := rng.Intn(len(names))
 					name := names[victim]
-					if err := durable.DeleteVideo(name); err != nil {
+					if err := durable.DeleteVideoAsCtx(context.Background(), admin, name); err != nil {
 						t.Fatal(err)
 					}
-					if err := reference.DeleteVideo(name); err != nil {
+					if err := reference.DeleteVideoAsCtx(context.Background(), admin, name); err != nil {
 						t.Fatal(err)
 					}
 					names = append(names[:victim], names[victim+1:]...)
@@ -234,10 +234,10 @@ func TestRecoverDeleteReplaceEquivalence(t *testing.T) {
 					name := names[rng.Intn(len(names))]
 					res := int64(1000 + op)
 					shots := 2 + rng.Intn(3)
-					if err := durable.ReplaceResult(tinyResult(t, name, res, shots), "medicine"); err != nil {
+					if err := durable.ReplaceResultAsCtx(context.Background(), admin, tinyResult(t, name, res, shots), "medicine"); err != nil {
 						t.Fatal(err)
 					}
-					if err := reference.ReplaceResult(tinyResult(t, name, res, shots), "medicine"); err != nil {
+					if err := reference.ReplaceResultAsCtx(context.Background(), admin, tinyResult(t, name, res, shots), "medicine"); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -307,10 +307,10 @@ func TestRecoverTombstoneStraddlesCheckpoint(t *testing.T) {
 	}
 	// Both mutations straddle the checkpoint: victims in the snapshot,
 	// records on the tail.
-	if err := lib.DeleteVideo("v1"); err != nil {
+	if err := lib.DeleteVideoAsCtx(context.Background(), admin, "v1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := lib.ReplaceResult(tinyResult(t, "v2", 55, 5), "medicine"); err != nil {
+	if err := lib.ReplaceResultAsCtx(context.Background(), admin, tinyResult(t, "v2", 55, 5), "medicine"); err != nil {
 		t.Fatal(err)
 	}
 	if err := lib.Close(); err != nil {
@@ -719,7 +719,7 @@ func TestNonFiniteFeatureRefused(t *testing.T) {
 			}
 			for op, err := range map[string]error{
 				"register": lib.AddResult(poisoned("fresh", v), "medicine"),
-				"replace":  lib.ReplaceResult(poisoned("held", v), "medicine"),
+				"replace":  lib.ReplaceResultAsCtx(context.Background(), admin, poisoned("held", v), "medicine"),
 				"apply":    lib.ApplyRecord(context.Background(), &shipped),
 			} {
 				if err == nil || !strings.Contains(err.Error(), "non-finite feature value") {
@@ -776,11 +776,13 @@ func TestRecoverSkipsSupersededRecords(t *testing.T) {
 	}
 	replace := func(name string, seed int64) {
 		t.Helper()
-		both(func(l *Library) error { return l.ReplaceResult(tinyResult(t, name, seed, 4), "medicine") })
+		both(func(l *Library) error {
+			return l.ReplaceResultAsCtx(context.Background(), admin, tinyResult(t, name, seed, 4), "medicine")
+		})
 	}
 	del := func(name string) {
 		t.Helper()
-		both(func(l *Library) error { return l.DeleteVideo(name) })
+		both(func(l *Library) error { return l.DeleteVideoAsCtx(context.Background(), admin, name) })
 	}
 	add("kept", 1)
 	add("snapped", 2)
@@ -872,7 +874,7 @@ func TestRecoverRewrittenDirRefusesOldCursors(t *testing.T) {
 			}
 		}
 		for _, l := range []*Library{lib, reference} {
-			if err := l.DeleteVideo("v05"); err != nil {
+			if err := l.DeleteVideoAsCtx(context.Background(), admin, "v05"); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -5,6 +5,7 @@ package classminer
 // all read them there.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -87,7 +88,7 @@ func TestRowsHeldOnce(t *testing.T) {
 	}
 	lib.mu.RUnlock()
 	for _, name := range []string{"vid-00001", "vid-00004", "vid-00009"} {
-		if err := lib.DeleteVideo(name); err != nil {
+		if err := lib.DeleteVideoAsCtx(context.Background(), admin, name); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,7 +201,7 @@ func TestReplaceSameResultDuringCheckpoint(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		if err := lib.ReplaceResult(res, "medicine"); err != nil {
+		if err := lib.ReplaceResultAsCtx(context.Background(), admin, res, "medicine"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,7 +224,7 @@ func TestFeatureRowBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib := churnLibrary(t, a, 6)
-	if err := lib.DeleteVideo("vid-00002"); err != nil {
+	if err := lib.DeleteVideoAsCtx(context.Background(), admin, "vid-00002"); err != nil {
 		t.Fatal(err)
 	}
 	st := lib.Stats()
@@ -247,7 +248,7 @@ func TestSearchRefusesWrongDims(t *testing.T) {
 	lib := churnLibrary(t, a, 2)
 	u := User{Name: "root", Clearance: Administrator}
 	for _, q := range [][]float64{make([]float64, 9), make([]float64, 266)} {
-		_, _, err := lib.Search(u, q, 5)
+		_, _, err := lib.SearchIntoCtx(context.Background(), nil, u, q, 5)
 		if de, ok := err.(*QueryDimError); !ok || de.Got != len(q) || de.Want != 12 {
 			t.Fatalf("Search with %d dims: err = %v, want a QueryDimError naming %d and 12", len(q), err, len(q))
 		}
@@ -256,7 +257,7 @@ func TestSearchRefusesWrongDims(t *testing.T) {
 			t.Fatalf("SearchBatch with %d dims: err = %v, want a QueryDimError naming %d and 12", len(q), err, len(q))
 		}
 	}
-	if _, _, err := lib.Search(u, make([]float64, 12), 5); err != nil {
+	if _, _, err := lib.SearchIntoCtx(context.Background(), nil, u, make([]float64, 12), 5); err != nil {
 		t.Fatal(err)
 	}
 }

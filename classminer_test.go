@@ -2,9 +2,10 @@ package classminer
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -16,6 +17,10 @@ var (
 	lib     *Library
 	libErr  error
 )
+
+// admin sees every subcluster, so the policy gate of DeleteVideoAsCtx and
+// ReplaceResultAsCtx never refuses it.
+var admin = User{Name: "admin", Clearance: Administrator}
 
 // sharedLibrary builds one two-video library for all integration tests.
 func sharedLibrary(t testing.TB) *Library {
@@ -34,7 +39,7 @@ func sharedLibrary(t testing.TB) *Library {
 				libErr = err
 				return
 			}
-			if _, err := lib.AddVideo(v, "medicine"); err != nil {
+			if _, err := lib.AddVideoCtx(context.Background(), v, "medicine"); err != nil {
 				libErr = err
 				return
 			}
@@ -61,7 +66,7 @@ func TestLibraryEndToEnd(t *testing.T) {
 	}
 	// Query by example: a shot from the library should find itself.
 	q := ve.Result.Shots[0].Feature()
-	hits, stats, err := l.Search(User{Name: "dr", Clearance: Administrator}, q, 5)
+	hits, stats, err := l.SearchIntoCtx(context.Background(), nil, User{Name: "dr", Clearance: Administrator}, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +97,11 @@ func TestLibraryAccessControlFiltersSearch(t *testing.T) {
 	if clinicalQuery == nil {
 		t.Skip("no clinical scene mined in this corpus slice")
 	}
-	full, _, err := l.Search(User{Name: "dr", Clearance: Clinician}, clinicalQuery, 10)
+	full, _, err := l.SearchIntoCtx(context.Background(), nil, User{Name: "dr", Clearance: Clinician}, clinicalQuery, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restricted, _, err := l.Search(User{Name: "kid", Clearance: Public}, clinicalQuery, 10)
+	restricted, _, err := l.SearchIntoCtx(context.Background(), nil, User{Name: "kid", Clearance: Public}, clinicalQuery, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +117,6 @@ func TestLibraryAccessControlFiltersSearch(t *testing.T) {
 
 func TestLibraryScenesByEvent(t *testing.T) {
 	l := sharedLibrary(t)
-	admin := User{Name: "admin", Clearance: Administrator}
 	total := 0
 	for _, kind := range []EventKind{EventPresentation, EventDialog, EventClinicalOperation} {
 		refs := l.ScenesByEvent(admin, kind)
@@ -145,7 +149,7 @@ func TestLibraryErrors(t *testing.T) {
 	if err := l.BuildIndex(); err == nil {
 		t.Fatal("want error building empty index")
 	}
-	if _, _, err := l.Search(User{}, nil, 1); err == nil {
+	if _, _, err := l.SearchIntoCtx(context.Background(), nil, User{}, nil, 1); err == nil {
 		t.Fatal("want error searching unbuilt index")
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -154,13 +158,13 @@ func TestLibraryErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AddVideo(v, "astrology"); err == nil {
+	if _, err := l.AddVideoCtx(context.Background(), v, "astrology"); err == nil {
 		t.Fatal("want error for unknown subcluster")
 	}
-	if _, err := l.AddVideo(v, "medicine"); err != nil {
+	if _, err := l.AddVideoCtx(context.Background(), v, "medicine"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AddVideo(v, "medicine"); err == nil {
+	if _, err := l.AddVideoCtx(context.Background(), v, "medicine"); err == nil {
 		t.Fatal("want error for duplicate video")
 	}
 }
@@ -178,58 +182,62 @@ func TestSkimLevelsFromLibrary(t *testing.T) {
 	}
 }
 
-func TestLibrarySaveLoadRoundTrip(t *testing.T) {
+// TestMinedLibraryEntryRoundTrip carries a mined library through the binary
+// entry a durable library keeps — the checkpoint writer's snapshot, read back
+// by a reseed — and requires the copy to answer queries without re-mining and
+// every mined event to survive.
+func TestMinedLibraryEntryRoundTrip(t *testing.T) {
 	l := sharedLibrary(t)
-	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
+	var snap bytes.Buffer
+	if err := checkpointSource([]*Library{l})(&snap); err != nil {
 		t.Fatal(err)
 	}
 	a, err := NewAnalyzer(Options{SkipEvents: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadLibrary(&buf, a)
-	if err != nil {
+	loaded := NewLibrary(a)
+	if _, _, err := loaded.ReseedFromSnapshot(context.Background(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.BuildIndexCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Size() != l.Size() {
 		t.Fatalf("loaded size %d, want %d", loaded.Size(), l.Size())
 	}
-	if len(loaded.VideoNames()) != len(l.VideoNames()) {
-		t.Fatal("video names lost")
+	if !slices.Equal(loaded.VideoNames(), l.VideoNames()) {
+		t.Fatalf("videos %v, want %v", loaded.VideoNames(), l.VideoNames())
 	}
-	// The loaded library must answer queries without re-mining.
 	ve := loaded.Video("laparoscopy")
 	if ve == nil || len(ve.Result.Scenes) == 0 {
 		t.Fatal("loaded video incomplete")
 	}
 	q := ve.Result.Shots[0].Feature()
-	hits, _, err := loaded.Search(User{Name: "a", Clearance: Administrator}, q, 3)
+	hits, _, err := loaded.SearchIntoCtx(context.Background(), nil, admin, q, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(hits) == 0 {
 		t.Fatal("loaded index returned nothing")
 	}
-	// Events survive the round trip.
 	events := 0
-	for _, sc := range ve.Result.Scenes {
-		if sc.Event != EventUnknown {
-			events++
+	for _, name := range l.VideoNames() {
+		orig, back := l.Video(name).Result.Scenes, loaded.Video(name).Result.Scenes
+		if len(back) != len(orig) {
+			t.Fatalf("%s: %d scenes, want %d", name, len(back), len(orig))
+		}
+		for i, sc := range orig {
+			if back[i].Event != sc.Event {
+				t.Fatalf("%s scene %d: event %v, want %v", name, i, back[i].Event, sc.Event)
+			}
+			if sc.Event != EventUnknown {
+				events++
+			}
 		}
 	}
 	if events == 0 {
-		t.Fatal("mined events lost in round trip")
-	}
-}
-
-func TestLoadLibraryBadInput(t *testing.T) {
-	a, err := NewAnalyzer(Options{SkipEvents: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadLibrary(strings.NewReader("junk"), a); err == nil {
-		t.Fatal("want parse error")
+		t.Fatal("the mined library has no events to carry")
 	}
 }
 
@@ -246,7 +254,7 @@ func TestLibraryConcurrentAccess(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				switch i % 4 {
 				case 0:
-					if _, _, err := l.Search(User{Clearance: Administrator}, q, 5); err != nil {
+					if _, _, err := l.SearchIntoCtx(context.Background(), nil, User{Clearance: Administrator}, q, 5); err != nil {
 						errs <- err
 						return
 					}

@@ -389,7 +389,7 @@ func buildLibrary(logger *log.Logger, analyzer *classminer.Analyzer, cfg config,
 			return nil, err
 		}
 		logger.Printf("mining %q (%d frames)...", name, len(v.Frames))
-		if _, err := lib.AddVideo(v, cfg.subcluster); err != nil {
+		if _, err := lib.AddVideoCtx(context.Background(), v, cfg.subcluster); err != nil {
 			lib.Close()
 			return nil, err
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := library.AddVideo(video, "medicine"); err != nil {
+	if _, err := library.AddVideoCtx(context.Background(), video, "medicine"); err != nil {
 		log.Fatal(err)
 	}
 	if err := library.BuildIndex(); err != nil {
@@ -45,7 +46,7 @@ func main() {
 	result := library.Video("laparoscopy").Result
 	query := result.Shots[len(result.Shots)/2].Feature()
 	for _, u := range users {
-		hits, stats, err := library.Search(u, query, 10)
+		hits, stats, err := library.SearchIntoCtx(context.Background(), nil, u, query, 10)
 		if err != nil {
 			log.Fatal(err)
 		}

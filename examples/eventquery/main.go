@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := library.AddVideo(video, "medicine"); err != nil {
+		if _, err := library.AddVideoCtx(context.Background(), video, "medicine"); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("indexed %q: %s\n", name, library.Video(name).Result.Summary())

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -28,7 +29,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := library.AddVideo(video, "medicine")
+		res, err := library.AddVideoCtx(context.Background(), video, "medicine")
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -47,7 +48,7 @@ func main() {
 	flatDur := time.Since(t0)
 
 	t0 = time.Now()
-	hierHits, hierStats, err := library.Search(admin, query, 5)
+	hierHits, hierStats, err := library.SearchIntoCtx(context.Background(), nil, admin, query, 5)
 	if err != nil {
 		log.Fatal(err)
 	}

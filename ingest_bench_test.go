@@ -1,6 +1,7 @@
 package classminer
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -110,7 +111,7 @@ func BenchmarkDeleteVideo(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := lib.DeleteVideo(fmt.Sprintf("vid-%05d", i)); err != nil {
+			if err := lib.DeleteVideoAsCtx(context.Background(), admin, fmt.Sprintf("vid-%05d", i)); err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()

@@ -24,6 +24,10 @@ import (
 	"classminer/internal/wal"
 )
 
+// admin sees every subcluster, so the library's policy-gated mutations never
+// refuse it.
+var admin = classminer.User{Name: "root", Clearance: classminer.Administrator}
+
 // fakeApplier records everything the follower applies, so protocol tests
 // can assert ordering and resume behaviour without a full library.
 type fakeApplier struct {
@@ -448,14 +452,14 @@ func TestRealLibraryFollowerConverges(t *testing.T) {
 	if err := flib.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := leader.DeleteVideo("vid-01"); err != nil {
+	if err := leader.DeleteVideoAsCtx(context.Background(), admin, "vid-01"); err != nil {
 		t.Fatal(err)
 	}
 	res, err := store.DecodeResult(tinySaved("vid-03", 99, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := leader.ReplaceResult(res, "medicine"); err != nil {
+	if err := leader.ReplaceResultAsCtx(context.Background(), admin, res, "medicine"); err != nil {
 		t.Fatal(err)
 	}
 	addSaved(t, leader, "vid-05", 7)
@@ -484,18 +488,17 @@ func TestRealLibraryFollowerConverges(t *testing.T) {
 	if err := flib2.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	admin := classminer.User{Name: "root", Clearance: classminer.Administrator}
 	rng := rand.New(rand.NewSource(42))
 	for q := 0; q < 5; q++ {
 		query := make([]float64, 12)
 		for i := range query {
 			query[i] = rng.Float64()
 		}
-		lh, _, err := leader.Search(admin, query, 5)
+		lh, _, err := leader.SearchIntoCtx(context.Background(), nil, admin, query, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fh, _, err := flib2.Search(admin, query, 5)
+		fh, _, err := flib2.SearchIntoCtx(context.Background(), nil, admin, query, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -544,7 +547,6 @@ func TestRealLibraryFollowerAcrossShardCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	wopts := classminer.DurableOptions{CheckpointBytes: -1, CheckpointRecords: -1}
-	admin := classminer.User{Name: "root", Clearance: classminer.Administrator}
 	for _, tc := range []struct{ leaderN, followerN int }{{4, 1}, {1, 4}} {
 		t.Run(fmt.Sprintf("leader-%d-follower-%d", tc.leaderN, tc.followerN), func(t *testing.T) {
 			leader, err := shard.Recover(t.TempDir(), tc.leaderN, a, wopts)
@@ -588,7 +590,7 @@ func TestRealLibraryFollowerAcrossShardCounts(t *testing.T) {
 			}
 			drop := func(name string) {
 				t.Helper()
-				if err := leader.DeleteVideo(name); err != nil {
+				if err := leader.DeleteVideoAsCtx(context.Background(), admin, name); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -650,11 +652,11 @@ func TestRealLibraryFollowerAcrossShardCounts(t *testing.T) {
 				for i := range query {
 					query[i] = rng.Float64()
 				}
-				lh, _, err := leader.Search(admin, query, shots)
+				lh, _, err := leader.SearchIntoCtx(context.Background(), nil, admin, query, shots)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fh, _, err := flib.Search(admin, query, shots)
+				fh, _, err := flib.SearchIntoCtx(context.Background(), nil, admin, query, shots)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -52,13 +52,12 @@ func tierMultiplier(c access.Clearance) float64 {
 // limiter, the per-class concurrency gates and deadlines, and the memory
 // watchdog. A nil *admission (every control disabled) is a no-op.
 type admission struct {
-	limiter   *admit.RateLimiter
-	base      admit.Limit // Rate <= 0 disables rate limiting
-	overrides map[string]admit.Limit
-	gates     [admit.NumClasses]*admit.Gate
-	timeouts  [admit.NumClasses]time.Duration
-	watchdog  *admit.Watchdog
-	rejected  [numRejectReasons]atomic.Uint64
+	limiter  *admit.RateLimiter
+	base     admit.Limit // Rate <= 0 disables rate limiting
+	gates    [admit.NumClasses]*admit.Gate
+	timeouts [admit.NumClasses]time.Duration
+	watchdog *admit.Watchdog
+	rejected [numRejectReasons]atomic.Uint64
 }
 
 // newAdmission assembles the admission state from the (defaulted) options;
@@ -76,7 +75,6 @@ func newAdmission(opts Options, onDegrade func(from, to admit.Level)) *admission
 	if rateOn {
 		a.limiter = admit.NewRateLimiter()
 		a.base = admit.Limit{Rate: opts.Rate, Burst: opts.Burst}
-		a.overrides = opts.RateOverrides
 	}
 	if gatesOn {
 		// Search gets the full cap; mutation and admin get progressively
@@ -136,15 +134,6 @@ func (a *admission) degradeLevel() admit.Level {
 	return a.watchdog.Level()
 }
 
-// limitFor resolves the effective rate limit for one request: a per-token
-// override wins outright; otherwise the base limit scaled by clearance tier.
-func (a *admission) limitFor(tok string, c access.Clearance) admit.Limit {
-	if lim, ok := a.overrides[tok]; ok {
-		return lim
-	}
-	return a.base.Scale(tierMultiplier(c))
-}
-
 // routeClass maps a request onto its admission class, mirroring the
 // dispatch in Server.route. /healthz must stay exempt (a load-shedding
 // liveness probe is an outage amplifier) and so does /metrics — the
@@ -197,7 +186,7 @@ func (s *Server) withAdmit(next http.Handler) http.Handler {
 		sp := trace.StartSpan(r.Context(), "admit")
 		if a.limiter != nil {
 			tok := token(r)
-			d := a.limiter.Allow(tok, a.limitFor(tok, userOf(r).Clearance))
+			d := a.limiter.Allow(tok, a.base.Scale(tierMultiplier(userOf(r).Clearance)))
 			if !d.OK {
 				sp.End()
 				a.countReject(rejRateLimit)

@@ -421,7 +421,7 @@ func frameSec(frame int, fps float64) float64 {
 // handleDeleteVideo retires a video from the library: its entries are
 // removed, the generation advances (cached answers die with it), and on a
 // durable library a WAL tombstone makes the delete crash-safe before
-// anything changes. Deletion is gated like ingestion (IngestClearance) and
+// anything changes. Deletion is gated like ingestion (Clinician clearance) and
 // additionally requires the caller to be allowed to see the video's
 // subcluster — you cannot delete what policy hides from you
 // (DeleteVideoAsCtx runs that check atomically with the removal, so a
@@ -434,7 +434,7 @@ func frameSec(frame int, fps float64) float64 {
 // reflects every registration (a stale one still never ranks a deleted
 // video).
 func (s *Server) handleDeleteVideo(w http.ResponseWriter, r *http.Request, name string) {
-	if !s.requireClearance(w, r, s.opts.IngestClearance) {
+	if !s.requireClearance(w, r, classminer.Clinician) {
 		return
 	}
 	if s.rejectFollowerWrite(w) {
@@ -755,7 +755,7 @@ func buildSearchResponse(wire []searchHit, hits []classminer.SearchHit, stats cl
 }
 
 // searchScratch is what a search borrows: the video+shot example's features,
-// the ranked-hit slice the library's SearchInto fills and the reply-shaped
+// the ranked-hit slice the library's SearchIntoCtx fills and the reply-shaped
 // copy the encoder reads. None escapes — the cache copies the query it
 // keeps, the reply leaves as bytes, and bytes are what the cache keeps — so
 // all are recycled. Capacity covers the clamped k, so steady state never
@@ -1033,7 +1033,7 @@ type ingestRequest struct {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if !s.requireClearance(w, r, s.opts.IngestClearance) {
+	if !s.requireClearance(w, r, classminer.Clinician) {
 		return
 	}
 	if s.rejectFollowerWrite(w) {

@@ -24,7 +24,6 @@ import (
 
 	"classminer"
 	"classminer/internal/access"
-	"classminer/internal/admit"
 	"classminer/internal/metrics"
 	"classminer/internal/repl"
 	"classminer/internal/trace"
@@ -39,9 +38,6 @@ type Options struct {
 	// Anonymous, when non-nil, is the user assumed for requests that carry
 	// no token. When nil, unauthenticated requests (except /healthz) get 401.
 	Anonymous *access.User
-	// IngestClearance is the least clearance allowed to POST new videos
-	// (default Clinician).
-	IngestClearance access.Clearance
 	// CacheSize bounds the search LRU cache (default 256; negative disables).
 	CacheSize int
 	// Workers is the ingest pool size (default 1).
@@ -104,9 +100,6 @@ type Options struct {
 	Rate float64
 	// Burst is the token-bucket depth (default 2*Rate).
 	Burst float64
-	// RateOverrides pins specific tokens to their own limits, bypassing the
-	// tier scaling (keys are the bearer-token values of Tokens).
-	RateOverrides map[string]admit.Limit
 	// MaxInflight caps concurrently executing search-class requests; the
 	// mutate and admin classes get MaxInflight/4 and /8 (floors of 4 and 2).
 	// Default 256; negative disables the concurrency gates.
@@ -152,9 +145,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.IngestClearance == 0 {
-		o.IngestClearance = access.Clinician
-	}
 	if o.CacheSize == 0 {
 		o.CacheSize = 256
 	}

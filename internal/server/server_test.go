@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -43,7 +44,7 @@ func fixtureLibrary(t testing.TB) *classminer.Library {
 			fixErr = err
 			return
 		}
-		if _, err := fixLib.AddVideo(v, "medicine"); err != nil {
+		if _, err := fixLib.AddVideoCtx(context.Background(), v, "medicine"); err != nil {
 			fixErr = err
 			return
 		}

@@ -88,19 +88,10 @@ func (g *gather) release() {
 	}
 }
 
-// Search ranks the k nearest shots across all shards as the given user.
-func (l *Library) Search(u classminer.User, query []float64, k int) ([]classminer.SearchHit, classminer.SearchStats, error) {
-	return l.SearchInto(nil, u, query, k)
-}
-
-// SearchInto is Search reusing dst's backing array for the merged hits.
-func (l *Library) SearchInto(dst []classminer.SearchHit, u classminer.User, query []float64, k int) ([]classminer.SearchHit, classminer.SearchStats, error) {
-	return l.SearchIntoCtx(context.Background(), dst, u, query, k)
-}
-
-// SearchIntoCtx fans the query across every non-empty shard — the first on
-// the caller's goroutine into dst, the rest concurrently — and merges the
-// per-shard top-k into dst. Stats sum the per-shard index work; the merge
+// SearchIntoCtx ranks the k nearest shots across all shards as the given
+// user. It fans the query across every non-empty shard — the first on the
+// caller's goroutine into dst (nil is fine), the rest concurrently — and
+// merges the per-shard top-k into dst's backing array. Stats sum the per-shard index work; the merge
 // adds none. Shard ACL filtering applies before the merge, so a user only
 // ever ranks what they may see.
 func (l *Library) SearchIntoCtx(ctx context.Context, dst []classminer.SearchHit, u classminer.User, query []float64, k int) ([]classminer.SearchHit, classminer.SearchStats, error) {

@@ -122,11 +122,6 @@ func (l *Library) owner(name string) *classminer.Library { return l.shards[l.pla
 
 // ---- Mutations: route to exactly one shard. ----
 
-// AddVideo mines and registers a video on its owning shard.
-func (l *Library) AddVideo(v *classminer.Video, subcluster string) (*classminer.Result, error) {
-	return l.AddVideoCtx(context.Background(), v, subcluster)
-}
-
 // AddVideoCtx mines and registers a video on its owning shard.
 func (l *Library) AddVideoCtx(ctx context.Context, v *classminer.Video, subcluster string) (*classminer.Result, error) {
 	if v == nil {
@@ -135,7 +130,8 @@ func (l *Library) AddVideoCtx(ctx context.Context, v *classminer.Video, subclust
 	return l.owner(v.Name).AddVideoCtx(ctx, v, subcluster)
 }
 
-// AddResult registers a pre-mined result on its owning shard.
+// AddResult is AddResultCtx without a trace. It stays only because the
+// benchmark's probes (cmd/loadgen) call it; ROADMAP item 1(d) retires it.
 func (l *Library) AddResult(res *classminer.Result, subcluster string) error {
 	return l.AddResultCtx(context.Background(), res, subcluster)
 }
@@ -162,11 +158,6 @@ func (l *Library) ReplaceVideoAsCtx(ctx context.Context, u classminer.User, v *c
 		return nil, fmt.Errorf("classminer: nil video")
 	}
 	return l.owner(v.Name).ReplaceVideoAsCtx(ctx, u, v, subcluster)
-}
-
-// DeleteVideo unregisters a video from its owning shard.
-func (l *Library) DeleteVideo(name string) error {
-	return l.owner(name).DeleteVideo(name)
 }
 
 // DeleteVideoAsCtx unregisters a video from its owning shard, policy-checked.
@@ -197,7 +188,8 @@ func (l *Library) ConceptPath(name string) []string { return l.shards[0].Concept
 
 // ---- Index lifecycle: fan out. ----
 
-// BuildIndex fits every shard's index that is not already current.
+// BuildIndex is BuildIndexCtx without a trace. It stays only because the
+// benchmark's probes (cmd/loadgen) call it; ROADMAP item 1(d) retires it.
 func (l *Library) BuildIndex() error { return l.BuildIndexCtx(context.Background()) }
 
 // BuildIndexCtx refits, in parallel, every non-empty shard whose index is
@@ -341,12 +333,16 @@ func (l *Library) Size() int {
 	return n
 }
 
-// ScenesByEvent concatenates every shard's allowed scenes of the category.
+// ScenesByEvent gathers every shard's allowed scenes of the category in the
+// order a single library answers: by video name, then scene index. A video
+// lives on one shard, which lists its scenes in index order, so a stable
+// sort by name is enough.
 func (l *Library) ScenesByEvent(u classminer.User, kind classminer.EventKind) []classminer.SceneRef {
 	var out []classminer.SceneRef
 	for _, sh := range l.shards {
 		out = append(out, sh.ScenesByEvent(u, kind)...)
 	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].VideoName < out[j].VideoName })
 	return out
 }
 

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -155,7 +156,7 @@ func searchAll(t testing.TB, l *Library, u classminer.User, queries [][]float64,
 	t.Helper()
 	out := make([][]classminer.SearchHit, len(queries))
 	for i, q := range queries {
-		hits, _, err := l.Search(u, q, k)
+		hits, _, err := l.SearchIntoCtx(context.Background(), nil, u, q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +257,7 @@ func TestOneShardMatchesPlainLibrary(t *testing.T) {
 		for _, k := range []int{1, 5, totalShots(corpus) + 3} {
 			want := make([][]classminer.SearchHit, len(queries))
 			for i, q := range queries {
-				hits, _, err := plain.Search(admin, q, k)
+				hits, _, err := plain.SearchIntoCtx(context.Background(), nil, admin, q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -573,7 +574,7 @@ func (sc recoveryScript) run(t testing.TB, apply func(op func(*Library) error), 
 			i := rng.Intn(len(live))
 			name := live[i]
 			live = append(live[:i], live[i+1:]...)
-			apply(func(x *Library) error { return x.DeleteVideo(name) })
+			apply(func(x *Library) error { return x.DeleteVideoAsCtx(context.Background(), admin, name) })
 		}
 		between(step)
 	}
@@ -782,7 +783,7 @@ func TestCheckpointSameBytesAtEveryShardCount(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := l.DeleteVideo(corpus[3].name); err != nil {
+		if err := l.DeleteVideoAsCtx(context.Background(), admin, corpus[3].name); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Checkpoint(); err != nil {
@@ -923,7 +924,7 @@ func TestConcurrentMutateWhileSearch(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				q := queries[(w+i)%len(queries)]
-				if _, _, err := l.Search(admin, q, 5); err != nil {
+				if _, _, err := l.SearchIntoCtx(context.Background(), nil, admin, q, 5); err != nil {
 					t.Errorf("search: %v", err)
 					return
 				}
@@ -938,7 +939,7 @@ func TestConcurrentMutateWhileSearch(t *testing.T) {
 			switch {
 			case i%5 == 4:
 				// Deletes may race another delete of the same name.
-				_ = l.DeleteVideo(name)
+				_ = l.DeleteVideoAsCtx(context.Background(), admin, name)
 			default:
 				err := l.AddResult(tinyResult(t, name, int64(i), 2), "medicine")
 				if err != nil && !errors.Is(err, classminer.ErrDuplicateVideo) {
@@ -963,7 +964,7 @@ func TestConcurrentMutateWhileSearch(t *testing.T) {
 	if err := l.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	hits, _, err := l.Search(admin, queries[0], 5)
+	hits, _, err := l.SearchIntoCtx(context.Background(), nil, admin, queries[0], 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -994,10 +995,64 @@ func TestEmptyRouterSearchError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.Search(admin, make([]float64, 12), 5); err == nil {
+	if _, _, err := l.SearchIntoCtx(context.Background(), nil, admin, make([]float64, 12), 5); err == nil {
 		t.Fatal("search on an empty router succeeded; want the index-not-built error")
 	}
 	if err := l.BuildIndex(); err == nil {
 		t.Fatal("BuildIndex on an empty router succeeded; want the no-videos error")
+	}
+}
+
+// TestScenesByEventOrder pins the order of an event's scene listing: by video
+// name, then scene index, the same for every identical request and at every
+// shard count — and the same order a shard, a plain library, answers in.
+func TestScenesByEventOrder(t *testing.T) {
+	corpus := testCorpus(5, 8)
+	var want []string
+	for _, v := range corpus { // testCorpus names sort in corpus order
+		for sc := 0; sc < 3; sc++ {
+			want = append(want, fmt.Sprintf("%s/%d", v.name, sc))
+		}
+	}
+	listing := func(refs []classminer.SceneRef) []string {
+		out := make([]string, len(refs))
+		for i, r := range refs {
+			out[i] = fmt.Sprintf("%s/%d", r.VideoName, r.Scene.Index)
+		}
+		return out
+	}
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			l, err := New(testAnalyzer(t), n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, i := range rand.New(rand.NewSource(int64(n))).Perm(len(corpus)) {
+				v := corpus[i]
+				sr := tinySaved(v.name, v.seed, v.shots)
+				sr.Scenes = nil
+				for sc := 0; sc < 3; sc++ {
+					sr.Scenes = append(sr.Scenes, store.SavedScene{Index: sc, Groups: []int{0}, RepGroup: 0, Event: int(classminer.EventDialog)})
+				}
+				res, err := store.DecodeResult(sr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := l.AddResultCtx(context.Background(), res, "medicine"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for call := 0; call < 20; call++ {
+				if got := listing(l.ScenesByEvent(admin, classminer.EventDialog)); !slices.Equal(got, want) {
+					t.Fatalf("call %d: scenes %v, want %v", call, got, want)
+				}
+			}
+			for i := 0; i < n; i++ {
+				got := listing(l.ShardAt(i).ScenesByEvent(admin, classminer.EventDialog))
+				if !slices.IsSorted(got) {
+					t.Fatalf("shard %d: scenes %v, not in name order", i, got)
+				}
+			}
+		})
 	}
 }

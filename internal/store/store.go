@@ -7,9 +7,9 @@
 // a mined result with explicit index-based references — Go pointers (shots
 // shared between groups, scenes and skim levels) are flattened to indices by
 // EncodeResult and re-linked, validated, by DecodeResult, preserving
-// identity. JSON (WriteLibrary/ReadLibrary, and the struct tags) is the
-// human-readable one: the export and import format of Library.Save,
-// LoadLibrary and classminer -save. The binary entry
+// identity. JSON (WriteLibrary, and the struct tags) is the human-readable
+// one: the export format of classminer -save, which nothing in this
+// repository reads back. The binary entry
 // (AppendEntry/DecodeEntry, entry.go) is the compact one: what a durable
 // library's log, checkpoints and replication stream carry per video.
 package store
@@ -302,19 +302,6 @@ func WriteLibrary(w io.Writer, entries []SavedLibraryEntry) error {
 	lib := SavedLibrary{Version: FormatVersion, Videos: entries}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&lib)
-}
-
-// ReadLibrary parses a library written by WriteLibrary.
-func ReadLibrary(r io.Reader) (*SavedLibrary, error) {
-	var lib SavedLibrary
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&lib); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if lib.Version != FormatVersion {
-		return nil, fmt.Errorf("store: library version %d unsupported (want %d)", lib.Version, FormatVersion)
-	}
-	return &lib, nil
 }
 
 // WriteFileAtomic streams write into a temp file in path's directory,

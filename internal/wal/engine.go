@@ -364,7 +364,8 @@ func (e *Engine) ReplayDamaged() bool {
 // whose record the snapshot missed. Callers get this for free by applying
 // each appended record under the same lock the source reads under — which
 // is exactly how Library.register (append + mutate under the write lock)
-// pairs with Library.Save (snapshot under the read lock).
+// pairs with the library's checkpoint source (its video list read under the
+// read lock).
 func (e *Engine) SetSource(write func(io.Writer) error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

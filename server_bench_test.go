@@ -9,6 +9,7 @@ package classminer_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -48,7 +49,7 @@ func benchLibrary(b testing.TB) *shard.Library {
 			srvErr = err
 			return
 		}
-		if _, err := srvLib.AddVideo(v, "medicine"); err != nil {
+		if _, err := srvLib.AddVideoCtx(context.Background(), v, "medicine"); err != nil {
 			srvErr = err
 			return
 		}
