@@ -160,6 +160,11 @@ func (a *Analyzer) Analyze(v *Video) (*Result, error) { return a.inner.Analyze(v
 type VideoEntry struct {
 	Result     *Result
 	Subcluster string // concept hierarchy placement (e.g. "medicine")
+	// Path is ConceptPath(Subcluster), the unit at which browsing and
+	// query-by-example requests are gated, computed once at registration.
+	// It is never written, and its capacity is its length, so appending to
+	// it copies.
+	Path []string
 	// row and rows are the contiguous span of library rows the video's shots
 	// were appended at: rows [row, row+rows) of entries. The library rewrites
 	// row whenever it compacts.
@@ -637,7 +642,8 @@ func (l *Library) installLocked(name string, res *Result, subcluster string, new
 	for len(l.dead)*64 < len(l.entries) {
 		l.dead = append(l.dead, 0)
 	}
-	l.videos[name] = &VideoEntry{Result: res, Subcluster: subcluster, row: row, rows: len(newEntries)}
+	l.videos[name] = &VideoEntry{Result: res, Subcluster: subcluster, Path: slices.Clip(l.ConceptPath(subcluster)),
+		row: row, rows: len(newEntries)}
 	wasCurrent := l.ix != nil && l.ixVer == l.entriesVer
 	l.entriesVer++
 	l.gen++

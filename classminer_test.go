@@ -64,6 +64,9 @@ func TestLibraryEndToEnd(t *testing.T) {
 	if len(ve.Result.Scenes) == 0 {
 		t.Fatal("no scenes mined")
 	}
+	if want := l.ConceptPath("medicine"); !slices.Equal(ve.Path, want) || cap(ve.Path) != len(ve.Path) {
+		t.Fatalf("entry path %q (cap %d), want %q at capacity", ve.Path, cap(ve.Path), want)
+	}
 	// Query by example: a shot from the library should find itself.
 	q := ve.Result.Shots[0].Feature()
 	hits, stats, err := l.SearchIntoCtx(context.Background(), nil, User{Name: "dr", Clearance: Administrator}, q, 5)

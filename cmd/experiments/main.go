@@ -170,12 +170,12 @@ func runSec62(cfg eval.CorpusConfig) error {
 		return err
 	}
 	fmt.Println("== §6.2: cluster-based indexing vs flat scan (Eqs. 24–25) ==")
-	fmt.Println("N       flat float-ops  hier float-ops  ratio   flat µs  hier µs  ranked(flat/hier)  top-agree")
+	fmt.Println("N       flat float-ops  hier float-ops  ratio   flat µs  hier µs  candidates(flat/hier)  top-agree")
 	for _, r := range rows {
 		ratio := float64(r.FlatFloatOps) / float64(max(r.HierFloatOps, 1))
 		fmt.Printf("%-6d  %14d  %14d  %5.1fx  %7d  %7d  %7d/%-7d  %.2f\n",
 			r.N, r.FlatFloatOps, r.HierFloatOps, ratio,
-			r.FlatNanos/1000, r.HierNanos/1000, r.FlatRanked, r.HierRanked, r.TopAgree)
+			r.FlatNanos/1000, r.HierNanos/1000, r.FlatCandidates, r.HierCandidates, r.TopAgree)
 	}
 	fmt.Println()
 	return nil

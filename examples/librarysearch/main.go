@@ -54,9 +54,9 @@ func main() {
 	}
 	hierDur := time.Since(t0)
 
-	fmt.Printf("flat scan (Eq. 24):     %6d dist ops, %9d float ops, ranked %4d, %v\n",
+	fmt.Printf("flat scan (Eq. 24):     %6d dist ops, %9d float ops, compared %4d, %v\n",
 		flatStats.DistanceOps, flatStats.FloatOps, flatStats.Candidates, flatDur)
-	fmt.Printf("hierarchical (Eq. 25):  %6d dist ops, %9d float ops, ranked %4d, %v\n",
+	fmt.Printf("hierarchical (Eq. 25):  %6d dist ops, %9d float ops, compared %4d, %v\n",
 		hierStats.DistanceOps, hierStats.FloatOps, hierStats.Candidates, hierDur)
 	fmt.Printf("float-op reduction: %.1fx\n\n", float64(flatStats.FloatOps)/float64(hierStats.FloatOps))
 

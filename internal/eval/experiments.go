@@ -212,14 +212,14 @@ func shotsWithin(shots []*vidmodel.Shot, start, end int) []*vidmodel.Shot {
 // SearchCostRow compares flat (Eq. 24) against hierarchical (Eq. 25)
 // retrieval at one database size.
 type SearchCostRow struct {
-	N            int // database size (shots)
-	FlatFloatOps int
-	HierFloatOps int
-	FlatNanos    int64
-	HierNanos    int64
-	FlatRanked   int
-	HierRanked   int
-	TopAgree     float64 // fraction of queries where hier found flat's top-1 in its top-5
+	N              int // database size (shots)
+	FlatFloatOps   int
+	HierFloatOps   int
+	FlatNanos      int64
+	HierNanos      int64
+	FlatCandidates int
+	HierCandidates int
+	TopAgree       float64 // fraction of queries where hier found flat's top-1 in its top-5
 }
 
 // RunIndexCost regenerates the §6.2 analysis: it indexes the corpus's shots
@@ -261,8 +261,8 @@ func RunIndexCost(cfg CorpusConfig, sizes []int, queries int) ([]SearchCostRow, 
 			row.HierNanos += time.Since(t0).Nanoseconds()
 			row.FlatFloatOps += fs.FloatOps
 			row.HierFloatOps += hs.FloatOps
-			row.FlatRanked += fs.Candidates
-			row.HierRanked += hs.Candidates
+			row.FlatCandidates += fs.Candidates
+			row.HierCandidates += hs.Candidates
 			for i, h := range hier {
 				if i >= 5 {
 					break

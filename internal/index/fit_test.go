@@ -16,9 +16,9 @@ import (
 // fitDigest hashes every value a fit produces, walking the tree in its
 // deterministic order: per node its name and reducer (selected dims, compsT,
 // PCA mean, components and explained variance), per non-leaf node its
-// children's centres, per leaf its ids, projection rows, cell widths and CSR
-// cell table. Floats enter by their bits, so two fits digest equal only when
-// not one bit of them differs.
+// children's centres, per leaf its ids and projection rows. Floats enter by
+// their bits, so two fits digest equal only when not one bit of them
+// differs.
 func fitDigest(ix *Index) string {
 	h := sha256.New()
 	var walk func(n *node)
@@ -39,18 +39,6 @@ func fitDigest(ix *Index) string {
 				hashInt(h, int64(id))
 			}
 			hashFloats(h, n.proj.Data)
-			hashFloats(h, n.cell)
-			for _, key := range n.cellKeys {
-				for _, k := range key {
-					hashInt(h, int64(k))
-				}
-			}
-			for _, s := range n.cellStart {
-				hashInt(h, int64(s))
-			}
-			for _, row := range n.cellRows {
-				hashInt(h, int64(row))
-			}
 			return
 		}
 		for _, name := range n.order {
@@ -91,9 +79,9 @@ var fitDigestCases = []struct {
 	want    string
 }{
 	{"corpus-1200", func() []*Entry { return corpus(1200, 10) }, Options{Seed: 10},
-		"f60fed523c9b6d482c8c6a0bdb1b7572a27f1956581544c5e8aee60a6ab8dca3"},
+		"4c258d171bdbeef0b254761c849865817f7b1d7d3115234028f9aa79dcb3a383"},
 	{"multileaf", func() []*Entry { return multiLeafCorpus(12, 401, 9, 150, 702) }, Options{Seed: 12},
-		"810e9c7426ad2c23f0bc9dfad50a4abafc305a16af93edffe4e09607938df068"},
+		"6e36b320ea861b0ab4e709119036e791ceeaaa90e79213e37414f4d0a3774a15"},
 }
 
 // TestBuildMatrixConcurrent holds the contract that fits over one shared row

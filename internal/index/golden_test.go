@@ -23,8 +23,7 @@ type goldenCase struct {
 
 const goldenPath = "testdata/search_golden.json"
 
-// goldenQueries builds a deterministic query set: perturbed corpus features
-// plus a few far-off vectors that exercise ring expansion.
+// goldenQueries builds a deterministic query set: perturbed corpus features.
 func goldenQueries(entries []*Entry) [][]float64 {
 	rng := rand.New(rand.NewSource(77))
 	var out [][]float64
@@ -132,15 +131,16 @@ func compareUpToTies(t *testing.T, ci int, got, want []goldenHit) {
 	}
 }
 
-// oldRankRecallAt10 is what the previous leaf stage — every candidate
-// ranked in the primary leaf's reduced space, sibling-leaf candidates
-// projected into it on demand — found of the exact top ten on
-// multiLeafCorpus(12, 800) over the 500 queries below: 3610 of 5000.
-const oldRankRecallAt10 = 0.7220
+// recallFloorAt10 is the least share of the exact top ten on
+// multiLeafCorpus(12, 800) over the 500 queries below that the index may
+// return. The refine found 4895 of 5000 (0.9790) when it replaced the cell
+// gather, which had found 3696 (0.7392); what it misses lies in leaves the
+// descent does not visit, or past the refine budget.
+const recallFloorAt10 = 0.97
 
 // TestRecallFloor is the quality half of the golden file: on a corpus shaped
 // like the HTTP benchmark's, the share of FlatSearch's exact top ten that
-// the index returns must not fall below what the old rank achieved.
+// the index returns must not fall below recallFloorAt10.
 func TestRecallFloor(t *testing.T) {
 	entries := multiLeafCorpus(12, 800)
 	ix, err := Build(entries, Options{Seed: 12})
@@ -164,8 +164,8 @@ func TestRecallFloor(t *testing.T) {
 		}
 	}
 	recall := float64(found) / float64(exact)
-	t.Logf("recall@10 = %d/%d = %.4f (old rank: %.4f)", found, exact, recall, oldRankRecallAt10)
-	if recall < oldRankRecallAt10 {
-		t.Fatalf("recall@10 %.4f fell below the old rank's %.4f", recall, oldRankRecallAt10)
+	t.Logf("recall@10 = %d/%d = %.4f (floor %.4f)", found, exact, recall, recallFloorAt10)
+	if recall < recallFloorAt10 {
+		t.Fatalf("recall@10 %.4f fell below the floor %.4f", recall, recallFloorAt10)
 	}
 }

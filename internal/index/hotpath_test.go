@@ -41,10 +41,10 @@ func singleLeafCorpus(n int, seed int64) []*Entry {
 	return out
 }
 
-// TestHashExhaustedFallback exercises the leafCandidates path where the
-// ring search up to radius 2 cannot produce k candidates: a query far from
-// every occupied hash cell must fall back to the whole leaf and still rank
-// every entry.
+// TestHashExhaustedFallback asks a far-off query for more hits than the one
+// visited leaf holds: every entry of the leaf must be bounded and returned
+// exactly once (the refine must not spend a second exact distance on a row
+// that seeded it), in distance order.
 func TestHashExhaustedFallback(t *testing.T) {
 	entries := singleLeafCorpus(5, 21)
 	ix, err := Build(entries, Options{Seed: 21})
@@ -75,9 +75,9 @@ func TestHashExhaustedFallback(t *testing.T) {
 	}
 }
 
-// TestBeamCrossLeafRanking exercises beam > 1: every visited leaf ranks its
-// own candidates in its own reduced space, and the leaves' shortlists merge
-// into one list ordered by exact distance.
+// TestBeamCrossLeafRanking exercises beam > 1: every visited leaf bounds its
+// rows in its own reduced space, and the refine ranks rows of all of them
+// in one list ordered by exact distance.
 func TestBeamCrossLeafRanking(t *testing.T) {
 	entries := corpus(120, 22) // 6 leaves, 20 entries each
 	ix, err := Build(entries, Options{Seed: 22, Beam: 3})

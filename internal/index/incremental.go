@@ -26,7 +26,7 @@
 // that discipline, exactly like the library's own entry slice.
 //
 // Accuracy: the overlay is exact for candidate generation (extras are
-// unconditionally candidates at their leaf; masked entries never rank), but
+// bounded like base rows at their leaf; masked entries never rank), but
 // the reduced spaces drift from what a full refit would learn as the
 // overlay grows. Staleness reports that fraction so callers can budget a
 // coalesced rebuild (classminer.Library.RebuildNeeded).
@@ -91,7 +91,7 @@ func (ix *Index) Insert(e *Entry) (*Index, error) {
 	nix.rows = appendRows(ix.rows, []*Entry{e}, ix.dim)
 	nix.inserted = ix.inserted + 1
 	nix.root = cloneSpine(ix.root, e.Path, func(leaf *node) *node {
-		nl := *leaf // shares ids, proj, cell table, reducer with the old leaf
+		nl := *leaf // shares ids, proj, reducer with the old leaf
 		dim := leaf.reducer.Dim()
 		at := len(leaf.extraProj)
 		nl.extraIDs = append(leaf.extraIDs, id)
@@ -164,7 +164,7 @@ func (ix *Index) InsertAll(entries []*Entry) (*Index, error) {
 // of the pages it touches: page p covers entry IDs [p<<maskPageShift,
 // (p+1)<<maskPageShift). A page table never holds nil — pages nothing was
 // removed from all point at noneMasked, which is never written — so the
-// per-candidate test in addCand needs no nil check.
+// per-row test in appendBounds needs no nil check.
 const (
 	maskPageShift = 12
 	maskPageWords = 1 << (maskPageShift - 6)

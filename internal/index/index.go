@@ -2,31 +2,29 @@
 // §2 and §6.2: a tree derived from the concept hierarchy whose non-leaf
 // nodes summarise their content with multiple centers (because high-level
 // concepts mix several visual components, a single Gaussian cannot model
-// them) and whose leaf nodes index shots with a hash table. Search descends
-// only into relevant units, computes distances in reduced feature subspaces
-// — every leaf ranks its own candidates in its own — and spends full-space
-// distances only on the short list the leaves hand up, reproducing the
-// Tc ≪ Te total-cost comparison of Eqs. (24)–(25).
+// them). Search descends only into relevant units and computes distances in
+// reduced feature subspaces: at every visited leaf a row's distance in the
+// leaf's own subspace bounds its full-space distance from below, so
+// full-space distances are spent only on the rows the bound cannot exclude,
+// reproducing the Tc ≪ Te total-cost comparison of Eqs. (24)–(25) with the
+// answer a full scan of the visited leaves gives.
 //
 // Storage is flat: entries are numbered at Build, the full feature of entry
 // i is read through rows[i] — a view of wherever the entry's owner keeps it
 // (Entry.Row), never a copy — and every leaf precomputes one projection
-// matrix over its rows and one sorted table of its occupied hash cells. The
-// search hot path runs on pooled per-call scratch (query projections,
-// candidate lists, bounded top-k max-heaps), so steady-state SearchInto
-// performs zero heap allocations.
+// matrix over its rows. The search hot path runs on pooled per-call scratch
+// (query projections, bound lists, bounded top-k max-heaps), so
+// steady-state SearchInto performs zero heap allocations.
 //
 // The fit is a pure function of its rows, bit for bit. Its one random step,
 // k-means++ seeding, draws from the seeded source node after node in one
 // fixed order; everything else — the reducers, the projections, the Lloyd
-// refinements, the leaves' cell tables — depends only on a node's rows and
-// runs on up to GOMAXPROCS goroutines that the build starts and waits for.
-// The index Build or BuildMatrix returns is therefore the same at any
-// GOMAXPROCS.
+// refinements — depends only on a node's rows and runs on up to GOMAXPROCS
+// goroutines that the build starts and waits for. The index Build or
+// BuildMatrix returns is therefore the same at any GOMAXPROCS.
 package index
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -59,7 +57,6 @@ type Options struct {
 	Centers    int // centers per non-leaf node (default 3)
 	SelectDims int // variance-selected coordinates (default 48)
 	PCADims    int // principal components per node (default 16)
-	HashDims   int // leading reduced dims hashed at leaves (default 4)
 	Beam       int // children explored per level during search (default 2)
 	Seed       int64
 }
@@ -74,12 +71,6 @@ func (o Options) withDefaults() Options {
 	if o.PCADims <= 0 {
 		o.PCADims = 16
 	}
-	if o.HashDims <= 0 {
-		o.HashDims = 4
-	}
-	if o.HashDims > maxHashDims {
-		o.HashDims = maxHashDims
-	}
 	if o.Beam <= 0 {
 		o.Beam = 2
 	}
@@ -88,11 +79,16 @@ func (o Options) withDefaults() Options {
 
 // Stats counts the work a search performed, the quantities of Eqs. (24)
 // and (25): distance computations per level, the float dimensions touched,
-// and the size of the ranked candidate set.
+// and the size of the candidate set.
 type Stats struct {
-	DistanceOps int // total distance computations
-	FloatOps    int // Σ dims over all distance computations
-	Candidates  int // entries ranked (the M_o log M_o term)
+	DistanceOps int // total distance computations, reduced and full-space
+	FloatOps    int // Σ dims actually touched over all distance computations
+	Candidates  int // live rows of the visited leaves, each bounded once
+	Exact       int // full-space distances the refine computed
+	// Closed counts the refines that stopped on the bound rather than the
+	// budget, whose answers are therefore exact over the visited leaves: 1
+	// or 0 for one index search, summed where searches merge.
+	Closed int
 }
 
 // Result is one ranked search hit.
@@ -144,37 +140,20 @@ type node struct {
 	// Non-leaf routing state.
 	reducer *Reducer
 	centers map[string][][]float64 // child name -> centers in this node's space
-	// Leaf state, flat storage: ids are global entry IDs in insertion
-	// order, proj row r is the reduced feature of entry ids[r], and the
-	// cell table maps quantised cells to leaf-local rows. The table is in
-	// CSR form: cellKeys holds the occupied cells in ascending keyCmp
-	// order, and cell i owns cellRows[cellStart[i]:cellStart[i+1]]
-	// (ascending rows).
-	ids       []int32
-	proj      *mat.Dense
-	cell      []float64 // per-dim hash cell width
-	cellKeys  []cellKey
-	cellStart []int32
-	cellRows  []int32
+	// Leaf state, flat storage: ids are global entry IDs in ascending
+	// order, and proj row r is the reduced feature of entry ids[r].
+	ids  []int32
+	proj *mat.Dense
+	// lead holds proj's leading min(boundDims, dim) columns contiguously:
+	// the part of every row the bound pass reads, a quarter of the cache
+	// lines proj spreads it over.
+	lead []float64
 	// Incremental overlay: entries inserted after the fit. extraIDs extends
 	// ids (leaf row len(ids)+i refers to extraIDs[i]) and extraProj holds
-	// their reduced features (reducer.Dim() wide rows). Extras are not
-	// hashed — they are unconditionally candidates at this leaf, which is
-	// exact (never misses) and stays cheap because the staleness budget
-	// bounds how many exist before a refit folds them in.
+	// their reduced features (reducer.Dim() wide rows); a search bounds
+	// them like the base rows.
 	extraIDs  []int32
 	extraProj []float64
-}
-
-// rows is the leaf's total candidate row count, base plus overlay.
-func (n *node) rows() int { return len(n.ids) + len(n.extraIDs) }
-
-// idAt maps a leaf row to its global entry ID across both regions.
-func (n *node) idAt(row int32) int32 {
-	if int(row) < len(n.ids) {
-		return n.ids[row]
-	}
-	return n.extraIDs[int(row)-len(n.ids)]
 }
 
 // projRow returns the leaf-space reduced feature of a leaf row.
@@ -185,12 +164,6 @@ func (n *node) projRow(row int32, dim int) []float64 {
 	r := int(row) - len(n.ids)
 	return n.extraProj[r*dim : (r+1)*dim]
 }
-
-// cellKey is a fixed-width quantised signature of the leading reduced
-// dimensions; unused dimensions stay zero.
-type cellKey [maxHashDims]int32
-
-const maxHashDims = 4
 
 // Build constructs the index from entries. Every entry must carry a
 // non-empty path. An entry's Row is read in place; the entries without one
@@ -380,18 +353,18 @@ func maxReducerDim(n *node) int {
 }
 
 // fit trains every node: reducers and per-child centers at non-leaf nodes,
-// the cell table at leaves. Only k-means seeding draws random numbers, so
-// only it runs one node after another, drawing from rng in the order a
-// recursive fit draws (a node's children in order, each child's centres
-// before anything in its subtree). Every other step is a pure function of
-// its rows and runs on parallel workers, so the fit is bit-identical at any
-// GOMAXPROCS. The phases:
+// the projection matrix at leaves. Only k-means seeding draws random
+// numbers, so only it runs one node after another, drawing from rng in the
+// order a recursive fit draws (a node's children in order, each child's
+// centres before anything in its subtree). Every other step is a pure
+// function of its rows and runs on parallel workers, so the fit is
+// bit-identical at any GOMAXPROCS. The phases:
 //
 //	(a) every node's reducer, in parallel;
 //	(b) every child's rows projected into its parent's space, in parallel;
 //	(c) every child's k-means++ seeds over (b)'s points, in pre-order;
 //	(d) every child's Lloyd refinement of its seeds, and every leaf's
-//	    projection and cell table, in parallel.
+//	    projection, in parallel.
 func (ix *Index) fit(rng *rand.Rand) error {
 	nodes, _ := preorder(ix.root, -1, nil)
 	for _, fn := range nodes {
@@ -471,109 +444,62 @@ func (ix *Index) fit(rng *rand.Rand) error {
 	return nil
 }
 
-// fitLeaf projects the leaf's entries into one contiguous matrix and builds
-// the cell table over quantised reduced signatures.
+// fitLeaf projects the leaf's entries into one contiguous matrix, and
+// copies its leading boundDims columns into lead.
 func (ix *Index) fitLeaf(n *node) {
-	dims := n.reducer.Dim()
-	h := ix.opts.HashDims
-	if h > dims {
-		h = dims
-	}
-	n.proj = mat.NewDense(len(n.ids), dims)
+	dim := n.reducer.Dim()
+	h := min(boundDims, dim)
+	n.proj = mat.NewDense(len(n.ids), dim)
+	n.lead = make([]float64, len(n.ids)*h)
 	for r, id := range n.ids {
 		n.reducer.ProjectInto(n.proj.Row(r), ix.rows[id])
+		copy(n.lead[r*h:(r+1)*h], n.proj.Row(r))
 	}
-	// Cell width per hashed dim: half the standard deviation keeps bucket
-	// occupancy moderate without scattering near-identical shots.
-	n.cell = make([]float64, h)
-	for d := 0; d < h; d++ {
-		var mean, ss float64
-		for r := 0; r < n.proj.R; r++ {
-			mean += n.proj.Data[r*dims+d]
-		}
-		mean /= float64(n.proj.R)
-		for r := 0; r < n.proj.R; r++ {
-			dv := n.proj.Data[r*dims+d] - mean
-			ss += dv * dv
-		}
-		sd := math.Sqrt(ss / float64(n.proj.R))
-		if sd < 1e-9 {
-			sd = 1e-9
-		}
-		n.cell[d] = sd / 2
-	}
-	n.buildCells()
 }
 
-// buildCells builds the leaf's cell table from proj and cell: the rows are
-// sorted once by (cell key, row) and the runs of equal keys become the
-// cells, so the table costs one sort and three exactly-sized slices however
-// many cells the leaf occupies.
-func (n *node) buildCells() {
-	keys := make([]cellKey, n.proj.R)
-	n.cellRows = make([]int32, n.proj.R)
-	for r := range keys {
-		keys[r] = n.hashKey(n.proj.Row(r))
-		n.cellRows[r] = int32(r)
-	}
-	slices.SortFunc(n.cellRows, func(a, b int32) int {
-		if c := keyCmp(keys[a], keys[b]); c != 0 {
-			return c
-		}
-		return int(a - b)
-	})
-	cells := 0
-	for i, r := range n.cellRows {
-		if i == 0 || keys[r] != keys[n.cellRows[i-1]] {
-			cells++
-		}
-	}
-	n.cellKeys = make([]cellKey, 0, cells)
-	n.cellStart = make([]int32, 0, cells+1)
-	for i, r := range n.cellRows {
-		if i == 0 || keys[r] != keys[n.cellRows[i-1]] {
-			n.cellKeys = append(n.cellKeys, keys[r])
-			n.cellStart = append(n.cellStart, int32(i))
-		}
-	}
-	n.cellStart = append(n.cellStart, int32(len(n.cellRows)))
+// bound is one live row of a visited leaf and lb, the squared distance
+// between the row and the query in the leaf's reduced space: a lower bound
+// on their full-space squared distance, because a reducer selects
+// coordinates and then applies an orthonormal projection, neither of which
+// lengthens a vector (GEMINI's lower-bounding lemma).
+type bound struct {
+	lb  float64
+	id  int32 // global entry ID
+	row int32 // leaf-local row; -1 once the row has an exact distance
 }
 
-func (n *node) hashKey(p []float64) cellKey {
-	var k cellKey
-	for d := range n.cell {
-		k[d] = int32(math.Floor(p[d] / n.cell[d]))
-	}
-	return k
+// boundLess is the order the refine visits rows in: ascending (lb, id).
+func boundLess(a, b bound) bool {
+	return a.lb < b.lb || (a.lb == b.lb && a.id < b.id)
 }
 
-// keyCmp is the lexicographic order the cell table is sorted by.
-func keyCmp(a, b cellKey) int {
-	for d := range a {
-		if a[d] != b[d] {
-			if a[d] < b[d] {
-				return -1
-			}
-			return 1
+// popBound removes the least bound from the min-heap h and returns the rest.
+// The refine stops after a few pops, so a heap, built in linear time, beats
+// sorting every survivor.
+func popBound(h []bound) []bound {
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	siftBound(h, 0)
+	return h
+}
+
+func siftBound(h []bound, i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
 		}
+		least := l
+		if r := l + 1; r < len(h) && boundLess(h[r], h[l]) {
+			least = r
+		}
+		if !boundLess(h[least], h[i]) {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
 	}
-	return 0
-}
-
-// findCell returns the table index of an occupied cell, or -1.
-func (n *node) findCell(key cellKey) int {
-	if ci, ok := slices.BinarySearchFunc(n.cellKeys, key, keyCmp); ok {
-		return ci
-	}
-	return -1
-}
-
-// candRef locates one candidate: its leaf-local projection row and its
-// global entry ID. Candidates sit in searchScratch.cands grouped by leaf in
-// visit order; ends[i] closes the group of leaves[i].
-type candRef struct {
-	row int32
-	id  int32
 }
 
 // heapItem is one bounded top-k entry ordered by (sq, id); id breaks ties
@@ -591,10 +517,10 @@ type searchScratch struct {
 	lproj  []float64 // query projection into leaves[i]'s space at i*maxDim
 	ends   []int
 	scored []scoredChild
-	cands  []candRef
-	heap   []heapItem // one leaf's k best in its own reduced space
-	short  []heapItem // every visited leaf's k best, re-ranked exactly
-	ring   [3][]int32 // cell-table indexes grouped by Chebyshev radius 0..2
+	bounds []bound    // leaves[i]'s live rows end at ends[i]; then the survivors
+	pool   []heapItem // the best-routed leaf's seedPool·k least partial bounds
+	seeds  []heapItem // the k of them with the least complete bounds
+	top    []heapItem // the k best exact distances so far
 }
 
 type scoredChild struct {
@@ -606,18 +532,6 @@ type scoredChild struct {
 // leaves[i]: scan fills it, rank reads it back.
 func (sc *searchScratch) leafQuery(i int, leaf *node, maxDim int) []float64 {
 	return sc.lproj[i*maxDim : i*maxDim+leaf.reducer.Dim()]
-}
-
-// addCand records a candidate. removed, when non-nil, is the index's
-// deletion mask — masked entries never become candidates. It runs once per
-// candidate row of every visited leaf and only just fits the compiler's
-// inlining budget (go build -gcflags=-m=2: cost 79 of 80); keep it there.
-func (sc *searchScratch) addCand(leaf *node, row int32, removed []*maskPage) {
-	id := leaf.idAt(row)
-	if masked(removed, id) {
-		return
-	}
-	sc.cands = append(sc.cands, candRef{row: row, id: id})
 }
 
 // Search finds the k nearest indexed shots to the query feature (a 266-dim
@@ -644,11 +558,11 @@ func (ix *Index) SearchInto(dst []Result, query []float64, k int) ([]Result, Sta
 
 // SearchIntoSpans is SearchInto with per-stage tracing: when sp is a live
 // span, the hierarchical descent ("project" — the per-level subspace
-// projections), candidate gathering ("scan") and ranking ("rank" — the
-// per-leaf shortlists and their exact re-rank) each record a child span. A
-// nil sp (the untraced and unsampled paths) costs nothing — spans come from
-// the trace's pooled arena, so the zero-alloc search contract holds either
-// way.
+// projections), the bound pass over the visited leaves ("scan") and the
+// refine ("rank" — the exact distances, in bound order) each record a child
+// span. A nil sp (the untraced and unsampled paths) costs nothing — spans
+// come from the trace's pooled arena, so the zero-alloc search contract
+// holds either way.
 func (ix *Index) SearchIntoSpans(dst []Result, query []float64, k int, sp *trace.Span) ([]Result, Stats) {
 	var stats Stats
 	if k <= 0 {
@@ -658,29 +572,19 @@ func (ix *Index) SearchIntoSpans(dst []Result, query []float64, k int, sp *trace
 	stage := sp.Start("project")
 	ix.descend(ix.root, query, sc, &stats)
 	stage.End()
-	// leafCandidates falls back to the whole leaf when the cell table is
-	// exhausted, so sc.cands misses a live entry of a visited leaf only
-	// when k is already satisfied nearer. It can be empty outright when
-	// removals masked every entry of every visited leaf — rank then
-	// returns no hits.
 	stage = sp.Start("scan")
-	if need := len(sc.leaves) * ix.maxDim; len(sc.lproj) < need {
-		sc.lproj = make([]float64, need)
-	}
-	for i, leaf := range sc.leaves {
-		p := leaf.reducer.ProjectInto(sc.leafQuery(i, leaf, ix.maxDim), query)
-		ix.leafCandidates(leaf, p, k, sc)
-		sc.ends = append(sc.ends, len(sc.cands))
-	}
+	ix.boundRows(query, sc, &stats)
 	stage.SetInt("leaves", int64(len(sc.leaves)))
-	stage.SetInt("candidates", int64(len(sc.cands)))
+	stage.SetInt("candidates", int64(len(sc.bounds)))
 	stage.End()
 	stage = sp.Start("rank")
-	dst = ix.rank(dst, query, k, sc, &stats)
+	dst = ix.refine(dst, query, k, sc, &stats)
+	stage.SetInt("exact", int64(stats.Exact))
+	stage.SetInt("closed", int64(stats.Closed))
 	stage.End()
 	sc.leaves = sc.leaves[:0]
 	sc.ends = sc.ends[:0]
-	sc.cands = sc.cands[:0]
+	sc.bounds = sc.bounds[:0]
 	ix.scratch.Put(sc)
 	return dst, stats
 }
@@ -737,203 +641,208 @@ func (ix *Index) descend(n *node, query []float64, sc *searchScratch, stats *Sta
 	sc.scored = sc.scored[:start]
 }
 
-// scanCellsPerProbe decides how a leaf gathers its radius-0..2 cells. The
-// three shells partition the radius-2 ball, so enumerating them issues at
-// most 5^h binary-search probes of the cell table (625 at h = 4) and stops
-// early in a dense leaf; one pass over the table costs a radius test per
-// occupied cell whatever the density. The pass wins while the leaf has
-// fewer than scanCellsPerProbe occupied cells per probe: BenchmarkLeafGather
-// (h = 4, k = 10, queries drawn from the leaf's own rows) measured pass
-// against probes at 3.0 against 21 µs on 630 cells, 11.4 against 11.5 µs on
-// 3 900 — the crossover, 6.2 cells per probe — and 27 against 1.7 µs on
-// 13 600.
-const scanCellsPerProbe = 6
+// boundDims is how many leading reduced dimensions the bound pass sums for
+// every row of a visited leaf. A leaf's PCA orders its dimensions by
+// variance, so the leading ones carry most of the bound; the rest are added
+// only for the rows whose partial bound does not already exclude them.
+const boundDims = 4
 
-// leafCandidates looks up the hash cell of p, the query in the leaf's
-// reduced space, and expands outward shell by shell until at least k
-// candidates are found (or the ring is exhausted, in which case the whole
-// leaf is the candidate set). Entries inserted after the fit are not
-// hashed, so they join the candidate set unconditionally first — an
-// inserted entry must be findable immediately, and the shell early-exits
-// below must not preempt it.
-func (ix *Index) leafCandidates(leaf *node, p []float64, k int, sc *searchScratch) {
-	for r := len(leaf.ids); r < leaf.rows(); r++ {
-		sc.addCand(leaf, int32(r), ix.removed)
+// seedPool sets how many of the best-routed leaf's rows, by partial bound,
+// have their bounds completed to choose the k seeds from: seedPool·k. The
+// tighter the seeds' k-th distance, the more rows the partial bound drops
+// before their bounds are completed. On the HTTP benchmark's corpus
+// (2 048 uniform query-by-example searches in process) seedPool 1, 2, 3, 4
+// and 6 touch 29.0 k, 25.1 k, 24.6 k, 24.4 k and 24.4 k float ops per
+// search, pool included.
+const seedPool = 4
+
+// refineBudget caps the exact distances one search spends at refineBudget·k,
+// seeds included. The bound cannot see the distance outside a reducer's
+// selected coordinates, and on data where that is most of it nothing else
+// keeps the refine from degenerating into a scan of every visited row: with
+// no cap, TestSearchCostBelowFlat's search spends 79 k float ops against a
+// limit of 53 k, and TestSearchScalesSublinearly's grows 8 k → 176 k when
+// the data grows 8×. A sweep of 300 queries on multiLeafCorpus(12, 800),
+// whose visited leaves cap recall@10 at 0.9833:
+//
+//	budget            2       3       4       6       none
+//	closed            94 %    96 %    97 %    98 %    100 %
+//	recall@10         0.9793  0.9813  0.9817  0.9827  0.9833
+//	exact distances   11.9    12.4    12.7    13.2    34.5
+//
+// 4 is the smallest budget at which the HTTP benchmark's quality sample
+// scores what it scores with no cap (0.9468; 0.9460 at 3), and it keeps
+// both cost tests at two thirds of their limits or less (18 k float ops;
+// 7 k → 16 k).
+const refineBudget = 4
+
+// The refine stops at the first row whose bound exceeds
+// kth·(1+refineEps)+refineSlack, kth being the running k-th exact squared
+// distance. The margins absorb rounding: a computed bound may exceed the
+// exact-arithmetic one by a few ulps of the coordinates it sums, and a
+// reducer's components are orthonormal only to rounding. On
+// multiLeafCorpus(12, 800), 1.3 % of 1.6 M computed bounds exceed the exact
+// squared distance, by at most 1.5e-15 of it. The relative term covers
+// distances of any size, the absolute one a kth of zero (exact duplicates
+// of the query). Both are powers of two, so a test can build
+// rows that sit exactly on the margin.
+const (
+	refineEps   = 0x1p-30 // ≈ 9.3e-10
+	refineSlack = 0x1p-40 // ≈ 9.1e-13
+)
+
+// margin is the bound past which a row cannot rank among the k best once
+// kth is the k-th best exact squared distance found.
+func margin(kth float64) float64 { return kth*(1+refineEps) + refineSlack }
+
+// boundRows is the scan stage: it projects the query into every visited
+// leaf's space and appends to sc.bounds every live row of the leaf, base rows
+// then the overlay, with the part of its bound the leading boundDims
+// dimensions give; sc.ends[i] closes leaves[i]'s rows.
+func (ix *Index) boundRows(query []float64, sc *searchScratch, stats *Stats) {
+	if need := len(sc.leaves) * ix.maxDim; len(sc.lproj) < need {
+		sc.lproj = make([]float64, need)
 	}
-	h := len(leaf.cell)
-	var base [maxHashDims]int
-	for d := 0; d < h; d++ {
-		base[d] = int(math.Floor(p[d] / leaf.cell[d]))
+	for i, leaf := range sc.leaves {
+		p := leaf.reducer.ProjectInto(sc.leafQuery(i, leaf, ix.maxDim), query)
+		h := min(boundDims, len(p))
+		start := len(sc.bounds)
+		sc.bounds = ix.appendBounds(sc.bounds, p[:h], leaf.ids, leaf.lead, h, 0)
+		sc.bounds = ix.appendBounds(sc.bounds, p[:h], leaf.extraIDs, leaf.extraProj, len(p), len(leaf.ids))
+		sc.ends = append(sc.ends, len(sc.bounds))
+		stats.FloatOps += (len(sc.bounds) - start) * h
 	}
-	start := len(sc.cands)
-	scan := len(leaf.cellKeys) < scanCellsPerProbe*pow5[h]
-	if scan {
-		leaf.scanCells(base[:h], &sc.ring)
-	}
-	enough := false
-	for radius := range sc.ring {
-		if !enough {
-			if !scan {
-				sc.ring[radius] = leaf.probeShell(sc.ring[radius], base[:h], radius)
+	stats.DistanceOps += len(sc.bounds)
+	stats.Candidates = len(sc.bounds)
+}
+
+// appendBounds appends the partial bound of each live row of one region of a
+// leaf over the leading len(p) dimensions: ids[r] is the entry of leaf row
+// first+r, whose reduced feature starts at data[r*stride]. The four-wide
+// case, every leaf's at the default PCADims, is unrolled; it sums in the
+// loop's order, and BenchmarkSearchMultiLeaf runs in 87 µs with it against
+// 105 µs without (medians of 10 alternating runs, 2-CPU box).
+func (ix *Index) appendBounds(dst []bound, p []float64, ids []int32, data []float64, stride, first int) []bound {
+	if len(p) == 4 {
+		p0, p1, p2, p3 := p[0], p[1], p[2], p[3]
+		for r, id := range ids {
+			if masked(ix.removed, id) {
+				continue
 			}
-			for _, ci := range sc.ring[radius] {
-				for _, row := range leaf.cellRows[leaf.cellStart[ci]:leaf.cellStart[ci+1]] {
-					sc.addCand(leaf, row, ix.removed)
-				}
-			}
-			enough = len(sc.cands)-start >= k
+			x := data[r*stride : r*stride+4]
+			d0, d1, d2, d3 := p0-x[0], p1-x[1], p2-x[2], p3-x[3]
+			dst = append(dst, bound{lb: d0*d0 + d1*d1 + d2*d2 + d3*d3, id: id, row: int32(first + r)})
 		}
-		sc.ring[radius] = sc.ring[radius][:0]
-	}
-	if enough {
-		return
-	}
-	// Cells exhausted: fall back to the whole leaf (still only the relevant
-	// scene node, never the full database), replacing what the cells gave.
-	sc.cands = sc.cands[:start]
-	for r := 0; r < len(leaf.ids); r++ {
-		sc.addCand(leaf, int32(r), ix.removed)
-	}
-}
-
-// pow5 tabulates 5^h, the number of cells in the radius-2 ball that the
-// three shells partition, for the supported hash widths.
-var pow5 = [maxHashDims + 1]int{1, 5, 25, 125, 625}
-
-// scanCells appends to ring[r] the table index of every occupied cell at
-// Chebyshev (L∞) radius r <= 2 of base, in one pass over the sorted keys.
-// Whether a cell is near is a coin toss per dimension, so the radius is
-// computed without data-dependent branches; dimensions past len(base) are
-// zero on both sides and drop out.
-func (n *node) scanCells(base []int, ring *[3][]int32) {
-	var b [maxHashDims]int
-	copy(b[:], base)
-	// The keys are sorted by their first dimension before any other: only
-	// the run within 2 of base there can hold a near cell.
-	lo, _ := slices.BinarySearchFunc(n.cellKeys, b[0]-2, func(key cellKey, first int) int {
-		return cmp.Compare(int(key[0]), first)
-	})
-	for ci := lo; ci < len(n.cellKeys) && int(n.cellKeys[ci][0]) <= b[0]+2; ci++ {
-		key := &n.cellKeys[ci]
-		r := max(absDiff(key[0], b[0]), absDiff(key[1], b[1]), absDiff(key[2], b[2]), absDiff(key[3], b[3]))
-		if r <= 2 {
-			ring[r] = append(ring[r], int32(ci))
-		}
-	}
-}
-
-// absDiff is |k - b|, branch-free.
-func absDiff(k int32, b int) int {
-	d := int(k) - b
-	sign := d >> 63
-	return (d ^ sign) - sign
-}
-
-// probeShell appends to dst the table indexes of the occupied cells at
-// exactly Chebyshev radius r around base (the shell max|offset| == r, not
-// the whole ball), in table order: an odometer enumerates the first h-1
-// offsets, and the last dimension ranges fully only when an earlier
-// dimension already sits at ±r — otherwise it is pinned to ±r.
-func (n *node) probeShell(dst []int32, base []int, r int) []int32 {
-	h := len(base)
-	if h == 0 {
 		return dst
 	}
-	probe := func(key cellKey) {
-		if ci := n.findCell(key); ci >= 0 {
-			dst = append(dst, int32(ci))
+	for r, id := range ids {
+		if masked(ix.removed, id) {
+			continue
 		}
+		var lb float64
+		for d, v := range data[r*stride : r*stride+len(p)] {
+			dv := p[d] - v
+			lb += dv * dv
+		}
+		dst = append(dst, bound{lb: lb, id: id, row: int32(first + r)})
 	}
-	var key cellKey
-	if r == 0 {
-		for d, b := range base {
-			key[d] = int32(b)
-		}
-		probe(key)
-		return dst
-	}
-	var offs [maxHashDims]int
-	for d := 0; d < h-1; d++ {
-		offs[d] = -r
-	}
-	last := h - 1
-	for {
-		onShell := false
-		for d := 0; d < last; d++ {
-			key[d] = int32(base[d] + offs[d])
-			if offs[d] == -r || offs[d] == r {
-				onShell = true
-			}
-		}
-		if onShell {
-			for o := -r; o <= r; o++ {
-				key[last] = int32(base[last] + o)
-				probe(key)
-			}
-		} else {
-			key[last] = int32(base[last] - r)
-			probe(key)
-			key[last] = int32(base[last] + r)
-			probe(key)
-		}
-		d := last - 1
-		for ; d >= 0; d-- {
-			offs[d]++
-			if offs[d] <= r {
-				break
-			}
-			offs[d] = -r
-		}
-		if d < 0 {
-			return dst
-		}
-	}
+	return dst
 }
 
-// rank is the To term in two steps. Each visited leaf keeps its k best
-// candidates by distance in its own reduced space, read off its precomputed
-// projection rows through a bounded max-heap with early-abandoning
-// distances (even ranking uses discriminating features only). The leaves'
-// spaces are not comparable with one another, so the shortlist — at most k
-// per leaf — is then re-ranked the same way by the exact full-space
-// distance, which is also the Dist every result reports.
-func (ix *Index) rank(dst []Result, query []float64, k int, sc *searchScratch, stats *Stats) []Result {
-	short, heap := sc.short[:0], sc.heap[:0]
+// refine is the rank stage, a multi-step k-NN over the rows boundRows found
+// (Seidl & Kriegel's filter-and-refine). It seeds the top k with the exact
+// distances of the k rows of least complete bound among the best-routed
+// leaf's seedPool·k rows of least partial bound; drops every row whose
+// partial bound passes the seeds' k-th distance and completes the bound of
+// the rest; then computes exact distances in ascending (bound, id) order
+// until the next bound passes the running k-th one, or refineBudget·k exact
+// distances are spent. When it stops on the bound the answer is exact over
+// the visited leaves — FlatSearch over their live rows, tie order and Dist
+// bits included — and stats.Closed records it.
+func (ix *Index) refine(dst []Result, query []float64, k int, sc *searchScratch, stats *Stats) []Result {
+	top, pool, seeds := sc.top[:0], sc.pool[:0], sc.seeds[:0]
+	// A seed's id is its position in sc.bounds, which within one leaf is in
+	// entry-ID order, so (lb, position) ranks like (lb, id).
+	for i, b := range sc.bounds[:sc.ends[0]] {
+		pool = heapOffer(pool, seedPool*k, heapItem{sq: b.lb, id: int32(i)})
+	}
+	p0 := sc.leafQuery(0, sc.leaves[0], ix.maxDim)
+	h0 := min(boundDims, len(p0))
+	for _, s := range pool {
+		b := sc.bounds[s.id]
+		lb := b.lb + tailSq(p0, sc.leaves[0].projRow(b.row, len(p0)), h0)
+		seeds = heapOffer(seeds, k, heapItem{sq: lb, id: s.id})
+	}
+	stats.FloatOps += len(pool) * (len(p0) - h0)
+	for _, s := range seeds {
+		b := &sc.bounds[s.id]
+		top = ix.offerExact(top, query, k, b.id)
+		b.row = -1
+	}
+	exact := len(seeds)
+	cut := margin(heapBound(top, k))
+	survivors := sc.bounds[:0] // compacts sc.bounds in place
 	lo := 0
 	for i, leaf := range sc.leaves {
 		p := sc.leafQuery(i, leaf, ix.maxDim)
-		dim := len(p)
-		cands := sc.cands[lo:sc.ends[i]]
-		lo = sc.ends[i]
-		stats.DistanceOps += len(cands)
-		stats.FloatOps += len(cands) * dim
-		heap = heap[:0]
-		for _, c := range cands {
-			sq := mat.SqDistBounded(p, leaf.projRow(c.row, dim), heapBound(heap, k))
-			heap = heapOffer(heap, k, heapItem{sq: sq, id: c.id})
+		h := min(boundDims, len(p))
+		for _, b := range sc.bounds[lo:sc.ends[i]] {
+			if b.row < 0 || b.lb > cut {
+				continue
+			}
+			b.lb += tailSq(p, leaf.projRow(b.row, len(p)), h)
+			stats.FloatOps += len(p) - h
+			if b.lb <= cut {
+				survivors = append(survivors, b)
+			}
 		}
-		short = append(short, heap...)
+		lo = sc.ends[i]
 	}
-	stats.Candidates = len(sc.cands)
-	stats.DistanceOps += len(short)
-	stats.FloatOps += len(short) * len(query)
-	heap = heap[:0]
-	for _, it := range short {
-		row := ix.rows[it.id]
-		sq := splitSqDistBounded(row[:ix.colorDims], row[ix.colorDims:], query, heapBound(heap, k))
-		heap = heapOffer(heap, k, heapItem{sq: sq, id: it.id})
+	for i := len(survivors)/2 - 1; i >= 0; i-- {
+		siftBound(survivors, i)
 	}
-	sortItems(heap)
-	if cap(dst) < len(heap) {
-		dst = make([]Result, len(heap))
+	closed := 1
+	for ; len(survivors) > 0 && survivors[0].lb <= margin(heapBound(top, k)); survivors = popBound(survivors) {
+		if exact == refineBudget*k {
+			closed = 0
+			break
+		}
+		top = ix.offerExact(top, query, k, survivors[0].id)
+		exact++
+	}
+	stats.DistanceOps += exact
+	stats.FloatOps += exact * len(query)
+	stats.Exact, stats.Closed = exact, closed
+	sortItems(top)
+	if cap(dst) < len(top) {
+		dst = make([]Result, len(top))
 	} else {
-		dst = dst[:len(heap)]
+		dst = dst[:len(top)]
 	}
-	for i, it := range heap {
+	for i, it := range top {
 		dst[i] = Result{Entry: ix.all[it.id], Dist: math.Sqrt(it.sq)}
 	}
-	sc.short, sc.heap = short[:0], heap[:0]
+	sc.top, sc.pool, sc.seeds = top[:0], pool[:0], seeds[:0]
 	return dst
+}
+
+// tailSq completes a partial bound: the squared distance between the query
+// projection p and a row's reduced feature x over the dimensions from h on.
+func tailSq(p, x []float64, h int) float64 {
+	var sq float64
+	for d, v := range x[h:] {
+		dv := p[h+d] - v
+		sq += dv * dv
+	}
+	return sq
+}
+
+// offerExact offers entry id to the top-k heap at its exact full-space
+// squared distance to the query, abandoned once it cannot enter.
+func (ix *Index) offerExact(top []heapItem, query []float64, k int, id int32) []heapItem {
+	row := ix.rows[id]
+	sq := splitSqDistBounded(row[:ix.colorDims], row[ix.colorDims:], query, heapBound(top, k))
+	return heapOffer(top, k, heapItem{sq: sq, id: id})
 }
 
 // heapBound is the distance a candidate must not exceed to enter a top-k

@@ -7,88 +7,17 @@ import (
 	"sort"
 	"testing"
 
+	"classminer/internal/feature"
 	"classminer/internal/mat"
+	"classminer/internal/vidmodel"
 )
 
-// This file holds the reference model of the leaf stage: a naive search that
-// shares no code with leafCandidates, the cell table or rank. It hashes each
-// visited leaf into a Go map and gathers cells the way the index did before
-// the table existed, keeps every candidate in a set, sorts instead of
-// heaping, and re-ranks with ShotSqDist. SearchInto must equal it exactly.
-
-// refHash is the pre-table leaf hash: cell key -> leaf rows, built on demand.
-func refHash(n *node) map[cellKey][]int32 {
-	hash := map[cellKey][]int32{}
-	for r := 0; r < n.proj.R; r++ {
-		key := n.hashKey(n.proj.Row(r))
-		hash[key] = append(hash[key], int32(r))
-	}
-	return hash
-}
-
-// refChebyshev is the L∞ distance between a cell and the base cell.
-func refChebyshev(key cellKey, base []int) int {
-	r := 0
-	for d, b := range base {
-		dv := int(key[d]) - b
-		if dv < 0 {
-			dv = -dv
-		}
-		if dv > r {
-			r = dv
-		}
-	}
-	return r
-}
-
-// refShellWalk returns the rows of the cells at exactly radius r of base by
-// walking every occupied cell of the map.
-func refShellWalk(hash map[cellKey][]int32, base []int, r int) map[int32]bool {
-	rows := map[int32]bool{}
-	for key, rs := range hash {
-		if refChebyshev(key, base) == r {
-			for _, row := range rs {
-				rows[row] = true
-			}
-		}
-	}
-	return rows
-}
-
-// refShellProbe returns the same rows by enumerating the (2r+1)^h cube
-// around base and probing the map with every cell on its surface.
-func refShellProbe(hash map[cellKey][]int32, base []int, r int) map[int32]bool {
-	rows := map[int32]bool{}
-	h := len(base)
-	offs := make([]int, h)
-	var walk func(d int)
-	walk = func(d int) {
-		if d == h {
-			shell := r == 0
-			var key cellKey
-			for i, o := range offs {
-				key[i] = int32(base[i] + o)
-				if o == -r || o == r {
-					shell = true
-				}
-			}
-			if shell {
-				for _, row := range hash[key] {
-					rows[row] = true
-				}
-			}
-			return
-		}
-		for o := -r; o <= r; o++ {
-			offs[d] = o
-			walk(d + 1)
-		}
-	}
-	if h > 0 {
-		walk(0)
-	}
-	return rows
-}
+// This file holds the reference model of the leaf stage and the contract
+// SearchInto is held to: a search whose refine closes on the bound answers
+// exactly what FlatSearch answers over the live rows of the leaves the
+// search visits — the same entries in the same order at the same Dist bits.
+// The reference shares no code with the bound pass or the refine: it
+// descends naively, gathers the visited leaves' live rows and scans them.
 
 // refLeaves descends with the index's beam, naively.
 func refLeaves(ix *Index, n *node, query []float64) []*node {
@@ -116,88 +45,44 @@ func refLeaves(ix *Index, n *node, query []float64) []*node {
 	return out
 }
 
-// refSearch is the reference model of Index.SearchInto.
-func refSearch(ix *Index, query []float64, k int) []Result {
-	if k <= 0 {
-		k = 1
-	}
-	live := func(id int32) bool {
-		p := int(id >> maskPageShift)
-		if p >= len(ix.removed) {
-			return true
-		}
-		return ix.removed[p][int(id>>6)%maskPageWords]&(1<<uint(id&63)) == 0
-	}
-	byRank := func(items []heapItem) {
-		sort.Slice(items, func(a, b int) bool {
-			if items[a].sq != items[b].sq {
-				return items[a].sq < items[b].sq
-			}
-			return items[a].id < items[b].id
-		})
-	}
-	var short []heapItem
+// refVisited lists the live entries of the leaves refLeaves visits in
+// ascending entry ID, so that FlatSearch's position order is ID order.
+func refVisited(ix *Index, query []float64) []*Entry {
+	var ids []int
 	for _, leaf := range refLeaves(ix, ix.root, query) {
-		p := leaf.reducer.Project(query)
-		base := make([]int, len(leaf.cell))
-		for d := range base {
-			base[d] = int(math.Floor(p[d] / leaf.cell[d]))
-		}
-		hash := refHash(leaf)
-		hashed := map[int32]bool{} // live rows the cells yielded
-		for r := 0; r <= 2 && len(hashed) < k; r++ {
-			for row := range refShellWalk(hash, base, r) {
-				if live(leaf.ids[row]) {
-					hashed[row] = true
-				}
+		for _, id := range append(append([]int32(nil), leaf.ids...), leaf.extraIDs...) {
+			p := int(id >> maskPageShift)
+			if p >= len(ix.removed) || ix.removed[p][int(id>>6)%maskPageWords]&(1<<uint(id&63)) == 0 {
+				ids = append(ids, int(id))
 			}
 		}
-		if len(hashed) < k { // cells exhausted: the whole leaf
-			for row, id := range leaf.ids {
-				if live(id) {
-					hashed[int32(row)] = true
-				}
-			}
-		}
-		for i, id := range leaf.extraIDs { // extras, unconditionally
-			if live(id) {
-				hashed[int32(len(leaf.ids)+i)] = true
-			}
-		}
-		var best []heapItem
-		for row := range hashed {
-			sq := mat.SqDistBounded(p, leaf.projRow(row, len(p)), math.Inf(1))
-			best = append(best, heapItem{sq: sq, id: leaf.idAt(row)})
-		}
-		byRank(best)
-		if len(best) > k {
-			best = best[:k]
-		}
-		short = append(short, best...)
 	}
-	for i := range short {
-		short[i].sq = ShotSqDist(ix.all[short[i].id].Shot, query)
-	}
-	byRank(short)
-	if len(short) > k {
-		short = short[:k]
-	}
-	var out []Result
-	for _, it := range short {
-		out = append(out, Result{Entry: ix.all[it.id], Dist: math.Sqrt(it.sq)})
+	sort.Ints(ids)
+	out := make([]*Entry, len(ids))
+	for i, id := range ids {
+		out[i] = ix.all[id]
 	}
 	return out
 }
 
+// refSearch is the reference model of a closed Index.SearchInto.
+func refSearch(ix *Index, query []float64, k int) []Result {
+	if k <= 0 {
+		k = 1
+	}
+	res, _ := FlatSearch(refVisited(ix, query), query, k)
+	return res
+}
+
 // requireSameHits fails unless got equals want hit for hit and Dist for
-// Dist — exactly, not within a tolerance.
+// Dist — bit for bit, not within a tolerance.
 func requireSameHits(t *testing.T, what string, got, want []Result) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d hits, reference %d", what, len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Entry != want[i].Entry || got[i].Dist != want[i].Dist {
+		if got[i].Entry != want[i].Entry || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
 			t.Fatalf("%s hit %d: %s/%d at %v, reference %s/%d at %v", what, i,
 				got[i].Entry.VideoName, got[i].Entry.Shot.Index, got[i].Dist,
 				want[i].Entry.VideoName, want[i].Entry.Shot.Index, want[i].Dist)
@@ -205,8 +90,44 @@ func requireSameHits(t *testing.T, what string, got, want []Result) {
 	}
 }
 
-// refQueries mixes query-by-example, near-duplicates and far-off vectors
-// (which exhaust the cells and force the whole-leaf fallback).
+// checkSearch holds one search to the contract: a closed refine matches the
+// reference exactly; one the budget cut still returns min(k, visited live
+// rows) distinct hits in (Dist, ID) order at their exact distances, having
+// bounded every visited live row. It reports whether the refine closed.
+func checkSearch(t *testing.T, what string, ix *Index, got []Result, st Stats, q []float64, k int) bool {
+	t.Helper()
+	visited := refVisited(ix, q)
+	if st.Candidates != len(visited) {
+		t.Fatalf("%s: %d rows bounded, the visited leaves hold %d live rows", what, st.Candidates, len(visited))
+	}
+	if st.Closed == 1 {
+		requireSameHits(t, what, got, refSearch(ix, q, k))
+		return true
+	}
+	if st.Closed != 0 || st.Exact != refineBudget*k {
+		t.Fatalf("%s: open refine with Closed %d after %d exact distances, budget %d",
+			what, st.Closed, st.Exact, refineBudget*k)
+	}
+	if len(got) != min(k, len(visited)) {
+		t.Fatalf("%s: %d hits, want %d", what, len(got), min(k, len(visited)))
+	}
+	seen := map[*Entry]bool{}
+	for i, r := range got {
+		if seen[r.Entry] {
+			t.Fatalf("%s: hit %d repeats an entry", what, i)
+		}
+		seen[r.Entry] = true
+		if r.Dist != math.Sqrt(ShotSqDist(r.Entry.Shot, q)) {
+			t.Fatalf("%s hit %d: Dist %v is not the exact distance", what, i, r.Dist)
+		}
+		if i > 0 && got[i-1].Dist > r.Dist {
+			t.Fatalf("%s: hits out of order at %d", what, i)
+		}
+	}
+	return false
+}
+
+// refQueries mixes query-by-example, near-duplicates and far-off vectors.
 func refQueries(entries []*Entry, rng *rand.Rand, n int) [][]float64 {
 	var out [][]float64
 	for i := 0; i < n; i++ {
@@ -227,8 +148,9 @@ func refQueries(entries []*Entry, rng *rand.Rand, n int) [][]float64 {
 }
 
 // TestSearchMatchesReference checks SearchInto against the reference model
-// over random corpora, seeds, beams and k — including k beyond a leaf's
-// size — and again after chains of Insert and Remove.
+// over random corpora, seeds, beams 1–3 and k — including k beyond a leaf's
+// size — and again after chains of Insert and Remove; then that on the
+// benchmark-shaped corpus at least 95 % of query-by-example searches close.
 func TestSearchMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed * 7919))
@@ -237,32 +159,22 @@ func TestSearchMatchesReference(t *testing.T) {
 		case 2:
 			entries = multiLeafCorpus(seed, 40+rng.Intn(120))
 		case 4:
-			// One leaf large enough that its cells are probed, not scanned.
-			entries = multiLeafCorpus(seed, 7000, 30)
+			entries = multiLeafCorpus(seed, 7000, 30) // one large leaf
 		default:
 			entries = corpus(150+rng.Intn(450), seed)
 		}
-		opts := Options{Seed: seed, Beam: 1 + int(seed%3)}
-		if seed == 4 {
-			opts.HashDims = 3 // 125 probes: fewer cells tip a leaf into probing
-		}
-		ix, err := Build(entries, opts)
+		ix, err := Build(entries, Options{Seed: seed, Beam: 1 + int(seed%3)})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if seed == 4 {
-			large := ix.root.children["medical education"].children["medicine"].children["medicine/presentation"]
-			if len(large.cellKeys) < scanCellsPerProbe*pow5[opts.HashDims] {
-				t.Fatalf("the large leaf occupies %d cells: too few to take the probe path", len(large.cellKeys))
-			}
 		}
 		check := func(stage string) {
 			t.Helper()
 			var dst []Result
+			var st Stats
 			for qi, q := range refQueries(entries, rng, 24) {
 				for _, k := range []int{1, 10, 37, 5000} {
-					dst, _ = ix.SearchInto(dst, q, k)
-					requireSameHits(t, fmt.Sprintf("seed %d %s query %d k=%d", seed, stage, qi, k), dst, refSearch(ix, q, k))
+					dst, st = ix.SearchInto(dst, q, k)
+					checkSearch(t, fmt.Sprintf("seed %d %s query %d k=%d", seed, stage, qi, k), ix, dst, st, q, k)
 				}
 			}
 		}
@@ -291,107 +203,194 @@ func TestSearchMatchesReference(t *testing.T) {
 			}
 		}
 	}
-}
 
-// TestCellTableMatchesMap checks the cell table against the map it
-// replaced: for every radius, both ways of reading the table — scanCells'
-// pass and probeShell's probes — yield exactly the rows the map yields, on
-// random leaves of every hash width down to a single occupied cell.
-func TestCellTableMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 60; trial++ {
-		h := 1 + trial%maxHashDims
-		rows := 1 + rng.Intn(400)
-		spread := []float64{0, 0.3, 2, 6}[rng.Intn(4)] // 0: every row in one cell
-		n := &node{proj: mat.NewDense(rows, h+rng.Intn(3)), cell: make([]float64, h)}
-		for i := range n.proj.Data {
-			n.proj.Data[i] = rng.NormFloat64() * spread
+	entries := multiLeafCorpus(12, 800)
+	ix, err := Build(entries, Options{Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const queries = 200
+	closed := 0
+	var dst []Result
+	var st Stats
+	for i := 0; i < queries; i++ {
+		q := entries[(i*7919)%len(entries)].Shot.Feature()
+		dst, st = ix.SearchInto(dst, q, 10)
+		if checkSearch(t, fmt.Sprintf("multileaf query %d", i), ix, dst, st, q, 10) {
+			closed++
 		}
-		for d := range n.cell {
-			n.cell[d] = 0.5 + rng.Float64()
-		}
-		n.buildCells()
-		hash := refHash(n)
-		if len(n.cellKeys) != len(hash) || int(n.cellStart[len(n.cellKeys)]) != rows {
-			t.Fatalf("trial %d: table has %d cells over %d rows, map %d over %d",
-				trial, len(n.cellKeys), n.cellStart[len(n.cellKeys)], len(hash), rows)
-		}
-		for q := 0; q < 20; q++ {
-			base := make([]int, h)
-			for d := range base {
-				base[d] = int(math.Floor(rng.NormFloat64() * spread / n.cell[d]))
-			}
-			var ring [3][]int32
-			n.scanCells(base, &ring)
-			for r := 0; r <= 2; r++ {
-				want := refShellWalk(hash, base, r)
-				byProbe := refShellProbe(hash, base, r)
-				for name, cells := range map[string][]int32{"scanCells": ring[r], "probeShell": n.probeShell(nil, base, r)} {
-					got := map[int32]bool{}
-					for i, ci := range cells {
-						if i > 0 && cells[i-1] >= ci {
-							t.Fatalf("trial %d h=%d radius %d: %s cells out of table order: %v", trial, h, r, name, cells)
-						}
-						for _, row := range n.cellRows[n.cellStart[ci]:n.cellStart[ci+1]] {
-							got[row] = true
-						}
-					}
-					if !sameRows(got, want) || !sameRows(got, byProbe) {
-						t.Fatalf("trial %d h=%d radius %d: %s gives rows %v, map walk %v, map probes %v",
-							trial, h, r, name, got, want, byProbe)
-					}
-				}
-			}
-		}
+	}
+	t.Logf("%d of %d refines closed", closed, queries)
+	if closed*100 < queries*95 {
+		t.Fatalf("%d of %d refines closed, want at least 95 %%", closed, queries)
 	}
 }
 
-// TestShellsPartitionBall pins the probe count leafCandidates budgets for:
-// on a leaf occupying every cell around the query, probeShell's shells hold
-// 1, 3^h-1 and 5^h-3^h cells — 5^h probes in all, not 1 + 3^h + 5^h.
-func TestShellsPartitionBall(t *testing.T) {
-	for h := 1; h <= maxHashDims; h++ {
-		side := 7 // cells -3..3 per dim: the radius-2 ball and a rim beyond it
-		rows := 1
-		for d := 0; d < h; d++ {
-			rows *= side
+// identityLeaf builds a one-leaf index over rows whose leaf reducer is
+// replaced by the identity on the first 16 coordinates, so that a row's
+// bound is exactly the squared distance over those coordinates; rows holding
+// dyadic values then put bounds exactly where a test wants them.
+func identityLeaf(t *testing.T, rows [][]float64) *Index {
+	t.Helper()
+	var entries []*Entry
+	for i, f := range rows {
+		entries = append(entries, &Entry{
+			VideoName: fmt.Sprintf("row-%d", i),
+			Shot:      &vidmodel.Shot{Index: i, Color: f[:feature.ColorBins], Texture: f[feature.ColorBins:]},
+			Path:      []string{"medical education", "medicine", "medicine/other"},
+		})
+	}
+	ix, err := Build(entries, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dim = 16
+	if ix.maxDim != dim {
+		t.Fatalf("widest reducer is %d wide, want %d", ix.maxDim, dim)
+	}
+	r := &Reducer{pca: &mat.PCA{Mean: make([]float64, dim), Components: mat.Identity(dim)}}
+	r.compsT = make([]float64, dim*dim)
+	for j := 0; j < dim; j++ {
+		r.selected = append(r.selected, j)
+		r.compsT[j*dim+j] = 1
+	}
+	leaf := ix.root.children["medical education"].children["medicine"].children["medicine/other"]
+	leaf.reducer = r
+	ix.fitLeaf(leaf)
+	return ix
+}
+
+// sparseRow is a feature with the given coordinates set and every other zero.
+func sparseRow(coords map[int]float64) []float64 {
+	f := make([]float64, feature.ColorBins+feature.TextureDims)
+	for d, v := range coords {
+		f[d] = v
+	}
+	return f
+}
+
+// TestRefineMargins pins refineEps and refineSlack with rows built to sit
+// exactly on the margin and one ulp past it. The query is the origin. At
+// kth = 1 the margin is 1 + 2⁻³⁰ + 2⁻⁴⁰: a row bounded exactly there is
+// refined, a row bounded at the next representable value is not. At kth = 0
+// — exact duplicates of the query — the margin is 2⁻⁴⁰ alone. At kth = 1 a
+// row tying the seed's distance with a smaller ID displaces it, as
+// FlatSearch's (distance, position) order says.
+func TestRefineMargins(t *testing.T) {
+	q := sparseRow(nil)
+	for _, c := range []struct {
+		name        string
+		kth, margin float64
+		rows        [][]float64
+		want        int // the row ranked first
+		exact       int // exact distances the search spends
+	}{
+		{"kth=1", 1, 1 + 0x1p-30 + 0x1p-40, [][]float64{
+			sparseRow(map[int]float64{0: 1}),                                     // bound 1 = its distance, ties the seed with a smaller ID
+			sparseRow(map[int]float64{20: 1}),                                    // bound 0, distance 1: the seed
+			sparseRow(map[int]float64{0: 1, 1: 0x1p-15, 2: 0x1p-20}),             // bound on the margin
+			sparseRow(map[int]float64{0: 1, 1: 0x1p-15, 2: 0x1p-20, 3: 0x1p-26}), // one ulp past it
+			sparseRow(map[int]float64{5: 8}), sparseRow(map[int]float64{6: 9}), sparseRow(map[int]float64{7: 10}),
+		}, 0, 3},
+		{"kth=0", 0, 0x1p-40, [][]float64{
+			sparseRow(nil),                         // a duplicate of the query: the seed
+			sparseRow(nil),                         // another, with a larger ID
+			sparseRow(map[int]float64{0: 0x1p-20}), // bound 2⁻⁴⁰, on the margin
+			sparseRow(map[int]float64{0: 0x1p-20, 1: 0x1p-46}), // one ulp past it
+			sparseRow(map[int]float64{5: 8}), sparseRow(map[int]float64{6: 9}), sparseRow(map[int]float64{7: 10}),
+		}, 0, 3},
+	} {
+		ix := identityLeaf(t, c.rows)
+		if m := margin(c.kth); m != c.margin {
+			t.Fatalf("%s: margin %v, the rows were built around %v", c.name, m, c.margin)
 		}
-		n := &node{proj: mat.NewDense(rows, h), cell: make([]float64, h)}
-		for d := range n.cell {
-			n.cell[d] = 1
+		got, st := ix.Search(q, 1)
+		if st.Closed != 1 || st.Exact != c.exact {
+			t.Fatalf("%s: Closed %d after %d exact distances, want 1 after %d", c.name, st.Closed, st.Exact, c.exact)
 		}
-		for r := 0; r < rows; r++ {
-			for d, v := 0, r; d < h; d, v = d+1, v/side {
-				n.proj.Data[r*h+d] = float64(v%side-3) + 0.5
-			}
-		}
-		n.buildCells()
-		base := make([]int, h)
-		total, inner := 0, 0
-		for r := 0; r <= 2; r++ {
-			ball := 1
-			for d := 0; d < h; d++ {
-				ball *= 2*r + 1
-			}
-			if got := len(n.probeShell(nil, base, r)); got != ball-inner {
-				t.Fatalf("h=%d radius %d: shell of %d cells, want %d", h, r, got, ball-inner)
-			}
-			total, inner = ball, ball
-		}
-		if total != pow5[h] {
-			t.Fatalf("h=%d: shells cover %d cells, pow5 says %d", h, total, pow5[h])
+		requireSameHits(t, c.name, got, refSearch(ix, q, 1))
+		if got[0].Entry != ix.all[c.want] {
+			t.Fatalf("%s: row %d ranks first, want row %d", c.name, got[0].Entry.Shot.Index, c.want)
 		}
 	}
 }
 
-func sameRows(a, b map[int32]bool) bool {
-	if len(a) != len(b) {
-		return false
+// fuzzBytes reads a fuzz input one byte at a time, then zeros.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() int {
+	if len(*b) == 0 {
+		return 0
 	}
-	for r := range a {
-		if !b[r] {
-			return false
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return int(v)
+}
+
+// FuzzSearchMatchesVisitedFlat builds a small index from the fuzz input —
+// rows over the six paths of corpus, their few non-zero coordinates
+// multiples of ¼ so that distances tie and rows repeat — inserts and
+// removes rows, and holds searches at beams 1–3 to the contract
+// checkSearch states: a closed refine answers what FlatSearch answers over
+// the visited leaves' live rows, (distance, ID) tie order included.
+func FuzzSearchMatchesVisitedFlat(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte("\x28\x01\x09\x11\x03\x20\x05\x40\x06\x07\x08\x09\x0a\x00\x01\x02\x03"))
+	f.Add([]byte("\xff\x02\x0b\x80\x81\x82\x83\x84\x85\x86\x87\x01\x02\x03\x00\x04\x05"))
+	paths := [][]string{
+		{"medical education", "medicine", "medicine/presentation"},
+		{"medical education", "medicine", "medicine/dialog"},
+		{"medical education", "medicine", "medicine/clinical operation"},
+		{"medical education", "nursing", "nursing/dialog"},
+		{"health care", "health care/general"},
+		{"medical report", "medical report/general"},
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		shot := func(i int) *vidmodel.Shot {
+			f := make([]float64, feature.ColorBins+feature.TextureDims)
+			for j := 1 + in.next()%6; j > 0; j-- {
+				f[in.next()*11%len(f)] = float64(in.next()%8) / 4
+			}
+			return &vidmodel.Shot{Index: i, Color: f[:feature.ColorBins], Texture: f[feature.ColorBins:]}
 		}
-	}
-	return true
+		entry := func(i, path int) *Entry {
+			return &Entry{VideoName: fmt.Sprintf("v%d", i), Shot: shot(i), Path: paths[path]}
+		}
+		n := len(paths) + in.next()%40
+		beam := 1 + in.next()%3
+		var entries []*Entry
+		for i := 0; i < n; i++ {
+			path := i
+			if i >= len(paths) {
+				path = in.next() % len(paths)
+			}
+			entries = append(entries, entry(i, path))
+		}
+		ix, err := Build(entries, Options{Seed: 1, Beam: beam})
+		if err != nil {
+			t.Skip(err)
+		}
+		for op := in.next() % 12; op > 0; op-- {
+			if in.next()%3 == 0 {
+				ix, _ = ix.RemoveIDs([]int32{int32(in.next() % len(ix.all))})
+				continue
+			}
+			e := entry(len(ix.all), in.next()%len(paths))
+			if ix, err = ix.Insert(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var dst []Result
+		var st Stats
+		for qi := 0; qi < 4; qi++ {
+			q := shot(-1).Feature()
+			if in.next()%2 == 0 {
+				q = ix.all[in.next()%len(ix.all)].Shot.Feature() // a row's duplicate: kth may be 0
+			}
+			k := 1 + in.next()%12
+			dst, st = ix.SearchInto(dst, q, k)
+			checkSearch(t, fmt.Sprintf("beam %d query %d k=%d", beam, qi, k), ix, dst, st, q, k)
+		}
+	})
 }

@@ -65,8 +65,9 @@ func randomResponse(rng *rand.Rand) searchResponse {
 		return awkwardFloats[rng.Intn(len(awkwardFloats))]
 	}
 	resp := searchResponse{
-		Stats: classminer.SearchStats{DistanceOps: rng.Intn(1e6), FloatOps: rng.Int(), Candidates: -rng.Intn(3)},
-		K:     rng.Intn(101),
+		Stats: classminer.SearchStats{DistanceOps: rng.Intn(1e6), FloatOps: rng.Int(), Candidates: -rng.Intn(3),
+			Exact: rng.Intn(41), Closed: rng.Intn(2)},
+		K: rng.Intn(101),
 	}
 	switch n := rng.Intn(6); n {
 	case 0: // nil hits

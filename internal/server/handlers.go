@@ -39,13 +39,6 @@ const maxBodyBytes = 32 << 20
 
 var bodyTooLargeMsg = fmt.Sprintf("request body exceeds %d MiB", maxBodyBytes>>20)
 
-// subclusterPath is the concept path of a video's placement, the unit at
-// which browsing endpoints are gated. It is derived from the library's
-// hierarchy so gating always matches the paths policy rules see.
-func (s *Server) subclusterPath(subcluster string) []string {
-	return s.lib.ConceptPath(subcluster)
-}
-
 // lrPool recycles the body-limiting wrapper: the reader referencing it is
 // dead by the time readBody returns, so the wrapper can be reused without
 // aliasing a live reader.
@@ -315,7 +308,7 @@ func (s *Server) handleListVideos(w http.ResponseWriter, r *http.Request) {
 		if ve == nil {
 			continue // racing a concurrent removal; skip
 		}
-		if !s.lib.Allowed(u, s.subclusterPath(ve.Subcluster)) {
+		if !s.lib.Allowed(u, ve.Path) {
 			hidden++
 			continue
 		}
@@ -365,7 +358,7 @@ func (s *Server) handleVideoDetail(w http.ResponseWriter, r *http.Request, name 
 		return
 	}
 	u := userOf(r)
-	if !s.lib.Allowed(u, s.subclusterPath(ve.Subcluster)) {
+	if !s.lib.Allowed(u, ve.Path) {
 		writeError(w, http.StatusForbidden, fmt.Sprintf("subcluster %q not accessible", ve.Subcluster))
 		return
 	}
@@ -375,7 +368,7 @@ func (s *Server) handleVideoDetail(w http.ResponseWriter, r *http.Request, name 
 	hidden := 0
 	for _, sc := range res.Scenes {
 		leaf := concept.SceneConcept(ve.Subcluster, sc.Event)
-		if !s.lib.Allowed(u, append(s.subclusterPath(ve.Subcluster), leaf)) {
+		if !s.lib.Allowed(u, append(ve.Path, leaf)) {
 			hidden++
 			continue
 		}
@@ -568,6 +561,10 @@ func appendSearchResponse(dst []byte, resp *searchResponse) ([]byte, error) {
 	dst = strconv.AppendInt(dst, int64(resp.Stats.FloatOps), 10)
 	dst = append(dst, ",\n    \"Candidates\": "...)
 	dst = strconv.AppendInt(dst, int64(resp.Stats.Candidates), 10)
+	dst = append(dst, ",\n    \"Exact\": "...)
+	dst = strconv.AppendInt(dst, int64(resp.Stats.Exact), 10)
+	dst = append(dst, ",\n    \"Closed\": "...)
+	dst = strconv.AppendInt(dst, int64(resp.Stats.Closed), 10)
 	dst = append(dst, "\n  },\n  \"k\": "...)
 	dst = strconv.AppendInt(dst, int64(resp.K), 10)
 	dst = append(dst, ",\n  \"cached\": "...)
@@ -682,7 +679,7 @@ func (s *Server) resolveQuery(w http.ResponseWriter, u access.User, req *searchR
 			writeError(w, http.StatusNotFound, fmt.Sprintf("no video %q", req.Video))
 			return nil, false
 		}
-		if !s.lib.Allowed(u, s.subclusterPath(ve.Subcluster)) {
+		if !s.lib.Allowed(u, ve.Path) {
 			writeError(w, http.StatusForbidden, fmt.Sprintf("subcluster %q not accessible", ve.Subcluster))
 			return nil, false
 		}
@@ -1102,7 +1099,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// like DELETE: the caller must be allowed to see it. This check is
 		// a fast 403; the authoritative one runs atomically inside
 		// ReplaceResultAsCtx/ReplaceVideoAsCtx when the job applies.
-		if !s.lib.Allowed(u, s.subclusterPath(ve.Subcluster)) {
+		if !s.lib.Allowed(u, ve.Path) {
 			writeError(w, http.StatusForbidden, fmt.Sprintf("subcluster %q not accessible", ve.Subcluster))
 			return
 		}

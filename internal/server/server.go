@@ -206,7 +206,6 @@ type Library interface {
 	// Policy and hierarchy.
 	Allowed(u classminer.User, path []string) bool
 	HasSubcluster(name string) bool
-	ConceptPath(name string) []string
 
 	// Index lifecycle (driven by the rebuilder).
 	BuildIndexCtx(ctx context.Context) error

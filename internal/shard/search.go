@@ -69,6 +69,8 @@ func (g *gather) collect(stats *classminer.SearchStats, errs []error) ([][]class
 			stats.DistanceOps += o.st.DistanceOps
 			stats.FloatOps += o.st.FloatOps
 			stats.Candidates += o.st.Candidates
+			stats.Exact += o.st.Exact
+			stats.Closed += o.st.Closed
 			lists = append(lists, o.hits)
 		}
 	}
@@ -187,6 +189,8 @@ func (l *Library) SearchBatch(u classminer.User, queries [][]float64, k int) ([]
 			stats[q].DistanceOps += outs[i].st[q].DistanceOps
 			stats[q].FloatOps += outs[i].st[q].FloatOps
 			stats[q].Candidates += outs[i].st[q].Candidates
+			stats[q].Exact += outs[i].st[q].Exact
+			stats[q].Closed += outs[i].st[q].Closed
 		}
 		hits[q] = index.MergeHits(nil, lists, k)
 	}

@@ -183,9 +183,6 @@ func (l *Library) Allowed(u classminer.User, path []string) bool {
 // HasSubcluster delegates to shard 0 (the hierarchy is shared and static).
 func (l *Library) HasSubcluster(name string) bool { return l.shards[0].HasSubcluster(name) }
 
-// ConceptPath delegates to shard 0 (the hierarchy is shared and static).
-func (l *Library) ConceptPath(name string) []string { return l.shards[0].ConceptPath(name) }
-
 // ---- Index lifecycle: fan out. ----
 
 // BuildIndex is BuildIndexCtx without a trace. It stays only because the

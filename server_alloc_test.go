@@ -4,7 +4,7 @@ package classminer_test
 // tests (not just benchmarks someone has to remember to run). The contract:
 // with the full default stack active — auth, admission, metrics, AND request
 // tracing — a search that the tracer records but does not keep (unsampled,
-// fast, 2xx) costs exactly 35 heap allocations per request whether the index
+// fast, 2xx) costs exactly 32 heap allocations per request whether the index
 // answers it or the cache does, including the httptest request/recorder
 // scaffolding the companion benchmarks also count. Tracing rides the budget
 // by pooling its per-request state and deferring every rendering cost to
@@ -20,12 +20,12 @@ import (
 
 func TestServerSearchAllocContract(t *testing.T) {
 	s := benchServer(t, -1) // cache disabled: every request runs the index
-	assertSearchAllocs(t, s, "uncached", 35)
+	assertSearchAllocs(t, s, "uncached", 32)
 }
 
 func TestServerCachedSearchAllocContract(t *testing.T) {
 	s := benchServer(t, 256) // one query, repeated: every request after the first hits
-	assertSearchAllocs(t, s, "cached", 35)
+	assertSearchAllocs(t, s, "cached", 32)
 }
 
 func assertSearchAllocs(t *testing.T, s *server.Server, path string, want float64) {

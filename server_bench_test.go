@@ -67,7 +67,7 @@ func benchServer(b testing.TB, cacheSize int) *server.Server {
 	// Admission fully on: concurrency gates and request deadlines at their
 	// defaults, rate limiting explicitly enabled (at a rate the benchmark
 	// cannot exhaust) so the per-request limiter cost is measured. The
-	// 35 allocs/op contracts hold with the whole stack active.
+	// 32 allocs/op contracts hold with the whole stack active.
 	s := server.New(benchLibrary(b), server.Options{
 		Anonymous: &anon,
 		CacheSize: cacheSize,
@@ -89,8 +89,8 @@ func searchOnce(b testing.TB, s *server.Server, body []byte) {
 
 // BenchmarkServerSearch is the uncached query path: every iteration asks
 // for a different example shot, so the hierarchical index runs each time.
-// Its allocation count is a contract, not an observation: 35 allocs/op here
-// (TestServerSearchAllocContract) and 35 on BenchmarkServerSearchCached's hit
+// Its allocation count is a contract, not an observation: 32 allocs/op here
+// (TestServerSearchAllocContract) and 32 on BenchmarkServerSearchCached's hit
 // path (TestServerCachedSearchAllocContract), neither of which encodes a
 // reply through reflection.
 func BenchmarkServerSearch(b *testing.B) {
