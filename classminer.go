@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"math"
 	"math/bits"
 	"os"
 	"runtime"
@@ -40,6 +39,7 @@ import (
 	"classminer/internal/access"
 	"classminer/internal/concept"
 	"classminer/internal/core"
+	"classminer/internal/featrow"
 	"classminer/internal/index"
 	"classminer/internal/metrics"
 	"classminer/internal/skim"
@@ -177,14 +177,16 @@ type VideoEntry struct {
 // and policy changes serialise.
 //
 // Rows. Every registered shot is one row of entries, and its features are
-// held once: at registration the library copies a video's rows into one
-// arena sized to hold exactly them and points each shot's Color/Texture and
-// its entry's Row at its slice of it (installLocked). The fit and the index
-// read the rows there; nothing else copies them. Between compactions entries
-// is append-only: a registration appends its rows and remembers the span in
-// its VideoEntry, and a deletion or replacement only marks the span in the
-// dead bitset (removeLocked) — it costs what the video holds, not what the
-// library holds, and copies no feature row. Rows move in exactly two places,
+// held once, zero-suppressed: at registration the library packs a video's
+// rows into one arena sized to hold exactly them (packRows, the form the
+// binary entry writes on disk), points each shot's Row at its row there and
+// drops the shot's dense Color/Texture (installLocked). The fit, the index
+// and the checkpoint writer read the packed rows there; nothing else copies
+// them. Between compactions entries is append-only: a registration appends
+// its rows and remembers the span in its VideoEntry, and a deletion or
+// replacement only marks the span in the dead bitset (removeLocked) — it
+// costs what the video holds, not what the library holds, and copies no
+// feature row. Rows move in exactly two places,
 // both of which gather entry pointers into a fresh array (nothing ever edits
 // the old one, which an index or an in-flight fit may still be reading) and
 // bump epoch: a full fit that found dead rows hands the library the
@@ -193,10 +195,10 @@ type VideoEntry struct {
 // the live count when nothing is refitting. A dead video's arena is garbage
 // once no entry array or index names it.
 //
-// A registered Result's shots belong to the library: their feature slices
-// are rewritten as they move into the arena, under the write lock and
-// before the video is visible, and are never written again — the
-// checkpoint writer and the serving layer read them without the lock.
+// A registered Result's shots belong to the library: their features are
+// rewritten as they move into the arena, under the write lock and before
+// the video is visible, and are never written again — the checkpoint writer
+// and the serving layer read them without the lock.
 //
 // Index. BuildIndexCtx is copy-on-write: the expensive fit runs outside the
 // lock against a snapshot of the rows and the finished index is swapped in
@@ -214,6 +216,9 @@ type Library struct {
 	videos    map[string]*VideoEntry
 	entries   []*index.Entry
 	featDim   int // feature dimensionality of every row (0 = unconstrained)
+	// rowBytes is what the rows of entries, dead ones included, take in
+	// their arenas (LibraryStats.FeatureRowBytes).
+	rowBytes int64
 	// dead marks the rows of videos no longer registered (bit i = row i; it
 	// always covers every row) and deadRows counts them, so the live shot
 	// count is len(entries) - deadRows. epoch counts compactions: a fit
@@ -391,8 +396,9 @@ func (l *Library) AddResult(res *Result, subcluster string) error {
 // afterwards. Traced like AddVideoCtx.
 //
 // Once registered, res belongs to the library and is immutable: its shots'
-// feature slices are moved into the library's row store, and nothing may
-// write them afterwards. Do not register it while another goroutine reads it.
+// features are packed into the library's row store (Shot.Row) and their
+// dense slices dropped, and nothing may write them afterwards. Do not
+// register it while another goroutine reads it.
 func (l *Library) AddResultCtx(ctx context.Context, res *Result, subcluster string) error {
 	if res == nil || res.Video == nil {
 		return fmt.Errorf("classminer: nil result")
@@ -438,11 +444,15 @@ func (l *Library) register(ctx context.Context, name string, res *Result, subclu
 		enc.End()
 		return err
 	}
-	// Deriving the index entries needs no library state; do it outside the
-	// write lock so concurrent registrations overlap the work instead of
-	// queueing it behind one another.
+	// Deriving the index entries and packing their rows needs no library
+	// state; do it outside the write lock so concurrent registrations overlap
+	// the work instead of queueing it behind one another.
 	newEntries := res.IndexEntries(subcluster)
+	rows, err := packRows(name, newEntries)
 	enc.End()
+	if err != nil {
+		return err
+	}
 	inst := sp.Start("install") // includes the write-lock wait
 	l.mu.Lock()
 	if _, dup := l.videos[name]; dup {
@@ -450,14 +460,14 @@ func (l *Library) register(ctx context.Context, name string, res *Result, subclu
 		inst.End()
 		return fmt.Errorf("%w: %q", ErrDuplicateVideo, name)
 	}
-	dim, err := l.checkEntryDims(name, newEntries, l.featDim)
+	dim, err := checkEntryDims(name, rows, l.featDim)
 	if err != nil {
 		l.mu.Unlock()
 		inst.End()
 		return err
 	}
 	if rec == nil || l.journal == nil {
-		l.installLocked(name, res, subcluster, newEntries, dim)
+		l.installLocked(name, res, subcluster, newEntries, rows, dim)
 		l.met.registrations.Inc()
 		l.mu.Unlock()
 		inst.End()
@@ -469,7 +479,7 @@ func (l *Library) register(ctx context.Context, name string, res *Result, subclu
 		inst.End()
 		return fmt.Errorf("classminer: journaling %q: %w", name, err)
 	}
-	l.installLocked(name, res, subcluster, newEntries, dim)
+	l.installLocked(name, res, subcluster, newEntries, rows, dim)
 	ve := l.videos[name]
 	if l.pendingAck == nil {
 		l.pendingAck = map[string]wal.Commit{}
@@ -531,6 +541,10 @@ func (l *Library) replace(ctx context.Context, name string, res *Result, subclus
 		}
 	}
 	newEntries := res.IndexEntries(subcluster)
+	rows, err := packRows(name, newEntries)
+	if err != nil {
+		return err
+	}
 	// When the victim is the only registered video, its dimensionality
 	// leaves with it — validate against an unconstrained library, exactly
 	// as the equivalent delete-then-add would.
@@ -538,23 +552,13 @@ func (l *Library) replace(ctx context.Context, name string, res *Result, subclus
 	if replacing && len(l.videos) == 1 {
 		baseDim = 0
 	}
-	dim, err := l.checkEntryDims(name, newEntries, baseDim)
+	dim, err := checkEntryDims(name, rows, baseDim)
 	if err != nil {
 		return err
 	}
 	if rec != nil && l.journal != nil {
 		if err := l.journal.AppendCtx(ctx, rec); err != nil {
 			return fmt.Errorf("classminer: journaling replacement of %q: %w", name, err)
-		}
-	}
-	if replacing && ve.Result == res && ve.rows == len(newEntries) {
-		// The shots already sit in this video's arena and may be read
-		// outside the lock: point the new entries at their rows, so that
-		// installLocked moves nothing.
-		for i, old := range l.entries[ve.row : ve.row+ve.rows] {
-			if old.Shot == newEntries[i].Shot {
-				newEntries[i].Row = old.Row
-			}
 		}
 	}
 	// removeLocked's empty-library branch drops the serving index — right
@@ -572,7 +576,7 @@ func (l *Library) replace(ctx context.Context, name string, res *Result, subclus
 		l.ix, _ = oldIx.Remove(name)
 		l.ixVer = oldIxVer
 	}
-	l.installLocked(name, res, subcluster, newEntries, dim)
+	l.installLocked(name, res, subcluster, newEntries, rows, dim)
 	if replacing {
 		l.met.replacements.Inc()
 	} else {
@@ -595,17 +599,36 @@ func (l *Library) visibleTo(u User) func(*VideoEntry) error {
 	}
 }
 
-// checkEntryDims validates that every new entry matches dim (0 = the
-// library constrains nothing and the entries establish it) and holds only
-// finite feature values, returning the dimension to install. Validation runs
-// before any journaling or mutation: a registration that would fail must
-// never reach the log. A NaN or an infinity would — the binary record carries
-// any float64 — and from there into every distance it is ranked by, on this
-// node and, replayed, on every other; so it is refused here, with the same
-// error whether or not the library is durable.
-func (l *Library) checkEntryDims(name string, newEntries []*index.Entry, dim int) (int, error) {
-	for _, e := range newEntries {
-		d := len(e.Shot.Color) + len(e.Shot.Texture)
+// packRows returns the packed feature of every entry's shot: the Row a
+// registered shot already holds (a replace with the same Result), the
+// others packed by one featrow.Pack — one arena for the video — which checks
+// their values finite in the same pass. Packing writes no shot. Validation
+// runs before any journaling or mutation: a registration that would fail
+// must never reach the log. A NaN or an infinity would — the binary record
+// carries any float64 — and from there into every distance it is ranked by,
+// on this node and, replayed, on every other; so it is refused here, with
+// the same error whether or not the library is durable.
+func packRows(name string, entries []*index.Entry) ([]featrow.Row, error) {
+	rows := make([]featrow.Row, len(entries))
+	for i, e := range entries {
+		rows[i] = e.Shot.Row
+	}
+	bad := featrow.Pack(rows, func(i int) (color, texture []float64) {
+		return entries[i].Shot.Color, entries[i].Shot.Texture
+	})
+	if bad >= 0 {
+		return nil, fmt.Errorf("classminer: video %q shot %d has a non-finite feature value",
+			name, entries[bad].Shot.Index)
+	}
+	return rows, nil
+}
+
+// checkEntryDims validates that every new row matches dim (0 = the library
+// constrains nothing and the rows establish it), returning the dimension to
+// install.
+func checkEntryDims(name string, rows []featrow.Row, dim int) (int, error) {
+	for _, r := range rows {
+		d := r.Len()
 		if dim == 0 {
 			dim = d
 		}
@@ -613,31 +636,28 @@ func (l *Library) checkEntryDims(name string, newEntries []*index.Entry, dim int
 			return 0, fmt.Errorf("classminer: video %q shot has %d feature dims, library has %d",
 				name, d, dim)
 		}
-		for _, row := range [2][]float64{e.Shot.Color, e.Shot.Texture} {
-			for _, v := range row {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return 0, fmt.Errorf("classminer: video %q shot %d has a non-finite feature value",
-						name, e.Shot.Index)
-				}
-			}
-		}
 	}
 	return dim, nil
 }
 
-// installLocked commits a validated registration to in-memory state: the
-// rows of entries without a Row are moved into one arena (homeRows), the
-// entries are appended to the library's rows, the video remembers the row
-// span, and the entry set and generation advance. When the serving index
-// was current, the new entries are inserted into it incrementally
-// (copy-on-write, no refit, one batch per video) so the registration is
-// searchable the moment the caller is acknowledged; otherwise — or when an
-// entry's concept path has no leaf in the built tree — the index is left
-// stale for the coalesced rebuilder. Callers hold l.mu.
-func (l *Library) installLocked(name string, res *Result, subcluster string, newEntries []*index.Entry, dim int) {
+// installLocked commits a validated registration to in-memory state: each
+// shot not yet registered takes its packed row (rows[i] is newEntries[i]'s)
+// and drops its dense halves, the entries are appended to the library's
+// rows, the video remembers the row span, and the entry set and generation
+// advance. When the serving index was current, the new entries are inserted
+// into it incrementally (copy-on-write, no refit, one batch per video) so
+// the registration is searchable the moment the caller is acknowledged;
+// otherwise — or when an entry's concept path has no leaf in the built tree
+// — the index is left stale for the coalesced rebuilder. Callers hold l.mu.
+func (l *Library) installLocked(name string, res *Result, subcluster string, newEntries []*index.Entry, rows []featrow.Row, dim int) {
 	l.featDim = dim
 	row := len(l.entries)
-	homeRows(newEntries, dim)
+	for i, e := range newEntries {
+		if s := e.Shot; s.Row.IsZero() {
+			s.Row, s.Color, s.Texture = rows[i], nil, nil
+		}
+		l.rowBytes += int64(rows[i].Bytes())
+	}
 	l.entries = append(l.entries, newEntries...)
 	for len(l.dead)*64 < len(l.entries) {
 		l.dead = append(l.dead, 0)
@@ -659,42 +679,6 @@ func (l *Library) installLocked(name string, res *Result, subcluster string, new
 	l.ix = nix
 	l.ixVer = l.entriesVer
 	l.met.ixInserts.Add(uint64(len(newEntries)))
-}
-
-// homeRows copies the features of the entries whose Row is unset into one
-// arena sized to hold exactly them, row after row, each row colour ++
-// texture. The entry's Row and its shot's Color and Texture are pointed at
-// the row and its two halves, cut with three-index slices so an append
-// through one can never reach its neighbour; the arrays they were read from
-// become garbage. A nil half stays nil.
-func homeRows(entries []*index.Entry, dim int) {
-	n := 0
-	for _, e := range entries {
-		if e.Row == nil {
-			n++
-		}
-	}
-	if n == 0 {
-		return
-	}
-	arena := make([]float64, n*dim)
-	for _, e := range entries {
-		if e.Row != nil {
-			continue
-		}
-		s := e.Shot
-		row := arena[:dim:dim]
-		arena = arena[dim:]
-		nc := copy(row, s.Color)
-		copy(row[nc:], s.Texture)
-		if s.Color != nil {
-			s.Color = row[:nc:nc]
-		}
-		if s.Texture != nil {
-			s.Texture = row[nc:]
-		}
-		e.Row = row
-	}
 }
 
 // removeLocked unregisters name, if present. It is the one removal routine —
@@ -756,7 +740,7 @@ func (l *Library) removeLocked(name string) bool {
 		// install.
 		l.ix = nil
 		l.ixVer = l.entriesVer
-		l.entries, l.dead, l.deadRows = nil, nil, 0
+		l.entries, l.dead, l.deadRows, l.rowBytes = nil, nil, 0, 0
 		l.epoch++
 		if len(l.pendingAck) == 0 {
 			l.featDim = 0
@@ -782,6 +766,10 @@ func (l *Library) compactLocked() {
 // becomes the dead set, and a new epoch starts. Callers hold l.mu.
 func (l *Library) adoptLocked(entries []*index.Entry, rank rowRank, died []int32) {
 	l.entries = entries
+	l.rowBytes = 0
+	for _, e := range entries {
+		l.rowBytes += int64(e.Shot.Row.Bytes())
+	}
 	for _, ve := range l.videos {
 		ve.row = rank.of(ve.row)
 	}
@@ -868,18 +856,18 @@ func (l *Library) encodeJournalRecord(kind, name string, res *Result, subcluster
 // snapshot load, log replay and a follower's apply share one decode path
 // (decodeEntryRecord). The entry is encoded straight into the frame.
 func appendEntryRecord(dst []byte, kind, name string, res *Result, subcluster string) ([]byte, error) {
-	saved, err := store.EncodeResult(res)
+	if dst == nil && res != nil {
+		// A mined shot's two rows come to ≈ 200 bytes zero-suppressed.
+		dst = make([]byte, 0, 256*(1+len(res.Shots)))
+	}
+	dst, err := wal.AppendRecordHead(dst, kind, name)
+	if err == nil {
+		dst, err = store.AppendResultEntry(dst, subcluster, res)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("classminer: encoding %s record for %q: %w", kind, name, err)
 	}
-	if dst == nil {
-		// A mined shot's two rows come to ≈ 200 bytes zero-suppressed.
-		dst = make([]byte, 0, 256*(1+len(saved.Shots)))
-	}
-	if dst, err = wal.AppendRecordHead(dst, kind, name); err != nil {
-		return nil, fmt.Errorf("classminer: encoding %s record for %q: %w", kind, name, err)
-	}
-	return store.AppendEntry(dst, &store.SavedLibraryEntry{Subcluster: subcluster, Result: saved}), nil
+	return dst, nil
 }
 
 // decodeEntryRecord is appendEntryRecord's inverse: the mined result and
@@ -1025,8 +1013,8 @@ func (l *Library) BuildIndex() error {
 // lock).
 //
 // The snapshot is (row count, a copy of the dead bitset, epoch). The fit
-// reads every row in place, in its video's arena, through the entries' Row.
-// With no dead row it aliases the library's own entry array — a
+// reads every row in place, packed in its video's arena, through the shot's
+// Row. With no dead row it aliases the library's own entry array — a
 // capacity-capped view that stays valid while registrations append past it.
 // With dead rows it first gathers the live entry pointers, in row order, into
 // a fresh array; at the swap the library adopts that array (plus the rows
@@ -1179,8 +1167,9 @@ type LibraryStats struct {
 	// thrown away at the swap (BuildIndexCtx says when).
 	IndexFits        int64 `json:"indexFits"`
 	IndexFitsDropped int64 `json:"indexFitsDropped"`
-	// FeatureRowBytes is what the feature rows the library holds take:
-	// (Shots + DeadRows) × dimensionality × 8 B, each row held once.
+	// FeatureRowBytes is what the feature rows the library holds take in
+	// their arenas — presence words, values and offsets, each row held once
+	// and zero-suppressed — over Shots + DeadRows rows.
 	FeatureRowBytes int64 `json:"featureRowBytes"`
 	// WAL is the durable log's lag since its last checkpoint; nil when the
 	// library is not durable. A sharded library has one log behind all its
@@ -1209,7 +1198,7 @@ func (l *Library) Stats() LibraryStats {
 		DeadRows:         l.deadRows,
 		IndexFits:        l.fits,
 		IndexFitsDropped: l.fitsDropped,
-		FeatureRowBytes:  int64(len(l.entries)) * int64(l.featDim) * 8,
+		FeatureRowBytes:  l.rowBytes,
 	}
 	if l.ix != nil {
 		st.IndexedShots = l.ix.Size()
@@ -1839,7 +1828,7 @@ func checkpointSource(libs []*Library) func(io.Writer) error {
 		for _, v := range vids {
 			h.Rows += v.ve.rows
 			if shots := v.ve.Result.Shots; h.Dim == 0 && len(shots) > 0 {
-				h.Dim = len(shots[0].Color) + len(shots[0].Texture)
+				h.Dim = shots[0].FeatureLen()
 			}
 		}
 		sw, err := wal.NewSnapshotWriter(w, h)

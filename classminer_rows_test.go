@@ -1,8 +1,8 @@
 package classminer
 
-// One copy of each feature row: a registered shot's features live in its
-// video's arena, and the shot, the library's entry and the serving index
-// all read them there.
+// One copy of each feature row: a registered shot's features live packed in
+// its video's arena, and the shot, the library's entry and the serving index
+// all read them there; no dense copy survives registration.
 
 import (
 	"context"
@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"classminer/internal/featrow"
 	"classminer/internal/store"
 )
 
@@ -38,8 +39,9 @@ func wideResult(t testing.TB, name string, seed int64, shots int) *Result {
 }
 
 // checkRowsHeldOnce fails unless every live row of lib is held once: the
-// entry's Row, the shot's two halves and, while the index numbers entries
-// as the library numbers rows, the serving index's row are one array.
+// shot holds no dense feature, only its packed row; while the index numbers
+// entries as the library numbers rows, the serving index reads that very
+// row; and each video's rows fill an arena of their own, exactly.
 func checkRowsHeldOnce(t *testing.T, lib *Library) {
 	t.Helper()
 	lib.mu.RLock()
@@ -51,14 +53,29 @@ func checkRowsHeldOnce(t *testing.T, lib *Library) {
 		if r>>6 < len(lib.dead) && lib.dead[r>>6]&(1<<uint(r&63)) != 0 {
 			continue
 		}
-		nc := len(e.Shot.Color)
-		if len(e.Row) != lib.featDim || &e.Row[0] != &e.Shot.Color[0] || &e.Row[nc] != &e.Shot.Texture[0] {
-			t.Fatalf("row %d (%s shot %d): the entry's row and the shot's halves are not one array",
-				r, e.VideoName, e.Shot.Index)
+		if e.Shot.Color != nil || e.Shot.Texture != nil || e.Shot.Row.IsZero() || e.Shot.Row.Len() != lib.featDim {
+			t.Fatalf("row %d (%s shot %d): the shot is not held packed, and only packed", r, e.VideoName, e.Shot.Index)
 		}
-		if ix := lib.ix.Row(r); &ix[0] != &e.Row[0] {
-			t.Fatalf("row %d (%s shot %d): the index reads a copy of the row", r, e.VideoName, e.Shot.Index)
+		if lib.ix.Row(r) != e.Shot.Row {
+			t.Fatalf("row %d (%s shot %d): the index reads another row", r, e.VideoName, e.Shot.Index)
 		}
+	}
+	owner := map[*featrow.Arena]string{}
+	for name, ve := range lib.videos {
+		arena, bytes := lib.entries[ve.row].Shot.Row.Arena(), 0
+		for _, e := range lib.entries[ve.row : ve.row+ve.rows] {
+			if e.Shot.Row.Arena() != arena {
+				t.Fatalf("%s shot %d: the video's rows span arenas", name, e.Shot.Index)
+			}
+			bytes += e.Shot.Row.Bytes()
+		}
+		if bytes != arena.Bytes() {
+			t.Fatalf("%s: rows of %d B in an arena of %d B", name, bytes, arena.Bytes())
+		}
+		if other, ok := owner[arena]; ok {
+			t.Fatalf("%s and %s share an arena", name, other)
+		}
+		owner[arena] = name
 	}
 }
 
@@ -81,10 +98,10 @@ func TestRowsHeldOnce(t *testing.T) {
 	}
 	checkRowsHeldOnce(t, lib)
 
-	at := map[string]*float64{}
+	at := map[string]featrow.Row{}
 	lib.mu.RLock()
 	for _, e := range lib.entries {
-		at[fmt.Sprintf("%s/%d", e.VideoName, e.Shot.Index)] = &e.Row[0]
+		at[fmt.Sprintf("%s/%d", e.VideoName, e.Shot.Index)] = e.Shot.Row
 	}
 	lib.mu.RUnlock()
 	for _, name := range []string{"vid-00001", "vid-00004", "vid-00009"} {
@@ -102,16 +119,21 @@ func TestRowsHeldOnce(t *testing.T) {
 	lib.mu.RLock()
 	defer lib.mu.RUnlock()
 	for _, e := range lib.entries {
-		if key := fmt.Sprintf("%s/%d", e.VideoName, e.Shot.Index); &e.Row[0] != at[key] {
+		if key := fmt.Sprintf("%s/%d", e.VideoName, e.Shot.Index); e.Shot.Row != at[key] {
 			t.Fatalf("%s moved under deletes and a compacting fit", key)
 		}
 	}
 }
 
 // TestRegistrationAllocatesItsRows: averaged over 64 registrations into a
-// current index, a registration allocates at most twice its video's row
-// bytes — one arena and the bookkeeping around it — however large the
-// index's incremental overlay already is.
+// current index, a registration allocates at most eight times its video's
+// packed row bytes — one arena and the bookkeeping around it — however large
+// the index's incremental overlay already is. The bookkeeping no longer
+// hides behind the rows: a packed row is ≈ 280 B here, while each row also
+// costs its entry (48 B), its slots in the row tables, and its projection
+// in the index overlay (16 floats, 128 B), whose slices double as they grow
+// and may do so inside the 64 registrations measured. Measured: 3.3× with
+// no overlay, 6.0× over a 256-video one.
 func TestRegistrationAllocatesItsRows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes are not meaningful under the race detector")
@@ -121,7 +143,6 @@ func TestRegistrationAllocatesItsRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	const shots, batch = 25, 64
-	rowBytes := uint64(shots * 266 * 8)
 	next := 0
 	register := func(lib *Library, res []*Result) {
 		for _, r := range res {
@@ -150,9 +171,16 @@ func TestRegistrationAllocatesItsRows(t *testing.T) {
 		if lib.IndexStale() {
 			t.Fatal("the index did not absorb the registrations")
 		}
+		var rowBytes uint64
+		for _, r := range res {
+			for _, sh := range r.Shots {
+				rowBytes += uint64(sh.Row.Bytes())
+			}
+		}
+		rowBytes /= batch
 		t.Logf("overlay of %d videos: a registration allocates %d B for %d B of rows", overlay, per, rowBytes)
-		if per > 2*rowBytes {
-			t.Fatalf("overlay of %d videos: a registration allocates %d B, want at most 2 × %d",
+		if per > 8*rowBytes {
+			t.Fatalf("overlay of %d videos: a registration allocates %d B, want at most 8 × %d",
 				overlay, per, rowBytes)
 		}
 	}
@@ -182,7 +210,7 @@ func TestReplaceSameResultDuringCheckpoint(t *testing.T) {
 	if err := lib.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	first := &res.Shots[0].Color[0]
+	first := res.Shots[0].Row
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -207,7 +235,7 @@ func TestReplaceSameResultDuringCheckpoint(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if &res.Shots[0].Color[0] != first {
+	if res.Shots[0].Row != first {
 		t.Fatal("a replace with the same Result moved its rows")
 	}
 	if err := lib.BuildIndex(); err != nil {
@@ -216,24 +244,49 @@ func TestReplaceSameResultDuringCheckpoint(t *testing.T) {
 	checkRowsHeldOnce(t, lib)
 }
 
-// TestFeatureRowBytes: the library counts every row it holds, live and dead,
-// at its dimensionality.
+// TestFeatureRowBytes: the library counts the bytes its rows hold packed,
+// live and dead: after registration the sum of every row's packed size;
+// after deletes, the same until a fit drops the dead rows, and then exactly
+// the deleted videos' bytes less.
 func TestFeatureRowBytes(t *testing.T) {
 	a, err := NewAnalyzer(Options{SkipEvents: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	lib := churnLibrary(t, a, 6)
-	if err := lib.DeleteVideoAsCtx(context.Background(), admin, "vid-00002"); err != nil {
-		t.Fatal(err)
+	packed := func(name string) int64 {
+		var n int64
+		for _, sh := range lib.Video(name).Result.Shots {
+			n += int64(sh.Row.Bytes())
+		}
+		return n
+	}
+	var all int64
+	for i := 0; i < 6; i++ {
+		all += packed(fmt.Sprintf("vid-%05d", i))
+	}
+	if st := lib.Stats(); st.FeatureRowBytes != all || all == 0 {
+		t.Fatalf("FeatureRowBytes = %d after registration, want the rows' packed %d", st.FeatureRowBytes, all)
+	}
+	gone := packed("vid-00002") + packed("vid-00004")
+	for _, name := range []string{"vid-00002", "vid-00004"} {
+		if err := lib.DeleteVideoAsCtx(context.Background(), admin, name); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := lib.Stats()
-	if st.DeadRows != 25 || st.Shots != 125 {
-		t.Fatalf("shots %d, dead rows %d; want 125 and 25", st.Shots, st.DeadRows)
+	if st.DeadRows != 50 || st.Shots != 100 {
+		t.Fatalf("shots %d, dead rows %d; want 100 and 50", st.Shots, st.DeadRows)
 	}
-	if want := int64(st.Shots+st.DeadRows) * 12 * 8; st.FeatureRowBytes != want {
-		t.Fatalf("FeatureRowBytes = %d, want (%d + %d) × 12 × 8 = %d",
-			st.FeatureRowBytes, st.Shots, st.DeadRows, want)
+	if st.FeatureRowBytes != all {
+		t.Fatalf("FeatureRowBytes = %d with the dead rows held, want %d", st.FeatureRowBytes, all)
+	}
+	if err := lib.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if st := lib.Stats(); st.DeadRows != 0 || st.FeatureRowBytes != all-gone {
+		t.Fatalf("after the fit: %d dead rows, FeatureRowBytes = %d; want 0 and %d − %d",
+			st.DeadRows, st.FeatureRowBytes, all, gone)
 	}
 }
 

@@ -136,25 +136,30 @@ func (a *Analyzer) Analyze(v *vidmodel.Video) (*Result, error) {
 // IndexEntries converts the mined result into hierarchical index entries
 // under the given subcluster concept (e.g. "medicine"): every shot is filed
 // beneath the scene-level concept its mined event maps to.
+//
+// The entries are cut from one array, and a run of shots filed under one
+// concept shares one path, which nothing writes.
 func (r *Result) IndexEntries(subcluster string) []*index.Entry {
-	var out []*index.Entry
-	inScene := map[int]*vidmodel.Scene{}
+	inScene := make(map[int]*vidmodel.Scene, len(r.Shots))
 	for _, sc := range r.Scenes {
 		for _, s := range sc.Shots() {
 			inScene[s.Index] = sc
 		}
 	}
-	for _, s := range r.Shots {
+	entries := make([]index.Entry, len(r.Shots))
+	out := make([]*index.Entry, len(r.Shots))
+	var path []string
+	last := vidmodel.EventUnknown
+	for i, s := range r.Shots {
 		kind := vidmodel.EventUnknown
 		if sc, ok := inScene[s.Index]; ok {
 			kind = sc.Event
 		}
-		leaf := concept.SceneConcept(subcluster, kind)
-		out = append(out, &index.Entry{
-			VideoName: r.Video.Name,
-			Shot:      s,
-			Path:      []string{"medical education", subcluster, leaf},
-		})
+		if path == nil || kind != last {
+			path, last = []string{"medical education", subcluster, concept.SceneConcept(subcluster, kind)}, kind
+		}
+		entries[i] = index.Entry{VideoName: r.Video.Name, Shot: s, Path: path}
+		out[i] = &entries[i]
 	}
 	return out
 }

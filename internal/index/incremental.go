@@ -2,9 +2,9 @@
 // Remove/RemoveIDs keep a built index searchable across registrations and
 // deletions without the O(library) refit of a build. An inserted entry
 // is routed down the existing tree by its concept path to its leaf, its
-// projected row appended to the leaf's overlay and a view of its full
-// feature (its Row, or a copy of its shot's halves when it has none)
-// appended to the row table — no PCA or k-means is refit, so the routing and
+// projected row appended to the leaf's overlay and its packed feature (its
+// shot's Row, or its shot's halves packed when it has none) appended to the
+// row table — no PCA or k-means is refit, so the routing and
 // ranking spaces stay those of the last full fit. A removed entry is masked
 // by a paged bitset: a removal copies the page table and the pages it
 // touches, never the whole mask, so masking a video costs what the video
@@ -54,8 +54,7 @@ func (ix *Index) leafOf(e *Entry) (*node, error) {
 	if len(e.Path) == 0 {
 		return nil, fmt.Errorf("index: entry has empty path")
 	}
-	d := len(e.Shot.Color) + len(e.Shot.Texture)
-	if d != ix.dim || (e.Row != nil && len(e.Row) != d) {
+	if d := e.Shot.FeatureLen(); d != ix.dim {
 		return nil, fmt.Errorf("index: entry has %d feature dims, index has %d", d, ix.dim)
 	}
 	cur := ix.root
@@ -88,15 +87,15 @@ func (ix *Index) Insert(e *Entry) (*Index, error) {
 	id := int32(len(ix.all))
 	nix := *ix // shallow copy: shares root, rows, scratch pool, options
 	nix.all = append(ix.all, e)
-	nix.rows = appendRows(ix.rows, []*Entry{e}, ix.dim)
+	nix.rows = appendRows(ix.rows, []*Entry{e})
 	nix.inserted = ix.inserted + 1
 	nix.root = cloneSpine(ix.root, e.Path, func(leaf *node) *node {
 		nl := *leaf // shares ids, proj, reducer with the old leaf
 		dim := leaf.reducer.Dim()
 		at := len(leaf.extraProj)
-		nl.extraIDs = append(leaf.extraIDs, id)
-		nl.extraProj = slices.Grow(leaf.extraProj, dim)[:at+dim]
-		leaf.reducer.ProjectInto(nl.extraProj[at:], nix.rows[id])
+		nl.extraIDs = append(grow(leaf.extraIDs, 1), id)
+		nl.extraProj = grow(leaf.extraProj, dim)[:at+dim]
+		leaf.reducer.ProjectRow(nl.extraProj[at:], nix.rows[id], make([]float64, len(leaf.reducer.selected)))
 		return &nl
 	})
 	return &nix, nil
@@ -140,24 +139,36 @@ func (ix *Index) InsertAll(entries []*Entry) (*Index, error) {
 	base := len(ix.all)
 	nix := *ix
 	nix.all = append(ix.all, entries...)
-	nix.rows = appendRows(ix.rows, entries, ix.dim)
+	nix.rows = appendRows(ix.rows, entries)
 	nix.inserted = ix.inserted + len(entries)
+	var sel []float64
 	for _, g := range groups {
 		nix.root = cloneSpine(nix.root, g.path, func(leaf *node) *node {
 			nl := *leaf
 			dim := leaf.reducer.Dim()
 			at := len(leaf.extraProj)
-			nl.extraIDs = slices.Grow(leaf.extraIDs, len(g.at))
-			nl.extraProj = slices.Grow(leaf.extraProj, len(g.at)*dim)[:at+len(g.at)*dim]
+			nl.extraIDs = grow(leaf.extraIDs, len(g.at))
+			nl.extraProj = grow(leaf.extraProj, len(g.at)*dim)[:at+len(g.at)*dim]
+			sel = slices.Grow(sel[:0], len(leaf.reducer.selected))[:len(leaf.reducer.selected)]
 			for j, i := range g.at {
 				id := int32(base + i)
-				leaf.reducer.ProjectInto(nl.extraProj[at+j*dim:at+(j+1)*dim], nix.rows[id])
+				leaf.reducer.ProjectRow(nl.extraProj[at+j*dim:at+(j+1)*dim], nix.rows[id], sel)
 				nl.extraIDs = append(nl.extraIDs, id)
 			}
 			return &nl
 		})
 	}
 	return &nix, nil
+}
+
+// grow is slices.Grow doubling the capacity it adds: an overlay slice grows
+// by one video at a time, and append's own growth, a quarter at these
+// sizes, would copy each row four times over on the way.
+func grow[S ~[]E, E any](s S, n int) S {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make(S, 0, max(2*cap(s), len(s)+n)), s...)
 }
 
 // The removal mask is paged so that a removal is copy-on-write at the price

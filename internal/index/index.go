@@ -10,11 +10,14 @@
 // answer a full scan of the visited leaves gives.
 //
 // Storage is flat: entries are numbered at Build, the full feature of entry
-// i is read through rows[i] — a view of wherever the entry's owner keeps it
-// (Entry.Row), never a copy — and every leaf precomputes one projection
-// matrix over its rows. The search hot path runs on pooled per-call scratch
-// (query projections, bound lists, bounded top-k max-heaps), so
-// steady-state SearchInto performs zero heap allocations.
+// i is read through rows[i] — the zero-suppressed row its shot already
+// holds (Shot.Row), never a copy; an unregistered shot's dense feature is
+// packed once — and every leaf precomputes one projection matrix over its
+// rows. The fit and the projections read the packed rows through scratch, a
+// row or a few at a time, and the exact distance reads them as they are. The
+// search hot path runs on pooled per-call scratch (query projections, bound
+// lists, bounded top-k max-heaps), so steady-state SearchInto performs zero
+// heap allocations.
 //
 // The fit is a pure function of its rows, bit for bit. Its one random step,
 // k-means++ seeding, draws from the seeded source node after node in one
@@ -33,6 +36,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"classminer/internal/featrow"
 	"classminer/internal/mat"
 	"classminer/internal/trace"
 	"classminer/internal/vidmodel"
@@ -45,11 +49,6 @@ type Entry struct {
 	// Path locates the entry in the concept hierarchy, e.g.
 	// ["medical education", "medicine", "medicine/dialog"].
 	Path []string
-	// Row, when set, is the shot's full feature (colour ++ texture) in the
-	// storage its owner keeps it in, and the index reads it there instead of
-	// copying the shot's two halves. It must hold the same numbers as the
-	// shot and must never be written while any index reads it.
-	Row []float64
 }
 
 // Options tunes index construction. Zero values become defaults.
@@ -105,15 +104,11 @@ type Index struct {
 	opts Options
 	root *node
 	all  []*Entry
-	// rows[i] is the full feature vector of entry i, dim wide: a view of the
-	// entry's Row (or of the matrix BuildMatrix was handed), held by
-	// reference, so the index keeps one slice header per entry and no copy
-	// of any feature. Inserted entries append to it like all.
-	rows [][]float64
+	// rows[i] is the full feature of entry i, dim wide, packed: its shot's
+	// Row, or the index's own packing of a shot that has none (or of the
+	// matrix BuildMatrix was handed). Inserted entries append to it like all.
+	rows []featrow.Row
 	dim  int
-	// colorDims is where a feature row splits into colour and texture; the
-	// exact re-rank sums the two halves as ShotSqDist does.
-	colorDims int
 
 	// Incremental overlay state. baseRows is the entry count at the last
 	// full fit; entries inserted since then are counted by inserted. removed
@@ -166,49 +161,41 @@ func (n *node) projRow(row int32, dim int) []float64 {
 }
 
 // Build constructs the index from entries. Every entry must carry a
-// non-empty path. An entry's Row is read in place; the entries without one
-// have their shots' features copied, once, into one array the index keeps.
+// non-empty path. A registered shot's Row is read in place; the shots
+// without one have their features packed, once, into arenas the index keeps.
 func Build(entries []*Entry, opts Options) (*Index, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("index: no entries")
 	}
-	d := len(entries[0].Shot.Color) + len(entries[0].Shot.Texture)
+	d := entries[0].Shot.FeatureLen()
 	for i, e := range entries {
-		if n := len(e.Shot.Color) + len(e.Shot.Texture); n != d || (e.Row != nil && len(e.Row) != d) {
+		if n := e.Shot.FeatureLen(); n != d {
 			return nil, fmt.Errorf("index: entry %d has %d feature dims, want %d", i, n, d)
 		}
 	}
-	return build(entries, appendRows(nil, entries, d), d, opts)
+	return build(entries, appendRows(nil, entries), d, opts)
 }
 
-// appendRows appends each entry's full feature to rows: its Row, or else a
-// copy of its shot's two halves, every copy cut from one array.
-func appendRows(rows [][]float64, entries []*Entry, dim int) [][]float64 {
-	copied := 0
+// appendRows appends each entry's packed feature to rows: its shot's Row, or
+// else its shot's two halves packed, all of them in one Pack.
+func appendRows(rows []featrow.Row, entries []*Entry) []featrow.Row {
+	at := len(rows)
 	for _, e := range entries {
-		if e.Row == nil {
-			copied++
-		}
+		rows = append(rows, e.Shot.Row)
 	}
-	arena := make([]float64, copied*dim)
-	rows = slices.Grow(rows, len(entries))
-	for _, e := range entries {
-		row := e.Row
-		if row == nil {
-			row = append(append(arena[:0:dim], e.Shot.Color...), e.Shot.Texture...)
-			arena = arena[dim:]
-		}
-		rows = append(rows, row)
-	}
+	featrow.Pack(rows[at:], func(i int) (color, texture []float64) {
+		return entries[i].Shot.Color, entries[i].Shot.Texture
+	})
 	return rows
 }
 
 // BuildMatrix constructs the index from entries whose full features are
 // laid out as rows of feats (row i belongs to entries[i], and i is the
-// entry's ID); the entries' own Row fields are not read. Both the entry
-// slice and the matrix are retained by the index and must never be mutated
-// afterwards: a built Index is immutable, and every concurrent search reads
-// entry pointers and feature rows straight out of them.
+// entry's ID); the entries' own features are not read. The matrix is packed,
+// each row split where entry 0's colour part ends, and not retained; the
+// entry slice is retained and must never be mutated afterwards: a built
+// Index is immutable, and every concurrent search reads entry pointers
+// straight out of it.
 //
 // The fit runs on up to GOMAXPROCS goroutines, all finished by the time
 // BuildMatrix returns. It only reads entries and feats, so concurrent
@@ -220,29 +207,32 @@ func BuildMatrix(entries []*Entry, feats *mat.Dense, opts Options) (*Index, erro
 	if feats == nil || feats.R != len(entries) {
 		return nil, fmt.Errorf("index: feature matrix must have one row per entry")
 	}
-	first := entries[0].Shot
-	if len(first.Color)+len(first.Texture) != feats.C {
+	nc, nt := entries[0].Shot.FeatureDims()
+	if nc+nt != feats.C {
 		return nil, fmt.Errorf("index: feature matrix has %d columns, entry 0 has %d feature dims",
-			feats.C, len(first.Color)+len(first.Texture))
+			feats.C, nc+nt)
 	}
-	return build(entries, feats.Rows(), feats.C, opts)
+	rows := make([]featrow.Row, feats.R)
+	featrow.Pack(rows, func(i int) (color, texture []float64) {
+		row := feats.Row(i)
+		return row[:nc], row[nc:]
+	})
+	return build(entries, rows, feats.C, opts)
 }
 
-// build fits the index over entries whose features rows holds (rows[i] is
-// entries[i]'s, dim wide). Both slices are retained, and so is every row
-// they name: the caller must never write any of them afterwards. Appending
+// build fits the index over entries whose packed features rows holds
+// (rows[i] is entries[i]'s, dim wide). Both slices are retained. Appending
 // to the caller's arrays past the lengths handed in is fine — the index
 // never looks there. The fit only reads entries and rows, so concurrent
 // builds may share them, as may searches of an older index; that is how
 // classminer's Library fits over the rows its videos keep while its serving
 // index reads the same rows.
-func build(entries []*Entry, rows [][]float64, dim int, opts Options) (*Index, error) {
+func build(entries []*Entry, rows []featrow.Row, dim int, opts Options) (*Index, error) {
 	if len(entries) > math.MaxInt32 {
 		return nil, fmt.Errorf("index: %d entries exceed the int32 ID space", len(entries))
 	}
 	opts = opts.withDefaults()
-	ix := &Index{opts: opts, root: newNode("database"), all: entries, rows: rows, dim: dim,
-		colorDims: len(entries[0].Shot.Color)}
+	ix := &Index{opts: opts, root: newNode("database"), all: entries, rows: rows, dim: dim}
 	for i, e := range entries {
 		if len(e.Path) == 0 {
 			return nil, fmt.Errorf("index: entry %d has empty path", i)
@@ -266,7 +256,7 @@ func build(entries []*Entry, rows [][]float64, dim int, opts Options) (*Index, e
 	ix.maxDim = maxReducerDim(ix.root)
 	maxDim := ix.maxDim
 	ix.scratch = &sync.Pool{New: func() any {
-		return &searchScratch{qproj: make([]float64, maxDim)}
+		return &searchScratch{qproj: make([]float64, maxDim), qmask: make([]uint64, (dim+63)/64)}
 	}}
 	return ix, nil
 }
@@ -405,8 +395,9 @@ func (ix *Index) fit(rng *rand.Rand) error {
 		jobs = append(jobs, fitJob{len(fn.ids), func() {
 			r := nodes[fn.parent].reducer
 			p := mat.NewDense(len(fn.ids), r.Dim())
+			sel := make([]float64, len(r.selected))
 			for row, id := range fn.ids {
-				r.ProjectInto(p.Row(row), ix.rows[id])
+				r.ProjectRow(p.Row(row), ix.rows[id], sel)
 			}
 			pts[i] = p.Rows()
 		}})
@@ -451,8 +442,9 @@ func (ix *Index) fitLeaf(n *node) {
 	h := min(boundDims, dim)
 	n.proj = mat.NewDense(len(n.ids), dim)
 	n.lead = make([]float64, len(n.ids)*h)
+	sel := make([]float64, len(n.reducer.selected))
 	for r, id := range n.ids {
-		n.reducer.ProjectInto(n.proj.Row(r), ix.rows[id])
+		n.reducer.ProjectRow(n.proj.Row(r), ix.rows[id], sel)
 		copy(n.lead[r*h:(r+1)*h], n.proj.Row(r))
 	}
 }
@@ -513,6 +505,7 @@ type heapItem struct {
 // through Index.scratch so steady-state searches allocate nothing.
 type searchScratch struct {
 	qproj  []float64 // query projection at the node being routed (maxDim)
+	qmask  []uint64  // the query's presence mask, for the exact distances
 	leaves []*node
 	lproj  []float64 // query projection into leaves[i]'s space at i*maxDim
 	ends   []int
@@ -569,6 +562,7 @@ func (ix *Index) SearchIntoSpans(dst []Result, query []float64, k int, sp *trace
 		k = 1
 	}
 	sc := ix.scratch.Get().(*searchScratch)
+	sc.qmask = featrow.Mask(sc.qmask, query)
 	stage := sp.Start("project")
 	ix.descend(ix.root, query, sc, &stats)
 	stage.End()
@@ -776,7 +770,7 @@ func (ix *Index) refine(dst []Result, query []float64, k int, sc *searchScratch,
 	stats.FloatOps += len(pool) * (len(p0) - h0)
 	for _, s := range seeds {
 		b := &sc.bounds[s.id]
-		top = ix.offerExact(top, query, k, b.id)
+		top = ix.offerExact(top, query, sc.qmask, k, b.id)
 		b.row = -1
 	}
 	exact := len(seeds)
@@ -807,7 +801,7 @@ func (ix *Index) refine(dst []Result, query []float64, k int, sc *searchScratch,
 			closed = 0
 			break
 		}
-		top = ix.offerExact(top, query, k, survivors[0].id)
+		top = ix.offerExact(top, query, sc.qmask, k, survivors[0].id)
 		exact++
 	}
 	stats.DistanceOps += exact
@@ -838,10 +832,10 @@ func tailSq(p, x []float64, h int) float64 {
 }
 
 // offerExact offers entry id to the top-k heap at its exact full-space
-// squared distance to the query, abandoned once it cannot enter.
-func (ix *Index) offerExact(top []heapItem, query []float64, k int, id int32) []heapItem {
-	row := ix.rows[id]
-	sq := splitSqDistBounded(row[:ix.colorDims], row[ix.colorDims:], query, heapBound(top, k))
+// squared distance to the query (qmask is its presence mask), abandoned once
+// it cannot enter.
+func (ix *Index) offerExact(top []heapItem, query []float64, qmask []uint64, k int, id int32) []heapItem {
+	sq := ix.rows[id].SqDistBounded(query, qmask, heapBound(top, k))
 	return heapOffer(top, k, heapItem{sq: sq, id: id})
 }
 
@@ -911,29 +905,14 @@ func sortItems(h []heapItem) {
 }
 
 // shotSqDistBounded is the full-dimension squared distance between a query
-// and a shot's (colour ++ texture) feature, computed without materialising
-// the concatenated vector and abandoning once the sum exceeds bound.
-func shotSqDistBounded(s *vidmodel.Shot, query []float64, bound float64) float64 {
-	return splitSqDistBounded(s.Color, s.Texture, query, bound)
-}
-
-// splitSqDistBounded is shotSqDistBounded on the two halves of a feature,
-// wherever they are stored: rank feeds it the index's rows, and gets bit
-// for bit the distance FlatSearch gets from the shot.
-func splitSqDistBounded(color, texture, query []float64, bound float64) float64 {
-	nc := len(color)
-	if len(query) != nc+len(texture) {
-		panic(mat.ErrDimension)
+// (qmask its presence mask) and a shot's (colour ++ texture) feature, packed
+// or not, computed without materialising the concatenated vector and
+// abandoning once the sum exceeds bound. Both forms give the same bits.
+func shotSqDistBounded(s *vidmodel.Shot, query []float64, qmask []uint64, bound float64) float64 {
+	if !s.Row.IsZero() {
+		return s.Row.SqDistBounded(query, qmask, bound)
 	}
-	sum := mat.SqDistBounded(query[:nc], color, bound)
-	if sum > bound {
-		return sum
-	}
-	for i, v := range texture {
-		d := query[nc+i] - v
-		sum += d * d
-	}
-	return sum
+	return featrow.SplitSqDistBounded(s.Color, s.Texture, query, bound)
 }
 
 // flatShardMin is the smallest per-goroutine chunk worth spawning for; it
@@ -951,7 +930,7 @@ func FlatSearch(entries []*Entry, query []float64, k int) ([]Result, Stats) {
 	n := len(entries)
 	for _, e := range entries {
 		stats.DistanceOps++
-		stats.FloatOps += len(e.Shot.Color) + len(e.Shot.Texture)
+		stats.FloatOps += e.Shot.FeatureLen()
 	}
 	stats.Candidates = n
 	if n == 0 {
@@ -964,9 +943,10 @@ func FlatSearch(entries []*Entry, query []float64, k int) ([]Result, Stats) {
 	if max := n / flatShardMin; workers > max {
 		workers = max
 	}
+	qmask := featrow.Mask(nil, query)
 	var top []heapItem
 	if workers <= 1 {
-		top = flatScanTopK(entries, 0, query, k)
+		top = flatScanTopK(entries, 0, query, qmask, k)
 		sortItems(top)
 	} else {
 		shards := make([][]heapItem, workers)
@@ -981,7 +961,7 @@ func FlatSearch(entries []*Entry, query []float64, k int) ([]Result, Stats) {
 			wg.Add(1)
 			go func(w, lo, hi int) {
 				defer wg.Done()
-				shards[w] = flatScanTopK(entries[lo:hi], lo, query, k)
+				shards[w] = flatScanTopK(entries[lo:hi], lo, query, qmask, k)
 			}(w, lo, hi)
 		}
 		wg.Wait()
@@ -1002,18 +982,17 @@ func FlatSearch(entries []*Entry, query []float64, k int) ([]Result, Stats) {
 
 // flatScanTopK scans one chunk keeping a bounded top-k; off converts chunk
 // positions back to database positions for deterministic tie-breaking.
-func flatScanTopK(entries []*Entry, off int, query []float64, k int) []heapItem {
+func flatScanTopK(entries []*Entry, off int, query []float64, qmask []uint64, k int) []heapItem {
 	heap := make([]heapItem, 0, k)
 	for i, e := range entries {
-		sq := shotSqDistBounded(e.Shot, query, heapBound(heap, k))
+		sq := shotSqDistBounded(e.Shot, query, qmask, heapBound(heap, k))
 		heap = heapOffer(heap, k, heapItem{sq: sq, id: int32(off + i)})
 	}
 	return heap
 }
 
-// Row returns the full feature of entry id as the index reads it: a view of
-// the row wherever the entry's owner keeps it, never to be written.
-func (ix *Index) Row(id int) []float64 { return ix.rows[id] }
+// Row returns the packed feature of entry id as the index reads it.
+func (ix *Index) Row(id int) featrow.Row { return ix.rows[id] }
 
 // Dim returns the feature dimensionality every query must have.
 func (ix *Index) Dim() int { return ix.dim }

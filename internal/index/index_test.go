@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"classminer/internal/featrow"
 	"classminer/internal/feature"
 	"classminer/internal/mat"
 	"classminer/internal/vidmodel"
@@ -208,7 +209,9 @@ func TestReducerRoundTrip(t *testing.T) {
 		}
 		ids[i] = int32(i)
 	}
-	r, err := FitReducer(x.Rows(), ids, 4, 2)
+	rows := make([]featrow.Row, x.R)
+	featrow.Pack(rows, func(i int) ([]float64, []float64) { return x.Row(i), nil })
+	r, err := FitReducer(rows, ids, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +231,7 @@ func TestReducerRoundTrip(t *testing.T) {
 }
 
 func TestReducerErrors(t *testing.T) {
-	if _, err := FitReducer(mat.NewDense(0, 20).Rows(), nil, 4, 2); err == nil {
+	if _, err := FitReducer(nil, nil, 4, 2); err == nil {
 		t.Fatal("want error on empty fit")
 	}
 }

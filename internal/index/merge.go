@@ -14,6 +14,7 @@ import (
 	"math"
 	"slices"
 
+	"classminer/internal/featrow"
 	"classminer/internal/vidmodel"
 )
 
@@ -22,7 +23,11 @@ import (
 // the concatenated vector. It is the distance every search result reports:
 // Index.SearchInto and FlatSearch both rank by it.
 func ShotSqDist(s *vidmodel.Shot, query []float64) float64 {
-	return shotSqDistBounded(s, query, math.Inf(1))
+	var qmask []uint64
+	if !s.Row.IsZero() {
+		qmask = featrow.Mask(nil, query)
+	}
+	return shotSqDistBounded(s, query, qmask, math.Inf(1))
 }
 
 // MergeHits merges per-shard hit lists into the global top-k: the lists are

@@ -250,8 +250,13 @@ func identityLeaf(t *testing.T, rows [][]float64) *Index {
 	}
 	r := &Reducer{pca: &mat.PCA{Mean: make([]float64, dim), Components: mat.Identity(dim)}}
 	r.compsT = make([]float64, dim*dim)
+	r.pos = make([]int32, ix.dim)
+	for j := range r.pos {
+		r.pos[j] = -1
+	}
 	for j := 0; j < dim; j++ {
 		r.selected = append(r.selected, j)
+		r.pos[j] = int32(j)
 		r.compsT[j*dim+j] = 1
 	}
 	leaf := ix.root.children["medical education"].children["medicine"].children["medicine/other"]

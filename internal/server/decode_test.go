@@ -69,7 +69,7 @@ func sameBits(a, b reflect.Value) bool {
 	switch a.Kind() {
 	case reflect.Float64:
 		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
-	case reflect.Int, reflect.Int64:
+	case reflect.Int, reflect.Int32, reflect.Int64:
 		return a.Int() == b.Int()
 	case reflect.String:
 		return a.String() == b.String()
@@ -562,7 +562,7 @@ func fillEveryField(t *testing.T, v reflect.Value) []byte {
 			v.Set(m)
 		case reflect.String:
 			v.SetString(fmt.Sprintf("s%d", n))
-		case reflect.Int, reflect.Int64:
+		case reflect.Int, reflect.Int32, reflect.Int64:
 			v.SetInt(int64(n))
 		case reflect.Float64:
 			v.SetFloat(float64(n) + 0.5)

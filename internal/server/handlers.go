@@ -688,8 +688,7 @@ func (s *Server) resolveQuery(w http.ResponseWriter, u access.User, req *searchR
 				fmt.Sprintf("video %q has %d shots", req.Video, len(ve.Result.Shots)))
 			return nil, false
 		}
-		sh := ve.Result.Shots[req.Shot]
-		query = append(append(dst, sh.Color...), sh.Texture...)
+		query = ve.Result.Shots[req.Shot].AppendFeature(dst)
 	}
 	if len(query) == 0 {
 		writeError(w, http.StatusBadRequest, "provide either query (feature vector) or video+shot")

@@ -80,9 +80,14 @@ func TestStatsMemoryBlock(t *testing.T) {
 			t.Fatalf("memory block lacks %q: %v", key, stats.Memory)
 		}
 	}
-	want := int64(stats.Library.Shots+stats.Library.DeadRows) * 266 * 8
-	if got, _ := stats.Memory["featureRowBytes"].Int64(); got != want || stats.Library.FeatureRowBytes != want {
-		t.Fatalf("featureRowBytes = %d (library block %d), want %d shots × 266 × 8 = %d",
+	var want int64 // no video was deleted: every row is a registered shot's
+	for _, name := range s.lib.VideoNames() {
+		for _, sh := range s.lib.Video(name).Result.Shots {
+			want += int64(sh.Row.Bytes())
+		}
+	}
+	if got, _ := stats.Memory["featureRowBytes"].Int64(); got != want || stats.Library.FeatureRowBytes != want || want == 0 {
+		t.Fatalf("featureRowBytes = %d (library block %d), want the %d shots' packed rows, %d B",
 			got, stats.Library.FeatureRowBytes, stats.Library.Shots, want)
 	}
 	if goal, _ := stats.Memory["heapGoalBytes"].Int64(); goal <= 0 {

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"classminer/internal/featrow"
 )
 
 // The binary entry: what the write-ahead log, the checkpoint snapshot and the
@@ -36,7 +38,8 @@ import (
 // word i>>6) says whether element i is written, and an element is written
 // exactly when its *bits* are non-zero. A mined shot has ≈ 18 non-zero
 // dimensions of 266, so a row shrinks about fivefold against its JSON; a
-// fully dense row pays 1/64 extra.
+// fully dense row pays 1/64 extra. A registered shot holds its row in memory
+// in this very form (internal/featrow), and is written from it as it is.
 //
 // The decoder is strict, which is what makes it one format: an unknown
 // format byte, a non-minimal varint, a presence bit past the row's end, a
@@ -65,7 +68,11 @@ func AppendEntry(dst []byte, e *SavedLibraryEntry) []byte {
 	dst = appendCount(dst, r.Shots)
 	values := 0
 	for i := range r.Shots {
-		values += len(r.Shots[i].Color) + len(r.Shots[i].Texture)
+		if s := &r.Shots[i]; s.Row.IsZero() {
+			values += len(s.Color) + len(s.Texture)
+		} else {
+			values += s.Row.Len()
+		}
 	}
 	dst = binary.AppendUvarint(dst, uint64(values))
 	for i := range r.Shots {
@@ -74,8 +81,13 @@ func AppendEntry(dst []byte, e *SavedLibraryEntry) []byte {
 		dst = appendInt(dst, s.Start)
 		dst = appendInt(dst, s.End)
 		dst = appendInt(dst, s.RepFrame)
-		dst = appendRow(dst, s.Color)
-		dst = appendRow(dst, s.Texture)
+		if s.Row.IsZero() {
+			dst = appendRow(dst, s.Color)
+			dst = appendRow(dst, s.Texture)
+		} else {
+			c, t := s.Row.Halves()
+			dst = appendHalf(appendHalf(dst, c), t)
+		}
 	}
 	dst = appendCount(dst, r.Groups)
 	for i := range r.Groups {
@@ -155,6 +167,23 @@ func appendRow(dst []byte, row []float64) []byte {
 			dst[presence+i>>3] |= 1 << (i & 7)
 			dst = binary.LittleEndian.AppendUint64(dst, b)
 		}
+	}
+	return dst
+}
+
+// appendHalf appends one half of a packed row, which appendRow would write
+// from its dense form: a packed row's presence words and values are already
+// the row's bytes.
+func appendHalf(dst []byte, h featrow.Half) []byte {
+	if h.Nil {
+		return append(dst, 0)
+	}
+	dst = binary.AppendUvarint(dst, uint64(h.N)+1)
+	for _, w := range h.Words {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	for _, v := range h.Vals {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
 	return dst
 }

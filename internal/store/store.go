@@ -23,6 +23,7 @@ import (
 	"runtime"
 
 	"classminer/internal/core"
+	"classminer/internal/featrow"
 	"classminer/internal/skim"
 	"classminer/internal/vidmodel"
 )
@@ -30,14 +31,34 @@ import (
 // FormatVersion guards against decoding incompatible files.
 const FormatVersion = 1
 
-// SavedShot mirrors vidmodel.Shot.
+// SavedShot mirrors vidmodel.Shot. Row is set only on the way to the binary
+// entry (AppendResultEntry), which writes a registered shot's packed row as
+// it is; the JSON carries the dense rows alone.
 type SavedShot struct {
-	Index    int       `json:"index"`
-	Start    int       `json:"start"`
-	End      int       `json:"end"`
-	RepFrame int       `json:"repFrame"`
-	Color    []float64 `json:"color"`
-	Texture  []float64 `json:"texture"`
+	Index    int         `json:"index"`
+	Start    int         `json:"start"`
+	End      int         `json:"end"`
+	RepFrame int         `json:"repFrame"`
+	Color    []float64   `json:"color"`
+	Texture  []float64   `json:"texture"`
+	Row      featrow.Row `json:"-"`
+}
+
+// dense returns s with a packed row unpacked into Color and Texture.
+func (s SavedShot) dense() SavedShot {
+	if s.Row.IsZero() {
+		return s
+	}
+	c, t := s.Row.Halves()
+	f := s.Row.AppendTo(nil)
+	s.Color, s.Texture, s.Row = f[:c.N:c.N], f[c.N:], featrow.Row{}
+	if c.Nil {
+		s.Color = nil
+	}
+	if t.Nil {
+		s.Texture = nil
+	}
+	return s
 }
 
 // SavedGroup references shots by their position in the shot table.
@@ -78,8 +99,24 @@ type SavedResult struct {
 }
 
 // EncodeResult converts a mined result to its persistent form. Raw media
-// (frames, audio) is intentionally not persisted.
-func EncodeResult(r *core.Result) (*SavedResult, error) {
+// (frames, audio) is intentionally not persisted. A registered shot's packed
+// feature is unpacked into Color and Texture.
+func EncodeResult(r *core.Result) (*SavedResult, error) { return encodeResult(r, false) }
+
+// AppendResultEntry appends to dst the binary entry (AppendEntry) of r
+// placed under subcluster. A registered shot's packed feature is written as
+// it is: nothing is unpacked.
+func AppendResultEntry(dst []byte, subcluster string, r *core.Result) ([]byte, error) {
+	sr, err := encodeResult(r, true)
+	if err != nil {
+		return nil, err
+	}
+	return AppendEntry(dst, &SavedLibraryEntry{Subcluster: subcluster, Result: sr}), nil
+}
+
+// encodeResult is EncodeResult keeping, when packed is set, a registered
+// shot's feature packed in SavedShot.Row.
+func encodeResult(r *core.Result, packed bool) (*SavedResult, error) {
 	if r == nil || r.Video == nil {
 		return nil, fmt.Errorf("store: nil result")
 	}
@@ -95,10 +132,14 @@ func EncodeResult(r *core.Result) (*SavedResult, error) {
 	shotPos := map[*vidmodel.Shot]int{}
 	for i, s := range r.Shots {
 		shotPos[s] = i
-		out.Shots = append(out.Shots, SavedShot{
+		ss := SavedShot{
 			Index: s.Index, Start: s.Start, End: s.End, RepFrame: s.RepFrame,
-			Color: s.Color, Texture: s.Texture,
-		})
+			Color: s.Color, Texture: s.Texture, Row: s.Row,
+		}
+		if !packed {
+			ss = ss.dense()
+		}
+		out.Shots = append(out.Shots, ss)
 	}
 	groupPos := map[*vidmodel.Group]int{}
 	encodeGroup := func(g *vidmodel.Group) (SavedGroup, error) {

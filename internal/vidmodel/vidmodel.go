@@ -7,7 +7,11 @@
 // visible exclusively to the evaluation harness.
 package vidmodel
 
-import "fmt"
+import (
+	"fmt"
+
+	"classminer/internal/featrow"
+)
 
 // Frame is a small dense RGB raster. Pixels are stored row-major, three
 // bytes per pixel (R, G, B). Frames are deliberately tiny (the default
@@ -121,6 +125,9 @@ type Shot struct {
 	RepFrame int       // index of the representative frame (the 10th, clamped)
 	Color    []float64 // 256-dim normalised HSV histogram of the rep frame
 	Texture  []float64 // 10-dim Tamura coarseness vector of the rep frame
+	// Row holds the feature zero-suppressed once a library has registered
+	// the shot; Color and Texture are nil from then on.
+	Row featrow.Row
 }
 
 // Len returns the shot length in frames.
@@ -129,10 +136,31 @@ func (s *Shot) Len() int { return s.End - s.Start }
 // Feature returns the concatenated 266-dim descriptor used by the database
 // index (colour followed by texture).
 func (s *Shot) Feature() []float64 {
-	out := make([]float64, 0, len(s.Color)+len(s.Texture))
-	out = append(out, s.Color...)
-	out = append(out, s.Texture...)
-	return out
+	return s.AppendFeature(make([]float64, 0, s.FeatureLen()))
+}
+
+// AppendFeature appends the shot's descriptor, colour then texture, to dst,
+// unpacking a registered shot's row.
+func (s *Shot) AppendFeature(dst []float64) []float64 {
+	if !s.Row.IsZero() {
+		return s.Row.AppendTo(dst)
+	}
+	return append(append(dst, s.Color...), s.Texture...)
+}
+
+// FeatureDims returns the lengths of the descriptor's colour and texture
+// parts, packed or not.
+func (s *Shot) FeatureDims() (color, texture int) {
+	if !s.Row.IsZero() {
+		return s.Row.Dims()
+	}
+	return len(s.Color), len(s.Texture)
+}
+
+// FeatureLen is the descriptor's dimensionality.
+func (s *Shot) FeatureLen() int {
+	c, t := s.FeatureDims()
+	return c + t
 }
 
 // GroupKind distinguishes the two ways shots are absorbed into a group
