@@ -210,7 +210,6 @@ type VideoEntry struct {
 // masks by row span.
 type Library struct {
 	mu        sync.RWMutex
-	analyzer  *Analyzer
 	hierarchy *concept.Hierarchy
 	policy    *access.Policy
 	videos    map[string]*VideoEntry
@@ -316,10 +315,11 @@ func (l *Library) Instrument(reg *metrics.Registry) {
 }
 
 // NewLibrary creates an empty library using the Fig. 2 medical concept
-// hierarchy and the given analyzer.
-func NewLibrary(a *Analyzer) *Library {
+// hierarchy. A library indexes mined results and never mines: the analyzer
+// is ignored (pass nil), and the parameter stays only because the frozen
+// benchmark (cmd/loadgen) passes one; ROADMAP item 1(d) retires it.
+func NewLibrary(*Analyzer) *Library {
 	return &Library{
-		analyzer:  a,
 		hierarchy: concept.Medical(),
 		policy:    access.NewPolicy(),
 		videos:    map[string]*VideoEntry{},
@@ -356,34 +356,6 @@ func (l *Library) checkSubcluster(name string) error {
 	return nil
 }
 
-// AddVideoCtx mines a video and registers its shots under the given
-// subcluster concept ("medicine", "nursing", "dentistry"). The registration
-// is absorbed into a current serving index incrementally and otherwise
-// leaves it stale; call BuildIndexCtx after the last one for a full fit. The
-// returned Result belongs to the library and is immutable (see
-// AddResultCtx). When ctx carries a trace span (a traced ingest job), the
-// mining, journaling, and install stages each record child spans.
-func (l *Library) AddVideoCtx(ctx context.Context, v *Video, subcluster string) (*Result, error) {
-	if err := l.checkSubcluster(subcluster); err != nil {
-		return nil, err
-	}
-	l.mu.RLock()
-	_, dup := l.videos[v.Name]
-	l.mu.RUnlock()
-	if dup {
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateVideo, v.Name)
-	}
-	// Mining runs outside the lock: it is the slow part and touches no
-	// shared state.
-	sp := trace.StartSpan(ctx, "mine")
-	res, err := l.analyzer.Analyze(v)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return res, l.register(ctx, v.Name, res, subcluster)
-}
-
 // AddResult is AddResultCtx without a trace. It stays only because the
 // benchmark's probes (cmd/loadgen) call it; ROADMAP item 1(d) retires it.
 func (l *Library) AddResult(res *Result, subcluster string) error {
@@ -391,9 +363,12 @@ func (l *Library) AddResult(res *Result, subcluster string) error {
 }
 
 // AddResultCtx registers an already-mined result (e.g. decoded from a
-// journal record or produced by a remote miner) under the given subcluster
-// concept. Like AddVideoCtx it leaves a stale index stale; call BuildIndexCtx
-// afterwards. Traced like AddVideoCtx.
+// journal record or produced by Analyzer.Analyze) under the given
+// subcluster concept ("medicine", "nursing", "dentistry"). The registration
+// is absorbed into a current serving index incrementally and otherwise
+// leaves it stale; call BuildIndexCtx after the last one for a full fit.
+// When ctx carries a trace span (a traced ingest job), the journaling and
+// install stages each record child spans.
 //
 // Once registered, res belongs to the library and is immutable: its shots'
 // features are packed into the library's row store (Shot.Row) and their
@@ -521,7 +496,7 @@ func (l *Library) undoUnacked(name string, ve *VideoEntry) {
 // this method (the journal is not attached yet, so nothing is re-logged).
 // check, when non-nil, runs on the existing entry under the write lock and
 // can veto the replacement before anything is logged (the policy gate of
-// ReplaceResultAsCtx/ReplaceVideoAsCtx).
+// ReplaceResultAsCtx).
 func (l *Library) replace(ctx context.Context, name string, res *Result, subcluster string, check func(*VideoEntry) error) error {
 	sp := trace.StartSpan(ctx, "replace")
 	defer sp.End()
@@ -963,7 +938,7 @@ func (l *Library) deleteVideo(ctx context.Context, name string, check func(*Vide
 // registration destroys it just as surely as DeleteVideoAsCtx does, so the
 // user must be allowed to see the *existing* video's subcluster, checked
 // atomically with the swap (ErrForbidden otherwise). Absent names register
-// fresh with no gate — there is nothing to destroy. Traced like AddVideoCtx.
+// fresh with no gate — there is nothing to destroy. Traced like AddResultCtx.
 func (l *Library) ReplaceResultAsCtx(ctx context.Context, u User, res *Result, subcluster string) error {
 	if res == nil || res.Video == nil {
 		return fmt.Errorf("classminer: nil result")
@@ -972,23 +947,6 @@ func (l *Library) ReplaceResultAsCtx(ctx context.Context, u User, res *Result, s
 		return err
 	}
 	return l.replace(ctx, res.Video.Name, res, subcluster, l.visibleTo(u))
-}
-
-// ReplaceVideoAsCtx mines a video and installs it under its name,
-// superseding any existing registration behind ReplaceResultAsCtx's atomic
-// policy gate. Mining runs outside the lock, like AddVideoCtx; traced like
-// AddVideoCtx.
-func (l *Library) ReplaceVideoAsCtx(ctx context.Context, u User, v *Video, subcluster string) (*Result, error) {
-	if err := l.checkSubcluster(subcluster); err != nil {
-		return nil, err
-	}
-	sp := trace.StartSpan(ctx, "mine")
-	res, err := l.analyzer.Analyze(v)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return res, l.replace(ctx, v.Name, res, subcluster, l.visibleTo(u))
 }
 
 // BuildIndex is BuildIndexCtx without a trace. It stays only because the
@@ -1221,7 +1179,7 @@ func (l *Library) Allowed(u User, path []string) bool {
 }
 
 // HasSubcluster reports whether name is a valid placement target for
-// AddVideoCtx / AddResultCtx (a subcluster-level concept).
+// AddResultCtx (a subcluster-level concept).
 func (l *Library) HasSubcluster(name string) bool {
 	return l.checkSubcluster(name) == nil
 }
@@ -1424,9 +1382,11 @@ func (l *Library) settledVideos() []savedVideo {
 // not, it ends the replay.
 //
 // The recovered index is left stale — call BuildIndexCtx once before serving
-// searches. Close the library when done to release the engine.
-func Recover(dir string, a *Analyzer, opts DurableOptions) (*Library, error) {
-	libs, err := RecoverPartitioned(dir, 1, placeOne, a, opts)
+// searches. Close the library when done to release the engine. The analyzer
+// is ignored, as NewLibrary's is (pass nil); the frozen benchmark pins the
+// parameter until ROADMAP item 1(d).
+func Recover(dir string, _ *Analyzer, opts DurableOptions) (*Library, error) {
+	libs, err := RecoverPartitioned(dir, 1, placeOne, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -1446,14 +1406,14 @@ func placeOne(string) int { return 0 }
 // Engine and Close on any of them address that one engine.
 // Partitioning costs no ordering: a name has one owner, so the order of
 // the log's records about a name is the order its owner installed them in.
-func RecoverPartitioned(dir string, n int, place func(name string) int, a *Analyzer, opts DurableOptions) ([]*Library, error) {
+func RecoverPartitioned(dir string, n int, place func(name string) int, opts DurableOptions) ([]*Library, error) {
 	eng, err := wal.Open(dir, opts)
 	if err != nil {
 		return nil, err
 	}
 	libs := make([]*Library, n)
 	for i := range libs {
-		libs[i] = NewLibrary(a)
+		libs[i] = NewLibrary(nil)
 	}
 	if err := recoverInto(eng, libs, place, opts.Logf); err != nil {
 		eng.Close()

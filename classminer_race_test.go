@@ -39,7 +39,7 @@ func TestLibraryConcurrentMutationDuringQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := NewLibrary(a)
-	if _, err := l.AddVideoCtx(context.Background(), raceVideo(t, "seed-video", 31), "medicine"); err != nil {
+	if err := addVideo(a, l, raceVideo(t, "seed-video", 31), "medicine"); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.BuildIndex(); err != nil {
@@ -101,8 +101,8 @@ func TestLibraryConcurrentMutationDuringQueries(t *testing.T) {
 		go func(i int) {
 			defer writers.Done()
 			name := []string{"w-alpha", "w-beta", "w-gamma"}[i]
-			if _, err := l.AddVideoCtx(context.Background(), raceVideo(t, name, int64(50+i)), "nursing"); err != nil {
-				t.Errorf("AddVideoCtx %s: %v", name, err)
+			if err := addVideo(a, l, raceVideo(t, name, int64(50+i)), "nursing"); err != nil {
+				t.Errorf("addVideo %s: %v", name, err)
 				return
 			}
 			if err := l.BuildIndex(); err != nil {
@@ -141,7 +141,7 @@ func TestLibraryStaleIndexKeepsServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := NewLibrary(a)
-	if _, err := l.AddVideoCtx(context.Background(), raceVideo(t, "first", 71), "medicine"); err != nil {
+	if err := addVideo(a, l, raceVideo(t, "first", 71), "medicine"); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.BuildIndex(); err != nil {
@@ -149,7 +149,7 @@ func TestLibraryStaleIndexKeepsServing(t *testing.T) {
 	}
 	gen := l.Generation()
 	query := l.Video("first").Result.Shots[0].Feature()
-	if _, err := l.AddVideoCtx(context.Background(), raceVideo(t, "second", 72), "medicine"); err != nil {
+	if err := addVideo(a, l, raceVideo(t, "second", 72), "medicine"); err != nil {
 		t.Fatal(err)
 	}
 	// Incremental maintenance absorbs the registration into the serving

@@ -22,6 +22,16 @@ var (
 // ReplaceResultAsCtx never refuses it.
 var admin = User{Name: "admin", Clearance: Administrator}
 
+// addVideo mines v with a and registers the result under subcluster: the
+// analyzer mines, the library indexes what was mined.
+func addVideo(a *Analyzer, l *Library, v *Video, subcluster string) error {
+	res, err := a.Analyze(v)
+	if err != nil {
+		return err
+	}
+	return l.AddResultCtx(context.Background(), res, subcluster)
+}
+
 // sharedLibrary builds one two-video library for all integration tests.
 func sharedLibrary(t testing.TB) *Library {
 	t.Helper()
@@ -39,7 +49,7 @@ func sharedLibrary(t testing.TB) *Library {
 				libErr = err
 				return
 			}
-			if _, err := lib.AddVideoCtx(context.Background(), v, "medicine"); err != nil {
+			if err := addVideo(a, lib, v, "medicine"); err != nil {
 				libErr = err
 				return
 			}
@@ -161,13 +171,13 @@ func TestLibraryErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AddVideoCtx(context.Background(), v, "astrology"); err == nil {
+	if err := addVideo(a, l, v, "astrology"); err == nil {
 		t.Fatal("want error for unknown subcluster")
 	}
-	if _, err := l.AddVideoCtx(context.Background(), v, "medicine"); err != nil {
+	if err := addVideo(a, l, v, "medicine"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AddVideoCtx(context.Background(), v, "medicine"); err == nil {
+	if err := addVideo(a, l, v, "medicine"); err == nil {
 		t.Fatal("want error for duplicate video")
 	}
 }

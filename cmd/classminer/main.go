@@ -1,13 +1,17 @@
 // Command classminer runs the full ClassMiner pipeline on one synthetic
 // corpus video and prints its mined content structure, events and scalable
-// skimming — the CLI counterpart of the Fig. 11 prototype.
+// skimming — the CLI counterpart of the Fig. 11 prototype. It is the
+// offline miner of the paper's split: -save writes the mined result as a
+// POST /v1/videos body, which classminerd indexes as it is.
 //
 // Usage:
 //
-//	classminer [-video laparoscopy] [-scale 0.5] [-seed 2003] [-level 3] [-mpeg]
+//	classminer [-video laparoscopy] [-scale 0.5] [-seed 2003] [-level 3] [-mpeg] [-save body.json]
+//	curl -X POST localhost:8471/v1/videos -H 'Authorization: Bearer …' --data-binary @body.json
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -25,7 +29,7 @@ func main() {
 	seed := flag.Int64("seed", 2003, "corpus seed")
 	level := flag.Int("level", 3, "skimming level to list (1-4)")
 	useMPEG := flag.Bool("mpeg", false, "round-trip the video through the simulated MPEG codec first")
-	saveTo := flag.String("save", "", "write the mined metadata (JSON) to this file")
+	saveTo := flag.String("save", "", "write the mined result to this file as a classminerd POST /v1/videos body (JSON)")
 	flag.Parse()
 
 	if err := run(*videoName, *scale, *seed, *level, *useMPEG, *saveTo); err != nil {
@@ -93,19 +97,28 @@ func run(videoName string, scale float64, seed int64, level int, useMPEG bool, s
 	}
 
 	if saveTo != "" {
-		saved, err := store.EncodeResult(res)
-		if err != nil {
+		if err := save(saveTo, res); err != nil {
 			return err
 		}
-		f, err := os.Create(saveTo)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := store.WriteLibrary(f, []store.SavedLibraryEntry{{Subcluster: "medicine", Result: saved}}); err != nil {
-			return err
-		}
-		fmt.Printf("\nsaved mined metadata to %s\n", saveTo)
+		fmt.Printf("\nsaved a POST /v1/videos body to %s\n", saveTo)
 	}
 	return nil
+}
+
+// save writes res to path as the body of a classminerd ingest request,
+// placed under the "medicine" subcluster.
+func save(path string, res *core.Result) error {
+	saved, err := store.EncodeResult(res)
+	if err != nil {
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := json.NewEncoder(f).Encode(&store.IngestBody{Subcluster: "medicine", Saved: saved}); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -3,39 +3,40 @@
 // event scene queries, content-structure browsing and scalable-skimming
 // metadata, all behind multilevel access control.
 //
+// The daemon indexes; it does not mine. Mining is offline, as in the paper:
+// cmd/classminer -save writes a POST /v1/videos body, and the daemon
+// journals, indexes and serves what it is sent.
+//
 // The daemon always serves through the shard router (internal/shard) over
 // -shards N >= 1 libraries; one shard, the default, is a single library
 // behind a router that costs nothing. N partitions what lives in memory —
 // locks, matrices, indexes, refits — not what is on disk: -data-dir holds one
 // log at every N, so N may change from one boot to the next. The library is
 // populated from a durable data directory (-data-dir, with write-ahead
-// logging and crash recovery), by mining synthetic corpus videos at startup
-// (-bootstrap), or later through POST /v1/videos. With -data-dir every
-// registration — bootstrapped or ingested — is journaled and fsynced before
-// it becomes visible, so a crash — OOM kill, power loss — loses no completed
-// registration (an ingest job is durable once it reports done; a
-// 202-accepted job that never ran can simply be resubmitted): the next boot
-// replays the newest checkpoint snapshot plus the log tail, and a clean
-// SIGINT/SIGTERM shutdown takes a final checkpoint. Without it the library
-// lives in memory only.
+// logging and crash recovery) and through POST /v1/videos. With -data-dir
+// every registration is journaled and fsynced before it becomes visible, so
+// a crash — OOM kill, power loss — loses no completed registration (an
+// ingest job is durable once it reports done; a 202-accepted job that never
+// ran can simply be resubmitted): the next boot replays the newest
+// checkpoint snapshot plus the log tail, and a clean SIGINT/SIGTERM shutdown
+// takes a final checkpoint. Without it the library lives in memory only.
 //
 // Usage:
 //
-//	classminerd -addr :8471 -data-dir ./data -bootstrap laparoscopy \
-//	    -scale 0.4 -token s3cret=dr.lee:clinician:surgeon -anon public
+//	classminerd -addr :8471 -data-dir ./data \
+//	    -token s3cret=dr.lee:clinician:surgeon -anon public
 //
 // Then:
 //
+//	go run ./cmd/classminer -video laparoscopy -scale 0.4 -save lap.json
+//	curl -H 'Authorization: Bearer s3cret' -X POST localhost:8471/v1/videos \
+//	    --data-binary @lap.json
 //	curl localhost:8471/healthz
 //	curl localhost:8471/v1/videos
 //	curl localhost:8471/v1/videos/laparoscopy
 //	curl -X POST localhost:8471/v1/search \
 //	    -d '{"video":"laparoscopy","shot":0,"k":5}'
 //	curl localhost:8471/v1/events/dialog
-//	curl -H 'Authorization: Bearer s3cret' -X POST localhost:8471/v1/videos \
-//	    -d '{"corpus":"skin-examination","subcluster":"medicine","scale":0.4}'
-//	curl -H 'Authorization: Bearer s3cret' -X POST localhost:8471/v1/videos \
-//	    -d '{"corpus":"skin-examination","subcluster":"medicine","replace":true}'
 //	curl -H 'Authorization: Bearer s3cret' -X DELETE localhost:8471/v1/videos/laparoscopy
 //	curl -H 'Authorization: Bearer admin' -X POST localhost:8471/v1/admin/checkpoint
 package main
@@ -49,7 +50,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -60,7 +60,6 @@ import (
 	"classminer/internal/repl"
 	"classminer/internal/server"
 	"classminer/internal/shard"
-	"classminer/internal/synth"
 )
 
 // tokenFlags accumulates repeated -token values of the form
@@ -95,20 +94,16 @@ func (t *tokenFlags) Set(v string) error {
 	return nil
 }
 
-// config collects every flag; run reads nothing else.
+// config collects every flag but the ignored -skip-events; run reads
+// nothing else.
 type config struct {
-	addr       string
-	dataDir    string
-	bootstrap  string
-	scale      float64
-	seed       int64
-	subcluster string
-	anon       string
-	workers    int
-	queue      int
-	skipEvents bool
-	pprof      bool
-	tokens     map[string]access.User
+	addr    string
+	dataDir string
+	anon    string
+	workers int
+	queue   int
+	pprof   bool
+	tokens  map[string]access.User
 
 	// shards is the router's shard count, chosen per boot; 0 means 1.
 	shards int
@@ -139,14 +134,12 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", ":8471", "listen address")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "durable data directory (write-ahead log + checkpoints; crash recovery on boot)")
-	flag.StringVar(&cfg.bootstrap, "bootstrap", "", "comma-separated corpus videos to mine at startup, or \"all\"")
-	flag.Float64Var(&cfg.scale, "scale", 0.4, "bootstrap corpus scale")
-	flag.Int64Var(&cfg.seed, "seed", 2003, "bootstrap corpus seed")
-	flag.StringVar(&cfg.subcluster, "subcluster", "medicine", "concept subcluster for bootstrapped videos")
 	flag.StringVar(&cfg.anon, "anon", "public", "clearance for unauthenticated requests (\"none\" to require a token)")
 	flag.IntVar(&cfg.workers, "workers", 2, "ingest worker pool size")
 	flag.IntVar(&cfg.queue, "queue", 8, "ingest queue depth")
-	flag.BoolVar(&cfg.skipEvents, "skip-events", false, "mine structure only (faster startup, no event queries on bootstrapped videos)")
+	// Kept only because the frozen benchmark (cmd/loadgen) passes it;
+	// ROADMAP item 1(d) deletes it.
+	flag.Bool("skip-events", false, "ignored: the daemon mines nothing")
 	flag.BoolVar(&cfg.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/ to Administrator-clearance callers")
 	flag.Float64Var(&cfg.rate, "rate", 0, "per-token request rate limit in req/s, scaled by clearance tier (0 disables)")
 	flag.Float64Var(&cfg.burst, "burst", 0, "per-token rate-limit burst (default 2x -rate)")
@@ -186,28 +179,9 @@ func anonymous(spec string) (*access.User, error) {
 	return &access.User{Name: "anonymous", Clearance: clearance}, nil
 }
 
-// bootstrapNames is the corpus videos -bootstrap names: a comma-separated
-// list, or "all". Every name must be a corpus video.
-func bootstrapNames(spec string) ([]string, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	if spec == "all" {
-		return synth.CorpusNames(), nil
-	}
-	names := strings.Split(spec, ",")
-	for i, name := range names {
-		names[i] = strings.TrimSpace(name)
-		if !slices.Contains(synth.CorpusNames(), names[i]) {
-			return nil, fmt.Errorf("unknown corpus video %q (have %v)", names[i], synth.CorpusNames())
-		}
-	}
-	return names, nil
-}
-
 // validate is every check that needs only the flags. run makes it before its
 // first side effect, so a mistyped command line fails without taking the
-// data-dir lock, replaying the log or mining the bootstrap corpus.
+// data-dir lock or replaying the log.
 func validate(cfg config) error {
 	if cfg.role != "leader" && cfg.role != "follower" {
 		return fmt.Errorf("unknown -role %q (want leader or follower)", cfg.role)
@@ -223,10 +197,7 @@ func validate(cfg config) error {
 	if cfg.shards < 0 || cfg.shards > shard.MaxShards {
 		return fmt.Errorf("-shards must be in [0,%d], got %d", shard.MaxShards, cfg.shards)
 	}
-	if _, err := anonymous(cfg.anon); err != nil {
-		return err
-	}
-	_, err := bootstrapNames(cfg.bootstrap)
+	_, err := anonymous(cfg.anon)
 	return err
 }
 
@@ -236,18 +207,12 @@ func run(cfg config) error {
 	}
 	logger := log.New(os.Stderr, "classminerd: ", log.LstdFlags)
 
-	logger.Printf("training analyzer (skipEvents=%v)...", cfg.skipEvents)
-	analyzer, err := classminer.NewAnalyzer(classminer.Options{SkipEvents: cfg.skipEvents})
-	if err != nil {
-		return err
-	}
-
 	// One registry spans the process: the WAL engine registers its series at
 	// Recover, the server adds the HTTP/cache/library ones at New, and
 	// GET /metrics exposes them all.
 	reg := metrics.NewRegistry()
 
-	lib, err := buildLibrary(logger, analyzer, cfg, reg)
+	lib, err := buildLibrary(logger, cfg, reg)
 	if err != nil {
 		return err
 	}
@@ -358,41 +323,21 @@ func run(cfg config) error {
 }
 
 // buildLibrary assembles the serving library: recover the durable data
-// directory (or start empty in memory), mine bootstrap corpus videos, and
-// build the index. Every registration into a durable library — bootstrapped
-// or later ingested — is journaled.
-func buildLibrary(logger *log.Logger, analyzer *classminer.Analyzer, cfg config, reg *metrics.Registry) (*shard.Library, error) {
-	names, err := bootstrapNames(cfg.bootstrap)
-	if err != nil {
-		return nil, err
-	}
+// directory (or start empty in memory) and build the index over what it
+// holds. Every later registration into a durable library is journaled.
+func buildLibrary(logger *log.Logger, cfg config, reg *metrics.Registry) (*shard.Library, error) {
 	var lib *shard.Library
+	var err error
 	if cfg.dataDir != "" {
 		start := time.Now()
 		wopts := classminer.DurableOptions{Metrics: reg, Logf: logger.Printf}
-		if lib, err = shard.Recover(cfg.dataDir, cfg.shards, analyzer, wopts); err != nil {
+		if lib, err = shard.Recover(cfg.dataDir, cfg.shards, nil, wopts); err != nil {
 			return nil, fmt.Errorf("recovering %s: %w", cfg.dataDir, err)
 		}
 		logger.Printf("recovered %d videos from %s (%d shards, %v)",
 			lib.Stats().Videos, cfg.dataDir, lib.ShardCount(), time.Since(start).Round(time.Millisecond))
-	} else if lib, err = shard.New(analyzer, max(cfg.shards, 1)); err != nil {
+	} else if lib, err = shard.New(nil, max(cfg.shards, 1)); err != nil {
 		return nil, err
-	}
-
-	for _, name := range names {
-		if lib.Video(name) != nil {
-			continue // already recovered
-		}
-		v, err := synth.Generate(synth.DefaultConfig(), synth.CorpusScript(name, cfg.scale, cfg.seed), cfg.seed)
-		if err != nil {
-			lib.Close()
-			return nil, err
-		}
-		logger.Printf("mining %q (%d frames)...", name, len(v.Frames))
-		if _, err := lib.AddVideoCtx(context.Background(), v, cfg.subcluster); err != nil {
-			lib.Close()
-			return nil, err
-		}
 	}
 
 	if lib.Size() > 0 && lib.IndexStale() {

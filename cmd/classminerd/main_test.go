@@ -37,6 +37,7 @@ func TestRemovedFlagsAreUndefined(t *testing.T) {
 		"segment-bytes", "checkpoint-bytes", "checkpoint-records", "repl-pin-budget-bytes",
 		"rebuild-after", "rebuild-debounce", "cache",
 		"metrics", "repl-lag-ready", "load",
+		"bootstrap", "scale", "seed", "subcluster",
 	} {
 		t.Run(name, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], "-"+name, "1")
@@ -50,7 +51,7 @@ func TestRemovedFlagsAreUndefined(t *testing.T) {
 }
 
 // TestValidateRejectsBeforeSideEffects: every flag-only mistake is caught by
-// validate, which run calls before it trains, locks or replays anything. The
+// validate, which run calls before it locks or replays anything. The
 // data dir of each case must still not exist afterwards.
 func TestValidateRejectsBeforeSideEffects(t *testing.T) {
 	good := config{role: "leader", anon: "public"}
@@ -68,13 +69,11 @@ func TestValidateRejectsBeforeSideEffects(t *testing.T) {
 		{"negative shards", func(c *config) { c.shards = -1 }, "-shards must be in"},
 		{"too many shards", func(c *config) { c.shards = 100000 }, "-shards must be in"},
 		{"unknown anon clearance", func(c *config) { c.anon = "pubic" }, "unknown clearance"},
-		{"unknown bootstrap video", func(c *config) { c.bootstrap = "laparoscopy,typo" }, "unknown corpus video \"typo\""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := good
 			cfg.dataDir = filepath.Join(t.TempDir(), "data")
-			cfg.bootstrap = "laparoscopy"
 			tc.edit(&cfg)
 			err := run(cfg)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -162,7 +161,7 @@ func TestBuildLibraryLayouts(t *testing.T) {
 			var cfg config
 			cfg.dataDir, cfg.shards = filepath.Join(t.TempDir(), "data"), tc.shards
 			layouts[tc.layout](cfg.dataDir)
-			lib, err := buildLibrary(logger, analyzer, cfg, nil)
+			lib, err := buildLibrary(logger, cfg, nil)
 			if tc.wantShards == 0 {
 				if !errors.Is(err, wal.ErrRetiredFormat) {
 					t.Fatalf("buildLibrary = %v, want wal.ErrRetiredFormat", err)

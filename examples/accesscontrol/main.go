@@ -18,13 +18,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	library := classminer.NewLibrary(analyzer)
+	library := classminer.NewLibrary(nil)
 	script := synth.CorpusScript("laparoscopy", 0.3, 41)
 	video, err := synth.Generate(synth.DefaultConfig(), script, 41)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := library.AddVideoCtx(context.Background(), video, "medicine"); err != nil {
+	// Mining and indexing are separate jobs: the analyzer mines, the
+	// library registers what it mined.
+	res, err := analyzer.Analyze(video)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := library.AddResultCtx(context.Background(), res, "medicine"); err != nil {
 		log.Fatal(err)
 	}
 	if err := library.BuildIndex(); err != nil {

@@ -17,7 +17,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	library := classminer.NewLibrary(analyzer)
+	library := classminer.NewLibrary(nil)
 
 	for i, name := range []string{"skin-examination", "face-repair"} {
 		script := synth.CorpusScript(name, 0.3, 11)
@@ -25,7 +25,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := library.AddVideoCtx(context.Background(), video, "medicine"); err != nil {
+		res, err := analyzer.Analyze(video)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := library.AddResultCtx(context.Background(), res, "medicine"); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("indexed %q: %s\n", name, library.Video(name).Result.Summary())

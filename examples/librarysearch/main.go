@@ -20,7 +20,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	library := classminer.NewLibrary(analyzer)
+	library := classminer.NewLibrary(nil)
 
 	var allEntries []*index.Entry
 	for i, name := range synth.CorpusNames() {
@@ -29,8 +29,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := library.AddVideoCtx(context.Background(), video, "medicine")
+		res, err := analyzer.Analyze(video)
 		if err != nil {
+			log.Fatal(err)
+		}
+		if err := library.AddResultCtx(context.Background(), res, "medicine"); err != nil {
 			log.Fatal(err)
 		}
 		allEntries = append(allEntries, res.IndexEntries("medicine")...)

@@ -563,8 +563,14 @@ func (ix *Index) SearchIntoSpans(dst []Result, query []float64, k int, sp *trace
 	}
 	sc := ix.scratch.Get().(*searchScratch)
 	sc.qmask = featrow.Mask(sc.qmask, query)
+	// A search asking for every live row visits every leaf and returns them
+	// all, whatever the beam: the same hits at every shard count.
+	beam := ix.opts.Beam
+	if k >= ix.Size() {
+		beam = math.MaxInt
+	}
 	stage := sp.Start("project")
-	ix.descend(ix.root, query, sc, &stats)
+	ix.descend(ix.root, query, beam, sc, &stats)
 	stage.End()
 	stage = sp.Start("scan")
 	ix.boundRows(query, sc, &stats)
@@ -595,10 +601,10 @@ func (ix *Index) SearchBatch(queries [][]float64, k int) ([][]Result, []Stats) {
 	return results, stats
 }
 
-// descend routes the query down the tree, keeping the Beam best children
+// descend routes the query down the tree, keeping the beam best children
 // at each level by distance to their centers. Reached leaves are appended
-// to sc.leaves.
-func (ix *Index) descend(n *node, query []float64, sc *searchScratch, stats *Stats) {
+// to sc.leaves, best-routed first.
+func (ix *Index) descend(n *node, query []float64, beam int, sc *searchScratch, stats *Stats) {
 	if len(n.children) == 0 {
 		sc.leaves = append(sc.leaves, n)
 		return
@@ -625,12 +631,8 @@ func (ix *Index) descend(n *node, query []float64, sc *searchScratch, stats *Sta
 			cs[j], cs[j-1] = cs[j-1], cs[j]
 		}
 	}
-	beam := ix.opts.Beam
-	if beam > len(cs) {
-		beam = len(cs)
-	}
-	for i := 0; i < beam; i++ {
-		ix.descend(cs[i].child, query, sc, stats)
+	for i := 0; i < min(beam, len(cs)); i++ {
+		ix.descend(cs[i].child, query, beam, sc, stats)
 	}
 	sc.scored = sc.scored[:start]
 }

@@ -62,6 +62,43 @@ func multiLeafCorpus(seed int64, rows ...int) []*Entry {
 	return out
 }
 
+// TestSearchForEveryRowVisitsEveryLeaf pins what a search asking for at
+// least every live row answers: all of them, in distance order, whatever the
+// beam — before and after a Remove — while one row fewer keeps to the beam.
+func TestSearchForEveryRowVisitsEveryLeaf(t *testing.T) {
+	entries := multiLeafCorpus(3, 20)
+	ix, err := Build(entries, Options{Seed: 3, Beam: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := entries[0].Shot.Feature()
+	if _, st := ix.Search(q, ix.Size()-1); st.Candidates >= ix.Size() {
+		t.Fatalf("k = %d bounded %d rows: a beam-1 search visited every leaf", ix.Size()-1, st.Candidates)
+	}
+	for _, step := range []string{"built", "after a remove"} {
+		if step != "built" {
+			var n int
+			if ix, n = ix.Remove(entries[len(entries)/2].VideoName); n == 0 {
+				t.Fatal("remove matched no rows")
+			}
+		}
+		for _, k := range []int{ix.Size(), ix.Size() + 5} {
+			res, st := ix.Search(q, k)
+			if len(res) != ix.Size() || st.Candidates != ix.Size() || st.Closed != 1 {
+				t.Fatalf("%s k=%d: %d hits, %d rows bounded, closed %d; want all %d live rows",
+					step, k, len(res), st.Candidates, st.Closed, ix.Size())
+			}
+			seen := map[*Entry]bool{}
+			for i, r := range res {
+				if seen[r.Entry] || (i > 0 && res[i-1].Dist > r.Dist) {
+					t.Fatalf("%s k=%d: hit %d repeated or out of order", step, k, i)
+				}
+				seen[r.Entry] = true
+			}
+		}
+	}
+}
+
 // BenchmarkSearchMultiLeaf is the search the daemon actually serves: 12
 // leaves of ~800 rows, a Beam-2 query reaching four of them, a different
 // query every iteration. (BenchmarkHierarchicalSearch replays one query

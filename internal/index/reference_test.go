@@ -19,8 +19,8 @@ import (
 // The reference shares no code with the bound pass or the refine: it
 // descends naively, gathers the visited leaves' live rows and scans them.
 
-// refLeaves descends with the index's beam, naively.
-func refLeaves(ix *Index, n *node, query []float64) []*node {
+// refLeaves descends with the given beam, naively.
+func refLeaves(n *node, query []float64, beam int) []*node {
 	if len(n.children) == 0 {
 		return []*node{n}
 	}
@@ -39,17 +39,22 @@ func refLeaves(ix *Index, n *node, query []float64) []*node {
 	}
 	sort.SliceStable(cs, func(a, b int) bool { return cs[a].dist < cs[b].dist })
 	var out []*node
-	for i := 0; i < len(cs) && i < ix.opts.Beam; i++ {
-		out = append(out, refLeaves(ix, cs[i].child, query)...)
+	for i := 0; i < len(cs) && i < beam; i++ {
+		out = append(out, refLeaves(cs[i].child, query, beam)...)
 	}
 	return out
 }
 
-// refVisited lists the live entries of the leaves refLeaves visits in
-// ascending entry ID, so that FlatSearch's position order is ID order.
-func refVisited(ix *Index, query []float64) []*Entry {
+// refVisited lists the live entries of the leaves a top-k search visits in
+// ascending entry ID, so that FlatSearch's position order is ID order: the
+// index's beam, or every leaf when k reaches the live row count.
+func refVisited(ix *Index, query []float64, k int) []*Entry {
+	beam := ix.opts.Beam
+	if k >= ix.Size() {
+		beam = math.MaxInt
+	}
 	var ids []int
-	for _, leaf := range refLeaves(ix, ix.root, query) {
+	for _, leaf := range refLeaves(ix.root, query, beam) {
 		for _, id := range append(append([]int32(nil), leaf.ids...), leaf.extraIDs...) {
 			p := int(id >> maskPageShift)
 			if p >= len(ix.removed) || ix.removed[p][int(id>>6)%maskPageWords]&(1<<uint(id&63)) == 0 {
@@ -70,7 +75,7 @@ func refSearch(ix *Index, query []float64, k int) []Result {
 	if k <= 0 {
 		k = 1
 	}
-	res, _ := FlatSearch(refVisited(ix, query), query, k)
+	res, _ := FlatSearch(refVisited(ix, query, k), query, k)
 	return res
 }
 
@@ -96,7 +101,7 @@ func requireSameHits(t *testing.T, what string, got, want []Result) {
 // bounded every visited live row. It reports whether the refine closed.
 func checkSearch(t *testing.T, what string, ix *Index, got []Result, st Stats, q []float64, k int) bool {
 	t.Helper()
-	visited := refVisited(ix, q)
+	visited := refVisited(ix, q, k)
 	if st.Candidates != len(visited) {
 		t.Fatalf("%s: %d rows bounded, the visited leaves hold %d live rows", what, st.Candidates, len(visited))
 	}

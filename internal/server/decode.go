@@ -194,11 +194,10 @@ type field[T any] struct {
 	decode func(*decoder, *T) error
 }
 
+// requestFields names the keys of ingestRequest's JSON tags, store.IngestBody's
+// included; the decoder's differential tests hold the two to each other.
 var requestFields = []field[ingestRequest]{
 	{"subcluster", func(d *decoder, r *ingestRequest) error { return d.string(&r.Subcluster) }},
-	{"corpus", func(d *decoder, r *ingestRequest) error { return d.string(&r.Corpus) }},
-	{"scale", func(d *decoder, r *ingestRequest) error { return d.float(&r.Scale) }},
-	{"seed", func(d *decoder, r *ingestRequest) error { return d.int64(&r.Seed) }},
 	{"saved", func(d *decoder, r *ingestRequest) error { return d.saved(&r.Saved) }},
 	{"name", func(d *decoder, r *ingestRequest) error { return d.string(&r.Name) }},
 	{"replace", func(d *decoder, r *ingestRequest) error { return d.bool(&r.Replace) }},

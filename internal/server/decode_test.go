@@ -180,7 +180,7 @@ func checkDecode(t testing.TB, body []byte) {
 // encoding/json.
 var decodeCases = []string{
 	// Envelope, whitespace, what follows the value, top-level null.
-	`{"subcluster":"medicine","corpus":"laparoscopy","scale":0.25,"seed":7,"name":"n","replace":true}`,
+	`{"subcluster":"medicine","saved":{"fps":0.25,"version":7},"name":"n","replace":true}`,
 	" \t\r\n{\"subcluster\":\"a\"} \n",
 	`{"subcluster":"a"} trailing garbage`,
 	`{"subcluster":"a"}}`,
@@ -201,7 +201,9 @@ var decodeCases = []string{
 	`{`,
 	`nu`,
 	`nul!`,
-	// Keys: unknown at any depth, folded, escaped, repeated.
+	// Keys: unknown at any depth, folded, escaped, repeated. The retired
+	// corpus form's keys are unknown ones now.
+	`{"subcluster":"medicine","corpus":"laparoscopy","scale":0.25,"seed":7,"name":"n","replace":true}`,
 	`{"x":{"a":[1,{"b":null},"\u00e9",true,false,-1.5e3]},"subcluster":"a"}`,
 	`{"SUBCLUSTER":"a"}`,
 	`{"ſubcluster":"a"}`,
@@ -234,7 +236,7 @@ var decodeCases = []string{
 	`{"saved":{"groups":[{"shots":[1],"shots":null,"repShots":[],"repShots":null}]}}`,
 	`{"saved":{"shots":[null]}}`,
 	`{"saved":null}`,
-	`{"subcluster":null,"scale":null,"seed":null,"replace":null,"saved":{"version":null,"fps":null}}`,
+	`{"subcluster":null,"name":null,"replace":null,"saved":{"version":null,"fps":null}}`,
 	`{"saved":{"events":{}}}`,
 	`{"saved":{"events":null}}`,
 	`{"saved":{"events":{"1":2},"events":null}}`,
@@ -252,9 +254,9 @@ var decodeCases = []string{
 	`{"saved":{"events":[]}}`,
 	// Floats: the JSON grammar first, then strconv, signs and range.
 	`{"saved":{"shots":[{"color":[0,-0,0.0,-0.0,1e-400,-1e-400,5e-324,1.7976931348623157e308,0e0,0E+0,-0e-0,1E2,0.1,123456789012345678901234567890]}]}}`,
-	`{"scale":-0}`,
-	`{"scale":1e400}`,
-	`{"scale":-1e400}`,
+	`{"saved":{"fps":-0}}`,
+	`{"saved":{"fps":1e400}}`,
+	`{"saved":{"fps":-1e400}}`,
 	`{"saved":{"shots":[{"color":[1e400]}]}}`,
 	`{"saved":{"shots":[{"color":[+1]}]}}`,
 	`{"saved":{"shots":[{"color":[.5]}]}}`,
@@ -281,8 +283,8 @@ var decodeCases = []string{
 	`{"saved":{"version":9223372036854775808}}`,
 	`{"saved":{"version":-9223372036854775808}}`,
 	`{"saved":{"version":-9223372036854775809}}`,
-	`{"seed":-7}`,
-	`{"seed":7.5}`,
+	`{"saved":{"version":-7}}`,
+	`{"saved":{"version":7.5}}`,
 	// Values of the wrong JSON type.
 	`{"subcluster":1}`,
 	`{"subcluster":["a"]}`,

@@ -26,7 +26,6 @@ import (
 	"classminer/internal/concept"
 	"classminer/internal/metrics"
 	"classminer/internal/store"
-	"classminer/internal/synth"
 	"classminer/internal/trace"
 	"classminer/internal/vidmodel"
 )
@@ -1012,15 +1011,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, kindName s
 // --- POST /v1/videos (async ingestion) -------------------------------------
 
 type ingestRequest struct {
-	// Subcluster places the video in the concept hierarchy (required).
-	Subcluster string `json:"subcluster"`
-	// Corpus names a synthetic corpus script to mine (with Scale and Seed).
-	Corpus string  `json:"corpus,omitempty"`
-	Scale  float64 `json:"scale,omitempty"`
-	Seed   int64   `json:"seed,omitempty"`
-	// Saved instead supplies an already-mined result to load as-is.
-	Saved *store.SavedResult `json:"saved,omitempty"`
-	// Name overrides the registered video name.
+	// IngestBody is the subcluster that places the video in the concept
+	// hierarchy and the mined result to register as-is, both required: the
+	// daemon indexes what an offline miner produced (classminer -save writes
+	// this body) and mines nothing itself.
+	store.IngestBody
+	// Name overrides the registered video name (default Saved.VideoName).
 	Name string `json:"name,omitempty"`
 	// Replace opts into supersede-on-conflict: when the name is already
 	// registered the new mining result replaces it (atomically journaled
@@ -1064,29 +1060,23 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown subcluster %q", req.Subcluster))
 		return
 	}
-	if (req.Corpus == "") == (req.Saved == nil) {
-		writeError(w, http.StatusBadRequest, "provide exactly one of corpus or saved")
+	if req.Saved == nil {
+		writeError(w, http.StatusBadRequest, "saved is required: a mined result, as classminer -save writes it")
 		return
 	}
 	name := req.Name
-	switch {
-	case req.Corpus != "":
-		if synth.CorpusScript(req.Corpus, 1, 1) == nil {
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("unknown corpus video %q (have %v)", req.Corpus, synth.CorpusNames()))
-			return
-		}
-		if name == "" {
-			name = req.Corpus
-		}
-	default:
-		if name == "" {
-			name = req.Saved.VideoName
-		}
-		if name == "" {
-			writeError(w, http.StatusBadRequest, "saved result has no video name")
-			return
-		}
+	if name == "" {
+		name = req.Saved.VideoName
+	}
+	if name == "" {
+		writeError(w, http.StatusBadRequest, "saved result has no video name")
+		return
+	}
+	// route trims one trailing slash off every path, so GET and DELETE could
+	// never address a name that ends in one.
+	if strings.HasSuffix(name, "/") {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("video name %q ends in /", name))
+		return
 	}
 	u := userOf(r)
 	if ve := s.lib.Video(name); ve != nil {
@@ -1097,7 +1087,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// Superseding destroys the existing registration, so it is gated
 		// like DELETE: the caller must be allowed to see it. This check is
 		// a fast 403; the authoritative one runs atomically inside
-		// ReplaceResultAsCtx/ReplaceVideoAsCtx when the job applies.
+		// ReplaceResultAsCtx when the job applies.
 		if !s.lib.Allowed(u, ve.Path) {
 			writeError(w, http.StatusForbidden, fmt.Sprintf("subcluster %q not accessible", ve.Subcluster))
 			return
@@ -1119,8 +1109,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, s.pool.Get(job.ID))
 }
 
-// runJob executes one ingestion on a pool worker: mine (or decode) the
-// video and register it. Registration inserts the new shots into the
+// runJob executes one ingestion on a pool worker: decode the mined result
+// and register it. Registration inserts the new shots into the
 // serving index incrementally, so the video is searchable the moment the
 // job completes; the O(library) refit is left to the coalesced background
 // rebuilder and only the cold-start case (no index yet, or a mutation the
@@ -1140,40 +1130,15 @@ func (s *Server) runJob(j *Job) {
 		ctx = trace.With(ctx, root)
 	}
 	err := func() error {
-		if j.req.Saved != nil {
-			res, err := store.DecodeResult(j.req.Saved)
-			if err != nil {
-				return err
-			}
-			res.Video.Name = j.Video
-			if j.req.Replace {
-				return s.lib.ReplaceResultAsCtx(ctx, j.user, res, j.Subcluster)
-			}
-			return s.lib.AddResultCtx(ctx, res, j.Subcluster)
-		}
-		scale := j.req.Scale
-		if scale <= 0 {
-			scale = 0.5
-		}
-		seed := j.req.Seed
-		if seed == 0 {
-			seed = 2003
-		}
-		script := synth.CorpusScript(j.req.Corpus, scale, seed)
-		if script == nil {
-			return fmt.Errorf("unknown corpus video %q", j.req.Corpus)
-		}
-		v, err := synth.Generate(synth.DefaultConfig(), script, seed)
+		res, err := store.DecodeResult(j.req.Saved)
 		if err != nil {
 			return err
 		}
-		v.Name = j.Video
+		res.Video.Name = j.Video
 		if j.req.Replace {
-			_, err = s.lib.ReplaceVideoAsCtx(ctx, j.user, v, j.Subcluster)
-		} else {
-			_, err = s.lib.AddVideoCtx(ctx, v, j.Subcluster)
+			return s.lib.ReplaceResultAsCtx(ctx, j.user, res, j.Subcluster)
 		}
-		return err
+		return s.lib.AddResultCtx(ctx, res, j.Subcluster)
 	}()
 	if err == nil {
 		if s.lib.IndexStale() {

@@ -19,10 +19,10 @@ const (
 	JobFailed  JobStatus = "failed"
 )
 
-// Job is one asynchronous ingestion: either a synthetic corpus script to
-// mine or a stored mining result to load. Mining is minutes of CPU at full
-// scale, far too slow for a request/response cycle, so POST /v1/videos
-// queues a Job and returns 202 with its ID.
+// Job is one asynchronous ingestion: a mined result to decode, journal and
+// index. POST /v1/videos queues a Job and returns 202 with its ID, which the
+// client polls. A job costs a journal fsync and an index insert; whether
+// that still needs a queue is ROADMAP item 18(c).
 type Job struct {
 	ID         string    `json:"id"`
 	Status     JobStatus `json:"status"`

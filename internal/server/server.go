@@ -197,10 +197,8 @@ func (o Options) withDefaults() Options {
 // hands the WAL calls to the one log behind them.
 type Library interface {
 	// Mutations.
-	AddVideoCtx(ctx context.Context, v *classminer.Video, subcluster string) (*classminer.Result, error)
 	AddResultCtx(ctx context.Context, res *classminer.Result, subcluster string) error
 	ReplaceResultAsCtx(ctx context.Context, u classminer.User, res *classminer.Result, subcluster string) error
-	ReplaceVideoAsCtx(ctx context.Context, u classminer.User, v *classminer.Video, subcluster string) (*classminer.Result, error)
 	DeleteVideoAsCtx(ctx context.Context, u classminer.User, name string) error
 
 	// Policy and hierarchy.

@@ -44,7 +44,12 @@ func fixtureLibrary(t testing.TB) *classminer.Library {
 			fixErr = err
 			return
 		}
-		if _, err := fixLib.AddVideoCtx(context.Background(), v, "medicine"); err != nil {
+		res, err := a.Analyze(v)
+		if err != nil {
+			fixErr = err
+			return
+		}
+		if err := fixLib.AddResultCtx(context.Background(), res, "medicine"); err != nil {
 			fixErr = err
 			return
 		}
@@ -128,7 +133,7 @@ func TestAuthDenialIs403(t *testing.T) {
 		}
 	}
 	// Ingestion requires Clinician.
-	body := map[string]any{"corpus": "face-repair", "subcluster": "medicine"}
+	body := map[string]any{"saved": tinySavedResult("face-repair", 5, 3), "subcluster": "medicine"}
 	if code := do(t, s, http.MethodPost, "/v1/videos", "pub-tok", body, nil); code != http.StatusForbidden {
 		t.Fatalf("ingest as public = %d, want 403", code)
 	}
@@ -337,18 +342,29 @@ func TestIngestSavedResultAsync(t *testing.T) {
 		t.Fatal("duplicate ingest must 409")
 	}
 	// Validation failures are synchronous 400s.
-	for _, bad := range []map[string]any{
-		{"subcluster": "astrology", "corpus": "laparoscopy"},
+	for _, tc := range []struct {
+		body map[string]any
+		want string
+	}{
+		{map[string]any{"subcluster": "astrology", "saved": saved}, "unknown subcluster"},
 		// A real concept that is not a subcluster: placement there would
 		// escape the protection subtrees, so it must be rejected too.
-		{"subcluster": "health care", "corpus": "laparoscopy"},
-		{"subcluster": "medicine/dialog", "corpus": "laparoscopy"},
-		{"subcluster": "medicine"},
-		{"subcluster": "medicine", "corpus": "laparoscopy", "saved": saved},
-		{"subcluster": "medicine", "corpus": "home-movies"},
+		{map[string]any{"subcluster": "health care", "saved": saved}, "unknown subcluster"},
+		{map[string]any{"subcluster": "medicine/dialog", "saved": saved}, "unknown subcluster"},
+		{map[string]any{"subcluster": "medicine"}, "saved is required"},
+		// The daemon mines nothing: the retired corpus form is a body
+		// without the mined result it needs.
+		{map[string]any{"subcluster": "medicine", "corpus": "laparoscopy"}, "saved is required"},
+		{map[string]any{"subcluster": "medicine", "corpus": "home-movies", "scale": 0.2, "seed": 7}, "saved is required"},
+		// route trims a trailing slash off every path, so GET and DELETE
+		// could never address a video registered under such a name.
+		{map[string]any{"subcluster": "medicine", "saved": saved, "name": "slash/"}, "ends in /"},
+		{map[string]any{"subcluster": "medicine", "saved": tinySavedResult("slash/", 3, 2)}, "ends in /"},
 	} {
-		if code := do(t, s, http.MethodPost, "/v1/videos", "clin-tok", bad, nil); code != http.StatusBadRequest {
-			t.Fatalf("bad ingest %v = %d, want 400", bad, code)
+		var resp map[string]string
+		if code := do(t, s, http.MethodPost, "/v1/videos", "clin-tok", tc.body, &resp); code != http.StatusBadRequest ||
+			!strings.Contains(resp["error"], tc.want) {
+			t.Fatalf("bad ingest %v = %d %q, want 400 naming %q", tc.body, code, resp["error"], tc.want)
 		}
 	}
 }
@@ -390,7 +406,7 @@ func TestOversizedBodyIs413(t *testing.T) {
 	}{
 		{"/v1/search", `{"video":"laparoscopy","shot":0,"k":3,"pad":"`, 'a', `"}`, http.StatusRequestEntityTooLarge},
 		{"/v1/search", `{"video":"laparoscopy","shot":0,"k":3}`, ' ', "", http.StatusOK},
-		{"/v1/videos", `{"subcluster":"medicine","corpus":"laparoscopy","pad":"`, 'a', `"}`, http.StatusRequestEntityTooLarge},
+		{"/v1/videos", `{"subcluster":"medicine","pad":"`, 'a', `"}`, http.StatusRequestEntityTooLarge},
 		{"/v1/videos", `{"subcluster":"medicine","saved":` + string(tiny) + `}`, ' ', "", http.StatusAccepted},
 		// A value of the wrong type before the cut does not make the cut a
 		// malformed body: encoding/json reads the whole value first.

@@ -9,10 +9,10 @@ package shard
 // entry IDs means the same thing on every shard. With one shard nothing is
 // spawned and the merge is a sort of k hits, so the router costs what the
 // shard costs. The merged ranking — and therefore the bytes /v1/search
-// returns — is deterministic and identical for every shard count whenever
-// per-shard candidate coverage is complete (k at least the largest shard's
-// size forces the index's whole-leaf fallback; the golden-equivalence tests
-// pin this).
+// returns — is deterministic, and identical for every shard count whenever k
+// is at least the library's live shot count: every shard's index then visits
+// every leaf and returns all its live shots (the golden-equivalence tests pin
+// this).
 
 import (
 	"context"

@@ -11,8 +11,8 @@
 // log's order per name is that shard's install order), and searches
 // scatter-gather: every non-empty shard ranks its own top-k, and the router
 // merges the exact distances the shards report (internal/index.MergeHits)
-// under the (distance, video name, shot index) total order, which makes
-// results deterministic and independent of the shard count.
+// under the (distance, video name, shot index) total order: deterministic
+// results, the same at every shard count once k reaches the live shot count.
 //
 // What is per-shard and therefore parallel at N > 1 is what lives in memory
 // — lock contention, incremental index updates, refits, replay's record
@@ -42,14 +42,17 @@ type Library struct {
 	shards []*classminer.Library
 }
 
-// New creates an in-memory (non-durable) sharded library.
-func New(a *classminer.Analyzer, n int) (*Library, error) {
+// New creates an in-memory (non-durable) sharded library. The analyzer is
+// ignored (pass nil): the router indexes mined results and never mines, and
+// the parameter stays only because the frozen benchmark (cmd/loadgen)
+// passes one; ROADMAP item 1(d) retires it.
+func New(_ *classminer.Analyzer, n int) (*Library, error) {
 	if err := checkShardCount(n); err != nil {
 		return nil, err
 	}
 	shards := make([]*classminer.Library, n)
 	for i := range shards {
-		shards[i] = classminer.NewLibrary(a)
+		shards[i] = classminer.NewLibrary(nil)
 	}
 	return &Library{shards: shards}, nil
 }
@@ -81,15 +84,15 @@ func checkShardCount(n int) error {
 // dir, and this Recover and classminer.Recover open each other's. A dir in a
 // layout an earlier build wrote — among them the SHARDS file over per-shard
 // data dirs that builds with a log per shard left — is refused untouched
-// (wal.ErrRetiredFormat).
-func Recover(dir string, n int, a *classminer.Analyzer, opts classminer.DurableOptions) (*Library, error) {
+// (wal.ErrRetiredFormat). The analyzer is ignored, as New's is.
+func Recover(dir string, n int, _ *classminer.Analyzer, opts classminer.DurableOptions) (*Library, error) {
 	if n == 0 {
 		n = 1
 	}
 	if err := checkShardCount(n); err != nil {
 		return nil, err
 	}
-	shards, err := classminer.RecoverPartitioned(dir, n, func(name string) int { return shardIndex(name, n) }, a, opts)
+	shards, err := classminer.RecoverPartitioned(dir, n, func(name string) int { return shardIndex(name, n) }, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -122,14 +125,6 @@ func (l *Library) owner(name string) *classminer.Library { return l.shards[l.pla
 
 // ---- Mutations: route to exactly one shard. ----
 
-// AddVideoCtx mines and registers a video on its owning shard.
-func (l *Library) AddVideoCtx(ctx context.Context, v *classminer.Video, subcluster string) (*classminer.Result, error) {
-	if v == nil {
-		return nil, fmt.Errorf("classminer: nil video")
-	}
-	return l.owner(v.Name).AddVideoCtx(ctx, v, subcluster)
-}
-
 // AddResult is AddResultCtx without a trace. It stays only because the
 // benchmark's probes (cmd/loadgen) call it; ROADMAP item 1(d) retires it.
 func (l *Library) AddResult(res *classminer.Result, subcluster string) error {
@@ -150,14 +145,6 @@ func (l *Library) ReplaceResultAsCtx(ctx context.Context, u classminer.User, res
 		return fmt.Errorf("classminer: nil result")
 	}
 	return l.owner(res.Video.Name).ReplaceResultAsCtx(ctx, u, res, subcluster)
-}
-
-// ReplaceVideoAsCtx re-mines and replaces a video on its owning shard.
-func (l *Library) ReplaceVideoAsCtx(ctx context.Context, u classminer.User, v *classminer.Video, subcluster string) (*classminer.Result, error) {
-	if v == nil {
-		return nil, fmt.Errorf("classminer: nil video")
-	}
-	return l.owner(v.Name).ReplaceVideoAsCtx(ctx, u, v, subcluster)
 }
 
 // DeleteVideoAsCtx unregisters a video from its owning shard, policy-checked.

@@ -235,6 +235,31 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 }
 
+// TestGoldenEquivalenceAcrossLeaves is TestGoldenEquivalence on a corpus
+// spread over three subclusters, more concept leaves than the default beam
+// of 2 reaches: a search asking for every shot must still visit every leaf
+// on every shard, so each shard count answers with the whole corpus in one
+// order.
+func TestGoldenEquivalenceAcrossLeaves(t *testing.T) {
+	subs := []string{"medicine", "nursing", "dentistry"}
+	subOf := func(v corpusVideo) string { return subs[v.seed%3] }
+	corpus := testCorpus(5, 15)
+	queries := fixedQueries(8, 12, 5)
+	for _, k := range []int{totalShots(corpus), totalShots(corpus) + 3} {
+		want := searchAll(t, buildRouter(t, 1, corpus, subOf), admin, queries, k)
+		for qi, hits := range want {
+			if len(hits) != totalShots(corpus) {
+				t.Fatalf("k=%d query %d: one shard returned %d hits, want the whole corpus (%d)",
+					k, qi, len(hits), totalShots(corpus))
+			}
+		}
+		for n := 2; n <= 4; n++ {
+			got := searchAll(t, buildRouter(t, n, corpus, subOf), admin, queries, k)
+			mustSameHits(t, fmt.Sprintf("k=%d shards %d", k, n), got, want)
+		}
+	}
+}
+
 // TestOneShardMatchesPlainLibrary pins that dist means one thing: a plain
 // *classminer.Library and a router over a single shard return the same
 // hits with the same Dist, bit for bit, whether k cuts the ranking short or

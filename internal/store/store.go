@@ -7,15 +7,14 @@
 // a mined result with explicit index-based references — Go pointers (shots
 // shared between groups, scenes and skim levels) are flattened to indices by
 // EncodeResult and re-linked, validated, by DecodeResult, preserving
-// identity. JSON (WriteLibrary, and the struct tags) is the human-readable
-// one: the export format of classminer -save, which nothing in this
-// repository reads back. The binary entry
+// identity. JSON (the struct tags) is the human-readable one: the "saved"
+// member of a POST /v1/videos body, which classminer -save writes and
+// classminerd decodes (internal/server/decode.go). The binary entry
 // (AppendEntry/DecodeEntry, entry.go) is the compact one: what a durable
 // library's log, checkpoints and replication stream carry per video.
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -82,6 +81,14 @@ type SavedCluster struct {
 	Index    int   `json:"index"`
 	Scenes   []int `json:"scenes"` // positions in the scene table
 	RepGroup int   `json:"repGroup"`
+}
+
+// IngestBody is the body of classminerd's POST /v1/videos: a mined result
+// and the subcluster to file it under. classminer -save writes one; the
+// daemon's request adds an optional name override and replace flag to it.
+type IngestBody struct {
+	Subcluster string       `json:"subcluster"`
+	Saved      *SavedResult `json:"saved"`
 }
 
 // SavedResult is the on-disk form of one mined video.
@@ -326,23 +333,13 @@ func DecodeResult(sr *SavedResult) (*core.Result, error) {
 	return res, nil
 }
 
-// SavedLibraryEntry pairs a mined video with its concept placement.
+// SavedLibraryEntry pairs a mined video with its concept placement: the
+// model of one binary entry (AppendEntry/DecodeEntry). Its JSON tags serve
+// only the frozen benchmark's store probe (cmd/loadgen), which times a JSON
+// round trip of it; ROADMAP item 1(d) retires them with the probe.
 type SavedLibraryEntry struct {
 	Subcluster string       `json:"subcluster"`
 	Result     *SavedResult `json:"result"`
-}
-
-// SavedLibrary is the on-disk form of a whole library.
-type SavedLibrary struct {
-	Version int                 `json:"version"`
-	Videos  []SavedLibraryEntry `json:"videos"`
-}
-
-// WriteLibrary serialises entries to w as one JSON document.
-func WriteLibrary(w io.Writer, entries []SavedLibraryEntry) error {
-	lib := SavedLibrary{Version: FormatVersion, Videos: entries}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&lib)
 }
 
 // WriteFileAtomic streams write into a temp file in path's directory,

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -137,35 +136,25 @@ func TestDecodeRebuildsSkim(t *testing.T) {
 	}
 }
 
-// readExport parses what WriteLibrary wrote, as any reader of the
-// classminer -save export would, and checks its version.
-func readExport(t *testing.T, r io.Reader) *SavedLibrary {
-	t.Helper()
-	var lib SavedLibrary
-	if err := json.NewDecoder(r).Decode(&lib); err != nil {
-		t.Fatal(err)
-	}
-	if lib.Version != FormatVersion {
-		t.Fatalf("export version %d, want %d", lib.Version, FormatVersion)
-	}
-	return &lib
-}
-
+// TestLibraryRoundTrip: a library entry survives JSON — what the
+// benchmark's store probe times — and decodes back to a result.
 func TestLibraryRoundTrip(t *testing.T) {
 	saved, err := EncodeResult(minedResult(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	entries := []SavedLibraryEntry{{Subcluster: "medicine", Result: saved}}
-	if err := WriteLibrary(&buf, entries); err != nil {
+	b, err := json.Marshal(SavedLibraryEntry{Subcluster: "medicine", Result: saved})
+	if err != nil {
 		t.Fatal(err)
 	}
-	lib := readExport(t, &buf)
-	if len(lib.Videos) != 1 || lib.Videos[0].Subcluster != "medicine" {
-		t.Fatalf("library = %+v", lib)
+	var back SavedLibraryEntry
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := DecodeResult(lib.Videos[0].Result); err != nil {
+	if back.Subcluster != "medicine" || back.Result == nil || back.Result.Version != FormatVersion {
+		t.Fatalf("entry = %+v", back)
+	}
+	if _, err := DecodeResult(back.Result); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -202,19 +191,18 @@ func TestWriteFileAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := []SavedLibraryEntry{{Subcluster: "medicine", Result: saved}}
 	if err := WriteFileAtomic(path, func(w io.Writer) error {
-		return WriteLibrary(w, entries)
+		return json.NewEncoder(w).Encode(saved)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if lib := readExport(t, f); len(lib.Videos) != 1 {
-		t.Fatalf("videos = %d", len(lib.Videos))
+	var back SavedResult
+	if err := json.Unmarshal(b, &back); err != nil || back.Version != FormatVersion || back.VideoName != "store-test" {
+		t.Fatalf("read back version %d, video %q: %v", back.Version, back.VideoName, err)
 	}
 	// A failed write must leave no temp litter and not clobber the target.
 	writeErr := fmt.Errorf("disk on fire")

@@ -49,7 +49,12 @@ func benchLibrary(b testing.TB) *shard.Library {
 			srvErr = err
 			return
 		}
-		if _, err := srvLib.AddVideoCtx(context.Background(), v, "medicine"); err != nil {
+		res, err := a.Analyze(v)
+		if err != nil {
+			srvErr = err
+			return
+		}
+		if err := srvLib.AddResultCtx(context.Background(), res, "medicine"); err != nil {
 			srvErr = err
 			return
 		}
