@@ -249,7 +249,7 @@ type Library struct {
 	// journal, when non-nil, is the durable storage engine: register,
 	// replace and delete append their encoded records to it before
 	// mutating in-memory state, and Recover rebuilds the library from its
-	// snapshot + log. The libraries of one RecoverPartitioned share it.
+	// snapshot + log.
 	journal *wal.Engine
 	// pendingAck tracks registrations that are installed and staged on the
 	// log but whose group commit has not resolved yet: the name maps to the
@@ -1130,18 +1130,8 @@ type LibraryStats struct {
 	// and zero-suppressed — over Shots + DeadRows rows.
 	FeatureRowBytes int64 `json:"featureRowBytes"`
 	// WAL is the durable log's lag since its last checkpoint; nil when the
-	// library is not durable. A sharded library has one log behind all its
-	// shards, reported here and left out of the per-shard blocks.
+	// library is not durable.
 	WAL *WALStats `json:"wal,omitempty"`
-	// Shards carries the per-shard breakdown when the stats come from a
-	// sharded library (internal/shard); nil for a plain Library.
-	Shards []ShardStats `json:"shards,omitempty"`
-}
-
-// ShardStats is one shard's slice of a sharded library's stats.
-type ShardStats struct {
-	Shard int `json:"shard"`
-	LibraryStats
 }
 
 // Stats returns a consistent snapshot of the library's counters.
@@ -1245,7 +1235,10 @@ func (e *QueryDimError) Error() string {
 // index traversal are returned alongside.
 //
 // The ranked, policy-filtered hits are written into dst (grown only when
-// capacity is insufficient; nil is fine). A caller that reuses one buffer —
+// capacity is insufficient; nil is fine) in the (distance, video name, shot
+// index) total order — index.SortHits: which k hits the index chose is its
+// own, but how exact ties among them are listed does not depend on the
+// order videos were registered in. A caller that reuses one buffer —
 // the serving layer pools them per request — makes the whole query path
 // allocation-free. The returned slice aliases dst.
 //
@@ -1269,12 +1262,14 @@ func (l *Library) SearchIntoCtx(ctx context.Context, dst []SearchHit, u User, qu
 	fsp := sp.Start("filter")
 	hits = access.FilterInPlace(l.policy, u, hits, func(h SearchHit) []string { return h.Entry.Path })
 	fsp.End()
+	index.SortHits(hits)
 	return hits, stats, nil
 }
 
 // SearchBatch answers many query-by-example searches in one call: the index
 // fans the queries out across cores and the access-control policy filters
-// each answer for the user. hits[i] and stats[i] correspond to queries[i].
+// each answer for the user; each answer is ordered as SearchIntoCtx orders
+// one. hits[i] and stats[i] correspond to queries[i].
 func (l *Library) SearchBatch(u User, queries [][]float64, k int) ([][]SearchHit, []SearchStats, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -1289,6 +1284,7 @@ func (l *Library) SearchBatch(u User, queries [][]float64, k int) ([][]SearchHit
 	hits, stats := l.ix.SearchBatch(queries, k)
 	for i := range hits {
 		hits[i] = access.Filter(l.policy, u, hits[i], func(h SearchHit) []string { return h.Entry.Path })
+		index.SortHits(hits[i])
 	}
 	return hits, stats, nil
 }
@@ -1386,56 +1382,30 @@ func (l *Library) settledVideos() []savedVideo {
 // is ignored, as NewLibrary's is (pass nil); the frozen benchmark pins the
 // parameter until ROADMAP item 1(d).
 func Recover(dir string, _ *Analyzer, opts DurableOptions) (*Library, error) {
-	libs, err := RecoverPartitioned(dir, 1, placeOne, opts)
-	if err != nil {
-		return nil, err
-	}
-	return libs[0], nil
-}
-
-// placeOne places every name on the only library there is.
-func placeOne(string) int { return 0 }
-
-// RecoverPartitioned is Recover over n libraries that partition the videos
-// of one data directory between them: place names the library, in [0, n),
-// that owns a video name, and must be a pure function of the name. The
-// directory holds one log whatever n is — nothing on disk records n or
-// place, so any count opens any directory — and the n libraries share its
-// engine as their journal: each stages its own mutations on it under its
-// own lock, one checkpoint snapshots all of them, and Checkpoint, WALStats,
-// Engine and Close on any of them address that one engine.
-// Partitioning costs no ordering: a name has one owner, so the order of
-// the log's records about a name is the order its owner installed them in.
-func RecoverPartitioned(dir string, n int, place func(name string) int, opts DurableOptions) ([]*Library, error) {
 	eng, err := wal.Open(dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	libs := make([]*Library, n)
-	for i := range libs {
-		libs[i] = NewLibrary(nil)
-	}
-	if err := recoverInto(eng, libs, place, opts.Logf); err != nil {
+	l := NewLibrary(nil)
+	if err := recoverInto(eng, l, opts.Logf); err != nil {
 		eng.Close()
 		return nil, err
 	}
-	return libs, nil
+	return l, nil
 }
 
-// recoverInto loads eng's snapshot and replays its log into libs, then
-// attaches eng to every one of them.
+// recoverInto loads eng's snapshot and replays its log into l, then
+// attaches eng to it.
 //
 // Snapshot and log are read by one loop. Both are runs of the same frames
 // holding the same records (a snapshot's are all registrations), so the
-// reader — this goroutine — only checks each frame's CRC, reads the record's
-// key off its envelope and hands the record to the goroutine of the library
-// that owns the key; decoding the entry and installing it, the cost of a
-// recovery, is the owners' and runs beside the read at one library and side
-// by side at several. An owner sees its records in file order — the snapshot's
-// before the log's — which for any one key is all the order replay needs.
-// Records travel in batches cut by size: waking an owner per record costs
-// more than reading one, and a slow owner holds back a bounded amount of
-// input.
+// reader — this goroutine — only checks each frame's CRC and reads the
+// record's key off its envelope, and hands the record to an owner goroutine;
+// decoding the entry and installing it, the cost of a recovery, is the
+// owner's and runs beside the read. The owner sees the records in file
+// order — the snapshot's before the log's. Records travel in batches cut by
+// size: waking the owner per record costs more than reading one, and a slow
+// owner holds back a bounded amount of input.
 //
 // The two differ in what damage means. The log's tail is where a crash lands:
 // replay stops cleanly at the first bad frame and the prefix is the state. A
@@ -1446,33 +1416,28 @@ func RecoverPartitioned(dir string, n int, place func(name string) int, opts Dur
 // wal.Open has refused every other retired layout before this runs.
 //
 // logf, when non-nil, is told how many log records the replay skipped.
-func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int, logf func(string, ...any)) error {
+func recoverInto(eng *wal.Engine, l *Library, logf func(string, ...any)) error {
 	const batchBytes = 256 << 10
 	type replayed struct {
 		rec     wal.Record
 		fromLog bool // read off the log, not the snapshot
 	}
-	queues := make([]chan []replayed, len(libs))
-	filling := make([][]replayed, len(libs))
-	fillBytes := make([]int, len(libs))
-	errs := make([]error, len(libs))
+	queue := make(chan []replayed, 1) // one batch queued while the next fills
+	var filling []replayed
+	var fillBytes int
+	var ownerErr error
 	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for i, l := range libs {
-		i, l := i, l
-		queues[i] = make(chan []replayed, 1) // one batch queued while the next fills
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for recs := range queues[i] {
-				for k := 0; k < len(recs) && errs[i] == nil; k++ {
-					if errs[i] = l.replayRecord(&recs[k].rec, recs[k].fromLog); errs[i] != nil {
-						failed.Store(true) // the reader stops at its next frame
-					}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for recs := range queue {
+			for k := 0; k < len(recs) && ownerErr == nil; k++ {
+				if ownerErr = l.replayRecord(&recs[k].rec, recs[k].fromLog); ownerErr != nil {
+					failed.Store(true) // the reader stops at its next frame
 				}
 			}
-		}()
-	}
+		}
+	}()
 	var rec wal.Record // envelope scratch, copied into the owner's batch
 	decode := func(frame []byte) error {
 		if failed.Load() {
@@ -1483,18 +1448,17 @@ func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int, 
 		}
 		return nil
 	}
-	// route queues the record in rec for its owner.
+	// route queues the record in rec for the owner.
 	route := func(frame []byte, fromLog bool) {
-		i := place(rec.Key)
-		filling[i] = append(filling[i], replayed{rec, fromLog})
-		if fillBytes[i] += len(frame); fillBytes[i] >= batchBytes {
-			queues[i] <- filling[i]
-			filling[i], fillBytes[i] = nil, 0
+		filling = append(filling, replayed{rec, fromLog})
+		if fillBytes += len(frame); fillBytes >= batchBytes {
+			queue <- filling
+			filling, fillBytes = nil, 0
 		}
 	}
 	var err error
 	if snap := eng.SnapshotPath(); snap != "" {
-		err = readSnapshot(snap, libs, func(frame []byte) error {
+		err = readSnapshot(snap, l, func(frame []byte) error {
 			if err := decode(frame); err != nil {
 				return err
 			}
@@ -1544,17 +1508,13 @@ func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int, 
 			}
 		})
 	}
-	for i, q := range queues {
-		if err == nil && len(filling[i]) > 0 {
-			q <- filling[i]
-		}
-		close(q)
+	if err == nil && len(filling) > 0 {
+		queue <- filling
 	}
-	wg.Wait()
-	for _, oerr := range errs {
-		if oerr != nil {
-			return oerr
-		}
+	close(queue)
+	<-done
+	if ownerErr != nil {
+		return ownerErr
 	}
 	if err != nil {
 		return err
@@ -1562,12 +1522,10 @@ func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int, 
 	if skipped > 0 && logf != nil {
 		logf("classminer: replay skipped %d of %d log records (superseded by a later delete or replace)", skipped, eng.Stats().Records)
 	}
-	for _, l := range libs {
-		l.mu.Lock()
-		l.journal = eng
-		l.mu.Unlock()
-	}
-	eng.SetSource(checkpointSource(libs))
+	l.mu.Lock()
+	l.journal = eng
+	l.mu.Unlock()
+	eng.SetSource(l.writeCheckpoint)
 	if eng.ReplayDamaged() {
 		// A broken chain strands the records past the damage (and any future
 		// appends, which land after them) from the next replay. A checkpoint
@@ -1581,9 +1539,9 @@ func recoverInto(eng *wal.Engine, libs []*Library, place func(name string) int, 
 }
 
 // readSnapshot feeds every record of the frame snapshot at path to record,
-// after sizing libs for what its header announces: each library reserves its
-// share of the rows once instead of doubling its way there.
-func readSnapshot(path string, libs []*Library, record func(frame []byte) error) error {
+// after sizing l for what its header announces: the library reserves the
+// rows once instead of doubling its way there.
+func readSnapshot(path string, l *Library, record func(frame []byte) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -1597,9 +1555,7 @@ func readSnapshot(path string, libs []*Library, record func(frame []byte) error)
 		// The header is a hint, so it is believed only as far as the file can
 		// back it: a written value costs at least its presence bit.
 		if h.Dim > 0 && int64(h.Rows) <= 8*fi.Size()/int64(h.Dim) {
-			for _, l := range libs {
-				l.reserve((h.Rows + len(libs) - 1) / len(libs))
-			}
+			l.reserve(h.Rows)
 		}
 		return nil
 	}, record)
@@ -1696,20 +1652,20 @@ func (l *Library) ApplyRecord(ctx context.Context, rec *wal.Record) error {
 	}
 }
 
-// ReseedPartitioned converges libs onto a leader checkpoint snapshot without
-// wiping: videos absent from the snapshot are tombstoned, every snapshot
-// record is applied as a replacement on the library that owns its name (an
-// upsert, so entries whose content drifted are refreshed too), and all of it
-// flows through the normal journaled mutation paths, making the reseed
-// itself crash-safe and re-runnable. This is the follower's fallback when
-// its cursor falls behind the leader's checkpoint horizon: the snapshot plus
-// the log tail after it is exactly the leader's state. r is the leader's
-// snapshot file as it stands on the leader's disk (wal.ReadSnapshot's
-// format) and is read whole, and checked whole, before anything is touched —
-// a stream cut short converges on nothing. r may be nil — a leader that has
-// never checkpointed has an empty snapshot, and the whole history arrives
-// via the log instead. Reports how many videos were installed and removed.
-func ReseedPartitioned(ctx context.Context, libs []*Library, place func(name string) int, r io.Reader) (installed, removed int, err error) {
+// ReseedFromSnapshot converges the library onto a leader checkpoint
+// snapshot without wiping: videos absent from the snapshot are tombstoned,
+// every snapshot record is applied as a replacement (an upsert, so entries
+// whose content drifted are refreshed too), and all of it flows through the
+// normal journaled mutation paths, making the reseed itself crash-safe and
+// re-runnable. This is the follower's fallback when its cursor falls behind
+// the leader's checkpoint horizon: the snapshot plus the log tail after it
+// is exactly the leader's state. r is the leader's snapshot file as it
+// stands on the leader's disk (wal.ReadSnapshot's format) and is read whole,
+// and checked whole, before anything is touched — a stream cut short
+// converges on nothing. r may be nil — a leader that has never checkpointed
+// has an empty snapshot, and the whole history arrives via the log instead.
+// Reports how many videos were installed and removed.
+func (l *Library) ReseedFromSnapshot(ctx context.Context, r io.Reader) (installed, removed int, err error) {
 	var recs []wal.Record
 	keep := map[string]bool{}
 	if r != nil {
@@ -1726,23 +1682,20 @@ func ReseedPartitioned(ctx context.Context, libs []*Library, place func(name str
 			return 0, 0, fmt.Errorf("classminer: leader snapshot: %w", err)
 		}
 	}
-	for _, l := range libs {
-		for _, name := range l.VideoNames() {
-			if keep[name] {
-				continue
-			}
-			if derr := l.deleteVideo(ctx, name, nil); derr != nil && !errors.Is(derr, ErrUnknownVideo) {
-				return installed, removed, derr
-			}
-			removed++
+	for _, name := range l.VideoNames() {
+		if keep[name] {
+			continue
 		}
+		if derr := l.deleteVideo(ctx, name, nil); derr != nil && !errors.Is(derr, ErrUnknownVideo) {
+			return installed, removed, derr
+		}
+		removed++
 	}
 	for i := range recs {
 		res, subcluster, err := decodeEntryRecord(&recs[i])
 		if err != nil {
 			return installed, removed, err
 		}
-		l := libs[place(res.Video.Name)]
 		if err := l.checkSubcluster(subcluster); err != nil {
 			return installed, removed, err
 		}
@@ -1754,11 +1707,6 @@ func ReseedPartitioned(ctx context.Context, libs []*Library, place func(name str
 	return installed, removed, nil
 }
 
-// ReseedFromSnapshot is ReseedPartitioned over this one library.
-func (l *Library) ReseedFromSnapshot(ctx context.Context, r io.Reader) (installed, removed int, err error) {
-	return ReseedPartitioned(ctx, []*Library{l}, placeOne, r)
-}
-
 // Durable reports whether registrations are write-ahead logged (the
 // library came from Recover).
 func (l *Library) Durable() bool {
@@ -1767,45 +1715,35 @@ func (l *Library) Durable() bool {
 	return l.journal != nil
 }
 
-// checkpointSource is the snapshot writer the engine's checkpoints call. A
+// writeCheckpoint is the snapshot writer the engine's checkpoints call. A
 // snapshot is a wal.SnapshotWriter stream — a header, then the register
-// record of every video of every library in name order, the same bytes
-// however many libraries the videos are spread over — and it is written one
-// video at a time: what is sorted is (name, entry) pairs, and no more than
-// one encoded video exists at once. Each library is read under its own lock
-// after the engine's cut, so it shows every record it staged before the cut —
-// the SetSource contract, library by library.
-func checkpointSource(libs []*Library) func(io.Writer) error {
-	return func(w io.Writer) error {
-		var vids []savedVideo
-		for _, l := range libs {
-			vids = append(vids, l.settledVideos()...)
+// record of every video in name order — and it is written one video at a
+// time: no more than one encoded video exists at once. The library is read
+// under its lock after the engine's cut, so it shows every record it staged
+// before the cut — the SetSource contract.
+func (l *Library) writeCheckpoint(w io.Writer) error {
+	vids := l.settledVideos()
+	h := wal.SnapshotHeader{Videos: len(vids)}
+	for _, v := range vids {
+		h.Rows += v.ve.rows
+		if shots := v.ve.Result.Shots; h.Dim == 0 && len(shots) > 0 {
+			h.Dim = shots[0].FeatureLen()
 		}
-		if len(libs) > 1 {
-			slices.SortFunc(vids, savedVideo.compareName)
-		}
-		h := wal.SnapshotHeader{Videos: len(vids)}
-		for _, v := range vids {
-			h.Rows += v.ve.rows
-			if shots := v.ve.Result.Shots; h.Dim == 0 && len(shots) > 0 {
-				h.Dim = shots[0].FeatureLen()
-			}
-		}
-		sw, err := wal.NewSnapshotWriter(w, h)
-		if err != nil {
+	}
+	sw, err := wal.NewSnapshotWriter(w, h)
+	if err != nil {
+		return err
+	}
+	var rec []byte // one video's record, reused
+	for _, v := range vids {
+		if rec, err = appendEntryRecord(rec[:0], wal.RecordRegister, v.name, v.ve.Result, v.ve.Subcluster); err != nil {
 			return err
 		}
-		var rec []byte // one video's record, reused
-		for _, v := range vids {
-			if rec, err = appendEntryRecord(rec[:0], wal.RecordRegister, v.name, v.ve.Result, v.ve.Subcluster); err != nil {
-				return err
-			}
-			if err := sw.Append(rec); err != nil {
-				return err
-			}
+		if err := sw.Append(rec); err != nil {
+			return err
 		}
-		return sw.Close()
 	}
+	return sw.Close()
 }
 
 // Checkpoint folds the write-ahead log into a fresh snapshot and prunes

@@ -84,7 +84,7 @@ func TestLibraryConcurrentMutationDuringQueries(t *testing.T) {
 				case 4:
 					// The checkpoint writer: settledVideos, then every video
 					// encoded without the lock.
-					if err := checkpointSource([]*Library{l})(io.Discard); err != nil {
+					if err := l.writeCheckpoint(io.Discard); err != nil {
 						t.Errorf("snapshot during writes: %v", err)
 						return
 					}

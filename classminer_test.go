@@ -202,7 +202,7 @@ func TestSkimLevelsFromLibrary(t *testing.T) {
 func TestMinedLibraryEntryRoundTrip(t *testing.T) {
 	l := sharedLibrary(t)
 	var snap bytes.Buffer
-	if err := checkpointSource([]*Library{l})(&snap); err != nil {
+	if err := l.writeCheckpoint(&snap); err != nil {
 		t.Fatal(err)
 	}
 	a, err := NewAnalyzer(Options{SkipEvents: true})

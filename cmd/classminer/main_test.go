@@ -16,7 +16,6 @@ import (
 	"classminer/internal/access"
 	"classminer/internal/core"
 	"classminer/internal/server"
-	"classminer/internal/shard"
 	"classminer/internal/synth"
 )
 
@@ -43,7 +42,7 @@ func call(t *testing.T, base, method, path string, body []byte) (int, []byte) {
 }
 
 // serve starts a server over lib the way classminerd would.
-func serve(t *testing.T, lib server.Library) string {
+func serve(t *testing.T, lib *classminer.Library) string {
 	t.Helper()
 	srv := server.New(lib, server.Options{
 		Tokens: map[string]access.User{token: {Name: "miner", Clearance: access.Administrator}},
@@ -85,11 +84,7 @@ func TestSavedBodyIngests(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lib, err := shard.New(nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	posted := serve(t, lib)
+	posted := serve(t, classminer.NewLibrary(nil))
 	code, b := call(t, posted, http.MethodPost, "/v1/videos", body)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST /v1/videos = %d %s", code, b)

@@ -7,13 +7,9 @@
 // cmd/classminer -save writes a POST /v1/videos body, and the daemon
 // journals, indexes and serves what it is sent.
 //
-// The daemon always serves through the shard router (internal/shard) over
-// -shards N >= 1 libraries; one shard, the default, is a single library
-// behind a router that costs nothing. N partitions what lives in memory —
-// locks, matrices, indexes, refits — not what is on disk: -data-dir holds one
-// log at every N, so N may change from one boot to the next. The library is
-// populated from a durable data directory (-data-dir, with write-ahead
-// logging and crash recovery) and through POST /v1/videos. With -data-dir
+// The daemon serves one library. It is populated from a durable data
+// directory (-data-dir, with write-ahead logging and crash recovery) and
+// through POST /v1/videos. With -data-dir
 // every registration is journaled and fsynced before it becomes visible, so
 // a crash — OOM kill, power loss — loses no completed registration (an
 // ingest job is durable once it reports done; a 202-accepted job that never
@@ -59,7 +55,6 @@ import (
 	"classminer/internal/metrics"
 	"classminer/internal/repl"
 	"classminer/internal/server"
-	"classminer/internal/shard"
 )
 
 // tokenFlags accumulates repeated -token values of the form
@@ -94,8 +89,8 @@ func (t *tokenFlags) Set(v string) error {
 	return nil
 }
 
-// config collects every flag but the ignored -skip-events; run reads
-// nothing else.
+// config collects every flag but the ignored -skip-events and -shards; run
+// reads nothing else.
 type config struct {
 	addr    string
 	dataDir string
@@ -104,9 +99,6 @@ type config struct {
 	queue   int
 	pprof   bool
 	tokens  map[string]access.User
-
-	// shards is the router's shard count, chosen per boot; 0 means 1.
-	shards int
 
 	// replication
 	role         string
@@ -130,40 +122,48 @@ type config struct {
 }
 
 func main() {
-	var tokens tokenFlags
-	var cfg config
-	flag.StringVar(&cfg.addr, "addr", ":8471", "listen address")
-	flag.StringVar(&cfg.dataDir, "data-dir", "", "durable data directory (write-ahead log + checkpoints; crash recovery on boot)")
-	flag.StringVar(&cfg.anon, "anon", "public", "clearance for unauthenticated requests (\"none\" to require a token)")
-	flag.IntVar(&cfg.workers, "workers", 2, "ingest worker pool size")
-	flag.IntVar(&cfg.queue, "queue", 8, "ingest queue depth")
-	// Kept only because the frozen benchmark (cmd/loadgen) passes it;
-	// ROADMAP item 1(d) deletes it.
-	flag.Bool("skip-events", false, "ignored: the daemon mines nothing")
-	flag.BoolVar(&cfg.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/ to Administrator-clearance callers")
-	flag.Float64Var(&cfg.rate, "rate", 0, "per-token request rate limit in req/s, scaled by clearance tier (0 disables)")
-	flag.Float64Var(&cfg.burst, "burst", 0, "per-token rate-limit burst (default 2x -rate)")
-	flag.IntVar(&cfg.maxInflight, "max-inflight", 256, "concurrent search requests admitted; mutations and admin get narrower slices (negative disables)")
-	flag.DurationVar(&cfg.reqTimeout, "req-timeout", 10*time.Second, "per-request deadline for search and mutation handlers; admin gets 4x (negative disables)")
-	flag.Int64Var(&cfg.memBudget, "mem-budget", 0, "heap budget in bytes; over it the server degrades in stages — shed cache, pause rebuilds, reject ingest (0 disables)")
-	flag.Float64Var(&cfg.traceSample, "trace-sample", 0, "fraction of requests traced end to end regardless of outcome (slow and 5xx requests are always kept)")
-	flag.DurationVar(&cfg.traceSlow, "trace-slow", 500*time.Millisecond, "keep the trace of any request at least this slow (0 keeps every trace)")
-	flag.IntVar(&cfg.traceRing, "trace-ring", 256, "recent traces retained for GET /debug/traces")
-	flag.IntVar(&cfg.shards, "shards", 0, "in-memory library shards, each with its own lock, index and rebuild state over the one -data-dir log (a per-boot choice: any count opens any data dir; 0 = 1)")
-	flag.StringVar(&cfg.role, "role", "leader", "replication role: leader (serves /v1/repl/* when durable) or follower (replicates from -leader-url, read-only until promoted)")
-	flag.StringVar(&cfg.leaderURL, "leader-url", "", "leader base URL a follower replicates from (required with -role follower)")
-	flag.StringVar(&cfg.replToken, "repl-token", "", "bearer token the follower presents to the leader (needs administrator clearance there)")
-	flag.StringVar(&cfg.followerID, "follower-id", "follower", "this follower's id in the leader's pin table; keep it stable across restarts")
-	flag.Int64Var(&cfg.walPressure, "wal-pressure-bytes", 0, "shed ingest with 503 once un-checkpointed WAL bytes exceed this (0 disables)")
-	flag.Int64Var(&cfg.replLagBytes, "repl-lag-bytes", 0, "shed ingest with 503 once the worst follower's replication lag exceeds this many bytes (0 disables)")
-	flag.Var(&tokens, "token", "token=name:clearance[:role1|role2] (repeatable)")
-	flag.Parse()
-	cfg.tokens = tokens.users
-
-	if err := run(cfg); err != nil {
+	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err == nil {
+		err = run(cfg)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "classminerd:", err)
 		os.Exit(1)
 	}
+}
+
+// parseFlags defines the daemon's flags on fs and parses args with them.
+func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
+	var tokens tokenFlags
+	var cfg config
+	fs.StringVar(&cfg.addr, "addr", ":8471", "listen address")
+	fs.StringVar(&cfg.dataDir, "data-dir", "", "durable data directory (write-ahead log + checkpoints; crash recovery on boot)")
+	fs.StringVar(&cfg.anon, "anon", "public", "clearance for unauthenticated requests (\"none\" to require a token)")
+	fs.IntVar(&cfg.workers, "workers", 2, "ingest worker pool size")
+	fs.IntVar(&cfg.queue, "queue", 8, "ingest queue depth")
+	// Kept only because the frozen benchmark (cmd/loadgen) passes them;
+	// ROADMAP item 1(d) deletes them.
+	fs.Bool("skip-events", false, "ignored: the daemon mines nothing")
+	fs.Int("shards", 0, "ignored: the daemon serves one library")
+	fs.BoolVar(&cfg.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/ to Administrator-clearance callers")
+	fs.Float64Var(&cfg.rate, "rate", 0, "per-token request rate limit in req/s, scaled by clearance tier (0 disables)")
+	fs.Float64Var(&cfg.burst, "burst", 0, "per-token rate-limit burst (default 2x -rate)")
+	fs.IntVar(&cfg.maxInflight, "max-inflight", 256, "concurrent search requests admitted; mutations and admin get narrower slices (negative disables)")
+	fs.DurationVar(&cfg.reqTimeout, "req-timeout", 10*time.Second, "per-request deadline for search and mutation handlers; admin gets 4x (negative disables)")
+	fs.Int64Var(&cfg.memBudget, "mem-budget", 0, "heap budget in bytes; over it the server degrades in stages — shed cache, pause rebuilds, reject ingest (0 disables)")
+	fs.Float64Var(&cfg.traceSample, "trace-sample", 0, "fraction of requests traced end to end regardless of outcome (slow and 5xx requests are always kept)")
+	fs.DurationVar(&cfg.traceSlow, "trace-slow", 500*time.Millisecond, "keep the trace of any request at least this slow (0 keeps every trace)")
+	fs.IntVar(&cfg.traceRing, "trace-ring", 256, "recent traces retained for GET /debug/traces")
+	fs.StringVar(&cfg.role, "role", "leader", "replication role: leader (serves /v1/repl/* when durable) or follower (replicates from -leader-url, read-only until promoted)")
+	fs.StringVar(&cfg.leaderURL, "leader-url", "", "leader base URL a follower replicates from (required with -role follower)")
+	fs.StringVar(&cfg.replToken, "repl-token", "", "bearer token the follower presents to the leader (needs administrator clearance there)")
+	fs.StringVar(&cfg.followerID, "follower-id", "follower", "this follower's id in the leader's pin table; keep it stable across restarts")
+	fs.Int64Var(&cfg.walPressure, "wal-pressure-bytes", 0, "shed ingest with 503 once un-checkpointed WAL bytes exceed this (0 disables)")
+	fs.Int64Var(&cfg.replLagBytes, "repl-lag-bytes", 0, "shed ingest with 503 once the worst follower's replication lag exceeds this many bytes (0 disables)")
+	fs.Var(&tokens, "token", "token=name:clearance[:role1|role2] (repeatable)")
+	err := fs.Parse(args)
+	cfg.tokens = tokens.users
+	return cfg, err
 }
 
 // anonymous is the user -anon names, or nil when unauthenticated requests
@@ -193,9 +193,6 @@ func validate(cfg config) error {
 		if cfg.leaderURL == "" {
 			return fmt.Errorf("-role follower requires -leader-url")
 		}
-	}
-	if cfg.shards < 0 || cfg.shards > shard.MaxShards {
-		return fmt.Errorf("-shards must be in [0,%d], got %d", shard.MaxShards, cfg.shards)
 	}
 	_, err := anonymous(cfg.anon)
 	return err
@@ -325,24 +322,22 @@ func run(cfg config) error {
 // buildLibrary assembles the serving library: recover the durable data
 // directory (or start empty in memory) and build the index over what it
 // holds. Every later registration into a durable library is journaled.
-func buildLibrary(logger *log.Logger, cfg config, reg *metrics.Registry) (*shard.Library, error) {
-	var lib *shard.Library
-	var err error
-	if cfg.dataDir != "" {
-		start := time.Now()
-		wopts := classminer.DurableOptions{Metrics: reg, Logf: logger.Printf}
-		if lib, err = shard.Recover(cfg.dataDir, cfg.shards, nil, wopts); err != nil {
-			return nil, fmt.Errorf("recovering %s: %w", cfg.dataDir, err)
-		}
-		logger.Printf("recovered %d videos from %s (%d shards, %v)",
-			lib.Stats().Videos, cfg.dataDir, lib.ShardCount(), time.Since(start).Round(time.Millisecond))
-	} else if lib, err = shard.New(nil, max(cfg.shards, 1)); err != nil {
-		return nil, err
+func buildLibrary(logger *log.Logger, cfg config, reg *metrics.Registry) (*classminer.Library, error) {
+	if cfg.dataDir == "" {
+		return classminer.NewLibrary(nil), nil
 	}
+	start := time.Now()
+	wopts := classminer.DurableOptions{Metrics: reg, Logf: logger.Printf}
+	lib, err := classminer.Recover(cfg.dataDir, nil, wopts)
+	if err != nil {
+		return nil, fmt.Errorf("recovering %s: %w", cfg.dataDir, err)
+	}
+	logger.Printf("recovered %d videos from %s (%v)",
+		lib.Stats().Videos, cfg.dataDir, time.Since(start).Round(time.Millisecond))
 
 	if lib.Size() > 0 && lib.IndexStale() {
-		start := time.Now()
-		if err := lib.BuildIndex(); err != nil {
+		start = time.Now()
+		if err := lib.BuildIndexCtx(context.Background()); err != nil {
 			lib.Close()
 			return nil, err
 		}

@@ -2,11 +2,13 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"io"
 	"log"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -66,8 +68,6 @@ func TestValidateRejectsBeforeSideEffects(t *testing.T) {
 		{"unknown role", func(c *config) { c.role = "observer" }, "unknown -role"},
 		{"follower without leader url", func(c *config) { c.role = "follower" }, "requires -leader-url"},
 		{"follower without data dir", func(c *config) { c.role, c.leaderURL, c.dataDir = "follower", "http://leader", "" }, "requires -data-dir"},
-		{"negative shards", func(c *config) { c.shards = -1 }, "-shards must be in"},
-		{"too many shards", func(c *config) { c.shards = 100000 }, "-shards must be in"},
 		{"unknown anon clearance", func(c *config) { c.anon = "pubic" }, "unknown clearance"},
 	}
 	for _, tc := range cases {
@@ -91,9 +91,10 @@ func TestValidateRejectsBeforeSideEffects(t *testing.T) {
 // TestBuildLibraryLayouts boots the daemon's one library constructor over
 // both layouts a data dir can arrive in — a plain dir as classminer.Recover
 // writes it, and the SHARDS + shard-<i>/ dir an older build wrote at
-// -shards 4 — at the default and at an explicit shard count. A plain dir
-// opens at the count asked for with its videos; the old layout is refused
-// with wal.ErrRetiredFormat at any count and left as it was.
+// -shards 4 — from a command line with no -shards and with one. The flag is
+// parsed and ignored: both command lines give the same config, a plain dir
+// opens with its videos, and the old layout is refused with
+// wal.ErrRetiredFormat and left as it was.
 func TestBuildLibraryLayouts(t *testing.T) {
 	analyzer, err := classminer.NewAnalyzer(classminer.Options{SkipEvents: true})
 	if err != nil {
@@ -146,23 +147,34 @@ func TestBuildLibraryLayouts(t *testing.T) {
 	}
 
 	cases := []struct {
-		name       string
-		layout     string
-		shards     int
-		wantShards int // 0: the boot is refused
+		name    string
+		layout  string
+		flags   []string
+		refused bool
 	}{
-		{"plain dir, default flags", "plain", 0, 1},
-		{"plain dir, -shards 4", "plain", 4, 4},
-		{"SHARDS=4 dir, default flags", "SHARDS=4", 0, 0},
-		{"SHARDS=4 dir, -shards 2", "SHARDS=4", 2, 0},
+		{"plain dir, default flags", "plain", nil, false},
+		{"plain dir, -shards 4", "plain", []string{"-shards", "4"}, false},
+		{"SHARDS=4 dir, default flags", "SHARDS=4", nil, true},
+		{"SHARDS=4 dir, -shards 2", "SHARDS=4", []string{"-shards", "2"}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var cfg config
-			cfg.dataDir, cfg.shards = filepath.Join(t.TempDir(), "data"), tc.shards
+			dir := filepath.Join(t.TempDir(), "data")
+			parse := func(flags []string) config {
+				t.Helper()
+				cfg, err := parseFlags(flag.NewFlagSet("classminerd", flag.ContinueOnError), append([]string{"-data-dir", dir}, flags...))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cfg
+			}
+			cfg := parse(tc.flags)
+			if plain := parse(nil); !reflect.DeepEqual(cfg, plain) {
+				t.Fatalf("%v parses to %+v, no flags to %+v", tc.flags, cfg, plain)
+			}
 			layouts[tc.layout](cfg.dataDir)
 			lib, err := buildLibrary(logger, cfg, nil)
-			if tc.wantShards == 0 {
+			if tc.refused {
 				if !errors.Is(err, wal.ErrRetiredFormat) {
 					t.Fatalf("buildLibrary = %v, want wal.ErrRetiredFormat", err)
 				}
@@ -177,9 +189,6 @@ func TestBuildLibraryLayouts(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer lib.Close()
-			if got := lib.ShardCount(); got != tc.wantShards {
-				t.Fatalf("booted %d shards, want %d", got, tc.wantShards)
-			}
 			if got := strings.Join(lib.VideoNames(), ","); got != want {
 				t.Fatalf("recovered videos %s, want %s", got, want)
 			}

@@ -564,7 +564,7 @@ func (ix *Index) SearchIntoSpans(dst []Result, query []float64, k int, sp *trace
 	sc := ix.scratch.Get().(*searchScratch)
 	sc.qmask = featrow.Mask(sc.qmask, query)
 	// A search asking for every live row visits every leaf and returns them
-	// all, whatever the beam: the same hits at every shard count.
+	// all, whatever the beam.
 	beam := ix.opts.Beam
 	if k >= ix.Size() {
 		beam = math.MaxInt

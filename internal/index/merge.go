@@ -1,13 +1,13 @@
 package index
 
-// Shard-merge helpers. A sharded library fans a search across independent
-// per-shard indexes and merges the per-shard hit lists into one global
-// ranking. Every index reports the exact full-space distance as Dist, so
-// the merge recomputes nothing: it orders what the shards report by the
-// total order (distance, video name, shot index). Entry IDs, which break
-// ties inside one index, mean nothing across shards, so this order is what
-// makes the merged ranking deterministic and independent of how entries
-// were partitioned.
+// The order a library answers in. Every search result reports the exact
+// full-space distance as Dist, and a library returns its hits sorted by the
+// total order (distance, video name, shot index): the order FlatSearch gives
+// over entries registered in name order, which is how loadgen's oracle is
+// built. An index breaks exact distance ties by entry id — registration order
+// — which depends on history, not on the library's contents; the sort after
+// the index has chosen its k makes the order of tied hits a function of the
+// names alone.
 
 import (
 	"cmp"
@@ -30,24 +30,11 @@ func ShotSqDist(s *vidmodel.Shot, query []float64) float64 {
 	return shotSqDistBounded(s, query, qmask, math.Inf(1))
 }
 
-// MergeHits merges per-shard hit lists into the global top-k: the lists are
-// appended to dst — which may already hold one shard's hits — and dst is
-// sorted in place by (Dist, video name, shot index) and cut to k (k <= 0
-// keeps every hit). That is a total order over the library, so the result
-// is byte-identical no matter how the entries were sharded, one shard
-// included. It differs from a single index's own order only on exact
-// distance ties, which an index breaks by entry id (registration order);
-// the sort runs even over a single list so those ties never depend on the
-// shard count. lists is not modified.
-func MergeHits(dst []Result, lists [][]Result, k int) []Result {
-	for _, l := range lists {
-		dst = append(dst, l...)
-	}
-	slices.SortFunc(dst, compareHits)
-	if k > 0 && len(dst) > k {
-		dst = dst[:k]
-	}
-	return dst
+// SortHits sorts hits in place by (Dist, video name, shot index). It keeps
+// which hits there are and changes only the order of exact distance ties;
+// it allocates nothing.
+func SortHits(hits []Result) {
+	slices.SortFunc(hits, compareHits)
 }
 
 func compareHits(a, b Result) int {

@@ -21,9 +21,8 @@ import (
 	"classminer/internal/wal"
 )
 
-// Applier is what the follower replicates into: a *classminer.Library, or
-// the daemon's shard router, which hands each record to the shard that owns
-// its key and splits a reseed snapshot the same way. ApplyRecord must be
+// Applier is what the follower replicates into: a *classminer.Library in
+// the daemon, a recording fake in tests. ApplyRecord must be
 // idempotent (re-applying a batch after a crash is the recovery path) and
 // must journal into the applier's own WAL so the follower stays durable and
 // promotable.

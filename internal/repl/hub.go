@@ -5,9 +5,7 @@
 // the same incremental mutation paths the leader used, and journals them
 // into its own WAL — so a follower is itself durable, crash-recoverable,
 // and promotable to a write-accepting leader the moment the old one dies.
-// A library has one log however many in-memory shards it runs, so there is
-// one stream, and the two sides' shard counts are independent: the follower
-// routes each record to whichever of its own shards owns the key.
+// A library has one log, so there is one stream.
 //
 // The protocol is deliberately dumb: a follower's whole state is one durable
 // cursor — (segment, offset) in the leader's log — persisted only after a

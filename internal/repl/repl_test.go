@@ -508,15 +508,15 @@ func TestRealLibraryFollowerConverges(t *testing.T) {
 	}
 }
 
-// sameVideos reports whether two routers hold the same videos with the same
-// stored results (compared as their re-encoded bytes).
-func sameVideos(t testing.TB, a, b *shard.Library) bool {
+// sameVideos reports whether two libraries hold the same videos with the
+// same stored results (compared as their re-encoded bytes).
+func sameVideos(t testing.TB, a, b *classminer.Library) bool {
 	t.Helper()
 	names := a.VideoNames()
 	if !reflect.DeepEqual(names, b.VideoNames()) {
 		return false
 	}
-	encode := func(l *shard.Library, name string) []byte {
+	encode := func(l *classminer.Library, name string) []byte {
 		saved, err := store.EncodeResult(l.Video(name).Result)
 		if err != nil {
 			t.Fatal(err)
@@ -536,11 +536,11 @@ func sameVideos(t testing.TB, a, b *shard.Library) bool {
 }
 
 // TestRealLibraryFollowerAcrossShardCounts is TestRealLibraryFollowerConverges
-// between routers that run different shard counts: the leader has one log
-// whatever its count, and the follower routes every record, and splits a
-// reseed snapshot, by its own placement. After registers, a delete and a
-// replace over the live stream, and more of each across a forced 410 reseed,
-// both sides hold the same videos and rank the whole corpus identically.
+// between a leader and a follower booted through Recover at different shard
+// counts, as classminerd -shards boots them: the count is ignored, so each
+// side is one library with one log. After registers, a delete and a replace
+// over the live stream, and more of each across a forced 410 reseed, both
+// sides hold the same videos and rank the whole corpus identically.
 func TestRealLibraryFollowerAcrossShardCounts(t *testing.T) {
 	a, err := classminer.NewAnalyzer(classminer.Options{SkipEvents: true})
 	if err != nil {
@@ -559,12 +559,20 @@ func TestRealLibraryFollowerAcrossShardCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			// pulls counts the pull handlers still running, so the test can
-			// tell when a stopped follower's last long-poll has left the leader.
+			// tell when a stopped follower's last long-poll has left the leader;
+			// while stale is set every pull is refused before it reaches the
+			// hub, so one the stopped follower sent just before it stopped,
+			// and that the server only now reads, cannot re-attach its pin.
 			var pulls atomic.Int64
+			var stale atomic.Bool
 			mux := http.NewServeMux()
 			mux.HandleFunc("/v1/repl/pull", func(w http.ResponseWriter, r *http.Request) {
 				pulls.Add(1)
 				defer pulls.Add(-1)
+				if stale.Load() {
+					writeErr(w, http.StatusServiceUnavailable, "stopped follower")
+					return
+				}
 				hub.ServePull(w, r)
 			})
 			mux.HandleFunc("/v1/repl/snapshot", hub.ServeSnapshot)
@@ -617,9 +625,10 @@ func TestRealLibraryFollowerAcrossShardCounts(t *testing.T) {
 			// The leader moves on without the follower and checkpoints: the
 			// segments the follower's cursor points into are pruned, so its
 			// next pull is answered 410 and it reseeds from a snapshot that
-			// holds every leader shard's videos. (A pull still parked at the
-			// leader would re-attach the pin the moment it woke.)
+			// holds every leader video. (A pull still parked at the
+			// leader, or still on its way there, would re-attach the pin.)
 			f.Close()
+			stale.Store(true)
 			waitFor(t, "the stopped follower's pull to leave the leader", func() bool { return pulls.Load() == 0 })
 			leader.Engine().Detach("test-follower")
 			drop("vid-02")
@@ -628,6 +637,7 @@ func TestRealLibraryFollowerAcrossShardCounts(t *testing.T) {
 			if err := leader.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
+			stale.Store(false) // a late pull now meets the pruned horizon: 410
 			drop("vid-05")
 			put("vid-10", 10, false)
 			f2, err := Start(followerOpts(ts.URL, fdir, flib))

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"classminer"
 	"classminer/internal/trace"
 )
 
@@ -20,7 +21,7 @@ import (
 // most one refit, and the refit itself is single-flight — concurrent
 // requesters share one BuildIndex instead of queueing N of them.
 type rebuilder struct {
-	lib      Library
+	lib      *classminer.Library
 	budget   float64 // staleness fraction that warrants a refit
 	debounce time.Duration
 	logf     func(format string, args ...any)
@@ -49,7 +50,7 @@ type rebuilder struct {
 	coalesced atomic.Int64
 }
 
-func newRebuilder(lib Library, budget float64, debounce time.Duration, logf func(string, ...any), tracer *trace.Tracer) *rebuilder {
+func newRebuilder(lib *classminer.Library, budget float64, debounce time.Duration, logf func(string, ...any), tracer *trace.Tracer) *rebuilder {
 	r := &rebuilder{
 		lib:      lib,
 		budget:   budget,

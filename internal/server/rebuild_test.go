@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -289,5 +290,68 @@ func BenchmarkChurnWithRebuilder(b *testing.B) {
 	b.ReportMetric(math.Float64frombits(maxStale.Load()), "max-staleness")
 	if got := s.rebuilder.rebuilds.Load(); got != after.IndexFits-before.IndexFits {
 		b.Fatalf("rebuilder counts %d rebuilds, the library installed %d fits", got, after.IndexFits-before.IndexFits)
+	}
+}
+
+// TestRebuildSkipsCurrentFit: the rebuilder asks the library for a fit only
+// when one is due. Over an index that is a current full fit with no overlay
+// neither of its two triggers — the cold-index EnsureLive and the debounced
+// budget check — refits: the fit would be bit-identical, and installing it
+// would only advance the generation and drop every cached answer. An overlay
+// under the budget is served as it is; one past it is refit, once.
+func TestRebuildSkipsCurrentFit(t *testing.T) {
+	ctx := context.Background()
+	lib := classminer.NewLibrary(nil)
+	add := func(name string, seed int64) {
+		t.Helper()
+		res, err := store.DecodeResult(tinySavedResult(name, seed, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lib.AddResultCtx(ctx, res, "medicine"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		add(fmt.Sprintf("base-%02d", i), int64(i))
+	}
+	if err := lib.BuildIndexCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	s := New(lib, Options{Tokens: testTokens(), RebuildBudget: 0.2})
+	t.Cleanup(s.Close)
+	budget := func() bool { return lib.RebuildNeeded(s.opts.RebuildBudget) }
+	rebuild := func() {
+		t.Helper()
+		if err := s.rebuilder.EnsureLive(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.rebuilder.rebuildIf(budget); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	before := lib.Stats()
+	rebuild()
+	if after := lib.Stats(); after.IndexFits != before.IndexFits || after.Generation != before.Generation {
+		t.Fatalf("a current fit was refit: %+v -> %+v", before, after)
+	}
+	add("late-00", 100) // 3 of 48 rows: inside the budget
+	mid := lib.Stats()
+	rebuild()
+	if after := lib.Stats(); after.IndexFits != mid.IndexFits || after.IndexStaleness == 0 {
+		t.Fatalf("an overlay inside the budget was refit: %+v -> %+v", mid, after)
+	}
+	for i := 1; i < 4; i++ { // 12 of 48 rows: past it
+		add(fmt.Sprintf("late-%02d", i), int64(100+i))
+	}
+	rebuild()
+	after := lib.Stats()
+	if after.IndexFits != mid.IndexFits+1 || after.IndexStaleness != 0 {
+		t.Fatalf("an overlay past the budget was not refit once: %+v -> %+v", mid, after)
+	}
+	rebuild()
+	if again := lib.Stats(); again.IndexFits != after.IndexFits || again.Generation != after.Generation {
+		t.Fatalf("refit although nothing drifted: %+v -> %+v", after, again)
 	}
 }

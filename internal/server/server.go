@@ -1,14 +1,14 @@
 // Package server is the online half of the paper's thesis: mined content
 // structure exists so a hospital-scale video database can be indexed,
-// managed and *accessed* efficiently (§2, §6). It wraps a classminer.Library
-// in a concurrent HTTP/JSON API — content-hierarchy browsing, k-NN shot
-// search through the hierarchical index (with the Eq. 24/25 cost statistics
-// in every response), mined-event scene queries, and asynchronous ingestion
-// — with the paper's multilevel access control enforced as authentication
-// middleware on every request.
+// managed and *accessed* efficiently (§2, §6). It wraps one
+// *classminer.Library in a concurrent HTTP/JSON API — content-hierarchy
+// browsing, k-NN shot search through the hierarchical index (with the
+// Eq. 24/25 cost statistics in every response), mined-event scene queries,
+// and asynchronous ingestion — with the paper's multilevel access control
+// enforced as authentication middleware on every request.
 //
 // Concurrency model: queries run lock-free against the library's current
-// index snapshot (copy-on-write, see Library.BuildIndex); ingestion runs in
+// index snapshot (copy-on-write, see Library.BuildIndexCtx); ingestion runs in
 // a bounded worker pool so uploads never block queries; repeated searches
 // are answered from a generation-keyed LRU cache that self-invalidates
 // whenever the library or its access policy changes.
@@ -188,53 +188,19 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Library is the storage/index/search contract the server fronts. The daemon
-// serves the shard router (internal/shard.Library); a plain
-// *classminer.Library satisfies it too, so the serving layer is indifferent
-// to the shard count: the rebuilder kicks, the memory-watchdog degrade
-// hooks, /v1/stats and the admin WAL endpoints all address whatever is
-// behind this interface; the router fans the index work out per shard and
-// hands the WAL calls to the one log behind them.
+// Library is residue: the server fronts one *classminer.Library, and this
+// interface names only the method the frozen benchmark (cmd/loadgen) calls
+// through it. ROADMAP item 1(d) stops loadgen naming it, and then it goes.
 type Library interface {
-	// Mutations.
-	AddResultCtx(ctx context.Context, res *classminer.Result, subcluster string) error
-	ReplaceResultAsCtx(ctx context.Context, u classminer.User, res *classminer.Result, subcluster string) error
-	DeleteVideoAsCtx(ctx context.Context, u classminer.User, name string) error
-
-	// Policy and hierarchy.
-	Allowed(u classminer.User, path []string) bool
-	HasSubcluster(name string) bool
-
-	// Index lifecycle (driven by the rebuilder).
-	BuildIndexCtx(ctx context.Context) error
-	RebuildNeeded(budget float64) bool
-	IndexStale() bool
-	IndexStaleness() float64
-
-	// Reads.
-	Generation() int64
-	Stats() classminer.LibraryStats
-	Video(name string) *classminer.VideoEntry
-	VideoNames() []string
-	Size() int
 	SearchIntoCtx(ctx context.Context, dst []classminer.SearchHit, u classminer.User, query []float64, k int) ([]classminer.SearchHit, classminer.SearchStats, error)
-	SearchBatch(u classminer.User, queries [][]float64, k int) ([][]classminer.SearchHit, []classminer.SearchStats, error)
-	ScenesByEvent(u classminer.User, kind classminer.EventKind) []classminer.SceneRef
-
-	// Durability.
-	Durable() bool
-	Checkpoint() error
-	WALStats() (classminer.WALStats, bool)
-
-	Instrument(reg *metrics.Registry)
 }
 
 var _ Library = (*classminer.Library)(nil)
 
-// Server is the HTTP face of one Library. Create with New, serve with any
-// http.Server, and Close when done to drain the ingest pool.
+// Server is the HTTP face of one classminer.Library. Create with New, serve
+// with any http.Server, and Close when done to drain the ingest pool.
 type Server struct {
-	lib       Library
+	lib       *classminer.Library
 	opts      Options
 	tokens    map[string]identity // opts.Tokens, each with its cache identity
 	anon      *identity           // opts.Anonymous likewise; nil = credentials required
@@ -266,7 +232,7 @@ func (s *Server) role() string {
 }
 
 // New builds a Server over lib and starts its ingest workers.
-func New(lib Library, opts Options) *Server {
+func New(lib *classminer.Library, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
 		lib:     lib,

@@ -19,7 +19,7 @@ import (
 // JSON (82ac79f): a snap-<gen>.json over three segments of JSON-envelope
 // frames, the last of them the active one. It was generated by that tree and
 // is kept as the real bytes of a retired format; this tree cannot write it.
-const legacyFixture = "testdata/legacy-82ac79f"
+const legacyFixture = "../wal/testdata/legacy-82ac79f"
 
 // convertingBuild is the last build that converts a retired data dir; every
 // refusal must name it.
@@ -75,17 +75,17 @@ func jsonFramesOnly(t testing.TB, path string) {
 }
 
 // TestRetiredFormatsRefused: a data dir in any layout an earlier build wrote
-// is refused by both entry points — the daemon's router and the plain
-// library — with wal.ErrRetiredFormat, naming the build that converts it,
-// and left exactly as it was: no file is truncated, pruned, rewritten or
-// removed, so that build can still convert it. The layouts are the JSON era's
-// snapshot and frames (real bytes, written by 82ac79f), a MANIFEST that
-// counts in-place segment rewrites, and a SHARDS file over per-shard dirs.
+// is refused by both entry points — classminer.Recover, the daemon's, and
+// this package's Recover, which the frozen benchmark still calls — with
+// wal.ErrRetiredFormat, naming the build that converts it, and left exactly
+// as it was: no file is truncated, pruned, rewritten or removed, so that
+// build can still convert it. The layouts are the JSON era's snapshot and
+// frames (real bytes, written by 82ac79f), a MANIFEST that counts in-place
+// segment rewrites, and a SHARDS file over per-shard shard-<i>/ dirs.
 func TestRetiredFormatsRefused(t *testing.T) {
-	a := testAnalyzer(t)
 	// A current dir with a snapshot and a log tail, as one in service has.
 	current := filepath.Join(t.TempDir(), "current")
-	l, err := Recover(current, 1, a, quietWAL())
+	l, err := classminer.Recover(current, nil, quietWAL())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,13 @@ func TestRetiredFormatsRefused(t *testing.T) {
 			}
 			for _, seg := range segs {
 				jsonFramesOnly(t, seg)
-				copyTree(t, seg, filepath.Join(dir, filepath.Base(seg)))
+				b, err := os.ReadFile(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, filepath.Base(seg)), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 			manifest := `{"version": 1, "generation": 1, "snapshot": "", "firstSegment": 3}` + "\n"
 			if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte(manifest), 0o644); err != nil {
@@ -140,6 +146,9 @@ func TestRetiredFormatsRefused(t *testing.T) {
 			}
 		}},
 		{"SHARDS", func(t *testing.T, dir string) {
+			if err := os.Mkdir(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
 			copyTree(t, current, filepath.Join(dir, "shard-0"))
 			if err := os.WriteFile(filepath.Join(dir, "SHARDS"), []byte("{\"shards\":4}\n"), 0o644); err != nil {
 				t.Fatal(err)
@@ -150,8 +159,8 @@ func TestRetiredFormatsRefused(t *testing.T) {
 		name string
 		boot func(dir string) (io.Closer, error)
 	}{
-		{"shard.Recover", func(dir string) (io.Closer, error) { return Recover(dir, 4, a, quietWAL()) }},
-		{"classminer.Recover", func(dir string) (io.Closer, error) { return classminer.Recover(dir, a, quietWAL()) }},
+		{"shard.Recover", func(dir string) (io.Closer, error) { return Recover(dir, 4, nil, quietWAL()) }},
+		{"classminer.Recover", func(dir string) (io.Closer, error) { return classminer.Recover(dir, nil, quietWAL()) }},
 	}
 	for _, layout := range layouts {
 		for _, b := range boots {

@@ -172,7 +172,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		file, _ := testSnapshot(f, n)
 		f.Add(file)
 	}
-	legacy, err := os.ReadFile("../shard/testdata/legacy-82ac79f/snap-00000000000000000001.json")
+	legacy, err := os.ReadFile("testdata/legacy-82ac79f/snap-00000000000000000001.json")
 	if err != nil {
 		f.Fatal(err)
 	}

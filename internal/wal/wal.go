@@ -14,9 +14,7 @@
 //	  wal-00000000000000000007.log     sealed segment
 //	  wal-00000000000000000008.log     active segment (appends go here)
 //
-// and that is all of it at any shard count: the shards of internal/shard
-// partition memory and journal to this one engine, so nothing here is per
-// shard and nothing records how many there were.
+// and that is all of it: one library journals to one engine.
 //
 // There is one on-disk format, in three layers. A file — segment or snapshot
 // — is a run of frames: [length uint32 LE][crc32c uint32 LE][payload]

@@ -19,19 +19,17 @@ import (
 	"classminer"
 	"classminer/internal/access"
 	"classminer/internal/server"
-	"classminer/internal/shard"
 	"classminer/internal/synth"
 )
 
 var (
 	srvOnce sync.Once
-	srvLib  *shard.Library
+	srvLib  *classminer.Library
 	srvErr  error
 )
 
-// benchLibrary is the library the daemon builds by default: the shard router
-// over one shard.
-func benchLibrary(b testing.TB) *shard.Library {
+// benchLibrary is a library of one mined video, indexed.
+func benchLibrary(b testing.TB) *classminer.Library {
 	b.Helper()
 	srvOnce.Do(func() {
 		a, err := classminer.NewAnalyzer(classminer.Options{SkipEvents: true})
@@ -39,10 +37,7 @@ func benchLibrary(b testing.TB) *shard.Library {
 			srvErr = err
 			return
 		}
-		if srvLib, err = shard.New(a, 1); err != nil {
-			srvErr = err
-			return
-		}
+		srvLib = classminer.NewLibrary(nil)
 		script := synth.CorpusScript("laparoscopy", 0.3, 2003)
 		v, err := synth.Generate(synth.DefaultConfig(), script, 2003)
 		if err != nil {
@@ -58,7 +53,7 @@ func benchLibrary(b testing.TB) *shard.Library {
 			srvErr = err
 			return
 		}
-		srvErr = srvLib.BuildIndex()
+		srvErr = srvLib.BuildIndexCtx(context.Background())
 	})
 	if srvErr != nil {
 		b.Fatal(srvErr)
