@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"math/bits"
 	"os"
 	"runtime"
@@ -209,6 +208,12 @@ type VideoEntry struct {
 // numbers its entries the way the library numbers its rows, a deletion
 // masks by row span.
 type Library struct {
+	// wmu serialises the writers — register, replace, delete and Protect —
+	// across their whole validate → journal → apply sequence (write), and the
+	// checkpoint source takes it too (settledVideos). Searches never take it:
+	// they read-lock mu, which a writer holds only to validate (read) and to
+	// apply (write), never across a disk flush. Lock order: wmu < mu.
+	wmu       sync.Mutex
 	mu        sync.RWMutex
 	hierarchy *concept.Hierarchy
 	policy    *access.Policy
@@ -251,12 +256,9 @@ type Library struct {
 	// mutating in-memory state, and Recover rebuilds the library from its
 	// snapshot + log.
 	journal *wal.Engine
-	// pendingAck tracks registrations that are installed and staged on the
-	// log but whose group commit has not resolved yet: the name maps to the
-	// staged record's durability handle. Save waits these out (or drops the
-	// ones whose batched fsync failed) so a snapshot never strands a record
-	// the log was about to make durable — or resurrect one it clawed back.
-	pendingAck map[string]wal.Commit
+	// afterAppend, when non-nil, runs in write between a mutation's journal
+	// append and its apply (test-only: it holds a journaled mutation open).
+	afterAppend func()
 	// met holds the library's lifecycle instruments (see Instrument). The
 	// zero value is fully inert: every instrument is a nil pointer whose
 	// methods are no-ops, so un-instrumented libraries pay nothing.
@@ -328,6 +330,8 @@ func NewLibrary(*Analyzer) *Library {
 
 // Protect adds an access-control rule over a concept subtree.
 func (l *Library) Protect(r Rule) {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.policy.Add(r)
@@ -384,25 +388,49 @@ func (l *Library) AddResultCtx(ctx context.Context, res *Result, subcluster stri
 	return l.register(ctx, res.Video.Name, res, subcluster)
 }
 
-// register installs a mined result under the lock (via installLocked),
-// refusing names the library already holds.
-//
-// On a durable library the registration is write-ahead logged: the encoded
-// record is staged on the log before any in-memory state changes, so every
-// registration the caller saw succeed is replayed by Recover after a crash.
-// Validation runs first — a registration that would fail must never reach
-// the log, or replay would resurrect it. The stage and the install happen
-// in one critical section (log order always equals install order), but the
-// covering fsync is *waited for outside the write lock*: concurrent
-// registrations stage into the same write-ahead-log batch and share one
-// group-commit flush, so durable ingest throughput scales with writers
-// instead of serialising the whole pool on one disk flush per record. The
-// registration is visible to searches the moment it is installed, a
-// deliberate pre-ack read: if the batched fsync fails, the install is
-// compensated away and the caller told the registration failed — exactly
-// what the log (which clawed the record back) will replay. Replace and
-// delete keep their synchronous shape (stage, wait, then apply under
-// the lock) — they still coalesce into whatever batch is in flight.
+// write is the one path every mutation takes. Under wmu, which only writers
+// hold, validate runs under the read lock; rec, when non-nil, is journaled —
+// written and, under SyncAlways, fsynced — with no library lock held; and
+// apply runs under the write lock. Validation comes first because a mutation
+// that would fail must never reach the log, or replay would resurrect it;
+// the append comes before the apply because a search must never see a
+// mutation the log could still lose. No other writer can run between the
+// three steps, so what validate checked still holds at apply, and log order
+// is apply order. A failed append (the engine truncates its own frame back
+// off the log) leaves the library untouched. The wmu wait is traced as
+// "wal.park" and the apply, its lock wait included, as "install".
+func (l *Library) write(ctx context.Context, kind, name string, rec []byte, validate func() error, apply func()) error {
+	park := trace.StartSpan(ctx, "wal.park")
+	l.wmu.Lock()
+	park.End()
+	defer l.wmu.Unlock()
+	l.mu.RLock()
+	err := validate()
+	journal := l.journal
+	l.mu.RUnlock()
+	if err != nil {
+		return err
+	}
+	if rec != nil && journal != nil {
+		if err := journal.AppendCtx(ctx, rec); err != nil {
+			return fmt.Errorf("classminer: journaling %s of %q: %w", kind, name, err)
+		}
+		if l.afterAppend != nil {
+			l.afterAppend()
+		}
+	}
+	inst := trace.StartSpan(ctx, "install")
+	l.mu.Lock()
+	apply()
+	l.mu.Unlock()
+	inst.End()
+	return nil
+}
+
+// register installs a mined result (via installLocked), refusing names the
+// library already holds. On a durable library the registration is
+// write-ahead logged before it is visible (write), so every registration the
+// caller saw succeed is replayed by Recover after a crash.
 func (l *Library) register(ctx context.Context, name string, res *Result, subcluster string) error {
 	sp := trace.StartSpan(ctx, "register")
 	defer sp.End()
@@ -411,82 +439,32 @@ func (l *Library) register(ctx context.Context, name string, res *Result, subclu
 		// than the caller's span; the WithValue costs nothing untraced.
 		ctx = trace.With(ctx, sp)
 	}
-	// Encode the journal record outside the write lock: serialising a
-	// large mined result is the slow part and needs no library state.
+	// Encoding the journal record, deriving the index entries and packing
+	// their rows need no library state: they run before any lock, so
+	// concurrent registrations overlap the work instead of queueing it.
 	enc := sp.Start("encode")
 	rec, err := l.encodeJournalRecord(wal.RecordRegister, name, res, subcluster)
 	if err != nil {
 		enc.End()
 		return err
 	}
-	// Deriving the index entries and packing their rows needs no library
-	// state; do it outside the write lock so concurrent registrations overlap
-	// the work instead of queueing it behind one another.
 	newEntries := res.IndexEntries(subcluster)
 	rows, err := packRows(name, newEntries)
 	enc.End()
 	if err != nil {
 		return err
 	}
-	inst := sp.Start("install") // includes the write-lock wait
-	l.mu.Lock()
-	if _, dup := l.videos[name]; dup {
-		l.mu.Unlock()
-		inst.End()
-		return fmt.Errorf("%w: %q", ErrDuplicateVideo, name)
-	}
-	dim, err := checkEntryDims(name, rows, l.featDim)
-	if err != nil {
-		l.mu.Unlock()
-		inst.End()
+	var dim int
+	return l.write(ctx, wal.RecordRegister, name, rec, func() (err error) {
+		if _, dup := l.videos[name]; dup {
+			return fmt.Errorf("%w: %q", ErrDuplicateVideo, name)
+		}
+		dim, err = checkEntryDims(name, rows, l.featDim)
 		return err
-	}
-	if rec == nil || l.journal == nil {
+	}, func() {
 		l.installLocked(name, res, subcluster, newEntries, rows, dim)
 		l.met.registrations.Inc()
-		l.mu.Unlock()
-		inst.End()
-		return nil
-	}
-	c, err := l.journal.Begin(rec)
-	if err != nil {
-		l.mu.Unlock()
-		inst.End()
-		return fmt.Errorf("classminer: journaling %q: %w", name, err)
-	}
-	l.installLocked(name, res, subcluster, newEntries, rows, dim)
-	ve := l.videos[name]
-	if l.pendingAck == nil {
-		l.pendingAck = map[string]wal.Commit{}
-	}
-	l.pendingAck[name] = c
-	l.mu.Unlock()
-	inst.End()
-
-	if err := c.WaitCtx(ctx); err != nil {
-		l.undoUnacked(name, ve)
-		return fmt.Errorf("classminer: journaling %q: %w", name, err)
-	}
-	l.mu.Lock()
-	delete(l.pendingAck, name)
-	l.mu.Unlock()
-	l.met.registrations.Inc()
-	return nil
-}
-
-// undoUnacked compensates a registration whose staged record was clawed
-// back by a failed batched fsync: the install is removed again (unless a
-// replacement — whose own record post-dates ours on the log — already owns
-// the name) so in-memory state, the caller's error, and the next replay all
-// agree the registration never happened.
-func (l *Library) undoUnacked(name string, ve *VideoEntry) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.pendingAck, name)
-	if l.videos[name] != ve {
-		return
-	}
-	l.removeLocked(name)
+	})
 }
 
 // replace installs a mined result under name, superseding any existing
@@ -494,76 +472,72 @@ func (l *Library) undoUnacked(name string, ve *VideoEntry) {
 // library the whole mutation is one wal.RecordReplace record, so replay
 // can never observe the delete without the re-add. Replay itself reuses
 // this method (the journal is not attached yet, so nothing is re-logged).
-// check, when non-nil, runs on the existing entry under the write lock and
+// check, when non-nil, runs on the existing entry under the read lock and
 // can veto the replacement before anything is logged (the policy gate of
 // ReplaceResultAsCtx).
 func (l *Library) replace(ctx context.Context, name string, res *Result, subcluster string, check func(*VideoEntry) error) error {
 	sp := trace.StartSpan(ctx, "replace")
 	defer sp.End()
 	if sp != nil {
-		ctx = trace.With(ctx, sp) // nest the wal.append span under "replace"
+		ctx = trace.With(ctx, sp) // nest the write spans under "replace"
 	}
 	rec, err := l.encodeJournalRecord(wal.RecordReplace, name, res, subcluster)
 	if err != nil {
 		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ve, replacing := l.videos[name]
-	if replacing && check != nil {
-		if err := check(ve); err != nil {
-			return err
-		}
 	}
 	newEntries := res.IndexEntries(subcluster)
 	rows, err := packRows(name, newEntries)
 	if err != nil {
 		return err
 	}
-	// When the victim is the only registered video, its dimensionality
-	// leaves with it — validate against an unconstrained library, exactly
-	// as the equivalent delete-then-add would.
-	baseDim := l.featDim
-	if replacing && len(l.videos) == 1 {
-		baseDim = 0
-	}
-	dim, err := checkEntryDims(name, rows, baseDim)
-	if err != nil {
-		return err
-	}
-	if rec != nil && l.journal != nil {
-		if err := l.journal.AppendCtx(ctx, rec); err != nil {
-			return fmt.Errorf("classminer: journaling replacement of %q: %w", name, err)
+	var replacing bool
+	var dim int
+	return l.write(ctx, wal.RecordReplace, name, rec, func() (err error) {
+		ve, ok := l.videos[name]
+		replacing = ok
+		if replacing && check != nil {
+			if err := check(ve); err != nil {
+				return err
+			}
 		}
-	}
-	// removeLocked's empty-library branch drops the serving index — right
-	// for a delete, wrong mid-replace: a successor is about to be installed,
-	// and the replace contract is that the old index (the victim masked out
-	// of it) keeps serving, stale, until the next BuildIndex. The exception
-	// is a replacement that changes the feature dimensionality (possible
-	// only when the victim was the sole video): the old index answers
-	// queries of the *old* width only, and would refuse every query of the
-	// library's new one — there the index stays down, exactly as a delete
-	// leaves it.
-	oldIx, oldIxVer, oldDim := l.ix, l.ixVer, l.featDim
-	l.removeLocked(name)
-	if l.ix == nil && oldIx != nil && dim == oldDim {
-		l.ix, _ = oldIx.Remove(name)
-		l.ixVer = oldIxVer
-	}
-	l.installLocked(name, res, subcluster, newEntries, rows, dim)
-	if replacing {
-		l.met.replacements.Inc()
-	} else {
-		l.met.registrations.Inc()
-	}
-	return nil
+		// When the victim is the only registered video, its dimensionality
+		// leaves with it — validate against an unconstrained library,
+		// exactly as the equivalent delete-then-add would.
+		baseDim := l.featDim
+		if replacing && len(l.videos) == 1 {
+			baseDim = 0
+		}
+		dim, err = checkEntryDims(name, rows, baseDim)
+		return err
+	}, func() {
+		// removeLocked's empty-library branch drops the serving index —
+		// right for a delete, wrong mid-replace: a successor is about to be
+		// installed, and the replace contract is that the old index (the
+		// victim masked out of it) keeps serving, stale, until the next
+		// BuildIndex. The exception is a replacement that changes the
+		// feature dimensionality (possible only when the victim was the sole
+		// video): the old index answers queries of the *old* width only, and
+		// would refuse every query of the library's new one — there the
+		// index stays down, exactly as a delete leaves it.
+		oldIx, oldIxVer, oldDim := l.ix, l.ixVer, l.featDim
+		l.removeLocked(name)
+		if l.ix == nil && oldIx != nil && dim == oldDim {
+			l.ix, _ = oldIx.Remove(name)
+			l.ixVer = oldIxVer
+		}
+		l.installLocked(name, res, subcluster, newEntries, rows, dim)
+		if replacing {
+			l.met.replacements.Inc()
+		} else {
+			l.met.registrations.Inc()
+		}
+	})
 }
 
 // visibleTo returns the lifecycle guard DeleteVideoAsCtx and the *As replace
 // variants share: it vetoes mutating a video whose subcluster the policy
-// hides from u. It runs under l.mu, so the verdict and the mutation are
-// one atomic step.
+// hides from u. It runs as write's validate, under wmu, which Protect takes
+// too, so the verdict and the mutation are one atomic step.
 func (l *Library) visibleTo(u User) func(*VideoEntry) error {
 	return func(ve *VideoEntry) error {
 		n := l.hierarchy.Find(ve.Subcluster)
@@ -657,8 +631,8 @@ func (l *Library) installLocked(name string, res *Result, subcluster string, new
 }
 
 // removeLocked unregisters name, if present. It is the one removal routine —
-// delete, replace, the undo of an unacknowledged registration, tombstone
-// replay and a follower's apply all end here — and it costs what the video
+// delete, replace, tombstone replay and a follower's apply all end here —
+// and it costs what the video
 // holds: the video's row span is marked in the dead bitset and masked out of
 // the serving index (copy-on-write, by span), and no feature row is touched.
 // The rows stay where they are, because an in-flight BuildIndexCtx and the
@@ -709,17 +683,12 @@ func (l *Library) removeLocked(name string) bool {
 		// library. The rows go too (a compaction: in-flight fits are dropped
 		// at their swap), and with them the feature dimensionality — it was
 		// learned from the registrations just removed, and an empty library
-		// constrains nothing (the next registration re-establishes it). An
-		// in-flight unacknowledged registration still pins the
-		// dimensionality: its entries validated against it and are about to
-		// install.
+		// constrains nothing (the next registration re-establishes it).
 		l.ix = nil
 		l.ixVer = l.entriesVer
 		l.entries, l.dead, l.deadRows, l.rowBytes = nil, nil, 0, 0
 		l.epoch++
-		if len(l.pendingAck) == 0 {
-			l.featDim = 0
-		}
+		l.featDim = 0
 	case l.deadRows > live:
 		l.compactLocked()
 	}
@@ -805,13 +774,6 @@ func gatherLive(entries []*index.Entry, dead []uint64, capRows int) []*index.Ent
 	return out
 }
 
-// remove is removeLocked under the lock (the tombstone-replay path).
-func (l *Library) remove(name string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.removeLocked(name)
-}
-
 // encodeJournalRecord serialises a register/replace record for the
 // write-ahead log, or returns nil when the library is not durable.
 func (l *Library) encodeJournalRecord(kind, name string, res *Result, subcluster string) ([]byte, error) {
@@ -892,38 +854,32 @@ func (l *Library) DeleteVideoAsCtx(ctx context.Context, u User, name string) err
 	return l.deleteVideo(ctx, name, l.visibleTo(u))
 }
 
-// deleteVideo journals and applies a tombstone; check, when non-nil, runs
-// on the entry under the write lock and can veto the delete before
+// deleteVideo journals and applies a tombstone (write); check, when non-nil,
+// runs on the entry under the read lock and can veto the delete before
 // anything is logged.
 func (l *Library) deleteVideo(ctx context.Context, name string, check func(*VideoEntry) error) error {
 	sp := trace.StartSpan(ctx, "delete")
 	defer sp.End()
 	if sp != nil {
-		ctx = trace.With(ctx, sp) // nest the wal.append span under "delete"
+		ctx = trace.With(ctx, sp) // nest the write spans under "delete"
 	}
 	rec, err := l.encodeTombstone(name)
 	if err != nil {
 		return err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ve, ok := l.videos[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownVideo, name)
-	}
-	if check != nil {
-		if err := check(ve); err != nil {
-			return err
+	return l.write(ctx, wal.RecordTombstone, name, rec, func() error {
+		ve, ok := l.videos[name]
+		if !ok {
+			return fmt.Errorf("%w: %q", ErrUnknownVideo, name)
 		}
-	}
-	if rec != nil && l.journal != nil {
-		if err := l.journal.AppendCtx(ctx, rec); err != nil {
-			return fmt.Errorf("classminer: journaling tombstone for %q: %w", name, err)
+		if check != nil {
+			return check(ve)
 		}
-	}
-	l.removeLocked(name)
-	l.met.deletes.Inc()
-	return nil
+		return nil
+	}, func() {
+		l.removeLocked(name)
+		l.met.deletes.Inc()
+	})
 }
 
 // ReplaceResultAsCtx installs an already-mined result under its video name,
@@ -1330,34 +1286,24 @@ func (v savedVideo) compareName(w savedVideo) int { return strings.Compare(v.nam
 // settledVideos lists the registered videos in name order — what a
 // checkpoint snapshots.
 //
-// Only the registration set is snapshotted under the lock; encoding it is the
-// caller's business and runs outside (registered Results are immutable), so a
-// checkpoint of a large library never stalls searches behind a pending
-// writer. The WAL ordering contract survives: the lock acquisition still
-// observes every journaled registration, and anything registered later is
-// on the log past the checkpoint's cut point anyway.
-//
-// A registration that is installed but whose group commit has not resolved
-// is waited out (outside the lock — this can even lead the flush): on
-// success the record is durable and belongs in the snapshot; on failure it
-// was clawed back and the install is being compensated, so the snapshot
-// must not resurrect it.
+// It takes wmu: a mutation whose record is journaled but not yet applied
+// holds it, so the list shows every record the log holds before the
+// checkpoint's cut (the wal.Engine.SetSource contract) — without it, such a
+// record would be pruned with its segment and missed by the snapshot.
+// Encoding the list is the caller's business and runs outside both locks
+// (registered Results are immutable), so a checkpoint of a large library
+// stalls neither searches nor writers for longer than the copy.
 func (l *Library) settledVideos() []savedVideo {
+	l.wmu.Lock()
 	l.mu.RLock()
 	vids := make([]savedVideo, 0, len(l.videos))
 	for name, ve := range l.videos {
 		vids = append(vids, savedVideo{name, ve})
 	}
-	pend := maps.Clone(l.pendingAck)
 	l.mu.RUnlock()
+	l.wmu.Unlock()
 	slices.SortFunc(vids, savedVideo.compareName)
-	if len(pend) == 0 {
-		return vids
-	}
-	return slices.DeleteFunc(vids, func(v savedVideo) bool {
-		c, staged := pend[v.name]
-		return staged && c.Wait() != nil
-	})
+	return vids
 }
 
 // Recover opens (creating if needed) a durable library rooted at dir: it
@@ -1585,7 +1531,9 @@ func (l *Library) replayRecord(rec *wal.Record, fromLog bool) error {
 		// video is in the snapshot, its tombstone on the log tail);
 		// unknown names are fine — the tombstone itself may straddle a
 		// checkpoint that already dropped the video.
-		l.remove(rec.Key)
+		if err := l.deleteVideo(context.Background(), rec.Key, nil); err != nil && !errors.Is(err, ErrUnknownVideo) {
+			return err
+		}
 		return nil
 	}
 	res, subcluster, err := decodeEntryRecord(rec)
@@ -1719,8 +1667,8 @@ func (l *Library) Durable() bool {
 // snapshot is a wal.SnapshotWriter stream — a header, then the register
 // record of every video in name order — and it is written one video at a
 // time: no more than one encoded video exists at once. The library is read
-// under its lock after the engine's cut, so it shows every record it staged
-// before the cut — the SetSource contract.
+// under wmu after the engine's cut (settledVideos), so it shows every record
+// journaled before the cut — the SetSource contract.
 func (l *Library) writeCheckpoint(w io.Writer) error {
 	vids := l.settledVideos()
 	h := wal.SnapshotHeader{Videos: len(vids)}

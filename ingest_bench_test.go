@@ -30,8 +30,8 @@ func durableBenchLibrary(b *testing.B) *Library {
 }
 
 // benchResults pre-mines b.N tiny results outside the timed loop so the
-// benchmark measures the durable registration path (encode, journal, group
-// commit, install), not test-fixture decoding.
+// benchmark measures the durable registration path (encode, journal and
+// fsync, install), not test-fixture decoding.
 func benchResults(b *testing.B, prefix string) []*Result {
 	b.Helper()
 	out := make([]*Result, b.N)
@@ -41,11 +41,8 @@ func benchResults(b *testing.B, prefix string) []*Result {
 	return out
 }
 
-// BenchmarkDurableIngestSerial is the per-record fsync baseline: one writer,
-// so every registration pays a full fsync before it is acknowledged. This is
-// what the whole ingest pool used to pay per record regardless of
-// concurrency, because the append-and-fsync ran inside the library's write
-// lock.
+// BenchmarkDurableIngestSerial is one writer under fsync=always: every
+// registration pays a full fsync before it is acknowledged.
 func BenchmarkDurableIngestSerial(b *testing.B) {
 	lib := durableBenchLibrary(b)
 	results := benchResults(b, "serial")
@@ -57,11 +54,12 @@ func BenchmarkDurableIngestSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkDurableIngestParallel measures sustained durable ingest
-// throughput with 8 concurrent writers under fsync=always — the ISSUE 5
-// target workload. With WAL group commit the writers coalesce onto shared
-// fsyncs, so records/sec scale with the batching ratio instead of paying
-// one disk flush each.
+// BenchmarkDurableIngestParallel is 8 concurrent writers under
+// fsync=always. Encoding and packing overlap; the journal append and its
+// fsync run one writer at a time (the library's writer lock), so each record
+// still pays one disk flush and records/fsync reports 1. The daemon never
+// saw the batching an earlier group commit bought here: over HTTP it read
+// about one record per fsync.
 func BenchmarkDurableIngestParallel(b *testing.B) {
 	lib := durableBenchLibrary(b)
 	results := benchResults(b, "par")

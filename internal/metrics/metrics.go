@@ -1,6 +1,6 @@
 // Package metrics is a zero-dependency instrumentation registry with a
 // Prometheus text-exposition writer. The serving layer's perf claims —
-// microsecond search, group-commit ingest, incremental index maintenance —
+// microsecond search, durable ingest, incremental index maintenance —
 // are only claims until they can be watched under live load; this package
 // makes them continuously observable without pulling a client library into
 // the module.
@@ -162,8 +162,8 @@ var (
 	}
 	// SizeBuckets spans 256B to 16MiB (response and record sizes).
 	SizeBuckets = []float64{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20}
-	// CountBuckets covers small cardinalities: group-commit batch sizes,
-	// batch-search item counts.
+	// CountBuckets covers small cardinalities: batch-search item counts and
+	// records per WAL fsync.
 	CountBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 )
 

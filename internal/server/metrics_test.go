@@ -78,7 +78,7 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 // TestMetricsEndToEnd shares one registry between the WAL engine and the
 // server, drives real traffic through the API, and asserts the series the
 // perf claims rest on actually populate: per-route request counts and
-// latency, cache hit/miss, fsync latency, group-commit batch sizes, and the
+// latency, cache hit/miss, fsync latency, records per fsync, and the
 // library's registration counter.
 func TestMetricsEndToEnd(t *testing.T) {
 	a, err := classminer.NewAnalyzer(classminer.Options{SkipEvents: true})
@@ -125,7 +125,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Errorf("fsync samples = %v, want >= 1", v)
 	}
 	if v := metricValue(t, body, "wal_group_commit_records_count"); v < 1 {
-		t.Errorf("group-commit samples = %v, want >= 1", v)
+		t.Errorf("records-per-fsync samples = %v, want >= 1", v)
 	}
 	if v := metricValue(t, body, "wal_appends_total"); v < 1 {
 		t.Errorf("wal appends = %v, want >= 1", v)

@@ -21,9 +21,13 @@ import (
 )
 
 // Shared fixture: one mined corpus video behind a protected clinical leaf.
+// Mining is the slow part, so the Result is mined once; every caller gets a
+// library of its own over it, because tests mutate theirs (ingests, deletes,
+// protection rules) and a second run of a test must meet what the first met.
+// A registered Result is never written, so the libraries share it.
 var (
 	fixOnce sync.Once
-	fixLib  *classminer.Library
+	fixRes  *classminer.Result
 	fixErr  error
 )
 
@@ -35,7 +39,6 @@ func fixtureLibrary(t testing.TB) *classminer.Library {
 			fixErr = err
 			return
 		}
-		fixLib = classminer.NewLibrary(a)
 		// scale 0.2 / seed 11 mines at least one dialog and one clinical
 		// scene, which the events and policy-filter tests depend on.
 		script := synth.CorpusScript("laparoscopy", 0.2, 11)
@@ -44,24 +47,22 @@ func fixtureLibrary(t testing.TB) *classminer.Library {
 			fixErr = err
 			return
 		}
-		res, err := a.Analyze(v)
-		if err != nil {
-			fixErr = err
-			return
-		}
-		if err := fixLib.AddResultCtx(context.Background(), res, "medicine"); err != nil {
-			fixErr = err
-			return
-		}
-		fixLib.Protect(classminer.Rule{
-			Concept: "medicine/clinical operation", MinClearance: classminer.Clinician,
-		})
-		fixErr = fixLib.BuildIndex()
+		fixRes, fixErr = a.Analyze(v)
 	})
 	if fixErr != nil {
 		t.Fatal(fixErr)
 	}
-	return fixLib
+	lib := classminer.NewLibrary(nil)
+	if err := lib.AddResultCtx(context.Background(), fixRes, "medicine"); err != nil {
+		t.Fatal(err)
+	}
+	lib.Protect(classminer.Rule{
+		Concept: "medicine/clinical operation", MinClearance: classminer.Clinician,
+	})
+	if err := lib.BuildIndexCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return lib
 }
 
 func testTokens() map[string]access.User {
@@ -243,7 +244,7 @@ func TestSearchRoundTripAndCache(t *testing.T) {
 	if other.Cached {
 		t.Fatal("cache leaked across identities")
 	}
-	fixtureLibrary(t).Protect(classminer.Rule{Concept: "medicine/other", MinClearance: access.Student})
+	s.lib.Protect(classminer.Rule{Concept: "medicine/other", MinClearance: access.Student})
 	var third searchResponse
 	do(t, s, http.MethodPost, "/v1/search", "admin-tok", req, &third)
 	if third.Cached {

@@ -67,14 +67,6 @@ func (s *Span) End() {
 	}
 }
 
-// Rename replaces the span's name; used when a span's role is only known
-// after the fact (a parked WAL commit that wins the fsync lead).
-func (s *Span) Rename(name string) {
-	if s != nil {
-		s.name = name
-	}
-}
-
 // SetAttr attaches a string attribute; past maxAttrs it is dropped.
 func (s *Span) SetAttr(key, val string) {
 	if s == nil || int(s.nattr) >= maxAttrs {

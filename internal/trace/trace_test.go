@@ -107,7 +107,6 @@ func TestSpanTreeAttrsAndOverflow(t *testing.T) {
 	nilSpan.SetAttr("k", "v")
 	nilSpan.SetInt("k", 1)
 	nilSpan.End()
-	nilSpan.Rename("x")
 	if nilSpan.Start("child") != nil {
 		t.Fatal("child of nil span must be nil")
 	}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
@@ -34,16 +33,8 @@ type Engine struct {
 	opts Options
 
 	// cpMu serialises checkpoints (admin-triggered and background) without
-	// stalling appends, which only need mu.
+	// stalling appends, which only need mu. Lock order: cpMu < mu.
 	cpMu sync.Mutex
-
-	// syncMu serialises group-commit fsyncs with each other and with
-	// anything that swaps the active segment out from under them (rotation,
-	// and Close's final flush). A commit leader fsyncs e.active *outside*
-	// e.mu so concurrent appenders can keep staging frames; holding syncMu
-	// across the fsync pins the segment it targets. Lock order:
-	// cpMu < syncMu < mu.
-	syncMu sync.Mutex
 
 	mu         sync.Mutex
 	lock       *os.File // held flock on the data dir (see lockDataDir)
@@ -60,30 +51,10 @@ type Engine struct {
 	buf        []byte
 	source     func(io.Writer) error
 	closed     bool
+	syncCount  int64 // segment data fsyncs performed
 
-	// Group-commit state (SyncAlways only). Appenders stage frames under mu
-	// and join curBatch; the batch's creator becomes its commit leader and
-	// fsyncs once for everyone staged so far. durableSize is how much of the
-	// active segment the last successful fsync (or the seal at rotation)
-	// covers; everything past it is staged-but-unacknowledged, counted by
-	// unsyncedRecords/unsyncedBytes so a failed batched fsync can claw the
-	// whole tail back off the log and ack none of it.
-	curBatch        *syncBatch
-	durableSize     int64
-	unsyncedRecords int64
-	unsyncedBytes   int64
-	syncCount       int64 // segment data fsyncs performed (group-commit ratio)
-	// lastBatch and syncEWMA drive the adaptive gather window: when the
-	// previous batch carried more than one record (writers are concurrent),
-	// the next leader briefly holds the fsync baton open — a fraction of
-	// the smoothed fsync duration — so writers woken by the previous commit
-	// can restage and share the flush instead of trickling one record per
-	// fsync in lockstep. A lone writer never pays the delay.
-	lastBatch int64
-	syncEWMA  time.Duration
-
-	// syncHook, when non-nil, replaces the commit leader's fsync
-	// (test-only fault injection for the batched-ack contract).
+	// syncHook, when non-nil, replaces an append's fsync (test-only fault
+	// injection for the failed-fsync contract).
 	syncHook func(f *os.File) error
 
 	// Replication state (repl.go): attached follower pins keyed by follower
@@ -278,10 +249,6 @@ func (e *Engine) openActive() error {
 	}
 	e.active = f
 	e.activeSize = valid
-	// Everything on a freshly repaired segment is either already durable or
-	// about to be truncated away; group commit starts with nothing staged.
-	e.durableSize = valid
-	e.unsyncedRecords, e.unsyncedBytes = 0, 0
 	return nil
 }
 
@@ -361,11 +328,11 @@ func (e *Engine) ReplayDamaged() bool {
 //
 // Ordering contract: when the source runs it must observe the state of
 // every record already appended, or a checkpoint could prune a segment
-// whose record the snapshot missed. Callers get this for free by applying
-// each appended record under the same lock the source reads under — which
-// is exactly how Library.register (append + mutate under the write lock)
-// pairs with the library's checkpoint source (its video list read under the
-// read lock).
+// whose record the snapshot missed. Callers get this by holding one lock
+// from each append until its record is applied, and taking the same lock in
+// the source — which is how the library's writers (append, then apply, all
+// under its writer lock) pair with its checkpoint source (its video list
+// copied under that lock).
 func (e *Engine) SetSource(write func(io.Writer) error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -382,145 +349,58 @@ func (e *Engine) SetSource(write func(io.Writer) error) {
 	}
 }
 
-// syncBatch is one group-commit unit: every appender that staged a frame
-// while the batch was open shares one fsync and one verdict. The first
-// waiter to win the lead token drives the fsync; err is written exactly
-// once, before done is closed, and followers read it only after <-done.
-type syncBatch struct {
-	lead chan struct{} // capacity 1: the winning send claims leadership
-	done chan struct{}
-	err  error
-}
-
-func newSyncBatch() *syncBatch {
-	return &syncBatch{lead: make(chan struct{}, 1), done: make(chan struct{})}
-}
-
-// commit publishes the batch verdict and releases every waiter.
-func (b *syncBatch) commit(err error) {
-	b.err = err
-	close(b.done)
-}
-
-// Commit is the durability handle of one staged append: the record is on
-// the log, and Wait blocks until the fsync that covers it succeeds (or the
-// record is clawed back by a failed one). A zero-batch Commit means the
-// record needed no further waiting at stage time (SyncNever).
-type Commit struct {
-	e *Engine
-	b *syncBatch
-}
-
-// Wait blocks until the staged record's group commit resolves and returns
-// its verdict: nil means the record is durable, an error means the batched
-// fsync failed and the record was clawed back off the log (it will never be
-// replayed). Every staged Commit should be waited on.
-func (c Commit) Wait() error {
-	return c.WaitCtx(context.Background())
-}
-
-// WaitCtx is Wait with tracing: when ctx carries an active trace span, the
-// time parked behind the group commit is recorded as a "wal.park" child
-// span — renamed "wal.fsync.lead" when this waiter wins the lead token and
-// drives the fsync itself, which is the distinction that matters when
-// attributing a stalled ingest (waiting on someone else's flush vs. paying
-// for the disk). The context is observational only: a group-committed
-// record cannot be abandoned by cancellation, so WaitCtx still blocks until
-// the batch verdict.
-func (c Commit) WaitCtx(ctx context.Context) error {
-	if c.b == nil {
-		return nil
-	}
-	sp := trace.StartSpan(ctx, "wal.park")
-	defer sp.End()
-	select {
-	case <-c.b.done:
-		return c.b.err
-	case c.b.lead <- struct{}{}:
-		sp.Rename("wal.fsync.lead")
-		return c.e.leadCommit(c.b)
-	}
-}
-
 // Append journals one record. The payload is on the log (and, under
 // SyncAlways, on stable storage) before Append returns, so callers may
 // apply the mutation to in-memory state the moment it does. Appending an
 // empty payload is an error (the framing reserves it for corruption
 // detection).
 //
-// Under SyncAlways concurrent appenders group-commit: each stages its frame
-// under the engine lock and joins the open batch, the first waiter leads
-// one fsync for everyone staged, and every member is acknowledged only
-// after the fsync that covers its frame succeeds. One slow disk flush
-// therefore acks many records, but never before they are durable. Callers
-// that want to overlap their own work with the flush use Begin + Wait;
-// Append is simply both back to back.
+// Under SyncAlways each append writes its frame and fsyncs it under the
+// engine lock: appends are durable in the order they return, and a failed
+// fsync truncates its own frame back off the log before the error is
+// returned (undoAppendLocked).
 func (e *Engine) Append(payload []byte) error {
 	return e.AppendCtx(context.Background(), payload)
 }
 
 // AppendCtx is Append with tracing: when ctx carries a trace span, the
-// staging and group-commit wait are recorded as "wal.append" plus the
-// wal.park/wal.fsync.lead child from WaitCtx.
+// append is recorded as "wal.append" and its fsync as a "wal.fsync.lead"
+// child.
 func (e *Engine) AppendCtx(ctx context.Context, payload []byte) error {
 	sp := trace.StartSpan(ctx, "wal.append")
 	defer sp.End()
-	if sp != nil {
-		ctx = trace.With(ctx, sp) // park/lead spans nest under wal.append
-	}
-	c, err := e.Begin(payload)
-	if err != nil {
-		return err
-	}
-	return c.WaitCtx(ctx)
-}
-
-// Begin stages one record on the log and returns its durability handle
-// without waiting for the covering fsync. The record is written (ordered,
-// crash-consistent) when Begin returns; it is acknowledged durable only
-// when Wait returns nil. Between the two the caller may do unrelated work —
-// the classminer library installs the registration into memory while the
-// group commit flushes — but must treat the record as unacknowledged until
-// Wait's verdict.
-func (e *Engine) Begin(payload []byte) (Commit, error) {
 	if len(payload) == 0 {
-		return Commit{}, fmt.Errorf("wal: refusing to append empty record")
+		return fmt.Errorf("wal: refusing to append empty record")
 	}
 	if len(payload) > MaxRecordBytes {
-		return Commit{}, fmt.Errorf("wal: record payload %d bytes exceeds %d", len(payload), MaxRecordBytes)
+		return fmt.Errorf("wal: record payload %d bytes exceeds %d", len(payload), MaxRecordBytes)
 	}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if err := e.appendableLocked(); err != nil {
-		e.mu.Unlock()
-		return Commit{}, err
+		return err
 	}
 	if e.activeSize >= e.opts.SegmentBytes {
-		// Rotation swaps and closes the active file, so it must exclude any
-		// in-flight group-commit fsync targeting it. Re-take the locks in
-		// order (syncMu < mu) and re-check everything that may have changed
-		// while mu was released.
-		e.mu.Unlock()
-		e.syncMu.Lock()
-		e.mu.Lock()
-		if err := e.appendableLocked(); err != nil {
-			e.mu.Unlock()
-			e.syncMu.Unlock()
-			return Commit{}, err
+		if err := e.rotateLocked(); err != nil {
+			return err
 		}
-		if e.activeSize >= e.opts.SegmentBytes {
-			if err := e.rotateLocked(); err != nil {
-				e.mu.Unlock()
-				e.syncMu.Unlock()
-				return Commit{}, err
-			}
-		}
-		e.syncMu.Unlock()
 	}
 	e.buf = appendRecord(e.buf[:0], payload)
 	if _, err := e.active.Write(e.buf); err != nil {
 		e.undoAppendLocked()
-		e.mu.Unlock()
-		return Commit{}, fmt.Errorf("wal: %w", err)
+		return fmt.Errorf("wal: %w", err)
+	}
+	if e.opts.Sync == SyncAlways {
+		fs := sp.Start("wal.fsync.lead")
+		err := e.syncLocked()
+		fs.End()
+		if err != nil {
+			e.undoAppendLocked()
+			return fmt.Errorf("wal: %w", err)
+		}
+		e.met.batch.Observe(1)
+	} else {
+		e.dirty = true
 	}
 	n := int64(len(e.buf))
 	e.activeSize += n
@@ -528,29 +408,31 @@ func (e *Engine) Begin(payload []byte) (Commit, error) {
 	e.lagBytes += n
 	e.met.appends.Inc()
 	e.met.appendBytes.Add(uint64(n))
+	// The record is acknowledged the moment the lock drops (SyncNever
+	// promises no more), so it is shippable to followers now.
+	e.advancePinsLocked(1, n)
 	if e.source != nil && e.lagExceededLocked() {
 		select {
 		case e.kick <- struct{}{}:
 		default: // a checkpoint is already pending
 		}
 	}
-	if e.opts.Sync != SyncAlways {
-		e.dirty = true
-		// SyncNever acknowledges at append time, so the record is
-		// immediately shippable to followers.
-		e.advancePinsLocked(1, n)
-		e.mu.Unlock()
-		return Commit{}, nil
+	return nil
+}
+
+// syncLocked fsyncs the active segment (through syncHook when a test set
+// one) and records its latency. Callers hold e.mu.
+func (e *Engine) syncLocked() error {
+	start := time.Now()
+	var err error
+	if e.syncHook != nil {
+		err = e.syncHook(e.active)
+	} else {
+		err = e.active.Sync()
 	}
-	e.unsyncedRecords++
-	e.unsyncedBytes += n
-	b := e.curBatch
-	if b == nil {
-		b = newSyncBatch()
-		e.curBatch = b
-	}
-	e.mu.Unlock()
-	return Commit{e: e, b: b}, nil
+	e.met.fsync.ObserveSince(start)
+	e.syncCount++
+	return err
 }
 
 // appendableLocked reports why the engine cannot take appends, if it can't.
@@ -565,129 +447,17 @@ func (e *Engine) appendableLocked() error {
 	return nil
 }
 
-// leadCommit runs the group-commit leader protocol for batch b: acquire the
-// fsync baton, close the batch to new joiners, fsync the active segment, and
-// ack (or fail) every member together. While the leader waits for the baton
-// — a previous batch's fsync may still be running — more appenders join b,
-// which is exactly the coalescing that makes one flush ack many records.
-func (e *Engine) leadCommit(b *syncBatch) error {
-	e.syncMu.Lock()
-	e.mu.Lock()
-	select {
-	case <-b.done:
-		// A rotation or Close sealed the batch while we waited for the
-		// baton; its fsync covered (or clawed back) the whole batch.
-		e.mu.Unlock()
-		e.syncMu.Unlock()
-		return b.err
-	default:
-	}
-	// Adaptive gather: the previous commit just woke a cohort of writers
-	// that are re-encoding their next records right now. Capturing the
-	// batch immediately would fsync one or two frames and make the cohort
-	// wait a whole extra flush; holding the baton open for a sliver of the
-	// smoothed fsync duration lets them restage and ride this one. The
-	// wait is a yield loop, not a sleep — it ends the moment the cohort
-	// (sized by the previous batch) has restaged, and timer granularity
-	// would otherwise dwarf the window. A lone writer never enters it.
-	if target := e.lastBatch; target > 1 {
-		window := e.syncEWMA / 4
-		if window > 200*time.Microsecond {
-			window = 200 * time.Microsecond
-		}
-		deadline := time.Now().Add(window)
-		for e.unsyncedRecords < target {
-			e.mu.Unlock()
-			runtime.Gosched()
-			if !time.Now().Before(deadline) {
-				e.mu.Lock()
-				break
-			}
-			e.mu.Lock()
-		}
-	}
-	if e.curBatch == b {
-		e.curBatch = nil
-	}
-	f := e.active
+// undoAppendLocked truncates the active segment back to the last
+// acknowledged record after a failed write or fsync, so the failure the
+// caller sees and the log recovery will replay agree (activeSize excludes
+// the failed frame). The truncation itself must reach the disk: a
+// page-cache-only truncate can be lost to power failure, leaving the frame
+// on disk for replay to resurrect. If it cannot be made durable, the log
+// and the acks can no longer be reconciled: the engine wedges (all future
+// appends refused) rather than risk resurrecting a record that was
+// reported failed. Callers hold e.mu.
+func (e *Engine) undoAppendLocked() {
 	size := e.activeSize
-	recs, bytes := e.unsyncedRecords, e.unsyncedBytes
-	hook := e.syncHook
-	e.syncCount++
-	e.mu.Unlock()
-
-	// The fsync runs outside e.mu (appenders keep staging into the next
-	// batch) but inside syncMu (the segment cannot rotate away). Frames
-	// written after `size` was captured are not guaranteed covered; they
-	// stay unsynced and ride the next commit.
-	start := time.Now()
-	var err error
-	if hook != nil {
-		err = hook(f)
-	} else {
-		err = f.Sync()
-	}
-	took := time.Since(start)
-	e.met.fsync.Observe(took.Seconds())
-
-	e.mu.Lock()
-	e.lastBatch = recs
-	if e.syncEWMA == 0 {
-		e.syncEWMA = took
-	} else {
-		e.syncEWMA += (took - e.syncEWMA) / 8
-	}
-	if err == nil {
-		if size > e.durableSize {
-			e.durableSize = size
-		}
-		e.unsyncedRecords -= recs
-		e.unsyncedBytes -= bytes
-		e.advancePinsLocked(recs, bytes)
-		e.mu.Unlock()
-		e.syncMu.Unlock()
-		e.met.batch.Observe(float64(recs))
-		b.commit(nil)
-		return nil
-	}
-	// The batched fsync failed: none of the staged frames may be
-	// acknowledged, this batch's or the next's (its frames sit above ours
-	// on the same segment). Claw the whole unsynced tail back off the log
-	// so the errors reported here and the next replay agree.
-	cerr := fmt.Errorf("wal: %w", err)
-	e.clawBackLocked()
-	e.mu.Unlock()
-	e.syncMu.Unlock()
-	b.commit(cerr)
-	return cerr
-}
-
-// clawBackLocked truncates the active segment back to the last durable byte
-// after a failed batched fsync, failing the still-open batch whose frames
-// the truncation also removes. Only meaningful under SyncAlways — SyncNever
-// never stages unacknowledged frames, and its durableSize does not track
-// what it has appended, so truncating to it would destroy acknowledged
-// records. Callers hold e.mu (and syncMu, via the leader).
-func (e *Engine) clawBackLocked() {
-	if b := e.curBatch; b != nil {
-		e.curBatch = nil
-		b.commit(fmt.Errorf("wal: batched fsync failed; record clawed back"))
-	}
-	e.lagRecords -= e.unsyncedRecords
-	e.lagBytes -= e.unsyncedBytes
-	e.unsyncedRecords, e.unsyncedBytes = 0, 0
-	e.activeSize = e.durableSize
-	e.truncateActiveLocked(e.durableSize, "a failed batched fsync")
-}
-
-// truncateActiveLocked physically claws the active segment back to size.
-// The truncation itself must reach the disk: a page-cache-only truncate can
-// be lost to power failure, leaving removed frames on disk for replay to
-// resurrect. If it cannot be made durable, the log and the acks can no
-// longer be reconciled: the engine wedges (all future appends refused)
-// rather than risk resurrecting a record that was reported failed. Callers
-// hold e.mu.
-func (e *Engine) truncateActiveLocked(size int64, why string) {
 	if _, err := e.active.Seek(size, io.SeekStart); err == nil {
 		if err := e.active.Truncate(size); err == nil {
 			if err := e.active.Sync(); err == nil {
@@ -696,16 +466,8 @@ func (e *Engine) truncateActiveLocked(size int64, why string) {
 		}
 	}
 	e.wedged = true
-	e.opts.Logf("wal: could not truncate %s back to %d bytes after %s; engine wedged",
-		segmentName(e.activeIdx), size, why)
-}
-
-// undoAppendLocked truncates the active segment back to the last staged
-// record after a failed write, so the failure the caller sees and the log
-// recovery will replay agree (activeSize excludes the failed frame — prior
-// staged frames stay for their own commit). Callers hold e.mu.
-func (e *Engine) undoAppendLocked() {
-	e.truncateActiveLocked(e.activeSize, "a failed append")
+	e.opts.Logf("wal: could not truncate %s back to %d bytes after a failed append; engine wedged",
+		segmentName(e.activeIdx), size)
 }
 
 func (e *Engine) lagExceededLocked() bool {
@@ -714,30 +476,15 @@ func (e *Engine) lagExceededLocked() bool {
 }
 
 // rotateLocked seals the active segment and starts the next one. Callers
-// hold e.mu AND e.syncMu (sealing closes the file a group-commit leader
-// may otherwise be fsyncing). State is only committed once the new segment
-// is fully open and durable, so a failed rotation (disk full, fsync error)
-// leaves the engine still appending to the old segment instead of wedged on
-// a closed file.
+// hold e.mu. State is only committed once the new segment is fully open and
+// durable, so a failed rotation (disk full, fsync error) leaves the engine
+// still appending to the old segment instead of wedged on a closed file.
 func (e *Engine) rotateLocked() error {
 	if err := e.active.Sync(); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	e.dirty = false
 	e.syncCount++
-	// The seal covered every staged frame: the open group-commit batch is
-	// durable in full, so ack it here rather than making its leader fsync a
-	// segment that no longer takes appends. durableSize must advance with
-	// the seal, not with the new segment below: if opening the next segment
-	// fails, the engine keeps appending to this one, and a later claw-back
-	// must not truncate away the records just acknowledged durable.
-	if b := e.curBatch; b != nil {
-		e.curBatch = nil
-		b.commit(nil)
-	}
-	e.advancePinsLocked(e.unsyncedRecords, e.unsyncedBytes)
-	e.unsyncedRecords, e.unsyncedBytes = 0, 0
-	e.durableSize = e.activeSize
 	next := e.activeIdx + 1
 	f, err := os.OpenFile(e.segPath(next), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -756,7 +503,6 @@ func (e *Engine) rotateLocked() error {
 	e.active = f
 	e.activeIdx = next
 	e.activeSize = 0
-	e.durableSize = 0
 	if err := old.Close(); err != nil {
 		// The old segment is already synced; nothing is lost.
 		e.opts.Logf("wal: closing sealed %s: %v", segmentName(next-1), err)
@@ -775,18 +521,14 @@ func (e *Engine) Checkpoint() error {
 	defer e.cpMu.Unlock()
 	cpStart := time.Now()
 
-	// rotateLocked needs the fsync baton (lock order cpMu < syncMu < mu).
-	e.syncMu.Lock()
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		e.syncMu.Unlock()
 		return ErrClosed
 	}
 	src := e.source
 	if src == nil {
 		e.mu.Unlock()
-		e.syncMu.Unlock()
 		return fmt.Errorf("wal: no snapshot source installed")
 	}
 	// Seal the log at a cut point: everything before the new active
@@ -794,7 +536,6 @@ func (e *Engine) Checkpoint() error {
 	// source serialises state that includes at least those records).
 	if err := e.rotateLocked(); err != nil {
 		e.mu.Unlock()
-		e.syncMu.Unlock()
 		return err
 	}
 	cut := e.activeIdx
@@ -809,7 +550,6 @@ func (e *Engine) Checkpoint() error {
 	e.evictOverBudgetLocked()
 	minPin := e.minPinLocked()
 	e.mu.Unlock()
-	e.syncMu.Unlock()
 
 	restoreLag := func() {
 		e.mu.Lock()
@@ -924,38 +664,16 @@ func (e *Engine) Close() error {
 	// cpMu; new ones bail on the closed flag): without this, Close could
 	// release the data-dir flock while a zombie checkpoint keeps pruning
 	// segments and rewriting MANIFEST under a successor engine's feet.
-	// syncMu likewise waits out any in-flight group-commit fsync before the
-	// active file is closed under it.
 	e.cpMu.Lock()
 	defer e.cpMu.Unlock()
-	e.syncMu.Lock()
-	defer e.syncMu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var err error
-	switch {
-	case e.unsyncedRecords > 0:
-		// SyncAlways: staged group-commit frames whose leader has not run
-		// yet must be resolved before the file closes — flush and ack them,
-		// or claw them back so no error-reported record survives to be
-		// replayed.
-		err = e.active.Sync()
-		if err == nil {
-			e.syncCount++
-			e.durableSize = e.activeSize
-			e.advancePinsLocked(e.unsyncedRecords, e.unsyncedBytes)
-			e.unsyncedRecords, e.unsyncedBytes = 0, 0
-			if b := e.curBatch; b != nil {
-				e.curBatch = nil
-				b.commit(nil)
-			}
-		} else {
-			e.clawBackLocked()
-		}
-	case e.dirty:
+	if e.dirty {
 		// SyncNever: every record here was already acknowledged at append
 		// time (the mode promises no durability before Close), so a failed
-		// final flush is reported, never clawed back.
+		// final flush is reported, never undone. SyncAlways leaves nothing
+		// to flush: every append fsynced before it returned.
 		err = e.active.Sync()
 		e.dirty = false
 	}

@@ -7,11 +7,11 @@ import "classminer/internal/metrics"
 // an engine opened without Options.Metrics pays only nil checks on the
 // append and commit paths.
 type engineMetrics struct {
-	appends     *metrics.Counter   // records staged on the log
-	appendBytes *metrics.Counter   // framed bytes staged on the log
+	appends     *metrics.Counter   // records appended to the log
+	appendBytes *metrics.Counter   // framed bytes appended to the log
 	rotations   *metrics.Counter   // active-segment rotations
-	fsync       *metrics.Histogram // group-commit fsync latency
-	batch       *metrics.Histogram // records acknowledged per group-commit fsync
+	fsync       *metrics.Histogram // per-append fsync latency
+	batch       *metrics.Histogram // records acknowledged per fsync: always 1
 	checkpoint  *metrics.Histogram // successful checkpoint wall time
 	shipRecords *metrics.Counter   // records shipped to followers
 	shipBytes   *metrics.Counter   // framed bytes shipped to followers
@@ -25,15 +25,15 @@ type engineMetrics struct {
 func (e *Engine) registerMetrics(reg *metrics.Registry) {
 	e.met = engineMetrics{
 		appends: reg.Counter("wal_appends_total",
-			"Records staged on the write-ahead log."),
+			"Records appended to the write-ahead log."),
 		appendBytes: reg.Counter("wal_append_bytes_total",
-			"Framed bytes staged on the write-ahead log."),
+			"Framed bytes appended to the write-ahead log."),
 		rotations: reg.Counter("wal_rotations_total",
 			"Active-segment rotations (seal + new segment)."),
 		fsync: reg.Histogram("wal_fsync_duration_seconds",
-			"Group-commit fsync latency.", metrics.LatencyBuckets),
+			"Latency of the fsync each SyncAlways append runs before it returns.", metrics.LatencyBuckets),
 		batch: reg.Histogram("wal_group_commit_records",
-			"Records acknowledged per group-commit fsync.", metrics.CountBuckets),
+			"Records acknowledged per fsync: 1, since every append fsyncs its own record (the name predates that).", metrics.CountBuckets),
 		checkpoint: reg.Histogram("wal_checkpoint_duration_seconds",
 			"Wall time of successful checkpoints.", metrics.LatencyBuckets),
 		shipRecords: reg.Counter("repl_ship_records_total",

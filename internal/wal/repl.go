@@ -99,9 +99,8 @@ func (e *Engine) MaxPinLag() (records, bytes int64) {
 }
 
 // DurableNotify returns a channel closed the next time the durable tip
-// advances (a group commit lands, a rotation seals staged frames, or — under
-// SyncNever — any append). Long-polling pullers park on it
-// instead of spinning.
+// advances (an append returns). Long-polling pullers park on it instead of
+// spinning.
 func (e *Engine) DurableNotify() <-chan struct{} {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -192,15 +191,10 @@ func (e *Engine) Detach(id string) {
 }
 
 // tipLocked is the durable end of the log: everything before it may be
-// shipped. Under SyncAlways that is the fsynced prefix of the active segment
-// (staged frames can still be clawed back); under SyncNever every
-// appended byte is acknowledged and shippable.
+// shipped. An append writes (and, under SyncAlways, fsyncs) its frame before
+// it releases e.mu, so every byte of the active segment is acknowledged.
 func (e *Engine) tipLocked() Cursor {
-	off := e.activeSize
-	if e.opts.Sync == SyncAlways {
-		off = e.durableSize
-	}
-	return Cursor{Segment: e.activeIdx, Offset: off}
+	return Cursor{Segment: e.activeIdx, Offset: e.activeSize}
 }
 
 // scanBacklog counts the records and bytes between cur and tip, verifying on

@@ -3,21 +3,16 @@ package wal
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"classminer/internal/trace"
 )
 
-// TestAppendCtxSpans drives concurrent traced appenders through the group
-// commit and asserts every trace records its append, exactly the leaders
-// record a wal.fsync.lead, and at least one of each occurred (the
-// group-commit invariant: one lead per batch, everyone else parked). A
-// follower park requires two appenders to genuinely overlap, which the
-// scheduler does not owe any single round — the fsync is slowed (as in
-// the group-commit tests) and the traffic repeats until one is observed.
+// TestAppendCtxSpans drives concurrent traced appenders and asserts that
+// every SyncAlways append records exactly one wal.append span with exactly
+// one wal.fsync.lead under it: each append fsyncs its own frame, and the
+// fsync span keeps the name the job layer budget reads.
 func TestAppendCtxSpans(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(dir, quietOpts())
@@ -25,79 +20,44 @@ func TestAppendCtxSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	// A slowed fsync forces real batching even on a fast disk.
-	e.mu.Lock()
-	e.syncHook = func(f *os.File) error {
-		time.Sleep(200 * time.Microsecond)
-		return f.Sync()
-	}
-	e.mu.Unlock()
 
 	tc := trace.New(trace.Config{Slow: 0, Ring: 1024}) // keep every trace
-	const writers = 8
-	for round := 0; round < 20; round++ {
-		var wg sync.WaitGroup
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < 20; i++ {
-					var sid [8]byte
-					trace.PutUint64(sid[:], trace.RandU64())
-					tr, root := tc.StartTrace("append", sid, "")
-					ctx := trace.With(context.Background(), root)
-					if err := e.AppendCtx(ctx, []byte(fmt.Sprintf("r%d-w%d-%d", round, w, i))); err != nil {
-						t.Errorf("AppendCtx: %v", err)
-					}
-					tc.Finish(tr, trace.Meta{Route: "wal-test"})
+	const writers, perWriter = 8, 20
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				var sid [8]byte
+				trace.PutUint64(sid[:], trace.RandU64())
+				tr, root := tc.StartTrace("append", sid, "")
+				ctx := trace.With(context.Background(), root)
+				if err := e.AppendCtx(ctx, []byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
+					t.Errorf("AppendCtx: %v", err)
 				}
-			}(w)
-		}
-		wg.Wait()
-		if t.Failed() {
-			return
-		}
-
-		leads, parks := 0, 0
-		for _, v := range tc.Recent() {
-			var sawAppend bool
-			for _, sp := range v.Spans {
-				switch sp.Name {
-				case "wal.append":
-					sawAppend = true
-				case "wal.fsync.lead":
-					leads++
-				case "wal.park":
-					parks++
-				}
+				tc.Finish(tr, trace.Meta{Route: "wal-test"})
 			}
-			if !sawAppend {
-				t.Fatalf("trace without wal.append span: %+v", v.Spans)
-			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	views := tc.Recent()
+	if len(views) != writers*perWriter {
+		t.Fatalf("kept %d traces, want %d", len(views), writers*perWriter)
+	}
+	for _, v := range views {
+		count := map[string]int{}
+		for _, sp := range v.Spans {
+			count[sp.Name]++
 		}
-		if leads > 0 && parks > 0 {
-			return
+		if count["wal.append"] != 1 || count["wal.fsync.lead"] != 1 || count["wal.park"] != 0 {
+			t.Fatalf("want one wal.append and one wal.fsync.lead, no wal.park; got %+v", v.Spans)
 		}
 	}
-	t.Fatal("no round produced both a wal.fsync.lead and a follower wal.park span")
-}
-
-// TestWaitCtxUntracedNoop: a bare context must thread through WaitCtx with
-// no trace machinery involved (and a zero-batch Commit stays free).
-func TestWaitCtxUntracedNoop(t *testing.T) {
-	dir := t.TempDir()
-	opts := quietOpts()
-	opts.Sync = SyncNever
-	e, err := Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	c, err := e.Begin([]byte("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitCtx(context.Background()); err != nil {
-		t.Fatal(err)
+	if st := e.Stats(); st.Syncs != st.Records {
+		t.Fatalf("Syncs = %d for %d records, want one fsync per append", st.Syncs, st.Records)
 	}
 }

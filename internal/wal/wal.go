@@ -51,6 +51,10 @@
 // Every appended record is fsynced before Append returns (SyncAlways, the
 // default: survives power loss); SyncNever leaves syncing to the OS until
 // Close (tests and bulk loads: survives a process crash, not power loss).
+// There is one write path: an append writes its frame and fsyncs it under
+// the engine lock, so appends are acknowledged in log order, one fsync each,
+// and a failed write or fsync truncates its own frame back off the log
+// before the error returns (or, if even that fails, wedges the engine).
 package wal
 
 import (
@@ -96,10 +100,10 @@ type Options struct {
 	// reclamation never wedges behind a dead replica.
 	ReplPinBudgetBytes int64
 	// Metrics, when non-nil, receives the engine's instrumentation: append
-	// and fsync counters/histograms, group-commit batch sizes, and
-	// scrape-time gauges over Stats(). Reopening an engine on the same
-	// registry (kill-restart recovery) re-binds the gauge callbacks to the
-	// new engine and keeps accumulating the shared counters.
+	// and fsync counters/histograms and scrape-time gauges over Stats().
+	// Reopening an engine on the same registry (kill-restart recovery)
+	// re-binds the gauge callbacks to the new engine and keeps accumulating
+	// the shared counters.
 	Metrics *metrics.Registry
 	// Logf receives recovery and checkpoint notices (nil = silent).
 	Logf func(format string, args ...any)
@@ -135,9 +139,8 @@ type Stats struct {
 	Segments int `json:"segments"`
 	// Generation counts completed checkpoints.
 	Generation uint64 `json:"generation"`
-	// Syncs counts segment-data fsyncs since open. Under SyncAlways with
-	// concurrent appenders, Records/Syncs is the group-commit batching
-	// ratio — how many acknowledged records each disk flush amortised.
+	// Syncs counts segment-data fsyncs since open: one per SyncAlways
+	// append, failed ones included, plus one per segment rotation.
 	Syncs int64 `json:"syncs"`
 }
 

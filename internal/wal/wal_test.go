@@ -700,11 +700,10 @@ func BenchmarkAppendSyncAlwaysSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendSyncAlwaysParallel measures the group-commit path with
-// concurrent appenders: staged frames share one leader fsync, so per-record
-// cost approaches fsync-latency divided by the batching ratio. Writer
-// counts beyond the ISSUE 5 target of 8 show how deeper pipelines amortise
-// the post-commit wake/stage bubble too.
+// BenchmarkAppendSyncAlwaysParallel measures SyncAlways with concurrent
+// appenders. Each append writes and fsyncs its own frame under the engine
+// lock, so appenders queue and the per-record cost is one fsync whatever the
+// writer count; records/fsync reports 1.
 func BenchmarkAppendSyncAlwaysParallel(b *testing.B) {
 	for _, writers := range []int{8, 16} {
 		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
