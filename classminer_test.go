@@ -12,9 +12,14 @@ import (
 	"classminer/internal/synth"
 )
 
+// Shared fixture: two mined corpus videos. Mining is the slow part, so the
+// Results are mined once; every caller gets a library of its own over them,
+// because tests protect concepts in theirs and a second run of a test must
+// meet what the first met. A registered Result is never written, so the
+// libraries share them.
 var (
 	libOnce sync.Once
-	lib     *Library
+	libRes  []*Result
 	libErr  error
 )
 
@@ -32,7 +37,7 @@ func addVideo(a *Analyzer, l *Library, v *Video, subcluster string) error {
 	return l.AddResultCtx(context.Background(), res, subcluster)
 }
 
-// sharedLibrary builds one two-video library for all integration tests.
+// sharedLibrary builds a fresh two-video library over the shared Results.
 func sharedLibrary(t testing.TB) *Library {
 	t.Helper()
 	libOnce.Do(func() {
@@ -41,7 +46,6 @@ func sharedLibrary(t testing.TB) *Library {
 			libErr = err
 			return
 		}
-		lib = NewLibrary(a)
 		for i, name := range []string{"laparoscopy", "skin-examination"} {
 			script := synth.CorpusScript(name, 0.25, 99)
 			v, err := synth.Generate(synth.DefaultConfig(), script, int64(100+i))
@@ -49,15 +53,25 @@ func sharedLibrary(t testing.TB) *Library {
 				libErr = err
 				return
 			}
-			if err := addVideo(a, lib, v, "medicine"); err != nil {
+			res, err := a.Analyze(v)
+			if err != nil {
 				libErr = err
 				return
 			}
+			libRes = append(libRes, res)
 		}
-		libErr = lib.BuildIndex()
 	})
 	if libErr != nil {
 		t.Fatal(libErr)
+	}
+	lib := NewLibrary(nil)
+	for _, res := range libRes {
+		if err := lib.AddResultCtx(context.Background(), res, "medicine"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lib.BuildIndexCtx(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	return lib
 }

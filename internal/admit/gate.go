@@ -19,7 +19,6 @@ type Gate struct {
 	maxWait time.Duration
 	waitCap int64
 	waiting atomic.Int64
-	shed    atomic.Uint64
 }
 
 // ErrSaturated is returned when the wait queue is already full: the request
@@ -58,7 +57,6 @@ func (g *Gate) Acquire(ctx context.Context) (waited time.Duration, err error) {
 	}
 	if g.waiting.Add(1) > g.waitCap {
 		g.waiting.Add(-1)
-		g.shed.Add(1)
 		return 0, ErrSaturated
 	}
 	defer g.waiting.Add(-1)
@@ -69,10 +67,8 @@ func (g *Gate) Acquire(ctx context.Context) (waited time.Duration, err error) {
 	case g.slots <- struct{}{}:
 		return time.Since(start), nil
 	case <-t.C:
-		g.shed.Add(1)
 		return time.Since(start), ErrWaitTimeout
 	case <-ctx.Done():
-		g.shed.Add(1)
 		return time.Since(start), ctx.Err()
 	}
 }
@@ -82,13 +78,3 @@ func (g *Gate) Release() { <-g.slots }
 
 // InFlight is the number of currently held slots.
 func (g *Gate) InFlight() int { return len(g.slots) }
-
-// Capacity is the concurrent-holder cap.
-func (g *Gate) Capacity() int { return cap(g.slots) }
-
-// Waiting is the number of currently parked waiters.
-func (g *Gate) Waiting() int { return int(g.waiting.Load()) }
-
-// Shed counts requests this gate turned away (queue full or wait timeout;
-// context cancellations while parked count too — the slot was never granted).
-func (g *Gate) Shed() uint64 { return g.shed.Load() }

@@ -177,18 +177,24 @@ func TestClipFeaturesShape(t *testing.T) {
 	}
 }
 
+// isSpeech is the event miner's speech test: a clip with a positive score.
+func isSpeech(c *SpeechClassifier, clip []float64) bool {
+	s, ok := c.Score(clip, sr)
+	return ok && s > 0
+}
+
 func TestSpeechClassifierSeparates(t *testing.T) {
 	c := classifier(t)
 	// Fresh clips (different seeds from training).
 	speech, non := synth.TrainingClips(sr, ClipSeconds, 10, 999)
 	correct := 0
 	for _, clip := range speech {
-		if c.IsSpeech(clip, sr) {
+		if isSpeech(c, clip) {
 			correct++
 		}
 	}
 	for _, clip := range non {
-		if !c.IsSpeech(clip, sr) {
+		if !isSpeech(c, clip) {
 			correct++
 		}
 	}
@@ -216,7 +222,7 @@ func TestRepresentativeClip(t *testing.T) {
 	if score <= 0 {
 		t.Fatalf("representative clip score %.2f should be speech-positive", score)
 	}
-	if !c.IsSpeech(clip, sr) {
+	if !isSpeech(c, clip) {
 		t.Fatal("representative clip must classify as speech")
 	}
 }
@@ -231,7 +237,7 @@ func TestRepresentativeClipTooShort(t *testing.T) {
 func TestBICSameSpeakerNoChange(t *testing.T) {
 	a := speechClip(2, 2.0, 10)
 	b := speechClip(2, 2.0, 11)
-	res, err := SpeakerChange(a, b, sr, 0)
+	res, err := SpeakerChangeMFCC(MFCCs(a, sr), MFCCs(b, sr), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +249,7 @@ func TestBICSameSpeakerNoChange(t *testing.T) {
 func TestBICDifferentSpeakersChange(t *testing.T) {
 	a := speechClip(1, 2.0, 12)
 	b := speechClip(4, 2.0, 13)
-	res, err := SpeakerChange(a, b, sr, 0)
+	res, err := SpeakerChangeMFCC(MFCCs(a, sr), MFCCs(b, sr), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +259,7 @@ func TestBICDifferentSpeakersChange(t *testing.T) {
 }
 
 func TestBICTooShort(t *testing.T) {
-	if _, err := SpeakerChange(make([]float64, 100), make([]float64, 100), sr, 0); err == nil {
+	if _, err := SpeakerChangeMFCC(MFCCs(make([]float64, 100), sr), MFCCs(make([]float64, 100), sr), 0); err == nil {
 		t.Fatal("want error for too-short clips")
 	}
 }
@@ -304,7 +310,7 @@ func BenchmarkSpeakerChange(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SpeakerChange(a, c, sr, 0); err != nil {
+		if _, err := SpeakerChangeMFCC(MFCCs(a, sr), MFCCs(c, sr), 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,21 +17,14 @@ type BICResult struct {
 	Changed  bool
 }
 
-// SpeakerChange runs the §4.2 hypothesis test on the MFCC sequences of two
-// representative clips: H0 models both with one multivariate Gaussian, H1
-// with one Gaussian each. The likelihood-ratio statistic of Eq. (18) is
+// SpeakerChangeMFCC runs the §4.2 hypothesis test on the MFCC sequences of
+// two representative clips: H0 models both with one multivariate Gaussian,
+// H1 with one Gaussian each. The likelihood-ratio statistic of Eq. (18) is
 //
 //	Λ(R) = N/2·log|Σ| − Ni/2·log|Σi| − Nj/2·log|Σj|
 //
 // and ΔBIC(Λ) = −Λ(R) + λ·P with P = ½(p + ½p(p+1))·log N (Eq. 19).
 // ΔBIC < 0 claims a change of speaker between the shots.
-func SpeakerChange(clipA, clipB []float64, sampleRate int, lambda float64) (*BICResult, error) {
-	xa := MFCCs(clipA, sampleRate)
-	xb := MFCCs(clipB, sampleRate)
-	return SpeakerChangeMFCC(xa, xb, lambda)
-}
-
-// SpeakerChangeMFCC is SpeakerChange on pre-computed MFCC sequences.
 func SpeakerChangeMFCC(xa, xb [][]float64, lambda float64) (*BICResult, error) {
 	if lambda <= 0 {
 		lambda = DefaultPenalty

@@ -103,12 +103,6 @@ func (c *SpeechClassifier) Score(clip []float64, sampleRate int) (float64, bool)
 	return c.speech.LogLikelihood(z) - c.nonSpeech.LogLikelihood(z), true
 }
 
-// IsSpeech classifies one clip.
-func (c *SpeechClassifier) IsSpeech(clip []float64, sampleRate int) bool {
-	s, ok := c.Score(clip, sampleRate)
-	return ok && s > 0
-}
-
 // RepresentativeClip implements the §4.2 selection: the shot's audio is cut
 // into adjacent ~2 s clips and the clip most like clean speech is returned.
 // ok is false when the shot is shorter than one clip (such shots are

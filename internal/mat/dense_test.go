@@ -7,36 +7,25 @@ import (
 )
 
 func TestDenseRowsAndAppend(t *testing.T) {
-	d := &Dense{}
-	d.AppendRow([]float64{1, 2, 3})
-	d.AppendRow([]float64{4, 5, 6})
-	if d.R != 2 || d.C != 3 {
-		t.Fatalf("shape = %dx%d", d.R, d.C)
-	}
+	d := NewDense(2, 3)
+	copy(d.Data, []float64{1, 2, 3, 4, 5, 6})
 	if got := d.Row(1); got[0] != 4 || got[2] != 6 {
 		t.Fatalf("row 1 = %v", got)
 	}
-	d.SetRow(0, []float64{7, 8, 9})
+	// A row view is capped at its row: appending to it copies, and never
+	// writes into the next row.
+	if grown := append(d.Row(0), 99); d.Data[3] != 4 || len(grown) != 4 {
+		t.Fatalf("append to row 0 wrote into row 1: data %v", d.Data)
+	}
+	d.Row(0)[0] = 7
 	if d.Data[0] != 7 {
-		t.Fatal("SetRow did not write through")
+		t.Fatal("Row must view, not copy")
 	}
 	rows := d.Rows()
 	rows[1][0] = 40
 	if d.Data[3] != 40 {
 		t.Fatal("Rows must view, not copy")
 	}
-	if got := d.SqDistRow(0, []float64{7, 8, 9}); got != 0 {
-		t.Fatalf("SqDistRow = %v", got)
-	}
-	if got := d.DistRow(1, []float64{40, 5, 6}); got != 0 {
-		t.Fatalf("DistRow = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AppendRow with wrong width must panic")
-		}
-	}()
-	d.AppendRow([]float64{1})
 }
 
 func TestSqDistBounded(t *testing.T) {
@@ -62,36 +51,4 @@ func TestSqDistBounded(t *testing.T) {
 			t.Fatalf("n=%d: abandoned sum %v below bound %v", n, got, exact/4)
 		}
 	}
-}
-
-func TestPCAProjectInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	x := make([][]float64, 40)
-	for i := range x {
-		row := make([]float64, 12)
-		for j := range row {
-			row[j] = rng.NormFloat64()
-		}
-		x[i] = row
-	}
-	p, err := FitPCA(x, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float64, 4)
-	for _, row := range x[:5] {
-		want := p.Project(row)
-		got := p.ProjectInto(dst, row)
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-12 {
-				t.Fatalf("ProjectInto[%d] = %v, Project = %v", i, got[i], want[i])
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ProjectInto with wrong dst size must panic")
-		}
-	}()
-	p.ProjectInto(make([]float64, 3), x[0])
 }

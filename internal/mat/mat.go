@@ -29,34 +29,6 @@ var ErrDimension = errors.New("mat: dimension mismatch")
 // (numerically) symmetric positive definite even after regularisation.
 var ErrNotPositiveDefinite = errors.New("mat: matrix not positive definite")
 
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(ErrDimension)
-	}
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// Norm returns the Euclidean norm of v.
-func Norm(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
-
-// Dist returns the Euclidean distance between a and b.
-func Dist(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(ErrDimension)
-	}
-	var s float64
-	for i, v := range a {
-		d := v - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
 // SqDist returns the squared Euclidean distance between a and b.
 func SqDist(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -68,39 +40,6 @@ func SqDist(a, b []float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// Add returns a+b as a new slice.
-func Add(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(ErrDimension)
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Sub returns a-b as a new slice.
-func Sub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(ErrDimension)
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// Scale returns s*v as a new slice.
-func Scale(v []float64, s float64) []float64 {
-	out := make([]float64, len(v))
-	for i := range v {
-		out[i] = v[i] * s
-	}
-	return out
 }
 
 // Mean returns the component-wise mean of the rows in x.
@@ -238,15 +177,6 @@ func Clone(m [][]float64) [][]float64 {
 	out := NewMatrix(len(m), len(m[0]))
 	for i := range m {
 		copy(out[i], m[i])
-	}
-	return out
-}
-
-// MulVec returns m·v.
-func MulVec(m [][]float64, v []float64) []float64 {
-	out := make([]float64, len(m))
-	for i, row := range m {
-		out[i] = Dot(row, v)
 	}
 	return out
 }

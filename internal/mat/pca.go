@@ -48,28 +48,5 @@ func FitPCA(x [][]float64, k int) (*PCA, error) {
 	return p, nil
 }
 
-// Project maps v into the fitted subspace.
-func (p *PCA) Project(v []float64) []float64 {
-	return p.ProjectInto(make([]float64, len(p.Components)), v)
-}
-
-// ProjectInto maps v into the fitted subspace, writing the result into dst
-// (which must have length Dim). Centering happens on the fly, so the call
-// performs no heap allocation — the search hot path projects every query
-// through per-call scratch buffers.
-func (p *PCA) ProjectInto(dst, v []float64) []float64 {
-	if len(dst) != len(p.Components) || len(v) != len(p.Mean) {
-		panic(ErrDimension)
-	}
-	for i, axis := range p.Components {
-		var s float64
-		for j, a := range axis {
-			s += a * (v[j] - p.Mean[j])
-		}
-		dst[i] = s
-	}
-	return dst
-}
-
 // Dim returns the dimensionality of the projected space.
 func (p *PCA) Dim() int { return len(p.Components) }

@@ -1,7 +1,7 @@
-// Package mediaio converts the internal media model to and from standard
-// interchange formats: PNG for frames (storyboards, skim keyframes) and
-// WAV (PCM16) for audio tracks. It is the bridge between the synthetic
-// substrate and external tools.
+// Package mediaio writes the internal media model in standard interchange
+// formats: PNG for frames (storyboards, skim keyframes) and WAV (PCM16) for
+// audio tracks. It is the bridge between the synthetic substrate and
+// external tools.
 package mediaio
 
 import (
@@ -28,23 +28,6 @@ func WritePNG(w io.Writer, f *vidmodel.Frame) error {
 		}
 	}
 	return png.Encode(w, img)
-}
-
-// ReadPNG decodes a PNG into a frame.
-func ReadPNG(r io.Reader) (*vidmodel.Frame, error) {
-	img, err := png.Decode(r)
-	if err != nil {
-		return nil, fmt.Errorf("mediaio: %w", err)
-	}
-	bounds := img.Bounds()
-	f := vidmodel.NewFrame(bounds.Dx(), bounds.Dy())
-	for y := 0; y < f.H; y++ {
-		for x := 0; x < f.W; x++ {
-			r16, g16, b16, _ := img.At(bounds.Min.X+x, bounds.Min.Y+y).RGBA()
-			f.Set(x, y, byte(r16>>8), byte(g16>>8), byte(b16>>8))
-		}
-	}
-	return f, nil
 }
 
 // WriteWAV encodes a mono audio track as 16-bit PCM WAV.
@@ -83,34 +66,4 @@ func WriteWAV(w io.Writer, a *vidmodel.AudioTrack) error {
 	}
 	_, err := w.Write(buf)
 	return err
-}
-
-// ReadWAV decodes a mono 16-bit PCM WAV into an audio track.
-func ReadWAV(r io.Reader) (*vidmodel.AudioTrack, error) {
-	header := make([]byte, 44)
-	if _, err := io.ReadFull(r, header); err != nil {
-		return nil, fmt.Errorf("mediaio: short WAV header: %w", err)
-	}
-	if string(header[0:4]) != "RIFF" || string(header[8:12]) != "WAVE" {
-		return nil, fmt.Errorf("mediaio: not a WAV stream")
-	}
-	if binary.LittleEndian.Uint16(header[20:]) != 1 {
-		return nil, fmt.Errorf("mediaio: only PCM WAV supported")
-	}
-	if binary.LittleEndian.Uint16(header[22:]) != 1 {
-		return nil, fmt.Errorf("mediaio: only mono WAV supported")
-	}
-	if bits := binary.LittleEndian.Uint16(header[34:]); bits != 16 {
-		return nil, fmt.Errorf("mediaio: only 16-bit WAV supported, got %d", bits)
-	}
-	track := &vidmodel.AudioTrack{SampleRate: int(binary.LittleEndian.Uint32(header[24:]))}
-	dataLen := binary.LittleEndian.Uint32(header[40:])
-	buf, err := io.ReadAll(io.LimitReader(r, int64(dataLen)))
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i+1 < len(buf); i += 2 {
-		track.Samples = append(track.Samples, float64(int16(binary.LittleEndian.Uint16(buf[i:])))/32767)
-	}
-	return track, nil
 }

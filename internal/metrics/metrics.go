@@ -67,35 +67,6 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a settable int64. The zero value is ready to use; a nil Gauge is
-// a no-op. Float-valued or derived gauges are registered as GaugeFunc
-// instead — sampled at scrape, they cost the hot path nothing.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Add adds n (negative to subtract).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // Histogram is a fixed-bucket histogram. Each Observe increments exactly one
 // bucket counter (buckets are stored non-cumulative; the writer accumulates
 // for the exposition format), the total count, and a CAS-maintained float
@@ -134,14 +105,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }
 
-// Count returns the total number of samples observed.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Sum returns the sum of all observed samples.
 func (h *Histogram) Sum() float64 {
 	if h == nil {
@@ -160,19 +123,16 @@ var (
 		1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3,
 		0.1, 0.25, 0.5, 1, 2.5, 10,
 	}
-	// SizeBuckets spans 256B to 16MiB (response and record sizes).
-	SizeBuckets = []float64{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20}
 	// CountBuckets covers small cardinalities: batch-search item counts and
 	// records per WAL fsync.
 	CountBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 )
 
 // series is one (label set, instrument) pair within a family. Exactly one
-// of c, g, h, fn is set.
+// of c, h, fn is set.
 type series struct {
 	labels string // rendered `k="v",k2="v2"` (no braces), "" for unlabelled
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 	fn     func() float64
 }
@@ -204,12 +164,6 @@ func NewRegistry() *Registry {
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	s := r.register(name, help, "counter", labels, func() *series { return &series{c: &Counter{}} })
 	return s.c
-}
-
-// Gauge registers (or returns the existing) gauge series.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.register(name, help, "gauge", labels, func() *series { return &series{g: &Gauge{}} })
-	return s.g
 }
 
 // Histogram registers (or returns the existing) histogram series with the
@@ -354,8 +308,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeHistogram(&b, f.name, s)
 			case s.c != nil:
 				writeSample(&b, f.name, "", s.labels, strconv.FormatUint(s.c.Value(), 10))
-			case s.g != nil:
-				writeSample(&b, f.name, "", s.labels, strconv.FormatInt(s.g.Value(), 10))
 			case s.fn != nil:
 				writeSample(&b, f.name, "", s.labels, formatFloat(s.fn()))
 			}

@@ -19,8 +19,7 @@ func TestExpositionGolden(t *testing.T) {
 	c.Inc()
 	r.Counter("http_requests_total", "Per-route requests.", "route", "/v1/search", "status", "2xx").Add(7)
 	r.Counter("http_requests_total", "Per-route requests.", "route", "/healthz", "status", "2xx").Add(2)
-	g := r.Gauge("queue_depth", "Jobs waiting.")
-	g.Set(3)
+	r.GaugeFunc("queue_depth", "Jobs waiting.", func() float64 { return 3 })
 	r.GaugeFunc("index_staleness", "Overlay fraction.", func() float64 { return 0.25 })
 	h := r.Histogram("latency_seconds", "Request latency.", []float64{0.01, 0.1, 1})
 	h.Observe(0.005)
@@ -117,7 +116,7 @@ func TestTypeClashPanics(t *testing.T) {
 	}()
 	r := NewRegistry()
 	r.Counter("x_total", "")
-	r.Gauge("x_total", "")
+	r.GaugeFunc("x_total", "", func() float64 { return 0 })
 }
 
 func TestInvalidNamePanics(t *testing.T) {
@@ -151,15 +150,12 @@ func TestLabelEscaping(t *testing.T) {
 // nil instruments; none may panic.
 func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	c.Inc()
 	c.Add(5)
-	g.Set(1)
-	g.Add(-1)
 	h.Observe(1)
 	h.ObserveSince(time.Now())
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || h.Sum() != 0 {
 		t.Fatal("nil instruments reported nonzero state")
 	}
 }
@@ -186,8 +182,8 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	const total = goroutines * perG
-	if h.Count() != total {
-		t.Fatalf("histogram count = %d, want %d", h.Count(), total)
+	if n := h.count.Load(); n != total {
+		t.Fatalf("histogram count = %d, want %d", n, total)
 	}
 	if c.Value() != total {
 		t.Fatalf("counter = %d, want %d", c.Value(), total)
@@ -211,12 +207,10 @@ func TestHistogramConcurrent(t *testing.T) {
 func TestHotPathZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "")
-	g := r.Gauge("g", "")
 	h := r.Histogram("h_seconds", "", LatencyBuckets)
 	if avg := testing.AllocsPerRun(500, func() {
 		c.Inc()
 		c.Add(3)
-		g.Set(7)
 		h.Observe(0.0001)
 	}); avg != 0 {
 		t.Fatalf("hot-path instrumentation allocates %.1f per run, want 0", avg)

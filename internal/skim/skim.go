@@ -127,14 +127,6 @@ func (s *Skim) FCR(l Level) float64 {
 	return float64(frames) / float64(s.TotalFrames)
 }
 
-// ShotCompression returns |skim shots| / |all shots| for a level.
-func (s *Skim) ShotCompression(l Level) float64 {
-	if s.TotalShots == 0 {
-		return 0
-	}
-	return float64(len(s.Shots(l))) / float64(s.TotalShots)
-}
-
 // eventGlyphs drives the colour bar; each event category renders as one
 // glyph so the bar shows the content structure of the video (Fig. 11).
 var eventGlyphs = map[vidmodel.EventKind]rune{

@@ -141,12 +141,14 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
+// TestShotCompression checks |skim shots| / |all shots| at the two ends.
 func TestShotCompression(t *testing.T) {
 	s, _ := buildFixture(t)
-	if got := s.ShotCompression(Level1); got != 1 {
+	ratio := func(l Level) float64 { return float64(len(s.Shots(l))) / float64(s.TotalShots) }
+	if got := ratio(Level1); got != 1 {
 		t.Fatalf("level 1 shot compression = %v", got)
 	}
-	if got := s.ShotCompression(Level4); got >= 0.5 {
+	if got := ratio(Level4); got >= 0.5 {
 		t.Fatalf("level 4 shot compression = %v, want < 0.5", got)
 	}
 }

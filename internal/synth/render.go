@@ -16,22 +16,6 @@ func lerp(a, b RGB, t float64) RGB {
 	return RGB{f(a.R, b.R), f(a.G, b.G), f(a.B, b.B)}
 }
 
-// jitterColor perturbs a colour by up to amp per channel (lighting drift,
-// sensor noise). The perturbation is clamped to valid byte range.
-func jitterColor(c RGB, amp float64, rng *rand.Rand) RGB {
-	j := func(v byte) byte {
-		x := float64(v) + (rng.Float64()*2-1)*amp
-		if x < 0 {
-			x = 0
-		}
-		if x > 255 {
-			x = 255
-		}
-		return byte(x)
-	}
-	return RGB{j(c.R), j(c.G), j(c.B)}
-}
-
 // fillRect paints an axis-aligned rectangle; coordinates are clamped.
 func fillRect(f *vidmodel.Frame, x0, y0, x1, y1 int, c RGB) {
 	if x0 < 0 {
@@ -115,17 +99,12 @@ func textBars(f *vidmodel.Frame, y, n, variant int, ink RGB) {
 	}
 }
 
-// drawFace renders a frontal head-and-shoulders figure whose face occupies
-// roughly sizeFrac of the frame area. The face is an upright skin-tone
-// ellipse with hair, eyes and a mouth — enough structure for the skin model,
-// shape analysis and template-curve verification of §4.1 to operate on.
-// bob shifts the head vertically (talking motion).
-func drawFace(f *vidmodel.Frame, skin, hair, clothes RGB, sizeFrac, bob float64) {
-	drawFaceAt(f, skin, hair, clothes, sizeFrac, bob, 0.5)
-}
-
-// drawFaceAt is drawFace with the head centred at the horizontal fraction
-// xFrac of the frame.
+// drawFaceAt renders a frontal head-and-shoulders figure whose face
+// occupies roughly sizeFrac of the frame area, centred at the horizontal
+// fraction xFrac of the frame. The face is an upright skin-tone ellipse
+// with hair, eyes and a mouth — enough structure for the skin model, shape
+// analysis and template-curve verification of §4.1 to operate on. bob
+// shifts the head vertically (talking motion).
 func drawFaceAt(f *vidmodel.Frame, skin, hair, clothes RGB, sizeFrac, bob, xFrac float64) {
 	w, h := float64(f.W), float64(f.H)
 	// Face area = π·rx·ry ≈ sizeFrac·w·h with aspect ry = 1.3·rx.
@@ -144,13 +123,4 @@ func drawFaceAt(f *vidmodel.Frame, skin, hair, clothes RGB, sizeFrac, bob, xFrac
 	fillEllipse(f, cx-rx*0.4, cy-ry*0.15, eyeR, eyeR, dark)
 	fillEllipse(f, cx+rx*0.4, cy-ry*0.15, eyeR, eyeR, dark)
 	fillRect(f, int(cx-rx*0.35), int(cy+ry*0.45), int(cx+rx*0.35), int(cy+ry*0.45)+1, RGB{120, 60, 60})
-}
-
-// blend mixes frame b into frame a with weight t (for dissolve transitions).
-func blend(a, b *vidmodel.Frame, t float64) *vidmodel.Frame {
-	out := vidmodel.NewFrame(a.W, a.H)
-	for i := range out.Pix {
-		out.Pix[i] = byte(float64(a.Pix[i])*(1-t) + float64(b.Pix[i])*t)
-	}
-	return out
 }

@@ -45,30 +45,6 @@ type Script struct {
 	Scenes []SceneSpec
 }
 
-// ShotCount returns the total number of scripted shots.
-func (s *Script) ShotCount() int {
-	n := 0
-	for _, sc := range s.Scenes {
-		for _, g := range sc.Groups {
-			n += len(g.Shots)
-		}
-	}
-	return n
-}
-
-// FrameCount returns the total number of scripted frames (before dissolves).
-func (s *Script) FrameCount() int {
-	n := 0
-	for _, sc := range s.Scenes {
-		for _, g := range sc.Groups {
-			for _, sh := range g.Shots {
-				n += sh.Frames
-			}
-		}
-	}
-	return n
-}
-
 // paletteFamilies is the pool scene settings draw from. Keeping the pool
 // small on purpose makes distinct scenes visually confusable, which is what
 // drives scene-detection precision below 1.0 (as in the paper's Fig. 12).
@@ -133,12 +109,6 @@ func avoidSkinChroma(c RGB) RGB {
 		}
 	}
 	return c
-}
-
-// PaletteFamily returns one of the built-in palette families (modulo the
-// pool size), for callers scripting scenes directly.
-func PaletteFamily(i int) Palette {
-	return paletteFamilies[((i%len(paletteFamilies))+len(paletteFamilies))%len(paletteFamilies)]
 }
 
 func shotLen(rng *rand.Rand, lo, hi int) int { return lo + rng.Intn(hi-lo+1) }

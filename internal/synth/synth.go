@@ -23,7 +23,6 @@ type Config struct {
 	FPS        float64 // frames per second
 	SampleRate int     // audio samples per second
 	Noise      float64 // per-channel pixel noise amplitude
-	Dissolve   int     // frames of gradual transition between scenes (0 = hard cuts)
 }
 
 // DefaultConfig returns the corpus-scale defaults: 48×36 @ 10 fps with
@@ -96,30 +95,8 @@ func Generate(cfg Config, script *Script, seed int64) (*vidmodel.Video, error) {
 			Event:      scene.Event,
 			ClusterID:  scene.ClusterID,
 		})
-		if cfg.Dissolve > 0 && rng.Float64() < 0.3 && len(video.Frames) > cfg.Dissolve {
-			applyDissolve(video, cfg.Dissolve)
-		}
 	}
 	return video, nil
-}
-
-// applyDissolve softens the most recent scene boundary by blending the
-// trailing frames of the previous scene into the first frame of the new
-// one. The ground-truth boundary stays at the scene start.
-func applyDissolve(v *vidmodel.Video, frames int) {
-	if len(v.Truth.Scenes) < 1 {
-		return
-	}
-	boundary := v.Truth.Scenes[len(v.Truth.Scenes)-1].EndFrame
-	if boundary >= len(v.Frames) || boundary < frames {
-		return
-	}
-	target := v.Frames[boundary]
-	for i := 1; i <= frames; i++ {
-		idx := boundary - i
-		t := 1 - float64(i)/float64(frames+1)
-		v.Frames[idx] = blend(v.Frames[idx], target, t)
-	}
 }
 
 // TrainingClips generates labelled audio clips for fitting the

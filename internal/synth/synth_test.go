@@ -1,6 +1,9 @@
 package synth
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -46,6 +49,39 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("audio differs at sample %d", i)
 		}
 	}
+	// The digest pins the rendering itself: a change to the generator that
+	// moves one pixel, one sample, one RNG draw or one ground-truth
+	// boundary moves it, and with it every corpus mined from synth.
+	const want = "9627e6c990413b67beb0e5fbadbc943e71d43750a358bd8549d33792dbf69897"
+	if got := videoDigest(v1); got != want {
+		t.Errorf("Generate digest = %s, want %s", got, want)
+	}
+}
+
+// videoDigest hashes every pixel, audio sample and ground-truth boundary.
+func videoDigest(v *vidmodel.Video) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(b[:], x)
+		h.Write(b[:])
+	}
+	for _, f := range v.Frames {
+		put(uint64(f.W))
+		put(uint64(f.H))
+		h.Write(f.Pix)
+	}
+	for _, s := range v.Audio.Samples {
+		put(math.Float64bits(s))
+	}
+	for _, s := range v.Truth.ShotStarts {
+		put(uint64(s))
+	}
+	for _, s := range v.Truth.Scenes {
+		put(uint64(s.StartFrame))
+		put(uint64(s.EndFrame))
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 func TestGenerateGroundTruthConsistent(t *testing.T) {
@@ -55,11 +91,20 @@ func TestGenerateGroundTruthConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Truth.ShotStarts) != script.ShotCount() {
-		t.Fatalf("shot starts = %d, want %d", len(v.Truth.ShotStarts), script.ShotCount())
+	shots, frames := 0, 0
+	for _, sc := range script.Scenes {
+		for _, g := range sc.Groups {
+			for _, sh := range g.Shots {
+				shots++
+				frames += sh.Frames
+			}
+		}
 	}
-	if len(v.Frames) != script.FrameCount() {
-		t.Fatalf("frames = %d, want %d", len(v.Frames), script.FrameCount())
+	if len(v.Truth.ShotStarts) != shots {
+		t.Fatalf("shot starts = %d, want %d", len(v.Truth.ShotStarts), shots)
+	}
+	if len(v.Frames) != frames {
+		t.Fatalf("frames = %d, want %d", len(v.Frames), frames)
 	}
 	// Scenes tile the video exactly.
 	if v.Truth.Scenes[0].StartFrame != 0 {
@@ -267,21 +312,6 @@ func TestCorpusScaleGrowth(t *testing.T) {
 		if len(large[i].Scenes) <= len(small[i].Scenes) {
 			t.Fatalf("scale must grow video %d: %d vs %d", i, len(small[i].Scenes), len(large[i].Scenes))
 		}
-	}
-}
-
-func TestDissolveSoftensBoundary(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Dissolve = 3
-	// Deterministically provoke at least one dissolve by generating with a
-	// few seeds and checking that output still satisfies the invariants.
-	script := tinyScript(rand.New(rand.NewSource(8)))
-	v, err := Generate(cfg, script, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Frames) != script.FrameCount() {
-		t.Fatal("dissolve must not change frame count")
 	}
 }
 

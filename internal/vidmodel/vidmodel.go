@@ -192,14 +192,6 @@ type Group struct {
 	RepShots []*Shot // one representative per intra-group cluster (§3.2.1)
 }
 
-// ShotSpan returns the first and one-past-last shot indices of the group.
-func (g *Group) ShotSpan() (first, last int) {
-	if len(g.Shots) == 0 {
-		return 0, 0
-	}
-	return g.Shots[0].Index, g.Shots[len(g.Shots)-1].Index + 1
-}
-
 // FrameSpan returns the first and one-past-last frame indices of the group.
 func (g *Group) FrameSpan() (first, last int) {
 	if len(g.Shots) == 0 {
@@ -324,14 +316,4 @@ func (g *GroundTruth) SceneAt(frame int) int {
 		}
 	}
 	return -1
-}
-
-// SpeakerAt returns the speaker ID active at the frame, or 0.
-func (g *GroundTruth) SpeakerAt(frame int) int {
-	for _, seg := range g.SpeakerTurn {
-		if frame >= seg.StartFrame && frame < seg.EndFrame {
-			return seg.SpeakerID
-		}
-	}
-	return 0
 }

@@ -106,10 +106,6 @@ func TestGroupSpans(t *testing.T) {
 		{Index: 3, Start: 30, End: 40},
 		{Index: 4, Start: 40, End: 55},
 	}}
-	f, l := g.ShotSpan()
-	if f != 3 || l != 5 {
-		t.Fatalf("ShotSpan = (%d,%d)", f, l)
-	}
 	ff, fl := g.FrameSpan()
 	if ff != 30 || fl != 55 {
 		t.Fatalf("FrameSpan = (%d,%d)", ff, fl)
@@ -121,9 +117,6 @@ func TestGroupSpans(t *testing.T) {
 
 func TestGroupEmptySpans(t *testing.T) {
 	g := &Group{}
-	if f, l := g.ShotSpan(); f != 0 || l != 0 {
-		t.Fatal("empty group ShotSpan should be zero")
-	}
 	if f, l := g.FrameSpan(); f != 0 || l != 0 {
 		t.Fatal("empty group FrameSpan should be zero")
 	}
@@ -169,22 +162,12 @@ func TestGroundTruthLookups(t *testing.T) {
 			{StartFrame: 0, EndFrame: 100, Event: EventDialog},
 			{StartFrame: 100, EndFrame: 250, Event: EventPresentation},
 		},
-		SpeakerTurn: []SpeakerSegment{
-			{StartFrame: 0, EndFrame: 50, SpeakerID: 1},
-			{StartFrame: 50, EndFrame: 100, SpeakerID: 2},
-		},
 	}
 	if gt.SceneAt(150) != 1 {
 		t.Fatalf("SceneAt(150) = %d", gt.SceneAt(150))
 	}
 	if gt.SceneAt(900) != -1 {
 		t.Fatal("SceneAt outside must be -1")
-	}
-	if gt.SpeakerAt(75) != 2 {
-		t.Fatalf("SpeakerAt(75) = %d", gt.SpeakerAt(75))
-	}
-	if gt.SpeakerAt(500) != 0 {
-		t.Fatal("SpeakerAt outside must be 0")
 	}
 }
 
