@@ -53,20 +53,16 @@ import (
 type (
 	// Video is a decoded media document (frames + aligned audio).
 	Video = vidmodel.Video
-	// Frame is a small dense RGB raster.
-	Frame = vidmodel.Frame
-	// AudioTrack is a mono PCM stream.
-	AudioTrack = vidmodel.AudioTrack
 	// Shot is the physical unit of §3 Definition 2.
 	Shot = vidmodel.Shot
-	// Group is the intermediate unit between shots and scenes.
-	Group = vidmodel.Group
 	// Scene is a collection of semantically related adjacent groups.
 	Scene = vidmodel.Scene
-	// ClusteredScene groups recurrences of visually similar scenes.
-	ClusteredScene = vidmodel.ClusteredScene
 	// EventKind is a mined event category.
 	EventKind = vidmodel.EventKind
+	// Analyzer mines video content structure and events. Construct once
+	// with NewAnalyzer and reuse across videos (it holds a trained audio
+	// classifier); Analyze runs the full Fig. 3 pipeline on one video.
+	Analyzer = core.Analyzer
 	// Options configures the mining pipeline.
 	Options = core.Options
 	// Result is the mined content structure of one video.
@@ -83,8 +79,6 @@ type (
 	SearchStats = index.Stats
 	// SkimLevel indexes the four scalable-skimming layers of §5.
 	SkimLevel = skim.Level
-	// Skim is a built scalable skimming.
-	Skim = skim.Skim
 	// DurableOptions configures the write-ahead log behind Recover.
 	DurableOptions = wal.Options
 	// WALStats reports a durable library's log lag (records and bytes
@@ -136,24 +130,9 @@ const (
 	Administrator = access.Administrator
 )
 
-// Analyzer mines video content structure and events. Construct once with
-// NewAnalyzer and reuse across videos (it holds a trained audio classifier).
-type Analyzer struct {
-	inner *core.Analyzer
-}
-
 // NewAnalyzer builds a mining pipeline; the zero Options reproduce the
 // paper's published settings.
-func NewAnalyzer(opts Options) (*Analyzer, error) {
-	inner, err := core.NewAnalyzer(opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Analyzer{inner: inner}, nil
-}
-
-// Analyze runs the full Fig. 3 pipeline on one video.
-func (a *Analyzer) Analyze(v *Video) (*Result, error) { return a.inner.Analyze(v) }
+func NewAnalyzer(opts Options) (*Analyzer, error) { return core.NewAnalyzer(opts) }
 
 // VideoEntry is a video registered in a Library.
 type VideoEntry struct {

@@ -25,7 +25,7 @@ import (
 
 func main() {
 	videoName := flag.String("video", "laparoscopy", "corpus video: "+fmt.Sprint(synth.CorpusNames()))
-	scale := flag.Float64("scale", 0.5, "corpus scale")
+	scale := flag.Float64("scale", 0.5, "corpus scale (> 0)")
 	seed := flag.Int64("seed", 2003, "corpus seed")
 	level := flag.Int("level", 3, "skimming level to list (1-4)")
 	useMPEG := flag.Bool("mpeg", false, "round-trip the video through the simulated MPEG codec first")
@@ -39,6 +39,14 @@ func main() {
 }
 
 func run(videoName string, scale float64, seed int64, level int, useMPEG bool, saveTo string) error {
+	// Skim.Shots clamps a level and CorpusScript reads a scale <= 0 as 1:
+	// either would print or save something other than what was asked for.
+	if skim.Level(level) < skim.Level1 || skim.Level(level) > skim.Level4 {
+		return fmt.Errorf("-level %d: want %d-%d", level, skim.Level1, skim.Level4)
+	}
+	if !(scale > 0) {
+		return fmt.Errorf("-scale %v: want > 0", scale)
+	}
 	script := synth.CorpusScript(videoName, scale, seed)
 	if script == nil {
 		return fmt.Errorf("unknown corpus video %q (have %v)", videoName, synth.CorpusNames())

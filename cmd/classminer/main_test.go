@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -156,5 +157,36 @@ func TestSavedBodyIngests(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("hits over HTTP ingest differ from in-process registration:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestRunRejectsBadArguments: a level outside 1-4 or a scale <= 0 used to
+// be clamped or read as 1, so the CLI printed one thing under the label of
+// another. Each is now an error that names its flag, like an unknown video,
+// and nothing is saved.
+func TestRunRejectsBadArguments(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		video string
+		scale float64
+		level int
+		want  string
+	}{
+		{"level 0", "laparoscopy", 0.2, 0, "-level 0"},
+		{"level 5", "laparoscopy", 0.2, 5, "-level 5"},
+		{"scale 0", "laparoscopy", 0, 3, "-scale 0"},
+		{"scale -1", "laparoscopy", -1, 3, "-scale -1"},
+		{"unknown video", "appendectomy", 0.2, 3, `"appendectomy"`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "body.json")
+			err := run(c.video, c.scale, 11, c.level, false, path)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("run = %v, want an error naming %s", err, c.want)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("a rejected run wrote %s (stat: %v)", path, err)
+			}
+		})
 	}
 }

@@ -1,50 +1,72 @@
-// Quickstart: generate a small synthetic medical video, mine its content
-// structure and events with ClassMiner, and print what was found.
+// Quickstart walks the library API end to end: mine one synthetic corpus
+// video, register and index it, protect its clinical scenes, and search it
+// by example as two users. README.md's "Quickstart: library API" section
+// shows this code and exactly what it prints (TestQuickstartOutput).
 package main
 
 import (
+	"context"
 	"fmt"
-	"log"
-	"math/rand"
+	"io"
+	"os"
 
 	"classminer"
 	"classminer/internal/synth"
 )
 
 func main() {
-	// 1. A video. Real deployments decode MPEG; this repository ships a
-	// synthetic generator so everything runs offline (see internal/synth).
-	rng := rand.New(rand.NewSource(7))
-	script := &synth.Script{Name: "quickstart", Scenes: []synth.SceneSpec{
-		synth.PresentationScene(rng, 0, 1, 1),                     // presenter + slides
-		synth.DialogScene(rng, 1, 2, 2, 3),                        // doctor–patient dialog
-		synth.OperationScene(rng, 2, 3, synth.ContentSurgical, 0), // surgery
-	}}
-	video, err := synth.Generate(synth.DefaultConfig(), script, 7)
-	if err != nil {
-		log.Fatal(err)
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart:", err)
+		os.Exit(1)
 	}
+}
 
-	// 2. One analyzer, reusable across videos.
+func run(w io.Writer) error {
+	ctx := context.Background() // carries a trace span when there is one
 	analyzer, err := classminer.NewAnalyzer(classminer.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	lib := classminer.NewLibrary(nil) // the library indexes; it never mines
 
-	// 3. Mine the video.
-	result, err := analyzer.Analyze(video)
+	script := synth.CorpusScript("laparoscopy", 0.5, 2003)
+	video, err := synth.Generate(synth.DefaultConfig(), script, 2003)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	res, err := analyzer.Analyze(video) // mines shots → groups → scenes → events
+	if err != nil {
+		return err
+	}
+	err = lib.AddResultCtx(ctx, res, "medicine") // registers the mined result
+	if err != nil {
+		return err
+	}
+	err = lib.BuildIndexCtx(ctx) // §6.2 hierarchical index (copy-on-write swap)
+	if err != nil {
+		return err
 	}
 
-	fmt.Println(result.Summary())
-	fmt.Println()
-	for _, scene := range result.Scenes {
-		first, last := scene.FrameSpan()
-		fmt.Printf("scene %d (%.1fs–%.1fs): %d shots, event = %s\n",
-			scene.Index, float64(first)/video.FPS, float64(last)/video.FPS,
-			scene.ShotCount(), scene.Event)
+	lib.Protect(classminer.Rule{Concept: "medicine/clinical operation",
+		MinClearance: classminer.Clinician})
+
+	fmt.Fprintln(w, res.Summary())
+	query := res.Shots[0].Feature() // query by example
+	for _, user := range []classminer.User{
+		{Name: "visitor", Clearance: classminer.Public},
+		{Name: "dr.lee", Clearance: classminer.Clinician},
+	} {
+		hits, stats, err := lib.SearchIntoCtx(ctx, nil, user, query, 10) // nil: allocate the hits
+		if err != nil {
+			return err
+		}
+		// stats holds the Eq. (24)/(25) cost counters; print them and the hits.
+		fmt.Fprintf(w, "\n%s (%v): %d hits, %d float ops\n",
+			user.Name, user.Clearance, len(hits), stats.FloatOps)
+		for _, h := range hits {
+			fmt.Fprintf(w, "  shot %3d  dist %.4f  %s\n",
+				h.Entry.Shot.Index, h.Dist, h.Entry.Path[len(h.Entry.Path)-1])
+		}
 	}
-	fmt.Printf("\nskimming overview:\n%s", result.Skim.Describe())
-	fmt.Printf("event bar: %s\n", result.Skim.ColorBar(60))
+	return nil
 }

@@ -1,17 +1,17 @@
 // Package mpeg implements a simulated MPEG-I-style video codec: 8×8 block
 // DCT, quality-scaled quantisation, zig-zag scan, run-level entropy coding
 // with Exp-Golomb codes, and a GOP structure of intra (I) frames and
-// motion-compensated predicted (P) frames. It exists because the paper's
-// shot detector (§3.1, via ref. [10]) operates on MPEG compressed video;
-// this package provides both the full decode path and the fast
-// compressed-domain DC-image extraction path that detector relies on.
+// motion-compensated predicted (P) frames. The paper mines MPEG-I video;
+// this codec serves cmd/classminer -mpeg, which encodes a synthetic video,
+// decodes it in full and mines the lossy frames with the same pixel-domain
+// shot detector (§3.1) as everything else.
 //
 // Deliberate simplifications versus real MPEG-1 (documented here so nobody
 // mistakes this for a standards implementation): chroma is coded at full
 // resolution (4:4:4), entropy coding uses Exp-Golomb instead of Huffman
 // tables, and there are no B-frames. None of these affect the behaviour the
 // pipeline depends on — lossy block-transform coding with temporal
-// prediction and cheaply accessible DC coefficients.
+// prediction.
 package mpeg
 
 import (

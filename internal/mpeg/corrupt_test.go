@@ -6,8 +6,8 @@ import (
 )
 
 // Failure injection: no corruption of a valid stream may ever panic the
-// decoder or the DC extractor — they must return errors (or, for payload
-// bit flips, possibly garbage pixels, but never crash).
+// decoder — it must return an error (or, for payload bit flips, possibly
+// garbage pixels, but never crash).
 func TestDecodeSurvivesTruncation(t *testing.T) {
 	v := testVideo(32, 24, 12, 41)
 	data, err := Encode(v, Options{GOP: 4})
@@ -23,28 +23,6 @@ func TestDecodeSurvivesTruncation(t *testing.T) {
 			}()
 			_, _ = Decode(data[:cut])
 		}()
-	}
-}
-
-func TestExtractDCSurvivesTruncation(t *testing.T) {
-	v := testVideo(32, 24, 12, 42)
-	data, err := Encode(v, Options{GOP: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut < len(data); cut += 5 {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("DC extractor panicked at truncation %d: %v", cut, r)
-				}
-			}()
-			_, _ = ExtractDC(data[:cut])
-		}()
-	}
-	// Truncating inside the payload must yield an error, not silence.
-	if _, err := ExtractDC(data[:headerSize+3]); err == nil {
-		t.Fatal("want error for truncated payload")
 	}
 }
 
@@ -69,7 +47,6 @@ func TestDecodeSurvivesBitFlips(t *testing.T) {
 				}
 			}()
 			_, _ = Decode(corrupt)
-			_, _ = ExtractDC(corrupt)
 		}()
 	}
 }

@@ -143,146 +143,3 @@ func decodeInterPlane(r *bitReader, ref *plane, q *[64]int) (*plane, error) {
 	}
 	return p, nil
 }
-
-// DCFrame is the block-resolution luma "DC image" of one frame: the cheap
-// compressed-domain representation shot detectors use (each sample is the
-// mean luma of an 8×8 block).
-type DCFrame struct {
-	W, H int // block-grid dimensions
-	Y    []float64
-}
-
-// ExtractDC walks the bitstream and produces the DC image of every frame
-// WITHOUT performing any inverse DCT or full-resolution reconstruction.
-// For I-frames the DC coefficients are exact block means; for P-frames the
-// standard compressed-domain approximation is used (predicted block mean =
-// reference mean displaced by the motion vector, plus the residual DC).
-// This is the fast path the paper's compressed-domain shot detection needs.
-func ExtractDC(data []byte) ([]DCFrame, error) {
-	hd, err := parseHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	q := quantMatrix(hd.quality)
-	r := &bitReader{buf: data[headerSize:]}
-	pw, ph := pad8(hd.w), pad8(hd.h)
-	bw, bh := pw/blockSize, ph/blockSize
-	out := make([]DCFrame, 0, hd.frames)
-	var prevY []float64
-	for fi := 0; fi < hd.frames; fi++ {
-		ft, err := r.readBit()
-		if err != nil {
-			return nil, err
-		}
-		curY := make([]float64, bw*bh)
-		if ft == 0 {
-			if err := dcIntraPlane(r, curY, bw*bh, &q); err != nil {
-				return nil, err
-			}
-			// Skip chroma planes (DC image is luma only).
-			for c := 0; c < 2; c++ {
-				if err := dcIntraPlane(r, nil, bw*bh, &q); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			if prevY == nil {
-				return nil, fmt.Errorf("mpeg: P-frame %d before any I-frame: %w", fi, ErrCorrupt)
-			}
-			if err := dcInterPlane(r, curY, prevY, bw, bh, &q, true); err != nil {
-				return nil, err
-			}
-			for c := 0; c < 2; c++ {
-				if err := dcInterPlane(r, nil, nil, bw, bh, &q, false); err != nil {
-					return nil, err
-				}
-			}
-		}
-		prevY = curY
-		out = append(out, DCFrame{W: bw, H: bh, Y: curY})
-	}
-	return out, nil
-}
-
-// dcIntraPlane reads one intra plane of n blocks, keeping only DC terms
-// when dst is non-nil. The DC coefficient of an 8×8 DCT equals 8× the block
-// mean (plus the 128 coding bias).
-func dcIntraPlane(r *bitReader, dst []float64, n int, q *[64]int) error {
-	prevDC := int64(0)
-	for i := 0; i < n; i++ {
-		diff, err := r.readSE()
-		if err != nil {
-			return err
-		}
-		prevDC += diff
-		if dst != nil {
-			dst[i] = 128 + float64(prevDC)*float64(q[0])/8
-		}
-		var levels [64]int64
-		if err := readAC(r, &levels); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func dcInterPlane(r *bitReader, dst, ref []float64, bw, bh int, q *[64]int, keep bool) error {
-	n := bw * bh
-	for i := 0; i < n; i++ {
-		mode, err := r.readBit()
-		if err != nil {
-			return err
-		}
-		if mode == 0 { // inter
-			dx64, err := r.readSE()
-			if err != nil {
-				return err
-			}
-			dy64, err := r.readSE()
-			if err != nil {
-				return err
-			}
-			dc, err := r.readSE()
-			if err != nil {
-				return err
-			}
-			if keep {
-				bx, by := i%bw, i/bw
-				// Round the pixel-level MV to the nearest block.
-				rx := clampInt(bx+int(roundDiv(int(dx64), blockSize)), 0, bw-1)
-				ry := clampInt(by+int(roundDiv(int(dy64), blockSize)), 0, bh-1)
-				dst[i] = ref[ry*bw+rx] + float64(dc)*float64(q[0])/8
-			}
-		} else { // intra
-			dc, err := r.readSE()
-			if err != nil {
-				return err
-			}
-			if keep {
-				dst[i] = 128 + float64(dc)*float64(q[0])/8
-			}
-		}
-		var levels [64]int64
-		if err := readAC(r, &levels); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func roundDiv(a, b int) int {
-	if a >= 0 {
-		return (a + b/2) / b
-	}
-	return -((-a + b/2) / b)
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}

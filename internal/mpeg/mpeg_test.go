@@ -151,82 +151,6 @@ func TestNonMultipleOf8Geometry(t *testing.T) {
 	}
 }
 
-func TestExtractDCApproximatesBlockMeans(t *testing.T) {
-	v := testVideo(48, 40, 16, 6)
-	data, err := Encode(v, Options{GOP: 6, Quality: 85})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dcs, err := ExtractDC(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dcs) != len(v.Frames) {
-		t.Fatalf("DC frames = %d, want %d", len(dcs), len(v.Frames))
-	}
-	// Compare each DC sample against the true block mean luma.
-	var worst float64
-	for fi, dc := range dcs {
-		if dc.W != 6 || dc.H != 5 {
-			t.Fatalf("DC grid = %dx%d, want 6x5", dc.W, dc.H)
-		}
-		for by := 0; by < dc.H; by++ {
-			for bx := 0; bx < dc.W; bx++ {
-				var mean float64
-				for y := 0; y < 8; y++ {
-					for x := 0; x < 8; x++ {
-						mean += v.Frames[fi].Gray(bx*8+x, by*8+y)
-					}
-				}
-				mean /= 64
-				diff := math.Abs(mean - dc.Y[by*dc.W+bx])
-				if diff > worst {
-					worst = diff
-				}
-			}
-		}
-	}
-	// P-frame DC is an approximation; allow a modest tolerance.
-	if worst > 24 {
-		t.Fatalf("worst DC error = %.1f gray levels, want <= 24", worst)
-	}
-}
-
-func TestExtractDCSeesTheCut(t *testing.T) {
-	v := testVideo(48, 36, 20, 7)
-	data, err := Encode(v, Options{GOP: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dcs, err := ExtractDC(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mean DC difference across the scripted cut must dominate within-shot
-	// differences.
-	diff := func(a, b DCFrame) float64 {
-		var s float64
-		for i := range a.Y {
-			s += math.Abs(a.Y[i] - b.Y[i])
-		}
-		return s / float64(len(a.Y))
-	}
-	cut := len(v.Frames) / 2
-	atCut := diff(dcs[cut-1], dcs[cut])
-	var within float64
-	var n int
-	for i := 1; i < len(dcs); i++ {
-		if i != cut {
-			within += diff(dcs[i-1], dcs[i])
-			n++
-		}
-	}
-	within /= float64(n)
-	if atCut < 4*within {
-		t.Fatalf("cut DC diff %.2f not dominant over within-shot %.2f", atCut, within)
-	}
-}
-
 func TestExpGolombRoundTrip(t *testing.T) {
 	f := func(vals [16]int32) bool {
 		w := &bitWriter{}
@@ -310,21 +234,6 @@ func BenchmarkEncode(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Encode(v, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExtractDC(b *testing.B) {
-	v := testVideo(48, 36, 24, 10)
-	data, err := Encode(v, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ExtractDC(data); err != nil {
 			b.Fatal(err)
 		}
 	}

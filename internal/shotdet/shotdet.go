@@ -16,7 +16,6 @@ import (
 
 	"classminer/internal/entropy"
 	"classminer/internal/feature"
-	"classminer/internal/mpeg"
 	"classminer/internal/vidmodel"
 )
 
@@ -222,26 +221,4 @@ func buildShots(v *vidmodel.Video, cuts []int, cfg Config, w, h int, hists [][]f
 		})
 	}
 	return shots
-}
-
-// DetectDC finds shot boundaries directly in the compressed domain from the
-// DC images of a CMV1 stream, without full decode — the fast path the
-// paper's MPEG-based detector (ref. [10]) uses. It returns the frame
-// indices where new shots begin.
-func DetectDC(dcs []mpeg.DCFrame, cfg Config) ([]int, error) {
-	if len(dcs) == 0 {
-		return nil, fmt.Errorf("shotdet: empty DC sequence")
-	}
-	cfg = cfg.withDefaults()
-	diffs := make([]float64, 0, len(dcs)-1)
-	for i := 1; i < len(dcs); i++ {
-		a, b := dcs[i-1], dcs[i]
-		var s float64
-		for j := range a.Y {
-			s += math.Abs(a.Y[j] - b.Y[j])
-		}
-		diffs = append(diffs, s/(255*float64(len(a.Y))))
-	}
-	cuts, _ := findCuts(diffs, cfg)
-	return cuts, nil
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"classminer/internal/mpeg"
 	"classminer/internal/synth"
 	"classminer/internal/vidmodel"
 )
@@ -192,45 +191,6 @@ func TestDetectAdaptsToSmallChanges(t *testing.T) {
 	}
 	if shots[1].Start != 40 {
 		t.Fatalf("cut at %d, want 40", shots[1].Start)
-	}
-}
-
-func TestDetectDCMatchesPixelDomain(t *testing.T) {
-	v := genVideo(t, 6)
-	data, err := mpeg.Encode(v, mpeg.Options{GOP: 10, Quality: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dcs, err := mpeg.ExtractDC(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cuts, err := DetectDC(dcs, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cuts) == 0 {
-		t.Fatal("DC-domain detector found no cuts")
-	}
-	// Most DC cuts must coincide with true boundaries (±1 frame).
-	trueCuts := v.Truth.ShotStarts[1:]
-	matched := 0
-	for _, c := range cuts {
-		for _, tc := range trueCuts {
-			if c-tc <= 1 && tc-c <= 1 {
-				matched++
-				break
-			}
-		}
-	}
-	if frac := float64(matched) / float64(len(cuts)); frac < 0.8 {
-		t.Fatalf("only %.2f of DC cuts match truth", frac)
-	}
-}
-
-func TestDetectDCEmpty(t *testing.T) {
-	if _, err := DetectDC(nil, Config{}); err == nil {
-		t.Fatal("want error on empty DC sequence")
 	}
 }
 

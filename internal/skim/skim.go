@@ -159,22 +159,6 @@ func (s *Skim) ColorBar(width int) string {
 	return b.String()
 }
 
-// SceneAtBar maps a colour-bar column back to the scene index under it
-// (the "fast access toolbar" drag target), or -1.
-func (s *Skim) SceneAtBar(col, width int) int {
-	if width <= 0 || col < 0 || col >= width || s.TotalFrames == 0 {
-		return -1
-	}
-	frame := col * s.TotalFrames / width
-	for i, sc := range s.scenes {
-		first, last := sc.FrameSpan()
-		if frame >= first && frame < last {
-			return i
-		}
-	}
-	return -1
-}
-
 // Describe prints a one-line summary per level, for CLI output.
 func (s *Skim) Describe() string {
 	var b strings.Builder

@@ -114,19 +114,6 @@ func TestColorBar(t *testing.T) {
 	}
 }
 
-func TestSceneAtBar(t *testing.T) {
-	s, _ := buildFixture(t)
-	if got := s.SceneAtBar(0, 36); got != 0 {
-		t.Fatalf("column 0 -> scene %d, want 0", got)
-	}
-	if got := s.SceneAtBar(35, 36); got != 1 {
-		t.Fatalf("column 35 -> scene %d, want 1", got)
-	}
-	if s.SceneAtBar(-1, 36) != -1 || s.SceneAtBar(99, 36) != -1 {
-		t.Fatal("out-of-range columns must map to -1")
-	}
-}
-
 func TestBuildErrors(t *testing.T) {
 	if _, err := Build(nil, nil, nil, nil, 0); err == nil {
 		t.Fatal("want error on no shots")

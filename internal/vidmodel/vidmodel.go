@@ -108,14 +108,6 @@ type Video struct {
 	Truth  *GroundTruth // nil for non-synthetic sources
 }
 
-// Duration returns the video length in seconds.
-func (v *Video) Duration() float64 {
-	if v.FPS <= 0 {
-		return 0
-	}
-	return float64(len(v.Frames)) / v.FPS
-}
-
 // Shot is the paper's physical unit Si: a run of frames from a single
 // continuous camera take (§3, Definition 2).
 type Shot struct {

@@ -80,16 +80,6 @@ func TestAudioSamplesPerFrameZeroFPS(t *testing.T) {
 	}
 }
 
-func TestVideoDuration(t *testing.T) {
-	v := &Video{FPS: 10, Frames: make([]*Frame, 50)}
-	if d := v.Duration(); d != 5 {
-		t.Fatalf("Duration = %v, want 5", d)
-	}
-	if (&Video{}).Duration() != 0 {
-		t.Fatal("zero-fps duration must be 0")
-	}
-}
-
 func TestShotFeatureConcat(t *testing.T) {
 	s := &Shot{Color: []float64{1, 2}, Texture: []float64{3}}
 	f := s.Feature()
