@@ -105,6 +105,11 @@ var ErrUnknownVideo = errors.New("classminer: video not registered")
 // (DeleteVideoAsCtx on a video whose subcluster the policy hides from them).
 var ErrForbidden = errors.New("classminer: access denied")
 
+// ErrInvalidResult reports a mined result the library refuses to register:
+// a non-finite feature value, or rows whose dimensionality is not the
+// library's.
+var ErrInvalidResult = errors.New("classminer: invalid result")
+
 // The four skimming layers (granularity increases from 4 down to 1).
 const (
 	SkimLevel1 = skim.Level1
@@ -545,8 +550,8 @@ func packRows(name string, entries []*index.Entry) ([]featrow.Row, error) {
 		return entries[i].Shot.Color, entries[i].Shot.Texture
 	})
 	if bad >= 0 {
-		return nil, fmt.Errorf("classminer: video %q shot %d has a non-finite feature value",
-			name, entries[bad].Shot.Index)
+		return nil, fmt.Errorf("%w: video %q shot %d has a non-finite feature value",
+			ErrInvalidResult, name, entries[bad].Shot.Index)
 	}
 	return rows, nil
 }
@@ -561,8 +566,8 @@ func checkEntryDims(name string, rows []featrow.Row, dim int) (int, error) {
 			dim = d
 		}
 		if d != dim {
-			return 0, fmt.Errorf("classminer: video %q shot has %d feature dims, library has %d",
-				name, d, dim)
+			return 0, fmt.Errorf("%w: video %q shot has %d feature dims, library has %d",
+				ErrInvalidResult, name, d, dim)
 		}
 	}
 	return dim, nil
@@ -1357,7 +1362,7 @@ func recoverInto(eng *wal.Engine, l *Library, logf func(string, ...any)) error {
 		defer close(done)
 		for recs := range queue {
 			for k := 0; k < len(recs) && ownerErr == nil; k++ {
-				if ownerErr = l.replayRecord(&recs[k].rec, recs[k].fromLog); ownerErr != nil {
+				if ownerErr = l.applyRecord(context.Background(), &recs[k].rec, recs[k].fromLog); ownerErr != nil {
 					failed.Store(true) // the reader stops at its next frame
 				}
 			}
@@ -1501,38 +1506,6 @@ func (l *Library) reserve(rows int) {
 // error is the one reported.
 var errReplayAborted = errors.New("classminer: replay aborted")
 
-// replayRecord applies one record during recovery, before the journal is
-// attached (nothing is re-logged). fromLog tells a log record from a
-// snapshot's.
-func (l *Library) replayRecord(rec *wal.Record, fromLog bool) error {
-	if rec.Type == wal.RecordTombstone {
-		// Delete wins over a straddling checkpointed registration (the
-		// video is in the snapshot, its tombstone on the log tail);
-		// unknown names are fine — the tombstone itself may straddle a
-		// checkpoint that already dropped the video.
-		if err := l.deleteVideo(context.Background(), rec.Key, nil); err != nil && !errors.Is(err, ErrUnknownVideo) {
-			return err
-		}
-		return nil
-	}
-	res, subcluster, err := decodeEntryRecord(rec)
-	if err != nil {
-		return err
-	}
-	name := res.Video.Name
-	if rec.Type == wal.RecordReplace {
-		return l.replace(context.Background(), name, res, subcluster, nil)
-	}
-	err = l.register(context.Background(), name, res, subcluster)
-	if fromLog && errors.Is(err, ErrDuplicateVideo) {
-		// A duplicate on the log straddles the last checkpoint: it is both in
-		// the snapshot and on the log tail, and the snapshot copy won.
-		// Anything else — a name twice in one snapshot too — is real.
-		return nil
-	}
-	return err
-}
-
 // Engine exposes the library's write-ahead-log engine, or nil when the
 // library is not durable. Replication (internal/repl) ships, pins and seeds
 // the engine's log directly; every other caller should stay behind the
@@ -1553,6 +1526,18 @@ func (l *Library) Engine() *wal.Engine {
 // say the incumbent stays), a tombstone for an unknown name is a no-op, and
 // a replace is an upsert either way.
 func (l *Library) ApplyRecord(ctx context.Context, rec *wal.Record) error {
+	return l.applyRecord(ctx, rec, true)
+}
+
+// applyRecord is the one record-apply path: a follower's (ApplyRecord) and
+// recovery's, which runs it before the journal is attached, so nothing is
+// re-logged. A tombstone for an unknown name is a no-op — it may straddle a
+// checkpoint that already dropped the video — and a replace is an upsert.
+// dupOK tolerates a register whose name is already held: always on a
+// follower, and in recovery only for a log record, whose duplicate straddles
+// the last checkpoint (it is both in the snapshot and on the log tail, and
+// the snapshot copy won); a name twice in one snapshot is real.
+func (l *Library) applyRecord(ctx context.Context, rec *wal.Record, dupOK bool) error {
 	switch rec.Type {
 	case wal.RecordTombstone:
 		if err := l.deleteVideo(ctx, rec.Key, nil); err != nil && !errors.Is(err, ErrUnknownVideo) {
@@ -1570,12 +1555,13 @@ func (l *Library) ApplyRecord(ctx context.Context, rec *wal.Record) error {
 		if rec.Type == wal.RecordReplace {
 			return l.replace(ctx, res.Video.Name, res, subcluster, nil)
 		}
-		if err := l.register(ctx, res.Video.Name, res, subcluster); err != nil && !errors.Is(err, ErrDuplicateVideo) {
-			return err
+		err = l.register(ctx, res.Video.Name, res, subcluster)
+		if dupOK && errors.Is(err, ErrDuplicateVideo) {
+			return nil
 		}
-		return nil
+		return err
 	default:
-		return fmt.Errorf("classminer: unknown replicated record type %q", rec.Type)
+		return fmt.Errorf("classminer: unknown record type %q", rec.Type)
 	}
 }
 

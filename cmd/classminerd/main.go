@@ -11,9 +11,9 @@
 // directory (-data-dir, with write-ahead logging and crash recovery) and
 // through POST /v1/videos. With -data-dir
 // every registration is journaled and fsynced before it becomes visible, so
-// a crash — OOM kill, power loss — loses no completed registration (an
-// ingest job is durable once it reports done; a 202-accepted job that never
-// ran can simply be resubmitted): the next boot replays the newest
+// a crash — OOM kill, power loss — loses no acknowledged registration (an
+// ingest is answered only once it is durable and indexed; one that got no
+// answer can simply be resubmitted): the next boot replays the newest
 // checkpoint snapshot plus the log tail, and a clean SIGINT/SIGTERM shutdown
 // takes a final checkpoint. Without it the library lives in memory only.
 //
@@ -89,14 +89,12 @@ func (t *tokenFlags) Set(v string) error {
 	return nil
 }
 
-// config collects every flag but the ignored -skip-events and -shards; run
-// reads nothing else.
+// config collects every flag but the four ignored ones (-workers, -queue,
+// -skip-events and -shards); run reads nothing else.
 type config struct {
 	addr    string
 	dataDir string
 	anon    string
-	workers int
-	queue   int
 	pprof   bool
 	tokens  map[string]access.User
 
@@ -139,10 +137,10 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	fs.StringVar(&cfg.addr, "addr", ":8471", "listen address")
 	fs.StringVar(&cfg.dataDir, "data-dir", "", "durable data directory (write-ahead log + checkpoints; crash recovery on boot)")
 	fs.StringVar(&cfg.anon, "anon", "public", "clearance for unauthenticated requests (\"none\" to require a token)")
-	fs.IntVar(&cfg.workers, "workers", 2, "ingest worker pool size")
-	fs.IntVar(&cfg.queue, "queue", 8, "ingest queue depth")
 	// Kept only because the frozen benchmark (cmd/loadgen) passes them;
 	// ROADMAP item 1(d) deletes them.
+	fs.Int("workers", 0, "ignored: an ingest runs on its own request")
+	fs.Int("queue", 0, "ignored: an ingest runs on its own request")
 	fs.Bool("skip-events", false, "ignored: the daemon mines nothing")
 	fs.Int("shards", 0, "ignored: the daemon serves one library")
 	fs.BoolVar(&cfg.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/ to Administrator-clearance callers")
@@ -245,8 +243,6 @@ func run(cfg config) error {
 
 	opts := server.Options{
 		Tokens:           cfg.tokens,
-		Workers:          cfg.workers,
-		QueueDepth:       cfg.queue,
 		Metrics:          reg,
 		EnablePprof:      cfg.pprof,
 		Rate:             cfg.rate,
@@ -308,7 +304,7 @@ func run(cfg config) error {
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Printf("shutdown: %v", err)
 	}
-	srv.Close() // drain in-flight ingest jobs before checkpointing
+	srv.Close()
 	if lib.Durable() {
 		// A clean shutdown is a free checkpoint: the next boot loads one
 		// snapshot and replays an empty tail.

@@ -52,6 +52,24 @@ func TestRemovedFlagsAreUndefined(t *testing.T) {
 	}
 }
 
+// TestIgnoredFlagsParse: the four flags kept for the frozen benchmark's
+// command line (cmd/loadgen passes -skip-events -workers 8 -queue 64, and
+// -shards N) still parse, and change nothing.
+func TestIgnoredFlagsParse(t *testing.T) {
+	plain, err := parseFlags(flag.NewFlagSet("plain", flag.ContinueOnError), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ignored, err := parseFlags(flag.NewFlagSet("ignored", flag.ContinueOnError),
+		[]string{"-skip-events", "-workers", "8", "-queue", "64", "-shards", "4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, ignored) {
+		t.Fatalf("ignored flags changed the config:\n%+v\n%+v", plain, ignored)
+	}
+}
+
 // TestValidateRejectsBeforeSideEffects: every flag-only mistake is caught by
 // validate, which run calls before it locks or replays anything. The
 // data dir of each case must still not exist afterwards.

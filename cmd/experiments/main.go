@@ -5,6 +5,9 @@
 // Usage:
 //
 //	experiments [-exp all|fig5|fig8|fig12|fig13|table1|sec62|fig14|fig15] [-scale 1.0] [-seed 2003]
+//
+// A scale that is not > 0, or an unknown experiment, is an error: nothing
+// runs, and the command exits 1.
 package main
 
 import (
@@ -20,11 +23,25 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment id: all, fig5, fig8, fig12, fig13, table1, sec62, fig14, fig15")
-	scale := flag.Float64("scale", 1.0, "corpus scale (1.0 = paper-shaped corpus)")
+	scale := flag.Float64("scale", 1.0, "corpus scale (> 0; 1.0 = paper-shaped corpus)")
 	seed := flag.Int64("seed", 2003, "corpus seed")
 	flag.Parse()
 
-	cfg := eval.CorpusConfig{Scale: *scale, Seed: *seed}
+	if err := run(*exp, *scale, *seed); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
+
+// run checks its arguments, then runs the experiments exp names (a comma
+// list, or "all") in order, printing each one's rows.
+func run(exp string, scale float64, seed int64) error {
+	// eval.CorpusConfig and synth.CorpusScript read a scale <= 0 as 1, which
+	// would print the full-size corpus's rows for a scale nobody asked for.
+	if !(scale > 0) {
+		return fmt.Errorf("-scale %v: want > 0", scale)
+	}
+	cfg := eval.CorpusConfig{Scale: scale, Seed: seed}
 	runners := map[string]func(eval.CorpusConfig) error{
 		"fig5":   runFig5,
 		"fig8":   runFig8,
@@ -35,27 +52,23 @@ func main() {
 		"fig14":  runFig14And15,
 		"fig15":  runFig14And15,
 	}
-	order := []string{"fig5", "fig8", "fig12", "table1", "sec62", "fig14"}
-
-	var ids []string
-	if *exp == "all" {
-		ids = order
-	} else {
-		for _, id := range strings.Split(*exp, ",") {
+	ids := []string{"fig5", "fig8", "fig12", "table1", "sec62", "fig14"}
+	if exp != "all" {
+		ids = nil
+		for _, id := range strings.Split(exp, ",") {
 			id = strings.TrimSpace(id)
 			if _, ok := runners[id]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q\n", id)
-				os.Exit(2)
+				return fmt.Errorf("unknown experiment %q", id)
 			}
 			ids = append(ids, id)
 		}
 	}
 	for _, id := range ids {
 		if err := runners[id](cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", id, err)
-			os.Exit(1)
+			return fmt.Errorf("experiment %s failed: %w", id, err)
 		}
 	}
+	return nil
 }
 
 func runFig5(cfg eval.CorpusConfig) error {
@@ -105,7 +118,7 @@ func runFig8(cfg eval.CorpusConfig) error {
 	if err != nil {
 		return err
 	}
-	script := synth.CorpusScript(synth.CorpusNames()[0], cfgScale(cfg), cfgSeed(cfg))
+	script := synth.CorpusScript(synth.CorpusNames()[0], cfg.Scale, cfgSeed(cfg))
 	v, err := synth.Generate(synth.DefaultConfig(), script, cfgSeed(cfg))
 	if err != nil {
 		return err
@@ -199,13 +212,6 @@ func runFig14And15(cfg eval.CorpusConfig) error {
 	}
 	fmt.Println()
 	return nil
-}
-
-func cfgScale(c eval.CorpusConfig) float64 {
-	if c.Scale <= 0 {
-		return 1
-	}
-	return c.Scale
 }
 
 func cfgSeed(c eval.CorpusConfig) int64 {

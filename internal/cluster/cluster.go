@@ -23,10 +23,14 @@ type Options struct {
 	// N forces an explicit cluster count; 0 selects it with the validity
 	// analysis of Eqs. (14)–(16).
 	N int
-	// MinFrac and MaxFrac bound the searched cluster-count range as
-	// fractions of the scene count (paper: 0.5 and 0.7).
-	MinFrac, MaxFrac float64
 }
+
+// minFrac and maxFrac bound the searched cluster-count range as fractions of
+// the scene count, as the paper sets them.
+const (
+	minFrac = 0.5
+	maxFrac = 0.7
+)
 
 // Result carries the clustered scenes and the validity evidence.
 type Result struct {
@@ -51,17 +55,6 @@ func ClusterScenes(scenes []*vidmodel.Scene, opts Options) (*Result, error) {
 	if m == 0 {
 		return nil, fmt.Errorf("cluster: no scenes")
 	}
-	minFrac, maxFrac := opts.MinFrac, opts.MaxFrac
-	if minFrac <= 0 {
-		minFrac = 0.5
-	}
-	if maxFrac <= 0 {
-		maxFrac = 0.7
-	}
-	if minFrac > maxFrac {
-		minFrac, maxFrac = maxFrac, minFrac
-	}
-
 	clusters := make([]*cl, m)
 	for i, s := range scenes {
 		centroid := s.RepGroup

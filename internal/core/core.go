@@ -25,20 +25,12 @@ import (
 // Options configures the full pipeline. The zero value reproduces the
 // paper's published settings.
 type Options struct {
-	Shot    shotdet.Config
-	Group   structure.GroupConfig
-	Scene   structure.SceneConfig
-	Cluster cluster.Options
-	// EventLambda is the BIC penalty factor λ (0 = default).
-	EventLambda float64
 	// SkipEvents disables audio processing and event mining (structure-
 	// only runs are much faster; used by the Fig. 12/13 harness where
 	// events play no role).
 	SkipEvents bool
 	// SkipClusters disables §3.5 scene clustering.
 	SkipClusters bool
-	// ClassifierSeed fixes the speech/non-speech GMM training (0 = 1).
-	ClassifierSeed int64
 }
 
 // Analyzer is a reusable pipeline instance. The speech/non-speech
@@ -54,10 +46,7 @@ type Analyzer struct {
 func NewAnalyzer(opts Options) (*Analyzer, error) {
 	a := &Analyzer{opts: opts}
 	if !opts.SkipEvents {
-		seed := opts.ClassifierSeed
-		if seed == 0 {
-			seed = 1
-		}
+		const seed = 1 // fixes the speech/non-speech GMM training
 		speech, non := synth.TrainingClips(8000, audio.ClipSeconds, 30, seed)
 		clf, err := audio.TrainSpeechClassifier(speech, non, 8000, seed)
 		if err != nil {
@@ -88,26 +77,26 @@ func (a *Analyzer) Analyze(v *vidmodel.Video) (*Result, error) {
 	}
 	res := &Result{Video: v}
 
-	shots, trace, err := shotdet.Detect(v, a.opts.Shot)
+	shots, trace, err := shotdet.Detect(v, shotdet.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("core: shot detection: %w", err)
 	}
 	res.Shots, res.ShotTrace = shots, trace
 
-	gres, err := structure.DetectGroups(shots, a.opts.Group)
+	gres, err := structure.DetectGroups(shots, structure.GroupConfig{})
 	if err != nil {
 		return nil, fmt.Errorf("core: group detection: %w", err)
 	}
 	res.Groups = gres.Groups
 
-	sres, err := structure.MergeScenes(gres.Groups, a.opts.Scene)
+	sres, err := structure.MergeScenes(gres.Groups, structure.SceneConfig{})
 	if err != nil {
 		return nil, fmt.Errorf("core: scene merging: %w", err)
 	}
 	res.Scenes, res.Discarded = sres.Scenes, sres.Discarded
 
 	if !a.opts.SkipClusters && len(res.Scenes) > 0 {
-		cres, err := cluster.ClusterScenes(res.Scenes, a.opts.Cluster)
+		cres, err := cluster.ClusterScenes(res.Scenes, cluster.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("core: scene clustering: %w", err)
 		}
@@ -115,10 +104,7 @@ func (a *Analyzer) Analyze(v *vidmodel.Video) (*Result, error) {
 	}
 
 	if !a.opts.SkipEvents && v.Audio != nil && len(res.Scenes) > 0 {
-		miner, err := event.NewMiner(a.clf, event.Config{
-			Lambda:     a.opts.EventLambda,
-			SampleRate: v.Audio.SampleRate,
-		})
+		miner, err := event.NewMiner(a.clf, event.Config{SampleRate: v.Audio.SampleRate})
 		if err != nil {
 			return nil, fmt.Errorf("core: event miner: %w", err)
 		}

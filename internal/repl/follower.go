@@ -49,11 +49,6 @@ type Options struct {
 	Applier Applier
 	// PollWait is the long-poll window sent with each pull (default 25s).
 	PollWait time.Duration
-	// MaxBatchBytes bounds one pulled batch (default 1 MiB).
-	MaxBatchBytes int64
-	// Client overrides the HTTP client (tests); nil builds one with a
-	// timeout covering the long-poll window.
-	Client *http.Client
 	// Metrics, when non-nil, receives the follower-side lag and apply
 	// counters.
 	Metrics *metrics.Registry
@@ -149,23 +144,17 @@ func start(opts Options, hook func(*wal.Record) error) (*Follower, error) {
 	if opts.PollWait > maxPullWait {
 		opts.PollWait = maxPullWait
 	}
-	if opts.MaxBatchBytes <= 0 {
-		opts.MaxBatchBytes = defaultBatchBytes
-	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
 	f := &Follower{
-		opts:      opts,
-		client:    opts.Client,
+		opts: opts,
+		// The transport timeout must outlive the long-poll window plus the
+		// transfer of one full batch.
+		client:    &http.Client{Timeout: opts.PollWait + 30*time.Second},
 		path:      filepath.Join(opts.Dir, cursorName),
 		st:        Status{LagRecords: -1, LagBytes: -1},
 		applyHook: hook,
-	}
-	if f.client == nil {
-		// The transport timeout must outlive the long-poll window plus the
-		// transfer of one full batch.
-		f.client = &http.Client{Timeout: opts.PollWait + 30*time.Second}
 	}
 	if err := f.loadCursor(); err != nil {
 		return nil, err
@@ -379,7 +368,7 @@ func (f *Follower) pull(cur wal.Cursor) error {
 		"segment":  {strconv.FormatUint(cur.Segment, 10)},
 		"offset":   {strconv.FormatInt(cur.Offset, 10)},
 		"wait":     {f.opts.PollWait.String()},
-		"max":      {strconv.FormatInt(f.opts.MaxBatchBytes, 10)},
+		"max":      {strconv.FormatInt(defaultBatchBytes, 10)},
 	}
 	resp, err := f.get("/v1/repl/pull", q)
 	if err != nil {
@@ -394,7 +383,7 @@ func (f *Follower) pull(cur wal.Cursor) error {
 		}
 		// One batch is bounded by the requested max plus the record that
 		// straddles it; anything past that is a protocol violation.
-		body, err := io.ReadAll(io.LimitReader(resp.Body, f.opts.MaxBatchBytes+wal.MaxRecordBytes+wal.FrameOverhead))
+		body, err := io.ReadAll(io.LimitReader(resp.Body, defaultBatchBytes+wal.MaxRecordBytes+wal.FrameOverhead))
 		if err != nil {
 			return fmt.Errorf("repl: reading batch: %w", err)
 		}

@@ -192,7 +192,7 @@ func TestAdmitDegradeThenRecover(t *testing.T) {
 	}
 
 	// Writes shed; reads stay live.
-	ingest := map[string]any{"saved": tinySavedResult("face-repair", 5, 3), "subcluster": "medicine"}
+	ingest := map[string]any{"saved": widen(tinySavedResult("face-repair", 5, 3), 256, 10), "subcluster": "medicine"}
 	ingestBody, err := json.Marshal(ingest)
 	if err != nil {
 		t.Fatal(err)

@@ -114,8 +114,8 @@ func sameBits(a, b reflect.Value) bool {
 
 // walRecord is the register record a durable library journals for the
 // video req carries: classminer's appendEntryRecord (EncodeResult of the
-// result, the record head, the binary entry) applied to what runJob makes
-// of req.Saved.
+// result, the record head, the binary entry) applied to what handleIngest
+// makes of req.Saved.
 func walRecord(req *ingestRequest) ([]byte, error) {
 	res, err := store.DecodeResult(req.Saved)
 	if err != nil {

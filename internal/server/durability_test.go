@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"classminer"
 	"classminer/internal/store"
@@ -42,38 +41,33 @@ func tinySavedResult(name string, seed int64, shots int) *store.SavedResult {
 	return sr
 }
 
-// ingestAndWait pushes one saved result through POST /v1/videos and polls
-// its job to completion, so registrations land in a deterministic order.
-func ingestAndWait(t *testing.T, s *Server, name string, seed int64) {
+// mustIngest pushes one saved result through POST /v1/videos and requires
+// the 202 that says it is done: registrations land in call order.
+func mustIngest(t *testing.T, s *Server, name string, seed int64) {
 	t.Helper()
-	ingestSavedAndWait(t, s, tinySavedResult(name, seed, 3+int(seed)%3))
+	mustIngestSaved(t, s, tinySavedResult(name, seed, 3+int(seed)%3))
 }
 
-// ingestSavedAndWait is ingestAndWait for a result the caller made.
-func ingestSavedAndWait(t *testing.T, s *Server, sr *store.SavedResult) {
+// mustIngestSaved is mustIngest for a result the caller made.
+func mustIngestSaved(t *testing.T, s *Server, sr *store.SavedResult) {
 	t.Helper()
-	name := sr.VideoName
-	req := map[string]any{"subcluster": "medicine", "saved": sr}
+	mustPostIngest(t, s, map[string]any{"subcluster": "medicine", "saved": sr})
+}
+
+// mustPostIngest posts one ingest body as the administrator and requires a
+// 202 whose job record is done.
+func mustPostIngest(t *testing.T, s *Server, req map[string]any) {
+	t.Helper()
 	var job Job
-	if code := do(t, s, http.MethodPost, "/v1/videos", "admin-tok", req, &job); code != http.StatusAccepted {
-		t.Fatalf("ingest %s = %d", name, code)
+	w := doRaw(t, s, http.MethodPost, "/v1/videos", "admin-tok", req)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("ingest = %d: %s", w.Code, w.Body.String())
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var got Job
-		if code := do(t, s, http.MethodGet, "/v1/jobs/"+job.ID, "admin-tok", nil, &got); code != http.StatusOK {
-			t.Fatalf("job poll = %d", code)
-		}
-		switch got.Status {
-		case JobDone:
-			return
-		case JobFailed:
-			t.Fatalf("ingest %s failed: %s", name, got.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("ingest %s stuck in %s", name, got.Status)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := json.Unmarshal(w.Body.Bytes(), &job); err != nil {
+		t.Fatal(err)
+	}
+	if job.Status != "done" || job.ID == "" {
+		t.Fatalf("ingest answered 202 with %+v, want a done job", job)
 	}
 }
 
@@ -108,7 +102,7 @@ func TestKillAndRestartServesIdenticalSearches(t *testing.T) {
 
 	const n = 8
 	for i := 0; i < n; i++ {
-		ingestAndWait(t, s, fmt.Sprintf("ingested-%02d", i), int64(i))
+		mustIngest(t, s, fmt.Sprintf("ingested-%02d", i), int64(i))
 	}
 	// Refit over the full registration set before capturing: the serving
 	// index at this point is the cold-start fit plus incremental inserts,
@@ -126,12 +120,12 @@ func TestKillAndRestartServesIdenticalSearches(t *testing.T) {
 		}
 		before = append(before, w.Body.String())
 	}
-	// SIGKILL-style abandonment: the pool stops and the library is never
+	// SIGKILL-style abandonment: the server stops and the library is never
 	// saved or checkpointed — recovery may use only what the WAL already
 	// made durable. (Close releases the data-dir flock exactly as process
 	// death would; under the default SyncAlways it writes nothing, so the
 	// on-disk state is byte-identical to a kill.)
-	s.pool.Close()
+	s.Close()
 	if err := lib.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -161,36 +155,15 @@ func TestKillAndRestartServesIdenticalSearches(t *testing.T) {
 	}
 }
 
-// ingestReplaceAndWait pushes a replacement through POST /v1/videos with
-// the replace flag and polls the job to completion.
-func ingestReplaceAndWait(t *testing.T, s *Server, name string, seed int64) {
+// mustReplace pushes a replacement through POST /v1/videos with the
+// replace flag and requires the 202 that says it is done.
+func mustReplace(t *testing.T, s *Server, name string, seed int64) {
 	t.Helper()
-	req := map[string]any{
+	mustPostIngest(t, s, map[string]any{
 		"subcluster": "medicine",
 		"saved":      tinySavedResult(name, seed, 2),
 		"replace":    true,
-	}
-	var job Job
-	if code := do(t, s, http.MethodPost, "/v1/videos", "admin-tok", req, &job); code != http.StatusAccepted {
-		t.Fatalf("replace-ingest %s = %d", name, code)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var got Job
-		if code := do(t, s, http.MethodGet, "/v1/jobs/"+job.ID, "admin-tok", nil, &got); code != http.StatusOK {
-			t.Fatalf("job poll = %d", code)
-		}
-		switch got.Status {
-		case JobDone:
-			return
-		case JobFailed:
-			t.Fatalf("replace %s failed: %s", name, got.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replace %s stuck in %s", name, got.Status)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	})
 }
 
 // TestVideoLifecycleEndpoints drives the HTTP mutation surface on a
@@ -205,7 +178,7 @@ func TestVideoLifecycleEndpoints(t *testing.T) {
 	s := New(lib, Options{Tokens: testTokens()})
 	t.Cleanup(s.Close)
 	for i := 0; i < 3; i++ {
-		ingestAndWait(t, s, fmt.Sprintf("vid-%d", i), int64(i))
+		mustIngest(t, s, fmt.Sprintf("vid-%d", i), int64(i))
 	}
 
 	// Conflict without the flag; replacement with it.
@@ -213,7 +186,7 @@ func TestVideoLifecycleEndpoints(t *testing.T) {
 	if code := do(t, s, http.MethodPost, "/v1/videos", "admin-tok", req, nil); code != http.StatusConflict {
 		t.Fatalf("duplicate ingest = %d, want 409", code)
 	}
-	ingestReplaceAndWait(t, s, "vid-1", 50)
+	mustReplace(t, s, "vid-1", 50)
 	var detail struct {
 		Shots int `json:"shots"`
 	}
@@ -281,7 +254,7 @@ func TestReplaceIngestPolicyGated(t *testing.T) {
 	lib := classminer.NewLibrary(a)
 	s := New(lib, Options{Tokens: testTokens()})
 	t.Cleanup(s.Close)
-	ingestAndWait(t, s, "hidden-vid", 1)
+	mustIngest(t, s, "hidden-vid", 1)
 	lib.Protect(classminer.Rule{Concept: "medicine", MinClearance: classminer.Administrator})
 
 	req := map[string]any{"subcluster": "medicine", "saved": tinySavedResult("hidden-vid", 9, 2), "replace": true}
@@ -289,7 +262,7 @@ func TestReplaceIngestPolicyGated(t *testing.T) {
 		t.Fatalf("clinician replace of a hidden video = %d, want 403", code)
 	}
 	// The admin may still replace it.
-	ingestReplaceAndWait(t, s, "hidden-vid", 9)
+	mustReplace(t, s, "hidden-vid", 9)
 }
 
 // TestDeleteReplaceCompactKillRestart is the lifecycle acceptance test at
@@ -317,15 +290,15 @@ func TestDeleteReplaceCompactKillRestart(t *testing.T) {
 
 	const n = 8
 	for i := 0; i < n; i++ {
-		ingestAndWait(t, s, fmt.Sprintf("ingested-%02d", i), int64(i))
+		mustIngest(t, s, fmt.Sprintf("ingested-%02d", i), int64(i))
 	}
 	for i := 0; i < 3; i++ {
 		if code := do(t, s, http.MethodDelete, fmt.Sprintf("/v1/videos/ingested-%02d", i), "admin-tok", nil, nil); code != http.StatusOK {
 			t.Fatalf("delete %d = %d", i, code)
 		}
 	}
-	ingestReplaceAndWait(t, s, "ingested-03", 77)
-	ingestReplaceAndWait(t, s, "ingested-04", 88)
+	mustReplace(t, s, "ingested-03", 77)
+	mustReplace(t, s, "ingested-04", 88)
 
 	if code := do(t, s, http.MethodPost, "/v1/admin/checkpoint", "clin-tok", nil, nil); code != http.StatusForbidden {
 		t.Fatalf("clinician checkpoint = %d, want 403", code)
@@ -359,7 +332,7 @@ func TestDeleteReplaceCompactKillRestart(t *testing.T) {
 		before = append(before, w.Body.String())
 	}
 	// SIGKILL-style abandonment (see TestKillAndRestartServesIdenticalSearches).
-	s.pool.Close()
+	s.Close()
 	if err := lib.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +383,7 @@ func TestAdminCheckpointEndpoint(t *testing.T) {
 	s := New(lib, Options{Tokens: testTokens()})
 	t.Cleanup(s.Close)
 
-	ingestAndWait(t, s, "ckpt-video", 5)
+	mustIngest(t, s, "ckpt-video", 5)
 
 	if code := do(t, s, http.MethodPost, "/v1/admin/checkpoint", "clin-tok", nil, nil); code != http.StatusForbidden {
 		t.Fatalf("clinician checkpoint = %d, want 403", code)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -153,7 +152,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"library":   lib,
 		"memory":    readMemoryStats(lib.FeatureRowBytes),
 		"cache":     s.cache.Stats(),
-		"ingest":    s.pool.Stats(s.opts.Workers),
 		"index":     s.rebuilder.Stats(),
 		"admission": s.admit.Stats(),
 		"process":   processInfo(),
@@ -1008,7 +1006,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, kindName s
 	writeJSON(w, http.StatusOK, map[string]any{"kind": kind.String(), "scenes": scenes})
 }
 
-// --- POST /v1/videos (async ingestion) -------------------------------------
+// --- POST /v1/videos (ingestion) ------------------------------------------
 
 type ingestRequest struct {
 	// IngestBody is the subcluster that places the video in the concept
@@ -1024,7 +1022,16 @@ type ingestRequest struct {
 	Replace bool `json:"replace,omitempty"`
 }
 
+// handleIngest registers a mined result and answers once it is durable and
+// indexed, as DELETE does: 202 with a finished job record, which
+// GET /v1/jobs/{id} serves too. The write takes a journal fsync and an index
+// insert (≈ 1 ms), and only the cold start (no index yet, or a mutation the
+// incremental path could not absorb) fits synchronously — single-flight, so
+// a burst of first ingests shares one build; the O(library) refit is left to
+// the coalesced background rebuilder. The mutate-class concurrency gate
+// bounds how many writes run at once.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	created := time.Now()
 	if !s.requireClearance(w, r, classminer.Clinician) {
 		return
 	}
@@ -1087,7 +1094,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// Superseding destroys the existing registration, so it is gated
 		// like DELETE: the caller must be allowed to see it. This check is
 		// a fast 403; the authoritative one runs atomically inside
-		// ReplaceResultAsCtx when the job applies.
+		// ReplaceResultAsCtx.
 		if !s.lib.Allowed(u, ve.Path) {
 			writeError(w, http.StatusForbidden, fmt.Sprintf("subcluster %q not accessible", ve.Subcluster))
 			return
@@ -1096,50 +1103,20 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.deadlineExpired(w, r) {
 		return
 	}
-	job := &Job{Video: name, Subcluster: req.Subcluster, RequestID: requestID(r), req: req, user: u}
-	if err := s.pool.Submit(job); err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			s.metrics.ingestRejected.Inc()
-		}
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+	started := time.Now()
+	res, err := store.DecodeResult(req.Saved)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.opts.Logf("job %s: queued ingest of %q into %q rid=%s", job.ID, name, req.Subcluster, job.RequestID)
-	w.Header().Set("Location", "/v1/jobs/"+job.ID)
-	writeJSON(w, http.StatusAccepted, s.pool.Get(job.ID))
-}
-
-// runJob executes one ingestion on a pool worker: decode the mined result
-// and register it. Registration inserts the new shots into the
-// serving index incrementally, so the video is searchable the moment the
-// job completes; the O(library) refit is left to the coalesced background
-// rebuilder and only the cold-start case (no index yet, or a mutation the
-// incremental path could not absorb) builds synchronously — single-flight,
-// so a burst of first ingests shares one build.
-func (s *Server) runJob(j *Job) {
-	// The originating request's context is long dead by the time a worker
-	// picks the job up, so the job runs under its own trace, correlated back
-	// to the submission through the request id it carries. Job traces go
-	// through the same tail sampler as requests: a failed job is always kept.
-	var sid [8]byte
-	trace.PutUint64(sid[:], trace.RandU64())
-	tr, root := s.tracer.StartTrace("job", sid, "")
-	root.SetAttr("video", j.Video)
-	ctx := context.Background()
-	if root != nil {
-		ctx = trace.With(ctx, root)
+	res.Video.Name = name
+	// The library observes ctx only for its trace: once validated, a write
+	// is appended and applied whether or not the client is still there.
+	if req.Replace {
+		err = s.lib.ReplaceResultAsCtx(r.Context(), u, res, req.Subcluster)
+	} else {
+		err = s.lib.AddResultCtx(r.Context(), res, req.Subcluster)
 	}
-	err := func() error {
-		res, err := store.DecodeResult(j.req.Saved)
-		if err != nil {
-			return err
-		}
-		res.Video.Name = j.Video
-		if j.req.Replace {
-			return s.lib.ReplaceResultAsCtx(ctx, j.user, res, j.Subcluster)
-		}
-		return s.lib.AddResultCtx(ctx, res, j.Subcluster)
-	}()
 	if err == nil {
 		if s.lib.IndexStale() {
 			err = s.rebuilder.EnsureLive()
@@ -1147,24 +1124,31 @@ func (s *Server) runJob(j *Job) {
 			s.rebuilder.Kick()
 		}
 	}
-	meta := trace.Meta{Route: "job", RequestID: j.RequestID}
 	if err != nil {
-		meta.Err = err.Error()
-	}
-	s.tracer.Finish(tr, meta)
-	if err != nil {
-		s.opts.Logf("job %s: failed: %v rid=%s", j.ID, err, j.RequestID)
-		s.pool.Fail(j, err)
+		switch {
+		case errors.Is(err, classminer.ErrDuplicateVideo): // a racing twin won
+			writeError(w, http.StatusConflict, err.Error())
+		case errors.Is(err, classminer.ErrForbidden):
+			writeError(w, http.StatusForbidden, err.Error())
+		case errors.Is(err, classminer.ErrInvalidResult):
+			writeError(w, http.StatusBadRequest, err.Error())
+		default:
+			writeError(w, http.StatusInternalServerError, err.Error())
+		}
 		return
 	}
-	s.opts.Logf("job %s: ingested %q into %q rid=%s", j.ID, j.Video, j.Subcluster, j.RequestID)
+	job := s.jobs.add(Job{Status: "done", Video: name, Subcluster: req.Subcluster,
+		Created: created, Started: started, Finished: time.Now()})
+	s.opts.Logf("job %s: ingested %q into %q", job.ID, name, req.Subcluster)
+	w.Header().Set("Location", "/v1/jobs/"+job.ID)
+	writeJSON(w, http.StatusAccepted, job)
 }
 
 // --- GET /v1/jobs/{id} -----------------------------------------------------
 
 func (s *Server) handleJob(w http.ResponseWriter, _ *http.Request, id string) {
-	j := s.pool.Get(id)
-	if j == nil {
+	j, ok := s.jobs.get(id)
+	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no job %q", id))
 		return
 	}

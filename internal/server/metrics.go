@@ -73,15 +73,14 @@ type routeMetrics struct {
 // serverMetrics is the server's slice of the registry. All instruments are
 // registered up front at New; the hot path only looks them up.
 type serverMetrics struct {
-	byRoute        map[string]*routeMetrics
-	ingestRejected *metrics.Counter
-	admitWait      *metrics.Histogram
-	panics         *metrics.Counter
+	byRoute   map[string]*routeMetrics
+	admitWait *metrics.Histogram
+	panics    *metrics.Counter
 }
 
 // newServerMetrics registers every server-layer series on reg: per-route
-// HTTP counters/histograms plus scrape-time funcs over the cache, ingest
-// pool, and rebuilder (funcs rather than counters so the existing mutex-
+// HTTP counters/histograms plus scrape-time funcs over the cache and the
+// rebuilder (funcs rather than counters so the existing mutex-
 // guarded stats stay the single source of truth).
 func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 	m := &serverMetrics{byRoute: make(map[string]*routeMetrics, len(routeTemplates))}
@@ -98,8 +97,6 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 		}
 		m.byRoute[rt] = rm
 	}
-	m.ingestRejected = reg.Counter("ingest_rejected_total",
-		"Ingest submissions rejected because the queue was full.")
 	m.panics = reg.Counter("http_panics_total",
 		"Handler panics recovered by the server.")
 
@@ -151,13 +148,6 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 		func() float64 { return float64(s.cache.Stats().Evictions) })
 	reg.GaugeFunc("search_cache_entries", "Search cache resident entries.",
 		func() float64 { return float64(s.cache.Stats().Entries) })
-
-	reg.GaugeFunc("ingest_queue_depth", "Ingest jobs waiting for a worker.",
-		func() float64 { return float64(s.pool.QueueLen()) })
-	reg.CounterFunc("ingest_jobs_done_total", "Ingest jobs completed successfully.",
-		func() float64 { return float64(s.pool.Stats(s.opts.Workers).Done) })
-	reg.CounterFunc("ingest_jobs_failed_total", "Ingest jobs that failed.",
-		func() float64 { return float64(s.pool.Stats(s.opts.Workers).Failed) })
 
 	reg.CounterFunc("index_rebuilds_total", "Full index refits installed by the rebuilder.",
 		func() float64 { return float64(s.rebuilder.Stats().Rebuilds) })

@@ -65,7 +65,6 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 		"# TYPE http_requests_total counter",
 		"# TYPE http_request_duration_seconds histogram",
 		"# TYPE search_cache_hits_total counter",
-		"# TYPE ingest_queue_depth gauge",
 		"# TYPE index_rebuilds_total counter",
 		"# TYPE go_goroutines gauge",
 	} {
@@ -95,7 +94,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	s := New(lib, Options{Tokens: testTokens(), Metrics: reg})
 	t.Cleanup(s.Close)
 
-	ingestAndWait(t, s, "metered-00", 1)
+	mustIngest(t, s, "metered-00", 1)
 	// Same query twice: the first search misses the cache, the second hits.
 	for i := 0; i < 2; i++ {
 		if w := doRaw(t, s, http.MethodPost, "/v1/search", "admin-tok", searchBody(7)); w.Code != http.StatusOK {
@@ -133,8 +132,13 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if v := metricValue(t, body, "classminer_registrations_total"); v != 1 {
 		t.Errorf("registrations = %v, want 1", v)
 	}
-	if v := metricValue(t, body, "ingest_jobs_done_total"); v != 1 {
-		t.Errorf("ingest jobs done = %v, want 1", v)
+	if v := metricValue(t, body, `http_requests_total{route="/v1/videos",status="2xx"}`); v != 1 {
+		t.Errorf("ingest 2xx count = %v, want 1", v)
+	}
+	for _, gone := range []string{"ingest_queue_depth", "ingest_jobs_done_total", "ingest_jobs_failed_total", "ingest_rejected_total"} {
+		if strings.Contains(body, gone) {
+			t.Errorf("exposition still has %s", gone)
+		}
 	}
 }
 

@@ -186,9 +186,9 @@ func (r *rebuilder) loop() {
 }
 
 // Close stops the background loop and waits for it (an in-flight rebuild
-// finishes; the library swap it does is harmless after shutdown). Like
-// ingestPool.Close it is idempotent — the daemon closes the server both
-// explicitly before its shutdown checkpoint and via defer.
+// finishes; the library swap it does is harmless after shutdown). It is
+// idempotent — the daemon closes the server both explicitly before its
+// shutdown checkpoint and via defer.
 func (r *rebuilder) Close() {
 	r.closeOnce.Do(func() { close(r.done) })
 	r.wg.Wait()

@@ -21,8 +21,8 @@ import (
 // TestRebuilderCoalescesIngestBurst pins the write-path contract: a burst
 // of ingests costs at most a couple of full index rebuilds (the cold-start
 // single-flight build plus, at most, one budget-driven background refit),
-// not one per job — while every ingested video is searchable the moment
-// its job reports done.
+// not one per ingest — while every ingested video is searchable the moment
+// its 202 arrives.
 func TestRebuilderCoalescesIngestBurst(t *testing.T) {
 	a, err := classminer.NewAnalyzer(classminer.Options{SkipEvents: true})
 	if err != nil {
@@ -31,8 +31,6 @@ func TestRebuilderCoalescesIngestBurst(t *testing.T) {
 	lib := classminer.NewLibrary(a)
 	s := New(lib, Options{
 		Tokens:          testTokens(),
-		Workers:         4,
-		QueueDepth:      32,
 		RebuildBudget:   0.5, // roomy: the burst should ride the overlay
 		RebuildDebounce: 50 * time.Millisecond,
 	})
@@ -40,17 +38,17 @@ func TestRebuilderCoalescesIngestBurst(t *testing.T) {
 
 	const n = 12
 	for i := 0; i < n; i++ {
-		ingestAndWait(t, s, fmt.Sprintf("burst-%02d", i), int64(i))
+		mustIngest(t, s, fmt.Sprintf("burst-%02d", i), int64(i))
 		// Done means searchable: query the video's own first shot.
 		req := map[string]any{"video": fmt.Sprintf("burst-%02d", i), "shot": 0, "k": 1}
 		var resp struct {
 			Hits []searchHit `json:"hits"`
 		}
 		if code := do(t, s, http.MethodPost, "/v1/search", "admin-tok", req, &resp); code != http.StatusOK {
-			t.Fatalf("search after job %d = %d", i, code)
+			t.Fatalf("search after ingest %d = %d", i, code)
 		}
 		if len(resp.Hits) == 0 || resp.Hits[0].Video != fmt.Sprintf("burst-%02d", i) {
-			t.Fatalf("video burst-%02d not searchable after its job finished: %+v", i, resp.Hits)
+			t.Fatalf("video burst-%02d not searchable after its 202: %+v", i, resp.Hits)
 		}
 	}
 	// Let any debounced background refit land before counting.
@@ -81,12 +79,12 @@ func TestRebuilderBudgetTriggersRefit(t *testing.T) {
 	t.Cleanup(s.Close)
 
 	for i := 0; i < 4; i++ {
-		ingestAndWait(t, s, fmt.Sprintf("seed-%02d", i), int64(i))
+		mustIngest(t, s, fmt.Sprintf("seed-%02d", i), int64(i))
 	}
 	base := s.rebuilder.rebuilds.Load()
 	// Blow well past 20% churn in one burst.
 	for i := 0; i < 4; i++ {
-		ingestAndWait(t, s, fmt.Sprintf("extra-%02d", i), int64(40+i))
+		mustIngest(t, s, fmt.Sprintf("extra-%02d", i), int64(40+i))
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for lib.IndexStaleness() > 0.2 || lib.IndexStale() {
@@ -118,9 +116,9 @@ func TestDeleteOnStaleIndexMasksWithoutRebuilding(t *testing.T) {
 	})
 	t.Cleanup(s.Close)
 	for i := 0; i < 3; i++ {
-		ingestAndWait(t, s, fmt.Sprintf("old-%d", i), int64(i))
+		mustIngest(t, s, fmt.Sprintf("old-%d", i), int64(i))
 	}
-	// Registered past the server, so no ingest job rebuilds for it.
+	// Registered past the server, so no ingest handler rebuilds for it.
 	odd, err := store.DecodeResult(tinySavedResult("new-concept", 9, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +191,8 @@ func churnSaved(name string, seed int64) *store.SavedResult {
 }
 
 // BenchmarkChurnWithRebuilder is ingest-churn in process: 8 writers each
-// ingest a 25-shot video over the HTTP handlers, wait for its job and delete
+// ingest a 25-shot video over the HTTP handlers, which answer once it is
+// durable and indexed, and delete
 // the video 128 ingests back, against a durable (fsync always) library of
 // 10 000 base shots and the server's own rebuilder at its default budget
 // and debounce. One iteration is one ingest+delete pair. Besides pairs/s it
@@ -223,7 +222,7 @@ func BenchmarkChurnWithRebuilder(b *testing.B) {
 	if err := lib.BuildIndex(); err != nil {
 		b.Fatal(err)
 	}
-	s := New(lib, Options{Tokens: testTokens(), Workers: writers, QueueDepth: 64})
+	s := New(lib, Options{Tokens: testTokens()})
 	b.Cleanup(s.Close)
 	bodies := make([][]byte, b.N)
 	for i := range bodies {
@@ -258,18 +257,9 @@ func BenchmarkChurnWithRebuilder(b *testing.B) {
 				if i >= b.N {
 					return
 				}
-				var job Job
-				if code := call(http.MethodPost, "/v1/videos", bodies[i], &job); code != http.StatusAccepted {
+				if code := call(http.MethodPost, "/v1/videos", bodies[i], nil); code != http.StatusAccepted {
 					b.Errorf("ingest %d = %d", i, code)
 					return
-				}
-				for wait := 500 * time.Microsecond; job.Status != JobDone; wait = min(2*wait, 4*time.Millisecond) {
-					if job.Status == JobFailed {
-						b.Errorf("ingest %d failed: %s", i, job.Error)
-						return
-					}
-					time.Sleep(wait)
-					call(http.MethodGet, "/v1/jobs/"+job.ID, nil, &job)
 				}
 				if code := call(http.MethodDelete, fmt.Sprintf("/v1/videos/churn-%06d", base+i), nil, nil); code != http.StatusOK {
 					b.Errorf("delete %d = %d", i, code)

@@ -90,19 +90,25 @@ func newReplPair(t testing.TB, leaderReg, followerReg *metrics.Registry) *replPa
 	return p
 }
 
-// waitConverged blocks until the follower is seeded, drained, and holds the
-// same video set as the leader. Callers must have stopped leader writes.
+// waitConverged blocks until the follower is seeded, drained, holds the
+// same video set as the leader, and has applied every record the leader
+// journaled. The count is what shows a trailing replace applied: it leaves
+// the names as they were, and the follower's lag still reads 0 from the
+// pull before it. Callers must have stopped leader writes, and the leader's
+// log must not have been checkpointed.
 func (p *replPair) waitConverged(t testing.TB) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		st := p.follower.Stats()
-		if st.Seeded && st.LagRecords == 0 && reflect.DeepEqual(p.followerLib.VideoNames(), p.leaderLib.VideoNames()) {
+		lw, _ := p.leaderLib.WALStats()
+		if st.Seeded && st.LagRecords == 0 && st.Applied == uint64(lw.Records) &&
+			reflect.DeepEqual(p.followerLib.VideoNames(), p.leaderLib.VideoNames()) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("follower never converged: stats=%+v leader=%v follower=%v",
-				p.follower.Stats(), p.leaderLib.VideoNames(), p.followerLib.VideoNames())
+			t.Fatalf("follower never converged: stats=%+v leader records=%d leader=%v follower=%v",
+				st, lw.Records, p.leaderLib.VideoNames(), p.followerLib.VideoNames())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -143,7 +149,7 @@ func TestFailoverPromoteFollower(t *testing.T) {
 
 	const n = 6
 	for i := 0; i < n; i++ {
-		ingestAndWait(t, p.leader, fmt.Sprintf("acked-%02d", i), int64(i))
+		mustIngest(t, p.leader, fmt.Sprintf("acked-%02d", i), int64(i))
 	}
 	p.waitConverged(t)
 
@@ -203,7 +209,7 @@ func TestFailoverPromoteFollower(t *testing.T) {
 
 	// Kill the leader: stop its listener and abandon its process state.
 	p.leaderTS.Close()
-	p.leader.pool.Close()
+	p.leader.Close()
 	if err := p.leaderLib.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +241,7 @@ func TestFailoverPromoteFollower(t *testing.T) {
 	if got := p.followerLib.Stats().Videos; got != n {
 		t.Fatalf("promoted node has %d videos, want %d", got, n)
 	}
-	ingestAndWait(t, p.fs, "post-promote", 77)
+	mustIngest(t, p.fs, "post-promote", 77)
 	if p.followerLib.Video("post-promote") == nil {
 		t.Fatal("promoted node did not persist its own write")
 	}
@@ -248,7 +254,7 @@ func TestFailoverPromoteFollower(t *testing.T) {
 func TestFollowerServesColdSearch(t *testing.T) {
 	p := newReplPair(t, nil, nil)
 	for i := 0; i < 4; i++ {
-		ingestAndWait(t, p.leader, fmt.Sprintf("cold-%02d", i), int64(i))
+		mustIngest(t, p.leader, fmt.Sprintf("cold-%02d", i), int64(i))
 	}
 	p.waitConverged(t)
 	w := doRaw(t, p.fs, http.MethodPost, "/v1/search", "admin-tok", searchBody(1))
@@ -277,7 +283,7 @@ func TestLeaderFollowerTieOrderEquivalence(t *testing.T) {
 				case r < 0.5 || len(live) == 0:
 					name := fmt.Sprintf("vid-%02d", next)
 					next++
-					ingestAndWait(t, p.leader, name, seed*100+int64(op))
+					mustIngest(t, p.leader, name, seed*100+int64(op))
 					live = append(live, name)
 				case r < 0.75:
 					i := rng.Intn(len(live))
@@ -287,7 +293,7 @@ func TestLeaderFollowerTieOrderEquivalence(t *testing.T) {
 					live = append(live[:i], live[i+1:]...)
 				default:
 					i := rng.Intn(len(live))
-					ingestReplaceAndWait(t, p.leader, live[i], seed*1000+int64(op))
+					mustReplace(t, p.leader, live[i], seed*1000+int64(op))
 				}
 			}
 			p.waitConverged(t)
@@ -354,7 +360,7 @@ func TestWALPressureShedsIngest(t *testing.T) {
 	t.Cleanup(s.Close)
 
 	// The first ingest passes (empty WAL) and leaves >1 byte of backlog.
-	ingestAndWait(t, s, "first", 1)
+	mustIngest(t, s, "first", 1)
 	req := map[string]any{"subcluster": "medicine", "saved": tinySavedResult("second", 2, 3)}
 	w := doRaw(t, s, http.MethodPost, "/v1/videos", "admin-tok", req)
 	if w.Code != http.StatusServiceUnavailable {
@@ -386,7 +392,7 @@ func TestWALPressureShedsIngest(t *testing.T) {
 	if code := do(t, s, http.MethodPost, "/v1/admin/checkpoint", "admin-tok", nil, nil); code != http.StatusOK {
 		t.Fatalf("checkpoint = %d", code)
 	}
-	ingestAndWait(t, s, "third", 3)
+	mustIngest(t, s, "third", 3)
 }
 
 // TestReplLagShedsIngest verifies the replication-lag backpressure: with a
@@ -408,7 +414,7 @@ func TestReplLagShedsIngest(t *testing.T) {
 	if _, err := lib.Engine().Attach("stalled", wal.Cursor{}); err != nil {
 		t.Fatal(err)
 	}
-	ingestAndWait(t, s, "first", 1)
+	mustIngest(t, s, "first", 1)
 	req := map[string]any{"subcluster": "medicine", "saved": tinySavedResult("second", 2, 3)}
 	w := doRaw(t, s, http.MethodPost, "/v1/videos", "admin-tok", req)
 	if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "replication lag") {
@@ -424,5 +430,5 @@ func TestReplLagShedsIngest(t *testing.T) {
 		t.Fatalf("rejected = %+v, want repl_lag 1", stats.Admission.Rejected)
 	}
 	lib.Engine().Detach("stalled")
-	ingestAndWait(t, s, "third", 3)
+	mustIngest(t, s, "third", 3)
 }

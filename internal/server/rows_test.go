@@ -42,14 +42,14 @@ func TestSearchFollowsLibraryDims(t *testing.T) {
 		w := doRaw(t, s, http.MethodPost, "/v1/search", "admin-tok", body)
 		return w.Code, w.Body.String()
 	}
-	ingestSavedAndWait(t, s, widen(tinySavedResult("wide", 1, 4), 256, 10))
+	mustIngestSaved(t, s, widen(tinySavedResult("wide", 1, 4), 256, 10))
 	if code, body := search(map[string]any{"video": "wide", "shot": 1, "k": 3}); code != http.StatusOK {
 		t.Fatalf("266-dim search = %d %s", code, body)
 	}
 	if code := do(t, s, http.MethodDelete, "/v1/videos/wide", "admin-tok", nil, nil); code != http.StatusOK {
 		t.Fatalf("delete = %d", code)
 	}
-	ingestSavedAndWait(t, s, widen(tinySavedResult("narrow", 2, 4), 6, 3))
+	mustIngestSaved(t, s, widen(tinySavedResult("narrow", 2, 4), 6, 3))
 	if code, body := search(map[string]any{"video": "narrow", "shot": 1, "k": 3}); code != http.StatusOK {
 		t.Fatalf("9-dim video+shot search = %d %s, want 200", code, body)
 	}

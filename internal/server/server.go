@@ -4,14 +4,15 @@
 // *classminer.Library in a concurrent HTTP/JSON API — content-hierarchy
 // browsing, k-NN shot search through the hierarchical index (with the
 // Eq. 24/25 cost statistics in every response), mined-event scene queries,
-// and asynchronous ingestion — with the paper's multilevel access control
-// enforced as authentication middleware on every request.
+// and ingestion — with the paper's multilevel access control enforced as
+// authentication middleware on every request.
 //
 // Concurrency model: queries run lock-free against the library's current
-// index snapshot (copy-on-write, see Library.BuildIndexCtx); ingestion runs in
-// a bounded worker pool so uploads never block queries; repeated searches
-// are answered from a generation-keyed LRU cache that self-invalidates
-// whenever the library or its access policy changes.
+// index snapshot (copy-on-write, see Library.BuildIndexCtx); an ingest or a
+// delete journals and applies on its own request, answering once the change
+// is durable and indexed, and the writes serialise only among themselves;
+// repeated searches are answered from a generation-keyed LRU cache that
+// self-invalidates whenever the library or its access policy changes.
 package server
 
 import (
@@ -29,8 +30,8 @@ import (
 	"classminer/internal/trace"
 )
 
-// Options configures a Server. The zero value serves anonymously at Public
-// clearance with a small cache and one ingest worker.
+// Options configures a Server. The zero value requires a token on every
+// request but /healthz and serves a 256-entry search cache.
 type Options struct {
 	// Tokens maps bearer-token values to the users they authenticate
 	// (presented as "Authorization: Bearer <token>" or "X-Api-Token").
@@ -40,11 +41,6 @@ type Options struct {
 	Anonymous *access.User
 	// CacheSize bounds the search LRU cache (default 256; negative disables).
 	CacheSize int
-	// Workers is the ingest pool size (default 1).
-	Workers int
-	// QueueDepth bounds pending ingest jobs (default 8); a full queue
-	// returns 503 rather than blocking the request.
-	QueueDepth int
 	// RebuildBudget is the index staleness fraction (entries inserted or
 	// removed since the last full fit, relative to that fit) that warrants
 	// a background refit (default 0.25; mutations below it are served by
@@ -86,7 +82,7 @@ type Options struct {
 	// attached follower's unshipped backlog exceeds it (0 disables; needs
 	// ReplHub). Follower pulls drain the condition.
 	ReplLagBytes int64
-	// Logf receives one line per job transition and the request log (nil =
+	// Logf receives one line per ingest and the request log (nil =
 	// silent). Request lines arrive in batches, several lines to a call, each
 	// stamped with its own time: see accessLog for when a batch is cut.
 	Logf func(format string, args ...any)
@@ -148,12 +144,6 @@ func (o Options) withDefaults() Options {
 	if o.CacheSize == 0 {
 		o.CacheSize = 256
 	}
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 8
-	}
 	if o.RebuildBudget <= 0 {
 		o.RebuildBudget = 0.25
 	}
@@ -198,7 +188,7 @@ type Library interface {
 var _ Library = (*classminer.Library)(nil)
 
 // Server is the HTTP face of one classminer.Library. Create with New, serve
-// with any http.Server, and Close when done to drain the ingest pool.
+// with any http.Server, and Close when done.
 type Server struct {
 	lib       *classminer.Library
 	opts      Options
@@ -206,7 +196,7 @@ type Server struct {
 	anon      *identity           // opts.Anonymous likewise; nil = credentials required
 	alog      *accessLog          // nil when opts.Logf is
 	cache     *searchCache
-	pool      *ingestPool
+	jobs      jobLog
 	rebuilder *rebuilder
 	admit     *admission     // nil when every admission control is disabled
 	metrics   *serverMetrics // nil when metrics are disabled
@@ -231,7 +221,7 @@ func (s *Server) role() string {
 	return "leader"
 }
 
-// New builds a Server over lib and starts its ingest workers.
+// New builds a Server over lib and starts its background rebuilder.
 func New(lib *classminer.Library, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
@@ -268,7 +258,6 @@ func New(lib *classminer.Library, opts Options) *Server {
 		// kick the rebuilder themselves or a replica's index never refits.
 		opts.Follower.SetOnApply(s.rebuilder.Kick)
 	}
-	s.pool = newIngestPool(opts.Workers, opts.QueueDepth, s.runJob)
 	// Admission comes after cache and rebuilder: the watchdog's degrade
 	// callback manipulates both and may fire as soon as sampling starts.
 	s.admit = newAdmission(opts, s.applyDegrade)
@@ -284,11 +273,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.handler.ServeHTTP(w, r)
 }
 
-// Close stops accepting ingest jobs, waits for running ones to finish, stops
-// the background rebuilder and memory watchdog, and writes out whatever the
-// access log still holds.
+// Close stops the background rebuilder and memory watchdog and writes out
+// whatever the access log still holds. It waits for no request: stop the
+// http.Server first, whose Shutdown waits for in-flight handlers.
 func (s *Server) Close() {
-	s.pool.Close()
 	s.rebuilder.Close()
 	s.admit.Close()
 	s.alog.close()

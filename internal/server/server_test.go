@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"classminer"
 	"classminer/internal/access"
@@ -294,7 +293,10 @@ func TestEventsEndpoint(t *testing.T) {
 	}
 }
 
-func TestIngestSavedResultAsync(t *testing.T) {
+// TestIngestSavedResult: POST /v1/videos answers 202 once the video is
+// registered and the index is live over it, and GET /v1/jobs/{id} serves
+// the same finished record.
+func TestIngestSavedResult(t *testing.T) {
 	s := newTestServer(t, Options{})
 	ve := s.lib.Video("laparoscopy")
 	saved, err := store.EncodeResult(ve.Result)
@@ -308,25 +310,15 @@ func TestIngestSavedResultAsync(t *testing.T) {
 	if code := do(t, s, http.MethodPost, "/v1/videos", "clin-tok", body, &job); code != http.StatusAccepted {
 		t.Fatalf("ingest = %d", code)
 	}
-	if job.ID == "" {
+	if job.ID == "" || job.Status != "done" || job.Video != "lap-mirror" || job.Subcluster != "nursing" {
 		t.Fatalf("job = %+v", job)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var st Job
-		if code := do(t, s, http.MethodGet, "/v1/jobs/"+job.ID, "clin-tok", nil, &st); code != http.StatusOK {
-			t.Fatalf("job poll = %d", code)
-		}
-		if st.Status == JobDone {
-			break
-		}
-		if st.Status == JobFailed {
-			t.Fatalf("job failed: %s", st.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %s", st.Status)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if job.Created.After(job.Started) || job.Started.After(job.Finished) {
+		t.Fatalf("job times out of order: %+v", job)
+	}
+	var got Job
+	if code := do(t, s, http.MethodGet, "/v1/jobs/"+job.ID, "clin-tok", nil, &got); code != http.StatusOK || got != job {
+		t.Fatalf("GET /v1/jobs/%s = %d %+v, want %+v", job.ID, code, got, job)
 	}
 	after := s.lib.Stats()
 	if after.Videos != before.Videos+1 || after.IndexedShots <= before.IndexedShots {
@@ -386,7 +378,7 @@ func (b repeatByte) Read(p []byte) (int, error) {
 // bytes, and one cut short below the limit is still a malformed 400.
 func TestOversizedBodyIs413(t *testing.T) {
 	s := newTestServer(t, Options{})
-	tiny, err := json.Marshal(tinySavedResult("long-tail", 9, 3))
+	tiny, err := json.Marshal(widen(tinySavedResult("long-tail", 9, 3), 256, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +441,7 @@ func (b brokenBody) Read(p []byte) (int, error) {
 // is a 400 naming the read error.
 func TestIngestBodyReadError(t *testing.T) {
 	s := newTestServer(t, Options{})
-	tiny, err := json.Marshal(tinySavedResult("broken-tail", 8, 3))
+	tiny, err := json.Marshal(widen(tinySavedResult("broken-tail", 8, 3), 256, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +472,6 @@ func TestStatsEndpoint(t *testing.T) {
 	var resp struct {
 		Library  classminer.LibraryStats `json:"library"`
 		Cache    cacheStats              `json:"cache"`
-		Ingest   poolStats               `json:"ingest"`
 		Requests int64                   `json:"requests"`
 	}
 	if code := do(t, s, http.MethodGet, "/v1/stats", "admin-tok", nil, &resp); code != http.StatusOK {
@@ -510,11 +501,11 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// TestConcurrentSearchDuringIngest hammers the query path while an ingest
-// job registers a video and swaps the index — the serving guarantee the
+// TestConcurrentSearchDuringIngest hammers the query path while ingests
+// register videos and swap the index — the serving guarantee the
 // copy-on-write Library exists for. Run with -race.
 func TestConcurrentSearchDuringIngest(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 2})
+	s := newTestServer(t, Options{})
 	saved, err := store.EncodeResult(s.lib.Video("laparoscopy").Result)
 	if err != nil {
 		t.Fatal(err)
@@ -552,13 +543,9 @@ func TestConcurrentSearchDuringIngest(t *testing.T) {
 			t.Fatalf("ingest %d = %d", i, code)
 		}
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for s.lib.Stats().Videos < base+3 || s.lib.IndexStale() {
-		if time.Now().After(deadline) {
-			t.Fatal("ingest jobs did not finish")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 	close(stop)
 	wg.Wait()
+	if got := s.lib.Stats().Videos; got != base+3 || s.lib.IndexStale() {
+		t.Fatalf("after 3 acknowledged ingests: %d videos (want %d), index stale %v", got, base+3, s.lib.IndexStale())
+	}
 }

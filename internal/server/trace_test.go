@@ -3,12 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -22,12 +20,10 @@ type tracesPage struct {
 	Stats  trace.Stats   `json:"stats"`
 }
 
-// findTrace returns the request trace carrying request id rid. An ingest
-// job's trace carries its submission's request id too, and may be kept
-// before the test looks, so job traces are skipped.
+// findTrace returns the request trace carrying request id rid.
 func findTrace(views []*trace.View, rid string) *trace.View {
 	for _, v := range views {
-		if v.RequestID == rid && v.Route != "job" {
+		if v.RequestID == rid {
 			return v
 		}
 	}
@@ -157,7 +153,7 @@ func TestDebugTracesCaptureAndGating(t *testing.T) {
 // decode as a child of the request span, tagged with the body's size.
 func TestIngestTraceHasDecodeSpan(t *testing.T) {
 	s := newTestServer(t, Options{TraceSlow: -1})
-	body, err := json.Marshal(map[string]any{"subcluster": "medicine", "saved": tinySavedResult("decode-span", 3, 4)})
+	body, err := json.Marshal(map[string]any{"subcluster": "medicine", "saved": widen(tinySavedResult("decode-span", 3, 4), 256, 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,10 +299,11 @@ func TestPanicRecoveryWrites(t *testing.T) {
 	}
 }
 
-// TestJobTraceCarriesRequestID: the request id of the 202 rides on the job
-// record, the worker's log lines, and the job's own trace — which, on a
-// durable library, shows the register/encode/install stages, the writer-lock
-// wait (wal.park) and the append's fsync (wal.fsync.lead).
+// TestJobTraceCarriesRequestID: an ingest has one trace, its request's,
+// named by the 202's X-Request-Id. On a durable library it shows the body
+// decode, the register/encode/install stages, the writer-lock wait
+// (wal.park), the append and its fsync (wal.fsync.lead); there is no second,
+// "job" trace. The request log line carries the same id.
 func TestJobTraceCarriesRequestID(t *testing.T) {
 	a, err := classminer.NewAnalyzer(classminer.Options{SkipEvents: true})
 	if err != nil {
@@ -318,17 +315,8 @@ func TestJobTraceCarriesRequestID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var logMu sync.Mutex
-	var logLines []string
-	s := New(lib, Options{
-		Tokens:    testTokens(),
-		TraceSlow: -1,
-		Logf: func(format string, args ...any) {
-			logMu.Lock()
-			logLines = append(logLines, fmt.Sprintf(format, args...))
-			logMu.Unlock()
-		},
-	})
+	var sink logSink
+	s := New(lib, Options{Tokens: testTokens(), TraceSlow: -1, Logf: sink.logf})
 	defer func() {
 		s.Close()
 		if err := lib.Close(); err != nil {
@@ -342,70 +330,28 @@ func TestJobTraceCarriesRequestID(t *testing.T) {
 		t.Fatalf("ingest = %d: %s", w.Code, w.Body.String())
 	}
 	rid := w.Header().Get("X-Request-Id")
-	var job Job
-	if err := json.Unmarshal(w.Body.Bytes(), &job); err != nil {
-		t.Fatal(err)
+	v := findTrace(s.tracer.Recent(), rid)
+	if v == nil {
+		t.Fatalf("no trace with requestId %s", rid)
 	}
-	if job.RequestID != rid {
-		t.Fatalf("202 job requestId = %q, want %q", job.RequestID, rid)
+	if v.Route != "/v1/videos" {
+		t.Fatalf("trace %s route = %q, want /v1/videos", rid, v.Route)
 	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var got Job
-		if code := do(t, s, http.MethodGet, "/v1/jobs/"+job.ID, "admin-tok", nil, &got); code != http.StatusOK {
-			t.Fatalf("job poll = %d", code)
+	names := spanSet(v)
+	for _, want := range []string{"request", "decode", "register", "encode", "install",
+		"wal.park", "wal.append", "wal.fsync.lead"} {
+		if !names[want] {
+			t.Errorf("ingest trace missing span %q (have %v)", want, v.Spans)
 		}
-		if got.Status == JobDone {
-			if got.RequestID != rid {
-				t.Fatalf("finished job requestId = %q, want %q", got.RequestID, rid)
-			}
-			break
-		}
-		if got.Status == JobFailed {
-			t.Fatalf("ingest failed: %s", got.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("ingest stuck in %s", got.Status)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
-
-	var jobView *trace.View
 	for _, v := range s.tracer.Recent() {
-		if v.Route == "job" && v.RequestID == rid {
-			jobView = v
-			break
+		if v.Route == "job" {
+			t.Fatalf("a separate job trace was kept: %+v", v)
 		}
 	}
-	if jobView == nil {
-		t.Fatalf("no job trace with requestId %s", rid)
-	}
-	names := spanSet(jobView)
-	for _, want := range []string{"job", "register", "encode", "install"} {
-		if !names[want] {
-			t.Errorf("job trace missing span %q (have %v)", want, jobView.Spans)
-		}
-	}
-	for _, want := range []string{"wal.park", "wal.append", "wal.fsync.lead"} {
-		if !names[want] {
-			t.Errorf("job trace missing span %q (have %v)", want, jobView.Spans)
-		}
-	}
-
-	var sawQueued, sawDone bool
-	logMu.Lock()
-	lines := append([]string(nil), logLines...)
-	logMu.Unlock()
-	for _, line := range lines {
-		if strings.Contains(line, "queued ingest") && strings.Contains(line, "rid="+rid) {
-			sawQueued = true
-		}
-		if strings.Contains(line, "ingested") && strings.Contains(line, "rid="+rid) {
-			sawDone = true
-		}
-	}
-	if !sawQueued || !sawDone {
-		t.Fatalf("job log lines missing rid=%s (queued=%v done=%v): %q", rid, sawQueued, sawDone, logLines)
+	s.Close() // flushes the request log
+	lines := sink.lines()
+	if requestLine(lines, rid) == "" || !strings.Contains(strings.Join(lines, "\n"), `ingested "traced-ingest"`) {
+		t.Fatalf("log lacks the ingest or its request line rid=%s: %q", rid, lines)
 	}
 }

@@ -69,14 +69,6 @@ func stateOf(r *http.Request) *reqState {
 	return rs
 }
 
-// requestID returns the request's id, "" when untraced.
-func requestID(r *http.Request) string {
-	if rs := stateOf(r); rs != nil {
-		return rs.rid
-	}
-	return ""
-}
-
 // withTrace is the outermost middleware: it assigns the request id (echoed
 // as X-Request-Id and doubling as the trace's root span id, so the header
 // always names the trace), starts the span tree, records the response, and
