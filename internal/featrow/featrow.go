@@ -113,25 +113,22 @@ func (r Row) AppendTo(dst []float64) []float64 {
 	return dst
 }
 
-// Select writes element j of r's dense form to dst[pos[j]] for every j with
-// pos[j] >= 0, and zeroes the rest of dst: it gathers the coordinates pos
-// numbers, visiting only r's non-zero elements.
-func (r Row) Select(dst []float64, pos []int32) {
-	clear(dst)
-	w, v := r.words(), r.vals()
+// NonZeros appends to idx the index of every element of r whose bits are
+// non-zero, in index order, and returns it together with those elements'
+// values in the same order, a view of r's arena. Every other element of r
+// is +0. Pass idx with room for r.Len() indices and nothing is allocated.
+func (r Row) NonZeros(idx []int32) ([]int32, []float64) {
 	nc := r.a.nc
-	for i, word := range w {
+	for i, word := range r.words() {
 		base := i << 6
 		if i >= r.a.wc {
 			base = nc + (i-r.a.wc)<<6
 		}
 		for ; word != 0; word &= word - 1 {
-			if k := pos[base+bits.TrailingZeros64(word)]; k >= 0 {
-				dst[k] = v[0]
-			}
-			v = v[1:]
+			idx = append(idx, int32(base+bits.TrailingZeros64(word)))
 		}
 	}
+	return idx, r.vals()
 }
 
 // scatter writes the values the presence words name into out and returns the

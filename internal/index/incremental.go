@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 )
 
 // ErrNoLeaf reports an entry whose concept path does not end at an existing
@@ -95,7 +94,7 @@ func (ix *Index) Insert(e *Entry) (*Index, error) {
 		at := len(leaf.extraProj)
 		nl.extraIDs = append(grow(leaf.extraIDs, 1), id)
 		nl.extraProj = grow(leaf.extraProj, dim)[:at+dim]
-		leaf.reducer.ProjectRow(nl.extraProj[at:], nix.rows[id], make([]float64, len(leaf.reducer.selected)))
+		leaf.reducer.ProjectRow(nl.extraProj[at:], nix.rows[id], make([]int32, 0, nix.dim))
 		return &nl
 	})
 	return &nix, nil
@@ -141,7 +140,7 @@ func (ix *Index) InsertAll(entries []*Entry) (*Index, error) {
 	nix.all = append(ix.all, entries...)
 	nix.rows = appendRows(ix.rows, entries)
 	nix.inserted = ix.inserted + len(entries)
-	var sel []float64
+	idx := make([]int32, 0, nix.dim)
 	for _, g := range groups {
 		nix.root = cloneSpine(nix.root, g.path, func(leaf *node) *node {
 			nl := *leaf
@@ -149,10 +148,9 @@ func (ix *Index) InsertAll(entries []*Entry) (*Index, error) {
 			at := len(leaf.extraProj)
 			nl.extraIDs = grow(leaf.extraIDs, len(g.at))
 			nl.extraProj = grow(leaf.extraProj, len(g.at)*dim)[:at+len(g.at)*dim]
-			sel = slices.Grow(sel[:0], len(leaf.reducer.selected))[:len(leaf.reducer.selected)]
 			for j, i := range g.at {
 				id := int32(base + i)
-				leaf.reducer.ProjectRow(nl.extraProj[at+j*dim:at+(j+1)*dim], nix.rows[id], sel)
+				leaf.reducer.ProjectRow(nl.extraProj[at+j*dim:at+(j+1)*dim], nix.rows[id], idx)
 				nl.extraIDs = append(nl.extraIDs, id)
 			}
 			return &nl

@@ -13,8 +13,8 @@
 // i is read through rows[i] — the zero-suppressed row its shot already
 // holds (Shot.Row), never a copy; an unregistered shot's dense feature is
 // packed once — and every leaf precomputes one projection matrix over its
-// rows. The fit and the projections read the packed rows through scratch, a
-// row or a few at a time, and the exact distance reads them as they are. The
+// rows. The fit's statistics and the projections walk the packed rows'
+// non-zero elements, and the exact distance reads the rows as they are. The
 // search hot path runs on pooled per-call scratch (query projections, bound
 // lists, bounded top-k max-heaps), so steady-state SearchInto performs zero
 // heap allocations.
@@ -395,9 +395,9 @@ func (ix *Index) fit(rng *rand.Rand) error {
 		jobs = append(jobs, fitJob{len(fn.ids), func() {
 			r := nodes[fn.parent].reducer
 			p := mat.NewDense(len(fn.ids), r.Dim())
-			sel := make([]float64, len(r.selected))
+			idx := make([]int32, 0, ix.dim)
 			for row, id := range fn.ids {
-				r.ProjectRow(p.Row(row), ix.rows[id], sel)
+				r.ProjectRow(p.Row(row), ix.rows[id], idx)
 			}
 			pts[i] = p.Rows()
 		}})
@@ -442,9 +442,9 @@ func (ix *Index) fitLeaf(n *node) {
 	h := min(boundDims, dim)
 	n.proj = mat.NewDense(len(n.ids), dim)
 	n.lead = make([]float64, len(n.ids)*h)
-	sel := make([]float64, len(n.reducer.selected))
+	idx := make([]int32, 0, ix.dim)
 	for r, id := range n.ids {
-		n.reducer.ProjectRow(n.proj.Row(r), ix.rows[id], sel)
+		n.reducer.ProjectRow(n.proj.Row(r), ix.rows[id], idx)
 		copy(n.lead[r*h:(r+1)*h], n.proj.Row(r))
 	}
 }

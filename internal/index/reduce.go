@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"classminer/internal/featrow"
@@ -16,25 +17,35 @@ import (
 type Reducer struct {
 	selected []int
 	// pos[j] is coordinate j's place in selected, -1 when not selected: what
-	// ProjectRow gathers a packed row's coordinates by.
+	// ProjectRow maps a packed row's non-zero coordinates by.
 	pos []int32
 	pca *mat.PCA
 	// compsT holds the PCA components transposed and contiguous —
-	// compsT[j*Dim+c] = Components[c][j] — so ProjectInto's inner loop is a
-	// dense Dim-wide accumulate per selected coordinate instead of a
+	// compsT[j*Dim+c] = Components[c][j] — so the projections' inner loop is
+	// a dense Dim-wide accumulate per selected coordinate instead of a
 	// strided gather. A search projects its query through it once per node
 	// it routes at and once per leaf it visits; entries are projected only
 	// at fit and insert time.
 	compsT []float64
+	// off is the PCA mean projected, off[c] = Σ_j Mean[j]·Components[c][j]:
+	// a projection sums a row's non-zero selected coordinates against
+	// compsT and subtracts off last, so it never centres a zero.
+	off []float64
 }
 
 // FitReducer fits a reducer on the rows named by ids (rows[id] for each id,
 // all of one width): selectDims coordinates by variance, then pcaDims
 // principal components. Dimensions are clamped to what the data supports. It
 // reads rows and ids and writes neither, so any number of fits may share one
-// row table concurrently. The rows are unpacked a few at a time into
-// scratch, and every sum takes its terms in row order, so the reducer is the
-// one the dense rows give, bit for bit.
+// row table concurrently.
+//
+// Every statistic is summed over the rows' non-zero elements alone, each
+// coordinate's terms in row order: the mean as mat.Mean takes it; a
+// coordinate's variance as Σ_nz (x−m)² + (n − nnz)·m², its zero elements'
+// share added in one term; the selected coordinates' covariance as
+// Σ_nz x·xᵀ / n − μ·μᵀ, a row adding a product for each pair of its
+// non-zero selected coordinates. The components are that covariance's
+// leading eigenvectors (mat.PCAFromCov).
 func FitReducer(rows []featrow.Row, ids []int32, selectDims, pcaDims int) (*Reducer, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("index: FitReducer needs samples")
@@ -49,8 +60,6 @@ func FitReducer(rows []featrow.Row, ids []int32, selectDims, pcaDims int) (*Redu
 	if pcaDims > selectDims {
 		pcaDims = selectDims
 	}
-	// The mean as mat.Mean takes it: each coordinate's terms summed in row
-	// order, then scaled.
 	mean := make([]float64, d)
 	for _, id := range ids {
 		if rows[id].Len() != d {
@@ -62,55 +71,64 @@ func FitReducer(rows []featrow.Row, ids []int32, selectDims, pcaDims int) (*Redu
 	for j := range mean {
 		mean[j] *= inv
 	}
-	// Per-coordinate sums of squared deviations, four rows at a time: each
-	// accumulator takes its rows' terms in row order, as mat.Mean does.
 	vars := make([]float64, d)
-	scratch := make([]float64, 4*d)
-	x0, x1, x2, x3 := scratch[:0:d], scratch[d:d:2*d], scratch[2*d:2*d:3*d], scratch[3*d:3*d]
-	i := 0
-	for ; i+4 <= len(ids); i += 4 {
-		x0, x1 := rows[ids[i]].AppendTo(x0), rows[ids[i+1]].AppendTo(x1)
-		x2, x3 := rows[ids[i+2]].AppendTo(x2), rows[ids[i+3]].AppendTo(x3)
-		for j, m := range mean {
-			d0, d1, d2, d3 := x0[j]-m, x1[j]-m, x2[j]-m, x3[j]-m
-			s := vars[j]
-			s += d0 * d0
-			s += d1 * d1
-			s += d2 * d2
-			s += d3 * d3
-			vars[j] = s
-		}
-	}
-	for _, id := range ids[i:] {
-		row := rows[id].AppendTo(x0)
-		for j, m := range mean {
-			dv := row[j] - m
+	nnz := make([]int, d)
+	idx := make([]int32, 0, d)
+	var vals []float64
+	for _, id := range ids {
+		idx, vals = rows[id].NonZeros(idx[:0])
+		for t, j := range idx {
+			dv := vals[t] - mean[j]
 			vars[j] += dv * dv
+			nnz[j]++
 		}
 	}
-	idx := make([]int, d)
-	for j := range idx {
-		idx[j] = j
+	for j, m := range mean {
+		vars[j] += float64(len(ids)-nnz[j]) * (m * m)
 	}
-	sort.Slice(idx, func(a, b int) bool { return vars[idx[a]] > vars[idx[b]] })
-	selected := append([]int(nil), idx[:selectDims]...)
+	order := make([]int, d)
+	for j := range order {
+		order[j] = j
+	}
+	sort.Slice(order, func(a, b int) bool { return vars[order[a]] > vars[order[b]] })
+	selected := append([]int(nil), order[:selectDims]...)
 	sort.Ints(selected)
 	pos := make([]int32, d)
 	for j := range pos {
 		pos[j] = -1
 	}
+	mu := make([]float64, selectDims)
 	for k, j := range selected {
 		pos[j] = int32(k)
+		mu[k] = mean[j]
 	}
 
-	// Gather the selected columns into one flat buffer.
-	x := make([][]float64, len(ids))
-	sub := make([]float64, len(ids)*selectDims)
-	for i, id := range ids {
-		x[i] = sub[i*selectDims : (i+1)*selectDims : (i+1)*selectDims]
-		rows[id].Select(x[i], pos)
+	// Σ x·xᵀ over each row's non-zero selected coordinates, upper triangle:
+	// pos keeps index order, so a row's ks ascend.
+	cov := mat.NewMatrix(selectDims, selectDims)
+	ks, xs := make([]int32, 0, selectDims), make([]float64, 0, selectDims)
+	for _, id := range ids {
+		idx, vals = rows[id].NonZeros(idx[:0])
+		ks, xs = ks[:0], xs[:0]
+		for t, j := range idx {
+			if k := pos[j]; k >= 0 {
+				ks, xs = append(ks, k), append(xs, vals[t])
+			}
+		}
+		for a, ka := range ks {
+			xa, row := xs[a], cov[ka]
+			for b := a; b < len(ks); b++ {
+				row[ks[b]] += xa * xs[b]
+			}
+		}
 	}
-	pca, err := mat.FitPCA(x, pcaDims)
+	for a := range cov {
+		for b := a; b < selectDims; b++ {
+			c := cov[a][b]*inv - mu[a]*mu[b]
+			cov[a][b], cov[b][a] = c, c
+		}
+	}
+	pca, err := mat.PCAFromCov(mu, cov, pcaDims)
 	if err != nil {
 		return nil, err
 	}
@@ -122,6 +140,12 @@ func FitReducer(rows []featrow.Row, ids []int32, selectDims, pcaDims int) (*Redu
 			r.compsT[j*k+c] = w
 		}
 	}
+	r.off = make([]float64, k)
+	for j, m := range pca.Mean {
+		for c, w := range r.compsT[j*k : (j+1)*k] {
+			r.off[c] += m * w
+		}
+	}
 	return r, nil
 }
 
@@ -131,47 +155,54 @@ func (r *Reducer) Project(v []float64) []float64 {
 }
 
 // ProjectInto maps a full-dimension feature into the reduced space, writing
-// into dst (length Dim). Variance selection and PCA centering are fused into
-// one pass so the call performs no heap allocation; Search projects queries
-// through pooled scratch buffers with it.
+// into dst (length Dim): the selected coordinates whose bits are non-zero,
+// in index order, summed against the components, then off subtracted. It
+// performs no heap allocation; Search projects queries through pooled
+// scratch buffers with it.
 func (r *Reducer) ProjectInto(dst, v []float64) []float64 {
 	k := len(r.pca.Components)
 	if len(dst) != k {
 		panic(mat.ErrDimension)
 	}
-	mean := r.pca.Mean
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 	for j, src := range r.selected {
-		x := v[src] - mean[j]
-		row := r.compsT[j*k : (j+1)*k]
-		for c, w := range row {
+		x := v[src]
+		if math.Float64bits(x) == 0 {
+			continue
+		}
+		for c, w := range r.compsT[j*k:][:len(dst)] {
 			dst[c] += x * w
 		}
+	}
+	for c, o := range r.off {
+		dst[c] -= o
 	}
 	return dst
 }
 
-// ProjectRow is ProjectInto on a packed row, bit for bit: it gathers the
-// selected coordinates into sel (one slot per selected coordinate) and
-// projects them in the same order.
-func (r *Reducer) ProjectRow(dst []float64, row featrow.Row, sel []float64) []float64 {
+// ProjectRow is ProjectInto on a packed row, bit for bit: it walks the
+// row's non-zero elements (idx is the walk's scratch, room for the row's
+// width) and sums the selected ones against the components in the same
+// order, then subtracts off.
+func (r *Reducer) ProjectRow(dst []float64, row featrow.Row, idx []int32) []float64 {
 	k := len(r.pca.Components)
 	if len(dst) != k {
 		panic(mat.ErrDimension)
 	}
-	sel = sel[:len(r.selected)]
-	row.Select(sel, r.pos)
-	mean := r.pca.Mean
-	for i := range dst {
-		dst[i] = 0
-	}
-	for j, v := range sel {
-		x := v - mean[j]
-		for c, w := range r.compsT[j*k : (j+1)*k] {
+	clear(dst)
+	idx, vals := row.NonZeros(idx[:0])
+	for t, j := range idx {
+		p := int(r.pos[j])
+		if p < 0 {
+			continue
+		}
+		x := vals[t]
+		for c, w := range r.compsT[p*k:][:len(dst)] {
 			dst[c] += x * w
 		}
+	}
+	for c, o := range r.off {
+		dst[c] -= o
 	}
 	return dst
 }

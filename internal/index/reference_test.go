@@ -253,7 +253,7 @@ func identityLeaf(t *testing.T, rows [][]float64) *Index {
 	if ix.maxDim != dim {
 		t.Fatalf("widest reducer is %d wide, want %d", ix.maxDim, dim)
 	}
-	r := &Reducer{pca: &mat.PCA{Mean: make([]float64, dim), Components: mat.Identity(dim)}}
+	r := &Reducer{pca: &mat.PCA{Mean: make([]float64, dim), Components: mat.NewMatrix(dim, dim)}}
 	r.compsT = make([]float64, dim*dim)
 	r.pos = make([]int32, ix.dim)
 	for j := range r.pos {
@@ -262,6 +262,7 @@ func identityLeaf(t *testing.T, rows [][]float64) *Index {
 	for j := 0; j < dim; j++ {
 		r.selected = append(r.selected, j)
 		r.pos[j] = int32(j)
+		r.pca.Components[j][j] = 1
 		r.compsT[j*dim+j] = 1
 	}
 	leaf := ix.root.children["medical education"].children["medicine"].children["medicine/other"]

@@ -1,9 +1,9 @@
 // Package mat provides the small dense linear-algebra kernels the rest of
 // the system depends on: vector statistics, covariance estimation, Cholesky
 // factorisation with log-determinants (used by the BIC speaker-change test),
-// Jacobi eigendecomposition and PCA (used by the hierarchical index for
-// per-node dimension reduction), and a tiny k-means implementation (used by
-// multi-center index nodes).
+// a symmetric eigensolver and PCA from a covariance (used by the
+// hierarchical index for per-node dimension reduction), and a tiny k-means
+// implementation (used by multi-center index nodes).
 //
 // Everything operates on plain float64 slices so callers never pay for an
 // abstraction they do not need. Matrices are dense, row-major [][]float64.
@@ -13,12 +13,14 @@
 // time in row order, exactly as a row-by-row loop adds them. KMeans draws
 // random numbers only while seeding (KMeansSeeds); its Lloyd refinement
 // (Lloyd) is deterministic, so independent clusterings may refine
-// concurrently once their seeds are drawn in order.
+// concurrently once their seeds are drawn in order. Lloyd skips the
+// distances Hamerly's bounds prove cannot change an assignment, and only
+// those: its centres, assignments and iteration count are plain Lloyd's
+// bit for bit.
 package mat
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -94,13 +96,9 @@ func Covariance(x [][]float64) [][]float64 {
 	if len(x) == 0 {
 		return nil
 	}
-	return covariance(x, Mean(x))
-}
-
-// covariance is Covariance about a mean the caller already holds. Each row
-// is centred once, four rows at a time, and the upper triangle accumulates
-// the products of the centred values.
-func covariance(x [][]float64, mean []float64) [][]float64 {
+	// Each row is centred once, four rows at a time, and the upper triangle
+	// accumulates the products of the centred values.
+	mean := Mean(x)
 	d := len(mean)
 	cov := NewMatrix(d, d)
 	c := make([]float64, 4*d)
@@ -163,24 +161,6 @@ func NewMatrix(r, c int) [][]float64 {
 	return m
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) [][]float64 {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m[i][i] = 1
-	}
-	return m
-}
-
-// Clone returns a deep copy of m.
-func Clone(m [][]float64) [][]float64 {
-	out := NewMatrix(len(m), len(m[0]))
-	for i := range m {
-		copy(out[i], m[i])
-	}
-	return out
-}
-
 // Cholesky computes the lower-triangular factor L with m = L·Lᵀ.
 // A small diagonal ridge is added progressively when m is near-singular,
 // which is the standard regularisation for covariance matrices estimated
@@ -239,98 +219,4 @@ func LogDet(m [][]float64) (float64, error) {
 		ld += math.Log(l[i][i])
 	}
 	return 2 * ld, nil
-}
-
-// Jacobi computes the eigendecomposition of a symmetric matrix using the
-// cyclic Jacobi rotation method. It returns the eigenvalues and a matrix
-// whose COLUMNS are the corresponding eigenvectors, sorted by decreasing
-// eigenvalue.
-func Jacobi(m [][]float64) (values []float64, vectors [][]float64, err error) {
-	n := len(m)
-	if n == 0 {
-		return nil, nil, fmt.Errorf("mat: Jacobi on empty matrix")
-	}
-	a := Clone(m)
-	v := Identity(n)
-	const maxSweeps = 100
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		off := offDiagNorm(a)
-		if off < 1e-12 {
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				rotate(a, v, p, q)
-			}
-		}
-	}
-	values = make([]float64, n)
-	for i := 0; i < n; i++ {
-		values[i] = a[i][i]
-	}
-	// Sort eigenpairs by decreasing eigenvalue (selection sort keeps the
-	// column bookkeeping simple for the small matrices we handle).
-	for i := 0; i < n; i++ {
-		best := i
-		for j := i + 1; j < n; j++ {
-			if values[j] > values[best] {
-				best = j
-			}
-		}
-		if best != i {
-			values[i], values[best] = values[best], values[i]
-			for r := 0; r < n; r++ {
-				v[r][i], v[r][best] = v[r][best], v[r][i]
-			}
-		}
-	}
-	return values, v, nil
-}
-
-func offDiagNorm(a [][]float64) float64 {
-	var s float64
-	for i := range a {
-		for j := range a[i] {
-			if i != j {
-				s += a[i][j] * a[i][j]
-			}
-		}
-	}
-	return s
-}
-
-func rotate(a, v [][]float64, p, q int) {
-	if a[p][q] == 0 {
-		return
-	}
-	n := len(a)
-	theta := (a[q][q] - a[p][p]) / (2 * a[p][q])
-	t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-	if theta < 0 {
-		t = -t
-	}
-	c := 1 / math.Sqrt(t*t+1)
-	s := t * c
-	tau := s / (1 + c)
-
-	app, aqq, apq := a[p][p], a[q][q], a[p][q]
-	a[p][p] = app - t*apq
-	a[q][q] = aqq + t*apq
-	a[p][q] = 0
-	a[q][p] = 0
-	for i := 0; i < n; i++ {
-		if i == p || i == q {
-			continue
-		}
-		aip, aiq := a[i][p], a[i][q]
-		a[i][p] = aip - s*(aiq+tau*aip)
-		a[p][i] = a[i][p]
-		a[i][q] = aiq + s*(aip-tau*aiq)
-		a[q][i] = a[i][q]
-	}
-	for i := 0; i < n; i++ {
-		vip, viq := v[i][p], v[i][q]
-		v[i][p] = vip - s*(viq+tau*vip)
-		v[i][q] = viq + s*(vip-tau*viq)
-	}
 }

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -184,9 +185,9 @@ func TestLogDetSingularRegularised(t *testing.T) {
 	}
 }
 
-func TestJacobiKnownEigenvalues(t *testing.T) {
+func TestSymEigenKnownEigenvalues(t *testing.T) {
 	m := [][]float64{{2, 1}, {1, 2}}
-	values, vectors, err := Jacobi(m)
+	values, vectors, err := SymEigen(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,26 +201,121 @@ func TestJacobiKnownEigenvalues(t *testing.T) {
 	}
 }
 
-func TestJacobiEmpty(t *testing.T) {
-	if _, _, err := Jacobi(nil); err == nil {
+func TestSymEigenEmpty(t *testing.T) {
+	if _, _, err := SymEigen(nil); err == nil {
 		t.Fatal("expected error on empty matrix")
+	}
+}
+
+// checkEigen holds SymEigen's answer for m to an eigendecomposition: values
+// in decreasing order, orthonormal columns to 1e-12, and every pair's
+// residual ‖m·v − λ·v‖ within 1e-12 of m's largest |eigenvalue| (1 for the
+// zero matrix).
+func checkEigen(t *testing.T, name string, m [][]float64) []float64 {
+	t.Helper()
+	values, vectors, err := SymEigen(m)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	n := len(m)
+	scale := 0.0
+	for _, v := range values {
+		scale = max(scale, math.Abs(v))
+	}
+	if scale == 0 {
+		scale = 1
+	}
+	for c := 0; c < n; c++ {
+		if c > 0 && values[c] > values[c-1] {
+			t.Fatalf("%s: eigenvalues %v not decreasing", name, values)
+		}
+		for c2 := c; c2 < n; c2++ {
+			var dot float64
+			for r := 0; r < n; r++ {
+				dot += vectors[r][c] * vectors[r][c2]
+			}
+			want := 0.0
+			if c == c2 {
+				want = 1
+			}
+			if math.Abs(dot-want) > 1e-12 {
+				t.Fatalf("%s: columns %d·%d = %v, want %v", name, c, c2, dot, want)
+			}
+		}
+		var res float64
+		for r := 0; r < n; r++ {
+			var mv float64
+			for j := 0; j < n; j++ {
+				mv += m[r][j] * vectors[j][c]
+			}
+			res += (mv - values[c]*vectors[r][c]) * (mv - values[c]*vectors[r][c])
+		}
+		if math.Sqrt(res) > 1e-12*scale {
+			t.Fatalf("%s: pair %d residual %v", name, c, math.Sqrt(res))
+		}
+	}
+	return values
+}
+
+// TestSymEigenCases holds SymEigen to an eigendecomposition on the shapes a
+// fit can hand it: the zero matrix (a node of identical rows), 1×1, a
+// diagonal matrix, repeated eigenvalues, a covariance far below 1 in scale,
+// and random covariances up to the index's 48 selected coordinates.
+func TestSymEigenCases(t *testing.T) {
+	if got := checkEigen(t, "zero", NewMatrix(5, 5)); !sameBits(got, make([]float64, 5)) {
+		t.Fatalf("zero: eigenvalues %v, want 0s", got)
+	}
+	if got := checkEigen(t, "1x1", [][]float64{{-2.5}}); got[0] != -2.5 {
+		t.Fatalf("1x1: eigenvalue %v, want -2.5", got[0])
+	}
+	diag := [][]float64{{1, 0, 0, 0}, {0, 4, 0, 0}, {0, 0, -3, 0}, {0, 0, 0, 2}}
+	if got := checkEigen(t, "diagonal", diag); !sameBits(got, []float64{4, 2, 1, -3}) {
+		t.Fatalf("diagonal: eigenvalues %v, want [4 2 1 -3]", got)
+	}
+	// 2·I + 3·uuᵀ for a unit u: eigenvalue 5 once, 2 three times.
+	u := []float64{0.5, 0.5, 0.5, 0.5}
+	rep := NewMatrix(4, 4)
+	for i := range rep {
+		for j := range rep {
+			rep[i][j] = 3 * u[i] * u[j]
+		}
+		rep[i][i] += 2
+	}
+	got := checkEigen(t, "repeated", rep)
+	for i, want := range []float64{5, 2, 2, 2} {
+		if !almostEqual(got[i], want, 1e-12) {
+			t.Fatalf("repeated: eigenvalues %v, want [5 2 2 2]", got)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, d := range []int{2, 7, 48} {
+		for _, scale := range []float64{1, 1e-6} {
+			x := make([][]float64, 3*d)
+			for i := range x {
+				x[i] = make([]float64, d)
+				for j := range x[i] {
+					x[i][j] = rng.NormFloat64() * scale / float64(j+1)
+				}
+			}
+			checkEigen(t, fmt.Sprintf("covariance d=%d scale=%g", d, scale), Covariance(x))
+		}
 	}
 }
 
 func TestPCAProjectsOntoDominantAxis(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	// Data stretched along (1,1): first component must capture most variance.
+	// Data stretched along (1,1): the first component must lie along it.
 	x := make([][]float64, 200)
 	for i := range x {
 		t0 := rng.NormFloat64() * 10
 		x[i] = []float64{t0 + rng.NormFloat64()*0.1, t0 + rng.NormFloat64()*0.1}
 	}
-	p, err := FitPCA(x, 1)
+	p, err := PCAFromCov(Mean(x), Covariance(x), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Explained[0] < 0.99 {
-		t.Fatalf("explained = %v, want > 0.99", p.Explained[0])
+	if a := p.Components[0]; math.Abs(a[0]*math.Sqrt2/2+a[1]*math.Sqrt2/2) < 0.999 {
+		t.Fatalf("component = %v, want along (1,1)", a)
 	}
 	if p.Dim() != 1 {
 		t.Fatalf("Dim = %d, want 1", p.Dim())
@@ -227,16 +323,17 @@ func TestPCAProjectsOntoDominantAxis(t *testing.T) {
 }
 
 func TestPCAErrors(t *testing.T) {
-	if _, err := FitPCA(nil, 1); err == nil {
+	if _, err := PCAFromCov(nil, nil, 1); err == nil {
 		t.Fatal("expected error on empty data")
 	}
-	if _, err := FitPCA([][]float64{{1, 2}}, 0); err == nil {
+	if _, err := PCAFromCov([]float64{1, 2}, NewMatrix(2, 2), 0); err == nil {
 		t.Fatal("expected error on k < 1")
 	}
 }
 
 func TestPCAClampK(t *testing.T) {
-	p, err := FitPCA([][]float64{{1, 2}, {3, 4}, {5, 7}}, 10)
+	x := [][]float64{{1, 2}, {3, 4}, {5, 7}}
+	p, err := PCAFromCov(Mean(x), Covariance(x), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,8 +385,10 @@ func TestKMeansKLargerThanN(t *testing.T) {
 	if len(res.Centers) != 2 {
 		t.Fatalf("centers = %d, want clamped to 2", len(res.Centers))
 	}
-	if res.Inertia > 1e-9 {
-		t.Fatalf("inertia = %v, want ~0 when every point is a center", res.Inertia)
+	for i, c := range res.Assignment {
+		if d := SqDist(x[i], res.Centers[c]); d != 0 {
+			t.Fatalf("point %d is %v from its center, want 0 when every point is a center", i, d)
+		}
 	}
 }
 
@@ -343,7 +442,7 @@ func TestPCAPropertyMeanMapsToOrigin(t *testing.T) {
 		for i := range x {
 			x[i] = []float64{rng.NormFloat64(), rng.NormFloat64() * 3, rng.NormFloat64() * 0.5}
 		}
-		p, err := FitPCA(x, 2)
+		p, err := PCAFromCov(Mean(x), Covariance(x), 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,40 +9,32 @@ import "fmt"
 type PCA struct {
 	Mean       []float64   // feature mean subtracted before projection
 	Components [][]float64 // k rows, each a principal axis of dimension d
-	Explained  []float64   // fraction of variance captured per component
 }
 
-// FitPCA fits a k-component PCA to the rows of x. k is clamped to the data
-// dimension. It returns an error when x is empty or k < 1.
-func FitPCA(x [][]float64, k int) (*PCA, error) {
-	if len(x) == 0 {
-		return nil, fmt.Errorf("mat: FitPCA needs at least one sample")
+// PCAFromCov fits a k-component PCA to data whose mean and covariance the
+// caller has estimated: the components are cov's k leading eigenvectors,
+// in decreasing order of eigenvalue. k is clamped to the data dimension. It
+// keeps mean, and returns an error when mean is empty or k < 1.
+func PCAFromCov(mean []float64, cov [][]float64, k int) (*PCA, error) {
+	d := len(mean)
+	if d == 0 {
+		return nil, fmt.Errorf("mat: PCAFromCov needs at least one dimension")
 	}
 	if k < 1 {
-		return nil, fmt.Errorf("mat: FitPCA needs k >= 1, got %d", k)
+		return nil, fmt.Errorf("mat: PCAFromCov needs k >= 1, got %d", k)
 	}
-	d := len(x[0])
-	if k > d {
-		k = d
+	if len(cov) != d {
+		panic(ErrDimension)
 	}
-	mean := Mean(x)
-	values, vectors, err := Jacobi(covariance(x, mean))
+	k = min(k, d)
+	_, vectors, err := SymEigen(cov)
 	if err != nil {
 		return nil, err
 	}
-	var total float64
-	for _, v := range values {
-		if v > 0 {
-			total += v
-		}
-	}
-	p := &PCA{Mean: mean, Components: NewMatrix(k, d), Explained: make([]float64, k)}
-	for c := 0; c < k; c++ {
-		for r := 0; r < d; r++ {
-			p.Components[c][r] = vectors[r][c]
-		}
-		if total > 0 && values[c] > 0 {
-			p.Explained[c] = values[c] / total
+	p := &PCA{Mean: mean, Components: NewMatrix(k, d)}
+	for c, axis := range p.Components {
+		for r := range axis {
+			axis[r] = vectors[r][c]
 		}
 	}
 	return p, nil

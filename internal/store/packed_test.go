@@ -58,7 +58,7 @@ func fuzzRow(data []byte, n int, mode byte, nilBit bool) []float64 {
 }
 
 // FuzzPackedRow: a row packed as a registered shot holds it (featrow) is,
-// bit for bit, the row it was packed from — unpacked, gathered and summed —
+// bit for bit, the row it was packed from — unpacked, walked and summed —
 // its exact distance to a query is the dense one at any bound, early
 // abandon included, and its bytes are those appendRow writes for the dense
 // row, which is what lets the checkpoint write a registered shot as it is.
@@ -106,20 +106,21 @@ func FuzzPackedRow(f *testing.F) {
 			}
 		}
 		sameFloats("unpack(pack(row))", row.AppendTo(nil), dense)
-		pos, want := make([]int32, len(dense)), []float64(nil)
-		for j := range dense {
-			pos[j] = -1
-			if len(data) == 0 || data[j%len(data)]&1 == 0 {
-				pos[j] = int32(len(want))
-				want = append(want, dense[j])
+		idx, vals := row.NonZeros(nil)
+		if len(idx) != len(vals) {
+			t.Fatalf("NonZeros: %d indices, %d values", len(idx), len(vals))
+		}
+		scattered := make([]float64, len(dense))
+		for k, j := range idx {
+			if k > 0 && j <= idx[k-1] {
+				t.Fatalf("NonZeros: index %d after %d", j, idx[k-1])
 			}
+			if math.Float64bits(vals[k]) == 0 {
+				t.Fatalf("NonZeros: element %d is +0", j)
+			}
+			scattered[j] = vals[k]
 		}
-		selected := make([]float64, len(want))
-		for k := range selected {
-			selected[k] = math.NaN() // Select zeroes what it does not write
-		}
-		row.Select(selected, pos)
-		sameFloats("Select", selected, want)
+		sameFloats("NonZeros", scattered, dense)
 		// A sum that started at +0 holds no -0: that is what AddTo needs.
 		acc, accWant := make([]float64, len(query)), make([]float64, len(query))
 		for j, q := range query {
