@@ -343,7 +343,7 @@ func BenchmarkSec62HierSearch(b *testing.B) {
 	b.ResetTimer()
 	var stats index.Stats
 	for i := 0; i < b.N; i++ {
-		_, stats = st.ix.Search(q, 10)
+		_, stats = st.ix.Search(nil, q, 10, nil)
 	}
 	b.ReportMetric(float64(stats.FloatOps), "float-ops")
 	b.ReportMetric(float64(stats.Candidates), "candidates")
@@ -602,7 +602,7 @@ func BenchmarkAblationMultiCenter(b *testing.B) {
 }
 
 func topAgree(ix *index.Index, q []float64, want *index.Entry) bool {
-	hits, _ := ix.Search(q, 5)
+	hits, _ := ix.Search(nil, q, 5, nil)
 	for _, h := range hits {
 		if h.Entry == want {
 			return true
@@ -625,8 +625,8 @@ func BenchmarkAblationDimReduction(b *testing.B) {
 	b.ResetTimer()
 	var opsReduced, opsFull float64
 	for i := 0; i < b.N; i++ {
-		_, rs := reduced.Search(q, 10)
-		_, fs := full.Search(q, 10)
+		_, rs := reduced.Search(nil, q, 10, nil)
+		_, fs := full.Search(nil, q, 10, nil)
 		opsReduced = float64(rs.FloatOps)
 		opsFull = float64(fs.FloatOps)
 	}

@@ -1183,7 +1183,7 @@ func (e *QueryDimError) Error() string {
 // allocation-free. The returned slice aliases dst.
 //
 // When ctx carries a trace span, the index stages (project/scan/rank — see
-// Index.SearchIntoSpans) and the policy filter record child spans under one
+// Index.Search) and the policy filter record child spans under one
 // "search" span. Untraced and unsampled callers pay nothing — the span
 // lookup on a bare context is a nil value read, keeping the zero-alloc query
 // contract.
@@ -1198,34 +1198,11 @@ func (l *Library) SearchIntoCtx(ctx context.Context, dst []SearchHit, u User, qu
 	if d := l.ix.Dim(); len(query) != d {
 		return nil, SearchStats{}, &QueryDimError{Got: len(query), Want: d}
 	}
-	hits, stats := l.ix.SearchIntoSpans(dst, query, k, sp)
+	hits, stats := l.ix.Search(dst, query, k, sp)
 	fsp := sp.Start("filter")
 	hits = access.FilterInPlace(l.policy, u, hits, func(h SearchHit) []string { return h.Entry.Path })
 	fsp.End()
 	index.SortHits(hits)
-	return hits, stats, nil
-}
-
-// SearchBatch answers many query-by-example searches in one call: the index
-// fans the queries out across cores and the access-control policy filters
-// each answer for the user; each answer is ordered as SearchIntoCtx orders
-// one. hits[i] and stats[i] correspond to queries[i].
-func (l *Library) SearchBatch(u User, queries [][]float64, k int) ([][]SearchHit, []SearchStats, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if l.ix == nil {
-		return nil, nil, fmt.Errorf("classminer: index not built (call BuildIndex)")
-	}
-	for _, q := range queries {
-		if d := l.ix.Dim(); len(q) != d {
-			return nil, nil, &QueryDimError{Got: len(q), Want: d}
-		}
-	}
-	hits, stats := l.ix.SearchBatch(queries, k)
-	for i := range hits {
-		hits[i] = access.Filter(l.policy, u, hits[i], func(h SearchHit) []string { return h.Entry.Path })
-		index.SortHits(hits[i])
-	}
 	return hits, stats, nil
 }
 

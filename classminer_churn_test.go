@@ -76,8 +76,8 @@ func rebuiltFrom(t testing.TB, a *Analyzer, survivors []churnSpec) *Library {
 }
 
 // mustMatchRebuilt compares every read surface of lib with the model's, byte
-// for byte: hits, distances, tie-breaks and per-query stats of Search and
-// SearchBatch, sizes, names, and the scenes of every event category.
+// for byte: hits, distances, tie-breaks and per-query stats of a search,
+// sizes, names, and the scenes of every event category.
 func mustMatchRebuilt(t testing.TB, lib, ref *Library, dim int, seed int64) {
 	t.Helper()
 	u := User{Name: "admin", Clearance: Administrator}
@@ -106,16 +106,6 @@ func mustMatchRebuilt(t testing.TB, lib, ref *Library, dim int, seed int64) {
 			}
 			if gs != ws {
 				t.Fatalf("k=%d query %d: stats %+v, model %+v", k, qi, gs, ws)
-			}
-		}
-		gb, gbs, gerr := lib.SearchBatch(u, queries, k)
-		wb, wbs, werr := ref.SearchBatch(u, queries, k)
-		if gerr != nil || werr != nil {
-			t.Fatalf("batch search: %v / %v", gerr, werr)
-		}
-		for qi := range queries {
-			if !reflect.DeepEqual(flatten(gb[qi]), flatten(wb[qi])) || gbs[qi] != wbs[qi] {
-				t.Fatalf("k=%d batch query %d differs from the model", k, qi)
 			}
 		}
 	}

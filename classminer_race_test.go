@@ -53,6 +53,7 @@ func TestLibraryConcurrentMutationDuringQueries(t *testing.T) {
 		readers.Add(1)
 		go func(w int) {
 			defer readers.Done()
+			var dst []SearchHit
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -67,9 +68,10 @@ func TestLibraryConcurrentMutationDuringQueries(t *testing.T) {
 						return
 					}
 				case 5:
-					batch, _, err := l.SearchBatch(admin, [][]float64{query, query}, 3)
-					if err != nil || len(batch) != 2 || len(batch[0]) == 0 {
-						t.Errorf("batch search during writes: %d err=%v", len(batch), err)
+					var err error
+					dst, _, err = l.SearchIntoCtx(context.Background(), dst[:0], admin, query, 3)
+					if err != nil || len(dst) == 0 {
+						t.Errorf("search into a reused buffer during writes: hits=%d err=%v", len(dst), err)
 						return
 					}
 				case 1:

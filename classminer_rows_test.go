@@ -291,8 +291,7 @@ func TestFeatureRowBytes(t *testing.T) {
 }
 
 // TestSearchRefusesWrongDims: a query whose length is not the index's
-// dimensionality is a typed error, from the single and the batch search
-// alike — not a panic deep in the projection.
+// dimensionality is a typed error — not a panic deep in the projection.
 func TestSearchRefusesWrongDims(t *testing.T) {
 	a, err := NewAnalyzer(Options{SkipEvents: true})
 	if err != nil {
@@ -304,10 +303,6 @@ func TestSearchRefusesWrongDims(t *testing.T) {
 		_, _, err := lib.SearchIntoCtx(context.Background(), nil, u, q, 5)
 		if de, ok := err.(*QueryDimError); !ok || de.Got != len(q) || de.Want != 12 {
 			t.Fatalf("Search with %d dims: err = %v, want a QueryDimError naming %d and 12", len(q), err, len(q))
-		}
-		_, _, err = lib.SearchBatch(u, [][]float64{make([]float64, 12), q}, 5)
-		if de, ok := err.(*QueryDimError); !ok || de.Got != len(q) || de.Want != 12 {
-			t.Fatalf("SearchBatch with %d dims: err = %v, want a QueryDimError naming %d and 12", len(q), err, len(q))
 		}
 	}
 	if _, _, err := lib.SearchIntoCtx(context.Background(), nil, u, make([]float64, 12), 5); err != nil {

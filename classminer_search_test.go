@@ -124,16 +124,27 @@ func TestConcurrentMutateWhileSearch(t *testing.T) {
 	}
 }
 
-// TestSearchBatchMatchesSingleQueries: the batch path must agree with the
-// one-at-a-time path query by query.
+// TestSearchBatchMatchesSingleQueries: queries answered concurrently, one
+// goroutine each — as the batch endpoint answers its misses — must agree
+// with the one-at-a-time path query by query.
 func TestSearchBatchMatchesSingleQueries(t *testing.T) {
 	corpus := testCorpus(41, 11)
 	l := buildCorpusLibrary(t, corpus)
 	k := totalShots(corpus) + 1
 	queries := fixedQueries(5, 12, 41)
 
-	batch, _, err := l.SearchBatch(admin, queries, k)
-	if err != nil {
+	batch := make([][]SearchHit, len(queries))
+	errs := make([]error, len(queries))
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func(i int, q []float64) {
+			defer wg.Done()
+			batch[i], _, errs[i] = l.SearchIntoCtx(context.Background(), nil, admin, q, k)
+		}(i, q)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 	mustSameHits(t, batch, searchAll(t, l, queries, k))

@@ -166,21 +166,11 @@ func matchDepth(concept string, path []string) int {
 	return -1
 }
 
-// Filter returns only the paths the user may access. It is the wrapper the
-// search layer applies to result lists.
-func Filter[T any](p *Policy, u User, items []T, pathOf func(T) []string) []T {
-	out := make([]T, 0, len(items))
-	for _, it := range items {
-		if p.Allowed(u, pathOf(it)) {
-			out = append(out, it)
-		}
-	}
-	return out
-}
-
-// FilterInPlace is Filter compacting into the input's own backing array —
-// zero allocations. Only for callers that own items outright (a pooled
-// search scratch); the dropped tail is left as-is past the returned length.
+// FilterInPlace keeps only the items whose paths the user may access,
+// compacting them into the input's own backing array — zero allocations. It
+// is the filter the search layer applies to result lists; only for callers
+// that own items outright (a pooled search scratch), since the dropped tail
+// is left as-is past the returned length.
 func FilterInPlace[T any](p *Policy, u User, items []T, pathOf func(T) []string) []T {
 	out := items[:0]
 	for _, it := range items {

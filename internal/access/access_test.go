@@ -104,9 +104,12 @@ func TestWholeLibraryRule(t *testing.T) {
 func TestFilter(t *testing.T) {
 	p := NewPolicy(Rule{Concept: "medicine/clinical operation", MinClearance: Clinician})
 	items := [][]string{clinicalPath, dialogPath}
-	got := Filter(p, User{Clearance: Public}, items, func(x []string) []string { return x })
+	got := FilterInPlace(p, User{Clearance: Public}, items, func(x []string) []string { return x })
 	if len(got) != 1 || got[0][2] != "medicine/dialog" {
 		t.Fatalf("filter result = %v", got)
+	}
+	if &got[0] != &items[0] {
+		t.Fatal("FilterInPlace must compact into the input's backing array")
 	}
 }
 

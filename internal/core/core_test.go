@@ -144,7 +144,7 @@ func TestIndexEntriesBuildable(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := entries[0].Shot.Feature()
-	hits, stats := ix.Search(q, 3)
+	hits, stats := ix.Search(nil, q, 3, nil)
 	if len(hits) == 0 {
 		t.Fatal("no search results")
 	}

@@ -257,7 +257,7 @@ func RunIndexCost(cfg CorpusConfig, sizes []int, queries int) ([]SearchCostRow, 
 			flat, fs := index.FlatSearch(sub, query, 10)
 			row.FlatNanos += time.Since(t0).Nanoseconds()
 			t0 = time.Now()
-			hier, hs := ix.Search(query, 10)
+			hier, hs := ix.Search(nil, query, 10, nil)
 			row.HierNanos += time.Since(t0).Nanoseconds()
 			row.FlatFloatOps += fs.FloatOps
 			row.HierFloatOps += hs.FloatOps

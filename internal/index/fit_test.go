@@ -109,7 +109,7 @@ func TestBuildMatrixConcurrent(t *testing.T) {
 				default:
 				}
 				q := entries[(w*31+i*7)%len(entries)].Shot.Feature()
-				if hits, _ := prev.Search(q, 5); len(hits) == 0 {
+				if hits, _ := prev.Search(nil, q, 5, nil); len(hits) == 0 {
 					t.Errorf("searcher %d: no hits", w)
 					return
 				}

@@ -54,7 +54,7 @@ func TestSearchGolden(t *testing.T) {
 	}
 	var got []goldenCase
 	for _, q := range goldenQueries(entries) {
-		res, _ := ix.Search(q, 10)
+		res, _ := ix.Search(nil, q, 10, nil)
 		var c goldenCase
 		for _, r := range res {
 			c.Hits = append(c.Hits, goldenHit{Entry: pos[r.Entry], Dist: r.Dist})

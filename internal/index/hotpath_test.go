@@ -56,7 +56,7 @@ func TestHashExhaustedFallback(t *testing.T) {
 	q := make([]float64, feature.ColorBins+feature.TextureDims)
 	q[feature.ColorBins-1] = 40
 	q[feature.ColorBins] = -35
-	res, stats := ix.Search(q, 10)
+	res, stats := ix.Search(nil, q, 10, nil)
 	if len(res) != len(entries) {
 		t.Fatalf("fallback results = %d, want all %d leaf entries", len(res), len(entries))
 	}
@@ -86,7 +86,7 @@ func TestBeamCrossLeafRanking(t *testing.T) {
 	}
 	leafOf := func(e *Entry) string { return e.Path[len(e.Path)-1] }
 	q := entries[0].Shot.Feature()
-	res, _ := ix.Search(q, 60)
+	res, _ := ix.Search(nil, q, 60, nil)
 	if len(res) < 30 {
 		t.Fatalf("beam search returned %d results", len(res))
 	}
@@ -106,7 +106,7 @@ func TestBeamCrossLeafRanking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, _ := ix1.Search(q, 5)
+	res1, _ := ix1.Search(nil, q, 5, nil)
 	if res[0].Entry != res1[0].Entry || res[0].Dist != res1[0].Dist {
 		t.Fatalf("beam-3 top hit %v != beam-1 top hit %v", res[0], res1[0])
 	}
@@ -130,7 +130,7 @@ func TestSearchReportsExactDistance(t *testing.T) {
 		if i%2 == 1 {
 			q[i%len(q)] += 0.01 // a near-duplicate, not an example
 		}
-		res, _ := ix.Search(q, 10)
+		res, _ := ix.Search(nil, q, 10, nil)
 		for j, r := range res {
 			if want := math.Sqrt(ShotSqDist(r.Entry.Shot, q)); r.Dist != want {
 				t.Fatalf("query %d hit %d: Dist %v, exact distance %v", i, j, r.Dist, want)
@@ -246,8 +246,9 @@ func TestFlatSearchMatchesNaiveScan(t *testing.T) {
 	}
 }
 
-// TestSearchBatchMatchesSearch verifies the concurrent batch path returns
-// exactly what sequential Search returns, query by query.
+// TestSearchBatchMatchesSearch verifies that queries answered concurrently
+// over one index, each on its own pooled scratch, return exactly what
+// sequential searches return, query by query.
 func TestSearchBatchMatchesSearch(t *testing.T) {
 	forceParallel(t)
 	entries := corpus(300, 24)
@@ -262,12 +263,13 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 		q[rng.Intn(len(q))] += rng.Float64() * 0.02
 		queries = append(queries, q)
 	}
-	batch, bstats := ix.SearchBatch(queries, 8)
-	if len(batch) != len(queries) {
-		t.Fatalf("batch results = %d", len(batch))
-	}
+	batch := make([][]Result, len(queries))
+	bstats := make([]Stats, len(queries))
+	parallel(len(queries), func(i int) {
+		batch[i], bstats[i] = ix.Search(nil, queries[i], 8, nil)
+	})
 	for i, q := range queries {
-		single, sstats := ix.Search(q, 8)
+		single, sstats := ix.Search(nil, q, 8, nil)
 		if len(batch[i]) != len(single) {
 			t.Fatalf("query %d: batch %d hits, single %d", i, len(batch[i]), len(single))
 		}
@@ -339,23 +341,5 @@ func BenchmarkIndexSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst, _ = ix.SearchInto(dst, q, 10)
-	}
-}
-
-// BenchmarkIndexSearchBatch measures the parallel fan-out over one index.
-func BenchmarkIndexSearchBatch(b *testing.B) {
-	entries := corpus(1200, 12)
-	ix, err := Build(entries, Options{Seed: 12})
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := make([][]float64, 32)
-	for i := range queries {
-		queries[i] = entries[(i*37)%len(entries)].Shot.Feature()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.SearchBatch(queries, 10)
 	}
 }

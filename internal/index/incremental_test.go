@@ -69,7 +69,7 @@ func TestInsertMakesEntrySearchable(t *testing.T) {
 		t.Fatalf("Size = %d, want %d", got, 138)
 	}
 	for _, e := range added {
-		res, _ := ix.Search(e.Shot.Feature(), 1)
+		res, _ := ix.Search(nil, e.Shot.Feature(), 1, nil)
 		if len(res) == 0 || res[0].Entry != e {
 			t.Fatalf("inserted entry %s/%d not top self-query hit", e.VideoName, e.Shot.Index)
 		}
@@ -103,7 +103,7 @@ func TestRemoveMasksEntries(t *testing.T) {
 		t.Fatalf("Size after remove = %d, want %d", nix.Size(), ix.Size()-n)
 	}
 	// Old index still ranks the victim; the new one never does.
-	res, _ := ix.Search(q, 10)
+	res, _ := ix.Search(nil, q, 10, nil)
 	found := false
 	for _, h := range res {
 		if h.Entry.VideoName == victim {
@@ -113,7 +113,7 @@ func TestRemoveMasksEntries(t *testing.T) {
 	if !found {
 		t.Fatal("old index lost the victim (copy-on-write broken)")
 	}
-	res, _ = nix.Search(q, 10)
+	res, _ = nix.Search(nil, q, 10, nil)
 	for _, h := range res {
 		if h.Entry.VideoName == victim {
 			t.Fatalf("removed video %q still ranked", victim)
@@ -131,8 +131,8 @@ func TestRemoveMasksEntries(t *testing.T) {
 func searchAllEqual(t *testing.T, a, b *Index, queries []*Entry, k int) {
 	t.Helper()
 	for _, q := range queries {
-		ra, sa := a.Search(q.Shot.Feature(), k)
-		rb, sb := b.Search(q.Shot.Feature(), k)
+		ra, sa := a.Search(nil, q.Shot.Feature(), k, nil)
+		rb, sb := b.Search(nil, q.Shot.Feature(), k, nil)
 		if len(ra) != len(rb) || sa != sb {
 			t.Fatalf("%d hits %+v vs %d hits %+v", len(ra), sa, len(rb), sb)
 		}
@@ -212,7 +212,7 @@ func TestRemoveIDsMatchesRemove(t *testing.T) {
 	}
 	searchAllEqual(t, byID, byName, entries[:24], 10)
 	for _, e := range entries[:24] {
-		res, _ := byID.Search(e.Shot.Feature(), 10)
+		res, _ := byID.Search(nil, e.Shot.Feature(), 10, nil)
 		for _, h := range res {
 			if h.Entry.VideoName == "video-2" {
 				t.Fatal("masked video still ranked")
@@ -305,8 +305,8 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 	key := func(r Result) string { return fmt.Sprintf("%s/%d", r.Entry.VideoName, r.Entry.Shot.Index) }
 	for qi := 0; qi < queries; qi++ {
 		q := kept[(qi*17)%len(kept)].Shot.Feature()
-		a, _ := ix.Search(q, 5)
-		b, _ := rebuilt.Search(q, 5)
+		a, _ := ix.Search(nil, q, 5, nil)
+		b, _ := rebuilt.Search(nil, q, 5, nil)
 		if len(a) > 0 && len(b) > 0 && key(a[0]) == key(b[0]) {
 			top1++
 		}
@@ -338,7 +338,7 @@ func mustSearchAll(t *testing.T, ix *Index, kept []*Entry) []Result {
 	t.Helper()
 	var out []Result
 	for i := 0; i < 10; i++ {
-		res, _ := ix.Search(kept[i*7%len(kept)].Shot.Feature(), 8)
+		res, _ := ix.Search(nil, kept[i*7%len(kept)].Shot.Feature(), 8, nil)
 		out = append(out, res...)
 	}
 	return out
@@ -367,7 +367,7 @@ func TestInsertConcurrentWithSearch(t *testing.T) {
 					return
 				default:
 				}
-				res, _ := snapshot.Search(q, 5)
+				res, _ := snapshot.Search(nil, q, 5, nil)
 				if len(res) == 0 {
 					t.Error("snapshot search returned nothing")
 					return
@@ -382,7 +382,7 @@ func TestInsertConcurrentWithSearch(t *testing.T) {
 		if i%16 == 0 {
 			cur, _ = cur.Remove(fmt.Sprintf("w-%d", (i/16)%6))
 		}
-		res, _ := cur.Search(q, 5)
+		res, _ := cur.Search(nil, q, 5, nil)
 		if len(res) == 0 {
 			t.Fatal("chained index search returned nothing")
 		}

@@ -529,34 +529,25 @@ func (sc *searchScratch) leafQuery(i int, leaf *node, maxDim int) []float64 {
 
 // Search finds the k nearest indexed shots to the query feature (a 266-dim
 // Shot.Feature vector), descending only through the most relevant database
-// units. It returns the ranked results, each with its exact full-space
-// Euclidean distance to the query, and the §6.2 cost statistics.
+// units, and writes them into dst (grown only when its capacity is
+// insufficient, so a reused buffer makes steady-state searches
+// allocation-free; nil is fine). It returns the ranked results, each with
+// its exact full-space Euclidean distance to the query, and the §6.2 cost
+// statistics. The returned slice aliases dst.
+//
+// When sp is a live span, the hierarchical descent ("project" — the
+// per-level subspace projections), the bound pass over the visited leaves
+// ("scan") and the refine ("rank" — the exact distances, in bound order)
+// each record a child span. A nil sp (the untraced and unsampled paths)
+// costs nothing — spans come from the trace's pooled arena, so the
+// zero-alloc search contract holds either way.
 //
 // Search is safe for concurrent use by any number of goroutines: a built
 // Index is immutable, and all mutable search state — the Stats accumulator
 // included — lives in pooled per-call scratch, never shared. The serving
 // layer relies on this to answer queries in parallel against one index
-// snapshot. Search allocates only the returned result slice; reuse one via
-// SearchInto to reach zero allocations per query.
-func (ix *Index) Search(query []float64, k int) ([]Result, Stats) {
-	return ix.SearchInto(nil, query, k)
-}
-
-// SearchInto is Search writing its results into dst (grown only when its
-// capacity is insufficient, so a reused buffer makes steady-state searches
-// allocation-free). The returned slice aliases dst.
-func (ix *Index) SearchInto(dst []Result, query []float64, k int) ([]Result, Stats) {
-	return ix.SearchIntoSpans(dst, query, k, nil)
-}
-
-// SearchIntoSpans is SearchInto with per-stage tracing: when sp is a live
-// span, the hierarchical descent ("project" — the per-level subspace
-// projections), the bound pass over the visited leaves ("scan") and the
-// refine ("rank" — the exact distances, in bound order) each record a child
-// span. A nil sp (the untraced and unsampled paths) costs nothing — spans
-// come from the trace's pooled arena, so the zero-alloc search contract
-// holds either way.
-func (ix *Index) SearchIntoSpans(dst []Result, query []float64, k int, sp *trace.Span) ([]Result, Stats) {
+// snapshot.
+func (ix *Index) Search(dst []Result, query []float64, k int, sp *trace.Span) ([]Result, Stats) {
 	var stats Stats
 	if k <= 0 {
 		k = 1
@@ -589,16 +580,10 @@ func (ix *Index) SearchIntoSpans(dst []Result, query []float64, k int, sp *trace
 	return dst, stats
 }
 
-// SearchBatch answers many queries concurrently, one goroutine per core,
-// each pulling its own scratch from the pool. results[i] and stats[i]
-// correspond to queries[i].
-func (ix *Index) SearchBatch(queries [][]float64, k int) ([][]Result, []Stats) {
-	results := make([][]Result, len(queries))
-	stats := make([]Stats, len(queries))
-	parallel(len(queries), func(i int) {
-		results[i], stats[i] = ix.Search(queries[i], k)
-	})
-	return results, stats
+// SearchInto is Search with no trace. It stays only because the
+// benchmark's probe (cmd/loadgen) calls it; ROADMAP item 1(d) retires it.
+func (ix *Index) SearchInto(dst []Result, query []float64, k int) ([]Result, Stats) {
+	return ix.Search(dst, query, k, nil)
 }
 
 // descend routes the query down the tree, keeping the beam best children

@@ -73,7 +73,7 @@ func TestBuildAndSelfQuery(t *testing.T) {
 	hits := 0
 	for i := 0; i < 40; i++ {
 		e := entries[i*6%len(entries)]
-		res, _ := ix.Search(e.Shot.Feature(), 1)
+		res, _ := ix.Search(nil, e.Shot.Feature(), 1, nil)
 		if len(res) > 0 && res[0].Entry == e {
 			hits++
 		}
@@ -100,7 +100,7 @@ func TestSearchAgreesWithFlatScan(t *testing.T) {
 			qq[rng.Intn(len(qq))] += rng.Float64() * 0.01
 		}
 		flat, _ := FlatSearch(entries, qq, 1)
-		hier, _ := ix.Search(qq, 5)
+		hier, _ := ix.Search(nil, qq, 5, nil)
 		for _, h := range hier {
 			if h.Entry == flat[0].Entry {
 				agree++
@@ -121,7 +121,7 @@ func TestSearchCostBelowFlat(t *testing.T) {
 	}
 	q := entries[123].Shot.Feature()
 	_, flatStats := FlatSearch(entries, q, 10)
-	_, hierStats := ix.Search(q, 10)
+	_, hierStats := ix.Search(nil, q, 10, nil)
 	if hierStats.FloatOps*3 > flatStats.FloatOps {
 		t.Fatalf("hierarchical cost %d float-ops not well below flat %d",
 			hierStats.FloatOps, flatStats.FloatOps)
@@ -144,8 +144,8 @@ func TestSearchScalesSublinearly(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := small[7].Shot.Feature()
-	_, sStats := ixS.Search(q, 5)
-	_, lStats := ixL.Search(q, 5)
+	_, sStats := ixS.Search(nil, q, 5, nil)
+	_, lStats := ixL.Search(nil, q, 5, nil)
 	// An 8x database must cost far less than 8x the float ops.
 	if lStats.FloatOps > sStats.FloatOps*4 {
 		t.Fatalf("scaling: %d -> %d float ops for 8x data", sStats.FloatOps, lStats.FloatOps)
@@ -257,7 +257,7 @@ func BenchmarkHierarchicalSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.Search(q, 10)
+		ix.Search(nil, q, 10, nil)
 	}
 }
 
@@ -287,7 +287,7 @@ func TestConcurrentSearch(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				q := entries[(w*31+i*7)%len(entries)].Shot.Feature()
-				hits, stats := ix.Search(q, 5)
+				hits, stats := ix.Search(nil, q, 5, nil)
 				if len(hits) == 0 || stats.DistanceOps <= 0 {
 					t.Errorf("worker %d: hits=%d stats=%+v", w, len(hits), stats)
 					return

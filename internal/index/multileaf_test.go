@@ -72,7 +72,7 @@ func TestSearchForEveryRowVisitsEveryLeaf(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := entries[0].Shot.Feature()
-	if _, st := ix.Search(q, ix.Size()-1); st.Candidates >= ix.Size() {
+	if _, st := ix.Search(nil, q, ix.Size()-1, nil); st.Candidates >= ix.Size() {
 		t.Fatalf("k = %d bounded %d rows: a beam-1 search visited every leaf", ix.Size()-1, st.Candidates)
 	}
 	for _, step := range []string{"built", "after a remove"} {
@@ -83,7 +83,7 @@ func TestSearchForEveryRowVisitsEveryLeaf(t *testing.T) {
 			}
 		}
 		for _, k := range []int{ix.Size(), ix.Size() + 5} {
-			res, st := ix.Search(q, k)
+			res, st := ix.Search(nil, q, k, nil)
 			if len(res) != ix.Size() || st.Candidates != ix.Size() || st.Closed != 1 {
 				t.Fatalf("%s k=%d: %d hits, %d rows bounded, closed %d; want all %d live rows",
 					step, k, len(res), st.Candidates, st.Closed, ix.Size())

@@ -315,7 +315,7 @@ func TestRefineMargins(t *testing.T) {
 		if m := margin(c.kth); m != c.margin {
 			t.Fatalf("%s: margin %v, the rows were built around %v", c.name, m, c.margin)
 		}
-		got, st := ix.Search(q, 1)
+		got, st := ix.Search(nil, q, 1, nil)
 		if st.Closed != 1 || st.Exact != c.exact {
 			t.Fatalf("%s: Closed %d after %d exact distances, want 1 after %d", c.name, st.Closed, st.Exact, c.exact)
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unicode/utf8"
 
@@ -837,8 +839,8 @@ type batchSearchRequest struct {
 
 // handleSearchBatch answers many searches in one round trip: items already
 // in the generation-keyed cache are served from it, the rest fan out across
-// cores via Library.SearchBatch, and every fresh answer is cached
-// individually so later single-item searches hit too.
+// cores (searchEach), and every fresh answer is cached individually so later
+// single-item searches hit too.
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchSearchRequest
 	if !readBody(w, r, &req, decodeBatch) {
@@ -903,9 +905,9 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		if s.deadlineExpired(w, r) {
 			return
 		}
-		hits, stats, err := s.lib.SearchBatch(u, missQueries, k)
+		hits, stats, err := s.searchEach(r.Context(), u, missQueries, k)
 		if err != nil && queryDimError(err) == nil && s.healColdIndex() {
-			hits, stats, err = s.lib.SearchBatch(u, missQueries, k)
+			hits, stats, err = s.searchEach(r.Context(), u, missQueries, k)
 		}
 		if err != nil {
 			writeSearchError(w, err)
@@ -942,6 +944,37 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	defer out.release()
 	out.buf = appendBatchReply(out.buf[:0], results)
 	writeBody(w, http.StatusOK, out.buf)
+}
+
+// searchEach runs Library.SearchIntoCtx once per query, over at most
+// GOMAXPROCS goroutines, the caller's among them; hits[i] and stats[i]
+// answer queries[i]. It returns the first error in query order, if any.
+func (s *Server) searchEach(ctx context.Context, u classminer.User, queries [][]float64, k int) ([][]classminer.SearchHit, []classminer.SearchStats, error) {
+	hits := make([][]classminer.SearchHit, len(queries))
+	stats := make([]classminer.SearchStats, len(queries))
+	errs := make([]error, len(queries))
+	var next atomic.Int64
+	run := func() {
+		for i := int(next.Add(1)) - 1; i < len(queries); i = int(next.Add(1)) - 1 {
+			hits[i], stats[i], errs[i] = s.lib.SearchIntoCtx(ctx, nil, u, queries[i], k)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(queries)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return hits, stats, nil
 }
 
 // healColdIndex recovers the one search failure that is the server's own
