@@ -2,8 +2,7 @@ package classminer
 
 // One benchmark per table and figure of the paper's evaluation section,
 // plus ablation benches for the pipeline's load-bearing design choices
-// (adaptive thresholds, PCS clustering, multi-center index nodes,
-// dimensionality reduction). Each bench re-runs the experiment's
+// (adaptive thresholds, PCS clustering, dimensionality reduction). Each bench re-runs the experiment's
 // computational core per iteration and reports the headline quantities via
 // b.ReportMetric, so `go test -bench=.` regenerates both the numbers and
 // their cost. Serving-layer latency benches live in server_bench_test.go.
@@ -313,7 +312,7 @@ func sec62(b *testing.B) *sec62StateT {
 				})
 			}
 		}
-		sec62State.ix, sec62Err = index.Build(sec62State.entries, index.Options{Seed: 9})
+		sec62State.ix, sec62Err = index.Build(sec62State.entries, index.Options{})
 	})
 	if sec62Err != nil {
 		b.Fatal(sec62Err)
@@ -335,8 +334,9 @@ func BenchmarkSec62FlatSearch(b *testing.B) {
 	b.ReportMetric(float64(stats.Candidates), "candidates")
 }
 
-// BenchmarkSec62HierSearch times the Eq. (25) path: multi-center descent,
-// reduced-space bounds on the visited leaves' rows, exact refine.
+// BenchmarkSec62HierSearch times the Eq. (25) path: the query projected into
+// every leaf's subspace, best-first over the leaves' k-d boxes, reduced-space
+// bounds on the rows of the boxes it opens, exact refine.
 func BenchmarkSec62HierSearch(b *testing.B) {
 	st := sec62(b)
 	q := st.entries[len(st.entries)/3].Shot.Feature()
@@ -565,59 +565,13 @@ func BenchmarkAblationClusterValidity(b *testing.B) {
 	b.ReportMetric(fixedP, "purity(fixed40)")
 }
 
-// BenchmarkAblationMultiCenter compares multi-center non-leaf index nodes
-// (the paper's choice) against single-center nodes. Metrics: top-1
-// flat-scan agreement of each.
-func BenchmarkAblationMultiCenter(b *testing.B) {
-	st := sec62(b)
-	multi, err := index.Build(st.entries, index.Options{Centers: 3, Seed: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	single, err := index.Build(st.entries, index.Options{Centers: 1, Seed: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(12))
-	b.ResetTimer()
-	var aMulti, aSingle float64
-	for i := 0; i < b.N; i++ {
-		const trials = 20
-		mHit, sHit := 0, 0
-		for t := 0; t < trials; t++ {
-			q := st.entries[rng.Intn(len(st.entries))].Shot.Feature()
-			flat, _ := index.FlatSearch(st.entries, q, 1)
-			if topAgree(multi, q, flat[0].Entry) {
-				mHit++
-			}
-			if topAgree(single, q, flat[0].Entry) {
-				sHit++
-			}
-		}
-		aMulti = float64(mHit) / trials
-		aSingle = float64(sHit) / trials
-	}
-	b.ReportMetric(aMulti, "agree(multi)")
-	b.ReportMetric(aSingle, "agree(single)")
-}
-
-func topAgree(ix *index.Index, q []float64, want *index.Entry) bool {
-	hits, _ := ix.Search(nil, q, 5, nil)
-	for _, h := range hits {
-		if h.Entry == want {
-			return true
-		}
-	}
-	return false
-}
-
 // BenchmarkAblationDimReduction compares the default reduced-subspace
 // index against a near-full-dimension one (§6.2: discriminating features
 // shrink the per-comparison cost). Metrics: float-ops of each.
 func BenchmarkAblationDimReduction(b *testing.B) {
 	st := sec62(b)
 	reduced := st.ix
-	full, err := index.Build(st.entries, index.Options{SelectDims: 266, PCADims: 64, Seed: 4})
+	full, err := index.Build(st.entries, index.Options{SelectDims: 266, PCADims: 64})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -139,7 +139,7 @@ func TestIndexEntriesBuildable(t *testing.T) {
 	if len(entries) != len(res.Shots) {
 		t.Fatalf("entries = %d, want %d", len(entries), len(res.Shots))
 	}
-	ix, err := index.Build(entries, index.Options{Seed: 3})
+	ix, err := index.Build(entries, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -245,7 +245,7 @@ func RunIndexCost(cfg CorpusConfig, sizes []int, queries int) ([]SearchCostRow, 
 			n = len(entries)
 		}
 		sub := entries[:n]
-		ix, err := index.Build(sub, index.Options{Seed: 9})
+		ix, err := index.Build(sub, index.Options{})
 		if err != nil {
 			return nil, err
 		}

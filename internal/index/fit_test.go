@@ -16,15 +16,22 @@ import (
 )
 
 // fitDigest hashes every value a fit produces, walking the tree in its
-// deterministic order: per node its name and reducer (selected dims, compsT,
-// projected mean, PCA mean and components), per non-leaf node its children's
-// centres, per leaf its ids and projection rows. Floats enter by their bits,
-// so two fits digest equal only when not one bit of them differs.
+// deterministic order: per node its name, and per leaf its reducer (selected
+// dims, compsT, projected mean, PCA mean and components), its ids and
+// projection rows in k-d order, its k-d nodes and their boxes. Floats enter
+// by their bits, so two fits digest equal only when not one bit of them
+// differs.
 func fitDigest(ix *Index) string {
 	h := sha256.New()
 	var walk func(n *node)
 	walk = func(n *node) {
 		h.Write([]byte(n.name))
+		for _, name := range n.order {
+			walk(n.children[name])
+		}
+		if len(n.children) != 0 {
+			return
+		}
 		r := n.reducer
 		for _, s := range r.selected {
 			hashInt(h, int64(s))
@@ -35,19 +42,15 @@ func fitDigest(ix *Index) string {
 		for _, axis := range r.pca.Components {
 			hashFloats(h, axis)
 		}
-		if len(n.children) == 0 {
-			for _, id := range n.ids {
-				hashInt(h, int64(id))
-			}
-			hashFloats(h, n.proj.Data)
-			return
+		for _, id := range n.ids {
+			hashInt(h, int64(id))
 		}
-		for _, name := range n.order {
-			for _, c := range n.centers[name] {
-				hashFloats(h, c)
-			}
-			walk(n.children[name])
+		hashFloats(h, n.proj.Data)
+		for _, nd := range n.kd {
+			hashInt(h, int64(nd.lo)<<32|int64(nd.hi))
+			hashInt(h, int64(nd.right))
 		}
+		hashFloats(h, n.boxes)
 	}
 	walk(ix.root)
 	return fmt.Sprintf("%x", h.Sum(nil))
@@ -70,19 +73,19 @@ func hashFloats(h hash.Hash, vs []float64) {
 // fitDigestCases are the fits TestFitDigestStable pins: the six-path corpus
 // most index tests use, and the base-10k shape of twelve leaves in three
 // subclusters with uneven leaf sizes (one of nine rows) so no row count is a
-// multiple of the kernels' block size by accident. The digests were recorded
-// with the fit running on one goroutine, node by node; only a change that
-// means to move a fitted value may re-record them.
+// multiple of the kernels' block size by accident, and a leaf of 702 rows
+// splits four levels deep. The digests were recorded with the fit running
+// on one goroutine, leaf by leaf; only a change that means to move a fitted
+// value may re-record them.
 var fitDigestCases = []struct {
 	name    string
 	entries func() []*Entry
-	opts    Options
 	want    string
 }{
-	{"corpus-1200", func() []*Entry { return corpus(1200, 10) }, Options{Seed: 10},
-		"e8d45340998203cd9c137e11b751ced6f997438876160e6c508ce01326c36f8d"},
-	{"multileaf", func() []*Entry { return multiLeafCorpus(12, 401, 9, 150, 702) }, Options{Seed: 12},
-		"60302d4f26b996717b2a7c6783b19b5a217c5dd32186b122dc665293f6e04a71"},
+	{"corpus-1200", func() []*Entry { return corpus(1200, 10) },
+		"d8c77dc1d30334cc88910910de1a26653fe5827aae2dd3400f8201bac8d21764"},
+	{"multileaf", func() []*Entry { return multiLeafCorpus(12, 401, 9, 150, 702) },
+		"4acd7da69267ed20a5b86116704a473ffa24d6a840241936ac7d6e2637765307"},
 }
 
 // TestBuildMatrixConcurrent holds the contract that fits over one shared row
@@ -91,7 +94,7 @@ var fitDigestCases = []struct {
 // rows, and that a fit racing others is still the same fit. Run with -race.
 func TestBuildMatrixConcurrent(t *testing.T) {
 	entries := corpus(1200, 10)
-	prev, err := Build(entries, Options{Seed: 10})
+	prev, err := Build(entries, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +126,7 @@ func TestBuildMatrixConcurrent(t *testing.T) {
 		builds.Add(1)
 		go func(b int) {
 			defer builds.Done()
-			fits[b], errs[b] = build(entries, prev.rows, prev.dim, Options{Seed: 10})
+			fits[b], errs[b] = build(entries, prev.rows, prev.dim, Options{})
 		}(b)
 	}
 	builds.Wait()
@@ -147,7 +150,7 @@ func TestFitDigestStable(t *testing.T) {
 		entries := c.entries()
 		for _, procs := range []int{1, 2, 4} {
 			runtime.GOMAXPROCS(procs)
-			ix, err := Build(entries, c.opts)
+			ix, err := Build(entries, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,12 +161,12 @@ func TestFitDigestStable(t *testing.T) {
 	}
 }
 
-// TestReducerComponentsArePCA holds every fitted node's reducer to a PCA of
-// its rows: on both fitDigestCases corpora, each kept component v of a
-// node is an eigenvector of the covariance of the node's selected
+// TestReducerComponentsArePCA holds every leaf's reducer to a PCA of its
+// rows: on both fitDigestCases corpora, each kept component v of a
+// leaf is an eigenvector of the covariance of the leaf's selected
 // coordinates, taken densely here (mat.Covariance), to a residual
 // ‖C·v − λ·v‖ ≤ 1e-9·λ with λ = vᵀ·C·v (1e-9·1e-6·λ₀ for a component past
-// the node's rank, λ₀ the first's), and the components are orthonormal to
+// the leaf's rank, λ₀ the first's), and the components are orthonormal to
 // 1e-12. A fit whose eigensolver stops on an absolute tolerance fails it
 // on covariances this small. Two degenerate leaves join the six-path
 // corpus: one of a single row and one of identical rows, whose covariance
@@ -185,16 +188,14 @@ func TestReducerComponentsArePCA(t *testing.T) {
 	cases := append(fitDigestCases[:len(fitDigestCases):len(fitDigestCases)], struct {
 		name    string
 		entries func() []*Entry
-		opts    Options
 		want    string
-	}{"degenerate", degenerate, Options{Seed: 10}, ""})
+	}{"degenerate", degenerate, ""})
 	for _, c := range cases {
-		ix, err := Build(c.entries(), c.opts)
+		ix, err := Build(c.entries(), Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		nodes, _ := preorder(ix.root, -1, nil)
-		for _, fn := range nodes {
+		for _, fn := range appendLeaves(nil, ix.root) {
 			r := fn.reducer
 			x := make([][]float64, len(fn.ids))
 			for i, id := range fn.ids {
@@ -269,7 +270,7 @@ func BenchmarkBuild10k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(entries, Options{Seed: 12}); err != nil {
+		if _, err := Build(entries, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -42,12 +42,11 @@ func singleLeafCorpus(n int, seed int64) []*Entry {
 }
 
 // TestHashExhaustedFallback asks a far-off query for more hits than the one
-// visited leaf holds: every entry of the leaf must be bounded and returned
-// exactly once (the refine must not spend a second exact distance on a row
-// that seeded it), in distance order.
+// leaf holds: every entry of the leaf must be bounded and returned exactly
+// once, in distance order.
 func TestHashExhaustedFallback(t *testing.T) {
 	entries := singleLeafCorpus(5, 21)
-	ix, err := Build(entries, Options{Seed: 21})
+	ix, err := Build(entries, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,43 +74,6 @@ func TestHashExhaustedFallback(t *testing.T) {
 	}
 }
 
-// TestBeamCrossLeafRanking exercises beam > 1: every visited leaf bounds its
-// rows in its own reduced space, and the refine ranks rows of all of them
-// in one list ordered by exact distance.
-func TestBeamCrossLeafRanking(t *testing.T) {
-	entries := corpus(120, 22) // 6 leaves, 20 entries each
-	ix, err := Build(entries, Options{Seed: 22, Beam: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	leafOf := func(e *Entry) string { return e.Path[len(e.Path)-1] }
-	q := entries[0].Shot.Feature()
-	res, _ := ix.Search(nil, q, 60, nil)
-	if len(res) < 30 {
-		t.Fatalf("beam search returned %d results", len(res))
-	}
-	leaves := map[string]bool{}
-	for i, r := range res {
-		leaves[leafOf(r.Entry)] = true
-		if i > 0 && res[i-1].Dist > r.Dist {
-			t.Fatalf("cross-leaf ranking unsorted at %d: %v > %v", i, res[i-1].Dist, r.Dist)
-		}
-	}
-	if len(leaves) < 2 {
-		t.Fatalf("beam=3 search stayed inside one leaf: %v", leaves)
-	}
-	// Widening the beam must not change what the primary leaf contributes:
-	// the same query with beam 1 finds the same nearest entry.
-	ix1, err := Build(entries, Options{Seed: 22, Beam: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res1, _ := ix1.Search(nil, q, 5, nil)
-	if res[0].Entry != res1[0].Entry || res[0].Dist != res1[0].Dist {
-		t.Fatalf("beam-3 top hit %v != beam-1 top hit %v", res[0], res1[0])
-	}
-}
-
 // TestSearchReportsExactDistance pins what Dist means: the full-space
 // Euclidean distance ShotSqDist computes, bit for bit — FlatSearch reports
 // the same number for the same shot, and the shard router merges on it
@@ -119,7 +81,7 @@ func TestBeamCrossLeafRanking(t *testing.T) {
 // it first at distance 0.
 func TestSearchReportsExactDistance(t *testing.T) {
 	entries := multiLeafCorpus(28, 90)
-	ix, err := Build(entries, Options{Seed: 28})
+	ix, err := Build(entries, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +214,7 @@ func TestFlatSearchMatchesNaiveScan(t *testing.T) {
 func TestSearchBatchMatchesSearch(t *testing.T) {
 	forceParallel(t)
 	entries := corpus(300, 24)
-	ix, err := Build(entries, Options{Seed: 24})
+	ix, err := Build(entries, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,14 +247,14 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 }
 
 // TestSearchIntoZeroAlloc asserts the acceptance criterion directly:
-// steady-state SearchInto with a reused result buffer performs no heap
+// steady-state Search with a reused result buffer performs no heap
 // allocations.
 func TestSearchIntoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not meaningful under the race detector")
 	}
 	entries := corpus(600, 26)
-	ix, err := Build(entries, Options{Seed: 26})
+	ix, err := Build(entries, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,15 +262,15 @@ func TestSearchIntoZeroAlloc(t *testing.T) {
 	dst := make([]Result, 0, 16)
 	// Warm the scratch pool and the dst capacity.
 	for i := 0; i < 8; i++ {
-		dst, _ = ix.SearchInto(dst, q, 10)
+		dst, _ = ix.Search(dst, q, 10, nil)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		dst, _ = ix.SearchInto(dst, q, 10)
+		dst, _ = ix.Search(dst, q, 10, nil)
 	})
 	// A GC between runs can steal pooled scratch, so allow a tiny average;
 	// steady state must still round to zero.
 	if avg >= 1 {
-		t.Fatalf("SearchInto allocates %.2f objects per call, want 0", avg)
+		t.Fatalf("Search allocates %.2f objects per call, want 0", avg)
 	}
 }
 
@@ -318,7 +280,7 @@ func TestBuildMatrixErrors(t *testing.T) {
 	if _, err := BuildMatrix(entries, nil, Options{}); err == nil {
 		t.Fatal("want error on nil feature matrix")
 	}
-	ix, err := Build(entries, Options{Seed: 27})
+	ix, err := Build(entries, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,11 +289,11 @@ func TestBuildMatrixErrors(t *testing.T) {
 	}
 }
 
-// BenchmarkIndexSearch is the steady-state hot path: SearchInto with a
+// BenchmarkIndexSearch is the steady-state hot path: Search with a
 // reused result buffer must report 0 allocs/op.
 func BenchmarkIndexSearch(b *testing.B) {
 	entries := corpus(1200, 10)
-	ix, err := Build(entries, Options{Seed: 10})
+	ix, err := Build(entries, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -340,6 +302,6 @@ func BenchmarkIndexSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, _ = ix.SearchInto(dst, q, 10)
+		dst, _ = ix.Search(dst, q, 10, nil)
 	}
 }

@@ -1,11 +1,12 @@
 // Incremental index maintenance: copy-on-write Insert/InsertAll and
 // Remove/RemoveIDs keep a built index searchable across registrations and
 // deletions without the O(library) refit of a build. An inserted entry
-// is routed down the existing tree by its concept path to its leaf, its
-// projected row appended to the leaf's overlay and its packed feature (its
-// shot's Row, or its shot's halves packed when it has none) appended to the
-// row table — no PCA or k-means is refit, so the routing and
-// ranking spaces stay those of the last full fit. A removed entry is masked
+// goes to the leaf its concept path names: its projected row is appended to
+// the leaf's overlay, the overlay's box widens to hold it, and its packed
+// feature (its shot's Row, or its shot's halves packed when it has none) is
+// appended to the row table — no reducer is refit and no k-d box of the fit
+// moves, so each leaf's subspace stays that of the last full fit. A removed
+// entry is masked
 // by a paged bitset: a removal copies the page table and the pages it
 // touches, never the whole mask, so masking a video costs what the video
 // holds however large the index is. All four return a *new* Index sharing
@@ -25,10 +26,12 @@
 // lengths, so sharing the grown backing arrays down the chain is safe under
 // that discipline, exactly like the library's own entry slice.
 //
-// Accuracy: the overlay is exact for candidate generation (extras are
-// bounded like base rows at their leaf; masked entries never rank), but
-// the reduced spaces drift from what a full refit would learn as the
-// overlay grows. Staleness reports that fraction so callers can budget a
+// Accuracy: a search stays exact however large the overlay grows — the
+// overlay box bounds its rows as a k-d box bounds a fit's, a removed row's
+// box still bounds the rows left in it, and masked entries never rank. What
+// drifts is cost: the overlay is one box, scanned whole once the search
+// opens it, and the reduced spaces drift from what a full refit would
+// learn. Staleness reports the overlay's fraction so callers can budget a
 // coalesced rebuild (classminer.Library.RebuildNeeded).
 package index
 
@@ -36,10 +39,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrNoLeaf reports an entry whose concept path does not end at an existing
-// leaf of the built tree: a brand-new concept needs reducers and centers no
+// leaf of the built tree: a brand-new concept needs a reducer no
 // incremental step can supply, so the caller must fall back to a full
 // rebuild.
 var ErrNoLeaf = errors.New("index: entry path has no leaf in the built tree (full rebuild required)")
@@ -70,7 +74,7 @@ func (ix *Index) leafOf(e *Entry) (*node, error) {
 	return cur, nil
 }
 
-// Insert returns a new Index extended with e, routed to the leaf its
+// Insert returns a new Index extended with e, placed in the leaf its
 // concept path names. The cost is O(path depth + reduced dim), independent
 // of how many entries the index holds. The receiving index must be the
 // newest of its chain (see the package comment's single-writer contract);
@@ -89,12 +93,13 @@ func (ix *Index) Insert(e *Entry) (*Index, error) {
 	nix.rows = appendRows(ix.rows, []*Entry{e})
 	nix.inserted = ix.inserted + 1
 	nix.root = cloneSpine(ix.root, e.Path, func(leaf *node) *node {
-		nl := *leaf // shares ids, proj, reducer with the old leaf
+		nl := *leaf // shares ids, proj, boxes, reducer with the old leaf
 		dim := leaf.reducer.Dim()
 		at := len(leaf.extraProj)
 		nl.extraIDs = append(grow(leaf.extraIDs, 1), id)
 		nl.extraProj = grow(leaf.extraProj, dim)[:at+dim]
 		leaf.reducer.ProjectRow(nl.extraProj[at:], nix.rows[id], make([]int32, 0, nix.dim))
+		nl.extraBox = widen(leaf.extraBox, nl.extraProj[at:], dim)
 		return &nl
 	})
 	return &nix, nil
@@ -153,10 +158,32 @@ func (ix *Index) InsertAll(entries []*Entry) (*Index, error) {
 				leaf.reducer.ProjectRow(nl.extraProj[at+j*dim:at+(j+1)*dim], nix.rows[id], idx)
 				nl.extraIDs = append(nl.extraIDs, id)
 			}
+			nl.extraBox = widen(leaf.extraBox, nl.extraProj[at:], dim)
 			return &nl
 		})
 	}
 	return &nix, nil
+}
+
+// widen returns a copy of box (dim minima, then dim maxima; nil while the
+// overlay is empty) widened to hold rows, reduced features dim wide each.
+// The copy is 2·dim floats, so an insert stays O(dim), and the older
+// index's box is never written.
+func widen(box, rows []float64, dim int) []float64 {
+	if box == nil {
+		box = append(append(make([]float64, 0, 2*dim), rows[:dim]...), rows[:dim]...)
+		rows = rows[dim:]
+	} else {
+		box = slices.Clone(box)
+	}
+	mins, maxs := box[:dim], box[dim:]
+	for ; len(rows) > 0; rows = rows[dim:] {
+		for c, x := range rows[:dim] {
+			mins[c] = min(mins[c], x)
+			maxs[c] = max(maxs[c], x)
+		}
+	}
+	return box
 }
 
 // grow is slices.Grow doubling the capacity it adds: an overlay slice grows

@@ -54,7 +54,7 @@ func mustInsert(t testing.TB, ix *Index, e *Entry) *Index {
 // hit immediately, with no rebuild.
 func TestInsertMakesEntrySearchable(t *testing.T) {
 	entries := corpus(120, 1)
-	ix, err := Build(entries, Options{Seed: 1})
+	ix, err := Build(entries, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestInsertMakesEntrySearchable(t *testing.T) {
 // the previous index of the chain still serves them.
 func TestRemoveMasksEntries(t *testing.T) {
 	entries := corpus(120, 2)
-	ix, err := Build(entries, Options{Seed: 2})
+	ix, err := Build(entries, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func searchAllEqual(t *testing.T, a, b *Index, queries []*Entry, k int) {
 // inserts — same IDs, same answers, same stats — and is all or nothing.
 func TestInsertAllMatchesInsertChain(t *testing.T) {
 	entries := corpus(180, 6)
-	ix, err := Build(entries, Options{Seed: 6})
+	ix, err := Build(entries, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestInsertAllMatchesInsertChain(t *testing.T) {
 func TestRemoveIDsMatchesRemove(t *testing.T) {
 	n := 1<<maskPageShift + 600 // two mask pages
 	entries := corpus(n, 7)
-	ix, err := Build(entries, Options{Seed: 7})
+	ix, err := Build(entries, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestRemoveIDsMatchesRemove(t *testing.T) {
 // TestInsertRejectsUnknownPath: a path with no leaf in the built tree needs
 // a full rebuild and must say so.
 func TestInsertRejectsUnknownPath(t *testing.T) {
-	ix, err := Build(corpus(60, 3), Options{Seed: 3})
+	ix, err := Build(corpus(60, 3), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestInsertRejectsUnknownPath(t *testing.T) {
 // queries.
 func TestIncrementalMatchesRebuild(t *testing.T) {
 	base := corpus(180, 4)
-	ix, err := Build(base, Options{Seed: 4})
+	ix, err := Build(base, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 			kept = append(kept, e)
 		}
 	}
-	rebuilt, err := Build(kept, Options{Seed: 4})
+	rebuilt, err := Build(kept, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func mustSearchAll(t *testing.T, ix *Index, kept []*Entry) []Result {
 // entry set.
 func TestInsertConcurrentWithSearch(t *testing.T) {
 	entries := corpus(120, 5)
-	ix, err := Build(entries, Options{Seed: 5})
+	ix, err := Build(entries, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,14 +392,14 @@ func TestInsertConcurrentWithSearch(t *testing.T) {
 }
 
 // TestSearchIntoZeroAllocAfterInsert: once the shared scratch pool has
-// warmed up to the post-insert sizes, SearchInto allocates nothing.
+// warmed up to the post-insert sizes, Search allocates nothing.
 func TestSearchIntoZeroAllocAfterInsert(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not meaningful under the race detector")
 	}
 	forceParallel(t)
 	entries := corpus(240, 6)
-	ix, err := Build(entries, Options{Seed: 6})
+	ix, err := Build(entries, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,13 +410,13 @@ func TestSearchIntoZeroAllocAfterInsert(t *testing.T) {
 	q := entries[3].Shot.Feature()
 	dst := make([]Result, 0, 16)
 	for i := 0; i < 8; i++ { // warm the pool to the grown bitset size
-		dst, _ = ix.SearchInto(dst[:0], q, 10)
+		dst, _ = ix.Search(dst[:0], q, 10, nil)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		dst, _ = ix.SearchInto(dst[:0], q, 10)
+		dst, _ = ix.Search(dst[:0], q, 10, nil)
 	})
 	if avg != 0 {
-		t.Fatalf("SearchInto after inserts allocates %.1f per run, want 0", avg)
+		t.Fatalf("Search after inserts allocates %.1f per run, want 0", avg)
 	}
 }
 
@@ -424,7 +424,7 @@ func TestSearchIntoZeroAllocAfterInsert(t *testing.T) {
 // acceptance bar is that the cost does not scale with n.
 func benchmarkInsert(b *testing.B, n int) {
 	entries := corpus(n, 9)
-	ix, err := Build(entries, Options{Seed: 9})
+	ix, err := Build(entries, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func BenchmarkIndexInsert10k(b *testing.B) { benchmarkInsert(b, 10_000) }
 // overlay restarts every 100 videos, which is where a 0.25 staleness budget
 // would have refitted.
 func BenchmarkIndexInsertAllVideo(b *testing.B) {
-	ix, err := Build(corpus(10_000, 9), Options{Seed: 9})
+	ix, err := Build(corpus(10_000, 9), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

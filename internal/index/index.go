@@ -1,36 +1,44 @@
 // Package index implements the cluster-based hierarchical database index of
-// §2 and §6.2: a tree derived from the concept hierarchy whose non-leaf
-// nodes summarise their content with multiple centers (because high-level
-// concepts mix several visual components, a single Gaussian cannot model
-// them). Search descends only into relevant units and computes distances in
-// reduced feature subspaces: at every visited leaf a row's distance in the
-// leaf's own subspace bounds its full-space distance from below, so
-// full-space distances are spent only on the rows the bound cannot exclude,
-// reproducing the Tc ≪ Te total-cost comparison of Eqs. (24)–(25) with the
-// answer a full scan of the visited leaves gives.
+// §2 and §6.2: a tree derived from the concept hierarchy, whose leaves each
+// keep their shots in a reduced feature subspace of their own, so that
+// distances are computed in a subspace rather than in all 266 dimensions.
+//
+// Search is exact: it returns what FlatSearch returns over every live row —
+// the same hits, in the same order, at the same Dist bits. Within a concept
+// leaf's subspace the rows are split into a k-d tree of boxes (the min and
+// max of every reduced coordinate over the rows under a node). A box's
+// distance to the query's projection bounds every row under it from below,
+// and a row's reduced distance bounds its full-space distance from below,
+// because a reducer selects coordinates and then applies an orthonormal
+// projection, neither of which lengthens a vector (GEMINI's lower-bounding
+// lemma). A search pops boxes and rows best-first by bound and spends
+// full-space distances only on the rows no bound excludes, stopping once
+// the next bound passes the k-th exact distance: the Tc ≪ Te total-cost
+// comparison of Eqs. (24)–(25) with the answer of a full scan. The paper
+// routes a query down the tree by multi-centre summaries of the non-leaf
+// nodes, and may miss; this index bounds instead, and never does.
 //
 // Storage is flat: entries are numbered at Build, the full feature of entry
 // i is read through rows[i] — the zero-suppressed row its shot already
 // holds (Shot.Row), never a copy; an unregistered shot's dense feature is
 // packed once — and every leaf precomputes one projection matrix over its
-// rows. The fit's statistics and the projections walk the packed rows'
-// non-zero elements, and the exact distance reads the rows as they are. The
-// search hot path runs on pooled per-call scratch (query projections, bound
-// lists, bounded top-k max-heaps), so steady-state SearchInto performs zero
-// heap allocations.
+// rows, ordered so that each k-d leaf is a contiguous run. The fit's
+// statistics and the projections walk the packed rows' non-zero elements,
+// and the exact distance reads the rows as they are. The search hot path
+// runs on pooled per-call scratch (query projections, the bound heap, the
+// bounded top-k max-heap), so a steady-state Search performs zero heap
+// allocations.
 //
-// The fit is a pure function of its rows, bit for bit. Its one random step,
-// k-means++ seeding, draws from the seeded source node after node in one
-// fixed order; everything else — the reducers, the projections, the Lloyd
-// refinements — depends only on a node's rows and runs on up to GOMAXPROCS
-// goroutines that the build starts and waits for. The index Build or
-// BuildMatrix returns is therefore the same at any GOMAXPROCS.
+// The fit is a pure function of its rows, bit for bit: it draws no random
+// numbers, and each leaf's reducer, projection and k-d split depend only on
+// the leaf's rows. The leaves are fit on up to GOMAXPROCS goroutines that
+// the build starts and waits for, so the index Build or BuildMatrix returns
+// is the same at any GOMAXPROCS.
 package index
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -53,41 +61,29 @@ type Entry struct {
 
 // Options tunes index construction. Zero values become defaults.
 type Options struct {
-	Centers    int // centers per non-leaf node (default 3)
 	SelectDims int // variance-selected coordinates (default 48)
-	PCADims    int // principal components per node (default 16)
-	Beam       int // children explored per level during search (default 2)
-	Seed       int64
+	PCADims    int // principal components per leaf (default 16)
 }
 
 func (o Options) withDefaults() Options {
-	if o.Centers <= 0 {
-		o.Centers = 3
-	}
 	if o.SelectDims <= 0 {
 		o.SelectDims = 48
 	}
 	if o.PCADims <= 0 {
 		o.PCADims = 16
 	}
-	if o.Beam <= 0 {
-		o.Beam = 2
-	}
 	return o
 }
 
 // Stats counts the work a search performed, the quantities of Eqs. (24)
-// and (25): distance computations per level, the float dimensions touched,
-// and the size of the candidate set.
+// and (25): distance computations, the float dimensions they touched, and
+// the size of the candidate set. Projecting the query into each leaf's
+// subspace is not counted.
 type Stats struct {
-	DistanceOps int // total distance computations, reduced and full-space
+	DistanceOps int // total distance computations: box bounds, row bounds and full-space distances
 	FloatOps    int // Σ dims actually touched over all distance computations
-	Candidates  int // live rows of the visited leaves, each bounded once
-	Exact       int // full-space distances the refine computed
-	// Closed counts the refines that stopped on the bound rather than the
-	// budget, whose answers are therefore exact over the visited leaves: 1
-	// or 0 for one index search, summed where searches merge.
-	Closed int
+	Candidates  int // live rows bounded, each once
+	Exact       int // full-space distances computed
 }
 
 // Result is one ranked search hit.
@@ -121,43 +117,70 @@ type Index struct {
 	removed      []*maskPage
 	removedCount int
 
-	maxDim int // widest reducer output across nodes (scratch sizing)
+	maxDim int // widest reducer output across leaves (scratch sizing)
 	// scratch is shared by every index in a copy-on-write chain (clones
 	// copy the pointer), so pooled buffers survive Insert/Remove and
 	// steady-state searches stay allocation-free.
 	scratch *sync.Pool
 }
 
+// node is one concept of the tree. Only leaves hold rows and a reducer; a
+// non-leaf node is a name and its children, which a path is resolved by.
 type node struct {
 	name     string
 	children map[string]*node
 	order    []string // deterministic child order
-	// Non-leaf routing state.
+	// Leaf state, flat storage: proj row r is the reduced feature of entry
+	// ids[r], and the rows are in k-d order — kd[i]'s rows are [lo, hi).
 	reducer *Reducer
-	centers map[string][][]float64 // child name -> centers in this node's space
-	// Leaf state, flat storage: ids are global entry IDs in ascending
-	// order, and proj row r is the reduced feature of entry ids[r].
-	ids  []int32
-	proj *mat.Dense
+	ids     []int32
+	proj    *mat.Dense
 	// lead holds proj's leading min(boundDims, dim) columns contiguously:
-	// the part of every row the bound pass reads, a quarter of the cache
+	// the part of every row the partial bound reads, a quarter of the cache
 	// lines proj spreads it over.
 	lead []float64
+	// kd is the leaf's k-d tree in pre-order (kd[0] the root; a node's left
+	// child follows it), and boxes[i*2*dim:] holds kd[i]'s box: dim minima,
+	// then dim maxima of the reduced coordinates over its rows.
+	kd    []kdNode
+	boxes []float64
 	// Incremental overlay: entries inserted after the fit. extraIDs extends
-	// ids (leaf row len(ids)+i refers to extraIDs[i]) and extraProj holds
-	// their reduced features (reducer.Dim() wide rows); a search bounds
-	// them like the base rows.
+	// ids (leaf row len(ids)+i refers to extraIDs[i]), extraProj holds
+	// their reduced features (reducer.Dim() wide rows), and extraBox is
+	// their box, laid out as one of boxes; a search bounds them as one more
+	// k-d leaf.
 	extraIDs  []int32
 	extraProj []float64
+	extraBox  []float64
 }
 
-// projRow returns the leaf-space reduced feature of a leaf row.
+// kdNode is one box of a leaf's k-d tree over leaf rows [lo, hi). right is
+// the index of its right child, or -1 at a k-d leaf; the left child is the
+// next node.
+type kdNode struct {
+	lo, hi, right int32
+}
+
+// subLeafRows is the most rows a k-d leaf holds. The split halves a node
+// until its rows fit, so k-d leaves hold 33–64 rows of a larger leaf.
+const subLeafRows = 64
+
+// projRow returns the reduced feature of leaf row row: a base row, or an
+// overlay row past them.
 func (n *node) projRow(row int32, dim int) []float64 {
 	if int(row) < len(n.ids) {
 		return n.proj.Row(int(row))
 	}
 	r := int(row) - len(n.ids)
 	return n.extraProj[r*dim : (r+1)*dim]
+}
+
+// box returns kd node i's box, or the overlay's when i is len(n.kd).
+func (n *node) box(i int32, dim int) []float64 {
+	if int(i) == len(n.kd) {
+		return n.extraBox
+	}
+	return n.boxes[int(i)*2*dim : (int(i)+1)*2*dim]
 }
 
 // Build constructs the index from entries. Every entry must carry a
@@ -249,14 +272,16 @@ func build(entries []*Entry, rows []featrow.Row, dim int, opts Options) (*Index,
 		}
 		cur.ids = append(cur.ids, int32(i))
 	}
-	if err := ix.fit(rand.New(rand.NewSource(opts.Seed + 1))); err != nil {
+	leaves := appendLeaves(nil, ix.root)
+	if err := ix.fit(leaves); err != nil {
 		return nil, err
 	}
 	ix.baseRows = len(entries)
-	ix.maxDim = maxReducerDim(ix.root)
-	maxDim := ix.maxDim
+	for _, leaf := range leaves {
+		ix.maxDim = max(ix.maxDim, leaf.reducer.Dim())
+	}
 	ix.scratch = &sync.Pool{New: func() any {
-		return &searchScratch{qproj: make([]float64, maxDim), qmask: make([]uint64, (dim+63)/64)}
+		return &searchScratch{qmask: make([]uint64, (dim+63)/64)}
 	}}
 	return ix, nil
 }
@@ -265,45 +290,35 @@ func newNode(name string) *node {
 	return &node{name: name, children: map[string]*node{}}
 }
 
-// fitNode is one node of the tree as the fit sees it.
-type fitNode struct {
-	*node
-	parent int     // position of the parent in the pre-order list, -1 at the root
-	ids    []int32 // the node's entry IDs: a leaf's own, else its children's concatenated in order
-}
-
-// preorder appends n's subtree to out, each node before its children and
-// children in their deterministic order, computing every node's entry-ID
-// list once on the way back up. It returns out and n's ID list.
-func preorder(n *node, parent int, out []fitNode) ([]fitNode, []int32) {
-	at := len(out)
-	out = append(out, fitNode{node: n, parent: parent, ids: n.ids})
+// appendLeaves appends the leaves under n to dst, in the tree's
+// deterministic order.
+func appendLeaves(dst []*node, n *node) []*node {
 	if len(n.children) == 0 {
-		return out, n.ids
+		return append(dst, n)
 	}
-	var ids []int32
 	for _, name := range n.order {
-		var cids []int32
-		out, cids = preorder(n.children[name], at, out)
-		ids = append(ids, cids...)
+		dst = appendLeaves(dst, n.children[name])
 	}
-	out[at].ids = ids
-	return out, ids
+	return dst
 }
 
-// fitJob is one unit of a fit phase: rows sizes it, for scheduling.
-type fitJob struct {
-	rows int
-	run  func()
-}
-
-// runJobs runs the jobs over up to GOMAXPROCS goroutines, the caller's among
-// them, and returns once all have run. Workers pull the jobs with the most
-// rows first, so they start on the longest and finish close together; with
-// one proc the jobs run inline. No goroutine outlives the call.
-func runJobs(jobs []fitJob) {
-	slices.SortStableFunc(jobs, func(a, b fitJob) int { return b.rows - a.rows })
-	parallel(len(jobs), func(i int) { jobs[i].run() })
+// fit fits every leaf — its reducer, its rows' projections and its k-d
+// split — as one job each, over up to GOMAXPROCS goroutines, the caller's
+// among them. Workers take the leaves with the most rows first, so they
+// start on the longest and finish close together; with one proc the jobs
+// run inline. Each job reads only its own leaf's rows and writes only its
+// own leaf, and no goroutine outlives the call.
+func (ix *Index) fit(leaves []*node) error {
+	order := slices.Clone(leaves)
+	slices.SortStableFunc(order, func(a, b *node) int { return len(b.ids) - len(a.ids) })
+	errs := make([]error, len(order))
+	parallel(len(order), func(i int) { errs[i] = ix.fitLeaf(order[i]) })
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("index: leaf %q: %w", order[i].name, err)
+		}
+	}
+	return nil
 }
 
 // parallel runs job(0) … job(n-1) over up to GOMAXPROCS goroutines, the
@@ -329,169 +344,244 @@ func parallel(n int, job func(i int)) {
 	wg.Wait()
 }
 
-func maxReducerDim(n *node) int {
-	d := 0
-	if n.reducer != nil {
-		d = n.reducer.Dim()
+// fitLeaf fits the leaf's reducer over its rows, then lays the rows out
+// (layoutLeaf).
+func (ix *Index) fitLeaf(n *node) error {
+	r, err := FitReducer(ix.rows, n.ids, ix.opts.SelectDims, ix.opts.PCADims)
+	if err != nil {
+		return err
 	}
-	for _, c := range n.children {
-		if cd := maxReducerDim(c); cd > d {
-			d = cd
-		}
-	}
-	return d
-}
-
-// fit trains every node: reducers and per-child centers at non-leaf nodes,
-// the projection matrix at leaves. Only k-means seeding draws random
-// numbers, so only it runs one node after another, drawing from rng in the
-// order a recursive fit draws (a node's children in order, each child's
-// centres before anything in its subtree). Every other step is a pure
-// function of its rows and runs on parallel workers, so the fit is
-// bit-identical at any GOMAXPROCS. The phases:
-//
-//	(a) every node's reducer, in parallel;
-//	(b) every child's rows projected into its parent's space, in parallel;
-//	(c) every child's k-means++ seeds over (b)'s points, in pre-order;
-//	(d) every child's Lloyd refinement of its seeds, and every leaf's
-//	    projection, in parallel.
-func (ix *Index) fit(rng *rand.Rand) error {
-	nodes, _ := preorder(ix.root, -1, nil)
-	for _, fn := range nodes {
-		if len(fn.ids) == 0 {
-			return fmt.Errorf("index: node %q has no entries", fn.name)
-		}
-	}
-
-	// (a) A node with one child holds exactly the child's rows, in the same
-	// order, so its reducer is the child's: fit it once, then hand it up.
-	var jobs []fitJob
-	errs := make([]error, len(nodes))
-	for i, fn := range nodes {
-		if len(fn.order) != 1 {
-			i, fn := i, fn
-			jobs = append(jobs, fitJob{len(fn.ids), func() {
-				fn.reducer, errs[i] = FitReducer(ix.rows, fn.ids, ix.opts.SelectDims, ix.opts.PCADims)
-			}})
-		}
-	}
-	runJobs(jobs)
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("index: node %q: %w", nodes[i].name, err)
-		}
-	}
-	for i := len(nodes) - 1; i >= 0; i-- {
-		if n := nodes[i]; len(n.order) == 1 {
-			n.reducer = n.children[n.order[0]].reducer
-		}
-	}
-
-	// (b) pts[i] holds nodes[i]'s rows in its parent's reduced space.
-	pts := make([][][]float64, len(nodes))
-	jobs = jobs[:0]
-	for i, fn := range nodes[1:] {
-		i, fn := i+1, fn
-		jobs = append(jobs, fitJob{len(fn.ids), func() {
-			r := nodes[fn.parent].reducer
-			p := mat.NewDense(len(fn.ids), r.Dim())
-			idx := make([]int32, 0, ix.dim)
-			for row, id := range fn.ids {
-				r.ProjectRow(p.Row(row), ix.rows[id], idx)
-			}
-			pts[i] = p.Rows()
-		}})
-	}
-	runJobs(jobs)
-
-	// (c)
-	centers := make([][][]float64, len(nodes))
-	for i := 1; i < len(nodes); i++ {
-		var err error
-		if centers[i], err = mat.KMeansSeeds(pts[i], min(ix.opts.Centers, len(pts[i])), rng); err != nil {
-			return fmt.Errorf("index: centers for %q: %w", nodes[i].name, err)
-		}
-	}
-
-	// (d)
-	jobs = jobs[:0]
-	for i, fn := range nodes {
-		i, fn := i, fn
-		if i > 0 {
-			jobs = append(jobs, fitJob{len(fn.ids), func() { mat.Lloyd(pts[i], centers[i], 40) }})
-		}
-		if len(fn.children) == 0 {
-			jobs = append(jobs, fitJob{len(fn.ids), func() { ix.fitLeaf(fn.node) }})
-		}
-	}
-	runJobs(jobs)
-	for i, fn := range nodes[1:] {
-		parent := nodes[fn.parent]
-		if parent.centers == nil {
-			parent.centers = make(map[string][][]float64, len(parent.order))
-		}
-		parent.centers[fn.name] = centers[i+1]
-	}
+	n.reducer = r
+	ix.layoutLeaf(n)
 	return nil
 }
 
-// fitLeaf projects the leaf's entries into one contiguous matrix, and
-// copies its leading boundDims columns into lead.
-func (ix *Index) fitLeaf(n *node) {
+// layoutLeaf projects the leaf's rows through its reducer, splits them into
+// a k-d tree (splitKD), and stores ids, proj and lead in the tree's row
+// order.
+func (ix *Index) layoutLeaf(n *node) {
 	dim := n.reducer.Dim()
-	h := min(boundDims, dim)
-	n.proj = mat.NewDense(len(n.ids), dim)
-	n.lead = make([]float64, len(n.ids)*h)
+	p := mat.NewDense(len(n.ids), dim)
 	idx := make([]int32, 0, ix.dim)
 	for r, id := range n.ids {
-		n.reducer.ProjectRow(n.proj.Row(r), ix.rows[id], idx)
-		copy(n.lead[r*h:(r+1)*h], n.proj.Row(r))
+		n.reducer.ProjectRow(p.Row(r), ix.rows[id], idx)
+	}
+	var perm []int32
+	n.kd, n.boxes, perm = splitKD(p, n.ids)
+	h := min(boundDims, dim)
+	ids := make([]int32, len(perm))
+	n.proj = mat.NewDense(len(perm), dim)
+	n.lead = make([]float64, len(perm)*h)
+	for at, r := range perm {
+		ids[at] = n.ids[r]
+		copy(n.proj.Row(at), p.Row(int(r)))
+		copy(n.lead[at*h:(at+1)*h], p.Row(int(r)))
+	}
+	n.ids = ids
+}
+
+// kdKey is one row of a k-d node under its split: its value on the split
+// coordinate, its entry ID, which breaks ties, and its row in the
+// projection.
+type kdKey struct {
+	v   float64
+	id  int32
+	row int32
+}
+
+func kdLess(a, b kdKey) bool { return a.v < b.v || (a.v == b.v && a.id < b.id) }
+
+// splitKD builds the k-d tree over the rows of p (row r belongs to entry
+// ids[r]). A node's box is the min and max of each coordinate over its
+// rows; a node of more than subLeafRows rows splits on the coordinate whose
+// box is widest (the first, on a tie) at the median of (value, entry ID),
+// the lower half going left. It returns the nodes in pre-order, their boxes
+// laid out as node.boxes is, and perm, the rows in tree order. It is a
+// function of p and ids alone.
+func splitKD(p *mat.Dense, ids []int32) (kd []kdNode, boxes []float64, perm []int32) {
+	dim := p.C
+	keys := make([]kdKey, len(ids))
+	for r, id := range ids {
+		keys[r] = kdKey{id: id, row: int32(r)}
+	}
+	var split func(lo, hi int)
+	split = func(lo, hi int) {
+		at := len(kd)
+		kd = append(kd, kdNode{lo: int32(lo), hi: int32(hi), right: -1})
+		boxes = append(boxes, make([]float64, 2*dim)...)
+		mins, maxs := boxes[at*2*dim:at*2*dim+dim], boxes[at*2*dim+dim:(at+1)*2*dim]
+		copy(mins, p.Row(int(keys[lo].row)))
+		copy(maxs, mins)
+		for _, key := range keys[lo+1 : hi] {
+			for c, x := range p.Row(int(key.row)) {
+				if x < mins[c] {
+					mins[c] = x
+				}
+				if x > maxs[c] {
+					maxs[c] = x
+				}
+			}
+		}
+		if hi-lo <= subLeafRows {
+			return
+		}
+		axis := 0
+		for c := range mins {
+			if maxs[c]-mins[c] > maxs[axis]-mins[axis] {
+				axis = c
+			}
+		}
+		for i := lo; i < hi; i++ {
+			keys[i].v = p.Row(int(keys[i].row))[axis]
+		}
+		mid := lo + (hi-lo)/2
+		selectKth(keys[lo:hi], mid-lo)
+		split(lo, mid)
+		kd[at].right = int32(len(kd))
+		split(mid, hi)
+	}
+	split(0, len(ids))
+	perm = make([]int32, len(keys))
+	for i, key := range keys {
+		perm[i] = key.row
+	}
+	return kd, boxes, perm
+}
+
+// selectKth reorders a so that a[k] is the element kdLess ranks k-th and
+// every element before it ranks lower: Hoare's quickselect on the median of
+// three. The keys are distinct (entry IDs are), so it terminates.
+func selectKth(a []kdKey, k int) {
+	for len(a) > 2 {
+		m, last := len(a)/2, len(a)-1
+		if kdLess(a[m], a[0]) {
+			a[m], a[0] = a[0], a[m]
+		}
+		if kdLess(a[last], a[0]) {
+			a[last], a[0] = a[0], a[last]
+		}
+		if kdLess(a[last], a[m]) {
+			a[last], a[m] = a[m], a[last]
+		}
+		pivot := a[m]
+		i, j := 0, last
+		for i <= j {
+			for kdLess(a[i], pivot) {
+				i++
+			}
+			for kdLess(pivot, a[j]) {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			a = a[:j+1]
+		case k >= i:
+			a, k = a[i:], k-i
+		default:
+			return
+		}
+	}
+	if len(a) == 2 && kdLess(a[1], a[0]) {
+		a[0], a[1] = a[1], a[0]
 	}
 }
 
-// bound is one live row of a visited leaf and lb, the squared distance
-// between the row and the query in the leaf's reduced space: a lower bound
-// on their full-space squared distance, because a reducer selects
-// coordinates and then applies an orthonormal projection, neither of which
-// lengthens a vector (GEMINI's lower-bounding lemma).
+// boundDims is how many leading reduced dimensions the partial bound sums
+// for every live row of a k-d leaf the search opens. A leaf's PCA orders
+// its dimensions by variance, so the leading ones carry most of the bound;
+// the rest are added only for the rows whose partial bound does not already
+// exclude them.
+const boundDims = 4
+
+// The search stops at the first bound that exceeds
+// kth·(1+refineEps)+refineSlack, kth being the running k-th exact squared
+// distance. The margins absorb rounding: a computed bound may exceed the
+// exact-arithmetic one by a few ulps of the coordinates it sums, and a
+// reducer's components are orthonormal only to rounding. On
+// multiLeafCorpus(12, 800), 1.3 % of 1.6 M computed row bounds exceed the
+// exact squared distance, by at most 1.5e-15 of it; a box bound is at most
+// the bound of any row in the box, up to the same rounding. The relative
+// term covers distances of any size, the absolute one a kth of zero (exact
+// duplicates of the query). Both are powers of two, so a test can build
+// rows that sit exactly on the margin.
+const (
+	refineEps   = 0x1p-30 // ≈ 9.3e-10
+	refineSlack = 0x1p-40 // ≈ 9.1e-13
+)
+
+// margin is the bound past which a row cannot rank among the k best once
+// kth is the k-th best exact squared distance found.
+func margin(kth float64) float64 { return kth*(1+refineEps) + refineSlack }
+
+// cand is one box in a search's bound heap — k-d node unit of
+// leaves[leaf], or the leaf's overlay when unit is len(kd) — keyed by lb,
+// its squared distance to the query's projection: a lower bound on the
+// full-space squared distance of every row in it.
+type cand struct {
+	lb         float64
+	leaf, unit int32
+}
+
+// candLess orders the heap by ascending lb, then position, so the work a
+// search does is a function of the index and the query alone.
+func candLess(a, b cand) bool {
+	if a.lb != b.lb {
+		return a.lb < b.lb
+	}
+	if a.leaf != b.leaf {
+		return a.leaf < b.leaf
+	}
+	return a.unit < b.unit
+}
+
+// bound is one live row of an opened box: leaf row row, entry id, and lb,
+// its squared distance to the query in the leaf's reduced space — a lower
+// bound on their full-space squared distance, as the box's is.
 type bound struct {
 	lb  float64
-	id  int32 // global entry ID
-	row int32 // leaf-local row; -1 once the row has an exact distance
+	id  int32
+	row int32
 }
 
-// boundLess is the order the refine visits rows in: ascending (lb, id).
-func boundLess(a, b bound) bool {
-	return a.lb < b.lb || (a.lb == b.lb && a.id < b.id)
-}
-
-// popBound removes the least bound from the min-heap h and returns the rest.
-// The refine stops after a few pops, so a heap, built in linear time, beats
-// sorting every survivor.
-func popBound(h []bound) []bound {
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	siftBound(h, 0)
+func pushCand(h []cand, c cand) []cand {
+	h = append(h, c)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !candLess(h[i], h[up]) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
+	}
 	return h
 }
 
-func siftBound(h []bound, i int) {
-	for {
+func popCand(h []cand) []cand {
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
 		l := 2*i + 1
 		if l >= len(h) {
-			return
+			break
 		}
 		least := l
-		if r := l + 1; r < len(h) && boundLess(h[r], h[l]) {
+		if r := l + 1; r < len(h) && candLess(h[r], h[l]) {
 			least = r
 		}
-		if !boundLess(h[least], h[i]) {
-			return
+		if !candLess(h[least], h[i]) {
+			break
 		}
 		h[i], h[least] = h[least], h[i]
 		i = least
 	}
+	return h
 }
 
 // heapItem is one bounded top-k entry ordered by (sq, id); id breaks ties
@@ -504,43 +594,36 @@ type heapItem struct {
 // searchScratch is the per-call mutable state of one search, recycled
 // through Index.scratch so steady-state searches allocate nothing.
 type searchScratch struct {
-	qproj  []float64 // query projection at the node being routed (maxDim)
-	qmask  []uint64  // the query's presence mask, for the exact distances
+	qmask  []uint64 // the query's presence mask, for the exact distances
 	leaves []*node
 	lproj  []float64 // query projection into leaves[i]'s space at i*maxDim
-	ends   []int
-	scored []scoredChild
-	bounds []bound    // leaves[i]'s live rows end at ends[i]; then the survivors
-	pool   []heapItem // the best-routed leaf's seedPool·k least partial bounds
-	seeds  []heapItem // the k of them with the least complete bounds
+	heap   []cand
+	rows   []bound    // the opened box's rows that its bound keeps
 	top    []heapItem // the k best exact distances so far
 }
 
-type scoredChild struct {
-	child *node
-	dist  float64
-}
-
 // leafQuery is the slot holding the query's projection into the space of
-// leaves[i]: scan fills it, rank reads it back.
+// leaves[i].
 func (sc *searchScratch) leafQuery(i int, leaf *node, maxDim int) []float64 {
 	return sc.lproj[i*maxDim : i*maxDim+leaf.reducer.Dim()]
 }
 
 // Search finds the k nearest indexed shots to the query feature (a 266-dim
-// Shot.Feature vector), descending only through the most relevant database
-// units, and writes them into dst (grown only when its capacity is
-// insufficient, so a reused buffer makes steady-state searches
+// Shot.Feature vector) and writes them into dst (grown only when its
+// capacity is insufficient, so a reused buffer makes steady-state searches
 // allocation-free; nil is fine). It returns the ranked results, each with
 // its exact full-space Euclidean distance to the query, and the §6.2 cost
-// statistics. The returned slice aliases dst.
+// statistics. The answer is FlatSearch's over every live row: the same
+// entries, in (distance, entry ID) order, at the same Dist bits. The
+// returned slice aliases dst.
 //
-// When sp is a live span, the hierarchical descent ("project" — the
-// per-level subspace projections), the bound pass over the visited leaves
-// ("scan") and the refine ("rank" — the exact distances, in bound order)
-// each record a child span. A nil sp (the untraced and unsampled paths)
-// costs nothing — spans come from the trace's pooled arena, so the
-// zero-alloc search contract holds either way.
+// When sp is a live span, three stages each record a child span: "project"
+// (the query's projection into every leaf's subspace, and the bound of
+// every leaf's root box and overlay), "scan" (the best-first walk over
+// boxes and rows: their bounds and the full-space distances) and "rank"
+// (the k hits sorted and written out). A nil sp (the untraced and
+// unsampled paths) costs nothing — spans come from the trace's pooled
+// arena, so the zero-alloc search contract holds either way.
 //
 // Search is safe for concurrent use by any number of goroutines: a built
 // Index is immutable, and all mutable search state — the Stats accumulator
@@ -554,28 +637,28 @@ func (ix *Index) Search(dst []Result, query []float64, k int, sp *trace.Span) ([
 	}
 	sc := ix.scratch.Get().(*searchScratch)
 	sc.qmask = featrow.Mask(sc.qmask, query)
-	// A search asking for every live row visits every leaf and returns them
-	// all, whatever the beam.
-	beam := ix.opts.Beam
-	if k >= ix.Size() {
-		beam = math.MaxInt
-	}
 	stage := sp.Start("project")
-	ix.descend(ix.root, query, beam, sc, &stats)
+	ix.project(query, sc, &stats)
+	stage.SetInt("leaves", int64(len(sc.leaves)))
 	stage.End()
 	stage = sp.Start("scan")
-	ix.boundRows(query, sc, &stats)
-	stage.SetInt("leaves", int64(len(sc.leaves)))
-	stage.SetInt("candidates", int64(len(sc.bounds)))
+	top := ix.scan(query, k, sc, &stats)
+	stage.SetInt("candidates", int64(stats.Candidates))
+	stage.SetInt("exact", int64(stats.Exact))
 	stage.End()
 	stage = sp.Start("rank")
-	dst = ix.refine(dst, query, k, sc, &stats)
-	stage.SetInt("exact", int64(stats.Exact))
-	stage.SetInt("closed", int64(stats.Closed))
+	sortItems(top)
+	if cap(dst) < len(top) {
+		dst = make([]Result, len(top))
+	} else {
+		dst = dst[:len(top)]
+	}
+	for i, it := range top {
+		dst[i] = Result{Entry: ix.all[it.id], Dist: math.Sqrt(it.sq)}
+	}
 	stage.End()
+	sc.top = top[:0]
 	sc.leaves = sc.leaves[:0]
-	sc.ends = sc.ends[:0]
-	sc.bounds = sc.bounds[:0]
 	ix.scratch.Put(sc)
 	return dst, stats
 }
@@ -586,225 +669,145 @@ func (ix *Index) SearchInto(dst []Result, query []float64, k int) ([]Result, Sta
 	return ix.Search(dst, query, k, nil)
 }
 
-// descend routes the query down the tree, keeping the beam best children
-// at each level by distance to their centers. Reached leaves are appended
-// to sc.leaves, best-routed first.
-func (ix *Index) descend(n *node, query []float64, beam int, sc *searchScratch, stats *Stats) {
-	if len(n.children) == 0 {
-		sc.leaves = append(sc.leaves, n)
-		return
-	}
-	p := n.reducer.ProjectInto(sc.qproj[:n.reducer.Dim()], query)
-	start := len(sc.scored)
-	for _, name := range n.order {
-		best := math.Inf(1)
-		for _, c := range n.centers[name] {
-			stats.DistanceOps++
-			stats.FloatOps += len(c)
-			if d := mat.SqDist(p, c); d < best {
-				best = d
-			}
-		}
-		sc.scored = append(sc.scored, scoredChild{child: n.children[name], dist: best})
-	}
-	// Insertion sort: child counts are small, and avoiding sort.Slice keeps
-	// the path allocation-free. cs stays readable even if a nested descend
-	// grows sc.scored into a new backing array.
-	cs := sc.scored[start:]
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j].dist < cs[j-1].dist; j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
-	}
-	for i := 0; i < min(beam, len(cs)); i++ {
-		ix.descend(cs[i].child, query, beam, sc, stats)
-	}
-	sc.scored = sc.scored[:start]
-}
-
-// boundDims is how many leading reduced dimensions the bound pass sums for
-// every row of a visited leaf. A leaf's PCA orders its dimensions by
-// variance, so the leading ones carry most of the bound; the rest are added
-// only for the rows whose partial bound does not already exclude them.
-const boundDims = 4
-
-// seedPool sets how many of the best-routed leaf's rows, by partial bound,
-// have their bounds completed to choose the k seeds from: seedPool·k. The
-// tighter the seeds' k-th distance, the more rows the partial bound drops
-// before their bounds are completed. On the HTTP benchmark's corpus
-// (2 048 uniform query-by-example searches in process) seedPool 1, 2, 3, 4
-// and 6 touch 29.0 k, 25.1 k, 24.6 k, 24.4 k and 24.4 k float ops per
-// search, pool included.
-const seedPool = 4
-
-// refineBudget caps the exact distances one search spends at refineBudget·k,
-// seeds included. The bound cannot see the distance outside a reducer's
-// selected coordinates, and on data where that is most of it nothing else
-// keeps the refine from degenerating into a scan of every visited row: with
-// no cap, TestSearchCostBelowFlat's search spends 79 k float ops against a
-// limit of 53 k, and TestSearchScalesSublinearly's grows 8 k → 176 k when
-// the data grows 8×. A sweep of 300 queries on multiLeafCorpus(12, 800),
-// whose visited leaves cap recall@10 at 0.9833:
-//
-//	budget            2       3       4       6       none
-//	closed            94 %    96 %    97 %    98 %    100 %
-//	recall@10         0.9793  0.9813  0.9817  0.9827  0.9833
-//	exact distances   11.9    12.4    12.7    13.2    34.5
-//
-// 4 is the smallest budget at which the HTTP benchmark's quality sample
-// scores what it scores with no cap (0.9468; 0.9460 at 3), and it keeps
-// both cost tests at two thirds of their limits or less (18 k float ops;
-// 7 k → 16 k).
-const refineBudget = 4
-
-// The refine stops at the first row whose bound exceeds
-// kth·(1+refineEps)+refineSlack, kth being the running k-th exact squared
-// distance. The margins absorb rounding: a computed bound may exceed the
-// exact-arithmetic one by a few ulps of the coordinates it sums, and a
-// reducer's components are orthonormal only to rounding. On
-// multiLeafCorpus(12, 800), 1.3 % of 1.6 M computed bounds exceed the exact
-// squared distance, by at most 1.5e-15 of it. The relative term covers
-// distances of any size, the absolute one a kth of zero (exact duplicates
-// of the query). Both are powers of two, so a test can build
-// rows that sit exactly on the margin.
-const (
-	refineEps   = 0x1p-30 // ≈ 9.3e-10
-	refineSlack = 0x1p-40 // ≈ 9.1e-13
-)
-
-// margin is the bound past which a row cannot rank among the k best once
-// kth is the k-th best exact squared distance found.
-func margin(kth float64) float64 { return kth*(1+refineEps) + refineSlack }
-
-// boundRows is the scan stage: it projects the query into every visited
-// leaf's space and appends to sc.bounds every live row of the leaf, base rows
-// then the overlay, with the part of its bound the leading boundDims
-// dimensions give; sc.ends[i] closes leaves[i]'s rows.
-func (ix *Index) boundRows(query []float64, sc *searchScratch, stats *Stats) {
+// project is the search's first stage: it projects the query into every
+// leaf's subspace and seeds the bound heap with each leaf's root box and,
+// when the leaf has one, its overlay box.
+func (ix *Index) project(query []float64, sc *searchScratch, stats *Stats) {
+	sc.leaves = appendLeaves(sc.leaves[:0], ix.root)
 	if need := len(sc.leaves) * ix.maxDim; len(sc.lproj) < need {
 		sc.lproj = make([]float64, need)
 	}
+	sc.heap = sc.heap[:0]
 	for i, leaf := range sc.leaves {
 		p := leaf.reducer.ProjectInto(sc.leafQuery(i, leaf, ix.maxDim), query)
-		h := min(boundDims, len(p))
-		start := len(sc.bounds)
-		sc.bounds = ix.appendBounds(sc.bounds, p[:h], leaf.ids, leaf.lead, h, 0)
-		sc.bounds = ix.appendBounds(sc.bounds, p[:h], leaf.extraIDs, leaf.extraProj, len(p), len(leaf.ids))
-		sc.ends = append(sc.ends, len(sc.bounds))
-		stats.FloatOps += (len(sc.bounds) - start) * h
+		sc.heap = ix.pushBox(sc.heap, leaf, p, int32(i), 0, stats)
+		if len(leaf.extraIDs) > 0 {
+			sc.heap = ix.pushBox(sc.heap, leaf, p, int32(i), int32(len(leaf.kd)), stats)
+		}
 	}
-	stats.DistanceOps += len(sc.bounds)
-	stats.Candidates = len(sc.bounds)
 }
 
-// appendBounds appends the partial bound of each live row of one region of a
-// leaf over the leading len(p) dimensions: ids[r] is the entry of leaf row
-// first+r, whose reduced feature starts at data[r*stride]. The four-wide
-// case, every leaf's at the default PCADims, is unrolled; it sums in the
-// loop's order, and BenchmarkSearchMultiLeaf runs in 87 µs with it against
-// 105 µs without (medians of 10 alternating runs, 2-CPU box).
-func (ix *Index) appendBounds(dst []bound, p []float64, ids []int32, data []float64, stride, first int) []bound {
-	if len(p) == 4 {
-		p0, p1, p2, p3 := p[0], p[1], p[2], p[3]
-		for r, id := range ids {
-			if masked(ix.removed, id) {
-				continue
-			}
-			x := data[r*stride : r*stride+4]
-			d0, d1, d2, d3 := p0-x[0], p1-x[1], p2-x[2], p3-x[3]
-			dst = append(dst, bound{lb: d0*d0 + d1*d1 + d2*d2 + d3*d3, id: id, row: int32(first + r)})
+// pushBox pushes box unit of leaves[at] (leaf), bounded by its squared
+// distance to the query's projection p.
+func (ix *Index) pushBox(h []cand, leaf *node, p []float64, at, unit int32, stats *Stats) []cand {
+	stats.DistanceOps++
+	stats.FloatOps += len(p)
+	return pushCand(h, cand{lb: boxSqDist(p, leaf.box(unit, len(p))), leaf: at, unit: unit})
+}
+
+// boxSqDist is the squared distance from p to the box (len(p) minima, then
+// len(p) maxima): per coordinate, how far p lies outside the box's range.
+// No row in the box is nearer p in the reduced space: each coordinate's
+// gap is at most the row's, and rounding is monotone.
+func boxSqDist(p, box []float64) float64 {
+	mins, maxs := box[:len(p)], box[len(p):2*len(p)]
+	var sq float64
+	for c, x := range p {
+		if g := mins[c] - x; g > 0 {
+			sq += g * g
+		} else if g := x - maxs[c]; g > 0 {
+			sq += g * g
 		}
-		return dst
 	}
+	return sq
+}
+
+// scan is the search's second stage, a best-first k-NN over the bound heap
+// (Hjaltason & Samet's incremental nearest-neighbour walk over the boxes,
+// with Seidl & Kriegel's multi-step filter-and-refine inside a box). It pops
+// the least box until its bound passes margin(kth): a k-d node pushes its
+// two children; a k-d leaf, or the overlay, has its rows refined
+// (refineRows). Every bound lower-bounds the full-space distance of the
+// rows it stands for, up to the margin, so no row of a box left in the
+// heap can enter the top k: the answer is FlatSearch's over every live row.
+// It returns the top k, a heap.
+func (ix *Index) scan(query []float64, k int, sc *searchScratch, stats *Stats) []heapItem {
+	top, h := sc.top[:0], sc.heap
+	for len(h) > 0 && h[0].lb <= margin(heapBound(top, k)) {
+		c := h[0]
+		h = popCand(h)
+		leaf := sc.leaves[c.leaf]
+		p := sc.leafQuery(int(c.leaf), leaf, ix.maxDim)
+		switch {
+		case int(c.unit) == len(leaf.kd):
+			top = ix.refineRows(top, query, k, sc, p, leaf, leaf.extraIDs, leaf.extraProj, len(p), int32(len(leaf.ids)), stats)
+		case leaf.kd[c.unit].right >= 0:
+			h = ix.pushBox(h, leaf, p, c.leaf, c.unit+1, stats)
+			h = ix.pushBox(h, leaf, p, c.leaf, leaf.kd[c.unit].right, stats)
+		default:
+			nd, hd := leaf.kd[c.unit], min(boundDims, len(p))
+			top = ix.refineRows(top, query, k, sc, p, leaf, leaf.ids[nd.lo:nd.hi], leaf.lead[int(nd.lo)*hd:], hd, nd.lo, stats)
+		}
+	}
+	stats.DistanceOps += stats.Exact
+	stats.FloatOps += stats.Exact * len(query)
+	sc.heap = h[:0]
+	return top
+}
+
+// refineRows is the filter-and-refine over one opened box of leaf: ids[r] is
+// leaf row first+r, whose leading min(boundDims, len(p)) reduced
+// coordinates start at lead[r*stride]. Each live row's partial bound over
+// them is completed unless it passes margin(kth); the rows whose complete
+// bound does not pass it get their exact distances offered to the top k in
+// ascending (bound, ID) order, until the next bound passes the k-th
+// distance found so far. The four-wide partial bound, every leaf's at the
+// default PCADims, is unrolled; it sums in the loop's order.
+func (ix *Index) refineRows(top []heapItem, query []float64, k int, sc *searchScratch, p []float64, leaf *node, ids []int32, lead []float64, stride int, first int32, stats *Stats) []heapItem {
+	d, hd := len(p), min(boundDims, len(p))
+	cut := margin(heapBound(top, k))
+	rows := sc.rows[:0]
+	bounded := 0
 	for r, id := range ids {
 		if masked(ix.removed, id) {
 			continue
 		}
+		bounded++
 		var lb float64
-		for d, v := range data[r*stride : r*stride+len(p)] {
-			dv := p[d] - v
-			lb += dv * dv
+		if hd == 4 {
+			x := lead[r*stride : r*stride+4]
+			d0, d1, d2, d3 := p[0]-x[0], p[1]-x[1], p[2]-x[2], p[3]-x[3]
+			lb = d0*d0 + d1*d1 + d2*d2 + d3*d3
+		} else {
+			for c, v := range lead[r*stride : r*stride+hd] {
+				dv := p[c] - v
+				lb += dv * dv
+			}
 		}
-		dst = append(dst, bound{lb: lb, id: id, row: int32(first + r)})
-	}
-	return dst
-}
-
-// refine is the rank stage, a multi-step k-NN over the rows boundRows found
-// (Seidl & Kriegel's filter-and-refine). It seeds the top k with the exact
-// distances of the k rows of least complete bound among the best-routed
-// leaf's seedPool·k rows of least partial bound; drops every row whose
-// partial bound passes the seeds' k-th distance and completes the bound of
-// the rest; then computes exact distances in ascending (bound, id) order
-// until the next bound passes the running k-th one, or refineBudget·k exact
-// distances are spent. When it stops on the bound the answer is exact over
-// the visited leaves — FlatSearch over their live rows, tie order and Dist
-// bits included — and stats.Closed records it.
-func (ix *Index) refine(dst []Result, query []float64, k int, sc *searchScratch, stats *Stats) []Result {
-	top, pool, seeds := sc.top[:0], sc.pool[:0], sc.seeds[:0]
-	// A seed's id is its position in sc.bounds, which within one leaf is in
-	// entry-ID order, so (lb, position) ranks like (lb, id).
-	for i, b := range sc.bounds[:sc.ends[0]] {
-		pool = heapOffer(pool, seedPool*k, heapItem{sq: b.lb, id: int32(i)})
-	}
-	p0 := sc.leafQuery(0, sc.leaves[0], ix.maxDim)
-	h0 := min(boundDims, len(p0))
-	for _, s := range pool {
-		b := sc.bounds[s.id]
-		lb := b.lb + tailSq(p0, sc.leaves[0].projRow(b.row, len(p0)), h0)
-		seeds = heapOffer(seeds, k, heapItem{sq: lb, id: s.id})
-	}
-	stats.FloatOps += len(pool) * (len(p0) - h0)
-	for _, s := range seeds {
-		b := &sc.bounds[s.id]
-		top = ix.offerExact(top, query, sc.qmask, k, b.id)
-		b.row = -1
-	}
-	exact := len(seeds)
-	cut := margin(heapBound(top, k))
-	survivors := sc.bounds[:0] // compacts sc.bounds in place
-	lo := 0
-	for i, leaf := range sc.leaves {
-		p := sc.leafQuery(i, leaf, ix.maxDim)
-		h := min(boundDims, len(p))
-		for _, b := range sc.bounds[lo:sc.ends[i]] {
-			if b.row < 0 || b.lb > cut {
+		if lb > cut {
+			continue
+		}
+		row := first + int32(r)
+		if hd < d {
+			stats.FloatOps += d - hd
+			if lb += tailSq(p, leaf.projRow(row, d), hd); lb > cut {
 				continue
 			}
-			b.lb += tailSq(p, leaf.projRow(b.row, len(p)), h)
-			stats.FloatOps += len(p) - h
-			if b.lb <= cut {
-				survivors = append(survivors, b)
-			}
 		}
-		lo = sc.ends[i]
+		// Insertion: a box holds at most subLeafRows rows, the overlay
+		// few more before a refit.
+		rows = append(rows, bound{lb: lb, id: id, row: row})
+		for i := len(rows) - 1; i > 0 && boundLess(rows[i], rows[i-1]); i-- {
+			rows[i], rows[i-1] = rows[i-1], rows[i]
+		}
 	}
-	for i := len(survivors)/2 - 1; i >= 0; i-- {
-		siftBound(survivors, i)
-	}
-	closed := 1
-	for ; len(survivors) > 0 && survivors[0].lb <= margin(heapBound(top, k)); survivors = popBound(survivors) {
-		if exact == refineBudget*k {
-			closed = 0
+	stats.Candidates += bounded
+	stats.DistanceOps += bounded
+	stats.FloatOps += bounded * hd
+	for _, b := range rows {
+		if b.lb > margin(heapBound(top, k)) {
 			break
 		}
-		top = ix.offerExact(top, query, sc.qmask, k, survivors[0].id)
-		exact++
+		top = ix.offerExact(top, query, sc.qmask, k, b.id)
+		stats.Exact++
 	}
-	stats.DistanceOps += exact
-	stats.FloatOps += exact * len(query)
-	stats.Exact, stats.Closed = exact, closed
-	sortItems(top)
-	if cap(dst) < len(top) {
-		dst = make([]Result, len(top))
-	} else {
-		dst = dst[:len(top)]
-	}
-	for i, it := range top {
-		dst[i] = Result{Entry: ix.all[it.id], Dist: math.Sqrt(it.sq)}
-	}
-	sc.top, sc.pool, sc.seeds = top[:0], pool[:0], seeds[:0]
-	return dst
+	sc.rows = rows[:0]
+	return top
+}
+
+// boundLess is the order a box's rows are refined in: ascending (lb, id).
+func boundLess(a, b bound) bool {
+	return a.lb < b.lb || (a.lb == b.lb && a.id < b.id)
 }
 
 // tailSq completes a partial bound: the squared distance between the query

@@ -62,7 +62,7 @@ func normalise(v []float64) {
 
 func TestBuildAndSelfQuery(t *testing.T) {
 	entries := corpus(240, 1)
-	ix, err := Build(entries, Options{Seed: 1})
+	ix, err := Build(entries, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestBuildAndSelfQuery(t *testing.T) {
 
 func TestSearchAgreesWithFlatScan(t *testing.T) {
 	entries := corpus(300, 2)
-	ix, err := Build(entries, Options{Seed: 2})
+	ix, err := Build(entries, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,42 +113,73 @@ func TestSearchAgreesWithFlatScan(t *testing.T) {
 	}
 }
 
+// TestSearchCostBelowFlat holds the search's cost against the flat scan's
+// while it answers what the flat scan answers. On the benchmark-shaped
+// multiLeafCorpus(12, 800) a query-by-example costs at most 2 % of the
+// flat scan's float ops, on average over 200 queries. On corpus(), whose
+// rows each carry one random off-pattern bin that no leaf's reduced space
+// sees, the bounds are loose and an exact answer costs about half the flat
+// scan: there the test asks only for fewer float ops and rows bounded.
 func TestSearchCostBelowFlat(t *testing.T) {
 	entries := corpus(600, 4)
-	ix, err := Build(entries, Options{Seed: 4})
+	ix, err := Build(entries, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := entries[123].Shot.Feature()
-	_, flatStats := FlatSearch(entries, q, 10)
-	_, hierStats := ix.Search(nil, q, 10, nil)
-	if hierStats.FloatOps*3 > flatStats.FloatOps {
-		t.Fatalf("hierarchical cost %d float-ops not well below flat %d",
-			hierStats.FloatOps, flatStats.FloatOps)
+	for _, i := range []int{0, 123, 377} {
+		q := entries[i].Shot.Feature()
+		flat, flatStats := FlatSearch(entries, q, 10)
+		hier, hierStats := ix.Search(nil, q, 10, nil)
+		requireSameHits(t, fmt.Sprintf("corpus query %d", i), hier, flat)
+		if hierStats.FloatOps >= flatStats.FloatOps || hierStats.Candidates >= flatStats.Candidates {
+			t.Fatalf("corpus query %d: %d float ops over %d rows bounded, flat %d over %d",
+				i, hierStats.FloatOps, hierStats.Candidates, flatStats.FloatOps, flatStats.Candidates)
+		}
 	}
-	if hierStats.Candidates >= flatStats.Candidates {
-		t.Fatalf("ranked candidates %d should be below flat %d",
-			hierStats.Candidates, flatStats.Candidates)
+
+	multi := multiLeafCorpus(12, 800)
+	mix, err := Build(multi, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hier, flat := meanFloatOps(multi, mix, 200)
+	t.Logf("multiLeafCorpus(12, 800): %.0f float ops per query, flat %.0f (%.2f %%)", hier, flat, 100*hier/flat)
+	if hier > 0.02*flat {
+		t.Fatalf("%.0f float ops per query, more than 2 %% of the flat scan's %.0f", hier, flat)
 	}
 }
 
+// meanFloatOps runs query-by-example searches for the top 10 over the first
+// n of a fixed sample of entries and returns the mean float ops of the
+// index's and of the flat scan's.
+func meanFloatOps(entries []*Entry, ix *Index, n int) (hier, flat float64) {
+	var dst []Result
+	for i := 0; i < n; i++ {
+		q := entries[(i*7919)%len(entries)].Shot.Feature()
+		var st Stats
+		dst, st = ix.Search(dst, q, 10, nil)
+		hier += float64(st.FloatOps)
+	}
+	flat = float64(len(entries) * ix.dim)
+	return hier / float64(n), flat
+}
+
+// TestSearchScalesSublinearly holds the cost of a search to the k-d boxes'
+// promise: at ten times the rows of multiLeafCorpus(12, 800), a
+// query-by-example costs at most twice the float ops, on average over 100
+// queries.
 func TestSearchScalesSublinearly(t *testing.T) {
-	small := corpus(120, 5)
-	large := corpus(960, 5)
-	ixS, err := Build(small, Options{Seed: 5})
+	small := multiLeafCorpus(12, 800)
+	ixS, err := Build(small, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ixL, err := Build(large, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := small[7].Shot.Feature()
-	_, sStats := ixS.Search(nil, q, 5, nil)
-	_, lStats := ixL.Search(nil, q, 5, nil)
-	// An 8x database must cost far less than 8x the float ops.
-	if lStats.FloatOps > sStats.FloatOps*4 {
-		t.Fatalf("scaling: %d -> %d float ops for 8x data", sStats.FloatOps, lStats.FloatOps)
+	large, ixL := multiLeaf96k()
+	s, _ := meanFloatOps(small, ixS, 100)
+	l, _ := meanFloatOps(large, ixL, 100)
+	t.Logf("float ops per query: %.0f at %d rows, %.0f at %d (%.2f×)", s, len(small), l, len(large), l/s)
+	if l > 2*s {
+		t.Fatalf("scaling: %.0f -> %.0f float ops per query for 10x data", s, l)
 	}
 }
 
@@ -164,7 +195,7 @@ func TestBuildErrors(t *testing.T) {
 }
 
 func TestLeaves(t *testing.T) {
-	ix, err := Build(corpus(60, 7), Options{Seed: 7})
+	ix, err := Build(corpus(60, 7), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +280,7 @@ func TestReducerErrors(t *testing.T) {
 
 func BenchmarkHierarchicalSearch(b *testing.B) {
 	entries := corpus(1200, 10)
-	ix, err := Build(entries, Options{Seed: 10})
+	ix, err := Build(entries, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -276,7 +307,7 @@ func BenchmarkFlatSearch(b *testing.B) {
 // Run with -race to make it meaningful.
 func TestConcurrentSearch(t *testing.T) {
 	entries := corpus(240, 5)
-	ix, err := Build(entries, Options{Seed: 5})
+	ix, err := Build(entries, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

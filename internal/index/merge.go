@@ -21,7 +21,7 @@ import (
 // ShotSqDist is the exact full-dimension squared distance between a query
 // and a shot's (colour ++ texture) feature, computed without materialising
 // the concatenated vector. It is the distance every search result reports:
-// Index.SearchInto and FlatSearch both rank by it.
+// Index.Search and FlatSearch both rank by it.
 func ShotSqDist(s *vidmodel.Shot, query []float64) float64 {
 	var qmask []uint64
 	if !s.Row.IsZero() {

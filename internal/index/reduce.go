@@ -9,9 +9,9 @@ import (
 	"classminer/internal/mat"
 )
 
-// Reducer is the per-node dimension-reduction stage of §6.2: only the
+// Reducer is the per-leaf dimension-reduction stage of §6.2: only the
 // discriminating features take part in distance computations, so the basic
-// per-comparison cost at every level of the index is below the full
+// per-comparison cost in every leaf of the index is below the full
 // 266-dimension cost Tm. It selects the highest-variance coordinates first
 // (cheap feature selection) and then fits a PCA in that subspace.
 type Reducer struct {
@@ -23,9 +23,8 @@ type Reducer struct {
 	// compsT holds the PCA components transposed and contiguous —
 	// compsT[j*Dim+c] = Components[c][j] — so the projections' inner loop is
 	// a dense Dim-wide accumulate per selected coordinate instead of a
-	// strided gather. A search projects its query through it once per node
-	// it routes at and once per leaf it visits; entries are projected only
-	// at fit and insert time.
+	// strided gather. A search projects its query through it once per leaf;
+	// entries are projected only at fit and insert time.
 	compsT []float64
 	// off is the PCA mean projected, off[c] = Σ_j Mean[j]·Components[c][j]:
 	// a projection sums a row's non-zero selected coordinates against
@@ -147,11 +146,6 @@ func FitReducer(rows []featrow.Row, ids []int32, selectDims, pcaDims int) (*Redu
 		}
 	}
 	return r, nil
-}
-
-// Project maps a full-dimension feature into the reduced space.
-func (r *Reducer) Project(v []float64) []float64 {
-	return r.ProjectInto(make([]float64, r.Dim()), v)
 }
 
 // ProjectInto maps a full-dimension feature into the reduced space, writing

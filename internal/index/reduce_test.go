@@ -33,22 +33,22 @@ func projectValue(b byte) float64 {
 // three bytes after the first set one coordinate (two bytes of position,
 // one of value), later ones overwriting earlier; an odd first byte keeps
 // every set coordinate off the reducer's selected ones, so that no
-// selected element is non-zero. The remaining byte picks the node.
+// selected element is non-zero. The remaining byte picks the leaf.
 func FuzzProjectRow(f *testing.F) {
-	ix, err := Build(corpus(120, 4), Options{Seed: 4})
+	ix, err := Build(corpus(120, 4), Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
-	nodes, _ := preorder(ix.root, -1, nil)
+	leaves := appendLeaves(nil, ix.root)
 	f.Add(uint8(0), []byte{0})
 	f.Add(uint8(1), []byte{0, 0, 0, 96, 0, 1, 100, 0, 2, 0, 1, 0, 4, 0, 2, 32, 0, 3, 64})
 	f.Add(uint8(2), []byte{1, 0, 7, 120, 0, 9, 200, 1, 3, 255, 1, 0, 40})
 	f.Add(uint8(5), []byte{2, 0, 3, 0, 0, 5, 33, 0, 11, 97, 1, 4, 230, 0, 200, 150})
-	f.Fuzz(func(t *testing.T, node uint8, data []byte) {
+	f.Fuzz(func(t *testing.T, leaf uint8, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		r := nodes[int(node)%len(nodes)].reducer
+		r := leaves[int(leaf)%len(leaves)].reducer
 		offSelected := data[0]&1 != 0
 		var free []int
 		for j, p := range r.pos {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"classminer/internal/feature"
@@ -12,70 +11,31 @@ import (
 	"classminer/internal/vidmodel"
 )
 
-// This file holds the reference model of the leaf stage and the contract
-// SearchInto is held to: a search whose refine closes on the bound answers
-// exactly what FlatSearch answers over the live rows of the leaves the
-// search visits — the same entries in the same order at the same Dist bits.
-// The reference shares no code with the bound pass or the refine: it
-// descends naively, gathers the visited leaves' live rows and scans them.
+// This file holds the reference model of a search and the contract Search
+// is held to: it answers exactly what FlatSearch answers over every live
+// row — the same entries in the same order at the same Dist bits. The
+// reference shares no code with the boxes, the bounds or the walk: it
+// gathers the index's live rows and scans them.
 
-// refLeaves descends with the given beam, naively.
-func refLeaves(n *node, query []float64, beam int) []*node {
-	if len(n.children) == 0 {
-		return []*node{n}
-	}
-	p := n.reducer.Project(query)
-	type scored struct {
-		child *node
-		dist  float64
-	}
-	var cs []scored
-	for _, name := range n.order {
-		best := math.Inf(1)
-		for _, c := range n.centers[name] {
-			best = math.Min(best, mat.SqDist(p, c))
+// refLive lists the index's live entries in ascending entry ID, so that
+// FlatSearch's position order is ID order.
+func refLive(ix *Index) []*Entry {
+	var out []*Entry
+	for id, e := range ix.all {
+		p := id >> maskPageShift
+		if p >= len(ix.removed) || ix.removed[p][id>>6%maskPageWords]&(1<<uint(id&63)) == 0 {
+			out = append(out, e)
 		}
-		cs = append(cs, scored{n.children[name], best})
-	}
-	sort.SliceStable(cs, func(a, b int) bool { return cs[a].dist < cs[b].dist })
-	var out []*node
-	for i := 0; i < len(cs) && i < beam; i++ {
-		out = append(out, refLeaves(cs[i].child, query, beam)...)
 	}
 	return out
 }
 
-// refVisited lists the live entries of the leaves a top-k search visits in
-// ascending entry ID, so that FlatSearch's position order is ID order: the
-// index's beam, or every leaf when k reaches the live row count.
-func refVisited(ix *Index, query []float64, k int) []*Entry {
-	beam := ix.opts.Beam
-	if k >= ix.Size() {
-		beam = math.MaxInt
-	}
-	var ids []int
-	for _, leaf := range refLeaves(ix.root, query, beam) {
-		for _, id := range append(append([]int32(nil), leaf.ids...), leaf.extraIDs...) {
-			p := int(id >> maskPageShift)
-			if p >= len(ix.removed) || ix.removed[p][int(id>>6)%maskPageWords]&(1<<uint(id&63)) == 0 {
-				ids = append(ids, int(id))
-			}
-		}
-	}
-	sort.Ints(ids)
-	out := make([]*Entry, len(ids))
-	for i, id := range ids {
-		out[i] = ix.all[id]
-	}
-	return out
-}
-
-// refSearch is the reference model of a closed Index.SearchInto.
+// refSearch is the reference model of Index.Search.
 func refSearch(ix *Index, query []float64, k int) []Result {
 	if k <= 0 {
 		k = 1
 	}
-	res, _ := FlatSearch(refVisited(ix, query, k), query, k)
+	res, _ := FlatSearch(refLive(ix), query, k)
 	return res
 }
 
@@ -95,41 +55,15 @@ func requireSameHits(t *testing.T, what string, got, want []Result) {
 	}
 }
 
-// checkSearch holds one search to the contract: a closed refine matches the
-// reference exactly; one the budget cut still returns min(k, visited live
-// rows) distinct hits in (Dist, ID) order at their exact distances, having
-// bounded every visited live row. It reports whether the refine closed.
-func checkSearch(t *testing.T, what string, ix *Index, got []Result, st Stats, q []float64, k int) bool {
+// checkSearch holds one search to the contract: the reference's hits, bit
+// for bit, having bounded no more than the live rows and spent no more
+// full-space distances than it bounded rows.
+func checkSearch(t *testing.T, what string, ix *Index, got []Result, st Stats, q []float64, k int) {
 	t.Helper()
-	visited := refVisited(ix, q, k)
-	if st.Candidates != len(visited) {
-		t.Fatalf("%s: %d rows bounded, the visited leaves hold %d live rows", what, st.Candidates, len(visited))
+	requireSameHits(t, what, got, refSearch(ix, q, k))
+	if st.Candidates > ix.Size() || st.Exact > st.Candidates {
+		t.Fatalf("%s: %d rows bounded and %d exact distances over %d live rows", what, st.Candidates, st.Exact, ix.Size())
 	}
-	if st.Closed == 1 {
-		requireSameHits(t, what, got, refSearch(ix, q, k))
-		return true
-	}
-	if st.Closed != 0 || st.Exact != refineBudget*k {
-		t.Fatalf("%s: open refine with Closed %d after %d exact distances, budget %d",
-			what, st.Closed, st.Exact, refineBudget*k)
-	}
-	if len(got) != min(k, len(visited)) {
-		t.Fatalf("%s: %d hits, want %d", what, len(got), min(k, len(visited)))
-	}
-	seen := map[*Entry]bool{}
-	for i, r := range got {
-		if seen[r.Entry] {
-			t.Fatalf("%s: hit %d repeats an entry", what, i)
-		}
-		seen[r.Entry] = true
-		if r.Dist != math.Sqrt(ShotSqDist(r.Entry.Shot, q)) {
-			t.Fatalf("%s hit %d: Dist %v is not the exact distance", what, i, r.Dist)
-		}
-		if i > 0 && got[i-1].Dist > r.Dist {
-			t.Fatalf("%s: hits out of order at %d", what, i)
-		}
-	}
-	return false
 }
 
 // refQueries mixes query-by-example, near-duplicates and far-off vectors.
@@ -152,10 +86,10 @@ func refQueries(entries []*Entry, rng *rand.Rand, n int) [][]float64 {
 	return out
 }
 
-// TestSearchMatchesReference checks SearchInto against the reference model
-// over random corpora, seeds, beams 1–3 and k — including k beyond a leaf's
-// size — and again after chains of Insert and Remove; then that on the
-// benchmark-shaped corpus at least 95 % of query-by-example searches close.
+// TestSearchMatchesReference checks Search against the reference model — a
+// flat scan of every live row — over random corpora, seeds and k, including
+// k beyond a leaf's size and beyond the live row count, and again after
+// chains of Insert and Remove.
 func TestSearchMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed * 7919))
@@ -168,7 +102,7 @@ func TestSearchMatchesReference(t *testing.T) {
 		default:
 			entries = corpus(150+rng.Intn(450), seed)
 		}
-		ix, err := Build(entries, Options{Seed: seed, Beam: 1 + int(seed%3)})
+		ix, err := Build(entries, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +112,7 @@ func TestSearchMatchesReference(t *testing.T) {
 			var st Stats
 			for qi, q := range refQueries(entries, rng, 24) {
 				for _, k := range []int{1, 10, 37, 5000} {
-					dst, st = ix.SearchInto(dst, q, k)
+					dst, st = ix.Search(dst, q, k, nil)
 					checkSearch(t, fmt.Sprintf("seed %d %s query %d k=%d", seed, stage, qi, k), ix, dst, st, q, k)
 				}
 			}
@@ -208,27 +142,6 @@ func TestSearchMatchesReference(t *testing.T) {
 			}
 		}
 	}
-
-	entries := multiLeafCorpus(12, 800)
-	ix, err := Build(entries, Options{Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const queries = 200
-	closed := 0
-	var dst []Result
-	var st Stats
-	for i := 0; i < queries; i++ {
-		q := entries[(i*7919)%len(entries)].Shot.Feature()
-		dst, st = ix.SearchInto(dst, q, 10)
-		if checkSearch(t, fmt.Sprintf("multileaf query %d", i), ix, dst, st, q, 10) {
-			closed++
-		}
-	}
-	t.Logf("%d of %d refines closed", closed, queries)
-	if closed*100 < queries*95 {
-		t.Fatalf("%d of %d refines closed, want at least 95 %%", closed, queries)
-	}
 }
 
 // identityLeaf builds a one-leaf index over rows whose leaf reducer is
@@ -245,7 +158,7 @@ func identityLeaf(t *testing.T, rows [][]float64) *Index {
 			Path:      []string{"medical education", "medicine", "medicine/other"},
 		})
 	}
-	ix, err := Build(entries, Options{Seed: 1})
+	ix, err := Build(entries, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +180,7 @@ func identityLeaf(t *testing.T, rows [][]float64) *Index {
 	}
 	leaf := ix.root.children["medical education"].children["medicine"].children["medicine/other"]
 	leaf.reducer = r
-	ix.fitLeaf(leaf)
+	ix.layoutLeaf(leaf)
 	return ix
 }
 
@@ -316,8 +229,8 @@ func TestRefineMargins(t *testing.T) {
 			t.Fatalf("%s: margin %v, the rows were built around %v", c.name, m, c.margin)
 		}
 		got, st := ix.Search(nil, q, 1, nil)
-		if st.Closed != 1 || st.Exact != c.exact {
-			t.Fatalf("%s: Closed %d after %d exact distances, want 1 after %d", c.name, st.Closed, st.Exact, c.exact)
+		if st.Exact != c.exact {
+			t.Fatalf("%s: %d exact distances, want %d", c.name, st.Exact, c.exact)
 		}
 		requireSameHits(t, c.name, got, refSearch(ix, q, 1))
 		if got[0].Entry != ix.all[c.want] {
@@ -338,16 +251,20 @@ func (b *fuzzBytes) next() int {
 	return int(v)
 }
 
-// FuzzSearchMatchesVisitedFlat builds a small index from the fuzz input —
-// rows over the six paths of corpus, their few non-zero coordinates
-// multiples of ¼ so that distances tie and rows repeat — inserts and
-// removes rows, and holds searches at beams 1–3 to the contract
-// checkSearch states: a closed refine answers what FlatSearch answers over
-// the visited leaves' live rows, (distance, ID) tie order included.
-func FuzzSearchMatchesVisitedFlat(f *testing.F) {
+// FuzzSearchMatchesFlat builds an index from the fuzz input, changes it by
+// a run of Insert, InsertAll and RemoveIDs calls, and holds searches to the
+// contract checkSearch states: FlatSearch's answer over the live rows,
+// (distance, ID) tie order included. Rows put values in multiples of ¼ on
+// a few of a small set of coordinates, so distances tie, rows repeat, and
+// many rows share the extreme values that make a box's faces; one leaf gets
+// most of the rows, so it splits into k-d nodes. A query is drawn like a
+// row, or duplicates a row — a live one puts kth at 0, and its projection on
+// the faces of the boxes that hold the row.
+func FuzzSearchMatchesFlat(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte("\x28\x01\x09\x11\x03\x20\x05\x40\x06\x07\x08\x09\x0a\x00\x01\x02\x03"))
 	f.Add([]byte("\xff\x02\x0b\x80\x81\x82\x83\x84\x85\x86\x87\x01\x02\x03\x00\x04\x05"))
+	f.Add([]byte("\x07\xc0\x03\x11\x0b\x01\x02\x01\x02\x00\x05\x00\x01\x03\x04\x00\x09\x00\x02"))
 	paths := [][]string{
 		{"medical education", "medicine", "medicine/presentation"},
 		{"medical education", "medicine", "medicine/dialog"},
@@ -358,38 +275,56 @@ func FuzzSearchMatchesVisitedFlat(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
+		rng := rand.New(rand.NewSource(int64(in.next()<<8 | in.next())))
+		coords := 2 + in.next()%30 // the coordinates rows may set
+		nonZeros := 1 + in.next()%6
 		shot := func(i int) *vidmodel.Shot {
 			f := make([]float64, feature.ColorBins+feature.TextureDims)
-			for j := 1 + in.next()%6; j > 0; j-- {
-				f[in.next()*11%len(f)] = float64(in.next()%8) / 4
+			for j := 1 + rng.Intn(nonZeros); j > 0; j-- {
+				f[rng.Intn(coords)*37%len(f)] = float64(rng.Intn(8)) / 4
 			}
 			return &vidmodel.Shot{Index: i, Color: f[:feature.ColorBins], Texture: f[feature.ColorBins:]}
 		}
-		entry := func(i, path int) *Entry {
+		entry := func(i int) *Entry {
+			path := 0 // most rows share one leaf, which splits
+			if rng.Intn(3) == 0 {
+				path = rng.Intn(len(paths))
+			}
 			return &Entry{VideoName: fmt.Sprintf("v%d", i), Shot: shot(i), Path: paths[path]}
 		}
-		n := len(paths) + in.next()%40
-		beam := 1 + in.next()%3
+		n := len(paths) + 2*in.next()
 		var entries []*Entry
 		for i := 0; i < n; i++ {
-			path := i
-			if i >= len(paths) {
-				path = in.next() % len(paths)
+			e := entry(i)
+			if i < len(paths) {
+				e.Path = paths[i]
 			}
-			entries = append(entries, entry(i, path))
+			entries = append(entries, e)
 		}
-		ix, err := Build(entries, Options{Seed: 1, Beam: beam})
+		ix, err := Build(entries, Options{})
 		if err != nil {
 			t.Skip(err)
 		}
 		for op := in.next() % 12; op > 0; op-- {
-			if in.next()%3 == 0 {
-				ix, _ = ix.RemoveIDs([]int32{int32(in.next() % len(ix.all))})
-				continue
-			}
-			e := entry(len(ix.all), in.next()%len(paths))
-			if ix, err = ix.Insert(e); err != nil {
-				t.Fatal(err)
+			switch in.next() % 3 {
+			case 0:
+				ids := make([]int32, 1+in.next()%8)
+				for i := range ids {
+					ids[i] = int32(rng.Intn(len(ix.all)))
+				}
+				ix, _ = ix.RemoveIDs(ids)
+			case 1:
+				if ix, err = ix.Insert(entry(len(ix.all))); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				batch := make([]*Entry, 1+in.next()%16)
+				for i := range batch {
+					batch[i] = entry(len(ix.all) + i)
+				}
+				if ix, err = ix.InsertAll(batch); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		var dst []Result
@@ -397,11 +332,14 @@ func FuzzSearchMatchesVisitedFlat(f *testing.F) {
 		for qi := 0; qi < 4; qi++ {
 			q := shot(-1).Feature()
 			if in.next()%2 == 0 {
-				q = ix.all[in.next()%len(ix.all)].Shot.Feature() // a row's duplicate: kth may be 0
+				q = ix.all[rng.Intn(len(ix.all))].Shot.Feature()
 			}
 			k := 1 + in.next()%12
-			dst, st = ix.SearchInto(dst, q, k)
-			checkSearch(t, fmt.Sprintf("beam %d query %d k=%d", beam, qi, k), ix, dst, st, q, k)
+			if qi == 3 {
+				k = ix.Size() + 1 + in.next()%4
+			}
+			dst, st = ix.Search(dst, q, k, nil)
+			checkSearch(t, fmt.Sprintf("query %d k=%d", qi, k), ix, dst, st, q, k)
 		}
 	})
 }

@@ -19,16 +19,6 @@ func (d *Dense) Row(i int) []float64 {
 	return d.Data[i*d.C : (i+1)*d.C : (i+1)*d.C]
 }
 
-// Rows materialises per-row views. The returned slice allocates headers
-// only; the float data is shared with the matrix.
-func (d *Dense) Rows() [][]float64 {
-	out := make([][]float64, d.R)
-	for i := range out {
-		out[i] = d.Row(i)
-	}
-	return out
-}
-
 // SqDistBounded returns the squared Euclidean distance between a and b,
 // abandoning early once the running sum exceeds bound: the returned value is
 // then some partial sum > bound, still correct for "is the true distance

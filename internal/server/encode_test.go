@@ -66,7 +66,7 @@ func randomResponse(rng *rand.Rand) searchResponse {
 	}
 	resp := searchResponse{
 		Stats: classminer.SearchStats{DistanceOps: rng.Intn(1e6), FloatOps: rng.Int(), Candidates: -rng.Intn(3),
-			Exact: rng.Intn(41), Closed: rng.Intn(2)},
+			Exact: rng.Intn(41)},
 		K: rng.Intn(101),
 	}
 	switch n := rng.Intn(6); n {

@@ -562,8 +562,6 @@ func appendSearchResponse(dst []byte, resp *searchResponse) ([]byte, error) {
 	dst = strconv.AppendInt(dst, int64(resp.Stats.Candidates), 10)
 	dst = append(dst, ",\n    \"Exact\": "...)
 	dst = strconv.AppendInt(dst, int64(resp.Stats.Exact), 10)
-	dst = append(dst, ",\n    \"Closed\": "...)
-	dst = strconv.AppendInt(dst, int64(resp.Stats.Closed), 10)
 	dst = append(dst, "\n  },\n  \"k\": "...)
 	dst = strconv.AppendInt(dst, int64(resp.K), 10)
 	dst = append(dst, ",\n  \"cached\": "...)
