@@ -34,6 +34,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"classminer/internal/access"
 	"classminer/internal/concept"
@@ -257,6 +258,11 @@ type libMetrics struct {
 	ixInserts     *metrics.Counter // shots absorbed into the serving index incrementally
 	ixRemoves     *metrics.Counter // shots masked out of the serving index incrementally
 	fitsDropped   *metrics.Counter // full fits thrown away at the swap
+	// fitSeconds times every full fit, by phase: [0] "boot", the fit that
+	// builds the library's first index (a daemon's, over what it
+	// recovered), and [1] "run", every refit of a serving index.
+	fitSeconds [2]*metrics.Histogram
+	rowsFit    *metrics.Counter // rows the full fits read
 }
 
 // Instrument registers the library's metrics on reg: lifecycle counters
@@ -282,6 +288,13 @@ func (l *Library) Instrument(reg *metrics.Registry) {
 			"Shots masked out of the serving index without a full refit."),
 		fitsDropped: reg.Counter("classminer_index_fits_dropped_total",
 			"Full index fits discarded at the swap (the library compacted under them, or a newer fit landed first)."),
+		rowsFit: reg.Counter("index_rows_fit_total",
+			"Rows read by full index fits, installed or dropped."),
+	}
+	for i, phase := range []string{"boot", "run"} {
+		m.fitSeconds[i] = reg.Histogram("index_fit_seconds",
+			"Duration of full index fits: phase boot builds the library's first index, run refits a serving one.",
+			metrics.LatencyBuckets, "phase", phase)
 	}
 	reg.GaugeFunc("classminer_videos", "Videos currently registered.",
 		func() float64 { l.mu.RLock(); defer l.mu.RUnlock(); return float64(len(l.videos)) })
@@ -942,10 +955,15 @@ func (l *Library) BuildIndexCtx(ctx context.Context) error {
 		dead = slices.Clone(l.dead)
 	}
 	ver, epoch := l.entriesVer, l.epoch
+	fitSeconds, rowsFit := l.met.fitSeconds[1], l.met.rowsFit // a refit
+	if l.ix == nil {
+		fitSeconds = l.met.fitSeconds[0] // the library's first index: boot
+	}
 	l.mu.RUnlock()
 	if live == 0 {
 		return fmt.Errorf("classminer: no videos registered")
 	}
+	start := time.Now()
 	fit := sp.Start("fit")
 	fit.SetInt("entries", int64(live))
 	fit.SetInt("workers", int64(runtime.GOMAXPROCS(0))) // the fit runs on this many goroutines
@@ -959,6 +977,8 @@ func (l *Library) BuildIndexCtx(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	fitSeconds.ObserveSince(start)
+	rowsFit.Add(uint64(live))
 	swap := sp.Start("swap") // includes the write-lock wait
 	defer swap.End()
 	l.mu.Lock()

@@ -25,6 +25,7 @@ import (
 	"testing"
 	"time"
 
+	"classminer/internal/metrics"
 	"classminer/internal/store"
 	"classminer/internal/trace"
 	"classminer/internal/wal"
@@ -681,6 +682,44 @@ func TestFitSpanAttrs(t *testing.T) {
 		return
 	}
 	t.Fatalf("no fit span in %+v", v.Spans)
+}
+
+// TestFitHistogram: every full fit is observed once in index_fit_seconds,
+// under phase "boot" when it builds the library's first index and "run"
+// when it refits a serving one, and index_rows_fit_total counts the rows
+// each fit read.
+func TestFitHistogram(t *testing.T) {
+	lib := NewLibrary(nil)
+	for i := 0; i < 3; i++ {
+		if err := lib.AddResult(tinyResult(t, fmt.Sprintf("vid-%05d", i), int64(i), 25), "medicine"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := metrics.NewRegistry()
+	lib.Instrument(reg)
+	for fit := 0; fit < 3; fit++ {
+		if fit == 2 {
+			if err := lib.AddResult(tinyResult(t, "vid-late", 9, 25), "medicine"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lib.BuildIndexCtx(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`index_fit_seconds_count{phase="boot"} 1`,
+		`index_fit_seconds_count{phase="run"} 2`,
+		"index_rows_fit_total 250", // 75 rows twice, then 100
+	} {
+		if !strings.Contains(buf.String(), want+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", want, buf.String())
+		}
+	}
 }
 
 // allocatedBy reports the bytes the heap handed out while f ran.

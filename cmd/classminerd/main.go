@@ -332,6 +332,9 @@ func buildLibrary(logger *log.Logger, cfg config, reg *metrics.Registry) (*class
 		lib.Stats().Videos, cfg.dataDir, time.Since(start).Round(time.Millisecond))
 
 	if lib.Size() > 0 && lib.IndexStale() {
+		if reg != nil {
+			lib.Instrument(reg) // before the boot fit, so index_fit_seconds sees it
+		}
 		start = time.Now()
 		if err := lib.BuildIndexCtx(context.Background()); err != nil {
 			lib.Close()
