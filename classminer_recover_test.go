@@ -987,3 +987,53 @@ func TestReseedIsAllOrNothing(t *testing.T) {
 		t.Fatalf("l0 kept its stale content (%d shots)", got)
 	}
 }
+
+// TestRecoveredAnswersIgnoreHistory: which hits a search returns is a
+// function of the live rows, not of the order they were registered in. A
+// durable library registers jittered videos against their name order (a
+// checkpoint writes, and recovery replays, them in name order, so the
+// recovered library holds its rows in another order), fits, answers a
+// fixed probe set, checkpoints and is abandoned; the recovered library fits
+// again and must answer the probes byte for byte as before. The features
+// are continuous random draws, so no two distances tie exactly and the
+// order of tied hits (a separate matter) never enters.
+func TestRecoveredAnswersIgnoreHistory(t *testing.T) {
+	dir := t.TempDir()
+	lib, err := Recover(dir, nil, quietWAL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const videos = 30
+	rng := rand.New(rand.NewSource(13))
+	for _, i := range rng.Perm(videos) {
+		sub := []string{"medicine", "nursing", "dentistry"}[i%3]
+		if err := lib.AddResultCtx(context.Background(), tinyResult(t, fmt.Sprintf("vid-%03d", i), int64(i), 4+i%9), sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lib.BuildIndexCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	queries := fixedQueries(40, 12, 1017)
+	before := map[int][][]SearchHit{}
+	for _, k := range []int{1, 10, 40} {
+		before[k] = searchAll(t, lib, queries, k)
+	}
+	if err := lib.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.Close(); err != nil { // SyncAlways: what a SIGKILL leaves
+		t.Fatal(err)
+	}
+	recovered, err := Recover(dir, nil, quietWAL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if err := recovered.BuildIndexCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 10, 40} {
+		mustSameHits(t, searchAll(t, recovered, queries, k), before[k])
+	}
+}
