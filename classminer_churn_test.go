@@ -614,7 +614,11 @@ func TestFitSurvivesRacingDeletes(t *testing.T) {
 			}
 		}(r)
 	}
-	for i := 0; i < fits; i++ {
+	// At least fits calls, and more while the writers have not yet churned
+	// every video the first fit saw: a fit can land before the writers
+	// spend its allowance (under the race detector a fit is a fraction of
+	// a churn pair's cost).
+	for i := 0; i < fits || (int(nextName.Load())-base < base && i < 10*fits); i++ {
 		before := lib.Stats()
 		allowance.Store(perFit)
 		if err := lib.BuildIndexCtx(context.Background()); err != nil {

@@ -540,13 +540,12 @@ func candLess(a, b cand) bool {
 	return a.unit < b.unit
 }
 
-// bound is one live row of an opened box: leaf row row, entry id, and lb,
-// its squared distance to the query in the leaf's reduced space — a lower
-// bound on their full-space squared distance, as the box's is.
+// bound is one live row of an opened box: entry id, and lb, its squared
+// distance to the query in the leaf's reduced space — a lower bound on
+// their full-space squared distance, as the box's is.
 type bound struct {
-	lb  float64
-	id  int32
-	row int32
+	lb float64
+	id int32
 }
 
 func pushCand(h []cand, c cand) []cand {
@@ -784,9 +783,10 @@ func (ix *Index) refineRows(top []heapItem, query []float64, k int, sc *searchSc
 				continue
 			}
 		}
-		// Insertion: a box holds at most subLeafRows rows, the overlay
-		// few more before a refit.
-		rows = append(rows, bound{lb: lb, id: id, row: row})
+		// Insertion: a k-d leaf holds at most subLeafRows rows, and an
+		// overlay what the caller's staleness budget lets in before a
+		// refit.
+		rows = append(rows, bound{lb: lb, id: id})
 		for i := len(rows) - 1; i > 0 && boundLess(rows[i], rows[i-1]); i-- {
 			rows[i], rows[i-1] = rows[i-1], rows[i]
 		}

@@ -198,8 +198,10 @@ func sparseRow(coords map[int]float64) []float64 {
 // kth = 1 the margin is 1 + 2⁻³⁰ + 2⁻⁴⁰: a row bounded exactly there is
 // refined, a row bounded at the next representable value is not. At kth = 0
 // — exact duplicates of the query — the margin is 2⁻⁴⁰ alone. At kth = 1 a
-// row tying the seed's distance with a smaller ID displaces it, as
-// FlatSearch's (distance, position) order says.
+// row tying the first exact distance with a smaller ID displaces it, as
+// FlatSearch's (distance, position) order says. The rows share one k-d leaf
+// (there are fewer than subLeafRows), so the refine meets them in bound
+// order.
 func TestRefineMargins(t *testing.T) {
 	q := sparseRow(nil)
 	for _, c := range []struct {
@@ -210,14 +212,14 @@ func TestRefineMargins(t *testing.T) {
 		exact       int // exact distances the search spends
 	}{
 		{"kth=1", 1, 1 + 0x1p-30 + 0x1p-40, [][]float64{
-			sparseRow(map[int]float64{0: 1}),                                     // bound 1 = its distance, ties the seed with a smaller ID
-			sparseRow(map[int]float64{20: 1}),                                    // bound 0, distance 1: the seed
+			sparseRow(map[int]float64{0: 1}),                                     // bound 1 = its distance, ties the first with a smaller ID
+			sparseRow(map[int]float64{20: 1}),                                    // bound 0, distance 1: the first exact
 			sparseRow(map[int]float64{0: 1, 1: 0x1p-15, 2: 0x1p-20}),             // bound on the margin
 			sparseRow(map[int]float64{0: 1, 1: 0x1p-15, 2: 0x1p-20, 3: 0x1p-26}), // one ulp past it
 			sparseRow(map[int]float64{5: 8}), sparseRow(map[int]float64{6: 9}), sparseRow(map[int]float64{7: 10}),
 		}, 0, 3},
 		{"kth=0", 0, 0x1p-40, [][]float64{
-			sparseRow(nil),                         // a duplicate of the query: the seed
+			sparseRow(nil),                         // a duplicate of the query: the first exact
 			sparseRow(nil),                         // another, with a larger ID
 			sparseRow(map[int]float64{0: 0x1p-20}), // bound 2⁻⁴⁰, on the margin
 			sparseRow(map[int]float64{0: 0x1p-20, 1: 0x1p-46}), // one ulp past it
