@@ -83,9 +83,9 @@ var fitDigestCases = []struct {
 	want    string
 }{
 	{"corpus-1200", func() []*Entry { return corpus(1200, 10) },
-		"d8c77dc1d30334cc88910910de1a26653fe5827aae2dd3400f8201bac8d21764"},
+		"a417454789910363ee70f1cdb542f427af55b46d39790df730ff2771b2cfb0f0"},
 	{"multileaf", func() []*Entry { return multiLeafCorpus(12, 401, 9, 150, 702) },
-		"4acd7da69267ed20a5b86116704a473ffa24d6a840241936ac7d6e2637765307"},
+		"0541d8a566b11182414c1983db365fb37dd86a34d389f48da14e2bac4db25cf8"},
 }
 
 // TestBuildMatrixConcurrent holds the contract that fits over one shared row

@@ -1,17 +1,18 @@
 // Incremental index maintenance: copy-on-write Insert/InsertAll and
 // Remove/RemoveIDs keep a built index searchable across registrations and
 // deletions without the O(library) refit of a build. An inserted entry
-// goes to the leaf its concept path names: its projected row is appended to
-// the leaf's overlay, the overlay's box widens to hold it, and its packed
-// feature (its shot's Row, or its shot's halves packed when it has none) is
-// appended to the row table — no reducer is refit and no k-d box of the fit
-// moves, so each leaf's subspace stays that of the last full fit. A removed
-// entry is masked
-// by a paged bitset: a removal copies the page table and the pages it
-// touches, never the whole mask, so masking a video costs what the video
-// holds however large the index is. All four return a *new* Index sharing
-// all unchanged structure with the old one: concurrent searches keep running
-// against whichever index they started with.
+// goes to the leaf its concept path names: its projected row (its dropped
+// norm included) is appended to the leaf's overlay, the overlay's box
+// widens to hold it, the index's leaf list takes the cloned leaf, and its
+// packed feature (its shot's Row, or its shot's halves packed when it has
+// none) is appended to the row table — no reducer is refit and no k-d box
+// of the fit moves, so each leaf's subspace stays that of the last full
+// fit. A removed entry is masked by a paged bitset: a removal copies the
+// page table and the pages it touches, never the whole mask, so masking a
+// video costs what the video holds however large the index is. All four
+// return a *new* Index sharing all unchanged structure with the old one:
+// concurrent searches keep running against whichever index they started
+// with.
 //
 // Entry IDs are positions: the entries handed to a build are 0..n-1 and
 // every inserted entry takes the next one. A caller that appends to its own
@@ -75,10 +76,10 @@ func (ix *Index) leafOf(e *Entry) (*node, error) {
 }
 
 // Insert returns a new Index extended with e, placed in the leaf its
-// concept path names. The cost is O(path depth + reduced dim), independent
-// of how many entries the index holds. The receiving index must be the
-// newest of its chain (see the package comment's single-writer contract);
-// it remains valid — and unchanged — for concurrent searches.
+// concept path names. The cost is O(path depth + leaves + reduced dim),
+// independent of how many entries the index holds. The receiving index
+// must be the newest of its chain (see the package comment's single-writer
+// contract); it remains valid — and unchanged — for concurrent searches.
 func (ix *Index) Insert(e *Entry) (*Index, error) {
 	// Verify the path ends at an existing leaf before cloning anything.
 	if _, err := ix.leafOf(e); err != nil {
@@ -92,6 +93,7 @@ func (ix *Index) Insert(e *Entry) (*Index, error) {
 	nix.all = append(ix.all, e)
 	nix.rows = appendRows(ix.rows, []*Entry{e})
 	nix.inserted = ix.inserted + 1
+	nix.leaves = slices.Clone(ix.leaves)
 	nix.root = cloneSpine(ix.root, e.Path, func(leaf *node) *node {
 		nl := *leaf // shares ids, proj, boxes, reducer with the old leaf
 		dim := leaf.reducer.Dim()
@@ -100,6 +102,7 @@ func (ix *Index) Insert(e *Entry) (*Index, error) {
 		nl.extraProj = grow(leaf.extraProj, dim)[:at+dim]
 		leaf.reducer.ProjectRow(nl.extraProj[at:], nix.rows[id], make([]int32, 0, nix.dim))
 		nl.extraBox = widen(leaf.extraBox, nl.extraProj[at:], dim)
+		nix.leaves[slices.Index(nix.leaves, leaf)] = &nl
 		return &nl
 	})
 	return &nix, nil
@@ -146,6 +149,7 @@ func (ix *Index) InsertAll(entries []*Entry) (*Index, error) {
 	nix.rows = appendRows(ix.rows, entries)
 	nix.inserted = ix.inserted + len(entries)
 	idx := make([]int32, 0, nix.dim)
+	nix.leaves = slices.Clone(ix.leaves)
 	for _, g := range groups {
 		nix.root = cloneSpine(nix.root, g.path, func(leaf *node) *node {
 			nl := *leaf
@@ -159,6 +163,7 @@ func (ix *Index) InsertAll(entries []*Entry) (*Index, error) {
 				nl.extraIDs = append(nl.extraIDs, id)
 			}
 			nl.extraBox = widen(leaf.extraBox, nl.extraProj[at:], dim)
+			nix.leaves[slices.Index(nix.leaves, leaf)] = &nl
 			return &nl
 		})
 	}

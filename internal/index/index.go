@@ -4,14 +4,25 @@
 // distances are computed in a subspace rather than in all 266 dimensions.
 //
 // Search is exact: it returns what FlatSearch returns over every live row —
-// the same hits, in the same order, at the same Dist bits. Within a concept
-// leaf's subspace the rows are split into a k-d tree of boxes (the min and
-// max of every reduced coordinate over the rows under a node). A box's
+// the same hits, in the same order, at the same Dist bits. A leaf's reduced
+// space has one coordinate past its principal components: the dropped norm
+// e(x), the Euclidean norm of the coordinates its reducer does not select.
+// Within that space the rows are split into a k-d tree of boxes (the min
+// and max of every reduced coordinate over the rows under a node). A box's
 // distance to the query's projection bounds every row under it from below,
-// and a row's reduced distance bounds its full-space distance from below,
-// because a reducer selects coordinates and then applies an orthonormal
-// projection, neither of which lengthens a vector (GEMINI's lower-bounding
-// lemma). A search pops boxes and rows best-first by bound and spends
+// and a row's reduced distance bounds its full-space distance from below:
+// the selected and the dropped coordinates are orthogonal, a reducer
+// applies an orthonormal projection to the selected ones, which does not
+// lengthen a vector, and the dropped ones are at least |e(q) − e(x)| apart
+// (GEMINI's lower-bounding lemma with one more term). The norm term is
+// deflated by a bound on its rounding (see margin), so it stays a lower
+// bound however close two rows are and however large their values.
+//
+// A search first computes only the query's dropped norm in every leaf's
+// space, in one pass over the query's non-zero coordinates, and bounds each
+// leaf by that norm's gap to the e range of the leaf's root box and overlay
+// box. It projects the query into a leaf in full only when that bound comes
+// first. It then pops boxes and rows best-first by bound and spends
 // full-space distances only on the rows no bound excludes, stopping once
 // the next bound passes the k-th exact distance: the Tc ≪ Te total-cost
 // comparison of Eqs. (24)–(25) with the answer of a full scan. The paper
@@ -39,6 +50,7 @@ package index
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -77,8 +89,9 @@ func (o Options) withDefaults() Options {
 
 // Stats counts the work a search performed, the quantities of Eqs. (24)
 // and (25): distance computations, the float dimensions they touched, and
-// the size of the candidate set. Projecting the query into each leaf's
-// subspace is not counted.
+// the size of the candidate set. Projection is not counted: neither the
+// query's dropped norms and the leaf bounds drawn from them, nor the full
+// projection into each leaf the search opens.
 type Stats struct {
 	DistanceOps int // total distance computations: box bounds, row bounds and full-space distances
 	FloatOps    int // Σ dims actually touched over all distance computations
@@ -99,7 +112,10 @@ type Result struct {
 type Index struct {
 	opts Options
 	root *node
-	all  []*Entry
+	// leaves are root's leaves in the tree's order, the leaves a search
+	// bounds; Insert and InsertAll replace the one they clone in a copy.
+	leaves []*node
+	all    []*Entry
 	// rows[i] is the full feature of entry i, dim wide, packed: its shot's
 	// Row, or the index's own packing of a shot that has none (or of the
 	// matrix BuildMatrix was handed). Inserted entries append to it like all.
@@ -117,7 +133,8 @@ type Index struct {
 	removed      []*maskPage
 	removedCount int
 
-	maxDim int // widest reducer output across leaves (scratch sizing)
+	maxDim int     // widest reducer output across leaves (scratch sizing)
+	tol    float64 // the dropped-norm gap's rounding allowance, normTol(dim)
 	// scratch is shared by every index in a copy-on-write chain (clones
 	// copy the pointer), so pooled buffers survive Insert/Remove and
 	// steady-state searches stay allocation-free.
@@ -135,8 +152,8 @@ type node struct {
 	reducer *Reducer
 	ids     []int32
 	proj    *mat.Dense
-	// lead holds proj's leading min(boundDims, dim) columns contiguously:
-	// the part of every row the partial bound reads, a quarter of the cache
+	// lead holds proj's leading leadDims(dim) columns contiguously: the
+	// part of every row the partial bound reads, a quarter of the cache
 	// lines proj spreads it over.
 	lead []float64
 	// kd is the leaf's k-d tree in pre-order (kd[0] the root; a node's left
@@ -272,14 +289,15 @@ func build(entries []*Entry, rows []featrow.Row, dim int, opts Options) (*Index,
 		}
 		cur.ids = append(cur.ids, int32(i))
 	}
-	leaves := appendLeaves(nil, ix.root)
-	if err := ix.fit(leaves); err != nil {
+	ix.leaves = appendLeaves(nil, ix.root)
+	if err := ix.fit(ix.leaves); err != nil {
 		return nil, err
 	}
 	ix.baseRows = len(entries)
-	for _, leaf := range leaves {
+	for _, leaf := range ix.leaves {
 		ix.maxDim = max(ix.maxDim, leaf.reducer.Dim())
 	}
+	ix.tol = normTol(dim)
 	ix.scratch = &sync.Pool{New: func() any {
 		return &searchScratch{qmask: make([]uint64, (dim+63)/64)}
 	}}
@@ -368,7 +386,7 @@ func (ix *Index) layoutLeaf(n *node) {
 	}
 	var perm []int32
 	n.kd, n.boxes, perm = splitKD(p, n.ids)
-	h := min(boundDims, dim)
+	h := leadDims(dim)
 	ids := make([]int32, len(perm))
 	n.proj = mat.NewDense(len(perm), dim)
 	n.lead = make([]float64, len(perm)*h)
@@ -495,9 +513,14 @@ func selectKth(a []kdKey, k int) {
 // boundDims is how many leading reduced dimensions the partial bound sums
 // for every live row of a k-d leaf the search opens. A leaf's PCA orders
 // its dimensions by variance, so the leading ones carry most of the bound;
-// the rest are added only for the rows whose partial bound does not already
-// exclude them.
+// the rest, and the dropped norm, are added only for the rows whose partial
+// bound does not already exclude them.
 const boundDims = 4
+
+// leadDims is how many coordinates of a dim-wide reduced space the partial
+// bound sums: boundDims principal components at most, never the dropped
+// norm, whose term is deflated (normGap).
+func leadDims(dim int) int { return min(boundDims, dim-1) }
 
 // The search stops at the first bound that exceeds
 // kth·(1+refineEps)+refineSlack, kth being the running k-th exact squared
@@ -517,16 +540,59 @@ const (
 
 // margin is the bound past which a row cannot rank among the k best once
 // kth is the k-th best exact squared distance found.
+//
+// The dropped norm's term is bounded, not measured. For a leaf that keeps
+// the coordinates S and drops D, ‖q−x‖² = ‖(q−x)_S‖² + ‖q_D−x_D‖², and
+// ‖q_D−x_D‖ ≥ |e(q)−e(x)| with e(y) = ‖y_D‖. With u = 2⁻⁵³ and m ≤ dim
+// summed elements, normAcc computes ê(y) = e(y)·(1+θ), |θ| ≤ η = (m+4)·u:
+// its scalings are exact, each square is rounded once and each sum m−1
+// times at most, then the combining add and the square root once each, and
+// the cap (normCap) moves no two norms apart — up to an absolute 2⁻¹⁰⁷⁴
+// when ê is subnormal. So |e(q)−e(x)| ≥ |ê(q)−ê(x)| − η/(1−η)·(ê(q)+ê(x)),
+// and computing that difference, the sum and their product rounds it up by
+// at most 2u·(ê(q)+ê(x)) more. normGap subtracts tol·(ê(q)+ê(x)) with
+// tol = normTol(dim) = (dim+8)·2⁻⁵² ≥ η/(1−η) + 2u, so the gap it returns
+// is at most the exact |e(q)−e(x)| times (1+u): its square exceeds the
+// exact term by a relative few ulps, as every other term of a bound may,
+// which refineEps covers, and the subnormal case adds less than
+// refineSlack. A box's gap is its rows' at the nearer face of its e range,
+// and the gap grows with a face's distance from ê(q), so it bounds every
+// row's. No tuned factor enters: the argument holds for near-duplicate
+// rows whose dropped norms are large, where a gap of a few ulps of the
+// norm exceeds the rows' whole distance.
 func margin(kth float64) float64 { return kth*(1+refineEps) + refineSlack }
 
+// normTol is the relative allowance normGap deflates a dropped-norm gap by
+// in a dim-wide feature space (see margin).
+func normTol(dim int) float64 { return float64(dim+8) * 0x1p-52 }
+
+// normGap is the dropped-norm gap between a query's norm eq and the range
+// [lo, hi] of a box's (a row's when lo = hi), deflated by tol of the two
+// norms it takes: no more than the exact gap of any row in the range.
+func normGap(eq, lo, hi, tol float64) float64 {
+	if g := lo - eq; g > 0 {
+		return max(0, g-tol*(lo+eq))
+	}
+	if g := eq - hi; g > 0 {
+		return max(0, g-tol*(eq+hi))
+	}
+	return 0
+}
+
 // cand is one box in a search's bound heap — k-d node unit of
-// leaves[leaf], or the leaf's overlay when unit is len(kd) — keyed by lb,
-// its squared distance to the query's projection: a lower bound on the
-// full-space squared distance of every row in it.
+// Index.leaves[leaf], the leaf's overlay when unit is len(kd), or the whole
+// leaf, not yet projected, when unit is unprojected — keyed by lb, its
+// squared distance to the query's projection (a leaf's: its dropped-norm
+// gap alone): a lower bound on the full-space squared distance of every row
+// in it.
 type cand struct {
 	lb         float64
 	leaf, unit int32
 }
+
+// unprojected is the unit of a leaf's heap entry before the query is
+// projected into its space.
+const unprojected = -1
 
 // candLess orders the heap by ascending lb, then position, so the work a
 // search does is a function of the index and the query alone.
@@ -593,16 +659,17 @@ type heapItem struct {
 // searchScratch is the per-call mutable state of one search, recycled
 // through Index.scratch so steady-state searches allocate nothing.
 type searchScratch struct {
-	qmask  []uint64 // the query's presence mask, for the exact distances
-	leaves []*node
-	lproj  []float64 // query projection into leaves[i]'s space at i*maxDim
-	heap   []cand
-	rows   []bound    // the opened box's rows that its bound keeps
-	top    []heapItem // the k best exact distances so far
+	qmask     []uint64  // the query's presence mask, for the exact distances
+	norms     []normAcc // the query's dropped norm in Index.leaves[i]'s space
+	lproj     []float64 // query projection into Index.leaves[i]'s space at i*maxDim
+	projected int       // leaves the query was projected into
+	heap      []cand
+	rows      []bound    // the opened box's rows that its bound keeps
+	top       []heapItem // the k best exact distances so far
 }
 
 // leafQuery is the slot holding the query's projection into the space of
-// leaves[i].
+// Index.leaves[i].
 func (sc *searchScratch) leafQuery(i int, leaf *node, maxDim int) []float64 {
 	return sc.lproj[i*maxDim : i*maxDim+leaf.reducer.Dim()]
 }
@@ -617,12 +684,14 @@ func (sc *searchScratch) leafQuery(i int, leaf *node, maxDim int) []float64 {
 // returned slice aliases dst.
 //
 // When sp is a live span, three stages each record a child span: "project"
-// (the query's projection into every leaf's subspace, and the bound of
-// every leaf's root box and overlay), "scan" (the best-first walk over
-// boxes and rows: their bounds and the full-space distances) and "rank"
-// (the k hits sorted and written out). A nil sp (the untraced and
-// unsampled paths) costs nothing — spans come from the trace's pooled
-// arena, so the zero-alloc search contract holds either way.
+// (the query's dropped norm in every leaf's space and the bound of every
+// leaf drawn from it; its "leaves" attribute counts the leaves the query
+// was then projected into), "scan" (the best-first walk over leaves, boxes
+// and rows: the projections into the leaves it opens, the bounds and the
+// full-space distances) and "rank" (the k hits sorted and written out). A
+// nil sp (the untraced and unsampled paths) costs nothing — spans come
+// from the trace's pooled arena, so the zero-alloc search contract holds
+// either way.
 //
 // Search is safe for concurrent use by any number of goroutines: a built
 // Index is immutable, and all mutable search state — the Stats accumulator
@@ -636,15 +705,15 @@ func (ix *Index) Search(dst []Result, query []float64, k int, sp *trace.Span) ([
 	}
 	sc := ix.scratch.Get().(*searchScratch)
 	sc.qmask = featrow.Mask(sc.qmask, query)
-	stage := sp.Start("project")
-	ix.project(query, sc, &stats)
-	stage.SetInt("leaves", int64(len(sc.leaves)))
-	stage.End()
-	stage = sp.Start("scan")
+	project := sp.Start("project")
+	ix.project(query, sc)
+	project.End()
+	stage := sp.Start("scan")
 	top := ix.scan(query, k, sc, &stats)
 	stage.SetInt("candidates", int64(stats.Candidates))
 	stage.SetInt("exact", int64(stats.Exact))
 	stage.End()
+	project.SetInt("leaves", int64(sc.projected))
 	stage = sp.Start("rank")
 	sortItems(top)
 	if cap(dst) < len(top) {
@@ -657,7 +726,6 @@ func (ix *Index) Search(dst []Result, query []float64, k int, sp *trace.Span) ([
 	}
 	stage.End()
 	sc.top = top[:0]
-	sc.leaves = sc.leaves[:0]
 	ix.scratch.Put(sc)
 	return dst, stats
 }
@@ -668,22 +736,55 @@ func (ix *Index) SearchInto(dst []Result, query []float64, k int) ([]Result, Sta
 	return ix.Search(dst, query, k, nil)
 }
 
-// project is the search's first stage: it projects the query into every
-// leaf's subspace and seeds the bound heap with each leaf's root box and,
-// when the leaf has one, its overlay box.
-func (ix *Index) project(query []float64, sc *searchScratch, stats *Stats) {
-	sc.leaves = appendLeaves(sc.leaves[:0], ix.root)
-	if need := len(sc.leaves) * ix.maxDim; len(sc.lproj) < need {
+// project is the search's first stage: in one pass over the query's
+// non-zero coordinates (qmask), in index order, it accumulates the query's
+// dropped norm in every leaf's space — the sums ProjectInto accumulates,
+// bit for bit — and seeds the bound heap with one unprojected entry per
+// leaf, bounded by leafBound.
+func (ix *Index) project(query []float64, sc *searchScratch) {
+	n := len(ix.leaves)
+	if len(sc.norms) < n {
+		sc.norms = make([]normAcc, n)
+	}
+	if need := n * ix.maxDim; len(sc.lproj) < need {
 		sc.lproj = make([]float64, need)
 	}
-	sc.heap = sc.heap[:0]
-	for i, leaf := range sc.leaves {
-		p := leaf.reducer.ProjectInto(sc.leafQuery(i, leaf, ix.maxDim), query)
-		sc.heap = ix.pushBox(sc.heap, leaf, p, int32(i), 0, stats)
-		if len(leaf.extraIDs) > 0 {
-			sc.heap = ix.pushBox(sc.heap, leaf, p, int32(i), int32(len(leaf.kd)), stats)
+	norms := sc.norms[:n]
+	clear(norms)
+	for w, word := range sc.qmask {
+		for ; word != 0; word &= word - 1 {
+			j := w<<6 + bits.TrailingZeros64(word)
+			slot, sq := normTerm(query[j])
+			for i, leaf := range ix.leaves {
+				if leaf.reducer.pos[j] < 0 {
+					norms[i][slot] += sq
+				}
+			}
 		}
 	}
+	sc.heap, sc.projected = sc.heap[:0], 0
+	for i, leaf := range ix.leaves {
+		sc.heap = pushCand(sc.heap, cand{lb: ix.leafBound(leaf, norms[i].norm()), leaf: int32(i), unit: unprojected})
+	}
+}
+
+// leafBound bounds every row of leaf by its dropped-norm term alone: the
+// gap between eq, the query's dropped norm in the leaf's space, and the e
+// range of the leaf's root box or, when nearer, of its overlay box.
+func (ix *Index) leafBound(leaf *node, eq float64) float64 {
+	dim := leaf.reducer.Dim()
+	g := boxNormGap(eq, leaf.box(0, dim), ix.tol)
+	if len(leaf.extraIDs) > 0 {
+		g = min(g, boxNormGap(eq, leaf.extraBox, ix.tol))
+	}
+	return g * g
+}
+
+// boxNormGap is normGap between eq and the e range of box (a leaf's box:
+// dim minima, then dim maxima, the dropped norm last in each).
+func boxNormGap(eq float64, box []float64, tol float64) float64 {
+	dim := len(box) / 2
+	return normGap(eq, box[dim-1], box[2*dim-1], tol)
 }
 
 // pushBox pushes box unit of leaves[at] (leaf), bounded by its squared
@@ -691,50 +792,62 @@ func (ix *Index) project(query []float64, sc *searchScratch, stats *Stats) {
 func (ix *Index) pushBox(h []cand, leaf *node, p []float64, at, unit int32, stats *Stats) []cand {
 	stats.DistanceOps++
 	stats.FloatOps += len(p)
-	return pushCand(h, cand{lb: boxSqDist(p, leaf.box(unit, len(p))), leaf: at, unit: unit})
+	return pushCand(h, cand{lb: boxSqDist(p, leaf.box(unit, len(p)), ix.tol), leaf: at, unit: unit})
 }
 
 // boxSqDist is the squared distance from p to the box (len(p) minima, then
-// len(p) maxima): per coordinate, how far p lies outside the box's range.
-// No row in the box is nearer p in the reduced space: each coordinate's
-// gap is at most the row's, and rounding is monotone.
-func boxSqDist(p, box []float64) float64 {
+// len(p) maxima): per principal component, how far p lies outside the
+// box's range, and then the dropped norm's deflated gap (normGap). No row
+// in the box is nearer p in the reduced space: each component's gap is at
+// most the row's, rounding is monotone, and normGap bounds every row's.
+func boxSqDist(p, box []float64, tol float64) float64 {
+	d := len(p) - 1
 	mins, maxs := box[:len(p)], box[len(p):2*len(p)]
 	var sq float64
-	for c, x := range p {
+	for c, x := range p[:d] {
 		if g := mins[c] - x; g > 0 {
 			sq += g * g
 		} else if g := x - maxs[c]; g > 0 {
 			sq += g * g
 		}
 	}
-	return sq
+	g := normGap(p[d], mins[d], maxs[d], tol)
+	return sq + g*g
 }
 
 // scan is the search's second stage, a best-first k-NN over the bound heap
 // (Hjaltason & Samet's incremental nearest-neighbour walk over the boxes,
 // with Seidl & Kriegel's multi-step filter-and-refine inside a box). It pops
-// the least box until its bound passes margin(kth): a k-d node pushes its
-// two children; a k-d leaf, or the overlay, has its rows refined
-// (refineRows). Every bound lower-bounds the full-space distance of the
-// rows it stands for, up to the margin, so no row of a box left in the
-// heap can enter the top k: the answer is FlatSearch's over every live row.
-// It returns the top k, a heap.
+// the least entry until its bound passes margin(kth): an unprojected leaf
+// has the query projected into its space (ProjectInto) and pushes its root
+// box and, when it has one, its overlay box; a k-d node pushes its two
+// children; a k-d leaf, or the overlay, has its rows refined (refineRows).
+// Every bound lower-bounds the full-space distance of the rows it stands
+// for, up to the margin, so no row of an entry left in the heap can enter
+// the top k: the answer is FlatSearch's over every live row. It returns the
+// top k, a heap.
 func (ix *Index) scan(query []float64, k int, sc *searchScratch, stats *Stats) []heapItem {
 	top, h := sc.top[:0], sc.heap
 	for len(h) > 0 && h[0].lb <= margin(heapBound(top, k)) {
 		c := h[0]
 		h = popCand(h)
-		leaf := sc.leaves[c.leaf]
+		leaf := ix.leaves[c.leaf]
 		p := sc.leafQuery(int(c.leaf), leaf, ix.maxDim)
 		switch {
+		case c.unit == unprojected:
+			leaf.reducer.ProjectInto(p, query)
+			sc.projected++
+			h = ix.pushBox(h, leaf, p, c.leaf, 0, stats)
+			if len(leaf.extraIDs) > 0 {
+				h = ix.pushBox(h, leaf, p, c.leaf, int32(len(leaf.kd)), stats)
+			}
 		case int(c.unit) == len(leaf.kd):
 			top = ix.refineRows(top, query, k, sc, p, leaf, leaf.extraIDs, leaf.extraProj, len(p), int32(len(leaf.ids)), stats)
 		case leaf.kd[c.unit].right >= 0:
 			h = ix.pushBox(h, leaf, p, c.leaf, c.unit+1, stats)
 			h = ix.pushBox(h, leaf, p, c.leaf, leaf.kd[c.unit].right, stats)
 		default:
-			nd, hd := leaf.kd[c.unit], min(boundDims, len(p))
+			nd, hd := leaf.kd[c.unit], leadDims(len(p))
 			top = ix.refineRows(top, query, k, sc, p, leaf, leaf.ids[nd.lo:nd.hi], leaf.lead[int(nd.lo)*hd:], hd, nd.lo, stats)
 		}
 	}
@@ -745,15 +858,15 @@ func (ix *Index) scan(query []float64, k int, sc *searchScratch, stats *Stats) [
 }
 
 // refineRows is the filter-and-refine over one opened box of leaf: ids[r] is
-// leaf row first+r, whose leading min(boundDims, len(p)) reduced
-// coordinates start at lead[r*stride]. Each live row's partial bound over
-// them is completed unless it passes margin(kth); the rows whose complete
+// leaf row first+r, whose leading leadDims(len(p)) reduced coordinates
+// start at lead[r*stride]. Each live row's partial bound over them is
+// completed (tailSq) unless it passes margin(kth); the rows whose complete
 // bound does not pass it get their exact distances offered to the top k in
 // ascending (bound, ID) order, until the next bound passes the k-th
 // distance found so far. The four-wide partial bound, every leaf's at the
 // default PCADims, is unrolled; it sums in the loop's order.
 func (ix *Index) refineRows(top []heapItem, query []float64, k int, sc *searchScratch, p []float64, leaf *node, ids []int32, lead []float64, stride int, first int32, stats *Stats) []heapItem {
-	d, hd := len(p), min(boundDims, len(p))
+	d, hd := len(p), leadDims(len(p))
 	cut := margin(heapBound(top, k))
 	rows := sc.rows[:0]
 	bounded := 0
@@ -776,12 +889,9 @@ func (ix *Index) refineRows(top []heapItem, query []float64, k int, sc *searchSc
 		if lb > cut {
 			continue
 		}
-		row := first + int32(r)
-		if hd < d {
-			stats.FloatOps += d - hd
-			if lb += tailSq(p, leaf.projRow(row, d), hd); lb > cut {
-				continue
-			}
+		stats.FloatOps += d - hd
+		if lb += tailSq(p, leaf.projRow(first+int32(r), d), hd, ix.tol); lb > cut {
+			continue
 		}
 		// Insertion: a k-d leaf holds at most subLeafRows rows, and an
 		// overlay what the caller's staleness budget lets in before a
@@ -811,14 +921,17 @@ func boundLess(a, b bound) bool {
 }
 
 // tailSq completes a partial bound: the squared distance between the query
-// projection p and a row's reduced feature x over the dimensions from h on.
-func tailSq(p, x []float64, h int) float64 {
+// projection p and a row's reduced feature x over the principal components
+// from h on, then the dropped norm's deflated gap (normGap).
+func tailSq(p, x []float64, h int, tol float64) float64 {
+	d := len(p) - 1
 	var sq float64
-	for d, v := range x[h:] {
-		dv := p[h+d] - v
+	for c, v := range x[h:d] {
+		dv := p[h+c] - v
 		sq += dv * dv
 	}
-	return sq
+	g := normGap(p[d], x[d], x[d], tol)
+	return sq + g*g
 }
 
 // offerExact offers entry id to the top-k heap at its exact full-space

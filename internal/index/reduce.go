@@ -121,10 +121,25 @@ func FitReducer(rows []featrow.Row, ids []int32, selectDims, pcaDims int) (*Redu
 			}
 		}
 	}
+	var top float64
 	for a := range cov {
 		for b := a; b < selectDims; b++ {
 			c := cov[a][b]*inv - mu[a]*mu[b]
 			cov[a][b], cov[b][a] = c, c
+			top = max(top, math.Abs(c))
+		}
+	}
+	// The eigensolver squares and multiplies entries: a covariance whose
+	// entries pass 2⁵⁰⁰ (coordinates near 1e150) would overflow it into NaN
+	// components, and one below 2⁻⁵⁰⁰ would lose its bits to underflow.
+	// Such a covariance is scaled by a power of two, which is exact and
+	// leaves the eigenvectors as they are.
+	if top > 0x1p500 || (top > 0 && top < 0x1p-500) {
+		_, exp := math.Frexp(top)
+		for _, row := range cov {
+			for b := range row {
+				row[b] = math.Ldexp(row[b], -exp)
+			}
 		}
 	}
 	pca, err := mat.PCAFromCov(mu, cov, pcaDims)
@@ -150,56 +165,126 @@ func FitReducer(rows []featrow.Row, ids []int32, selectDims, pcaDims int) (*Redu
 
 // ProjectInto maps a full-dimension feature into the reduced space, writing
 // into dst (length Dim): the selected coordinates whose bits are non-zero,
-// in index order, summed against the components, then off subtracted. It
-// performs no heap allocation; Search projects queries through pooled
-// scratch buffers with it.
+// in index order, summed against the components, then off subtracted; and
+// last the dropped norm, the Euclidean norm of every coordinate the reducer
+// does not select, accumulated in index order (normAcc). It performs no
+// heap allocation; Search projects a query into a leaf with it, into pooled
+// scratch, once the leaf's dropped-norm bound no longer excludes it.
 func (r *Reducer) ProjectInto(dst, v []float64) []float64 {
 	k := len(r.pca.Components)
-	if len(dst) != k {
+	if len(dst) != k+1 {
 		panic(mat.ErrDimension)
 	}
 	clear(dst)
-	for j, src := range r.selected {
-		x := v[src]
+	var acc normAcc
+	for j, x := range v {
 		if math.Float64bits(x) == 0 {
 			continue
 		}
-		for c, w := range r.compsT[j*k:][:len(dst)] {
+		p := int(r.pos[j])
+		if p < 0 {
+			acc.add(x)
+			continue
+		}
+		for c, w := range r.compsT[p*k:][:k] {
 			dst[c] += x * w
 		}
 	}
 	for c, o := range r.off {
 		dst[c] -= o
 	}
+	dst[k] = acc.norm()
 	return dst
 }
 
 // ProjectRow is ProjectInto on a packed row, bit for bit: it walks the
 // row's non-zero elements (idx is the walk's scratch, room for the row's
-// width) and sums the selected ones against the components in the same
-// order, then subtracts off.
+// width), sums the selected ones against the components and the dropped
+// ones into the norm in the same order, then subtracts off.
 func (r *Reducer) ProjectRow(dst []float64, row featrow.Row, idx []int32) []float64 {
 	k := len(r.pca.Components)
-	if len(dst) != k {
+	if len(dst) != k+1 {
 		panic(mat.ErrDimension)
 	}
 	clear(dst)
+	var acc normAcc
 	idx, vals := row.NonZeros(idx[:0])
 	for t, j := range idx {
+		x := vals[t]
 		p := int(r.pos[j])
 		if p < 0 {
+			acc.add(x)
 			continue
 		}
-		x := vals[t]
-		for c, w := range r.compsT[p*k:][:len(dst)] {
+		for c, w := range r.compsT[p*k:][:k] {
 			dst[c] += x * w
 		}
 	}
 	for c, o := range r.off {
 		dst[c] -= o
 	}
+	dst[k] = acc.norm()
 	return dst
 }
 
-// Dim is the reduced dimensionality.
-func (r *Reducer) Dim() int { return r.pca.Dim() }
+// Dim is the reduced dimensionality: the principal components, then the
+// dropped norm.
+func (r *Reducer) Dim() int { return r.pca.Dim() + 1 }
+
+// normAcc accumulates a Euclidean norm that neither overflows nor
+// underflows, as BLAS dnrm2 does since LAPACK 3.10 (Blue's algorithm;
+// Anderson, "Algorithm 978: Safe scaling in the Level 1 BLAS", 2017). Each
+// element's square goes into one of three sums by its magnitude: |x| > 2⁵⁰⁰
+// as (x·2⁻⁶⁰⁰)², |x| < 2⁻⁵⁰⁰ as (x·2⁶⁰⁰)², and x² otherwise. The scalings
+// are powers of two, so they are exact (x·2⁶⁰⁰ is normal even for a
+// subnormal x), and every non-zero square lands in [2⁻⁹⁴⁸, 2⁸⁴⁸], so each
+// square and each addition is rounded relatively. norm combines the sums;
+// the rounding argument beside margin bounds its error, and
+// TestNormAccError holds it to that bound.
+type normAcc [3]float64 // small, mid, big
+
+const (
+	normSmall = 0x1p-500
+	normBig   = 0x1p500
+	// normCap is the largest norm reported: a norm of an overflowing
+	// feature is capped, which keeps the sum of two norms finite, and
+	// min(·, normCap) moves two norms no further apart.
+	normCap = 0x1p1021
+)
+
+// normTerm is which sum x's square goes into and the square itself.
+func normTerm(x float64) (slot int, sq float64) {
+	switch a := math.Abs(x); {
+	case a > normBig:
+		a *= 0x1p-600
+		return 2, a * a
+	case a < normSmall:
+		a *= 0x1p600
+		return 0, a * a
+	default:
+		return 1, a * a
+	}
+}
+
+func (acc *normAcc) add(x float64) {
+	slot, sq := normTerm(x)
+	acc[slot] += sq
+}
+
+// norm is the accumulated norm, capped at normCap. The largest non-zero
+// sum takes the next one scaled to it, by 2⁻⁶⁰⁰ twice (2⁻¹²⁰⁰ is not a
+// float64): what that rounds away, or underflows, is below 2⁻⁷⁴ of the
+// larger sum. The small sum, scaled to the big one's, would be below
+// 2⁻¹⁹⁰⁰ of it, and is left out.
+func (acc *normAcc) norm() float64 {
+	var e float64
+	switch {
+	case acc[2] > 0:
+		e = math.Sqrt(acc[2]+acc[1]*0x1p-600*0x1p-600) * 0x1p600
+	case acc[1] > 0:
+		e = math.Sqrt(acc[1] + acc[0]*0x1p-600*0x1p-600)
+	default:
+		e = math.Sqrt(acc[0]) * 0x1p-600
+	}
+	return min(e, normCap)
+}

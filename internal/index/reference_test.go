@@ -146,8 +146,9 @@ func TestSearchMatchesReference(t *testing.T) {
 
 // identityLeaf builds a one-leaf index over rows whose leaf reducer is
 // replaced by the identity on the first 16 coordinates, so that a row's
-// bound is exactly the squared distance over those coordinates; rows holding
-// dyadic values then put bounds exactly where a test wants them.
+// bound is exactly the squared distance over those coordinates plus its
+// dropped norm's deflated gap, the norm of the rest; rows holding dyadic
+// values on the first 16 then put bounds exactly where a test wants them.
 func identityLeaf(t *testing.T, rows [][]float64) *Index {
 	t.Helper()
 	var entries []*Entry
@@ -163,8 +164,8 @@ func identityLeaf(t *testing.T, rows [][]float64) *Index {
 		t.Fatal(err)
 	}
 	const dim = 16
-	if ix.maxDim != dim {
-		t.Fatalf("widest reducer is %d wide, want %d", ix.maxDim, dim)
+	if ix.maxDim != dim+1 {
+		t.Fatalf("widest reducer is %d wide, want %d", ix.maxDim, dim+1)
 	}
 	r := &Reducer{pca: &mat.PCA{Mean: make([]float64, dim), Components: mat.NewMatrix(dim, dim)}}
 	r.compsT = make([]float64, dim*dim)
@@ -213,7 +214,7 @@ func TestRefineMargins(t *testing.T) {
 	}{
 		{"kth=1", 1, 1 + 0x1p-30 + 0x1p-40, [][]float64{
 			sparseRow(map[int]float64{0: 1}),                                     // bound 1 = its distance, ties the first with a smaller ID
-			sparseRow(map[int]float64{20: 1}),                                    // bound 0, distance 1: the first exact
+			sparseRow(map[int]float64{20: 1}),                                    // bound (1−tol)², distance 1: the first exact
 			sparseRow(map[int]float64{0: 1, 1: 0x1p-15, 2: 0x1p-20}),             // bound on the margin
 			sparseRow(map[int]float64{0: 1, 1: 0x1p-15, 2: 0x1p-20, 3: 0x1p-26}), // one ulp past it
 			sparseRow(map[int]float64{5: 8}), sparseRow(map[int]float64{6: 9}), sparseRow(map[int]float64{7: 10}),
@@ -241,6 +242,96 @@ func TestRefineMargins(t *testing.T) {
 	}
 }
 
+// TestDroppedNormBound holds the dropped-norm term to its two promises:
+// it bounds a row's distance from below however close the row is to the
+// query and however large the norms, and an unprojected leaf's bound
+// covers the rows its overlay holds.
+//
+// Near-duplicates: under identityLeaf coordinates 16 and 17 are dropped.
+// The query q holds 1e150 on 16 and b on 17; x is q with b one ulp larger,
+// so q and x are that ulp apart, but their dropped norms, computed, can
+// differ by an ulp of the norm, four times more. The case is kept only
+// when they do (at least eight cases are required). y is q with δ, half
+// the computed norm gap, on coordinate 0. The top two for q are q and x;
+// an undeflated gap would bound x past y's exact distance and rank y
+// second. The case runs with x fitted and with x inserted into the overlay.
+//
+// Overlay: a shot of one leaf, nudged, is inserted into another leaf, and
+// queried with k = 1. Its dropped norm in the second leaf's space lies
+// outside that leaf's root box, further from it than the shot's own leaf
+// puts the k-th distance, so the second leaf is opened only because its
+// bound takes the overlay box's gap.
+func TestDroppedNormBound(t *testing.T) {
+	norm := func(xs ...float64) float64 {
+		var acc normAcc
+		for _, x := range xs {
+			acc.add(x)
+		}
+		return acc.norm()
+	}
+	const a = 1e150
+	cases := 0
+	for i := 0; cases < 8 && i < 4000; i++ {
+		b := a * (0.25 + float64(i)/40000)
+		b1 := math.Nextafter(b, math.Inf(1))
+		gap := math.Abs(norm(a, b) - norm(a, b1))
+		if gap < 4*(b1-b) {
+			continue
+		}
+		cases++
+		q := sparseRow(map[int]float64{16: a, 17: b})
+		x := sparseRow(map[int]float64{16: a, 17: b1})
+		y := sparseRow(map[int]float64{0: gap / 2, 16: a, 17: b})
+		for _, insert := range []bool{false, true} {
+			what := fmt.Sprintf("b = %v, x inserted %v", b, insert)
+			rows := [][]float64{q, y, x}
+			if insert {
+				rows = rows[:2]
+			}
+			ix := identityLeaf(t, rows)
+			if insert {
+				ix = mustInsert(t, ix, &Entry{
+					VideoName: "row-2",
+					Shot:      &vidmodel.Shot{Index: 2, Color: x[:feature.ColorBins], Texture: x[feature.ColorBins:]},
+					Path:      ix.all[0].Path,
+				})
+			}
+			got, st := ix.Search(nil, q, 2, nil)
+			checkSearch(t, what, ix, got, st, q, 2)
+			if got[1].Entry != ix.all[2] {
+				t.Fatalf("%s: row %d ranks second, want x", what, got[1].Entry.Shot.Index)
+			}
+		}
+	}
+	if cases < 8 {
+		t.Fatalf("%d near-duplicate pairs whose computed norms are further apart than they are, want 8", cases)
+	}
+
+	entries := corpus(600, 4)
+	ix, err := Build(entries, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := entries[1] // medicine/dialog
+	f := append([]float64(nil), src.Shot.Feature()...)
+	f[0] += 0x1p-20
+	ix = mustInsert(t, ix, &Entry{
+		VideoName: "moved",
+		Shot:      &vidmodel.Shot{Index: 0, Color: f[:feature.ColorBins], Texture: f[feature.ColorBins:]},
+		Path:      entries[0].Path, // medicine/presentation
+	})
+	got, st := ix.Search(nil, f, 1, nil)
+	checkSearch(t, "overlay", ix, got, st, f, 1)
+	leaf := ix.leaves[0]
+	dim := leaf.reducer.Dim()
+	e := leaf.reducer.ProjectInto(make([]float64, dim), f)[dim-1]
+	rootGap, extraGap := boxNormGap(e, leaf.box(0, dim), ix.tol), boxNormGap(e, leaf.extraBox, ix.tol)
+	kth := 0x1p-20 * 0x1p-20 // the squared distance to the shot's own row
+	if extraGap != 0 || rootGap*rootGap <= margin(kth) {
+		t.Fatalf("overlay: the query's dropped norm is %v from the overlay box and %v from the root box: the case does not need the overlay's gap", extraGap, rootGap)
+	}
+}
+
 // fuzzBytes reads a fuzz input one byte at a time, then zeros.
 type fuzzBytes []byte
 
@@ -262,11 +353,25 @@ func (b *fuzzBytes) next() int {
 // most of the rows, so it splits into k-d nodes. A query is drawn like a
 // row, or duplicates a row — a live one puts kth at 0, and its projection on
 // the faces of the boxes that hold the row.
+//
+// The input's fourth byte widens the draw for the dropped-norm term: rows
+// that set more coordinates than a reducer keeps, so that the norm is
+// rarely 0; values scaled by one power of two per input, from subnormals
+// to about 1e150; and near-duplicates. A near-duplicate is drawn in its
+// source row's leaf: before the fit an exact copy, after it — an inserted
+// row or a query — a copy moved a few ulps in one non-zero coordinate the
+// leaf's reducer drops, when there is one. (A bound is exact only up to
+// rounding in the coordinates a reducer keeps, relative to their size —
+// see margin — so the draw moves no kept coordinate by an ulp and mixes no
+// magnitudes in one input.)
 func FuzzSearchMatchesFlat(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte("\x28\x01\x09\x11\x03\x20\x05\x40\x06\x07\x08\x09\x0a\x00\x01\x02\x03"))
 	f.Add([]byte("\xff\x02\x0b\x80\x81\x82\x83\x84\x85\x86\x87\x01\x02\x03\x00\x04\x05"))
 	f.Add([]byte("\x07\xc0\x03\x11\x0b\x01\x02\x01\x02\x00\x05\x00\x01\x03\x04\x00\x09\x00\x02"))
+	f.Add([]byte("\x11\x05\x1d\x05\x07\x60\x30\x0b\x02\x05\x01\x07\x00\x01\x03\x02\x00\x01\x00\x05"))
+	f.Add([]byte("\x2a\x09\x00\x07\x08\x3f\x10\x28\x07\x02\x09\x02\x0a\x00\x00\x04\x00\x01\x00\x07"))
+	f.Add([]byte("\x03\x44\x1c\x04\x06\x00\x40\x28\x05\x00\x03\x01\x03\x02\x06\x00\x01\x00\x02\x00\x08"))
 	paths := [][]string{
 		{"medical education", "medicine", "medicine/presentation"},
 		{"medical education", "medicine", "medicine/dialog"},
@@ -275,24 +380,77 @@ func FuzzSearchMatchesFlat(f *testing.F) {
 		{"health care", "health care/general"},
 		{"medical report", "medical report/general"},
 	}
+	const width = feature.ColorBins + feature.TextureDims
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		rng := rand.New(rand.NewSource(int64(in.next()<<8 | in.next())))
 		coords := 2 + in.next()%30 // the coordinates rows may set
 		nonZeros := 1 + in.next()%6
-		shot := func(i int) *vidmodel.Shot {
-			f := make([]float64, feature.ColorBins+feature.TextureDims)
-			for j := 1 + rng.Intn(nonZeros); j > 0; j-- {
-				f[rng.Intn(coords)*37%len(f)] = float64(rng.Intn(8)) / 4
-			}
-			return &vidmodel.Shot{Index: i, Color: f[:feature.ColorBins], Texture: f[feature.ColorBins:]}
+		mode := in.next()
+		if mode&1 != 0 { // wide rows: more coordinates than a reducer keeps
+			coords, nonZeros = 64+rng.Intn(width-63), 48+rng.Intn(64)
 		}
-		entry := func(i int) *Entry {
-			path := 0 // most rows share one leaf, which splits
-			if rng.Intn(3) == 0 {
-				path = rng.Intn(len(paths))
+		scale := 0
+		if mode&2 != 0 {
+			scale = []int{-1073, -1040, -600, -30, 30, 400, 496}[in.next()%7]
+		}
+		var ix *Index
+		// dropped is the position table of the reducer of the leaf path
+		// names, nil before the fit.
+		dropped := func(path []string) []int32 {
+			if ix == nil {
+				return nil
 			}
-			return &Entry{VideoName: fmt.Sprintf("v%d", i), Shot: shot(i), Path: paths[path]}
+			n := ix.root
+			for _, name := range path {
+				n = n.children[name]
+			}
+			return n.reducer.pos
+		}
+		// nearDup is a copy of src, a row of the leaf path names, moved a
+		// few ulps in one non-zero coordinate the leaf drops.
+		nearDup := func(src []float64, path []string) []float64 {
+			f := append([]float64(nil), src...)
+			pos := dropped(path)
+			var free []int
+			for j, v := range f {
+				if v != 0 && pos != nil && pos[j] < 0 {
+					free = append(free, j)
+				}
+			}
+			if len(free) > 0 {
+				j := free[rng.Intn(len(free))]
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					f[j] = math.Nextafter(f[j], math.Inf(2*rng.Intn(2)-1))
+				}
+			}
+			return f
+		}
+		draw := func() []float64 {
+			f := make([]float64, width)
+			for j := 1 + rng.Intn(nonZeros); j > 0; j-- {
+				f[rng.Intn(coords)*37%width] = math.Ldexp(float64(rng.Intn(8))/4, scale)
+			}
+			return f
+		}
+		var made []*Entry
+		entry := func(i int) *Entry {
+			var f []float64
+			path := paths[0] // most rows share one leaf, which splits
+			// The first rows, one for each path, are drawn afresh.
+			if mode&4 != 0 && len(made) >= len(paths) && rng.Intn(3) == 0 {
+				src := made[rng.Intn(len(made))]
+				f, path = nearDup(src.Shot.Feature(), src.Path), src.Path
+			} else {
+				if rng.Intn(3) == 0 {
+					path = paths[rng.Intn(len(paths))]
+				}
+				f = draw()
+			}
+			e := &Entry{VideoName: fmt.Sprintf("v%d", i), Path: path,
+				Shot: &vidmodel.Shot{Index: i, Color: f[:feature.ColorBins], Texture: f[feature.ColorBins:]}}
+			made = append(made, e)
+			return e
 		}
 		n := len(paths) + 2*in.next()
 		var entries []*Entry
@@ -303,7 +461,8 @@ func FuzzSearchMatchesFlat(f *testing.F) {
 			}
 			entries = append(entries, e)
 		}
-		ix, err := Build(entries, Options{})
+		var err error
+		ix, err = Build(entries, Options{})
 		if err != nil {
 			t.Skip(err)
 		}
@@ -332,9 +491,15 @@ func FuzzSearchMatchesFlat(f *testing.F) {
 		var dst []Result
 		var st Stats
 		for qi := 0; qi < 4; qi++ {
-			q := shot(-1).Feature()
-			if in.next()%2 == 0 {
+			var q []float64
+			switch in.next() % 3 {
+			case 0:
 				q = ix.all[rng.Intn(len(ix.all))].Shot.Feature()
+			case 1:
+				q = draw()
+			default:
+				e := ix.all[rng.Intn(len(ix.all))]
+				q = nearDup(e.Shot.Feature(), e.Path)
 			}
 			k := 1 + in.next()%12
 			if qi == 3 {
