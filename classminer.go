@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"os"
 	"runtime"
@@ -164,7 +165,10 @@ type VideoEntry struct {
 // held once, zero-suppressed: at registration the library packs a video's
 // rows into one arena sized to hold exactly them (packRows, the form the
 // binary entry writes on disk), points each shot's Row at its row there and
-// drops the shot's dense Color/Texture (installLocked). The fit, the index
+// drops the shot's dense Color/Texture (installLocked). A video decoded from
+// a stored entry — snapshot load, log replay, a follower's apply — or from
+// an ingest body arrives with its rows already in that form, and packRows
+// only checks them. The fit, the index
 // and the checkpoint writer read the packed rows there; nothing else copies
 // them. Between compactions entries is append-only: a registration appends
 // its rows and remembers the span in its VideoEntry, and a deletion or
@@ -545,28 +549,46 @@ func (l *Library) visibleTo(u User) func(*VideoEntry) error {
 	}
 }
 
-// packRows returns the packed feature of every entry's shot: the Row a
-// registered shot already holds (a replace with the same Result), the
-// others packed by one featrow.Pack — one arena for the video — which checks
-// their values finite in the same pass. Packing writes no shot. Validation
-// runs before any journaling or mutation: a registration that would fail
-// must never reach the log. A NaN or an infinity would — the binary record
-// carries any float64 — and from there into every distance it is ranked by,
-// on this node and, replayed, on every other; so it is refused here, with
-// the same error whether or not the library is durable.
+// packRows returns the packed feature of every entry's shot: the Row a shot
+// already holds — one decoded from a stored entry, or a registered one (a
+// replace with the same Result) — the others packed by one featrow.Pack, one
+// arena for the video, which checks their values finite in the same pass.
+// Packing writes no shot. Validation runs before any journaling or mutation:
+// a registration that would fail must never reach the log. A NaN or an
+// infinity would — the binary record carries any float64 — and from there
+// into every distance it is ranked by, on this node and, replayed, on every
+// other; so it is refused here, in a row that arrives packed as in one that
+// does not, with the same error whether or not the library is durable.
 func packRows(name string, entries []*index.Entry) ([]featrow.Row, error) {
+	refuse := func(e *index.Entry) error {
+		return fmt.Errorf("%w: video %q shot %d has a non-finite feature value",
+			ErrInvalidResult, name, e.Shot.Index)
+	}
 	rows := make([]featrow.Row, len(entries))
 	for i, e := range entries {
-		rows[i] = e.Shot.Row
+		if rows[i] = e.Shot.Row; !rows[i].IsZero() && !finite(rows[i]) {
+			return nil, refuse(e)
+		}
 	}
-	bad := featrow.Pack(rows, func(i int) (color, texture []float64) {
+	if bad := featrow.Pack(rows, func(i int) (color, texture []float64) {
 		return entries[i].Shot.Color, entries[i].Shot.Texture
-	})
-	if bad >= 0 {
-		return nil, fmt.Errorf("%w: video %q shot %d has a non-finite feature value",
-			ErrInvalidResult, name, entries[bad].Shot.Index)
+	}); bad >= 0 {
+		return nil, refuse(entries[bad])
 	}
 	return rows, nil
+}
+
+// finite reports whether every value a packed row holds is finite.
+func finite(r featrow.Row) bool {
+	c, t := r.Halves()
+	for _, vals := range [2][]float64{c.Vals, t.Vals} {
+		for _, v := range vals {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // checkEntryDims validates that every new row matches dim (0 = the library

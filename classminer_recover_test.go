@@ -741,6 +741,31 @@ func TestNonFiniteFeatureRefused(t *testing.T) {
 	if said["durable"] != said["in-memory"] {
 		t.Fatalf("the refusal depends on durability:\n%s\n%s", said["durable"], said["in-memory"])
 	}
+
+	// The same record on a data dir's log, which recovery reads packed.
+	dir := t.TempDir()
+	eng, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever, CheckpointBytes: -1, CheckpointRecords: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := appendEntryRecord(nil, wal.RecordRegister, "held", poisoned("held", math.NaN()), "medicine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := Recover(dir, a, quietWAL())
+	if err == nil {
+		recovered.Close()
+		t.Fatal("recovered a log holding a NaN feature value")
+	}
+	if !errors.Is(err, ErrInvalidResult) || !strings.Contains(err.Error(), "non-finite feature value") {
+		t.Fatalf("recovery error = %v, want the non-finite refusal", err)
+	}
 }
 
 // TestRecoverSkipsSupersededRecords: replay installs what survives, not what

@@ -38,10 +38,65 @@ func wideResult(t testing.TB, name string, seed int64, shots int) *Result {
 	return res
 }
 
+// baseResult is a video as the benchmark's corpus holds one: 25 shots of
+// the paper's 266 dims, 14 of the 256 colour and 4 of
+// the 10 texture ones non-zero.
+func baseResult(t testing.TB, name string, seed int64) *Result {
+	t.Helper()
+	sv := tinySaved(name, seed, 25)
+	rng := rand.New(rand.NewSource(seed))
+	row := func(n, nonZero int) []float64 {
+		v := make([]float64, n)
+		for _, j := range rng.Perm(n)[:nonZero] {
+			v[j] = 0.5 + rng.Float64()
+		}
+		return v
+	}
+	for i := range sv.Shots {
+		sv.Shots[i].Color, sv.Shots[i].Texture = row(256, 14), row(10, 4)
+	}
+	res, err := store.DecodeResult(sv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// baseDir writes a data dir of snap baseResult videos in a checkpoint
+// snapshot and logged more on the log behind it.
+func baseDir(t testing.TB, a *Analyzer, dir string, snap, logged int) {
+	t.Helper()
+	opts := quietWAL()
+	opts.Sync = SyncNever
+	lib, err := Recover(dir, a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < snap+logged; i++ {
+		if i == snap {
+			if err := lib.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lib.AddResult(baseResult(t, fmt.Sprintf("vid-%05d", i), int64(i+1)), "medicine"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if logged == 0 {
+		if err := lib.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lib.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // checkRowsHeldOnce fails unless every live row of lib is held once: the
 // shot holds no dense feature, only its packed row; while the index numbers
 // entries as the library numbers rows, the serving index reads that very
-// row; and each video's rows fill an arena of their own, exactly.
+// row; and each video's rows fill an arena of their own, exactly — its
+// capacity is its length.
 func checkRowsHeldOnce(t *testing.T, lib *Library) {
 	t.Helper()
 	lib.mu.RLock()
@@ -72,6 +127,12 @@ func checkRowsHeldOnce(t *testing.T, lib *Library) {
 		if bytes != arena.Bytes() {
 			t.Fatalf("%s: rows of %d B in an arena of %d B", name, bytes, arena.Bytes())
 		}
+		// The last row's halves are views that reach the end of the arena's
+		// presence words and values.
+		if _, last := lib.entries[ve.row+ve.rows-1].Shot.Row.Halves(); cap(last.Words) != len(last.Words) || cap(last.Vals) != len(last.Vals) {
+			t.Fatalf("%s: the arena has room for %d more presence words and %d more values", name,
+				cap(last.Words)-len(last.Words), cap(last.Vals)-len(last.Vals))
+		}
 		if other, ok := owner[arena]; ok {
 			t.Fatalf("%s and %s share an arena", name, other)
 		}
@@ -80,13 +141,29 @@ func checkRowsHeldOnce(t *testing.T, lib *Library) {
 }
 
 // TestRowsHeldOnce: after registration — into a fit and into the overlay of
-// the index serving since — each row is held once, and deletes and a fit
+// the index serving since — and after recovery, which reads the rows packed
+// from a snapshot and a log, each row is held once, and deletes and a fit
 // that drops the dead rows move no live row.
 func TestRowsHeldOnce(t *testing.T) {
 	a, err := NewAnalyzer(Options{SkipEvents: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dir := t.TempDir()
+	baseDir(t, a, dir, 8, 4)
+	recovered, err := Recover(dir, a, quietWAL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if err := recovered.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if got := recovered.Stats().Videos; got != 12 {
+		t.Fatalf("recovered %d videos, want 12", got)
+	}
+	checkRowsHeldOnce(t, recovered)
+
 	lib := churnLibrary(t, a, 8)
 	for i := 8; i < 12; i++ { // absorbed incrementally
 		if err := lib.AddResult(tinyResult(t, fmt.Sprintf("vid-%05d", i), int64(i), 25), "medicine"); err != nil {

@@ -152,6 +152,32 @@ func BenchmarkRecoverChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkRecoverBase recovers the directory the benchmark's search
+// workloads leave behind: 400 videos of 25 shots of the paper's 266 dims,
+// ≈ 18 of them non-zero (baseResult), all in a checkpoint snapshot.
+func BenchmarkRecoverBase(b *testing.B) {
+	a, err := NewAnalyzer(Options{SkipEvents: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	baseDir(b, a, dir, 400, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lib, err := Recover(dir, a, quietWAL())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if got := lib.Stats().Videos; got != 400 {
+			b.Fatalf("recovered %d videos, want 400", got)
+		}
+		lib.Close()
+		b.StartTimer()
+	}
+}
+
 // BenchmarkCheckpointChurned times the one mechanism that reclaims log, on
 // the directory it exists for: the live set in a snapshot and 1 600
 // register/delete pairs — nearly all of them dead — on the log behind it, as

@@ -3,10 +3,12 @@ package server
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 
+	"classminer/internal/featrow"
 	"classminer/internal/store"
 )
 
@@ -42,9 +44,12 @@ import (
 // maxDepth is encoding/json's nesting limit.
 const maxDepth = 10000
 
-// maxPooledValues caps the feature scratch a pooled decoder keeps: one
-// outsized body must not pin its scratch forever.
-const maxPooledValues = 1 << 17
+// maxPooledValues and maxPooledShots cap the scratch a pooled decoder keeps:
+// one outsized body must not pin its scratch forever.
+const (
+	maxPooledValues = 1 << 17
+	maxPooledShots  = 1 << 10
+)
 
 // syntaxError is malformed JSON, which encoding/json rejects before it
 // decodes anything.
@@ -69,12 +74,14 @@ func (e *typeError) Error() string {
 
 // decoder reads one body front to back. Feature rows go to vals, a scratch
 // shared by every row of the body; decode moves the rows the request keeps
-// into one arena of their own before it returns.
+// into arenas of their own before it returns. A shot table is read into
+// shots first (shotTable).
 type decoder struct {
 	b     []byte
 	i     int // read position in b
 	depth int // open arrays and objects
 	vals  []float64
+	shots []store.SavedShot
 }
 
 var decoderPool = sync.Pool{New: func() any {
@@ -143,7 +150,7 @@ func decode[T any](body []byte, v *T, fields []field[T], detach func(*T)) error 
 		detach(v)
 	}
 	d.b = nil
-	if cap(d.vals) <= maxPooledValues {
+	if cap(d.vals) <= maxPooledValues && cap(d.shots) <= maxPooledShots {
 		decoderPool.Put(d)
 	}
 	if err != nil {
@@ -168,18 +175,18 @@ func (a *rowArena) cut(row []float64) []float64 {
 	return out
 }
 
-// rehome moves every feature row of r into one arena sized to hold exactly
-// them.
+// rehome packs every feature row of r from the scratch straight into one
+// featrow arena sized to hold exactly them (one per run of one shape), the
+// form the library registers and the journal writes, and drops the dense
+// rows.
 func rehome(r *store.SavedResult) {
-	n := 0
-	for i := range r.Shots {
-		n += len(r.Shots[i].Color) + len(r.Shots[i].Texture)
-	}
-	arena := make(rowArena, n)
+	rows := make([]featrow.Row, len(r.Shots))
+	featrow.Pack(rows, func(i int) (color, texture []float64) {
+		return r.Shots[i].Color, r.Shots[i].Texture
+	})
 	for i := range r.Shots {
 		sh := &r.Shots[i]
-		sh.Color = arena.cut(sh.Color)
-		sh.Texture = arena.cut(sh.Texture)
+		sh.Row, sh.Color, sh.Texture = rows[i], nil, nil
 	}
 	// A repeated "shots" key can leave decoded shots past the length; they
 	// still point into the scratch.
@@ -220,7 +227,7 @@ var resultFields = []field[store.SavedResult]{
 	{"videoName", func(d *decoder, r *store.SavedResult) error { return d.string(&r.VideoName) }},
 	{"fps", func(d *decoder, r *store.SavedResult) error { return d.float(&r.FPS) }},
 	{"totalFrames", func(d *decoder, r *store.SavedResult) error { return d.int(&r.TotalFrames) }},
-	{"shots", func(d *decoder, r *store.SavedResult) error { return array(d, &r.Shots, shot) }},
+	{"shots", func(d *decoder, r *store.SavedResult) error { return d.shotTable(&r.Shots) }},
 	{"groups", func(d *decoder, r *store.SavedResult) error { return array(d, &r.Groups, group) }},
 	{"scenes", func(d *decoder, r *store.SavedResult) error { return array(d, &r.Scenes, scene) }},
 	{"discarded", func(d *decoder, r *store.SavedResult) error { return array(d, &r.Discarded, scene) }},
@@ -398,6 +405,31 @@ func (d *decoder) row(p *[]float64) error {
 		return err
 	}
 	*p = d.vals[start:len(d.vals):len(d.vals)]
+	return nil
+}
+
+// shotTable decodes a result's shot table. A table met for the first time,
+// or after a null, is read into the pooled scratch and copied out at its
+// length, so growing it costs one allocation rather than one per doubling.
+// Only its capacity differs from what array makes, and that is unseen: the
+// elements array would leave past the length are zero shots, as are the
+// ones a later append makes. A repeated key decodes into the table the first
+// one left, as array does.
+func (d *decoder) shotTable(p *[]store.SavedShot) error {
+	if *p != nil {
+		return array(d, p, shot)
+	}
+	s := d.shots[:cap(d.shots)]
+	clear(s)
+	s = s[:0]
+	if err := array(d, &s, shot); err != nil || len(s) == 0 {
+		*p = s // nil for null, a fresh empty table for []
+		return err
+	}
+	if cap(s) > cap(d.shots) {
+		d.shots = s[:0]
+	}
+	*p = slices.Clone(s)
 	return nil
 }
 

@@ -113,24 +113,32 @@ func sameBits(a, b reflect.Value) bool {
 }
 
 // walRecord is the register record a durable library journals for the
-// video req carries: classminer's appendEntryRecord (EncodeResult of the
-// result, the record head, the binary entry) applied to what handleIngest
-// makes of req.Saved.
+// video req carries: classminer's appendEntryRecord (the record head, then
+// AppendResultEntry of the result, which writes a packed row as it is)
+// applied to what handleIngest makes of req.Saved.
 func walRecord(req *ingestRequest) ([]byte, error) {
 	res, err := store.DecodeResult(req.Saved)
 	if err != nil {
 		return nil, err
 	}
 	res.Video.Name = "v"
-	saved, err := store.EncodeResult(res)
-	if err != nil {
-		return nil, err
-	}
 	rec, err := wal.AppendRecordHead(nil, wal.RecordRegister, "v")
 	if err != nil {
 		return nil, err
 	}
-	return store.AppendEntry(rec, &store.SavedLibraryEntry{Subcluster: req.Subcluster, Result: saved}), nil
+	return store.AppendResultEntry(rec, req.Subcluster, res)
+}
+
+// decodeIngestDense is decodeIngest with every row it packed unpacked again
+// (store.SavedShot.Dense): the value encoding/json makes of the same body.
+func decodeIngestDense(body []byte, req *ingestRequest) error {
+	err := decodeIngest(body, req)
+	if err == nil && req.Saved != nil {
+		for i := range req.Saved.Shots {
+			req.Saved.Shots[i] = req.Saved.Shots[i].Dense()
+		}
+	}
+	return err
 }
 
 // checkDecodeValue decodes body into a T by hand, with decode, and with
@@ -155,13 +163,24 @@ func checkDecodeValue[T any](t testing.TB, body []byte, decode func([]byte, *T) 
 	return got, want
 }
 
-// checkDecode holds decodeIngest to encoding/json (checkDecodeValue) and,
-// where both accept the body, to the same binary entry and WAL record.
+// checkDecode holds decodeIngest to encoding/json (checkDecodeValue, on the
+// rows' dense form) and, where both accept the body, to the same binary entry
+// and WAL record: every row comes packed, and the journal writes it as it is
+// in the bytes it writes for encoding/json's dense row.
 func checkDecode(t testing.TB, body []byte) {
 	t.Helper()
-	got, want := checkDecodeValue(t, body, decodeIngest)
+	_, want := checkDecodeValue(t, body, decodeIngestDense)
 	if want == nil || want.Saved == nil {
 		return
+	}
+	got := new(ingestRequest)
+	if err := decodeIngest(body, got); err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range got.Saved.Shots {
+		if sh.Row.IsZero() || sh.Color != nil || sh.Texture != nil {
+			t.Fatalf("body %.200q: shot %d is not held packed, and only packed", body, i)
+		}
 	}
 	entry := func(r *ingestRequest) []byte {
 		return store.AppendEntry(nil, &store.SavedLibraryEntry{Subcluster: r.Subcluster, Result: r.Saved})
@@ -468,9 +487,9 @@ func TestDecodeIngestMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestDecodeIngestKeepsRowsApart: rows are cut from one arena with no spare
-// capacity, so an append through one row cannot reach the next, and nothing
-// the result holds aliases the body.
+// TestDecodeIngestKeepsRowsApart: the rows come packed into one arena that
+// holds exactly them, and nothing the result holds aliases the body or the
+// decoder's pooled scratch, which the next body reuses.
 func TestDecodeIngestKeepsRowsApart(t *testing.T) {
 	body := poolShapedBody(t, 3)
 	var req ingestRequest
@@ -478,13 +497,31 @@ func TestDecodeIngestKeepsRowsApart(t *testing.T) {
 		t.Fatal(err)
 	}
 	shots := req.Saved.Shots
+	arena, held := shots[0].Row.Arena(), 0
+	dense := make([][]float64, len(shots))
 	for i := range shots {
-		if cap(shots[i].Color) != len(shots[i].Color) || cap(shots[i].Texture) != len(shots[i].Texture) {
-			t.Fatalf("shot %d: rows have spare capacity", i)
+		if shots[i].Row.Arena() != arena {
+			t.Fatalf("shot %d: the rows span arenas", i)
 		}
+		held += shots[i].Row.Bytes()
+		dense[i] = shots[i].Row.AppendTo(nil)
+	}
+	// The last row's halves reach the end of the arena's words and values.
+	if _, last := shots[len(shots)-1].Row.Halves(); held != arena.Bytes() ||
+		cap(last.Words) != len(last.Words) || cap(last.Vals) != len(last.Vals) {
+		t.Fatalf("rows of %d B in an arena of %d B, or with spare capacity", held, arena.Bytes())
 	}
 	for i := range body {
 		body[i] = 0
+	}
+	var next ingestRequest
+	if err := decodeIngest(poolShapedBody(t, 4), &next); err != nil {
+		t.Fatal(err)
+	}
+	for i := range shots {
+		if got := shots[i].Row.AppendTo(nil); !sameBits(reflect.ValueOf(got), reflect.ValueOf(dense[i])) {
+			t.Fatalf("shot %d: the row changed under a zeroed body and a second decode", i)
+		}
 	}
 	if req.Subcluster != "medicine" || req.Name != "churn-3" {
 		t.Fatalf("decoded strings alias the body: %q %q", req.Subcluster, req.Name)
@@ -495,7 +532,7 @@ func TestDecodeIngestKeepsRowsApart(t *testing.T) {
 	if err := decodeIngest([]byte(`{"saved":{"shots":[{"color":[1]},{"color":[2]}],"shots":[{}]}}`), &req); err != nil {
 		t.Fatal(err)
 	}
-	if spare := req.Saved.Shots[1:cap(req.Saved.Shots)]; spare[0].Color != nil {
+	if spare := req.Saved.Shots[1:cap(req.Saved.Shots)]; spare[0].Color != nil || !spare[0].Row.IsZero() {
 		t.Fatalf("a shot past the length still holds row %v", spare[0].Color)
 	}
 }
@@ -508,7 +545,7 @@ func TestDecodeIngestCoversEveryField(t *testing.T) {
 	var want ingestRequest
 	body := fillEveryField(t, reflect.ValueOf(&want).Elem())
 	var got ingestRequest
-	if err := decodeIngest(body, &got); err != nil {
+	if err := decodeIngestDense(body, &got); err != nil {
 		t.Fatal(err)
 	}
 	if !sameBits(reflect.ValueOf(got), reflect.ValueOf(want)) {

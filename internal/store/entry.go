@@ -39,7 +39,10 @@ import (
 // exactly when its *bits* are non-zero. A mined shot has ≈ 18 non-zero
 // dimensions of 266, so a row shrinks about fivefold against its JSON; a
 // fully dense row pays 1/64 extra. A registered shot holds its row in memory
-// in this very form (internal/featrow), and is written from it as it is.
+// in this very form (internal/featrow): it is written from it as it is, and
+// read back into it as it is — DecodeEntry copies the presence words and
+// values of each run of same-shaped rows into one arena sized to hold
+// exactly them, and never builds the dense row.
 //
 // The decoder is strict, which is what makes it one format: an unknown
 // format byte, a non-minimal varint, a presence bit past the row's end, a
@@ -188,8 +191,10 @@ func appendHalf(dst []byte, h featrow.Half) []byte {
 	return dst
 }
 
-// DecodeEntry parses one binary entry. The result shares no memory with b;
-// the feature rows of all its shots share one backing array.
+// DecodeEntry parses one binary entry. The result shares no memory with b.
+// Every shot's feature comes packed, in SavedShot.Row, with Color and
+// Texture nil; each run of shots whose rows have one shape shares one
+// featrow arena, so a mined video's rows take one.
 func DecodeEntry(b []byte) (SavedLibraryEntry, error) {
 	d := entryDecoder{b: b}
 	if format := d.byte(); d.err == nil && format != entryFormat {
@@ -217,8 +222,9 @@ func DecodeEntry(b []byte) (SavedLibraryEntry, error) {
 // empties the input, so every later read fails its own bounds check and
 // returns a zero, and the caller tests err once at the end.
 type entryDecoder struct {
-	b   []byte // unread input
-	err error
+	b        []byte // unread input
+	err      error
+	declared uint64 // the row elements the shot table declares, less those read
 }
 
 func (d *entryDecoder) fail(format string, args ...any) {
@@ -297,47 +303,133 @@ func (d *entryDecoder) ints() []int {
 	return s
 }
 
-// row reads one feature row into the front of *arena and cuts it off.
-func (d *entryDecoder) row(arena *[]float64) []float64 {
+// rowHead is what a feature row's bytes say before its values: its length,
+// whether it is nil, its presence words (little-endian) and how many values
+// are written after them.
+type rowHead struct {
+	n        int
+	isNil    bool
+	presence []byte
+	written  int
+}
+
+// sameShape reports whether two rows go into one arena.
+func (h rowHead) sameShape(o rowHead) bool { return h.n == o.n && h.isNil == o.isNil }
+
+// rowHead reads a feature row up to its values and checks it: its length
+// against the declared row elements still unread, its presence words
+// against the bytes left and the row's end, its values against the bytes
+// left.
+func (d *entryDecoder) rowHead() rowHead {
 	u := d.uvarint()
 	if u == 0 {
-		return nil
+		return rowHead{isNil: true}
 	}
 	n := u - 1
-	if n > uint64(len(*arena)) {
-		d.fail("rows exceed the declared %d values", len(*arena))
-		return nil
+	if n > d.declared {
+		d.fail("rows exceed the declared %d values", d.declared)
+		return rowHead{}
 	}
-	words := int(n+63) / 64 // n ≤ len(arena) ≤ 8·len(input): no overflow
+	d.declared -= n
+	words := int(n+63) / 64 // n ≤ the declared elements ≤ 8·len(input): no overflow
 	if words*8 > len(d.b) {
 		d.fail("row of %d in %d bytes", n, len(d.b))
-		return nil
+		return rowHead{}
 	}
-	row := (*arena)[:n:n]
-	*arena = (*arena)[n:]
-	presence, values := d.b[:words*8], d.b[words*8:]
+	h := rowHead{n: int(n), presence: d.b[:words*8]}
 	for w := 0; w < words; w++ {
-		word := binary.LittleEndian.Uint64(presence[w*8:])
+		word := binary.LittleEndian.Uint64(h.presence[w*8:])
 		if w == words-1 && n&63 != 0 && word>>(n&63) != 0 {
 			d.fail("presence bit past the end of a row of %d", n)
+			return rowHead{}
+		}
+		h.written += bits.OnesCount64(word)
+	}
+	d.b = d.b[words*8:]
+	if h.written > len(d.b)/8 {
+		d.fail("truncated row")
+		return rowHead{}
+	}
+	return h
+}
+
+// skipRow reads a feature row's head and passes over its values.
+func (d *entryDecoder) skipRow() rowHead {
+	h := d.rowHead()
+	d.b = d.b[8*h.written:]
+	return h
+}
+
+// row reads a feature row, which skipRow has read before, into the fronts
+// of words and vals, and returns what is left of them.
+func (d *entryDecoder) row(words []uint64, vals []float64) ([]uint64, []float64) {
+	h := d.rowHead()
+	if d.err != nil {
+		return nil, nil
+	}
+	nw := len(h.presence) / 8
+	for w := 0; w < nw; w++ {
+		words[w] = binary.LittleEndian.Uint64(h.presence[w*8:])
+	}
+	for k := 0; k < h.written; k++ {
+		v := binary.LittleEndian.Uint64(d.b[8*k:])
+		if v == 0 {
+			d.fail("zero written in a zero-suppressed row")
+			return nil, nil
+		}
+		vals[k] = math.Float64frombits(v)
+	}
+	d.b = d.b[8*h.written:]
+	return words[nw:], vals[h.written:]
+}
+
+// shots reads n shots. Their rows are read in the very form a registered
+// shot holds them in (featrow), each run of shots whose rows have one shape
+// into one arena sized to hold exactly them: a first pass over the run's
+// bytes finds where it ends and how many values it holds, and a second
+// copies its presence words and values in. Nothing is unpacked.
+func (d *entryDecoder) shots(n int) []SavedShot {
+	shots := make([]SavedShot, n)
+	for i := 0; i < n; {
+		m := *d
+		var color, texture rowHead
+		rows, written := 0, 0
+		for j := i; j < n; j++ {
+			m.int()
+			m.int()
+			m.int()
+			m.int()
+			c, t := m.skipRow(), m.skipRow()
+			if m.err != nil {
+				*d = m
+				return nil
+			}
+			if j == i {
+				color, texture = c, t
+			} else if !c.sameShape(color) || !t.sameShape(texture) {
+				break
+			}
+			rows, written = rows+1, written+c.written+t.written
+		}
+		words := make([]uint64, rows*(len(color.presence)+len(texture.presence))/8)
+		vals := make([]float64, written)
+		w, v := words, vals
+		for k := i; k < i+rows; k++ {
+			s := &shots[k]
+			s.Index, s.Start, s.End, s.RepFrame = d.int(), d.int(), d.int(), d.int()
+			w, v = d.row(w, v)
+			w, v = d.row(w, v)
+		}
+		if d.err != nil {
 			return nil
 		}
-		for ; word != 0; word &= word - 1 {
-			if len(values) < 8 {
-				d.fail("truncated row")
-				return nil
-			}
-			v := binary.LittleEndian.Uint64(values)
-			if v == 0 {
-				d.fail("zero written in a zero-suppressed row")
-				return nil
-			}
-			row[w<<6+bits.TrailingZeros64(word)] = math.Float64frombits(v)
-			values = values[8:]
+		arena := featrow.NewArena(rows, color.n, texture.n, color.isNil, texture.isNil, words, vals)
+		for k := 0; k < rows; k++ {
+			shots[i+k].Row = arena.Row(k)
 		}
+		i += rows
 	}
-	d.b = values
-	return row
+	return shots
 }
 
 func (d *entryDecoder) scenes() []SavedScene {
@@ -364,24 +456,16 @@ func (d *entryDecoder) result() *SavedResult {
 
 	n, isNil := d.count(6)
 	// Every value costs at least its presence bit.
-	values := d.uvarint()
-	if values > 8*uint64(len(d.b)) {
-		d.fail("%d feature values in %d bytes", values, len(d.b))
+	d.declared = d.uvarint()
+	if d.declared > 8*uint64(len(d.b)) {
+		d.fail("%d feature values in %d bytes", d.declared, len(d.b))
 		return nil
 	}
 	if !isNil {
-		r.Shots = make([]SavedShot, n)
-		arena := make([]float64, values)
-		for i := range r.Shots {
-			r.Shots[i] = SavedShot{
-				Index: d.int(), Start: d.int(), End: d.int(), RepFrame: d.int(),
-				Color: d.row(&arena), Texture: d.row(&arena),
-			}
-		}
-		values = uint64(len(arena))
+		r.Shots = d.shots(n)
 	}
-	if values != 0 {
-		d.fail("rows fall %d short of the declared values", values)
+	if d.err == nil && d.declared != 0 {
+		d.fail("rows fall %d short of the declared values", d.declared)
 		return nil
 	}
 	if n, isNil := d.count(4); !isNil {

@@ -8,8 +8,11 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+
+	"classminer/internal/featrow"
 )
 
 // rowLengths are the feature-row shapes the presence words care about: none,
@@ -114,11 +117,27 @@ func randomSaved(rng *rand.Rand, broken bool) *SavedResult {
 	return sr
 }
 
-// sameBits reports whether two decoded entries are the same value down to
-// nil-ness and float bits — what DeepEqual says, except that it tells -0
-// from 0 and would equate NaNs by payload.
-func sameBits(t testing.TB, a, b SavedLibraryEntry) {
+// denseEntry returns e with every shot's packed row unpacked (Dense).
+func denseEntry(e SavedLibraryEntry) SavedLibraryEntry {
+	if e.Result == nil || e.Result.Shots == nil {
+		return e
+	}
+	r := *e.Result
+	r.Shots = make([]SavedShot, len(e.Result.Shots))
+	for i, s := range e.Result.Shots {
+		r.Shots[i] = s.Dense()
+	}
+	e.Result = &r
+	return e
+}
+
+// sameBits reports whether a decoded entry, its rows packed, and a dense one
+// are the same value down to nil-ness and float bits — what DeepEqual says of
+// the two dense forms, except that it tells -0 from 0 and would equate NaNs
+// by payload.
+func sameBits(t testing.TB, dec, b SavedLibraryEntry) {
 	t.Helper()
+	a := denseEntry(dec)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("decoded entry differs:\n got %+v\nwant %+v", a.Result, b.Result)
 	}
@@ -139,10 +158,67 @@ func sameBits(t testing.TB, a, b SavedLibraryEntry) {
 	}
 }
 
+// samePacked fails unless every shot of a decoded entry holds its feature
+// packed, and only packed, exactly as featrow.Pack packs its dense form:
+// the same half lengths, nil and empty halves apart, the same presence words
+// and the same values, bit for bit.
+func samePacked(t testing.TB, e SavedLibraryEntry) {
+	t.Helper()
+	if e.Result == nil {
+		return
+	}
+	for i, s := range e.Result.Shots {
+		if s.Row.IsZero() || s.Color != nil || s.Texture != nil {
+			t.Fatalf("shot %d is not held packed, and only packed", i)
+		}
+		d := s.Dense()
+		want := make([]featrow.Row, 1)
+		featrow.Pack(want, func(int) ([]float64, []float64) { return d.Color, d.Texture })
+		gc, gt := s.Row.Halves()
+		wc, wt := want[0].Halves()
+		for h, pair := range [2][2]featrow.Half{{gc, wc}, {gt, wt}} {
+			got, want := pair[0], pair[1]
+			if got.N != want.N || got.Nil != want.Nil || !slices.Equal(got.Words, want.Words) ||
+				!slices.EqualFunc(got.Vals, want.Vals, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+				t.Fatalf("shot %d half %d: decoded %+v, packed %+v", i, h, got, want)
+			}
+		}
+	}
+}
+
+// arenaRuns fails unless each run of a decoded entry's shots whose rows
+// have one shape — half lengths, and whether each half is nil — holds its
+// rows in one arena of its own, and returns how many arenas there are.
+func arenaRuns(t testing.TB, e SavedLibraryEntry) int {
+	t.Helper()
+	if e.Result == nil || len(e.Result.Shots) == 0 {
+		return 0
+	}
+	type rowShape struct {
+		nc, nt       int
+		ncNil, ntNil bool
+	}
+	shape := func(r featrow.Row) rowShape {
+		c, tx := r.Halves()
+		return rowShape{c.N, tx.N, c.Nil, tx.Nil}
+	}
+	shots, runs := e.Result.Shots, 1
+	for j := 1; j < len(shots); j++ {
+		sameArena := shots[j].Row.Arena() == shots[j-1].Row.Arena()
+		if sameShape := shape(shots[j].Row) == shape(shots[j-1].Row); sameArena != sameShape {
+			t.Fatalf("shots %d and %d: same shape %v, same arena %v", j-1, j, sameShape, sameArena)
+		}
+		if !sameArena {
+			runs++
+		}
+	}
+	return runs
+}
+
 // TestEntryRoundTripExact: the binary entry is a second serialisation of the
 // same model, so a value comes back as the value it was — nil and empty
 // slices and maps apart, every float bit in place — and encodes to the same
-// bytes again.
+// bytes again. Its rows come back packed, one arena per run of one shape.
 func TestEntryRoundTripExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	entries := []SavedLibraryEntry{
@@ -154,6 +230,12 @@ func TestEntryRoundTripExact(t *testing.T) {
 			Index: math.MinInt, Start: math.MaxInt, End: -1,
 			Color: []float64{math.Inf(1), math.NaN(), math.Float64frombits(0xfff0_0000_0000_0001)},
 		}}}},
+		// Three runs of one row shape: two shots, then one whose texture is
+		// nil rather than empty, then one of the first shape again.
+		{Result: &SavedResult{Shots: []SavedShot{
+			{Color: []float64{1, 0}, Texture: []float64{}}, {Color: []float64{0, 0}, Texture: []float64{}},
+			{Color: []float64{0, 2}}, {Color: []float64{3, 0}, Texture: []float64{}},
+		}}},
 	}
 	for i := 0; i < 300; i++ {
 		entries = append(entries, SavedLibraryEntry{Subcluster: "medicine", Result: randomSaved(rng, i%10 == 0)})
@@ -171,6 +253,10 @@ func TestEntryRoundTripExact(t *testing.T) {
 			continue
 		}
 		sameBits(t, dec, e)
+		samePacked(t, dec)
+		if runs := arenaRuns(t, dec); i == 5 && runs != 3 {
+			t.Fatalf("the mixed-shape entry decoded into %d arenas, want 3", runs)
+		}
 		if again := AppendEntry([]byte("prefix"), &dec); !bytes.Equal(again[6:], enc) {
 			t.Fatalf("entry %d re-encodes differently", i)
 		}
@@ -348,8 +434,9 @@ func TestDecodeEntryBoundsAllocation(t *testing.T) {
 	}
 }
 
-// FuzzDecodeEntry holds the decoder to its three promises on arbitrary bytes:
+// FuzzDecodeEntry holds the decoder to its four promises on arbitrary bytes:
 // it never panics, it never allocates more than decodeBudget of its input,
+// every row it accepts is what featrow.Pack makes of the row's dense form,
 // and whatever it accepts re-encodes to exactly the bytes it was given.
 func FuzzDecodeEntry(f *testing.F) {
 	rng := rand.New(rand.NewSource(29))
@@ -369,6 +456,7 @@ func FuzzDecodeEntry(f *testing.F) {
 		if err != nil {
 			return
 		}
+		samePacked(t, e)
 		if again := AppendEntry(nil, &e); !bytes.Equal(again, data) {
 			t.Fatalf("accepted %x but re-encodes to %x", data, again)
 		}

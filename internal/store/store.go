@@ -30,9 +30,12 @@ import (
 // FormatVersion guards against decoding incompatible files.
 const FormatVersion = 1
 
-// SavedShot mirrors vidmodel.Shot. Row is set only on the way to the binary
-// entry (AppendResultEntry), which writes a registered shot's packed row as
-// it is; the JSON carries the dense rows alone.
+// SavedShot mirrors vidmodel.Shot. Its feature is either dense, in Color and
+// Texture, or packed, in Row, with Color and Texture nil: DecodeEntry reads
+// every row packed, as does the daemon's decoder of an ingest body, and
+// AppendResultEntry carries a registered shot's row as it is, so a row
+// travels between the disk and the library without being unpacked. The JSON
+// carries the dense rows alone (Dense).
 type SavedShot struct {
 	Index    int         `json:"index"`
 	Start    int         `json:"start"`
@@ -43,13 +46,13 @@ type SavedShot struct {
 	Row      featrow.Row `json:"-"`
 }
 
-// dense returns s with a packed row unpacked into Color and Texture.
-func (s SavedShot) dense() SavedShot {
+// Dense returns s with a packed row unpacked into Color and Texture.
+func (s SavedShot) Dense() SavedShot {
 	if s.Row.IsZero() {
 		return s
 	}
 	c, t := s.Row.Halves()
-	f := s.Row.AppendTo(nil)
+	f := s.Row.AppendTo(make([]float64, 0, s.Row.Len())) // empty halves stay non-nil
 	s.Color, s.Texture, s.Row = f[:c.N:c.N], f[c.N:], featrow.Row{}
 	if c.Nil {
 		s.Color = nil
@@ -144,7 +147,7 @@ func encodeResult(r *core.Result, packed bool) (*SavedResult, error) {
 			Color: s.Color, Texture: s.Texture, Row: s.Row,
 		}
 		if !packed {
-			ss = ss.dense()
+			ss = ss.Dense()
 		}
 		out.Shots = append(out.Shots, ss)
 	}
@@ -253,7 +256,7 @@ func DecodeResult(sr *SavedResult) (*core.Result, error) {
 	for i, s := range sr.Shots {
 		shots[i] = &vidmodel.Shot{
 			Index: s.Index, Start: s.Start, End: s.End, RepFrame: s.RepFrame,
-			Color: s.Color, Texture: s.Texture,
+			Color: s.Color, Texture: s.Texture, Row: s.Row,
 		}
 	}
 	res.Shots = shots

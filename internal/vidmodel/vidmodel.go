@@ -118,7 +118,8 @@ type Shot struct {
 	Color    []float64 // 256-dim normalised HSV histogram of the rep frame
 	Texture  []float64 // 10-dim Tamura coarseness vector of the rep frame
 	// Row holds the feature zero-suppressed once a library has registered
-	// the shot; Color and Texture are nil from then on.
+	// the shot, or when the shot was decoded from a stored entry or an
+	// ingest body; Color and Texture are nil then.
 	Row featrow.Row
 }
 
