@@ -287,7 +287,8 @@ const maxArenaVals = math.MaxInt32
 // exactly len(vals) values in all.
 func NewArena(rows, nc, nt int, ncNil, ntNil bool, words []uint64, vals []float64) *Arena {
 	wc, wt := (nc+63)/64, (nt+63)/64
-	if rows < 0 || (ncNil && nc != 0) || (ntNil && nt != 0) || len(words) != rows*(wc+wt) || len(vals) > maxArenaVals {
+	if rows < 0 || nc < 0 || nt < 0 || (ncNil && nc != 0) || (ntNil && nt != 0) ||
+		len(words) != rows*(wc+wt) || len(vals) > maxArenaVals {
 		panic("featrow: NewArena: words do not fit the shape")
 	}
 	a := &Arena{nc: nc, nt: nt, ncNil: ncNil, ntNil: ntNil, wc: wc, wt: wt,
@@ -297,7 +298,7 @@ func NewArena(rows, nc, nt int, ncNil, ntNil bool, words []uint64, vals []float6
 	for i := 0; i < rows; i++ {
 		a.off[i] = int32(nv)
 		row := words[i*w : (i+1)*w]
-		if pastEnd(row[:a.wc], nc) || pastEnd(row[a.wc:], nt) {
+		if pastEnd(row[:wc], nc) || pastEnd(row[wc:], nt) {
 			panic("featrow: NewArena: a presence bit past the end of a half")
 		}
 		for _, x := range row {
