@@ -276,49 +276,30 @@ func SplitSqDistBounded(color, texture, query []float64, bound float64) float64 
 // maxArenaVals caps an arena's values so that int32 offsets address them.
 const maxArenaVals = math.MaxInt32
 
-// NewArena makes an arena of rows rows of one shape out of the packed form
-// itself, the way the binary entry stores it: words holds each row's
-// presence words back to back, ⌈nc/64⌉ colour then ⌈nt/64⌉ texture, and vals
-// the values they name, row after row; a half that is nil has ncNil (ntNil)
-// set and length 0. The arena keeps both slices, which nobody may write
-// afterwards. Every value must have non-zero bits, as Pack would have left
-// it; NewArena does not look at them. It panics unless the presence words
-// are the right number, name no element past their half's end and name
-// exactly len(vals) values in all.
-func NewArena(rows, nc, nt int, ncNil, ntNil bool, words []uint64, vals []float64) *Arena {
+// NewArena makes an arena of one shape out of the packed form itself, the
+// way the binary entry stores it: words holds each row's presence words back
+// to back, ⌈nc/64⌉ colour then ⌈nt/64⌉ texture, vals the values they name,
+// row after row, and off[i] where row i's values start in vals; a half that
+// is nil has ncNil (ntNil) set and length 0. The arena keeps the three
+// slices, which nobody may write afterwards.
+//
+// The caller has checked the rows, as the entry decoder does: no presence
+// bit past the end of a half, each off[i] the values the rows before i
+// name, len(vals) those all rows name, and every value with non-zero bits,
+// as Pack would have left it. NewArena checks only that the slices fit the
+// shape, and panics when they do not.
+func NewArena(nc, nt int, ncNil, ntNil bool, words []uint64, vals []float64, off []int32) *Arena {
 	wc, wt := (nc+63)/64, (nt+63)/64
-	if rows < 0 || nc < 0 || nt < 0 || (ncNil && nc != 0) || (ntNil && nt != 0) ||
-		len(words) != rows*(wc+wt) || len(vals) > maxArenaVals {
-		panic("featrow: NewArena: words do not fit the shape")
+	if nc < 0 || nt < 0 || (ncNil && nc != 0) || (ntNil && nt != 0) ||
+		len(words) != len(off)*(wc+wt) || len(vals) > maxArenaVals {
+		panic("featrow: NewArena: the rows do not fit the shape")
 	}
-	a := &Arena{nc: nc, nt: nt, ncNil: ncNil, ntNil: ntNil, wc: wc, wt: wt,
-		words: words, vals: vals, off: make([]int32, rows)}
-	w := wc + wt
-	nv := 0
-	for i := 0; i < rows; i++ {
-		a.off[i] = int32(nv)
-		row := words[i*w : (i+1)*w]
-		if pastEnd(row[:wc], nc) || pastEnd(row[wc:], nt) {
-			panic("featrow: NewArena: a presence bit past the end of a half")
-		}
-		for _, x := range row {
-			nv += bits.OnesCount64(x)
-		}
-	}
-	if nv != len(vals) {
-		panic("featrow: NewArena: the presence words do not name len(vals) values")
-	}
-	return a
+	return &Arena{nc: nc, nt: nt, ncNil: ncNil, ntNil: ntNil, wc: wc, wt: wt,
+		words: words, vals: vals, off: off}
 }
 
 // Row returns row i of a.
 func (a *Arena) Row(i int) Row { return Row{a: a, i: int32(i)} }
-
-// pastEnd reports whether the presence words of an n-long half name an
-// element at n or beyond.
-func pastEnd(words []uint64, n int) bool {
-	return n&63 != 0 && words[len(words)-1]>>uint(n&63) != 0
-}
 
 // Pack packs every row of rows that names none yet: row i is the halves
 // half(i) returns, colour then texture, and each run of such rows of one

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"io"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,7 +18,9 @@ import (
 // decodeIngest, decodeSearch and decodeBatch are the only decoders of a POST
 // /v1/videos, /v1/search and /v1/search/batch body, and each yields exactly
 // the value json.NewDecoder(body).Decode(req) yields for the same bytes,
-// accepting exactly the bodies it accepts:
+// accepting exactly the bodies it accepts (decodeIngest hands each shot's
+// feature over packed, in SavedShot.Row, holding the bits encoding/json
+// decodes into Color and Texture):
 //
 //   - leading whitespace is skipped, and whatever follows the first value is
 //     ignored;
@@ -44,12 +45,9 @@ import (
 // maxDepth is encoding/json's nesting limit.
 const maxDepth = 10000
 
-// maxPooledValues and maxPooledShots cap the scratch a pooled decoder keeps:
-// one outsized body must not pin its scratch forever.
-const (
-	maxPooledValues = 1 << 17
-	maxPooledShots  = 1 << 10
-)
+// maxPooledValues caps the feature scratch a pooled decoder keeps: one
+// outsized body must not pin its scratch forever.
+const maxPooledValues = 1 << 17
 
 // syntaxError is malformed JSON, which encoding/json rejects before it
 // decodes anything.
@@ -74,14 +72,12 @@ func (e *typeError) Error() string {
 
 // decoder reads one body front to back. Feature rows go to vals, a scratch
 // shared by every row of the body; decode moves the rows the request keeps
-// into arenas of their own before it returns. A shot table is read into
-// shots first (shotTable).
+// into arenas of their own before it returns.
 type decoder struct {
 	b     []byte
 	i     int // read position in b
 	depth int // open arrays and objects
 	vals  []float64
-	shots []store.SavedShot
 }
 
 var decoderPool = sync.Pool{New: func() any {
@@ -150,7 +146,7 @@ func decode[T any](body []byte, v *T, fields []field[T], detach func(*T)) error 
 		detach(v)
 	}
 	d.b = nil
-	if cap(d.vals) <= maxPooledValues && cap(d.shots) <= maxPooledShots {
+	if cap(d.vals) <= maxPooledValues {
 		decoderPool.Put(d)
 	}
 	if err != nil {
@@ -227,7 +223,7 @@ var resultFields = []field[store.SavedResult]{
 	{"videoName", func(d *decoder, r *store.SavedResult) error { return d.string(&r.VideoName) }},
 	{"fps", func(d *decoder, r *store.SavedResult) error { return d.float(&r.FPS) }},
 	{"totalFrames", func(d *decoder, r *store.SavedResult) error { return d.int(&r.TotalFrames) }},
-	{"shots", func(d *decoder, r *store.SavedResult) error { return d.shotTable(&r.Shots) }},
+	{"shots", func(d *decoder, r *store.SavedResult) error { return array(d, &r.Shots, shot) }},
 	{"groups", func(d *decoder, r *store.SavedResult) error { return array(d, &r.Groups, group) }},
 	{"scenes", func(d *decoder, r *store.SavedResult) error { return array(d, &r.Scenes, scene) }},
 	{"discarded", func(d *decoder, r *store.SavedResult) error { return array(d, &r.Discarded, scene) }},
@@ -405,31 +401,6 @@ func (d *decoder) row(p *[]float64) error {
 		return err
 	}
 	*p = d.vals[start:len(d.vals):len(d.vals)]
-	return nil
-}
-
-// shotTable decodes a result's shot table. A table met for the first time,
-// or after a null, is read into the pooled scratch and copied out at its
-// length, so growing it costs one allocation rather than one per doubling.
-// Only its capacity differs from what array makes, and that is unseen: the
-// elements array would leave past the length are zero shots, as are the
-// ones a later append makes. A repeated key decodes into the table the first
-// one left, as array does.
-func (d *decoder) shotTable(p *[]store.SavedShot) error {
-	if *p != nil {
-		return array(d, p, shot)
-	}
-	s := d.shots[:cap(d.shots)]
-	clear(s)
-	s = s[:0]
-	if err := array(d, &s, shot); err != nil || len(s) == 0 {
-		*p = s // nil for null, a fresh empty table for []
-		return err
-	}
-	if cap(s) > cap(d.shots) {
-		d.shots = s[:0]
-	}
-	*p = slices.Clone(s)
 	return nil
 }
 

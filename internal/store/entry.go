@@ -387,7 +387,9 @@ func (d *entryDecoder) row(words []uint64, vals []float64) ([]uint64, []float64)
 // shot holds them in (featrow), each run of shots whose rows have one shape
 // into one arena sized to hold exactly them: a first pass over the run's
 // bytes finds where it ends and how many values it holds, and a second
-// copies its presence words and values in. Nothing is unpacked.
+// copies its presence words and values in, noting where each row's values
+// start. Every check is made here, not in featrow.NewArena. Nothing is
+// unpacked.
 func (d *entryDecoder) shots(n int) []SavedShot {
 	shots := make([]SavedShot, n)
 	for i := 0; i < n; {
@@ -413,17 +415,19 @@ func (d *entryDecoder) shots(n int) []SavedShot {
 		}
 		words := make([]uint64, rows*(len(color.presence)+len(texture.presence))/8)
 		vals := make([]float64, written)
+		off := make([]int32, rows)
 		w, v := words, vals
 		for k := i; k < i+rows; k++ {
 			s := &shots[k]
 			s.Index, s.Start, s.End, s.RepFrame = d.int(), d.int(), d.int(), d.int()
+			off[k-i] = int32(written - len(v))
 			w, v = d.row(w, v)
 			w, v = d.row(w, v)
 		}
 		if d.err != nil {
 			return nil
 		}
-		arena := featrow.NewArena(rows, color.n, texture.n, color.isNil, texture.isNil, words, vals)
+		arena := featrow.NewArena(color.n, texture.n, color.isNil, texture.isNil, words, vals, off)
 		for k := 0; k < rows; k++ {
 			shots[i+k].Row = arena.Row(k)
 		}
